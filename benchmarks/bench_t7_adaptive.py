@@ -20,12 +20,17 @@ The benchmark measures both sides against a dense-grid oracle:
 The acceptance bar is a >= 3x node-count reduction at matched accuracy,
 with the adaptive result bit-identical across the serial, thread,
 process and process+zero-copy backends and the parent-side
-``adaptive.*`` counters exactly equal on all of them.
+``adaptive.*`` counters exactly equal on all of them.  Both sides are
+also timed through the same default ``solve_bias`` path
+(``time.adaptive_serial_s`` vs ``time.uniform_matched_s``, with
+``nproc`` recorded next to them): fewer solves must also mean less
+wall-clock, which ``--smoke`` asserts.
 
 ``--smoke`` records the full report as the ``BENCH_adaptive`` measured
 baseline.
 """
 
+import os
 import time
 
 import numpy as np
@@ -128,11 +133,20 @@ def _uniform_report(built, pot):
     assert matched is not None, (
         f"no uniform grid below the oracle reached {REL_TOL:g} relative"
     )
+    # the matched grid through the same solve_bias the adaptive side is
+    # timed on (cold sigma cache on both, one serial process)
+    t0 = time.perf_counter()
+    _transport(built, backend="serial", sigma_cache=True).solve_bias(
+        pot, BIAS_V, energy_grid=uniform_grid(emin, emax, matched)
+    )
+    matched_s = time.perf_counter() - t0
     return {
         "current_ref_a": float(i_ref),
         "uniform.matched_n": int(matched),
         "uniform.rel_error": float(matched_rel),
         "time.dense_oracle_s": oracle_s,
+        "time.uniform_matched_s": matched_s,
+        "nproc": os.cpu_count(),
     }
 
 
@@ -208,6 +222,9 @@ def _full_report(built, pot, backends=None):
     )
     assert report["adaptive.rel_error"] <= REL_TOL, report
     assert report["reduction"] >= 3.0, report
+    assert (
+        report["time.adaptive_serial_s"] < report["time.uniform_matched_s"]
+    ), report
     return report
 
 

@@ -130,7 +130,6 @@ def _escalation_report():
     pot = np.zeros(built.n_atoms)
     ref_calc = TransportCalculation(
         built, method="rgf", n_energy=13, backend="serial",
-        batch_energies=False,
     )
     grid = ref_calc.energy_grid(pot, 0.1)
     ref = ref_calc.solve_bias(pot, 0.1, energy_grid=grid)
@@ -145,7 +144,7 @@ def _escalation_report():
     for backend, workers, zc in backends:
         calc = TransportCalculation(
             built, method="rgf", n_energy=13, backend=backend,
-            workers=workers, batch_energies=False, zero_copy=zc,
+            workers=workers, zero_copy=zc,
             precision="mixed", refine_faults=faults,
         )
         registry = MetricsRegistry()
@@ -169,7 +168,7 @@ def _escalation_report():
 def _plan_bytes(built, pot, precision):
     calc = TransportCalculation(
         built, method="rgf", n_energy=13, backend="process", workers=2,
-        batch_energies=True, zero_copy=True, precision=precision,
+        zero_copy=True, precision=precision,
     )
     registry = MetricsRegistry()
     with use_metrics(registry):

@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: $REPRO_WORKERS or 2)",
         )
         p.add_argument(
-            "--batch-energies", action="store_true",
-            help="solve energy chunks as stacked numpy calls instead of "
-                 "per-point loops (agrees with per-point to <1e-10)",
-        )
-        p.add_argument(
             "--cache-sigma", action="store_true",
             help="share a contact self-energy cache across energy points "
                  "and SCF iterations (invalidated on potential updates)",
@@ -399,7 +394,6 @@ def _backend_kwargs(args) -> dict:
     kwargs = {
         "backend": getattr(args, "backend", None),
         "workers": getattr(args, "workers", None),
-        "batch_energies": bool(getattr(args, "batch_energies", False)),
         "sigma_cache": True if getattr(args, "cache_sigma", False) else None,
         "precision": getattr(args, "precision", None),
     }
@@ -433,7 +427,8 @@ def _cmd_simulate(args) -> int:
             _metering(args.metrics) as registry, \
             _eventing(args.events, "simulate", spec=args.spec,
                       backend=args.backend,
-                      precision=getattr(args, "precision", None)) as events:
+                      precision=getattr(args, "precision", None),
+                      stack_length=transport.stack_length) as events:
         if events is not None:
             events.run_started(total=1, v_gate=args.vg, v_drain=args.vd)
         result = scf.run(args.vg, args.vd)
@@ -508,7 +503,8 @@ def _cmd_sweep(args) -> int:
             _metering(args.metrics) as registry, \
             _eventing(args.events, "sweep", spec=args.spec,
                       precision=getattr(args, "precision", None),
-                      backend=args.backend):
+                      backend=args.backend,
+                      stack_length=transport.stack_length):
         # the sweep loop itself emits run_started/point_done/run_finished
         # through the installed writer (see IVSweep._sweep)
         curve = sweep.transfer_curve(vgs, v_drain=args.vd)
@@ -637,6 +633,8 @@ def _cmd_doctor(args) -> int:
     trace = CommTrace()
     print(f"doctor : {built.spec.name} ({built.n_atoms} atoms, "
           f"{built.device.n_slabs} slabs, method={args.method})")
+    print(f"stack  : {transport.stack_length} energies per stacked "
+          f"kernel call on this device")
 
     try:
         with use_metrics(registry), use_monitor(monitor):
@@ -740,8 +738,7 @@ def _cmd_doctor(args) -> int:
     cache = SelfEnergyCache()
     probe = TransportCalculation(
         built, method=args.method, n_energy=11,
-        backend="serial",
-        batch_energies=args.batch_energies, sigma_cache=cache,
+        backend="serial", sigma_cache=cache,
     )
     pot_probe = scf.atom_potential_ev(
         scf.initial_potential(vgs[-1], args.vd)
@@ -769,13 +766,9 @@ def _cmd_doctor(args) -> int:
     # bytes a pickled task payload ships versus the plan-id payload —
     # is recorded either way.
     ipc_registry = MetricsRegistry()
-    # batch_energies forces the chunked dispatch path even on the serial
-    # backend — the per-point loop ships no payloads, so without it the
-    # task-bytes comparison would have nothing to measure
     probe_zc = TransportCalculation(
         built, method=args.method, n_energy=11,
-        backend="serial",
-        batch_energies=True, zero_copy=True,
+        backend="serial", zero_copy=True,
     )
     with use_metrics(ipc_registry):
         probe_zc.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)
@@ -811,7 +804,7 @@ def _cmd_doctor(args) -> int:
         prec_registry = MetricsRegistry()
         probe_mx = TransportCalculation(
             built, method="rgf", n_energy=11,
-            backend="serial", batch_energies=True, precision="mixed",
+            backend="serial", precision="mixed",
         )
         with use_metrics(prec_registry):
             probe_mx.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)

@@ -31,7 +31,7 @@ from ..parallel.plan import DevicePlan, zero_copy_enabled
 from ..parallel.decomposition import Decomposition, choose_level_sizes
 from ..parallel.scheduler import split_chunks
 from ..physics.grids import EnergyGrid
-from .transport import TransportCalculation
+from .transport import TransportCalculation, solve_energies
 
 __all__ = ["PartialObservables", "DistributedTransport"]
 
@@ -214,11 +214,11 @@ class DistributedTransport:
                 solvers[ik] = calc._make_solver(H)
             return solvers[ik]
 
-        # batched mode: stack this rank's energy points per k-point up
-        # front (fault injection/retry need the per-task attempt loop,
-        # so batching only engages without them)
+        # stack this rank's energy points per k-point up front; fault
+        # injection/retry re-solve per attempt, each as a stack of one —
+        # bit-identical to the point's slice of the clean stack
         prebatched: dict[tuple[int, int], object] = {}
-        if calc.batch_energies and injector is None and retry is None:
+        if injector is None and retry is None:
             by_k: dict[int, list[int]] = {}
             for task in tasks:
                 by_k.setdefault(int(task.k_index), []).append(
@@ -226,8 +226,9 @@ class DistributedTransport:
                 )
             for ik, ies in by_k.items():
                 unique = sorted(set(ies))
-                batch = get_solver(ik).solve_batch(
-                    [float(grid.energies[ie]) for ie in unique]
+                batch = solve_energies(
+                    get_solver(ik),
+                    [float(grid.energies[ie]) for ie in unique],
                 )
                 for ie, res in zip(unique, batch):
                     prebatched[(ik, ie)] = res
@@ -236,7 +237,9 @@ class DistributedTransport:
             """One (k, E) contribution: (w_k-weighted current, density)."""
             res = prebatched.get((ik, ie))
             if res is None:
-                res = get_solver(ik).solve(float(grid.energies[ie]))
+                res = solve_energies(
+                    get_solver(ik), [float(grid.energies[ie])]
+                )[0]
             w = float(kgrid.weights[ik] * grid.weights[ie])
             # single-point "grids" let us reuse the scalar observable code
             point = EnergyGrid(

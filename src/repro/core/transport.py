@@ -70,7 +70,13 @@ from ..tb.hamiltonian import build_device_hamiltonian, wire_bloch_hamiltonian
 from ..wf.qtbm import WFSolver
 from .device import BuiltDevice
 
-__all__ = ["TransportResult", "TransportCalculation"]
+__all__ = [
+    "STACK_BUDGET_BYTES",
+    "TransportCalculation",
+    "TransportResult",
+    "solve_energies",
+    "stack_length",
+]
 
 
 @dataclass
@@ -157,15 +163,12 @@ class TransportCalculation:
         raise it when chasing resonances much narrower than the seed grid.
     backend : str, ExecutionBackend or None
         Local execution backend for the energy grid of each k-point:
-        "serial" (default, the historical bit-identical loop), "thread"
-        or "process".  None reads ``$REPRO_BACKEND`` (default serial).
+        "serial" (default), "thread" or "process".  None reads
+        ``$REPRO_BACKEND`` (default serial).  Every backend runs the
+        same stacked kernels (:func:`solve_energies`) and is
+        bit-identical to the others.
     workers : int or None
         Worker count for the pooled backends (None: ``$REPRO_WORKERS``).
-    batch_energies : bool
-        Solve each energy chunk as one stacked ``solve_batch`` call
-        instead of a per-point loop.  Off by default: the batched
-        reductions may differ from the per-point ones in the last ulp,
-        and the regression baselines pin the per-point path bit-exactly.
     sigma_cache : SelfEnergyCache, True or None
         Shared contact self-energy cache (True builds a fresh one).
         Hits skip the Sancho-Rubio decimation entirely — and therefore
@@ -222,7 +225,6 @@ class TransportCalculation:
         adaptive_max_passes: int = 12,
         backend=None,
         workers=None,
-        batch_energies: bool = False,
         sigma_cache=None,
         injector=None,
         degradation_budget=None,
@@ -265,7 +267,6 @@ class TransportCalculation:
         self.adaptive_max_passes = int(adaptive_max_passes)
         self.spin_degeneracy = 1 if built.material.basis.spin else 2
         self.backend = get_backend(backend, workers)
-        self.batch_energies = bool(batch_energies)
         if sigma_cache is True:
             sigma_cache = SelfEnergyCache()
         self.sigma_cache = sigma_cache
@@ -273,6 +274,21 @@ class TransportCalculation:
         self.degradation_budget = degradation_budget or DegradationBudget()
         self.zero_copy = zero_copy_enabled(zero_copy)
         self._potential_fingerprint: bytes | None = None
+
+    @property
+    def batch_energies(self) -> bool:
+        """Always True: the stacked kernels are the only energy sweep."""
+        return True
+
+    @property
+    def stack_length(self) -> int:
+        """Energies per stacked kernel call on this device
+        (:func:`stack_length` of its slab count and widest slab)."""
+        device = self.built.device
+        widest = max(device.slab_size(s) for s in range(device.n_slabs))
+        return stack_length(
+            device.n_slabs, widest * self.built.material.orbitals_per_atom
+        )
 
     # ------------------------------------------------------------------
     def hamiltonian(self, potential_ev: np.ndarray, k_transverse: float = 0.0):
@@ -370,13 +386,14 @@ class TransportCalculation:
         Rungs (contain mode): plain solve -> per-point rebuild with the
         ``robust`` surface ladder -> dense-oracle reference solve ->
         quarantine (returns None).  Strict mode takes the plain solve and
-        lets every error propagate; with the sentinel off and no injector
-        this *is* the plain solve (bit-identical clean path).
+        lets every error propagate.  Every solver rung is a stack of one
+        through :func:`solve_energies`, so a healed point is bit-identical
+        to the same point solved inside a clean stack.
 
         Mixed-precision escalation sits *before* the ladder: the solver's
-        ``solve_escalating`` re-solves an uncertified energy on its FP64
-        twin (bit-identical to a pure-FP64 run), and only a failure of
-        that full-precision solve climbs the rungs.
+        ``solve_batch_escalating`` re-solves an uncertified energy on its
+        FP64 twin (bit-identical to a pure-FP64 run), and only a failure
+        of that full-precision solve climbs the rungs.
         """
         injector = self.injector
 
@@ -388,7 +405,8 @@ class TransportCalculation:
                 return None
             return injector.fire("energy", (ik, float(e)))
 
-        point_solve = getattr(solver, "solve_escalating", solver.solve)
+        def point_solve(e, solver=solver):
+            return solve_energies(solver, [e])[0]
 
         if not sentinel.enabled and injector is None:
             return point_solve(e)
@@ -435,7 +453,7 @@ class TransportCalculation:
             # bit-identical to the clean one, and mixed mode carries its
             # own FP64 condition-gate escalation
             robust = self._make_solver(H2, surface_method="robust")
-            res = getattr(robust, "solve_escalating", robust.solve)(e)
+            res = point_solve(e, robust)
             if mode == "nan":
                 res = nan_like(res)
             if not non_finite(res):
@@ -610,7 +628,6 @@ class TransportCalculation:
                     plan.plan_id,
                     arena.arena_id,
                     tuple(slots[i] for i in chunk),
-                    self.batch_energies,
                     self.injector,
                     chunk_id,
                     sidecar.sidecar_id if sidecar is not None else None,
@@ -675,7 +692,6 @@ class TransportCalculation:
                     plan.plan_id,
                     "x" * 14,
                     tuple(chunks[chunk_id]),
-                    self.batch_energies,
                     self.injector,
                     chunk_id,
                     None,
@@ -692,10 +708,10 @@ class TransportCalculation:
 
         The grid is split into one contiguous chunk per worker (all in
         one chunk for the serial backend) and each chunk is solved by
-        :func:`_solve_chunk` — per-point or as one stacked
-        ``solve_batch`` call — then reassembled in grid order.  Results
-        are identical to the per-point loop up to the documented batched
-        reduction tolerance (bitwise when ``batch_energies`` is off).
+        :func:`_solve_chunk` in memory-bounded stacked ``solve_batch``
+        calls (:func:`solve_energies`), then reassembled in grid order.
+        Stacked results do not depend on how the grid is split, so every
+        backend and worker count is bit-identical.
 
         With a shared-mode ``plan`` the chunks are dispatched by id
         through :meth:`_run_plan_chunks` instead of pickling the solver
@@ -738,7 +754,6 @@ class TransportCalculation:
             (
                 solver,
                 [energies[i] for i in chunk],
-                self.batch_energies,
                 self.injector,
                 chunk_id,
                 capture,
@@ -774,9 +789,9 @@ class TransportCalculation:
 
     # -- adaptive energy waves -----------------------------------------
 
-    def _solve_adaptive(self, ik, n_k, H, grid, sample, solve_nodes, cache,
-                        mu_s, mu_d, kT, potential_fp, h_suspect,
-                        energy_faults, degradation):
+    def _solve_adaptive(self, ik, H, grid, solve_nodes, cache,
+                        mu_s, mu_d, kT, potential_fp, per_point,
+                        degradation):
         """Wave-scheduled adaptive energy quadrature for one k-point.
 
         Refinement is driven parent-side by the
@@ -827,11 +842,6 @@ class TransportCalculation:
         # stay below n_initial + 2*max_points), so twice the sum bounds
         # the total slot demand
         capacity = 2 * (n_initial + self.max_energy_points)
-        per_point = (
-            (self.backend.name == "serial" and not self.batch_energies)
-            or h_suspect
-            or energy_faults
-        )
         eff = self._effective_backend()
         n_workers = 1 if eff.name == "serial" else eff.workers
         metrics = get_metrics()
@@ -844,7 +854,7 @@ class TransportCalculation:
         spec_scale = None
         wave = refiner.first_wave()
         try:
-            if self.zero_copy and not h_suspect and not energy_faults:
+            if self.zero_copy and not per_point:
                 plan = self._publish_plan(
                     H, grid, potential_fp,
                     energies=np.asarray(wave, dtype=float),
@@ -873,14 +883,7 @@ class TransportCalculation:
                             slots = plan.append_slots(fresh)
                         except PlanCapacityError:
                             slots = None  # overflow: legacy dispatch
-                if per_point:
-                    for energy in fresh:
-                        sample(energy)
-                        events.maybe_heartbeat(
-                            stage=f"k-point {ik + 1}/{n_k} "
-                                  f"wave {n_waves}"
-                        )
-                elif fresh:
+                if fresh:
                     overflow = (
                         plan is not None and plan.mode == "shared"
                         and slots is None
@@ -891,7 +894,6 @@ class TransportCalculation:
                         chunks=wave_chunks(len(fresh), n_workers),
                         node_arena=None if overflow else arena,
                         slots=None if overflow else slots,
-                        stage=f"wave {n_waves}",
                     )
                 n_solved += len(fresh)
                 pairs = []
@@ -1057,7 +1059,7 @@ class TransportCalculation:
         # energy-site faults fire inside _resilient_point, i.e. in the
         # parent's per-point degradation ladder — chunked dispatch would
         # solve those points cleanly in workers and the configured fault
-        # would never be injected, so such solves take the per-point loop
+        # would never be injected, so such solves go point by point
         energy_faults = (
             self.injector is not None and self.injector.targets("energy")
         )
@@ -1084,13 +1086,13 @@ class TransportCalculation:
                     H = corrupt_hamiltonian(H, mode)
                     h_suspect = True
             solver = self._make_solver(H)
+            # a known-corrupted H — or an injector aimed at the energy
+            # site — must go through the in-process per-point ladder: a
+            # process pool's sentinel trips stay in the children, where
+            # the parent cannot heal them
+            per_point = h_suspect or energy_faults
             plan = None
-            if (
-                self.zero_copy
-                and not h_suspect
-                and not energy_faults
-                and adaptive_info is None
-            ):
+            if self.zero_copy and not per_point and adaptive_info is None:
                 # publish this (bias, k) solve state once; every chunk of
                 # the energy sweep references it by id (the adaptive mode
                 # publishes its own reserve-capacity plan per k-point)
@@ -1109,16 +1111,18 @@ class TransportCalculation:
                 return cache[e]
 
             def solve_nodes(fresh, node_plan, slot_grid=None, chunks=None,
-                            node_arena=None, slots=None, stage="leftover"):
+                            node_arena=None, slots=None):
                 # dispatch fresh nodes through the backend; anything the
-                # chunked path could not deliver cleanly is re-solved
-                # point-by-point down the degradation ladder
+                # chunked path could not deliver cleanly — or everything,
+                # when the k-point is pinned to the in-process ladder —
+                # is solved point-by-point down the degradation ladder
                 chunk_results = None
                 try:
-                    chunk_results = self._run_backend(
-                        solver, fresh, plan=node_plan, grid=slot_grid,
-                        chunks=chunks, arena=node_arena, slots=slots,
-                    )
+                    if not per_point:
+                        chunk_results = self._run_backend(
+                            solver, fresh, plan=node_plan, grid=slot_grid,
+                            chunks=chunks, arena=node_arena, slots=slots,
+                        )
                 except DegradationBudgetError:
                     raise
                 except LADDER_EXCEPTIONS:
@@ -1133,20 +1137,20 @@ class TransportCalculation:
                                 flops, H, res.n_channels_left
                             )
                 leftover = [e for e in fresh if e not in cache]
-                if leftover and sentinel.enabled and not sentinel.strict:
+                if (
+                    leftover and not per_point
+                    and sentinel.enabled and not sentinel.strict
+                ):
                     degradation.record_ladder("chunk:per-point")
                 for energy in leftover:
                     sample(energy)
-                    get_events().maybe_heartbeat(
-                        stage=f"k-point {ik + 1}/{n_k} {stage}"
-                    )
 
             try:
                 if adaptive_info is not None:
                     k_grid_e, k_stats = self._solve_adaptive(
-                        ik, n_k, H, grid, sample, solve_nodes, cache,
-                        mu_s, mu_d, kT, potential_fp,
-                        h_suspect, energy_faults, degradation,
+                        ik, H, grid, solve_nodes, cache,
+                        mu_s, mu_d, kT, potential_fp, per_point,
+                        degradation,
                     )
                     for key, val in k_stats.items():
                         if key == "est_error":
@@ -1155,28 +1159,12 @@ class TransportCalculation:
                             )
                         else:
                             adaptive_info[key] += val
-                elif (
-                    self.backend.name == "serial"
-                    and not self.batch_energies
-                ) or h_suspect or energy_faults:
-                    # a known-corrupted H — or an injector aimed at the
-                    # energy site — must go through the in-process
-                    # per-point ladder: a process pool's sentinel trips
-                    # stay in the children, where the parent cannot heal
-                    # them
-                    k_grid_e = grid
-                    for energy in k_grid_e.energies:
-                        sample(energy)
-                        get_events().maybe_heartbeat(
-                            stage=f"k-point {ik + 1}/{n_k} per-point"
-                        )
                 else:
                     k_grid_e = grid
-                    fresh = [
-                        float(e) for e in k_grid_e.energies
-                        if float(e) not in cache
-                    ]
-                    solve_nodes(fresh, plan, slot_grid=k_grid_e)
+                    solve_nodes(
+                        [float(e) for e in grid.energies], plan,
+                        slot_grid=grid,
+                    )
             finally:
                 if plan is not None:
                     plan.release()
@@ -1273,23 +1261,54 @@ def _in_worker() -> bool:
     return threading.current_thread().name.startswith("repro-worker")
 
 
-def _solve_chunk_body(solver, energies, batched, injector, chunk_id):
-    """Solve one energy chunk (shared by all payload variants).
+#: Byte budget of one stacked ``(E, m, m)``-per-block work array of the
+#: block LU.  Long stacks amortise the interpreter at small blocks; at
+#: m=25 the kernels are LAPACK-bound after a few slices and a longer stack
+#: only inflates the resident set (measured in docs/PARALLELISM.md).
+STACK_BUDGET_BYTES = 2 << 20
 
-    Mixed-precision solvers expose ``solve_escalating`` /
-    ``solve_batch_escalating``: energies whose refinement cannot be
-    certified are re-solved on the FP64 twin right here, so escalation
-    counters are charged exactly once wherever the chunk runs.
+
+def stack_length(n_blocks: int, block_size: int) -> int:
+    """Energies per stacked kernel call for a device of this shape.
+
+    The longest stack whose ``n_blocks`` complex128 ``(E, m, m)`` block
+    arrays stay within :data:`STACK_BUDGET_BYTES` (at least one).
     """
+    per_energy = int(n_blocks) * int(block_size) ** 2 * 16
+    return max(1, STACK_BUDGET_BYTES // per_energy)
+
+
+def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
+    """Solve ``energies`` on ``solver``: *the* energy-sweep execution.
+
+    Every dispatch — serial grid, backend chunk, plan chunk, adaptive
+    wave, distributed rank, and the single-point rungs of the degradation
+    ladder and retry loops as a stack of one — lands here and runs the
+    stacked kernels (``solve_batch``, or ``solve_batch_escalating`` where
+    the solver certifies in mixed precision) in sub-stacks of
+    :func:`stack_length` energies.  Stacked results are per-slice
+    independent of the stack they ride in, so the split changes memory,
+    never a bit of the answer.
+
+    ``injector``/``chunk_id`` are the chaos-campaign ``"worker"`` fault
+    site of the chunk payloads.  In the parent the loop heartbeats once
+    per sub-stack so a long serial k-point still moves ``repro top``.
+    """
+    in_worker = _in_worker()
     mode = None
-    if injector is not None and _in_worker():
+    if injector is not None and in_worker:
         mode = injector.fire("worker", chunk_id)
-    if batched:
-        batch = getattr(solver, "solve_batch_escalating", solver.solve_batch)
-        results = batch(energies)
-    else:
-        point = getattr(solver, "solve_escalating", solver.solve)
-        results = [point(float(e)) for e in energies]
+    batch = getattr(solver, "solve_batch_escalating", solver.solve_batch)
+    H = solver.H
+    step = stack_length(H.n_blocks, H.block_sizes.max())
+    events = get_events()
+    results: list = []
+    for lo in range(0, len(energies), step):
+        results.extend(batch(energies[lo:lo + step]))
+        if not in_worker:
+            events.maybe_heartbeat(
+                stage="energy-stack", solved=len(results), of=len(energies)
+            )
     if mode == "nan":
         results = [nan_like(r) for r in results]
     return results
@@ -1299,39 +1318,31 @@ def _solve_chunk(payload):
     """Worker body for the execution backends: solve one energy chunk.
 
     Module-level (not a closure) so ProcessPoolExecutor can pickle it;
-    the payload carries the (picklable) solver rather than the full
-    calculation object.
-
-    Payloads may carry three optional trailing fields (older 3-tuples
-    keep working): a :class:`repro.resilience.FaultInjector` whose
+    the payload ``(solver, energies, injector, chunk_id, capture)``
+    carries the (picklable) solver rather than the full calculation
+    object, the :class:`repro.resilience.FaultInjector` whose
     ``"worker"`` site fires here, the chunk id keying it, and the
     telemetry ``capture`` flag.  With ``capture`` the chunk runs under
     :func:`~repro.observability.telemetry.capture_telemetry` — the
     instrumented kernels trace into a worker-local tracer/registry and
     the return value becomes a ``(results, delta)`` envelope the parent
-    merges back (so child-side tracer/metrics updates are no longer
-    lost).  The capture only engages inside a real worker process; the
-    parent-side executions of the same payload (single-chunk shortcut,
-    speculative straggler recompute, pool-restart salvage) record into
-    the live instruments directly and ship ``delta=None``.
+    merges back.  The capture only engages inside a real worker process;
+    the parent-side executions of the same payload (single-chunk
+    shortcut, speculative straggler recompute, pool-restart salvage)
+    record into the live instruments directly and ship ``delta=None``.
     """
-    solver, energies, batched = payload[:3]
-    injector = payload[3] if len(payload) > 3 else None
-    chunk_id = payload[4] if len(payload) > 4 else 0
-    capture = bool(payload[5]) if len(payload) > 5 else False
+    solver, energies, injector, chunk_id, capture = payload
     if not capture:
-        return _solve_chunk_body(solver, energies, batched, injector, chunk_id)
+        return solve_energies(solver, energies, injector, chunk_id)
     with capture_telemetry() as cap:
         if cap.engaged:
             with trace_span(
                 "chunk", category="task",
                 chunk=chunk_id, n_energies=len(energies),
             ):
-                results = _solve_chunk_body(
-                    solver, energies, batched, injector, chunk_id
+                results = solve_energies(
+                    solver, energies, injector, chunk_id
                 )
         else:
-            results = _solve_chunk_body(
-                solver, energies, batched, injector, chunk_id
-            )
+            results = solve_energies(solver, energies, injector, chunk_id)
     return results, cap.delta

@@ -322,104 +322,38 @@ class RGFSolver:
     def solve(self, energy: float) -> RGFResult:
         """Full RGF solve: transmission, LDOS and contact spectral densities.
 
+        A single energy *is* a stack of one: this is
+        ``solve_batch([energy])[0]``, bit for bit, under any chunking.
         In ``precision="mixed"`` an uncertifiable energy raises
         :class:`~repro.errors.PrecisionEscalationError` — the caller
         (typically the transport degradation ladder) re-solves it on a
         FP64 solver, bit-identically to a pure-FP64 run.
         """
-        with trace_span("rgf.solve", category="kernel", energy=float(energy)):
-            return self._solve(energy)
-
-    def _solve(self, energy: float) -> RGFResult:
-        if self.precision == "mixed":
-            return self._solve_point_mixed(energy)
-        sig_l, sig_r = self.self_energies(energy)
-        diag, upper, lower = assemble_system_blocks(
-            self.H, energy, sig_l.sigma, sig_r.sigma
-        )
-        if self.precision == "fp32":
-            diag = [np.ascontiguousarray(d, dtype=np.complex64) for d in diag]
-            upper = [
-                np.ascontiguousarray(u, dtype=np.complex64) for u in upper
-            ]
-            lower = [
-                np.ascontiguousarray(l, dtype=np.complex64) for l in lower
-            ]
-        lu = BlockTridiagLU(diag, upper, lower)
-
-        col0 = lu.solve_block_column(0)  # G_{i,0}
-        coln = lu.solve_block_column(self.H.n_blocks - 1)  # G_{i,N-1}
-        gdiag = lu.diagonal_of_inverse()
-
-        gam_l = sig_l.gamma
-        gam_r = sig_r.gamma
-        t = np.trace(gam_l @ coln[0] @ gam_r @ coln[0].conj().T)
-
-        spectral_l = np.concatenate(
-            [
-                np.einsum("ij,jk,ik->i", gi, gam_l, gi.conj()).real
-                for gi in col0
-            ]
-        ) / (2.0 * np.pi)
-        spectral_r = np.concatenate(
-            [
-                np.einsum("ij,jk,ik->i", gi, gam_r, gi.conj()).real
-                for gi in coln
-            ]
-        ) / (2.0 * np.pi)
-        dos = -np.concatenate([np.diag(g).imag for g in gdiag]) / np.pi
-
-        sentinel = get_sentinel()
-        if sentinel.enabled:
-            sentinel.check_finite(
-                "rgf", t, spectral_l, spectral_r, dos,
-                detail=f"E={energy:.6g}",
+        energy = float(energy)
+        with trace_span("rgf.solve", category="kernel", energy=energy):
+            results, reasons = self._solve_batch(np.array([energy]))
+        if results[0] is None:
+            reason, injected = reasons[0]
+            raise PrecisionEscalationError(
+                f"mixed-precision refinement could not certify "
+                f"E={energy:.6g} ({reason})",
+                energy=energy,
+                reason=reason,
+                injected=injected,
             )
-
-        n_l = sig_l.n_open_channels()
-        n_r = sig_r.n_open_channels()
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.check_gamma(gam_l, kernel="rgf", side="left",
-                                energy=energy)
-            monitor.check_gamma(gam_r, kernel="rgf", side="right",
-                                energy=energy)
-            # below the band edge (zero open channels) eta-broadening
-            # leaves a tiny positive T; the bound only binds with modes
-            if min(n_l, n_r) > 0:
-                monitor.check_transmission(
-                    float(t.real), min(n_l, n_r), kernel="rgf",
-                    energy=energy,
-                )
-            monitor.check_density(spectral_l, kernel="rgf", side="left",
-                                  energy=energy)
-            monitor.check_density(spectral_r, kernel="rgf", side="right",
-                                  energy=energy)
-        return RGFResult(
-            energy=energy,
-            transmission=float(t.real),
-            dos=dos,
-            spectral_left=spectral_l,
-            spectral_right=spectral_r,
-            n_channels_left=n_l,
-            n_channels_right=n_r,
-        )
+        return results[0]
 
     # ------------------------------------------------------------------
     def solve_batch(self, energies) -> list[RGFResult]:
-        """RGF solves for a whole batch of energies in stacked calls.
+        """RGF solves for a whole stack of energies in stacked calls.
 
-        Semantically ``[self.solve(E) for E in energies]``, executed as
-        one sequence of ``(B, m, m)`` stacked factorisations and sweeps
+        One sequence of ``(B, m, m)`` stacked factorisations and sweeps
         (:class:`repro.solvers.BatchedBlockTridiagLU` plus the batched
         Sancho-Rubio decimation), which amortises the Python dispatch
-        overhead of small blocks over the batch.  Block-LU and surface-GF
-        flops are charged per energy exactly as the per-point path does,
-        so measured counts equal the sum of the per-point charges.
-
-        The observable reductions use batched einsum, whose summation
-        order may differ from the per-point reductions in the last ulp;
-        the differential suite pins agreement at 1e-10.
+        overhead of small blocks over the stack.  Every stacked kernel is
+        per-slice bit-identical to its stack-of-one call, so the result
+        for an energy does not depend on which energies share its stack.
+        Block-LU and surface-GF flops are charged per energy.
 
         In ``precision="mixed"`` the returned list holds ``None`` at
         energies whose refinement could not be certified — the caller
@@ -432,7 +366,7 @@ class RGFSolver:
             "rgf.solve_batch", category="kernel",
             n_energies=int(energies.size),
         ):
-            return self._solve_batch(energies)
+            return self._solve_batch(energies)[0]
 
     # -- typed escalation to full FP64 ---------------------------------
 
@@ -465,7 +399,11 @@ class RGFSolver:
         return twin
 
     def solve_escalating(self, energy: float) -> RGFResult:
-        """:meth:`solve`, with escalated energies re-solved in FP64.
+        """:meth:`solve`, with an escalated energy re-solved in FP64."""
+        return self.solve_batch_escalating([energy])[0]
+
+    def solve_batch_escalating(self, energies) -> list[RGFResult]:
+        """:meth:`solve_batch`, with escalated energies re-solved in FP64.
 
         The re-solve runs wherever the escalation was detected (worker
         or parent), so the ``precision.fp64_escalations`` counter is
@@ -473,14 +411,6 @@ class RGFSolver:
         execution backend dispatched it — and the answer is bit-identical
         to what a pure-FP64 run produces for that energy.
         """
-        try:
-            return self.solve(energy)
-        except PrecisionEscalationError:
-            get_metrics().inc("precision.fp64_escalations", 1.0)
-            return self.fp64_solver().solve(energy)
-
-    def solve_batch_escalating(self, energies) -> list[RGFResult]:
-        """:meth:`solve_batch`, with escalated energies re-solved in FP64."""
         energies = np.asarray(energies, dtype=float).ravel()
         results = self.solve_batch(energies)
         metrics = get_metrics()
@@ -490,11 +420,10 @@ class RGFSolver:
                 results[i] = self.fp64_solver().solve(float(energies[i]))
         return results
 
-    def _solve_batch(self, energies: np.ndarray) -> list[RGFResult]:
-        if self.precision == "mixed":
-            results, _ = self._mixed_batch(energies)
-            return results
-        sigs_l, sigs_r = self.self_energies_batch(energies)
+    # -- the one stacked implementation --------------------------------
+
+    def _system_stack(self, energies, sigs_l, sigs_r):
+        """Stacked blocks of A = E - H - Sigma, ``(B, m, m)`` per diagonal."""
         n = self.H.n_blocks
         sig_l_stack = np.stack([s.sigma for s in sigs_l])
         sig_r_stack = np.stack([s.sigma for s in sigs_r])
@@ -508,6 +437,61 @@ class RGFSolver:
             diag.append(a)
         upper = [-u for u in self.H.upper]
         lower = [-u.conj().T for u in self.H.upper]
+        return diag, upper, lower
+
+    def _results(self, energies, t, dos, spectral_l, spectral_r,
+                 sigs_l, sigs_r, gam_l, gam_r, skip=None) -> list:
+        """Per-energy result objects (None where ``skip``), invariants checked."""
+        monitor = get_monitor()
+        results: list = []
+        for b, energy in enumerate(energies):
+            if skip is not None and skip[b]:
+                results.append(None)
+                continue
+            energy = float(energy)
+            n_l = sigs_l[b].n_open_channels()
+            n_r = sigs_r[b].n_open_channels()
+            if monitor.enabled:
+                monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
+                                    energy=energy)
+                monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
+                                    energy=energy)
+                # below the band edge (zero open channels) eta-broadening
+                # leaves a tiny positive T; the bound only binds with modes
+                if min(n_l, n_r) > 0:
+                    monitor.check_transmission(
+                        float(t[b]), min(n_l, n_r), kernel="rgf",
+                        energy=energy,
+                    )
+                monitor.check_density(spectral_l[b], kernel="rgf",
+                                      side="left", energy=energy)
+                monitor.check_density(spectral_r[b], kernel="rgf",
+                                      side="right", energy=energy)
+            results.append(
+                RGFResult(
+                    energy=energy,
+                    transmission=float(t[b]),
+                    dos=dos[b],
+                    spectral_left=spectral_l[b],
+                    spectral_right=spectral_r[b],
+                    n_channels_left=n_l,
+                    n_channels_right=n_r,
+                )
+            )
+        return results
+
+    def _solve_batch(self, energies: np.ndarray):
+        """Solve one stack; returns ``(results, reasons)``.
+
+        ``reasons`` is None outside mixed precision (nothing escalates);
+        in mixed precision ``results[b]`` is None for escalated slices
+        and ``reasons[b] = (reason, injected)``.
+        """
+        if self.precision == "mixed":
+            return self._mixed_batch(energies)
+        sigs_l, sigs_r = self.self_energies_batch(energies)
+        n = self.H.n_blocks
+        diag, upper, lower = self._system_stack(energies, sigs_l, sigs_r)
         if self.precision == "fp32":
             diag = [np.ascontiguousarray(d, dtype=np.complex64) for d in diag]
             upper = [
@@ -552,60 +536,10 @@ class RGFSolver:
                 "rgf", t, spectral_l, spectral_r, dos,
                 detail=f"batch of {len(energies)}",
             )
-
-        monitor = get_monitor()
-        results = []
-        for b, energy in enumerate(energies):
-            energy = float(energy)
-            n_l = sigs_l[b].n_open_channels()
-            n_r = sigs_r[b].n_open_channels()
-            if monitor.enabled:
-                monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
-                                    energy=energy)
-                monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
-                                    energy=energy)
-                if min(n_l, n_r) > 0:
-                    monitor.check_transmission(
-                        float(t[b]), min(n_l, n_r), kernel="rgf",
-                        energy=energy,
-                    )
-                monitor.check_density(spectral_l[b], kernel="rgf",
-                                      side="left", energy=energy)
-                monitor.check_density(spectral_r[b], kernel="rgf",
-                                      side="right", energy=energy)
-            results.append(
-                RGFResult(
-                    energy=energy,
-                    transmission=float(t[b]),
-                    dos=dos[b],
-                    spectral_left=spectral_l[b],
-                    spectral_right=spectral_r[b],
-                    n_channels_left=n_l,
-                    n_channels_right=n_r,
-                )
-            )
-        return results
-
-    # ------------------------------------------------------------------
-    def _solve_point_mixed(self, energy: float) -> RGFResult:
-        """Scalar mixed solve = the batch-of-one mixed solve.
-
-        Every stacked kernel is per-slice bit-identical to its scalar
-        call, so this *is* the batched result for this energy under any
-        chunking — the property the cross-backend conformance suite
-        pins.  Escalation raises instead of returning None.
-        """
-        results, reasons = self._mixed_batch(np.array([float(energy)]))
-        if results[0] is None:
-            reason, injected = reasons[0]
-            raise PrecisionEscalationError(
-                f"mixed-precision refinement could not certify "
-                f"E={float(energy):.6g} ({reason})",
-                energy=float(energy),
-                reason=reason,
-                injected=injected,
-            )
-        return results[0]
+        return self._results(
+            energies, t, dos, spectral_l, spectral_r,
+            sigs_l, sigs_r, gam_l, gam_r,
+        ), None
 
     def _mixed_batch(self, energies: np.ndarray):
         """complex64 factorisation + fp64-refined sliver observables.
@@ -625,24 +559,13 @@ class RGFSolver:
         * the LDOS is the fp32 selected inversion (declared loose
           tolerance; it never feeds the current integral).
 
-        Returns ``(results, reasons)`` where ``results[b]`` is None for
-        escalated slices and ``reasons[b] = (reason, injected)``.
+        Returns ``(results, reasons)`` as :meth:`_solve_batch` documents.
         """
-        energies = np.asarray(energies, dtype=float).ravel()
         n = self.H.n_blocks
         sigs_l, sigs_r = self.self_energies_batch(energies)
-        sig_l_stack = np.stack([s.sigma for s in sigs_l])
-        sig_r_stack = np.stack([s.sigma for s in sigs_r])
-        diag64 = []
-        for i, h in enumerate(self.H.diagonal):
-            a = energies[:, None, None] * np.eye(h.shape[0], dtype=complex) - h
-            if i == 0:
-                a = a - sig_l_stack
-            if i == n - 1:
-                a = a - sig_r_stack
-            diag64.append(a)
-        upper64 = [-u for u in self.H.upper]
-        lower64 = [-u.conj().T for u in self.H.upper]
+        diag64, upper64, lower64 = self._system_stack(
+            energies, sigs_l, sigs_r
+        )
         diag32 = [
             np.ascontiguousarray(d, dtype=np.complex64) for d in diag64
         ]
@@ -704,39 +627,7 @@ class RGFSolver:
             )
         if metrics.enabled and ok.any():
             metrics.inc("precision.points_certified", float(ok.sum()))
-
-        monitor = get_monitor()
-        results: list = []
-        for b, energy in enumerate(energies):
-            energy = float(energy)
-            if escalate[b]:
-                results.append(None)
-                continue
-            n_l = sigs_l[b].n_open_channels()
-            n_r = sigs_r[b].n_open_channels()
-            if monitor.enabled:
-                monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
-                                    energy=energy)
-                monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
-                                    energy=energy)
-                if min(n_l, n_r) > 0:
-                    monitor.check_transmission(
-                        float(t[b]), min(n_l, n_r), kernel="rgf",
-                        energy=energy,
-                    )
-                monitor.check_density(spectral_l[b], kernel="rgf",
-                                      side="left", energy=energy)
-                monitor.check_density(spectral_r[b], kernel="rgf",
-                                      side="right", energy=energy)
-            results.append(
-                RGFResult(
-                    energy=energy,
-                    transmission=float(t[b]),
-                    dos=dos[b],
-                    spectral_left=spectral_l[b],
-                    spectral_right=spectral_r[b],
-                    n_channels_left=n_l,
-                    n_channels_right=n_r,
-                )
-            )
-        return results, reasons
+        return self._results(
+            energies, t, dos, spectral_l, spectral_r,
+            sigs_l, sigs_r, gam_l, gam_r, skip=escalate,
+        ), reasons

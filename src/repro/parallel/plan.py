@@ -812,33 +812,21 @@ def decode_result(row: np.ndarray, meta: dict):
     )
 
 
-def _solve_plan_chunk_body(plan_id, arena_id, slots, batched, injector,
+def _solve_plan_chunk_body(plan_id, arena_id, slots, injector,
                            chunk_id) -> int:
     """Attach, solve and encode one plan chunk (all payload variants)."""
+    from ..core.transport import solve_energies
+
     plan = DevicePlan.attach(plan_id)
     arena = ResultArena.attach(arena_id)
-    mode = None
-    if injector is not None:
-        from ..core.transport import _in_worker
-
-        if _in_worker():
-            mode = injector.fire("worker", chunk_id)
-    solver = plan.solver()
     energies = plan.array("energies")
-    values = [float(energies[i]) for i in slots]
     # mixed-precision solvers re-solve their escalated energies on the
     # FP64 twin *here*, so the precision.* counters are charged exactly
     # once per energy in the worker that detected the escalation
-    if batched:
-        batch = getattr(solver, "solve_batch_escalating", solver.solve_batch)
-        results = batch(values)
-    else:
-        point = getattr(solver, "solve_escalating", solver.solve)
-        results = [point(e) for e in values]
-    if mode == "nan":
-        from ..resilience.faults import nan_like
-
-        results = [nan_like(r) for r in results]
+    results = solve_energies(
+        plan.solver(), [float(energies[i]) for i in slots],
+        injector, chunk_id,
+    )
     n_tot = int(plan.meta["n_tot"])
     for slot, res in zip(slots, results):
         if res is not None:
@@ -850,13 +838,13 @@ def _solve_plan_chunk(payload):
     """Worker body for zero-copy plan chunks.
 
     Module-level so ProcessPoolExecutor can pickle it.  The payload is
-    ``(plan_id, arena_id, slots, batched[, injector, chunk_id,
-    sidecar_id])`` — two segment names, the energy-slot indices of this
-    chunk, the batching flag, the optional chaos-campaign injector whose
-    ``"worker"`` site fires here exactly as on the legacy chunk path,
-    and the optional telemetry-sidecar segment name.  Results are
-    written into the arena rows; the return value is the number of slots
-    written (nothing heavy crosses the pool).
+    ``(plan_id, arena_id, slots, injector, chunk_id, sidecar_id)`` — two
+    segment names, the energy-slot indices of this chunk, the optional
+    chaos-campaign injector whose ``"worker"`` site fires here exactly
+    as on the legacy chunk path, and the optional telemetry-sidecar
+    segment name.  Results are written into the arena rows; the return
+    value is the number of slots written (nothing heavy crosses the
+    pool).
 
     With a ``sidecar_id`` the chunk runs under
     :func:`~repro.observability.telemetry.capture_telemetry`: the
@@ -867,13 +855,10 @@ def _solve_plan_chunk(payload):
     real worker process the capture stays inert and ``overflow`` is
     None.
     """
-    plan_id, arena_id, slots, batched = payload[:4]
-    injector = payload[4] if len(payload) > 4 else None
-    chunk_id = payload[5] if len(payload) > 5 else 0
-    sidecar_id = payload[6] if len(payload) > 6 else None
+    plan_id, arena_id, slots, injector, chunk_id, sidecar_id = payload
     if sidecar_id is None:
         return _solve_plan_chunk_body(
-            plan_id, arena_id, slots, batched, injector, chunk_id
+            plan_id, arena_id, slots, injector, chunk_id
         )
     from ..observability.telemetry import TelemetrySidecar, capture_telemetry
     from ..observability.tracer import trace_span
@@ -885,11 +870,11 @@ def _solve_plan_chunk(payload):
                 chunk=chunk_id, n_energies=len(slots),
             ):
                 n = _solve_plan_chunk_body(
-                    plan_id, arena_id, slots, batched, injector, chunk_id
+                    plan_id, arena_id, slots, injector, chunk_id
                 )
         else:
             n = _solve_plan_chunk_body(
-                plan_id, arena_id, slots, batched, injector, chunk_id
+                plan_id, arena_id, slots, injector, chunk_id
             )
     overflow = None
     if cap.delta is not None:

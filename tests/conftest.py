@@ -67,9 +67,31 @@ def built():
     return mini_device()
 
 
+@pytest.fixture
+def force_stack(monkeypatch):
+    """Callable pinning the sub-stack length of every energy sweep.
+
+    Production derives the length from the device
+    (:func:`repro.core.transport.stack_length`); the split-invariance
+    tests override it.  Pools are recycled around the override so forked
+    process-backend workers inherit it — and lose it afterwards.
+    """
+    from repro.core import transport
+    from repro.parallel.backend import shutdown_pools
+
+    def pin(length: int) -> None:
+        monkeypatch.setattr(
+            transport, "stack_length", lambda n_blocks, m: int(length)
+        )
+        shutdown_pools()
+
+    yield pin
+    shutdown_pools()  # the next pool forks after monkeypatch has restored
+
+
 @pytest.fixture(scope="session")
 def reference(built):
-    """Serial, unbatched, uncached bias solve — the ground truth."""
+    """Serial, uncached bias solve — the ground truth."""
     tc = make_transport(built, backend="serial")
     pot = np.zeros(built.n_atoms)
     grid = tc.energy_grid(pot, 0.05)

@@ -2,8 +2,9 @@
 
 Locks down the contracts of :mod:`repro.parallel.backend`:
 
-* serial / thread / process backends (with and without energy batching)
-  produce *identical* transport results and IV curves,
+* serial / thread / process backends (in stacks of one and in the
+  device's own stack length) produce *identical* transport results and
+  IV curves,
 * self-energy cache hit/miss/invalidation counters match the analytic
   expectations exactly, both on the cache object and in the mirrored
   ``selfenergy_cache.*`` metrics,
@@ -39,6 +40,7 @@ from repro.parallel import (
     unlink_leaked_plans,
 )
 from repro.resilience import SweepCheckpoint
+from repro.wf import WFSolver
 from tests.conftest import make_transport as _transport
 
 # the ``built`` and ``reference`` fixtures live in tests/conftest.py
@@ -49,11 +51,13 @@ BACKENDS = ["serial", "thread", "process"]
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch", [False, True])
-    def test_solve_bias_identical(self, built, reference, backend, batch):
+    def test_solve_bias_identical(self, built, reference, backend, batch,
+                                  force_stack):
+        """``batch=False`` is the former per-point loop: stacks of one."""
         pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2, batch_energies=batch
-        )
+        if not batch:
+            force_stack(1)
+        tc = _transport(built, backend=backend, workers=2)
         res = tc.solve_bias(pot, 0.05, energy_grid=grid)
         assert res.current_a == ref.current_a
         np.testing.assert_array_equal(res.transmission, ref.transmission)
@@ -66,8 +70,7 @@ class TestBackendEquivalence:
         """The self-energy cache must never change a single bit."""
         pot, grid, ref = reference
         tc = _transport(
-            built, backend=backend, workers=2,
-            batch_energies=True, sigma_cache=True,
+            built, backend=backend, workers=2, sigma_cache=True,
         )
         for _ in range(2):  # second pass served from the cache
             res = tc.solve_bias(pot, 0.05, energy_grid=grid)
@@ -75,7 +78,9 @@ class TestBackendEquivalence:
             np.testing.assert_array_equal(res.transmission, ref.transmission)
 
     def test_wf_backends_agree(self, built):
-        """WF batched path uses a different LU backend: a-few-ulp window."""
+        """The stacked WF kernel against the scalar SuperLU reference
+        (:meth:`WFSolver.solve`, the paper's algorithm): a different LU
+        backend, hence an a-few-ulp window rather than bit-identity."""
         pot = np.zeros(built.n_atoms)
         # pin the uniform grid: the comparison below re-solves on the
         # reference's own nodes, which only sees the same integrand when
@@ -83,15 +88,19 @@ class TestBackendEquivalence:
         ref = _transport(built, method="wf", energy_mode="uniform").solve_bias(
             pot, 0.05
         )
-        tc = _transport(
-            built, method="wf", backend="thread", workers=2,
-            batch_energies=True,
-        )
+        tc = _transport(built, method="wf", backend="thread", workers=2)
         res = tc.solve_bias(pot, 0.05, energy_grid=ref.energy_grid)
+        assert res.current_a == ref.current_a
+        np.testing.assert_array_equal(res.transmission, ref.transmission)
+        H = tc.hamiltonian(pot, built.momentum_grid.k_points[0])
+        scalar = WFSolver(H, eta=tc.eta)
+        t_scalar = [
+            scalar.solve(float(e)).transmission
+            for e in ref.energy_grid.energies
+        ]
         np.testing.assert_allclose(
-            res.transmission, ref.transmission, atol=1e-12, rtol=0.0
+            res.transmission[0], t_scalar, atol=1e-12, rtol=0.0
         )
-        assert res.current_a == pytest.approx(ref.current_a, abs=1e-15)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_iv_curve_identical(self, built, backend):
@@ -383,12 +392,12 @@ class TestZeroCopyEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("batch", [False, True])
-    def test_solve_bias_identical(self, built, reference, backend, batch):
+    def test_solve_bias_identical(self, built, reference, backend, batch,
+                                  force_stack):
         pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2,
-            batch_energies=batch, zero_copy=True,
-        )
+        if not batch:
+            force_stack(1)
+        tc = _transport(built, backend=backend, workers=2, zero_copy=True)
         res = tc.solve_bias(pot, 0.05, energy_grid=grid)
         assert res.current_a == ref.current_a
         np.testing.assert_array_equal(res.transmission, ref.transmission)
@@ -432,7 +441,7 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_interrupted_resume_identical(self, built, backend, tmp_path):
         path = tmp_path / "iv.npz"
-        kwargs = {"backend": backend, "workers": 2, "batch_energies": True}
+        kwargs = {"backend": backend, "workers": 2}
 
         full = IVSweep(SelfConsistentSolver(
             built, _transport(built, **kwargs), max_iterations=40
@@ -469,3 +478,153 @@ class TestCheckpointResume:
             assert a.v_gate == b.v_gate
             assert a.current_a == b.current_a
             assert a.converged == b.converged
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels are the energy sweep: split invariance + memory bound
+# ---------------------------------------------------------------------------
+
+def _wide_device(n_x=8, n_y=5, n_z=5):
+    """Short m=25 device: block arrays large enough to need sub-stacks."""
+    from repro.core import DeviceSpec, build_device
+
+    return build_device(DeviceSpec(
+        n_x=n_x, n_y=n_y, n_z=n_z, spacing_nm=0.25,
+        source_cells=2, drain_cells=2, gate_cells=(3, 5),
+        donor_density_nm3=0.05, material_params={"m_rel": 0.3},
+    ))
+
+
+def _subband_grid(tc, built, n_energy):
+    """Grid from below the lead band bottom up through several subbands,
+    so the open-channel count changes along it."""
+    from repro.physics.grids import uniform_grid
+
+    H = tc.hamiltonian(
+        np.zeros(built.n_atoms), built.momentum_grid.k_points[0]
+    )
+    bottom = tc.lead_band_minimum(H)
+    return uniform_grid(bottom - 0.05, bottom + 2.5, n_energy)
+
+
+class TestStackSplitInvariance:
+    """However the energy grid is cut into stacks — length 1 (the former
+    per-point loop), the device's own length, or one stack for the whole
+    grid — and whichever backend runs them, the result is the same bits."""
+
+    N_ENERGY = 23
+
+    @pytest.fixture(scope="class")
+    def devices(self, built):
+        return {"mini": built, "wide": _wide_device(n_x=6)}
+
+    @pytest.fixture(scope="class")
+    def references(self, devices):
+        out = {}
+        for name, dev in devices.items():
+            for method in ("rgf", "wf"):
+                tc = _transport(dev, method=method, backend="serial")
+                grid = _subband_grid(tc, dev, self.N_ENERGY)
+                pot = np.zeros(dev.n_atoms)
+                out[name, method] = (
+                    pot, grid, tc.solve_bias(pot, 0.05, energy_grid=grid)
+                )
+        return out
+
+    @pytest.mark.parametrize("length", [1, 2, 7, N_ENERGY])
+    @pytest.mark.parametrize("device", ["mini", "wide"])
+    @pytest.mark.parametrize("method", ["rgf", "wf"])
+    def test_result_independent_of_split_and_backend(
+        self, devices, references, force_stack, method, device, length
+    ):
+        pot, grid, ref = references[device, method]
+        # the grid must cross subband thresholds (WF pads its right-hand
+        # sides to the stack-wide channel maximum)
+        assert len(np.unique(ref.channels)) > 1
+        force_stack(length)
+        for backend in BACKENDS:
+            tc = _transport(
+                devices[device], method=method, backend=backend, workers=2
+            )
+            res = tc.solve_bias(pot, 0.05, energy_grid=grid)
+            assert res.current_a == ref.current_a, backend
+            np.testing.assert_array_equal(res.transmission, ref.transmission)
+            np.testing.assert_array_equal(res.channels, ref.channels)
+            np.testing.assert_array_equal(
+                res.density_per_atom, ref.density_per_atom
+            )
+            assert res.flops.total == ref.flops.total
+
+    def test_stack_length_follows_the_device(self, devices):
+        from repro.core.transport import STACK_BUDGET_BYTES, stack_length
+
+        lengths = {}
+        for name, dev in devices.items():
+            tc = _transport(dev)
+            H = tc.hamiltonian(
+                np.zeros(dev.n_atoms), dev.momentum_grid.k_points[0]
+            )
+            m = int(H.block_sizes.max())
+            lengths[name] = tc.stack_length
+            assert tc.stack_length == stack_length(H.n_blocks, m)
+            assert (
+                tc.stack_length * H.n_blocks * m * m * 16
+                <= STACK_BUDGET_BYTES
+            )
+        assert lengths["wide"] < lengths["mini"]
+        # a device too large for the budget still solves, one at a time
+        assert stack_length(10_000, 100) == 1
+        assert _transport(devices["mini"]).batch_energies is True
+
+    def test_serial_peak_memory_bounded_by_the_stack_budget(self):
+        """Quadrupling the grid must not quadruple the stacked arrays."""
+        import tracemalloc
+
+        from repro.core.transport import STACK_BUDGET_BYTES
+
+        dev = _wide_device(n_x=8)
+        pot = np.zeros(dev.n_atoms)
+
+        def peak(n_energy):
+            # fp64 pinned: mixed precision adds refinement work arrays
+            # sized by how many slices of a stack share a sliver width,
+            # which depends on where the grid's nodes fall
+            tc = _transport(dev, n_energy=n_energy, backend="serial",
+                            precision="fp64")
+            assert tc.stack_length < 33  # both grids span several stacks
+            grid = _subband_grid(tc, dev, n_energy)
+            tracemalloc.start()
+            try:
+                tc.solve_bias(pot, 0.05, energy_grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(129) - peak(33) < STACK_BUDGET_BYTES
+
+    def test_serial_sub_stacks_heartbeat(self, built, reference, force_stack,
+                                         tmp_path):
+        """`repro top` keeps moving during a long serial k-point."""
+        from repro.observability import (
+            TelemetryWriter,
+            read_events,
+            use_events,
+        )
+
+        pot, grid, _ = reference
+        force_stack(4)
+        path = tmp_path / "events.jsonl"
+        writer = TelemetryWriter(path, heartbeat_s=0.0)
+        with use_events(writer):
+            _transport(built, backend="serial").solve_bias(
+                pot, 0.05, energy_grid=grid
+            )
+        writer.close()
+        beats = [
+            e for e in read_events(path)
+            if e["event"] == "heartbeat" and e.get("stage") == "energy-stack"
+        ]
+        n_stacks = -(-len(grid) // 4)
+        assert [b["solved"] for b in beats] == [
+            min(4 * (i + 1), len(grid)) for i in range(n_stacks)
+        ]

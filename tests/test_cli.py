@@ -43,6 +43,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "s.json", "--method", "dft"])
 
+    def test_stacking_is_not_an_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "s.json", "--batch-energies"])
+
     def test_scaling_cores_list(self):
         args = build_parser().parse_args(["scaling", "--cores", "8", "64"])
         assert args.cores == [8, 64]
@@ -102,12 +106,19 @@ class TestSimulateCommand:
 class TestSweepCommand:
     def test_sweep(self, spec_file, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"
+        events_path = tmp_path / "events.jsonl"
         code = main([
             "sweep", spec_file,
             "--vg-start", "-0.3", "--vg-stop", "0.0", "--vg-points", "3",
             "--vd", "0.05", "--n-energy", "41", "-o", str(out_path),
+            "--events", str(events_path),
         ])
         assert code == 0
+        # the resolved sub-stack length is part of the run's artefacts:
+        # 10 slabs x (4 orbitals)^2 x 16 B against the 2 MiB budget
+        started = json.loads(events_path.read_text().splitlines()[0])
+        assert started["event"] == "run_started"
+        assert started["stack_length"] == (2 << 20) // (10 * 4 * 4 * 16)
         data = json.loads(out_path.read_text())
         assert len(data["points"]) == 3
         currents = [p["current_a"] for p in data["points"]]

@@ -140,7 +140,7 @@ def test_all_paths_match_dense(kind, seed):
 
 @pytest.mark.parametrize("kind,seed", [("chain", 0), ("grid", 1), ("random", 2)])
 def test_batched_matches_per_point_tightly(kind, seed):
-    """Batched RGF is bit-identical to per-point; WF within a few ulp."""
+    """Stacked RGF is bit-identical to ``solve``; WF within a few ulp."""
     H, energies = _build(kind, seed)
     rgf = RGFSolver(H, eta=ETA)
     per = [rgf.solve(float(e)) for e in energies]
@@ -151,12 +151,21 @@ def test_batched_matches_per_point_tightly(kind, seed):
         np.testing.assert_array_equal(p.spectral_left, b.spectral_left)
         np.testing.assert_array_equal(p.spectral_right, b.spectral_right)
 
+    # the scalar SuperLU/banded WF solve is the reference algorithm: the
+    # stacked kernel agrees with it to a few ulp, and with itself —
+    # stack of one vs stack of N — bit for bit
     wf = WFSolver(H, eta=ETA)
     per_w = [wf.solve(float(e)) for e in energies]
     bat_w = wf.solve_batch(energies)
     for p, b in zip(per_w, bat_w):
         assert abs(p.transmission - b.transmission) < 1e-12
         np.testing.assert_allclose(p.dos, b.dos, atol=1e-12, rtol=0.0)
+        one = wf.solve_batch([p.energy])[0]
+        assert one.transmission == b.transmission
+        np.testing.assert_array_equal(one.dos, b.dos)
+        np.testing.assert_array_equal(
+            one.interface_currents, b.interface_currents
+        )
 
 
 def test_batched_channel_counts_match_per_point():

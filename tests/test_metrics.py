@@ -448,6 +448,7 @@ class TestDoctorCLI:
         ])
         out = capsys.readouterr().out
         assert rc == 0
+        assert "energies per stacked kernel call" in out
         assert "SCF convergence" in out
         assert "all checks passed" in out
         for level in ("bias", "momentum", "energy", "spatial"):

@@ -530,7 +530,8 @@ class TestCLITrace:
         assert doc["traceEvents"]
         names = {e["name"] for e in doc["traceEvents"]}
         assert "sweep" in names and "bias" in names
-        assert "transport.solve_bias" in names and "wf.solve" in names
+        assert "transport.solve_bias" in names
+        assert "wf.solve_batch" in names
         for ev in doc["traceEvents"]:
             assert TestChromeTrace.REQUIRED_KEYS <= set(ev)
             # "X" complete events, plus "M" process_name metadata when

@@ -430,8 +430,7 @@ BACKEND_IDS = ["serial", "thread", "process", "process-zc"]
 def mixed_reference(built, reference):
     """Serial mixed-precision solve on the ground-truth grid."""
     pot, grid, _ = reference
-    tc = make_transport(built, backend="serial", batch_energies=True,
-                        precision="mixed")
+    tc = make_transport(built, backend="serial", precision="mixed")
     registry = MetricsRegistry()
     with use_metrics(registry):
         res = tc.solve_bias(pot, 0.05, energy_grid=grid)
@@ -464,7 +463,7 @@ class TestCrossBackendConformance:
         ref, ref_snap = mixed_reference
         tc = make_transport(
             built, backend=backend, workers=workers, zero_copy=zc,
-            batch_energies=True, precision="mixed",
+            precision="mixed",
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
@@ -508,7 +507,7 @@ class TestCrossBackendConformance:
         faults = (float(grid.energies[3]), float(grid.energies[8]))
         tc = make_transport(
             built, backend=backend, workers=workers, zero_copy=zc,
-            batch_energies=False, precision="mixed", refine_faults=faults,
+            precision="mixed", refine_faults=faults,
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
