@@ -2,18 +2,14 @@
 
 The worker-capture design (ISSUE 8) made process-backend counters exact:
 every chunk task runs under a fresh tracer/metrics pair whose contents
-travel back as a pickled :class:`TelemetryDelta` (or a shared-memory
-sidecar row on the zero-copy path) and merge into the parent registries.
-That is real work on the hot path — extra pickling, an extra shared
-segment, span absorption — so this benchmark measures what exactness
-costs:
+travel back as a pickled :class:`TelemetryDelta` and merge into the
+parent registries.  That is real work on the hot path — extra pickling,
+span absorption — so this benchmark measures what exactness costs:
 
 * **merge-back overhead** — wall time of a process-backend bias solve
-  with tracer+metrics active vs the same solve uninstrumented, on both
-  the pickled and the zero-copy dispatch paths.  The design target is
-  < 2% on production-sized solves, where the fixed per-solve costs
-  (sidecar segment allocation, delta pickling) vanish into seconds of
-  kernel time; the smoke workload finishes in ~100 ms, so the assertion
+  with tracer+metrics active vs the same solve uninstrumented.  The
+  design target is < 2% on production-sized solves, where the fixed
+  per-solve costs (delta pickling) vanish into seconds of kernel time; the smoke workload finishes in ~100 ms, so the assertion
   bar is a loose 20% that still catches accidental O(n) regressions;
 * **delta volume** — how many deltas/spans merged and how many bytes of
   telemetry crossed the process boundary per solve.
@@ -66,12 +62,11 @@ def _best_of(fn, repeats):
     return best, result
 
 
-def _overhead_report(built, n_energy=31, workers=2, repeats=3,
-                     zero_copy=False):
-    """Instrumented vs bare process-backend solve on one dispatch path."""
+def _overhead_report(built, n_energy=31, workers=2, repeats=3):
+    """Instrumented vs bare process-backend solve."""
     tc = TransportCalculation(
         built, method="rgf", n_energy=n_energy,
-        backend="process", workers=workers, zero_copy=zero_copy,
+        backend="process", workers=workers,
     )
     pot = np.zeros(built.n_atoms)
     grid = tc.energy_grid(pot, 0.05)
@@ -92,26 +87,23 @@ def _overhead_report(built, n_energy=31, workers=2, repeats=3,
     # exactness comes first: instrumentation must not perturb physics
     np.testing.assert_array_equal(base.transmission, inst.transmission)
 
-    path = "zero_copy" if zero_copy else "pickled"
     deltas = sum(v for k, v in snap.counters.items()
                  if k.startswith("telemetry.deltas_merged"))
-    # zero-copy deltas travel in the sidecar (falling back to the pool
-    # as "overflow"); histograms flatten to <key>.count / <key>.mean
+    # histograms flatten to <key>.count / <key>.mean
     flat = snap.flat()
-    delta_bytes = sum(
-        flat.get(f"telemetry.delta_bytes{{path={lane}}}.count", 0.0)
-        * flat.get(f"telemetry.delta_bytes{{path={lane}}}.mean", 0.0)
-        for lane in (("sidecar", "overflow") if zero_copy else ("pickled",))
+    delta_bytes = (
+        flat.get("telemetry.delta_bytes{path=pickled}.count", 0.0)
+        * flat.get("telemetry.delta_bytes{path=pickled}.mean", 0.0)
     )
     overhead = (inst_s - base_s) / base_s if base_s > 0 else 0.0
     return {
-        f"{path}.base_wall_time_s": base_s,
-        f"{path}.instrumented_wall_time_s": inst_s,
-        f"{path}.overhead_fraction_s": overhead,
-        f"{path}.deltas_merged": float(deltas),
-        f"{path}.spans_merged": snap.counter("telemetry.spans_merged"),
-        f"{path}.delta_bytes": float(delta_bytes),
-        f"{path}.counted_flops": float(sum(tracer.counter.counts.values())),
+        "pickled.base_wall_time_s": base_s,
+        "pickled.instrumented_wall_time_s": inst_s,
+        "pickled.overhead_fraction_s": overhead,
+        "pickled.deltas_merged": float(deltas),
+        "pickled.spans_merged": snap.counter("telemetry.spans_merged"),
+        "pickled.delta_bytes": float(delta_bytes),
+        "pickled.counted_flops": float(sum(tracer.counter.counts.values())),
     }
 
 
@@ -129,24 +121,17 @@ def test_t6_merge_back_exact_and_cheap():
 def _smoke():
     built = _built()
     report = {"n_energy": 61, "workers": 2}
-    report.update(_overhead_report(
-        built, n_energy=61, repeats=3, zero_copy=False))
-    report.update(_overhead_report(
-        built, n_energy=61, repeats=3, zero_copy=True))
-    for path in ("pickled", "zero_copy"):
-        assert report[f"{path}.deltas_merged"] > 0, report
-        assert report[f"{path}.overhead_fraction_s"] < \
-            MAX_OVERHEAD_FRACTION, report
+    report.update(_overhead_report(built, n_energy=61, repeats=3))
+    assert report["pickled.deltas_merged"] > 0, report
+    assert report["pickled.overhead_fraction_s"] < \
+        MAX_OVERHEAD_FRACTION, report
     out = record_baseline("telemetry", report)
     print_experiment(
         "T6/telemetry",
         "merge-back overhead "
-        f"pickled {report['pickled.overhead_fraction_s'] * 100:+.1f}% "
+        f"{report['pickled.overhead_fraction_s'] * 100:+.1f}% "
         f"({report['pickled.base_wall_time_s'] * 1e3:.0f} ms -> "
-        f"{report['pickled.instrumented_wall_time_s'] * 1e3:.0f} ms), "
-        f"zero-copy {report['zero_copy.overhead_fraction_s'] * 100:+.1f}% "
-        f"({report['zero_copy.base_wall_time_s'] * 1e3:.0f} ms -> "
-        f"{report['zero_copy.instrumented_wall_time_s'] * 1e3:.0f} ms); "
+        f"{report['pickled.instrumented_wall_time_s'] * 1e3:.0f} ms); "
         f"{report['pickled.deltas_merged']:.0f} deltas, "
         f"{report['pickled.delta_bytes'] / 1e3:.1f} kB telemetry/solve",
         notes=f"baseline -> {out}",
@@ -159,8 +144,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="measure merge-back overhead on both dispatch paths and "
-             "write BENCH_telemetry.json",
+        help="measure merge-back overhead and write BENCH_telemetry.json",
     )
     args = parser.parse_args()
     if args.smoke:

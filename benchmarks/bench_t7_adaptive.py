@@ -18,8 +18,8 @@ The benchmark measures both sides against a dense-grid oracle:
   :attr:`TransportResult.adaptive`.
 
 The acceptance bar is a >= 3x node-count reduction at matched accuracy,
-with the adaptive result bit-identical across the serial, thread,
-process and process+zero-copy backends and the parent-side
+with the adaptive result bit-identical across the serial, thread and
+process backends and the parent-side
 ``adaptive.*`` counters exactly equal on all of them.  Both sides are
 also timed through the same default ``solve_bias`` path
 (``time.adaptive_serial_s`` vs ``time.uniform_matched_s``, with
@@ -150,11 +150,10 @@ def _uniform_report(built, pot):
     }
 
 
-def _adaptive_run(built, pot, backend="serial", workers=None,
-                  zero_copy=False):
+def _adaptive_run(built, pot, backend="serial", workers=None):
     tc = _transport(
         built, energy_mode="adaptive", backend=backend, workers=workers,
-        sigma_cache=True, zero_copy=zero_copy,
+        sigma_cache=True,
     )
     tracer, registry = Tracer(), MetricsRegistry()
     t0 = time.perf_counter()
@@ -171,17 +170,11 @@ def _adaptive_run(built, pot, backend="serial", workers=None,
 def _adaptive_report(built, pot, i_ref, backends=None):
     """Adaptive solve on every backend: matched accuracy + bit-identity."""
     if backends is None:
-        backends = [
-            ("serial", None, False),
-            ("thread", 2, False),
-            ("process", 2, False),
-            ("process", 2, True),
-        ]
+        backends = [("serial", None), ("thread", 2), ("process", 2)]
     runs = {}
-    for backend, workers, zc in backends:
-        label = f"{backend}+zc" if zc else backend
-        runs[label] = _adaptive_run(
-            built, pot, backend=backend, workers=workers, zero_copy=zc,
+    for backend, workers in backends:
+        runs[backend] = _adaptive_run(
+            built, pot, backend=backend, workers=workers,
         )
     ref_label = next(iter(runs))
     ref, ref_counters, _ = runs[ref_label]
@@ -206,7 +199,7 @@ def _adaptive_report(built, pot, i_ref, backends=None):
         "adaptive.backends_bit_identical": len(runs),
     }
     for label, (_, _, wall) in runs.items():
-        report[f"time.adaptive_{label.replace('+', '_')}_s"] = wall
+        report[f"time.adaptive_{label}_s"] = wall
     return report
 
 
@@ -232,7 +225,7 @@ def test_t7_adaptive_node_reduction():
     """Adaptive must undercut matched-accuracy uniform by >= 3x solves."""
     built = _built()
     pot = _potential(built)
-    report = _full_report(built, pot, backends=[("serial", None, False)])
+    report = _full_report(built, pot, backends=[("serial", None)])
     assert report["adaptive.backends_bit_identical"] == 1
 
 

@@ -183,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "fp32 (pure complex64 screening)",
         )
         p.add_argument(
-            "--zero-copy", action="store_true",
-            help="publish per-bias solve state once into shared memory "
-                 "so process-backend tasks ship only (plan_id, slots) "
-                 "instead of pickled solver state (default: "
-                 "$REPRO_ZERO_COPY; bit-identical on every backend)",
-        )
-        p.add_argument(
             "--adaptive-energies", type=int, nargs="?", const=512,
             default=None, metavar="BUDGET",
             help="adaptive energy quadrature: refine the grid in "
@@ -397,10 +390,6 @@ def _backend_kwargs(args) -> dict:
         "sigma_cache": True if getattr(args, "cache_sigma", False) else None,
         "precision": getattr(args, "precision", None),
     }
-    if getattr(args, "zero_copy", False):
-        # only an explicit flag overrides; otherwise the calculation
-        # falls back to $REPRO_ZERO_COPY
-        kwargs["zero_copy"] = True
     budget = getattr(args, "adaptive_energies", None)
     tol = getattr(args, "energy_tol", None)
     if budget is not None or tol is not None:
@@ -757,41 +746,6 @@ def _cmd_doctor(args) -> int:
              warm["invalidations"], warm["size"]),
         ],
         title="self-energy cache probe (same bias solved twice)",
-    ))
-
-    # --- zero-copy ipc probe ------------------------------------------
-    # Re-solve the probe bias through the plan API with metrics on.  The
-    # probe pins the serial backend, so the plan executes in local mode,
-    # but the ipc.* accounting — plan publishes, plan bytes, and the
-    # bytes a pickled task payload ships versus the plan-id payload —
-    # is recorded either way.
-    ipc_registry = MetricsRegistry()
-    probe_zc = TransportCalculation(
-        built, method=args.method, n_energy=11,
-        backend="serial", zero_copy=True,
-    )
-    with use_metrics(ipc_registry):
-        probe_zc.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)
-    ipc = ipc_registry.snapshot()
-    ipc_flat = ipc.flat()
-    pickled_b = ipc_flat.get("ipc.task_bytes{path=pickled}.mean", 0.0)
-    zc_b = ipc_flat.get("ipc.task_bytes{path=zero_copy}.mean", 0.0)
-    reduction = (pickled_b / zc_b) if zc_b else 0.0
-    print(format_table(
-        ["metric", "value"],
-        [
-            ("plans published", int(ipc.total("ipc.plans_published"))),
-            ("plan bytes (mean)", format_si(
-                ipc_flat.get("ipc.plan_bytes{kind=transport}.mean", 0.0),
-                "B")),
-            ("plan publish time (mean)", "%.3f ms" % (
-                ipc_flat.get("ipc.plan_publish_s{kind=transport}.mean", 0.0)
-                * 1e3)),
-            ("task payload, pickled path", format_si(pickled_b, "B")),
-            ("task payload, zero-copy path", format_si(zc_b, "B")),
-            ("bytes shipped per task", f"{reduction:.1f}x smaller"),
-        ],
-        title="zero-copy ipc probe (plan accounting of the probe bias)",
     ))
 
     # --- mixed-precision probe ----------------------------------------

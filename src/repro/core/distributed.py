@@ -27,7 +27,6 @@ from ..observability.telemetry import capture_telemetry, merge_delta
 from ..observability.tracer import get_tracer
 from ..parallel.backend import get_backend
 from ..parallel.comm import payload_nbytes
-from ..parallel.plan import DevicePlan, zero_copy_enabled
 from ..parallel.decomposition import Decomposition, choose_level_sizes
 from ..parallel.scheduler import split_chunks
 from ..physics.grids import EnergyGrid
@@ -75,19 +74,10 @@ class DistributedTransport:
         historical sequential loop.
     workers : int or None
         Worker count for the pooled backends.
-    zero_copy : bool or None
-        With the process backend, publish the per-bias rank context
-        (transport, decomposition, grids, potential) once as a
-        :class:`repro.parallel.DevicePlan` payload so each rank task
-        ships only ``(plan_id, rank)`` instead of a full pickled copy of
-        the driver.  Results are unchanged — the workers unpickle the
-        identical bytes the legacy payloads carried.  None reads
-        ``$REPRO_ZERO_COPY``.
     """
 
     def __init__(self, calculation: TransportCalculation,
-                 max_spatial: int = 1, backend=None, workers=None,
-                 zero_copy=None):
+                 max_spatial: int = 1, backend=None, workers=None):
         if max_spatial < 1:
             raise ValueError("max_spatial must be >= 1")
         self.calc = calculation
@@ -96,7 +86,6 @@ class DistributedTransport:
             None if backend is None and workers is None
             else get_backend(backend, workers)
         )
-        self.zero_copy = zero_copy_enabled(zero_copy)
 
     # ------------------------------------------------------------------
     def decomposition(self, n_ranks: int, v_drain: float,
@@ -392,47 +381,17 @@ class DistributedTransport:
             ):
                 # concurrent representatives: results are reduced in the
                 # same representative order as the sequential loop
-                if self.zero_copy and backend.name == "process":
-                    # zero-copy rank dispatch: the whole rank context is
-                    # published once (pickled into one shared segment)
-                    # and each task ships only (plan_id, rank); workers
-                    # unpickle the identical bytes the per-rank payloads
-                    # would have carried, so results are unchanged
-                    import pickle as _pickle
-
-                    blob = _pickle.dumps(
-                        (self, decomp, grid, potential_ev, v_drain),
-                        protocol=_pickle.HIGHEST_PROTOCOL,
-                    )
-                    plan = DevicePlan.publish(
-                        {}, meta={"kind": "rank-context"},
-                        payload=blob, mode="shared",
-                    )
-                    try:
-                        partials = backend.map(
-                            _rank_plan_worker,
-                            [
-                                (plan.plan_id, r, capture)
-                                for r in representatives
-                            ],
-                        )
-                    finally:
-                        plan.release()
-                else:
-                    payloads = [
+                partials = []
+                for partial, delta in backend.map(
+                    _rank_partial_worker,
+                    [
                         (self, r, decomp, grid, potential_ev, v_drain,
                          capture)
                         for r in representatives
-                    ]
-                    partials = backend.map(_rank_partial_worker, payloads)
-                if capture:
-                    unwrapped = []
-                    for p in partials:
-                        if isinstance(p, tuple):
-                            p, delta = p
-                            merge_delta(delta)
-                        unwrapped.append(p)
-                    partials = unwrapped
+                    ],
+                ):
+                    merge_delta(delta)
+                    partials.append(partial)
                 current = sum(p.current_a for p in partials)
                 density = np.sum(
                     [p.density_per_atom for p in partials], axis=0
@@ -544,56 +503,26 @@ class DistributedTransport:
         }
 
 
-def _captured_rank_partial(transport, rank, decomp, grid, potential_ev,
-                           v_drain, capture):
-    """Run one rank partial, optionally under telemetry capture.
+def _rank_partial_worker(payload):
+    """Worker body for backend-dispatched representative ranks.
 
-    With ``capture`` the return value is a ``(partial, delta)`` envelope
-    carrying the rank's tracer/metrics delta (worker label
-    ``"rank:<r>"``); the capture only engages inside a real worker
+    Module-level so ProcessPoolExecutor can pickle it; the payload
+    ``(transport, rank, decomp, grid, potential_ev, v_drain, capture)``
+    carries the DistributedTransport itself (its calculation and device
+    are picklable by construction).  Returns a ``(partial, delta)``
+    envelope: with ``capture`` the rank runs under
+    :func:`~repro.observability.telemetry.capture_telemetry` (worker
+    label ``"rank:<r>"``) and ``delta`` is what it recorded for the
+    parent to merge; the capture only engages inside a real worker
     process, so parent-side fallback executions ship ``delta=None``.
     """
+    transport, rank, decomp, grid, potential_ev, v_drain, capture = payload
     if not capture:
         return transport.rank_partial(
             rank, decomp, grid, potential_ev, v_drain
-        )
+        ), None
     with capture_telemetry(worker=f"rank:{rank}") as cap:
         partial = transport.rank_partial(
             rank, decomp, grid, potential_ev, v_drain
         )
     return partial, cap.delta
-
-
-def _rank_partial_worker(payload):
-    """Worker body for backend-dispatched representative ranks.
-
-    Module-level so ProcessPoolExecutor can pickle it; the payload
-    carries the DistributedTransport itself (its calculation and device
-    are picklable by construction).  An optional trailing ``capture``
-    flag (older 6-tuples keep working) wraps the rank in
-    :func:`~repro.observability.telemetry.capture_telemetry` and returns
-    a ``(partial, delta)`` envelope for the parent to merge.
-    """
-    transport, rank, decomp, grid, potential_ev, v_drain = payload[:6]
-    capture = bool(payload[6]) if len(payload) > 6 else False
-    return _captured_rank_partial(
-        transport, rank, decomp, grid, potential_ev, v_drain, capture
-    )
-
-
-def _rank_plan_worker(payload):
-    """Worker body for zero-copy rank dispatch.
-
-    The payload is only ``(plan_id, rank[, capture])``: the shared
-    rank-context plan is attached (cached per process) and its pickled
-    payload — ``(transport, decomposition, grid, potential, v_drain)`` —
-    unpickled once per worker instead of once per rank task.  The
-    optional ``capture`` flag behaves as in :func:`_rank_partial_worker`.
-    """
-    plan_id, rank = payload[:2]
-    capture = bool(payload[2]) if len(payload) > 2 else False
-    plan = DevicePlan.attach(plan_id)
-    transport, decomp, grid, potential_ev, v_drain = plan.payload_object()
-    return _captured_rank_partial(
-        transport, rank, decomp, grid, potential_ev, v_drain, capture
-    )

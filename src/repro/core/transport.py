@@ -16,6 +16,7 @@ the same accounting convention as the paper.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 from dataclasses import dataclass
 
@@ -24,25 +25,15 @@ import numpy as np
 from ..errors import DegradationBudgetError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..negf.rgf import RGFSolver
+from ..observability.metrics import get_metrics
 from ..observability.telemetry import (
-    TelemetryDelta,
-    TelemetrySidecar,
     capture_telemetry,
     get_events,
     merge_delta,
 )
-from ..observability.tracer import trace_span
+from ..observability.tracer import get_tracer, trace_span
 from ..parallel.backend import SelfEnergyCache, get_backend
 from ..solvers.precision import precision_from_env, resolve_precision
-from ..parallel.plan import (
-    DevicePlan,
-    PlanCapacityError,
-    ResultArena,
-    _solve_plan_chunk,
-    decode_result,
-    slot_width,
-    zero_copy_enabled,
-)
 from ..parallel.scheduler import split_chunks, wave_chunks
 from ..perf.flops import (
     FlopCounter,
@@ -182,18 +173,6 @@ class TransportCalculation:
         ``"worker"`` fires inside backend workers.
     degradation_budget : DegradationBudget or None
         Bound on quarantined quadrature per k-grid (None = defaults).
-    zero_copy : bool or None
-        Publish each (bias, k) solve state once as a
-        :class:`repro.parallel.DevicePlan` so process-backend chunk
-        payloads carry only ``(plan_id, slot_indices)`` and results come
-        back through a shared :class:`repro.parallel.ResultArena` instead
-        of megabytes of pickled solver state.  Serial/thread backends use
-        the identical plan API over plain references, so every path stays
-        bit-identical to the legacy payloads.  None reads
-        ``$REPRO_ZERO_COPY`` (default off); known-corrupted Hamiltonians
-        fall back to the legacy path.  The adaptive energy mode
-        publishes its plan with reserved slot capacity and appends each
-        refinement wave's nodes in place (no republish per wave).
     precision : {"fp64", "mixed", "fp32"} or None
         Numeric execution mode of the transport kernel (RGF only).
         ``"fp64"`` is the historical bit-identical complex128 path.
@@ -201,9 +180,8 @@ class TransportCalculation:
         double-precision iterative refinement to the backward-error
         target; uncertifiable energies escalate to a full-FP64 re-solve
         (bit-identical to a pure-FP64 run) before the degradation ladder
-        is consulted.  ``"fp32"`` is pure complex64 screening: loose
-        tolerance, half-size zero-copy plans and result arenas.  None
-        reads ``$REPRO_PRECISION`` (default fp64).
+        is consulted.  ``"fp32"`` is pure complex64 screening at a
+        loose tolerance.  None reads ``$REPRO_PRECISION`` (default fp64).
     refine_faults : iterable of float or None
         Chaos-campaign hook: mixed-mode energies in this set are treated
         as deterministic refinement stalls (escalated with
@@ -228,7 +206,6 @@ class TransportCalculation:
         sigma_cache=None,
         injector=None,
         degradation_budget=None,
-        zero_copy=None,
         precision=None,
         refine_faults=None,
     ):
@@ -272,13 +249,19 @@ class TransportCalculation:
         self.sigma_cache = sigma_cache
         self.injector = injector
         self.degradation_budget = degradation_budget or DegradationBudget()
-        self.zero_copy = zero_copy_enabled(zero_copy)
         self._potential_fingerprint: bytes | None = None
 
     @property
     def batch_energies(self) -> bool:
         """Always True: the stacked kernels are the only energy sweep."""
         return True
+
+    @property
+    def zero_copy(self) -> bool:
+        """Always False: chunk payloads through the pool are the only
+        dispatch (kept, like :attr:`batch_energies`, because
+        ``benchmarks/e2e`` reads it)."""
+        return False
 
     @property
     def stack_length(self) -> int:
@@ -507,203 +490,7 @@ class TransportCalculation:
                 backend = SerialBackend()
         return backend
 
-    def _publish_plan(
-        self, H, grid, potential_fp: str, energies=None, reserve=None
-    ) -> DevicePlan:
-        """Publish one (bias, k) solve state as a :class:`DevicePlan`.
-
-        Shared-memory mode engages exactly when the effective backend is
-        the process pool (the only dispatch that crosses an address
-        space); serial and thread runs publish the same plan over plain
-        references so lifecycle, fingerprints and ``ipc.*`` accounting
-        behave identically everywhere at zero copy cost.
-
-        ``energies``/``reserve`` are the adaptive-quadrature variant:
-        the plan is published with the first wave's nodes only, plus
-        reserved slot capacity so later waves append their bisection
-        nodes through :meth:`DevicePlan.append_slots` instead of
-        republishing the segment.
-        """
-        mode = (
-            "shared" if self._effective_backend().name == "process"
-            else "local"
-        )
-        arrays = {
-            "energies": np.ascontiguousarray(
-                grid.energies if energies is None else energies,
-                dtype=float,
-            )
-        }
-        # fp32 screening publishes the rounded complex64 operator — the
-        # very blocks the solver would round to anyway — halving
-        # ``ipc.plan_bytes``; mixed mode ships full fp64 blocks because
-        # its refinement residuals are measured against the exact
-        # operator (a split representation would cost the same bytes)
-        block_dtype = (
-            np.complex64 if self.precision == "fp32" else None
-        )
-        for i, block in enumerate(H.diagonal):
-            arrays[f"diag{i}"] = (
-                block if block_dtype is None
-                else np.ascontiguousarray(block, dtype=block_dtype)
-            )
-        for i, block in enumerate(H.upper):
-            arrays[f"upper{i}"] = (
-                block if block_dtype is None
-                else np.ascontiguousarray(block, dtype=block_dtype)
-            )
-        plan = DevicePlan.publish(
-            arrays,
-            meta={
-                "kind": "transport",
-                "method": self.method,
-                "eta": float(self.eta),
-                "surface_method": self.surface_method,
-                "n_blocks": int(H.n_blocks),
-                "n_tot": int(H.total_size),
-                "use_cache": self.sigma_cache is not None,
-                "potential_fp": potential_fp,
-                "precision": self.precision,
-                "refine_faults": self.refine_faults,
-            },
-            mode=mode,
-            reserve=reserve,
-        )
-        if mode == "local":
-            # local plans hand workers the parent's own cache: the plan
-            # solver is then object-for-object what the legacy payload
-            # would have carried
-            plan._local_sigma_cache = self.sigma_cache
-        return plan
-
-    def _arena_dtype(self):
-        """Result-arena row dtype: float32 rows for the fp32 screening
-        mode (half the shared memory; every solved field of a complex64
-        run is float32-representable, only the stored energy tag
-        rounds), float64 — bitwise round-trip — for fp64 and mixed."""
-        return np.float32 if self.precision == "fp32" else np.float64
-
-    def _run_plan_chunks(self, plan, energies, chunks, backend, grid,
-                         capture: bool = False, arena=None, slots=None):
-        """Dispatch zero-copy chunk payloads and decode the result arena.
-
-        Payloads carry only the two segment names and the energy-slot
-        indices; workers attach the plan (cached per process), rebuild
-        the solver over the published block views and write fixed-width
-        result rows into the arena.  Undelivered slots decode to None and
-        are re-solved by the caller's degradation ladder.
-
-        With ``capture`` a :class:`TelemetrySidecar` rides next to the
-        arena — one fixed-width row per chunk — and each worker's
-        tracer/metrics delta is read back and merged after the map; a
-        delta too large for its row falls back to the chunk's pool
-        return value (see :func:`_solve_plan_chunk`).
-
-        By default one arena is allocated per call and slots are looked
-        up in ``grid``; the adaptive wave loop instead passes a
-        persistent ``arena`` (sized to the plan's reserve capacity, kept
-        across waves) and explicit ``slots`` from
-        :meth:`DevicePlan.append_slots` — the caller then owns the
-        arena's lifecycle.
-        """
-        meta = plan.meta
-        if slots is None:
-            index_of = {float(e): i for i, e in enumerate(grid.energies)}
-            slots = [index_of[float(e)] for e in energies]
-        own_arena = arena is None
-        if own_arena:
-            arena = ResultArena.allocate(
-                len(grid.energies),
-                slot_width(meta["n_tot"], meta["n_blocks"]),
-                mode="shared",
-                dtype=self._arena_dtype(),
-            )
-        sidecar = (
-            TelemetrySidecar.allocate(len(chunks), mode="shared")
-            if capture else None
-        )
-        try:
-            payloads = [
-                (
-                    plan.plan_id,
-                    arena.arena_id,
-                    tuple(slots[i] for i in chunk),
-                    self.injector,
-                    chunk_id,
-                    sidecar.sidecar_id if sidecar is not None else None,
-                )
-                for chunk_id, chunk in enumerate(chunks)
-            ]
-            returned = backend.map(_solve_plan_chunk, payloads)
-            events = get_events()
-            for chunk_id, ret in enumerate(returned):
-                if sidecar is not None:
-                    overflow = ret[1] if isinstance(ret, tuple) else None
-                    blob = sidecar.read(chunk_id)
-                    if blob is None:
-                        blob = overflow
-                    if blob is not None:
-                        from ..observability.metrics import get_metrics
-
-                        metrics = get_metrics()
-                        if metrics.enabled:
-                            metrics.observe(
-                                "telemetry.delta_bytes", float(len(blob)),
-                                path="sidecar" if overflow is None
-                                else "overflow",
-                            )
-                        merge_delta(TelemetryDelta.from_bytes(blob))
-                if events.enabled:
-                    events.emit(
-                        "chunk_retired", chunk=chunk_id,
-                        n_points=len(chunks[chunk_id]), path="zero_copy",
-                    )
-            return [decode_result(arena.rows[s], meta) for s in slots]
-        finally:
-            if sidecar is not None:
-                sidecar.release()
-            if own_arena:
-                arena.release()
-
-    def _record_task_bytes(self, payloads, chunks, plan) -> None:
-        """Record ``ipc.task_bytes`` for the shipped and counterfactual
-        payloads.  Runs only when metrics are live; on a process-backend
-        legacy-payload run the extra pickle is real measurement overhead
-        on the hot path — bounded by ``bench_t6_telemetry`` alongside the
-        merge-back cost (the zero-copy path never pays it: its payloads
-        are dispatched by :meth:`_run_plan_chunks`)."""
-        import pickle as _pickle
-
-        from ..observability.metrics import get_metrics
-
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
-        for chunk_id, payload in enumerate(payloads):
-            metrics.observe(
-                "ipc.task_bytes",
-                float(len(_pickle.dumps(payload))),
-                path="pickled",
-            )
-            if plan is not None:
-                # the zero-copy equivalent: two 14-char segment names +
-                # slot indices (what the process pool would have shipped)
-                zc = (
-                    plan.plan_id,
-                    "x" * 14,
-                    tuple(chunks[chunk_id]),
-                    self.injector,
-                    chunk_id,
-                    None,
-                )
-                metrics.observe(
-                    "ipc.task_bytes",
-                    float(len(_pickle.dumps(zc))),
-                    path="zero_copy",
-                )
-
-    def _run_backend(self, solver, energies: list, plan=None, grid=None,
-                     chunks=None, arena=None, slots=None):
+    def _run_backend(self, solver, energies: list, chunks=None):
         """Solve ``energies`` through the configured execution backend.
 
         The grid is split into one contiguous chunk per worker (all in
@@ -713,23 +500,18 @@ class TransportCalculation:
         Stacked results do not depend on how the grid is split, so every
         backend and worker count is bit-identical.
 
-        With a shared-mode ``plan`` the chunks are dispatched by id
-        through :meth:`_run_plan_chunks` instead of pickling the solver
-        per chunk; a local-mode plan supplies its (reference-backed) plan
-        solver to the legacy payloads, so all three backends run the same
-        plan API.
-
         When a tracer or metrics registry is live and the chunks go to
         the process pool, each chunk runs under
         :func:`~repro.observability.telemetry.capture_telemetry` and its
         delta is merged back here — the parent's counters and span tree
         end up exactly what a serial run would have recorded, with
-        ``worker`` provenance on the absorbed spans.
+        ``worker`` provenance on the absorbed spans.  The same runs record
+        the pickled size of every chunk payload as
+        ``ipc.task_bytes{path=pickled}``.
 
-        ``chunks``/``arena``/``slots`` override the default contiguous
-        split for the adaptive wave loop: small waves arrive pre-chunked
-        per point (:func:`repro.parallel.wave_chunks`) and ride one
-        persistent arena via explicit slot indices.
+        ``chunks`` overrides the default contiguous split: the adaptive
+        wave loop pre-chunks small waves per point
+        (:func:`repro.parallel.wave_chunks`).
         """
         if not energies:
             return []
@@ -737,19 +519,9 @@ class TransportCalculation:
         if chunks is None:
             n_chunks = 1 if backend.name == "serial" else backend.workers
             chunks = split_chunks(len(energies), n_chunks)
-        capture = False
-        if backend.name == "process":
-            from ..observability.metrics import get_metrics
-            from ..observability.tracer import get_tracer
-
-            capture = get_tracer().enabled or get_metrics().enabled
-        if plan is not None and plan.mode == "shared":
-            return self._run_plan_chunks(
-                plan, energies, chunks, backend, grid, capture=capture,
-                arena=arena, slots=slots,
-            )
-        if plan is not None:
-            solver = plan.solver()
+        metrics = get_metrics()
+        pooled = backend.name == "process"
+        capture = pooled and (get_tracer().enabled or metrics.enabled)
         payloads = [
             (
                 solver,
@@ -760,7 +532,12 @@ class TransportCalculation:
             )
             for chunk_id, chunk in enumerate(chunks)
         ]
-        self._record_task_bytes(payloads, chunks, plan)
+        if pooled and metrics.enabled:
+            for payload in payloads:
+                metrics.observe(
+                    "ipc.task_bytes", float(len(pickle.dumps(payload))),
+                    path="pickled",
+                )
         events = get_events()
         out: list = []
         for chunk_id, chunk_results in enumerate(
@@ -768,16 +545,12 @@ class TransportCalculation:
         ):
             if capture:
                 chunk_results, delta = chunk_results
-                if delta is not None:
-                    from ..observability.metrics import get_metrics
-
-                    metrics = get_metrics()
-                    if metrics.enabled:
-                        metrics.observe(
-                            "telemetry.delta_bytes",
-                            float(len(delta.to_bytes())),
-                            path="pickled",
-                        )
+                if delta is not None and metrics.enabled:
+                    metrics.observe(
+                        "telemetry.delta_bytes",
+                        float(len(delta.to_bytes())),
+                        path="pickled",
+                    )
                 merge_delta(delta)
             if events.enabled:
                 events.emit(
@@ -789,9 +562,8 @@ class TransportCalculation:
 
     # -- adaptive energy waves -----------------------------------------
 
-    def _solve_adaptive(self, ik, H, grid, solve_nodes, cache,
-                        mu_s, mu_d, kT, potential_fp, per_point,
-                        degradation):
+    def _solve_adaptive(self, ik, grid, solve_nodes, cache,
+                        mu_s, mu_d, kT, degradation):
         """Wave-scheduled adaptive energy quadrature for one k-point.
 
         Refinement is driven parent-side by the
@@ -805,25 +577,18 @@ class TransportCalculation:
         midpoints is emitted until tolerance, the node budget or the
         pass cap.  Every split decision is made in the parent from
         bitwise round-tripped results, so the node set — and therefore
-        the whole solve — is bit-identical across
-        serial/thread/process/zero-copy.
+        the whole solve — is bit-identical across serial/thread/process.
 
-        With zero-copy on, the plan is published once with reserved
-        slot capacity and each wave's nodes are appended in place
-        (:meth:`DevicePlan.append_slots`); one persistent
-        :class:`ResultArena` sized to that capacity carries every
-        wave's results.  Quarantined nodes are recorded as ``None`` —
-        the refiner retires their intervals instead of pinning
-        refinement on an unsolvable point — and are charged against the
-        degradation budget here, since they never appear in the
-        returned grid.
+        Quarantined nodes are recorded as ``None`` — the refiner retires
+        their intervals instead of pinning refinement on an unsolvable
+        point — and are charged against the degradation budget here,
+        since they never appear in the returned grid.
 
         Progress flows out as one ``wave_done`` event and one
         ``adaptive.*`` metrics update per wave (all parent-side, hence
         exactly equal on every backend).  Returns ``(grid, stats)``
         where ``stats`` feeds :attr:`TransportResult.adaptive`.
         """
-        from ..observability.metrics import get_metrics
         from ..physics.fermi import fermi_dirac
 
         scale = max(self.built.n_atoms * 0.1, 1.0)
@@ -836,132 +601,84 @@ class TransportCalculation:
             max_points=self.max_energy_points,
             max_passes=self.adaptive_max_passes,
         )
-        # every node ever evaluated fits: wave 0 carries the n_initial
-        # seed, and each later midpoint either joins the grid (bounded
-        # by max_points) or retires its interval (intervals ever created
-        # stay below n_initial + 2*max_points), so twice the sum bounds
-        # the total slot demand
-        capacity = 2 * (n_initial + self.max_energy_points)
         eff = self._effective_backend()
         n_workers = 1 if eff.name == "serial" else eff.workers
         metrics = get_metrics()
         events = get_events()
 
-        plan = None
-        arena = None
         n_waves = 0
         n_solved = 0
         spec_scale = None
         wave = refiner.first_wave()
-        try:
-            if self.zero_copy and not per_point:
-                plan = self._publish_plan(
-                    H, grid, potential_fp,
-                    energies=np.asarray(wave, dtype=float),
-                    reserve={"energies": capacity},
+        while wave:
+            n_waves += 1
+            fresh = [e for e in wave if e not in cache]
+            if fresh:
+                solve_nodes(
+                    fresh, chunks=wave_chunks(len(fresh), n_workers)
                 )
-                if plan.mode == "shared":
-                    arena = ResultArena.allocate(
-                        capacity,
-                        slot_width(
-                            plan.meta["n_tot"], plan.meta["n_blocks"]
-                        ),
-                        mode="shared",
-                        dtype=self._arena_dtype(),
-                    )
-            while wave:
-                n_waves += 1
-                fresh = [e for e in wave if e not in cache]
-                slots = None
-                if plan is not None and fresh:
-                    if n_waves == 1:
-                        # wave 0 was published as the plan's initial
-                        # energies; its slots already exist
-                        slots = list(range(len(fresh)))
-                    else:
-                        try:
-                            slots = plan.append_slots(fresh)
-                        except PlanCapacityError:
-                            slots = None  # overflow: legacy dispatch
-                if fresh:
-                    overflow = (
-                        plan is not None and plan.mode == "shared"
-                        and slots is None
-                    )
-                    solve_nodes(
-                        fresh,
-                        None if overflow else plan,
-                        chunks=wave_chunks(len(fresh), n_workers),
-                        node_arena=None if overflow else arena,
-                        slots=None if overflow else slots,
-                    )
-                n_solved += len(fresh)
-                pairs = []
-                for energy in wave:
-                    res = cache.get(energy)
-                    if res is None:
-                        pairs.append((energy, None, 0.0))
-                        continue
-                    fl = float(fermi_dirac(energy, mu_s, kT))
-                    fr = float(fermi_dirac(energy, mu_d, kT))
-                    pairs.append((
-                        energy,
-                        float(res.transmission) * (fl - fr),
-                        float(res.spectral_left.sum()) * fl
-                        + float(res.spectral_right.sum()) * fr,
+            n_solved += len(fresh)
+            pairs = []
+            for energy in wave:
+                res = cache.get(energy)
+                if res is None:
+                    pairs.append((energy, None, 0.0))
+                    continue
+                fl = float(fermi_dirac(energy, mu_s, kT))
+                fr = float(fermi_dirac(energy, mu_d, kT))
+                pairs.append((
+                    energy,
+                    float(res.transmission) * (fl - fr),
+                    float(res.spectral_left.sum()) * fl
+                    + float(res.spectral_right.sum()) * fr,
+                ))
+            if spec_scale is None:
+                # normalize the spectral component by its wave-0
+                # magnitude so both indicator components are O(1);
+                # computed from round-tripped float64 results, hence
+                # identical on every backend
+                spec_scale = max(
+                    [abs(s) for _, t, s in pairs if t is not None],
+                    default=0.0,
+                )
+                spec_scale = max(spec_scale, scale)
+            for energy, t_term, s_term in pairs:
+                if t_term is None:
+                    refiner.record(energy, None)
+                else:
+                    # log-compress the spectral component: quasi-bound
+                    # peaks tower orders of magnitude over the lead
+                    # background, and resolving them to *absolute*
+                    # tolerance would consume the whole node budget;
+                    # log1p bounds their *relative* interpolation error
+                    # at the same tol as the current integrand
+                    refiner.record(energy, np.array(
+                        [t_term, np.log1p(s_term / spec_scale)]
                     ))
-                if spec_scale is None:
-                    # normalize the spectral component by its wave-0
-                    # magnitude so both indicator components are O(1);
-                    # computed from round-tripped float64 results, hence
-                    # identical on every backend
-                    spec_scale = max(
-                        [abs(s) for _, t, s in pairs if t is not None],
-                        default=0.0,
+            wave = refiner.next_wave()
+            if metrics.enabled:
+                metrics.inc("adaptive.waves", 1.0)
+                if fresh:
+                    metrics.inc(
+                        "adaptive.nodes_added", float(len(fresh))
                     )
-                    spec_scale = max(spec_scale, scale)
-                for energy, t_term, s_term in pairs:
-                    if t_term is None:
-                        refiner.record(energy, None)
-                    else:
-                        # log-compress the spectral component: quasi-bound
-                        # peaks tower orders of magnitude over the lead
-                        # background, and resolving them to *absolute*
-                        # tolerance would consume the whole node budget;
-                        # log1p bounds their *relative* interpolation error
-                        # at the same tol as the current integrand
-                        refiner.record(energy, np.array(
-                            [t_term, np.log1p(s_term / spec_scale)]
-                        ))
-                wave = refiner.next_wave()
-                if metrics.enabled:
-                    metrics.inc("adaptive.waves", 1.0)
-                    if fresh:
-                        metrics.inc(
-                            "adaptive.nodes_added", float(len(fresh))
-                        )
-                    if np.isfinite(refiner.est_error):
-                        metrics.gauge(
-                            "adaptive.est_error",
-                            float(refiner.est_error),
-                        )
-                if events.enabled:
-                    events.emit(
-                        "wave_done",
-                        k=ik,
-                        wave=n_waves - 1,
-                        n_new=len(fresh),
-                        n_nodes=refiner.n_nodes,
-                        est_error=(
-                            float(refiner.est_error)
-                            if np.isfinite(refiner.est_error) else None
-                        ),
+                if np.isfinite(refiner.est_error):
+                    metrics.gauge(
+                        "adaptive.est_error",
+                        float(refiner.est_error),
                     )
-        finally:
-            if arena is not None:
-                arena.release()
-            if plan is not None:
-                plan.release()
+            if events.enabled:
+                events.emit(
+                    "wave_done",
+                    k=ik,
+                    wave=n_waves - 1,
+                    n_new=len(fresh),
+                    n_nodes=refiner.n_nodes,
+                    est_error=(
+                        float(refiner.est_error)
+                        if np.isfinite(refiner.est_error) else None
+                    ),
+                )
 
         # quarantined nodes already left the refiner's grid; account
         # them against the quadrature budget and the degradation report
@@ -1040,14 +757,6 @@ class TransportCalculation:
         n_e = len(grid)
         n_k = len(kgrid)
 
-        potential_fp = ""
-        if self.zero_copy:
-            import hashlib
-
-            potential_fp = hashlib.sha1(
-                np.ascontiguousarray(potential_ev).tobytes()
-            ).hexdigest()
-
         flops = FlopCounter()
         n_orb = built.material.orbitals_per_atom
         density = np.zeros(built.n_atoms)
@@ -1091,12 +800,6 @@ class TransportCalculation:
             # process pool's sentinel trips stay in the children, where
             # the parent cannot heal them
             per_point = h_suspect or energy_faults
-            plan = None
-            if self.zero_copy and not per_point and adaptive_info is None:
-                # publish this (bias, k) solve state once; every chunk of
-                # the energy sweep references it by id (the adaptive mode
-                # publishes its own reserve-capacity plan per k-point)
-                plan = self._publish_plan(H, grid, potential_fp)
             cache: dict[float, object] = {}
 
             def sample(energy: float):
@@ -1110,8 +813,7 @@ class TransportCalculation:
                         self._charge_flops(flops, H, res.n_channels_left)
                 return cache[e]
 
-            def solve_nodes(fresh, node_plan, slot_grid=None, chunks=None,
-                            node_arena=None, slots=None):
+            def solve_nodes(fresh, chunks=None):
                 # dispatch fresh nodes through the backend; anything the
                 # chunked path could not deliver cleanly — or everything,
                 # when the k-point is pinned to the in-process ladder —
@@ -1120,8 +822,7 @@ class TransportCalculation:
                 try:
                     if not per_point:
                         chunk_results = self._run_backend(
-                            solver, fresh, plan=node_plan, grid=slot_grid,
-                            chunks=chunks, arena=node_arena, slots=slots,
+                            solver, fresh, chunks=chunks
                         )
                 except DegradationBudgetError:
                     raise
@@ -1145,29 +846,19 @@ class TransportCalculation:
                 for energy in leftover:
                     sample(energy)
 
-            try:
-                if adaptive_info is not None:
-                    k_grid_e, k_stats = self._solve_adaptive(
-                        ik, H, grid, solve_nodes, cache,
-                        mu_s, mu_d, kT, potential_fp, per_point,
-                        degradation,
-                    )
-                    for key, val in k_stats.items():
-                        if key == "est_error":
-                            adaptive_info[key] = max(
-                                adaptive_info[key], val
-                            )
-                        else:
-                            adaptive_info[key] += val
-                else:
-                    k_grid_e = grid
-                    solve_nodes(
-                        [float(e) for e in grid.energies], plan,
-                        slot_grid=grid,
-                    )
-            finally:
-                if plan is not None:
-                    plan.release()
+            if adaptive_info is not None:
+                k_grid_e, k_stats = self._solve_adaptive(
+                    ik, grid, solve_nodes, cache, mu_s, mu_d, kT,
+                    degradation,
+                )
+                for key, val in k_stats.items():
+                    if key == "est_error":
+                        adaptive_info[key] = max(adaptive_info[key], val)
+                    else:
+                        adaptive_info[key] += val
+            else:
+                k_grid_e = grid
+                solve_nodes([float(e) for e in grid.energies])
 
             # quarantined nodes are dropped from this k-grid and the
             # trapezoid weights rebuilt on the survivors, within budget
@@ -1281,8 +972,8 @@ def stack_length(n_blocks: int, block_size: int) -> int:
 def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
     """Solve ``energies`` on ``solver``: *the* energy-sweep execution.
 
-    Every dispatch — serial grid, backend chunk, plan chunk, adaptive
-    wave, distributed rank, and the single-point rungs of the degradation
+    Every dispatch — serial grid, backend chunk, adaptive wave,
+    distributed rank, and the single-point rungs of the degradation
     ladder and retry loops as a stack of one — lands here and runs the
     stacked kernels (``solve_batch``, or ``solve_batch_escalating`` where
     the solver certifies in mixed precision) in sub-stacks of

@@ -191,9 +191,8 @@ class RGFSolver:
         historical always-recompute behaviour (and its measured flop
         profile) untouched.
     lead_tokens : (str, str) or None
-        Precomputed (left, right) cache tokens — e.g. derived from a
-        :class:`repro.parallel.DevicePlan` fingerprint — so workers
-        rebuilt from published blocks skip re-hashing the lead bytes.
+        Precomputed (left, right) cache tokens, so a solver sharing
+        another's leads (the FP64 twin) skips re-hashing the lead bytes.
         None hashes the lead blocks as usual.
     precision : {"fp64", "mixed", "fp32"} or None
         Numeric execution mode.  ``None``/``"fp64"`` is the historical
@@ -232,9 +231,7 @@ class RGFSolver:
         self.precision = resolve_precision(precision)
         if self.precision == "fp32":
             # round the operator once, up front: the screening operator
-            # *is* the complex64 Hamiltonian, so a solver built from
-            # full-precision blocks and one rebuilt from a complex64
-            # zero-copy plan see bit-identical inputs everywhere
+            # *is* the complex64 Hamiltonian
             hamiltonian = BlockTridiagonalHamiltonian(
                 diagonal=[
                     np.ascontiguousarray(d, dtype=np.complex64)

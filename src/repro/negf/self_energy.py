@@ -27,35 +27,7 @@ __all__ = [
     "LeadSelfEnergy",
     "contact_self_energy",
     "contact_self_energy_batch",
-    "plan_cache_token",
 ]
-
-
-def plan_cache_token(fingerprint: str, side: str) -> str:
-    """Self-energy cache token derived from a DevicePlan fingerprint.
-
-    A zero-copy worker rebuilds its solver from the published block
-    views; the plan fingerprint already hashes those bytes, so deriving
-    the token from it is exactly as collision-safe as re-running
-    :func:`repro.parallel.lead_token` over the lead blocks — without
-    touching a single array byte in the worker.  The ``"plan:"`` prefix
-    keeps the derived namespace disjoint from direct lead hashes.
-
-    Parameters
-    ----------
-    fingerprint : str
-        :attr:`repro.parallel.DevicePlan.fingerprint` of the plan the
-        solver was rebuilt from.
-    side : {"left", "right"}
-        Which contact the token keys.
-
-    Returns
-    -------
-    str
-        Token for the ``cache_token`` argument of
-        :func:`contact_self_energy`.
-    """
-    return f"plan:{fingerprint}:{side}"
 
 
 @dataclass(frozen=True)

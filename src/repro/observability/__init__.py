@@ -84,7 +84,6 @@ from .telemetry import (
     NULL_EVENTS,
     NullEventWriter,
     TelemetryDelta,
-    TelemetrySidecar,
     TelemetryWriter,
     capture_telemetry,
     get_events,
@@ -154,7 +153,6 @@ __all__ = [
     "use_monitor",
     # cross-process telemetry and live event stream
     "TelemetryDelta",
-    "TelemetrySidecar",
     "TelemetryWriter",
     "NullEventWriter",
     "NULL_EVENTS",

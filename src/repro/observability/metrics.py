@@ -22,16 +22,8 @@ export and the regression checker.
 Well-known namespaces (recorded by the rest of the stack, listed here so
 dashboards have one place to look):
 
-* ``ipc.*`` — zero-copy execution plans (:mod:`repro.parallel.plan`):
-  ``ipc.plans_published{mode,kind}`` / ``ipc.plans_unlinked`` /
-  ``ipc.plan_leaks`` (counters), ``ipc.plan_bytes{kind}`` /
-  ``ipc.plan_publish_s{kind}`` / ``ipc.plan_attach_s`` (histograms),
-  ``ipc.plan_attaches`` (counter), ``ipc.arena_bytes`` (histogram) and
-  ``ipc.arena_occupancy`` (gauge), plus
-  ``ipc.task_bytes{path=pickled|zero_copy}`` — the serialized payload a
-  task ships on the legacy pickle path versus the plan-id path, and
-  ``ipc.slot_appends`` — energies appended into reserved plan capacity
-  by the adaptive wave loop;
+* ``ipc.task_bytes{path=pickled}`` — pickled size of each chunk payload
+  a process-backend energy sweep ships to its workers;
 * ``adaptive.*`` — wave-scheduled energy quadrature
   (``TransportCalculation`` with ``energy_mode="adaptive"``):
   ``adaptive.waves`` / ``adaptive.nodes_added`` /

@@ -16,10 +16,7 @@ the paths we stopped seeing into":
    :func:`merge_delta`, so ``flops.*``, ``selfenergy_cache.*``,
    ``health.*`` and ``ipc.*`` totals are exact across every backend, and
    merged spans land in the parent tracer with worker provenance and
-   clock-offset alignment (:meth:`Tracer.absorb`).  On the zero-copy
-   plan path, deltas travel through a :class:`TelemetrySidecar` — a
-   fixed-width shared-memory row buffer next to the ``ResultArena`` —
-   instead of the pickle return path.
+   clock-offset alignment (:meth:`Tracer.absorb`).
 
 2. **Structured live event stream.**  :class:`TelemetryWriter` appends
    typed JSONL events (:data:`EVENT_TYPES`) with monotonic sequence
@@ -56,7 +53,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -71,7 +67,6 @@ __all__ = [
     "TelemetryCapture",
     "capture_telemetry",
     "merge_delta",
-    "TelemetrySidecar",
     "TelemetryWriter",
     "NullEventWriter",
     "NULL_EVENTS",
@@ -160,7 +155,7 @@ class TelemetryDelta:
                        ("counters", "gauges", "histograms", "series"))
 
     def to_bytes(self) -> bytes:
-        """Compact serialized form (the sidecar row payload)."""
+        """Compact serialized form (sized by ``telemetry.delta_bytes``)."""
         return pickle.dumps(
             {
                 "v": EVENT_SCHEMA_VERSION,
@@ -311,93 +306,6 @@ def merge_delta(delta) -> bool:
         metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)
         metrics.inc("telemetry.spans_merged", float(len(delta.spans)))
     return merged
-
-
-# ---------------------------------------------------------------------------
-# zero-copy sidecar
-
-
-class TelemetrySidecar:
-    """Fixed-width shared-memory rows carrying deltas next to a ResultArena.
-
-    On the zero-copy path results return through shared-memory rows, not
-    the pool, so telemetry needs its own lane: one uint8 row per chunk,
-    each holding a little-endian 8-byte length prefix followed by the
-    pickled :class:`TelemetryDelta`.  A row whose length prefix is 0 was
-    never written; a delta too large for the row is *not* written and the
-    worker falls back to returning the blob through the pool (the parent
-    handles both).  Built on :class:`repro.parallel.plan.DevicePlan`
-    (``kind="telemetry"``, writable), so lifecycle, leak detection and
-    ``ipc.*`` accounting are inherited.
-    """
-
-    _LEN = struct.Struct("<Q")
-
-    def __init__(self, plan):
-        self._plan = plan
-
-    @classmethod
-    def allocate(cls, n_rows: int, row_bytes: int = 65536,
-                 mode: str = "shared") -> "TelemetrySidecar":
-        """Owner-side constructor: one zeroed row per expected chunk."""
-        import numpy as np
-
-        from ..parallel.plan import DevicePlan
-
-        if n_rows < 1 or row_bytes <= cls._LEN.size:
-            raise ValueError(
-                "sidecar needs n_rows >= 1 and row_bytes > 8"
-            )
-        rows = np.zeros((int(n_rows), int(row_bytes)), dtype=np.uint8)
-        plan = DevicePlan.publish(
-            {"rows": rows}, meta={"kind": "telemetry"},
-            mode=mode, writable=True,
-        )
-        return cls(plan)
-
-    @classmethod
-    def attach(cls, sidecar_id: str) -> "TelemetrySidecar":
-        """Worker-side constructor: writable mapping of an existing sidecar."""
-        from ..parallel.plan import DevicePlan
-
-        return cls(DevicePlan.attach(sidecar_id))
-
-    @property
-    def sidecar_id(self) -> str:
-        """Segment name shipped in task payloads."""
-        return self._plan.plan_id
-
-    @property
-    def rows(self):
-        """The ``(n_rows, row_bytes)`` uint8 matrix (writable)."""
-        return self._plan.array("rows")
-
-    def write(self, row: int, blob: bytes) -> bool:
-        """Store ``blob`` into ``row``; False when it does not fit."""
-        out = self.rows[row]
-        if self._LEN.size + len(blob) > out.size:
-            return False
-        import numpy as np
-
-        out[:self._LEN.size] = np.frombuffer(
-            self._LEN.pack(len(blob)), dtype=np.uint8
-        )
-        out[self._LEN.size:self._LEN.size + len(blob)] = np.frombuffer(
-            blob, dtype=np.uint8
-        )
-        return True
-
-    def read(self, row: int) -> bytes | None:
-        """The blob stored in ``row``, or None when never written."""
-        data = self.rows[row]
-        (length,) = self._LEN.unpack_from(data.tobytes()[:self._LEN.size])
-        if length == 0:
-            return None
-        return data[self._LEN.size:self._LEN.size + length].tobytes()
-
-    def release(self) -> None:
-        """Owner-side teardown (unlinks the segment at refcount zero)."""
-        self._plan.release()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Parallel runtime: communicators, 4-level decomposition, scheduling,
-execution backends and zero-copy shared-memory execution plans."""
+"""Parallel runtime: communicators, 4-level decomposition, scheduling
+and execution backends."""
 
 from .comm import (
     CommEvent,
@@ -24,17 +24,6 @@ from .backend import (
     ThreadBackend,
     get_backend,
     lead_token,
-)
-from .plan import (
-    DevicePlan,
-    PlanCapacityError,
-    PlanLeakWarning,
-    ResultArena,
-    active_plans,
-    attached_plans,
-    detach_all,
-    unlink_leaked_plans,
-    zero_copy_enabled,
 )
 from .scheduler import (
     ScheduleReport,
@@ -69,15 +58,6 @@ __all__ = [
     "Decomposition",
     "WorkItem",
     "choose_level_sizes",
-    "DevicePlan",
-    "PlanCapacityError",
-    "PlanLeakWarning",
-    "ResultArena",
-    "active_plans",
-    "attached_plans",
-    "detach_all",
-    "unlink_leaked_plans",
-    "zero_copy_enabled",
     "ScheduleReport",
     "greedy_balance",
     "makespan",

@@ -10,10 +10,11 @@ k-points, SCF iterations and adaptive refinement waves (OMEN reuses its
 boundary self-energies the same way; they depend only on the lead blocks,
 not the interior device).  Keys are exact per energy, which is what makes
 wave-scheduled refinement compose with the cache: every wave of one
-(bias, k) plan resolves to the same ``lead_token``, a worker's
-plan-attached solver — and the cache inside it — persists across the
-waves it serves, and when the SCF loop re-solves the refined node set at
-the next iteration every Σ(E) computed during refinement is a hit.
+(bias, k) solve resolves to the same ``lead_token``, and when the SCF
+loop re-solves the refined node set at the next iteration every Σ(E)
+computed during refinement is a hit (on the serial and thread backends,
+which share the parent's cache; a process worker fills the copy pickled
+into its chunk payload).
 
 Backend choice is orthogonal to the 4-level decomposition model in
 :mod:`repro.parallel.decomposition`: the decomposition says *which* rank
@@ -382,9 +383,8 @@ class ProcessBackend(ExecutionBackend):
 
     ``fn`` and every item must be picklable.  Child-side tracer/metrics
     updates are captured per task (:func:`repro.observability.telemetry.
-    capture_telemetry`) and shipped back through the task return path —
-    either a shared-memory telemetry sidecar on the zero-copy path or
-    the pickled result envelope — then merged into the parent registries
+    capture_telemetry`) and shipped back in the pickled result envelope
+    of the task return path, then merged into the parent registries
     (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
     and ``selfenergy_cache.*`` totals match the serial backend exactly.
 

@@ -335,67 +335,6 @@ def _stage_worker_hang(built, backend, workers):
     )
 
 
-@_stage("zero-copy-plan-crash")
-def _stage_zero_copy(built, backend, workers):
-    """A worker dying while attached to a shared plan segment.
-
-    Process backend: a child hangs mid-chunk holding a mapping of the
-    published plan; the deadline must restart the pool, the parent must
-    salvage the chunk (re-attaching the plan through the publisher fast
-    path), and the solve must end with zero live segments.  The pooled
-    serial/thread variants drill the lifecycle instead: the local-mode
-    plan path must be a pure relabelling — bit-identical output, nothing
-    left published.
-    """
-    from ..parallel import active_plans
-    from ..parallel.backend import ProcessBackend
-
-    potential = np.zeros(built.n_atoms)
-    if backend != "process":
-        ref = _calc(built, backend, workers).solve_bias(potential, 0.1)
-        res = _calc(built, backend, workers, zero_copy=True).solve_bias(
-            potential, 0.1
-        )
-        identical = (
-            np.array_equal(ref.transmission, res.transmission)
-            and ref.current_a == res.current_a
-        )
-        leaked = len(active_plans())
-        return ChaosStageResult(
-            name="zero-copy-plan-crash",
-            ok=identical and leaked == 0,
-            injected=0,
-            accounted=0,
-            completed=True,
-            detail="" if identical and leaked == 0 else (
-                f"identical={identical} leaked_plans={leaked}"
-            ),
-        )
-    injector = FaultInjector(
-        seed=1, plan={("worker", 0): "hang"}, hang_seconds=3.0
-    )
-    elastic = ProcessBackend(workers=max(workers, 2), deadline_s=3.0)
-    # warm the pool so worker spawn latency is not counted against the
-    # deadline of the faulted chunk
-    elastic.map(_noop, [0, 1])
-    calc = _calc(built, elastic, workers, injector=injector, zero_copy=True)
-    res = calc.solve_bias(potential, 0.1)
-    completed = np.all(np.isfinite(res.transmission)) and np.isfinite(
-        res.current_a
-    )
-    d = res.degradation
-    recovered = d is not None and d.stragglers >= 1 and d.pool_restarts >= 1
-    leaked = len(active_plans())
-    return ChaosStageResult(
-        name="zero-copy-plan-crash",
-        ok=bool(completed) and recovered and leaked == 0,
-        injected=injector.n_injected,
-        accounted=(d.stragglers + d.pool_restarts) if d else 0,
-        completed=bool(completed),
-        detail="" if leaked == 0 else f"{leaked} plan segment(s) leaked",
-    )
-
-
 @_stage("poisson-nan")
 def _stage_poisson(built, backend, workers):
     """A poisoned charge model must raise typed, not return stale phi."""
@@ -547,7 +486,6 @@ _STAGES = (
     _stage_distributed,
     _stage_comm,
     _stage_worker_hang,
-    _stage_zero_copy,
     _stage_poisson,
     _stage_adaptive_wave,
     _stage_refine_stall,

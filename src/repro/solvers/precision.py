@@ -10,8 +10,8 @@ residual.  This module is that engine for the block-tridiagonal solvers:
   ``a ~ hi + lo`` of a complex128 operator.  ``hi`` is the rounded
   operator the fp32 factorisation consumes; ``hi + lo`` recovers the
   fp64 operator to ~3.6e-15 relative accuracy, so *every* backend
-  (serial, thread, process, zero-copy) refines against bit-identical
-  reference data even when the plan shipped only the split arrays.
+  (serial, thread, process) refines against bit-identical reference
+  data.
 * :func:`refined_sliver_solve` — solve ``A X = B`` for a block column
   supported on one slab (the injection sliver of the RGF transmission
   formula) with a complex64 factor, then run fp64 iterative refinement
@@ -59,8 +59,7 @@ __all__ = [
 #: Recognised precision modes.  ``fp64`` is the untouched complex128
 #: path (bit-identical to every release before this module existed);
 #: ``mixed`` is fp32 factorisation + fp64 refinement to ``BETA_TOL``;
-#: ``fp32`` is pure complex64 screening (no refinement, loose tolerance,
-#: halved plan/arena bytes).
+#: ``fp32`` is pure complex64 screening (no refinement, loose tolerance).
 PRECISIONS = ("fp64", "mixed", "fp32")
 
 #: Per-energy normwise backward-error target of mixed-mode refinement.

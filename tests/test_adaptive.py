@@ -16,9 +16,8 @@ and its promotion to a first-class execution mode in
   and the ``max_points`` budget halts emission,
 * transport integration — ``energy_mode="adaptive"`` populates
   :attr:`TransportResult.adaptive`, records parent-side ``adaptive.*``
-  metrics, emits ``wave_done`` events, appends refinement nodes to the
-  reserved zero-copy plan in place, and per-energy ``flops.*`` prove no
-  node is ever solved twice.
+  metrics, emits ``wave_done`` events, and per-energy ``flops.*`` prove
+  no node is ever solved twice.
 """
 
 import numpy as np
@@ -288,11 +287,11 @@ class TestWaveEngine:
 
 
 class TestAdaptiveTransport:
-    def _run(self, built, backend="serial", workers=None, zero_copy=False,
-             events=None, **kwargs):
+    def _run(self, built, backend="serial", workers=None, events=None,
+             **kwargs):
         tc = TransportCalculation(
             built, method="rgf", n_energy=21, backend=backend,
-            workers=workers, sigma_cache=True, zero_copy=zero_copy,
+            workers=workers, sigma_cache=True,
             energy_mode="adaptive", adaptive_tol=0.05, **kwargs,
         )
         pot = np.zeros(built.n_atoms)
@@ -353,17 +352,10 @@ class TestAdaptiveTransport:
         assert waves[-1]["n_nodes"] == res.adaptive["nodes"]
         assert all(w["wave"] == i for i, w in enumerate(waves))
 
-    @pytest.mark.parametrize("backend,zero_copy", [
-        ("thread", False),
-        ("thread", True),
-        ("process", False),
-        ("process", True),
-    ])
-    def test_bit_identical_across_backends(self, built, backend, zero_copy):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_bit_identical_across_backends(self, built, backend):
         ref, _, ref_snap = self._run(built)
-        res, _, snap = self._run(
-            built, backend=backend, workers=2, zero_copy=zero_copy
-        )
+        res, _, snap = self._run(built, backend=backend, workers=2)
         np.testing.assert_array_equal(
             res.energy_grid.energies, ref.energy_grid.energies
         )
@@ -376,16 +368,6 @@ class TestAdaptiveTransport:
                     if k.startswith("adaptive.")}
 
         assert adaptive_counters(snap) == adaptive_counters(ref_snap)
-
-    def test_zero_copy_appends_refinement_slots(self, built):
-        """Refinement nodes ride the reserved plan via in-place appends."""
-        res, _, snap = self._run(built, backend="process", workers=2,
-                                 zero_copy=True)
-        stats = res.adaptive
-        n_initial = max(21 // 2, 9)
-        assert snap.counter("ipc.slot_appends") == float(
-            stats["solved"] - n_initial
-        )
 
     def test_env_flag_selects_adaptive(self, built, monkeypatch):
         monkeypatch.setenv("REPRO_ADAPTIVE", "1")

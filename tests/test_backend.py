@@ -15,6 +15,8 @@ Locks down the contracts of :mod:`repro.parallel.backend`:
   uninterrupted one under every backend.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,18 +28,13 @@ from repro.core import (
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel import (
     Decomposition,
-    DevicePlan,
-    PlanLeakWarning,
-    ResultArena,
     SelfEnergyCache,
     SerialComm,
-    active_plans,
     choose_level_sizes,
     get_backend,
     lead_token,
     round_robin,
     split_chunks,
-    unlink_leaked_plans,
 )
 from repro.resilience import SweepCheckpoint
 from repro.wf import WFSolver
@@ -290,149 +287,47 @@ class TestDecompositionEdges:
             Decomposition(1, 1, 1, (1, 1, 1, 1)).rank_coordinates(1)
 
 
-class TestDevicePlanLifecycle:
-    """Publish/attach/unlink contract of the zero-copy plan layer."""
+class TestSingleDispatchPath:
+    """Chunk payloads through the pool are the only dispatch: there is no
+    shared-memory plan layer to opt into, by argument or by environment."""
 
-    def _arrays(self):
-        rng = np.random.default_rng(42)
-        return {
-            "diag0": rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-            "energies": np.linspace(-1.0, 1.0, 7),
-        }
+    def test_zero_copy_is_not_an_option(self, built):
+        with pytest.raises(TypeError):
+            _transport(built, zero_copy=True)
+        with pytest.raises(TypeError):
+            DistributedTransport(_transport(built), zero_copy=True)
 
-    def test_publish_attach_unlink_roundtrip(self):
-        from multiprocessing import shared_memory
+    def test_harness_contract_properties(self, built):
+        """``benchmarks/e2e`` records these two in its resolved config."""
+        tc = _transport(built)
+        assert tc.zero_copy is False
+        assert tc.batch_energies is True
+        with pytest.raises(AttributeError):
+            tc.zero_copy = True
 
-        arrays = self._arrays()
-        plan = DevicePlan.publish(arrays, meta={"kind": "test"}, mode="shared")
-        assert plan.plan_id in active_plans()
-        att = DevicePlan.attach(plan.plan_id)
-        assert att is plan  # publisher fast path: same handle
-        for name, arr in arrays.items():
-            view = att.array(name)
-            np.testing.assert_array_equal(view, arr)
-            assert not view.flags.writeable
-        # drop the view references: holding one across release() is
-        # tolerated (the mapping is left to the GC) but leaks the close
-        del view
-        assert plan.release() == 0
-        assert plan.closed
-        assert plan.plan_id not in active_plans()
-        with pytest.raises(FileNotFoundError):  # segment really unlinked
-            shared_memory.SharedMemory(name=plan.plan_id)
-
-    def test_refcount_survives_extra_acquire(self):
-        """The pool-restart salvage path holds an extra reference: the
-        segment must survive the first release and die on the last."""
-        plan = DevicePlan.publish(self._arrays(), mode="shared")
-        plan.acquire()
-        assert plan.refcount == 2
-        assert plan.release() == 1
-        assert not plan.closed
-        assert plan.plan_id in active_plans()
-        assert plan.release() == 0
-        assert plan.closed
-        with pytest.raises(RuntimeError):
-            plan.release()  # double release is an owner-side bug
-        with pytest.raises(RuntimeError):
-            plan.acquire()
-
-    def test_leak_detector_reclaims_and_warns(self):
-        plan = DevicePlan.publish(self._arrays(), mode="shared")
-        with pytest.warns(PlanLeakWarning):
-            leaked = unlink_leaked_plans(warn=True)
-        assert plan.plan_id in leaked
-        assert plan.closed
-        assert plan.plan_id not in active_plans()
-        # nothing left behind: a second sweep is empty
-        assert unlink_leaked_plans(warn=True) == []
-
-    def test_local_mode_is_reference_backed(self):
-        arrays = self._arrays()
-        plan = DevicePlan.publish(arrays, mode="local")
-        assert plan.plan_id.startswith("local-")
-        assert plan.array("diag0") is arrays["diag0"]
-        plan.release()
-        assert plan.plan_id not in active_plans()
-
-    def test_fingerprint_is_content_addressed(self):
-        a, b = self._arrays(), self._arrays()
-        shared = DevicePlan.publish(a, meta={"kind": "t"}, mode="shared")
-        local = DevicePlan.publish(b, meta={"kind": "t"}, mode="local")
-        changed = DevicePlan.publish(
-            {**self._arrays(), "energies": np.linspace(-1.0, 1.0, 9)},
-            meta={"kind": "t"}, mode="local",
-        )
-        try:
-            assert shared.fingerprint == local.fingerprint
-            assert changed.fingerprint != shared.fingerprint
-        finally:
-            shared.release()
-            local.release()
-            changed.release()
-
-    def test_result_arena_roundtrip(self):
-        arena = ResultArena.allocate(5, 8, mode="shared")
-        try:
-            att = ResultArena.attach(arena.arena_id)
-            att.rows[2, :] = np.arange(8.0)
-            att.rows[2, 0] = 1.0
-            assert arena.occupancy() == pytest.approx(1 / 5)
-            np.testing.assert_array_equal(
-                arena.rows[2, 1:], np.arange(8.0)[1:]
-            )
-        finally:
-            arena.release()
-        assert arena.arena_id not in active_plans()
-
-
-class TestZeroCopyEquivalence:
-    """The plan-dispatch path must be a pure relabelling of the legacy
-    payload path: bit-identical results, no segment left behind."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_solve_bias_identical(self, built, reference, backend, batch,
-                                  force_stack):
-        pot, grid, ref = reference
-        if not batch:
-            force_stack(1)
-        tc = _transport(built, backend=backend, workers=2, zero_copy=True)
-        res = tc.solve_bias(pot, 0.05, energy_grid=grid)
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no POSIX shared-memory mount"
+    )
+    @pytest.mark.parametrize("energy_mode", ["uniform", "adaptive"])
+    def test_env_var_is_ignored(self, built, monkeypatch, energy_mode):
+        """``REPRO_ZERO_COPY=1`` selects nothing: a process-backend solve
+        stays bit-identical to serial and creates no shared segment."""
+        monkeypatch.setenv("REPRO_ZERO_COPY", "1")
+        pot = np.zeros(built.n_atoms)
+        ref = _transport(
+            built, backend="serial", energy_mode=energy_mode
+        ).solve_bias(pot, 0.05)
+        before = set(os.listdir("/dev/shm"))
+        res = _transport(
+            built, backend="process", workers=2, energy_mode=energy_mode
+        ).solve_bias(pot, 0.05)
+        assert set(os.listdir("/dev/shm")) <= before
         assert res.current_a == ref.current_a
         np.testing.assert_array_equal(res.transmission, ref.transmission)
         np.testing.assert_array_equal(
             res.density_per_atom, ref.density_per_atom
         )
-        assert active_plans() == []
-
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_cached_zero_copy_identical(self, built, reference, backend):
-        pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2,
-            sigma_cache=True, zero_copy=True,
-        )
-        for _ in range(2):  # second pass exercises warm plan caches
-            res = tc.solve_bias(pot, 0.05, energy_grid=grid)
-            assert res.current_a == ref.current_a
-            np.testing.assert_array_equal(res.transmission, ref.transmission)
-        assert active_plans() == []
-
-    def test_distributed_zero_copy_identical(self, built, reference):
-        pot, _, _ = reference
-        ref = DistributedTransport(_transport(built)).solve_bias(
-            pot, 0.05, SerialComm(), n_ranks=4
-        )
-        dt = DistributedTransport(
-            _transport(built), backend="process", workers=2, zero_copy=True
-        )
-        out = dt.solve_bias(pot, 0.05, SerialComm(), n_ranks=4)
-        np.testing.assert_array_equal(
-            ref["density_per_atom"], out["density_per_atom"]
-        )
-        assert ref["current_a"] == out["current_a"]
-        assert active_plans() == []
+        assert res.adaptive == ref.adaptive
 
 
 class TestCheckpointResume:

@@ -43,6 +43,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "s.json", "--method", "dft"])
 
+    def test_zero_copy_is_not_an_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "s.json", "--zero-copy"])
+
     def test_stacking_is_not_an_option(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "s.json", "--batch-energies"])

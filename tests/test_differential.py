@@ -241,41 +241,39 @@ ADAPTIVE_DEVICES = [
 
 @pytest.mark.parametrize("idx", range(len(ADAPTIVE_DEVICES)))
 def test_adaptive_bit_identical_across_backends(idx):
-    """Adaptive transport is bit-identical on all four execution paths.
+    """Adaptive transport is bit-identical on every execution backend.
 
     Refinement decisions are made in the parent from round-tripped
-    float64 results, so serial / thread / process / process+zero-copy
+    float64 results, so serial / thread / process
     must produce the same node set, the same transmission and the same
     current down to the last bit — not merely within tolerance.
     """
     built = build_device(ADAPTIVE_DEVICES[idx])
     pot = np.zeros(built.n_atoms)
 
-    def run(backend, workers=None, zero_copy=False):
+    def run(backend, workers=None):
         tc = TransportCalculation(
             built, method="rgf", n_energy=11, backend=backend,
-            workers=workers, zero_copy=zero_copy, sigma_cache=True,
+            workers=workers, sigma_cache=True,
             energy_mode="adaptive", adaptive_tol=0.05,
         )
         return tc.solve_bias(pot, 0.05)
 
     ref = run("serial")
     assert ref.adaptive is not None and ref.adaptive["nodes"] >= 2
-    for backend, zero_copy in (
-        ("thread", False), ("process", False), ("process", True),
-    ):
-        res = run(backend, workers=2, zero_copy=zero_copy)
+    for backend in ("thread", "process"):
+        res = run(backend, workers=2)
         np.testing.assert_array_equal(
             res.energy_grid.energies, ref.energy_grid.energies,
-            err_msg=f"device {idx}: {backend} zc={zero_copy} grid",
+            err_msg=f"device {idx}: {backend} grid",
         )
         np.testing.assert_array_equal(
             res.transmission, ref.transmission,
-            err_msg=f"device {idx}: {backend} zc={zero_copy} transmission",
+            err_msg=f"device {idx}: {backend} transmission",
         )
         np.testing.assert_array_equal(
             res.density_per_atom, ref.density_per_atom,
-            err_msg=f"device {idx}: {backend} zc={zero_copy} density",
+            err_msg=f"device {idx}: {backend} density",
         )
         assert res.current_a == ref.current_a
         assert res.adaptive == ref.adaptive

@@ -18,9 +18,8 @@ Locks down the guarantees of the ``precision="mixed"`` execution mode
   ``RGFSolver.solve_escalating``, charging the ``precision.*`` counters
   exactly once.
 * **cross-backend conformance** — on the mini FET, mixed-precision
-  results are bit-identical across serial / thread / process /
-  process+zero-copy, within declared tolerance of FP64, and the forced
-  FP64 fallback is bit-identical to a pure FP64 run on every backend.
+  results are bit-identical across serial / thread / process, within
+  declared tolerance of FP64, and the forced FP64 fallback is bit-identical to a pure FP64 run on every backend.
 * **banded packing regression** — ``blocks_to_banded`` uses a direct
   index grid (no dense boolean mask); ragged block sizes and the
   single-block / one-orbital shape edges must round-trip against the
@@ -418,12 +417,11 @@ class TestMixedSolver:
 # ---------------------------------------------------------------------------
 
 BACKEND_MATRIX = [
-    ("serial", None, False),
-    ("thread", 2, False),
-    ("process", 2, False),
-    ("process", 2, True),
+    ("serial", None),
+    ("thread", 2),
+    ("process", 2),
 ]
-BACKEND_IDS = ["serial", "thread", "process", "process-zc"]
+BACKEND_IDS = ["serial", "thread", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -454,16 +452,15 @@ def fp64_reference(built, reference):
 
 class TestCrossBackendConformance:
     @pytest.mark.parametrize(
-        "backend,workers,zc", BACKEND_MATRIX[1:], ids=BACKEND_IDS[1:]
+        "backend,workers", BACKEND_MATRIX[1:], ids=BACKEND_IDS[1:]
     )
     def test_mixed_bitwise_across_backends(
-        self, built, reference, mixed_reference, backend, workers, zc
+        self, built, reference, mixed_reference, backend, workers
     ):
         pot, grid, _ = reference
         ref, ref_snap = mixed_reference
         tc = make_transport(
-            built, backend=backend, workers=workers, zero_copy=zc,
-            precision="mixed",
+            built, backend=backend, workers=workers, precision="mixed",
         )
         registry = MetricsRegistry()
         with use_metrics(registry):
@@ -496,17 +493,17 @@ class TestCrossBackendConformance:
         )
 
     @pytest.mark.parametrize(
-        "backend,workers,zc", BACKEND_MATRIX, ids=BACKEND_IDS
+        "backend,workers", BACKEND_MATRIX, ids=BACKEND_IDS
     )
     def test_forced_escalation_is_bitwise_fp64(
-        self, built, reference, fp64_reference, backend, workers, zc
+        self, built, reference, fp64_reference, backend, workers
     ):
         """FP64 fallback == pure FP64, with exact counters, everywhere."""
         pot, grid, _ = reference
         ref = fp64_reference  # per-point serial FP64 ground truth
         faults = (float(grid.energies[3]), float(grid.energies[8]))
         tc = make_transport(
-            built, backend=backend, workers=workers, zero_copy=zc,
+            built, backend=backend, workers=workers,
             precision="mixed", refine_faults=faults,
         )
         registry = MetricsRegistry()

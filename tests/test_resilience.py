@@ -939,3 +939,14 @@ class TestAdaptiveWaveFaults:
         )
         assert [s.name for s in campaign.stages] == ["adaptive-wave-crash"]
         assert campaign.passed
+
+    def test_chaos_campaign_has_nine_stages(self):
+        """``worker-hang`` drills deadline -> restart -> salvage on the one
+        dispatch path; there is no shared-memory stage beside it."""
+        from repro.resilience.chaos import _STAGES
+
+        assert [runner.stage_name for runner in _STAGES] == [
+            "clean-bit-identity", "bias-level-faults", "energy-numerical",
+            "distributed-4level", "comm-faults", "worker-hang",
+            "poisson-nan", "adaptive-wave-crash", "refinement-stall",
+        ]

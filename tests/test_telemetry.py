@@ -5,7 +5,7 @@ Locks down the contracts of :mod:`repro.observability.telemetry`:
 * a forced capture packages tracer/metrics activity into a picklable
   :class:`TelemetryDelta` that merges back with worker provenance and
   clock-offset-aligned spans,
-* serial / thread / process / process+zero-copy backends report
+* serial / thread / process backends report
   *identical* merged ``flops.*`` and ``selfenergy_cache.*`` totals (the
   acceptance criterion of the merge-back design: nothing recorded in a
   worker is lost),
@@ -41,7 +41,6 @@ from repro.observability import (
 from repro.observability.telemetry import (
     EVENT_TYPES,
     TelemetryDelta,
-    TelemetrySidecar,
     TelemetryWriter,
     capture_telemetry,
     get_events,
@@ -135,39 +134,14 @@ class TestCaptureAndMerge:
 
 
 # ---------------------------------------------------------------------------
-# sidecar
-
-
-class TestTelemetrySidecar:
-    def test_write_read_roundtrip(self):
-        sidecar = TelemetrySidecar.allocate(3, row_bytes=256, mode="local")
-        try:
-            assert sidecar.read(0) is None
-            assert sidecar.write(1, b"payload") is True
-            assert sidecar.read(1) == b"payload"
-            assert sidecar.read(2) is None
-        finally:
-            sidecar.release()
-
-    def test_oversize_blob_refused(self):
-        sidecar = TelemetrySidecar.allocate(1, row_bytes=16, mode="local")
-        try:
-            assert sidecar.write(0, b"x" * 64) is False
-            assert sidecar.read(0) is None
-        finally:
-            sidecar.release()
-
-
-# ---------------------------------------------------------------------------
 # cross-backend exactness (the acceptance criterion)
 
 
 class TestCrossBackendExactness:
-    def _run(self, built, backend, workers=None, zero_copy=False):
+    def _run(self, built, backend, workers=None):
         tc = TransportCalculation(
             built, method="rgf", n_energy=21, backend=backend,
             workers=workers, sigma_cache=True,
-            **({"zero_copy": True} if zero_copy else {}),
         )
         pot = np.zeros(built.n_atoms)
         tracer, registry = Tracer(), MetricsRegistry()
@@ -179,16 +153,10 @@ class TestCrossBackendExactness:
         return {k: v for k, v in snap.counters.items()
                 if k.startswith("selfenergy_cache.")}
 
-    @pytest.mark.parametrize("backend,zero_copy", [
-        ("thread", False),
-        ("process", False),
-        ("process", True),
-    ])
-    def test_merged_totals_match_serial(self, built, backend, zero_copy):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_merged_totals_match_serial(self, built, backend):
         ref, ref_tracer, ref_snap = self._run(built, "serial")
-        res, tracer, snap = self._run(
-            built, backend, workers=2, zero_copy=zero_copy
-        )
+        res, tracer, snap = self._run(built, backend, workers=2)
         np.testing.assert_array_equal(res.transmission, ref.transmission)
         assert dict(tracer.counter.counts) == dict(
             ref_tracer.counter.counts
@@ -197,11 +165,8 @@ class TestCrossBackendExactness:
         # the kernels did record flops — the equality above is not 0 == 0
         assert sum(ref_tracer.counter.counts.values()) > 0
 
-    @pytest.mark.parametrize("zero_copy", [False, True])
-    def test_process_backend_merges_worker_deltas(self, built, zero_copy):
-        _, tracer, snap = self._run(
-            built, "process", workers=2, zero_copy=zero_copy
-        )
+    def test_process_backend_merges_worker_deltas(self, built):
+        _, tracer, snap = self._run(built, "process", workers=2)
         merged = [k for k in snap.counters
                   if k.startswith("telemetry.deltas_merged")]
         assert merged, "no worker deltas were merged back"
@@ -232,20 +197,15 @@ class TestCrossBackendExactness:
                  if "rank" in s.attrs}
         assert ranks == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("backend,zero_copy", [
-        ("thread", False),
-        ("process", False),
-        ("process", True),
-    ])
-    def test_adaptive_merged_totals_match_serial(self, built, backend,
-                                                 zero_copy):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_adaptive_merged_totals_match_serial(self, built, backend):
         """Adaptive waves lose nothing in merge-back: ``adaptive.*`` and
         ``flops.*`` totals equal the serial run exactly on every backend."""
 
-        def run(bk, workers=None, zc=False):
+        def run(bk, workers=None):
             tc = TransportCalculation(
                 built, method="rgf", n_energy=21, backend=bk,
-                workers=workers, sigma_cache=True, zero_copy=zc,
+                workers=workers, sigma_cache=True,
                 energy_mode="adaptive", adaptive_tol=0.05,
             )
             tracer, registry = Tracer(), MetricsRegistry()
@@ -254,7 +214,7 @@ class TestCrossBackendExactness:
             return result, tracer, registry.snapshot()
 
         ref, ref_tracer, ref_snap = run("serial")
-        res, tracer, snap = run(backend, workers=2, zc=zero_copy)
+        res, tracer, snap = run(backend, workers=2)
         assert res.adaptive == ref.adaptive
         assert dict(tracer.counter.counts) == dict(
             ref_tracer.counter.counts
