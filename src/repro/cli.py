@@ -554,8 +554,7 @@ def _t3_probe():
     import numpy as np
 
     from .lattice import partition_into_slabs, rectangular_grid_device
-    from .negf import contact_self_energy
-    from .negf.rgf import assemble_system_blocks
+    from .negf import Contacts, assemble_system_blocks
     from .observability import Tracer, flat_metrics, use_tracer
     from .solvers import BlockTridiagLU
     from .tb import build_device_hamiltonian, single_band_material
@@ -569,10 +568,7 @@ def _t3_probe():
     mid = dev.n_slabs // 2
     pot[(slab >= mid - 1) & (slab <= mid + 1)] = 0.1
     H = build_device_hamiltonian(dev, mat, potential=pot)
-    sig_l = contact_self_energy(energy, H.diagonal[0], H.upper[0], side="left")
-    sig_r = contact_self_energy(
-        energy, H.diagonal[-1], H.upper[-1], side="right"
-    )
+    (sig_l,), (sig_r,) = Contacts(H).self_energies([energy])
     diag, upper, lower = assemble_system_blocks(
         H, energy, sig_l.sigma, sig_r.sigma
     )

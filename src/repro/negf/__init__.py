@@ -4,6 +4,7 @@ from .dense_ref import dense_green_function, dense_observables, dense_transmissi
 from .observables import carrier_density, landauer_current, orbital_to_atom
 from .rgf import RGFResult, RGFSolver, assemble_system_blocks
 from .self_energy import (
+    Contacts,
     LeadSelfEnergy,
     contact_self_energy,
     contact_self_energy_batch,
@@ -26,6 +27,7 @@ __all__ = [
     "RGFResult",
     "RGFSolver",
     "assemble_system_blocks",
+    "Contacts",
     "LeadSelfEnergy",
     "contact_self_energy",
     "contact_self_energy_batch",

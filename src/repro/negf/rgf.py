@@ -26,18 +26,14 @@ from ..observability.invariants import get_monitor
 from ..observability.metrics import get_metrics
 from ..observability.tracer import trace_span
 from ..resilience.health import get_sentinel
-from ..solvers.block_tridiagonal import BatchedBlockTridiagLU, BlockTridiagLU
+from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..solvers.precision import (
     W_TOL,
     refined_sliver_solve,
     resolve_precision,
 )
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
-from .self_energy import (
-    LeadSelfEnergy,
-    contact_self_energy,
-    contact_self_energy_batch,
-)
+from .self_energy import Contacts, LeadSelfEnergy
 
 __all__ = [
     "RGFResult",
@@ -124,15 +120,23 @@ def _grouped_refine(lu32, diag64, upper64, lower64, j, w_list, diag32):
 
 def assemble_system_blocks(
     H: BlockTridiagonalHamiltonian,
-    energy: float,
+    energy,
     sigma_l: np.ndarray,
     sigma_r: np.ndarray,
 ):
-    """Blocks of A = E - H - Sigma in the (diag, upper, lower) layout."""
+    """Blocks of A = E - H - Sigma in the (diag, upper, lower) layout.
+
+    One energy with ``(m, m)`` self-energies gives 2-D diagonal blocks;
+    an array of B energies with ``(B, m, m)`` self-energy stacks gives
+    ``(B, m, m)`` diagonal stacks.  The couplings are energy independent
+    and stay 2-D either way.
+    """
     n = H.n_blocks
+    e = np.asarray(energy, dtype=float)
+    e = e.reshape(e.shape + (1, 1))
     diag = []
     for i, h in enumerate(H.diagonal):
-        a = energy * np.eye(h.shape[0], dtype=complex) - h
+        a = e * np.eye(h.shape[0], dtype=complex) - h
         if i == 0:
             a = a - sigma_l
         if i == n - 1:
@@ -243,68 +247,22 @@ class RGFSolver:
                 ],
             )
         self.H = hamiltonian
-        self.eta = eta
-        self.surface_method = surface_method
         self.refine_faults = (
             frozenset(float(e) for e in refine_faults)
             if refine_faults
             else frozenset()
         )
-        self.lead_left = (
-            lead_left
-            if lead_left is not None
-            else (hamiltonian.diagonal[0], hamiltonian.upper[0])
+        self.contacts = Contacts(
+            hamiltonian, lead_left, lead_right, eta=eta,
+            method=surface_method, cache=sigma_cache, tokens=lead_tokens,
+            precision=self.precision,
         )
-        self.lead_right = (
-            lead_right
-            if lead_right is not None
-            else (hamiltonian.diagonal[-1], hamiltonian.upper[-1])
-        )
-        self.sigma_cache = sigma_cache
-        self._token_left = self._token_right = None
-        if sigma_cache is not None:
-            if lead_tokens is not None:
-                self._token_left, self._token_right = lead_tokens
-            else:
-                from ..parallel.backend import lead_token
-
-                self._token_left = lead_token(*self.lead_left)
-                self._token_right = lead_token(*self.lead_right)
 
     # ------------------------------------------------------------------
     def self_energies(self, energy: float) -> tuple[LeadSelfEnergy, LeadSelfEnergy]:
-        """Contact self-energies at one energy."""
-        h00_l, h01_l = self.lead_left
-        h00_r, h01_r = self.lead_right
-        sig_l = contact_self_energy(
-            energy, h00_l, h01_l, side="left",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_left,
-            precision=self.precision,
-        )
-        sig_r = contact_self_energy(
-            energy, h00_r, h01_r, side="right",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_right,
-            precision=self.precision,
-        )
-        return sig_l, sig_r
-
-    def self_energies_batch(self, energies):
-        """Contact self-energies for a batch of energies (two lists)."""
-        sigs_l = contact_self_energy_batch(
-            energies, *self.lead_left, side="left",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_left,
-            precision=self.precision,
-        )
-        sigs_r = contact_self_energy_batch(
-            energies, *self.lead_right, side="right",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_right,
-            precision=self.precision,
-        )
-        return sigs_l, sigs_r
+        """Contact self-energies at one energy (a stack of one)."""
+        sigs_l, sigs_r = self.contacts.self_energies([energy])
+        return sigs_l[0], sigs_r[0]
 
     def transmission(self, energy: float) -> float:
         """T(E) only (skips the spectral-function sweeps)."""
@@ -345,7 +303,7 @@ class RGFSolver:
         """RGF solves for a whole stack of energies in stacked calls.
 
         One sequence of ``(B, m, m)`` stacked factorisations and sweeps
-        (:class:`repro.solvers.BatchedBlockTridiagLU` plus the batched
+        (:class:`repro.solvers.BlockTridiagLU` on stacks plus the stacked
         Sancho-Rubio decimation), which amortises the Python dispatch
         overhead of small blocks over the stack.  Every stacked kernel is
         per-slice bit-identical to its stack-of-one call, so the result
@@ -379,18 +337,11 @@ class RGFSolver:
             return self
         twin = getattr(self, "_fp64_twin", None)
         if twin is None:
+            c = self.contacts
             twin = RGFSolver(
-                self.H,
-                lead_left=self.lead_left,
-                lead_right=self.lead_right,
-                eta=self.eta,
-                surface_method=self.surface_method,
-                sigma_cache=self.sigma_cache,
-                lead_tokens=(
-                    (self._token_left, self._token_right)
-                    if self.sigma_cache is not None else None
-                ),
-                precision="fp64",
+                self.H, lead_left=c.left, lead_right=c.right, eta=c.eta,
+                surface_method=c.method, sigma_cache=c.cache,
+                lead_tokens=c.tokens, precision="fp64",
             )
             self._fp64_twin = twin
         return twin
@@ -418,23 +369,6 @@ class RGFSolver:
         return results
 
     # -- the one stacked implementation --------------------------------
-
-    def _system_stack(self, energies, sigs_l, sigs_r):
-        """Stacked blocks of A = E - H - Sigma, ``(B, m, m)`` per diagonal."""
-        n = self.H.n_blocks
-        sig_l_stack = np.stack([s.sigma for s in sigs_l])
-        sig_r_stack = np.stack([s.sigma for s in sigs_r])
-        diag = []
-        for i, h in enumerate(self.H.diagonal):
-            a = energies[:, None, None] * np.eye(h.shape[0], dtype=complex) - h
-            if i == 0:
-                a = a - sig_l_stack
-            if i == n - 1:
-                a = a - sig_r_stack
-            diag.append(a)
-        upper = [-u for u in self.H.upper]
-        lower = [-u.conj().T for u in self.H.upper]
-        return diag, upper, lower
 
     def _results(self, energies, t, dos, spectral_l, spectral_r,
                  sigs_l, sigs_r, gam_l, gam_r, skip=None) -> list:
@@ -486,18 +420,17 @@ class RGFSolver:
         """
         if self.precision == "mixed":
             return self._mixed_batch(energies)
-        sigs_l, sigs_r = self.self_energies_batch(energies)
+        sigs_l, sigs_r = self.contacts.self_energies(energies)
         n = self.H.n_blocks
-        diag, upper, lower = self._system_stack(energies, sigs_l, sigs_r)
-        if self.precision == "fp32":
-            diag = [np.ascontiguousarray(d, dtype=np.complex64) for d in diag]
-            upper = [
-                np.ascontiguousarray(u, dtype=np.complex64) for u in upper
-            ]
-            lower = [
-                np.ascontiguousarray(l, dtype=np.complex64) for l in lower
-            ]
-        lu = BatchedBlockTridiagLU(diag, upper, lower)
+        diag, upper, lower = assemble_system_blocks(
+            self.H, energies,
+            np.stack([s.sigma for s in sigs_l]),
+            np.stack([s.sigma for s in sigs_r]),
+        )
+        lu = BlockTridiagLU(
+            diag, upper, lower,
+            dtype=np.complex64 if self.precision == "fp32" else None,
+        )
 
         col0 = lu.solve_block_column(0)  # G_{i,0} stacks
         coln = lu.solve_block_column(n - 1)  # G_{i,N-1} stacks
@@ -547,7 +480,7 @@ class RGFSolver:
           FP64 cache entries — the per-kernel validation showed the
           decimation cannot be certified in fp32),
         * the system matrix is assembled in fp64, rounded once to
-          complex64 and factored by the batched block LU,
+          complex64 and factored by the stacked block LU,
         * transmission and contact spectral densities come from two
           refined injection-sliver solves (``j=0`` with W_L, ``j=N-1``
           with W_R): ``T = ||W_L^+ G_{0,N-1} W_R||_F^2``, spectral
@@ -559,20 +492,16 @@ class RGFSolver:
         Returns ``(results, reasons)`` as :meth:`_solve_batch` documents.
         """
         n = self.H.n_blocks
-        sigs_l, sigs_r = self.self_energies_batch(energies)
-        diag64, upper64, lower64 = self._system_stack(
-            energies, sigs_l, sigs_r
+        sigs_l, sigs_r = self.contacts.self_energies(energies)
+        diag64, upper64, lower64 = assemble_system_blocks(
+            self.H, energies,
+            np.stack([s.sigma for s in sigs_l]),
+            np.stack([s.sigma for s in sigs_r]),
         )
         diag32 = [
             np.ascontiguousarray(d, dtype=np.complex64) for d in diag64
         ]
-        upper32 = [
-            np.ascontiguousarray(u, dtype=np.complex64) for u in upper64
-        ]
-        lower32 = [
-            np.ascontiguousarray(l, dtype=np.complex64) for l in lower64
-        ]
-        lu32 = BatchedBlockTridiagLU(diag32, upper32, lower32)
+        lu32 = BlockTridiagLU(diag32, upper64, lower64, dtype=np.complex64)
 
         gam_l = np.stack([s.gamma for s in sigs_l])
         gam_r = np.stack([s.gamma for s in sigs_r])

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface_gf import eigen_surface_gf, sancho_rubio, sancho_rubio_batch
+from .surface_gf import eigen_surface_gf, sancho_rubio_batch
 
 __all__ = [
+    "Contacts",
     "LeadSelfEnergy",
     "contact_self_energy",
     "contact_self_energy_batch",
@@ -123,6 +124,23 @@ def _resolve_token(cache_token, h00, h01, tau):
     return token
 
 
+def _surface_gf_point(energy, h00, h01, side, method, eta):
+    """Surface GF of the methods that are not stack-vectorised.
+
+    Returns ``(g, degraded)``; ``degraded`` marks a ``robust`` answer
+    that came from a fallback rung.
+    """
+    if method == "eigen":
+        return eigen_surface_gf(energy, h00, h01, side=side, eta=eta), False
+    if method == "robust":
+        # local import: repro.resilience.policies imports this package
+        from ..resilience.policies import robust_surface_gf
+
+        g, path = robust_surface_gf(energy, h00, h01, side=side, eta=eta)
+        return g, path != "sancho"
+    raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
+
+
 def contact_self_energy(
     energy: float,
     h00: np.ndarray,
@@ -135,12 +153,39 @@ def contact_self_energy(
     cache_token: str | None = None,
     precision: str = "fp64",
 ) -> LeadSelfEnergy:
-    """Compute the retarded self-energy of one contact.
+    """Retarded self-energy of one contact at one energy: the stack of
+    one of :func:`contact_self_energy_batch` (same parameters)."""
+    return contact_self_energy_batch(
+        [energy], h00, h01, tau=tau, side=side, method=method, eta=eta,
+        cache=cache, cache_token=cache_token, precision=precision,
+    )[0]
+
+
+def contact_self_energy_batch(
+    energies,
+    h00: np.ndarray,
+    h01: np.ndarray,
+    tau: np.ndarray | None = None,
+    side: str = "left",
+    method: str = "sancho",
+    eta: float = 1e-6,
+    cache=None,
+    cache_token: str | None = None,
+    precision: str = "fp64",
+) -> list[LeadSelfEnergy]:
+    """Retarded self-energies of one contact for a stack of energies.
+
+    With ``method="sancho"`` the cache-missing energies run through the
+    stacked :func:`repro.negf.surface_gf.sancho_rubio_batch` decimation;
+    the other methods evaluate their surface GF point by point.  Either
+    way one broadcast ``tau^+ g tau`` triple product folds the stack
+    onto the contact slab, per-slice identical under any grouping of
+    energies.  Results are in ``energies`` order.
 
     Parameters
     ----------
-    energy : float
-        Energy E (eV).
+    energies : array-like of float
+        Energies E (eV).
     h00, h01 : ndarray
         Lead cell blocks (conventions of :mod:`repro.negf.surface_gf`).
     tau : ndarray or None
@@ -168,125 +213,116 @@ def contact_self_energy(
         The token is part of the cache key either way.
     """
     fp32 = _sigma_precision(precision) == "fp32"
-    key = None
-    if cache is not None:
-        cache_token = _resolve_token(cache_token, h00, h01, tau)
-        key = _cache_key(cache_token, side, method, eta, energy, precision)
-        hit = cache.lookup(key)
-        if hit is not None:
-            return hit
-    degraded = False
-    if method == "sancho":
-        g, _ = sancho_rubio(
-            energy, h00, h01, side=side, eta=eta,
-            dtype=np.complex64 if fp32 else None,
-        )
-    elif method == "eigen":
-        g = eigen_surface_gf(energy, h00, h01, side=side, eta=eta)
-    elif method == "robust":
-        # local import: repro.resilience.policies imports this package
-        from ..resilience.policies import robust_surface_gf
-
-        g, path = robust_surface_gf(energy, h00, h01, side=side, eta=eta)
-        # a fallback answer (escalated eta or eigen construction) is
-        # deliberately computed at *different* parameters than the cache
-        # key claims — caching it would poison every later lookup at
-        # this (method, eta, E) with a degraded Sigma
-        degraded = path != "sancho"
-    else:
-        raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
-    if tau is None:
-        tau = h01
-    tau = np.asarray(tau, dtype=complex)
-    if side == "left":
-        sigma = tau.conj().T @ g @ tau
-    else:
-        sigma = tau @ g @ tau.conj().T
-    if fp32:
-        # non-sancho fallbacks computed the triple product in fp64;
-        # the stored screening sigma is complex64 regardless
-        sigma = np.ascontiguousarray(sigma, dtype=np.complex64)
-    result = LeadSelfEnergy(sigma=sigma, side=side, energy=energy)
-    if cache is not None:
-        if degraded:
-            cache.reject("degraded-solve")
-        else:
-            cache.store(key, result)
-    return result
-
-
-def contact_self_energy_batch(
-    energies,
-    h00: np.ndarray,
-    h01: np.ndarray,
-    tau: np.ndarray | None = None,
-    side: str = "left",
-    method: str = "sancho",
-    eta: float = 1e-6,
-    cache=None,
-    cache_token: str | None = None,
-    precision: str = "fp64",
-) -> list[LeadSelfEnergy]:
-    """Self-energies of one contact for a whole batch of energies.
-
-    With ``method="sancho"`` the cache-missing energies run through the
-    stacked :func:`repro.negf.surface_gf.sancho_rubio_batch` decimation
-    and one broadcast ``tau^+ g tau`` triple product — per-slice
-    identical to the scalar path.  Other methods fall back to the
-    per-point function (they are not batch-vectorised).  Results are in
-    ``energies`` order.  ``precision`` behaves as in
-    :func:`contact_self_energy` (and is part of every cache key).
-    """
-    fp32 = _sigma_precision(precision) == "fp32"
     energy_list = [float(e) for e in np.asarray(energies, dtype=float).ravel()]
     results: list = [None] * len(energy_list)
+    keys: list = [None] * len(energy_list)
+    missing: list[int] = []
     if cache is not None:
         cache_token = _resolve_token(cache_token, h00, h01, tau)
-    missing: list[int] = []
     for i, e in enumerate(energy_list):
         if cache is not None:
-            hit = cache.lookup(
-                _cache_key(cache_token, side, method, eta, e, precision)
-            )
-            if hit is not None:
-                results[i] = hit
-                continue
-        missing.append(i)
+            keys[i] = _cache_key(cache_token, side, method, eta, e, precision)
+            results[i] = cache.lookup(keys[i])
+        if results[i] is None:
+            missing.append(i)
     if not missing:
         return results
     if method == "sancho":
-        e_missing = np.array([energy_list[i] for i in missing])
         g_stack, _ = sancho_rubio_batch(
-            e_missing, h00, h01, side=side, eta=eta,
-            dtype=np.complex64 if fp32 else None,
+            np.array([energy_list[i] for i in missing]), h00, h01,
+            side=side, eta=eta, dtype=np.complex64 if fp32 else None,
         )
-        tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
-        if side == "left":
-            sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
-        else:
-            sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
-        if fp32:
-            sigma_stack = sigma_stack.astype(np.complex64)
-        for j, i in enumerate(missing):
-            res = LeadSelfEnergy(
-                sigma=np.ascontiguousarray(sigma_stack[j]),
-                side=side,
-                energy=energy_list[i],
-            )
-            results[i] = res
-            if cache is not None:
-                cache.store(
-                    _cache_key(
-                        cache_token, side, method, eta, energy_list[i],
-                        precision,
-                    ),
-                    res,
-                )
+        degraded = [False] * len(missing)
     else:
-        for i in missing:
-            results[i] = contact_self_energy(
-                energy_list[i], h00, h01, tau=tau, side=side,
-                method=method, eta=eta, cache=cache,
-                cache_token=cache_token, precision=precision,
-            )
+        points = [
+            _surface_gf_point(energy_list[i], h00, h01, side, method, eta)
+            for i in missing
+        ]
+        g_stack = np.stack([g for g, _ in points])
+        degraded = [d for _, d in points]
+    tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
+    if side == "left":
+        sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
+    else:
+        sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
+    if fp32:
+        # the stored screening sigma is complex64 whichever method (and
+        # precision) produced g
+        sigma_stack = sigma_stack.astype(np.complex64)
+    for j, i in enumerate(missing):
+        results[i] = LeadSelfEnergy(
+            sigma=np.ascontiguousarray(sigma_stack[j]),
+            side=side,
+            energy=energy_list[i],
+        )
+        if cache is None:
+            continue
+        if degraded[j]:
+            # a fallback answer (escalated eta or eigen construction) is
+            # deliberately computed at *different* parameters than the
+            # cache key claims — caching it would poison every later
+            # lookup at this (method, eta, E) with a degraded Sigma
+            cache.reject("degraded-solve")
+        else:
+            cache.store(keys[i], results[i])
     return results
+
+
+class Contacts:
+    """The two leads of a device and how their self-energies are evaluated.
+
+    Parameters
+    ----------
+    hamiltonian : BlockTridiagonalHamiltonian
+        Device Hamiltonian; a lead given as None uses its end blocks
+        (homogeneous contact approximation): h00 = H.diagonal[end],
+        h01 = adjacent upper block — exact for devices whose end slabs
+        repeat the lead cell at flat potential.
+    lead_left, lead_right : (h00, h01) tuples or None
+        Lead cell blocks.
+    eta, method, cache, precision
+        As in :func:`contact_self_energy_batch`.
+    tokens : (str, str) or None
+        Precomputed (left, right) cache tokens, so a solver sharing
+        another's leads skips re-hashing the lead bytes.  None hashes the
+        lead blocks (only when there is a cache to key).
+    """
+
+    def __init__(self, hamiltonian, lead_left=None, lead_right=None,
+                 eta: float = 1e-6, method: str = "sancho", cache=None,
+                 tokens=None, precision: str = "fp64"):
+        self.left = (
+            lead_left
+            if lead_left is not None
+            else (hamiltonian.diagonal[0], hamiltonian.upper[0])
+        )
+        self.right = (
+            lead_right
+            if lead_right is not None
+            else (hamiltonian.diagonal[-1], hamiltonian.upper[-1])
+        )
+        self.eta = eta
+        self.method = method
+        self.cache = cache
+        self.precision = precision
+        if cache is None:
+            tokens = (None, None)
+        elif tokens is None:
+            from ..parallel.backend import lead_token
+
+            tokens = (lead_token(*self.left), lead_token(*self.right))
+        self.tokens = tokens
+
+    def self_energies(self, energies):
+        """Left and right self-energy lists for a stack of energies."""
+        return tuple(
+            contact_self_energy_batch(
+                energies, *lead, side=side, method=self.method,
+                eta=self.eta, cache=self.cache, cache_token=token,
+                precision=self.precision,
+            )
+            for lead, side, token in (
+                (self.left, "left", self.tokens[0]),
+                (self.right, "right", self.tokens[1]),
+            )
+        )

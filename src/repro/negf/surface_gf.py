@@ -5,10 +5,11 @@ retarded surface Green's function g of each semi-infinite lead.  Two
 independent algorithms are implemented (they cross-validate each other in
 the tests, and their speed/robustness trade-off is an ablation benchmark):
 
-* :func:`sancho_rubio` — the decimation scheme of Lopez Sancho, Lopez
-  Sancho & Rubio (J. Phys. F 15, 851 (1985)): quadratically convergent
-  fixed point, needs only matrix products and inverses, robust everywhere
-  (the production default);
+* :func:`sancho_rubio_batch` — the decimation scheme of Lopez Sancho,
+  Lopez Sancho & Rubio (J. Phys. F 15, 851 (1985)): quadratically
+  convergent fixed point, needs only matrix products and inverses, robust
+  everywhere (the production default), run on a whole stack of energies;
+  :func:`sancho_rubio` is its stack of one;
 * :func:`eigen_surface_gf` — the complex-band/transfer-matrix method: one
   generalized eigenproblem yields all propagating and evanescent lead
   modes, from which the Bloch propagation matrix F and g follow in closed
@@ -55,31 +56,28 @@ _ITER_KEYS = {
 }
 
 
-def _surface_health_check(g, energy, eta, h00, h01, side) -> None:
-    """Post-solve sentinel: finiteness plus the *physical* fixed-point
-    residual ``(z - h00)g - h01~ g h01~ g - I`` (with ``h01~`` the
-    side-appropriate coupling) — a converged-looking decimation whose g
-    does not satisfy its own defining equation is silently wrong.  Three
-    extra GEMMs against the ~8 per decimation iteration: ~1-2% overhead.
+def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
+    """Post-solve sentinel on a ``(B, m, m)`` stack: finiteness plus the
+    *physical* fixed-point residual ``(z - h00)g - h01~ g h01~ g - I``
+    (with ``h01~`` the side-appropriate coupling) — a converged-looking
+    decimation whose g does not satisfy its own defining equation is
+    silently wrong.  Three extra GEMMs against the ~8 per decimation
+    iteration: ~1-2% overhead.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
         return
-    g = np.asarray(g)
-    if not np.all(np.isfinite(g)):
-        sentinel.trip("surface_gf", "nonfinite", detail=f"side={side} E={energy:.6g}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = float(energies[~finite.all(axis=(1, 2))][0])
+        sentinel.trip("surface_gf", "nonfinite", detail=f"side={side} E={bad:.6g}")
         return
-    m = h00.shape[-1]
-    eye = np.eye(m)
-    if g.ndim == 3:
-        z = (np.asarray(energy, dtype=float) + 1j * eta)[:, None, None] * eye
-    else:
-        z = (float(energy) + 1j * eta) * eye
+    eye = np.eye(h00.shape[-1])
+    z = (energies + 1j * eta)[:, None, None] * eye
+    t1 = (z - h00) @ g
     if side == "left":
-        t1 = (z - h00) @ g
         t2 = h01.conj().T @ g @ h01 @ g
     else:
-        t1 = (z - h00) @ g
         t2 = h01 @ g @ h01.conj().T @ g
     r = t1 - t2 - eye
     # backward-relative: near a band edge g ~ 1/eta blows up the absolute
@@ -119,12 +117,46 @@ def sancho_rubio(
     max_iter: int = 200,
     dtype=None,
 ) -> tuple[np.ndarray, int]:
-    """Retarded surface Green's function by decimation.
+    """Retarded surface Green's function at one energy.
+
+    A single energy is a stack of one of :func:`sancho_rubio_batch`
+    (same parameters, same errors, same flop charge).
+
+    Returns
+    -------
+    (g, n_iter) : (ndarray, int)
+        Surface GF and the number of decimation steps used.
+    """
+    g, iters = sancho_rubio_batch(
+        [energy], h00, h01, side=side, eta=eta, tol=tol,
+        max_iter=max_iter, dtype=dtype,
+    )
+    return g[0], int(iters[0])
+
+
+def sancho_rubio_batch(
+    energies,
+    h00: np.ndarray,
+    h01: np.ndarray,
+    side: str = "left",
+    eta: float = 1e-6,
+    tol: float = 1e-14,
+    max_iter: int = 200,
+    dtype=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Retarded surface Green's functions by decimation, stacked.
+
+    The decimation fixed point is independent per energy, so B energies
+    run as one sequence of ``(B, m, m)`` stacked solves and matmuls.
+    Converged energies are *compacted out* of the active set, so every
+    energy executes exactly the iteration sequence it would run alone —
+    same per-slice LAPACK calls, same iteration count, and hence the
+    flop charge ``sum_E sancho_rubio_flops(m, it_E)``.
 
     Parameters
     ----------
-    energy : float
-        Real energy E (eV); the retarded limit is taken as E + i*eta.
+    energies : array-like of float
+        Real energies E (eV); the retarded limit is taken as E + i*eta.
     h00, h01 : ndarray
         Lead cell blocks (see module conventions).
     side : {"left", "right"}
@@ -138,101 +170,10 @@ def sancho_rubio(
         covers 2^200 cells — non-convergence indicates eta = 0 exactly at a
         band edge.
     dtype : dtype-like, optional
-        Working precision; ``None`` keeps the historical complex128
-        path bit-identical.  complex64 (the ``precision="fp32"``
-        screening mode) floors ``tol`` above the single-precision
-        rounding plateau so the fixed point still terminates.
-
-    Returns
-    -------
-    (g, n_iter) : (ndarray, int)
-        Surface GF and the number of decimation steps used.
-    """
-    cdt, tol_floor = _decimation_dtype(dtype)
-    tol = max(tol, tol_floor)
-    if side == "left":
-        alpha = np.array(h01.conj().T, dtype=cdt)
-    elif side == "right":
-        alpha = np.array(h01, dtype=cdt)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    if eta <= 0:
-        raise ValueError("eta must be positive for a retarded GF")
-    m = h00.shape[0]
-    z = np.asarray((energy + 1j * eta) * np.eye(m), dtype=cdt)
-    beta = alpha.conj().T
-    eps_s = np.array(h00, dtype=cdt)
-    eps = np.array(h00, dtype=cdt)
-    eye_rhs = np.eye(m, dtype=cdt)
-    for it in range(1, max_iter + 1):
-        g_bulk = np.linalg.solve(z - eps, eye_rhs)
-        agb = alpha @ g_bulk @ beta
-        eps_s = eps_s + agb
-        eps = eps + agb + beta @ g_bulk @ alpha
-        alpha = alpha @ g_bulk @ alpha
-        beta = beta @ g_bulk @ beta
-        norm_a = np.linalg.norm(alpha, ord="fro")
-        if not np.isfinite(norm_a):
-            # poisoned input (NaN/Inf lead blocks): the fixed point can
-            # never contract — fail fast instead of burning max_iter
-            sentinel = get_sentinel()
-            if sentinel.enabled:
-                sentinel.trip(
-                    "surface_gf", "nonfinite",
-                    detail=f"decimation diverged, side={side} E={energy:.6g}",
-                )
-            raise SurfaceGFConvergenceError(
-                f"Sancho-Rubio decimation went non-finite at iteration {it} "
-                f"(E = {energy}, eta = {eta}); the lead blocks are poisoned",
-                energy=energy,
-                eta=eta,
-            )
-        if norm_a < tol:
-            break
-    else:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("surface_gf.nonconverged", 1.0, side=side)
-        raise SurfaceGFConvergenceError(
-            f"Sancho-Rubio did not converge in {max_iter} iterations "
-            f"(E = {energy}, eta = {eta}); increase eta",
-            energy=energy,
-            eta=eta,
-        )
-    g = np.linalg.solve(z - eps_s, eye_rhs)
-    _surface_health_check(g, energy, eta, h00, h01, side)
-    tracer = get_tracer()
-    if tracer.enabled:
-        # per iteration: one inversion + four a @ g @ b products (8 GEMMs),
-        # plus the final surface inversion — charged only on convergence
-        tracer.add_flops("surface_gf.sancho", sancho_rubio_flops(m, it))
-    metrics = get_metrics()
-    if metrics.enabled:
-        metrics.observe_key(_ITER_KEYS[side], float(it))
-    return g, it
-
-
-def sancho_rubio_batch(
-    energies,
-    h00: np.ndarray,
-    h01: np.ndarray,
-    side: str = "left",
-    eta: float = 1e-6,
-    tol: float = 1e-14,
-    max_iter: int = 200,
-    dtype=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decimation for a whole batch of energies in stacked numpy calls.
-
-    The decimation fixed point is independent per energy, so a batch of B
-    energies runs as one sequence of ``(B, m, m)`` stacked solves and
-    matmuls.  Converged energies are *compacted out* of the active set,
-    so every energy executes exactly the iteration sequence the scalar
-    :func:`sancho_rubio` would have run for it — same per-slice LAPACK
-    calls, same iteration count, and hence the same flop charge
-    ``sum_E sancho_rubio_flops(m, it_E)`` to the same kernel name.
-
-    Parameters mirror :func:`sancho_rubio`; ``energies`` is a 1-D array.
+        Working precision; ``None`` is complex128.  complex64 (the
+        ``precision="fp32"`` screening mode) floors ``tol`` above the
+        single-precision rounding plateau so the fixed point still
+        terminates.
 
     Returns
     -------
@@ -242,16 +183,11 @@ def sancho_rubio_batch(
     Raises
     ------
     SurfaceGFConvergenceError
-        If *any* energy fails to converge within ``max_iter`` (reported
-        for the first offending energy, as the scalar path would).
+        If *any* energy fails to converge within ``max_iter`` or goes
+        non-finite (reported for the first offending energy).
     """
     cdt, tol_floor = _decimation_dtype(dtype)
     tol = max(tol, tol_floor)
-    energies = np.asarray(energies, dtype=float).ravel()
-    n_batch = energies.size
-    m = h00.shape[0]
-    if n_batch == 0:
-        return np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
     if side == "left":
         alpha0 = np.array(h01.conj().T, dtype=cdt)
     elif side == "right":
@@ -260,6 +196,11 @@ def sancho_rubio_batch(
         raise ValueError("side must be 'left' or 'right'")
     if eta <= 0:
         raise ValueError("eta must be positive for a retarded GF")
+    energies = np.asarray(energies, dtype=float).ravel()
+    n_batch = energies.size
+    m = h00.shape[0]
+    if n_batch == 0:
+        return np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
     eye = np.eye(m)
     z = np.asarray((energies + 1j * eta)[:, None, None] * eye, dtype=cdt)
     eye_stack = np.broadcast_to(np.eye(m, dtype=cdt), (n_batch, m, m))
@@ -288,13 +229,14 @@ def sancho_rubio_batch(
         )
         finite = np.isfinite(norms)
         if not finite.all():
+            # poisoned input (NaN/Inf lead blocks): the fixed point can
+            # never contract — fail fast instead of burning max_iter
             bad = float(energies[active[~finite][0]])
             sentinel = get_sentinel()
             if sentinel.enabled:
                 sentinel.trip(
                     "surface_gf", "nonfinite",
-                    detail=f"batched decimation diverged, side={side} "
-                           f"E={bad:.6g}",
+                    detail=f"decimation diverged, side={side} E={bad:.6g}",
                 )
             raise SurfaceGFConvergenceError(
                 f"Sancho-Rubio decimation went non-finite at iteration {it} "
@@ -332,6 +274,8 @@ def sancho_rubio_batch(
     _surface_health_check(g_out, energies, eta, h00, h01, side)
     tracer = get_tracer()
     if tracer.enabled:
+        # per iteration: one inversion + four a @ g @ b products (8 GEMMs),
+        # plus the final surface inversion — charged only on convergence
         fl = sum(sancho_rubio_flops(m, int(it_e)) for it_e in iters)
         tracer.add_flops("surface_gf.sancho", fl)
     metrics = get_metrics()

@@ -33,9 +33,7 @@ __all__ = [
     "validate_rgf_flops",
     "validate_wf_flops",
     "validate_sancho_rubio_flops",
-    "validate_batched_rgf_flops",
     "validate_batched_wf_flops",
-    "validate_batched_sancho_rubio_flops",
     "validate_flops",
 ]
 
@@ -102,19 +100,33 @@ def _chain_hamiltonian(n_blocks: int, m: int, e0: float = 0.0, t: float = 1.0):
     )
 
 
+def _batch_energies(n_energies: int):
+    """Deterministic in-band energy batch away from the chain band edges."""
+    import numpy as np
+
+    return np.linspace(-1.2, 1.2, n_energies)
+
+
 def validate_rgf_flops(
-    n_blocks: int = 4, block_size: int = 3, energy: float = 0.5
+    n_blocks: int = 4, block_size: int = 3, energy: float = 0.5,
+    n_energies: int = 1,
 ) -> FlopValidation:
     """Run a real RGF solve and compare its block-LU flops to the formula.
 
     The instrumented :class:`repro.solvers.BlockTridiagLU` reports its
     factorisation, block-column and selected-inversion flops; their sum
     must equal :func:`repro.perf.flops.rgf_solve_flops` exactly (the
-    contact surface GFs are validated separately).
+    contact surface GFs are validated separately).  ``n_energies > 1``
+    runs one ``solve_batch`` over that many energies instead of
+    ``solve(energy)``: the class charges ``batch_size`` times the
+    per-matrix counts, so the stack must measure
+    ``n_energies * rgf_solve_flops``.
 
     Example
     -------
     >>> validate_rgf_flops(n_blocks=3, block_size=2).matches
+    True
+    >>> validate_rgf_flops(n_blocks=3, block_size=2, n_energies=6).matches
     True
     """
     from ..negf.rgf import RGFSolver
@@ -122,19 +134,22 @@ def validate_rgf_flops(
     H = _chain_hamiltonian(n_blocks, block_size)
     tracer = Tracer()
     with use_tracer(tracer):
-        RGFSolver(H).solve(energy)
+        if n_energies == 1:
+            RGFSolver(H).solve(energy)
+        else:
+            RGFSolver(H).solve_batch(_batch_energies(n_energies))
     counts = tracer.counter.counts
     measured = (
         counts.get("block_lu.factor", 0.0)
         + counts.get("block_lu.column", 0.0)
         + counts.get("block_lu.diagonal", 0.0)
     )
+    which = {"energy": energy} if n_energies == 1 else {"n_energies": n_energies}
     return FlopValidation(
-        kernel="rgf",
-        analytic=rgf_solve_flops(n_blocks, block_size),
+        kernel="rgf" if n_energies == 1 else "rgf_batched",
+        analytic=n_energies * rgf_solve_flops(n_blocks, block_size),
         measured=measured,
-        params={"n_blocks": n_blocks, "block_size": block_size,
-                "energy": energy},
+        params={"n_blocks": n_blocks, "block_size": block_size, **which},
     )
 
 
@@ -181,74 +196,44 @@ def validate_wf_flops(
 
 
 def validate_sancho_rubio_flops(
-    block_size: int = 4, energy: float = 0.3
+    block_size: int = 4, energy: float = 0.3, n_energies: int = 1
 ) -> FlopValidation:
     """Run a real decimation and compare against the per-iteration formula.
 
-    The iteration count is a *measured* quantity (returned by
-    :func:`repro.negf.sancho_rubio`); the analytic side charges exactly
-    that many decimation steps plus the final surface inversion.
+    The iteration counts are *measured* quantities (returned by
+    :func:`repro.negf.sancho_rubio_batch`); the analytic side charges
+    exactly that many decimation steps plus the final surface inversion,
+    per energy.  ``n_energies > 1`` decimates a stack of that many
+    energies instead of the one ``energy``: the active-set compaction
+    gives every energy its own iteration sequence, so the charge is
+    ``sum_E sancho_rubio_flops(m, it_E)``.
 
     Example
     -------
     >>> validate_sancho_rubio_flops(block_size=2).matches
     True
-    """
-    from ..negf.surface_gf import sancho_rubio
-
-    H = _chain_hamiltonian(2, block_size)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        _, n_iter = sancho_rubio(energy, H.diagonal[0], H.upper[0])
-    return FlopValidation(
-        kernel="sancho_rubio",
-        analytic=sancho_rubio_flops(block_size, n_iter),
-        measured=tracer.counter.counts.get("surface_gf.sancho", 0.0),
-        params={"block_size": block_size, "energy": energy,
-                "n_iterations": n_iter},
-    )
-
-
-def _batch_energies(n_energies: int):
-    """Deterministic in-band energy batch away from the chain band edges."""
-    import numpy as np
-
-    return np.linspace(-1.2, 1.2, n_energies)
-
-
-def validate_batched_rgf_flops(
-    n_blocks: int = 4, block_size: int = 3, n_energies: int = 6
-) -> FlopValidation:
-    """Batched RGF solve: block-LU flops must be B x the per-point formula.
-
-    :class:`repro.solvers.BatchedBlockTridiagLU` charges exactly
-    ``batch_size`` times the scalar-class counts to the same kernel
-    names, so one ``solve_batch`` over B energies must measure
-    ``B * rgf_solve_flops``.
-
-    Example
-    -------
-    >>> validate_batched_rgf_flops(n_blocks=3, block_size=2).matches
+    >>> validate_sancho_rubio_flops(block_size=2, n_energies=6).matches
     True
     """
-    from ..negf.rgf import RGFSolver
+    from ..negf.surface_gf import sancho_rubio_batch
 
-    H = _chain_hamiltonian(n_blocks, block_size)
+    H = _chain_hamiltonian(2, block_size)
+    energies = [energy] if n_energies == 1 else _batch_energies(n_energies)
     tracer = Tracer()
     with use_tracer(tracer):
-        RGFSolver(H).solve_batch(_batch_energies(n_energies))
-    counts = tracer.counter.counts
-    measured = (
-        counts.get("block_lu.factor", 0.0)
-        + counts.get("block_lu.column", 0.0)
-        + counts.get("block_lu.diagonal", 0.0)
-    )
+        _, iters = sancho_rubio_batch(energies, H.diagonal[0], H.upper[0])
+    if n_energies == 1:
+        which = {"energy": energy, "n_iterations": int(iters[0])}
+    else:
+        which = {"n_energies": n_energies,
+                 "iterations": [int(i) for i in iters]}
     return FlopValidation(
-        kernel="rgf_batched",
-        analytic=n_energies * rgf_solve_flops(n_blocks, block_size),
-        measured=measured,
-        params={"n_blocks": n_blocks, "block_size": block_size,
-                "n_energies": n_energies},
+        kernel="sancho_rubio" if n_energies == 1 else "sancho_rubio_batched",
+        analytic=float(
+            sum(sancho_rubio_flops(block_size, int(it)) for it in iters)
+        ),
+        measured=tracer.counter.counts.get("surface_gf.sancho", 0.0),
+        params={"block_size": block_size, **which},
     )
 
 
@@ -295,39 +280,6 @@ def validate_batched_wf_flops(
     )
 
 
-def validate_batched_sancho_rubio_flops(
-    block_size: int = 4, n_energies: int = 6
-) -> FlopValidation:
-    """Batched decimation: flops must sum the per-energy iteration costs.
-
-    The active-set compaction gives every energy exactly its scalar
-    iteration sequence, so the charge is ``sum_E sancho_rubio_flops(m,
-    it_E)`` with the *measured* per-energy iteration counts.
-
-    Example
-    -------
-    >>> validate_batched_sancho_rubio_flops(block_size=2).matches
-    True
-    """
-    from ..negf.surface_gf import sancho_rubio_batch
-
-    H = _chain_hamiltonian(2, block_size)
-    energies = _batch_energies(n_energies)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        _, iters = sancho_rubio_batch(energies, H.diagonal[0], H.upper[0])
-    analytic = sum(
-        sancho_rubio_flops(block_size, int(it)) for it in iters
-    )
-    return FlopValidation(
-        kernel="sancho_rubio_batched",
-        analytic=float(analytic),
-        measured=tracer.counter.counts.get("surface_gf.sancho", 0.0),
-        params={"block_size": block_size, "n_energies": n_energies,
-                "iterations": [int(i) for i in iters]},
-    )
-
-
 def validate_flops(verbose: bool = False) -> list:
     """Exercise every instrumented kernel at several small sizes.
 
@@ -348,11 +300,11 @@ def validate_flops(verbose: bool = False) -> list:
         validate_wf_flops(n_blocks=5, block_size=3),
         validate_sancho_rubio_flops(block_size=2),
         validate_sancho_rubio_flops(block_size=4, energy=0.7),
-        validate_batched_rgf_flops(n_blocks=3, block_size=2, n_energies=5),
-        validate_batched_rgf_flops(n_blocks=4, block_size=3, n_energies=7),
+        validate_rgf_flops(n_blocks=3, block_size=2, n_energies=5),
+        validate_rgf_flops(n_blocks=4, block_size=3, n_energies=7),
         validate_batched_wf_flops(n_blocks=3, block_size=2, n_energies=5),
         validate_batched_wf_flops(n_blocks=4, block_size=3, n_energies=6),
-        validate_batched_sancho_rubio_flops(block_size=3, n_energies=6),
+        validate_sancho_rubio_flops(block_size=3, n_energies=6),
     ]
     if verbose:  # pragma: no cover - console convenience
         for v in validations:

@@ -239,17 +239,12 @@ def dense_oracle_solve(H, energy: float, eta: float = 1e-6):
     """
     from ..negf.dense_ref import dense_green_function
     from ..negf.rgf import RGFResult
-    from ..negf.self_energy import contact_self_energy
+    from ..negf.self_energy import Contacts
 
     energy = float(energy)
-    sig_l = contact_self_energy(
-        energy, H.diagonal[0], H.upper[0], side="left",
-        method="robust", eta=eta,
-    )
-    sig_r = contact_self_energy(
-        energy, H.diagonal[-1], H.upper[-1], side="right",
-        method="robust", eta=eta,
-    )
+    (sig_l,), (sig_r,) = Contacts(
+        H, eta=eta, method="robust"
+    ).self_energies([energy])
     G = dense_green_function(H, energy, sig_l.sigma, sig_r.sigma)
     n = H.total_size
     offsets = H.block_offsets()

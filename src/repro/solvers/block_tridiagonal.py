@@ -3,8 +3,8 @@
 This is the computational core of the recursive Green's function (RGF)
 method: for A = (E - H - Sigma) in slab block form,
 
-* :class:`BlockTridiagLU` factors A once (forward block elimination,
-  O(N m^3)) and then
+* :class:`BlockTridiagLU` factors A — one matrix, or a whole stack of
+  energies at once — (forward block elimination, O(N m^3)) and then
 * solves for arbitrary right-hand sides or single block columns
   (O(N m^2) per RHS vector), and
 * produces the *diagonal blocks of A^{-1}* without ever forming the full
@@ -49,15 +49,17 @@ def _resolve_dtype(dtype, *block_lists) -> np.dtype:
     return np.dtype(np.complex64 if rt == np.complex64 else np.complex128)
 
 
-def _factor_health_check(site: str, diag, dinv_blocks) -> None:
-    """Health sentinel for a completed forward elimination.
+def _factor_health_check(diag, dinv_blocks) -> None:
+    """Health sentinel (site ``block_lu``) for a completed elimination.
 
     The Schur-complement inverses are already in hand, so the 1-norm
     condition estimate ``||A_ii||_1 * ||schur_i^-1||_1`` is essentially
     free (``diag[i]`` stands in for the Schur complement itself, a
     faithful proxy: an exploding ``dinv`` dominates the product either
-    way).  Trips ``nonfinite`` on NaN/Inf factors and ``ill_conditioned``
-    past the sentinel threshold; raises in strict mode.
+    way).  One matrix and a stack are guarded by the same vectorised
+    calls (the worst slice decides).  Trips ``nonfinite`` on NaN/Inf
+    factors and ``ill_conditioned`` past the sentinel threshold; raises
+    in strict mode.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
@@ -65,10 +67,58 @@ def _factor_health_check(site: str, diag, dinv_blocks) -> None:
     cond = 0.0
     for d, dinv in zip(diag, dinv_blocks):
         if not np.all(np.isfinite(dinv)):
-            sentinel.trip(site, "nonfinite", detail="non-finite LU factor block")
+            sentinel.trip(
+                "block_lu", "nonfinite", detail="non-finite LU factor block"
+            )
             return
         cond = max(cond, condition_estimate(d, dinv))
-    sentinel.check_condition(site, cond, detail="block-LU factor")
+    sentinel.check_condition("block_lu", cond, detail="block-LU factor")
+
+
+def _factor_flops(sizes) -> float:
+    """Forward elimination of one matrix at (possibly ragged) ``sizes``.
+
+    Per block: 1 inversion; blocks after the first add the two
+    elimination GEMMs (dinv @ upper then lower @ product).
+    """
+    fl = zinverse_flops(int(sizes[0]))
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        a, b = int(a), int(b)
+        fl += zgemm_flops(a, b, a) + zgemm_flops(b, b, a) + zinverse_flops(b)
+    return fl
+
+
+def _substitution_flops(sizes, r: int, j: int = 0) -> float:
+    """Forward/backward substitution of ``r`` columns supported on block
+    ``j`` and below (``j = 0``: a generic RHS) for one matrix.
+
+    Forward below j: dinv_{i-1} @ y then lower @ (.); backward: one GEMM
+    on the last block, then upper @ x and dinv @ (.) per remaining block.
+    """
+    n = len(sizes)
+    fl = zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
+    for i in range(j + 1, n):
+        a, b = int(sizes[i - 1]), int(sizes[i])
+        fl += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        a, b = int(a), int(b)
+        fl += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
+    return fl
+
+
+def _diagonal_flops(sizes) -> float:
+    """Selected inversion of one matrix: ``(((di @ U) @ G) @ L) @ di``,
+    evaluated left to right, per block but the last."""
+    fl = 0.0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        a, b = int(a), int(b)
+        fl += (
+            zgemm_flops(a, b, a)
+            + zgemm_flops(a, b, b)
+            + zgemm_flops(a, a, b)
+            + zgemm_flops(a, a, a)
+        )
+    return fl
 
 
 def block_tridiag_matvec(diag, upper, lower, x_blocks):
@@ -98,7 +148,7 @@ def block_tridiag_matvec(diag, upper, lower, x_blocks):
 
 
 class BlockTridiagLU:
-    """LU-like factorisation of a block-tridiagonal matrix.
+    """LU-like factorisation of a block-tridiagonal matrix, or of a stack.
 
     Forward elimination computes the Schur complements ("left-connected"
     blocks in NEGF language)
@@ -113,30 +163,61 @@ class BlockTridiagLU:
       (what the transmission and spectral-function formulas consume),
     * :meth:`diagonal_of_inverse` — diag blocks of A^{-1} (local DOS).
 
+    One matrix and a stack of B matrices run through the same lines:
+    ``numpy.linalg.inv`` and ``@`` broadcast over leading axes, so
+    ``(B, m, m)`` diagonal stacks factor as one sequence of stacked
+    LAPACK/GEMM calls whose every slice is bit-for-bit the 2-D result,
+    with the interpreter overhead amortised over the stack.  The energy
+    sweep is the stacked case: A(E) = E - H - Sigma(E) differs between
+    energies only in its diagonal blocks.
+
     Parameters
     ----------
-    diag, upper, lower : lists of ndarray (complex)
-        Blocks of A.  ``lower`` may be None for the Hermitian-coupling case
-        ``A_{i+1,i} = upper[i].conj().T`` — note A itself need not be
-        Hermitian (it isn't: E - H - Sigma has complex self-energies).
+    diag : list of ndarray, shape (m_i, m_i) or (B, m_i, m_i)
+        Diagonal blocks of A, or one stack per slab (batch axis first).
+    upper, lower : lists of ndarray
+        Coupling blocks, 2-D (shared by every slice of a stack — the
+        transport case) or per-slice 3-D stacks.  ``lower`` may be None
+        for the Hermitian-coupling case ``A_{i+1,i} = upper[i]^+`` — note
+        A itself need not be Hermitian (it isn't: E - H - Sigma has
+        complex self-energies).
+    instrument : bool
+        False charges no ``block_lu.*`` flops (the WF kernel charges its
+        own Gordon Bell counts on top of this class).
     dtype : dtype-like, optional
         Working precision of the factorisation (complex64 or complex128).
-        ``None`` infers from the inputs — complex64 only when every block
-        is already single precision, complex128 otherwise, so the default
-        path never silently downcasts complex128 data.
+        ``None`` infers from the inputs and never silently downcasts
+        complex128 data.
+
+    Flop accounting: every method charges ``batch_size`` times the
+    per-matrix count at the actual (possibly ragged) block sizes;
+    :func:`repro.observability.validate_flops` pins one matrix and a
+    stack against the analytic formulas.  The counts are
+    dtype-independent: a complex64 factorisation performs the same
+    operations at roughly twice the hardware throughput.
     """
 
-    def __init__(self, diag, upper, lower=None, dtype=None):
+    def __init__(self, diag, upper, lower=None, instrument=True, dtype=None):
         n = len(diag)
+        self._instrument = bool(instrument)
         if n < 1:
             raise ValueError("need at least one diagonal block")
+        first = np.asarray(diag[0])
+        if first.ndim not in (2, 3) or first.shape[-2] != first.shape[-1]:
+            raise ValueError(
+                "diagonal blocks must be (m, m) or stacks (batch, m, m); "
+                f"got {first.shape}"
+            )
+        self._batch = first.shape[:-2]
+        self.batch_size = first[..., 0, 0].size  # 1 for (m, m) blocks
         if lower is None:
-            lower = [u.conj().T for u in upper]
+            lower = [np.conj(np.swapaxes(np.asarray(u), -2, -1))
+                     for u in upper]
         if len(upper) != n - 1 or len(lower) != n - 1:
             raise ValueError("need N-1 upper and lower blocks")
         self.n_blocks = n
         self.dtype = _resolve_dtype(dtype, diag, upper, lower)
-        self.sizes = np.array([d.shape[0] for d in diag])
+        self.sizes = np.array([np.asarray(d).shape[-1] for d in diag])
         self._upper = [
             np.ascontiguousarray(u, dtype=self.dtype) for u in upper
         ]
@@ -145,34 +226,28 @@ class BlockTridiagLU:
         ]
         # forward elimination
         self._dinv: list[np.ndarray] = []
-        d = np.ascontiguousarray(diag[0], dtype=self.dtype)
-        self._dinv.append(np.linalg.inv(d))
-        for i in range(1, n):
-            schur = np.ascontiguousarray(diag[i], dtype=self.dtype) - (
-                self._lower[i - 1] @ (self._dinv[i - 1] @ self._upper[i - 1])
-            )
-            self._dinv.append(np.linalg.inv(schur))
-        _factor_health_check("block_lu", diag, self._dinv)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # per block: 1 inversion; interior blocks add the two
-            # elimination GEMMs (dinv @ upper then lower @ product)
-            sizes = self.sizes
-            fl = zinverse_flops(int(sizes[0]))
-            for i in range(1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                fl += (
-                    zgemm_flops(a, b, a)
-                    + zgemm_flops(b, b, a)
-                    + zinverse_flops(b)
+        for i in range(n):
+            schur = np.ascontiguousarray(diag[i], dtype=self.dtype)
+            if i:
+                schur = schur - self._lower[i - 1] @ (
+                    self._dinv[i - 1] @ self._upper[i - 1]
                 )
-            tracer.add_flops("block_lu.factor", fl)
+            self._dinv.append(np.linalg.inv(schur))
+        _factor_health_check(diag, self._dinv)
+        self._charge("block_lu.factor", _factor_flops)
+
+    def _charge(self, kernel: str, flops, *args) -> None:
+        """Charge ``batch_size * flops(sizes, *args)`` to a live tracer."""
+        tracer = get_tracer()
+        if tracer.enabled and self._instrument:
+            tracer.add_flops(kernel, self.batch_size * flops(self.sizes, *args))
 
     # ------------------------------------------------------------------
     def solve(self, rhs_blocks):
         """Solve A x = b for block right-hand sides.
 
-        ``rhs_blocks`` is a list of N arrays (vector or multi-vector blocks).
+        ``rhs_blocks`` is a list of N arrays: vector or multi-vector
+        blocks for one matrix, ``(B, m_i, r)`` stacks for a stack.
         Returns the solution in the same block layout.
         """
         n = self.n_blocks
@@ -195,20 +270,8 @@ class BlockTridiagLU:
         x[n - 1] = self._dinv[n - 1] @ y[n - 1]
         for i in range(n - 2, -1, -1):
             x[i] = self._dinv[i] @ (y[i] - self._upper[i] @ x[i + 1])
-        tracer = get_tracer()
-        if tracer.enabled:
-            sizes = self.sizes
-            r = y[0].shape[1] if y[0].ndim == 2 else 1
-            fl = zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
-            for i in range(1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                # forward: dinv_{i-1} @ y then lower @ (.)
-                fl += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
-            for i in range(n - 2, -1, -1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                # backward: upper @ x then dinv @ (.)
-                fl += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
-            tracer.add_flops("block_lu.solve", fl)
+        r = 1 if y[0].ndim == 1 else int(y[0].shape[-1])
+        self._charge("block_lu.solve", _substitution_flops, r)
         return x
 
     def solve_block_column(self, j: int):
@@ -220,43 +283,19 @@ class BlockTridiagLU:
         n = self.n_blocks
         if not 0 <= j < n:
             raise IndexError(f"block column {j} out of range")
-        m = self.sizes[j]
+        m = int(self.sizes[j])
         y = [None] * n
-        y[j] = np.eye(m, dtype=self.dtype)
+        y[j] = np.ascontiguousarray(
+            np.broadcast_to(np.eye(m, dtype=self.dtype), self._batch + (m, m))
+        )
         for i in range(j + 1, n):
             y[i] = -self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
         x = [None] * n
-        x[n - 1] = self._dinv[n - 1] @ y[n - 1] if y[n - 1] is not None else None
-        if x[n - 1] is None and n - 1 == j:  # pragma: no cover - j==n-1 sets y
-            raise AssertionError
+        x[n - 1] = self._dinv[n - 1] @ y[n - 1]
         for i in range(n - 2, -1, -1):
             acc = y[i] if y[i] is not None else 0.0
-            contrib = self._upper[i] @ x[i + 1] if x[i + 1] is not None else None
-            if contrib is None:
-                x[i] = self._dinv[i] @ acc if y[i] is not None else None
-            else:
-                x[i] = self._dinv[i] @ (acc - contrib)
-        # blocks above the first nonzero may be None only if everything
-        # below j vanished, which cannot happen for a connected device;
-        # normalise Nones (possible when n==1) to zero blocks.
-        for i in range(n):
-            if x[i] is None:
-                x[i] = np.zeros((self.sizes[i], m), dtype=self.dtype)
-        tracer = get_tracer()
-        if tracer.enabled:
-            sizes = self.sizes
-            r = int(m)
-            fl = 0.0
-            for i in range(j + 1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                # forward below j: dinv_{i-1} @ y then lower @ (.)
-                fl += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
-            fl += zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
-            for i in range(n - 2, -1, -1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                # backward: upper @ x then dinv @ (.)
-                fl += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
-            tracer.add_flops("block_lu.column", fl)
+            x[i] = self._dinv[i] @ (acc - self._upper[i] @ x[i + 1])
+        self._charge("block_lu.column", _substitution_flops, m, j)
         return x
 
     def diagonal_of_inverse(self):
@@ -271,20 +310,7 @@ class BlockTridiagLU:
         for i in range(n - 2, -1, -1):
             di = self._dinv[i]
             G[i] = di + di @ self._upper[i] @ G[i + 1] @ self._lower[i] @ di
-        tracer = get_tracer()
-        if tracer.enabled:
-            sizes = self.sizes
-            fl = 0.0
-            for i in range(n - 1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                # ((di @ U) @ G) @ L) @ di, evaluated left to right
-                fl += (
-                    zgemm_flops(a, b, a)
-                    + zgemm_flops(a, b, b)
-                    + zgemm_flops(a, a, b)
-                    + zgemm_flops(a, a, a)
-                )
-            tracer.add_flops("block_lu.diagonal", fl)
+        self._charge("block_lu.diagonal", _diagonal_flops)
         return G
 
     def corner_block(self, which: str = "lower-left"):
@@ -300,189 +326,5 @@ class BlockTridiagLU:
         raise ValueError("which must be 'lower-left' or 'upper-right'")
 
 
-class BatchedBlockTridiagLU:
-    """Batched LU of B block-tridiagonal matrices sharing their couplings.
-
-    The energy-point batching workhorse: for a fixed device, the system
-    matrix A(E) = E - H - Sigma(E) differs between energy points only in
-    its *diagonal* blocks (the couplings -H_{i,i+1} are energy
-    independent), so a whole batch of independent energies factorises as
-    one sequence of stacked ``numpy.linalg`` calls on ``(B, m, m)``
-    arrays — per-slice LAPACK/GEMM identical to B separate
-    :class:`BlockTridiagLU` factorisations, but with the Python
-    interpreter and dispatch overhead amortised over the batch.
-
-    Parameters
-    ----------
-    diag : list of ndarray, shape (B, m_i, m_i)
-        Stacked diagonal blocks, one stack per slab (batch axis first).
-    upper, lower : lists of ndarray
-        Coupling blocks, either shared 2-D ``(m_i, m_{i+1})`` arrays
-        (broadcast over the batch — the transport case) or per-batch 3-D
-        stacks.  ``lower=None`` uses ``upper[i].conj().T`` slab-wise.
-    dtype : dtype-like, optional
-        Working precision (complex64 or complex128); ``None`` infers
-        from the inputs exactly like :class:`BlockTridiagLU`.
-
-    Flop accounting: the instrumented counts are exactly ``B`` times the
-    per-point :class:`BlockTridiagLU` formulas, charged to the same
-    kernel names — :func:`repro.observability.validate_flops` pins the
-    batched path against the analytic formulas too.  The counts are
-    dtype-independent: a complex64 factorisation performs the same
-    operations at roughly twice the hardware throughput.
-    """
-
-    def __init__(self, diag, upper, lower=None, instrument=True, dtype=None):
-        n = len(diag)
-        self._instrument = bool(instrument)
-        if n < 1:
-            raise ValueError("need at least one diagonal block stack")
-        first = np.asarray(diag[0])
-        if first.ndim != 3 or first.shape[1] != first.shape[2]:
-            raise ValueError(
-                "diagonal stacks must be (batch, m, m); got "
-                f"{first.shape}"
-            )
-        self.batch_size = int(first.shape[0])
-        if lower is None:
-            lower = [np.conj(np.swapaxes(np.asarray(u), -2, -1))
-                     for u in upper]
-        if len(upper) != n - 1 or len(lower) != n - 1:
-            raise ValueError("need N-1 upper and lower blocks")
-        self.n_blocks = n
-        self.dtype = _resolve_dtype(dtype, diag, upper, lower)
-        self.sizes = np.array([np.asarray(d).shape[-1] for d in diag])
-        self._upper = [
-            np.ascontiguousarray(u, dtype=self.dtype) for u in upper
-        ]
-        self._lower = [
-            np.ascontiguousarray(l, dtype=self.dtype) for l in lower
-        ]
-        # forward elimination on the stacks (same op order as the scalar
-        # class, so each batch slice is bit-for-bit the scalar result)
-        self._dinv: list[np.ndarray] = []
-        d0 = np.ascontiguousarray(diag[0], dtype=self.dtype)
-        self._dinv.append(np.linalg.inv(d0))
-        for i in range(1, n):
-            schur = np.ascontiguousarray(diag[i], dtype=self.dtype) - (
-                self._lower[i - 1] @ (self._dinv[i - 1] @ self._upper[i - 1])
-            )
-            self._dinv.append(np.linalg.inv(schur))
-        _factor_health_check("block_lu_batched", diag, self._dinv)
-        tracer = get_tracer()
-        if tracer.enabled and self._instrument:
-            sizes = self.sizes
-            fl = zinverse_flops(int(sizes[0]))
-            for i in range(1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                fl += (
-                    zgemm_flops(a, b, a)
-                    + zgemm_flops(b, b, a)
-                    + zinverse_flops(b)
-                )
-            tracer.add_flops("block_lu.factor", self.batch_size * fl)
-
-    # ------------------------------------------------------------------
-    def solve(self, rhs_blocks):
-        """Solve all B systems for stacked block RHS ``(B, m_i, r)``."""
-        n = self.n_blocks
-        if len(rhs_blocks) != n:
-            raise ValueError(f"expected {n} RHS blocks, got {len(rhs_blocks)}")
-        rdt = np.result_type(
-            self.dtype, *[np.asarray(b).dtype for b in rhs_blocks]
-        )
-        y = [np.asarray(rhs_blocks[0], dtype=rdt)]
-        for i in range(1, n):
-            y.append(
-                np.asarray(rhs_blocks[i], dtype=rdt)
-                - self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
-            )
-        x = [None] * n
-        x[n - 1] = self._dinv[n - 1] @ y[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = self._dinv[i] @ (y[i] - self._upper[i] @ x[i + 1])
-        tracer = get_tracer()
-        if tracer.enabled and self._instrument:
-            sizes = self.sizes
-            r = int(y[0].shape[-1])
-            fl = zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
-            for i in range(1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                fl += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
-            for i in range(n - 2, -1, -1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                fl += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
-            tracer.add_flops("block_lu.solve", self.batch_size * fl)
-        return x
-
-    def solve_block_column(self, j: int):
-        """Stacked blocks ``(B, m_i, m_j)`` of block column j of A^{-1}."""
-        n = self.n_blocks
-        if not 0 <= j < n:
-            raise IndexError(f"block column {j} out of range")
-        m = int(self.sizes[j])
-        eye = np.broadcast_to(
-            np.eye(m, dtype=self.dtype), (self.batch_size, m, m)
-        )
-        y = [None] * n
-        y[j] = np.ascontiguousarray(eye)
-        for i in range(j + 1, n):
-            y[i] = -self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
-        x = [None] * n
-        x[n - 1] = self._dinv[n - 1] @ y[n - 1] if y[n - 1] is not None else None
-        for i in range(n - 2, -1, -1):
-            if x[i + 1] is None:
-                x[i] = self._dinv[i] @ y[i] if y[i] is not None else None
-            else:
-                acc = y[i] if y[i] is not None else 0.0
-                x[i] = self._dinv[i] @ (acc - self._upper[i] @ x[i + 1])
-        for i in range(n):
-            if x[i] is None:
-                x[i] = np.zeros(
-                    (self.batch_size, int(self.sizes[i]), m),
-                    dtype=self.dtype,
-                )
-        tracer = get_tracer()
-        if tracer.enabled and self._instrument:
-            sizes = self.sizes
-            fl = 0.0
-            for i in range(j + 1, n):
-                a, b = int(sizes[i - 1]), int(sizes[i])
-                fl += zgemm_flops(a, m, a) + zgemm_flops(b, m, a)
-            fl += zgemm_flops(int(sizes[n - 1]), m, int(sizes[n - 1]))
-            for i in range(n - 2, -1, -1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                fl += zgemm_flops(a, m, b) + zgemm_flops(a, m, a)
-            tracer.add_flops("block_lu.column", self.batch_size * fl)
-        return x
-
-    def diagonal_of_inverse(self):
-        """Stacked diagonal blocks ``(B, m_i, m_i)`` of A^{-1}."""
-        n = self.n_blocks
-        G = [None] * n
-        G[n - 1] = self._dinv[n - 1].copy()
-        for i in range(n - 2, -1, -1):
-            di = self._dinv[i]
-            G[i] = di + di @ self._upper[i] @ G[i + 1] @ self._lower[i] @ di
-        tracer = get_tracer()
-        if tracer.enabled and self._instrument:
-            sizes = self.sizes
-            fl = 0.0
-            for i in range(n - 1):
-                a, b = int(sizes[i]), int(sizes[i + 1])
-                fl += (
-                    zgemm_flops(a, b, a)
-                    + zgemm_flops(a, b, b)
-                    + zgemm_flops(a, a, b)
-                    + zgemm_flops(a, a, a)
-                )
-            tracer.add_flops("block_lu.diagonal", self.batch_size * fl)
-        return G
-
-    def corner_block(self, which: str = "lower-left"):
-        """Stacked corner blocks of A^{-1} (as the scalar class)."""
-        if which == "lower-left":
-            return self.solve_block_column(0)[self.n_blocks - 1]
-        if which == "upper-right":
-            return self.solve_block_column(self.n_blocks - 1)[0]
-        raise ValueError("which must be 'lower-left' or 'upper-right'")
+#: The same class, under the name ``benchmarks/e2e`` imports for stacks.
+BatchedBlockTridiagLU = BlockTridiagLU

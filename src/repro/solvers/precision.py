@@ -41,6 +41,7 @@ from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
 from ..perf.flops import zgemm_flops
 from ..resilience.health import get_sentinel
+from .block_tridiagonal import _substitution_flops
 
 __all__ = [
     "BETA_TOL",
@@ -224,15 +225,7 @@ def _refine_flops(sizes, j, r, n_iter) -> float:
     Charged per slice so the total is invariant under energy chunking.
     """
     n = len(sizes)
-    fl = 0.0
-    for i in range(j + 1, n):
-        a, b = int(sizes[i - 1]), int(sizes[i])
-        fl += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
-    fl += zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
-    for i in range(n - 2, -1, -1):
-        a, b = int(sizes[i]), int(sizes[i + 1])
-        fl += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
-    per_iter = 0.0
+    per_iter = _substitution_flops(sizes, r)
     for i in range(n):
         m = int(sizes[i])
         per_iter += zgemm_flops(m, r, m)  # diag @ x
@@ -240,14 +233,7 @@ def _refine_flops(sizes, j, r, n_iter) -> float:
             per_iter += zgemm_flops(m, r, int(sizes[i + 1]))
         if i > 0:
             per_iter += zgemm_flops(m, r, int(sizes[i - 1]))
-    for i in range(1, n):
-        a, b = int(sizes[i - 1]), int(sizes[i])
-        per_iter += zgemm_flops(a, r, a) + zgemm_flops(b, r, a)
-    per_iter += zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
-    for i in range(n - 2, -1, -1):
-        a, b = int(sizes[i]), int(sizes[i + 1])
-        per_iter += zgemm_flops(a, r, b) + zgemm_flops(a, r, a)
-    return fl + n_iter * per_iter
+    return _substitution_flops(sizes, r, j) + n_iter * per_iter
 
 
 def refined_sliver_solve(
@@ -269,7 +255,7 @@ def refined_sliver_solve(
 
     Parameters
     ----------
-    lu32 : BatchedBlockTridiagLU
+    lu32 : BlockTridiagLU
         complex64 factorisation of the *rounded* operator.
     diag64, upper64, lower64 : lists of ndarray, complex128
         The fp64 reference operator the residual is measured against

@@ -34,14 +34,10 @@ from ..observability.invariants import get_monitor
 from ..observability.tracer import get_tracer, trace_span
 from ..resilience.health import get_sentinel
 from ..solvers.banded import BandedLU, SparseLU
-from ..solvers.block_tridiagonal import BatchedBlockTridiagLU
+from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import assemble_system_blocks
-from ..negf.self_energy import (
-    LeadSelfEnergy,
-    contact_self_energy,
-    contact_self_energy_batch,
-)
+from ..negf.self_energy import Contacts, LeadSelfEnergy
 
 __all__ = ["WFResult", "WFSolver"]
 
@@ -121,8 +117,6 @@ class WFSolver:
                 "solver='rgf' for mixed- or single-precision transport"
             )
         self.H = hamiltonian
-        self.eta = eta
-        self.surface_method = surface_method
         self.factorization = factorization
         #: None = exact mode (every Gamma eigenvector injected, WF == NEGF
         #: to machine precision); a float = economical production mode,
@@ -130,55 +124,16 @@ class WFSolver:
         #: absolute threshold (eV) — the open channels.  This is the knob
         #: that realises the paper's "few RHS per energy" claim.
         self.injection_tol_ev = injection_tol_ev
-        self.lead_left = (
-            lead_left
-            if lead_left is not None
-            else (hamiltonian.diagonal[0], hamiltonian.upper[0])
+        self.contacts = Contacts(
+            hamiltonian, lead_left, lead_right, eta=eta,
+            method=surface_method, cache=sigma_cache, tokens=lead_tokens,
         )
-        self.lead_right = (
-            lead_right
-            if lead_right is not None
-            else (hamiltonian.diagonal[-1], hamiltonian.upper[-1])
-        )
-        self.sigma_cache = sigma_cache
-        self._token_left = self._token_right = None
-        if sigma_cache is not None:
-            if lead_tokens is not None:
-                self._token_left, self._token_right = lead_tokens
-            else:
-                from ..parallel.backend import lead_token
-
-                self._token_left = lead_token(*self.lead_left)
-                self._token_right = lead_token(*self.lead_right)
 
     # ------------------------------------------------------------------
     def self_energies(self, energy: float) -> tuple[LeadSelfEnergy, LeadSelfEnergy]:
-        """Contact self-energies at one energy (same as the RGF path)."""
-        sig_l = contact_self_energy(
-            energy, *self.lead_left, side="left",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_left,
-        )
-        sig_r = contact_self_energy(
-            energy, *self.lead_right, side="right",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_right,
-        )
-        return sig_l, sig_r
-
-    def self_energies_batch(self, energies):
-        """Contact self-energies for a batch of energies (two lists)."""
-        sigs_l = contact_self_energy_batch(
-            energies, *self.lead_left, side="left",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_left,
-        )
-        sigs_r = contact_self_energy_batch(
-            energies, *self.lead_right, side="right",
-            method=self.surface_method, eta=self.eta,
-            cache=self.sigma_cache, cache_token=self._token_right,
-        )
-        return sigs_l, sigs_r
+        """Contact self-energies at one energy (a stack of one)."""
+        sigs_l, sigs_r = self.contacts.self_energies([energy])
+        return sigs_l[0], sigs_r[0]
 
     def _factor(self, energy, sig_l, sig_r):
         diag, upper, lower = assemble_system_blocks(
@@ -250,7 +205,6 @@ class WFSolver:
         last = int(offsets[-2])
         gam_l = sig_l.gamma
         gam_r = sig_r.gamma
-        m_l = gam_l.shape[0]
         m_r = gam_r.shape[0]
 
         # T = sum_m psi_m^+ Gamma_R psi_m over left-injected states
@@ -258,18 +212,8 @@ class WFSolver:
         transmission = float(
             np.einsum("im,ij,jm->", block_r.conj(), gam_r, block_r).real
         )
-        # R = n_open_L - T, but compute it independently for the unitarity
-        # check: R = sum_m psi_m^+ Gamma_L psi_m - n ... in the coherent
-        # limit sum_m psi^+ (Gamma_L + Gamma_R) psi = n_open_L.
-        block_l = psi_l[:m_l, :]
-        absorbed_l = float(
-            np.einsum("im,ij,jm->", block_l.conj(), gam_l, block_l).real
-        )
         n_open_l = sig_l.n_open_channels()
         reflection = max(n_open_l - transmission, 0.0)
-        # absorbed_l + transmission should equal n_open_l (flux conservation);
-        # keep the defect observable through the result object.
-        _ = absorbed_l
 
         spectral_l = (np.abs(psi_l) ** 2).sum(axis=1) / (2.0 * np.pi)
         spectral_r = (np.abs(psi_r) ** 2).sum(axis=1) / (2.0 * np.pi)
@@ -278,7 +222,6 @@ class WFSolver:
 
         # spatially resolved left-injected current across every interface;
         # equals T at each of them in coherent transport
-        offsets = self.H.block_offsets()
         currents = np.empty(self.H.n_blocks - 1)
         for i, hop in enumerate(self.H.upper):
             a = psi_l[offsets[i] : offsets[i + 1], :]
@@ -342,7 +285,7 @@ class WFSolver:
 
         Semantically ``[self.solve(E) for E in energies]``.  The batched
         path factors all B system matrices with one
-        :class:`repro.solvers.BatchedBlockTridiagLU` (instead of B
+        stacked :class:`repro.solvers.BlockTridiagLU` (instead of B
         SuperLU/banded factorisations) and solves the injection RHS of
         every energy together, zero-padding each energy's channel block
         to the batch-wide maximum (padding columns are exactly zero and
@@ -365,27 +308,20 @@ class WFSolver:
 
     def _solve_batch(self, energies: np.ndarray) -> list[WFResult]:
         n_batch = energies.size
-        sigs_l, sigs_r = self.self_energies_batch(energies)
+        sigs_l, sigs_r = self.contacts.self_energies(energies)
         n = self.H.n_blocks
-        sig_l_stack = np.stack([s.sigma for s in sigs_l])
-        sig_r_stack = np.stack([s.sigma for s in sigs_r])
-        diag = []
-        for i, h in enumerate(self.H.diagonal):
-            a = energies[:, None, None] * np.eye(h.shape[0], dtype=complex) - h
-            if i == 0:
-                a = a - sig_l_stack
-            if i == n - 1:
-                a = a - sig_r_stack
-            diag.append(a)
-        upper = [-u for u in self.H.upper]
-        lower = [-u.conj().T for u in self.H.upper]
+        diag, upper, lower = assemble_system_blocks(
+            self.H, energies,
+            np.stack([s.sigma for s in sigs_l]),
+            np.stack([s.sigma for s in sigs_r]),
+        )
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add_flops(
                 "wf.factor",
                 n_batch * sum(8.0 * float(s) ** 3 for s in self.H.block_sizes),
             )
-        lu = BatchedBlockTridiagLU(diag, upper, lower, instrument=False)
+        lu = BlockTridiagLU(diag, upper, lower, instrument=False)
 
         W_l = [self._injection(s) for s in sigs_l]
         W_r = [self._injection(s) for s in sigs_r]
@@ -395,7 +331,6 @@ class WFSolver:
             if n_rhs_total:
                 tracer.add_flops("wf.backsub", n_rhs_total * per_block)
 
-        offsets = self.H.block_offsets()
         psi_l = self._batched_states(lu, W_l, block=0)
         psi_r = self._batched_states(lu, W_r, block=n - 1)
 

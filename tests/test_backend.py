@@ -169,6 +169,31 @@ class TestSelfEnergyCache:
         assert cache.stats["invalidations"] == 1
         assert cache.stats["hits"] == 2 * len(grid.energies)
 
+    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
+    def test_scalar_then_stacked_calls_share_entries(self, method):
+        """One implementation, one key: what the scalar entry stored,
+        the stacked entry over the same energies finds — all hits, the
+        very objects, one lookup per energy."""
+        from repro.negf import contact_self_energy, contact_self_energy_batch
+
+        h00 = np.array([[0.1, -1.0], [-1.0, 0.1]], dtype=complex)
+        h01 = np.array([[0.0, 0.0], [-0.6, 0.0]], dtype=complex)
+        energies = [-2.5, -1.4, 0.1, 1.1]
+        cache = SelfEnergyCache()
+        kwargs = dict(side="right", method=method, eta=1e-6, cache=cache)
+        scalar = [contact_self_energy(e, h00, h01, **kwargs) for e in energies]
+        assert cache.stats["misses"] == len(energies)
+        assert cache.stats["hits"] == 0
+        stacked = contact_self_energy_batch(energies, h00, h01, **kwargs)
+        assert cache.stats["misses"] == len(energies)
+        assert cache.stats["hits"] == len(energies)
+        assert all(a is b for a, b in zip(scalar, stacked))
+        # a partly warm stack computes only what is missing
+        contact_self_energy_batch(energies + [2.0], h00, h01, **kwargs)
+        assert cache.stats["misses"] == len(energies) + 1
+        assert cache.stats["hits"] == 2 * len(energies)
+        assert cache.stats["size"] == len(energies) + 1
+
     def test_lru_eviction(self):
         cache = SelfEnergyCache(maxsize=4)
         for i in range(6):

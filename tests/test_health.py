@@ -167,6 +167,42 @@ class TestHealthSentinel:
         assert "lu:ill_conditioned=1" in s.summary()
 
 
+class TestBlockLUSentinelSite:
+    """One class reports one site: a 2-D factorisation, a stack of one
+    and a stack of N are guarded by the same vectorised check."""
+
+    @staticmethod
+    def _system(n_batch):
+        rng = np.random.default_rng(41)
+        diag = [rng.normal(size=(n_batch, 2, 2)) + 8.0 * np.eye(2)
+                for _ in range(3)]
+        upper = [rng.normal(size=(2, 2)) + 0j for _ in range(2)]
+        return diag, upper
+
+    @pytest.mark.parametrize("entry", ["2d", "stack-of-1", "stack-of-5"])
+    @pytest.mark.parametrize("kind", ["nonfinite", "ill_conditioned"])
+    def test_bad_slice_trips_block_lu(self, entry, kind):
+        from repro.solvers import BlockTridiagLU
+
+        def enter(diag):
+            return [d[0] for d in diag] if entry == "2d" else diag
+
+        n_batch = 5 if entry == "stack-of-5" else 1
+        healthy, upper = self._system(n_batch)
+        bad, _ = self._system(n_batch)
+        # poison only the *last* slice: the worst slice decides
+        if kind == "nonfinite":
+            bad[1][-1, 0, 0] = np.nan
+        else:
+            bad[0][-1] = np.diag([1.0, 1e-14])
+        s = HealthSentinel(mode="contain")
+        with use_sentinel(s):
+            BlockTridiagLU(enter(healthy), upper)
+            assert s.n_trips == 0
+            BlockTridiagLU(enter(bad), upper)
+        assert s.trips_since(0) == {f"block_lu:{kind}": 1}
+
+
 NONFINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
@@ -346,6 +382,40 @@ class TestSelfEnergyCacheRejection:
         assert len(cache) == 0
         assert cache.rejected == 1
         assert cache.stats["rejected"] == 1
+
+    def test_degraded_solves_in_a_stack_rejected_each(self, monkeypatch):
+        """The stacked entry applies the same rule per energy: only the
+        energies healed by a fallback rung are kept out of the cache."""
+        from repro.negf.self_energy import contact_self_energy_batch
+        from repro.negf.surface_gf import eigen_surface_gf, sancho_rubio
+        from repro.resilience import policies
+
+        def degraded_above_zero(energy, h00, h01, side="left", eta=1e-6, **kw):
+            if energy > 0.0:
+                return eigen_surface_gf(energy, h00, h01, eta=eta), "eigen"
+            return sancho_rubio(energy, h00, h01, side=side, eta=eta)[0], "sancho"
+
+        monkeypatch.setattr(policies, "robust_surface_gf", degraded_above_zero)
+        cache = SelfEnergyCache()
+        energies = [-0.5, 0.25, -0.25, 0.5]
+        first = contact_self_energy_batch(
+            energies, self.LEAD_H00, self.LEAD_H01, side="left",
+            method="robust", cache=cache,
+        )
+        assert all(np.all(np.isfinite(r.sigma)) for r in first)
+        assert len(cache) == 2
+        assert cache.rejected == 2
+        again = contact_self_energy_batch(
+            energies, self.LEAD_H00, self.LEAD_H01, side="left",
+            method="robust", cache=cache,
+        )
+        # clean energies are served, degraded ones recomputed and
+        # rejected again — never stored
+        assert [a is b for a, b in zip(first, again)] == [
+            True, False, True, False
+        ]
+        assert len(cache) == 2
+        assert cache.rejected == 4
 
     def test_rejection_counter_reaches_metrics(self):
         from repro.observability import MetricsRegistry, use_metrics

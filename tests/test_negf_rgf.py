@@ -6,6 +6,7 @@ import pytest
 from repro.lattice import partition_into_slabs, rectangular_grid_device
 from repro.negf import (
     RGFSolver,
+    assemble_system_blocks,
     dense_observables,
     dense_transmission,
     landauer_current,
@@ -148,6 +149,32 @@ class TestAgainstDense:
             assert res.transmission <= min(
                 res.n_channels_left, res.n_channels_right
             ) + 1e-6
+
+    def test_one_system_assembly_for_scalar_and_stack(self):
+        """``assemble_system_blocks`` takes one energy or an array; the
+        slice of the stacked assembly is the scalar assembly, bitwise,
+        and the solver's scalar self-energies are its stack of one."""
+        H = self.make_grid_system()
+        solver = RGFSolver(H)
+        energies = np.array([0.45, 0.6, 0.9])
+        sigs_l, sigs_r = solver.contacts.self_energies(energies)
+        diag, upper, lower = assemble_system_blocks(
+            H, energies,
+            np.stack([s.sigma for s in sigs_l]),
+            np.stack([s.sigma for s in sigs_r]),
+        )
+        assert all(d.shape == (3,) + h.shape for d, h in zip(diag, H.diagonal))
+        for b, e in enumerate(energies):
+            sig_l, sig_r = solver.self_energies(float(e))
+            assert np.array_equal(sig_l.sigma, sigs_l[b].sigma)
+            assert np.array_equal(sig_r.sigma, sigs_r[b].sigma)
+            d1, u1, l1 = assemble_system_blocks(
+                H, float(e), sig_l.sigma, sig_r.sigma
+            )
+            assert all(a.ndim == 2 for a in d1)
+            assert all(np.array_equal(a, d[b]) for a, d in zip(d1, diag))
+            assert all(np.array_equal(a, c) for a, c in zip(u1, upper))
+            assert all(np.array_equal(a, c) for a, c in zip(l1, lower))
 
     def test_needs_two_slabs(self):
         d = [np.zeros((2, 2), dtype=complex)]

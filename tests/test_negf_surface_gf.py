@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from repro.negf import (
     contact_self_energy,
+    contact_self_energy_batch,
     eigen_surface_gf,
     lead_modes,
     sancho_rubio,
+    sancho_rubio_batch,
 )
+from repro.observability import Tracer, use_tracer
+from repro.perf import sancho_rubio_flops
 from repro.tb.chain import chain_band_edges, chain_self_energy, chain_surface_gf
 
 
@@ -84,6 +88,91 @@ class TestSanchoRubio:
         gamma = 1j * (sigma - sigma.conj().T)
         np.testing.assert_allclose(gamma, gamma.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(gamma).min() > -1e-10  # PSD
+
+
+#: in-band, band-edge-adjacent and out-of-band energies of the unit chain
+#: (band [-2, 2]) in one stack
+MIXED_STACK = np.array([-3.0, -1.999, -1.5, -0.5, 0.0, 0.7, 1.9, 2.001, 2.5, 5.0])
+
+
+def dimer_lead():
+    h00 = np.array([[0.1, -1.0], [-1.0, 0.1]], dtype=complex)
+    h01 = np.array([[0.0, 0.0], [-0.6, 0.0]], dtype=complex)
+    return h00, h01
+
+
+def wide_lead(m=6, seed=3):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return (a + a.conj().T) / 2, 0.4 * rng.normal(size=(m, m)) + 0j
+
+
+class TestSanchoRubioStack:
+    """The decimation every run executes, on stacks that mix in-band
+    and out-of-band energies (so the active set really compacts)."""
+
+    def test_chain_analytic(self):
+        h00, h01 = chain_lead()
+        g, iters = sancho_rubio_batch(MIXED_STACK, h00, h01, eta=1e-6)
+        assert g.shape == (MIXED_STACK.size, 1, 1)
+        for b, energy in enumerate(MIXED_STACK):
+            exact = chain_surface_gf(energy + 1e-6j, 0.0, 1.0)
+            assert g[b, 0, 0] == pytest.approx(exact, rel=1e-3)
+            if abs(energy) > 2.0 + 1e-2:
+                assert abs(g[b, 0, 0].imag) < 1e-6  # no DOS outside the band
+        # gapped energies contract at once, band-edge ones crawl: the
+        # stack keeps a separate count for each
+        assert len(set(iters.tolist())) > 1
+        assert iters[0] < iters[1]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_eigen_dimer(self, side):
+        h00, h01 = dimer_lead()
+        energies = np.array([-2.5, -1.4, 0.1, 1.1, 3.0])
+        g, _ = sancho_rubio_batch(energies, h00, h01, side=side, eta=1e-7)
+        for b, energy in enumerate(energies):
+            ge = eigen_surface_gf(energy, h00, h01, side=side, eta=1e-7)
+            np.testing.assert_allclose(g[b], ge, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "lead", [chain_lead, dimer_lead, wide_lead], ids=["m1", "m2", "m6"]
+    )
+    @pytest.mark.parametrize("dtype", [None, np.complex64])
+    def test_scalar_entry_is_the_stack_of_one(self, lead, dtype):
+        """Every energy runs its own iteration sequence whatever shares
+        its stack: stack slice == stack of one == scalar entry, bitwise,
+        and the flop charge is the per-energy sum."""
+        h00, h01 = lead()
+        energies = MIXED_STACK if h00.shape[0] < 6 else np.linspace(-2, 2, 7)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            g, iters = sancho_rubio_batch(
+                energies, h00, h01, eta=1e-5, dtype=dtype
+            )
+        m = h00.shape[0]
+        assert tracer.counter.counts["surface_gf.sancho"] == sum(
+            sancho_rubio_flops(m, int(it)) for it in iters
+        )
+        for b, energy in enumerate(energies):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                g1, it1 = sancho_rubio(energy, h00, h01, eta=1e-5, dtype=dtype)
+            assert isinstance(it1, int) and it1 == iters[b]
+            assert g1.dtype == g.dtype
+            assert np.array_equal(g1, g[b])
+            assert tracer.counter.counts[
+                "surface_gf.sancho"
+            ] == sancho_rubio_flops(m, it1)
+
+    def test_bad_input_rejected_before_the_empty_return(self):
+        h00, h01 = chain_lead()
+        for energies in ([], [0.0]):
+            with pytest.raises(ValueError, match="side"):
+                sancho_rubio_batch(energies, h00, h01, side="top")
+            with pytest.raises(ValueError, match="eta"):
+                sancho_rubio_batch(energies, h00, h01, eta=0.0)
+        g, iters = sancho_rubio_batch([], h00, h01)
+        assert g.shape == (0, 1, 1) and iters.shape == (0,)
 
 
 class TestEigenSurfaceGF:
@@ -184,3 +273,22 @@ class TestSelfEnergy:
         h00, h01 = chain_lead()
         with pytest.raises(ValueError):
             contact_self_energy(0.0, h00, h01, method="magic")
+
+    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
+    def test_scalar_entry_is_the_stack_of_one(self, method):
+        h00, h01 = dimer_lead()
+        energies = [-2.5, -1.4, 0.1, 1.1]
+        stack = contact_self_energy_batch(
+            energies, h00, h01, side="right", method=method, eta=1e-6
+        )
+        for energy, se in zip(energies, stack):
+            one = contact_self_energy(
+                energy, h00, h01, side="right", method=method, eta=1e-6
+            )
+            assert one.energy == se.energy == energy
+            assert np.array_equal(one.sigma, se.sigma)
+
+    def test_invalid_method_in_a_stack(self):
+        h00, h01 = chain_lead()
+        with pytest.raises(ValueError):
+            contact_self_energy_batch([0.0, 0.1], h00, h01, method="magic")

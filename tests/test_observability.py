@@ -303,6 +303,24 @@ class TestFlopIdentity:
         for v in validations:
             assert v.matches, str(v)
 
+    @pytest.mark.parametrize("n_energies", [2, 7])
+    def test_stacked_entries_exact(self, n_energies):
+        """``n_energies`` switches the same validations to a stack."""
+        v = validate_rgf_flops(n_blocks=4, block_size=3, n_energies=n_energies)
+        one = validate_rgf_flops(n_blocks=4, block_size=3)
+        assert v.matches and v.kernel == "rgf_batched", str(v)
+        assert v.measured == n_energies * one.measured
+        v = validate_sancho_rubio_flops(block_size=3, n_energies=n_energies)
+        assert v.matches and v.kernel == "sancho_rubio_batched", str(v)
+        assert len(v.params["iterations"]) == n_energies
+
+    def test_validate_flops_rows(self):
+        assert [v.kernel for v in validate_flops()] == (
+            ["rgf"] * 3 + ["wf"] * 2 + ["sancho_rubio"] * 2
+            + ["rgf_batched"] * 2 + ["wf_batched"] * 2
+            + ["sancho_rubio_batched"]
+        )
+
     def test_mismatch_is_reported(self):
         v = FlopValidation("fake", analytic=100.0, measured=99.0)
         assert not v.matches

@@ -38,7 +38,6 @@ from repro.negf.rgf import injection_slivers
 from repro.observability import MetricsRegistry, use_metrics
 from repro.solvers import (
     PRECISIONS,
-    BatchedBlockTridiagLU,
     BlockTridiagLU,
     blocks_to_banded,
     precision_from_env,
@@ -177,10 +176,10 @@ class TestDtypeContracts:
     @given(seed=st.integers(0, 10**6))
     def test_batched_dtype_matches_scalar(self, seed):
         diag, upper, lower = _well_conditioned(seed, batch=3)
-        lu = BatchedBlockTridiagLU(diag, upper, lower, dtype=np.complex64)
+        lu = BlockTridiagLU(diag, upper, lower, dtype=np.complex64)
         assert lu.dtype == np.dtype(np.complex64)
         assert all(d.dtype == np.dtype(np.complex64) for d in lu._dinv)
-        lu64 = BatchedBlockTridiagLU(diag, upper, lower)
+        lu64 = BlockTridiagLU(diag, upper, lower)
         assert lu64.dtype == np.dtype(np.complex128)
 
     @HYPO
@@ -211,7 +210,7 @@ class TestRefinement:
             size=(batch, m, width)
         )
         diag32 = [d.astype(np.complex64) for d in diag]
-        lu32 = BatchedBlockTridiagLU(
+        lu32 = BlockTridiagLU(
             diag32,
             [u.astype(np.complex64) for u in upper],
             [l.astype(np.complex64) for l in lower],
@@ -255,7 +254,7 @@ class TestRefinement:
         upper = [np.full((m, m), 1e-8, dtype=np.complex128)]
         lower = [upper[0].conj().T]
         diag32 = [d.astype(np.complex64) for d in diag]
-        lu32 = BatchedBlockTridiagLU(
+        lu32 = BlockTridiagLU(
             diag32, [u.astype(np.complex64) for u in upper],
             [l.astype(np.complex64) for l in lower], dtype=np.complex64,
         )
@@ -278,7 +277,7 @@ class TestRefinement:
             size=(batch, m, 2)
         )
         diag32 = [d.astype(np.complex64) for d in diag]
-        lu32 = BatchedBlockTridiagLU(
+        lu32 = BlockTridiagLU(
             diag32, [u.astype(np.complex64) for u in upper],
             [l.astype(np.complex64) for l in lower], dtype=np.complex64,
         )

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability import Tracer, use_tracer
 from repro.solvers import (
     BandedLU,
+    BatchedBlockTridiagLU,
     BlockTridiagLU,
     SparseLU,
     SplitSolve,
@@ -43,6 +45,49 @@ def to_dense(diag, upper, lower):
         A[off[i] : off[i + 1], off[i + 1] : off[i + 2]] = upper[i]
         A[off[i + 1] : off[i + 2], off[i] : off[i + 1]] = lower[i]
     return A
+
+
+RAGGED = [2, 4, 3]
+ENTRIES = ["2d", "stack"]
+DTYPES = [np.complex128, np.complex64]
+
+
+def ragged_stack(n_batch=3, sizes=RAGGED, seed=23):
+    """``n_batch`` well-conditioned systems with ragged block sizes, as
+    per-slab stacks: (B, m_i, m_i) diagonals, shared 2-D couplings."""
+    rng = np.random.default_rng(seed)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    diag = [rand(n_batch, s, s) + 10.0 * np.eye(s) for s in sizes]
+    upper = [rand(a, b) for a, b in zip(sizes[:-1], sizes[1:])]
+    lower = [rand(b, a) for a, b in zip(sizes[:-1], sizes[1:])]
+    return diag, upper, lower
+
+
+def entry_systems(entry, n_batch=3):
+    """The (diag, upper, lower) argument triple of one entry of the
+    class, and the dense matrix of every slice it holds."""
+    diag, upper, lower = ragged_stack(n_batch)
+    dense = [
+        to_dense([d[b] for d in diag], upper, lower) for b in range(n_batch)
+    ]
+    if entry == "2d":
+        return ([d[0] for d in diag], upper, lower), dense[:1]
+    return (diag, upper, lower), dense
+
+
+def slices(entry, blocks):
+    """Per-slice block lists of a result of either entry."""
+    if entry == "2d":
+        return [blocks]
+    return [[blk[b] for blk in blocks] for b in range(blocks[0].shape[0])]
+
+
+def oracle_atol(dtype):
+    # diagonally dominant systems, |A^-1| ~ 0.1: a few hundred ulps
+    return 500 * np.finfo(dtype).eps
 
 
 class TestMatvec:
@@ -157,6 +202,125 @@ class TestBlockTridiagLU:
         lu = BlockTridiagLU(diag, upper, lower)
         x = np.concatenate(lu.solve([b[m * i : m * (i + 1)] for i in range(n)]))
         np.testing.assert_allclose(A @ x, b, atol=1e-8)
+
+    # -- the one class, entered with (m, m) blocks or (B, m, m) stacks ----
+
+    def test_one_class(self):
+        assert BatchedBlockTridiagLU is BlockTridiagLU
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_dense_oracle(self, entry, dtype):
+        """solve / block columns / diagonal of inverse / corners of both
+        entries against ``np.linalg.inv``, ragged block sizes."""
+        system, dense = entry_systems(entry)
+        lu = BlockTridiagLU(*system, dtype=dtype)
+        assert lu.dtype == np.dtype(dtype)
+        assert lu.batch_size == len(dense)
+        atol = oracle_atol(dtype)
+        off = np.concatenate([[0], np.cumsum(RAGGED)])
+        rng = np.random.default_rng(29)
+        lead = () if entry == "2d" else (len(dense),)
+        rhs = [
+            rng.normal(size=lead + (m, 2)) + 1j * rng.normal(size=lead + (m, 2))
+            for m in RAGGED
+        ]
+        x = slices(entry, lu.solve(rhs))
+        rhs_slices = slices(entry, rhs)
+        columns = [slices(entry, lu.solve_block_column(j)) for j in range(3)]
+        G = slices(entry, lu.diagonal_of_inverse())
+        ll = lu.corner_block("lower-left")
+        ur = lu.corner_block("upper-right")
+        for b, A in enumerate(dense):
+            Ainv = np.linalg.inv(A)
+            np.testing.assert_allclose(
+                np.vstack(x[b]), Ainv @ np.vstack(rhs_slices[b]), atol=atol
+            )
+            for j in range(3):
+                np.testing.assert_allclose(
+                    np.vstack(columns[j][b]),
+                    Ainv[:, off[j] : off[j + 1]], atol=atol,
+                )
+            for i in range(3):
+                np.testing.assert_allclose(
+                    G[b][i],
+                    Ainv[off[i] : off[i + 1], off[i] : off[i + 1]], atol=atol,
+                )
+            np.testing.assert_allclose(
+                ll if entry == "2d" else ll[b], Ainv[off[2] :, : off[1]],
+                atol=atol,
+            )
+            np.testing.assert_allclose(
+                ur if entry == "2d" else ur[b], Ainv[: off[1], off[2] :],
+                atol=atol,
+            )
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_lower_none_is_hermitian_coupling(self, entry, dtype):
+        (diag, upper, _), _ = entry_systems(entry)
+        lower = [u.conj().T for u in upper]
+        implicit = BlockTridiagLU(diag, upper, dtype=dtype)
+        explicit = BlockTridiagLU(diag, upper, lower, dtype=dtype)
+        for a, b in zip(
+            implicit.diagonal_of_inverse(), explicit.diagonal_of_inverse()
+        ):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_slice_of_stack_is_the_2d_call_bitwise(self, dtype):
+        """Every slice of a stacked factorisation *is* the 2-D call on
+        that slice: same lines, same per-slice LAPACK/GEMM calls."""
+        diag, upper, lower = ragged_stack(n_batch=4)
+        rng = np.random.default_rng(31)
+        rhs = [
+            rng.normal(size=(4, m, 3)) + 1j * rng.normal(size=(4, m, 3))
+            for m in RAGGED
+        ]
+        stack = BlockTridiagLU(diag, upper, lower, dtype=dtype)
+        got = {
+            "solve": stack.solve(rhs),
+            "col0": stack.solve_block_column(0),
+            "col2": stack.solve_block_column(2),
+            "diag": stack.diagonal_of_inverse(),
+        }
+        for b in range(4):
+            one = BlockTridiagLU([d[b] for d in diag], upper, lower, dtype=dtype)
+            want = {
+                "solve": one.solve([r[b] for r in rhs]),
+                "col0": one.solve_block_column(0),
+                "col2": one.solve_block_column(2),
+                "diag": one.diagonal_of_inverse(),
+            }
+            for name, blocks in want.items():
+                for i, blk in enumerate(blocks):
+                    assert blk.dtype == got[name][i].dtype
+                    assert np.array_equal(blk, got[name][i][b]), (name, b, i)
+
+    def test_stack_charges_batch_size_times_the_ragged_count(self):
+        def charged(system, **kwargs):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                lu = BlockTridiagLU(*system, **kwargs)
+                lu.solve([np.ones(lu._batch + (m, 2)) for m in RAGGED])
+                lu.solve_block_column(1)
+                lu.diagonal_of_inverse()
+            return dict(tracer.counter.counts)
+
+        one = charged(entry_systems("2d")[0])
+        stack = charged(entry_systems("stack", n_batch=5)[0])
+        assert set(one) == {
+            "block_lu.factor", "block_lu.solve", "block_lu.column",
+            "block_lu.diagonal",
+        }
+        assert stack == {k: 5 * v for k, v in one.items()}
+        assert charged(entry_systems("stack")[0], instrument=False) == {}
+
+    def test_rejects_non_square_or_deeper_stacks(self):
+        with pytest.raises(ValueError, match="stacks"):
+            BlockTridiagLU([np.ones((2, 2, 3, 3))], [])
+        with pytest.raises(ValueError, match="stacks"):
+            BlockTridiagLU([np.ones((2, 3))], [])
 
 
 class TestPartitionDomains:
