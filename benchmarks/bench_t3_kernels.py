@@ -6,12 +6,14 @@ with its analytic flop count and the implied per-kernel MFlop/s.  This is
 the table that grounds the performance model's constants.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 from conftest import grid_transport_system, print_experiment, record_baseline
 
+from repro.core import DeviceSpec, build_device
 from repro.negf import RGFSolver, contact_self_energy, sancho_rubio
 from repro.negf.rgf import assemble_system_blocks
 from repro.negf.surface_gf import sancho_rubio_batch
@@ -23,6 +25,7 @@ from repro.perf import (
     wf_solve_flops,
 )
 from repro.solvers import BandedLU, BlockTridiagLU, SplitSolve
+from repro.tb import HamiltonianSkeleton
 from repro.wf import WFSolver
 
 ENERGY = 0.6
@@ -258,8 +261,47 @@ def test_t3_batched_speedup_sane():
         assert report[f"{name}.speedup"] > 1.0, report
 
 
+def _measure_hamiltonian_update(n_updates=21):
+    """Cold assembly vs potential update on the 48-slab, m=25 device.
+
+    ``assemble_s`` is one cold :class:`HamiltonianSkeleton` (what every
+    Hamiltonian cost before the skeleton was kept); ``update_s`` is the
+    median ``built.hamiltonian(U)`` on the cached one — what an SCF
+    iteration or a bias point pays now.
+    """
+    built = build_device(DeviceSpec(
+        name="wide", n_x=48, n_y=5, n_z=5, spacing_nm=0.25, source_cells=8,
+        drain_cells=8, gate_cells=(16, 32), donor_density_nm3=0.05,
+        material_params={"m_rel": 0.3},
+    ))
+    t0 = time.perf_counter()
+    HamiltonianSkeleton(built.device, built.material)
+    assemble = time.perf_counter() - t0
+    rng = np.random.default_rng(3)
+    updates = []
+    for _ in range(n_updates):
+        potential = rng.uniform(-0.3, 0.3, built.n_atoms)
+        t0 = time.perf_counter()
+        built.hamiltonian(potential)
+        updates.append(time.perf_counter() - t0)
+    update = float(np.median(updates))
+    return {
+        "hamiltonian.assemble_s": assemble,
+        "hamiltonian.update_s": update,
+        "hamiltonian.update_speedup": assemble / update,
+        "nproc": os.cpu_count(),
+    }
+
+
+def test_t3_hamiltonian_update_sane():
+    """A potential update must be far cheaper than a cold assembly."""
+    report = _measure_hamiltonian_update(n_updates=5)
+    assert report["hamiltonian.update_speedup"] > 5.0, report
+
+
 def _smoke():
     report = _measure_batched_speedups()
+    report.update(_measure_hamiltonian_update())
     path = record_baseline("kernels", report)
     rows = "\n".join(
         f"  {name:<12} per-point {report[f'{name}.per_point_s'] * 1e3:8.1f} ms"
@@ -273,6 +315,13 @@ def _smoke():
         f"N={report['n_blocks']}, m={report['block_size']}:\n{rows}",
         notes=f"baseline -> {path}",
     )
+    print_experiment(
+        "T3/hamiltonian",
+        f"48 slabs x m=25: cold assembly "
+        f"{report['hamiltonian.assemble_s'] * 1e3:.1f} ms, potential update "
+        f"{report['hamiltonian.update_s'] * 1e3:.2f} ms "
+        f"({report['hamiltonian.update_speedup']:.0f}x)",
+    )
 
 
 if __name__ == "__main__":
@@ -281,8 +330,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="measure batched-vs-per-point speedups and write "
-             "BENCH_kernels.json",
+        help="measure batched-vs-per-point speedups and the Hamiltonian "
+             "assembly-vs-update cost, and write BENCH_kernels.json",
     )
     args = parser.parse_args()
     if args.smoke:

@@ -57,7 +57,7 @@ PRODUCERS = [
 #: on the machine's measured latencies.
 TIMING_FIELDS = (
     "wall_time_s", "sustained_flops", "walltime", "seconds", "speedup",
-    "delta_bytes",
+    "delta_bytes", "nproc",
 )
 
 

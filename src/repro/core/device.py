@@ -34,6 +34,7 @@ from ..physics.fermi import inverse_fermi_integral_half
 from ..physics.grids import MomentumGrid
 from ..poisson.charge import effective_dos_3d
 from ..poisson.grid import PoissonGrid
+from ..tb.hamiltonian import BlockTridiagonalHamiltonian, HamiltonianSkeleton
 from ..tb.parameters import TBMaterial, get_material
 
 __all__ = ["DeviceSpec", "BuiltDevice", "build_device"]
@@ -142,6 +143,15 @@ class BuiltDevice:
         Conduction band reference Ec of the contacts at zero potential (eV).
     m_dos : float
         Density-of-states mass used by the charge models.
+    midgap : float
+        Bulk midgap energy (eV) separating valence from conduction subbands
+        of the leads; -inf for the electron-only grid family.
+    skeletons : dict
+        The potential-independent half of the device Hamiltonian
+        (:class:`repro.tb.HamiltonianSkeleton`) per transverse momentum of
+        ``momentum_grid``, keyed by ``float(k)``: assembled once, at
+        :func:`build_device` for ``k_points[0]`` and on first use for the
+        others (see :meth:`hamiltonian`).
     """
 
     spec: DeviceSpec
@@ -156,11 +166,34 @@ class BuiltDevice:
     mu_source_offset: float
     band_edge: float
     m_dos: float
+    midgap: float = -np.inf
+    skeletons: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_atoms(self) -> int:
         """Number of atoms in the device."""
         return self.device.structure.n_atoms
+
+    def hamiltonian(
+        self, potential: np.ndarray | None = None, k_transverse: float = 0.0
+    ) -> BlockTridiagonalHamiltonian:
+        """Device Hamiltonian at a per-atom potential energy (eV) and k.
+
+        A potential update is one diagonal add on the cached skeleton of
+        ``k_transverse``: fresh diagonal blocks, the geometry-only upper
+        blocks shared read-only.  Only the momenta of ``momentum_grid`` are
+        cached, so the cache is bounded by the grid; any other k is
+        assembled for this call and not retained.  Threads that miss on the
+        same k at once each assemble it — identical, immutable skeletons, so
+        whichever is stored last changes nothing.
+        """
+        k = float(k_transverse)
+        skeleton = self.skeletons.get(k)
+        if skeleton is None:
+            skeleton = HamiltonianSkeleton(self.device, self.material, k)
+            if k in self.momentum_grid.k_points:
+                self.skeletons[k] = skeleton
+        return skeleton.hamiltonian(potential)
 
     def atom_volume_nm3(self) -> float:
         """Average volume per atom (for atom<->node density conversion)."""
@@ -239,11 +272,10 @@ def build_device(spec: DeviceSpec) -> BuiltDevice:
     # lead (confinement shifts it far above the bulk edge), computed from
     # the zero-potential lead Hamiltonian blocks.
     from ..tb.bands import lead_conduction_minimum
-    from ..tb.hamiltonian import build_device_hamiltonian
 
-    H0 = build_device_hamiltonian(
-        device, material, k_transverse=float(momentum.k_points[0])
-    )
+    k0 = float(momentum.k_points[0])
+    skeleton = HamiltonianSkeleton(device, material, k0)
+    H0 = skeleton.hamiltonian()
     band_edge = lead_conduction_minimum(
         H0.diagonal[0], H0.upper[0], device.slab_length_nm, floor=midgap
     )
@@ -302,4 +334,6 @@ def build_device(spec: DeviceSpec) -> BuiltDevice:
         mu_source_offset=mu_offset,
         band_edge=band_edge,
         m_dos=m_dos,
+        midgap=midgap,
+        skeletons={k0: skeleton},
     )

@@ -57,7 +57,7 @@ from ..resilience.degrade import (
 )
 from ..resilience.faults import nan_like, non_finite
 from ..resilience.health import get_sentinel
-from ..tb.hamiltonian import build_device_hamiltonian, wire_bloch_hamiltonian
+from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
 from .device import BuiltDevice
 
@@ -275,13 +275,12 @@ class TransportCalculation:
 
     # ------------------------------------------------------------------
     def hamiltonian(self, potential_ev: np.ndarray, k_transverse: float = 0.0):
-        """Device Hamiltonian at a given per-atom potential energy (eV)."""
-        return build_device_hamiltonian(
-            self.built.device,
-            self.built.material,
-            potential=potential_ev,
-            k_transverse=k_transverse,
-        )
+        """Device Hamiltonian at a given per-atom potential energy (eV).
+
+        :meth:`repro.core.BuiltDevice.hamiltonian`: a diagonal add on the
+        skeleton assembled once per (device, k), not an assembly.
+        """
+        return self.built.hamiltonian(potential_ev, k_transverse)
 
     def lead_band_minimum(self, H) -> float:
         """Lowest conduction subband bottom over both leads.
@@ -290,34 +289,21 @@ class TransportCalculation:
         full-band materials only subbands above the bulk midgap count
         (electron transport window).
         """
-        period = self.built.device.slab_length_nm
-        floor = -np.inf
-        if self.built.material.cell is not None:
-            floor = self._midgap_reference()
-        out = np.inf
-        for h00, h01 in (
-            (H.diagonal[0], H.upper[0]),
-            (H.diagonal[-1], H.upper[-1]),
-        ):
-            for kx in np.linspace(0.0, np.pi / period, 7):
-                ev = np.linalg.eigvalsh(
-                    wire_bloch_hamiltonian(h00, h01, kx, period)
-                )
-                above = ev[ev > floor]
-                if above.size:
-                    out = min(out, float(above.min()))
-        if not np.isfinite(out):
+        bottoms = []
+        for end in (0, -1):
+            try:
+                bottoms.append(lead_conduction_minimum(
+                    H.diagonal[end], H.upper[end],
+                    self.built.device.slab_length_nm,
+                    floor=self.built.midgap, n_k=7,
+                ))
+            except np.linalg.LinAlgError:
+                raise  # a ValueError too, but a breakdown, not an empty lead
+            except ValueError:
+                pass  # this lead has no state above the floor
+        if not bottoms:
             raise RuntimeError("no conduction states found in the leads")
-        return out
-
-    def _midgap_reference(self) -> float:
-        """Bulk midgap energy of the device material (cached)."""
-        if not hasattr(self, "_midgap"):
-            from ..tb.bands import bulk_band_edges
-
-            be = bulk_band_edges(self.built.material, n_samples=31)
-            self._midgap = 0.5 * (be["Ec"] + be["Ev"])
-        return self._midgap
+        return min(bottoms)
 
     def energy_grid(
         self, potential_ev: np.ndarray, v_drain: float
@@ -350,9 +336,9 @@ class TransportCalculation:
             sigma_cache=self.sigma_cache,
         )
 
-    def _charge_flops(self, counter: FlopCounter, H, n_channels: int) -> None:
-        n = H.n_blocks
-        m = int(H.block_sizes.max())
+    def _charge_flops(self, counter: FlopCounter, shape, n_channels: int) -> None:
+        """Charge one (k, E) solve on a device of ``shape`` = (slabs, widest)."""
+        n, m = shape
         counter.add("surface_gf", 2 * sancho_rubio_flops(m, 25))
         if self.method == "rgf":
             counter.add("rgf", rgf_solve_flops(n, m))
@@ -366,8 +352,9 @@ class TransportCalculation:
     ):
         """Solve one energy point down the graceful-degradation ladder.
 
-        Rungs (contain mode): plain solve -> per-point rebuild with the
-        ``robust`` surface ladder -> dense-oracle reference solve ->
+        Rungs (contain mode): plain solve -> per-point fresh Hamiltonian
+        (:meth:`hamiltonian`: new blocks, shared read-only geometry) with
+        the ``robust`` surface ladder -> dense-oracle reference solve ->
         quarantine (returns None).  Strict mode takes the plain solve and
         lets every error propagate.  Every solver rung is a stack of one
         through :func:`solve_energies`, so a healed point is bit-identical
@@ -424,8 +411,10 @@ class TransportCalculation:
         except LADDER_EXCEPTIONS:
             pass
 
-        # rung 2: rebuild from scratch (clears transient operator
-        # corruption) and climb the robust surface-GF ladder
+        # rung 2: a fresh Hamiltonian (new diagonal blocks off the
+        # read-only skeleton: clears transient operator corruption; the
+        # geometry-only upper blocks are shared and cannot be written) and
+        # the robust surface-GF ladder
         degradation.record_ladder("per-point:robust")
         try:
             mode = fire()
@@ -795,6 +784,7 @@ class TransportCalculation:
                     H = corrupt_hamiltonian(H, mode)
                     h_suspect = True
             solver = self._make_solver(H)
+            shape = (H.n_blocks, int(H.block_sizes.max()))
             # a known-corrupted H — or an injector aimed at the energy
             # site — must go through the in-process per-point ladder: a
             # process pool's sentinel trips stay in the children, where
@@ -810,7 +800,7 @@ class TransportCalculation:
                     )
                     cache[e] = res
                     if res is not None:
-                        self._charge_flops(flops, H, res.n_channels_left)
+                        self._charge_flops(flops, shape, res.n_channels_left)
                 return cache[e]
 
             def solve_nodes(fresh, chunks=None):
@@ -835,7 +825,7 @@ class TransportCalculation:
                         if res is not None and not non_finite(res):
                             cache[energy] = res
                             self._charge_flops(
-                                flops, H, res.n_channels_left
+                                flops, shape, res.n_channels_left
                             )
                 leftover = [e for e in fresh if e not in cache]
                 if (

@@ -7,7 +7,9 @@ Solves
 for phi (volts) on a :class:`PoissonGrid`, with any charge model exposing
 ``density(phi)`` and ``d_density_d_phi(phi)`` (semiclassical or the
 quantum-corrected Gummel predictor).  The Jacobian is the Laplacian plus a
-diagonal, so each Newton step is one sparse solve.
+diagonal, so each Newton step is one sparse solve; the Dirichlet (gate)
+elimination of the Laplacian depends on the mesh alone and is done once, at
+construction.
 
 Also provides :class:`AndersonMixer`, the accelerated fixed-point mixing
 used by the outer transport-Poisson loop (ablated against plain linear
@@ -78,6 +80,10 @@ class NonlinearPoisson:
             else np.asarray(dirichlet_mask, dtype=bool)
         )
         self.dirichlet_values = dirichlet_values
+        # Newton steps carry homogeneous Dirichlet data (phi already holds
+        # the gate values), so the eliminated operator is geometry-only:
+        # identity rows on the gate nodes, their columns dropped
+        self.L_bc = apply_dirichlet(self.L, np.zeros(grid.n_nodes), self.mask, 0.0)[0]
 
     # ------------------------------------------------------------------
     def residual(self, phi: np.ndarray, charge_model) -> np.ndarray:
@@ -148,9 +154,11 @@ class NonlinearPoisson:
                 break
             best_norm = min(best_norm, res_norm)
             dn = charge_model.d_density_d_phi(phi)
-            J = self.L - sp.diags(Q_OVER_EPS0_V_NM * dn)
-            J_bc, rhs_bc = apply_dirichlet(J, -F, self.mask, 0.0)
-            delta = spla.spsolve(sp.csc_matrix(J_bc), rhs_bc)
+            J_bc = self.L_bc - sp.diags(
+                np.where(self.mask, 0.0, Q_OVER_EPS0_V_NM * dn)
+            )
+            rhs = np.where(self.mask, 0.0, -F)
+            delta = spla.spsolve(sp.csc_matrix(J_bc), rhs)
             phi = phi + damping * delta
         return PoissonResult(
             phi=phi,

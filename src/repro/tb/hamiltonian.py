@@ -32,6 +32,7 @@ from .strain import scale_sk_params
 
 __all__ = [
     "BlockTridiagonalHamiltonian",
+    "HamiltonianSkeleton",
     "build_device_hamiltonian",
     "bulk_hamiltonian",
     "wire_bloch_hamiltonian",
@@ -207,6 +208,180 @@ def _device_dangling_bonds(
     ]
 
 
+class HamiltonianSkeleton:
+    """Everything of the device Hamiltonian that the potential does not touch.
+
+    Hopping, passivation, strain scaling and the transverse Bloch phase are
+    functions of (device, material, k) alone; the potential only adds
+    ``potential[a]`` to the on-site diagonal of atom ``a``.  The skeleton is
+    that potential-independent half, assembled once; :meth:`hamiltonian` is
+    the other half, one vectorised diagonal add.  Constructor arguments are
+    those of :func:`build_device_hamiltonian` without ``potential``.
+
+    Attributes
+    ----------
+    diagonal, upper : list of ndarray
+        Slab blocks at zero potential.
+    onsite_diag : ndarray
+        The on-site energies, one flat vector over all orbitals.
+    atom_of_orbital : ndarray of int
+        Atom index of each orbital (the gather index of the diagonal add).
+    layers : list of ndarray
+        What lands on the matrix diagonal *after* the on-site term
+        (passivation projectors, self-wrap bonds), in assembly order: entry
+        ``layers[n][o]`` is the n-th such increment of orbital ``o``.
+        Floating-point addition does not associate, so replaying
+        ``((onsite + U) + layer_0) + layer_1`` rather than adding ``U`` last
+        is what keeps every block bit-identical to a one-pass assembly.
+        Empty on the grid family.
+
+    Every array is read-only: a skeleton is shared by all Hamiltonians made
+    from it.
+    """
+
+    def __init__(
+        self,
+        device: SlabbedDevice,
+        material: TBMaterial,
+        k_transverse: float = 0.0,
+        passivate: bool = True,
+        passivation_shift_ev: float = DEFAULT_PASSIVATION_SHIFT_EV,
+        strain_eta: float | dict | None = None,
+        open_left: bool = True,
+        open_right: bool = True,
+    ):
+        structure = device.structure
+        species = structure.species
+        n_atoms = structure.n_atoms
+        n_orb = material.orbitals_per_atom
+        slab_of = device.slab_of_atom()
+        starts = device.slab_starts
+        sizes = np.diff(starts) * n_orb
+        diagonal = [np.zeros((s, s), dtype=complex) for s in sizes]
+        upper = [
+            np.zeros((sizes[i], sizes[i + 1]), dtype=complex)
+            for i in range(device.n_slabs - 1)
+        ]
+        # local row offset of each atom inside its slab block
+        local = (np.arange(n_atoms) - starts[slab_of]) * n_orb
+        layers: list[np.ndarray] = []
+        n_landed = np.zeros(n_atoms, dtype=int)
+
+        def add_to_atom(a: int, increment: np.ndarray) -> None:
+            """Add to atom ``a``'s own block; record the diagonal's share."""
+            s, r = slab_of[a], local[a]
+            diagonal[s][r : r + n_orb, r : r + n_orb] += increment
+            if n_landed[a] == len(layers):
+                layers.append(np.zeros(n_atoms * n_orb, dtype=complex))
+            layers[n_landed[a]][a * n_orb : (a + 1) * n_orb] = increment.diagonal()
+            n_landed[a] += 1
+
+        # --- on-site blocks -------------------------------------------------
+        onsite = {sp: material.onsite_matrix(sp) for sp in set(species)}
+        for a in range(n_atoms):
+            s, r = slab_of[a], local[a]
+            diagonal[s][r : r + n_orb, r : r + n_orb] += onsite[species[a]]
+
+        # --- passivation ----------------------------------------------------
+        if passivate and material.cell is not None and material.basis.has_p():
+            if open_left or open_right:
+                dangling = _device_dangling_bonds(
+                    device, open_left, open_right, material.bond_cutoff_nm
+                )
+            else:
+                dangling = find_dangling_bonds(structure, device.neighbor_table)
+            for db in dangling:
+                add_to_atom(
+                    db.atom,
+                    passivation_shift_ev * _hybrid_projector(db.direction, material),
+                )
+
+        # --- hopping blocks -------------------------------------------------
+        table = device.neighbor_table
+        spin = material.basis.spin
+        ideal_bond = material.bond_cutoff_nm
+        period = structure.periodic_y
+        spinless = material.basis if not spin else type(material.basis)(
+            material.basis.orbitals, spin=False
+        )
+        # same species pair and displacement -> same bits: one Slater-Koster
+        # evaluation per distinct bond, not per bond
+        sk_blocks: dict = {}
+        for b in range(table.n_bonds):
+            i, j = int(table.i[b]), int(table.j[b])
+            si, sj = slab_of[i], slab_of[j]
+            if sj < si or (sj == si and j < i):
+                continue  # fill each pair once; hermitian partner handled below
+            if i == j and table.wrap_y[b] < 0:
+                continue  # self-wrap bond: the -y image is the +y bond's partner
+            d = table.displacement[b]
+            key = (species[i], species[j], d.tobytes())
+            block = sk_blocks.get(key)
+            if block is None:
+                dist = float(np.linalg.norm(d))
+                params = material.sk_params(species[i], species[j])
+                if strain_eta is not None and ideal_bond > 0:
+                    params = scale_sk_params(params, ideal_bond, dist, strain_eta)
+                block = sk_hopping_block(params, d / dist, spinless).astype(complex)
+                if spin:
+                    block = np.kron(block, np.eye(2, dtype=complex))
+                sk_blocks[key] = block
+            if table.wrap_y[b] and period is not None:
+                block = block * np.exp(1j * k_transverse * table.wrap_y[b] * period)
+            ri, rj = local[i], local[j]
+            if i == j:
+                add_to_atom(i, block)
+                add_to_atom(i, block.conj().T)
+            elif sj == si:
+                diagonal[si][ri : ri + n_orb, rj : rj + n_orb] += block
+                diagonal[si][rj : rj + n_orb, ri : ri + n_orb] += block.conj().T
+            elif sj == si + 1:
+                upper[si][ri : ri + n_orb, rj : rj + n_orb] += block
+            else:  # pragma: no cover - partition_into_slabs already forbids this
+                raise ValueError("bond couples non-adjacent slabs")
+
+        self.diagonal = diagonal
+        self.upper = upper
+        self.layers = layers
+        self.onsite_diag = np.concatenate(
+            [onsite[sp].diagonal() for sp in species]
+        )
+        self.atom_of_orbital = np.repeat(np.arange(n_atoms), n_orb)
+        self._n_atoms = n_atoms
+        self._slab_ends = np.cumsum(sizes)[:-1]
+        for shared in (*diagonal, *upper, *layers, self.onsite_diag,
+                       self.atom_of_orbital):
+            shared.setflags(write=False)
+
+    def hamiltonian(
+        self, potential: np.ndarray | None = None
+    ) -> BlockTridiagonalHamiltonian:
+        """The device Hamiltonian at a per-atom potential energy (eV).
+
+        ``potential[a]`` is added to every orbital of atom ``a``; None means
+        zero.  The returned ``diagonal`` blocks are fresh, writable copies;
+        the ``upper`` blocks are the skeleton's own read-only arrays, shared
+        by every Hamiltonian it hands out.  A non-finite potential entry
+        makes the on-site diagonal of its atom non-finite (not the atom's
+        whole sub-block): the result is non-finite either way.
+        """
+        n_atoms = self._n_atoms
+        if potential is None:
+            potential = np.zeros(n_atoms)
+        potential = np.asarray(potential, dtype=float)
+        if potential.shape != (n_atoms,):
+            raise ValueError(
+                f"potential must have one entry per atom ({n_atoms}), got {potential.shape}"
+            )
+        diag = self.onsite_diag + potential[self.atom_of_orbital]
+        for layer in self.layers:
+            diag += layer
+        diagonal = [block.copy() for block in self.diagonal]
+        for block, entries in zip(diagonal, np.split(diag, self._slab_ends)):
+            np.fill_diagonal(block, entries)
+        return BlockTridiagonalHamiltonian(diagonal, list(self.upper))
+
+
 def build_device_hamiltonian(
     device: SlabbedDevice,
     material: TBMaterial,
@@ -219,6 +394,10 @@ def build_device_hamiltonian(
     open_right: bool = True,
 ) -> BlockTridiagonalHamiltonian:
     """Assemble the device Hamiltonian in slab block-tridiagonal form.
+
+    One cold assembly: ``HamiltonianSkeleton(...).hamiltonian(potential)``.
+    Callers that update the potential of one device repeatedly keep the
+    skeleton (:meth:`repro.core.BuiltDevice.hamiltonian` does).
 
     Parameters
     ----------
@@ -250,88 +429,10 @@ def build_device_hamiltonian(
     -------
     BlockTridiagonalHamiltonian
     """
-    structure = device.structure
-    n_atoms = structure.n_atoms
-    n_orb = material.orbitals_per_atom
-    if potential is None:
-        potential = np.zeros(n_atoms)
-    potential = np.asarray(potential, dtype=float)
-    if potential.shape != (n_atoms,):
-        raise ValueError(
-            f"potential must have one entry per atom ({n_atoms}), got {potential.shape}"
-        )
-
-    slab_of = device.slab_of_atom()
-    starts = device.slab_starts
-    sizes = np.diff(starts) * n_orb
-    diagonal = [np.zeros((s, s), dtype=complex) for s in sizes]
-    upper = [
-        np.zeros((sizes[i], sizes[i + 1]), dtype=complex)
-        for i in range(device.n_slabs - 1)
-    ]
-
-    # local row offset of each atom inside its slab block
-    local = (np.arange(n_atoms) - starts[slab_of]) * n_orb
-
-    # --- on-site blocks -----------------------------------------------------
-    eye = np.eye(n_orb, dtype=complex)
-    for a in range(n_atoms):
-        s = slab_of[a]
-        r = local[a]
-        blk = material.onsite_matrix(structure.species[a]) + potential[a] * eye
-        diagonal[s][r : r + n_orb, r : r + n_orb] += blk
-
-    # --- passivation ----------------------------------------------------------
-    if passivate and material.cell is not None and material.basis.has_p():
-        if open_left or open_right:
-            dangling = _device_dangling_bonds(
-                device, open_left, open_right, material.bond_cutoff_nm
-            )
-        else:
-            dangling = find_dangling_bonds(structure, device.neighbor_table)
-        for db in dangling:
-            s = slab_of[db.atom]
-            r = local[db.atom]
-            proj = _hybrid_projector(db.direction, material)
-            diagonal[s][r : r + n_orb, r : r + n_orb] += (
-                passivation_shift_ev * proj
-            )
-
-    # --- hopping blocks -------------------------------------------------------
-    table = device.neighbor_table
-    spin = material.basis.spin
-    ideal_bond = material.bond_cutoff_nm
-    period = structure.periodic_y
-    spinless = material.basis if not spin else type(material.basis)(
-        material.basis.orbitals, spin=False
-    )
-    for b in range(table.n_bonds):
-        i, j = int(table.i[b]), int(table.j[b])
-        si, sj = slab_of[i], slab_of[j]
-        if sj < si or (sj == si and j < i):
-            continue  # fill each pair once; hermitian partner handled below
-        if i == j and table.wrap_y[b] < 0:
-            continue  # self-wrap bond: the -y image is the +y bond's partner
-        d = table.displacement[b]
-        dist = float(np.linalg.norm(d))
-        params = material.sk_params(structure.species[i], structure.species[j])
-        if strain_eta is not None and ideal_bond > 0:
-            params = scale_sk_params(params, ideal_bond, dist, strain_eta)
-        block = sk_hopping_block(params, d / dist, spinless).astype(complex)
-        if spin:
-            block = np.kron(block, np.eye(2, dtype=complex))
-        if table.wrap_y[b] and period is not None:
-            block = block * np.exp(1j * k_transverse * table.wrap_y[b] * period)
-        ri, rj = local[i], local[j]
-        if sj == si:
-            diagonal[si][ri : ri + n_orb, rj : rj + n_orb] += block
-            diagonal[si][rj : rj + n_orb, ri : ri + n_orb] += block.conj().T
-        elif sj == si + 1:
-            upper[si][ri : ri + n_orb, rj : rj + n_orb] += block
-        else:  # pragma: no cover - partition_into_slabs already forbids this
-            raise ValueError("bond couples non-adjacent slabs")
-
-    return BlockTridiagonalHamiltonian(diagonal, upper)
+    return HamiltonianSkeleton(
+        device, material, k_transverse, passivate, passivation_shift_ev,
+        strain_eta, open_left, open_right,
+    ).hamiltonian(potential)
 
 
 def bulk_hamiltonian(material: TBMaterial, k: np.ndarray) -> np.ndarray:

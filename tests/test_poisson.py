@@ -274,6 +274,86 @@ class TestNonlinearPoisson:
             solver.solve(model, phi0=np.zeros(5))
 
 
+class TestHoistedDirichletElimination:
+    """The Dirichlet-eliminated Laplacian is geometry-only: built once at
+    construction, and every Newton step `==` the per-step elimination."""
+
+    @staticmethod
+    def newton_with_per_step_elimination(solver, model, tol, max_iter):
+        """The Newton loop as it was: ``apply_dirichlet`` on every step."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        phi = np.zeros(solver.grid.n_nodes)
+        phi[solver.mask] = solver.dirichlet_values
+        history = []
+        for _ in range(max_iter):
+            F = solver.residual(phi, model)
+            history.append(float(np.abs(F).max()))
+            if history[-1] < tol:
+                break
+            dn = model.d_density_d_phi(phi)
+            J = solver.L - sp.diags(Q_OVER_EPS0_V_NM * dn)
+            J_bc, rhs_bc = apply_dirichlet(J, -F, solver.mask, 0.0)
+            phi = phi + spla.spsolve(sp.csc_matrix(J_bc), rhs_bc)
+        return phi, history
+
+    @pytest.mark.parametrize("v_gate", [-0.3, 0.2])
+    def test_solve_equals_per_step_elimination(self, built, v_gate):
+        from repro.core import SelfConsistentSolver, TransportCalculation
+
+        scf = SelfConsistentSolver(built, TransportCalculation(built, n_energy=11))
+        solver = scf._poisson_solver(v_gate)
+        assert built.gate_mask.any()
+        model = SemiclassicalCharge(
+            mu=built.contact_mu("source"), band_edge=built.band_edge,
+            m_rel=built.m_dos, kT=built.spec.kT,
+            semiconductor_mask=built.semiconductor_mask,
+        )
+        res = solver.solve(model, tol=1e-8, max_iter=60)
+        phi, history = self.newton_with_per_step_elimination(
+            solver, model, tol=1e-8, max_iter=60
+        )
+        assert res.converged and res.n_iterations > 2
+        assert res.n_iterations == len(history)
+        assert res.history == history
+        assert np.array_equal(res.phi, phi)
+
+    def test_eliminated_operator_is_apply_dirichlet_of_the_laplacian(self, built):
+        solver = NonlinearPoisson(
+            built.poisson_grid, built.eps_r, np.zeros(built.poisson_grid.n_nodes),
+            dirichlet_mask=built.gate_mask, dirichlet_values=0.1,
+        )
+        ref, _ = apply_dirichlet(
+            solver.L, np.zeros(solver.grid.n_nodes), solver.mask, 0.0
+        )
+        assert (solver.L_bc != ref).nnz == 0
+        gate = np.flatnonzero(solver.mask)
+        dense = solver.L_bc.toarray()
+        assert np.array_equal(dense[gate][:, gate], np.eye(gate.size))
+        assert not dense[~solver.mask][:, gate].any()
+
+    def test_non_finite_derivative_on_a_gate_node_is_eliminated(self):
+        """Gate rows are identity rows whatever the charge model returns there."""
+        n = 9
+        g = PoissonGrid(shape=(n, 1, 1), spacing=(0.5, 0.5, 0.5))
+        mask = np.zeros(n, dtype=bool)
+        mask[0] = True
+
+        class GateBlindCharge(SemiclassicalCharge):
+            def d_density_d_phi(self, phi):
+                out = super().d_density_d_phi(phi)
+                out[0] = np.nan
+                return out
+
+        kwargs = dict(mu=-0.2, band_edge=0.0, m_rel=1.0, kT=0.0259)
+        args = (g, np.ones(n), np.full(n, 1e-5), mask, 0.3)
+        res = NonlinearPoisson(*args).solve(GateBlindCharge(**kwargs))
+        ref = NonlinearPoisson(*args).solve(SemiclassicalCharge(**kwargs))
+        assert res.converged
+        assert np.array_equal(res.phi, ref.phi)
+
+
 class TestAndersonMixer:
     def test_fixed_point_linear_map(self):
         """x -> A x + b with spectral radius < 1: Anderson beats plain mixing."""
