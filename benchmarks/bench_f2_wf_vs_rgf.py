@@ -6,8 +6,9 @@ because WF replaces the O(N m^3)-with-large-constant selected inversion by
 one cheap factorisation plus one back-substitution per open channel
 (channels << m).  Regenerated two ways:
 
-* measured: wall time per energy point of both kernels on real devices of
-  growing cross-section (identical transmissions asserted);
+* measured: wall time per energy point of both stacked kernels (the path
+  ``TransportCalculation`` runs) on real devices of growing cross-section
+  (identical transmissions asserted);
 * counted: analytic flop ratio up to the paper-scale block sizes.
 """
 
@@ -23,72 +24,43 @@ from repro.perf import rgf_solve_flops, wf_solve_flops
 from repro.wf import WFSolver
 
 
-def measure_cases():
-    """Kernel-only wall times (contacts excluded: both kernels share them).
+def _best_of(fn, repeats=2):
+    best, out = np.inf, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
 
-    The WF solver runs in its economical production mode (inject only the
-    open channels), which is the configuration the paper benchmarks.
+
+def measure_cases():
+    """Kernel-stage wall times on the path that ships.
+
+    Both kernels run their stacked ``kernel_stage`` — everything
+    ``solve_batch`` does after the contacts — on one pre-evaluated,
+    shared self-energy stack (contacts excluded: both kernels pay the
+    same Sancho-Rubio decimation).  The WF solver runs in its economical
+    production mode (inject only the open channels), which is the
+    configuration the paper benchmarks.
     """
     rows = []
+    energies = np.array([0.5, 0.65])
     for n_yz in (6, 8, 10, 12):
         H = grid_transport_system(n_x=12, n_yz=n_yz)
         wf = WFSolver(H, injection_tol_ev=1e-4)
         rgf = RGFSolver(H)
-        energies = [0.5, 0.65]
-        sigmas = {e: wf.self_energies(e) for e in energies}
-
-        def wf_kernel():
-            vals = []
-            for e in energies:
-                sig_l, sig_r = sigmas[e]
-                lu = wf._factor(e, sig_l, sig_r)
-                psi = wf._scattering_states(lu, sig_l, 0)
-                off = H.block_offsets()
-                last = int(off[-2])
-                blk = psi[last : last + sig_r.gamma.shape[0], :]
-                vals.append(
-                    float(
-                        np.einsum(
-                            "im,ij,jm->", blk.conj(), sig_r.gamma, blk
-                        ).real
-                    )
-                )
-            return vals
-
-        def rgf_kernel():
-            from repro.negf.rgf import assemble_system_blocks
-            from repro.solvers import BlockTridiagLU
-
-            vals = []
-            for e in energies:
-                sig_l, sig_r = sigmas[e]
-                lu = BlockTridiagLU(
-                    *assemble_system_blocks(H, e, sig_l.sigma, sig_r.sigma)
-                )
-                coln = lu.solve_block_column(H.n_blocks - 1)
-                lu.solve_block_column(0)
-                lu.diagonal_of_inverse()
-                vals.append(
-                    float(
-                        np.trace(
-                            sig_l.gamma @ coln[0] @ sig_r.gamma
-                            @ coln[0].conj().T
-                        ).real
-                    )
-                )
-            return vals
-
-        t0 = time.perf_counter()
-        t_wf_vals = wf_kernel()
-        t_wf = (time.perf_counter() - t0) / len(energies)
-        t0 = time.perf_counter()
-        t_rgf_vals = rgf_kernel()
-        t_rgf = (time.perf_counter() - t0) / len(energies)
+        sigmas = rgf.contacts.sigma_stacks(energies)
+        t_wf, res_wf = _best_of(lambda: wf.kernel_stage(energies, *sigmas))
+        t_rgf, res_rgf = _best_of(lambda: rgf.kernel_stage(energies, *sigmas))
+        t_wf, t_rgf = t_wf / len(energies), t_rgf / len(energies)
         m = int(H.block_sizes.max())
+        max_dt = max(
+            abs(a.transmission - b.transmission)
+            for a, b in zip(res_wf, res_rgf)
+        )
         rows.append((
             f"{n_yz}x{n_yz}", m, f"{t_wf * 1e3:.1f}", f"{t_rgf * 1e3:.1f}",
-            f"{t_rgf / t_wf:.2f}x",
-            f"{max(abs(a - b) for a, b in zip(t_wf_vals, t_rgf_vals)):.1e}",
+            f"{t_rgf / t_wf:.2f}x", f"{max_dt:.1e}",
         ))
     return rows
 

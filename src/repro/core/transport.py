@@ -55,7 +55,7 @@ from ..resilience.degrade import (
     corrupt_hamiltonian,
     dense_oracle_solve,
 )
-from ..resilience.faults import nan_like, non_finite
+from ..resilience.faults import nan_like, result_non_finite
 from ..resilience.health import get_sentinel
 from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
@@ -386,7 +386,7 @@ class TransportCalculation:
             res = point_solve(e)
             if mode == "nan":
                 res = nan_like(res)
-            if non_finite(res):
+            if result_non_finite(res):
                 sentinel.trip(
                     "energy", "nonfinite",
                     detail=f"E={e:.6g} (ik={ik})",
@@ -400,9 +400,10 @@ class TransportCalculation:
             res = point_solve(e)
             if mode == "nan":
                 res = nan_like(res)
-            if not non_finite(res) and not sentinel.trips_since(marker):
+            bad = result_non_finite(res)
+            if not bad and not sentinel.trips_since(marker):
                 return res
-            if non_finite(res):
+            if bad:
                 sentinel.trip(
                     "energy", "nonfinite", detail=f"E={e:.6g} (ik={ik})"
                 )
@@ -428,7 +429,7 @@ class TransportCalculation:
             res = point_solve(e, robust)
             if mode == "nan":
                 res = nan_like(res)
-            if not non_finite(res):
+            if not result_non_finite(res):
                 return res
         except DegradationBudgetError:
             raise
@@ -445,7 +446,7 @@ class TransportCalculation:
             res = dense_oracle_solve(H3, e, eta=self.eta)
             if mode == "nan":
                 res = nan_like(res)
-            if not non_finite(res):
+            if not result_non_finite(res):
                 return res
         except DegradationBudgetError:
             raise
@@ -822,11 +823,10 @@ class TransportCalculation:
                     degradation.record_ladder("chunk:exception")
                 if chunk_results is not None:
                     for energy, res in zip(fresh, chunk_results):
-                        if res is not None and not non_finite(res):
-                            cache[energy] = res
-                            self._charge_flops(
-                                flops, shape, res.n_channels_left
-                            )
+                        if res is None or result_non_finite(res):
+                            continue
+                        cache[energy] = res
+                        self._charge_flops(flops, shape, res.n_channels_left)
                 leftover = [e for e in fresh if e not in cache]
                 if (
                     leftover and not per_point

@@ -11,7 +11,10 @@ from selected blocks of G = [E - H - Sigma_L - Sigma_R]^{-1}:
 All of these need only the first/last block columns and the block diagonal
 of G, which :class:`repro.solvers.BlockTridiagLU` delivers in O(N m^3) —
 the defining cost of the RGF algorithm.  The kernel is deliberately a thin
-orchestration layer; the tests validate it against dense inversion
+orchestration layer over whole stacks of energies: after the LU every
+contraction is one GEMM plus an elementwise row sum
+(``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``), never a
+per-energy loop.  The tests validate it against dense inversion
 (:mod:`repro.negf.dense_ref`) and against the analytic chain results.
 """
 
@@ -33,14 +36,42 @@ from ..solvers.precision import (
     resolve_precision,
 )
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
-from .self_energy import Contacts, LeadSelfEnergy
+from .self_energy import Contacts, LeadSelfEnergy, broadening, open_channels
 
 __all__ = [
     "RGFResult",
     "RGFSolver",
     "assemble_system_blocks",
+    "equal_width_groups",
     "injection_slivers",
+    "sliver_stack",
 ]
+
+
+def sliver_stack(ev: np.ndarray, vec: np.ndarray, width: int) -> np.ndarray:
+    """Injection slivers ``W`` with ``Gamma ~ W W^+``, ``width`` columns each.
+
+    ``ev``/``vec`` are the (stacked, ascending) ``numpy.linalg.eigh`` pairs
+    of Gamma; the slivers are its ``width`` largest eigenpairs,
+    ``vec * sqrt(ev)``, as one ``(..., m, width)`` array.
+    """
+    lo = ev.shape[-1] - width
+    return vec[..., lo:] * np.sqrt(ev[..., None, lo:])
+
+
+def equal_width_groups(*widths) -> list:
+    """Index arrays splitting a stack into slices of equal injection widths.
+
+    BLAS GEMM results are *not* bitwise invariant under right-hand-side
+    column count (packing/blocking), so zero-padding slivers to a common
+    width would make per-slice results depend on which energies share a
+    stack.  Slices are solved in groups of exactly their own (per-contact)
+    widths instead; ``widths`` are one integer array per contact.
+    """
+    key = widths[0]
+    for w in widths[1:]:
+        key = key * (w.max() + 1) + w
+    return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
 def injection_slivers(gamma_stack: np.ndarray, tol: float = W_TOL) -> list:
@@ -49,30 +80,19 @@ def injection_slivers(gamma_stack: np.ndarray, tol: float = W_TOL) -> list:
     Batched eigendecomposition of the broadening stacks; eigenpairs
     below ``tol * lambda_max`` (finite-eta leakage of closed channels,
     not physics) are dropped.  Returns one 2-D ``(m, c_b)`` array per
-    slice — widths deliberately stay ragged, because BLAS GEMM results
-    are *not* bitwise invariant under right-hand-side column count
-    (packing/blocking), so zero-padding to a common width would make
-    per-slice results depend on which energies share a chunk.  Callers
-    group slices of equal width instead.  A slice with no channel above
-    the cutoff gets a single zero column (all its observables are exact
-    zeros).
+    slice — widths deliberately stay ragged (callers group slices of
+    equal width, see :func:`equal_width_groups`).  A slice with no
+    channel above the cutoff gets a single zero column (all its
+    observables are exact zeros).
     """
     ev, vec = np.linalg.eigh(gamma_stack)
     scale = np.maximum(ev.max(axis=1), 1e-300)
-    keep = ev > tol * scale[:, None]
-    m = ev.shape[1]
-    out = []
-    for b in range(ev.shape[0]):
-        idx = np.flatnonzero(keep[b])
-        if idx.size:
-            out.append(
-                np.ascontiguousarray(
-                    vec[b][:, idx] * np.sqrt(ev[b][idx])[None, :]
-                )
-            )
-        else:
-            out.append(np.zeros((m, 1), dtype=vec.dtype))
-    return out
+    widths = np.sum(ev > tol * scale[:, None], axis=1)
+    return [
+        sliver_stack(ev[b], vec[b], c) if c
+        else np.zeros((ev.shape[1], 1), dtype=vec.dtype)
+        for b, c in enumerate(widths)
+    ]
 
 
 def _grouped_refine(lu32, diag64, upper64, lower64, j, w_list, diag32):
@@ -91,17 +111,13 @@ def _grouped_refine(lu32, diag64, upper64, lower64, j, w_list, diag32):
     reason strings.
     """
     n_batch = len(w_list)
-    widths = [w.shape[1] for w in w_list]
     total_m = int(np.sum(lu32.sizes))
     row_norms = np.empty((n_batch, total_m))
     x_front: list = [None] * n_batch
     escalate = np.zeros(n_batch, dtype=bool)
     reasons = np.empty(n_batch, dtype=object)
     reasons[:] = ""
-    for c in sorted(set(widths)):
-        idx = np.array(
-            [b for b in range(n_batch) if widths[b] == c], dtype=np.intp
-        )
+    for idx in equal_width_groups(np.array([w.shape[1] for w in w_list])):
         rhs = np.stack([w_list[b] for b in idx])
         ref = refined_sliver_solve(
             lu32, diag64, upper64, lower64, j, rhs,
@@ -116,6 +132,25 @@ def _grouped_refine(lu32, diag64, upper64, lower64, j, w_list, diag32):
         escalate[idx] = ref.escalate
         reasons[idx] = ref.reasons
     return x_front, row_norms, escalate, reasons
+
+
+def _contact_density(column: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``diag(G Gamma G^+) / 2 pi`` from the contact's block column of G:
+    one ``(B, sum(m), m) @ (B, m, m)`` GEMM, then :func:`_row_sums`."""
+    return _row_sums(column @ gamma, column) / (2.0 * np.pi)
+
+
+def _row_sums(weighted: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """``Re sum_k weighted_ik conj(column_ik)`` along the last axis.
+
+    An elementwise product of the interleaved (re, im) views, accumulated
+    into ``weighted`` in place (no third column-sized array), and one
+    contiguous row sum.
+    """
+    real = column.real.dtype
+    weighted = weighted.view(real)
+    weighted *= column.view(real)
+    return weighted.sum(axis=-1)
 
 
 def assemble_system_blocks(
@@ -371,45 +406,51 @@ class RGFSolver:
     # -- the one stacked implementation --------------------------------
 
     def _results(self, energies, t, dos, spectral_l, spectral_r,
-                 sigs_l, sigs_r, gam_l, gam_r, skip=None) -> list:
-        """Per-energy result objects (None where ``skip``), invariants checked."""
+                 gam_l, gam_r, skip=None) -> list:
+        """Per-energy result objects (None where ``skip``), invariants checked.
+
+        The open-channel counts are one stacked ``eigvalsh`` per contact;
+        the only per-energy work besides building the result objects is
+        the invariant checks, and only under a live monitor.
+        """
+        n_l = open_channels(np.linalg.eigvalsh(gam_l)).tolist()
+        n_r = open_channels(np.linalg.eigvalsh(gam_r)).tolist()
+        energies = energies.tolist()
+        t = t.tolist()
+        if skip is None:
+            skip = [False] * len(energies)
         monitor = get_monitor()
-        results: list = []
-        for b, energy in enumerate(energies):
-            if skip is not None and skip[b]:
-                results.append(None)
-                continue
-            energy = float(energy)
-            n_l = sigs_l[b].n_open_channels()
-            n_r = sigs_r[b].n_open_channels()
-            if monitor.enabled:
+        if monitor.enabled:
+            for b, energy in enumerate(energies):
+                if skip[b]:
+                    continue
                 monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
                                     energy=energy)
                 monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
                                     energy=energy)
                 # below the band edge (zero open channels) eta-broadening
                 # leaves a tiny positive T; the bound only binds with modes
-                if min(n_l, n_r) > 0:
+                if min(n_l[b], n_r[b]) > 0:
                     monitor.check_transmission(
-                        float(t[b]), min(n_l, n_r), kernel="rgf",
+                        t[b], min(n_l[b], n_r[b]), kernel="rgf",
                         energy=energy,
                     )
                 monitor.check_density(spectral_l[b], kernel="rgf",
                                       side="left", energy=energy)
                 monitor.check_density(spectral_r[b], kernel="rgf",
                                       side="right", energy=energy)
-            results.append(
-                RGFResult(
-                    energy=energy,
-                    transmission=float(t[b]),
-                    dos=dos[b],
-                    spectral_left=spectral_l[b],
-                    spectral_right=spectral_r[b],
-                    n_channels_left=n_l,
-                    n_channels_right=n_r,
-                )
+        return [
+            None if skip[b] else RGFResult(
+                energy=energy,
+                transmission=t[b],
+                dos=dos[b],
+                spectral_left=spectral_l[b],
+                spectral_right=spectral_r[b],
+                n_channels_left=n_l[b],
+                n_channels_right=n_r[b],
             )
-        return results
+            for b, energy in enumerate(energies)
+        ]
 
     def _solve_batch(self, energies: np.ndarray):
         """Solve one stack; returns ``(results, reasons)``.
@@ -418,44 +459,38 @@ class RGFSolver:
         in mixed precision ``results[b]`` is None for escalated slices
         and ``reasons[b] = (reason, injected)``.
         """
+        sigmas = self.contacts.sigma_stacks(energies)
         if self.precision == "mixed":
-            return self._mixed_batch(energies)
-        sigs_l, sigs_r = self.contacts.self_energies(energies)
+            return self._mixed_stage(energies, *sigmas)
+        return self.kernel_stage(energies, *sigmas), None
+
+    def kernel_stage(self, energies, sigma_l, sigma_r) -> list:
+        """Everything after the contacts: factor, sweep, contract.
+
+        ``sigma_l`` / ``sigma_r`` are the ``(B, m, m)`` self-energy stacks
+        of :meth:`repro.negf.Contacts.sigma_stacks` at ``energies``; a
+        benchmark that excludes the contacts evaluates them once and
+        times this call.  Between here and the result list every step is
+        a stacked LAPACK/BLAS/ufunc call: the contact spectral densities
+        are one GEMM per block column plus an elementwise row-sum,
+        ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``.
+        """
+        energies = np.asarray(energies, dtype=float)
         n = self.H.n_blocks
-        diag, upper, lower = assemble_system_blocks(
-            self.H, energies,
-            np.stack([s.sigma for s in sigs_l]),
-            np.stack([s.sigma for s in sigs_r]),
-        )
         lu = BlockTridiagLU(
-            diag, upper, lower,
+            *assemble_system_blocks(self.H, energies, sigma_l, sigma_r),
             dtype=np.complex64 if self.precision == "fp32" else None,
         )
-
-        col0 = lu.solve_block_column(0)  # G_{i,0} stacks
-        coln = lu.solve_block_column(n - 1)  # G_{i,N-1} stacks
+        col0 = lu.block_column(0)  # G_{:,0}
+        coln = lu.block_column(n - 1)  # G_{:,N-1}
         gdiag = lu.diagonal_of_inverse()
 
-        gam_l = np.stack([s.gamma for s in sigs_l])
-        gam_r = np.stack([s.gamma for s in sigs_r])
-        g_0n = coln[0]
+        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
+        g_0n = coln[:, : lu.sizes[0]]
         prod = gam_l @ g_0n @ gam_r @ np.conj(np.swapaxes(g_0n, -2, -1))
         t = np.trace(prod, axis1=-2, axis2=-1).real
-
-        spectral_l = np.concatenate(
-            [
-                np.einsum("bij,bjk,bik->bi", gi, gam_l, gi.conj()).real
-                for gi in col0
-            ],
-            axis=1,
-        ) / (2.0 * np.pi)
-        spectral_r = np.concatenate(
-            [
-                np.einsum("bij,bjk,bik->bi", gi, gam_r, gi.conj()).real
-                for gi in coln
-            ],
-            axis=1,
-        ) / (2.0 * np.pi)
+        spectral_l = _contact_density(col0, gam_l)
+        spectral_r = _contact_density(coln, gam_r)
         dos = -np.concatenate(
             [np.diagonal(g, axis1=1, axis2=2).imag for g in gdiag], axis=1
         ) / np.pi
@@ -467,11 +502,10 @@ class RGFSolver:
                 detail=f"batch of {len(energies)}",
             )
         return self._results(
-            energies, t, dos, spectral_l, spectral_r,
-            sigs_l, sigs_r, gam_l, gam_r,
-        ), None
+            energies, t, dos, spectral_l, spectral_r, gam_l, gam_r
+        )
 
-    def _mixed_batch(self, energies: np.ndarray):
+    def _mixed_stage(self, energies, sigma_l, sigma_r):
         """complex64 factorisation + fp64-refined sliver observables.
 
         Per batch slice:
@@ -492,19 +526,15 @@ class RGFSolver:
         Returns ``(results, reasons)`` as :meth:`_solve_batch` documents.
         """
         n = self.H.n_blocks
-        sigs_l, sigs_r = self.contacts.self_energies(energies)
         diag64, upper64, lower64 = assemble_system_blocks(
-            self.H, energies,
-            np.stack([s.sigma for s in sigs_l]),
-            np.stack([s.sigma for s in sigs_r]),
+            self.H, energies, sigma_l, sigma_r
         )
         diag32 = [
             np.ascontiguousarray(d, dtype=np.complex64) for d in diag64
         ]
         lu32 = BlockTridiagLU(diag32, upper64, lower64, dtype=np.complex64)
 
-        gam_l = np.stack([s.gamma for s in sigs_l])
-        gam_r = np.stack([s.gamma for s in sigs_r])
+        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
         w_l = injection_slivers(gam_l)
         w_r = injection_slivers(gam_r)
         x0_l, spectral_l, esc_l, reas_l = _grouped_refine(
@@ -554,6 +584,6 @@ class RGFSolver:
         if metrics.enabled and ok.any():
             metrics.inc("precision.points_certified", float(ok.sum()))
         return self._results(
-            energies, t, dos, spectral_l, spectral_r,
-            sigs_l, sigs_r, gam_l, gam_r, skip=escalate,
+            energies, t, dos, spectral_l, spectral_r, gam_l, gam_r,
+            skip=escalate,
         ), reasons

@@ -26,9 +26,27 @@ from .surface_gf import eigen_surface_gf, sancho_rubio_batch
 __all__ = [
     "Contacts",
     "LeadSelfEnergy",
+    "broadening",
     "contact_self_energy",
     "contact_self_energy_batch",
+    "open_channels",
 ]
+
+
+def broadening(sigma: np.ndarray) -> np.ndarray:
+    """Gamma = i (Sigma - Sigma^+) of one block or of a ``(B, m, m)`` stack."""
+    return 1j * (sigma - np.conj(np.swapaxes(sigma, -2, -1)))
+
+
+def open_channels(gamma_eigenvalues: np.ndarray, tol: float = 1e-4):
+    """Propagating lead modes = Gamma eigenvalues above ``tol``, counted
+    along the last axis (one count per slice of a stacked ``eigvalsh``).
+
+    ``tol`` is an absolute threshold in eV: propagating channels carry
+    Gamma eigenvalues of order the lead bandwidth, while the finite-eta
+    leakage of closed channels is of order eta.
+    """
+    return np.sum(gamma_eigenvalues > tol, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -52,17 +70,12 @@ class LeadSelfEnergy:
     @property
     def gamma(self) -> np.ndarray:
         """Broadening matrix Gamma = i (Sigma - Sigma^+); Hermitian PSD."""
-        return 1j * (self.sigma - self.sigma.conj().T)
+        return broadening(self.sigma)
 
     def n_open_channels(self, tol: float = 1e-4) -> int:
-        """Number of propagating lead modes = rank of Gamma.
-
-        ``tol`` is an absolute threshold in eV: propagating channels carry
-        Gamma eigenvalues of order the lead bandwidth, while the finite-eta
-        leakage of closed channels is of order eta.
-        """
-        ev = np.linalg.eigvalsh(self.gamma)
-        return int(np.sum(ev > tol))
+        """Number of propagating lead modes = rank of Gamma
+        (:func:`open_channels` of its eigenvalues)."""
+        return int(open_channels(np.linalg.eigvalsh(self.gamma), tol))
 
     def injection_vectors(self, tol: float = 1e-8) -> np.ndarray:
         """Columns w_m with Gamma = sum_m w_m w_m^+ (rank factorisation).
@@ -312,6 +325,14 @@ class Contacts:
 
             tokens = (lead_token(*self.left), lead_token(*self.right))
         self.tokens = tokens
+
+    def sigma_stacks(self, energies):
+        """Left and right ``(B, m, m)`` self-energy stacks — what the
+        kernel stage of either transport solver consumes."""
+        return tuple(
+            np.stack([s.sigma for s in sigs])
+            for sigs in self.self_energies(energies)
+        )
 
     def self_energies(self, energies):
         """Left and right self-energy lists for a stack of energies."""

@@ -153,6 +153,17 @@ def validate_rgf_flops(
     )
 
 
+def _wf_injected(solver, energies) -> int:
+    """Injected channels over both contacts, read off the self-energies
+    (deterministic: the same ones the traced solve recomputes)."""
+    from ..negf.self_energy import broadening
+
+    return int(sum(
+        solver._injection(broadening(sigma))[2].sum()
+        for sigma in solver.contacts.sigma_stacks(energies)
+    ))
+
+
 def validate_wf_flops(
     n_blocks: int = 4, block_size: int = 3, energy: float = 0.5
 ) -> FlopValidation:
@@ -173,11 +184,7 @@ def validate_wf_flops(
 
     H = _chain_hamiltonian(n_blocks, block_size)
     solver = WFSolver(H)
-    # deterministic: the same self-energies the traced solve recomputes
-    sig_l, sig_r = solver.self_energies(energy)
-    n_rhs = (
-        solver._injection(sig_l).shape[1] + solver._injection(sig_r).shape[1]
-    )
+    n_rhs = _wf_injected(solver, [energy])
     tracer = Tracer()
     with use_tracer(tracer):
         solver.solve(energy)
@@ -257,15 +264,9 @@ def validate_batched_wf_flops(
     H = _chain_hamiltonian(n_blocks, block_size)
     solver = WFSolver(H)
     energies = _batch_energies(n_energies)
-    analytic = 0.0
-    for e in energies:
-        sig_l, sig_r = solver.self_energies(float(e))
-        n_rhs = (
-            solver._injection(sig_l).shape[1]
-            + solver._injection(sig_r).shape[1]
-        )
-        analytic += wf_factor_flops(n_blocks, block_size)
-        analytic += wf_backsub_flops(n_blocks, block_size, n_rhs)
+    analytic = n_energies * wf_factor_flops(
+        n_blocks, block_size
+    ) + wf_backsub_flops(n_blocks, block_size, _wf_injected(solver, energies))
     tracer = Tracer()
     with use_tracer(tracer):
         solver.solve_batch(energies)

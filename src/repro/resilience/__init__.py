@@ -39,7 +39,13 @@ from .degrade import (
     corrupt_hamiltonian,
     dense_oracle_solve,
 )
-from .faults import FaultInjector, InjectedFault, nan_like, non_finite
+from .faults import (
+    FaultInjector,
+    InjectedFault,
+    nan_like,
+    non_finite,
+    result_non_finite,
+)
 from .health import (
     HealthEvent,
     HealthSentinel,
@@ -63,6 +69,7 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "non_finite",
+    "result_non_finite",
     "nan_like",
     "RetryPolicy",
     "SCFRescue",

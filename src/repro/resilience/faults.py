@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +37,13 @@ import numpy as np
 
 from ..errors import RankFailure, TaskFailure
 
-__all__ = ["InjectedFault", "FaultInjector", "non_finite", "nan_like"]
+__all__ = [
+    "InjectedFault",
+    "FaultInjector",
+    "non_finite",
+    "nan_like",
+    "result_non_finite",
+]
 
 _ACTIONS = ("raise", "nan", "illcond", "stall", "hang", "dead_rank")
 
@@ -211,6 +218,24 @@ def non_finite(obj) -> bool:
         return any(
             non_finite(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         )
+    return False
+
+
+def result_non_finite(res) -> bool:
+    """:func:`non_finite` for one kernel result (``RGFResult``/``WFResult``).
+
+    Same verdict — any NaN/Inf float or float-array field rejects the
+    point — at one ``isfinite`` per array instead of the recursive
+    dataclass walk: the transport driver asks this once per (k, E) point.
+    """
+    for value in vars(res).values():
+        if isinstance(value, np.ndarray):
+            if value.dtype.kind in "fc" and not np.isfinite(value).all():
+                return True
+        elif isinstance(value, (float, np.floating)) and not math.isfinite(
+            value
+        ):
+            return True
     return False
 
 

@@ -159,8 +159,11 @@ class BlockTridiagLU:
     offers:
 
     * :meth:`solve` — generic multi-RHS solve,
-    * :meth:`solve_block_column` — the j-th block column of A^{-1}
-      (what the transmission and spectral-function formulas consume),
+    * :meth:`block_column` / :meth:`solve_block_column` — the j-th block
+      column of A^{-1} as one array / as its row blocks (what the
+      transmission and spectral-function formulas consume), or its
+      product with a right-hand side living on slab j (the wave-function
+      kernel's injected states),
     * :meth:`diagonal_of_inverse` — diag blocks of A^{-1} (local DOS).
 
     One matrix and a stack of B matrices run through the same lines:
@@ -218,6 +221,8 @@ class BlockTridiagLU:
         self.n_blocks = n
         self.dtype = _resolve_dtype(dtype, diag, upper, lower)
         self.sizes = np.array([np.asarray(d).shape[-1] for d in diag])
+        offsets = [0, *np.cumsum(self.sizes).tolist()]
+        self._rows = list(zip(offsets[:-1], offsets[1:]))
         self._upper = [
             np.ascontiguousarray(u, dtype=self.dtype) for u in upper
         ]
@@ -274,29 +279,52 @@ class BlockTridiagLU:
         self._charge("block_lu.solve", _substitution_flops, r)
         return x
 
-    def solve_block_column(self, j: int):
-        """Blocks of the j-th block column of A^{-1}.
+    def _blocks(self, column):
+        """Per-slab row-block views of a ``(..., sum(sizes), r)`` array."""
+        return [column[..., lo:hi, :] for lo, hi in self._rows]
 
-        Equivalent to ``solve`` with an identity RHS in block j, but skips
-        the zero blocks of the forward pass above j.
+    def solve_block_column(self, j: int):
+        """Blocks of the j-th block column of A^{-1} (row-block views of
+        :meth:`block_column`)."""
+        return self._blocks(self.block_column(j))
+
+    def block_column(self, j: int, rhs=None):
+        """The j-th block column of A^{-1} as one ``(..., sum(sizes), m_j)``
+        array — or, given ``rhs``, its product with a ``(..., m_j, r)``
+        right-hand side supported on block j alone.
+
+        Equivalent to ``solve`` with the identity (or ``rhs``) in block j
+        and zeros elsewhere, but skips the zero blocks of the forward pass
+        above j.  The backward sweep writes each block product straight
+        into its rows, so a caller contracting the whole column copies
+        nothing.
         """
         n = self.n_blocks
         if not 0 <= j < n:
             raise IndexError(f"block column {j} out of range")
-        m = int(self.sizes[j])
+        if rhs is None:
+            m = int(self.sizes[j])
+            rhs = np.ascontiguousarray(np.broadcast_to(
+                np.eye(m, dtype=self.dtype), self._batch + (m, m)
+            ))
+        r = rhs.shape[-1]
         y = [None] * n
-        y[j] = np.ascontiguousarray(
-            np.broadcast_to(np.eye(m, dtype=self.dtype), self._batch + (m, m))
-        )
+        y[j] = rhs
         for i in range(j + 1, n):
             y[i] = -self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
-        x = [None] * n
-        x[n - 1] = self._dinv[n - 1] @ y[n - 1]
+        column = np.empty(
+            self._batch + (self._rows[-1][1], r),
+            dtype=np.result_type(self.dtype, rhs.dtype),
+        )
+        x = self._blocks(column)
+        np.matmul(self._dinv[n - 1], y[n - 1], out=x[n - 1])
         for i in range(n - 2, -1, -1):
             acc = y[i] if y[i] is not None else 0.0
-            x[i] = self._dinv[i] @ (acc - self._upper[i] @ x[i + 1])
-        self._charge("block_lu.column", _substitution_flops, m, j)
-        return x
+            np.matmul(
+                self._dinv[i], acc - self._upper[i] @ x[i + 1], out=x[i]
+            )
+        self._charge("block_lu.column", _substitution_flops, r, j)
+        return column
 
     def diagonal_of_inverse(self):
         """Diagonal blocks of A^{-1} (the RGF backward recursion).

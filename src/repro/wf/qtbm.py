@@ -20,8 +20,11 @@ Everything observable is built from the scattering states:
 * spectral density diag(A_L)/2pi = sum_m |psi_m|^2 / 2pi
 * reflection     R = n_channels - T (checked as a unitarity test).
 
-The factorisation backend is selectable: SuperLU on the CSR matrix
-(default) or LAPACK banded — the same kernels benchmarked in F8.
+The energy sweep (:meth:`WFSolver.solve_batch`) factors whole stacks of
+energies with the stacked block LU and evaluates every observable over
+the energy axis; the scalar :meth:`WFSolver.solve` — SuperLU on the CSR
+matrix (default) or LAPACK banded, the kernels benchmarked in F8 — is the
+reference, feeding the same observables function a stack of one.
 """
 
 from __future__ import annotations
@@ -36,8 +39,17 @@ from ..resilience.health import get_sentinel
 from ..solvers.banded import BandedLU, SparseLU
 from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
-from ..negf.rgf import assemble_system_blocks
-from ..negf.self_energy import Contacts, LeadSelfEnergy
+from ..negf.rgf import (
+    assemble_system_blocks,
+    equal_width_groups,
+    sliver_stack,
+)
+from ..negf.self_energy import (
+    Contacts,
+    LeadSelfEnergy,
+    broadening,
+    open_channels,
+)
 
 __all__ = ["WFResult", "WFSolver"]
 
@@ -135,167 +147,180 @@ class WFSolver:
         sigs_l, sigs_r = self.contacts.self_energies([energy])
         return sigs_l[0], sigs_r[0]
 
-    def _factor(self, energy, sig_l, sig_r):
-        diag, upper, lower = assemble_system_blocks(
-            self.H, energy, sig_l.sigma, sig_r.sigma
-        )
+    def _charge_flops(self, n_factor: int, n_rhs: int) -> None:
+        """Gordon Bell convention: a factorisation is charged its
+        analytic banded-algorithm cost at the actual block sizes (8 m^3
+        per block) and the triangular sweeps 16 m^2 per block per
+        injected channel, independent of the backend that executes them."""
         tracer = get_tracer()
-        if tracer.enabled:
-            # Gordon Bell convention: the banded/sparse factorisation is
-            # charged its analytic cost at the actual block sizes (8 m^3
-            # per block), independent of the backend that executes it
+        if not tracer.enabled:
+            return
+        sizes = [float(s) for s in self.H.block_sizes]
+        if n_factor:
             tracer.add_flops(
-                "wf.factor",
-                sum(8.0 * float(d.shape[0]) ** 3 for d in diag),
+                "wf.factor", n_factor * sum(8.0 * s ** 3 for s in sizes)
             )
-        if self.factorization == "banded":
-            return BandedLU(diag, upper, lower)
-        from ..tb.hamiltonian import BlockTridiagonalHamiltonian as BTH
-        import scipy.sparse as sp
+        if n_rhs:
+            tracer.add_flops(
+                "wf.backsub", n_rhs * sum(16.0 * s ** 2 for s in sizes)
+            )
 
-        # reuse the CSR assembly of the Hamiltonian container
-        A = BTH(diag, upper).to_csr()
-        # BTH assumes hermitian coupling = upper^H, which matches `lower`
-        return SparseLU(sp.csc_matrix(A))
+    def _injection(self, gamma: np.ndarray):
+        """Stacked eigendecomposition of a ``(B, m, m)`` broadening stack.
 
-    def _injection(self, sigma: LeadSelfEnergy) -> np.ndarray:
+        Returns ``(ev, vec, width)``: the ascending ``eigh`` pairs and,
+        per slice, how many of the largest are injected
+        (:func:`repro.negf.rgf.sliver_stack` builds the vectors) —
+        everything above ``1e-10 * lambda_max`` in exact mode, the
+        channels above ``injection_tol_ev`` otherwise.
+        """
+        ev, vec = np.linalg.eigh(gamma)
         if self.injection_tol_ev is None:
-            return sigma.injection_vectors(tol=1e-10)
-        gamma = sigma.gamma
-        ev, U = np.linalg.eigh(gamma)
-        keep = ev > self.injection_tol_ev
-        return U[:, keep] * np.sqrt(ev[keep])[None, :]
+            cut = 1e-10 * np.maximum(ev.max(axis=-1, keepdims=True), 1e-300)
+        else:
+            cut = self.injection_tol_ev
+        return ev, vec, np.sum(ev > cut, axis=-1)
 
-    def _scattering_states(self, lu, sigma: LeadSelfEnergy, offset: int):
-        """psi_m = A^{-1} w_m for every open channel of one contact."""
-        W = self._injection(sigma)
-        n = self.H.total_size
-        if W.shape[1] == 0:
-            return np.zeros((n, 0), dtype=complex)
-        rhs = np.zeros((n, W.shape[1]), dtype=complex)
-        rhs[offset : offset + W.shape[0], :] = W
-        tracer = get_tracer()
-        if tracer.enabled:
-            # 16 m^2 per block per injected channel (triangular sweeps)
-            tracer.add_flops(
-                "wf.backsub",
-                W.shape[1]
-                * sum(16.0 * float(s) ** 2 for s in self.H.block_sizes),
-            )
-        return lu.solve(rhs)
+    # -- the scalar SuperLU / banded reference -------------------------
+
+    def _factor(self, energy: float):
+        """One energy's stack-of-one broadenings and the SuperLU/banded
+        factorisation of its system matrix."""
+        sigma_l, sigma_r = self.contacts.sigma_stacks([energy])
+        diag, upper, lower = assemble_system_blocks(
+            self.H, energy, sigma_l[0], sigma_r[0]
+        )
+        self._charge_flops(1, 0)
+        if self.factorization == "banded":
+            lu = BandedLU(diag, upper, lower)
+        else:
+            from ..tb.hamiltonian import BlockTridiagonalHamiltonian as BTH
+            import scipy.sparse as sp
+
+            # reuse the CSR assembly of the Hamiltonian container (BTH
+            # assumes hermitian coupling = upper^H, which matches `lower`)
+            lu = SparseLU(sp.csc_matrix(BTH(diag, upper).to_csr()))
+        return lu, broadening(sigma_l), broadening(sigma_r)
+
+    def _scattering_states(self, lu, gamma: np.ndarray, offset: int):
+        """psi_m = A^{-1} w_m for every injected channel of one contact,
+        as a ``(1, n_total, c)`` stack, and the contact's open channels."""
+        ev, vec, width = self._injection(gamma)
+        w = sliver_stack(ev[0], vec[0], int(width[0]))
+        rhs = np.zeros((self.H.total_size, w.shape[1]), dtype=complex)
+        rhs[offset : offset + w.shape[0]] = w
+        self._charge_flops(0, w.shape[1])
+        return np.ascontiguousarray(lu.solve(rhs))[None], open_channels(ev)
 
     def solve(self, energy: float) -> WFResult:
-        """Scattering states, transmission and spectral densities at E."""
-        with trace_span("wf.solve", category="kernel", energy=float(energy)):
-            return self._solve(energy)
+        """Scattering states, transmission and spectral densities at E.
 
-    def _solve(self, energy: float) -> WFResult:
-        sig_l, sig_r = self.self_energies(energy)
-        lu = self._factor(energy, sig_l, sig_r)
-        offsets = self.H.block_offsets()
-        last = int(offsets[-2])
-
-        psi_l = self._scattering_states(lu, sig_l, 0)
-        psi_r = self._scattering_states(lu, sig_r, last)
-        return self._observables(energy, psi_l, psi_r, sig_l, sig_r)
-
-    def _observables(self, energy, psi_l, psi_r, sig_l, sig_r) -> WFResult:
-        """All WF observables from the scattering states of one energy."""
-        offsets = self.H.block_offsets()
-        last = int(offsets[-2])
-        gam_l = sig_l.gamma
-        gam_r = sig_r.gamma
-        m_r = gam_r.shape[0]
-
-        # T = sum_m psi_m^+ Gamma_R psi_m over left-injected states
-        block_r = psi_l[last : last + m_r, :]
-        transmission = float(
-            np.einsum("im,ij,jm->", block_r.conj(), gam_r, block_r).real
-        )
-        n_open_l = sig_l.n_open_channels()
-        reflection = max(n_open_l - transmission, 0.0)
-
-        spectral_l = (np.abs(psi_l) ** 2).sum(axis=1) / (2.0 * np.pi)
-        spectral_r = (np.abs(psi_r) ** 2).sum(axis=1) / (2.0 * np.pi)
-        # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) * 2 in the coherent limit
-        dos = 2.0 * (spectral_l + spectral_r)
-
-        # spatially resolved left-injected current across every interface;
-        # equals T at each of them in coherent transport
-        currents = np.empty(self.H.n_blocks - 1)
-        for i, hop in enumerate(self.H.upper):
-            a = psi_l[offsets[i] : offsets[i + 1], :]
-            b = psi_l[offsets[i + 1] : offsets[i + 2], :]
-            currents[i] = -2.0 * float(
-                np.imag(np.einsum("im,ij,jm->", a.conj(), hop, b))
+        The SuperLU/banded reference of :meth:`solve_batch`: one scalar
+        factorisation, then the same stacked :meth:`_observables` on a
+        stack of one.
+        """
+        energy = float(energy)
+        with trace_span("wf.solve", category="kernel", energy=energy):
+            lu, gam_l, gam_r = self._factor(energy)
+            psi_l, n_open_l = self._scattering_states(lu, gam_l, 0)
+            psi_r, n_open_r = self._scattering_states(
+                lu, gam_r, int(self.H.block_offsets()[-2])
             )
-
-        n_open_r = sig_r.n_open_channels()
-        sentinel = get_sentinel()
-        if sentinel.enabled:
-            sentinel.check_finite(
-                "wf", transmission, spectral_l, spectral_r, currents,
-                detail=f"E={energy:.6g}",
-            )
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.check_gamma(gam_l, kernel="wf", side="left",
-                                energy=energy)
-            monitor.check_gamma(gam_r, kernel="wf", side="right",
-                                energy=energy)
-            if min(n_open_l, n_open_r) > 0:
-                monitor.check_transmission(
-                    transmission, min(n_open_l, n_open_r), kernel="wf",
-                    energy=energy,
-                )
-                monitor.check_current_conservation(
-                    currents, transmission, kernel="wf",
-                    energy=energy,
-                )
-            monitor.check_density(spectral_l, kernel="wf", side="left",
-                                  energy=energy)
-            monitor.check_density(spectral_r, kernel="wf", side="right",
-                                  energy=energy)
-        return WFResult(
-            energy=energy,
-            transmission=transmission,
-            reflection=reflection,
-            dos=dos,
-            spectral_left=spectral_l,
-            spectral_right=spectral_r,
-            n_channels_left=n_open_l,
-            n_channels_right=n_open_r,
-            interface_currents=currents,
-        )
+            return self._observables(
+                np.array([energy]), psi_l, psi_r, gam_l, gam_r,
+                n_open_l, n_open_r,
+            )[0]
 
     def transmission(self, energy: float) -> float:
         """T(E) only (still one factorisation + n_open back-substitutions)."""
-        sig_l, sig_r = self.self_energies(energy)
-        lu = self._factor(energy, sig_l, sig_r)
-        offsets = self.H.block_offsets()
-        last = int(offsets[-2])
-        psi_l = self._scattering_states(lu, sig_l, 0)
-        gam_r = sig_r.gamma
-        block_r = psi_l[last : last + gam_r.shape[0], :]
-        return float(np.einsum("im,ij,jm->", block_r.conj(), gam_r, block_r).real)
+        lu, gam_l, gam_r = self._factor(float(energy))
+        psi_l, _ = self._scattering_states(lu, gam_l, 0)
+        last = int(self.H.block_offsets()[-2])
+        return float(_transmission(psi_l[:, last:], gam_r)[0])
+
+    # -- the one observables function, over the energy axis ------------
+
+    def _observables(self, energies, psi_l, psi_r, gam_l, gam_r,
+                     n_open_l, n_open_r) -> list:
+        """All WF observables of a stack from its scattering states.
+
+        ``psi_l`` / ``psi_r`` are the ``(B, n_total, c)`` left- and
+        right-injected states of B energies that inject the same number
+        of channels per contact; every observable is a stacked
+        GEMM/ufunc call over the energy axis.  The states are consumed:
+        their last use squares them in place.
+        """
+        offsets = self.H.block_offsets().tolist()
+        # T = sum_m psi_m^+ Gamma_R psi_m over left-injected states
+        t = _transmission(psi_l[:, offsets[-2]:], gam_r)
+        reflection = np.maximum(n_open_l - t, 0.0)
+
+        currents = _interface_currents(psi_l, self.H.upper, offsets)
+
+        spectral_l = _row_norms(psi_l) / (2.0 * np.pi)
+        spectral_r = _row_norms(psi_r) / (2.0 * np.pi)
+        # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) * 2 in the coherent limit
+        dos = 2.0 * (spectral_l + spectral_r)
+
+        sentinel = get_sentinel()
+        if sentinel.enabled:
+            sentinel.check_finite(
+                "wf", t, spectral_l, spectral_r, currents,
+                detail=f"batch of {len(energies)}",
+            )
+        energies, t, reflection = (
+            energies.tolist(), t.tolist(), reflection.tolist()
+        )
+        n_open_l, n_open_r = n_open_l.tolist(), n_open_r.tolist()
+        monitor = get_monitor()
+        if monitor.enabled:
+            for b, energy in enumerate(energies):
+                monitor.check_gamma(gam_l[b], kernel="wf", side="left",
+                                    energy=energy)
+                monitor.check_gamma(gam_r[b], kernel="wf", side="right",
+                                    energy=energy)
+                if min(n_open_l[b], n_open_r[b]) > 0:
+                    monitor.check_transmission(
+                        t[b], min(n_open_l[b], n_open_r[b]), kernel="wf",
+                        energy=energy,
+                    )
+                    monitor.check_current_conservation(
+                        currents[b], t[b], kernel="wf", energy=energy,
+                    )
+                monitor.check_density(spectral_l[b], kernel="wf",
+                                      side="left", energy=energy)
+                monitor.check_density(spectral_r[b], kernel="wf",
+                                      side="right", energy=energy)
+        return [
+            WFResult(
+                energy=energy,
+                transmission=t[b],
+                reflection=reflection[b],
+                dos=dos[b],
+                spectral_left=spectral_l[b],
+                spectral_right=spectral_r[b],
+                n_channels_left=n_open_l[b],
+                n_channels_right=n_open_r[b],
+                interface_currents=currents[b],
+            )
+            for b, energy in enumerate(energies)
+        ]
 
     # ------------------------------------------------------------------
     def solve_batch(self, energies) -> list[WFResult]:
         """WF solves for a batch of energies via stacked block-LU calls.
 
         Semantically ``[self.solve(E) for E in energies]``.  The batched
-        path factors all B system matrices with one
-        stacked :class:`repro.solvers.BlockTridiagLU` (instead of B
+        path factors the system matrices with the stacked
+        :class:`repro.solvers.BlockTridiagLU` (instead of B
         SuperLU/banded factorisations) and solves the injection RHS of
-        every energy together, zero-padding each energy's channel block
-        to the batch-wide maximum (padding columns are exactly zero and
-        are sliced away before any observable).  Flops follow the Gordon
-        Bell convention of the per-point path: ``wf.factor`` and
-        ``wf.backsub`` are charged the analytic banded-algorithm cost at
-        the *actual* per-energy channel counts, independent of the
-        executing backend — so the batched measured counts equal the sum
-        of the per-point charges, and the uninstrumented batched LU adds
-        nothing on top.
+        all energies of equal channel counts together
+        (:meth:`kernel_stage`).  Flops follow the Gordon Bell convention
+        of the per-point path: ``wf.factor`` and ``wf.backsub`` are
+        charged the analytic banded-algorithm cost at the *actual*
+        per-energy channel counts, independent of the executing backend
+        — so the batched measured counts equal the sum of the per-point
+        charges, and the uninstrumented batched LU adds nothing on top.
         """
         energies = np.asarray(energies, dtype=float).ravel()
         if energies.size == 0:
@@ -304,67 +329,92 @@ class WFSolver:
             "wf.solve_batch", category="kernel",
             n_energies=int(energies.size),
         ):
-            return self._solve_batch(energies)
+            return self.kernel_stage(
+                energies, *self.contacts.sigma_stacks(energies)
+            )
 
-    def _solve_batch(self, energies: np.ndarray) -> list[WFResult]:
-        n_batch = energies.size
-        sigs_l, sigs_r = self.contacts.self_energies(energies)
+    def kernel_stage(self, energies, sigma_l, sigma_r) -> list[WFResult]:
+        """Everything after the contacts: inject, factor, solve, contract.
+
+        ``sigma_l`` / ``sigma_r`` are the ``(B, m, m)`` self-energy stacks
+        of :meth:`repro.negf.Contacts.sigma_stacks` at ``energies``; a
+        benchmark that excludes the contacts evaluates them once and
+        times this call.  Gamma, the open-channel counts and the
+        injection vectors come from one stacked ``eigh`` per contact.
+        Energies injecting the same number of channels per contact are
+        factored and solved together at exactly that right-hand-side
+        width (:func:`repro.negf.rgf.equal_width_groups`: zero-padding
+        to a stack-wide width would make an energy's bits depend on its
+        stack-mates), so the result for an energy never depends on which
+        energies share its stack.
+        """
+        energies = np.asarray(energies, dtype=float)
         n = self.H.n_blocks
-        diag, upper, lower = assemble_system_blocks(
-            self.H, energies,
-            np.stack([s.sigma for s in sigs_l]),
-            np.stack([s.sigma for s in sigs_r]),
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.add_flops(
-                "wf.factor",
-                n_batch * sum(8.0 * float(s) ** 3 for s in self.H.block_sizes),
+        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
+        ev_l, vec_l, width_l = self._injection(gam_l)
+        ev_r, vec_r, width_r = self._injection(gam_r)
+        n_open_l, n_open_r = open_channels(ev_l), open_channels(ev_r)
+        self._charge_flops(energies.size, int(width_l.sum() + width_r.sum()))
+        results: list = [None] * energies.size
+        for idx in equal_width_groups(width_l, width_r):
+            lu = BlockTridiagLU(
+                *assemble_system_blocks(
+                    self.H, energies[idx], sigma_l[idx], sigma_r[idx]
+                ),
+                instrument=False,
             )
-        lu = BlockTridiagLU(diag, upper, lower, instrument=False)
-
-        W_l = [self._injection(s) for s in sigs_l]
-        W_r = [self._injection(s) for s in sigs_r]
-        if tracer.enabled:
-            per_block = sum(16.0 * float(s) ** 2 for s in self.H.block_sizes)
-            n_rhs_total = sum(w.shape[1] for w in W_l + W_r)
-            if n_rhs_total:
-                tracer.add_flops("wf.backsub", n_rhs_total * per_block)
-
-        psi_l = self._batched_states(lu, W_l, block=0)
-        psi_r = self._batched_states(lu, W_r, block=n - 1)
-
-        results = []
-        for b, energy in enumerate(energies):
-            res = self._observables(
-                float(energy),
-                psi_l[b, :, : W_l[b].shape[1]],
-                psi_r[b, :, : W_r[b].shape[1]],
-                sigs_l[b],
-                sigs_r[b],
+            psi_l = lu.block_column(
+                0, sliver_stack(ev_l[idx], vec_l[idx], width_l[idx[0]])
             )
-            results.append(res)
+            psi_r = lu.block_column(
+                n - 1, sliver_stack(ev_r[idx], vec_r[idx], width_r[idx[0]])
+            )
+            group = self._observables(
+                energies[idx], psi_l, psi_r, gam_l[idx], gam_r[idx],
+                n_open_l[idx], n_open_r[idx],
+            )
+            for b, res in zip(idx.tolist(), group):
+                results[b] = res
         return results
 
-    def _batched_states(self, lu, W_list, block: int) -> np.ndarray:
-        """Stacked scattering states (B, n_total, r_max) of one contact.
 
-        ``W_list[b]`` holds energy b's injection vectors; all energies
-        solve together against a common RHS width r_max (zero columns
-        for energies with fewer open channels — A x = 0 gives x = 0
-        exactly, so the padding never leaks into real columns).
-        """
-        n_batch = len(W_list)
-        r_max = max((w.shape[1] for w in W_list), default=0)
-        n_total = self.H.total_size
-        if r_max == 0:
-            return np.zeros((n_batch, n_total, 0), dtype=complex)
-        rhs = [
-            np.zeros((n_batch, int(m), r_max), dtype=complex)
-            for m in self.H.block_sizes
-        ]
-        for b, W in enumerate(W_list):
-            if W.shape[1]:
-                rhs[block][b, : W.shape[0], : W.shape[1]] = W
-        x = lu.solve(rhs)
-        return np.concatenate(x, axis=1)
+def _transmission(block_r: np.ndarray, gam_r: np.ndarray) -> np.ndarray:
+    """``T = sum_m psi_m^+ Gamma_R psi_m`` per energy of a stack, from the
+    last-slab block ``(B, m, c)`` of its left-injected states: one
+    ``Gamma_R @ psi`` GEMM and an elementwise sum."""
+    return _inner_real(block_r, gam_r @ block_r)
+
+
+def _interface_currents(psi_l: np.ndarray, hops, offsets) -> np.ndarray:
+    """Left-injected current across every slab interface, ``(B, N - 1)``:
+    one ``hop @ psi`` GEMM per interface for the whole stack and an
+    elementwise inner product; equals T at each interface in coherent
+    transport."""
+    currents = np.empty((len(psi_l), len(hops)))
+    for i, hop in enumerate(hops):
+        currents[:, i] = -2.0 * _inner_imag(
+            psi_l[:, offsets[i] : offsets[i + 1]],
+            hop @ psi_l[:, offsets[i + 1] : offsets[i + 2]],
+        )
+    return currents
+
+
+def _inner_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re sum conj(a) b`` over each slice of two ``(B, m, c)`` stacks."""
+    return (
+        a.real * b.real + a.imag * b.imag
+    ).reshape(len(a), -1).sum(axis=1)
+
+
+def _inner_imag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Im sum conj(a) b`` over each slice of two ``(B, m, c)`` stacks."""
+    return (
+        a.real * b.imag - a.imag * b.real
+    ).reshape(len(a), -1).sum(axis=1)
+
+
+def _row_norms(psi: np.ndarray) -> np.ndarray:
+    """``sum_m |psi_im|^2`` of a ``(B, n, c)`` stack of states, squared in
+    place through its interleaved (re, im) view (no state-sized copy)."""
+    v = psi.view(float)
+    return np.square(v, out=v).sum(axis=-1)

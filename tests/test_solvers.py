@@ -297,6 +297,70 @@ class TestBlockTridiagLU:
                     assert blk.dtype == got[name][i].dtype
                     assert np.array_equal(blk, got[name][i][b]), (name, b, i)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_block_column_is_one_array_and_its_blocks_are_views(
+        self, entry, dtype
+    ):
+        """``block_column`` is the whole column; ``solve_block_column``
+        hands out its row blocks without copying, bit-identical to the
+        list-of-products sweep it replaced."""
+        system, dense = entry_systems(entry)
+        lu = BlockTridiagLU(*system, dtype=dtype)
+        lead = () if entry == "2d" else (len(dense),)
+        for j, m in enumerate(RAGGED):
+            column = lu.block_column(j)
+            assert column.shape == lead + (sum(RAGGED), m)
+            assert column.dtype == np.dtype(dtype)
+            blocks = lu.solve_block_column(j)
+            assert all(b.base is not None for b in blocks)
+            assert np.array_equal(np.concatenate(blocks, axis=-2), column)
+            # the sweep as it was written before the preallocated column
+            y = [None] * 3
+            y[j] = np.broadcast_to(np.eye(m, dtype=dtype), lead + (m, m))
+            for i in range(j + 1, 3):
+                y[i] = -lu._lower[i - 1] @ (lu._dinv[i - 1] @ y[i - 1])
+            x = [None] * 3
+            x[2] = lu._dinv[2] @ y[2]
+            for i in (1, 0):
+                acc = y[i] if y[i] is not None else 0.0
+                x[i] = lu._dinv[i] @ (acc - lu._upper[i] @ x[i + 1])
+            assert np.array_equal(np.concatenate(x, axis=-2), column)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_block_column_times_a_right_hand_side(self, entry, dtype):
+        """``block_column(j, rhs)`` solves a RHS supported on block j
+        alone: dense oracle, and the generic ``solve`` on the same RHS
+        zero-padded to every block."""
+        system, dense = entry_systems(entry)
+        lu = BlockTridiagLU(*system, dtype=dtype)
+        lead = () if entry == "2d" else (len(dense),)
+        off = np.concatenate([[0], np.cumsum(RAGGED)])
+        rng = np.random.default_rng(37)
+        for j, m in enumerate(RAGGED):
+            rhs = (
+                rng.normal(size=lead + (m, 2))
+                + 1j * rng.normal(size=lead + (m, 2))
+            )
+            x = lu.block_column(j, rhs)
+            assert x.shape == lead + (sum(RAGGED), 2)
+            assert x.dtype == np.complex128  # promoted, never downcast
+            padded = [np.zeros(lead + (s, 2), dtype=complex) for s in RAGGED]
+            padded[j] = rhs
+            np.testing.assert_allclose(
+                x, np.concatenate(lu.solve(padded), axis=-2),
+                atol=oracle_atol(dtype),
+            )
+            for b, A in enumerate(dense):
+                want = np.linalg.inv(A)[:, off[j] : off[j + 1]] @ (
+                    rhs if entry == "2d" else rhs[b]
+                )
+                np.testing.assert_allclose(
+                    x if entry == "2d" else x[b], want,
+                    atol=oracle_atol(dtype),
+                )
+
     def test_stack_charges_batch_size_times_the_ragged_count(self):
         def charged(system, **kwargs):
             tracer = Tracer()
