@@ -11,7 +11,7 @@ On this single-node reproduction the backends are
 :class:`repro.parallel.TracedComm` (executes one rank, records the
 communication volume for the performance model).  The tests verify the
 fundamental SPMD invariant: the sum of all ranks' partial observables is
-bit-identical to the serial solve.
+the serial solve — bit-identical on one rank, to reduction order on n.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalBreakdownError, RankFailure, TaskFailure
-from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..observability.metrics import get_metrics
 from ..observability.telemetry import capture_telemetry, merge_delta
 from ..observability.tracer import get_tracer
@@ -30,6 +29,7 @@ from ..parallel.comm import payload_nbytes
 from ..parallel.decomposition import Decomposition, choose_level_sizes
 from ..parallel.scheduler import split_chunks
 from ..physics.grids import EnergyGrid
+from ..resilience.faults import nan_like, result_non_finite
 from .transport import TransportCalculation, solve_energies
 
 __all__ = ["PartialObservables", "DistributedTransport"]
@@ -160,9 +160,14 @@ class DistributedTransport:
     ) -> PartialObservables:
         """Solve this rank's task share and integrate its partial sums.
 
-        The quadrature weights make per-task contributions additive: each
-        (k, E) task contributes ``w_k * w_E * (...)`` to every observable,
-        so partial sums reduce with a plain ``sum`` across ranks.
+        The rank's tasks are grouped by k-point; each group is one stacked
+        solve (:func:`repro.core.transport.solve_energies`) reduced by the
+        calculation's one quadrature (``TransportCalculation._integrate``)
+        on the group's nodes and weights of the common grid.  The weights
+        make contributions additive — each (k, E) task adds
+        ``w_k * w_E * (...)`` to every observable — so partial sums reduce
+        with a plain ``sum`` across ranks.  Under a tracer the share is one
+        ``rank_partial`` span, each k-group one ``task`` span (``n_tasks``).
 
         Parameters
         ----------
@@ -174,10 +179,10 @@ class DistributedTransport:
             Fired at site ``"rank"`` on entry (dead-rank simulation) and
             at site ``"task"`` with key (k_index, energy_index) per solve.
         retry : repro.resilience.RetryPolicy or None
-            Per-task retry for faulted/NaN solves.  Exhausted retries
-            raise :class:`repro.errors.TaskFailure` — a (k, E) quadrature
-            point cannot be silently dropped without corrupting the
-            reduced observables.
+            Per-task retry for faulted/NaN solves.  With an injector or a
+            retry policy every task of a group is solved on its own, as a
+            stack of one per attempt (:func:`_solve_task`); exhausted
+            retries raise :class:`repro.errors.TaskFailure`.
         report : repro.resilience.ResilienceReport or None
         """
         calc = self.calc
@@ -186,124 +191,48 @@ class DistributedTransport:
         mu_s = built.contact_mu("source")
         mu_d = built.contact_mu("drain", v_drain)
         kgrid = built.momentum_grid
-        n_orb = built.material.orbitals_per_atom
 
         if injector is not None:
             injector.fire("rank", rank)
         if tasks is None:
             tasks = decomp.tasks_of_rank(rank)
+        by_k: dict[int, list[int]] = {}
+        for task in tasks:
+            by_k.setdefault(int(task.k_index), []).append(
+                int(task.energy_index)
+            )
         current = 0.0
         density = np.zeros(built.n_atoms)
-        solvers: dict[int, object] = {}
         tracer = get_tracer()
-
-        def get_solver(ik: int):
-            if ik not in solvers:
-                H = calc.hamiltonian(potential_ev, float(kgrid.k_points[ik]))
-                solvers[ik] = calc._make_solver(H)
-            return solvers[ik]
-
-        # stack this rank's energy points per k-point up front; fault
-        # injection/retry re-solve per attempt, each as a stack of one —
-        # bit-identical to the point's slice of the clean stack
-        prebatched: dict[tuple[int, int], object] = {}
-        if injector is None and retry is None:
-            by_k: dict[int, list[int]] = {}
-            for task in tasks:
-                by_k.setdefault(int(task.k_index), []).append(
-                    int(task.energy_index)
-                )
-            for ik, ies in by_k.items():
-                unique = sorted(set(ies))
-                batch = solve_energies(
-                    get_solver(ik),
-                    [float(grid.energies[ie]) for ie in unique],
-                )
-                for ie, res in zip(unique, batch):
-                    prebatched[(ik, ie)] = res
-
-        def solve_task(ik: int, ie: int) -> tuple[float, np.ndarray]:
-            """One (k, E) contribution: (w_k-weighted current, density)."""
-            res = prebatched.get((ik, ie))
-            if res is None:
-                res = solve_energies(
-                    get_solver(ik), [float(grid.energies[ie])]
-                )[0]
-            w = float(kgrid.weights[ik] * grid.weights[ie])
-            # single-point "grids" let us reuse the scalar observable code
-            point = EnergyGrid(
-                np.array([grid.energies[ie]]), np.array([1.0])
-            )
-            n_orbital = carrier_density(
-                point,
-                res.spectral_left[None, :],
-                res.spectral_right[None, :],
-                mu_s, mu_d, kT,
-                spin_degeneracy=calc.spin_degeneracy,
-            )
-            dens = w * orbital_to_atom(n_orbital, n_orb)
-            curr = float(kgrid.weights[ik]) * landauer_current(
-                EnergyGrid(
-                    np.array([grid.energies[ie]]),
-                    np.array([grid.weights[ie]]),
-                ),
-                np.array([res.transmission]),
-                mu_s, mu_d, kT,
-                spin_degeneracy=calc.spin_degeneracy,
-            )
-            return curr, dens
-
         with tracer.span(
             "rank_partial", category="rank", rank=rank, n_tasks=len(tasks)
         ):
-            for task in tasks:
-                ik, ie = task.k_index, task.energy_index
+            for ik, ies in by_k.items():
                 with tracer.span(
-                    "task", category="task", rank=rank, k=int(ik), e=int(ie)
+                    "task", category="task", rank=rank, k=ik,
+                    n_tasks=len(ies),
                 ):
+                    solver = calc._make_solver(calc.hamiltonian(
+                        potential_ev, float(kgrid.k_points[ik])
+                    ))
+                    share = EnergyGrid(grid.energies[ies], grid.weights[ies])
+                    energies = share.energies.tolist()
                     if injector is None and retry is None:
-                        curr, dens = solve_task(ik, ie)
+                        results = solve_energies(solver, energies)
                     else:
-                        key = (ik, ie)
-
-                        def attempt(
-                            attempt_number: int, _ik=ik, _ie=ie, _key=key
-                        ):
-                            mode = (
-                                injector.fire("task", _key)
-                                if injector is not None
-                                else None
+                        results = [
+                            _solve_task(
+                                solver, e, (ik, ie), rank,
+                                injector, retry, report,
                             )
-                            curr, dens = solve_task(_ik, _ie)
-                            if mode == "nan":
-                                curr, dens = (
-                                    float("nan"),
-                                    np.full_like(dens, np.nan),
-                                )
-                            if not np.isfinite(curr) or not np.all(
-                                np.isfinite(dens)
-                            ):
-                                raise NumericalBreakdownError(
-                                    "non-finite observables at (k,E) task "
-                                    f"{_key}",
-                                    injected=(mode == "nan"),
-                                )
-                            return curr, dens
-
-                        try:
-                            if retry is not None:
-                                curr, dens = retry.run(attempt, report=report)
-                            else:
-                                curr, dens = attempt(0)
-                        except (TaskFailure, NumericalBreakdownError) as exc:
-                            raise TaskFailure(
-                                f"(k,E) task {key} failed permanently on "
-                                f"rank {rank}: {exc}",
-                                key=key,
-                                injected=bool(getattr(exc, "injected", False)),
-                            ) from exc
-                current += curr
-                density += dens
+                            for ie, e in zip(ies, energies)
+                        ]
+                    current_k, density_k, _, _ = calc._integrate(
+                        share, results, mu_s, mu_d, kT
+                    )
+                wk = float(kgrid.weights[ik])
+                current += wk * current_k
+                density += wk * density_k
         return PartialObservables(
             current_a=current, density_per_atom=density, n_tasks=len(tasks)
         )
@@ -329,13 +258,13 @@ class DistributedTransport:
         only its share and ``allreduce`` combines them.
 
         Fault tolerance: when a representative rank dies
-        (:class:`repro.errors.RankFailure`, organic or injected), recovery
-        follows ``rank_recovery``:
+        (:class:`repro.errors.RankFailure`, organic or injected), its task
+        list is split over helper ranks through the explicit-``tasks``
+        path of :meth:`rank_partial`; ``rank_recovery`` picks the helpers:
 
         * ``"requeue"`` (default) — one surviving rank reclaims the dead
-          rank's *exact* task list via the explicit-``tasks`` path of
-          :meth:`rank_partial`.  Because the reclaimed list is solved in
-          the same order and reduced at the same position, the summed
+          rank's *exact* task list.  Because the reclaimed list is solved
+          in the same order and reduced at the same position, the summed
           observables are bit-identical to the fault-free run.
         * ``"shrink"`` — the dead rank's tasks are split across *all*
           survivors (elastic rank-shrink: the sweep continues on a
@@ -350,58 +279,54 @@ class DistributedTransport:
             raise ValueError("rank_recovery must be 'requeue' or 'shrink'")
         size = n_ranks if n_ranks is not None else comm.Get_size()
         decomp, grid = self.decomposition(size, v_drain, potential_ev)
-        spatial = decomp.groups[3]
-        if comm.Get_size() == 1:
-            # serial backend: execute one representative rank per (k, E)
-            # group (spatial peers share tasks) and reduce locally
-            representatives = list(range(0, decomp.n_ranks, spatial))
-            backend = self.backend
-            capture = False
-            if backend is not None and backend.name == "process":
-                # tracer spans and metrics recorded in pool children are
-                # captured per rank task and merged back with rank
-                # provenance (repro.observability.telemetry) — only a
-                # live InvariantMonitor still forces in-process execution
-                # (its ledger and strict-raise semantics are parent-side
-                # state; same rule as TransportCalculation)
-                from ..observability.invariants import get_monitor
+        if comm.Get_size() > 1:  # pragma: no cover - needs a real communicator
+            mine = self.rank_partial(
+                comm.Get_rank(), decomp, grid, potential_ev, v_drain
+            )
+            return self._finish_bias(
+                comm, decomp, grid, potential_ev,
+                comm.allreduce(mine.current_a, op="sum"),
+                comm.allreduce(mine.density_per_atom, op="sum"),
+                comm.allreduce(mine.n_tasks, op="sum"),
+            )
+        # serial communicator: execute one representative rank per (k, E)
+        # group (spatial peers share tasks) and reduce locally
+        representatives = list(range(0, decomp.n_ranks, decomp.groups[3]))
+        backend = self.backend
+        capture = False
+        if backend is not None and backend.name == "process":
+            # tracer spans and metrics recorded in pool children are
+            # captured per rank task and merged back with rank provenance
+            # (repro.observability.telemetry) — only a live
+            # InvariantMonitor still forces in-process execution (its
+            # ledger and strict-raise semantics are parent-side state;
+            # same rule as TransportCalculation)
+            from ..observability.invariants import get_monitor
 
-                if get_monitor().enabled:
-                    backend = None
-                else:
-                    capture = (
-                        get_tracer().enabled or get_metrics().enabled
-                    )
-            if (
-                backend is not None
-                and backend.name != "serial"
-                and injector is None
-                and retry is None
-                and len(representatives) > 1
+            if get_monitor().enabled:
+                backend = None
+            else:
+                capture = get_tracer().enabled or get_metrics().enabled
+        partials = []
+        if (
+            backend is not None
+            and backend.name != "serial"
+            and injector is None
+            and retry is None
+            and len(representatives) > 1
+        ):
+            # concurrent representatives, reduced in the same
+            # representative order as the sequential loop
+            for partial, delta in backend.map(
+                _rank_partial_worker,
+                [
+                    (self, r, decomp, grid, potential_ev, v_drain, capture)
+                    for r in representatives
+                ],
             ):
-                # concurrent representatives: results are reduced in the
-                # same representative order as the sequential loop
-                partials = []
-                for partial, delta in backend.map(
-                    _rank_partial_worker,
-                    [
-                        (self, r, decomp, grid, potential_ev, v_drain,
-                         capture)
-                        for r in representatives
-                    ],
-                ):
-                    merge_delta(delta)
-                    partials.append(partial)
-                current = sum(p.current_a for p in partials)
-                density = np.sum(
-                    [p.density_per_atom for p in partials], axis=0
-                )
-                n_tasks = sum(p.n_tasks for p in partials)
-                return self._finish_bias(
-                    comm, decomp, grid, potential_ev,
-                    current, density, n_tasks,
-                )
-            partials = []
+                merge_delta(delta)
+                partials.append(partial)
+        else:
             for i, r in enumerate(representatives):
                 try:
                     p = self.rank_partial(
@@ -413,66 +338,46 @@ class DistributedTransport:
                     if not survivors:
                         raise  # nothing left to shrink or requeue onto
                     dead_tasks = decomp.tasks_of_rank(r)
+                    if rank_recovery == "shrink" and dead_tasks:
+                        # elastic rank-shrink: every survivor takes a run
+                        # of the list (faster recovery, summed in a
+                        # different order than the clean run)
+                        fallback, helpers = "rank:shrink", survivors
+                    else:
+                        # requeue: the next rank reclaims the whole list
+                        # in its original order — and adding to zero is
+                        # exact — so the sums stay bit-identical
+                        fallback = "rank:requeue"
+                        helpers = [
+                            representatives[(i + 1) % len(representatives)]
+                        ]
                     if report is not None:
                         report.rank_failures += 1
-                    if rank_recovery == "shrink" and dead_tasks:
-                        # elastic rank-shrink: split the dead rank's list
-                        # across every survivor (faster recovery, summed
-                        # in a different order than the clean run)
-                        if report is not None:
-                            report.record_fallback("rank:shrink")
-                        n_helpers = min(len(survivors), len(dead_tasks))
-                        chunks = split_chunks(len(dead_tasks), n_helpers)
-                        current_r = 0.0
-                        density_r = np.zeros(
-                            self.calc.built.n_atoms
-                        )
-                        n_tasks_r = 0
-                        for helper, chunk in zip(survivors, chunks):
-                            sub = self.rank_partial(
-                                helper, decomp, grid, potential_ev,
-                                v_drain,
-                                tasks=[dead_tasks[j] for j in chunk],
-                                injector=injector, retry=retry,
-                                report=report,
-                            )
-                            current_r += sub.current_a
-                            density_r += sub.density_per_atom
-                            n_tasks_r += sub.n_tasks
-                        p = PartialObservables(
-                            current_a=current_r,
-                            density_per_atom=density_r,
-                            n_tasks=n_tasks_r,
-                        )
-                    else:
-                        # requeue: one survivor reclaims the dead rank's
-                        # tasks, preserving task order (and hence
-                        # bit-identical sums)
-                        survivor = representatives[
-                            (i + 1) % len(representatives)
-                        ]
-                        if report is not None:
-                            report.record_fallback("rank:requeue")
-                        p = self.rank_partial(
-                            survivor, decomp, grid, potential_ev, v_drain,
-                            tasks=dead_tasks,
+                        report.record_fallback(fallback)
+                    p = PartialObservables(
+                        current_a=0.0,
+                        density_per_atom=np.zeros(self.calc.built.n_atoms),
+                        n_tasks=0,
+                    )
+                    for helper, chunk in zip(
+                        helpers, split_chunks(len(dead_tasks), len(helpers))
+                    ):
+                        sub = self.rank_partial(
+                            helper, decomp, grid, potential_ev, v_drain,
+                            tasks=[dead_tasks[j] for j in chunk],
                             injector=injector, retry=retry, report=report,
                         )
+                        p.current_a += sub.current_a
+                        p.density_per_atom += sub.density_per_atom
+                        p.n_tasks += sub.n_tasks
                     if report is not None:
                         report.requeued_tasks += p.n_tasks
                 partials.append(p)
-            current = sum(p.current_a for p in partials)
-            density = np.sum([p.density_per_atom for p in partials], axis=0)
-            n_tasks = sum(p.n_tasks for p in partials)
-        else:  # pragma: no cover - requires a real multi-rank communicator
-            mine = self.rank_partial(
-                comm.Get_rank(), decomp, grid, potential_ev, v_drain
-            )
-            current = comm.allreduce(mine.current_a, op="sum")
-            density = comm.allreduce(mine.density_per_atom, op="sum")
-            n_tasks = comm.allreduce(mine.n_tasks, op="sum")
         return self._finish_bias(
-            comm, decomp, grid, potential_ev, current, density, n_tasks
+            comm, decomp, grid, potential_ev,
+            sum(p.current_a for p in partials),
+            np.sum([p.density_per_atom for p in partials], axis=0),
+            sum(p.n_tasks for p in partials),
         )
 
     def _finish_bias(
@@ -501,6 +406,41 @@ class DistributedTransport:
             "decomposition": decomp,
             "energy_grid": grid,
         }
+
+
+def _solve_task(solver, energy, key, rank, injector, retry, report):
+    """Solve one (k, E) task of a rank under fault injection and/or retry.
+
+    Each attempt fires the injector's ``"task"`` site with ``key`` =
+    (k_index, energy_index) and solves the energy as a stack of one —
+    bit-identical to its slice of the clean stacked solve.  A faulted or
+    non-finite attempt is retried under ``retry``; exhausted retries raise
+    :class:`repro.errors.TaskFailure`, since a (k, E) quadrature point
+    cannot be silently dropped without corrupting the reduced observables.
+    """
+
+    def attempt(attempt_number: int):
+        mode = injector.fire("task", key) if injector is not None else None
+        res = solve_energies(solver, [energy])[0]
+        if mode == "nan":
+            res = nan_like(res)
+        if result_non_finite(res):
+            raise NumericalBreakdownError(
+                f"non-finite observables at (k,E) task {key}",
+                injected=(mode == "nan"),
+            )
+        return res
+
+    try:
+        if retry is not None:
+            return retry.run(attempt, report=report)
+        return attempt(0)
+    except (TaskFailure, NumericalBreakdownError) as exc:
+        raise TaskFailure(
+            f"(k,E) task {key} failed permanently on rank {rank}: {exc}",
+            key=key,
+            injected=bool(getattr(exc, "injected", False)),
+        ) from exc
 
 
 def _rank_partial_worker(payload):

@@ -41,6 +41,7 @@ from ..perf.flops import (
     sancho_rubio_flops,
     wf_solve_flops,
 )
+from ..physics.fermi import fermi_dirac
 from ..physics.grids import (
     AdaptiveEnergyGrid,
     EnergyGrid,
@@ -139,7 +140,7 @@ class TransportCalculation:
         coarse seed and bisects intervals whose transmission/spectral
         interpolation error exceeds ``adaptive_tol``, solving each
         refinement *wave* through the configured execution backend (see
-        :meth:`_solve_bias`).  None reads ``$REPRO_ADAPTIVE`` (default
+        :meth:`_solve_adaptive`).  None reads ``$REPRO_ADAPTIVE`` (default
         uniform).
     adaptive_tol : float
         Absolute interpolation-error tolerance of the adaptive mode, in
@@ -345,117 +346,33 @@ class TransportCalculation:
         else:
             counter.add("wf", wf_solve_flops(n, m, max(n_channels, 1)))
 
-    # -- degradation ladder --------------------------------------------
+    def _integrate(self, grid, results, mu_s, mu_d, kT):
+        """Reduce stacked kernel results over ``grid``: *the* quadrature.
 
-    def _resilient_point(
-        self, ik, k, potential_ev, solver, e, degradation, sentinel
-    ):
-        """Solve one energy point down the graceful-degradation ladder.
-
-        Rungs (contain mode): plain solve -> per-point fresh Hamiltonian
-        (:meth:`hamiltonian`: new blocks, shared read-only geometry) with
-        the ``robust`` surface ladder -> dense-oracle reference solve ->
-        quarantine (returns None).  Strict mode takes the plain solve and
-        lets every error propagate.  Every solver rung is a stack of one
-        through :func:`solve_energies`, so a healed point is bit-identical
-        to the same point solved inside a clean stack.
-
-        Mixed-precision escalation sits *before* the ladder: the solver's
-        ``solve_batch_escalating`` re-solves an uncertified energy on its
-        FP64 twin (bit-identical to a pure-FP64 run), and only a failure
-        of that full-precision solve climbs the rungs.
+        One :func:`~repro.negf.carrier_density` and one
+        :func:`~repro.negf.landauer_current` over ``results[i]`` at
+        ``grid.energies[i]``, for a whole k-grid (the bias loop) or a
+        rank's share of one (the weights of the common grid make shares
+        additive).  Returns ``(current_a, density_per_atom, transmission,
+        channels)`` of this k-point, *before* the momentum weight.
         """
-        injector = self.injector
-
-        def fire():
-            # the "energy" site models per-point numerical faults; fired
-            # at every rung so persistent (once=False) faults climb the
-            # whole ladder and reach quarantine
-            if injector is None:
-                return None
-            return injector.fire("energy", (ik, float(e)))
-
-        def point_solve(e, solver=solver):
-            return solve_energies(solver, [e])[0]
-
-        if not sentinel.enabled and injector is None:
-            return point_solve(e)
-
-        if sentinel.strict:
-            mode = fire()
-            res = point_solve(e)
-            if mode == "nan":
-                res = nan_like(res)
-            if result_non_finite(res):
-                sentinel.trip(
-                    "energy", "nonfinite",
-                    detail=f"E={e:.6g} (ik={ik})",
-                )  # strict: raises NumericalBreakdownError
-            return res
-
-        # rung 1: the configured solver as-is
-        try:
-            marker = sentinel.marker()
-            mode = fire()
-            res = point_solve(e)
-            if mode == "nan":
-                res = nan_like(res)
-            bad = result_non_finite(res)
-            if not bad and not sentinel.trips_since(marker):
-                return res
-            if bad:
-                sentinel.trip(
-                    "energy", "nonfinite", detail=f"E={e:.6g} (ik={ik})"
-                )
-        except DegradationBudgetError:
-            raise
-        except LADDER_EXCEPTIONS:
-            pass
-
-        # rung 2: a fresh Hamiltonian (new diagonal blocks off the
-        # read-only skeleton: clears transient operator corruption; the
-        # geometry-only upper blocks are shared and cannot be written) and
-        # the robust surface-GF ladder
-        degradation.record_ladder("per-point:robust")
-        try:
-            mode = fire()
-            H2 = self.hamiltonian(potential_ev, k)
-            if mode in ("nan", "illcond"):
-                H2 = corrupt_hamiltonian(H2, mode)
-            # keep the calculation's precision: the healed solve must be
-            # bit-identical to the clean one, and mixed mode carries its
-            # own FP64 condition-gate escalation
-            robust = self._make_solver(H2, surface_method="robust")
-            res = point_solve(e, robust)
-            if mode == "nan":
-                res = nan_like(res)
-            if not result_non_finite(res):
-                return res
-        except DegradationBudgetError:
-            raise
-        except LADDER_EXCEPTIONS:
-            pass
-
-        # rung 3: dense oracle — slow, numerically bulletproof
-        degradation.record_ladder("dense-oracle")
-        try:
-            mode = fire()
-            H3 = self.hamiltonian(potential_ev, k)
-            if mode in ("nan", "illcond"):
-                H3 = corrupt_hamiltonian(H3, mode)
-            res = dense_oracle_solve(H3, e, eta=self.eta)
-            if mode == "nan":
-                res = nan_like(res)
-            if not result_non_finite(res):
-                return res
-        except DegradationBudgetError:
-            raise
-        except LADDER_EXCEPTIONS:
-            pass
-
-        # ladder exhausted: quarantine the energy node
-        degradation.quarantine(ik, e)
-        return None
+        t = np.array([res.transmission for res in results], dtype=float)
+        channels = np.array(
+            [res.n_channels_left for res in results], dtype=int
+        )
+        n_orbital = carrier_density(
+            grid,
+            np.array([res.spectral_left for res in results]),
+            np.array([res.spectral_right for res in results]),
+            mu_s, mu_d, kT, spin_degeneracy=self.spin_degeneracy,
+        )
+        current = landauer_current(
+            grid, t, mu_s, mu_d, kT, spin_degeneracy=self.spin_degeneracy
+        )
+        density = orbital_to_atom(
+            n_orbital, self.built.material.orbitals_per_atom
+        )
+        return current, density, t, channels
 
     def _effective_backend(self):
         """Backend actually used for chunk dispatch.
@@ -552,22 +469,21 @@ class TransportCalculation:
 
     # -- adaptive energy waves -----------------------------------------
 
-    def _solve_adaptive(self, ik, grid, solve_nodes, cache,
-                        mu_s, mu_d, kT, degradation):
+    def _solve_adaptive(self, kp, grid, mu_s, mu_d, kT):
         """Wave-scheduled adaptive energy quadrature for one k-point.
 
         Refinement is driven parent-side by the
         :class:`~repro.physics.grids.AdaptiveEnergyGrid` wave engine:
-        each wave's unsolved nodes are dispatched through the configured
-        execution backend (per-point below ``min_chunk * workers``
-        nodes, contiguous chunks above —
-        :func:`repro.parallel.wave_chunks`), the refinement indicator
-        ``[T*(fL-fR), log1p(spectral-density / wave-0 max)]`` is computed from
-        the returned float64 results, and the next wave of bisection
-        midpoints is emitted until tolerance, the node budget or the
-        pass cap.  Every split decision is made in the parent from
-        bitwise round-tripped results, so the node set — and therefore
-        the whole solve — is bit-identical across serial/thread/process.
+        each wave's unsolved nodes go through the k-point's node solver
+        ``kp`` (per-point below ``min_chunk * workers`` nodes, contiguous
+        chunks above — :func:`repro.parallel.wave_chunks`), the refinement
+        indicator ``[T*(fL-fR), log1p(spectral-density / wave-0 max)]`` is
+        computed over the wave from the returned float64 results, and the
+        next wave of bisection midpoints is emitted until tolerance, the
+        node budget or the pass cap.  Every split decision is made in the
+        parent from bitwise round-tripped results, so the node set — and
+        therefore the whole solve — is bit-identical across
+        serial/thread/process.
 
         Quarantined nodes are recorded as ``None`` — the refiner retires
         their intervals instead of pinning refinement on an unsolvable
@@ -579,14 +495,11 @@ class TransportCalculation:
         exactly equal on every backend).  Returns ``(grid, stats)``
         where ``stats`` feeds :attr:`TransportResult.adaptive`.
         """
-        from ..physics.fermi import fermi_dirac
-
         scale = max(self.built.n_atoms * 0.1, 1.0)
-        n_initial = max(self.n_energy // 2, 9)
         refiner = AdaptiveEnergyGrid(
             float(grid.energies.min()),
             float(grid.energies.max()),
-            n_initial=n_initial,
+            n_initial=max(self.n_energy // 2, 9),
             tol=self.adaptive_tol,
             max_points=self.max_energy_points,
             max_passes=self.adaptive_max_passes,
@@ -598,89 +511,77 @@ class TransportCalculation:
 
         n_waves = 0
         n_solved = 0
-        spec_scale = None
+        spec_scale = est_error = None
         wave = refiner.first_wave()
         while wave:
             n_waves += 1
-            fresh = [e for e in wave if e not in cache]
+            fresh = [e for e in wave if e not in kp.results]
             if fresh:
-                solve_nodes(
-                    fresh, chunks=wave_chunks(len(fresh), n_workers)
-                )
+                kp.solve(fresh, chunks=wave_chunks(len(fresh), n_workers))
             n_solved += len(fresh)
-            pairs = []
-            for energy in wave:
-                res = cache.get(energy)
-                if res is None:
-                    pairs.append((energy, None, 0.0))
-                    continue
-                fl = float(fermi_dirac(energy, mu_s, kT))
-                fr = float(fermi_dirac(energy, mu_d, kT))
-                pairs.append((
-                    energy,
-                    float(res.transmission) * (fl - fr),
-                    float(res.spectral_left.sum()) * fl
-                    + float(res.spectral_right.sum()) * fr,
-                ))
+            solved = [e for e in wave if kp.results[e] is not None]
+            sampled = np.array(
+                [
+                    (r.transmission, r.spectral_left.sum(),
+                     r.spectral_right.sum())
+                    for r in map(kp.results.get, solved)
+                ],
+                dtype=float,
+            ).reshape(-1, 3)
+            fl = fermi_dirac(solved, mu_s, kT)
+            fr = fermi_dirac(solved, mu_d, kT)
+            t_term = sampled[:, 0] * (fl - fr)
+            s_term = sampled[:, 1] * fl + sampled[:, 2] * fr
             if spec_scale is None:
                 # normalize the spectral component by its wave-0
                 # magnitude so both indicator components are O(1);
                 # computed from round-tripped float64 results, hence
                 # identical on every backend
                 spec_scale = max(
-                    [abs(s) for _, t, s in pairs if t is not None],
-                    default=0.0,
+                    float(np.abs(s_term).max(initial=0.0)), scale
                 )
-                spec_scale = max(spec_scale, scale)
-            for energy, t_term, s_term in pairs:
-                if t_term is None:
-                    refiner.record(energy, None)
-                else:
-                    # log-compress the spectral component: quasi-bound
-                    # peaks tower orders of magnitude over the lead
-                    # background, and resolving them to *absolute*
-                    # tolerance would consume the whole node budget;
-                    # log1p bounds their *relative* interpolation error
-                    # at the same tol as the current integrand
-                    refiner.record(energy, np.array(
-                        [t_term, np.log1p(s_term / spec_scale)]
-                    ))
+            # log-compress the spectral component: quasi-bound peaks tower
+            # orders of magnitude over the lead background, and resolving
+            # them to *absolute* tolerance would consume the whole node
+            # budget; log1p bounds their *relative* interpolation error at
+            # the same tol as the current integrand
+            indicator = dict(zip(solved, np.column_stack(
+                [t_term, np.log1p(s_term / spec_scale)]
+            )))
+            for energy in wave:
+                refiner.record(energy, indicator.get(energy))
             wave = refiner.next_wave()
+            est_error = (
+                float(refiner.est_error)
+                if np.isfinite(refiner.est_error) else None
+            )
             if metrics.enabled:
                 metrics.inc("adaptive.waves", 1.0)
                 if fresh:
-                    metrics.inc(
-                        "adaptive.nodes_added", float(len(fresh))
-                    )
-                if np.isfinite(refiner.est_error):
-                    metrics.gauge(
-                        "adaptive.est_error",
-                        float(refiner.est_error),
-                    )
+                    metrics.inc("adaptive.nodes_added", float(len(fresh)))
+                if est_error is not None:
+                    metrics.gauge("adaptive.est_error", est_error)
             if events.enabled:
                 events.emit(
                     "wave_done",
-                    k=ik,
+                    k=kp.ik,
                     wave=n_waves - 1,
                     n_new=len(fresh),
                     n_nodes=refiner.n_nodes,
-                    est_error=(
-                        float(refiner.est_error)
-                        if np.isfinite(refiner.est_error) else None
-                    ),
+                    est_error=est_error,
                 )
 
         # quarantined nodes already left the refiner's grid; account
         # them against the quadrature budget and the degradation report
-        # here (the generic reweighting block never sees them)
+        # here (the k-point's own reweighting never sees them)
         if refiner.n_excluded:
             self.degradation_budget.check(
                 refiner.n_excluded,
                 refiner.n_excluded + refiner.n_nodes,
-                context=f"k-point {ik} adaptive",
+                context=f"k-point {kp.ik} adaptive",
             )
-            degradation.reweighted_grids += 1
-            degradation.record_ladder("quadrature:reweight")
+            kp.degradation.reweighted_grids += 1
+            kp.degradation.record_ladder("quadrature:reweight")
         saved = max(len(grid) - n_solved, 0)
         if metrics.enabled and saved:
             metrics.inc("adaptive.nodes_saved_vs_uniform", float(saved))
@@ -690,10 +591,7 @@ class TransportCalculation:
             "solved": n_solved,
             "saved_vs_uniform": saved,
             "excluded": refiner.n_excluded,
-            "est_error": (
-                float(refiner.est_error)
-                if np.isfinite(refiner.est_error) else 0.0
-            ),
+            "est_error": est_error or 0.0,
             "budget_hits": int(refiner.budget_hit),
         }
         return refiner.grid(), stats
@@ -744,102 +642,30 @@ class TransportCalculation:
         mu_d = built.contact_mu("drain", v_drain)
         grid = energy_grid or self.energy_grid(potential_ev, v_drain)
         kgrid = built.momentum_grid
-        n_e = len(grid)
         n_k = len(kgrid)
 
         flops = FlopCounter()
-        n_orb = built.material.orbitals_per_atom
+        current = 0.0
         density = np.zeros(built.n_atoms)
-        per_k_grids: list[EnergyGrid] = []
-        per_k_T: list[np.ndarray] = []
-        per_k_channels: list[np.ndarray] = []
-        currents = 0.0
-
-        # energy-site faults fire inside _resilient_point, i.e. in the
-        # parent's per-point degradation ladder — chunked dispatch would
-        # solve those points cleanly in workers and the configured fault
-        # would never be injected, so such solves go point by point
-        energy_faults = (
-            self.injector is not None and self.injector.targets("energy")
-        )
-
+        # T(E,k) is reported on the common base grid (exact when a k-grid
+        # equals the base grid, interpolated otherwise)
+        transmission = np.zeros((n_k, len(grid)))
+        channels = np.zeros((n_k, len(grid)), dtype=int)
         adaptive_info = None
         if self.energy_mode == "adaptive" and energy_grid is None:
             adaptive_info = {
-                "waves": 0,
-                "nodes": 0,
-                "solved": 0,
-                "saved_vs_uniform": 0,
-                "excluded": 0,
-                "est_error": 0.0,
-                "budget_hits": 0,
+                "waves": 0, "nodes": 0, "solved": 0, "saved_vs_uniform": 0,
+                "excluded": 0, "est_error": 0.0, "budget_hits": 0,
             }
 
         for ik, (k, wk) in enumerate(zip(kgrid.k_points, kgrid.weights)):
             get_events().maybe_heartbeat(stage=f"k-point {ik + 1}/{n_k}")
-            H = self.hamiltonian(potential_ev, k)
-            h_suspect = False
-            if self.injector is not None:
-                mode = self.injector.fire("hblock", ik)
-                if mode in ("nan", "illcond"):
-                    H = corrupt_hamiltonian(H, mode)
-                    h_suspect = True
-            solver = self._make_solver(H)
-            shape = (H.n_blocks, int(H.block_sizes.max()))
-            # a known-corrupted H — or an injector aimed at the energy
-            # site — must go through the in-process per-point ladder: a
-            # process pool's sentinel trips stay in the children, where
-            # the parent cannot heal them
-            per_point = h_suspect or energy_faults
-            cache: dict[float, object] = {}
-
-            def sample(energy: float):
-                e = float(energy)
-                if e not in cache:
-                    res = self._resilient_point(
-                        ik, k, potential_ev, solver, e, degradation, sentinel
-                    )
-                    cache[e] = res
-                    if res is not None:
-                        self._charge_flops(flops, shape, res.n_channels_left)
-                return cache[e]
-
-            def solve_nodes(fresh, chunks=None):
-                # dispatch fresh nodes through the backend; anything the
-                # chunked path could not deliver cleanly — or everything,
-                # when the k-point is pinned to the in-process ladder —
-                # is solved point-by-point down the degradation ladder
-                chunk_results = None
-                try:
-                    if not per_point:
-                        chunk_results = self._run_backend(
-                            solver, fresh, chunks=chunks
-                        )
-                except DegradationBudgetError:
-                    raise
-                except LADDER_EXCEPTIONS:
-                    if sentinel.strict or not sentinel.enabled:
-                        raise
-                    degradation.record_ladder("chunk:exception")
-                if chunk_results is not None:
-                    for energy, res in zip(fresh, chunk_results):
-                        if res is None or result_non_finite(res):
-                            continue
-                        cache[energy] = res
-                        self._charge_flops(flops, shape, res.n_channels_left)
-                leftover = [e for e in fresh if e not in cache]
-                if (
-                    leftover and not per_point
-                    and sentinel.enabled and not sentinel.strict
-                ):
-                    degradation.record_ladder("chunk:per-point")
-                for energy in leftover:
-                    sample(energy)
-
+            kp = _KPoint(
+                self, ik, k, potential_ev, flops, degradation, sentinel
+            )
             if adaptive_info is not None:
-                k_grid_e, k_stats = self._solve_adaptive(
-                    ik, grid, solve_nodes, cache, mu_s, mu_d, kT,
-                    degradation,
+                k_grid, k_stats = self._solve_adaptive(
+                    kp, grid, mu_s, mu_d, kT
                 )
                 for key, val in k_stats.items():
                     if key == "est_error":
@@ -847,64 +673,18 @@ class TransportCalculation:
                     else:
                         adaptive_info[key] += val
             else:
-                k_grid_e = grid
-                solve_nodes([float(e) for e in grid.energies])
-
-            # quarantined nodes are dropped from this k-grid and the
-            # trapezoid weights rebuilt on the survivors, within budget
-            kept = [
-                float(e) for e in k_grid_e.energies
-                if cache.get(float(e)) is not None
-            ]
-            n_q = len(k_grid_e) - len(kept)
-            if n_q > 0:
-                self.degradation_budget.check(
-                    n_q, len(k_grid_e), context=f"k-point {ik}"
-                )
-                pts = np.asarray(kept)
-                k_grid_e = EnergyGrid(pts, trapezoid_weights(pts))
-                degradation.reweighted_grids += 1
-                degradation.record_ladder("quadrature:reweight")
-
-            n_e_k = len(k_grid_e)
-            spectral_l = np.zeros((n_e_k, H.total_size))
-            spectral_r = np.zeros((n_e_k, H.total_size))
-            t_k = np.zeros(n_e_k)
-            ch_k = np.zeros(n_e_k, dtype=int)
-            for ie, energy in enumerate(k_grid_e.energies):
-                res = sample(energy)
-                t_k[ie] = res.transmission
-                ch_k[ie] = res.n_channels_left
-                spectral_l[ie] = res.spectral_left
-                spectral_r[ie] = res.spectral_right
-            n_orbital = carrier_density(
-                k_grid_e, spectral_l, spectral_r, mu_s, mu_d, kT,
-                spin_degeneracy=self.spin_degeneracy,
+                k_grid = grid
+                kp.solve(grid.energies.tolist())
+            k_grid, results = kp.surviving(k_grid)
+            current_k, density_k, t_k, channels_k = self._integrate(
+                k_grid, results, mu_s, mu_d, kT
             )
-            density += wk * orbital_to_atom(n_orbital, n_orb)
-            currents += wk * landauer_current(
-                k_grid_e, t_k, mu_s, mu_d, kT,
-                spin_degeneracy=self.spin_degeneracy,
-            )
-            per_k_grids.append(k_grid_e)
-            per_k_T.append(t_k)
-            per_k_channels.append(ch_k)
-
-        # report T(E,k) resampled on the common base grid (exact when the
-        # per-k grids equal the base grid, interpolated otherwise)
-        transmission = np.zeros((n_k, n_e))
-        channels = np.zeros((n_k, n_e), dtype=int)
-        for ik in range(n_k):
-            transmission[ik] = np.interp(
-                grid.energies, per_k_grids[ik].energies, per_k_T[ik]
-            )
-            channels[ik] = np.round(
-                np.interp(
-                    grid.energies,
-                    per_k_grids[ik].energies,
-                    per_k_channels[ik].astype(float),
-                )
-            ).astype(int)
+            density += wk * density_k
+            current += wk * current_k
+            transmission[ik] = np.interp(grid.energies, k_grid.energies, t_k)
+            channels[ik] = np.round(np.interp(
+                grid.energies, k_grid.energies, channels_k.astype(float)
+            )).astype(int)
 
         elastic1 = self.backend.elastic_stats()
         degradation.stragglers += elastic1["stragglers"] - elastic0["stragglers"]
@@ -919,7 +699,7 @@ class TransportCalculation:
         return TransportResult(
             energy_grid=grid,
             transmission=transmission,
-            current_a=currents,
+            current_a=current,
             density_per_atom=density,
             mu_source=mu_s,
             mu_drain=mu_d,
@@ -928,6 +708,168 @@ class TransportCalculation:
             degradation=degradation,
             adaptive=adaptive_info,
         )
+
+
+class _KPoint:
+    """Node solver of one (bias, k): where every energy of the sweep lands.
+
+    Holds what the nodes of one k-point share — the Hamiltonian (with the
+    one ``"hblock"`` fault-injection site applied), the configured solver,
+    the device shape the flop model charges and ``results``, the
+    ``{energy: kernel result | None}`` memo (``None`` = quarantined) — and
+    the accounts of the bias solve they report into.  The uniform grid
+    and every adaptive wave call :meth:`solve`; nothing else runs a kernel
+    for the bias loop.
+    """
+
+    def __init__(self, calc, ik, k, potential_ev, flops, degradation,
+                 sentinel):
+        self.calc = calc
+        self.ik = ik
+        self.k = k
+        self.potential_ev = potential_ev
+        self.flops = flops
+        self.degradation = degradation
+        self.sentinel = sentinel
+        H = calc.hamiltonian(potential_ev, k)
+        injector = calc.injector
+        mode = injector.fire("hblock", ik) if injector is not None else None
+        if mode in ("nan", "illcond"):
+            H = corrupt_hamiltonian(H, mode)
+        # a known-corrupted H — or an injector aimed at the energy site,
+        # which fires in the parent's ladder and would never be injected
+        # into a worker's clean chunk — pins the k-point to the in-process
+        # per-point ladder: a process pool's sentinel trips stay in the
+        # children, where the parent cannot heal them
+        self.pinned = mode in ("nan", "illcond") or (
+            injector is not None and injector.targets("energy")
+        )
+        self.solver = calc._make_solver(H)
+        self.shape = (H.n_blocks, int(H.block_sizes.max()))
+        self.results: dict[float, object] = {}
+
+    def solve(self, energies: list, chunks=None) -> None:
+        """Solve ``energies`` into :attr:`results`: dispatch, accept, heal.
+
+        Dispatch through the calculation's backend
+        (:meth:`TransportCalculation._run_backend`; ``chunks`` as there),
+        accept every finite result and charge its flops, then take what
+        the chunked path could not deliver cleanly — or everything, when
+        the k-point is pinned — point by point down :meth:`_heal`.
+        """
+        sentinel, degradation = self.sentinel, self.degradation
+        contain = sentinel.enabled and not sentinel.strict
+        delivered = []
+        if not self.pinned:
+            try:
+                delivered = self.calc._run_backend(
+                    self.solver, energies, chunks=chunks
+                )
+            except DegradationBudgetError:
+                raise
+            except LADDER_EXCEPTIONS:
+                if not contain:
+                    raise
+                degradation.record_ladder("chunk:exception")
+        for energy, res in zip(energies, delivered):
+            if res is not None and not result_non_finite(res):
+                self._accept(energy, res)
+        leftover = [e for e in energies if e not in self.results]
+        if leftover and contain and not self.pinned:
+            degradation.record_ladder("chunk:per-point")
+        for energy in leftover:
+            self._accept(energy, self._heal(energy))
+
+    def _accept(self, energy, res) -> None:
+        self.results[energy] = res
+        if res is not None:
+            self.calc._charge_flops(
+                self.flops, self.shape, res.n_channels_left
+            )
+
+    def _heal(self, e):
+        """Solve one energy down the graceful-degradation ladder.
+
+        Rungs: the configured solver -> a fresh Hamiltonian (new diagonal
+        blocks off the read-only skeleton, which clears transient operator
+        corruption) with the ``robust`` surface ladder -> the dense-oracle
+        reference solve -> quarantine (returns None).  Strict mode, and a
+        run with neither sentinel nor injector, take the first rung only
+        and let every error propagate.  Every solver rung is a stack of
+        one through :func:`solve_energies` at the calculation's precision,
+        so a healed point is bit-identical to the same point solved inside
+        a clean stack.  The ``"energy"`` fault site fires once per rung, so
+        a persistent (``once=False``) fault climbs the whole ladder.
+
+        Mixed-precision escalation sits *before* the ladder: the solver's
+        ``solve_batch_escalating`` re-solves an uncertified energy on its
+        FP64 twin, and only a failure of that solve climbs the rungs.
+        """
+        calc, sentinel = self.calc, self.sentinel
+        injector = calc.injector
+        guarded = sentinel.enabled or injector is not None
+        climb = guarded and not sentinel.strict
+        rungs = (None, "per-point:robust", "dense-oracle")
+        for rung in rungs if climb else rungs[:1]:
+            if rung is not None:
+                self.degradation.record_ladder(rung)
+            try:
+                marker = sentinel.marker()
+                mode = (
+                    injector.fire("energy", (self.ik, e))
+                    if injector is not None else None
+                )
+                if rung is None:
+                    res = solve_energies(self.solver, [e])[0]
+                else:
+                    H = calc.hamiltonian(self.potential_ev, self.k)
+                    if mode in ("nan", "illcond"):
+                        H = corrupt_hamiltonian(H, mode)
+                    if rung == "dense-oracle":
+                        res = dense_oracle_solve(H, e, eta=calc.eta)
+                    else:
+                        robust = calc._make_solver(H, surface_method="robust")
+                        res = solve_energies(robust, [e])[0]
+                if mode == "nan":
+                    res = nan_like(res)
+                bad = guarded and result_non_finite(res)
+                if rung is None:
+                    if bad:
+                        sentinel.trip(
+                            "energy", "nonfinite",
+                            detail=f"E={e:.6g} (ik={self.ik})",
+                        )  # strict: raises NumericalBreakdownError
+                    # a finite answer still climbs when its solve tripped
+                    bad = bad or (climb and sentinel.trips_since(marker))
+                if not (bad and climb):
+                    return res
+            except DegradationBudgetError:
+                raise
+            except LADDER_EXCEPTIONS:
+                if not climb:
+                    raise
+        self.degradation.quarantine(self.ik, e)
+        return None
+
+    def surviving(self, grid):
+        """``(grid, results)`` of this k-point without its quarantined nodes.
+
+        Dropped nodes are checked against the calculation's
+        :class:`~repro.resilience.DegradationBudget` and the trapezoid
+        weights rebuilt on the survivors.
+        """
+        energies = grid.energies.tolist()
+        kept = [e for e in energies if self.results.get(e) is not None]
+        if len(kept) < len(energies):
+            self.calc.degradation_budget.check(
+                len(energies) - len(kept), len(energies),
+                context=f"k-point {self.ik}",
+            )
+            pts = np.asarray(kept)
+            grid = EnergyGrid(pts, trapezoid_weights(pts))
+            self.degradation.reweighted_grids += 1
+            self.degradation.record_ladder("quadrature:reweight")
+        return grid, [self.results[e] for e in kept]
 
 
 def _in_worker() -> bool:

@@ -360,9 +360,16 @@ class Tracer:
         return out
 
     def task_count(self) -> int:
-        """Number of completed task-category spans."""
+        """Tasks covered by completed task-category spans.
+
+        A span counts as the ``n_tasks`` it carries (a distributed rank
+        wraps a whole stacked k-group in one span), one when it has none.
+        """
         with self._lock:
-            return sum(1 for s in self.spans if s.category == "task")
+            return sum(
+                int(s.attrs.get("n_tasks", 1))
+                for s in self.spans if s.category == "task"
+            )
 
 
 class _NullSpanHandle:

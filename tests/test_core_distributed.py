@@ -68,6 +68,10 @@ class TestDistributedTransport:
         assert sum(p.current_a for p in partials) == pytest.approx(
             serial.current_a, rel=1e-10
         )
+        np.testing.assert_allclose(
+            np.sum([p.density_per_atom for p in partials], axis=0),
+            serial.density_per_atom, rtol=1e-13, atol=0,
+        )
 
     def test_with_potential_barrier(self, system):
         built, tc = system
@@ -96,3 +100,50 @@ class TestDistributedTransport:
         decomp, grid = dist.decomposition(1000, 0.1, pot)
         assert decomp.groups[1] <= len(built.momentum_grid)
         assert decomp.groups[2] <= len(grid)
+
+
+class TestSharedReduction:
+    """A rank's share goes through the calculation's one quadrature."""
+
+    def test_integrate_on_a_share_is_the_sum_of_its_tasks(self, system):
+        """``_integrate`` over a rank's strided share of the common grid
+        equals the sum of one-point contributions, each weighted by its
+        node's weight of the *common* grid — what makes shares additive."""
+        from repro.core.transport import solve_energies
+        from repro.negf import carrier_density, landauer_current
+        from repro.negf.observables import orbital_to_atom
+        from repro.physics.grids import EnergyGrid
+
+        built, tc = system
+        pot = np.zeros(built.n_atoms)
+        slab = built.device.slab_of_atom()
+        pot[(slab >= 4) & (slab <= 6)] = 0.2
+        grid = tc.energy_grid(pot, 0.1)
+        mu_s = built.contact_mu("source")
+        mu_d = built.contact_mu("drain", 0.1)
+        kT = built.spec.kT
+        ies = list(range(1, len(grid), 3))
+        solver = tc._make_solver(tc.hamiltonian(pot))
+        results = solve_energies(solver, grid.energies[ies].tolist())
+        current, density, t, channels = tc._integrate(
+            EnergyGrid(grid.energies[ies], grid.weights[ies]),
+            results, mu_s, mu_d, kT,
+        )
+        ref_current = 0.0
+        ref_density = np.zeros(built.n_atoms)
+        for ie, res in zip(ies, results):
+            point = EnergyGrid(grid.energies[[ie]], grid.weights[[ie]])
+            ref_current += landauer_current(
+                point, [res.transmission], mu_s, mu_d, kT,
+                spin_degeneracy=tc.spin_degeneracy,
+            )
+            ref_density += orbital_to_atom(carrier_density(
+                point, res.spectral_left[None, :],
+                res.spectral_right[None, :], mu_s, mu_d, kT,
+                spin_degeneracy=tc.spin_degeneracy,
+            ), built.material.orbitals_per_atom)
+        assert ref_current != 0.0
+        assert current == pytest.approx(ref_current, rel=1e-13)
+        np.testing.assert_allclose(density, ref_density, rtol=1e-13, atol=0)
+        assert t.tolist() == [res.transmission for res in results]
+        assert channels.tolist() == [res.n_channels_left for res in results]

@@ -148,3 +148,81 @@ class TestUTBTransport:
         res = tc.solve_bias(np.zeros(built.n_atoms), v_drain=0.1)
         assert res.transmission.shape[0] == len(built.momentum_grid)
         assert res.current_a > 0
+
+
+class TestOneDriver:
+    """Structural guards: the (k, E) computation is written once."""
+
+    @staticmethod
+    def _core_trees():
+        import ast
+        from pathlib import Path
+
+        import repro.core
+
+        root = Path(repro.core.__file__).parent
+        return {
+            path.name: ast.parse(path.read_text())
+            for path in sorted(root.glob("*.py"))
+        }
+
+    def test_observable_integrals_have_one_caller(self):
+        """``carrier_density`` / ``landauer_current`` are reduced in one
+        function under ``repro.core`` — the bias loop and the distributed
+        rank share it instead of each integrating on their own."""
+        import ast
+
+        callers = {"carrier_density": set(), "landauer_current": set()}
+        for name, tree in self._core_trees().items():
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in callers
+                    ):
+                        callers[node.func.id].add(f"{name}:{func.name}")
+        assert callers == {
+            "carrier_density": {"transport.py:_integrate"},
+            "landauer_current": {"transport.py:_integrate"},
+        }
+
+    def test_bias_loop_has_no_closures_and_no_injector(self):
+        """``_solve_bias`` enumerates k-points and reduces; fault hooks
+        live in the node solver, not in the production loop."""
+        import ast
+
+        tree = self._core_trees()["transport.py"]
+        (solve_bias,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_solve_bias"
+        ]
+        inner = [node for node in ast.walk(solve_bias) if node is not solve_bias]
+        assert not [
+            node for node in inner
+            if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        ]
+        names = {
+            node.id for node in inner if isinstance(node, ast.Name)
+        } | {
+            node.attr for node in inner if isinstance(node, ast.Attribute)
+        }
+        assert "injector" not in names
+
+    def test_three_fault_sites_in_the_transport_driver(self):
+        """hblock (k-point set-up), energy (one place in the ladder loop)
+        and worker (the stacked sweep) — test hooks do not spread."""
+        import ast
+
+        tree = self._core_trees()["transport.py"]
+        sites = sorted(
+            node.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fire"
+        )
+        assert sites == ["energy", "hblock", "worker"]

@@ -504,6 +504,36 @@ class TestExecutionTimelines:
         assert report.rank_seconds == busy
         assert report.n_tasks == out["n_tasks_total"]
 
+    def test_rank_timeline_covers_the_solve(self, tiny_system):
+        """The rank spans open around the stacked solves, not only around
+        the reduction: summed busy time is most of the measured wall."""
+        import time
+
+        built, tc = tiny_system
+        pot = np.zeros(built.n_atoms)
+        dist = DistributedTransport(tc)
+        with use_tracer(Tracer()) as t:
+            t0 = time.perf_counter()
+            out = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=2)
+            wall = time.perf_counter() - t0
+        assert sum(t.rank_seconds().values()) >= 0.5 * wall
+        # one task span per stacked k-group, carrying its task count
+        groups = [s for s in t.spans if s.name == "task"]
+        assert len(groups) == 2 * len(built.momentum_grid)
+        assert sum(s.attrs["n_tasks"] for s in groups) == out["n_tasks_total"]
+        ranks = [s for s in t.spans if s.name == "rank_partial"]
+        assert all(s.depth == r.depth + 1 for s in groups for r in ranks)
+
+    def test_task_count_weighs_spans_by_their_n_tasks(self):
+        t = Tracer()
+        with t.span("group", category="task", n_tasks=5):
+            pass
+        with t.span("single", category="task"):
+            pass
+        with t.span("batch", category="phase", n_tasks=7):
+            pass
+        assert t.task_count() == 6
+
 
 @pytest.fixture(scope="module")
 def tiny_system():

@@ -364,6 +364,45 @@ class TestDeadRankRequeue:
         assert report.injected_faults == 2
         assert report.retries == 2
 
+    @pytest.mark.parametrize("action", ["raise", "nan"])
+    def test_faulted_task_is_retried_alone_as_a_stack_of_one(
+        self, system, action, monkeypatch
+    ):
+        from repro.core import distributed
+
+        built, tc = system
+        pot = np.zeros(built.n_atoms)
+        dist = DistributedTransport(tc)
+        clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3)
+        stacks = []
+        real = distributed.solve_energies
+
+        def recording(solver, energies, *args, **kwargs):
+            stacks.append(list(energies))
+            return real(solver, energies, *args, **kwargs)
+
+        monkeypatch.setattr(distributed, "solve_energies", recording)
+        grid = clean["energy_grid"]
+        report = ResilienceReport()
+        inj = FaultInjector(plan={("task", (0, 5)): action})
+        faulted = dist.solve_bias(
+            pot, 0.1, SerialComm(), n_ranks=3,
+            injector=inj, retry=RetryPolicy(max_retries=2), report=report,
+        )
+        assert faulted["current_a"] == clean["current_a"]
+        np.testing.assert_array_equal(
+            faulted["density_per_atom"], clean["density_per_atom"]
+        )
+        assert report.retries == 1 and inj.count(action) == 1
+        # every attempt is a stack of one; only the faulted task repeats
+        # (a "raise" fires before its first solve, a "nan" after it)
+        assert all(len(stack) == 1 for stack in stacks)
+        solved = [stack[0] for stack in stacks]
+        e_bad = float(grid.energies[5])
+        assert solved.count(e_bad) == (2 if action == "nan" else 1)
+        assert sorted(set(solved)) == grid.energies.tolist()
+        assert len(solved) == len(grid) + (action == "nan")
+
     def test_permanent_task_fault_raises_task_failure(self, system):
         built, tc = system
         pot = np.zeros(built.n_atoms)
@@ -684,7 +723,8 @@ class TestKillAndResume:
 
 
 class TestDegradationLadder:
-    """The graceful step-down inside TransportCalculation._resilient_point."""
+    """The graceful step-down of the bias loop's node solver
+    (``repro.core.transport._KPoint._heal``)."""
 
     def test_transient_corruption_healed_bit_identically(self, system):
         built, _ = system
@@ -735,8 +775,33 @@ class TestDegradationLadder:
         assert d.reweighted_grids == 1
         assert d.ladder_steps.get("dense-oracle", 0) >= 1
         assert d.ladder_steps.get("quadrature:reweight", 0) == 1
-        # every rung re-fired the persistent fault before giving up
-        assert inj.count("nan") >= 3
+        # every rung re-fired the persistent fault, once, before giving up
+        assert inj.count("nan") == 3
+        assert [f.site for f in inj.injected] == ["energy"] * 3
+
+    def test_transient_energy_fault_fires_once_and_heals(self, system):
+        built, _ = system
+        pot = np.zeros(built.n_atoms)
+        clean = TransportCalculation(
+            built, method="wf", n_energy=21, energy_mode="uniform"
+        ).solve_bias(pot, 0.1)
+        e_bad = float(clean.energy_grid.energies[4])
+        inj = FaultInjector(plan={("energy", (0, e_bad)): "nan"})
+        healed = TransportCalculation(
+            built, method="wf", n_energy=21, injector=inj,
+            energy_mode="uniform",
+        ).solve_bias(pot, 0.1)
+        # fired on the first rung only; the second rung is a clean stack
+        # of one, bit-identical to the point's slice of the clean grid
+        assert inj.count("nan") == inj.count() == 1
+        assert healed.current_a == clean.current_a
+        np.testing.assert_array_equal(
+            healed.density_per_atom, clean.density_per_atom
+        )
+        d = healed.degradation
+        assert d.ladder_steps == {"per-point:robust": 1}
+        assert not d.quarantined_points
+        assert healed.flops.total == clean.flops.total
 
     def test_blown_budget_raises_typed(self, system):
         built, _ = system
@@ -801,6 +866,27 @@ class TestRankShrink:
         assert report.rank_failures == 1
         assert report.requeued_tasks > 0
         assert report.fallbacks.get("rank:shrink") == 1
+
+    @pytest.mark.parametrize("recovery", ["requeue", "shrink"])
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_recovery_counters(self, system, recovery, n_ranks):
+        """Both recoveries are one split-and-sum: the report counts the
+        dead rank's whole task list once, under its own label — also
+        when a shrink has a single survivor to shrink onto."""
+        built, tc = system
+        pot = np.zeros(built.n_atoms)
+        dist = DistributedTransport(tc)
+        decomp, _ = dist.decomposition(n_ranks, 0.1, pot)
+        report = ResilienceReport()
+        inj = FaultInjector(plan={("rank", 1): "dead_rank"})
+        out = dist.solve_bias(
+            pot, 0.1, SerialComm(), n_ranks=n_ranks,
+            injector=inj, report=report, rank_recovery=recovery,
+        )
+        assert report.rank_failures == 1
+        assert report.requeued_tasks == len(decomp.tasks_of_rank(1))
+        assert report.fallbacks == {f"rank:{recovery}": 1}
+        assert out["n_tasks_total"] == len(out["energy_grid"])
 
     def test_invalid_recovery_mode_rejected(self, system):
         built, tc = system

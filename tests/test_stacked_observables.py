@@ -271,13 +271,14 @@ class TestSafetyNets:
     def test_ladder_heals_a_poisoned_kpoint_per_point(self, method):
         built = mini_device()
         pot = np.zeros(built.n_atoms)
+        # pinned uniform: the rung count below is the 11-node grid's
         clean = TransportCalculation(
-            built, method=method, n_energy=11
+            built, method=method, n_energy=11, energy_mode="uniform"
         ).solve_bias(pot, 0.05)
         sentinel = HealthSentinel(mode="contain")
         with use_sentinel(sentinel):
             healed = TransportCalculation(
-                built, method=method, n_energy=11,
+                built, method=method, n_energy=11, energy_mode="uniform",
                 injector=FaultInjector(plan={("hblock", 0): "nan"}),
             ).solve_bias(pot, 0.05)
         assert healed.current_a == clean.current_a
