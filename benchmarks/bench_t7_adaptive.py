@@ -134,9 +134,9 @@ def _uniform_report(built, pot):
         f"no uniform grid below the oracle reached {REL_TOL:g} relative"
     )
     # the matched grid through the same solve_bias the adaptive side is
-    # timed on (cold sigma cache on both, one serial process)
+    # timed on (one serial process)
     t0 = time.perf_counter()
-    _transport(built, backend="serial", sigma_cache=True).solve_bias(
+    _transport(built, backend="serial").solve_bias(
         pot, BIAS_V, energy_grid=uniform_grid(emin, emax, matched)
     )
     matched_s = time.perf_counter() - t0
@@ -153,7 +153,6 @@ def _uniform_report(built, pot):
 def _adaptive_run(built, pot, backend="serial", workers=None):
     tc = _transport(
         built, energy_mode="adaptive", backend=backend, workers=workers,
-        sigma_cache=True,
     )
     tracer, registry = Tracer(), MetricsRegistry()
     t0 = time.perf_counter()

@@ -51,13 +51,14 @@ PRODUCERS = [
     ("benchmarks/bench_t8_precision.py --smoke", "BENCH_precision.json"),
 ]
 
-#: Machine-dependent fields ignored by ``--check`` (warn-only in the gate).
+#: Machine- and run-dependent fields ignored by ``--check`` (warn-only in
+#: the gate).
 #: ``delta_bytes`` is here because worker metric snapshots embed
 #: timing-histogram buckets, whose keys (and thus pickled size) depend
 #: on the machine's measured latencies.
 TIMING_FIELDS = (
     "wall_time_s", "sustained_flops", "walltime", "seconds", "speedup",
-    "delta_bytes", "nproc",
+    "delta_bytes", "nproc", "blas_threads", "git_sha",
 )
 
 

@@ -44,6 +44,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import env
+
 __all__ = ["main", "build_parser"]
 
 
@@ -104,20 +106,19 @@ def _eventing(events_path, command, **context):
     An empty/missing ``--events`` falls back to ``$REPRO_EVENTS``; the
     writer is installed process-wide via
     :func:`repro.observability.use_events`, so the sweep loop, the
-    backends and the transport layer all append to the same file.  The
+    backends and the transport layer all append to the same file, and
+    ``run_started`` carries the resolved ``REPRO_*`` environment.  The
     writer's ``close`` emits a final ``run_finished`` if the run did not
     emit one itself.
     """
-    import os
-
     if not events_path:
-        events_path = os.environ.get("REPRO_EVENTS") or ""
+        events_path = env.read("REPRO_EVENTS")
     if not events_path:
         yield None
         return
     from .observability import TelemetryWriter, use_events
 
-    ctx = {"command": command}
+    ctx = {"command": command, "env": env.resolved()}
     ctx.update({k: v for k, v in context.items() if v is not None})
     writer = TelemetryWriter(events_path, context=ctx)
     try:
@@ -168,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=None,
             help="worker count for the thread/process backends "
                  "(default: $REPRO_WORKERS or 2)",
-        )
-        p.add_argument(
-            "--cache-sigma", action="store_true",
-            help="share a contact self-energy cache across energy points "
-                 "and SCF iterations (invalidated on potential updates)",
         )
         p.add_argument(
             "--precision", choices=("fp64", "mixed", "fp32"),
@@ -387,7 +383,6 @@ def _backend_kwargs(args) -> dict:
     kwargs = {
         "backend": getattr(args, "backend", None),
         "workers": getattr(args, "workers", None),
-        "sigma_cache": True if getattr(args, "cache_sigma", False) else None,
         "precision": getattr(args, "precision", None),
     }
     budget = getattr(args, "adaptive_energies", None)
@@ -620,6 +615,9 @@ def _cmd_doctor(args) -> int:
           f"{built.device.n_slabs} slabs, method={args.method})")
     print(f"stack  : {transport.stack_length} energies per stacked "
           f"kernel call on this device")
+    print("env    : " + ", ".join(
+        f"{name}={value}" for name, value in env.resolved().items()
+    ))
 
     try:
         with use_metrics(registry), use_monitor(monitor):
@@ -712,40 +710,8 @@ def _cmd_doctor(args) -> int:
               f"(paper's 4-level decomposition)",
     ))
 
-    # --- self-energy cache probe --------------------------------------
-    # Solve the same bias twice with a fresh cache: the first pass is all
-    # misses, the second all hits, so the table doubles as a health check
-    # on the cache keying.
-    from .parallel import SelfEnergyCache
-
-    # the probe pins the serial backend: a process pool's children would
-    # fill their own cache copies and the table would misleadingly read 0
-    cache = SelfEnergyCache()
-    probe = TransportCalculation(
-        built, method=args.method, n_energy=11,
-        backend="serial", sigma_cache=cache,
-    )
-    pot_probe = scf.atom_potential_ev(
-        scf.initial_potential(vgs[-1], args.vd)
-    )
-    probe_grid = probe.energy_grid(pot_probe, args.vd)
-    probe.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)
-    cold = dict(cache.stats)
-    probe.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)
-    warm = dict(cache.stats)
-    print(format_table(
-        ["pass", "hits", "misses", "evictions", "invalidations", "size"],
-        [
-            ("cold", cold["hits"], cold["misses"], cold["evictions"],
-             cold["invalidations"], cold["size"]),
-            ("warm", warm["hits"], warm["misses"], warm["evictions"],
-             warm["invalidations"], warm["size"]),
-        ],
-        title="self-energy cache probe (same bias solved twice)",
-    ))
-
     # --- mixed-precision probe ----------------------------------------
-    # Re-solve the probe bias in precision="mixed" (RGF only) under a
+    # Solve the last bias once in precision="mixed" (RGF only) under a
     # fresh registry: the precision.* family — refinement iterations,
     # residual backward errors, certified points, FP64 escalations —
     # flows through the same telemetry merge-back as every other metric,
@@ -754,10 +720,13 @@ def _cmd_doctor(args) -> int:
         prec_registry = MetricsRegistry()
         probe_mx = TransportCalculation(
             built, method="rgf", n_energy=11,
-            backend="serial", precision="mixed",
+            backend="serial", precision="mixed", energy_mode="uniform",
+        )
+        pot_probe = scf.atom_potential_ev(
+            scf.initial_potential(vgs[-1], args.vd)
         )
         with use_metrics(prec_registry):
-            probe_mx.solve_bias(pot_probe, args.vd, energy_grid=probe_grid)
+            probe_mx.solve_bias(pot_probe, args.vd)
         prec = prec_registry.snapshot()
         prec_flat = prec.flat()
         print(format_table(

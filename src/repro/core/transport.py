@@ -32,7 +32,7 @@ from ..observability.telemetry import (
     merge_delta,
 )
 from ..observability.tracer import get_tracer, trace_span
-from ..parallel.backend import SelfEnergyCache, get_backend
+from ..parallel.backend import get_backend
 from ..solvers.precision import precision_from_env, resolve_precision
 from ..parallel.scheduler import split_chunks, wave_chunks
 from ..perf.flops import (
@@ -161,12 +161,6 @@ class TransportCalculation:
         bit-identical to the others.
     workers : int or None
         Worker count for the pooled backends (None: ``$REPRO_WORKERS``).
-    sigma_cache : SelfEnergyCache, True or None
-        Shared contact self-energy cache (True builds a fresh one).
-        Hits skip the Sancho-Rubio decimation entirely — and therefore
-        its *measured* flops — so the default is off to keep existing
-        measured-flop baselines untouched.  The cache is invalidated
-        whenever ``solve_bias`` sees a changed potential.
     injector : repro.resilience.FaultInjector or None
         Numerical-fault injection for chaos campaigns: site ``"hblock"``
         corrupts the per-k Hamiltonian (NaN / ill-conditioning), site
@@ -204,7 +198,6 @@ class TransportCalculation:
         adaptive_max_passes: int = 12,
         backend=None,
         workers=None,
-        sigma_cache=None,
         injector=None,
         degradation_budget=None,
         precision=None,
@@ -245,12 +238,8 @@ class TransportCalculation:
         self.adaptive_max_passes = int(adaptive_max_passes)
         self.spin_degeneracy = 1 if built.material.basis.spin else 2
         self.backend = get_backend(backend, workers)
-        if sigma_cache is True:
-            sigma_cache = SelfEnergyCache()
-        self.sigma_cache = sigma_cache
         self.injector = injector
         self.degradation_budget = degradation_budget or DegradationBudget()
-        self._potential_fingerprint: bytes | None = None
 
     @property
     def batch_energies(self) -> bool:
@@ -263,6 +252,13 @@ class TransportCalculation:
         dispatch (kept, like :attr:`batch_energies`, because
         ``benchmarks/e2e`` reads it)."""
         return False
+
+    @property
+    def sigma_cache(self) -> None:
+        """Always None: the contacts are recomputed at every (k, E)
+        (kept, like :attr:`zero_copy`, because ``benchmarks/e2e`` reads
+        it)."""
+        return None
 
     @property
     def stack_length(self) -> int:
@@ -328,14 +324,10 @@ class TransportCalculation:
         if self.method == "rgf":
             return RGFSolver(
                 H, eta=self.eta, surface_method=method,
-                sigma_cache=self.sigma_cache,
                 precision=precision or self.precision,
                 refine_faults=self.refine_faults or None,
             )
-        return WFSolver(
-            H, eta=self.eta, surface_method=method,
-            sigma_cache=self.sigma_cache,
-        )
+        return WFSolver(H, eta=self.eta, surface_method=method)
 
     def _charge_flops(self, counter: FlopCounter, shape, n_channels: int) -> None:
         """Charge one (k, E) solve on a device of ``shape`` = (slabs, widest)."""
@@ -626,16 +618,6 @@ class TransportCalculation:
         degradation = DegradationReport()
         marker0 = sentinel.marker()
         elastic0 = self.backend.elastic_stats()
-        if self.sigma_cache is not None:
-            fp = np.ascontiguousarray(potential_ev).tobytes()
-            if (
-                self._potential_fingerprint is not None
-                and fp != self._potential_fingerprint
-            ):
-                # entries keyed by the old lead blocks can never be hit
-                # again; drop them so the cache only holds live keys
-                self.sigma_cache.invalidate("potential-update")
-            self._potential_fingerprint = fp
         built = self.built
         kT = built.spec.kT
         mu_s = built.contact_mu("source")

@@ -225,14 +225,6 @@ class RGFSolver:
         Retarded infinitesimal (eV).
     surface_method : {"sancho", "eigen", "robust"}
         Surface-GF algorithm for the contacts.
-    sigma_cache : repro.parallel.SelfEnergyCache or None
-        Optional shared self-energy cache.  None (default) keeps the
-        historical always-recompute behaviour (and its measured flop
-        profile) untouched.
-    lead_tokens : (str, str) or None
-        Precomputed (left, right) cache tokens, so a solver sharing
-        another's leads (the FP64 twin) skips re-hashing the lead bytes.
-        None hashes the lead blocks as usual.
     precision : {"fp64", "mixed", "fp32"} or None
         Numeric execution mode.  ``None``/``"fp64"`` is the historical
         complex128 path, bit-identical to every prior release.
@@ -260,8 +252,6 @@ class RGFSolver:
         lead_right=None,
         eta: float = 1e-6,
         surface_method: str = "sancho",
-        sigma_cache=None,
-        lead_tokens=None,
         precision=None,
         refine_faults=None,
     ):
@@ -289,8 +279,8 @@ class RGFSolver:
         )
         self.contacts = Contacts(
             hamiltonian, lead_left, lead_right, eta=eta,
-            method=surface_method, cache=sigma_cache, tokens=lead_tokens,
-            precision=self.precision,
+            method=surface_method,
+            dtype=np.complex64 if self.precision == "fp32" else None,
         )
 
     # ------------------------------------------------------------------
@@ -363,10 +353,9 @@ class RGFSolver:
     def fp64_solver(self) -> "RGFSolver":
         """The full-FP64 escalation twin of this solver (cached).
 
-        Shares the Hamiltonian, leads, eta, surface method and the sigma
-        cache (mixed-mode self-energies are keyed with the ``"fp64"``
-        precision token, so the twin hits the very same entries
-        bit-for-bit).  A pure-FP64 solver is its own twin.
+        Shares the Hamiltonian, leads, eta and surface method (mixed-mode
+        self-energies are already full FP64, so the twin recomputes the
+        very same ones bit-for-bit).  A pure-FP64 solver is its own twin.
         """
         if self.precision == "fp64":
             return self
@@ -375,8 +364,7 @@ class RGFSolver:
             c = self.contacts
             twin = RGFSolver(
                 self.H, lead_left=c.left, lead_right=c.right, eta=c.eta,
-                surface_method=c.method, sigma_cache=c.cache,
-                lead_tokens=c.tokens, precision="fp64",
+                surface_method=c.method, precision="fp64",
             )
             self._fp64_twin = twin
         return twin
@@ -510,9 +498,8 @@ class RGFSolver:
 
         Per batch slice:
 
-        * self-energies stay full FP64 (shared, bit-for-bit, with the
-          FP64 cache entries — the per-kernel validation showed the
-          decimation cannot be certified in fp32),
+        * self-energies stay full FP64 (the per-kernel validation showed
+          the decimation cannot be certified in fp32),
         * the system matrix is assembled in fp64, rounded once to
           complex64 and factored by the stacked block LU,
         * transmission and contact spectral densities come from two

@@ -94,64 +94,54 @@ class LeadSelfEnergy:
         return U[:, keep] * np.sqrt(ev[keep])[None, :]
 
 
-def _sigma_precision(precision) -> str:
-    """Numeric-content precision token of a self-energy evaluation.
-
-    ``"fp32"`` only for the pure-complex64 screening mode; ``"mixed"``
-    maps to ``"fp64"`` because mixed-mode transport deliberately keeps
-    its self-energies in full double precision (the per-kernel
-    validation showed the fp32 decimation cannot be certified for
-    propagating modes, and the LAPACK-bound solves gain nothing from
-    complex64 anyway) — so a mixed run and a pure-FP64 run share cache
-    entries bit-for-bit.
-    """
-    from ..solvers.precision import resolve_precision
-
-    return "fp32" if resolve_precision(precision) == "fp32" else "fp64"
-
-
-def _cache_key(cache_token, side, method, eta, energy, precision="fp64"):
-    """Exact (no rounding) cache key of one self-energy evaluation.
-
-    The trailing precision token keys the *numeric content* of the
-    stored sigma, so complex64 screening results can never be served to
-    a double-precision solve (or vice versa).
-    """
-    return (
-        cache_token, side, method, float(eta), float(energy),
-        _sigma_precision(precision),
-    )
-
-
-def _resolve_token(cache_token, h00, h01, tau):
-    """Content token of the lead blocks (computed here only if missing)."""
-    if cache_token is not None:
-        return cache_token
-    # deferred import: repro.parallel pulls in the resilience/scheduler
-    # stack, which must not become a module-level dependency of negf
-    from ..parallel.backend import lead_token
-
-    token = lead_token(h00, h01)
-    if tau is not None:
-        token = token + lead_token(tau, tau)
-    return token
-
-
 def _surface_gf_point(energy, h00, h01, side, method, eta):
-    """Surface GF of the methods that are not stack-vectorised.
-
-    Returns ``(g, degraded)``; ``degraded`` marks a ``robust`` answer
-    that came from a fallback rung.
-    """
+    """Surface GF of the methods that are not stack-vectorised."""
     if method == "eigen":
-        return eigen_surface_gf(energy, h00, h01, side=side, eta=eta), False
+        return eigen_surface_gf(energy, h00, h01, side=side, eta=eta)
     if method == "robust":
         # local import: repro.resilience.policies imports this package
         from ..resilience.policies import robust_surface_gf
 
-        g, path = robust_surface_gf(energy, h00, h01, side=side, eta=eta)
-        return g, path != "sancho"
+        return robust_surface_gf(energy, h00, h01, side=side, eta=eta)[0]
     raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
+
+
+def _sigma_stack(energies, h00, h01, tau, side, method, eta, dtype):
+    """The ``(B, m, m)`` self-energy stack of one contact.
+
+    ``method="sancho"`` runs the stacked
+    :func:`repro.negf.surface_gf.sancho_rubio_batch` decimation; the
+    other methods evaluate their surface GF point by point.  Either way
+    one broadcast ``tau^+ g tau`` triple product folds the stack onto the
+    contact slab, per-slice identical under any grouping of energies.
+    """
+    energies = np.asarray(energies, dtype=float).ravel()
+    if method == "sancho":
+        g_stack, _ = sancho_rubio_batch(
+            energies, h00, h01, side=side, eta=eta, dtype=dtype
+        )
+    else:
+        g_stack = np.array(
+            [_surface_gf_point(e, h00, h01, side, method, eta)
+             for e in energies.tolist()],
+            dtype=complex,
+        ).reshape((-1,) + np.shape(h00))
+    tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
+    if side == "left":
+        sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
+    else:
+        sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
+    # a complex64 request returns complex64 whichever method produced g
+    return sigma_stack if dtype is None else sigma_stack.astype(dtype)
+
+
+def _wrap(sigma_stack, side, energies) -> list[LeadSelfEnergy]:
+    """One :class:`LeadSelfEnergy` per slice of a contact's stack."""
+    energies = np.asarray(energies, dtype=float).ravel().tolist()
+    return [
+        LeadSelfEnergy(sigma=sigma, side=side, energy=energy)
+        for sigma, energy in zip(sigma_stack, energies)
+    ]
 
 
 def contact_self_energy(
@@ -162,15 +152,13 @@ def contact_self_energy(
     side: str = "left",
     method: str = "sancho",
     eta: float = 1e-6,
-    cache=None,
-    cache_token: str | None = None,
-    precision: str = "fp64",
+    dtype=None,
 ) -> LeadSelfEnergy:
     """Retarded self-energy of one contact at one energy: the stack of
     one of :func:`contact_self_energy_batch` (same parameters)."""
     return contact_self_energy_batch(
         [energy], h00, h01, tau=tau, side=side, method=method, eta=eta,
-        cache=cache, cache_token=cache_token, precision=precision,
+        dtype=dtype,
     )[0]
 
 
@@ -182,18 +170,13 @@ def contact_self_energy_batch(
     side: str = "left",
     method: str = "sancho",
     eta: float = 1e-6,
-    cache=None,
-    cache_token: str | None = None,
-    precision: str = "fp64",
+    dtype=None,
 ) -> list[LeadSelfEnergy]:
     """Retarded self-energies of one contact for a stack of energies.
 
-    With ``method="sancho"`` the cache-missing energies run through the
-    stacked :func:`repro.negf.surface_gf.sancho_rubio_batch` decimation;
-    the other methods evaluate their surface GF point by point.  Either
-    way one broadcast ``tau^+ g tau`` triple product folds the stack
-    onto the contact slab, per-slice identical under any grouping of
-    energies.  Results are in ``energies`` order.
+    Slices of the one ``(B, m, m)`` stack the transport kernels consume
+    (:meth:`Contacts.sigma_stacks`), wrapped per energy and returned in
+    ``energies`` order; a slice does not depend on its stack-mates.
 
     Parameters
     ----------
@@ -212,73 +195,15 @@ def contact_self_energy_batch(
         fallback) instead of aborting on non-convergence.
     eta : float
         Retarded infinitesimal (eV).
-    cache : repro.parallel.SelfEnergyCache or None
-        Optional shared cache; a hit returns the stored object (keys are
-        exact, so cached and uncached runs agree bitwise — but note a
-        hit skips the surface-GF work and therefore its measured flops).
-    cache_token : str or None
-        Precomputed lead fingerprint (``repro.parallel.lead_token``);
-        None computes it here, callers in hot loops should precompute.
-    precision : {"fp64", "mixed", "fp32"}
-        Numeric mode of the evaluation.  ``"fp32"`` runs the decimation
-        in complex64 and returns a complex64 sigma; ``"mixed"`` is
-        identical to ``"fp64"`` here (see :func:`_sigma_precision`).
-        The token is part of the cache key either way.
+    dtype : numpy dtype or None
+        None is full double precision.  ``numpy.complex64`` (the
+        ``"fp32"`` screening mode of :class:`repro.negf.RGFSolver`) runs
+        the decimation in complex64 and returns a complex64 sigma.
     """
-    fp32 = _sigma_precision(precision) == "fp32"
-    energy_list = [float(e) for e in np.asarray(energies, dtype=float).ravel()]
-    results: list = [None] * len(energy_list)
-    keys: list = [None] * len(energy_list)
-    missing: list[int] = []
-    if cache is not None:
-        cache_token = _resolve_token(cache_token, h00, h01, tau)
-    for i, e in enumerate(energy_list):
-        if cache is not None:
-            keys[i] = _cache_key(cache_token, side, method, eta, e, precision)
-            results[i] = cache.lookup(keys[i])
-        if results[i] is None:
-            missing.append(i)
-    if not missing:
-        return results
-    if method == "sancho":
-        g_stack, _ = sancho_rubio_batch(
-            np.array([energy_list[i] for i in missing]), h00, h01,
-            side=side, eta=eta, dtype=np.complex64 if fp32 else None,
-        )
-        degraded = [False] * len(missing)
-    else:
-        points = [
-            _surface_gf_point(energy_list[i], h00, h01, side, method, eta)
-            for i in missing
-        ]
-        g_stack = np.stack([g for g, _ in points])
-        degraded = [d for _, d in points]
-    tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
-    if side == "left":
-        sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
-    else:
-        sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
-    if fp32:
-        # the stored screening sigma is complex64 whichever method (and
-        # precision) produced g
-        sigma_stack = sigma_stack.astype(np.complex64)
-    for j, i in enumerate(missing):
-        results[i] = LeadSelfEnergy(
-            sigma=np.ascontiguousarray(sigma_stack[j]),
-            side=side,
-            energy=energy_list[i],
-        )
-        if cache is None:
-            continue
-        if degraded[j]:
-            # a fallback answer (escalated eta or eigen construction) is
-            # deliberately computed at *different* parameters than the
-            # cache key claims — caching it would poison every later
-            # lookup at this (method, eta, E) with a degraded Sigma
-            cache.reject("degraded-solve")
-        else:
-            cache.store(keys[i], results[i])
-    return results
+    return _wrap(
+        _sigma_stack(energies, h00, h01, tau, side, method, eta, dtype),
+        side, energies,
+    )
 
 
 class Contacts:
@@ -293,17 +218,12 @@ class Contacts:
         repeat the lead cell at flat potential.
     lead_left, lead_right : (h00, h01) tuples or None
         Lead cell blocks.
-    eta, method, cache, precision
+    eta, method, dtype
         As in :func:`contact_self_energy_batch`.
-    tokens : (str, str) or None
-        Precomputed (left, right) cache tokens, so a solver sharing
-        another's leads skips re-hashing the lead bytes.  None hashes the
-        lead blocks (only when there is a cache to key).
     """
 
     def __init__(self, hamiltonian, lead_left=None, lead_right=None,
-                 eta: float = 1e-6, method: str = "sancho", cache=None,
-                 tokens=None, precision: str = "fp64"):
+                 eta: float = 1e-6, method: str = "sancho", dtype=None):
         self.left = (
             lead_left
             if lead_left is not None
@@ -316,34 +236,23 @@ class Contacts:
         )
         self.eta = eta
         self.method = method
-        self.cache = cache
-        self.precision = precision
-        if cache is None:
-            tokens = (None, None)
-        elif tokens is None:
-            from ..parallel.backend import lead_token
-
-            tokens = (lead_token(*self.left), lead_token(*self.right))
-        self.tokens = tokens
+        self.dtype = dtype
 
     def sigma_stacks(self, energies):
         """Left and right ``(B, m, m)`` self-energy stacks — what the
         kernel stage of either transport solver consumes."""
         return tuple(
-            np.stack([s.sigma for s in sigs])
-            for sigs in self.self_energies(energies)
+            _sigma_stack(
+                energies, *lead, None, side, self.method, self.eta, self.dtype
+            )
+            for lead, side in ((self.left, "left"), (self.right, "right"))
         )
 
     def self_energies(self, energies):
-        """Left and right self-energy lists for a stack of energies."""
-        return tuple(
-            contact_self_energy_batch(
-                energies, *lead, side=side, method=self.method,
-                eta=self.eta, cache=self.cache, cache_token=token,
-                precision=self.precision,
-            )
-            for lead, side, token in (
-                (self.left, "left", self.tokens[0]),
-                (self.right, "right", self.tokens[1]),
-            )
+        """Left and right self-energy lists for a stack of energies:
+        the slices of :meth:`sigma_stacks`, wrapped per energy."""
+        sigma_l, sigma_r = self.sigma_stacks(energies)
+        return (
+            _wrap(sigma_l, "left", energies),
+            _wrap(sigma_r, "right", energies),
         )

@@ -31,8 +31,8 @@ dashboards have one place to look):
   ``adaptive.est_error`` (gauge: worst interval interpolation error of
   the last scored wave).  All recorded parent-side from bitwise
   round-tripped results, so they are exactly equal on every backend;
-* ``cache.*``, ``scf.*``, ``comm.*``, ``kernel.*`` — self-energy cache,
-  convergence telemetry, per-level communication and kernel flops.
+* ``scf.*``, ``comm.*``, ``kernel.*`` — convergence telemetry,
+  per-level communication and kernel flops.
 
 Mirroring the tracer, the default active registry is a shared
 :class:`NullMetrics` whose ``enabled`` flag is False — instrumented call

@@ -13,7 +13,7 @@ the paths we stopped seeing into":
    packages what they collected into a compact, picklable
    :class:`TelemetryDelta` (metric snapshot + closed spans + flop
    ledger + clock epochs).  The parent folds deltas back with
-   :func:`merge_delta`, so ``flops.*``, ``selfenergy_cache.*``,
+   :func:`merge_delta`, so ``flops.*``, ``precision.*``,
    ``health.*`` and ``ipc.*`` totals are exact across every backend, and
    merged spans land in the parent tracer with worker provenance and
    clock-offset alignment (:meth:`Tracer.absorb`).

@@ -19,11 +19,9 @@ from .backend import (
     BACKEND_NAMES,
     ExecutionBackend,
     ProcessBackend,
-    SelfEnergyCache,
     SerialBackend,
     ThreadBackend,
     get_backend,
-    lead_token,
 )
 from .scheduler import (
     ScheduleReport,
@@ -40,11 +38,9 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessBackend",
-    "SelfEnergyCache",
     "SerialBackend",
     "ThreadBackend",
     "get_backend",
-    "lead_token",
     "round_robin",
     "split_chunks",
     "wave_chunks",

@@ -1,20 +1,12 @@
-"""Execution backends and the contact self-energy cache.
+"""Execution backends: how one rank's chunks of energy points are run.
 
-This is the batched-execution layer of the reproduction (ISSUE 4): the
-transport driver hands whole *chunks* of independent energy points to an
-:class:`ExecutionBackend`, which runs them serially, on threads, or on a
-``ProcessPoolExecutor`` — and the innermost kernels share a keyed,
-size-bounded :class:`SelfEnergyCache` so Sancho-Rubio surface GFs and
-contact self-energies computed once are reused across energy points,
-k-points, SCF iterations and adaptive refinement waves (OMEN reuses its
-boundary self-energies the same way; they depend only on the lead blocks,
-not the interior device).  Keys are exact per energy, which is what makes
-wave-scheduled refinement compose with the cache: every wave of one
-(bias, k) solve resolves to the same ``lead_token``, and when the SCF
-loop re-solves the refined node set at the next iteration every Σ(E)
-computed during refinement is a hit (on the serial and thread backends,
-which share the parent's cache; a process worker fills the copy pickled
-into its chunk payload).
+The transport driver (:mod:`repro.core.transport`) hands whole *chunks*
+of independent energy points to an :class:`ExecutionBackend`, which runs
+them serially, on threads, or on a ``ProcessPoolExecutor``.  Nothing is
+shared between chunks: every (k, E) solve recomputes its own contact
+self-energies (PAPER.md §1 step 3; docs/ARCHITECTURE.md "Why contacts
+are recomputed"), so a chunk is a pure function of its payload and every
+backend returns the same bits.
 
 Backend choice is orthogonal to the 4-level decomposition model in
 :mod:`repro.parallel.decomposition`: the decomposition says *which* rank
@@ -39,10 +31,7 @@ executors; everything is shut down at interpreter exit.
 from __future__ import annotations
 
 import atexit
-import hashlib
-import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import (
     CancelledError,
     ProcessPoolExecutor,
@@ -51,8 +40,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
+from .. import env
 from ..observability.metrics import get_metrics
 from ..observability.telemetry import get_events
 
@@ -60,157 +48,12 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessBackend",
-    "SelfEnergyCache",
     "SerialBackend",
     "ThreadBackend",
     "get_backend",
-    "lead_token",
 ]
 
 BACKEND_NAMES = ("serial", "thread", "process")
-
-
-def lead_token(h00: np.ndarray, h01: np.ndarray) -> str:
-    """Content fingerprint of a lead's defining blocks.
-
-    The surface GF depends on the lead only through (h00, h01), so a
-    sha1 over their bytes keys the cache exactly: two solvers whose lead
-    blocks are bit-identical share entries, and any potential or
-    Hamiltonian change that reaches the lead slab changes the token.
-    """
-    digest = hashlib.sha1()
-    h00 = np.ascontiguousarray(h00)
-    h01 = np.ascontiguousarray(h01)
-    digest.update(str(h00.shape).encode())
-    digest.update(h00.tobytes())
-    digest.update(str(h01.shape).encode())
-    digest.update(h01.tobytes())
-    return digest.hexdigest()
-
-
-class SelfEnergyCache:
-    """Size-bounded LRU cache for lead self-energies / surface GFs.
-
-    Keys are exact tuples ``(lead_token, side, method, eta, energy)`` —
-    no rounding: a cache hit returns the *identical* object that a fresh
-    computation would have produced at that key, so cached and uncached
-    runs agree bitwise.  Thread-safe (the thread backend shares one
-    instance across workers); picklable (the lock is dropped and rebuilt
-    so solvers holding a cache can cross a process boundary — each child
-    then starts from a snapshot copy, and its own hit/miss activity is
-    merged back into the parent metrics by the telemetry layer).
-
-    Counters (``hits``/``misses``/``evictions``/``invalidations``) are
-    mirrored into the MetricsRegistry under ``selfenergy_cache.*`` when
-    metrics are enabled, which is what ``repro doctor`` and the backend
-    test suite read.
-    """
-
-    def __init__(self, maxsize: int = 2048):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = int(maxsize)
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.rejected = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def lookup(self, key):
-        """Return the cached value for ``key`` or None (and count it)."""
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                value = self._data[key]
-                hit = True
-            else:
-                self.misses += 1
-                value = None
-                hit = False
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("selfenergy_cache.hits" if hit else
-                        "selfenergy_cache.misses", 1.0)
-        return value
-
-    def store(self, key, value) -> None:
-        """Insert ``key -> value``, evicting least-recently-used entries.
-
-        Values carrying a non-finite ``sigma`` (a broken-down solve) are
-        rejected instead of stored — a poisoned cache entry would corrupt
-        every later energy point that hits it.
-        """
-        sigma = getattr(value, "sigma", None)
-        if sigma is not None and not np.all(np.isfinite(sigma)):
-            self.reject("nonfinite")
-            return
-        evicted = 0
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        if evicted:
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("selfenergy_cache.evictions", float(evicted))
-
-    def reject(self, reason: str = "") -> None:
-        """Refuse to cache a value (degraded solve / non-finite entries)."""
-        with self._lock:
-            self.rejected += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc(
-                "selfenergy_cache.rejected", 1.0,
-                reason=reason or "unspecified",
-            )
-
-    def invalidate(self, reason: str = "") -> int:
-        """Drop every entry (potential/Hamiltonian changed); return count."""
-        with self._lock:
-            n = len(self._data)
-            self._data.clear()
-            self.invalidations += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc(
-                "selfenergy_cache.invalidations",
-                1.0,
-                reason=reason or "unspecified",
-            )
-        return n
-
-    @property
-    def stats(self) -> dict:
-        """Counter snapshot for reports and the doctor output."""
-        return {
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "rejected": self.rejected,
-        }
-
-    # pickling: locks don't cross process boundaries
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +154,9 @@ def _resolve_deadline(deadline_s) -> float | None:
     a non-positive value also disables the deadline.
     """
     if deadline_s is None:
-        raw = os.environ.get("REPRO_DEADLINE_S") or ""
-        if not raw:
+        deadline_s = env.read("REPRO_DEADLINE_S")
+        if deadline_s is None:
             return None
-        deadline_s = float(raw)
     deadline_s = float(deadline_s)
     return deadline_s if deadline_s > 0 else None
 
@@ -386,7 +228,7 @@ class ProcessBackend(ExecutionBackend):
     capture_telemetry`) and shipped back in the pickled result envelope
     of the task return path, then merged into the parent registries
     (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
-    and ``selfenergy_cache.*`` totals match the serial backend exactly.
+    and ``precision.*`` totals match the serial backend exactly.
 
     With a ``deadline_s``, a chunk overdue past its deadline triggers an
     *orderly pool restart*: the shared pool is unregistered, cancelled and
@@ -496,16 +338,14 @@ def get_backend(name=None, workers=None) -> ExecutionBackend:
     if isinstance(name, ExecutionBackend):
         return name
     if name is None:
-        # an empty environment value means "unset" (e.g. a CI matrix leg
-        # exporting REPRO_BACKEND="")
-        name = os.environ.get("REPRO_BACKEND") or "serial"
+        name = env.read("REPRO_BACKEND")
     name = str(name).lower()
     if name not in _BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
     if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS") or "2")
+        workers = env.read("REPRO_WORKERS")
     if name == "serial":
         return SerialBackend()
     return _BACKENDS[name](workers=workers)

@@ -21,11 +21,12 @@ Two energy-grid constructions are provided:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .. import env
 
 __all__ = [
     "EnergyGrid",
@@ -54,8 +55,7 @@ def adaptive_enabled(flag=None) -> bool:
     """
     if flag is not None:
         return bool(flag)
-    raw = (os.environ.get("REPRO_ADAPTIVE") or "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
+    return env.read("REPRO_ADAPTIVE")
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:

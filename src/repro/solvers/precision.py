@@ -32,11 +32,11 @@ energy chunking and backend choice.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import env
 from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
 from ..perf.flops import zgemm_flops
@@ -101,7 +101,7 @@ def precision_from_env(default: str = "fp64") -> str:
     """Precision mode from ``REPRO_PRECISION`` (consumed, like
     ``REPRO_BACKEND``, by :class:`~repro.core.TransportCalculation` —
     never by the raw solvers)."""
-    return resolve_precision(os.environ.get("REPRO_PRECISION") or default)
+    return resolve_precision(env.read("REPRO_PRECISION", default))
 
 
 def split_round(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

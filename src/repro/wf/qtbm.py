@@ -110,8 +110,6 @@ class WFSolver:
         surface_method: str = "sancho",
         factorization: str = "sparse",
         injection_tol_ev: float | None = None,
-        sigma_cache=None,
-        lead_tokens=None,
         precision=None,
     ):
         if hamiltonian.n_blocks < 2:
@@ -138,7 +136,7 @@ class WFSolver:
         self.injection_tol_ev = injection_tol_ev
         self.contacts = Contacts(
             hamiltonian, lead_left, lead_right, eta=eta,
-            method=surface_method, cache=sigma_cache, tokens=lead_tokens,
+            method=surface_method,
         )
 
     # ------------------------------------------------------------------

@@ -291,7 +291,7 @@ class TestAdaptiveTransport:
              **kwargs):
         tc = TransportCalculation(
             built, method="rgf", n_energy=21, backend=backend,
-            workers=workers, sigma_cache=True,
+            workers=workers,
             energy_mode="adaptive", adaptive_tol=0.05, **kwargs,
         )
         pot = np.zeros(built.n_atoms)

@@ -1,13 +1,12 @@
-"""Execution-backend properties: equivalence, caching, scheduling, resume.
+"""Execution-backend properties: equivalence, scheduling, resume.
 
 Locks down the contracts of :mod:`repro.parallel.backend`:
 
 * serial / thread / process backends (in stacks of one and in the
   device's own stack length) produce *identical* transport results and
   IV curves,
-* self-energy cache hit/miss/invalidation counters match the analytic
-  expectations exactly, both on the cache object and in the mirrored
-  ``selfenergy_cache.*`` metrics,
+* the backend is the only execution choice: the deleted ``zero_copy``
+  and ``sigma_cache`` knobs are rejected everywhere they used to thread,
 * the scheduler's round-robin and contiguous-chunk splitters cover every
   index for any ``n_points % n_ranks`` remainder (regression: a
   remainder must never be dropped), and
@@ -25,14 +24,11 @@ from repro.core import (
     IVSweep,
     SelfConsistentSolver,
 )
-from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel import (
     Decomposition,
-    SelfEnergyCache,
     SerialComm,
     choose_level_sizes,
     get_backend,
-    lead_token,
     round_robin,
     split_chunks,
 )
@@ -64,12 +60,11 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cached_solve_identical(self, built, reference, backend):
-        """The self-energy cache must never change a single bit."""
+        """A second solve on the same calculation is bit-identical on
+        every backend: nothing is carried from one solve to the next."""
         pot, grid, ref = reference
-        tc = _transport(
-            built, backend=backend, workers=2, sigma_cache=True,
-        )
-        for _ in range(2):  # second pass served from the cache
+        tc = _transport(built, backend=backend, workers=2)
+        for _ in range(2):
             res = tc.solve_bias(pot, 0.05, energy_grid=grid)
             assert res.current_a == ref.current_a
             np.testing.assert_array_equal(res.transmission, ref.transmission)
@@ -124,100 +119,6 @@ class TestBackendEquivalence:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             get_backend("cuda")
-
-
-class TestSelfEnergyCache:
-    def test_counters_match_analytic_expectation(self, built, reference):
-        pot, grid, _ = reference
-        cache = SelfEnergyCache()
-        registry = MetricsRegistry()
-        # counters are a shared-memory contract: pin the serial backend so
-        # a REPRO_BACKEND=process environment cannot strand the counts in
-        # child processes
-        tc = _transport(built, backend="serial", sigma_cache=cache)
-        n_e = len(grid.energies)
-        with use_metrics(registry):
-            tc.solve_bias(pot, 0.05, energy_grid=grid)
-            stats = dict(cache.stats)
-            # one miss per (energy, lead) on the cold pass
-            assert stats["misses"] == 2 * n_e
-            assert stats["hits"] == 0
-            assert stats["size"] == 2 * n_e
-            tc.solve_bias(pot, 0.05, energy_grid=grid)
-            stats = dict(cache.stats)
-            assert stats["misses"] == 2 * n_e
-            assert stats["hits"] == 2 * n_e
-        snap = registry.snapshot()
-        assert snap.counter("selfenergy_cache.misses") == 2 * n_e
-        assert snap.counter("selfenergy_cache.hits") == 2 * n_e
-
-    def test_invalidation_on_potential_update(self, built, reference):
-        pot, grid, _ = reference
-        cache = SelfEnergyCache()
-        tc = _transport(built, backend="serial", sigma_cache=cache)
-        tc.solve_bias(pot, 0.05, energy_grid=grid)
-        assert cache.stats["invalidations"] == 0
-        bumped = pot + 0.01
-        tc.solve_bias(bumped, 0.05, energy_grid=grid)
-        stats = dict(cache.stats)
-        assert stats["invalidations"] == 1
-        # everything recomputed after the flush
-        assert stats["misses"] == 2 * 2 * len(grid.energies)
-        assert stats["hits"] == 0
-        # unchanged potential must NOT invalidate
-        tc.solve_bias(bumped, 0.05, energy_grid=grid)
-        assert cache.stats["invalidations"] == 1
-        assert cache.stats["hits"] == 2 * len(grid.energies)
-
-    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
-    def test_scalar_then_stacked_calls_share_entries(self, method):
-        """One implementation, one key: what the scalar entry stored,
-        the stacked entry over the same energies finds — all hits, the
-        very objects, one lookup per energy."""
-        from repro.negf import contact_self_energy, contact_self_energy_batch
-
-        h00 = np.array([[0.1, -1.0], [-1.0, 0.1]], dtype=complex)
-        h01 = np.array([[0.0, 0.0], [-0.6, 0.0]], dtype=complex)
-        energies = [-2.5, -1.4, 0.1, 1.1]
-        cache = SelfEnergyCache()
-        kwargs = dict(side="right", method=method, eta=1e-6, cache=cache)
-        scalar = [contact_self_energy(e, h00, h01, **kwargs) for e in energies]
-        assert cache.stats["misses"] == len(energies)
-        assert cache.stats["hits"] == 0
-        stacked = contact_self_energy_batch(energies, h00, h01, **kwargs)
-        assert cache.stats["misses"] == len(energies)
-        assert cache.stats["hits"] == len(energies)
-        assert all(a is b for a, b in zip(scalar, stacked))
-        # a partly warm stack computes only what is missing
-        contact_self_energy_batch(energies + [2.0], h00, h01, **kwargs)
-        assert cache.stats["misses"] == len(energies) + 1
-        assert cache.stats["hits"] == 2 * len(energies)
-        assert cache.stats["size"] == len(energies) + 1
-
-    def test_lru_eviction(self):
-        cache = SelfEnergyCache(maxsize=4)
-        for i in range(6):
-            cache.store(("tok", "left", "sancho", 1e-6, float(i)), i)
-        assert len(cache) == 4
-        assert cache.stats["evictions"] == 2
-        # oldest entries evicted, newest retained
-        assert cache.lookup(("tok", "left", "sancho", 1e-6, 0.0)) is None
-        assert cache.lookup(("tok", "left", "sancho", 1e-6, 5.0)) == 5
-
-    def test_lead_token_distinguishes_leads(self):
-        h00 = np.eye(2, dtype=complex)
-        h01 = np.full((2, 2), 0.5, dtype=complex)
-        assert lead_token(h00, h01) == lead_token(h00.copy(), h01.copy())
-        assert lead_token(h00, h01) != lead_token(h00, 2.0 * h01)
-        assert lead_token(h00, h01) != lead_token(h00 + 0.1, h01)
-
-    def test_cache_pickles_without_lock(self):
-        import pickle
-
-        cache = SelfEnergyCache()
-        cache.store(("t", "left", "sancho", 1e-6, 0.5), 42)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.lookup(("t", "left", "sancho", 1e-6, 0.5)) == 42
 
 
 class TestSchedulerRemainder:
@@ -323,12 +224,44 @@ class TestSingleDispatchPath:
             DistributedTransport(_transport(built), zero_copy=True)
 
     def test_harness_contract_properties(self, built):
-        """``benchmarks/e2e`` records these two in its resolved config."""
+        """``benchmarks/e2e`` records these three in its resolved config."""
         tc = _transport(built)
         assert tc.zero_copy is False
         assert tc.batch_energies is True
+        assert tc.sigma_cache is None
         with pytest.raises(AttributeError):
             tc.zero_copy = True
+        with pytest.raises(AttributeError):
+            tc.sigma_cache = object()
+
+    @pytest.mark.parametrize("argument", ["sigma_cache", "lead_tokens"])
+    def test_sigma_cache_is_not_an_option(self, built, argument):
+        """The contacts are recomputed at every (k, E): no constructor
+        takes a self-energy cache or the tokens that keyed it."""
+        from repro.negf import RGFSolver
+
+        H = _transport(built).hamiltonian(np.zeros(built.n_atoms))
+        for solver in (RGFSolver, WFSolver):
+            solver(H)
+            with pytest.raises(TypeError):
+                solver(H, **{argument: None})
+        with pytest.raises(TypeError):
+            _transport(built, **{argument: None})
+
+    def test_sigma_cache_survives_only_as_the_harness_property(self):
+        """Identifier guard: under ``src/repro`` the name ``sigma_cache``
+        is the read-only ``TransportCalculation`` property, nothing else."""
+        import pathlib
+
+        import repro
+
+        hits = [
+            (path.name, line.strip())
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if "sigma_cache" in line
+        ]
+        assert hits == [("transport.py", "def sigma_cache(self) -> None:")]
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="no POSIX shared-memory mount"

@@ -226,3 +226,48 @@ class TestOneDriver:
             and node.func.attr == "fire"
         )
         assert sites == ["energy", "hblock", "worker"]
+
+
+class TestOneEnvironmentReader:
+    """The six ``REPRO_*`` variables are read in ``repro.env`` only."""
+
+    def test_no_other_module_touches_the_environment(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        readers = set()
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv", "putenv")
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}
+                ):
+                    readers.add(str(path.relative_to(root)))
+        assert readers == {"env.py"}
+
+    def test_empty_means_unset_and_values_are_parsed(self, monkeypatch):
+        from repro import env
+
+        for name in env.resolved():
+            monkeypatch.setenv(name, "")
+        assert env.resolved() == {
+            "REPRO_BACKEND": "serial", "REPRO_WORKERS": 2,
+            "REPRO_DEADLINE_S": None, "REPRO_ADAPTIVE": False,
+            "REPRO_PRECISION": "fp64", "REPRO_EVENTS": "",
+        }
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_DEADLINE_S", "2.5")
+        monkeypatch.setenv("REPRO_ADAPTIVE", " Yes ")
+        assert env.read("REPRO_WORKERS") == 3
+        assert env.read("REPRO_DEADLINE_S") == 2.5
+        assert env.read("REPRO_ADAPTIVE") is True
+        assert env.read("REPRO_PRECISION", "mixed") == "mixed"
+        with pytest.raises(KeyError):
+            env.read("REPRO_ZERO_COPY")

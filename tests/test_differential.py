@@ -254,7 +254,7 @@ def test_adaptive_bit_identical_across_backends(idx):
     def run(backend, workers=None):
         tc = TransportCalculation(
             built, method="rgf", n_energy=11, backend=backend,
-            workers=workers, sigma_cache=True,
+            workers=workers,
             energy_mode="adaptive", adaptive_tol=0.05,
         )
         return tc.solve_bias(pot, 0.05)

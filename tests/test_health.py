@@ -8,7 +8,6 @@ The contracts under test:
   contact self-energies, Poisson right-hand sides) are either raised as
   typed errors (strict) or contained, healed and accounted (contain) —
   never silently propagated into observables;
-* degraded or non-finite self-energies are never cached;
 * a hung backend worker is detected by deadline and recovered by
   speculative re-execution (threads) or an orderly pool restart
   (processes).
@@ -29,7 +28,6 @@ from repro.errors import NumericalBreakdownError
 from repro.negf.rgf import RGFSolver
 from repro.parallel.backend import (
     ProcessBackend,
-    SelfEnergyCache,
     ThreadBackend,
     _resolve_deadline,
 )
@@ -286,19 +284,6 @@ class TestNonFinitePropagationProperties:
         if np.isnan(bad):
             assert non_finite(res)
 
-    @PROPERTY_SETTINGS
-    @given(bad=NONFINITE)
-    def test_nonfinite_sigma_never_cached(self, bad):
-        class FakeSigma:
-            def __init__(self, value):
-                self.sigma = np.array([[value]], dtype=complex)
-
-        cache = SelfEnergyCache()
-        cache.store("key", FakeSigma(bad))
-        assert len(cache) == 0
-        assert cache.rejected == 1
-        assert cache.lookup("key") is None
-
 
 class _PoisonedCharge:
     """Charge model returning a non-finite density (a poisoned rank)."""
@@ -345,87 +330,6 @@ class TestPoissonRHSPoisoning:
         with use_sentinel(HealthSentinel(mode="off")):
             result = poisson.solve(_PoisonedCharge(), max_iter=3)
         assert not result.converged
-
-
-class TestSelfEnergyCacheRejection:
-    LEAD_H00 = np.array([[0.0]])
-    LEAD_H01 = np.array([[1.0]])
-
-    def test_healthy_sancho_solve_is_cached(self):
-        from repro.negf.self_energy import contact_self_energy
-
-        cache = SelfEnergyCache()
-        contact_self_energy(
-            0.5, self.LEAD_H00, self.LEAD_H01, side="left",
-            method="robust", cache=cache,
-        )
-        assert len(cache) == 1
-        assert cache.rejected == 0
-
-    def test_degraded_solve_rejected_not_cached(self, monkeypatch):
-        """Regression: a surface GF healed by a fallback rung must never
-        poison the cache for later (clean) energy points."""
-        from repro.negf.self_energy import contact_self_energy
-        from repro.negf.surface_gf import eigen_surface_gf
-        from repro.resilience import policies
-
-        def degraded(energy, h00, h01, side="left", eta=1e-6, **kwargs):
-            return eigen_surface_gf(energy, h00, h01, eta=eta), "eigen"
-
-        monkeypatch.setattr(policies, "robust_surface_gf", degraded)
-        cache = SelfEnergyCache()
-        result = contact_self_energy(
-            0.5, self.LEAD_H00, self.LEAD_H01, side="left",
-            method="robust", cache=cache,
-        )
-        assert np.all(np.isfinite(result.sigma))  # the solve itself healed
-        assert len(cache) == 0
-        assert cache.rejected == 1
-        assert cache.stats["rejected"] == 1
-
-    def test_degraded_solves_in_a_stack_rejected_each(self, monkeypatch):
-        """The stacked entry applies the same rule per energy: only the
-        energies healed by a fallback rung are kept out of the cache."""
-        from repro.negf.self_energy import contact_self_energy_batch
-        from repro.negf.surface_gf import eigen_surface_gf, sancho_rubio
-        from repro.resilience import policies
-
-        def degraded_above_zero(energy, h00, h01, side="left", eta=1e-6, **kw):
-            if energy > 0.0:
-                return eigen_surface_gf(energy, h00, h01, eta=eta), "eigen"
-            return sancho_rubio(energy, h00, h01, side=side, eta=eta)[0], "sancho"
-
-        monkeypatch.setattr(policies, "robust_surface_gf", degraded_above_zero)
-        cache = SelfEnergyCache()
-        energies = [-0.5, 0.25, -0.25, 0.5]
-        first = contact_self_energy_batch(
-            energies, self.LEAD_H00, self.LEAD_H01, side="left",
-            method="robust", cache=cache,
-        )
-        assert all(np.all(np.isfinite(r.sigma)) for r in first)
-        assert len(cache) == 2
-        assert cache.rejected == 2
-        again = contact_self_energy_batch(
-            energies, self.LEAD_H00, self.LEAD_H01, side="left",
-            method="robust", cache=cache,
-        )
-        # clean energies are served, degraded ones recomputed and
-        # rejected again — never stored
-        assert [a is b for a, b in zip(first, again)] == [
-            True, False, True, False
-        ]
-        assert len(cache) == 2
-        assert cache.rejected == 4
-
-    def test_rejection_counter_reaches_metrics(self):
-        from repro.observability import MetricsRegistry, use_metrics
-
-        registry = MetricsRegistry()
-        cache = SelfEnergyCache()
-        with use_metrics(registry):
-            cache.reject("degraded-solve")
-        snap = registry.snapshot()
-        assert snap.total("selfenergy_cache.rejected") == 1.0
 
 
 # ----------------------------------------------------------------------

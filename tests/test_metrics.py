@@ -449,6 +449,8 @@ class TestDoctorCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "energies per stacked kernel call" in out
+        assert "env    : REPRO_BACKEND=" in out
+        assert "cache probe" not in out
         assert "SCF convergence" in out
         assert "all checks passed" in out
         for level in ("bias", "momentum", "energy", "spatial"):

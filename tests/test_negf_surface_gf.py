@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.negf import (
+    Contacts,
     contact_self_energy,
     contact_self_energy_batch,
     eigen_surface_gf,
@@ -274,19 +275,53 @@ class TestSelfEnergy:
         with pytest.raises(ValueError):
             contact_self_energy(0.0, h00, h01, method="magic")
 
-    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
-    def test_scalar_entry_is_the_stack_of_one(self, method):
+    @pytest.mark.parametrize("method,dtype", [
+        pytest.param("sancho", None, id="sancho"),
+        pytest.param("eigen", None, id="eigen"),
+        pytest.param("robust", None, id="robust"),
+        pytest.param("sancho", np.complex64, id="complex64"),
+    ])
+    def test_scalar_entry_is_the_stack_of_one(self, method, dtype):
         h00, h01 = dimer_lead()
         energies = [-2.5, -1.4, 0.1, 1.1]
-        stack = contact_self_energy_batch(
-            energies, h00, h01, side="right", method=method, eta=1e-6
-        )
+        kwargs = dict(side="right", method=method, eta=1e-6, dtype=dtype)
+        stack = contact_self_energy_batch(energies, h00, h01, **kwargs)
         for energy, se in zip(energies, stack):
-            one = contact_self_energy(
-                energy, h00, h01, side="right", method=method, eta=1e-6
-            )
+            one = contact_self_energy(energy, h00, h01, **kwargs)
             assert one.energy == se.energy == energy
+            assert one.sigma.dtype == se.sigma.dtype == (dtype or complex)
             assert np.array_equal(one.sigma, se.sigma)
+
+    @pytest.mark.parametrize("method,dtype", [
+        ("sancho", None), ("eigen", None), ("robust", None),
+        ("sancho", np.complex64),
+    ])
+    def test_contacts_hand_the_kernels_the_stack(self, method, dtype):
+        """``sigma_stacks`` is the array the per-energy objects are
+        slices of, and a slice does not depend on its stack-mates."""
+        lead = wide_lead()
+        energies = [-2.5, -1.4, 0.1, 1.1]
+        contacts = Contacts(
+            None, lead_left=lead, lead_right=lead,
+            eta=1e-6, method=method, dtype=dtype,
+        )
+        sigma_l, sigma_r = contacts.sigma_stacks(energies)
+        sigs_l, sigs_r = contacts.self_energies(energies)
+        assert sigma_l.shape == sigma_r.shape == (4, 6, 6)
+        assert sigma_l.dtype == sigma_r.dtype == (dtype or complex)
+        assert [s.side for s in sigs_l + sigs_r] == ["left"] * 4 + ["right"] * 4
+        assert [s.energy for s in sigs_l] == energies
+        assert np.array_equal(sigma_l, np.stack([s.sigma for s in sigs_l]))
+        assert np.array_equal(sigma_r, np.stack([s.sigma for s in sigs_r]))
+        right = contact_self_energy_batch(
+            energies, *lead, side="right", method=method, eta=1e-6,
+            dtype=dtype,
+        )
+        assert np.array_equal(sigma_r, np.stack([s.sigma for s in right]))
+        for b in (0, 2):
+            alone = contacts.sigma_stacks(energies[b:b + 1])
+            assert np.array_equal(alone[0][0], sigma_l[b])
+            assert np.array_equal(alone[1][0], sigma_r[b])
 
     def test_invalid_method_in_a_stack(self):
         h00, h01 = chain_lead()

@@ -6,7 +6,7 @@ Locks down the contracts of :mod:`repro.observability.telemetry`:
   :class:`TelemetryDelta` that merges back with worker provenance and
   clock-offset-aligned spans,
 * serial / thread / process backends report
-  *identical* merged ``flops.*`` and ``selfenergy_cache.*`` totals (the
+  *identical* merged ``flops.*`` and ``surface_gf.*`` totals (the
   acceptance criterion of the merge-back design: nothing recorded in a
   worker is lost),
 * the distributed driver merges per-rank deltas on its pooled path and
@@ -81,7 +81,7 @@ class TestCaptureAndMerge:
     def test_forced_capture_round_trip(self):
         with use_metrics(MetricsRegistry()), use_tracer(Tracer()):
             with capture_telemetry(worker="w0", force=True) as cap:
-                get_metrics().inc("selfenergy_cache.misses", 3.0)
+                get_metrics().inc("precision.points_certified", 3.0)
                 add_flops("rgf", 64.0)
             assert cap.engaged
             delta = TelemetryDelta.from_bytes(cap.delta.to_bytes())
@@ -97,17 +97,17 @@ class TestCaptureAndMerge:
     def test_merge_adds_counters_and_absorbs_spans(self):
         with use_tracer(Tracer()), use_metrics(MetricsRegistry()):
             with capture_telemetry(worker="w1", force=True) as cap:
-                get_metrics().inc("selfenergy_cache.hits", 2.0)
+                get_metrics().inc("precision.points_certified", 2.0)
                 from repro.observability import trace_span
                 with trace_span("chunk", category="task"):
                     add_flops("rgf", 8.0)
             tracer = Tracer()
             registry = MetricsRegistry()
             with use_tracer(tracer), use_metrics(registry):
-                registry.inc("selfenergy_cache.hits", 1.0)
+                registry.inc("precision.points_certified", 1.0)
                 assert merge_delta(cap.delta) is True
             snap = registry.snapshot()
-            assert snap.counter("selfenergy_cache.hits") == 3.0
+            assert snap.counter("precision.points_certified") == 3.0
             assert snap.counter(
                 "telemetry.deltas_merged", worker="w1") == 1.0
             assert snap.counter("telemetry.spans_merged") == 1.0
@@ -141,7 +141,7 @@ class TestCrossBackendExactness:
     def _run(self, built, backend, workers=None):
         tc = TransportCalculation(
             built, method="rgf", n_energy=21, backend=backend,
-            workers=workers, sigma_cache=True,
+            workers=workers,
         )
         pot = np.zeros(built.n_atoms)
         tracer, registry = Tracer(), MetricsRegistry()
@@ -149,9 +149,10 @@ class TestCrossBackendExactness:
             result = tc.solve_bias(pot, 0.05)
         return result, tracer, registry.snapshot()
 
-    def _cache_counters(self, snap):
-        return {k: v for k, v in snap.counters.items()
-                if k.startswith("selfenergy_cache.")}
+    def _kernel_histograms(self, snap):
+        """What the kernels observed where they ran (in the workers)."""
+        return {k: (h.count, h.total) for k, h in snap.histograms.items()
+                if k.startswith("surface_gf.")}
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_merged_totals_match_serial(self, built, backend):
@@ -161,7 +162,10 @@ class TestCrossBackendExactness:
         assert dict(tracer.counter.counts) == dict(
             ref_tracer.counter.counts
         )
-        assert self._cache_counters(snap) == self._cache_counters(ref_snap)
+        assert self._kernel_histograms(ref_snap)
+        assert (
+            self._kernel_histograms(snap) == self._kernel_histograms(ref_snap)
+        )
         # the kernels did record flops — the equality above is not 0 == 0
         assert sum(ref_tracer.counter.counts.values()) > 0
 
@@ -205,7 +209,7 @@ class TestCrossBackendExactness:
         def run(bk, workers=None):
             tc = TransportCalculation(
                 built, method="rgf", n_energy=21, backend=bk,
-                workers=workers, sigma_cache=True,
+                workers=workers,
                 energy_mode="adaptive", adaptive_tol=0.05,
             )
             tracer, registry = Tracer(), MetricsRegistry()
