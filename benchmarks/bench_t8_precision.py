@@ -40,12 +40,11 @@ import os
 for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import subprocess  # noqa: E402
 import time  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 from conftest import (  # noqa: E402
+    git_sha,
     grid_transport_system,
     print_experiment,
     record_baseline,
@@ -109,16 +108,6 @@ def _stages(H, energies, sigmas):
     }
 
 
-def _git_sha():
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty"], capture_output=True,
-            text=True, check=True, cwd=Path(__file__).parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-
-
 def _speedup_report():
     H = grid_transport_system(n_x=N_X, n_yz=N_YZ, barrier=BARRIER)
     grid = uniform_grid(E_MIN, E_MAX, N_ENERGY)
@@ -133,7 +122,7 @@ def _speedup_report():
     return {
         "nproc": os.cpu_count(),
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
         "sweep.n_energy": N_ENERGY,
         "sweep.n_blocks": N_X,
         "sweep.block_size": N_YZ * N_YZ,

@@ -9,6 +9,7 @@ the complete harness.
 
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,17 @@ def record_baseline(name: str, metrics: dict) -> Path:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def git_sha() -> str:
+    """``git describe`` of the benchmarked tree, for baseline stamps."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], capture_output=True,
+            text=True, check=True, cwd=Path(__file__).parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,7 @@ PRODUCERS = [
     ("benchmarks/bench_t3_kernels.py --smoke", "BENCH_kernels.json"),
     ("benchmarks/bench_f3_strong_scaling.py", "BENCH_f3_energy_level.json"),
     ("benchmarks/bench_f5_petaflops.py", "BENCH_f5_local.json"),
+    ("benchmarks/bench_f7_scf.py --smoke", "BENCH_scf_sweep.json"),
     ("benchmarks/bench_t6_telemetry.py --smoke", "BENCH_telemetry.json"),
     ("benchmarks/bench_t7_adaptive.py --smoke", "BENCH_adaptive.json"),
     ("benchmarks/bench_t8_precision.py --smoke", "BENCH_precision.json"),

@@ -15,7 +15,6 @@ iteration, Anderson vs plain mixing) are experiment F7.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,9 @@ class SCFResult:
     converged : bool
     n_iterations : int
     flops : FlopCounter
-        Accumulated over all transport solves of the bias point.
+        Accumulated over the transport solves this bias point ran
+        (continuation-ramp stages included; a first iterate taken over
+        from the previous point's report was charged there).
     degradation : DegradationReport or None
         Merged self-healing account over every transport solve of the
         bias point (including continuation-ramp stages).
@@ -70,6 +71,14 @@ class SCFResult:
 class SelfConsistentSolver:
     """Gummel-type Poisson-transport iteration for one device.
 
+    Built once per solver: the :class:`repro.poisson.NonlinearPoisson`
+    operator (:attr:`poisson` — mesh, permittivity and gate *mask*; the
+    gate value is data of each Poisson solve).  Kept between runs: the
+    last report (potential, drain bias, transport result).  A run whose
+    first iterate is exactly that potential at that drain bias — point
+    n + 1 of a warm-started transfer sweep — takes the result over
+    instead of solving it a second time.
+
     Parameters
     ----------
     built : BuiltDevice
@@ -84,14 +93,6 @@ class SelfConsistentSolver:
     beta : float
         Mixing damping; must be > 0.
     """
-
-    #: Gate voltages within this resolution (V) share one cached Poisson
-    #: solver — well below tol_v, so physically indistinguishable biases
-    #: (e.g. 0.1 vs 0.1 + 1e-12 from linspace arithmetic) hit the cache.
-    GATE_CACHE_RESOLUTION_V = 1e-6
-    #: Cache cap: long multi-gate sweeps evict least-recently-used solvers
-    #: instead of growing without bound.
-    MAX_CACHED_POISSON_SOLVERS = 8
 
     def __init__(
         self,
@@ -117,36 +118,17 @@ class SelfConsistentSolver:
         self.mixing = mixing
         self.beta = beta
         grid = built.poisson_grid
-        self._donor_nodes = grid.deposit(
+        donor_nodes = grid.deposit(
             built.device.structure.positions, built.donors_per_atom
         ) / grid.node_volume()
-        # LRU cache of NonlinearPoisson solvers keyed on *rounded* gate
-        # voltage (raw floats would miss for near-equal biases and grow
-        # unboundedly over long sweeps)
-        self._poisson: OrderedDict = OrderedDict()
+        self.poisson = NonlinearPoisson(
+            grid, built.eps_r, donor_nodes, dirichlet_mask=built.gate_mask
+        )
+        # (calculation, potential_ev, v_drain, TransportResult) of the last
+        # report; taken (and cleared) by the next run
+        self._report = None
 
     # ------------------------------------------------------------------
-    def _gate_key(self, v_gate: float) -> float:
-        resolution = self.GATE_CACHE_RESOLUTION_V
-        return round(round(float(v_gate) / resolution) * resolution, 12)
-
-    def _poisson_solver(self, v_gate: float) -> NonlinearPoisson:
-        key = self._gate_key(v_gate)
-        if key in self._poisson:
-            self._poisson.move_to_end(key)
-            return self._poisson[key]
-        solver = NonlinearPoisson(
-            self.built.poisson_grid,
-            self.built.eps_r,
-            self._donor_nodes,
-            dirichlet_mask=self.built.gate_mask,
-            dirichlet_values=v_gate,
-        )
-        self._poisson[key] = solver
-        while len(self._poisson) > self.MAX_CACHED_POISSON_SOLVERS:
-            self._poisson.popitem(last=False)
-        return solver
-
     def initial_potential(self, v_gate: float, v_drain: float) -> np.ndarray:
         """Semiclassical equilibrium guess plus a linear drain ramp."""
         built = self.built
@@ -157,8 +139,9 @@ class SelfConsistentSolver:
             kT=built.spec.kT,
             semiconductor_mask=built.semiconductor_mask,
         )
-        solver = self._poisson_solver(v_gate)
-        res = solver.solve(model, tol=1e-8, max_iter=60)
+        res = self.poisson.solve(
+            model, tol=1e-8, max_iter=60, dirichlet_values=v_gate
+        )
         phi = res.phi
         # drain ramp: the drain floats up by v_drain (electron energy down)
         x = built.poisson_grid.coordinates()[:, 0]
@@ -174,66 +157,38 @@ class SelfConsistentSolver:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        v_gate: float,
-        v_drain: float,
-        phi0: np.ndarray | None = None,
-        continuation_step: float = 0.12,
-        ramp_checkpoint=None,
-    ) -> SCFResult:
-        """Iterate to self-consistency at one (V_G, V_D) bias point.
+    def _solve_transport(self, potential_ev, v_drain, flops, degradation):
+        """One transport solve, charged to ``flops`` and ``degradation``."""
+        # integrate on the explicit uniform window grid: adaptive
+        # refinement re-selects its nodes as the potential moves, which
+        # injects non-smooth quadrature noise into the fixed-point map and
+        # stalls the mixer (and a refined grid would report observables
+        # of a *different* quadrature than the one the converged
+        # density/potential pair satisfies).  Passing the grid is
+        # bit-identical to the default in uniform mode.
+        result = self.transport.solve_bias(
+            potential_ev, v_drain,
+            energy_grid=self.transport.energy_grid(potential_ev, v_drain),
+        )
+        flops.merge(result.flops)
+        if result.degradation is not None:
+            degradation.merge(result.degradation)
+        get_metrics().inc("scf.transport_solves", 1.0)
+        return result
 
-        Cold starts at large drain bias are ramped: the bias is applied in
-        steps of at most ``continuation_step`` volts, each warm-starting
-        the next (standard bias stepping — the high-bias fixed point is
-        only reachable from nearby potentials).  Pass
-        ``continuation_step=0`` to disable.
+    def _iterate(self, v_gate, v_drain, phi0, flops, degradation, handed=None):
+        """Fixed-point loop at one bias: ``(phi, residuals, converged)``.
 
-        ``ramp_checkpoint`` (a :class:`repro.resilience.RampCheckpoint`)
-        persists the potential after each converged ramp stage; a
-        restarted solve resumes from the last stage instead of re-ramping
-        from equilibrium, and the checkpoint is cleared on completion.
+        Ends at convergence (or the iteration budget) without a report
+        solve — all a continuation-ramp stage needs.  ``handed`` is the
+        previous run's report; when it was solved by the same calculation
+        at exactly the first iterate's potential and drain bias it *is*
+        that iterate's transport solve, already charged where it ran.
         """
         built = self.built
         grid = built.poisson_grid
         vol = grid.node_volume()
-        solver = self._poisson_solver(v_gate)
-        sentinel = get_sentinel()
-        degradation = DegradationReport()
-        marker0 = sentinel.marker()
-        ramp_flops = FlopCounter()
-        ramp_iterations = 0
-        if (
-            phi0 is None
-            and continuation_step > 0
-            and abs(v_drain) > continuation_step
-        ):
-            n_steps = int(np.ceil(abs(v_drain) / continuation_step))
-            phi_ramp = None
-            first_step = 1
-            if ramp_checkpoint is not None:
-                stored = ramp_checkpoint.load()
-                if stored is not None:
-                    vd_reached, phi_stored = stored
-                    # resume after the last stage at or below vd_reached
-                    for step in range(1, n_steps):
-                        if v_drain * step / n_steps <= vd_reached + 1e-12:
-                            first_step = step + 1
-                            phi_ramp = phi_stored
-            for step in range(first_step, n_steps):
-                vd_step = v_drain * step / n_steps
-                stage = self.run(
-                    v_gate, vd_step, phi0=phi_ramp, continuation_step=0.0
-                )
-                phi_ramp = stage.phi
-                ramp_flops.merge(stage.flops)
-                ramp_iterations += stage.n_iterations
-                if stage.degradation is not None:
-                    degradation.merge(stage.degradation)
-                if ramp_checkpoint is not None:
-                    ramp_checkpoint.save(vd_step, phi_ramp)
-            phi0 = phi_ramp
+        calc, u_report, vd_report, report = handed or (None,) * 4
         phi = (
             self.initial_potential(v_gate, v_drain)
             if phi0 is None
@@ -241,10 +196,8 @@ class SelfConsistentSolver:
         )
         mixer = AndersonMixer(depth=4 if self.mixing == "anderson" else 0,
                               beta=self.beta)
-        flops = FlopCounter()
         residuals: list[float] = []
         converged = False
-        transport_result: TransportResult | None = None
         metrics = get_metrics()
         bias_labels = {"vg": f"{v_gate:.4g}", "vd": f"{v_drain:.4g}"}
         if metrics.enabled:
@@ -252,18 +205,18 @@ class SelfConsistentSolver:
 
         for iteration in range(self.max_iterations):
             u_atoms = self.atom_potential_ev(phi)
-            # integrate on the explicit uniform window grid: adaptive
-            # refinement re-selects its nodes as the potential moves,
-            # which injects non-smooth quadrature noise into the
-            # fixed-point map and stalls the mixer.  Passing the grid is
-            # bit-identical to the default in uniform mode.
-            transport_result = self.transport.solve_bias(
-                u_atoms, v_drain,
-                energy_grid=self.transport.energy_grid(u_atoms, v_drain),
-            )
-            flops.merge(transport_result.flops)
-            if transport_result.degradation is not None:
-                degradation.merge(transport_result.degradation)
+            if (
+                iteration == 0
+                and calc is self.transport
+                and vd_report == v_drain
+                and np.array_equal(u_report, u_atoms)
+            ):
+                transport_result = report
+                metrics.inc("scf.transport_reused", 1.0)
+            else:
+                transport_result = self._solve_transport(
+                    u_atoms, v_drain, flops, degradation
+                )
             n_nodes = grid.deposit(
                 built.device.structure.positions,
                 transport_result.density_per_atom,
@@ -271,8 +224,9 @@ class SelfConsistentSolver:
             model = QuantumCorrectedCharge(
                 n_reference=n_nodes, phi_reference=phi, kT=built.spec.kT
             )
-            poisson_result = solver.solve(
-                model, phi0=phi, tol=1e-9, max_iter=40
+            poisson_result = self.poisson.solve(
+                model, phi0=phi, tol=1e-9, max_iter=40,
+                dirichlet_values=v_gate,
             )
             phi_new = poisson_result.phi
             residual = float(np.abs(phi_new - phi).max())
@@ -295,31 +249,82 @@ class SelfConsistentSolver:
                 break
 
         # max_iterations >= 1 is validated in __init__, so at least one
-        # transport solve ran (no assert — those vanish under python -O)
-        if transport_result is None:
+        # iteration ran (no assert — those vanish under python -O)
+        if not residuals:
             raise SCFConvergenceError(
                 "SCF loop executed zero iterations",
                 v_gate=v_gate,
                 v_drain=v_drain,
             )
-        # final transport at the converged potential for reporting, on
-        # the same uniform grid the fixed point was converged against
-        # (a refined grid would report observables of a *different*
-        # quadrature than the one the density/potential pair satisfies)
-        u_final = self.atom_potential_ev(phi)
-        final = self.transport.solve_bias(
-            u_final, v_drain,
-            energy_grid=self.transport.energy_grid(u_final, v_drain),
+        return phi, residuals, converged
+
+    def run(
+        self,
+        v_gate: float,
+        v_drain: float,
+        phi0: np.ndarray | None = None,
+        continuation_step: float = 0.12,
+        ramp_checkpoint=None,
+    ) -> SCFResult:
+        """Iterate to self-consistency at one (V_G, V_D) bias point.
+
+        Cold starts at large drain bias are ramped: the bias is applied in
+        steps of at most ``continuation_step`` volts, each warm-starting
+        the next (standard bias stepping — the high-bias fixed point is
+        only reachable from nearby potentials).  Pass
+        ``continuation_step=0`` to disable.
+
+        ``ramp_checkpoint`` (a :class:`repro.resilience.RampCheckpoint`)
+        persists the potential after each converged ramp stage; a
+        restarted solve resumes from the last stage instead of re-ramping
+        from equilibrium, and the checkpoint is cleared on completion.
+        """
+        sentinel = get_sentinel()
+        degradation = DegradationReport()
+        marker0 = sentinel.marker()
+        flops = FlopCounter()
+        # a run that fails leaves the slot empty, so a retry solves
+        handed, self._report = self._report, None
+        ramp_iterations = 0
+        if (
+            phi0 is None
+            and continuation_step > 0
+            and abs(v_drain) > continuation_step
+        ):
+            n_steps = int(np.ceil(abs(v_drain) / continuation_step))
+            phi_ramp = None
+            first_step = 1
+            if ramp_checkpoint is not None:
+                stored = ramp_checkpoint.load()
+                if stored is not None:
+                    vd_reached, phi_stored = stored
+                    # resume after the last stage at or below vd_reached
+                    for step in range(1, n_steps):
+                        if v_drain * step / n_steps <= vd_reached + 1e-12:
+                            first_step = step + 1
+                            phi_ramp = phi_stored
+            for step in range(first_step, n_steps):
+                vd_step = v_drain * step / n_steps
+                phi_ramp, stage_residuals, _ = self._iterate(
+                    v_gate, vd_step, phi_ramp, flops, degradation
+                )
+                ramp_iterations += len(stage_residuals)
+                if ramp_checkpoint is not None:
+                    ramp_checkpoint.save(vd_step, phi_ramp)
+            phi0 = phi_ramp
+        phi, residuals, converged = self._iterate(
+            v_gate, v_drain, phi0, flops, degradation, handed
         )
-        flops.merge(final.flops)
-        flops.merge(ramp_flops)
-        if final.degradation is not None:
-            degradation.merge(final.degradation)
+        # final transport at the converged potential for reporting
+        u_final = self.atom_potential_ev(phi)
+        final = self._solve_transport(u_final, v_drain, flops, degradation)
+        self._report = (self.transport, u_final, v_drain, final)
         # the outer window contains every transport window above, so the
         # authoritative trip counts come from the sweep-level ledger
         degradation.set_trips(sentinel.trips_since(marker0))
         if ramp_checkpoint is not None:
             ramp_checkpoint.clear()
+        metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("scf.bias_points", 1.0)
             metrics.inc(
@@ -330,17 +335,16 @@ class SelfConsistentSolver:
             )
         monitor = get_monitor()
         if monitor.enabled:
-            monitor.check_density(
-                final.density_per_atom, v_gate=bias_labels["vg"],
-                v_drain=bias_labels["vd"],
-            )
+            labels = {"v_gate": f"{v_gate:.4g}", "v_drain": f"{v_drain:.4g}"}
+            monitor.check_density(final.density_per_atom, **labels)
             monitor.check_charge_neutrality(
                 float(np.sum(final.density_per_atom)),
-                float(np.sum(built.donors_per_atom)),
-                v_gate=bias_labels["vg"], v_drain=bias_labels["vd"],
+                float(np.sum(self.built.donors_per_atom)),
+                **labels,
             )
         return SCFResult(
             phi=phi,
+            # not u_final: the slot's copy must not alias a caller's array
             potential_ev=self.atom_potential_ev(phi),
             transport=final,
             residuals=residuals,

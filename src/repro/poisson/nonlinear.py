@@ -7,9 +7,11 @@ Solves
 for phi (volts) on a :class:`PoissonGrid`, with any charge model exposing
 ``density(phi)`` and ``d_density_d_phi(phi)`` (semiclassical or the
 quantum-corrected Gummel predictor).  The Jacobian is the Laplacian plus a
-diagonal, so each Newton step is one sparse solve; the Dirichlet (gate)
-elimination of the Laplacian depends on the mesh alone and is done once, at
-construction.
+diagonal, so each Newton step is one sparse solve.  Everything about it that
+depends on the mesh alone is done once, at construction: the Dirichlet
+(gate) elimination of the Laplacian and the CSC pattern of the Jacobian, of
+which a step rewrites the diagonal entries only.  The gate *value* is data
+of one :meth:`NonlinearPoisson.solve`, so one solver serves a whole sweep.
 
 Also provides :class:`AndersonMixer`, the accelerated fixed-point mixing
 used by the outer transport-Poisson loop (ablated against plain linear
@@ -57,7 +59,8 @@ class NonlinearPoisson:
     dirichlet_mask : ndarray of bool or None
         Gate nodes.
     dirichlet_values : ndarray or float
-        Gate potential(s) (V).
+        Gate potential(s) (V) of every :meth:`solve` that is not given
+        its own.
     """
 
     def __init__(
@@ -84,6 +87,13 @@ class NonlinearPoisson:
         # the gate values), so the eliminated operator is geometry-only:
         # identity rows on the gate nodes, their columns dropped
         self.L_bc = apply_dirichlet(self.L, np.zeros(grid.n_nodes), self.mask, 0.0)[0]
+        # every Newton Jacobian L_bc - diag(d) has the CSC pattern of L_bc
+        # (whose diagonal is full: -sum(w) off the gate, 1 on it) and
+        # differs from it in the diagonal entries only
+        self._jacobian = sp.csc_matrix(self.L_bc)
+        columns = np.repeat(np.arange(grid.n_nodes), np.diff(self._jacobian.indptr))
+        self._diag_slots = np.flatnonzero(self._jacobian.indices == columns)
+        self._diag_bc = self.L_bc.diagonal()
 
     # ------------------------------------------------------------------
     def residual(self, phi: np.ndarray, charge_model) -> np.ndarray:
@@ -93,6 +103,18 @@ class NonlinearPoisson:
         F = np.where(self.mask, 0.0, F)
         return F
 
+    def jacobian(self, dn: np.ndarray) -> sp.csc_matrix:
+        """Newton Jacobian ``L_bc - diag(q/eps0 * dn)``, gate rows identity.
+
+        Entry for entry ``sp.csc_matrix(L_bc - sp.diags(...))``, written
+        into the one matrix this solver owns: the returned object is
+        overwritten by the next call.
+        """
+        self._jacobian.data[self._diag_slots] = self._diag_bc - np.where(
+            self.mask, 0.0, Q_OVER_EPS0_V_NM * dn
+        )
+        return self._jacobian
+
     def solve(
         self,
         charge_model,
@@ -100,21 +122,23 @@ class NonlinearPoisson:
         tol: float = 1e-10,
         max_iter: int = 50,
         damping: float = 1.0,
+        dirichlet_values=None,
     ) -> PoissonResult:
         """Newton iteration from ``phi0`` (zeros by default).
 
         ``tol`` is on the max-norm of the residual (V/nm^2 units);
-        ``damping`` scales each Newton step (1 = full Newton).
+        ``damping`` scales each Newton step (1 = full Newton);
+        ``dirichlet_values`` are the gate potential(s) of this solve
+        (default: the constructor's).
         """
         n_nodes = self.grid.n_nodes
         phi = np.zeros(n_nodes) if phi0 is None else np.array(phi0, dtype=float)
         if phi.shape != (n_nodes,):
             raise ValueError("phi0 has the wrong length")
-        # impose the Dirichlet values up front
-        if np.isscalar(self.dirichlet_values):
-            phi[self.mask] = self.dirichlet_values
-        else:
-            phi[self.mask] = np.asarray(self.dirichlet_values)[self.mask]
+        # impose the Dirichlet values (one, or one per node) up front
+        if dirichlet_values is None:
+            dirichlet_values = self.dirichlet_values
+        phi[self.mask] = np.broadcast_to(dirichlet_values, phi.shape)[self.mask]
 
         sentinel = get_sentinel()
         history: list[float] = []
@@ -154,11 +178,8 @@ class NonlinearPoisson:
                 break
             best_norm = min(best_norm, res_norm)
             dn = charge_model.d_density_d_phi(phi)
-            J_bc = self.L_bc - sp.diags(
-                np.where(self.mask, 0.0, Q_OVER_EPS0_V_NM * dn)
-            )
             rhs = np.where(self.mask, 0.0, -F)
-            delta = spla.spsolve(sp.csc_matrix(J_bc), rhs)
+            delta = spla.spsolve(self.jacobian(dn), rhs)
             phi = phi + damping * delta
         return PoissonResult(
             phi=phi,

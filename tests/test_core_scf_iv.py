@@ -31,6 +31,36 @@ def fet():
     return built, transport
 
 
+VGS = [-0.2, 0.0, 0.1]
+
+
+def counted_solver(built, **calc_kwargs):
+    """``(scf, solved, runs)`` on a fresh calculation: ``solved`` lists the
+    potential of every ``solve_bias`` call, ``runs`` one ``(v_gate, phi0,
+    solve_bias calls made, SCFResult)`` row per ``scf.run`` that returned."""
+    calc_kwargs.setdefault("n_energy", 21)
+    calc = TransportCalculation(built, **calc_kwargs)
+    solved, runs = [], []
+    real_solve = calc.solve_bias
+
+    def solve_bias(potential_ev, *args, **kwargs):
+        solved.append(potential_ev)
+        return real_solve(potential_ev, *args, **kwargs)
+
+    calc.solve_bias = solve_bias
+    scf = SelfConsistentSolver(built, calc, max_iterations=40)
+    real_run = scf.run
+
+    def run(v_gate, v_drain, phi0=None, **kwargs):
+        before = len(solved)
+        result = real_run(v_gate, v_drain, phi0=phi0, **kwargs)
+        runs.append((v_gate, phi0, len(solved) - before, result))
+        return result
+
+    scf.run = run
+    return scf, solved, runs
+
+
 class TestSCF:
     def test_converges(self, fet):
         built, transport = fet
@@ -79,6 +109,26 @@ class TestSCF:
             np.zeros(built.n_atoms), 0.05
         ).flops.total
         assert out.flops.total > single
+
+    def test_ramp_stages_end_at_convergence(self, fet):
+        """A continuation stage hands on its potential; nobody reads a
+        report of it, so none is solved."""
+        built, _ = fet
+        scf, solved, _ = counted_solver(built)
+        stages = []
+        real_iterate = scf._iterate
+
+        def iterate(*args, **kwargs):
+            out = real_iterate(*args, **kwargs)
+            stages.append(len(out[1]))
+            return out
+
+        scf._iterate = iterate
+        out = scf.run(0.0, 0.3)  # 0.1 V, 0.2 V, then the bias itself
+        assert out.converged and len(stages) == 3
+        assert out.n_iterations == sum(stages)
+        assert len(out.residuals) == stages[-1]
+        assert len(solved) == sum(stages) + 1
 
     def test_invalid_mixing(self, fet):
         built, transport = fet
@@ -133,6 +183,159 @@ class TestIVSweep:
         g_first = (i[1] - i[0]) / (vds[1] - vds[0])
         g_last = (i[3] - i[2]) / (vds[3] - vds[2])
         assert g_last < 0.5 * g_first
+
+    @pytest.mark.parametrize(
+        "kind, handed_over",
+        [("transfer", 2), ("output", 0), ("cold", 0), ("resumed", 0)],
+    )
+    def test_sweep_solves_each_potential_once(
+        self, fet, tmp_path, kind, handed_over
+    ):
+        """Point n + 1 of a warm transfer sweep starts from the potential
+        point n reported at the same drain bias: that solve is handed
+        over.  Nothing else matches, and everything else solves."""
+        from repro.observability import MetricsRegistry, use_metrics
+
+        built, _ = fet
+        scf, solved, _ = counted_solver(built)
+        path = tmp_path / "iv.npz"
+        if kind == "resumed":
+            IVSweep(
+                counted_solver(built)[0], checkpoint=path
+            ).transfer_curve(VGS[:2], 0.05)
+        with use_metrics(MetricsRegistry()) as registry:
+            if kind == "transfer":
+                curve = IVSweep(scf).transfer_curve(VGS, 0.05)
+            elif kind == "output":
+                curve = IVSweep(scf).output_curve(0.0, [0.02, 0.05, 0.1])
+            elif kind == "cold":
+                curve = IVSweep(scf).transfer_curve(VGS, 0.05, warm_start=False)
+            else:
+                curve = IVSweep(
+                    scf, checkpoint=path, resume=True
+                ).transfer_curve(VGS, 0.05)
+        assert curve.report.resumed_points == (2 if kind == "resumed" else 0)
+        computed = curve.points[curve.report.resumed_points:]
+        assert all(p.converged for p in curve.points)
+        every = sum(p.n_iterations + 1 for p in computed)
+        assert len(solved) == every - handed_over
+        snap = registry.snapshot()
+        assert snap.counter("scf.transport_solves") == len(solved)
+        assert snap.counter("scf.transport_reused") == handed_over
+        assert snap.counter("scf.iterations") == every - len(computed)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("method", ["wf", "rgf"])
+    def test_hand_over_is_bit_identical_to_solving(self, fet, method, backend):
+        """Reference: a fresh solver per point, fed the previous ``phi`` —
+        nothing to hand over, every first iterate solved."""
+        built, _ = fet
+        scf, solved, runs = counted_solver(
+            built, method=method, backend=backend, workers=2
+        )
+        curve = IVSweep(scf).transfer_curve(VGS, 0.05)
+        assert len(solved) == sum(p.n_iterations + 1 for p in curve.points) - 2
+        phi = None
+        for v_gate, (_, _, _, swept), point in zip(VGS, runs, curve.points):
+            fresh = SelfConsistentSolver(built, scf.transport, max_iterations=40)
+            ref = fresh.run(v_gate, 0.05, phi0=phi)
+            phi = ref.phi
+            assert np.array_equal(swept.phi, ref.phi)
+            assert swept.residuals == ref.residuals
+            assert swept.n_iterations == ref.n_iterations == point.n_iterations
+            assert point.current_a == ref.transport.current_a
+            assert np.array_equal(
+                swept.transport.density_per_atom, ref.transport.density_per_atom
+            )
+
+    def test_retried_attempt_solves_its_first_iterate(self, fet):
+        from repro.errors import NumericalBreakdownError
+        from repro.resilience import RetryPolicy
+
+        built, _ = fet
+        scf, solved, runs = counted_solver(built)
+        counting_solve = scf.transport.solve_bias
+        armed = []
+
+        def failing_once(*args, **kwargs):
+            if armed:
+                armed.clear()
+                raise NumericalBreakdownError("drill")
+            return counting_solve(*args, **kwargs)
+
+        scf.transport.solve_bias = failing_once
+        counting_run = scf.run
+        attempts = []
+
+        def run(v_gate, *args, **kwargs):
+            # first attempt of point 2: its first iterate is handed over,
+            # its second one raises
+            attempts.append(v_gate)
+            if attempts == VGS[:2]:
+                armed.append(True)
+            return counting_run(v_gate, *args, **kwargs)
+
+        scf.run = run
+        curve = IVSweep(scf, retry=RetryPolicy(max_retries=1)).transfer_curve(
+            VGS, 0.05
+        )
+        assert curve.report.retries == 1
+        assert curve.points[1].recovery == ("retry*1",)
+        clean = IVSweep(counted_solver(built)[0]).transfer_curve(VGS, 0.05)
+        assert [p.current_a for p in curve.points] == [
+            p.current_a for p in clean.points
+        ]
+        # runs holds the three that returned: the retry of point 2 solved
+        # every iterate, the untouched points 1 -> 3 hand-over still holds
+        assert [r[0] for r in runs] == VGS
+        assert [r[2] - r[3].n_iterations for r in runs] == [1, 1, 0]
+        reported = runs[0][3].potential_ev
+        assert sum(np.array_equal(u, reported) for u in solved) == 2
+
+    def test_rescue_rungs_solve_every_iterate(self, fet):
+        built, _ = fet
+        scf, _, runs = counted_solver(built)
+        scf.max_iterations = 2  # nothing converges: every point is rescued
+        curve = IVSweep(scf).transfer_curve(VGS[:2], 0.05)
+        assert all(p.recovery for p in curve.points)
+        cold = [r for r in runs if r[1] is None]
+        assert len(cold) >= 4
+        assert all(r[2] == r[3].n_iterations + 1 for r in cold)
+
+    def test_energy_fault_aimed_at_point_two_still_fires(self, fet):
+        """Its first iterate is handed over, so the fault meets the first
+        iterate that solves — and is healed there."""
+        from repro.resilience import FaultInjector
+
+        built, _ = fet
+        scf, solved, runs = counted_solver(built)
+        injector = FaultInjector(
+            rate=1.0, sites=("energy",), actions=("nan",), max_faults=1
+        )
+        counting_run = scf.run
+        fired_at = []
+        counting_solve = scf.transport.solve_bias
+
+        def watching_solve(*args, **kwargs):
+            result = counting_solve(*args, **kwargs)
+            if injector.n_injected and not fired_at:
+                fired_at.append(len(solved))
+            return result
+
+        scf.transport.solve_bias = watching_solve
+
+        def run(v_gate, *args, **kwargs):
+            if v_gate == VGS[1]:
+                scf.transport.injector = injector
+            return counting_run(v_gate, *args, **kwargs)
+
+        scf.run = run
+        curve = IVSweep(scf).transfer_curve(VGS, 0.05)
+        assert injector.n_injected == 1
+        assert fired_at == [runs[0][2] + 1]  # point 2's first solve_bias call
+        assert all(p.converged for p in curve.points)
+        assert np.all(np.isfinite(curve.currents()))
+        assert curve.degradation.total_events >= 1
 
     def test_bias_work_items(self, fet):
         built, transport = fet

@@ -229,10 +229,12 @@ class TestNonlinearPoisson:
         mask = np.zeros(n, dtype=bool)
         mask[0] = True
         model = SemiclassicalCharge(mu=-0.2, band_edge=0.0, m_rel=1.0, kT=0.0259)
-        s_hi = NonlinearPoisson(g, np.ones(n), donors, mask, dirichlet_values=0.5)
-        s_lo = NonlinearPoisson(g, np.ones(n), donors, mask, dirichlet_values=-0.5)
-        phi_hi = s_hi.solve(model).phi
-        phi_lo = s_lo.solve(model).phi
+        solver = NonlinearPoisson(g, np.ones(n), donors, mask, dirichlet_values=0.5)
+        phi_hi = solver.solve(model).phi
+        # the gate value is data of one solve: same operator, other bias
+        phi_lo = solver.solve(model, dirichlet_values=-0.5).phi
+        fresh = NonlinearPoisson(g, np.ones(n), donors, mask, dirichlet_values=-0.5)
+        assert np.array_equal(phi_lo, fresh.solve(model).phi)
         assert phi_hi[0] == pytest.approx(0.5)
         assert phi_lo[0] == pytest.approx(-0.5)
         assert phi_hi[1] > phi_lo[1]  # bias penetrates
@@ -279,13 +281,13 @@ class TestHoistedDirichletElimination:
     construction, and every Newton step `==` the per-step elimination."""
 
     @staticmethod
-    def newton_with_per_step_elimination(solver, model, tol, max_iter):
+    def newton_with_per_step_elimination(solver, model, v_gate, tol, max_iter):
         """The Newton loop as it was: ``apply_dirichlet`` on every step."""
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         phi = np.zeros(solver.grid.n_nodes)
-        phi[solver.mask] = solver.dirichlet_values
+        phi[solver.mask] = v_gate
         history = []
         for _ in range(max_iter):
             F = solver.residual(phi, model)
@@ -303,16 +305,16 @@ class TestHoistedDirichletElimination:
         from repro.core import SelfConsistentSolver, TransportCalculation
 
         scf = SelfConsistentSolver(built, TransportCalculation(built, n_energy=11))
-        solver = scf._poisson_solver(v_gate)
+        solver = scf.poisson
         assert built.gate_mask.any()
         model = SemiclassicalCharge(
             mu=built.contact_mu("source"), band_edge=built.band_edge,
             m_rel=built.m_dos, kT=built.spec.kT,
             semiconductor_mask=built.semiconductor_mask,
         )
-        res = solver.solve(model, tol=1e-8, max_iter=60)
+        res = solver.solve(model, tol=1e-8, max_iter=60, dirichlet_values=v_gate)
         phi, history = self.newton_with_per_step_elimination(
-            solver, model, tol=1e-8, max_iter=60
+            solver, model, v_gate, tol=1e-8, max_iter=60
         )
         assert res.converged and res.n_iterations > 2
         assert res.n_iterations == len(history)
@@ -332,6 +334,30 @@ class TestHoistedDirichletElimination:
         dense = solver.L_bc.toarray()
         assert np.array_equal(dense[gate][:, gate], np.eye(gate.size))
         assert not dense[~solver.mask][:, gate].any()
+
+    def test_jacobian_written_in_place_equals_the_sparse_subtraction(self, built):
+        """A Newton step rewrites the diagonal slots of one CSC matrix:
+        same pattern, same entries as building ``L_bc - diag`` anew."""
+        import scipy.sparse as sp
+
+        n = built.poisson_grid.n_nodes
+        solver = NonlinearPoisson(
+            built.poisson_grid, built.eps_r, np.zeros(n),
+            dirichlet_mask=built.gate_mask,
+        )
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 1e3):
+            dn = scale * rng.random(n)
+            dn[np.flatnonzero(solver.mask)[0]] = np.nan  # a masked row
+            ref = sp.csc_matrix(
+                solver.L_bc
+                - sp.diags(np.where(solver.mask, 0.0, Q_OVER_EPS0_V_NM * dn))
+            )
+            jac = solver.jacobian(dn)
+            assert jac.has_canonical_format
+            assert np.array_equal(jac.indptr, ref.indptr)
+            assert np.array_equal(jac.indices, ref.indices)
+            assert np.array_equal(jac.data, ref.data)
 
     def test_non_finite_derivative_on_a_gate_node_is_eliminated(self):
         """Gate rows are identity rows whatever the charge model returns there."""

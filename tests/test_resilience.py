@@ -576,32 +576,49 @@ class TestBiasFaultInjection:
         assert curve.report.quarantined == [(0.0, 0.05)]
 
 
-class TestPoissonSolverCache:
-    def test_near_equal_voltages_share_solver(self, system):
-        built, tc = system
-        scf = SelfConsistentSolver(built, tc)
-        a = scf._poisson_solver(0.1)
-        b = scf._poisson_solver(0.1 + 1e-12)
-        assert a is b
-        c = scf._poisson_solver(0.2)
-        assert c is not a
+class TestOnePoissonOperator:
+    """The Poisson operator is geometry-only: one per solver, and every
+    run imposes its own gate value on it."""
 
-    def test_cache_is_bounded(self, system):
-        built, tc = system
-        scf = SelfConsistentSolver(built, tc)
-        for i in range(3 * scf.MAX_CACHED_POISSON_SOLVERS):
-            scf._poisson_solver(0.01 * i)
-        assert len(scf._poisson) == scf.MAX_CACHED_POISSON_SOLVERS
+    def test_operator_is_built_once_across_gate_voltages(
+        self, system, monkeypatch
+    ):
+        from unittest import mock
 
-    def test_lru_keeps_recent(self, system):
+        from repro.poisson import nonlinear
+
         built, tc = system
+        builders = ("assemble_laplacian", "apply_dirichlet")
+        for name in builders:
+            monkeypatch.setattr(
+                nonlinear, name, mock.Mock(wraps=getattr(nonlinear, name))
+            )
         scf = SelfConsistentSolver(built, tc)
-        first = scf._poisson_solver(0.0)
-        for i in range(1, scf.MAX_CACHED_POISSON_SOLVERS):
-            scf._poisson_solver(0.01 * i)
-        scf._poisson_solver(0.0)  # refresh
-        scf._poisson_solver(0.5)  # evicts the oldest non-refreshed entry
-        assert scf._poisson_solver(0.0) is first
+        for v_gate in (-0.2, -0.1, 0.0, 0.1, 0.2):
+            phi = scf.initial_potential(v_gate, 0.05)
+            assert np.all(phi[built.gate_mask] == v_gate)
+        assert [getattr(nonlinear, name).call_count for name in builders] == [1, 1]
+
+    def test_each_run_imposes_its_own_gate_value(self, system):
+        """Two gate voltages 4e-7 V apart used to share the solver built
+        for the first one (rounded cache key) and its gate value."""
+        built, tc = system
+        scf = SelfConsistentSolver(built, tc, max_iterations=2, tol_v=0.5)
+        imposed = []
+        real_solve = scf.poisson.solve
+
+        def spying_solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            imposed.append(result.phi[built.gate_mask])
+            return result
+
+        scf.poisson.solve = spying_solve
+        for v_gate in (0.1, 0.1 + 4e-7):
+            del imposed[:]
+            phi = scf.run(v_gate, 0.05).phi
+            assert np.all(phi[built.gate_mask] == v_gate)
+            assert len(imposed) >= 2  # the cold start and every iteration
+            assert all(np.all(gate == v_gate) for gate in imposed)
 
 
 class TestCheckpointFiles:
