@@ -7,26 +7,43 @@ the table that grounds the performance model's constants.
 """
 
 import os
-import time
 
-import numpy as np
-import pytest
-from conftest import grid_transport_system, print_experiment, record_baseline
+# one BLAS thread, like benchmarks/e2e (before numpy loads)
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from repro.core import DeviceSpec, build_device
-from repro.negf import RGFSolver, contact_self_energy, sancho_rubio
-from repro.negf.rgf import assemble_system_blocks
-from repro.negf.surface_gf import sancho_rubio_batch
-from repro.observability import Tracer, flat_metrics, use_tracer
-from repro.perf import (
+import time  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from conftest import (  # noqa: E402
+    git_sha,
+    grid_transport_system,
+    print_experiment,
+    record_baseline,
+)
+
+from repro.core import DeviceSpec, TransportCalculation, build_device  # noqa: E402
+from repro.negf import Contacts, RGFSolver, contact_self_energy, sancho_rubio  # noqa: E402
+from repro.negf.rgf import assemble_system_blocks  # noqa: E402
+from repro.negf.surface_gf import sancho_rubio_batch  # noqa: E402
+from repro.observability import (  # noqa: E402
+    MetricsRegistry,
+    Tracer,
+    flat_metrics,
+    use_metrics,
+    use_tracer,
+)
+from repro.perf import (  # noqa: E402
     block_lu_factor_flops,
     rgf_solve_flops,
     sancho_rubio_flops,
     wf_solve_flops,
 )
-from repro.solvers import BandedLU, BlockTridiagLU, SplitSolve
-from repro.tb import HamiltonianSkeleton
-from repro.wf import WFSolver
+from repro.solvers import BandedLU, BlockTridiagLU, SplitSolve  # noqa: E402
+from repro.tb import HamiltonianSkeleton  # noqa: E402
+from repro.wf import WFSolver  # noqa: E402
 
 ENERGY = 0.6
 
@@ -263,6 +280,23 @@ def test_t3_batched_speedup_sane():
         assert report[f"{name}.speedup"] > 1.0, report
 
 
+_GRID = dict(spacing_nm=0.25, donor_density_nm3=0.05,
+             material_params={"m_rel": 0.3})
+#: Contact-stage leads: ``name -> (device, energies per stack, timed repeats)``
+#: — the FET of ``scf_sweep_wf`` (m = 4), a four-energy sub-stack of
+#: ``transport_wide_process`` (m = 25) and the ROADMAP's Si-sp3s* wire
+#: (m = 150, the "before" of the rank-reduced contact block).
+CONTACT_LEADS = {
+    "fet": (DeviceSpec(n_x=12, n_y=2, n_z=2, source_cells=4, drain_cells=4,
+                       gate_cells=(4, 8), **_GRID), 41, 5),
+    "wide": (DeviceSpec(n_x=48, n_y=5, n_z=5, source_cells=8, drain_cells=8,
+                        gate_cells=(16, 32), **_GRID), 4, 5),
+    "si_wire": (DeviceSpec(geometry="nanowire-zb", material="Si-sp3s*",
+                           n_x=8, n_y=2, n_z=2, source_cells=2, drain_cells=2,
+                           gate_cells=(3, 5)), 9, 2),
+}
+
+
 def _measure_hamiltonian_update(n_updates=21):
     """Cold assembly vs potential update on the 48-slab, m=25 device.
 
@@ -271,11 +305,7 @@ def _measure_hamiltonian_update(n_updates=21):
     median ``built.hamiltonian(U)`` on the cached one — what an SCF
     iteration or a bias point pays now.
     """
-    built = build_device(DeviceSpec(
-        name="wide", n_x=48, n_y=5, n_z=5, spacing_nm=0.25, source_cells=8,
-        drain_cells=8, gate_cells=(16, 32), donor_density_nm3=0.05,
-        material_params={"m_rel": 0.3},
-    ))
+    built = build_device(CONTACT_LEADS["wide"][0])
     t0 = time.perf_counter()
     HamiltonianSkeleton(built.device, built.material)
     assemble = time.perf_counter() - t0
@@ -301,9 +331,62 @@ def test_t3_hamiltonian_update_sane():
     assert report["hamiltonian.update_speedup"] > 5.0, report
 
 
+def _measure_contacts(leads=CONTACT_LEADS):
+    """Both leads of a bias solve through ``Contacts.sigma_stacks``.
+
+    Per lead: seconds per energy (best of the repeats) and two counts
+    that repeat exactly — the stacked ``numpy.linalg`` inversions one
+    call issues and the largest decimation step count of its 2B slices.
+    One loop over both leads makes them ``max_iterations + 1``.
+    """
+    report = {}
+    for name, (spec, n_energy, repeats) in leads.items():
+        built = build_device(spec)
+        calc = TransportCalculation(built, method="wf", n_energy=n_energy)
+        potential = np.zeros(built.n_atoms)
+        energies = calc.energy_grid(potential, 0.05).energies
+        contacts = Contacts(calc.hamiltonian(potential), eta=calc.eta)
+        with use_metrics(MetricsRegistry()) as registry, mock.patch.object(
+            np.linalg, "inv", wraps=np.linalg.inv
+        ) as inversions, mock.patch.object(
+            np.linalg, "solve", wraps=np.linalg.solve
+        ) as solves:
+            contacts.sigma_stacks(energies)
+        histograms = registry.snapshot().with_prefix(
+            "histograms", "surface_gf.iterations"
+        )
+        seconds = _best_of(lambda: contacts.sigma_stacks(energies), repeats)
+        report.update({
+            f"contacts.{name}.block_size": int(contacts.left[0].shape[0]),
+            f"contacts.{name}.n_energies": int(energies.size),
+            f"contacts.{name}.sigma_stacks_s_per_pt": seconds / energies.size,
+            f"contacts.{name}.stacked_inversions":
+                inversions.call_count + solves.call_count,
+            f"contacts.{name}.max_iterations":
+                int(max(h.max for h in histograms.values())),
+        })
+    return report
+
+
+def test_t3_contacts_one_inversion_per_step():
+    """The count identity CI asserts, on the two cheap leads."""
+    report = _measure_contacts(
+        {k: (*v[:2], 1) for k, v in CONTACT_LEADS.items() if k != "si_wire"}
+    )
+    for name in ("fet", "wide"):
+        assert report[f"contacts.{name}.stacked_inversions"] == (
+            report[f"contacts.{name}.max_iterations"] + 1
+        ), report
+
+
 def _smoke():
     report = _measure_batched_speedups()
     report.update(_measure_hamiltonian_update())
+    report.update(_measure_contacts())
+    report.update({
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "git_sha": git_sha(),
+    })
     path = record_baseline("kernels", report)
     rows = "\n".join(
         f"  {name:<12} per-point {report[f'{name}.per_point_s'] * 1e3:8.1f} ms"
@@ -316,6 +399,19 @@ def _smoke():
         f"batched vs per-point, {report['n_energies']} energies, "
         f"N={report['n_blocks']}, m={report['block_size']}:\n{rows}",
         notes=f"baseline -> {path}",
+    )
+    print_experiment(
+        "T3/contacts",
+        "Contacts.sigma_stacks, both leads as one decimation stack:\n"
+        + "\n".join(
+            f"  {name:<8} m={report[f'contacts.{name}.block_size']:<4}"
+            f"B={report[f'contacts.{name}.n_energies']:<3}"
+            f"{report[f'contacts.{name}.sigma_stacks_s_per_pt'] * 1e3:9.3f}"
+            f" ms/pt  {report[f'contacts.{name}.stacked_inversions']} stacked"
+            f" inversions for {report[f'contacts.{name}.max_iterations']}"
+            " steps"
+            for name in CONTACT_LEADS
+        ),
     )
     print_experiment(
         "T3/hamiltonian",

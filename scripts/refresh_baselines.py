@@ -64,9 +64,11 @@ TIMING_FIELDS = (
 
 
 def _is_timing(key: str) -> bool:
+    # BENCH_kernels' ``contacts.<lead>.sigma_stacks_s_per_pt`` is a timing;
+    # its ``stacked_inversions`` / ``max_iterations`` are checked counts
     return (
         key.startswith("time.")
-        or key.endswith("_s")
+        or key.endswith(("_s", "_s_per_pt"))
         or any(t in key for t in TIMING_FIELDS)
     )
 

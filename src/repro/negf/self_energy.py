@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface_gf import eigen_surface_gf, sancho_rubio_batch
+from .surface_gf import _decimate, eigen_surface_gf
 
 __all__ = [
     "Contacts",
@@ -106,33 +106,41 @@ def _surface_gf_point(energy, h00, h01, side, method, eta):
     raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
 
 
-def _sigma_stack(energies, h00, h01, tau, side, method, eta, dtype):
-    """The ``(B, m, m)`` self-energy stack of one contact.
+def _sigma_stacks(energies, leads, tau, method, eta, dtype):
+    """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
+    ``(h00, h01, side)``.
 
-    ``method="sancho"`` runs the stacked
-    :func:`repro.negf.surface_gf.sancho_rubio_batch` decimation; the
-    other methods evaluate their surface GF point by point.  Either way
-    one broadcast ``tau^+ g tau`` triple product folds the stack onto the
-    contact slab, per-slice identical under any grouping of energies.
+    ``method="sancho"`` runs all leads through one stacked decimation
+    (:func:`repro.negf.surface_gf._decimate`: both contacts of a device
+    share every numpy call); the other methods evaluate their surface GF
+    point by point.  Either way one broadcast ``tau^+ g tau`` triple
+    product per lead folds its stack onto the contact slab, per-slice
+    identical under any grouping of energies or leads.
     """
     energies = np.asarray(energies, dtype=float).ravel()
     if method == "sancho":
-        g_stack, _ = sancho_rubio_batch(
-            energies, h00, h01, side=side, eta=eta, dtype=dtype
+        g_stacks = [g for g, _ in _decimate(energies, leads, eta, dtype=dtype)]
+    else:
+        g_stacks = [
+            np.array(
+                [_surface_gf_point(e, h00, h01, side, method, eta)
+                 for e in energies.tolist()],
+                dtype=complex,
+            ).reshape((-1,) + np.shape(h00))
+            for h00, h01, side in leads
+        ]
+    sigma_stacks = []
+    for g_stack, (_, h01, side) in zip(g_stacks, leads):
+        tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
+        if side == "left":
+            sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
+        else:
+            sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
+        # a complex64 request returns complex64 whichever method produced g
+        sigma_stacks.append(
+            sigma_stack if dtype is None else sigma_stack.astype(dtype)
         )
-    else:
-        g_stack = np.array(
-            [_surface_gf_point(e, h00, h01, side, method, eta)
-             for e in energies.tolist()],
-            dtype=complex,
-        ).reshape((-1,) + np.shape(h00))
-    tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
-    if side == "left":
-        sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
-    else:
-        sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
-    # a complex64 request returns complex64 whichever method produced g
-    return sigma_stack if dtype is None else sigma_stack.astype(dtype)
+    return tuple(sigma_stacks)
 
 
 def _wrap(sigma_stack, side, energies) -> list[LeadSelfEnergy]:
@@ -200,14 +208,18 @@ def contact_self_energy_batch(
         ``"fp32"`` screening mode of :class:`repro.negf.RGFSolver`) runs
         the decimation in complex64 and returns a complex64 sigma.
     """
-    return _wrap(
-        _sigma_stack(energies, h00, h01, tau, side, method, eta, dtype),
-        side, energies,
+    (sigma_stack,) = _sigma_stacks(
+        energies, [(h00, h01, side)], tau, method, eta, dtype
     )
+    return _wrap(sigma_stack, side, energies)
 
 
 class Contacts:
-    """The two leads of a device and how their self-energies are evaluated.
+    """The two leads of a device and how their self-energies are evaluated:
+    for ``method="sancho"`` as *one* decimation over a 2B stack — the B
+    left slices, then the B right ones — bit-identical to one lead after
+    the other; a failure names the first lead that fails (lowest stack
+    index: the left before the right), with its energy and side.
 
     Parameters
     ----------
@@ -240,12 +252,12 @@ class Contacts:
 
     def sigma_stacks(self, energies):
         """Left and right ``(B, m, m)`` self-energy stacks — what the
-        kernel stage of either transport solver consumes."""
-        return tuple(
-            _sigma_stack(
-                energies, *lead, None, side, self.method, self.eta, self.dtype
-            )
-            for lead, side in ((self.left, "left"), (self.right, "right"))
+        kernel stage of either transport solver consumes; both leads go
+        through one decimation (left slices first, so a failing left lead
+        is still the one reported)."""
+        return _sigma_stacks(
+            energies, [(*self.left, "left"), (*self.right, "right")],
+            None, self.method, self.eta, self.dtype,
         )
 
     def self_energies(self, energies):

@@ -61,8 +61,8 @@ def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
     *physical* fixed-point residual ``(z - h00)g - h01~ g h01~ g - I``
     (with ``h01~`` the side-appropriate coupling) — a converged-looking
     decimation whose g does not satisfy its own defining equation is
-    silently wrong.  Three extra GEMMs against the ~8 per decimation
-    iteration: ~1-2% overhead.
+    silently wrong.  Four extra GEMMs per lead, once, against six per
+    decimation iteration: a few % overhead.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
@@ -144,7 +144,10 @@ def sancho_rubio_batch(
     max_iter: int = 200,
     dtype=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Retarded surface Green's functions by decimation, stacked.
+    """Retarded surface Green's functions by decimation, stacked: the
+    one-lead caller of the loop :meth:`repro.negf.Contacts.sigma_stacks`
+    runs over both leads at once (six GEMMs and one stacked inversion a
+    step, one closing inversion for all slices).
 
     The decimation fixed point is independent per energy, so B energies
     run as one sequence of ``(B, m, m)`` stacked solves and matmuls.
@@ -186,44 +189,67 @@ def sancho_rubio_batch(
         If *any* energy fails to converge within ``max_iter`` or goes
         non-finite (reported for the first offending energy).
     """
+    lead = (h00, h01, side)
+    return _decimate(energies, [lead], eta, tol, max_iter, dtype)[0]
+
+
+def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
+    """Sancho-Rubio decimation of several leads as one stack.
+
+    ``leads`` is a sequence of ``(h00, h01, side)``; the result is one
+    ``(g, n_iter)`` pair per lead, each exactly what
+    :func:`sancho_rubio_batch` returns for that lead alone.  Leads of one
+    block size share one ``(S, m, m)`` stack, S = leads x energies in lead
+    order (a bias solve: the left slices, then the right), so they share
+    every numpy call and the active set compacts over their union; a
+    slice never sees its stack-mates, so its bits and its iteration count
+    are those of a stack of one.  Each step is six GEMMs (``alpha @ g`` and
+    ``beta @ g`` are each used twice) and one stacked inversion; a
+    converged slice parks its surface ``eps_s`` and all of them are
+    inverted by one closing ``inv``.  Failures are reported for the
+    lowest stack index, i.e. the left lead before the right one — at the
+    step they show: a right lead that goes non-finite at step k is
+    reported then, even if the left one would run out of ``max_iter``
+    later.
+    """
     cdt, tol_floor = _decimation_dtype(dtype)
     tol = max(tol, tol_floor)
-    if side == "left":
-        alpha0 = np.array(h01.conj().T, dtype=cdt)
-    elif side == "right":
-        alpha0 = np.array(h01, dtype=cdt)
-    else:
+    if any(side not in ("left", "right") for _, _, side in leads):
         raise ValueError("side must be 'left' or 'right'")
     if eta <= 0:
         raise ValueError("eta must be positive for a retarded GF")
     energies = np.asarray(energies, dtype=float).ravel()
     n_batch = energies.size
-    m = h00.shape[0]
+    if len({np.shape(h00) for h00, _, _ in leads}) > 1:
+        # unequal lead cells cannot share a stack
+        args = (eta, tol, max_iter, dtype)
+        return [_decimate(energies, [lead], *args)[0] for lead in leads]
+    m = leads[0][0].shape[0]
     if n_batch == 0:
-        return np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
-    eye = np.eye(m)
-    z = np.asarray((energies + 1j * eta)[:, None, None] * eye, dtype=cdt)
-    eye_stack = np.broadcast_to(np.eye(m, dtype=cdt), (n_batch, m, m))
-    alpha = np.ascontiguousarray(
-        np.broadcast_to(alpha0, (n_batch, m, m))
-    )
-    beta = np.ascontiguousarray(
-        np.broadcast_to(alpha0.conj().T, (n_batch, m, m))
-    )
-    eps_s = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(h00, dtype=cdt), (n_batch, m, m))
-    )
+        empty = np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
+        return [empty] * len(leads)
+    n_stack = len(leads) * n_batch
+    z_all = (energies + 1j * eta)[:, None, None] * np.eye(m)
+    z_all = np.tile(np.asarray(z_all, dtype=cdt), (len(leads), 1, 1))
+    alpha = [h01.conj().T if side == "left" else h01 for _, h01, side in leads]
+    alpha = np.repeat(np.array(alpha, dtype=cdt), n_batch, axis=0)
+    beta = np.ascontiguousarray(alpha.conj().swapaxes(1, 2))
+    eps_s = np.array([h00 for h00, _, _ in leads], dtype=cdt)
+    eps_s = np.repeat(eps_s, n_batch, axis=0)
     eps = eps_s.copy()
-    active = np.arange(n_batch)
-    iters = np.zeros(n_batch, dtype=int)
-    g_out = np.empty((n_batch, m, m), dtype=cdt)
+    z = z_all
+    active = np.arange(n_stack)
+    iters = np.zeros(n_stack, dtype=int)
+    surface = np.empty((n_stack, m, m), dtype=cdt)
     for it in range(1, max_iter + 1):
-        g_bulk = np.linalg.solve(z - eps, eye_stack[: active.size])
-        agb = alpha @ g_bulk @ beta
-        eps_s = eps_s + agb
-        eps = eps + agb + beta @ g_bulk @ alpha
-        alpha = alpha @ g_bulk @ alpha
-        beta = beta @ g_bulk @ beta
+        g_bulk = np.linalg.inv(z - eps)
+        ag = alpha @ g_bulk
+        bg = beta @ g_bulk
+        agb = ag @ beta
+        eps_s += agb
+        eps = (eps + agb) + bg @ alpha
+        alpha = ag @ alpha
+        beta = bg @ beta
         norms = np.sqrt(
             np.add.reduce((alpha.conj() * alpha).real, axis=(1, 2))
         )
@@ -231,7 +257,8 @@ def sancho_rubio_batch(
         if not finite.all():
             # poisoned input (NaN/Inf lead blocks): the fixed point can
             # never contract — fail fast instead of burning max_iter
-            bad = float(energies[active[~finite][0]])
+            lead, e_idx = divmod(int(active[~finite][0]), n_batch)
+            side, bad = leads[lead][2], float(energies[e_idx])
             sentinel = get_sentinel()
             if sentinel.enabled:
                 sentinel.trip(
@@ -240,17 +267,15 @@ def sancho_rubio_batch(
                 )
             raise SurfaceGFConvergenceError(
                 f"Sancho-Rubio decimation went non-finite at iteration {it} "
-                f"(E = {bad}, eta = {eta}); the lead blocks are poisoned",
-                energy=bad,
-                eta=eta,
+                f"(side = {side}, E = {bad}, eta = {eta}); the lead blocks "
+                "are poisoned",
+                energy=bad, eta=eta,
             )
         done = norms < tol
         if done.any():
             idx = active[done]
             iters[idx] = it
-            g_out[idx] = np.linalg.solve(
-                z[done] - eps_s[done], eye_stack[: idx.size]
-            )
+            surface[idx] = eps_s[done]
             keep = ~done
             active = active[keep]
             if active.size == 0:
@@ -261,29 +286,40 @@ def sancho_rubio_batch(
             eps = np.ascontiguousarray(eps[keep])
             eps_s = np.ascontiguousarray(eps_s[keep])
     else:
+        # evaluated lead after lead, the first lead with a straggler
+        # raises and the later ones never run: account for that one only
+        lead, e_idx = divmod(int(active[0]), n_batch)
+        side, bad = leads[lead][2], float(energies[e_idx])
         metrics = get_metrics()
         if metrics.enabled:
-            metrics.inc("surface_gf.nonconverged", float(active.size), side=side)
-        bad = float(energies[active[0]])
+            n_bad = int(np.count_nonzero(active // n_batch == lead))
+            metrics.inc("surface_gf.nonconverged", float(n_bad), side=side)
         raise SurfaceGFConvergenceError(
             f"Sancho-Rubio did not converge in {max_iter} iterations "
-            f"(E = {bad}, eta = {eta}); increase eta",
-            energy=bad,
-            eta=eta,
+            f"(side = {side}, E = {bad}, eta = {eta}); increase eta",
+            energy=bad, eta=eta,
         )
-    _surface_health_check(g_out, energies, eta, h00, h01, side)
+    g_all = np.linalg.inv(z_all - surface)
+    results = [
+        (g_all[lo: lo + n_batch], iters[lo: lo + n_batch])
+        for lo in range(0, n_stack, n_batch)
+    ]
+    for (g, _), (h00, h01, side) in zip(results, leads):
+        _surface_health_check(g, energies, eta, h00, h01, side)
     tracer = get_tracer()
     if tracer.enabled:
-        # per iteration: one inversion + four a @ g @ b products (8 GEMMs),
-        # plus the final surface inversion — charged only on convergence
+        # the charge is the *reference* step (four a @ g @ b products =
+        # 8 GEMMs + one inversion; six GEMMs execute, see
+        # sancho_rubio_flops) plus the final surface inversion, per slice
+        # and only on convergence
         fl = sum(sancho_rubio_flops(m, int(it_e)) for it_e in iters)
         tracer.add_flops("surface_gf.sancho", fl)
     metrics = get_metrics()
     if metrics.enabled:
-        key = _ITER_KEYS[side]
-        for it_e in iters:
-            metrics.observe_key(key, float(it_e))
-    return g_out, iters
+        for (_, lead_iters), (_, _, side) in zip(results, leads):
+            for it_e in lead_iters:
+                metrics.observe_key(_ITER_KEYS[side], float(it_e))
+    return results
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ analytic formula for the same problem, and returns both numbers in a
 :class:`FlopValidation`.  The counts must agree **exactly** (all terms
 are integer-valued doubles far below 2^53, so float summation is exact);
 ``tests/test_observability.py`` asserts ``measured == analytic`` for the
-RGF, WF and Sancho-Rubio kernels at several sizes.
+RGF, WF and Sancho-Rubio kernels at several sizes.  For Sancho-Rubio the
+formula is the reference step, not the executed one (6 of its 8 GEMMs
+run): that check pins the iteration accounting, not a GEMM count.
 
 Imports of the kernel packages are deferred into the function bodies:
 ``repro.solvers`` itself imports :mod:`repro.observability` for its
@@ -205,7 +207,9 @@ def validate_wf_flops(
 def validate_sancho_rubio_flops(
     block_size: int = 4, energy: float = 0.3, n_energies: int = 1
 ) -> FlopValidation:
-    """Run a real decimation and compare against the per-iteration formula.
+    """Run a real decimation and check its *iteration accounting*: the
+    charge is ``sum_E formula(it_E)``, the formula being the reference
+    step of :func:`repro.perf.sancho_rubio_flops` (8 GEMMs; 6 execute).
 
     The iteration counts are *measured* quantities (returned by
     :func:`repro.negf.sancho_rubio_batch`); the analytic side charges

@@ -6,14 +6,17 @@ as done here (the Gordon Bell convention).  Counts are in REAL flops; one
 complex multiply-add = 8 real flops, so a complex m x m x m GEMM costs
 8 m^3.
 
-The formulas mirror the *implemented* algorithms operation-for-operation
-(:class:`repro.solvers.BlockTridiagLU`, :class:`repro.negf.RGFSolver`,
-:class:`repro.wf.WFSolver`, :func:`repro.negf.sancho_rubio`) — and the
+The formulas mirror the *implemented* block-tridiagonal algorithms
+operation-for-operation (:class:`repro.solvers.BlockTridiagLU`,
+:class:`repro.negf.RGFSolver`, :class:`repro.wf.WFSolver`) — and the
 claim is enforced, not aspirational: the same call sites are instrumented
 to report their measured counts to :mod:`repro.observability`, and
 :func:`repro.observability.validate_flops` (exercised by
 ``tests/test_observability.py``) asserts analytic == instrumented
-**exactly** at small sizes for the RGF, WF and Sancho-Rubio kernels.
+**exactly** at small sizes for the RGF and WF kernels.  The Sancho-Rubio
+charge is that of the *reference* decimation step, which the
+implementation undercuts (:func:`sancho_rubio_flops`); what is validated
+there is the iteration accounting.
 """
 
 from __future__ import annotations
@@ -210,10 +213,15 @@ def wf_solve_flops(n_blocks: int, m: int, n_rhs: int) -> float:
 
 
 def sancho_rubio_flops(m: int, n_iterations: int) -> float:
-    """Decimation cost: per iteration one inversion and eight GEMMs, plus
-    the final surface inversion — exactly as coded in
-    :func:`repro.negf.sancho_rubio` (each of the four update products
-    ``a @ g @ b`` is two GEMMs).
+    """Decimation cost of the *reference* Sancho-Rubio step: per
+    iteration one inversion and the four update products ``a @ g @ b`` of
+    two GEMMs each, plus the final surface inversion.
+
+    This is the algorithm's count, not the executed one (the Gordon Bell
+    convention :meth:`repro.wf.WFSolver._charge_flops` follows too):
+    :func:`repro.negf.sancho_rubio_batch` shares the two left factors
+    ``alpha @ g`` and ``beta @ g`` and executes six GEMMs a step, and the
+    charge does not move with it.
 
     Example
     -------

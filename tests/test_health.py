@@ -24,7 +24,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import NumericalBreakdownError
+from repro.errors import NumericalBreakdownError, SurfaceGFConvergenceError
+from repro.negf import Contacts
 from repro.negf.rgf import RGFSolver
 from repro.parallel.backend import (
     ProcessBackend,
@@ -283,6 +284,33 @@ class TestNonFinitePropagationProperties:
         assert sentinel.n_trips >= 1
         if np.isnan(bad):
             assert non_finite(res)
+
+
+    @pytest.mark.parametrize("poisoned,side", [
+        (("left",), "left"), (("right",), "right"), (("left", "right"), "left"),
+    ])
+    def test_nan_in_a_lead_block_trips_once_with_its_side(self, poisoned, side):
+        """Both leads decimate as one stack (left slices first): the trip
+        and the typed error still name the lead that is poisoned, at its
+        first energy — a left failure before a right one."""
+        H = _chain_hamiltonian(n_blocks=4)
+        leads = {"left": (H.diagonal[0], H.upper[0]),
+                 "right": (H.diagonal[-1], H.upper[-1])}
+        for name in poisoned:
+            leads[name] = (np.full((1, 1), np.nan + 0j), leads[name][1])
+        contacts = Contacts(
+            H, lead_left=leads["left"], lead_right=leads["right"], eta=1e-6
+        )
+        energies = np.array([0.7, -3.0, 0.1])
+        sentinel = HealthSentinel(mode="contain")
+        with use_sentinel(sentinel):
+            with pytest.raises(SurfaceGFConvergenceError) as info:
+                contacts.sigma_stacks(energies)
+        assert info.value.energy == energies[0]
+        assert f"side = {side}" in str(info.value)
+        (event,) = sentinel.events_since(0)
+        assert (event.site, event.kind) == ("surface_gf", "nonfinite")
+        assert f"side={side} E=0.7" in event.detail
 
 
 class _PoisonedCharge:

@@ -1,10 +1,14 @@
 """Surface GF and self-energy tests against the analytic chain."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DeviceSpec, build_device
+from repro.errors import SurfaceGFConvergenceError
 from repro.negf import (
     Contacts,
     contact_self_energy,
@@ -14,7 +18,9 @@ from repro.negf import (
     sancho_rubio,
     sancho_rubio_batch,
 )
-from repro.observability import Tracer, use_tracer
+from repro.negf.self_energy import broadening, open_channels
+from repro.negf.surface_gf import _decimate
+from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.perf import sancho_rubio_flops
 from repro.tb.chain import chain_band_edges, chain_self_energy, chain_surface_gf
 
@@ -108,6 +114,40 @@ def wide_lead(m=6, seed=3):
     return (a + a.conj().T) / 2, 0.4 * rng.normal(size=(m, m)) + 0j
 
 
+@lru_cache(maxsize=None)
+def si_wire_lead():
+    """Lead cell of the ``nanowire-zb`` Si-sp3s* 1x1 wire: m = 30 and a
+    singular coupling (``rank(h01)`` = 5) — the atomistic input."""
+    built = build_device(DeviceSpec(
+        geometry="nanowire-zb", material="Si-sp3s*", n_x=4, n_y=1, n_z=1,
+        source_cells=1, drain_cells=1, gate_cells=(1, 3),
+    ))
+    H = built.hamiltonian(np.zeros(built.n_atoms))
+    return np.array(H.diagonal[0]), np.array(H.upper[0])
+
+
+#: gap, conduction-band edge and the one- and two-channel range of the wire
+SI_WIRE_STACK = np.linspace(2.2, 2.7, 9)
+
+
+def biased(lead, shift):
+    """Left and right blocks of a device whose drain lead floats by
+    ``shift`` eV: ``h00_L != h00_R``, so the two decimations differ."""
+    h00, h01 = lead()
+    return (h00, h01), (h00 + shift * np.eye(h00.shape[0]), h01)
+
+
+def metrics_of(run):
+    """The ``surface_gf.*`` counters and histograms ``run`` records."""
+    with use_metrics(MetricsRegistry()) as registry:
+        run()
+    snap = registry.snapshot().to_dict()
+    return {
+        kind: {k: v for k, v in snap[kind].items() if k.startswith("surface_gf.")}
+        for kind in ("counters", "histograms")
+    }
+
+
 class TestSanchoRubioStack:
     """The decimation every run executes, on stacks that mix in-band
     and out-of-band energies (so the active set really compacts)."""
@@ -174,6 +214,92 @@ class TestSanchoRubioStack:
                 sancho_rubio_batch(energies, h00, h01, eta=0.0)
         g, iters = sancho_rubio_batch([], h00, h01)
         assert g.shape == (0, 1, 1) and iters.shape == (0,)
+
+    @pytest.mark.parametrize("left_shift,max_iter,side", [
+        pytest.param(0.0, 3, "left", id="both-slow"),
+        pytest.param(100.0, 8, "right", id="right-slow"),
+    ])
+    def test_stragglers_reported_as_left_then_right_would(
+        self, left_shift, max_iter, side
+    ):
+        """Both leads in one stack fail like one lead after the other:
+        the first lead with a straggler names the energy and the side and
+        is the only one counted."""
+        h00, h01 = chain_lead()
+        leads = [(h00 + left_shift, h01, "left"), (h00 + 0.5, h01, "right")]
+
+        def merged():
+            _decimate(MIXED_STACK, leads, 1e-6, max_iter=max_iter)
+
+        def sequential():
+            for a, b, lead_side in leads:
+                sancho_rubio_batch(
+                    MIXED_STACK, a, b, side=lead_side, eta=1e-6,
+                    max_iter=max_iter,
+                )
+
+        def failure_of(run):
+            with use_metrics(MetricsRegistry()) as registry:
+                with pytest.raises(SurfaceGFConvergenceError) as info:
+                    run()
+            counted = registry.snapshot().with_prefix(
+                "counters", "surface_gf.nonconverged"
+            )
+            return info.value.energy, str(info.value), counted
+
+        energy, message, counted = failure_of(merged)
+        assert (energy, message, counted) == failure_of(sequential)
+        assert f"side = {side}" in message
+        assert list(counted) == [f"surface_gf.nonconverged{{side={side}}}"]
+
+    def test_iteration_histograms_per_side(self):
+        """Ragged convergence: the out-of-band slices of either lead leave
+        the merged stack while the other lead's band-edge slices crawl, and
+        every slice still books its own count under its own side."""
+        leads = [(*lead, side) for lead, side in zip(
+            biased(chain_lead, 0.5), ("left", "right")
+        )]
+        merged = _decimate(MIXED_STACK, leads, 1e-6)
+        for (g, iters), (h00, h01, side) in zip(merged, leads):
+            g1, iters1 = sancho_rubio_batch(
+                MIXED_STACK, h00, h01, side=side, eta=1e-6
+            )
+            assert np.array_equal(g, g1) and np.array_equal(iters, iters1)
+        assert not np.array_equal(merged[0][1], merged[1][1])
+        with use_tracer(Tracer()) as tracer:
+            _decimate(MIXED_STACK, leads, 1e-6)
+        # one charge for the stack = the two per-lead charges
+        assert tracer.counter.counts["surface_gf.sancho"] == sum(
+            sancho_rubio_flops(1, int(it)) for _, its in merged for it in its
+        )
+        assert metrics_of(lambda: _decimate(MIXED_STACK, leads, 1e-6)) == (
+            metrics_of(lambda: [
+                sancho_rubio_batch(MIXED_STACK, a, b, side=side, eta=1e-6)
+                for a, b, side in leads
+            ])
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_atomistic_lead_satisfies_its_fixed_point(self, side):
+        """Si-sp3s* wire, singular ``h01``: the defining equation holds to
+        1e-10 relative to the terms that produced it, and Gamma is
+        Hermitian PSD."""
+        h00, h01 = si_wire_lead()
+        assert h00.shape == (30, 30) and np.linalg.matrix_rank(h01) == 5
+        eta = 1e-6
+        g, iters = sancho_rubio_batch(SI_WIRE_STACK, h00, h01, side=side, eta=eta)
+        assert iters.min() < 10 < iters.max()
+        c = h01.conj().T if side == "left" else h01
+        t1 = ((SI_WIRE_STACK + 1j * eta)[:, None, None] * np.eye(30) - h00) @ g
+        t2 = c @ g @ c.conj().T @ g
+        scale = max(1.0, np.abs(t1).max(), np.abs(t2).max())
+        assert np.abs(t1 - t2 - np.eye(30)).max() / scale <= 1e-10
+        gamma = broadening(c @ g @ c.conj().T)
+        assert np.array_equal(gamma, gamma.conj().swapaxes(1, 2))
+        ev = np.linalg.eigvalsh(gamma)
+        assert ev.min() > -1e-12
+        # in the gap only a surface state can leak; one or two channels above
+        assert set(open_channels(ev)[-4:].tolist()) == {2}
 
 
 class TestEigenSurfaceGF:
@@ -322,6 +448,69 @@ class TestSelfEnergy:
             alone = contacts.sigma_stacks(energies[b:b + 1])
             assert np.array_equal(alone[0][0], sigma_l[b])
             assert np.array_equal(alone[1][0], sigma_r[b])
+
+    @pytest.mark.parametrize("lead,shift,energies,dtype", [
+        pytest.param(wide_lead, 0.3, np.linspace(-2, 2, 7), None, id="biased"),
+        pytest.param(chain_lead, 0.5, MIXED_STACK, None, id="ragged"),
+        pytest.param(dimer_lead, 0.2, MIXED_STACK, np.complex64, id="complex64"),
+        pytest.param(wide_lead, 0.3, np.array([0.1]), None, id="stack-of-one"),
+        pytest.param(si_wire_lead, 0.05, SI_WIRE_STACK, None, id="si-sp3s*"),
+    ])
+    def test_both_leads_share_one_decimation_bit_for_bit(
+        self, lead, shift, energies, dtype
+    ):
+        """``sigma_stacks`` runs the two leads as one 2B stack; every slice
+        is the slice its own lead computes alone, under any regrouping."""
+        left, right = biased(lead, shift)
+        contacts = Contacts(
+            None, lead_left=left, lead_right=right, eta=1e-5, dtype=dtype
+        )
+        sigmas = contacts.sigma_stacks(energies)
+        for sigma, blocks, side in zip(sigmas, (left, right), ("left", "right")):
+            alone = contact_self_energy_batch(
+                energies, *blocks, side=side, eta=1e-5, dtype=dtype
+            )
+            assert sigma.dtype == (dtype or complex)
+            assert np.array_equal(sigma, np.stack([s.sigma for s in alone]))
+            # same Gamma, hence the same channel count, on either order
+            assert [s.n_open_channels() for s in alone] == open_channels(
+                np.linalg.eigvalsh(broadening(sigma))
+            ).tolist()
+        order = np.random.default_rng(0).permutation(len(energies))
+        for group in (order[: len(order) // 2], order[len(order) // 2:]):
+            for part, sigma in zip(contacts.sigma_stacks(energies[group]), sigmas):
+                assert np.array_equal(part, sigma[group])
+
+    def test_one_stacked_inversion_per_step_plus_the_closing_one(
+        self, monkeypatch
+    ):
+        left, right = biased(chain_lead, 0.5)
+        steps = max(
+            sancho_rubio_batch(MIXED_STACK, *blocks, side=side)[1].max()
+            for blocks, side in ((left, "left"), (right, "right"))
+        )
+        shapes = []
+        for name in ("solve", "inv"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _real=real, **kwargs):
+                shapes.append(a.shape)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        Contacts(None, lead_left=left, lead_right=right).sigma_stacks(MIXED_STACK)
+        assert len(shapes) == steps + 1
+        # both leads enter together and the closing inversion is the full stack
+        assert shapes[0] == shapes[-1] == (2 * MIXED_STACK.size, 1, 1)
+
+    def test_unequal_lead_cells_do_not_share_a_stack(self):
+        left, right = chain_lead(), dimer_lead()
+        sigma_l, sigma_r = Contacts(
+            None, lead_left=left, lead_right=right
+        ).sigma_stacks(MIXED_STACK)
+        for sigma, blocks, side in ((sigma_l, left, "left"), (sigma_r, right, "right")):
+            alone = contact_self_energy_batch(MIXED_STACK, *blocks, side=side)
+            assert np.array_equal(sigma, np.stack([s.sigma for s in alone]))
 
     def test_invalid_method_in_a_stack(self):
         h00, h01 = chain_lead()

@@ -768,6 +768,28 @@ class TestDegradationLadder:
         assert not d.quarantined_points
         assert inj.count("illcond") == 1
 
+    @pytest.mark.parametrize("mode,trips", [
+        ("illcond", {"block_lu:ill_conditioned": 21}),
+        ("nan", {"block_lu:nonfinite": 21, "energy:nonfinite": 21,
+                 "rgf:nonfinite": 21}),
+    ])
+    def test_hblock_fault_heals_to_the_same_account(self, system, mode, trips):
+        """The whole account of a healed k-point, as it read before the
+        two contacts shared one decimation stack (uniform fp64 pinned: the
+        counts are per node of that grid)."""
+        built, _ = system
+        healed = TransportCalculation(
+            built, method="rgf", n_energy=21, energy_mode="uniform",
+            precision="fp64", injector=FaultInjector(plan={("hblock", 0): mode}),
+        ).solve_bias(np.zeros(built.n_atoms), 0.1)
+        assert healed.degradation.to_dict() == {
+            "ladder_steps": {"per-point:robust": 21},
+            "sentinel_trips": trips,
+            "quarantined_points": [], "reweighted_grids": 0,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 21 + sum(trips.values()),
+        }
+
     def test_persistent_fault_quarantined_and_reweighted(self, system):
         built, _ = system
         pot = np.zeros(built.n_atoms)
@@ -795,6 +817,15 @@ class TestDegradationLadder:
         # every rung re-fired the persistent fault, once, before giving up
         assert inj.count("nan") == 3
         assert [f.site for f in inj.injected] == ["energy"] * 3
+        assert d.to_dict() == {
+            "ladder_steps": {"per-point:robust": 1, "dense-oracle": 1,
+                             "quadrature:reweight": 1},
+            "sentinel_trips": {"energy:nonfinite": 1, "wf:nonfinite": 1,
+                               "block_lu:nonfinite": 1},
+            "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 8,
+        }
 
     def test_transient_energy_fault_fires_once_and_heals(self, system):
         built, _ = system
