@@ -42,6 +42,7 @@ from repro.perf import (  # noqa: E402
     wf_solve_flops,
 )
 from repro.solvers import BandedLU, BlockTridiagLU, SplitSolve  # noqa: E402
+from repro.solvers import block_tridiagonal  # noqa: E402
 from repro.tb import HamiltonianSkeleton  # noqa: E402
 from repro.wf import WFSolver  # noqa: E402
 
@@ -331,8 +332,40 @@ def test_t3_hamiltonian_update_sane():
     assert report["hamiltonian.update_speedup"] > 5.0, report
 
 
+def _measure_block_lu(name, H, energies, sigmas, repeats):
+    """Both kernel stages behind one contact evaluation.
+
+    Seconds per energy (best of the repeats) and a count that repeats
+    exactly: the block products ``BlockTridiagLU`` issues for one RGF
+    ``kernel_stage`` — factor, both block columns, selected inversion.
+    Each multiplier formed once makes it ``9 (n_blocks - 1) + 2``; the
+    reference sweep the flop model charges issues ``12 (n_blocks - 1) + 2``.
+    """
+    rgf, wf = RGFSolver(H), WFSolver(H)
+    products = []
+
+    def counted(*args, **kwargs):  # a Mock would keep every operand alive
+        products.append(None)
+        return np.matmul(*args, **kwargs)
+
+    with mock.patch.object(block_tridiagonal, "_matmul", counted):
+        rgf.kernel_stage(energies, *sigmas)
+    row = {
+        "block_size": int(H.block_sizes.max()),
+        "n_blocks": int(H.n_blocks),
+        "lu_matmuls_rgf": len(products),
+    }
+    for method, solver in (("rgf", rgf), ("wf", wf)):
+        seconds = _best_of(
+            lambda: solver.kernel_stage(energies, *sigmas), repeats
+        )
+        row[f"kernel_stage_{method}_s_per_pt"] = seconds / energies.size
+    return {f"block_lu.{name}.{key}": value for key, value in row.items()}
+
+
 def _measure_contacts(leads=CONTACT_LEADS):
-    """Both leads of a bias solve through ``Contacts.sigma_stacks``.
+    """Both leads of a bias solve through ``Contacts.sigma_stacks``, then
+    the kernel stages on those stacks (:func:`_measure_block_lu`).
 
     Per lead: seconds per energy (best of the repeats) and two counts
     that repeat exactly — the stacked ``numpy.linalg`` inversions one
@@ -345,13 +378,14 @@ def _measure_contacts(leads=CONTACT_LEADS):
         calc = TransportCalculation(built, method="wf", n_energy=n_energy)
         potential = np.zeros(built.n_atoms)
         energies = calc.energy_grid(potential, 0.05).energies
-        contacts = Contacts(calc.hamiltonian(potential), eta=calc.eta)
+        H = calc.hamiltonian(potential)
+        contacts = Contacts(H, eta=calc.eta)
         with use_metrics(MetricsRegistry()) as registry, mock.patch.object(
             np.linalg, "inv", wraps=np.linalg.inv
         ) as inversions, mock.patch.object(
             np.linalg, "solve", wraps=np.linalg.solve
         ) as solves:
-            contacts.sigma_stacks(energies)
+            sigmas = contacts.sigma_stacks(energies)
         histograms = registry.snapshot().with_prefix(
             "histograms", "surface_gf.iterations"
         )
@@ -365,17 +399,21 @@ def _measure_contacts(leads=CONTACT_LEADS):
             f"contacts.{name}.max_iterations":
                 int(max(h.max for h in histograms.values())),
         })
+        report.update(_measure_block_lu(name, H, energies, sigmas, repeats))
     return report
 
 
 def test_t3_contacts_one_inversion_per_step():
-    """The count identity CI asserts, on the two cheap leads."""
+    """The count identities CI asserts, on the two cheap leads."""
     report = _measure_contacts(
         {k: (*v[:2], 1) for k, v in CONTACT_LEADS.items() if k != "si_wire"}
     )
     for name in ("fet", "wide"):
         assert report[f"contacts.{name}.stacked_inversions"] == (
             report[f"contacts.{name}.max_iterations"] + 1
+        ), report
+        assert report[f"block_lu.{name}.lu_matmuls_rgf"] == (
+            9 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
         ), report
 
 
@@ -410,6 +448,19 @@ def _smoke():
             f" ms/pt  {report[f'contacts.{name}.stacked_inversions']} stacked"
             f" inversions for {report[f'contacts.{name}.max_iterations']}"
             " steps"
+            for name in CONTACT_LEADS
+        ),
+    )
+    print_experiment(
+        "T3/block_lu",
+        "kernel stages on those stacks (contacts excluded):\n"
+        + "\n".join(
+            f"  {name:<8} m={report[f'block_lu.{name}.block_size']:<4}"
+            f"N={report[f'block_lu.{name}.n_blocks']:<3}"
+            f" RGF {report[f'block_lu.{name}.kernel_stage_rgf_s_per_pt'] * 1e3:8.3f}"
+            f" ms/pt  WF {report[f'block_lu.{name}.kernel_stage_wf_s_per_pt'] * 1e3:8.3f}"
+            f" ms/pt  {report[f'block_lu.{name}.lu_matmuls_rgf']} LU products"
+            " an RGF stage"
             for name in CONTACT_LEADS
         ),
     )

@@ -9,9 +9,11 @@ analytic formula for the same problem, and returns both numbers in a
 :class:`FlopValidation`.  The counts must agree **exactly** (all terms
 are integer-valued doubles far below 2^53, so float summation is exact);
 ``tests/test_observability.py`` asserts ``measured == analytic`` for the
-RGF, WF and Sancho-Rubio kernels at several sizes.  For Sancho-Rubio the
-formula is the reference step, not the executed one (6 of its 8 GEMMs
-run): that check pins the iteration accounting, not a GEMM count.
+RGF, WF and Sancho-Rubio kernels at several sizes.  The formulas are the
+reference algorithms, not the executed ones — the RGF block-LU sweep is
+charged 12 products a slab and executes 9, the Sancho-Rubio step is
+charged 8 GEMMs and executes 6 — so these checks pin the accounting
+(what is charged, how often), not a GEMM count.
 
 Imports of the kernel packages are deferred into the function bodies:
 ``repro.solvers`` itself imports :mod:`repro.observability` for its
@@ -118,7 +120,8 @@ def validate_rgf_flops(
     The instrumented :class:`repro.solvers.BlockTridiagLU` reports its
     factorisation, block-column and selected-inversion flops; their sum
     must equal :func:`repro.perf.flops.rgf_solve_flops` exactly (the
-    contact surface GFs are validated separately).  ``n_energies > 1``
+    contact surface GFs are validated separately).  Both sides are the
+    reference sweep, 12 products a slab; 9 execute.  ``n_energies > 1``
     runs one ``solve_batch`` over that many energies instead of
     ``solve(energy)``: the class charges ``batch_size`` times the
     per-matrix counts, so the stack must measure

@@ -6,17 +6,18 @@ as done here (the Gordon Bell convention).  Counts are in REAL flops; one
 complex multiply-add = 8 real flops, so a complex m x m x m GEMM costs
 8 m^3.
 
-The formulas mirror the *implemented* block-tridiagonal algorithms
-operation-for-operation (:class:`repro.solvers.BlockTridiagLU`,
-:class:`repro.negf.RGFSolver`, :class:`repro.wf.WFSolver`) — and the
-claim is enforced, not aspirational: the same call sites are instrumented
-to report their measured counts to :mod:`repro.observability`, and
+The formulas are those of the *reference* block-tridiagonal algorithms
+(:class:`repro.solvers.BlockTridiagLU`, :class:`repro.negf.RGFSolver`,
+:class:`repro.wf.WFSolver`): every sweep written out with no product
+reused.  The same call sites are instrumented to report what they charge
+to :mod:`repro.observability`, and
 :func:`repro.observability.validate_flops` (exercised by
-``tests/test_observability.py``) asserts analytic == instrumented
-**exactly** at small sizes for the RGF and WF kernels.  The Sancho-Rubio
-charge is that of the *reference* decimation step, which the
-implementation undercuts (:func:`sancho_rubio_flops`); what is validated
-there is the iteration accounting.
+``tests/test_observability.py``) asserts analytic == charged **exactly**
+at small sizes for the RGF and WF kernels — a check of the accounting,
+not of executed GEMMs.  Two kernels undercut their charge: the block LU
+forms each elimination multiplier once (9 products a slab of an RGF
+stage execute, 12 are charged: :func:`rgf_solve_flops`), and the
+Sancho-Rubio step shares two left factors (:func:`sancho_rubio_flops`).
 """
 
 from __future__ import annotations
@@ -111,10 +112,12 @@ def block_lu_solve_flops(n_blocks: int, m: int, n_rhs: int = 1) -> float:
 
 
 def block_column_solve_flops(n_blocks: int, m: int, column: int = 0) -> float:
-    """One block-column solve of A^{-1} (m RHS), exact GEMM count.
+    """One block-column solve of A^{-1} (m RHS), reference GEMM count.
 
-    As coded in :meth:`repro.solvers.BlockTridiagLU.solve_block_column`:
-    the forward pass below block ``column`` does 2 GEMMs per block
+    The substitution written out against the factor alone (what
+    :meth:`repro.solvers.BlockTridiagLU.solve_block_column` charges; it
+    executes fewer by reading the stored multipliers): the forward pass
+    below block ``column`` does 2 GEMMs per block
     (2 (N - 1 - j)), the backward pass 1 GEMM for the last block plus
     2 per remaining block (2 (N - 1) + 1) — a total of (4 N - 3 - 2 j)
     GEMMs of 8 m^3 each.  The first column (j = 0, the RGF "G_{i,0}"
@@ -137,9 +140,11 @@ def block_column_solve_flops(n_blocks: int, m: int, column: int = 0) -> float:
 def diagonal_inverse_flops(n_blocks: int, m: int) -> float:
     """Backward selected-inversion recursion: 4 GEMMs per interior block.
 
-    As coded in :meth:`repro.solvers.BlockTridiagLU.diagonal_of_inverse`:
-    G_{NN} is a copy (no flops); each of the N - 1 remaining blocks
-    evaluates ``di @ U @ G @ L @ di`` left-to-right — 4 GEMMs of 8 m^3.
+    The reference form :meth:`repro.solvers.BlockTridiagLU.
+    diagonal_of_inverse` charges: G_{NN} is a copy (no flops); each of the
+    N - 1 remaining blocks evaluates ``di @ U @ G @ L @ di``
+    left-to-right — 4 GEMMs of 8 m^3 (2 execute: ``P @ G @ Q`` on the
+    stored multipliers).
 
     Example
     -------
@@ -157,8 +162,11 @@ def rgf_solve_flops(n_blocks: int, m: int) -> float:
     This is the per-(k, E) cost of :meth:`repro.negf.RGFSolver.solve`,
     excluding the contact surface GFs (counted separately).  For uniform
     blocks it reduces to (13 N - 10) * 8 m^3 — the O(N m^3) law of the
-    recursion.  :func:`repro.observability.validate_rgf_flops` checks
-    this against an instrumented solve, term for term.
+    recursion.  This is the reference sweep: N inversions and
+    12 (N - 1) + 2 products, of which 9 (N - 1) + 2 execute since the
+    block LU forms ``dinv @ U`` and ``L @ dinv`` once.
+    :func:`repro.observability.validate_rgf_flops` checks the charge of
+    an instrumented solve against it, term for term.
 
     Example
     -------

@@ -11,20 +11,27 @@ method: for A = (E - H - Sigma) in slab block form,
   inverse (the "selected inversion" recursion — this IS the RGF backward
   sweep).
 
-Everything is dense per block (numpy/LAPACK); the flop counts of each
-operation are tracked through :mod:`repro.perf` hooks so the performance
-model can account for them exactly.
+Everything is dense per block (numpy/LAPACK); each operation charges the
+flop count of its reference algorithm through :mod:`repro.perf` hooks
+(PAPER.md: "we count the same flops analytically per algorithm"), so the
+performance model's totals do not move when the class reuses a product.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from ..observability.tracer import get_tracer
 from ..perf.flops import zgemm_flops, zinverse_flops
-from ..resilience.health import condition_estimate, get_sentinel
+from ..resilience.health import get_sentinel, norm1
 
 __all__ = ["BatchedBlockTridiagLU", "BlockTridiagLU", "block_tridiag_matvec"]
+
+#: Every block product of :class:`BlockTridiagLU` goes through this name,
+#: so a test can count them by patching it.
+_matmul = np.matmul
 
 
 def _resolve_dtype(dtype, *block_lists) -> np.dtype:
@@ -59,19 +66,24 @@ def _factor_health_check(diag, dinv_blocks) -> None:
     way).  One matrix and a stack are guarded by the same vectorised
     calls (the worst slice decides).  Trips ``nonfinite`` on NaN/Inf
     factors and ``ill_conditioned`` past the sentinel threshold; raises
-    in strict mode.
+    in strict mode.  Finiteness is read off the norms: only a
+    non-finite estimate pays a second look at which factor caused it.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
         return
-    cond = 0.0
-    for d, dinv in zip(diag, dinv_blocks):
-        if not np.all(np.isfinite(dinv)):
+    worst = 0.0  # per slice, over the slabs
+    with np.errstate(invalid="ignore"):  # inf * 0 -> nan -> reported inf
+        for d, dinv in zip(diag, dinv_blocks):
+            worst = np.maximum(worst, norm1(d) * norm1(dinv))
+    cond = float(worst.max(initial=0.0))
+    if not np.isfinite(cond):
+        if not all(np.isfinite(norm1(dinv)).all() for dinv in dinv_blocks):
             sentinel.trip(
                 "block_lu", "nonfinite", detail="non-finite LU factor block"
             )
             return
-        cond = max(cond, condition_estimate(d, dinv))
+        cond = np.inf
     sentinel.check_condition("block_lu", cond, detail="block-LU factor")
 
 
@@ -79,7 +91,8 @@ def _factor_flops(sizes) -> float:
     """Forward elimination of one matrix at (possibly ragged) ``sizes``.
 
     Per block: 1 inversion; blocks after the first add the two
-    elimination GEMMs (dinv @ upper then lower @ product).
+    elimination GEMMs (dinv @ upper then lower @ product) — what
+    executes.
     """
     fl = zinverse_flops(int(sizes[0]))
     for a, b in zip(sizes[:-1], sizes[1:]):
@@ -92,8 +105,12 @@ def _substitution_flops(sizes, r: int, j: int = 0) -> float:
     """Forward/backward substitution of ``r`` columns supported on block
     ``j`` and below (``j = 0``: a generic RHS) for one matrix.
 
-    Forward below j: dinv_{i-1} @ y then lower @ (.); backward: one GEMM
-    on the last block, then upper @ x and dinv @ (.) per remaining block.
+    The reference sweep, which reuses nothing of the factor.  Forward
+    below j: dinv_{i-1} @ y then lower @ (.); backward: one GEMM on the
+    last block, then upper @ x and dinv @ (.) per remaining block.  The
+    class executes fewer (stored ``P`` / ``Q``: one product a block above
+    j, one forward product for an identity column); the charge stays the
+    reference so ``perf.flops_total`` compares across versions.
     """
     n = len(sizes)
     fl = zgemm_flops(int(sizes[n - 1]), r, int(sizes[n - 1]))
@@ -107,8 +124,9 @@ def _substitution_flops(sizes, r: int, j: int = 0) -> float:
 
 
 def _diagonal_flops(sizes) -> float:
-    """Selected inversion of one matrix: ``(((di @ U) @ G) @ L) @ di``,
-    evaluated left to right, per block but the last."""
+    """Selected inversion of one matrix, reference form:
+    ``(((di @ U) @ G) @ L) @ di`` evaluated left to right, per block but
+    the last — four products where ``(P @ G) @ Q`` executes two."""
     fl = 0.0
     for a, b in zip(sizes[:-1], sizes[1:]):
         a, b = int(a), int(b)
@@ -155,8 +173,20 @@ class BlockTridiagLU:
 
         d_0 = A_00,      d_i = A_ii - A_{i,i-1} d_{i-1}^{-1} A_{i-1,i},
 
-    storing ``inv(d_i)`` and the elimination multipliers.  The class then
-    offers:
+    storing ``dinv_i = inv(d_i)`` and the upper multipliers
+    ``P_i = dinv_i A_{i,i+1}`` the elimination forms anyway (kept with the
+    sign the sweeps use, ``-P_i``).  The lower multipliers
+    ``Q_i = A_{i+1,i} dinv_i`` are formed once, the first time a full
+    identity column or the selected inversion reads them.  Every sweep
+    reads the same stored blocks — backward ``x_i = dinv_i y_i - P_i
+    x_{i+1}``, identity-column forward ``y_i = -Q_{i-1} y_{i-1}``,
+    ``G_ii = dinv_i + P_i G_{i+1,i+1} Q_i`` — so one RGF kernel stage
+    (factor, both edge columns, diagonal) issues 9 block products a slab.
+    One rule is a property of the call, not a setting: a *supplied*
+    right-hand side (the WF kernel's injection sliver, r << m columns)
+    sweeps forward with the two thin products ``A_{i+1,i} (dinv_i y_i)``
+    and never forms ``Q`` — m^3 a slab for r columns of use.  The class
+    then offers:
 
     * :meth:`solve` — generic multi-RHS solve,
     * :meth:`block_column` / :meth:`solve_block_column` — the j-th block
@@ -193,7 +223,10 @@ class BlockTridiagLU:
         complex128 data.
 
     Flop accounting: every method charges ``batch_size`` times the
-    per-matrix count at the actual (possibly ragged) block sizes;
+    per-matrix count of the *reference* sweep (no multiplier reused: 12
+    products a slab for the RGF stage where 9 execute) at the actual
+    (possibly ragged) block sizes, so a charge does not depend on what a
+    call found already stored;
     :func:`repro.observability.validate_flops` pins one matrix and a
     stack against the analytic formulas.  The counts are
     dtype-independent: a complex64 factorisation performs the same
@@ -229,15 +262,18 @@ class BlockTridiagLU:
         self._lower = [
             np.ascontiguousarray(l, dtype=self.dtype) for l in lower
         ]
-        # forward elimination
+        # forward elimination: d_i = A_ii + L_{i-1} (-P_{i-1}); the
+        # multiplier is kept (negated on the small coupling block, so no
+        # sweep negates a product)
         self._dinv: list[np.ndarray] = []
+        self._neg_p: list[np.ndarray] = []
         for i in range(n):
             schur = np.ascontiguousarray(diag[i], dtype=self.dtype)
             if i:
-                schur = schur - self._lower[i - 1] @ (
-                    self._dinv[i - 1] @ self._upper[i - 1]
-                )
+                schur = schur + _matmul(self._lower[i - 1], self._neg_p[i - 1])
             self._dinv.append(np.linalg.inv(schur))
+            if i < n - 1:
+                self._neg_p.append(_matmul(self._dinv[i], -self._upper[i]))
         _factor_health_check(diag, self._dinv)
         self._charge("block_lu.factor", _factor_flops)
 
@@ -246,6 +282,12 @@ class BlockTridiagLU:
         tracer = get_tracer()
         if tracer.enabled and self._instrument:
             tracer.add_flops(kernel, self.batch_size * flops(self.sizes, *args))
+
+    @cached_property
+    def _neg_q(self) -> list[np.ndarray]:
+        """``-Q_i = -L_i @ dinv_i``, formed the first time an identity
+        column or the selected inversion reads it."""
+        return [_matmul(-l, d) for l, d in zip(self._lower, self._dinv)]
 
     # ------------------------------------------------------------------
     def solve(self, rhs_blocks):
@@ -263,18 +305,17 @@ class BlockTridiagLU:
         rdt = np.result_type(
             self.dtype, *[np.asarray(b).dtype for b in rhs_blocks]
         )
+        dinv, neg_p = self._dinv, self._neg_p
         # forward substitution: y_i = b_i - L_i,i-1 dinv_{i-1} y_{i-1}
         y = [np.asarray(rhs_blocks[0], dtype=rdt)]
         for i in range(1, n):
-            y.append(
-                np.asarray(rhs_blocks[i], dtype=rdt)
-                - self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
-            )
-        # backward: x_N = dinv_N y_N; x_i = dinv_i (y_i - U_{i,i+1} x_{i+1})
+            step = _matmul(self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1]))
+            y.append(np.asarray(rhs_blocks[i], dtype=rdt) - step)
+        # backward: x_N = dinv_N y_N; x_i = dinv_i y_i - P_i x_{i+1}
         x = [None] * n
-        x[n - 1] = self._dinv[n - 1] @ y[n - 1]
+        x[n - 1] = _matmul(dinv[n - 1], y[n - 1])
         for i in range(n - 2, -1, -1):
-            x[i] = self._dinv[i] @ (y[i] - self._upper[i] @ x[i + 1])
+            x[i] = _matmul(dinv[i], y[i]) + _matmul(neg_p[i], x[i + 1])
         r = 1 if y[0].ndim == 1 else int(y[0].shape[-1])
         self._charge("block_lu.solve", _substitution_flops, r)
         return x
@@ -295,34 +336,41 @@ class BlockTridiagLU:
 
         Equivalent to ``solve`` with the identity (or ``rhs``) in block j
         and zeros elsewhere, but skips the zero blocks of the forward pass
-        above j.  The backward sweep writes each block product straight
-        into its rows, so a caller contracting the whole column copies
-        nothing.
+        above j, where the backward sweep is the bare ``-P_i x_{i+1}``.
+        The identity column sweeps forward with the stored ``-Q``; a
+        supplied ``rhs`` keeps the two thin products ``L (dinv y)`` — its
+        r columns never pay for the m^3 ``Q``.  The backward sweep writes
+        each block product straight into its rows, so a caller
+        contracting the whole column copies nothing.
         """
         n = self.n_blocks
         if not 0 <= j < n:
             raise IndexError(f"block column {j} out of range")
-        if rhs is None:
+        supplied = rhs is not None
+        if not supplied:
             m = int(self.sizes[j])
             rhs = np.ascontiguousarray(np.broadcast_to(
                 np.eye(m, dtype=self.dtype), self._batch + (m, m)
             ))
         r = rhs.shape[-1]
+        dinv, neg_p = self._dinv, self._neg_p
         y = [None] * n
         y[j] = rhs
-        for i in range(j + 1, n):
-            y[i] = -self._lower[i - 1] @ (self._dinv[i - 1] @ y[i - 1])
+        for i in range(j + 1, n):  # y_i = -L_{i-1} dinv_{i-1} y_{i-1}
+            if supplied:
+                y[i] = _matmul(-self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1]))
+            else:
+                y[i] = _matmul(self._neg_q[i - 1], y[i - 1])
         column = np.empty(
             self._batch + (self._rows[-1][1], r),
             dtype=np.result_type(self.dtype, rhs.dtype),
         )
         x = self._blocks(column)
-        np.matmul(self._dinv[n - 1], y[n - 1], out=x[n - 1])
-        for i in range(n - 2, -1, -1):
-            acc = y[i] if y[i] is not None else 0.0
-            np.matmul(
-                self._dinv[i], acc - self._upper[i] @ x[i + 1], out=x[i]
-            )
+        _matmul(dinv[n - 1], y[n - 1], out=x[n - 1])
+        for i in range(n - 2, -1, -1):  # x_i = dinv_i y_i - P_i x_{i+1}
+            _matmul(neg_p[i], x[i + 1], out=x[i])
+            if y[i] is not None:
+                x[i] += _matmul(dinv[i], y[i])
         self._charge("block_lu.column", _substitution_flops, r, j)
         return column
 
@@ -330,14 +378,15 @@ class BlockTridiagLU:
         """Diagonal blocks of A^{-1} (the RGF backward recursion).
 
         G_{NN} = dinv_N;
-        G_{ii} = dinv_i + dinv_i U_i G_{i+1,i+1} L_i dinv_i.
+        G_{ii} = dinv_i + dinv_i U_i G_{i+1,i+1} L_i dinv_i
+               = dinv_i + P_i G_{i+1,i+1} Q_i   (two products a slab).
         """
         n = self.n_blocks
+        neg_p, neg_q = self._neg_p, self._neg_q
         G = [None] * n
         G[n - 1] = self._dinv[n - 1].copy()
         for i in range(n - 2, -1, -1):
-            di = self._dinv[i]
-            G[i] = di + di @ self._upper[i] @ G[i + 1] @ self._lower[i] @ di
+            G[i] = self._dinv[i] + _matmul(_matmul(neg_p[i], G[i + 1]), neg_q[i])
         self._charge("block_lu.diagonal", _diagonal_flops)
         return G
 

@@ -201,6 +201,44 @@ class TestBlockLUSentinelSite:
             BlockTridiagLU(enter(bad), upper)
         assert s.trips_since(0) == {f"block_lu:{kind}": 1}
 
+    @pytest.mark.parametrize("entry", ["2d", "stack-of-5"])
+    @pytest.mark.parametrize("poison", ["nan", "inf", "cond-1e13", "none"])
+    def test_ledger_equals_the_two_pass_check(self, entry, poison):
+        """The check reads finiteness off the 1-norms it needs anyway;
+        kind, detail and value of every trip equal those of the check it
+        replaced (an ``isfinite`` pass and ``condition_estimate`` a slab)."""
+        from repro.solvers import BlockTridiagLU
+
+        diag, upper = self._system(5)
+        if poison == "cond-1e13":
+            diag[0][-1] = np.diag([1.0, 1e-13])
+        elif poison != "none":
+            diag[1][-1, 0, 0] = float(poison)
+        if entry == "2d":
+            diag = [d[-1] for d in diag]
+        got, want = HealthSentinel(mode="contain"), HealthSentinel(mode="contain")
+        with use_sentinel(got):
+            lu = BlockTridiagLU(diag, upper)
+        cond = 0.0
+        for d, dinv in zip(diag, lu._dinv):
+            if not np.all(np.isfinite(dinv)):
+                want.trip(
+                    "block_lu", "nonfinite", detail="non-finite LU factor block"
+                )
+                break
+            cond = max(cond, condition_estimate(d, dinv))
+        else:
+            want.check_condition("block_lu", cond, detail="block-LU factor")
+        assert want.n_trips == (poison != "none")
+
+        def ledger(sentinel):
+            return [
+                (e.site, e.kind, e.detail, repr(e.value))
+                for e in sentinel.events_since(0)
+            ]
+
+        assert ledger(got) == ledger(want)
+
 
 NONFINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 

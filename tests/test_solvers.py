@@ -85,6 +85,21 @@ def slices(entry, blocks):
     return [[blk[b] for blk in blocks] for b in range(blocks[0].shape[0])]
 
 
+def recorded_products(monkeypatch):
+    """Patch the one matmul ``BlockTridiagLU`` calls; the returned list
+    grows by the (left, right) trailing shapes of every product issued."""
+    from repro.solvers import block_tridiagonal
+
+    issued = []
+
+    def matmul(a, b, out=None):
+        issued.append((a.shape[-2:], b.shape[-2:]))
+        return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(block_tridiagonal, "_matmul", matmul)
+    return issued
+
+
 def oracle_atol(dtype):
     # diagonally dominant systems, |A^-1| ~ 0.1: a few hundred ulps
     return 500 * np.finfo(dtype).eps
@@ -303,11 +318,15 @@ class TestBlockTridiagLU:
         self, entry, dtype
     ):
         """``block_column`` is the whole column; ``solve_block_column``
-        hands out its row blocks without copying, bit-identical to the
-        list-of-products sweep it replaced."""
+        hands out its row blocks without copying.  Bit-identical to the
+        list-of-products form of the stored-multiplier sweep, and the
+        re-association of the sweep it replaced (PR 17's order) to a few
+        ulps."""
         system, dense = entry_systems(entry)
         lu = BlockTridiagLU(*system, dtype=dtype)
         lead = () if entry == "2d" else (len(dense),)
+        p = [d @ u for d, u in zip(lu._dinv, lu._upper)]
+        q = [l @ d for l, d in zip(lu._lower, lu._dinv)]
         for j, m in enumerate(RAGGED):
             column = lu.block_column(j)
             assert column.shape == lead + (sum(RAGGED), m)
@@ -315,17 +334,83 @@ class TestBlockTridiagLU:
             blocks = lu.solve_block_column(j)
             assert all(b.base is not None for b in blocks)
             assert np.array_equal(np.concatenate(blocks, axis=-2), column)
-            # the sweep as it was written before the preallocated column
             y = [None] * 3
             y[j] = np.broadcast_to(np.eye(m, dtype=dtype), lead + (m, m))
+            # the sweep as written: y_i = -Q_{i-1} y_{i-1}, then
+            # x_i = dinv_i y_i - P_i x_{i+1} (bare -P_i x_{i+1} above j)
+            for i in range(j + 1, 3):
+                y[i] = -(q[i - 1] @ y[i - 1])
+            x = [None] * 3
+            x[2] = lu._dinv[2] @ y[2]
+            for i in (1, 0):
+                px = p[i] @ x[i + 1]
+                x[i] = -px if y[i] is None else lu._dinv[i] @ y[i] - px
+            assert np.array_equal(np.concatenate(x, axis=-2), column)
+            # the sweep before the multipliers were stored
             for i in range(j + 1, 3):
                 y[i] = -lu._lower[i - 1] @ (lu._dinv[i - 1] @ y[i - 1])
-            x = [None] * 3
             x[2] = lu._dinv[2] @ y[2]
             for i in (1, 0):
                 acc = y[i] if y[i] is not None else 0.0
                 x[i] = lu._dinv[i] @ (acc - lu._upper[i] @ x[i + 1])
-            assert np.array_equal(np.concatenate(x, axis=-2), column)
+            old = np.concatenate(x, axis=-2)
+            rtol = 1e-13 if dtype == np.complex128 else 1e-5
+            assert np.abs(column - old).max() <= rtol * np.abs(old).max()
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_each_multiplier_is_formed_once(self, entry, monkeypatch):
+        """Block products issued on N slabs: the factor forms
+        ``P = dinv @ U`` (2(N-1) with the Schur update), the last column
+        is N bare products, and the first column plus the selected
+        inversion form ``Q = L @ dinv`` once between them — 9(N-1)+2 for
+        the RGF kernel stage where the reference sweep issues 12(N-1)+2."""
+        n = 6
+        diag, upper, lower = random_btd(n, 3, seed=41)
+        if entry == "stack":
+            diag = [np.stack([d, 2.0 * d]) for d in diag]
+        issued = recorded_products(monkeypatch)
+        lu = BlockTridiagLU(diag, upper, lower)
+        assert len(issued) == 2 * (n - 1)
+        lu.block_column(n - 1)
+        assert len(issued) == 2 * (n - 1) + n
+        lu.block_column(0)
+        lu.diagonal_of_inverse()
+        assert len(issued) == 2 * (n - 1) + n + 6 * (n - 1) + 1
+        assert len(issued) == 9 * (n - 1) + 2
+        lu.diagonal_of_inverse()  # Q is there now: 2 a slab
+        assert len(issued) == 11 * (n - 1) + 2
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_supplied_rhs_issues_no_square_product(self, entry, monkeypatch):
+        """A supplied right-hand side (the WF injection sliver: r = 5 of
+        m = 30 on the Si-sp3s* 1x1 wire) sweeps with thin products only —
+        it never forms the m^3 ``Q``."""
+        from tests.test_negf_surface_gf import si_wire_lead
+
+        h00, h01 = si_wire_lead()
+        m, r, n = h00.shape[0], 5, 4
+        assert m == 30
+        diag = [(2.5 + 1e-6j) * np.eye(m) - h00] * n
+        if entry == "stack":
+            diag = [np.stack([d - 0.1 * np.eye(m), d]) for d in diag]
+        upper = [-h01] * (n - 1)
+        lu = BlockTridiagLU(diag, upper)
+        rng = np.random.default_rng(43)
+        lead = diag[0].shape[:-2]
+        W = rng.normal(size=lead + (m, r)) + 1j * rng.normal(size=lead + (m, r))
+        issued = recorded_products(monkeypatch)
+        first, last = lu.block_column(0, W), lu.block_column(n - 1, W)
+        assert len(issued) == (4 * (n - 1) + 1) + n
+        assert all(right == (m, r) for _, right in issued)
+        assert "_q" not in vars(lu)
+        inv = np.linalg.inv(to_dense(
+            [d[-1] if entry == "stack" else d for d in diag],
+            upper, [u.conj().T for u in upper],
+        ))
+        for got, cols in ((first, inv[:, :m]), (last, inv[:, -m:])):
+            want = cols @ W[-1] if entry == "stack" else cols @ W
+            got = got[-1] if entry == "stack" else got
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -333,8 +418,27 @@ class TestBlockTridiagLU:
         """``block_column(j, rhs)`` solves a RHS supported on block j
         alone: dense oracle, and the generic ``solve`` on the same RHS
         zero-padded to every block."""
-        system, dense = entry_systems(entry)
-        lu = BlockTridiagLU(*system, dtype=dtype)
+        self._rhs_column_against_solve_and_dense(entry, dtype, True)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_block_column_rhs_with_hermitian_default(self, entry, dtype):
+        """The same with ``lower=None`` (``A_{i+1,i} = upper[i]^+``)."""
+        self._rhs_column_against_solve_and_dense(entry, dtype, False)
+
+    @staticmethod
+    def _rhs_column_against_solve_and_dense(entry, dtype, lower_given):
+        (diag, upper, lower), dense = entry_systems(entry)
+        if not lower_given:
+            lower = None
+            dense = [
+                to_dense(
+                    [d if entry == "2d" else d[b] for d in diag], upper,
+                    [u.conj().T for u in upper],
+                )
+                for b in range(len(dense))
+            ]
+        lu = BlockTridiagLU(diag, upper, lower, dtype=dtype)
         lead = () if entry == "2d" else (len(dense),)
         off = np.concatenate([[0], np.cumsum(RAGGED)])
         rng = np.random.default_rng(37)
