@@ -27,7 +27,12 @@ from conftest import (  # noqa: E402
 from repro.core import DeviceSpec, TransportCalculation, build_device  # noqa: E402
 from repro.negf import Contacts, RGFSolver, contact_self_energy, sancho_rubio  # noqa: E402
 from repro.negf.rgf import assemble_system_blocks  # noqa: E402
-from repro.negf.surface_gf import sancho_rubio_batch  # noqa: E402
+from repro.negf.surface_gf import (  # noqa: E402
+    _decimate,
+    _scalar_coupled,
+    _surface_health_check,
+    sancho_rubio_batch,
+)
 from repro.observability import (  # noqa: E402
     MetricsRegistry,
     Tracer,
@@ -367,10 +372,15 @@ def _measure_contacts(leads=CONTACT_LEADS):
     """Both leads of a bias solve through ``Contacts.sigma_stacks``, then
     the kernel stages on those stacks (:func:`_measure_block_lu`).
 
-    Per lead: seconds per energy (best of the repeats) and two counts
-    that repeat exactly — the stacked ``numpy.linalg`` inversions one
-    call issues and the largest decimation step count of its 2B slices.
-    One loop over both leads makes them ``max_iterations + 1``.
+    Per lead: the representation the decimation runs in (``basis``:
+    ``"modes"`` for a lead coupled by ``c I``, ``"dense"`` otherwise),
+    seconds per energy (best of the repeats) of the whole call and of the
+    fixed-point health check it ends with, and three counts that repeat
+    exactly — the stacked ``numpy.linalg`` inversions and ``eigh`` calls
+    one call issues and the largest decimation step count of its 2B
+    slices.  One loop over both leads makes them ``max_iterations + 1``
+    inversions at m, and no inversion but one ``eigh`` per lead in the
+    mode basis.
     """
     report = {}
     for name, (spec, n_energy, repeats) in leads.items():
@@ -380,22 +390,34 @@ def _measure_contacts(leads=CONTACT_LEADS):
         energies = calc.energy_grid(potential, 0.05).energies
         H = calc.hamiltonian(potential)
         contacts = Contacts(H, eta=calc.eta)
+        sides = ((*contacts.left, "left"), (*contacts.right, "right"))
         with use_metrics(MetricsRegistry()) as registry, mock.patch.object(
             np.linalg, "inv", wraps=np.linalg.inv
         ) as inversions, mock.patch.object(
             np.linalg, "solve", wraps=np.linalg.solve
-        ) as solves:
+        ) as solves, mock.patch.object(
+            np.linalg, "eigh", wraps=np.linalg.eigh
+        ) as eighs:
             sigmas = contacts.sigma_stacks(energies)
         histograms = registry.snapshot().with_prefix(
             "histograms", "surface_gf.iterations"
         )
         seconds = _best_of(lambda: contacts.sigma_stacks(energies), repeats)
+        g_stacks = [g for g, _ in _decimate(energies, sides, calc.eta)]
+        check = _best_of(lambda: [
+            _surface_health_check(g, energies, calc.eta, *lead)
+            for g, lead in zip(g_stacks, sides)
+        ], repeats)
+        in_modes = {_scalar_coupled(h00, h01) for h00, h01, _ in sides}
         report.update({
             f"contacts.{name}.block_size": int(contacts.left[0].shape[0]),
             f"contacts.{name}.n_energies": int(energies.size),
+            f"contacts.{name}.basis": "modes" if in_modes == {True} else "dense",
             f"contacts.{name}.sigma_stacks_s_per_pt": seconds / energies.size,
+            f"contacts.{name}.health_check_s_per_pt": check / energies.size,
             f"contacts.{name}.stacked_inversions":
                 inversions.call_count + solves.call_count,
+            f"contacts.{name}.eigh_calls": eighs.call_count,
             f"contacts.{name}.max_iterations":
                 int(max(h.max for h in histograms.values())),
         })
@@ -404,14 +426,15 @@ def _measure_contacts(leads=CONTACT_LEADS):
 
 
 def test_t3_contacts_one_inversion_per_step():
-    """The count identities CI asserts, on the two cheap leads."""
+    """The count identities CI asserts, on the two cheap leads: both are
+    effective-mass grids, so both decimate in the mode basis."""
     report = _measure_contacts(
         {k: (*v[:2], 1) for k, v in CONTACT_LEADS.items() if k != "si_wire"}
     )
     for name in ("fet", "wide"):
-        assert report[f"contacts.{name}.stacked_inversions"] == (
-            report[f"contacts.{name}.max_iterations"] + 1
-        ), report
+        assert report[f"contacts.{name}.basis"] == "modes", report
+        assert report[f"contacts.{name}.stacked_inversions"] == 0, report
+        assert report[f"contacts.{name}.eigh_calls"] == 2, report
         assert report[f"block_lu.{name}.lu_matmuls_rgf"] == (
             9 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
         ), report
@@ -444,10 +467,13 @@ def _smoke():
         + "\n".join(
             f"  {name:<8} m={report[f'contacts.{name}.block_size']:<4}"
             f"B={report[f'contacts.{name}.n_energies']:<3}"
+            f"{report[f'contacts.{name}.basis']:<6}"
             f"{report[f'contacts.{name}.sigma_stacks_s_per_pt'] * 1e3:9.3f}"
-            f" ms/pt  {report[f'contacts.{name}.stacked_inversions']} stacked"
-            f" inversions for {report[f'contacts.{name}.max_iterations']}"
-            " steps"
+            f" ms/pt (health check"
+            f" {report[f'contacts.{name}.health_check_s_per_pt'] * 1e3:.3f})"
+            f"  {report[f'contacts.{name}.stacked_inversions']} stacked"
+            f" inversions, {report[f'contacts.{name}.eigh_calls']} eigh for"
+            f" {report[f'contacts.{name}.max_iterations']} steps"
             for name in CONTACT_LEADS
         ),
     )

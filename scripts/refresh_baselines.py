@@ -66,8 +66,8 @@ TIMING_FIELDS = (
 def _is_timing(key: str) -> bool:
     # BENCH_kernels' ``contacts.<lead>.sigma_stacks_s_per_pt`` and
     # ``block_lu.<device>.kernel_stage_*_s_per_pt`` are timings; their
-    # ``stacked_inversions`` / ``max_iterations`` / ``lu_matmuls_rgf``
-    # are checked counts
+    # ``basis`` and the counts ``stacked_inversions`` / ``eigh_calls`` /
+    # ``max_iterations`` / ``lu_matmuls_rgf`` are checked
     return (
         key.startswith("time.")
         or key.endswith(("_s", "_s_per_pt"))

@@ -221,6 +221,15 @@ class Contacts:
     the other; a failure names the first lead that fails (lowest stack
     index: the left before the right), with its energy and side.
 
+    The stack's representation is a property of the leads, resolved on
+    every :meth:`sigma_stacks` call: leads coupled by ``h01 = c I`` with a
+    finite, exactly Hermitian ``h00`` (every effective-mass grid device,
+    at any k) decimate as ``(2B, m)`` diagonals in the eigenbasis of their
+    ``h00`` — one ``eigh`` per lead and call, no inversion — and any other
+    lead (atomistic, singular or poisoned) as ``(2B, m, m)`` stacks; a
+    pair of one of each runs lead by lead
+    (:func:`repro.negf.surface_gf._decimate`).
+
     Parameters
     ----------
     hamiltonian : BlockTridiagonalHamiltonian

@@ -9,7 +9,14 @@ the tests, and their speed/robustness trade-off is an ablation benchmark):
   Lopez Sancho & Rubio (J. Phys. F 15, 851 (1985)): quadratically
   convergent fixed point, needs only matrix products and inverses, robust
   everywhere (the production default), run on a whole stack of energies;
-  :func:`sancho_rubio` is its stack of one;
+  :func:`sancho_rubio` is its stack of one.  A lead coupled by a scalar,
+  ``h01 = c I`` (every effective-mass grid lead), runs the same loop in
+  the eigenbasis of ``h00``: m independent scalar chains, O(m) a step
+  instead of O(m^3), one ``eigh`` per lead and one rotation back.  Its
+  rounding is the scalar recursion's — digits are lost where a step
+  nearly cancels ``z - eps`` (1e-4 relative at a band centre for
+  eta = 1e-6) — but stays in the mode it strikes, where at m it spreads
+  over the block;
 * :func:`eigen_surface_gf` — the complex-band/transfer-matrix method: one
   generalized eigenproblem yields all propagating and evanescent lead
   modes, from which the Bloch propagation matrix F and g follow in closed
@@ -146,15 +153,16 @@ def sancho_rubio_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retarded surface Green's functions by decimation, stacked: the
     one-lead caller of the loop :meth:`repro.negf.Contacts.sigma_stacks`
-    runs over both leads at once (six GEMMs and one stacked inversion a
-    step, one closing inversion for all slices).
+    runs over both leads at once (:func:`_decimate`).
 
     The decimation fixed point is independent per energy, so B energies
-    run as one sequence of ``(B, m, m)`` stacked solves and matmuls.
+    run as one sequence of ``(B, m, m)`` stacked inversions and GEMMs —
+    or, for a lead coupled by ``h01 = c I``, of ``(B, m)`` elementwise
+    operations on the eigenvalues of ``h00``, rotated back at the end.
     Converged energies are *compacted out* of the active set, so every
     energy executes exactly the iteration sequence it would run alone —
-    same per-slice LAPACK calls, same iteration count, and hence the
-    flop charge ``sum_E sancho_rubio_flops(m, it_E)``.
+    same per-slice arithmetic, same iteration count, and hence the flop
+    charge ``sum_E sancho_rubio_flops(m, it_E)``.
 
     Parameters
     ----------
@@ -193,24 +201,58 @@ def sancho_rubio_batch(
     return _decimate(energies, [lead], eta, tol, max_iter, dtype)[0]
 
 
+def _scalar_coupled(h00, h01) -> bool:
+    """Whether a lead decimates in its mode basis: ``h01 == c·I`` exactly
+    and ``h00`` finite and exactly Hermitian.  Every decimation iterate is
+    then a function of ``h00`` alone (times powers of ``c``), so in the
+    eigenbasis ``h00 = U diag(d) U^+`` the m x m fixed point is m
+    independent scalar chains; any other lead — poisoned blocks included,
+    which ``eigh`` must never see — decimates at m."""
+    h00, h01 = np.asarray(h00), np.asarray(h01)
+    c = h01[0, 0]
+    return bool(
+        np.isfinite(c)
+        and np.array_equal(h01, c * np.eye(h01.shape[0]))
+        and np.isfinite(h00).all()
+        and np.array_equal(h00, h00.conj().T)
+    )
+
+
 def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
     """Sancho-Rubio decimation of several leads as one stack.
 
     ``leads`` is a sequence of ``(h00, h01, side)``; the result is one
     ``(g, n_iter)`` pair per lead, each exactly what
     :func:`sancho_rubio_batch` returns for that lead alone.  Leads of one
-    block size share one ``(S, m, m)`` stack, S = leads x energies in lead
-    order (a bias solve: the left slices, then the right), so they share
-    every numpy call and the active set compacts over their union; a
-    slice never sees its stack-mates, so its bits and its iteration count
-    are those of a stack of one.  Each step is six GEMMs (``alpha @ g`` and
-    ``beta @ g`` are each used twice) and one stacked inversion; a
-    converged slice parks its surface ``eps_s`` and all of them are
-    inverted by one closing ``inv``.  Failures are reported for the
-    lowest stack index, i.e. the left lead before the right one — at the
-    step they show: a right lead that goes non-finite at step k is
-    reported then, even if the left one would run out of ``max_iter``
-    later.
+    block size and one representation share one stack of S = leads x
+    energies slices in lead order (a bias solve: the left slices, then
+    the right), so they share every numpy call and the active set
+    compacts over their union; a slice never sees its stack-mates, so its
+    bits and its iteration count are those of a stack of one.  A mixed
+    pair runs lead by lead, as unequal cell sizes do.
+
+    The loop body is one set of lines over two representations, picked by
+    :func:`_scalar_coupled`:
+
+    * *dense* — ``(S, m, m)`` stacks of ``z``, ``eps``, ``alpha``,
+      ``beta``; a step is one stacked inversion and six GEMMs
+      (``alpha @ g`` and ``beta @ g`` are each used twice);
+    * *modes* (``h01 = c·I``, the effective-mass grid leads) — ``(S, m)``
+      diagonals in the eigenbasis of ``h00`` (one ``eigh`` per lead and
+      call, energy independent): ``eps = d``, ``alpha = c`` or ``c*`` by
+      side, and the step's products and inversion are ``np.multiply`` /
+      ``np.reciprocal`` — O(m) a slice instead of O(m^3).
+
+    The convergence norm is the Frobenius ``||alpha||`` of each slice in
+    either form.  A converged slice parks its surface ``eps_s`` and all of
+    them are inverted by one closing ``inv`` (or ``reciprocal``, then one
+    GEMM a slice rotates ``g = U diag(g_d) U^+`` back), so the health
+    check always sees the full-basis ``g``.  The flop charge is the dense
+    reference step in both forms (:func:`repro.perf.sancho_rubio_flops`).
+    Failures are reported for the lowest stack index, i.e. the left lead
+    before the right one — at the step they show: a right lead that goes
+    non-finite at step k is reported then, even if the left one would run
+    out of ``max_iter`` later.
     """
     cdt, tol_floor = _decimation_dtype(dtype)
     tol = max(tol, tol_floor)
@@ -220,8 +262,9 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
         raise ValueError("eta must be positive for a retarded GF")
     energies = np.asarray(energies, dtype=float).ravel()
     n_batch = energies.size
-    if len({np.shape(h00) for h00, _, _ in leads}) > 1:
-        # unequal lead cells cannot share a stack
+    modes = {_scalar_coupled(h00, h01) for h00, h01, _ in leads}
+    if len({np.shape(h00) for h00, _, _ in leads}) > 1 or len(modes) > 1:
+        # unequal lead cells or representations cannot share a stack
         args = (eta, tol, max_iter, dtype)
         return [_decimate(energies, [lead], *args)[0] for lead in leads]
     m = leads[0][0].shape[0]
@@ -229,29 +272,39 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
         empty = np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
         return [empty] * len(leads)
     n_stack = len(leads) * n_batch
-    z_all = (energies + 1j * eta)[:, None, None] * np.eye(m)
-    z_all = np.tile(np.asarray(z_all, dtype=cdt), (len(leads), 1, 1))
+    (mode_basis,) = modes
     alpha = [h01.conj().T if side == "left" else h01 for _, h01, side in leads]
+    if mode_basis:
+        eps_s, units = zip(*(np.linalg.eigh(h00) for h00, _, _ in leads))
+        units = np.array(units, dtype=cdt)
+        alpha = [np.diagonal(a) for a in alpha]
+        eye, mul, inv = np.ones(m), np.multiply, np.reciprocal
+    else:
+        eps_s = [h00 for h00, _, _ in leads]
+        eye, mul, inv = np.eye(m), np.matmul, np.linalg.inv
+    z_all = np.asarray(np.multiply.outer(energies + 1j * eta, eye), dtype=cdt)
+    z_all = np.tile(z_all, (len(leads),) + (1,) * eye.ndim)
     alpha = np.repeat(np.array(alpha, dtype=cdt), n_batch, axis=0)
-    beta = np.ascontiguousarray(alpha.conj().swapaxes(1, 2))
-    eps_s = np.array([h00 for h00, _, _ in leads], dtype=cdt)
-    eps_s = np.repeat(eps_s, n_batch, axis=0)
+    # per-slice adjoint (on diagonals the swap is a no-op)
+    beta = np.ascontiguousarray(alpha.conj().swapaxes(1, -1))
+    eps_s = np.repeat(np.array(eps_s, dtype=cdt), n_batch, axis=0)
     eps = eps_s.copy()
     z = z_all
     active = np.arange(n_stack)
     iters = np.zeros(n_stack, dtype=int)
-    surface = np.empty((n_stack, m, m), dtype=cdt)
+    surface = np.empty(z_all.shape, dtype=cdt)
+    slice_axes = tuple(range(1, z_all.ndim))
     for it in range(1, max_iter + 1):
-        g_bulk = np.linalg.inv(z - eps)
-        ag = alpha @ g_bulk
-        bg = beta @ g_bulk
-        agb = ag @ beta
+        g_bulk = inv(z - eps)
+        ag = mul(alpha, g_bulk)
+        bg = mul(beta, g_bulk)
+        agb = mul(ag, beta)
         eps_s += agb
-        eps = (eps + agb) + bg @ alpha
-        alpha = ag @ alpha
-        beta = bg @ beta
+        eps = (eps + agb) + mul(bg, alpha)
+        alpha = mul(ag, alpha)
+        beta = mul(bg, beta)
         norms = np.sqrt(
-            np.add.reduce((alpha.conj() * alpha).real, axis=(1, 2))
+            np.add.reduce((alpha.conj() * alpha).real, axis=slice_axes)
         )
         finite = np.isfinite(norms)
         if not finite.all():
@@ -299,19 +352,26 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
             f"(side = {side}, E = {bad}, eta = {eta}); increase eta",
             energy=bad, eta=eta,
         )
-    g_all = np.linalg.inv(z_all - surface)
+    g_all = inv(z_all - surface)
     results = [
         (g_all[lo: lo + n_batch], iters[lo: lo + n_batch])
         for lo in range(0, n_stack, n_batch)
     ]
+    if mode_basis:
+        # back to the lead's basis: g = (U diag(g_d)) U^+, one GEMM a slice
+        results = [
+            ((u * g_d[:, None, :]) @ u.conj().T, lead_iters)
+            for (g_d, lead_iters), u in zip(results, units)
+        ]
     for (g, _), (h00, h01, side) in zip(results, leads):
         _surface_health_check(g, energies, eta, h00, h01, side)
     tracer = get_tracer()
     if tracer.enabled:
-        # the charge is the *reference* step (four a @ g @ b products =
-        # 8 GEMMs + one inversion; six GEMMs execute, see
-        # sancho_rubio_flops) plus the final surface inversion, per slice
-        # and only on convergence
+        # the charge is the *reference* step at m (four a @ g @ b
+        # products = 8 GEMMs + one inversion; six GEMMs execute, or O(m)
+        # elementwise work in the mode basis, see sancho_rubio_flops)
+        # plus the final surface inversion, per slice and only on
+        # convergence
         fl = sum(sancho_rubio_flops(m, int(it_e)) for it_e in iters)
         tracer.add_flops("surface_gf.sancho", fl)
     metrics = get_metrics()

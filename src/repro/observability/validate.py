@@ -12,8 +12,10 @@ are integer-valued doubles far below 2^53, so float summation is exact);
 RGF, WF and Sancho-Rubio kernels at several sizes.  The formulas are the
 reference algorithms, not the executed ones — the RGF block-LU sweep is
 charged 12 products a slab and executes 9, the Sancho-Rubio step is
-charged 8 GEMMs and executes 6 — so these checks pin the accounting
-(what is charged, how often), not a GEMM count.
+charged 8 GEMMs and an inversion at m and executes 6 and one (O(m)
+elementwise work in the mode basis of a scalar-coupled lead) — so these
+checks pin the accounting (what is charged, how often), not a GEMM
+count.
 
 Imports of the kernel packages are deferred into the function bodies:
 ``repro.solvers`` itself imports :mod:`repro.observability` for its
@@ -208,19 +210,26 @@ def validate_wf_flops(
 
 
 def validate_sancho_rubio_flops(
-    block_size: int = 4, energy: float = 0.3, n_energies: int = 1
+    block_size: int = 4, energy: float = 0.3, n_energies: int = 1,
+    scalar_coupling: bool = False,
 ) -> FlopValidation:
     """Run a real decimation and check its *iteration accounting*: the
     charge is ``sum_E formula(it_E)``, the formula being the reference
-    step of :func:`repro.perf.sancho_rubio_flops` (8 GEMMs; 6 execute).
+    step of :func:`repro.perf.sancho_rubio_flops` (8 GEMMs and one
+    inversion at m) in both representations of the loop.
 
-    The iteration counts are *measured* quantities (returned by
-    :func:`repro.negf.sancho_rubio_batch`); the analytic side charges
-    exactly that many decimation steps plus the final surface inversion,
-    per energy.  ``n_energies > 1`` decimates a stack of that many
-    energies instead of the one ``energy``: the active-set compaction
-    gives every energy its own iteration sequence, so the charge is
-    ``sum_E sancho_rubio_flops(m, it_E)``.
+    The lead is the folded chain of :func:`_chain_hamiltonian`, whose
+    coupling is one bond (rank 1): the loop runs at m, six GEMMs and one
+    stacked inversion a step.  ``scalar_coupling=True`` couples its cells
+    by ``-I`` instead — the effective-mass grid form — and the loop runs
+    in the lead's mode basis: elementwise products and reciprocals on the
+    m eigenvalues of ``h00``.  The iteration counts are *measured*
+    quantities (returned by :func:`repro.negf.sancho_rubio_batch`); the
+    analytic side charges exactly that many decimation steps plus the
+    final surface inversion, per energy.  ``n_energies > 1`` decimates a
+    stack of that many energies instead of the one ``energy``: the
+    active-set compaction gives every energy its own iteration sequence,
+    so the charge is ``sum_E sancho_rubio_flops(m, it_E)``.
 
     Example
     -------
@@ -228,14 +237,19 @@ def validate_sancho_rubio_flops(
     True
     >>> validate_sancho_rubio_flops(block_size=2, n_energies=6).matches
     True
+    >>> validate_sancho_rubio_flops(block_size=3, scalar_coupling=True).matches
+    True
     """
+    import numpy as np
+
     from ..negf.surface_gf import sancho_rubio_batch
 
     H = _chain_hamiltonian(2, block_size)
+    h01 = -np.eye(block_size) if scalar_coupling else H.upper[0]
     energies = [energy] if n_energies == 1 else _batch_energies(n_energies)
     tracer = Tracer()
     with use_tracer(tracer):
-        _, iters = sancho_rubio_batch(energies, H.diagonal[0], H.upper[0])
+        _, iters = sancho_rubio_batch(energies, H.diagonal[0], h01)
     if n_energies == 1:
         which = {"energy": energy, "n_iterations": int(iters[0])}
     else:
@@ -247,7 +261,8 @@ def validate_sancho_rubio_flops(
             sum(sancho_rubio_flops(block_size, int(it)) for it in iters)
         ),
         measured=tracer.counter.counts.get("surface_gf.sancho", 0.0),
-        params={"block_size": block_size, **which},
+        params={"block_size": block_size, "scalar_coupling": scalar_coupling,
+                **which},
     )
 
 
@@ -313,6 +328,9 @@ def validate_flops(verbose: bool = False) -> list:
         validate_batched_wf_flops(n_blocks=3, block_size=2, n_energies=5),
         validate_batched_wf_flops(n_blocks=4, block_size=3, n_energies=6),
         validate_sancho_rubio_flops(block_size=3, n_energies=6),
+        validate_sancho_rubio_flops(
+            block_size=4, n_energies=6, scalar_coupling=True
+        ),
     ]
     if verbose:  # pragma: no cover - console convenience
         for v in validations:

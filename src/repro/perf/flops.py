@@ -17,7 +17,8 @@ at small sizes for the RGF and WF kernels — a check of the accounting,
 not of executed GEMMs.  Two kernels undercut their charge: the block LU
 forms each elimination multiplier once (9 products a slab of an RGF
 stage execute, 12 are charged: :func:`rgf_solve_flops`), and the
-Sancho-Rubio step shares two left factors (:func:`sancho_rubio_flops`).
+Sancho-Rubio step shares two left factors and, for a scalar-coupled
+lead, runs on the eigenvalues of ``h00`` (:func:`sancho_rubio_flops`).
 """
 
 from __future__ import annotations
@@ -225,11 +226,16 @@ def sancho_rubio_flops(m: int, n_iterations: int) -> float:
     iteration one inversion and the four update products ``a @ g @ b`` of
     two GEMMs each, plus the final surface inversion.
 
-    This is the algorithm's count, not the executed one (the Gordon Bell
-    convention :meth:`repro.wf.WFSolver._charge_flops` follows too):
-    :func:`repro.negf.sancho_rubio_batch` shares the two left factors
-    ``alpha @ g`` and ``beta @ g`` and executes six GEMMs a step, and the
-    charge does not move with it.
+    This is the algorithm's count at m, not the executed one (the Gordon
+    Bell convention :meth:`repro.wf.WFSolver._charge_flops` follows too),
+    and it is the charge of either representation the decimation loop
+    (:func:`repro.negf.sancho_rubio_batch`) runs in: at m it shares the
+    two left factors ``alpha @ g`` and ``beta @ g`` and executes six GEMMs
+    and one inversion a step; for a lead coupled by ``c I`` (the
+    effective-mass grid family) it executes the same step on the m
+    eigenvalues of ``h00`` — elementwise products and reciprocals, O(m) —
+    after one ``eigh`` and before one rotating GEMM.  The charge moves
+    with neither.
 
     Example
     -------

@@ -18,10 +18,12 @@ from repro.negf import (
     sancho_rubio,
     sancho_rubio_batch,
 )
+from repro.negf import surface_gf
 from repro.negf.self_energy import broadening, open_channels
 from repro.negf.surface_gf import _decimate
 from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.perf import sancho_rubio_flops
+from repro.resilience import HealthSentinel, use_sentinel
 from repro.tb.chain import chain_band_edges, chain_self_energy, chain_surface_gf
 
 
@@ -114,6 +116,15 @@ def wide_lead(m=6, seed=3):
     return (a + a.conj().T) / 2, 0.4 * rng.normal(size=(m, m)) + 0j
 
 
+def grid_lead(m=4, seed=0, t=2.03):
+    """A scalar-coupled lead — random Hermitian ``h00``, ``h01 = -t I``,
+    the form of every effective-mass grid lead: decimates in its mode
+    basis."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return (a + a.conj().T) / 2, -t * np.eye(m, dtype=complex)
+
+
 @lru_cache(maxsize=None)
 def si_wire_lead():
     """Lead cell of the ``nanowire-zb`` Si-sp3s* 1x1 wire: m = 30 and a
@@ -176,15 +187,19 @@ class TestSanchoRubioStack:
             np.testing.assert_allclose(g[b], ge, atol=1e-4)
 
     @pytest.mark.parametrize(
-        "lead", [chain_lead, dimer_lead, wide_lead], ids=["m1", "m2", "m6"]
+        "lead", [chain_lead, dimer_lead, wide_lead, grid_lead, si_wire_lead],
+        ids=["m1", "m2", "m6", "m4-modes", "si-sp3s*"],
     )
     @pytest.mark.parametrize("dtype", [None, np.complex64])
     def test_scalar_entry_is_the_stack_of_one(self, lead, dtype):
         """Every energy runs its own iteration sequence whatever shares
         its stack: stack slice == stack of one == scalar entry, bitwise,
-        and the flop charge is the per-energy sum."""
+        and the flop charge is the per-energy sum — in the mode basis
+        (m1, m4-modes) and at m (the others)."""
         h00, h01 = lead()
-        energies = MIXED_STACK if h00.shape[0] < 6 else np.linspace(-2, 2, 7)
+        energies = {6: np.linspace(-2, 2, 7), 30: SI_WIRE_STACK}.get(
+            h00.shape[0], MIXED_STACK
+        )
         tracer = Tracer()
         with use_tracer(tracer):
             g, iters = sancho_rubio_batch(
@@ -215,26 +230,34 @@ class TestSanchoRubioStack:
         g, iters = sancho_rubio_batch([], h00, h01)
         assert g.shape == (0, 1, 1) and iters.shape == (0,)
 
-    @pytest.mark.parametrize("left_shift,max_iter,side", [
-        pytest.param(0.0, 3, "left", id="both-slow"),
-        pytest.param(100.0, 8, "right", id="right-slow"),
+    @pytest.mark.parametrize("lead,energies,shifts,max_iter,side", [
+        pytest.param(chain_lead, MIXED_STACK, (0.0, 0.5), 3, "left",
+                     id="both-slow"),
+        pytest.param(chain_lead, MIXED_STACK, (100.0, 0.5), 8, "right",
+                     id="right-slow"),
+        pytest.param(si_wire_lead, SI_WIRE_STACK, (0.0, 0.05), 3, "left",
+                     id="si-both-slow"),
+        pytest.param(si_wire_lead, SI_WIRE_STACK, (100.0, 0.05), 8, "right",
+                     id="si-right-slow"),
     ])
     def test_stragglers_reported_as_left_then_right_would(
-        self, left_shift, max_iter, side
+        self, lead, energies, shifts, max_iter, side
     ):
         """Both leads in one stack fail like one lead after the other:
         the first lead with a straggler names the energy and the side and
-        is the only one counted."""
-        h00, h01 = chain_lead()
-        leads = [(h00 + left_shift, h01, "left"), (h00 + 0.5, h01, "right")]
+        is the only one counted — in the mode basis (the chain) and at m
+        (the Si-sp3s* wire)."""
+        h00, h01 = lead()
+        leads = [(h00 + shift * np.eye(h00.shape[0]), h01, lead_side)
+                 for shift, lead_side in zip(shifts, ("left", "right"))]
 
         def merged():
-            _decimate(MIXED_STACK, leads, 1e-6, max_iter=max_iter)
+            _decimate(energies, leads, 1e-6, max_iter=max_iter)
 
         def sequential():
             for a, b, lead_side in leads:
                 sancho_rubio_batch(
-                    MIXED_STACK, a, b, side=lead_side, eta=1e-6,
+                    energies, a, b, side=lead_side, eta=1e-6,
                     max_iter=max_iter,
                 )
 
@@ -300,6 +323,202 @@ class TestSanchoRubioStack:
         assert ev.min() > -1e-12
         # in the gap only a surface state can leak; one or two channels above
         assert set(open_channels(ev)[-4:].tolist()) == {2}
+
+
+def force_dense(monkeypatch):
+    """Hand every lead to the loop as ``(S, m, m)`` stacks — what the
+    decimation ran on every lead before the mode basis."""
+    monkeypatch.setattr(surface_gf, "_scalar_coupled", lambda h00, h01: False)
+
+
+def band_grid(h00, t, n=33):
+    """``n`` energies from below the lowest subband of a scalar-coupled lead
+    to above its highest, so every band edge ``d_i +- 2t`` is crossed.
+
+    Band centres (``|E - d_i| <= 0.05``) are left out: there a decimation
+    step nearly cancels ``z - eps`` and the recursion itself, in either
+    basis and at m = 1, loses up to 4e-4 relative (unit chain, eta = 1e-6;
+    1e-12 at 0.01 from the centre).  The same cancellation strikes
+    sporadically in band — up to 2.5e-9 on a 2,000-energy scan of one
+    chain, 3e-7 for one mode of a random m = 25 lead — so the grid is
+    fixed, not drawn."""
+    d = np.linalg.eigvalsh(h00)
+    energies = np.linspace(d.min() - 2 * t - 0.5, d.max() + 2 * t + 0.5, n)
+    return energies[np.abs(energies[:, None] - d).min(axis=1) > 0.05]
+
+
+def relative_error(g, ref):
+    """Worst per-slice Frobenius error of a ``(B, m, m)`` stack."""
+    return float(np.max(
+        np.linalg.norm(g - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    ))
+
+
+class TestModeBasis:
+    """A lead with ``h01 = c I`` runs the same decimation loop on the
+    ``(S, m)`` diagonals of its mode basis: m scalar chains."""
+
+    ETA = 1e-6
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("m", [4, 25])
+    def test_each_mode_is_a_scalar_chain(self, m, side):
+        """``g = U diag(g_i) U^+`` with ``g_i`` the m = 1 decimation of the
+        chain (``d_i``, ``c``): the basis adds one rotation and nothing
+        else."""
+        h00, h01 = grid_lead(m)
+        d, u = np.linalg.eigh(h00)
+        energies = band_grid(h00, 2.03)
+        g, _ = sancho_rubio_batch(energies, h00, h01, side=side, eta=self.ETA)
+        chains = np.stack([
+            sancho_rubio_batch(
+                energies, np.array([[d_i]]), h01[:1, :1], side=side,
+                eta=self.ETA,
+            )[0][:, 0, 0]
+            for d_i in d
+        ], axis=1)
+        assert relative_error(g, (u * chains[:, None, :]) @ u.conj().T) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 4, 25])
+    def test_matches_the_closed_form(self, m):
+        """Against ``chain_surface_gf`` of every eigenvalue of ``h00``,
+        rotated back: worst relative error <= 1e-10 on a grid that crosses
+        every band edge (measured 4e-14 / 3e-12 / 7e-12 at m = 1 / 4 / 25;
+        the dense loop on the same grid: 1e-13 / 8e-9 / 1e-9)."""
+        t = 2.03
+        h00, h01 = grid_lead(m, t=t)
+        d, u = np.linalg.eigh(h00)
+        energies = band_grid(h00, t)
+        g, _ = sancho_rubio_batch(energies, h00, h01, eta=self.ETA)
+        exact = np.array([
+            [chain_surface_gf(e + 1j * self.ETA, d_i, t) for d_i in d]
+            for e in energies
+        ])
+        assert relative_error(g, (u * exact[:, None, :]) @ u.conj().T) <= 1e-10
+
+    @pytest.mark.parametrize("m", [4, 25])
+    def test_the_dense_loop_takes_the_same_steps(self, m, monkeypatch):
+        """The same lead fed to the loop as ``(S, m, m)`` stacks: the same
+        iteration count on every slice (the Frobenius ``||alpha||`` is
+        basis independent) and g within 1e-6 — the dense loop's own
+        rounding, which a near-cancelling step of any one mode spreads
+        over the whole block (up to 8e-9 / 1e-9 against the closed form
+        on this grid, 4e-6 on denser band-edge grids)."""
+        h00, h01 = grid_lead(m)
+        energies = band_grid(h00, 2.03)
+        g, iters = sancho_rubio_batch(energies, h00, h01, eta=self.ETA)
+        force_dense(monkeypatch)
+        g_dense, iters_dense = sancho_rubio_batch(
+            energies, h00, h01, eta=self.ETA
+        )
+        assert np.array_equal(iters, iters_dense)
+        assert relative_error(g_dense, g) <= 1e-6
+
+    @pytest.mark.parametrize("order", ["modes-dense", "dense-modes"])
+    def test_a_mixed_pair_reports_its_left_failure_first(self, order):
+        """A scalar-coupled lead and one decimated at m run lead by lead:
+        the left lead's straggler is reported — also where the right lead
+        (NaN, so decimated at m) would go non-finite at the first step of
+        a shared stack."""
+        modes, dense = grid_lead(), wide_lead(m=4)
+        poisoned = (np.full((4, 4), np.nan + 0j), dense[1])
+        left, right = ((modes, poisoned) if order == "modes-dense"
+                       else (dense, modes))
+        leads = [(*left, "left"), (*right, "right")]
+        sentinel = HealthSentinel(mode="contain")
+        with use_sentinel(sentinel), use_metrics(MetricsRegistry()) as registry:
+            with pytest.raises(SurfaceGFConvergenceError) as info:
+                _decimate(MIXED_STACK, leads, self.ETA, max_iter=3)
+        with pytest.raises(SurfaceGFConvergenceError) as alone:
+            sancho_rubio_batch(MIXED_STACK, *left, eta=self.ETA, max_iter=3)
+        assert str(info.value) == str(alone.value)
+        assert "side = left" in str(info.value) and "did not converge" in str(
+            info.value
+        )
+        assert list(registry.snapshot().with_prefix(
+            "counters", "surface_gf.nonconverged"
+        )) == ["surface_gf.nonconverged{side=left}"]
+        assert sentinel.n_trips == 0  # the poisoned right lead never ran
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "non-hermitian"])
+    def test_poisoned_h00_fails_as_before_and_never_reaches_eigh(
+        self, monkeypatch, bad, side
+    ):
+        """NaN / Inf entries or an anti-Hermitian part in ``h00`` keep a
+        lead out of the mode basis, and it fails exactly as in the dense
+        decimation of both leads: NaN raises at step 1 with a sentinel
+        trip, the anti-Hermitian lead raises for its first straggler, Inf
+        decimates to ``g = 0`` and trips the fixed-point check — same
+        error class, energy and message, same trips and straggler count,
+        the same poisoned ``g``.  ``eigh`` only ever sees the healthy
+        lead."""
+        h00, h01 = grid_lead()
+        broken = {
+            "nan": np.where(np.eye(4) > 0, np.nan, h00),
+            "inf": np.where(np.eye(4) > 0, np.inf, h00),
+            # gain cancelling eta: z - h00 is real, in band nothing decays
+            "non-hermitian": h00 + 1j * self.ETA * np.eye(4),
+        }[bad]
+        blocks = {"left": (h00, h01), "right": (h00 + 0.5 * np.eye(4), h01)}
+        blocks[side] = (broken, h01)
+        leads = [(*blocks[s], s) for s in ("left", "right")]
+        energies = np.array([-0.5, 0.3, 9.0, 1.7])
+
+        def outcome():
+            sentinel = HealthSentinel(mode="contain")
+            with use_sentinel(sentinel), use_metrics(MetricsRegistry()) as reg:
+                try:
+                    with np.errstate(invalid="ignore"):
+                        result = _decimate(energies, leads, self.ETA, max_iter=40)
+                    poisoned = result[("left", "right").index(side)][0]
+                except SurfaceGFConvergenceError as error:
+                    poisoned = (type(error), error.energy, str(error))
+            trips = [(e.site, e.kind, e.detail) for e in sentinel.events_since(0)]
+            counted = reg.snapshot().with_prefix(
+                "counters", "surface_gf.nonconverged"
+            )
+            return poisoned, trips, counted
+
+        real_eigh = np.linalg.eigh
+
+        def healthy_only(a, *args, **kwargs):
+            assert np.isfinite(a).all() and np.array_equal(a, a.conj().T)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", healthy_only)
+        got, trips, counted = outcome()
+        force_dense(monkeypatch)
+        want, want_trips, want_counted = outcome()
+        assert (trips, counted) == (want_trips, want_counted)
+        if bad == "inf":
+            assert np.array_equal(got, want) and not got.any()
+            assert trips == [("surface_gf", "nonfinite",
+                              f"side={side} fixed-point residual")]
+        else:
+            assert got == want and f"side = {side}" in got[2]
+            assert bool(trips) == (bad == "nan")
+
+    def test_complex64_in_complex64_out(self):
+        """The screening precision keeps its dtype through the rotation.
+        Its accuracy is that of a complex64 decimation: median 5e-6 here,
+        with slices near a cancelling step far worse in either basis (0.35
+        in the mode basis, 1.5 at m, at E = -1.5)."""
+        h00, h01 = grid_lead()
+        g, iters = sancho_rubio_batch(
+            MIXED_STACK, h00, h01, eta=1e-5, dtype=np.complex64
+        )
+        g128, _ = sancho_rubio_batch(MIXED_STACK, h00, h01, eta=1e-5)
+        assert g.dtype == np.complex64 and iters.dtype.kind == "i"
+        errors = np.linalg.norm(g - g128, axis=(1, 2)) / np.linalg.norm(
+            g128, axis=(1, 2)
+        )
+        assert np.median(errors) <= 1e-4
+        sigmas = Contacts(
+            None, lead_left=(h00, h01), lead_right=(h00, h01), eta=1e-5,
+            dtype=np.complex64,
+        ).sigma_stacks(MIXED_STACK)
+        assert [s.dtype for s in sigmas] == [np.complex64] * 2
 
 
 class TestEigenSurfaceGF:
@@ -455,6 +674,9 @@ class TestSelfEnergy:
         pytest.param(dimer_lead, 0.2, MIXED_STACK, np.complex64, id="complex64"),
         pytest.param(wide_lead, 0.3, np.array([0.1]), None, id="stack-of-one"),
         pytest.param(si_wire_lead, 0.05, SI_WIRE_STACK, None, id="si-sp3s*"),
+        pytest.param(grid_lead, 0.5, MIXED_STACK, None, id="grid-modes"),
+        pytest.param(grid_lead, 0.5, MIXED_STACK, np.complex64,
+                     id="grid-modes-complex64"),
     ])
     def test_both_leads_share_one_decimation_bit_for_bit(
         self, lead, shift, energies, dtype
@@ -481,27 +703,52 @@ class TestSelfEnergy:
             for part, sigma in zip(contacts.sigma_stacks(energies[group]), sigmas):
                 assert np.array_equal(part, sigma[group])
 
-    def test_one_stacked_inversion_per_step_plus_the_closing_one(
-        self, monkeypatch
-    ):
-        left, right = biased(chain_lead, 0.5)
-        steps = max(
-            sancho_rubio_batch(MIXED_STACK, *blocks, side=side)[1].max()
-            for blocks, side in ((left, "left"), (right, "right"))
-        )
-        shapes = []
-        for name in ("solve", "inv"):
+    @staticmethod
+    def linalg_calls(monkeypatch, names=("solve", "inv", "eigh")):
+        """``{name: [argument shapes]}`` of the ``numpy.linalg`` calls made
+        from here on."""
+        calls = {name: [] for name in names}
+        for name in names:
             real = getattr(np.linalg, name)
 
-            def counted(a, *args, _real=real, **kwargs):
-                shapes.append(a.shape)
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                calls[_name].append(np.shape(a))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        Contacts(None, lead_left=left, lead_right=right).sigma_stacks(MIXED_STACK)
-        assert len(shapes) == steps + 1
+        return calls
+
+    def test_one_stacked_inversion_per_step_plus_the_closing_one(
+        self, monkeypatch
+    ):
+        """A lead decimated at m (the Si-sp3s* wire: singular ``h01``)."""
+        left, right = biased(si_wire_lead, 0.05)
+        steps = max(
+            sancho_rubio_batch(SI_WIRE_STACK, *blocks, side=side)[1].max()
+            for blocks, side in ((left, "left"), (right, "right"))
+        )
+        calls = self.linalg_calls(monkeypatch)
+        Contacts(None, lead_left=left, lead_right=right).sigma_stacks(
+            SI_WIRE_STACK
+        )
+        shapes = calls["solve"] + calls["inv"]
+        assert len(shapes) == steps + 1 and calls["eigh"] == []
         # both leads enter together and the closing inversion is the full stack
-        assert shapes[0] == shapes[-1] == (2 * MIXED_STACK.size, 1, 1)
+        assert shapes[0] == shapes[-1] == (2 * SI_WIRE_STACK.size, 30, 30)
+
+    @pytest.mark.parametrize("lead", [chain_lead, grid_lead], ids=["m1", "m4"])
+    def test_a_scalar_coupled_pair_inverts_nothing(self, monkeypatch, lead):
+        """Leads with ``h01 = c I`` decimate in their mode basis: no
+        ``inv``/``solve`` at all, one ``eigh`` of ``h00`` per lead and
+        ``sigma_stacks`` call, whatever the energies and step counts."""
+        left, right = biased(lead, 0.5)
+        calls = self.linalg_calls(monkeypatch)
+        contacts = Contacts(None, lead_left=left, lead_right=right)
+        contacts.sigma_stacks(MIXED_STACK)
+        m = left[0].shape[0]
+        assert calls == {"solve": [], "inv": [], "eigh": [(m, m), (m, m)]}
+        contacts.sigma_stacks(MIXED_STACK[:3])
+        assert len(calls["eigh"]) == 4
 
     def test_unequal_lead_cells_do_not_share_a_stack(self):
         left, right = chain_lead(), dimer_lead()

@@ -318,7 +318,7 @@ class TestFlopIdentity:
         assert [v.kernel for v in validate_flops()] == (
             ["rgf"] * 3 + ["wf"] * 2 + ["sancho_rubio"] * 2
             + ["rgf_batched"] * 2 + ["wf_batched"] * 2
-            + ["sancho_rubio_batched"]
+            + ["sancho_rubio_batched"] * 2
         )
 
     def test_mismatch_is_reported(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import DeviceSpec, build_device
 from repro.lattice import (
     ZincblendeCell,
     partition_into_slabs,
@@ -10,6 +11,8 @@ from repro.lattice import (
     zincblende_nanowire,
     zincblende_ultra_thin_body,
 )
+from repro.negf import Contacts
+from repro.negf.surface_gf import _scalar_coupled
 from repro.physics.constants import effective_mass_hopping
 from repro.tb import (
     BlockTridiagonalHamiltonian,
@@ -144,6 +147,52 @@ class TestUTBPhases:
             onsite = H.diagonal[0][0, 0]
             expected = 6 * t - 2 * t * np.cos(ky * L)
             assert onsite.real == pytest.approx(expected, abs=1e-12)
+
+
+class TestContactBasis:
+    """The effective-mass grid family couples its slabs by an exact scalar,
+    ``h01 = -t I``, so its contacts decimate in the lead's mode basis
+    (O(m) a step); an atomistic lead decimates at m.  Pinned here because
+    a grid assembly that breaks the scalar — one rounding, one stray
+    entry — drops every grid workload back to O(m^3) with nothing else
+    failing."""
+
+    @staticmethod
+    def assert_scalar_coupled(H):
+        for block in H.upper:
+            assert np.array_equal(block, block[0, 0] * np.eye(block.shape[0]))
+        contacts = Contacts(H)
+        assert _scalar_coupled(*contacts.left)
+        assert _scalar_coupled(*contacts.right)
+
+    @pytest.mark.parametrize("k", [0.0, 1.3])
+    def test_grid_leads_take_the_mode_basis(self, k):
+        mat = single_band_material(spacing_nm=0.25)
+        s = rectangular_grid_device(0.25, 4, 3, 2, periodic_y=True)
+        dev = partition_into_slabs(s, 0.25, 0.25)
+        potential = np.random.default_rng(0).uniform(-0.1, 0.1, s.n_atoms)
+        self.assert_scalar_coupled(build_device_hamiltonian(
+            dev, mat, potential=potential, k_transverse=k
+        ))
+
+    def test_built_grid_device_takes_the_mode_basis(self):
+        """The skeleton path every transport workload runs."""
+        built = build_device(DeviceSpec(
+            n_x=8, n_y=2, n_z=3, source_cells=2, drain_cells=2,
+            gate_cells=(3, 5), spacing_nm=0.25, donor_density_nm3=0.05,
+            material_params={"m_rel": 0.3},
+        ))
+        potential = np.random.default_rng(1).uniform(-0.2, 0.2, built.n_atoms)
+        self.assert_scalar_coupled(built.hamiltonian(potential))
+
+    def test_atomistic_leads_decimate_at_m(self):
+        built = build_device(DeviceSpec(
+            geometry="nanowire-zb", material="Si-sp3s*", n_x=4, n_y=1,
+            n_z=1, source_cells=1, drain_cells=1, gate_cells=(1, 3),
+        ))
+        contacts = Contacts(built.hamiltonian(np.zeros(built.n_atoms)))
+        assert not _scalar_coupled(*contacts.left)
+        assert not _scalar_coupled(*contacts.right)
 
 
 class TestWireHamiltonian:
