@@ -11,7 +11,9 @@ end-to-end benchmark's ``scf_sweep_wf`` workload (seed 0) and records
 what a sweep does per potential as the ``BENCH_scf_sweep`` measured
 baseline: SCF iterations, transport solves run and handed over, Newton
 steps and Poisson operator builds are exact counts; the wall time is
-stamped with core count, BLAS threads and git sha.
+stamped with core count, BLAS threads and git sha.  It also times one
+semiclassical Poisson solve on the fet and wide meshes with the banded
+Cholesky step and with a SuperLU reference step (``poisson.*`` rows).
 """
 
 import os
@@ -23,6 +25,9 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import time  # noqa: E402
 from unittest import mock  # noqa: E402
 
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
 from conftest import git_sha, print_experiment, record_baseline  # noqa: E402
 
 from repro.core import (  # noqa: E402
@@ -34,7 +39,7 @@ from repro.core import (  # noqa: E402
 )
 from repro.io import format_table  # noqa: E402
 from repro.observability import MetricsRegistry, use_metrics  # noqa: E402
-from repro.poisson import nonlinear  # noqa: E402
+from repro.poisson import SemiclassicalCharge, nonlinear  # noqa: E402
 
 #: ``benchmarks/e2e/workloads.py`` ``scf_sweep_wf`` at seed 0.
 SWEEP_SPEC = dict(
@@ -45,7 +50,17 @@ SWEEP_SPEC = dict(
 SWEEP_GATES = [-0.4, -0.3, -0.2]
 SWEEP_V_DRAIN = 0.05
 SWEEP_N_ENERGY = 41
+#: Newton steps of one counted sweep (``newton_steps`` in BENCH_scf_sweep).
+SWEEP_NEWTON_STEPS = 44
 BEST_OF = 5
+#: Poisson meshes timed with both linear steps: the sweep's FET and the
+#: m = 25 device of ``transport_wide_process`` (its band is 81 wide).
+POISSON_MESHES = {
+    "fet": SWEEP_SPEC,
+    "wide": dict(SWEEP_SPEC, name="e2e-wide", n_x=48, n_y=5, n_z=5,
+                 source_cells=8, drain_cells=8, gate_cells=(16, 32)),
+}
+POISSON_GATE = -0.3
 
 
 def test_f7_residual_histories(benchmark, fet_small, fet_transport):
@@ -137,13 +152,12 @@ def _sweep(built):
 def _sweep_report():
     built = build_device(DeviceSpec(**SWEEP_SPEC))
     # counted pass: the run's own counters plus call counts of the two
-    # Poisson costs (operator elimination, Jacobian per Newton step)
+    # Poisson costs (operator elimination, banded solve per Newton step)
     with use_metrics(MetricsRegistry()) as registry, mock.patch.object(
         nonlinear, "apply_dirichlet", wraps=nonlinear.apply_dirichlet
     ) as eliminations, mock.patch.object(
-        nonlinear.NonlinearPoisson, "jacobian", autospec=True,
-        side_effect=nonlinear.NonlinearPoisson.jacobian,
-    ) as jacobians:
+        nonlinear, "_band_solve", wraps=nonlinear._band_solve
+    ) as band_solves:
         curve = _sweep(built)
     snap = registry.snapshot()
     best = float("inf")
@@ -161,7 +175,7 @@ def _sweep_report():
         "scf_iterations": int(snap.counter("scf.iterations")),
         "transport_solves": int(snap.counter("scf.transport_solves")),
         "transport_reused": int(snap.counter("scf.transport_reused")),
-        "newton_steps": jacobians.call_count,
+        "newton_steps": band_solves.call_count,
         "poisson_operator_builds": eliminations.call_count,
         "flops": float(curve.flops.total),
         "time.sweep_s": best,
@@ -172,11 +186,66 @@ def _sweep_report():
     # iterations + one report per point - the hand-overs
     assert report["transport_solves"] == report["scf_iterations"] + 1, report
     assert report["poisson_operator_builds"] == 1, report
+    assert report["newton_steps"] == SWEEP_NEWTON_STEPS, report
+    return report
+
+
+def _superlu_step(solver):
+    """A ``_band_solve`` stand-in taking the step as SuperLU did: the
+    band's diagonal row written into the diagonal slots of one CSC copy of
+    ``S J``, then ``spsolve`` (the same system, the same residuals)."""
+    kd, n = solver._band.shape[0] - 1, solver._band.shape[1]
+    pattern = solver._band.copy()
+    pattern[-1] = 1.0  # a full diagonal, whatever the last step wrote
+    upper = sp.dia_matrix((pattern, np.arange(kd, -1, -1)), shape=(n, n))
+    matrix = sp.csc_matrix(upper + sp.triu(upper, k=1).T)
+    matrix.sort_indices()
+    columns = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    slots = np.flatnonzero(matrix.indices == columns)
+
+    def step(ab, b):
+        matrix.data[slots] = ab[-1]
+        return None, spla.spsolve(matrix, b), 0
+
+    return step
+
+
+def _poisson_report():
+    """Median ms of one semiclassical Poisson solve (tol 1e-8, the SCF's
+    initial guess) per mesh, banded Cholesky vs the SuperLU reference."""
+    report = {}
+    for name, spec in POISSON_MESHES.items():
+        built = build_device(DeviceSpec(**spec))
+        solver = SelfConsistentSolver(
+            built, TransportCalculation(built, method="wf", n_energy=5)
+        ).poisson
+        model = SemiclassicalCharge(
+            mu=built.contact_mu("source"), band_edge=built.band_edge,
+            m_rel=built.m_dos, kT=built.spec.kT,
+            semiconductor_mask=built.semiconductor_mask,
+        )
+        banded, superlu = f"poisson.{name}.", f"poisson.{name}.spsolve."
+        for prefix, step in ((banded, nonlinear._band_solve),
+                             (superlu, _superlu_step(solver))):
+            times = []
+            with mock.patch.object(nonlinear, "_band_solve", step):
+                for _ in range(2 * BEST_OF + 1):
+                    t0 = time.perf_counter()
+                    result = solver.solve(model, tol=1e-8, max_iter=60,
+                                          dirichlet_values=POISSON_GATE)
+                    times.append(time.perf_counter() - t0)
+            assert result.converged, prefix
+            report[prefix + "solve_ms"] = 1e3 * float(np.median(times))
+            report[prefix + "newton_steps"] = result.n_iterations
+        assert (report[banded + "newton_steps"]
+                == report[superlu + "newton_steps"]), report
+        report[banded + "speedup"] = (
+            report[superlu + "solve_ms"] / report[banded + "solve_ms"])
     return report
 
 
 def _smoke():
-    report = _sweep_report()
+    report = {**_sweep_report(), **_poisson_report()}
     path = record_baseline("scf_sweep", report)
     print_experiment(
         "F7/sweep",
@@ -189,6 +258,15 @@ def _smoke():
         f"{report['time.sweep_s'] * 1e3:.0f} ms",
         notes=f"baseline -> {path}",
     )
+    print(format_table(
+        ["mesh", "Newton steps", "banded Cholesky (ms)", "SuperLU (ms)",
+         "speedup"],
+        [(name, report[f"poisson.{name}.newton_steps"],
+          f"{report[f'poisson.{name}.solve_ms']:.2f}",
+          f"{report[f'poisson.{name}.spsolve.solve_ms']:.2f}",
+          f"{report[f'poisson.{name}.speedup']:.1f}x")
+         for name in POISSON_MESHES],
+    ))
 
 
 if __name__ == "__main__":

@@ -67,10 +67,11 @@ def _is_timing(key: str) -> bool:
     # BENCH_kernels' ``contacts.<lead>.sigma_stacks_s_per_pt`` and
     # ``block_lu.<device>.kernel_stage_*_s_per_pt`` are timings; their
     # ``basis`` and the counts ``stacked_inversions`` / ``eigh_calls`` /
-    # ``max_iterations`` / ``lu_matmuls_rgf`` are checked
+    # ``max_iterations`` / ``lu_matmuls_rgf`` are checked; BENCH_scf_sweep's
+    # ``poisson.<mesh>[.spsolve].solve_ms`` are timings, ``newton_steps`` a count
     return (
         key.startswith("time.")
-        or key.endswith(("_s", "_s_per_pt"))
+        or key.endswith(("_s", "_ms", "_s_per_pt"))
         or any(t in key for t in TIMING_FIELDS)
     )
 

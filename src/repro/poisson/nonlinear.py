@@ -7,11 +7,13 @@ Solves
 for phi (volts) on a :class:`PoissonGrid`, with any charge model exposing
 ``density(phi)`` and ``d_density_d_phi(phi)`` (semiclassical or the
 quantum-corrected Gummel predictor).  The Jacobian is the Laplacian plus a
-diagonal, so each Newton step is one sparse solve.  Everything about it that
-depends on the mesh alone is done once, at construction: the Dirichlet
-(gate) elimination of the Laplacian and the CSC pattern of the Jacobian, of
-which a step rewrites the diagonal entries only.  The gate *value* is data
-of one :meth:`NonlinearPoisson.solve`, so one solver serves a whole sweep.
+diagonal, so each Newton step is one banded Cholesky solve (LAPACK
+``dpbsv``) of half-bandwidth ``ny * nz``, the stride of the C-ordered grid
+along x.  Everything about it that depends on the mesh alone is done once,
+at construction: the Dirichlet (gate) elimination of the Laplacian and its
+upper band, of which a step rewrites the diagonal row only.  The gate
+*value* is data of one :meth:`NonlinearPoisson.solve`, so one solver serves
+a whole sweep.
 
 Also provides :class:`AndersonMixer`, the accelerated fixed-point mixing
 used by the outer transport-Poisson loop (ablated against plain linear
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from ..errors import NumericalBreakdownError
 from ..resilience.health import get_sentinel
@@ -32,6 +34,10 @@ from .grid import PoissonGrid
 from .operators import Q_OVER_EPS0_V_NM, apply_dirichlet, assemble_laplacian
 
 __all__ = ["NonlinearPoisson", "PoissonResult", "AndersonMixer"]
+
+#: The one solve of a Newton step, ``(c, x, info) = _band_solve(ab, b)``;
+#: module-level so tests and benchmarks can patch it to count steps.
+_band_solve = lapack.dpbsv
 
 
 @dataclass
@@ -47,6 +53,18 @@ class PoissonResult:
 
 class NonlinearPoisson:
     """Newton solver for the nonlinear Poisson equation.
+
+    A Newton step solves ``S J delta = S rhs`` by banded Cholesky, where
+    ``J = L_bc - diag(q/eps0 * dn)`` and ``S`` is -1 off the gate, +1 on
+    it.  ``S J`` is symmetric positive definite whenever every connected
+    region off the gate touches a gate node or has ``dn > 0``: off the
+    gate it is the negated finite-volume Laplacian plus a non-negative
+    diagonal, and the gate rows are identity with their columns dropped.
+    Both shipped charge models have ``dn >= 0``.  A step whose
+    factorisation fails (LAPACK ``info > 0``: not positive definite) trips
+    the health sentinel at site ``poisson`` (kind
+    ``not_positive_definite``) and raises :class:`NumericalBreakdownError`;
+    with the sentinel off the step is NaN.
 
     Parameters
     ----------
@@ -87,12 +105,13 @@ class NonlinearPoisson:
         # the gate values), so the eliminated operator is geometry-only:
         # identity rows on the gate nodes, their columns dropped
         self.L_bc = apply_dirichlet(self.L, np.zeros(grid.n_nodes), self.mask, 0.0)[0]
-        # every Newton Jacobian L_bc - diag(d) has the CSC pattern of L_bc
-        # (whose diagonal is full: -sum(w) off the gate, 1 on it) and
-        # differs from it in the diagonal entries only
-        self._jacobian = sp.csc_matrix(self.L_bc)
-        columns = np.repeat(np.arange(grid.n_nodes), np.diff(self._jacobian.indptr))
-        self._diag_slots = np.flatnonzero(self._jacobian.indices == columns)
+        # S J in LAPACK upper band storage, ab[kd + i - j, j] = (S J)[i, j]:
+        # every off-diagonal entry sits in a row off the gate (S = -1),
+        # and a step rewrites the diagonal row ab[kd] only
+        upper = sp.triu(self.L_bc, k=1, format="coo")
+        kd = int((upper.col - upper.row).max(initial=0))
+        self._band = np.zeros((kd + 1, grid.n_nodes), order="F")
+        self._band[kd + upper.row - upper.col, upper.col] = -upper.data
         self._diag_bc = self.L_bc.diagonal()
 
     # ------------------------------------------------------------------
@@ -102,18 +121,6 @@ class NonlinearPoisson:
         F = self.L @ phi + Q_OVER_EPS0_V_NM * (self.donors - n)
         F = np.where(self.mask, 0.0, F)
         return F
-
-    def jacobian(self, dn: np.ndarray) -> sp.csc_matrix:
-        """Newton Jacobian ``L_bc - diag(q/eps0 * dn)``, gate rows identity.
-
-        Entry for entry ``sp.csc_matrix(L_bc - sp.diags(...))``, written
-        into the one matrix this solver owns: the returned object is
-        overwritten by the next call.
-        """
-        self._jacobian.data[self._diag_slots] = self._diag_bc - np.where(
-            self.mask, 0.0, Q_OVER_EPS0_V_NM * dn
-        )
-        return self._jacobian
 
     def solve(
         self,
@@ -177,9 +184,24 @@ class NonlinearPoisson:
                 )
                 break
             best_norm = min(best_norm, res_norm)
-            dn = charge_model.d_density_d_phi(phi)
-            rhs = np.where(self.mask, 0.0, -F)
-            delta = spla.spsolve(self.jacobian(dn), rhs)
+            # diagonal of S J: -(diag(L_bc) - q/eps0 * dn) off the gate, 1
+            # on it; S * (-F) is F itself (F is zero on the gate)
+            self._band[-1] = np.where(
+                self.mask, 1.0,
+                Q_OVER_EPS0_V_NM * charge_model.d_density_d_phi(phi) - self._diag_bc,
+            )
+            _, delta, info = _band_solve(self._band, F)
+            if info:
+                if sentinel.enabled:
+                    sentinel.trip(
+                        "poisson", "not_positive_definite", value=info,
+                        detail=f"Newton step at iteration {it}",
+                    )
+                    raise NumericalBreakdownError(
+                        f"Poisson Jacobian not positive definite at Newton "
+                        f"iteration {it}"
+                    )
+                delta = np.full(n_nodes, np.nan)
             phi = phi + damping * delta
         return PoissonResult(
             phi=phi,

@@ -1,7 +1,12 @@
 """Poisson solver tests: manufactured solutions, charge models, Newton, mixing."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from repro.physics.constants import KT_ROOM
 from repro.poisson import (
@@ -276,16 +281,88 @@ class TestNonlinearPoisson:
             solver.solve(model, phi0=np.zeros(5))
 
 
+_GRID_MESH = dict(spacing_nm=0.25, donor_density_nm3=0.05,
+                  material_params={"m_rel": 0.3})
+#: Poisson meshes of the FET and chain of ``scf_sweep_wf`` /
+#: ``transport_uniform_chain``, the m = 25 wide device and the Si-sp3s* wire.
+MESHES = {
+    "fet": dict(n_x=12, n_y=2, n_z=2, source_cells=4, drain_cells=4,
+                gate_cells=(4, 8), **_GRID_MESH),
+    "chain": dict(n_x=40, n_y=1, n_z=1, source_cells=4, drain_cells=4,
+                  gate_cells=(12, 28), **_GRID_MESH),
+    "wide": dict(n_x=48, n_y=5, n_z=5, source_cells=8, drain_cells=8,
+                 gate_cells=(16, 32), **_GRID_MESH),
+    "si_wire": dict(geometry="nanowire-zb", material="Si-sp3s*", n_x=8,
+                    n_y=2, n_z=2, source_cells=2, drain_cells=2,
+                    gate_cells=(3, 5)),
+}
+
+
+def semiclassical_model(built):
+    """The SCF's initial-guess charge model of a device."""
+    return SemiclassicalCharge(
+        mu=built.contact_mu("source"), band_edge=built.band_edge,
+        m_rel=built.m_dos, kT=built.spec.kT,
+        semiconductor_mask=built.semiconductor_mask,
+    )
+
+
+@lru_cache(maxsize=None)
+def mesh_problem(name):
+    """``(built, solver)``: the SCF's Poisson operator on one of MESHES."""
+    from repro.core import DeviceSpec, build_device
+
+    built = build_device(DeviceSpec(**MESHES[name]))
+    grid = built.poisson_grid
+    donors = grid.deposit(
+        built.device.structure.positions, built.donors_per_atom
+    ) / grid.node_volume()
+    return built, NonlinearPoisson(
+        grid, built.eps_r, donors, dirichlet_mask=built.gate_mask
+    )
+
+
+def spsolve_step(J_bc, rhs_bc, mask):
+    """A Newton step by SuperLU on the eliminated Jacobian."""
+    return spla.spsolve(sp.csc_matrix(J_bc), rhs_bc)
+
+
+def band_cholesky_step(J_bc, rhs_bc, mask):
+    """A Newton step by LAPACK ``dpbsv`` on ``S J_bc``, S = -1 off the gate,
+    the band read off the dense matrix diagonal by diagonal."""
+    sign = np.where(mask, 1.0, -1.0)
+    dense = (sp.diags(sign) @ J_bc).toarray()
+    rows, cols = np.nonzero(dense)
+    kd = int(np.abs(rows - cols).max())
+    ab = np.zeros((kd + 1, dense.shape[0]))
+    for d in range(kd + 1):
+        ab[kd - d, d:] = np.diagonal(dense, d)
+    _, delta, info = lapack.dpbsv(ab, sign * rhs_bc)
+    assert info == 0
+    return delta
+
+
+def unpack_upper_band(ab):
+    """Dense upper triangle of LAPACK upper band storage ``(kd + 1, n)``;
+    the unused corner ``ab[kd - d, :d]`` must be zero."""
+    kd = ab.shape[0] - 1
+    upper = np.zeros((ab.shape[1], ab.shape[1]))
+    for d in range(kd + 1):
+        assert not ab[kd - d, :d].any()
+        upper += np.diag(ab[kd - d, d:], d)
+    return upper
+
+
 class TestHoistedDirichletElimination:
     """The Dirichlet-eliminated Laplacian is geometry-only: built once at
     construction, and every Newton step `==` the per-step elimination."""
 
     @staticmethod
-    def newton_with_per_step_elimination(solver, model, v_gate, tol, max_iter):
-        """The Newton loop as it was: ``apply_dirichlet`` on every step."""
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
+    def newton_with_per_step_elimination(
+        solver, model, v_gate, tol, max_iter, linear_step
+    ):
+        """The Newton loop as it was: ``apply_dirichlet`` on every step,
+        then ``linear_step(J_bc, rhs_bc, mask)``."""
         phi = np.zeros(solver.grid.n_nodes)
         phi[solver.mask] = v_gate
         history = []
@@ -297,7 +374,7 @@ class TestHoistedDirichletElimination:
             dn = model.d_density_d_phi(phi)
             J = solver.L - sp.diags(Q_OVER_EPS0_V_NM * dn)
             J_bc, rhs_bc = apply_dirichlet(J, -F, solver.mask, 0.0)
-            phi = phi + spla.spsolve(sp.csc_matrix(J_bc), rhs_bc)
+            phi = phi + linear_step(J_bc, rhs_bc, solver.mask)
         return phi, history
 
     @pytest.mark.parametrize("v_gate", [-0.3, 0.2])
@@ -307,19 +384,37 @@ class TestHoistedDirichletElimination:
         scf = SelfConsistentSolver(built, TransportCalculation(built, n_energy=11))
         solver = scf.poisson
         assert built.gate_mask.any()
-        model = SemiclassicalCharge(
-            mu=built.contact_mu("source"), band_edge=built.band_edge,
-            m_rel=built.m_dos, kT=built.spec.kT,
-            semiconductor_mask=built.semiconductor_mask,
-        )
+        model = semiclassical_model(built)
         res = solver.solve(model, tol=1e-8, max_iter=60, dirichlet_values=v_gate)
         phi, history = self.newton_with_per_step_elimination(
-            solver, model, v_gate, tol=1e-8, max_iter=60
+            solver, model, v_gate, tol=1e-8, max_iter=60,
+            linear_step=band_cholesky_step,
         )
         assert res.converged and res.n_iterations > 2
         assert res.n_iterations == len(history)
         assert res.history == history
         assert np.array_equal(res.phi, phi)
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    def test_solve_matches_a_superlu_newton_loop(self, mesh):
+        """Oracle independent of the band: the SuperLU Newton loop takes as
+        many steps to the same potential."""
+        built, solver = mesh_problem(mesh)
+        model = semiclassical_model(built)
+        res = solver.solve(model, tol=1e-8, max_iter=60, dirichlet_values=-0.3)
+        phi, history = self.newton_with_per_step_elimination(
+            solver, model, -0.3, tol=1e-8, max_iter=60, linear_step=spsolve_step
+        )
+        assert res.converged and res.n_iterations > 2
+        assert res.n_iterations == len(history)
+        assert np.abs(res.phi - phi).max() <= 1e-12 * np.abs(phi).max()
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    def test_half_bandwidth_is_the_x_stride(self, mesh):
+        """A grid reordering must not silently widen the band."""
+        built, solver = mesh_problem(mesh)
+        _, ny, nz = built.poisson_grid.shape
+        assert solver._band.shape == (ny * nz + 1, built.poisson_grid.n_nodes)
 
     def test_eliminated_operator_is_apply_dirichlet_of_the_laplacian(self, built):
         solver = NonlinearPoisson(
@@ -335,29 +430,85 @@ class TestHoistedDirichletElimination:
         assert np.array_equal(dense[gate][:, gate], np.eye(gate.size))
         assert not dense[~solver.mask][:, gate].any()
 
-    def test_jacobian_written_in_place_equals_the_sparse_subtraction(self, built):
-        """A Newton step rewrites the diagonal slots of one CSC matrix:
-        same pattern, same entries as building ``L_bc - diag`` anew."""
-        import scipy.sparse as sp
+    def test_step_band_is_the_sign_flipped_jacobian(self, built, monkeypatch):
+        """A Newton step rewrites the diagonal row of one band: unpacked,
+        it is ``S (L_bc - diag(q/eps0 dn))`` entry for entry, symmetric."""
+        from repro.poisson import nonlinear
 
         n = built.poisson_grid.n_nodes
         solver = NonlinearPoisson(
             built.poisson_grid, built.eps_r, np.zeros(n),
             dirichlet_mask=built.gate_mask,
         )
+        bands = []
+
+        def recording_solve(ab, b):
+            bands.append(ab.copy())
+            return lapack.dpbsv(ab, b)
+
+        monkeypatch.setattr(nonlinear, "_band_solve", recording_solve)
+        sign = np.where(solver.mask, 1.0, -1.0)
         rng = np.random.default_rng(3)
         for scale in (1e-3, 1.0, 1e3):
             dn = scale * rng.random(n)
             dn[np.flatnonzero(solver.mask)[0]] = np.nan  # a masked row
-            ref = sp.csc_matrix(
+
+            class Charge:
+                def density(self, phi):
+                    return np.full(n, 1e-2)  # a non-zero residual
+
+                def d_density_d_phi(self, phi):
+                    return dn
+
+            solver.solve(Charge(), max_iter=1)
+            ref = (sp.diags(sign) @ (
                 solver.L_bc
                 - sp.diags(np.where(solver.mask, 0.0, Q_OVER_EPS0_V_NM * dn))
-            )
-            jac = solver.jacobian(dn)
-            assert jac.has_canonical_format
-            assert np.array_equal(jac.indptr, ref.indptr)
-            assert np.array_equal(jac.indices, ref.indices)
-            assert np.array_equal(jac.data, ref.data)
+            )).toarray()
+            upper = unpack_upper_band(bands.pop())
+            assert np.array_equal(ref, ref.T)
+            assert np.array_equal(ref, upper + np.triu(upper, 1).T)
+
+    @pytest.mark.parametrize("mode", ["contain", "strict", "off"])
+    def test_jacobian_that_is_not_positive_definite_raises_typed(
+        self, built, mode, monkeypatch
+    ):
+        """No gate and ``dn == 0``: ``S J`` is the negated Laplacian, exactly
+        singular, so the first factorisation reports ``info > 0``."""
+        from repro.errors import NumericalBreakdownError
+        from repro.poisson import nonlinear
+        from repro.resilience.health import HealthSentinel, use_sentinel
+
+        n = built.poisson_grid.n_nodes
+        solver = NonlinearPoisson(built.poisson_grid, built.eps_r, np.zeros(n))
+        solves = []
+
+        def counting_solve(ab, b):
+            solves.append(lapack.dpbsv(ab, b))
+            return solves[-1]
+
+        monkeypatch.setattr(nonlinear, "_band_solve", counting_solve)
+
+        class UnscreenedCharge:
+            def density(self, phi):
+                return np.full_like(phi, 1e-3)
+
+            def d_density_d_phi(self, phi):
+                return np.zeros_like(phi)
+
+        sentinel = HealthSentinel(mode=mode)
+        with use_sentinel(sentinel):
+            if mode == "off":  # unchecked: the step is NaN, nothing raises
+                res = solver.solve(UnscreenedCharge(), max_iter=2)
+                assert not res.converged and np.isnan(res.phi).all()
+            else:
+                with pytest.raises(NumericalBreakdownError):
+                    solver.solve(UnscreenedCharge(), max_iter=5)
+                assert sentinel.trips_since(0) == {
+                    "poisson:not_positive_definite": 1
+                }
+                assert len(solves) == 1  # at the first step
+        assert solves[0][2] > 0
 
     def test_non_finite_derivative_on_a_gate_node_is_eliminated(self):
         """Gate rows are identity rows whatever the charge model returns there."""
