@@ -49,7 +49,6 @@ PRODUCERS = [
     ("benchmarks/bench_f7_scf.py --smoke", "BENCH_scf_sweep.json"),
     ("benchmarks/bench_t6_telemetry.py --smoke", "BENCH_telemetry.json"),
     ("benchmarks/bench_t7_adaptive.py --smoke", "BENCH_adaptive.json"),
-    ("benchmarks/bench_t8_precision.py --smoke", "BENCH_precision.json"),
 ]
 
 #: Machine- and run-dependent fields ignored by ``--check`` (warn-only in

@@ -171,14 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: $REPRO_WORKERS or 2)",
         )
         p.add_argument(
-            "--precision", choices=("fp64", "mixed", "fp32"),
-            default=None,
-            help="numeric mode of the RGF kernel: fp64 (default; "
-                 "$REPRO_PRECISION), mixed (complex64 factors + fp64 "
-                 "iterative refinement, FP64 escalation on stall), or "
-                 "fp32 (pure complex64 screening)",
-        )
-        p.add_argument(
             "--adaptive-energies", type=int, nargs="?", const=512,
             default=None, metavar="BUDGET",
             help="adaptive energy quadrature: refine the grid in "
@@ -383,7 +375,6 @@ def _backend_kwargs(args) -> dict:
     kwargs = {
         "backend": getattr(args, "backend", None),
         "workers": getattr(args, "workers", None),
-        "precision": getattr(args, "precision", None),
     }
     budget = getattr(args, "adaptive_energies", None)
     tol = getattr(args, "energy_tol", None)
@@ -411,7 +402,6 @@ def _cmd_simulate(args) -> int:
             _metering(args.metrics) as registry, \
             _eventing(args.events, "simulate", spec=args.spec,
                       backend=args.backend,
-                      precision=getattr(args, "precision", None),
                       stack_length=transport.stack_length) as events:
         if events is not None:
             events.run_started(total=1, v_gate=args.vg, v_drain=args.vd)
@@ -486,7 +476,6 @@ def _cmd_sweep(args) -> int:
     with _tracing(args.trace, "sweep") as tracer, \
             _metering(args.metrics) as registry, \
             _eventing(args.events, "sweep", spec=args.spec,
-                      precision=getattr(args, "precision", None),
                       backend=args.backend,
                       stack_length=transport.stack_length):
         # the sweep loop itself emits run_started/point_done/run_finished
@@ -710,43 +699,6 @@ def _cmd_doctor(args) -> int:
               f"(paper's 4-level decomposition)",
     ))
 
-    # --- mixed-precision probe ----------------------------------------
-    # Solve the last bias once in precision="mixed" (RGF only) under a
-    # fresh registry: the precision.* family — refinement iterations,
-    # residual backward errors, certified points, FP64 escalations —
-    # flows through the same telemetry merge-back as every other metric,
-    # so the counters printed here are exact on any backend.
-    if args.method == "rgf":
-        prec_registry = MetricsRegistry()
-        probe_mx = TransportCalculation(
-            built, method="rgf", n_energy=11,
-            backend="serial", precision="mixed", energy_mode="uniform",
-        )
-        pot_probe = scf.atom_potential_ev(
-            scf.initial_potential(vgs[-1], args.vd)
-        )
-        with use_metrics(prec_registry):
-            probe_mx.solve_bias(pot_probe, args.vd)
-        prec = prec_registry.snapshot()
-        prec_flat = prec.flat()
-        print(format_table(
-            ["metric", "value"],
-            [
-                ("points certified",
-                 int(prec.total("precision.points_certified"))),
-                ("fp64 escalations",
-                 int(prec.total("precision.fp64_escalations"))),
-                ("refine iterations (mean)", "%.2f" % prec_flat.get(
-                    "precision.refine_iterations.mean", 0.0)),
-                ("backward error (mean)", "%.2e" % prec_flat.get(
-                    "precision.residual.mean", 0.0)),
-                ("refine stalls",
-                 int(prec.total("precision.refine_stalls"))),
-            ],
-            title="mixed-precision probe (same bias, complex64 + "
-                  "fp64 refinement)",
-        ))
-
     # --- perf-regression gate against the committed baseline ----------
     baseline_dir = args.baselines or _default_baseline_dir()
     report = check_against_baselines(
@@ -918,14 +870,6 @@ def _cmd_scaling(args) -> int:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if (getattr(args, "precision", None) not in (None, "fp64")
-            and getattr(args, "method", "rgf") != "rgf"):
-        print(
-            f"--precision {args.precision} requires --method rgf "
-            "(the WF kernel has no reduced-precision path)",
-            file=sys.stderr,
-        )
-        return 2
     handler = {
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,

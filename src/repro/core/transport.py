@@ -33,7 +33,6 @@ from ..observability.telemetry import (
 )
 from ..observability.tracer import get_tracer, trace_span
 from ..parallel.backend import get_backend
-from ..solvers.precision import precision_from_env, resolve_precision
 from ..parallel.scheduler import split_chunks, wave_chunks
 from ..perf.flops import (
     FlopCounter,
@@ -168,20 +167,6 @@ class TransportCalculation:
         ``"worker"`` fires inside backend workers.
     degradation_budget : DegradationBudget or None
         Bound on quarantined quadrature per k-grid (None = defaults).
-    precision : {"fp64", "mixed", "fp32"} or None
-        Numeric execution mode of the transport kernel (RGF only).
-        ``"fp64"`` is the historical bit-identical complex128 path.
-        ``"mixed"`` factors in complex64 and certifies every energy with
-        double-precision iterative refinement to the backward-error
-        target; uncertifiable energies escalate to a full-FP64 re-solve
-        (bit-identical to a pure-FP64 run) before the degradation ladder
-        is consulted.  ``"fp32"`` is pure complex64 screening at a
-        loose tolerance.  None reads ``$REPRO_PRECISION`` (default fp64).
-    refine_faults : iterable of float or None
-        Chaos-campaign hook: mixed-mode energies in this set are treated
-        as deterministic refinement stalls (escalated with
-        ``injected=True``), exercising the FP64 escalation path without
-        perturbing any operator.
     """
 
     def __init__(
@@ -200,28 +185,9 @@ class TransportCalculation:
         workers=None,
         injector=None,
         degradation_budget=None,
-        precision=None,
-        refine_faults=None,
     ):
         if method not in ("wf", "rgf"):
             raise ValueError("method must be 'wf' or 'rgf'")
-        if precision is None:
-            # $REPRO_PRECISION is a preference, not a command: a WF
-            # calculation under a fleet-wide mixed-precision default
-            # quietly keeps its FP64 kernels
-            self.precision = precision_from_env() if method == "rgf" else "fp64"
-        else:
-            self.precision = resolve_precision(precision)
-            if self.precision != "fp64" and method != "rgf":
-                raise ValueError(
-                    f"precision={self.precision!r} requires method='rgf' "
-                    "(the WF kernel's sparse/banded factorisations gain "
-                    "nothing from complex64)"
-                )
-        self.refine_faults = (
-            tuple(sorted(float(e) for e in refine_faults))
-            if refine_faults else ()
-        )
         if energy_mode is None:
             energy_mode = "adaptive" if adaptive_enabled() else "uniform"
         if energy_mode not in ("uniform", "adaptive"):
@@ -259,6 +225,12 @@ class TransportCalculation:
         (kept, like :attr:`zero_copy`, because ``benchmarks/e2e`` reads
         it)."""
         return None
+
+    @property
+    def precision(self) -> str:
+        """Always ``"fp64"``: every kernel computes in complex128 (kept,
+        like :attr:`zero_copy`, because ``benchmarks/e2e`` reads it)."""
+        return "fp64"
 
     @property
     def stack_length(self) -> int:
@@ -318,16 +290,10 @@ class TransportCalculation:
             band_bottom=bottom,
         )
 
-    def _make_solver(self, H, surface_method: str | None = None,
-                     precision: str | None = None):
+    def _make_solver(self, H, surface_method: str | None = None):
         method = surface_method or self.surface_method
-        if self.method == "rgf":
-            return RGFSolver(
-                H, eta=self.eta, surface_method=method,
-                precision=precision or self.precision,
-                refine_faults=self.refine_faults or None,
-            )
-        return WFSolver(H, eta=self.eta, surface_method=method)
+        solver = RGFSolver if self.method == "rgf" else WFSolver
+        return solver(H, eta=self.eta, surface_method=method)
 
     def _charge_flops(self, counter: FlopCounter, shape, n_channels: int) -> None:
         """Charge one (k, E) solve on a device of ``shape`` = (slabs, widest)."""
@@ -778,14 +744,10 @@ class _KPoint:
         reference solve -> quarantine (returns None).  Strict mode, and a
         run with neither sentinel nor injector, take the first rung only
         and let every error propagate.  Every solver rung is a stack of
-        one through :func:`solve_energies` at the calculation's precision,
-        so a healed point is bit-identical to the same point solved inside
-        a clean stack.  The ``"energy"`` fault site fires once per rung, so
-        a persistent (``once=False``) fault climbs the whole ladder.
-
-        Mixed-precision escalation sits *before* the ladder: the solver's
-        ``solve_batch_escalating`` re-solves an uncertified energy on its
-        FP64 twin, and only a failure of that solve climbs the rungs.
+        one through :func:`solve_energies`, so a healed point is
+        bit-identical to the same point solved inside a clean stack.  The
+        ``"energy"`` fault site fires once per rung, so a persistent
+        (``once=False``) fault climbs the whole ladder.
         """
         calc, sentinel = self.calc, self.sentinel
         injector = calc.injector
@@ -889,9 +851,8 @@ def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
     Every dispatch — serial grid, backend chunk, adaptive wave,
     distributed rank, and the single-point rungs of the degradation
     ladder and retry loops as a stack of one — lands here and runs the
-    stacked kernels (``solve_batch``, or ``solve_batch_escalating`` where
-    the solver certifies in mixed precision) in sub-stacks of
-    :func:`stack_length` energies.  Stacked results are per-slice
+    stacked kernel (``solve_batch``) in sub-stacks of :func:`stack_length`
+    energies.  Stacked results are per-slice
     independent of the stack they ride in, so the split changes memory,
     never a bit of the answer.
 
@@ -903,13 +864,12 @@ def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
     mode = None
     if injector is not None and in_worker:
         mode = injector.fire("worker", chunk_id)
-    batch = getattr(solver, "solve_batch_escalating", solver.solve_batch)
     H = solver.H
     step = stack_length(H.n_blocks, H.block_sizes.max())
     events = get_events()
     results: list = []
     for lo in range(0, len(energies), step):
-        results.extend(batch(energies[lo:lo + step]))
+        results.extend(solver.solve_batch(energies[lo:lo + step]))
         if not in_worker:
             events.maybe_heartbeat(
                 stage="energy-stack", solved=len(results), of=len(energies)

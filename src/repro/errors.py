@@ -22,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "SurfaceGFConvergenceError",
     "SCFConvergenceError",
-    "PrecisionEscalationError",
     "NumericalBreakdownError",
     "DegradationBudgetError",
     "PhysicsInvariantError",
@@ -70,39 +69,6 @@ class SurfaceGFConvergenceError(ConvergenceError):
         super().__init__(message, injected=injected)
         self.energy = energy
         self.eta = eta
-
-
-class PrecisionEscalationError(ConvergenceError):
-    """Mixed-precision refinement cannot certify an energy point.
-
-    Raised by the ``precision="mixed"`` kernels when double-precision
-    iterative refinement of the complex64 factorisation stalls before the
-    per-energy backward-error target, or when the condition estimate of
-    the fp32 factor says single precision cannot be trusted at all.  The
-    per-point degradation ladder catches it and re-solves the point on
-    the full-FP64 path (rung ``"precision:fp64"``) — the typed escalation
-    guarantees the fallback result is bit-identical to a pure-FP64 run.
-
-    Attributes
-    ----------
-    energy : float
-        The energy point that failed certification.
-    reason : str
-        ``"stall"`` (refinement stopped contracting), ``"budget"``
-        (iteration budget exhausted), ``"condition"`` (fp32 condition
-        gate tripped) or ``"nonfinite"`` (fp32 kernel overflowed).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        energy: float = float("nan"),
-        reason: str = "stall",
-        injected: bool = False,
-    ):
-        super().__init__(message, injected=injected)
-        self.energy = energy
-        self.reason = reason
 
 
 class SCFConvergenceError(ConvergenceError):

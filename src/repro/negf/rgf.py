@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PrecisionEscalationError
 from ..observability.invariants import get_monitor
-from ..observability.metrics import get_metrics
 from ..observability.tracer import trace_span
 from ..resilience.health import get_sentinel
 from ..solvers.block_tridiagonal import BlockTridiagLU
-from ..solvers.precision import (
-    W_TOL,
-    refined_sliver_solve,
-    resolve_precision,
-)
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from .self_energy import Contacts, LeadSelfEnergy, broadening, open_channels
 
@@ -43,7 +36,6 @@ __all__ = [
     "RGFSolver",
     "assemble_system_blocks",
     "equal_width_groups",
-    "injection_slivers",
     "sliver_stack",
 ]
 
@@ -72,66 +64,6 @@ def equal_width_groups(*widths) -> list:
     for w in widths[1:]:
         key = key * (w.max() + 1) + w
     return [np.flatnonzero(key == k) for k in np.unique(key)]
-
-
-def injection_slivers(gamma_stack: np.ndarray, tol: float = W_TOL) -> list:
-    """Per-slice injection slivers ``W_b`` with ``Gamma_b ~ W_b W_b^+``.
-
-    Batched eigendecomposition of the broadening stacks; eigenpairs
-    below ``tol * lambda_max`` (finite-eta leakage of closed channels,
-    not physics) are dropped.  Returns one 2-D ``(m, c_b)`` array per
-    slice — widths deliberately stay ragged (callers group slices of
-    equal width, see :func:`equal_width_groups`).  A slice with no
-    channel above the cutoff gets a single zero column (all its
-    observables are exact zeros).
-    """
-    ev, vec = np.linalg.eigh(gamma_stack)
-    scale = np.maximum(ev.max(axis=1), 1e-300)
-    widths = np.sum(ev > tol * scale[:, None], axis=1)
-    return [
-        sliver_stack(ev[b], vec[b], c) if c
-        else np.zeros((ev.shape[1], 1), dtype=vec.dtype)
-        for b, c in enumerate(widths)
-    ]
-
-
-def _grouped_refine(lu32, diag64, upper64, lower64, j, w_list, diag32):
-    """Refined sliver solves grouped by injection width.
-
-    Partitions the batch into groups of equal sliver column count (a
-    deterministic per-slice property of Gamma) and runs one
-    :func:`~repro.solvers.precision.refined_sliver_solve` per group at
-    exactly that width — the construction that keeps every slice's
-    result bitwise independent of which energies share a chunk.
-
-    Returns ``(x_front, row_norms, escalate, reasons)``: the block-0
-    solution column per slice (feeds the transmission product), the
-    per-slice concatenated row norms ``sum_c |x_i|^2`` (the spectral
-    density up to ``1/2pi``), and the per-slice escalation flags and
-    reason strings.
-    """
-    n_batch = len(w_list)
-    total_m = int(np.sum(lu32.sizes))
-    row_norms = np.empty((n_batch, total_m))
-    x_front: list = [None] * n_batch
-    escalate = np.zeros(n_batch, dtype=bool)
-    reasons = np.empty(n_batch, dtype=object)
-    reasons[:] = ""
-    for idx in equal_width_groups(np.array([w.shape[1] for w in w_list])):
-        rhs = np.stack([w_list[b] for b in idx])
-        ref = refined_sliver_solve(
-            lu32, diag64, upper64, lower64, j, rhs,
-            diag32=diag32, take=idx,
-        )
-        row_norms[idx] = np.concatenate(
-            [np.add.reduce(np.abs(xi) ** 2, axis=2) for xi in ref.x],
-            axis=1,
-        )
-        for k, b in enumerate(idx):
-            x_front[b] = ref.x[0][k]
-        escalate[idx] = ref.escalate
-        reasons[idx] = ref.reasons
-    return x_front, row_norms, escalate, reasons
 
 
 def _contact_density(column: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -225,24 +157,6 @@ class RGFSolver:
         Retarded infinitesimal (eV).
     surface_method : {"sancho", "eigen", "robust"}
         Surface-GF algorithm for the contacts.
-    precision : {"fp64", "mixed", "fp32"} or None
-        Numeric execution mode.  ``None``/``"fp64"`` is the historical
-        complex128 path, bit-identical to every prior release.
-        ``"mixed"`` factors in complex64 and certifies each energy with
-        double-precision iterative refinement (sliver observables;
-        self-energies stay fp64); uncertifiable energies come back as
-        ``None`` from :meth:`solve_batch` and raise
-        :class:`~repro.errors.PrecisionEscalationError` from
-        :meth:`solve` so the caller's degradation ladder re-solves them
-        on the FP64 path.  ``"fp32"`` is pure complex64 screening
-        (including the decimation) with no certification.  The raw
-        solver never reads ``REPRO_PRECISION`` — only
-        :class:`~repro.core.TransportCalculation` consumes the
-        environment, mirroring ``REPRO_BACKEND``.
-    refine_faults : iterable of float or None
-        Deterministic fault injection for the chaos campaign: mixed-mode
-        energies in this set are treated as refinement stalls (escalated
-        with ``injected=True``) regardless of their actual residual.
     """
 
     def __init__(
@@ -252,35 +166,13 @@ class RGFSolver:
         lead_right=None,
         eta: float = 1e-6,
         surface_method: str = "sancho",
-        precision=None,
-        refine_faults=None,
     ):
         if hamiltonian.n_blocks < 2:
             raise ValueError("transport needs at least 2 slabs")
-        self.precision = resolve_precision(precision)
-        if self.precision == "fp32":
-            # round the operator once, up front: the screening operator
-            # *is* the complex64 Hamiltonian
-            hamiltonian = BlockTridiagonalHamiltonian(
-                diagonal=[
-                    np.ascontiguousarray(d, dtype=np.complex64)
-                    for d in hamiltonian.diagonal
-                ],
-                upper=[
-                    np.ascontiguousarray(u, dtype=np.complex64)
-                    for u in hamiltonian.upper
-                ],
-            )
         self.H = hamiltonian
-        self.refine_faults = (
-            frozenset(float(e) for e in refine_faults)
-            if refine_faults
-            else frozenset()
-        )
         self.contacts = Contacts(
             hamiltonian, lead_left, lead_right, eta=eta,
             method=surface_method,
-            dtype=np.complex64 if self.precision == "fp32" else None,
         )
 
     # ------------------------------------------------------------------
@@ -304,24 +196,10 @@ class RGFSolver:
 
         A single energy *is* a stack of one: this is
         ``solve_batch([energy])[0]``, bit for bit, under any chunking.
-        In ``precision="mixed"`` an uncertifiable energy raises
-        :class:`~repro.errors.PrecisionEscalationError` — the caller
-        (typically the transport degradation ladder) re-solves it on a
-        FP64 solver, bit-identically to a pure-FP64 run.
         """
         energy = float(energy)
         with trace_span("rgf.solve", category="kernel", energy=energy):
-            results, reasons = self._solve_batch(np.array([energy]))
-        if results[0] is None:
-            reason, injected = reasons[0]
-            raise PrecisionEscalationError(
-                f"mixed-precision refinement could not certify "
-                f"E={energy:.6g} ({reason})",
-                energy=energy,
-                reason=reason,
-                injected=injected,
-            )
-        return results[0]
+            return self._solve_batch(np.array([energy]))[0]
 
     # ------------------------------------------------------------------
     def solve_batch(self, energies) -> list[RGFResult]:
@@ -334,10 +212,6 @@ class RGFSolver:
         per-slice bit-identical to its stack-of-one call, so the result
         for an energy does not depend on which energies share its stack.
         Block-LU and surface-GF flops are charged per energy.
-
-        In ``precision="mixed"`` the returned list holds ``None`` at
-        energies whose refinement could not be certified — the caller
-        re-solves exactly those points on the FP64 path.
         """
         energies = np.asarray(energies, dtype=float).ravel()
         if energies.size == 0:
@@ -346,56 +220,13 @@ class RGFSolver:
             "rgf.solve_batch", category="kernel",
             n_energies=int(energies.size),
         ):
-            return self._solve_batch(energies)[0]
-
-    # -- typed escalation to full FP64 ---------------------------------
-
-    def fp64_solver(self) -> "RGFSolver":
-        """The full-FP64 escalation twin of this solver (cached).
-
-        Shares the Hamiltonian, leads, eta and surface method (mixed-mode
-        self-energies are already full FP64, so the twin recomputes the
-        very same ones bit-for-bit).  A pure-FP64 solver is its own twin.
-        """
-        if self.precision == "fp64":
-            return self
-        twin = getattr(self, "_fp64_twin", None)
-        if twin is None:
-            c = self.contacts
-            twin = RGFSolver(
-                self.H, lead_left=c.left, lead_right=c.right, eta=c.eta,
-                surface_method=c.method, precision="fp64",
-            )
-            self._fp64_twin = twin
-        return twin
-
-    def solve_escalating(self, energy: float) -> RGFResult:
-        """:meth:`solve`, with an escalated energy re-solved in FP64."""
-        return self.solve_batch_escalating([energy])[0]
-
-    def solve_batch_escalating(self, energies) -> list[RGFResult]:
-        """:meth:`solve_batch`, with escalated energies re-solved in FP64.
-
-        The re-solve runs wherever the escalation was detected (worker
-        or parent), so the ``precision.fp64_escalations`` counter is
-        incremented exactly once per escalated energy no matter which
-        execution backend dispatched it — and the answer is bit-identical
-        to what a pure-FP64 run produces for that energy.
-        """
-        energies = np.asarray(energies, dtype=float).ravel()
-        results = self.solve_batch(energies)
-        metrics = get_metrics()
-        for i, res in enumerate(results):
-            if res is None:
-                metrics.inc("precision.fp64_escalations", 1.0)
-                results[i] = self.fp64_solver().solve(float(energies[i]))
-        return results
+            return self._solve_batch(energies)
 
     # -- the one stacked implementation --------------------------------
 
     def _results(self, energies, t, dos, spectral_l, spectral_r,
-                 gam_l, gam_r, skip=None) -> list:
-        """Per-energy result objects (None where ``skip``), invariants checked.
+                 gam_l, gam_r) -> list:
+        """Per-energy result objects, invariants checked.
 
         The open-channel counts are one stacked ``eigvalsh`` per contact;
         the only per-energy work besides building the result objects is
@@ -405,13 +236,9 @@ class RGFSolver:
         n_r = open_channels(np.linalg.eigvalsh(gam_r)).tolist()
         energies = energies.tolist()
         t = t.tolist()
-        if skip is None:
-            skip = [False] * len(energies)
         monitor = get_monitor()
         if monitor.enabled:
             for b, energy in enumerate(energies):
-                if skip[b]:
-                    continue
                 monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
                                     energy=energy)
                 monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
@@ -428,7 +255,7 @@ class RGFSolver:
                 monitor.check_density(spectral_r[b], kernel="rgf",
                                       side="right", energy=energy)
         return [
-            None if skip[b] else RGFResult(
+            RGFResult(
                 energy=energy,
                 transmission=t[b],
                 dos=dos[b],
@@ -440,17 +267,11 @@ class RGFSolver:
             for b, energy in enumerate(energies)
         ]
 
-    def _solve_batch(self, energies: np.ndarray):
-        """Solve one stack; returns ``(results, reasons)``.
-
-        ``reasons`` is None outside mixed precision (nothing escalates);
-        in mixed precision ``results[b]`` is None for escalated slices
-        and ``reasons[b] = (reason, injected)``.
-        """
-        sigmas = self.contacts.sigma_stacks(energies)
-        if self.precision == "mixed":
-            return self._mixed_stage(energies, *sigmas)
-        return self.kernel_stage(energies, *sigmas), None
+    def _solve_batch(self, energies: np.ndarray) -> list:
+        """Solve one stack: the contacts, then :meth:`kernel_stage`."""
+        return self.kernel_stage(
+            energies, *self.contacts.sigma_stacks(energies)
+        )
 
     def kernel_stage(self, energies, sigma_l, sigma_r) -> list:
         """Everything after the contacts: factor, sweep, contract.
@@ -466,8 +287,7 @@ class RGFSolver:
         energies = np.asarray(energies, dtype=float)
         n = self.H.n_blocks
         lu = BlockTridiagLU(
-            *assemble_system_blocks(self.H, energies, sigma_l, sigma_r),
-            dtype=np.complex64 if self.precision == "fp32" else None,
+            *assemble_system_blocks(self.H, energies, sigma_l, sigma_r)
         )
         col0 = lu.block_column(0)  # G_{:,0}
         coln = lu.block_column(n - 1)  # G_{:,N-1}
@@ -492,85 +312,3 @@ class RGFSolver:
         return self._results(
             energies, t, dos, spectral_l, spectral_r, gam_l, gam_r
         )
-
-    def _mixed_stage(self, energies, sigma_l, sigma_r):
-        """complex64 factorisation + fp64-refined sliver observables.
-
-        Per batch slice:
-
-        * self-energies stay full FP64 (the per-kernel validation showed
-          the decimation cannot be certified in fp32),
-        * the system matrix is assembled in fp64, rounded once to
-          complex64 and factored by the stacked block LU,
-        * transmission and contact spectral densities come from two
-          refined injection-sliver solves (``j=0`` with W_L, ``j=N-1``
-          with W_R): ``T = ||W_L^+ G_{0,N-1} W_R||_F^2``, spectral
-          densities are sliver row norms — certified to the
-          backward-error target by fp64 iterative refinement,
-        * the LDOS is the fp32 selected inversion (declared loose
-          tolerance; it never feeds the current integral).
-
-        Returns ``(results, reasons)`` as :meth:`_solve_batch` documents.
-        """
-        n = self.H.n_blocks
-        diag64, upper64, lower64 = assemble_system_blocks(
-            self.H, energies, sigma_l, sigma_r
-        )
-        diag32 = [
-            np.ascontiguousarray(d, dtype=np.complex64) for d in diag64
-        ]
-        lu32 = BlockTridiagLU(diag32, upper64, lower64, dtype=np.complex64)
-
-        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
-        w_l = injection_slivers(gam_l)
-        w_r = injection_slivers(gam_r)
-        x0_l, spectral_l, esc_l, reas_l = _grouped_refine(
-            lu32, diag64, upper64, lower64, 0, w_l, diag32
-        )
-        x0_r, spectral_r, esc_r, reas_r = _grouped_refine(
-            lu32, diag64, upper64, lower64, n - 1, w_r, diag32
-        )
-
-        # T = ||W_L^+ G_{0,N-1} W_R||_F^2; per-slice 2-D GEMMs because
-        # the sliver widths are ragged by design (see injection_slivers)
-        t = np.empty(energies.size)
-        for b in range(energies.size):
-            twl = w_l[b].conj().T @ x0_r[b]
-            t[b] = float(np.add.reduce(np.abs(twl) ** 2, axis=(0, 1)))
-        spectral_l = spectral_l / (2.0 * np.pi)
-        spectral_r = spectral_r / (2.0 * np.pi)
-        gdiag = lu32.diagonal_of_inverse()
-        dos = -np.concatenate(
-            [np.diagonal(g, axis1=1, axis2=2).imag for g in gdiag], axis=1
-        ).astype(np.float64) / np.pi
-
-        escalate = esc_l | esc_r
-        reasons = []
-        for b in range(energies.size):
-            if esc_l[b]:
-                reasons.append((str(reas_l[b]), False))
-            elif esc_r[b]:
-                reasons.append((str(reas_r[b]), False))
-            else:
-                reasons.append(("", False))
-        metrics = get_metrics()
-        if self.refine_faults:
-            for b, energy in enumerate(energies):
-                if float(energy) in self.refine_faults and not escalate[b]:
-                    escalate[b] = True
-                    reasons[b] = ("stall", True)
-                    metrics.inc("precision.injected_stalls", 1.0)
-
-        ok = ~escalate
-        sentinel = get_sentinel()
-        if sentinel.enabled and ok.any():
-            sentinel.check_finite(
-                "rgf", t[ok], spectral_l[ok], spectral_r[ok], dos[ok],
-                detail=f"mixed batch of {int(ok.sum())}",
-            )
-        if metrics.enabled and ok.any():
-            metrics.inc("precision.points_certified", float(ok.sum()))
-        return self._results(
-            energies, t, dos, spectral_l, spectral_r, gam_l, gam_r,
-            skip=escalate,
-        ), reasons

@@ -106,7 +106,7 @@ def _surface_gf_point(energy, h00, h01, side, method, eta):
     raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
 
 
-def _sigma_stacks(energies, leads, tau, method, eta, dtype):
+def _sigma_stacks(energies, leads, tau, method, eta):
     """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
     ``(h00, h01, side)``.
 
@@ -119,7 +119,7 @@ def _sigma_stacks(energies, leads, tau, method, eta, dtype):
     """
     energies = np.asarray(energies, dtype=float).ravel()
     if method == "sancho":
-        g_stacks = [g for g, _ in _decimate(energies, leads, eta, dtype=dtype)]
+        g_stacks = [g for g, _ in _decimate(energies, leads, eta)]
     else:
         g_stacks = [
             np.array(
@@ -133,13 +133,9 @@ def _sigma_stacks(energies, leads, tau, method, eta, dtype):
     for g_stack, (_, h01, side) in zip(g_stacks, leads):
         tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
         if side == "left":
-            sigma_stack = tau_arr.conj().T @ g_stack @ tau_arr
+            sigma_stacks.append(tau_arr.conj().T @ g_stack @ tau_arr)
         else:
-            sigma_stack = tau_arr @ g_stack @ tau_arr.conj().T
-        # a complex64 request returns complex64 whichever method produced g
-        sigma_stacks.append(
-            sigma_stack if dtype is None else sigma_stack.astype(dtype)
-        )
+            sigma_stacks.append(tau_arr @ g_stack @ tau_arr.conj().T)
     return tuple(sigma_stacks)
 
 
@@ -160,13 +156,11 @@ def contact_self_energy(
     side: str = "left",
     method: str = "sancho",
     eta: float = 1e-6,
-    dtype=None,
 ) -> LeadSelfEnergy:
     """Retarded self-energy of one contact at one energy: the stack of
     one of :func:`contact_self_energy_batch` (same parameters)."""
     return contact_self_energy_batch(
         [energy], h00, h01, tau=tau, side=side, method=method, eta=eta,
-        dtype=dtype,
     )[0]
 
 
@@ -178,7 +172,6 @@ def contact_self_energy_batch(
     side: str = "left",
     method: str = "sancho",
     eta: float = 1e-6,
-    dtype=None,
 ) -> list[LeadSelfEnergy]:
     """Retarded self-energies of one contact for a stack of energies.
 
@@ -203,13 +196,9 @@ def contact_self_energy_batch(
         fallback) instead of aborting on non-convergence.
     eta : float
         Retarded infinitesimal (eV).
-    dtype : numpy dtype or None
-        None is full double precision.  ``numpy.complex64`` (the
-        ``"fp32"`` screening mode of :class:`repro.negf.RGFSolver`) runs
-        the decimation in complex64 and returns a complex64 sigma.
     """
     (sigma_stack,) = _sigma_stacks(
-        energies, [(h00, h01, side)], tau, method, eta, dtype
+        energies, [(h00, h01, side)], tau, method, eta
     )
     return _wrap(sigma_stack, side, energies)
 
@@ -239,12 +228,12 @@ class Contacts:
         repeat the lead cell at flat potential.
     lead_left, lead_right : (h00, h01) tuples or None
         Lead cell blocks.
-    eta, method, dtype
+    eta, method
         As in :func:`contact_self_energy_batch`.
     """
 
     def __init__(self, hamiltonian, lead_left=None, lead_right=None,
-                 eta: float = 1e-6, method: str = "sancho", dtype=None):
+                 eta: float = 1e-6, method: str = "sancho"):
         self.left = (
             lead_left
             if lead_left is not None
@@ -257,7 +246,6 @@ class Contacts:
         )
         self.eta = eta
         self.method = method
-        self.dtype = dtype
 
     def sigma_stacks(self, energies):
         """Left and right ``(B, m, m)`` self-energy stacks — what the
@@ -266,7 +254,7 @@ class Contacts:
         is still the one reported)."""
         return _sigma_stacks(
             energies, [(*self.left, "left"), (*self.right, "right")],
-            None, self.method, self.eta, self.dtype,
+            None, self.method, self.eta,
         )
 
     def self_energies(self, energies):

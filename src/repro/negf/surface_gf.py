@@ -96,24 +96,6 @@ def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
     )
 
 
-def _decimation_dtype(dtype) -> tuple[np.dtype, float]:
-    """Resolve the working dtype of a decimation and its tolerance floor.
-
-    complex64 iterations plateau at ``~u32 * ||h01||`` instead of
-    converging to 1e-14, so the fixed-point tolerance is floored at
-    ``100 * eps(float32) ~ 1.2e-5`` — comfortably above the measured
-    rounding plateau (~5e-7) while still deep in the quadratic regime.
-    """
-    cdt = np.dtype(np.complex128 if dtype is None else dtype)
-    if cdt == np.dtype(np.complex64):
-        return cdt, 100.0 * float(np.finfo(np.float32).eps)
-    if cdt != np.dtype(np.complex128):
-        raise ValueError(
-            f"surface-GF dtype must be complex64 or complex128, got {cdt}"
-        )
-    return cdt, 0.0
-
-
 def sancho_rubio(
     energy: float,
     h00: np.ndarray,
@@ -122,7 +104,6 @@ def sancho_rubio(
     eta: float = 1e-6,
     tol: float = 1e-14,
     max_iter: int = 200,
-    dtype=None,
 ) -> tuple[np.ndarray, int]:
     """Retarded surface Green's function at one energy.
 
@@ -135,8 +116,7 @@ def sancho_rubio(
         Surface GF and the number of decimation steps used.
     """
     g, iters = sancho_rubio_batch(
-        [energy], h00, h01, side=side, eta=eta, tol=tol,
-        max_iter=max_iter, dtype=dtype,
+        [energy], h00, h01, side=side, eta=eta, tol=tol, max_iter=max_iter,
     )
     return g[0], int(iters[0])
 
@@ -149,7 +129,6 @@ def sancho_rubio_batch(
     eta: float = 1e-6,
     tol: float = 1e-14,
     max_iter: int = 200,
-    dtype=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Retarded surface Green's functions by decimation, stacked: the
     one-lead caller of the loop :meth:`repro.negf.Contacts.sigma_stacks`
@@ -180,11 +159,6 @@ def sancho_rubio_batch(
         Iteration cap; each iteration doubles the decimated length, so 200
         covers 2^200 cells — non-convergence indicates eta = 0 exactly at a
         band edge.
-    dtype : dtype-like, optional
-        Working precision; ``None`` is complex128.  complex64 (the
-        ``precision="fp32"`` screening mode) floors ``tol`` above the
-        single-precision rounding plateau so the fixed point still
-        terminates.
 
     Returns
     -------
@@ -198,7 +172,7 @@ def sancho_rubio_batch(
         non-finite (reported for the first offending energy).
     """
     lead = (h00, h01, side)
-    return _decimate(energies, [lead], eta, tol, max_iter, dtype)[0]
+    return _decimate(energies, [lead], eta, tol, max_iter)[0]
 
 
 def _scalar_coupled(h00, h01) -> bool:
@@ -218,7 +192,7 @@ def _scalar_coupled(h00, h01) -> bool:
     )
 
 
-def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
+def _decimate(energies, leads, eta, tol=1e-14, max_iter=200):
     """Sancho-Rubio decimation of several leads as one stack.
 
     ``leads`` is a sequence of ``(h00, h01, side)``; the result is one
@@ -254,8 +228,6 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
     non-finite at step k is reported then, even if the left one would run
     out of ``max_iter`` later.
     """
-    cdt, tol_floor = _decimation_dtype(dtype)
-    tol = max(tol, tol_floor)
     if any(side not in ("left", "right") for _, _, side in leads):
         raise ValueError("side must be 'left' or 'right'")
     if eta <= 0:
@@ -265,34 +237,34 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200, dtype=None):
     modes = {_scalar_coupled(h00, h01) for h00, h01, _ in leads}
     if len({np.shape(h00) for h00, _, _ in leads}) > 1 or len(modes) > 1:
         # unequal lead cells or representations cannot share a stack
-        args = (eta, tol, max_iter, dtype)
+        args = (eta, tol, max_iter)
         return [_decimate(energies, [lead], *args)[0] for lead in leads]
     m = leads[0][0].shape[0]
     if n_batch == 0:
-        empty = np.empty((0, m, m), dtype=cdt), np.empty(0, dtype=int)
+        empty = np.empty((0, m, m), dtype=complex), np.empty(0, dtype=int)
         return [empty] * len(leads)
     n_stack = len(leads) * n_batch
     (mode_basis,) = modes
     alpha = [h01.conj().T if side == "left" else h01 for _, h01, side in leads]
     if mode_basis:
         eps_s, units = zip(*(np.linalg.eigh(h00) for h00, _, _ in leads))
-        units = np.array(units, dtype=cdt)
+        units = np.array(units, dtype=complex)
         alpha = [np.diagonal(a) for a in alpha]
         eye, mul, inv = np.ones(m), np.multiply, np.reciprocal
     else:
         eps_s = [h00 for h00, _, _ in leads]
         eye, mul, inv = np.eye(m), np.matmul, np.linalg.inv
-    z_all = np.asarray(np.multiply.outer(energies + 1j * eta, eye), dtype=cdt)
+    z_all = np.multiply.outer(energies + 1j * eta, eye)
     z_all = np.tile(z_all, (len(leads),) + (1,) * eye.ndim)
-    alpha = np.repeat(np.array(alpha, dtype=cdt), n_batch, axis=0)
+    alpha = np.repeat(np.array(alpha, dtype=complex), n_batch, axis=0)
     # per-slice adjoint (on diagonals the swap is a no-op)
     beta = np.ascontiguousarray(alpha.conj().swapaxes(1, -1))
-    eps_s = np.repeat(np.array(eps_s, dtype=cdt), n_batch, axis=0)
+    eps_s = np.repeat(np.array(eps_s, dtype=complex), n_batch, axis=0)
     eps = eps_s.copy()
     z = z_all
     active = np.arange(n_stack)
     iters = np.zeros(n_stack, dtype=int)
-    surface = np.empty(z_all.shape, dtype=cdt)
+    surface = np.empty(z_all.shape, dtype=complex)
     slice_axes = tuple(range(1, z_all.ndim))
     for it in range(1, max_iter + 1):
         g_bulk = inv(z - eps)

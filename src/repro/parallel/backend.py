@@ -228,7 +228,7 @@ class ProcessBackend(ExecutionBackend):
     capture_telemetry`) and shipped back in the pickled result envelope
     of the task return path, then merged into the parent registries
     (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
-    and ``precision.*`` totals match the serial backend exactly.
+    and ``surface_gf.*`` totals match the serial backend exactly.
 
     With a ``deadline_s``, a chunk overdue past its deadline triggers an
     *orderly pool restart*: the shared pool is unregistered, cancelled and

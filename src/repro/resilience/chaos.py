@@ -421,59 +421,6 @@ def _stage_adaptive_wave(built, backend, workers):
     )
 
 
-@_stage("refinement-stall")
-def _stage_refine_stall(built, backend, workers):
-    """Injected mixed-precision refinement stalls escalate to FP64.
-
-    Two energies of a ``precision="mixed"`` solve are forced to stall
-    (``refine_faults`` — the deterministic injection hook of the
-    refinement engine).  Both must re-solve on the FP64 escalation twin
-    *bit-identically* to a pure-FP64 per-point run, and the
-    ``precision.*`` counters must account exactly one injected stall and
-    one FP64 escalation per forced energy — wherever the chunk ran, via
-    telemetry merge-back.
-    """
-    from ..observability import MetricsRegistry, use_metrics
-
-    potential = np.zeros(built.n_atoms)
-    # pinned fp64 so the stage holds under a $REPRO_PRECISION=mixed fleet
-    ref_calc = _calc(built, backend, workers, method="rgf", precision="fp64")
-    grid = ref_calc.energy_grid(potential, 0.1)
-    ref = ref_calc.solve_bias(potential, 0.1, energy_grid=grid)
-    faults = (float(grid.energies[3]), float(grid.energies[8]))
-    registry = MetricsRegistry()
-    calc = _calc(
-        built, backend, workers, method="rgf",
-        precision="mixed", refine_faults=faults,
-    )
-    with use_metrics(registry):
-        res = calc.solve_bias(potential, 0.1, energy_grid=grid)
-    snap = registry.snapshot()
-    n_escalated = int(snap.total("precision.fp64_escalations"))
-    n_injected = int(snap.total("precision.injected_stalls"))
-    completed = np.all(np.isfinite(res.transmission)) and np.isfinite(
-        res.current_a
-    )
-    # the escalated energies are FP64 per-point re-solves — bit-identical
-    # to the pure-FP64 reference columns
-    bitwise = all(
-        np.array_equal(ref.transmission[:, i], res.transmission[:, i])
-        for i in (3, 8)
-    )
-    counters = n_escalated == len(faults) and n_injected == len(faults)
-    return ChaosStageResult(
-        name="refinement-stall",
-        ok=bool(completed) and bitwise and counters,
-        injected=len(faults),
-        accounted=n_escalated,
-        completed=bool(completed),
-        detail="" if bitwise and counters else (
-            f"bitwise={bitwise} escalations={n_escalated} "
-            f"injected_stalls={n_injected}"
-        ),
-    )
-
-
 def _noop(x):
     """Picklable no-op used to warm process pools."""
     return x
@@ -488,7 +435,6 @@ _STAGES = (
     _stage_worker_hang,
     _stage_poisson,
     _stage_adaptive_wave,
-    _stage_refine_stall,
 )
 
 

@@ -6,15 +6,6 @@ from .block_tridiagonal import (
     BlockTridiagLU,
     block_tridiag_matvec,
 )
-from .precision import (
-    PRECISIONS,
-    RefinedSolve,
-    precision_from_env,
-    refined_sliver_solve,
-    resolve_precision,
-    split_round,
-    upcast_split,
-)
 from .splitsolve import SplitSolve, partition_domains
 
 __all__ = [
@@ -25,13 +16,6 @@ __all__ = [
     "BatchedBlockTridiagLU",
     "BlockTridiagLU",
     "block_tridiag_matvec",
-    "PRECISIONS",
-    "RefinedSolve",
-    "precision_from_env",
-    "refined_sliver_solve",
-    "resolve_precision",
-    "split_round",
-    "upcast_split",
     "SplitSolve",
     "partition_domains",
 ]

@@ -34,28 +34,6 @@ __all__ = ["BatchedBlockTridiagLU", "BlockTridiagLU", "block_tridiag_matvec"]
 _matmul = np.matmul
 
 
-def _resolve_dtype(dtype, *block_lists) -> np.dtype:
-    """Working dtype of a factorisation.
-
-    An explicit ``dtype`` must be complex64 or complex128.  ``None``
-    (the default) infers from the inputs: complex64 only when *every*
-    block is single precision (complex64/float32) — any double-precision
-    input promotes the whole factorisation to complex128, so complex128
-    data is never silently downcast.
-    """
-    if dtype is not None:
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.complex64), np.dtype(np.complex128)):
-            raise ValueError(
-                f"factorisation dtype must be complex64 or complex128, "
-                f"got {dt}"
-            )
-        return dt
-    dts = [np.asarray(b).dtype for blocks in block_lists for b in blocks]
-    rt = np.result_type(np.complex64, *dts)
-    return np.dtype(np.complex64 if rt == np.complex64 else np.complex128)
-
-
 def _factor_health_check(diag, dinv_blocks) -> None:
     """Health sentinel (site ``block_lu``) for a completed elimination.
 
@@ -202,7 +180,8 @@ class BlockTridiagLU:
     LAPACK/GEMM calls whose every slice is bit-for-bit the 2-D result,
     with the interpreter overhead amortised over the stack.  The energy
     sweep is the stacked case: A(E) = E - H - Sigma(E) differs between
-    energies only in its diagonal blocks.
+    energies only in its diagonal blocks.  Whatever the dtype of the
+    blocks, the factorisation and every result are complex128.
 
     Parameters
     ----------
@@ -217,10 +196,6 @@ class BlockTridiagLU:
     instrument : bool
         False charges no ``block_lu.*`` flops (the WF kernel charges its
         own Gordon Bell counts on top of this class).
-    dtype : dtype-like, optional
-        Working precision of the factorisation (complex64 or complex128).
-        ``None`` infers from the inputs and never silently downcasts
-        complex128 data.
 
     Flop accounting: every method charges ``batch_size`` times the
     per-matrix count of the *reference* sweep (no multiplier reused: 12
@@ -228,12 +203,10 @@ class BlockTridiagLU:
     (possibly ragged) block sizes, so a charge does not depend on what a
     call found already stored;
     :func:`repro.observability.validate_flops` pins one matrix and a
-    stack against the analytic formulas.  The counts are
-    dtype-independent: a complex64 factorisation performs the same
-    operations at roughly twice the hardware throughput.
+    stack against the analytic formulas.
     """
 
-    def __init__(self, diag, upper, lower=None, instrument=True, dtype=None):
+    def __init__(self, diag, upper, lower=None, instrument=True):
         n = len(diag)
         self._instrument = bool(instrument)
         if n < 1:
@@ -252,23 +225,18 @@ class BlockTridiagLU:
         if len(upper) != n - 1 or len(lower) != n - 1:
             raise ValueError("need N-1 upper and lower blocks")
         self.n_blocks = n
-        self.dtype = _resolve_dtype(dtype, diag, upper, lower)
         self.sizes = np.array([np.asarray(d).shape[-1] for d in diag])
         offsets = [0, *np.cumsum(self.sizes).tolist()]
         self._rows = list(zip(offsets[:-1], offsets[1:]))
-        self._upper = [
-            np.ascontiguousarray(u, dtype=self.dtype) for u in upper
-        ]
-        self._lower = [
-            np.ascontiguousarray(l, dtype=self.dtype) for l in lower
-        ]
+        self._upper = [np.ascontiguousarray(u, dtype=complex) for u in upper]
+        self._lower = [np.ascontiguousarray(l, dtype=complex) for l in lower]
         # forward elimination: d_i = A_ii + L_{i-1} (-P_{i-1}); the
         # multiplier is kept (negated on the small coupling block, so no
         # sweep negates a product)
         self._dinv: list[np.ndarray] = []
         self._neg_p: list[np.ndarray] = []
         for i in range(n):
-            schur = np.ascontiguousarray(diag[i], dtype=self.dtype)
+            schur = np.ascontiguousarray(diag[i], dtype=complex)
             if i:
                 schur = schur + _matmul(self._lower[i - 1], self._neg_p[i - 1])
             self._dinv.append(np.linalg.inv(schur))
@@ -300,17 +268,12 @@ class BlockTridiagLU:
         n = self.n_blocks
         if len(rhs_blocks) != n:
             raise ValueError(f"expected {n} RHS blocks, got {len(rhs_blocks)}")
-        # solve in the promotion of factor and RHS dtypes: a complex128
-        # RHS against a complex64 factor stays complex128 end to end
-        rdt = np.result_type(
-            self.dtype, *[np.asarray(b).dtype for b in rhs_blocks]
-        )
         dinv, neg_p = self._dinv, self._neg_p
         # forward substitution: y_i = b_i - L_i,i-1 dinv_{i-1} y_{i-1}
-        y = [np.asarray(rhs_blocks[0], dtype=rdt)]
+        y = [np.asarray(rhs_blocks[0], dtype=complex)]
         for i in range(1, n):
             step = _matmul(self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1]))
-            y.append(np.asarray(rhs_blocks[i], dtype=rdt) - step)
+            y.append(np.asarray(rhs_blocks[i], dtype=complex) - step)
         # backward: x_N = dinv_N y_N; x_i = dinv_i y_i - P_i x_{i+1}
         x = [None] * n
         x[n - 1] = _matmul(dinv[n - 1], y[n - 1])
@@ -350,7 +313,7 @@ class BlockTridiagLU:
         if not supplied:
             m = int(self.sizes[j])
             rhs = np.ascontiguousarray(np.broadcast_to(
-                np.eye(m, dtype=self.dtype), self._batch + (m, m)
+                np.eye(m, dtype=complex), self._batch + (m, m)
             ))
         r = rhs.shape[-1]
         dinv, neg_p = self._dinv, self._neg_p
@@ -361,10 +324,7 @@ class BlockTridiagLU:
                 y[i] = _matmul(-self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1]))
             else:
                 y[i] = _matmul(self._neg_q[i - 1], y[i - 1])
-        column = np.empty(
-            self._batch + (self._rows[-1][1], r),
-            dtype=np.result_type(self.dtype, rhs.dtype),
-        )
+        column = np.empty(self._batch + (self._rows[-1][1], r), dtype=complex)
         x = self._blocks(column)
         _matmul(dinv[n - 1], y[n - 1], out=x[n - 1])
         for i in range(n - 2, -1, -1):  # x_i = dinv_i y_i - P_i x_{i+1}

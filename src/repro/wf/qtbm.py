@@ -110,22 +110,11 @@ class WFSolver:
         surface_method: str = "sancho",
         factorization: str = "sparse",
         injection_tol_ev: float | None = None,
-        precision=None,
     ):
         if hamiltonian.n_blocks < 2:
             raise ValueError("transport needs at least 2 slabs")
         if factorization not in ("sparse", "banded"):
             raise ValueError("factorization must be 'sparse' or 'banded'")
-        from ..solvers.precision import resolve_precision
-
-        if resolve_precision(precision) != "fp64":
-            # the WF path runs on sparse/banded LAPACK factorisations,
-            # which the per-kernel validation showed gain nothing from
-            # complex64 — only the dense block kernels of RGF do
-            raise ValueError(
-                "WFSolver supports precision='fp64' only; use "
-                "solver='rgf' for mixed- or single-precision transport"
-            )
         self.H = hamiltonian
         self.factorization = factorization
         #: None = exact mode (every Gamma eigenvector injected, WF == NEGF

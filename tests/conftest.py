@@ -37,7 +37,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the mini FET of the backend / resilience / precision conformance tests
+# the mini FET of the backend / resilience conformance tests
 # ---------------------------------------------------------------------------
 
 def mini_device():

@@ -5,8 +5,9 @@ Locks down the contracts of :mod:`repro.parallel.backend`:
 * serial / thread / process backends (in stacks of one and in the
   device's own stack length) produce *identical* transport results and
   IV curves,
-* the backend is the only execution choice: the deleted ``zero_copy``
-  and ``sigma_cache`` knobs are rejected everywhere they used to thread,
+* the backend is the only execution choice: the deleted ``zero_copy``,
+  ``sigma_cache`` and ``precision`` knobs are rejected everywhere they
+  used to thread,
 * the scheduler's round-robin and contiguous-chunk splitters cover every
   index for any ``n_points % n_ranks`` remainder (regression: a
   remainder must never be dropped), and
@@ -224,15 +225,56 @@ class TestSingleDispatchPath:
             DistributedTransport(_transport(built), zero_copy=True)
 
     def test_harness_contract_properties(self, built):
-        """``benchmarks/e2e`` records these three in its resolved config."""
+        """``benchmarks/e2e`` records these four in its resolved config."""
         tc = _transport(built)
         assert tc.zero_copy is False
         assert tc.batch_energies is True
         assert tc.sigma_cache is None
+        assert tc.precision == "fp64"
         with pytest.raises(AttributeError):
             tc.zero_copy = True
         with pytest.raises(AttributeError):
             tc.sigma_cache = object()
+        with pytest.raises(AttributeError):
+            tc.precision = "mixed"
+
+    def test_precision_is_not_an_option(self, built):
+        """One working precision: no constructor takes a precision mode
+        or the refinement-stall hook of the deleted mixed mode."""
+        from repro.negf import RGFSolver
+
+        H = _transport(built).hamiltonian(np.zeros(built.n_atoms))
+        for solver, arguments in ((RGFSolver, ("precision", "refine_faults")),
+                                  (WFSolver, ("precision",))):
+            for argument in arguments:
+                with pytest.raises(TypeError):
+                    solver(H, **{argument: None})
+        for argument in ("precision", "refine_faults"):
+            with pytest.raises(TypeError):
+                _transport(built, **{argument: None})
+        with pytest.raises(TypeError):
+            _transport(built, precision="mixed")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_precision_env_var_is_ignored(self, built, monkeypatch, backend):
+        """``REPRO_PRECISION=mixed`` selects nothing: an RGF solve under
+        it is bit-identical to one without it."""
+        pot = np.zeros(built.n_atoms)
+
+        def solve():
+            return _transport(built, backend=backend, workers=2).solve_bias(
+                pot, 0.05
+            )
+
+        monkeypatch.delenv("REPRO_PRECISION", raising=False)
+        ref = solve()
+        monkeypatch.setenv("REPRO_PRECISION", "mixed")
+        res = solve()
+        assert res.current_a == ref.current_a
+        np.testing.assert_array_equal(res.transmission, ref.transmission)
+        np.testing.assert_array_equal(
+            res.density_per_atom, ref.density_per_atom
+        )
 
     @pytest.mark.parametrize("argument", ["sigma_cache", "lead_tokens"])
     def test_sigma_cache_is_not_an_option(self, built, argument):
@@ -439,11 +481,7 @@ class TestStackSplitInvariance:
         pot = np.zeros(dev.n_atoms)
 
         def peak(n_energy):
-            # fp64 pinned: mixed precision adds refinement work arrays
-            # sized by how many slices of a stack share a sliver width,
-            # which depends on where the grid's nodes fall
-            tc = _transport(dev, n_energy=n_energy, backend="serial",
-                            precision="fp64")
+            tc = _transport(dev, n_energy=n_energy, backend="serial")
             assert tc.stack_length < 33  # both grids span several stacks
             grid = _subband_grid(tc, dev, n_energy)
             tracemalloc.start()

@@ -48,6 +48,14 @@ class TestParser:
             build_parser().parse_args(["sweep", "s.json", "--zero-copy"])
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "doctor"])
+    def test_precision_is_not_an_option(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "s.json", "--method", "rgf", "--precision", "mixed"]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "doctor"])
     def test_cache_sigma_is_not_an_option(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "s.json", "--cache-sigma"])
@@ -128,14 +136,15 @@ class TestSweepCommand:
         started = json.loads(events_path.read_text().splitlines()[0])
         assert started["event"] == "run_started"
         assert started["stack_length"] == (2 << 20) // (10 * 4 * 4 * 16)
-        # ... and so is what the six REPRO_* variables resolved to
+        # ... and so is what the five REPRO_* variables resolved to
         from repro import env
 
         assert started["env"] == env.resolved()
         assert list(started["env"]) == [
             "REPRO_BACKEND", "REPRO_WORKERS", "REPRO_DEADLINE_S",
-            "REPRO_ADAPTIVE", "REPRO_PRECISION", "REPRO_EVENTS",
+            "REPRO_ADAPTIVE", "REPRO_EVENTS",
         ]
+        assert "precision" not in started
         data = json.loads(out_path.read_text())
         assert len(data["points"]) == 3
         currents = [p["current_a"] for p in data["points"]]

@@ -229,7 +229,7 @@ class TestOneDriver:
 
 
 class TestOneEnvironmentReader:
-    """The six ``REPRO_*`` variables are read in ``repro.env`` only."""
+    """The five ``REPRO_*`` variables are read in ``repro.env`` only."""
 
     def test_no_other_module_touches_the_environment(self):
         import ast
@@ -260,7 +260,7 @@ class TestOneEnvironmentReader:
         assert env.resolved() == {
             "REPRO_BACKEND": "serial", "REPRO_WORKERS": 2,
             "REPRO_DEADLINE_S": None, "REPRO_ADAPTIVE": False,
-            "REPRO_PRECISION": "fp64", "REPRO_EVENTS": "",
+            "REPRO_EVENTS": "",
         }
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_DEADLINE_S", "2.5")
@@ -268,6 +268,7 @@ class TestOneEnvironmentReader:
         assert env.read("REPRO_WORKERS") == 3
         assert env.read("REPRO_DEADLINE_S") == 2.5
         assert env.read("REPRO_ADAPTIVE") is True
-        assert env.read("REPRO_PRECISION", "mixed") == "mixed"
-        with pytest.raises(KeyError):
-            env.read("REPRO_ZERO_COPY")
+        assert env.read("REPRO_EVENTS", "e.jsonl") == "e.jsonl"
+        for deleted in ("REPRO_ZERO_COPY", "REPRO_PRECISION"):
+            with pytest.raises(KeyError):
+                env.read(deleted)

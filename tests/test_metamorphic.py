@@ -68,11 +68,7 @@ def mirror_permutation(built):
 
 
 def calculation(built, method, mode):
-    # fp64 pinned: the 1e-11..1e-13 windows below are double-precision
-    # contracts; mixed precision certifies to 1e-8 ($REPRO_PRECISION leg)
-    return TransportCalculation(
-        built, method=method, n_energy=21, precision="fp64", **mode
-    )
+    return TransportCalculation(built, method=method, n_energy=21, **mode)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -190,8 +190,7 @@ class TestSanchoRubioStack:
         "lead", [chain_lead, dimer_lead, wide_lead, grid_lead, si_wire_lead],
         ids=["m1", "m2", "m6", "m4-modes", "si-sp3s*"],
     )
-    @pytest.mark.parametrize("dtype", [None, np.complex64])
-    def test_scalar_entry_is_the_stack_of_one(self, lead, dtype):
+    def test_scalar_entry_is_the_stack_of_one(self, lead):
         """Every energy runs its own iteration sequence whatever shares
         its stack: stack slice == stack of one == scalar entry, bitwise,
         and the flop charge is the per-energy sum — in the mode basis
@@ -202,9 +201,7 @@ class TestSanchoRubioStack:
         )
         tracer = Tracer()
         with use_tracer(tracer):
-            g, iters = sancho_rubio_batch(
-                energies, h00, h01, eta=1e-5, dtype=dtype
-            )
+            g, iters = sancho_rubio_batch(energies, h00, h01, eta=1e-5)
         m = h00.shape[0]
         assert tracer.counter.counts["surface_gf.sancho"] == sum(
             sancho_rubio_flops(m, int(it)) for it in iters
@@ -212,7 +209,7 @@ class TestSanchoRubioStack:
         for b, energy in enumerate(energies):
             tracer = Tracer()
             with use_tracer(tracer):
-                g1, it1 = sancho_rubio(energy, h00, h01, eta=1e-5, dtype=dtype)
+                g1, it1 = sancho_rubio(energy, h00, h01, eta=1e-5)
             assert isinstance(it1, int) and it1 == iters[b]
             assert g1.dtype == g.dtype
             assert np.array_equal(g1, g[b])
@@ -499,27 +496,6 @@ class TestModeBasis:
             assert got == want and f"side = {side}" in got[2]
             assert bool(trips) == (bad == "nan")
 
-    def test_complex64_in_complex64_out(self):
-        """The screening precision keeps its dtype through the rotation.
-        Its accuracy is that of a complex64 decimation: median 5e-6 here,
-        with slices near a cancelling step far worse in either basis (0.35
-        in the mode basis, 1.5 at m, at E = -1.5)."""
-        h00, h01 = grid_lead()
-        g, iters = sancho_rubio_batch(
-            MIXED_STACK, h00, h01, eta=1e-5, dtype=np.complex64
-        )
-        g128, _ = sancho_rubio_batch(MIXED_STACK, h00, h01, eta=1e-5)
-        assert g.dtype == np.complex64 and iters.dtype.kind == "i"
-        errors = np.linalg.norm(g - g128, axis=(1, 2)) / np.linalg.norm(
-            g128, axis=(1, 2)
-        )
-        assert np.median(errors) <= 1e-4
-        sigmas = Contacts(
-            None, lead_left=(h00, h01), lead_right=(h00, h01), eta=1e-5,
-            dtype=np.complex64,
-        ).sigma_stacks(MIXED_STACK)
-        assert [s.dtype for s in sigmas] == [np.complex64] * 2
-
 
 class TestEigenSurfaceGF:
     @pytest.mark.parametrize("energy", [-1.2, 0.0, 0.8, 1.7])
@@ -620,47 +596,38 @@ class TestSelfEnergy:
         with pytest.raises(ValueError):
             contact_self_energy(0.0, h00, h01, method="magic")
 
-    @pytest.mark.parametrize("method,dtype", [
-        pytest.param("sancho", None, id="sancho"),
-        pytest.param("eigen", None, id="eigen"),
-        pytest.param("robust", None, id="robust"),
-        pytest.param("sancho", np.complex64, id="complex64"),
-    ])
-    def test_scalar_entry_is_the_stack_of_one(self, method, dtype):
+    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
+    def test_scalar_entry_is_the_stack_of_one(self, method):
         h00, h01 = dimer_lead()
         energies = [-2.5, -1.4, 0.1, 1.1]
-        kwargs = dict(side="right", method=method, eta=1e-6, dtype=dtype)
+        kwargs = dict(side="right", method=method, eta=1e-6)
         stack = contact_self_energy_batch(energies, h00, h01, **kwargs)
         for energy, se in zip(energies, stack):
             one = contact_self_energy(energy, h00, h01, **kwargs)
             assert one.energy == se.energy == energy
-            assert one.sigma.dtype == se.sigma.dtype == (dtype or complex)
+            assert one.sigma.dtype == se.sigma.dtype == complex
             assert np.array_equal(one.sigma, se.sigma)
 
-    @pytest.mark.parametrize("method,dtype", [
-        ("sancho", None), ("eigen", None), ("robust", None),
-        ("sancho", np.complex64),
-    ])
-    def test_contacts_hand_the_kernels_the_stack(self, method, dtype):
+    @pytest.mark.parametrize("method", ["sancho", "eigen", "robust"])
+    def test_contacts_hand_the_kernels_the_stack(self, method):
         """``sigma_stacks`` is the array the per-energy objects are
         slices of, and a slice does not depend on its stack-mates."""
         lead = wide_lead()
         energies = [-2.5, -1.4, 0.1, 1.1]
         contacts = Contacts(
             None, lead_left=lead, lead_right=lead,
-            eta=1e-6, method=method, dtype=dtype,
+            eta=1e-6, method=method,
         )
         sigma_l, sigma_r = contacts.sigma_stacks(energies)
         sigs_l, sigs_r = contacts.self_energies(energies)
         assert sigma_l.shape == sigma_r.shape == (4, 6, 6)
-        assert sigma_l.dtype == sigma_r.dtype == (dtype or complex)
+        assert sigma_l.dtype == sigma_r.dtype == complex
         assert [s.side for s in sigs_l + sigs_r] == ["left"] * 4 + ["right"] * 4
         assert [s.energy for s in sigs_l] == energies
         assert np.array_equal(sigma_l, np.stack([s.sigma for s in sigs_l]))
         assert np.array_equal(sigma_r, np.stack([s.sigma for s in sigs_r]))
         right = contact_self_energy_batch(
             energies, *lead, side="right", method=method, eta=1e-6,
-            dtype=dtype,
         )
         assert np.array_equal(sigma_r, np.stack([s.sigma for s in right]))
         for b in (0, 2):
@@ -668,31 +635,28 @@ class TestSelfEnergy:
             assert np.array_equal(alone[0][0], sigma_l[b])
             assert np.array_equal(alone[1][0], sigma_r[b])
 
-    @pytest.mark.parametrize("lead,shift,energies,dtype", [
-        pytest.param(wide_lead, 0.3, np.linspace(-2, 2, 7), None, id="biased"),
-        pytest.param(chain_lead, 0.5, MIXED_STACK, None, id="ragged"),
-        pytest.param(dimer_lead, 0.2, MIXED_STACK, np.complex64, id="complex64"),
-        pytest.param(wide_lead, 0.3, np.array([0.1]), None, id="stack-of-one"),
-        pytest.param(si_wire_lead, 0.05, SI_WIRE_STACK, None, id="si-sp3s*"),
-        pytest.param(grid_lead, 0.5, MIXED_STACK, None, id="grid-modes"),
-        pytest.param(grid_lead, 0.5, MIXED_STACK, np.complex64,
-                     id="grid-modes-complex64"),
+    @pytest.mark.parametrize("lead,shift,energies", [
+        pytest.param(wide_lead, 0.3, np.linspace(-2, 2, 7), id="biased"),
+        pytest.param(chain_lead, 0.5, MIXED_STACK, id="ragged"),
+        pytest.param(wide_lead, 0.3, np.array([0.1]), id="stack-of-one"),
+        pytest.param(si_wire_lead, 0.05, SI_WIRE_STACK, id="si-sp3s*"),
+        pytest.param(grid_lead, 0.5, MIXED_STACK, id="grid-modes"),
     ])
     def test_both_leads_share_one_decimation_bit_for_bit(
-        self, lead, shift, energies, dtype
+        self, lead, shift, energies
     ):
         """``sigma_stacks`` runs the two leads as one 2B stack; every slice
         is the slice its own lead computes alone, under any regrouping."""
         left, right = biased(lead, shift)
         contacts = Contacts(
-            None, lead_left=left, lead_right=right, eta=1e-5, dtype=dtype
+            None, lead_left=left, lead_right=right, eta=1e-5
         )
         sigmas = contacts.sigma_stacks(energies)
         for sigma, blocks, side in zip(sigmas, (left, right), ("left", "right")):
             alone = contact_self_energy_batch(
-                energies, *blocks, side=side, eta=1e-5, dtype=dtype
+                energies, *blocks, side=side, eta=1e-5
             )
-            assert sigma.dtype == (dtype or complex)
+            assert sigma.dtype == complex
             assert np.array_equal(sigma, np.stack([s.sigma for s in alone]))
             # same Gamma, hence the same channel count, on either order
             assert [s.n_open_channels() for s in alone] == open_channels(

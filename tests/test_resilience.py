@@ -775,12 +775,12 @@ class TestDegradationLadder:
     ])
     def test_hblock_fault_heals_to_the_same_account(self, system, mode, trips):
         """The whole account of a healed k-point, as it read before the
-        two contacts shared one decimation stack (uniform fp64 pinned: the
+        two contacts shared one decimation stack (uniform grid pinned: the
         counts are per node of that grid)."""
         built, _ = system
         healed = TransportCalculation(
             built, method="rgf", n_energy=21, energy_mode="uniform",
-            precision="fp64", injector=FaultInjector(plan={("hblock", 0): mode}),
+            injector=FaultInjector(plan={("hblock", 0): mode}),
         ).solve_bias(np.zeros(built.n_atoms), 0.1)
         assert healed.degradation.to_dict() == {
             "ladder_steps": {"per-point:robust": 21},
@@ -1074,13 +1074,14 @@ class TestAdaptiveWaveFaults:
         assert [s.name for s in campaign.stages] == ["adaptive-wave-crash"]
         assert campaign.passed
 
-    def test_chaos_campaign_has_nine_stages(self):
+    def test_chaos_campaign_has_eight_stages(self):
         """``worker-hang`` drills deadline -> restart -> salvage on the one
-        dispatch path; there is no shared-memory stage beside it."""
+        dispatch path; there is no shared-memory stage beside it, and no
+        refinement-stall stage (there is no mixed-precision mode)."""
         from repro.resilience.chaos import _STAGES
 
         assert [runner.stage_name for runner in _STAGES] == [
             "clean-bit-identity", "bias-level-faults", "energy-numerical",
             "distributed-4level", "comm-faults", "worker-hang",
-            "poisson-nan", "adaptive-wave-crash", "refinement-stall",
+            "poisson-nan", "adaptive-wave-crash",
         ]

@@ -119,32 +119,15 @@ class TestDenseOracle:
         )
         self.check(H, leads, band_energy_grid(H, n_energy=6))
 
-    def test_complex64_screening_keeps_its_dtypes(self):
-        H = grid_system(n_x=5, n_yz=2)
-        energies = band_energy_grid(H, n_energy=6)
-        screen = RGFSolver(H, precision="fp32").solve_batch(energies)
-        exact = RGFSolver(H).solve_batch(energies)
-        for lo, hi in zip(screen, exact):
-            for name in ("dos", "spectral_left", "spectral_right"):
-                assert getattr(lo, name).dtype == np.float32, name
-                assert getattr(hi, name).dtype == np.float64, name
-                np.testing.assert_allclose(
-                    getattr(lo, name), getattr(hi, name), atol=2e-3
-                )
-            assert isinstance(lo.transmission, float)
-            assert lo.transmission == pytest.approx(hi.transmission, abs=2e-3)
-            assert lo.n_channels_left == hi.n_channels_left
-
 
 # ---------------------------------------------------------------------------
 # (b) slice of a stack == stack of one, bit for bit
 # ---------------------------------------------------------------------------
 
 class TestStackInvariance:
-    @pytest.mark.parametrize("precision", [None, "fp32"])
-    def test_rgf_slice_is_stack_of_one(self, precision):
+    def test_rgf_slice_is_stack_of_one(self):
         H = grid_system(n_x=6, n_yz=3)
-        solver = RGFSolver(H, precision=precision)
+        solver = RGFSolver(H)
         energies = band_energy_grid(H, n_energy=9)
         stack = solver.solve_batch(energies)
         for e, res in zip(energies, stack):
@@ -335,7 +318,6 @@ class TestResultGuard:
 
 KERNELS = [
     (RGFSolver, {}),
-    (RGFSolver, {"precision": "mixed"}),
     (WFSolver, {}),
     (WFSolver, {"injection_tol_ev": 1e-4}),
 ]

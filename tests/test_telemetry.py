@@ -81,7 +81,7 @@ class TestCaptureAndMerge:
     def test_forced_capture_round_trip(self):
         with use_metrics(MetricsRegistry()), use_tracer(Tracer()):
             with capture_telemetry(worker="w0", force=True) as cap:
-                get_metrics().inc("precision.points_certified", 3.0)
+                get_metrics().inc("adaptive.nodes_added", 3.0)
                 add_flops("rgf", 64.0)
             assert cap.engaged
             delta = TelemetryDelta.from_bytes(cap.delta.to_bytes())
@@ -97,17 +97,17 @@ class TestCaptureAndMerge:
     def test_merge_adds_counters_and_absorbs_spans(self):
         with use_tracer(Tracer()), use_metrics(MetricsRegistry()):
             with capture_telemetry(worker="w1", force=True) as cap:
-                get_metrics().inc("precision.points_certified", 2.0)
+                get_metrics().inc("adaptive.nodes_added", 2.0)
                 from repro.observability import trace_span
                 with trace_span("chunk", category="task"):
                     add_flops("rgf", 8.0)
             tracer = Tracer()
             registry = MetricsRegistry()
             with use_tracer(tracer), use_metrics(registry):
-                registry.inc("precision.points_certified", 1.0)
+                registry.inc("adaptive.nodes_added", 1.0)
                 assert merge_delta(cap.delta) is True
             snap = registry.snapshot()
-            assert snap.counter("precision.points_certified") == 3.0
+            assert snap.counter("adaptive.nodes_added") == 3.0
             assert snap.counter(
                 "telemetry.deltas_merged", worker="w1") == 1.0
             assert snap.counter("telemetry.spans_merged") == 1.0
