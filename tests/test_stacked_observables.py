@@ -316,10 +316,12 @@ class TestResultGuard:
 # (d) structure: no scalar-loop contraction, no per-energy eigensolve
 # ---------------------------------------------------------------------------
 
+# Explicit ids keep each case's name stable: kwargs1 belonged to the
+# deleted mixed-precision RGF case, and the WF cases keep their indices.
 KERNELS = [
-    (RGFSolver, {}),
-    (WFSolver, {}),
-    (WFSolver, {"injection_tol_ev": 1e-4}),
+    pytest.param(RGFSolver, {}, id="RGFSolver-kwargs0"),
+    pytest.param(WFSolver, {}, id="WFSolver-kwargs2"),
+    pytest.param(WFSolver, {"injection_tol_ev": 1e-4}, id="WFSolver-kwargs3"),
 ]
 
 
