@@ -46,7 +46,7 @@ from repro.perf import (  # noqa: E402
     sancho_rubio_flops,
     wf_solve_flops,
 )
-from repro.solvers import BandedLU, BlockTridiagLU, SplitSolve  # noqa: E402
+from repro.solvers import BlockTridiagLU, SplitSolve  # noqa: E402
 from repro.solvers import block_tridiagonal  # noqa: E402
 from repro.tb import HamiltonianSkeleton  # noqa: E402
 from repro.wf import WFSolver  # noqa: E402
@@ -154,19 +154,6 @@ def test_t3_measured_flop_crosscheck(system):
         f"measured {measured / 1e6:.1f} MFlop == analytic "
         f"{analytic / 1e6:.1f} MFlop; baseline -> {path.name}",
     )
-
-
-def test_t3_banded_lu(benchmark, system):
-    _, _, _, blocks = system
-    diag, upper, lower = blocks
-    n = sum(d.shape[0] for d in diag)
-    rhs = np.ones((n, 4), dtype=complex)
-
-    def banded():
-        return BandedLU(diag, upper, lower).solve(rhs)
-
-    x = benchmark(banded)
-    assert x.shape == (n, 4)
 
 
 def test_t3_splitsolve(benchmark, system):

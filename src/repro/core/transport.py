@@ -129,8 +129,6 @@ class TransportCalculation:
         Energy nodes of the integration window.
     eta : float
         Retarded infinitesimal (eV).
-    surface_method : {"sancho", "eigen", "robust"}
-        Contact surface-GF algorithm.
     n_kT_window : float
         Half-width of the Fermi window in units of kT.
     energy_mode : {"uniform", "adaptive"} or None
@@ -175,7 +173,6 @@ class TransportCalculation:
         method: str = "wf",
         n_energy: int = 81,
         eta: float = 1e-6,
-        surface_method: str = "sancho",
         n_kT_window: float = 12.0,
         energy_mode: str | None = None,
         adaptive_tol: float = 0.02,
@@ -196,7 +193,6 @@ class TransportCalculation:
         self.method = method
         self.n_energy = n_energy
         self.eta = eta
-        self.surface_method = surface_method
         self.n_kT_window = n_kT_window
         self.energy_mode = energy_mode
         self.adaptive_tol = adaptive_tol
@@ -290,10 +286,9 @@ class TransportCalculation:
             band_bottom=bottom,
         )
 
-    def _make_solver(self, H, surface_method: str | None = None):
-        method = surface_method or self.surface_method
+    def _make_solver(self, H, surface_method: str = "sancho"):
         solver = RGFSolver if self.method == "rgf" else WFSolver
-        return solver(H, eta=self.eta, surface_method=method)
+        return solver(H, eta=self.eta, surface_method=surface_method)
 
     def _charge_flops(self, counter: FlopCounter, shape, n_channels: int) -> None:
         """Charge one (k, E) solve on a device of ``shape`` = (slabs, widest)."""

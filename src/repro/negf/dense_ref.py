@@ -1,9 +1,11 @@
-"""Dense reference NEGF implementation (tests and small diagnostics only).
+"""Dense reference NEGF implementation (tests, small diagnostics and the
+degradation ladder's dense-oracle rung).
 
 Computes G = inv(E - H - Sigma) by full dense inversion — O((N m)^3),
 hopelessly slow for real devices but unambiguous.  Every quantity the RGF
-and WF kernels produce is re-derived here from the full matrix, making this
-module the oracle of the transport test suite.
+and WF kernels produce is re-derived here from the full matrix, in one
+place (:func:`dense_observables`), making this module the oracle of the
+transport test suite.
 """
 
 from __future__ import annotations
@@ -45,20 +47,11 @@ def dense_transmission(
     eta: float = 1e-6,
     surface_method: str = "sancho",
 ) -> float:
-    """T(E) from the dense Green's function (oracle for RGF/WF)."""
-    sig_l = contact_self_energy(
-        energy, *lead_left, side="left", method=surface_method, eta=eta
-    )
-    sig_r = contact_self_energy(
-        energy, *lead_right, side="right", method=surface_method, eta=eta
-    )
-    G = dense_green_function(H, energy, sig_l.sigma, sig_r.sigma)
-    n = H.total_size
-    offsets = H.block_offsets()
-    gam_l = _embed(sig_l.gamma, n, 0)
-    gam_r = _embed(sig_r.gamma, n, offsets[-2])
-    t = np.trace(gam_l @ G @ gam_r @ G.conj().T)
-    return float(t.real)
+    """T(E) of :func:`dense_observables` (oracle for RGF/WF)."""
+    return dense_observables(
+        H, energy, lead_left, lead_right, eta=eta,
+        surface_method=surface_method,
+    )["transmission"]
 
 
 def dense_observables(
@@ -67,15 +60,24 @@ def dense_observables(
     lead_left,
     lead_right,
     eta: float = 1e-6,
+    surface_method: str = "sancho",
 ) -> dict:
     """All single-energy observables from the dense G (test oracle).
 
-    Returns transmission, per-orbital LDOS and contact spectral densities,
-    plus the identity defect ``||A_L + A_R - i(G - G^+)||`` which must
-    vanish in the ballistic coherent limit (up to eta-induced leakage).
+    Returns the energy, transmission, per-orbital LDOS, contact spectral
+    densities and open-channel counts — every field of
+    :class:`repro.negf.RGFResult` — plus the identity defect
+    ``||A_L + A_R - i(G - G^+)||``, which must vanish in the ballistic
+    coherent limit (up to eta-induced leakage), and G itself.
+    ``surface_method`` is the contacts' surface-GF algorithm, as in
+    :func:`repro.negf.contact_self_energy`.
     """
-    sig_l = contact_self_energy(energy, *lead_left, side="left", eta=eta)
-    sig_r = contact_self_energy(energy, *lead_right, side="right", eta=eta)
+    sig_l = contact_self_energy(
+        energy, *lead_left, side="left", method=surface_method, eta=eta
+    )
+    sig_r = contact_self_energy(
+        energy, *lead_right, side="right", method=surface_method, eta=eta
+    )
     G = dense_green_function(H, energy, sig_l.sigma, sig_r.sigma)
     n = H.total_size
     offsets = H.block_offsets()
@@ -88,10 +90,13 @@ def dense_observables(
     )
     t = float(np.trace(gam_l @ G @ gam_r @ G.conj().T).real)
     return {
+        "energy": energy,
         "transmission": t,
         "dos": -np.diag(G).imag / np.pi,
         "spectral_left": np.diag(A_L).real / (2 * np.pi),
         "spectral_right": np.diag(A_R).real / (2 * np.pi),
+        "n_channels_left": sig_l.n_open_channels(),
+        "n_channels_right": sig_r.n_open_channels(),
         "identity_defect": float(spectral_identity),
         "green_function": G,
     }

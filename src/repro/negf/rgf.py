@@ -182,14 +182,8 @@ class RGFSolver:
         return sigs_l[0], sigs_r[0]
 
     def transmission(self, energy: float) -> float:
-        """T(E) only (skips the spectral-function sweeps)."""
-        sig_l, sig_r = self.self_energies(energy)
-        lu = BlockTridiagLU(
-            *assemble_system_blocks(self.H, energy, sig_l.sigma, sig_r.sigma)
-        )
-        g_0n = lu.corner_block("upper-right")  # G_{0, N-1}
-        t = np.trace(sig_l.gamma @ g_0n @ sig_r.gamma @ g_0n.conj().T)
-        return float(t.real)
+        """T(E) of :meth:`solve`."""
+        return self.solve(energy).transmission
 
     def solve(self, energy: float) -> RGFResult:
         """Full RGF solve: transmission, LDOS and contact spectral densities.

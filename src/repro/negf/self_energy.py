@@ -77,22 +77,6 @@ class LeadSelfEnergy:
         (:func:`open_channels` of its eigenvalues)."""
         return int(open_channels(np.linalg.eigvalsh(self.gamma), tol))
 
-    def injection_vectors(self, tol: float = 1e-8) -> np.ndarray:
-        """Columns w_m with Gamma = sum_m w_m w_m^+ (rank factorisation).
-
-        These are the per-channel source vectors of the wave-function
-        solver: T = sum_m (G w_m)^+ Gamma_other (G w_m).  Channels whose
-        Gamma eigenvalue is below ``tol * max`` are numerically closed
-        (their weight is finite-eta leakage, not physics) and are dropped —
-        this is what keeps the WF back-substitution count at the number of
-        *open* channels rather than the block size.
-        """
-        gamma = self.gamma
-        ev, U = np.linalg.eigh(gamma)
-        scale = max(float(ev.max(initial=0.0)), 1e-300)
-        keep = ev > tol * scale
-        return U[:, keep] * np.sqrt(ev[keep])[None, :]
-
 
 def _surface_gf_point(energy, h00, h01, side, method, eta):
     """Surface GF of the methods that are not stack-vectorised."""

@@ -39,7 +39,6 @@ __all__ = [
     "validate_rgf_flops",
     "validate_wf_flops",
     "validate_sancho_rubio_flops",
-    "validate_batched_wf_flops",
     "validate_flops",
 ]
 
@@ -172,40 +171,47 @@ def _wf_injected(solver, energies) -> int:
 
 
 def validate_wf_flops(
-    n_blocks: int = 4, block_size: int = 3, energy: float = 0.5
+    n_blocks: int = 4, block_size: int = 3, energy: float = 0.5,
+    n_energies: int = 1,
 ) -> FlopValidation:
     """Run a real WF (QTBM) solve and compare its charged flops.
 
-    The wave-function kernel charges its sparse factorisation and the
+    The wave-function kernel charges its factorisation and the
     per-channel back-substitutions by the Gordon Bell convention
     (analytic cost of the banded algorithm, evaluated at the *actual*
     block sizes and injection counts); the formula side uses the same
-    injection counts read off the contact self-energies.
+    injection counts read off the contact self-energies.  ``n_energies >
+    1`` runs one ``solve_batch`` over that many energies instead of
+    ``solve(energy)``: the charges must sum the per-energy costs.
 
     Example
     -------
     >>> validate_wf_flops(n_blocks=3, block_size=2).matches
+    True
+    >>> validate_wf_flops(n_blocks=3, block_size=2, n_energies=5).matches
     True
     """
     from ..wf.qtbm import WFSolver
 
     H = _chain_hamiltonian(n_blocks, block_size)
     solver = WFSolver(H)
-    n_rhs = _wf_injected(solver, [energy])
+    energies = [energy] if n_energies == 1 else _batch_energies(n_energies)
+    n_rhs = _wf_injected(solver, energies)
     tracer = Tracer()
     with use_tracer(tracer):
-        solver.solve(energy)
+        if n_energies == 1:
+            solver.solve(energy)
+        else:
+            solver.solve_batch(energies)
     counts = tracer.counter.counts
-    measured = counts.get("wf.factor", 0.0) + counts.get("wf.backsub", 0.0)
-    analytic = wf_factor_flops(n_blocks, block_size) + wf_backsub_flops(
-        n_blocks, block_size, n_rhs
-    )
+    which = {"energy": energy} if n_energies == 1 else {"n_energies": n_energies}
     return FlopValidation(
-        kernel="wf",
-        analytic=analytic,
-        measured=measured,
-        params={"n_blocks": n_blocks, "block_size": block_size,
-                "energy": energy, "n_rhs": n_rhs},
+        kernel="wf" if n_energies == 1 else "wf_batched",
+        analytic=n_energies * wf_factor_flops(n_blocks, block_size)
+        + wf_backsub_flops(n_blocks, block_size, n_rhs),
+        measured=counts.get("wf.factor", 0.0) + counts.get("wf.backsub", 0.0),
+        params={"n_blocks": n_blocks, "block_size": block_size, **which,
+                "n_rhs": n_rhs},
     )
 
 
@@ -266,43 +272,6 @@ def validate_sancho_rubio_flops(
     )
 
 
-def validate_batched_wf_flops(
-    n_blocks: int = 4, block_size: int = 3, n_energies: int = 6
-) -> FlopValidation:
-    """Batched WF solve: charges must sum the per-energy analytic costs.
-
-    The batched path executes on the (uninstrumented) stacked block-LU
-    but charges ``wf.factor``/``wf.backsub`` by the same Gordon Bell
-    convention as the per-point path — the banded-algorithm cost at the
-    *actual* per-energy injection counts.
-
-    Example
-    -------
-    >>> validate_batched_wf_flops(n_blocks=3, block_size=2).matches
-    True
-    """
-    from ..wf.qtbm import WFSolver
-
-    H = _chain_hamiltonian(n_blocks, block_size)
-    solver = WFSolver(H)
-    energies = _batch_energies(n_energies)
-    analytic = n_energies * wf_factor_flops(
-        n_blocks, block_size
-    ) + wf_backsub_flops(n_blocks, block_size, _wf_injected(solver, energies))
-    tracer = Tracer()
-    with use_tracer(tracer):
-        solver.solve_batch(energies)
-    counts = tracer.counter.counts
-    measured = counts.get("wf.factor", 0.0) + counts.get("wf.backsub", 0.0)
-    return FlopValidation(
-        kernel="wf_batched",
-        analytic=analytic,
-        measured=measured,
-        params={"n_blocks": n_blocks, "block_size": block_size,
-                "n_energies": n_energies},
-    )
-
-
 def validate_flops(verbose: bool = False) -> list:
     """Exercise every instrumented kernel at several small sizes.
 
@@ -325,8 +294,8 @@ def validate_flops(verbose: bool = False) -> list:
         validate_sancho_rubio_flops(block_size=4, energy=0.7),
         validate_rgf_flops(n_blocks=3, block_size=2, n_energies=5),
         validate_rgf_flops(n_blocks=4, block_size=3, n_energies=7),
-        validate_batched_wf_flops(n_blocks=3, block_size=2, n_energies=5),
-        validate_batched_wf_flops(n_blocks=4, block_size=3, n_energies=6),
+        validate_wf_flops(n_blocks=3, block_size=2, n_energies=5),
+        validate_wf_flops(n_blocks=4, block_size=3, n_energies=6),
         validate_sancho_rubio_flops(block_size=3, n_energies=6),
         validate_sancho_rubio_flops(
             block_size=4, n_energies=6, scalar_coupling=True

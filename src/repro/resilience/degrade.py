@@ -31,7 +31,7 @@ solver layer and must not create import cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,11 +46,12 @@ __all__ = [
 ]
 
 #: What the degradation ladder is allowed to absorb (in ``contain`` mode).
-#: ``RuntimeError`` covers every typed :class:`~repro.errors.ReproError`
-#: plus SuperLU's "factor is exactly singular"; ``ValueError`` covers
-#: scipy's finite-entry input checks; ``ArithmeticError`` covers overflow
-#: under ``np.errstate``.  :class:`DegradationBudgetError` is re-raised
-#: explicitly by every handler — exceeding the budget must fail the sweep.
+#: ``RuntimeError`` covers every typed :class:`~repro.errors.ReproError`;
+#: ``ValueError`` covers scipy's finite-entry input checks;
+#: ``ArithmeticError`` covers overflow under ``np.errstate``;
+#: ``LinAlgError`` covers a singular block or dense inversion.
+#: :class:`DegradationBudgetError` is re-raised explicitly by every
+#: handler — exceeding the budget must fail the sweep.
 LADDER_EXCEPTIONS = (
     RuntimeError,
     ValueError,
@@ -232,42 +233,20 @@ def dense_oracle_solve(H, energy: float, eta: float = 1e-6):
     """Last-rung reference solve of one energy by full dense inversion.
 
     Returns an :class:`repro.negf.rgf.RGFResult` — the field set both the
-    WF and RGF assembly paths consume — computed from the dense retarded
-    Green's function with ``robust``-ladder contact self-energies.
-    O((N m)^3): acceptable only because the ladder reaches this rung for
-    a handful of poisoned points per sweep.
+    WF and RGF assembly paths consume — read off
+    :func:`repro.negf.dense_ref.dense_observables` with ``robust``-ladder
+    contact self-energies on the device's own end blocks.  O((N m)^3):
+    acceptable only because the ladder reaches this rung for a handful of
+    poisoned points per sweep.
     """
-    from ..negf.dense_ref import dense_green_function
+    from ..negf.dense_ref import dense_observables
     from ..negf.rgf import RGFResult
-    from ..negf.self_energy import Contacts
 
-    energy = float(energy)
-    (sig_l,), (sig_r,) = Contacts(
-        H, eta=eta, method="robust"
-    ).self_energies([energy])
-    G = dense_green_function(H, energy, sig_l.sigma, sig_r.sigma)
-    n = H.total_size
-    offsets = H.block_offsets()
-    gam_l = np.zeros((n, n), dtype=complex)
-    gam_r = np.zeros((n, n), dtype=complex)
-    ml = sig_l.gamma.shape[0]
-    mr = sig_r.gamma.shape[0]
-    gam_l[:ml, :ml] = sig_l.gamma
-    gam_r[offsets[-2]:offsets[-2] + mr, offsets[-2]:offsets[-2] + mr] = (
-        sig_r.gamma
+    observables = dense_observables(
+        H, float(energy), (H.diagonal[0], H.upper[0]),
+        (H.diagonal[-1], H.upper[-1]), eta=eta, surface_method="robust",
     )
-    t = float(np.trace(gam_l @ G @ gam_r @ G.conj().T).real)
-    A_L = G @ gam_l @ G.conj().T
-    A_R = G @ gam_r @ G.conj().T
-    return RGFResult(
-        energy=energy,
-        transmission=t,
-        dos=-np.diag(G).imag / np.pi,
-        spectral_left=np.diag(A_L).real / (2.0 * np.pi),
-        spectral_right=np.diag(A_R).real / (2.0 * np.pi),
-        n_channels_left=sig_l.n_open_channels(),
-        n_channels_right=sig_r.n_open_channels(),
-    )
+    return RGFResult(**{f.name: observables[f.name] for f in fields(RGFResult)})
 
 
 def corrupt_hamiltonian(H, mode: str):

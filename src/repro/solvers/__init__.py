@@ -1,6 +1,5 @@
-"""Linear algebra kernels: block-tridiagonal LU, domain decomposition, banded."""
+"""Linear algebra kernels: block-tridiagonal LU and domain decomposition."""
 
-from .banded import BandedLU, SparseLU, bandwidth_of_blocks, blocks_to_banded
 from .block_tridiagonal import (
     BatchedBlockTridiagLU,
     BlockTridiagLU,
@@ -9,10 +8,6 @@ from .block_tridiagonal import (
 from .splitsolve import SplitSolve, partition_domains
 
 __all__ = [
-    "BandedLU",
-    "SparseLU",
-    "bandwidth_of_blocks",
-    "blocks_to_banded",
     "BatchedBlockTridiagLU",
     "BlockTridiagLU",
     "block_tridiag_matvec",

@@ -350,18 +350,6 @@ class BlockTridiagLU:
         self._charge("block_lu.diagonal", _diagonal_flops)
         return G
 
-    def corner_block(self, which: str = "lower-left"):
-        """The (N-1, 0) or (0, N-1) block of A^{-1} (transmission needs it).
-
-        ``lower-left`` returns G_{N-1,0}; ``upper-right`` returns G_{0,N-1}.
-        Computed from one block-column solve.
-        """
-        if which == "lower-left":
-            return self.solve_block_column(0)[self.n_blocks - 1]
-        if which == "upper-right":
-            return self.solve_block_column(self.n_blocks - 1)[0]
-        raise ValueError("which must be 'lower-left' or 'upper-right'")
-
 
 #: The same class, under the name ``benchmarks/e2e`` imports for stacks.
 BatchedBlockTridiagLU = BlockTridiagLU

@@ -8,11 +8,12 @@ per-channel injection vectors gives the scattering states:
     psi_m = [E - H - Sigma_L - Sigma_R]^{-1} w_m,
     Gamma_c = sum_m w_m w_m^+   (rank factorisation over open channels),
 
-so one *sparse LU factorisation* per energy plus one cheap back-substitution
-per open channel replaces the dense block recursion.  The payoff grows with
-cross-section: the number of open channels (tens) is far below the block
-size m (thousands), which is exactly the algorithmic advantage the SC'11
-paper quantifies (experiment F2 reproduces that comparison).
+so one block-tridiagonal LU factorisation per energy plus one cheap
+back-substitution per injected channel replaces the m-column block sweeps
+of the Green's-function recursion.  The payoff grows with cross-section:
+the number of open channels (tens) is far below the block size m
+(thousands), which is exactly the algorithmic advantage the SC'11 paper
+quantifies (experiment F2 reproduces that comparison).
 
 Everything observable is built from the scattering states:
 
@@ -21,10 +22,9 @@ Everything observable is built from the scattering states:
 * reflection     R = n_channels - T (checked as a unitarity test).
 
 The energy sweep (:meth:`WFSolver.solve_batch`) factors whole stacks of
-energies with the stacked block LU and evaluates every observable over
-the energy axis; the scalar :meth:`WFSolver.solve` — SuperLU on the CSR
-matrix (default) or LAPACK banded, the kernels benchmarked in F8 — is the
-reference, feeding the same observables function a stack of one.
+energies with the stacked block LU (:class:`repro.solvers.BlockTridiagLU`)
+and evaluates every observable over the energy axis; a single energy
+(:meth:`WFSolver.solve`) is a stack of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 from ..observability.invariants import get_monitor
 from ..observability.tracer import get_tracer, trace_span
 from ..resilience.health import get_sentinel
-from ..solvers.banded import BandedLU, SparseLU
 from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (
@@ -44,12 +43,7 @@ from ..negf.rgf import (
     equal_width_groups,
     sliver_stack,
 )
-from ..negf.self_energy import (
-    Contacts,
-    LeadSelfEnergy,
-    broadening,
-    open_channels,
-)
+from ..negf.self_energy import Contacts, broadening, open_channels
 
 __all__ = ["WFResult", "WFSolver"]
 
@@ -96,9 +90,7 @@ class WFResult:
 class WFSolver:
     """Scattering-state (wave-function) solver for ballistic transport.
 
-    Parameters mirror :class:`repro.negf.RGFSolver`; ``factorization``
-    selects the linear-solver backend ("sparse" = SuperLU, "banded" =
-    LAPACK band solver).
+    Parameters mirror :class:`repro.negf.RGFSolver`.
     """
 
     def __init__(
@@ -108,15 +100,11 @@ class WFSolver:
         lead_right=None,
         eta: float = 1e-6,
         surface_method: str = "sancho",
-        factorization: str = "sparse",
         injection_tol_ev: float | None = None,
     ):
         if hamiltonian.n_blocks < 2:
             raise ValueError("transport needs at least 2 slabs")
-        if factorization not in ("sparse", "banded"):
-            raise ValueError("factorization must be 'sparse' or 'banded'")
         self.H = hamiltonian
-        self.factorization = factorization
         #: None = exact mode (every Gamma eigenvector injected, WF == NEGF
         #: to machine precision); a float = economical production mode,
         #: injecting only channels with Gamma eigenvalue above this
@@ -129,11 +117,6 @@ class WFSolver:
         )
 
     # ------------------------------------------------------------------
-    def self_energies(self, energy: float) -> tuple[LeadSelfEnergy, LeadSelfEnergy]:
-        """Contact self-energies at one energy (a stack of one)."""
-        sigs_l, sigs_r = self.contacts.self_energies([energy])
-        return sigs_l[0], sigs_r[0]
-
     def _charge_flops(self, n_factor: int, n_rhs: int) -> None:
         """Gordon Bell convention: a factorisation is charged its
         analytic banded-algorithm cost at the actual block sizes (8 m^3
@@ -168,62 +151,22 @@ class WFSolver:
             cut = self.injection_tol_ev
         return ev, vec, np.sum(ev > cut, axis=-1)
 
-    # -- the scalar SuperLU / banded reference -------------------------
-
-    def _factor(self, energy: float):
-        """One energy's stack-of-one broadenings and the SuperLU/banded
-        factorisation of its system matrix."""
-        sigma_l, sigma_r = self.contacts.sigma_stacks([energy])
-        diag, upper, lower = assemble_system_blocks(
-            self.H, energy, sigma_l[0], sigma_r[0]
-        )
-        self._charge_flops(1, 0)
-        if self.factorization == "banded":
-            lu = BandedLU(diag, upper, lower)
-        else:
-            from ..tb.hamiltonian import BlockTridiagonalHamiltonian as BTH
-            import scipy.sparse as sp
-
-            # reuse the CSR assembly of the Hamiltonian container (BTH
-            # assumes hermitian coupling = upper^H, which matches `lower`)
-            lu = SparseLU(sp.csc_matrix(BTH(diag, upper).to_csr()))
-        return lu, broadening(sigma_l), broadening(sigma_r)
-
-    def _scattering_states(self, lu, gamma: np.ndarray, offset: int):
-        """psi_m = A^{-1} w_m for every injected channel of one contact,
-        as a ``(1, n_total, c)`` stack, and the contact's open channels."""
-        ev, vec, width = self._injection(gamma)
-        w = sliver_stack(ev[0], vec[0], int(width[0]))
-        rhs = np.zeros((self.H.total_size, w.shape[1]), dtype=complex)
-        rhs[offset : offset + w.shape[0]] = w
-        self._charge_flops(0, w.shape[1])
-        return np.ascontiguousarray(lu.solve(rhs))[None], open_channels(ev)
-
     def solve(self, energy: float) -> WFResult:
         """Scattering states, transmission and spectral densities at E.
 
-        The SuperLU/banded reference of :meth:`solve_batch`: one scalar
-        factorisation, then the same stacked :meth:`_observables` on a
-        stack of one.
+        A single energy *is* a stack of one: this is
+        ``solve_batch([energy])[0]``, bit for bit, under any chunking.
         """
         energy = float(energy)
         with trace_span("wf.solve", category="kernel", energy=energy):
-            lu, gam_l, gam_r = self._factor(energy)
-            psi_l, n_open_l = self._scattering_states(lu, gam_l, 0)
-            psi_r, n_open_r = self._scattering_states(
-                lu, gam_r, int(self.H.block_offsets()[-2])
-            )
-            return self._observables(
-                np.array([energy]), psi_l, psi_r, gam_l, gam_r,
-                n_open_l, n_open_r,
+            energies = np.array([energy])
+            return self.kernel_stage(
+                energies, *self.contacts.sigma_stacks(energies)
             )[0]
 
     def transmission(self, energy: float) -> float:
-        """T(E) only (still one factorisation + n_open back-substitutions)."""
-        lu, gam_l, gam_r = self._factor(float(energy))
-        psi_l, _ = self._scattering_states(lu, gam_l, 0)
-        last = int(self.H.block_offsets()[-2])
-        return float(_transmission(psi_l[:, last:], gam_r)[0])
+        """T(E) of :meth:`solve`."""
+        return self.solve(energy).transmission
 
     # -- the one observables function, over the energy axis ------------
 
@@ -297,17 +240,15 @@ class WFSolver:
     def solve_batch(self, energies) -> list[WFResult]:
         """WF solves for a batch of energies via stacked block-LU calls.
 
-        Semantically ``[self.solve(E) for E in energies]``.  The batched
-        path factors the system matrices with the stacked
-        :class:`repro.solvers.BlockTridiagLU` (instead of B
-        SuperLU/banded factorisations) and solves the injection RHS of
-        all energies of equal channel counts together
-        (:meth:`kernel_stage`).  Flops follow the Gordon Bell convention
-        of the per-point path: ``wf.factor`` and ``wf.backsub`` are
-        charged the analytic banded-algorithm cost at the *actual*
-        per-energy channel counts, independent of the executing backend
-        — so the batched measured counts equal the sum of the per-point
-        charges, and the uninstrumented batched LU adds nothing on top.
+        ``[self.solve(E) for E in energies]``, bit for bit.  The system
+        matrices are factored with the stacked
+        :class:`repro.solvers.BlockTridiagLU` and the injection RHS of
+        all energies of equal channel counts are solved together
+        (:meth:`kernel_stage`).  Flops follow the Gordon Bell
+        convention: ``wf.factor`` and ``wf.backsub`` are charged the
+        analytic banded-algorithm cost at the *actual* per-energy channel
+        counts — so the measured counts of a stack equal the sum of its
+        energies' charges, and the uninstrumented LU adds nothing on top.
         """
         energies = np.asarray(energies, dtype=float).ravel()
         if energies.size == 0:

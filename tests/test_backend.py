@@ -6,8 +6,8 @@ Locks down the contracts of :mod:`repro.parallel.backend`:
   device's own stack length) produce *identical* transport results and
   IV curves,
 * the backend is the only execution choice: the deleted ``zero_copy``,
-  ``sigma_cache`` and ``precision`` knobs are rejected everywhere they
-  used to thread,
+  ``sigma_cache``, ``precision`` and (calculation) ``surface_method``
+  knobs are rejected everywhere they used to thread,
 * the scheduler's round-robin and contiguous-chunk splitters cover every
   index for any ``n_points % n_ranks`` remainder (regression: a
   remainder must never be dropped), and
@@ -71,9 +71,9 @@ class TestBackendEquivalence:
             np.testing.assert_array_equal(res.transmission, ref.transmission)
 
     def test_wf_backends_agree(self, built):
-        """The stacked WF kernel against the scalar SuperLU reference
-        (:meth:`WFSolver.solve`, the paper's algorithm): a different LU
-        backend, hence an a-few-ulp window rather than bit-identity."""
+        """The WF kernel on a thread pool against the serial solve and
+        against :meth:`WFSolver.solve` node by node: a single energy is a
+        stack of one, so both are bit-identical."""
         pot = np.zeros(built.n_atoms)
         # pin the uniform grid: the comparison below re-solves on the
         # reference's own nodes, which only sees the same integrand when
@@ -91,9 +91,7 @@ class TestBackendEquivalence:
             scalar.solve(float(e)).transmission
             for e in ref.energy_grid.energies
         ]
-        np.testing.assert_allclose(
-            res.transmission[0], t_scalar, atol=1e-12, rtol=0.0
-        )
+        np.testing.assert_array_equal(res.transmission[0], t_scalar)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_iv_curve_identical(self, built, backend):
@@ -254,6 +252,13 @@ class TestSingleDispatchPath:
                 _transport(built, **{argument: None})
         with pytest.raises(TypeError):
             _transport(built, precision="mixed")
+
+    def test_surface_method_is_not_a_calculation_option(self, built):
+        """The contacts of a bias solve are Sancho-Rubio; only the heal
+        rung asks its solver for the robust ladder."""
+        with pytest.raises(TypeError):
+            _transport(built, surface_method="eigen")
+        assert not hasattr(_transport(built), "surface_method")
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_precision_env_var_is_ignored(self, built, monkeypatch, backend):

@@ -9,9 +9,10 @@ agree with the dense-inversion reference (``repro.negf.dense_ref``) on
 * carrier density integrated from the spectral functions, and
 * terminal current from the Landauer integral,
 
-to an absolute tolerance of 1e-10.  The per-point and batched paths use
-the same per-slice LAPACK calls in the same order, so in practice they
-agree to machine epsilon; 1e-10 is the contract this suite locks down.
+to an absolute tolerance of 1e-10.  A single energy is a stack of one, so
+the per-point and batched paths agree bit for bit, and WF and RGF to a
+few ulp; 1e-10 against dense inversion is the contract this suite locks
+down.
 """
 
 import numpy as np
@@ -140,7 +141,9 @@ def test_all_paths_match_dense(kind, seed):
 
 @pytest.mark.parametrize("kind,seed", [("chain", 0), ("grid", 1), ("random", 2)])
 def test_batched_matches_per_point_tightly(kind, seed):
-    """Stacked RGF is bit-identical to ``solve``; WF within a few ulp."""
+    """Both kernels' ``solve`` is bit-identical to their stack; the two
+    kernels — two observables formulas on one block LU — agree to a few
+    ulp."""
     H, energies = _build(kind, seed)
     rgf = RGFSolver(H, eta=ETA)
     per = [rgf.solve(float(e)) for e in energies]
@@ -151,20 +154,21 @@ def test_batched_matches_per_point_tightly(kind, seed):
         np.testing.assert_array_equal(p.spectral_left, b.spectral_left)
         np.testing.assert_array_equal(p.spectral_right, b.spectral_right)
 
-    # the scalar SuperLU/banded WF solve is the reference algorithm: the
-    # stacked kernel agrees with it to a few ulp, and with itself —
-    # stack of one vs stack of N — bit for bit
     wf = WFSolver(H, eta=ETA)
     per_w = [wf.solve(float(e)) for e in energies]
     bat_w = wf.solve_batch(energies)
-    for p, b in zip(per_w, bat_w):
-        assert abs(p.transmission - b.transmission) < 1e-12
-        np.testing.assert_allclose(p.dos, b.dos, atol=1e-12, rtol=0.0)
-        one = wf.solve_batch([p.energy])[0]
-        assert one.transmission == b.transmission
-        np.testing.assert_array_equal(one.dos, b.dos)
+    for p, b, r in zip(per_w, bat_w, bat):
+        assert p.transmission == b.transmission
+        np.testing.assert_array_equal(p.dos, b.dos)
         np.testing.assert_array_equal(
-            one.interface_currents, b.interface_currents
+            p.interface_currents, b.interface_currents
+        )
+        assert abs(b.transmission - r.transmission) < 1e-12
+        np.testing.assert_allclose(
+            b.spectral_left, r.spectral_left, atol=1e-12, rtol=0.0
+        )
+        np.testing.assert_allclose(
+            b.spectral_right, r.spectral_right, atol=1e-12, rtol=0.0
         )
 
 

@@ -577,10 +577,19 @@ class TestSelfEnergy:
         assert se_out.n_open_channels() == 0
 
     def test_injection_vectors_reconstruct_gamma(self):
+        """The WF kernel's injection slivers are a rank factorisation of
+        Gamma: ``W W^+ = Gamma`` over the channels it injects."""
+        from repro.negf.rgf import sliver_stack
+        from repro.tb import BlockTridiagonalHamiltonian
+        from repro.wf import WFSolver
+
         h00 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
         h01 = np.array([[0.0, 0.0], [-0.9, 0.0]], dtype=complex)
         se = contact_self_energy(0.3, h00, h01, side="left")
-        W = se.injection_vectors()
+        wf = WFSolver(BlockTridiagonalHamiltonian([h00, h00], [h01]))
+        ev, vec, width = wf._injection(se.gamma[None])
+        assert width.tolist() == [1]  # h01 has rank one
+        W = sliver_stack(ev, vec, 1)[0]
         np.testing.assert_allclose(W @ W.conj().T, se.gamma, atol=1e-10)
 
     def test_eigen_method_agrees(self):

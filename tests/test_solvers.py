@@ -1,4 +1,4 @@
-"""Tests for the block-tridiagonal, SplitSolve and banded solvers."""
+"""Tests for the block-tridiagonal and SplitSolve solvers."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from repro.observability import Tracer, use_tracer
 from repro.solvers import (
-    BandedLU,
     BatchedBlockTridiagLU,
     BlockTridiagLU,
-    SparseLU,
     SplitSolve,
-    bandwidth_of_blocks,
     block_tridiag_matvec,
-    blocks_to_banded,
     partition_domains,
 )
 
@@ -173,20 +169,6 @@ class TestBlockTridiagLU:
                 G[i], Ainv[3 * i : 3 * i + 3, 3 * i : 3 * i + 3], atol=1e-9
             )
 
-    def test_corner_blocks(self):
-        diag, upper, lower = random_btd(4, 2, seed=13)
-        A = to_dense(diag, upper, lower)
-        Ainv = np.linalg.inv(A)
-        lu = BlockTridiagLU(diag, upper, lower)
-        np.testing.assert_allclose(
-            lu.corner_block("lower-left"), Ainv[-2:, :2], atol=1e-9
-        )
-        np.testing.assert_allclose(
-            lu.corner_block("upper-right"), Ainv[:2, -2:], atol=1e-9
-        )
-        with pytest.raises(ValueError):
-            lu.corner_block("middle")
-
     def test_variable_block_sizes(self):
         rng = np.random.default_rng(17)
         sizes = [2, 4, 3]
@@ -228,8 +210,8 @@ class TestBlockTridiagLU:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_dense_oracle(self, entry, dtype):
-        """solve / block columns / diagonal of inverse / corners of both
-        entries against ``np.linalg.inv``, ragged block sizes."""
+        """solve / block columns / diagonal of inverse of both entries
+        against ``np.linalg.inv``, ragged block sizes."""
         system, dense = entry_systems(entry)
         lu = BlockTridiagLU(*system)
         assert lu.batch_size == len(dense)
@@ -245,8 +227,6 @@ class TestBlockTridiagLU:
         rhs_slices = slices(entry, rhs)
         columns = [slices(entry, lu.solve_block_column(j)) for j in range(3)]
         G = slices(entry, lu.diagonal_of_inverse())
-        ll = lu.corner_block("lower-left")
-        ur = lu.corner_block("upper-right")
         for b, A in enumerate(dense):
             Ainv = np.linalg.inv(A)
             np.testing.assert_allclose(
@@ -262,14 +242,6 @@ class TestBlockTridiagLU:
                     G[b][i],
                     Ainv[off[i] : off[i + 1], off[i] : off[i + 1]], atol=atol,
                 )
-            np.testing.assert_allclose(
-                ll if entry == "2d" else ll[b], Ainv[off[2] :, : off[1]],
-                atol=atol,
-            )
-            np.testing.assert_allclose(
-                ur if entry == "2d" else ur[b], Ainv[: off[1], off[2] :],
-                atol=atol,
-            )
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -585,80 +557,3 @@ class TestSplitSolve:
             [np.atleast_1d(v) for v in ss.solve([b[m * i : m * (i + 1)] for i in range(n)])]
         )
         np.testing.assert_allclose(A @ x, b, atol=1e-7)
-
-
-class TestBanded:
-    def test_bandwidth(self):
-        assert bandwidth_of_blocks([3, 3, 3]) == 5
-        assert bandwidth_of_blocks([4]) == 3
-        assert bandwidth_of_blocks([2, 5, 2]) == 6
-
-    def test_banded_matches_dense(self):
-        diag, upper, lower = random_btd(6, 3, seed=31)
-        A = to_dense(diag, upper, lower)
-        lu = BandedLU(diag, upper, lower)
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=(A.shape[0], 4)) + 0j
-        np.testing.assert_allclose(lu.solve(b), np.linalg.solve(A, b), atol=1e-9)
-
-    def test_banded_shape_check(self):
-        diag, upper, lower = random_btd(3, 2)
-        lu = BandedLU(diag, upper, lower)
-        with pytest.raises(ValueError):
-            lu.solve(np.zeros(5))
-
-    def test_sparse_lu_matches(self):
-        import scipy.sparse as sp
-
-        diag, upper, lower = random_btd(6, 3, seed=41)
-        A = to_dense(diag, upper, lower)
-        slu = SparseLU(sp.csr_matrix(A))
-        rng = np.random.default_rng(2)
-        b = rng.normal(size=A.shape[0]) + 0j
-        np.testing.assert_allclose(slu.solve(b), np.linalg.solve(A, b), atol=1e-9)
-        assert slu.fill_nnz > 0
-
-    def test_sparse_lu_shape_check(self):
-        import scipy.sparse as sp
-
-        slu = SparseLU(sp.eye(4, format="csr", dtype=complex))
-        with pytest.raises(ValueError):
-            slu.solve(np.zeros(3))
-
-
-class TestBandedPackingRegression:
-    def _roundtrip(self, sizes, seed=0):
-        rng = np.random.default_rng(seed)
-
-        def blk(r, c):
-            return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
-
-        diag = [blk(s, s) + 3.0 * np.eye(s) for s in sizes]
-        upper = [blk(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
-        lower = [blk(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
-        ab, kl = blocks_to_banded(diag, upper, lower)
-        dense = to_dense(diag, upper, lower)
-        n = dense.shape[0]
-        rebuilt = np.zeros_like(dense)
-        for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + kl + 1)):
-                rebuilt[i, j] = ab[kl + i - j, j]
-        np.testing.assert_array_equal(rebuilt, dense)
-
-    @pytest.mark.parametrize("sizes", [
-        [1], [3], [1, 1, 1], [2, 3], [3, 2], [1, 3, 2], [4, 1, 4], [2, 2, 2],
-    ], ids=str)
-    def test_shape_edges_roundtrip(self, sizes):
-        """Ragged, single-block and one-orbital packings must be exact."""
-        self._roundtrip(sizes)
-
-    def test_hermitian_default_lower(self):
-        rng = np.random.default_rng(1)
-        diag = [np.eye(2) * 3.0, np.eye(3) * 4.0]
-        upper = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))]
-        ab, kl = blocks_to_banded(diag, upper)
-        dense = to_dense(diag, upper, [upper[0].conj().T])
-        n = dense.shape[0]
-        for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + kl + 1)):
-                assert ab[kl + i - j, j] == dense[i, j]

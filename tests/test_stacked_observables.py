@@ -132,6 +132,7 @@ class TestStackInvariance:
         stack = solver.solve_batch(energies)
         for e, res in zip(energies, stack):
             assert_results_identical(solver.solve_batch([e])[0], res)
+            assert_results_identical(solver.solve(e), res)
         for res, again in zip(stack[2:5], solver.solve_batch(energies[2:5])):
             assert_results_identical(again, res)
 
@@ -143,6 +144,7 @@ class TestStackInvariance:
         stack = solver.solve_batch(energies)
         for e, res in zip(energies, stack):
             assert_results_identical(solver.solve_batch([e])[0], res)
+            assert_results_identical(solver.solve(e), res)
 
     def test_wf_ragged_injection_widths_do_not_couple_stack_mates(self):
         """Regression: padding every energy to the stack-wide channel
@@ -161,30 +163,6 @@ class TestStackInvariance:
         groups = equal_width_groups(left, right)
         assert sorted(np.concatenate(groups).tolist()) == list(range(6))
         assert [g.tolist() for g in groups] == [[1, 4], [3], [2], [0, 5]]
-
-    @pytest.mark.parametrize("factorization", ["sparse", "banded"])
-    @pytest.mark.parametrize("injection_tol_ev", [None, 1e-4])
-    def test_wf_scalar_reference_shares_the_observables(
-        self, factorization, injection_tol_ev
-    ):
-        """SuperLU / banded ``solve`` vs the stacked kernel: different
-        factorisations, the one observables function, <= 1e-10."""
-        H = grid_system(n_x=6, n_yz=3)
-        scalar = WFSolver(
-            H, factorization=factorization, injection_tol_ev=injection_tol_ev
-        )
-        energies = band_energy_grid(H, n_energy=7)
-        for e, res in zip(energies, WFSolver(
-            H, injection_tol_ev=injection_tol_ev
-        ).solve_batch(energies)):
-            one = fields(scalar.solve(float(e)))
-            for name, value in fields(res).items():
-                np.testing.assert_allclose(
-                    one[name], value, atol=1e-10, rtol=0, err_msg=name
-                )
-            assert scalar.transmission(float(e)) == pytest.approx(
-                res.transmission, abs=1e-10
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.lattice import (
     zincblende_nanowire,
 )
 from repro.negf import RGFSolver
+from repro.negf.self_energy import broadening
 from repro.tb import (
     BlockTridiagonalHamiltonian,
     build_device_hamiltonian,
@@ -64,10 +65,9 @@ class TestChain:
 
 
 class TestAgainstRGF:
-    @pytest.mark.parametrize("factorization", ["sparse", "banded"])
-    def test_transmission_identical(self, factorization):
+    def test_transmission_identical(self):
         H = grid_system()
-        wf = WFSolver(H, factorization=factorization)
+        wf = WFSolver(H)
         rgf = RGFSolver(H)
         for e in (0.45, 0.62, 0.9):
             assert wf.transmission(e) == pytest.approx(
@@ -88,13 +88,16 @@ class TestAgainstRGF:
         assert rw.n_channels_left == rr.n_channels_left
 
     def test_channel_economy(self):
-        """The WF solver's RHS count equals the open channels, not m."""
+        """The WF solver's RHS count equals the open channels, not m
+        (1 and 3 of the 4 lead modes are open at these energies)."""
         H = grid_system()
-        wf = WFSolver(H)
-        sig_l, _ = wf.self_energies(0.6)
-        n_rhs = sig_l.injection_vectors(tol=1e-6).shape[1]
-        assert n_rhs <= H.diagonal[0].shape[0]
-        assert n_rhs >= sig_l.n_open_channels()
+        wf = WFSolver(H, injection_tol_ev=1e-4)
+        energies = np.array([3.5, 6.5])
+        sigma_l, _ = wf.contacts.sigma_stacks(energies)
+        _, _, width = wf._injection(broadening(sigma_l))
+        n_open = [wf.solve(e).n_channels_left for e in energies]
+        assert width.tolist() == n_open == [1, 3]
+        assert max(n_open) < H.diagonal[0].shape[0]
 
     def test_silicon_nanowire_agreement(self):
         """Full-band sp3s* Si wire: WF == RGF transmission."""
@@ -131,8 +134,9 @@ class TestValidation:
             WFSolver(BlockTridiagonalHamiltonian(d, []))
 
     def test_bad_factorization(self):
-        with pytest.raises(ValueError):
-            WFSolver(chain_hamiltonian(), factorization="qr")
+        """One factorisation: the stacked block LU, not an option."""
+        with pytest.raises(TypeError):
+            WFSolver(chain_hamiltonian(), factorization="banded")
 
     def test_result_symmetry_left_right_channels(self):
         H = grid_system(barrier=0.0)
