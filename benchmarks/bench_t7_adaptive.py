@@ -113,7 +113,7 @@ def _uniform_report(built, pot):
     t0 = time.perf_counter()
     batch = solver.solve_batch([float(e) for e in dense.energies])
     oracle_s = time.perf_counter() - t0
-    t_dense = np.array([float(r.transmission) for r in batch])
+    t_dense = batch.transmission
     current = {}
     n = N_ORACLE
     while n >= N_UNIFORM_MIN:

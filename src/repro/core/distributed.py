@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalBreakdownError, RankFailure, TaskFailure
+from ..negf.rgf import RGFResult
 from ..observability.metrics import get_metrics
 from ..observability.telemetry import capture_telemetry, merge_delta
 from ..observability.tracer import get_tracer
@@ -29,7 +30,7 @@ from ..parallel.comm import payload_nbytes
 from ..parallel.decomposition import Decomposition, choose_level_sizes
 from ..parallel.scheduler import split_chunks
 from ..physics.grids import EnergyGrid
-from ..resilience.faults import nan_like, result_non_finite
+from ..resilience.faults import nan_like
 from .transport import TransportCalculation, solve_energies
 
 __all__ = ["PartialObservables", "DistributedTransport"]
@@ -181,8 +182,9 @@ class DistributedTransport:
         retry : repro.resilience.RetryPolicy or None
             Per-task retry for faulted/NaN solves.  With an injector or a
             retry policy every task of a group is solved on its own, as a
-            stack of one per attempt (:func:`_solve_task`); exhausted
-            retries raise :class:`repro.errors.TaskFailure`.
+            stack of one per attempt (:func:`_solve_task`), and the group's
+            stacks are joined for the quadrature; exhausted retries raise
+            :class:`repro.errors.TaskFailure`.
         report : repro.resilience.ResilienceReport or None
         """
         calc = self.calc
@@ -218,17 +220,17 @@ class DistributedTransport:
                     share = EnergyGrid(grid.energies[ies], grid.weights[ies])
                     energies = share.energies.tolist()
                     if injector is None and retry is None:
-                        results = solve_energies(solver, energies)
+                        stack = solve_energies(solver, energies)
                     else:
-                        results = [
+                        stack = RGFResult.concatenate([
                             _solve_task(
                                 solver, e, (ik, ie), rank,
                                 injector, retry, report,
                             )
                             for ie, e in zip(ies, energies)
-                        ]
+                        ])
                     current_k, density_k, _, _ = calc._integrate(
-                        share, results, mu_s, mu_d, kT
+                        share, stack, mu_s, mu_d, kT
                     )
                 wk = float(kgrid.weights[ik])
                 current += wk * current_k
@@ -413,18 +415,19 @@ def _solve_task(solver, energy, key, rank, injector, retry, report):
 
     Each attempt fires the injector's ``"task"`` site with ``key`` =
     (k_index, energy_index) and solves the energy as a stack of one —
-    bit-identical to its slice of the clean stacked solve.  A faulted or
-    non-finite attempt is retried under ``retry``; exhausted retries raise
+    bit-identical to its slice of the clean stacked solve.  A faulted
+    attempt, or one its ``finite`` mask rejects, is retried under
+    ``retry``; exhausted retries raise
     :class:`repro.errors.TaskFailure`, since a (k, E) quadrature point
     cannot be silently dropped without corrupting the reduced observables.
     """
 
     def attempt(attempt_number: int):
         mode = injector.fire("task", key) if injector is not None else None
-        res = solve_energies(solver, [energy])[0]
+        res = solve_energies(solver, [energy])
         if mode == "nan":
             res = nan_like(res)
-        if result_non_finite(res):
+        if not res.finite[0]:
             raise NumericalBreakdownError(
                 f"non-finite observables at (k,E) task {key}",
                 injected=(mode == "nan"),

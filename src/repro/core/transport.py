@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import DegradationBudgetError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
-from ..negf.rgf import RGFSolver
+from ..negf.rgf import RGFResult, RGFSolver
 from ..observability.metrics import get_metrics
 from ..observability.telemetry import (
     capture_telemetry,
@@ -55,7 +55,7 @@ from ..resilience.degrade import (
     corrupt_hamiltonian,
     dense_oracle_solve,
 )
-from ..resilience.faults import nan_like, result_non_finite
+from ..resilience.faults import nan_like
 from ..resilience.health import get_sentinel
 from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
@@ -290,33 +290,19 @@ class TransportCalculation:
         solver = RGFSolver if self.method == "rgf" else WFSolver
         return solver(H, eta=self.eta, surface_method=surface_method)
 
-    def _charge_flops(self, counter: FlopCounter, shape, n_channels: int) -> None:
-        """Charge one (k, E) solve on a device of ``shape`` = (slabs, widest)."""
-        n, m = shape
-        counter.add("surface_gf", 2 * sancho_rubio_flops(m, 25))
-        if self.method == "rgf":
-            counter.add("rgf", rgf_solve_flops(n, m))
-        else:
-            counter.add("wf", wf_solve_flops(n, m, max(n_channels, 1)))
-
-    def _integrate(self, grid, results, mu_s, mu_d, kT):
-        """Reduce stacked kernel results over ``grid``: *the* quadrature.
+    def _integrate(self, grid, stack, mu_s, mu_d, kT):
+        """Reduce a kernel result stack over ``grid``: *the* quadrature.
 
         One :func:`~repro.negf.carrier_density` and one
-        :func:`~repro.negf.landauer_current` over ``results[i]`` at
-        ``grid.energies[i]``, for a whole k-grid (the bias loop) or a
+        :func:`~repro.negf.landauer_current` over the rows of ``stack``
+        at ``grid.energies``, for a whole k-grid (the bias loop) or a
         rank's share of one (the weights of the common grid make shares
         additive).  Returns ``(current_a, density_per_atom, transmission,
         channels)`` of this k-point, *before* the momentum weight.
         """
-        t = np.array([res.transmission for res in results], dtype=float)
-        channels = np.array(
-            [res.n_channels_left for res in results], dtype=int
-        )
+        t = stack.transmission
         n_orbital = carrier_density(
-            grid,
-            np.array([res.spectral_left for res in results]),
-            np.array([res.spectral_right for res in results]),
+            grid, stack.spectral_left, stack.spectral_right,
             mu_s, mu_d, kT, spin_degeneracy=self.spin_degeneracy,
         )
         current = landauer_current(
@@ -325,7 +311,7 @@ class TransportCalculation:
         density = orbital_to_atom(
             n_orbital, self.built.material.orbitals_per_atom
         )
-        return current, density, t, channels
+        return current, density, t, stack.n_channels_left
 
     def _effective_backend(self):
         """Backend actually used for chunk dispatch.
@@ -356,9 +342,10 @@ class TransportCalculation:
         The grid is split into one contiguous chunk per worker (all in
         one chunk for the serial backend) and each chunk is solved by
         :func:`_solve_chunk` in memory-bounded stacked ``solve_batch``
-        calls (:func:`solve_energies`), then reassembled in grid order.
-        Stacked results do not depend on how the grid is split, so every
-        backend and worker count is bit-identical.
+        calls (:func:`solve_energies`); the chunk stacks are joined in
+        grid order, one ``concatenate`` per field, into the one result
+        stack returned.  Stacked results do not depend on how the grid is
+        split, so every backend and worker count is bit-identical.
 
         When a tracer or metrics registry is live and the chunks go to
         the process pool, each chunk runs under
@@ -373,8 +360,6 @@ class TransportCalculation:
         wave loop pre-chunks small waves per point
         (:func:`repro.parallel.wave_chunks`).
         """
-        if not energies:
-            return []
         backend = self._effective_backend()
         if chunks is None:
             n_chunks = 1 if backend.name == "serial" else backend.workers
@@ -399,12 +384,10 @@ class TransportCalculation:
                     path="pickled",
                 )
         events = get_events()
-        out: list = []
-        for chunk_id, chunk_results in enumerate(
-            backend.map(_solve_chunk, payloads)
-        ):
+        stacks = []
+        for chunk_id, stack in enumerate(backend.map(_solve_chunk, payloads)):
             if capture:
-                chunk_results, delta = chunk_results
+                stack, delta = stack
                 if delta is not None and metrics.enabled:
                     metrics.observe(
                         "telemetry.delta_bytes",
@@ -415,10 +398,10 @@ class TransportCalculation:
             if events.enabled:
                 events.emit(
                     "chunk_retired", chunk=chunk_id,
-                    n_points=len(chunk_results), path="pickled",
+                    n_points=len(stack), path="pickled",
                 )
-            out.extend(chunk_results)
-        return out
+            stacks.append(stack)
+        return type(stacks[0]).concatenate(stacks)
 
     # -- adaptive energy waves -----------------------------------------
 
@@ -431,7 +414,8 @@ class TransportCalculation:
         ``kp`` (per-point below ``min_chunk * workers`` nodes, contiguous
         chunks above — :func:`repro.parallel.wave_chunks`), the refinement
         indicator ``[T*(fL-fR), log1p(spectral-density / wave-0 max)]`` is
-        computed over the wave from the returned float64 results, and the
+        computed over the wave's rows as one stack (one row sum per
+        spectral array), and the
         next wave of bisection midpoints is emitted until tolerance, the
         node budget or the pass cap.  Every split decision is made in the
         parent from bitwise round-tripped results, so the node set — and
@@ -468,23 +452,19 @@ class TransportCalculation:
         wave = refiner.first_wave()
         while wave:
             n_waves += 1
-            fresh = [e for e in wave if e not in kp.results]
+            fresh = [e for e in wave if e not in kp.rows]
             if fresh:
                 kp.solve(fresh, chunks=wave_chunks(len(fresh), n_workers))
             n_solved += len(fresh)
-            solved = [e for e in wave if kp.results[e] is not None]
-            sampled = np.array(
-                [
-                    (r.transmission, r.spectral_left.sum(),
-                     r.spectral_right.sum())
-                    for r in map(kp.results.get, solved)
-                ],
-                dtype=float,
-            ).reshape(-1, 3)
+            solved = [e for e in wave if kp.rows[e] is not None]
             fl = fermi_dirac(solved, mu_s, kT)
             fr = fermi_dirac(solved, mu_d, kT)
-            t_term = sampled[:, 0] * (fl - fr)
-            s_term = sampled[:, 1] * fl + sampled[:, 2] * fr
+            t_term = s_term = np.zeros(0)
+            if solved:
+                rows = kp.stack(solved)
+                t_term = rows.transmission * (fl - fr)
+                s_term = (rows.spectral_left.sum(axis=1) * fl
+                          + rows.spectral_right.sum(axis=1) * fr)
             if spec_scale is None:
                 # normalize the spectral component by its wave-0
                 # magnitude so both indicator components are O(1);
@@ -618,9 +598,9 @@ class TransportCalculation:
             else:
                 k_grid = grid
                 kp.solve(grid.energies.tolist())
-            k_grid, results = kp.surviving(k_grid)
+            k_grid, stack = kp.surviving(k_grid)
             current_k, density_k, t_k, channels_k = self._integrate(
-                k_grid, results, mu_s, mu_d, kT
+                k_grid, stack, mu_s, mu_d, kT
             )
             density += wk * density_k
             current += wk * current_k
@@ -658,11 +638,11 @@ class _KPoint:
 
     Holds what the nodes of one k-point share — the Hamiltonian (with the
     one ``"hblock"`` fault-injection site applied), the configured solver,
-    the device shape the flop model charges and ``results``, the
-    ``{energy: kernel result | None}`` memo (``None`` = quarantined) — and
-    the accounts of the bias solve they report into.  The uniform grid
-    and every adaptive wave call :meth:`solve`; nothing else runs a kernel
-    for the bias loop.
+    the device shape the flop model charges, the accepted kernel result
+    stacks and ``rows``, the ``{energy: row of those stacks | None}`` memo
+    (``None`` = quarantined) — and the accounts of the bias solve they
+    report into.  The uniform grid and every adaptive wave call
+    :meth:`solve`; nothing else runs a kernel for the bias loop.
     """
 
     def __init__(self, calc, ik, k, potential_ev, flops, degradation,
@@ -689,23 +669,27 @@ class _KPoint:
         )
         self.solver = calc._make_solver(H)
         self.shape = (H.n_blocks, int(H.block_sizes.max()))
-        self.results: dict[float, object] = {}
+        self.rows: dict[float, int | None] = {}
+        self._stacks: list = []
+        self._n_rows = 0
 
     def solve(self, energies: list, chunks=None) -> None:
-        """Solve ``energies`` into :attr:`results`: dispatch, accept, heal.
+        """Solve ``energies`` into :attr:`rows`: dispatch, accept, heal.
 
         Dispatch through the calculation's backend
-        (:meth:`TransportCalculation._run_backend`; ``chunks`` as there),
-        accept every finite result and charge its flops, then take what
-        the chunked path could not deliver cleanly — or everything, when
-        the k-point is pinned — point by point down :meth:`_heal`.
+        (:meth:`TransportCalculation._run_backend`; ``chunks`` as there)
+        and accept the rows of the returned stack its ``finite`` mask
+        passes — one memo update and one flop charge for the whole stack.
+        Only the rejected rows — or every energy, when the chunked path
+        raised or the k-point is pinned — go one by one down
+        :meth:`_heal`.
         """
         sentinel, degradation = self.sentinel, self.degradation
         contain = sentinel.enabled and not sentinel.strict
-        delivered = []
+        rejected = energies
         if not self.pinned:
             try:
-                delivered = self.calc._run_backend(
+                stack = self.calc._run_backend(
                     self.solver, energies, chunks=chunks
                 )
             except DegradationBudgetError:
@@ -714,21 +698,56 @@ class _KPoint:
                 if not contain:
                     raise
                 degradation.record_ladder("chunk:exception")
-        for energy, res in zip(energies, delivered):
-            if res is not None and not result_non_finite(res):
-                self._accept(energy, res)
-        leftover = [e for e in energies if e not in self.results]
-        if leftover and contain and not self.pinned:
+            else:
+                good = stack.finite
+                if good.all():
+                    self._store(energies, stack)
+                    rejected = []
+                else:
+                    nodes = np.array(energies)
+                    rejected = nodes[~good].tolist()
+                    if good.any():
+                        self._store(nodes[good].tolist(), stack[good])
+        if rejected and contain and not self.pinned:
             degradation.record_ladder("chunk:per-point")
-        for energy in leftover:
-            self._accept(energy, self._heal(energy))
+        for energy in rejected:
+            self._store([energy], self._heal(energy))
 
-    def _accept(self, energy, res) -> None:
-        self.results[energy] = res
-        if res is not None:
-            self.calc._charge_flops(
-                self.flops, self.shape, res.n_channels_left
-            )
+    def _store(self, energies, stack) -> None:
+        """Memo ``stack`` as the rows of ``energies`` (None: quarantined)
+        and charge its flops — once per stack, and on WF once per
+        distinct open-channel count: every charge is an integer-valued
+        float far below 2**53, so the totals equal a per-row charge."""
+        if stack is None:
+            self.rows.update(dict.fromkeys(energies))
+            return
+        b = len(stack)
+        self.rows.update(zip(energies, range(self._n_rows, self._n_rows + b)))
+        self._n_rows += b
+        self._stacks.append(stack)
+        n, m = self.shape
+        self.flops.add("surface_gf", b * 2 * sancho_rubio_flops(m, 25))
+        if self.calc.method == "rgf":
+            self.flops.add("rgf", b * rgf_solve_flops(n, m))
+            return
+        channels, counts = np.unique(
+            np.maximum(stack.n_channels_left, 1), return_counts=True
+        )
+        for c, count in zip(channels.tolist(), counts.tolist()):
+            self.flops.add("wf", count * wf_solve_flops(n, m, c))
+
+    def stack(self, energies):
+        """The accepted rows of ``energies`` (none quarantined) as one
+        stack in that order: the k-point's stacks joined once, then one
+        gather unless the rows already are in order."""
+        if len(self._stacks) > 1:
+            # the fields every kernel and the oracle rung share
+            self._stacks = [RGFResult.concatenate(self._stacks)]
+        joined = self._stacks[0]
+        rows = [self.rows[e] for e in energies]
+        if rows == list(range(len(joined))):
+            return joined
+        return joined[np.array(rows)]
 
     def _heal(self, e):
         """Solve one energy down the graceful-degradation ladder.
@@ -738,9 +757,10 @@ class _KPoint:
         corruption) with the ``robust`` surface ladder -> the dense-oracle
         reference solve -> quarantine (returns None).  Strict mode, and a
         run with neither sentinel nor injector, take the first rung only
-        and let every error propagate.  Every solver rung is a stack of
-        one through :func:`solve_energies`, so a healed point is
-        bit-identical to the same point solved inside a clean stack.  The
+        and let every error propagate.  Every rung returns a stack of one
+        whose ``finite`` mask is the verdict; the solver rungs run through
+        :func:`solve_energies`, so a healed point is bit-identical to the
+        same point solved inside a clean stack.  The
         ``"energy"`` fault site fires once per rung, so a persistent
         (``once=False``) fault climbs the whole ladder.
         """
@@ -759,7 +779,7 @@ class _KPoint:
                     if injector is not None else None
                 )
                 if rung is None:
-                    res = solve_energies(self.solver, [e])[0]
+                    res = solve_energies(self.solver, [e])
                 else:
                     H = calc.hamiltonian(self.potential_ev, self.k)
                     if mode in ("nan", "illcond"):
@@ -768,10 +788,10 @@ class _KPoint:
                         res = dense_oracle_solve(H, e, eta=calc.eta)
                     else:
                         robust = calc._make_solver(H, surface_method="robust")
-                        res = solve_energies(robust, [e])[0]
+                        res = solve_energies(robust, [e])
                 if mode == "nan":
                     res = nan_like(res)
-                bad = guarded and result_non_finite(res)
+                bad = guarded and not res.finite[0]
                 if rung is None:
                     if bad:
                         sentinel.trip(
@@ -791,14 +811,15 @@ class _KPoint:
         return None
 
     def surviving(self, grid):
-        """``(grid, results)`` of this k-point without its quarantined nodes.
+        """``(grid, stack)`` of this k-point without its quarantined nodes.
 
         Dropped nodes are checked against the calculation's
         :class:`~repro.resilience.DegradationBudget` and the trapezoid
-        weights rebuilt on the survivors.
+        weights rebuilt on the survivors; ``stack`` holds their rows in
+        grid order (:meth:`stack`).
         """
         energies = grid.energies.tolist()
-        kept = [e for e in energies if self.results.get(e) is not None]
+        kept = [e for e in energies if self.rows[e] is not None]
         if len(kept) < len(energies):
             self.calc.degradation_budget.check(
                 len(energies) - len(kept), len(energies),
@@ -808,7 +829,7 @@ class _KPoint:
             grid = EnergyGrid(pts, trapezoid_weights(pts))
             self.degradation.reweighted_grids += 1
             self.degradation.record_ladder("quadrature:reweight")
-        return grid, [self.results[e] for e in kept]
+        return grid, self.stack(kept)
 
 
 def _in_worker() -> bool:
@@ -840,14 +861,15 @@ def stack_length(n_blocks: int, block_size: int) -> int:
     return max(1, STACK_BUDGET_BYTES // per_energy)
 
 
-def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
+def solve_energies(solver, energies, injector=None, chunk_id=0):
     """Solve ``energies`` on ``solver``: *the* energy-sweep execution.
 
     Every dispatch — serial grid, backend chunk, adaptive wave,
     distributed rank, and the single-point rungs of the degradation
     ladder and retry loops as a stack of one — lands here and runs the
     stacked kernel (``solve_batch``) in sub-stacks of :func:`stack_length`
-    energies.  Stacked results are per-slice
+    energies, joined into the one result stack returned (one
+    ``concatenate`` per field).  Stacked results are per-slice
     independent of the stack they ride in, so the split changes memory,
     never a bit of the answer.
 
@@ -862,16 +884,16 @@ def solve_energies(solver, energies, injector=None, chunk_id=0) -> list:
     H = solver.H
     step = stack_length(H.n_blocks, H.block_sizes.max())
     events = get_events()
-    results: list = []
+    stacks = []
     for lo in range(0, len(energies), step):
-        results.extend(solver.solve_batch(energies[lo:lo + step]))
+        stacks.append(solver.solve_batch(energies[lo:lo + step]))
         if not in_worker:
             events.maybe_heartbeat(
-                stage="energy-stack", solved=len(results), of=len(energies)
+                stage="energy-stack", solved=min(lo + step, len(energies)),
+                of=len(energies),
             )
-    if mode == "nan":
-        results = [nan_like(r) for r in results]
-    return results
+    stack = type(stacks[0]).concatenate(stacks)
+    return nan_like(stack) if mode == "nan" else stack
 
 
 def _solve_chunk(payload):
@@ -885,7 +907,7 @@ def _solve_chunk(payload):
     telemetry ``capture`` flag.  With ``capture`` the chunk runs under
     :func:`~repro.observability.telemetry.capture_telemetry` — the
     instrumented kernels trace into a worker-local tracer/registry and
-    the return value becomes a ``(results, delta)`` envelope the parent
+    the return value becomes a ``(stack, delta)`` envelope the parent
     merges back.  The capture only engages inside a real worker process;
     the parent-side executions of the same payload (single-chunk
     shortcut, speculative straggler recompute, pool-restart salvage)
@@ -900,9 +922,7 @@ def _solve_chunk(payload):
                 "chunk", category="task",
                 chunk=chunk_id, n_energies=len(energies),
             ):
-                results = solve_energies(
-                    solver, energies, injector, chunk_id
-                )
+                stack = solve_energies(solver, energies, injector, chunk_id)
         else:
-            results = solve_energies(solver, energies, injector, chunk_id)
-    return results, cap.delta
+            stack = solve_energies(solver, energies, injector, chunk_id)
+    return stack, cap.delta

@@ -16,17 +16,22 @@ contraction is one GEMM plus an elementwise row sum
 (``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``), never a
 per-energy loop.  The tests validate it against dense inversion
 (:mod:`repro.negf.dense_ref`) and against the analytic chain results.
+
+:meth:`RGFSolver.solve_batch` returns *one* :class:`RGFResult` whose
+fields carry a leading energy axis, plus the per-row ``finite`` mask the
+kernel's health check reads (:class:`ResultStack`); ``stack[b]`` is the
+row of energy b, so :meth:`RGFSolver.solve` is ``solve_batch([E])[0]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..observability.invariants import get_monitor
 from ..observability.tracer import trace_span
-from ..resilience.health import get_sentinel
+from ..resilience.health import finite_rows, get_sentinel
 from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from .self_energy import Contacts, LeadSelfEnergy, broadening, open_channels
@@ -114,31 +119,111 @@ def assemble_system_blocks(
     return diag, upper, lower
 
 
+class ResultStack:
+    """Kernel results of B energies as one object.
+
+    Every field of a result dataclass deriving from this carries a
+    leading energy axis, ``finite`` included — the per-row verdict of
+    :meth:`checked`.  ``stack[b]`` is energy b's row (views of the
+    arrays, numpy scalars for the per-energy numbers), ``len`` and
+    iteration work as on a list of rows, and a slice, mask or index
+    array gives a sub-stack.
+    """
+
+    @classmethod
+    def checked(cls, site=None, **arrays):
+        """The stack of the field ``arrays`` with its ``finite`` mask.
+
+        ``finite[b]`` is True when row b of every float field is free of
+        NaN/Inf (:func:`repro.resilience.health.finite_rows`: one
+        ``isfinite`` per field, whatever B).  With a ``site``, a live
+        sentinel trips ``<site>:nonfinite`` iff some row is not finite.
+        """
+        finite = finite_rows(
+            *(v for v in arrays.values() if v.dtype.kind == "f")
+        )
+        sentinel = get_sentinel()
+        if site is not None and sentinel.enabled and not finite.all():
+            sentinel.trip(site, "nonfinite", detail=f"batch of {finite.size}")
+        return cls(**arrays, finite=finite)
+
+    @classmethod
+    def concatenate(cls, stacks):
+        """One stack of ``cls``'s fields read off ``stacks`` in order: one
+        ``concatenate`` per field (a lone stack is returned as is)."""
+        if len(stacks) == 1:
+            return stacks[0]
+        return cls(**{
+            f.name: np.concatenate([getattr(s, f.name) for s in stacks])
+            for f in fields(cls)
+        })
+
+    def __len__(self):
+        return len(self.finite)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, index):
+        return type(self)(**{k: v[index] for k, v in vars(self).items()})
+
+
 @dataclass
-class RGFResult:
-    """Observables of one RGF solve at a single (k, E) point.
+class RGFResult(ResultStack):
+    """Observables of RGF solves at B energies of one k-point, stacked.
 
     Attributes
     ----------
-    energy : float
-    transmission : float
+    energy : ndarray, shape (B,)
+    transmission : ndarray, shape (B,)
         T(E) from left to right.
-    dos : ndarray
+    dos : ndarray, shape (B, n_orbitals)
         Local density of states per orbital, -Im diag(G)/pi  (1/eV).
-    spectral_left, spectral_right : ndarray
+    spectral_left, spectral_right : ndarray, shape (B, n_orbitals)
         diag(A_L)/2pi and diag(A_R)/2pi per orbital (1/eV): energy-resolved
         carrier density injected from each contact.
-    n_channels_left, n_channels_right : int
-        Open lead channels at this energy.
+    n_channels_left, n_channels_right : ndarray of int, shape (B,)
+        Open lead channels at each energy.
+    finite : ndarray of bool, shape (B,)
+        Rows whose every float field is NaN/Inf-free.
     """
 
-    energy: float
-    transmission: float
+    energy: np.ndarray
+    transmission: np.ndarray
     dos: np.ndarray
     spectral_left: np.ndarray
     spectral_right: np.ndarray
-    n_channels_left: int
-    n_channels_right: int
+    n_channels_left: np.ndarray
+    n_channels_right: np.ndarray
+    finite: np.ndarray
+
+
+def _check_invariants(monitor, kernel, stack, gam_l, gam_r) -> None:
+    """The physics invariants of every energy of a result stack, reported
+    with its own energy to a live :class:`InvariantMonitor`."""
+    energies, t = stack.energy.tolist(), stack.transmission.tolist()
+    n_l = stack.n_channels_left.tolist()
+    n_r = stack.n_channels_right.tolist()
+    currents = getattr(stack, "interface_currents", None)
+    for b, energy in enumerate(energies):
+        monitor.check_gamma(gam_l[b], kernel=kernel, side="left",
+                            energy=energy)
+        monitor.check_gamma(gam_r[b], kernel=kernel, side="right",
+                            energy=energy)
+        # below the band edge (zero open channels) eta-broadening leaves
+        # a tiny positive T; the bounds only bind with modes
+        if min(n_l[b], n_r[b]) > 0:
+            monitor.check_transmission(
+                t[b], min(n_l[b], n_r[b]), kernel=kernel, energy=energy,
+            )
+            if currents is not None:
+                monitor.check_current_conservation(
+                    currents[b], t[b], kernel=kernel, energy=energy,
+                )
+        monitor.check_density(stack.spectral_left[b], kernel=kernel,
+                              side="left", energy=energy)
+        monitor.check_density(stack.spectral_right[b], kernel=kernel,
+                              side="right", energy=energy)
 
 
 class RGFSolver:
@@ -196,16 +281,17 @@ class RGFSolver:
             return self._solve_batch(np.array([energy]))[0]
 
     # ------------------------------------------------------------------
-    def solve_batch(self, energies) -> list[RGFResult]:
+    def solve_batch(self, energies) -> RGFResult:
         """RGF solves for a whole stack of energies in stacked calls.
 
         One sequence of ``(B, m, m)`` stacked factorisations and sweeps
         (:class:`repro.solvers.BlockTridiagLU` on stacks plus the stacked
         Sancho-Rubio decimation), which amortises the Python dispatch
-        overhead of small blocks over the stack.  Every stacked kernel is
-        per-slice bit-identical to its stack-of-one call, so the result
-        for an energy does not depend on which energies share its stack.
-        Block-LU and surface-GF flops are charged per energy.
+        overhead of small blocks over the stack, returned as one
+        :class:`RGFResult` stack.  Every stacked kernel is per-slice
+        bit-identical to its stack-of-one call, so the row of an energy
+        does not depend on which energies share its stack.  Block-LU and
+        surface-GF flops are charged per energy.
         """
         energies = np.asarray(energies, dtype=float).ravel()
         if energies.size == 0:
@@ -218,67 +304,27 @@ class RGFSolver:
 
     # -- the one stacked implementation --------------------------------
 
-    def _results(self, energies, t, dos, spectral_l, spectral_r,
-                 gam_l, gam_r) -> list:
-        """Per-energy result objects, invariants checked.
-
-        The open-channel counts are one stacked ``eigvalsh`` per contact;
-        the only per-energy work besides building the result objects is
-        the invariant checks, and only under a live monitor.
-        """
-        n_l = open_channels(np.linalg.eigvalsh(gam_l)).tolist()
-        n_r = open_channels(np.linalg.eigvalsh(gam_r)).tolist()
-        energies = energies.tolist()
-        t = t.tolist()
-        monitor = get_monitor()
-        if monitor.enabled:
-            for b, energy in enumerate(energies):
-                monitor.check_gamma(gam_l[b], kernel="rgf", side="left",
-                                    energy=energy)
-                monitor.check_gamma(gam_r[b], kernel="rgf", side="right",
-                                    energy=energy)
-                # below the band edge (zero open channels) eta-broadening
-                # leaves a tiny positive T; the bound only binds with modes
-                if min(n_l[b], n_r[b]) > 0:
-                    monitor.check_transmission(
-                        t[b], min(n_l[b], n_r[b]), kernel="rgf",
-                        energy=energy,
-                    )
-                monitor.check_density(spectral_l[b], kernel="rgf",
-                                      side="left", energy=energy)
-                monitor.check_density(spectral_r[b], kernel="rgf",
-                                      side="right", energy=energy)
-        return [
-            RGFResult(
-                energy=energy,
-                transmission=t[b],
-                dos=dos[b],
-                spectral_left=spectral_l[b],
-                spectral_right=spectral_r[b],
-                n_channels_left=n_l[b],
-                n_channels_right=n_r[b],
-            )
-            for b, energy in enumerate(energies)
-        ]
-
-    def _solve_batch(self, energies: np.ndarray) -> list:
+    def _solve_batch(self, energies: np.ndarray) -> RGFResult:
         """Solve one stack: the contacts, then :meth:`kernel_stage`."""
         return self.kernel_stage(
             energies, *self.contacts.sigma_stacks(energies)
         )
 
-    def kernel_stage(self, energies, sigma_l, sigma_r) -> list:
+    def kernel_stage(self, energies, sigma_l, sigma_r) -> RGFResult:
         """Everything after the contacts: factor, sweep, contract.
 
         ``sigma_l`` / ``sigma_r`` are the ``(B, m, m)`` self-energy stacks
         of :meth:`repro.negf.Contacts.sigma_stacks` at ``energies``; a
         benchmark that excludes the contacts evaluates them once and
-        times this call.  Between here and the result list every step is
+        times this call.  Between here and the result stack every step is
         a stacked LAPACK/BLAS/ufunc call: the contact spectral densities
         are one GEMM per block column plus an elementwise row-sum,
-        ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``.
+        ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``, and the
+        open-channel counts one stacked ``eigvalsh`` per contact.  The
+        only per-energy loop is the invariant checks, and only under a
+        live monitor.
         """
-        energies = np.asarray(energies, dtype=float)
+        energies = np.array(energies, dtype=float)
         n = self.H.n_blocks
         lu = BlockTridiagLU(
             *assemble_system_blocks(self.H, energies, sigma_l, sigma_r)
@@ -290,19 +336,20 @@ class RGFSolver:
         gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
         g_0n = coln[:, : lu.sizes[0]]
         prod = gam_l @ g_0n @ gam_r @ np.conj(np.swapaxes(g_0n, -2, -1))
-        t = np.trace(prod, axis1=-2, axis2=-1).real
-        spectral_l = _contact_density(col0, gam_l)
-        spectral_r = _contact_density(coln, gam_r)
-        dos = -np.concatenate(
-            [np.diagonal(g, axis1=1, axis2=2).imag for g in gdiag], axis=1
-        ) / np.pi
-
-        sentinel = get_sentinel()
-        if sentinel.enabled:
-            sentinel.check_finite(
-                "rgf", t, spectral_l, spectral_r, dos,
-                detail=f"batch of {len(energies)}",
-            )
-        return self._results(
-            energies, t, dos, spectral_l, spectral_r, gam_l, gam_r
+        stack = RGFResult.checked(
+            "rgf",
+            energy=energies,
+            transmission=np.trace(prod, axis1=-2, axis2=-1).real,
+            dos=-np.concatenate(
+                [np.diagonal(g, axis1=1, axis2=2).imag for g in gdiag],
+                axis=1,
+            ) / np.pi,
+            spectral_left=_contact_density(col0, gam_l),
+            spectral_right=_contact_density(coln, gam_r),
+            n_channels_left=open_channels(np.linalg.eigvalsh(gam_l)),
+            n_channels_right=open_channels(np.linalg.eigvalsh(gam_r)),
         )
+        monitor = get_monitor()
+        if monitor.enabled:
+            _check_invariants(monitor, "rgf", stack, gam_l, gam_r)
+        return stack

@@ -44,7 +44,6 @@ from .faults import (
     InjectedFault,
     nan_like,
     non_finite,
-    result_non_finite,
 )
 from .health import (
     HealthEvent,
@@ -69,7 +68,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "non_finite",
-    "result_non_finite",
     "nan_like",
     "RetryPolicy",
     "SCFRescue",

@@ -232,8 +232,9 @@ class DegradationBudget:
 def dense_oracle_solve(H, energy: float, eta: float = 1e-6):
     """Last-rung reference solve of one energy by full dense inversion.
 
-    Returns an :class:`repro.negf.rgf.RGFResult` — the field set both the
-    WF and RGF assembly paths consume — read off
+    Returns an :class:`repro.negf.rgf.RGFResult` stack of one — the field
+    set both the WF and RGF assembly paths consume, with the ``finite``
+    mask the ladder reads — built from
     :func:`repro.negf.dense_ref.dense_observables` with ``robust``-ladder
     contact self-energies on the device's own end blocks.  O((N m)^3):
     acceptable only because the ladder reaches this rung for a handful of
@@ -246,7 +247,10 @@ def dense_oracle_solve(H, energy: float, eta: float = 1e-6):
         H, float(energy), (H.diagonal[0], H.upper[0]),
         (H.diagonal[-1], H.upper[-1]), eta=eta, surface_method="robust",
     )
-    return RGFResult(**{f.name: observables[f.name] for f in fields(RGFResult)})
+    return RGFResult.checked(**{
+        f.name: np.asarray([observables[f.name]])
+        for f in fields(RGFResult) if f.name != "finite"
+    })
 
 
 def corrupt_hamiltonian(H, mode: str):

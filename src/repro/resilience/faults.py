@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +41,6 @@ __all__ = [
     "FaultInjector",
     "non_finite",
     "nan_like",
-    "result_non_finite",
 ]
 
 _ACTIONS = ("raise", "nan", "illcond", "stall", "hang", "dead_rank")
@@ -221,30 +219,18 @@ def non_finite(obj) -> bool:
     return False
 
 
-def result_non_finite(res) -> bool:
-    """:func:`non_finite` for one kernel result (``RGFResult``/``WFResult``).
-
-    Same verdict — any NaN/Inf float or float-array field rejects the
-    point — at one ``isfinite`` per array instead of the recursive
-    dataclass walk: the transport driver asks this once per (k, E) point.
-    """
-    for value in vars(res).values():
-        if isinstance(value, np.ndarray):
-            if value.dtype.kind in "fc" and not np.isfinite(value).all():
-                return True
-        elif isinstance(value, (float, np.floating)) and not math.isfinite(
-            value
-        ):
-            return True
-    return False
-
-
 def nan_like(obj):
-    """A NaN-corrupted copy of ``obj`` (the payload of a ``"nan"`` fault)."""
+    """A NaN-corrupted copy of ``obj`` (the payload of a ``"nan"`` fault).
+
+    Float and complex leaves become NaN and boolean arrays False — a
+    kernel result stack's ``finite`` mask then rejects every row.
+    """
     if isinstance(obj, np.ndarray):
         out = np.array(obj)
         if out.dtype.kind in "fc":
             out[...] = np.nan
+        elif out.dtype.kind == "b":
+            out[...] = False
         return out
     if isinstance(obj, (float, np.floating)):
         return float("nan")

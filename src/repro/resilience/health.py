@@ -18,8 +18,10 @@ kernel a cheap, always-available health check:
 
 * ``check_finite`` / ``check_condition`` / ``check_residual`` — the three
   sentinel primitives instrumented into ``solvers/block_tridiagonal.py``,
-  ``negf/surface_gf.py``, ``negf/rgf.py``, ``wf/qtbm.py`` and
-  ``poisson/nonlinear.py``.
+  ``negf/surface_gf.py`` and ``poisson/nonlinear.py``.  The transport
+  kernels (``negf/rgf.py``, ``wf/qtbm.py``) keep :func:`finite_rows` of
+  their observables as the result stack's ``finite`` mask and trip
+  ``nonfinite`` iff it has a False row.
 
 * ``condition_estimate`` — the classic 1-norm estimate
   ``cond1(A) ~ ||A||_1 * ||A^-1||_1`` (``norm1`` per factor), essentially
@@ -49,6 +51,7 @@ __all__ = [
     "HealthEvent",
     "HealthSentinel",
     "condition_estimate",
+    "finite_rows",
     "get_sentinel",
     "norm1",
     "set_sentinel",
@@ -67,6 +70,15 @@ def norm1(a):
     arithmetic, and this runs once per slab of every factorisation.
     """
     return np.maximum.reduce(np.add.reduce(np.absolute(a), axis=-2), axis=-1)
+
+
+def finite_rows(*stacks) -> np.ndarray:
+    """Per-row verdict over ``(B, ...)`` stacks: True where row b of every
+    stack is free of NaN/Inf — one ``isfinite`` per stack, whatever B."""
+    ok = True
+    for a in stacks:
+        ok = ok & np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    return ok
 
 
 def condition_estimate(a, a_inv) -> float:

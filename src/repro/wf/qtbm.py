@@ -23,8 +23,11 @@ Everything observable is built from the scattering states:
 
 The energy sweep (:meth:`WFSolver.solve_batch`) factors whole stacks of
 energies with the stacked block LU (:class:`repro.solvers.BlockTridiagLU`)
-and evaluates every observable over the energy axis; a single energy
-(:meth:`WFSolver.solve`) is a stack of one.
+and evaluates every observable over the energy axis.  It returns *one*
+:class:`WFResult` whose fields carry a leading energy axis, plus the
+per-row ``finite`` mask the kernel's health check reads
+(:class:`repro.negf.rgf.ResultStack`); ``stack[b]`` is the row of energy
+b, so a single energy (:meth:`WFSolver.solve`) is ``solve_batch([E])[0]``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ import numpy as np
 
 from ..observability.invariants import get_monitor
 from ..observability.tracer import get_tracer, trace_span
-from ..resilience.health import get_sentinel
 from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (
+    ResultStack,
+    _check_invariants,
     assemble_system_blocks,
     equal_width_groups,
     sliver_stack,
@@ -49,42 +53,42 @@ __all__ = ["WFResult", "WFSolver"]
 
 
 @dataclass
-class WFResult:
-    """Observables of one wave-function solve at a single (k, E) point.
+class WFResult(ResultStack):
+    """Observables of wave-function solves at B energies, stacked.
 
-    Mirrors :class:`repro.negf.RGFResult` so the two kernels are drop-in
-    interchangeable for the integration and SCF layers.
+    Mirrors :class:`repro.negf.RGFResult` (same fields, same leading
+    energy axis) so the two kernels are drop-in interchangeable for the
+    integration and SCF layers, plus ``reflection`` and
+    ``interface_currents``.
 
-    ``interface_currents`` resolves the left-injected probability current
-    across every slab interface (arbitrary units proportional to T):
-    coherent ballistic transport conserves it, so all N-1 entries are
-    equal — the strongest internal-consistency check a transport kernel
-    offers, exercised by the tests.
+    ``interface_currents`` (shape ``(B, N - 1)``) resolves the
+    left-injected probability current across every slab interface
+    (arbitrary units proportional to T): coherent ballistic transport
+    conserves it, so all N-1 entries of a row are equal — the strongest
+    internal-consistency check a transport kernel offers, exercised by
+    the tests.
     """
 
-    energy: float
-    transmission: float
-    reflection: float
+    energy: np.ndarray
+    transmission: np.ndarray
+    reflection: np.ndarray
     dos: np.ndarray
     spectral_left: np.ndarray
     spectral_right: np.ndarray
-    n_channels_left: int
-    n_channels_right: int
-    interface_currents: np.ndarray | None = None
+    n_channels_left: np.ndarray
+    n_channels_right: np.ndarray
+    interface_currents: np.ndarray
+    finite: np.ndarray
 
     @property
-    def current_conservation_defect(self) -> float:
-        """|T + R - n_open_left|: must vanish in coherent transport."""
+    def current_conservation_defect(self):
+        """|T + R - n_open_left| per row: must vanish in coherent transport."""
         return abs(self.transmission + self.reflection - self.n_channels_left)
 
     @property
-    def interface_current_spread(self) -> float:
-        """max - min of the interface currents (0 = perfectly conserved)."""
-        if self.interface_currents is None or self.interface_currents.size == 0:
-            return 0.0
-        return float(
-            self.interface_currents.max() - self.interface_currents.min()
-        )
+    def interface_current_spread(self):
+        """max - min of the interface currents per row (0 = conserved)."""
+        return np.ptp(self.interface_currents, axis=-1)
 
 
 class WFSolver:
@@ -170,9 +174,9 @@ class WFSolver:
 
     # -- the one observables function, over the energy axis ------------
 
-    def _observables(self, energies, psi_l, psi_r, gam_l, gam_r,
-                     n_open_l, n_open_r) -> list:
-        """All WF observables of a stack from its scattering states.
+    def _observables(self, psi_l, psi_r, gam_r) -> tuple:
+        """``(T, spectral_left, spectral_right, interface_currents)`` of a
+        stack from its scattering states.
 
         ``psi_l`` / ``psi_r`` are the ``(B, n_total, c)`` left- and
         right-injected states of B energies that inject the same number
@@ -183,64 +187,17 @@ class WFSolver:
         offsets = self.H.block_offsets().tolist()
         # T = sum_m psi_m^+ Gamma_R psi_m over left-injected states
         t = _transmission(psi_l[:, offsets[-2]:], gam_r)
-        reflection = np.maximum(n_open_l - t, 0.0)
-
         currents = _interface_currents(psi_l, self.H.upper, offsets)
-
         spectral_l = _row_norms(psi_l) / (2.0 * np.pi)
         spectral_r = _row_norms(psi_r) / (2.0 * np.pi)
-        # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) * 2 in the coherent limit
-        dos = 2.0 * (spectral_l + spectral_r)
-
-        sentinel = get_sentinel()
-        if sentinel.enabled:
-            sentinel.check_finite(
-                "wf", t, spectral_l, spectral_r, currents,
-                detail=f"batch of {len(energies)}",
-            )
-        energies, t, reflection = (
-            energies.tolist(), t.tolist(), reflection.tolist()
-        )
-        n_open_l, n_open_r = n_open_l.tolist(), n_open_r.tolist()
-        monitor = get_monitor()
-        if monitor.enabled:
-            for b, energy in enumerate(energies):
-                monitor.check_gamma(gam_l[b], kernel="wf", side="left",
-                                    energy=energy)
-                monitor.check_gamma(gam_r[b], kernel="wf", side="right",
-                                    energy=energy)
-                if min(n_open_l[b], n_open_r[b]) > 0:
-                    monitor.check_transmission(
-                        t[b], min(n_open_l[b], n_open_r[b]), kernel="wf",
-                        energy=energy,
-                    )
-                    monitor.check_current_conservation(
-                        currents[b], t[b], kernel="wf", energy=energy,
-                    )
-                monitor.check_density(spectral_l[b], kernel="wf",
-                                      side="left", energy=energy)
-                monitor.check_density(spectral_r[b], kernel="wf",
-                                      side="right", energy=energy)
-        return [
-            WFResult(
-                energy=energy,
-                transmission=t[b],
-                reflection=reflection[b],
-                dos=dos[b],
-                spectral_left=spectral_l[b],
-                spectral_right=spectral_r[b],
-                n_channels_left=n_open_l[b],
-                n_channels_right=n_open_r[b],
-                interface_currents=currents[b],
-            )
-            for b, energy in enumerate(energies)
-        ]
+        return t, spectral_l, spectral_r, currents
 
     # ------------------------------------------------------------------
-    def solve_batch(self, energies) -> list[WFResult]:
+    def solve_batch(self, energies) -> WFResult:
         """WF solves for a batch of energies via stacked block-LU calls.
 
-        ``[self.solve(E) for E in energies]``, bit for bit.  The system
+        One :class:`WFResult` stack whose row b is ``self.solve(E_b)``,
+        bit for bit.  The system
         matrices are factored with the stacked
         :class:`repro.solvers.BlockTridiagLU` and the injection RHS of
         all energies of equal channel counts are solved together
@@ -261,7 +218,7 @@ class WFSolver:
                 energies, *self.contacts.sigma_stacks(energies)
             )
 
-    def kernel_stage(self, energies, sigma_l, sigma_r) -> list[WFResult]:
+    def kernel_stage(self, energies, sigma_l, sigma_r) -> WFResult:
         """Everything after the contacts: inject, factor, solve, contract.
 
         ``sigma_l`` / ``sigma_r`` are the ``(B, m, m)`` self-energy stacks
@@ -273,17 +230,21 @@ class WFSolver:
         factored and solved together at exactly that right-hand-side
         width (:func:`repro.negf.rgf.equal_width_groups`: zero-padding
         to a stack-wide width would make an energy's bits depend on its
-        stack-mates), so the result for an energy never depends on which
-        energies share its stack.
+        stack-mates), so the row of an energy never depends on which
+        energies share its stack; each group scatters its observables
+        into the rows of the preallocated stack arrays.
         """
-        energies = np.asarray(energies, dtype=float)
+        energies = np.array(energies, dtype=float)
         n = self.H.n_blocks
         gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
         ev_l, vec_l, width_l = self._injection(gam_l)
         ev_r, vec_r, width_r = self._injection(gam_r)
         n_open_l, n_open_r = open_channels(ev_l), open_channels(ev_r)
         self._charge_flops(energies.size, int(width_l.sum() + width_r.sum()))
-        results: list = [None] * energies.size
+        rows, size = energies.size, self.H.total_size
+        t = np.empty(rows)
+        spectral_l, spectral_r = np.empty((rows, size)), np.empty((rows, size))
+        currents = np.empty((rows, n - 1))
         for idx in equal_width_groups(width_l, width_r):
             lu = BlockTridiagLU(
                 *assemble_system_blocks(
@@ -297,13 +258,26 @@ class WFSolver:
             psi_r = lu.block_column(
                 n - 1, sliver_stack(ev_r[idx], vec_r[idx], width_r[idx[0]])
             )
-            group = self._observables(
-                energies[idx], psi_l, psi_r, gam_l[idx], gam_r[idx],
-                n_open_l[idx], n_open_r[idx],
+            t[idx], spectral_l[idx], spectral_r[idx], currents[idx] = (
+                self._observables(psi_l, psi_r, gam_r[idx])
             )
-            for b, res in zip(idx.tolist(), group):
-                results[b] = res
-        return results
+        stack = WFResult.checked(
+            "wf",
+            energy=energies,
+            transmission=t,
+            reflection=np.maximum(n_open_l - t, 0.0),
+            # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) * 2, coherent limit
+            dos=2.0 * (spectral_l + spectral_r),
+            spectral_left=spectral_l,
+            spectral_right=spectral_r,
+            n_channels_left=n_open_l,
+            n_channels_right=n_open_r,
+            interface_currents=currents,
+        )
+        monitor = get_monitor()
+        if monitor.enabled:
+            _check_invariants(monitor, "wf", stack, gam_l, gam_r)
+        return stack
 
 
 def _transmission(block_r: np.ndarray, gam_r: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ Everything after the block LU is a stacked GEMM/LAPACK/ufunc call over
 the energy axis.  These tests pin what that must not change: the dense
 oracle (<= 1e-10), slice-of-stack == stack-of-one bit for bit (also when
 the WF injection widths are ragged), per-energy invariant reports, the
-sentinel sites and the ladder that heals them — and, structurally, that
-no three-operand ``einsum`` and no per-energy eigendecomposition is left
-on the ``solve_batch`` path.
+sentinel sites, the ``finite`` mask of a result stack and the ladder that
+heals what it rejects — and, structurally, that no three-operand
+``einsum`` and no per-energy eigendecomposition is left on the
+``solve_batch`` path, and that the driver accepts and charges a k-point
+as a stack, not energy by energy.
 """
 
 import sys
@@ -15,16 +17,19 @@ import numpy as np
 import pytest
 
 from repro.core import TransportCalculation
+from repro.core.transport import _KPoint
 from repro.lattice import partition_into_slabs, rectangular_grid_device
 from repro.negf import RGFSolver, dense_observables
-from repro.negf.rgf import RGFResult, equal_width_groups
+from repro.negf.rgf import equal_width_groups
 from repro.observability import InvariantMonitor, use_monitor
+from repro.perf.flops import sancho_rubio_flops, wf_solve_flops
+from repro.physics.grids import uniform_grid
 from repro.resilience import (
     FaultInjector,
     HealthSentinel,
+    dense_oracle_solve,
     nan_like,
     non_finite,
-    result_non_finite,
     use_sentinel,
 )
 from repro.tb import (
@@ -226,7 +231,7 @@ class TestSafetyNets:
                 band_energy_grid(H, n_energy=4)
             )
         assert sentinel.trips_since(0).get(site, 0) >= 1
-        assert all(result_non_finite(r) for r in results)
+        assert not results.finite.any()
 
     @pytest.mark.parametrize("method", ["rgf", "wf"])
     def test_ladder_heals_a_poisoned_kpoint_per_point(self, method):
@@ -252,42 +257,63 @@ class TestSafetyNets:
 
 
 class TestResultGuard:
-    def results(self):
+    """The ``finite`` mask of a result stack: the verdict the driver
+    accepts rows by and every heal rung reads."""
+
+    def stacks(self):
         H = grid_system(n_x=5, n_yz=2)
-        e = float(band_energy_grid(H, n_energy=3)[1])
-        return [RGFSolver(H).solve(e), WFSolver(H).solve(e)]
+        energies = band_energy_grid(H, n_energy=3)
+        return [RGFSolver(H).solve_batch(energies),
+                WFSolver(H).solve_batch(energies)]
 
     def test_clean_results_pass(self):
-        for res in self.results():
-            assert not result_non_finite(res)
-            assert not non_finite(res)
+        for stack in self.stacks():
+            assert stack.finite.tolist() == [True] * len(stack)
+            assert not any(non_finite(row) for row in stack)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_any_poisoned_float_leaf_rejects_like_the_walker(self, bad):
-        import dataclasses
-
-        for res in self.results():
-            for name, value in vars(res).items():
-                if isinstance(value, np.ndarray):
-                    poisoned = value.copy()
-                    poisoned[-1] = bad
-                elif isinstance(value, float):
-                    poisoned = bad
-                else:
-                    continue  # channel counts carry no float
-                broken = dataclasses.replace(res, **{name: poisoned})
-                assert result_non_finite(broken), name
-                assert non_finite(broken), name
+        """One bad entry in any float field of row b rejects row b alone,
+        as the recursive ``non_finite`` walker rejects that row."""
+        for stack in self.stacks():
+            arrays = {k: v for k, v in vars(stack).items() if k != "finite"}
+            floats = [k for k, v in arrays.items() if v.dtype.kind == "f"]
+            assert {"transmission", "dos", "spectral_left"} <= set(floats)
+            for name in floats:  # channel counts carry no float
+                for b in range(len(stack)):
+                    poisoned = arrays[name].copy()
+                    poisoned[(b,) + (-1,) * (poisoned.ndim - 1)] = bad
+                    broken = type(stack).checked(**{**arrays, name: poisoned})
+                    assert broken.finite.tolist() == [
+                        row != b for row in range(len(stack))
+                    ], name
+                    assert [non_finite(row) for row in broken] == [
+                        row == b for row in range(len(stack))
+                    ], name
 
     def test_nan_fault_payload_is_caught(self):
-        for res in self.results():
-            assert result_non_finite(nan_like(res))
+        for stack in self.stacks():
+            assert not nan_like(stack).finite.any()
 
-    def test_oracle_rung_results_are_guarded_too(self):
-        res = RGFResult(0.1, 0.5, np.ones(3), np.ones(3), np.ones(3), 1, 1)
-        assert not result_non_finite(res)
-        res.spectral_right[1] = np.nan
-        assert result_non_finite(res)
+    def test_oracle_rung_results_are_guarded_too(self, monkeypatch):
+        from repro.negf import dense_ref
+
+        H = grid_system(n_x=5, n_yz=2)
+        e = float(band_energy_grid(H, n_energy=3)[1])
+        clean = dense_oracle_solve(H, e)
+        assert len(clean) == 1 and clean.finite.tolist() == [True]
+        assert clean[0].transmission == pytest.approx(
+            RGFSolver(H).solve(e).transmission, abs=1e-10
+        )
+        real = dense_ref.dense_observables
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out["spectral_right"][1] = np.nan
+            return out
+
+        monkeypatch.setattr(dense_ref, "dense_observables", poisoned)
+        assert dense_oracle_solve(H, e).finite.tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +378,146 @@ class TestStructure:
             per_length[n_energy] = dict(counts)
         assert per_length[2] == per_length[16]
         assert 0 < sum(per_length[16].values()) <= 4
+
+
+# ---------------------------------------------------------------------------
+# (e) the driver consumes stacks: accept by mask, heal the rejected rows,
+#     charge once per stack
+# ---------------------------------------------------------------------------
+
+class _PoisonedRow:
+    """Kernel mix-in: the row of energy ``poisoned`` leaves the kernel NaN
+    (its energy is NaN on the way in), a breakdown confined to one energy
+    of a clean stack.  An instance attribute, so the pickled solver
+    carries it into process-pool workers."""
+
+    poisoned = None
+
+    def kernel_stage(self, energies, sigma_l, sigma_r):
+        energies = np.where(
+            np.asarray(energies) == self.poisoned, np.nan, energies
+        )
+        return super().kernel_stage(energies, sigma_l, sigma_r)
+
+
+class _PoisonedRGF(_PoisonedRow, RGFSolver):
+    pass
+
+
+class _PoisonedWF(_PoisonedRow, WFSolver):
+    pass
+
+
+class TestStackedDriver:
+    N_ENERGY = 11
+    POISONED = 5
+
+    def calculation(self, method, backend):
+        return TransportCalculation(
+            mini_device(), method=method, n_energy=self.N_ENERGY,
+            energy_mode="uniform", backend=backend,
+            workers=2 if backend == "process" else None,
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("method", ["rgf", "wf"])
+    def test_one_poisoned_row_alone_is_healed(
+        self, monkeypatch, method, backend
+    ):
+        pot = np.zeros(mini_device().n_atoms)
+        clean = self.calculation(method, backend).solve_bias(pot, 0.05)
+        e_bad = float(clean.energy_grid.energies[self.POISONED])
+        real = TransportCalculation._make_solver
+
+        def make_solver(calc, H, surface_method="sancho"):
+            # the configured solver poisons e_bad; the robust rung is clean
+            if surface_method != "sancho":
+                return real(calc, H, surface_method)
+            solver = (_PoisonedRGF if calc.method == "rgf" else _PoisonedWF)(
+                H, eta=calc.eta
+            )
+            solver.poisoned = e_bad
+            return solver
+
+        monkeypatch.setattr(TransportCalculation, "_make_solver", make_solver)
+        heal = _KPoint._heal
+        sent_down = []
+
+        def recording_heal(kp, e):
+            sent_down.append(e)
+            return heal(kp, e)
+
+        monkeypatch.setattr(_KPoint, "_heal", recording_heal)
+        with use_sentinel(HealthSentinel(mode="contain")):
+            healed = self.calculation(method, backend).solve_bias(pot, 0.05)
+        assert sent_down == [e_bad]
+        assert healed.degradation.ladder_steps == {
+            "chunk:per-point": 1, "per-point:robust": 1,
+        }
+        assert not healed.degradation.quarantined_points
+        np.testing.assert_array_equal(healed.transmission, clean.transmission)
+        np.testing.assert_array_equal(healed.channels, clean.channels)
+        assert healed.current_a == clean.current_a
+        np.testing.assert_array_equal(
+            healed.density_per_atom, clean.density_per_atom
+        )
+        assert healed.flops.counts == clean.flops.counts
+
+        # sentinel off: the rejected row takes the first rung only and
+        # its NaN is accepted, as before the driver read stacks
+        with use_sentinel(HealthSentinel(mode="off")):
+            off = self.calculation(method, backend).solve_bias(pot, 0.05)
+        assert off.degradation.ladder_steps == {}
+        assert np.isnan(off.transmission[0, self.POISONED])
+        assert np.isnan(off.current_a)
+        assert off.flops.counts == clean.flops.counts
+
+    def test_wf_flops_are_charged_per_distinct_channel_count(self):
+        tc = self.calculation("wf", "serial")
+        pot = np.zeros(tc.built.n_atoms)
+        lo = float(tc.energy_grid(pot, 0.05).energies[0])
+        # three subbands of the 2x2 wire: 0, 1 and 3 open channels
+        res = tc.solve_bias(
+            pot, 0.05, energy_grid=uniform_grid(lo, lo + 12.0, self.N_ENERGY)
+        )
+        channels = res.channels[0].tolist()
+        assert len({max(c, 1) for c in channels}) >= 2
+        H = tc.hamiltonian(pot)
+        n, m = H.n_blocks, int(H.block_sizes.max())
+        assert res.flops.counts == {
+            "surface_gf": sum(2 * sancho_rubio_flops(m, 25) for _ in channels),
+            "wf": sum(wf_solve_flops(n, m, max(c, 1)) for c in channels),
+        }
+
+    @pytest.mark.parametrize("method", ["rgf", "wf"])
+    def test_accepting_a_kpoint_does_not_loop_over_energies(
+        self, monkeypatch, method
+    ):
+        """The guard against a per-energy acceptance loop coming back:
+        one k-point at 11 and at 513 energies (one sub-stack each) issues
+        the same number of ``np.isfinite`` calls."""
+        real = np.isfinite
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        pot = np.zeros(mini_device().n_atoms)
+        per_grid = {}
+        for n_energy in (11, 513):
+            tc = TransportCalculation(
+                mini_device(), method=method, n_energy=n_energy,
+                energy_mode="uniform",
+            )
+            assert len(tc.built.momentum_grid) == 1
+            assert n_energy <= tc.stack_length
+            monkeypatch.setattr(np, "isfinite", counting)
+            calls.clear()
+            tc.solve_bias(pot, 0.05)
+            monkeypatch.setattr(np, "isfinite", real)
+            per_grid[n_energy] = len(calls)
+        assert per_grid[11] == per_grid[513] > 0
 
 
 # ---------------------------------------------------------------------------
