@@ -15,10 +15,9 @@ the same accounting convention as the paper.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from ..observability.telemetry import (
     merge_delta,
 )
 from ..observability.tracer import get_tracer, trace_span
-from ..parallel.backend import get_backend
+from ..parallel.backend import SerialBackend, get_backend, in_worker
 from ..parallel.scheduler import split_chunks, wave_chunks
 from ..perf.flops import (
     FlopCounter,
@@ -52,10 +51,8 @@ from ..resilience.degrade import (
     LADDER_EXCEPTIONS,
     DegradationBudget,
     DegradationReport,
-    corrupt_hamiltonian,
-    dense_oracle_solve,
+    DenseOracleSolver,
 )
-from ..resilience.faults import nan_like
 from ..resilience.health import get_sentinel
 from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
@@ -159,10 +156,11 @@ class TransportCalculation:
     workers : int or None
         Worker count for the pooled backends (None: ``$REPRO_WORKERS``).
     injector : repro.resilience.FaultInjector or None
-        Numerical-fault injection for chaos campaigns: site ``"hblock"``
-        corrupts the per-k Hamiltonian (NaN / ill-conditioning), site
-        ``"energy"`` poisons individual energy-point solves, site
-        ``"worker"`` fires inside backend workers.
+        Fault drills: planted in every solver a k-point builds
+        (:meth:`repro.resilience.FaultInjector.plant` — site ``"hblock"``
+        corrupts the per-k Hamiltonian, ``"energy"`` poisons one row of
+        a stacked solve, ``"worker"`` fires inside pool workers), which
+        then run the production path.
     degradation_budget : DegradationBudget or None
         Bound on quarantined quadrature per k-grid (None = defaults).
     """
@@ -319,20 +317,23 @@ class TransportCalculation:
         Tracer spans and metrics recorded inside process-pool children
         are captured per chunk and merged back into the parent with
         worker provenance (see :mod:`repro.observability.telemetry`), so
-        measuring no longer forfeits the dispatch speedup.  The one
-        remaining exception is a live :class:`InvariantMonitor`: its
-        violation ledger and strict-raise semantics are parent-side
-        object state that cannot be reconstructed from a child's
-        snapshot, so monitored runs still solve chunks in-process —
-        physics-invariant exactness outranks the speedup.
+        measuring does not forfeit the dispatch speedup.  Parent-side
+        object state that a child's snapshot cannot reconstruct keeps the
+        process backend in-process, on the serial backend: a live
+        :class:`InvariantMonitor`'s violation ledger, and — when the
+        injector plants ``"hblock"`` or ``"energy"`` faults — its
+        ``once`` bookkeeping and the sentinel trips the planted rows
+        raise.  ``"worker"`` drills still use the pool.
         """
         backend = self.backend
         if backend.name == "process":
             from ..observability.invariants import get_monitor
 
-            if get_monitor().enabled:
-                from ..parallel.backend import SerialBackend
-
+            injector = self.injector
+            planted = injector is not None and (
+                injector.targets("hblock") or injector.targets("energy")
+            )
+            if planted or get_monitor().enabled:
                 backend = SerialBackend()
         return backend
 
@@ -368,14 +369,8 @@ class TransportCalculation:
         pooled = backend.name == "process"
         capture = pooled and (get_tracer().enabled or metrics.enabled)
         payloads = [
-            (
-                solver,
-                [energies[i] for i in chunk],
-                self.injector,
-                chunk_id,
-                capture,
-            )
-            for chunk_id, chunk in enumerate(chunks)
+            (solver, [energies[i] for i in chunk], capture)
+            for chunk in chunks
         ]
         if pooled and metrics.enabled:
             for payload in payloads:
@@ -636,14 +631,19 @@ class TransportCalculation:
 class _KPoint:
     """Node solver of one (bias, k): where every energy of the sweep lands.
 
-    Holds what the nodes of one k-point share — the Hamiltonian (with the
-    one ``"hblock"`` fault-injection site applied), the configured solver,
-    the device shape the flop model charges, the accepted kernel result
-    stacks and ``rows``, the ``{energy: row of those stacks | None}`` memo
-    (``None`` = quarantined) — and the accounts of the bias solve they
-    report into.  The uniform grid and every adaptive wave call
-    :meth:`solve`; nothing else runs a kernel for the bias loop.
+    Holds what the nodes of one k-point share — the solver of each
+    degradation-ladder rung (:meth:`_rung`: the one place the
+    calculation's fault injector is applied), the device shape the flop
+    model charges, the accepted kernel result stacks and ``rows``, the
+    ``{energy: row of those stacks | None}`` memo (``None`` =
+    quarantined) — and the accounts of the bias solve they report into.
+    The uniform grid and every adaptive wave call :meth:`solve`; nothing
+    else runs a kernel for the bias loop.
     """
+
+    #: The ladder of :meth:`_heal`: the configured solver (None), the
+    #: ``robust`` surface-GF solver, the dense oracle.
+    RUNGS = (None, "per-point:robust", "dense-oracle")
 
     def __init__(self, calc, ik, k, potential_ev, flops, degradation,
                  sentinel):
@@ -654,24 +654,37 @@ class _KPoint:
         self.flops = flops
         self.degradation = degradation
         self.sentinel = sentinel
-        H = calc.hamiltonian(potential_ev, k)
-        injector = calc.injector
-        mode = injector.fire("hblock", ik) if injector is not None else None
-        if mode in ("nan", "illcond"):
-            H = corrupt_hamiltonian(H, mode)
-        # a known-corrupted H — or an injector aimed at the energy site,
-        # which fires in the parent's ladder and would never be injected
-        # into a worker's clean chunk — pins the k-point to the in-process
-        # per-point ladder: a process pool's sentinel trips stay in the
-        # children, where the parent cannot heal them
-        self.pinned = mode in ("nan", "illcond") or (
-            injector is not None and injector.targets("energy")
-        )
-        self.solver = calc._make_solver(H)
+        self._rungs: dict = {}
+        self.solver = self._rung(None)
+        H = self.solver.H
         self.shape = (H.n_blocks, int(H.block_sizes.max()))
         self.rows: dict[float, int | None] = {}
         self._stacks: list = []
         self._n_rows = 0
+
+    def _rung(self, rung):
+        """The solver of ladder rung ``rung``, built once per k-point on a
+        fresh Hamiltonian (a diagonal add off the read-only skeleton, so
+        no rung inherits another's operator).  The calculation's injector
+        plants its faults here (:meth:`repro.resilience.FaultInjector.
+        plant`), so they reach every rung without rung-specific code."""
+        solver = self._rungs.get(rung)
+        if solver is None:
+            calc = self.calc
+            build = {
+                None: calc._make_solver,
+                "per-point:robust": partial(
+                    calc._make_solver, surface_method="robust"
+                ),
+                "dense-oracle": partial(DenseOracleSolver, eta=calc.eta),
+            }[rung]
+            H = calc.hamiltonian(self.potential_ev, self.k)
+            injector = calc.injector
+            solver = self._rungs[rung] = (
+                build(H) if injector is None
+                else injector.plant(build, H, self.ik)
+            )
+        return solver
 
     def solve(self, energies: list, chunks=None) -> None:
         """Solve ``energies`` into :attr:`rows`: dispatch, accept, heal.
@@ -680,35 +693,43 @@ class _KPoint:
         (:meth:`TransportCalculation._run_backend`; ``chunks`` as there)
         and accept the rows of the returned stack its ``finite`` mask
         passes — one memo update and one flop charge for the whole stack.
-        Only the rejected rows — or every energy, when the chunked path
-        raised or the k-point is pinned — go one by one down
-        :meth:`_heal`.
+        Only the rejected rows go one by one down :meth:`_heal` — or
+        every energy, when the dispatch raised or tripped a sentinel the
+        mask cannot show (an ill-conditioned factor, a residual).
         """
         sentinel, degradation = self.sentinel, self.degradation
         contain = sentinel.enabled and not sentinel.strict
         rejected = energies
-        if not self.pinned:
-            try:
-                stack = self.calc._run_backend(
-                    self.solver, energies, chunks=chunks
-                )
-            except DegradationBudgetError:
+        marker = sentinel.marker()
+        try:
+            stack = self.calc._run_backend(
+                self.solver, energies, chunks=chunks
+            )
+        except DegradationBudgetError:
+            raise
+        except LADDER_EXCEPTIONS:
+            if not contain:
                 raise
-            except LADDER_EXCEPTIONS:
-                if not contain:
-                    raise
-                degradation.record_ladder("chunk:exception")
+            degradation.record_ladder("chunk:exception")
+        else:
+            good = stack.finite
+            if contain and sentinel.marker() > marker and any(
+                event.kind != "nonfinite"
+                for event in sentinel.events_since(marker)
+            ):
+                # a trip no row's mask shows (ill-conditioning, a
+                # residual): every energy is solved again alone, where
+                # its own solve decides
+                good = np.zeros_like(good)
+            if good.all():
+                self._store(energies, stack)
+                rejected = []
             else:
-                good = stack.finite
-                if good.all():
-                    self._store(energies, stack)
-                    rejected = []
-                else:
-                    nodes = np.array(energies)
-                    rejected = nodes[~good].tolist()
-                    if good.any():
-                        self._store(nodes[good].tolist(), stack[good])
-        if rejected and contain and not self.pinned:
+                nodes = np.array(energies)
+                rejected = nodes[~good].tolist()
+                if good.any():
+                    self._store(nodes[good].tolist(), stack[good])
+        if rejected and contain:
             degradation.record_ladder("chunk:per-point")
         for energy in rejected:
             self._store([energy], self._heal(energy))
@@ -752,55 +773,28 @@ class _KPoint:
     def _heal(self, e):
         """Solve one energy down the graceful-degradation ladder.
 
-        Rungs: the configured solver -> a fresh Hamiltonian (new diagonal
-        blocks off the read-only skeleton, which clears transient operator
-        corruption) with the ``robust`` surface ladder -> the dense-oracle
-        reference solve -> quarantine (returns None).  Strict mode, and a
-        run with neither sentinel nor injector, take the first rung only
-        and let every error propagate.  Every rung returns a stack of one
-        whose ``finite`` mask is the verdict; the solver rungs run through
-        :func:`solve_energies`, so a healed point is bit-identical to the
-        same point solved inside a clean stack.  The
-        ``"energy"`` fault site fires once per rung, so a persistent
-        (``once=False``) fault climbs the whole ladder.
+        Rungs (:attr:`RUNGS`, solvers of :meth:`_rung`): the configured
+        solver -> the ``robust`` surface-GF solver on a fresh Hamiltonian
+        -> the dense oracle -> quarantine (returns None).  Every rung
+        solves ``e`` as a stack of one through :func:`solve_energies`, so
+        a healed point is bit-identical to the same point solved inside a
+        clean stack.  A rung's answer stands when its ``finite`` mask
+        passes — on the first rung only when its solve also tripped no
+        sentinel.  Strict mode and a sentinel that is off take the first
+        rung only and let every error propagate.
         """
-        calc, sentinel = self.calc, self.sentinel
-        injector = calc.injector
-        guarded = sentinel.enabled or injector is not None
-        climb = guarded and not sentinel.strict
-        rungs = (None, "per-point:robust", "dense-oracle")
-        for rung in rungs if climb else rungs[:1]:
+        sentinel = self.sentinel
+        climb = sentinel.enabled and not sentinel.strict
+        for rung in self.RUNGS if climb else self.RUNGS[:1]:
             if rung is not None:
                 self.degradation.record_ladder(rung)
             try:
                 marker = sentinel.marker()
-                mode = (
-                    injector.fire("energy", (self.ik, e))
-                    if injector is not None else None
+                res = solve_energies(self._rung(rung), [e])
+                bad = not res.finite[0] or (
+                    rung is None and sentinel.trips_since(marker)
                 )
-                if rung is None:
-                    res = solve_energies(self.solver, [e])
-                else:
-                    H = calc.hamiltonian(self.potential_ev, self.k)
-                    if mode in ("nan", "illcond"):
-                        H = corrupt_hamiltonian(H, mode)
-                    if rung == "dense-oracle":
-                        res = dense_oracle_solve(H, e, eta=calc.eta)
-                    else:
-                        robust = calc._make_solver(H, surface_method="robust")
-                        res = solve_energies(robust, [e])
-                if mode == "nan":
-                    res = nan_like(res)
-                bad = guarded and not res.finite[0]
-                if rung is None:
-                    if bad:
-                        sentinel.trip(
-                            "energy", "nonfinite",
-                            detail=f"E={e:.6g} (ik={self.ik})",
-                        )  # strict: raises NumericalBreakdownError
-                    # a finite answer still climbs when its solve tripped
-                    bad = bad or (climb and sentinel.trips_since(marker))
-                if not (bad and climb):
+                if not (climb and bad):
                     return res
             except DegradationBudgetError:
                 raise
@@ -832,18 +826,6 @@ class _KPoint:
         return grid, self.stack(kept)
 
 
-def _in_worker() -> bool:
-    """True when executing inside a backend worker (thread or process).
-
-    The "worker" fault site must fire only in workers: the parent-side
-    speculative re-execution of a straggler runs the same function and
-    has to stay clean for the recovery to actually recover.
-    """
-    if multiprocessing.parent_process() is not None:
-        return True
-    return threading.current_thread().name.startswith("repro-worker")
-
-
 #: Byte budget of one stacked ``(E, m, m)``-per-block work array of the
 #: block LU.  Long stacks amortise the interpreter at small blocks; at
 #: m=25 the kernels are LAPACK-bound after a few slices and a longer stack
@@ -861,7 +843,7 @@ def stack_length(n_blocks: int, block_size: int) -> int:
     return max(1, STACK_BUDGET_BYTES // per_energy)
 
 
-def solve_energies(solver, energies, injector=None, chunk_id=0):
+def solve_energies(solver, energies):
     """Solve ``energies`` on ``solver``: *the* energy-sweep execution.
 
     Every dispatch — serial grid, backend chunk, adaptive wave,
@@ -871,40 +853,33 @@ def solve_energies(solver, energies, injector=None, chunk_id=0):
     energies, joined into the one result stack returned (one
     ``concatenate`` per field).  Stacked results are per-slice
     independent of the stack they ride in, so the split changes memory,
-    never a bit of the answer.
-
-    ``injector``/``chunk_id`` are the chaos-campaign ``"worker"`` fault
-    site of the chunk payloads.  In the parent the loop heartbeats once
+    never a bit of the answer.  In the parent the loop heartbeats once
     per sub-stack so a long serial k-point still moves ``repro top``.
     """
-    in_worker = _in_worker()
-    mode = None
-    if injector is not None and in_worker:
-        mode = injector.fire("worker", chunk_id)
+    heartbeat = not in_worker()
     H = solver.H
     step = stack_length(H.n_blocks, H.block_sizes.max())
     events = get_events()
     stacks = []
     for lo in range(0, len(energies), step):
         stacks.append(solver.solve_batch(energies[lo:lo + step]))
-        if not in_worker:
+        if heartbeat:
             events.maybe_heartbeat(
                 stage="energy-stack", solved=min(lo + step, len(energies)),
                 of=len(energies),
             )
-    stack = type(stacks[0]).concatenate(stacks)
-    return nan_like(stack) if mode == "nan" else stack
+    return type(stacks[0]).concatenate(stacks)
 
 
 def _solve_chunk(payload):
     """Worker body for the execution backends: solve one energy chunk.
 
     Module-level (not a closure) so ProcessPoolExecutor can pickle it;
-    the payload ``(solver, energies, injector, chunk_id, capture)``
-    carries the (picklable) solver rather than the full calculation
-    object, the :class:`repro.resilience.FaultInjector` whose
-    ``"worker"`` site fires here, the chunk id keying it, and the
-    telemetry ``capture`` flag.  With ``capture`` the chunk runs under
+    the payload ``(solver, energies, capture)`` carries the (picklable)
+    solver rather than the full calculation object — a planted solver
+    (:class:`repro.resilience.faults.PlantedSolver`) carries its fault
+    injector with it — and the telemetry ``capture`` flag.  With
+    ``capture`` the chunk runs under
     :func:`~repro.observability.telemetry.capture_telemetry` — the
     instrumented kernels trace into a worker-local tracer/registry and
     the return value becomes a ``(stack, delta)`` envelope the parent
@@ -913,16 +888,15 @@ def _solve_chunk(payload):
     shortcut, speculative straggler recompute, pool-restart salvage)
     record into the live instruments directly and ship ``delta=None``.
     """
-    solver, energies, injector, chunk_id, capture = payload
+    solver, energies, capture = payload
     if not capture:
-        return solve_energies(solver, energies, injector, chunk_id)
+        return solve_energies(solver, energies)
     with capture_telemetry() as cap:
         if cap.engaged:
             with trace_span(
-                "chunk", category="task",
-                chunk=chunk_id, n_energies=len(energies),
+                "chunk", category="task", n_energies=len(energies),
             ):
-                stack = solve_energies(solver, energies, injector, chunk_id)
+                stack = solve_energies(solver, energies)
         else:
-            stack = solve_energies(solver, energies, injector, chunk_id)
+            stack = solve_energies(solver, energies)
     return stack, cap.delta

@@ -13,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
-from .self_energy import contact_self_energy
+from .self_energy import broadening, contact_self_energy, open_channels
 
-__all__ = ["dense_green_function", "dense_transmission", "dense_observables"]
+__all__ = [
+    "dense_green_function", "dense_transmission", "dense_observables",
+    "dense_stage",
+]
 
 
 def _embed(sigma: np.ndarray, n_total: int, offset: int) -> np.ndarray:
@@ -23,6 +26,11 @@ def _embed(sigma: np.ndarray, n_total: int, offset: int) -> np.ndarray:
     m = sigma.shape[0]
     out[offset : offset + m, offset : offset + m] = sigma
     return out
+
+
+def _n_open(sigma: np.ndarray) -> int:
+    """Open channels of a contact: :func:`open_channels` of its Gamma."""
+    return int(open_channels(np.linalg.eigvalsh(broadening(sigma))))
 
 
 def dense_green_function(
@@ -70,7 +78,8 @@ def dense_observables(
     ``||A_L + A_R - i(G - G^+)||``, which must vanish in the ballistic
     coherent limit (up to eta-induced leakage), and G itself.
     ``surface_method`` is the contacts' surface-GF algorithm, as in
-    :func:`repro.negf.contact_self_energy`.
+    :func:`repro.negf.contact_self_energy`; everything after the contacts
+    is :func:`dense_stage`.
     """
     sig_l = contact_self_energy(
         energy, *lead_left, side="left", method=surface_method, eta=eta
@@ -78,11 +87,17 @@ def dense_observables(
     sig_r = contact_self_energy(
         energy, *lead_right, side="right", method=surface_method, eta=eta
     )
-    G = dense_green_function(H, energy, sig_l.sigma, sig_r.sigma)
+    return dense_stage(H, energy, sig_l.sigma, sig_r.sigma)
+
+
+def dense_stage(H, energy: float, sigma_l, sigma_r) -> dict:
+    """:func:`dense_observables` after the contacts: the dense G of one
+    energy from its two ``(m, m)`` self-energies, and what it yields."""
+    G = dense_green_function(H, energy, sigma_l, sigma_r)
     n = H.total_size
     offsets = H.block_offsets()
-    gam_l = _embed(sig_l.gamma, n, 0)
-    gam_r = _embed(sig_r.gamma, n, offsets[-2])
+    gam_l = _embed(broadening(sigma_l), n, 0)
+    gam_r = _embed(broadening(sigma_r), n, offsets[-2])
     A_L = G @ gam_l @ G.conj().T
     A_R = G @ gam_r @ G.conj().T
     spectral_identity = np.linalg.norm(
@@ -95,8 +110,8 @@ def dense_observables(
         "dos": -np.diag(G).imag / np.pi,
         "spectral_left": np.diag(A_L).real / (2 * np.pi),
         "spectral_right": np.diag(A_R).real / (2 * np.pi),
-        "n_channels_left": sig_l.n_open_channels(),
-        "n_channels_right": sig_r.n_open_channels(),
+        "n_channels_left": _n_open(sigma_l),
+        "n_channels_right": _n_open(sigma_r),
         "identity_defect": float(spectral_identity),
         "green_function": G,
     }

@@ -31,6 +31,7 @@ executors; everything is shut down at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import threading
 from concurrent.futures import (
     CancelledError,
@@ -51,6 +52,7 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "get_backend",
+    "in_worker",
 ]
 
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -118,6 +120,20 @@ class SerialBackend(ExecutionBackend):
 # shared lazily-created pools, keyed by (kind, workers); shut down at exit
 _POOLS: dict = {}
 _POOLS_LOCK = threading.Lock()
+_WORKER_PREFIX = "repro-worker"
+
+
+def in_worker() -> bool:
+    """True when executing inside a pool worker (thread or process).
+
+    The parent-side executions of a task — the single-item shortcut, the
+    speculative re-execution of a straggler, the salvage after a pool
+    restart — are not in a worker; the ``"worker"`` fault site fires only
+    here so that recovery really recovers.
+    """
+    if multiprocessing.parent_process() is not None:
+        return True
+    return threading.current_thread().name.startswith(_WORKER_PREFIX)
 
 
 def _shared_pool(kind: str, workers: int):
@@ -127,7 +143,7 @@ def _shared_pool(kind: str, workers: int):
         if pool is None:
             if kind == "thread":
                 pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-worker"
+                    max_workers=workers, thread_name_prefix=_WORKER_PREFIX
                 )
             else:
                 pool = ProcessPoolExecutor(max_workers=workers)

@@ -1,4 +1,4 @@
-"""Task scheduling, load balancing and resilient execution of the work pool.
+"""Task scheduling and load balancing of the work pool.
 
 Two schedulers are provided (their makespans are an ablation benchmark):
 
@@ -9,27 +9,23 @@ Two schedulers are provided (their makespans are an ablation benchmark):
   chunking leaves ranks idle; LPT with the cost model recovers most of it,
   which is exactly the load-balancing story of the production code.
 
-:func:`run_tasks` is the executor used by the driver: it runs every task of
-this rank and reports per-task wall times, which calibrate the cost model
-of the performance layer.  Given a :class:`repro.resilience.RetryPolicy`
-and/or :class:`repro.resilience.FaultInjector` it becomes the resilient
-executor: failed or NaN-returning tasks are retried with capped backoff
-and, once the budget is exhausted, *quarantined* (result ``None``,
-recorded on the report) instead of aborting the whole batch.
+:func:`run_tasks` runs every task of a batch and reports per-task wall
+times, which calibrate the cost model of the performance layer.  Fault
+handling is not its business: the transport driver plants faults in its
+solvers (:mod:`repro.resilience.faults`) and retries distributed tasks
+itself (:class:`repro.core.DistributedTransport`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import NumericalBreakdownError, RankFailure, TaskFailure
 from ..observability.metrics import get_metrics
 from ..observability.tracer import get_tracer
-from ..resilience.faults import nan_like, non_finite
 
 __all__ = [
     "static_blocks",
@@ -154,87 +150,50 @@ class ScheduleReport:
     Attributes
     ----------
     results : list
-        Per-task results in task order; quarantined tasks hold ``None``.
+        Per-task results in task order.
     wall_times : ndarray
-        Per-task wall time (s), including retries.
+        Per-task wall time (s).
     total_time : float
-    retries : int
-        Retry attempts consumed across the batch.
-    quarantined : list
-        (key, exception) pairs of tasks abandoned after all retries.
     """
 
     results: list
     wall_times: np.ndarray
     total_time: float
-    retries: int = 0
-    quarantined: list = field(default_factory=list)
 
     @property
     def mean_task_time(self) -> float:
         """Average per-task wall time (s)."""
         return float(self.wall_times.mean()) if self.wall_times.size else 0.0
 
-    @property
-    def n_failed(self) -> int:
-        """Number of quarantined (permanently failed) tasks."""
-        return len(self.quarantined)
-
 
 def run_tasks(
     tasks: Sequence,
     fn: Callable,
     timer: Callable[[], float] = time.perf_counter,
-    retry=None,
-    injector=None,
-    key_fn: Callable | None = None,
-    report=None,
     level: str = "",
 ) -> ScheduleReport:
     """Execute ``fn(task)`` for every task, recording per-task wall time.
 
+    Fail-fast: the first exception aborts the batch.
+
     Parameters
     ----------
     tasks, fn, timer
-        The batch, the task body and an injectable clock (as before).
-    retry : repro.resilience.RetryPolicy or None
-        Retry budget for failed/NaN tasks.  With both ``retry`` and
-        ``injector`` None this is the classic fail-fast executor: the
-        first exception aborts the batch (pre-resilience behaviour).
-    injector : repro.resilience.FaultInjector or None
-        Deterministic fault source, fired at site ``"task"`` per attempt.
-    key_fn : callable or None
-        Task -> stable key for injection/quarantine (default: the index).
-    report : repro.resilience.ResilienceReport or None
-        Run-level ledger to record retries/faults/quarantines into.
+        The batch, the task body and an injectable clock.
     level : str
         Parallelisation level this batch belongs to (labels the
         ``scheduler.*`` metrics; empty for unattributed batches).
     """
     results = []
     times = []
-    retries_used = 0
-    quarantined: list = []
-    resilient = retry is not None or injector is not None
-    if resilient and report is None:
-        from ..resilience.report import ResilienceReport
-
-        report = ResilienceReport()
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span("run_tasks", category="phase", n_tasks=len(tasks)):
         t_start = timer()
         for index, task in enumerate(tasks):
-            key = key_fn(task) if key_fn is not None else index
-            with tracer.span("task", category="task", key=str(key)):
+            with tracer.span("task", category="task", key=str(index)):
                 t0 = timer()
-                result = _run_one(
-                    task, fn, key, resilient, retry, injector, report
-                )
-                if result.quarantine is not None:
-                    quarantined.append(result.quarantine)
-                retries_used += result.retries
-                results.append(result.value)
+                results.append(fn(task))
                 times.append(timer() - t0)
                 if metrics.enabled:
                     metrics.observe(
@@ -243,63 +202,5 @@ def run_tasks(
         total_time = timer() - t_start
     if metrics.enabled:
         metrics.inc("scheduler.tasks", float(len(tasks)), level=level)
-        if retries_used:
-            metrics.inc(
-                "scheduler.retries", float(retries_used), level=level
-            )
-        if quarantined:
-            metrics.inc(
-                "scheduler.quarantined", float(len(quarantined)), level=level
-            )
         metrics.observe("scheduler.batch_seconds", total_time, level=level)
-    return ScheduleReport(
-        results=results,
-        wall_times=np.array(times),
-        total_time=total_time,
-        retries=retries_used,
-        quarantined=quarantined,
-    )
-
-
-@dataclass
-class _TaskOutcome:
-    """Result of one task attempt chain inside :func:`run_tasks`."""
-
-    value: object
-    retries: int = 0
-    quarantine: tuple | None = None
-
-
-def _run_one(task, fn, key, resilient, retry, injector, report) -> _TaskOutcome:
-    """Run one task with the retry/injection/quarantine policy applied."""
-    if not resilient:
-        return _TaskOutcome(value=fn(task))
-
-    def attempt(attempt_number: int, _task=task, _key=key):
-        mode = injector.fire("task", _key) if injector is not None else None
-        out = fn(_task)
-        if mode == "nan":
-            out = nan_like(out)
-        if non_finite(out):
-            raise NumericalBreakdownError(
-                f"non-finite result from task {_key!r}",
-                injected=(mode == "nan"),
-            )
-        return out
-
-    try:
-        if retry is not None:
-            before = report.retries if report is not None else 0
-            result = retry.run(attempt, report=report)
-            used = (report.retries - before) if report is not None else 0
-            return _TaskOutcome(value=result, retries=used)
-        return _TaskOutcome(value=attempt(0))
-    except (TaskFailure, NumericalBreakdownError, RankFailure) as exc:
-        if report is not None:
-            report.quarantined.append(key)
-            if retry is None:
-                # retry.run already counted the fault
-                report.record_fault(
-                    injected=bool(getattr(exc, "injected", False))
-                )
-        return _TaskOutcome(value=None, quarantine=(key, exc))
+    return ScheduleReport(results, np.array(times), total_time)

@@ -7,8 +7,9 @@ iterations, poisoned tasks, stragglers and dead ranks.  This package is
 the reproduction's equivalent machinery:
 
 * typed errors (:mod:`repro.errors`, re-exported here);
-* a deterministic, seedable :class:`FaultInjector` wired through the
-  scheduler, the distributed driver, the comm layer and the I-V engine;
+* a deterministic, seedable :class:`FaultInjector` planted in the
+  transport solvers, the distributed driver, the comm layer and the I-V
+  engine (the site-owner table is in :mod:`repro.resilience.faults`);
 * recovery policies — :class:`RetryPolicy` with capped backoff and
   quarantine, the surface-GF degradation ladder
   (:func:`robust_surface_gf`), and the :class:`SCFRescue` ladder;
@@ -36,12 +37,12 @@ from .checkpoint import RampCheckpoint, SweepCheckpoint, atomic_write_bytes
 from .degrade import (
     DegradationBudget,
     DegradationReport,
-    corrupt_hamiltonian,
     dense_oracle_solve,
 )
 from .faults import (
     FaultInjector,
     InjectedFault,
+    corrupt_hamiltonian,
     nan_like,
     non_finite,
 )

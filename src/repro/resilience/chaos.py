@@ -201,7 +201,14 @@ def _stage_bias(built, backend, workers):
 
 @_stage("energy-numerical")
 def _stage_energy(built, backend, workers):
-    """NaN / ill-conditioning faults healed by the degradation ladder."""
+    """NaN / ill-conditioning faults healed by the degradation ladder.
+
+    Planted in the k-point's solvers, the faults run the production
+    path: the ill-conditioned H fails as one stack (its factor trips the
+    condition sentinel), rate-drawn energy faults poison their rows or
+    raise from the stacked call, and the rejected energies heal alone
+    down the ladder.
+    """
     injector = FaultInjector(
         seed=11,
         rate=0.15,
@@ -296,7 +303,12 @@ def _stage_comm(built, backend, workers):
 
 @_stage("worker-hang")
 def _stage_worker_hang(built, backend, workers):
-    """A hung backend worker recovered by deadline + speculation/restart."""
+    """A hung backend worker recovered by deadline + speculation/restart.
+
+    The ``"worker"`` site is keyed ``(k index, first energy of the
+    call)``: the fault hangs the worker that solves chunk 0 of k-point 0,
+    whose first energy is the bottom of the window.
+    """
     from ..parallel.backend import ProcessBackend, ThreadBackend
 
     if backend == "serial":
@@ -306,8 +318,10 @@ def _stage_worker_hang(built, backend, workers):
             completed=True,
             detail="skipped (serial backend has no workers)",
         )
+    potential = np.zeros(built.n_atoms)
+    e_first = float(_calc(built).energy_grid(potential, 0.1).energies[0])
     injector = FaultInjector(
-        seed=1, plan={("worker", 0): "hang"}, hang_seconds=3.0
+        seed=1, plan={("worker", (0, e_first)): "hang"}, hang_seconds=3.0
     )
     if backend == "thread":
         elastic = ThreadBackend(workers=max(workers, 2), deadline_s=0.5)
@@ -317,7 +331,7 @@ def _stage_worker_hang(built, backend, workers):
         # the deadline of the faulted chunk
         elastic.map(_noop, [0, 1])
     calc = _calc(built, elastic, workers, injector=injector)
-    res = calc.solve_bias(np.zeros(built.n_atoms), 0.1)
+    res = calc.solve_bias(potential, 0.1)
     completed = np.all(np.isfinite(res.transmission)) and np.isfinite(
         res.current_a
     )
@@ -376,11 +390,11 @@ def _stage_adaptive_wave(built, backend, workers):
     """An energy node dying mid-wave during adaptive refinement.
 
     A persistent NaN planted on one seed node of the adaptive quadrature
-    must route through the per-point degradation ladder and end in
-    quarantine: the wave engine retires the intervals touching the dead
-    node, the node never reaches the final grid, and refinement
-    converges on the survivors instead of pinning on the unsolvable
-    point.  The solve must finish finite with the exclusion accounted in
+    rejects its row of the wave's stack; that node alone climbs the
+    degradation ladder and ends in quarantine: the wave engine retires
+    the intervals touching the dead node, the node never reaches the
+    final grid, and refinement converges on the survivors instead of
+    pinning on the unsolvable point.  The solve must finish finite with the exclusion accounted in
     both the degradation report and the ``adaptive`` stats.
     """
     potential = np.zeros(built.n_atoms)

@@ -10,9 +10,8 @@ reweights the quadrature:
 1. **retry per-point** with a freshly assembled Hamiltonian and the
    ``robust`` surface-GF ladder (heals transient corruption and
    band-edge decimation stalls);
-2. **dense oracle** — full dense inversion via
-   :func:`repro.negf.dense_ref.dense_green_function` (orders of magnitude
-   slower, numerically bulletproof);
+2. **dense oracle** — full dense inversion, :class:`DenseOracleSolver`
+   (orders of magnitude slower, numerically bulletproof);
 3. **quarantine** — drop the energy node, rebuild the trapezoid weights
    on the surviving nodes, and account the gap.
 
@@ -41,8 +40,8 @@ __all__ = [
     "DegradationReport",
     "DegradationBudget",
     "LADDER_EXCEPTIONS",
+    "DenseOracleSolver",
     "dense_oracle_solve",
-    "corrupt_hamiltonian",
 ]
 
 #: What the degradation ladder is allowed to absorb (in ``contain`` mode).
@@ -229,48 +228,46 @@ class DegradationBudget:
             )
 
 
+class DenseOracleSolver:
+    """The ladder's last rung as a solver of one energy per call.
+
+    Shaped like both transport kernels — contacts (the ``robust``
+    surface-GF ladder on the device's own end blocks), then a kernel
+    stage — so a k-point builds, and a fault injector plants, this rung
+    like the other two.  The kernel stage is full dense inversion
+    (:func:`repro.negf.dense_ref.dense_stage`), O((N m)^3): acceptable
+    only because the ladder reaches it for a handful of points a sweep.
+    Results are an :class:`repro.negf.rgf.RGFResult` stack of one — the
+    field set both kernels' consumers read — with the ``finite`` mask
+    the ladder reads.
+    """
+
+    def __init__(self, H, eta: float = 1e-6):
+        from ..negf.self_energy import Contacts
+
+        self.H = H
+        self.contacts = Contacts(H, eta=eta, method="robust")
+
+    def solve_batch(self, energies):
+        """The contacts, then :meth:`kernel_stage`, at one energy."""
+        return self.kernel_stage(
+            energies, *self.contacts.sigma_stacks(energies)
+        )
+
+    def kernel_stage(self, energies, sigma_l, sigma_r):
+        """Dense observables of the one energy from its self-energies."""
+        from ..negf.dense_ref import dense_stage
+        from ..negf.rgf import RGFResult
+
+        (energy,) = np.asarray(energies, dtype=float).ravel().tolist()
+        observables = dense_stage(self.H, energy, sigma_l[0], sigma_r[0])
+        return RGFResult.checked(**{
+            f.name: np.asarray([observables[f.name]])
+            for f in fields(RGFResult) if f.name != "finite"
+        })
+
+
 def dense_oracle_solve(H, energy: float, eta: float = 1e-6):
-    """Last-rung reference solve of one energy by full dense inversion.
-
-    Returns an :class:`repro.negf.rgf.RGFResult` stack of one — the field
-    set both the WF and RGF assembly paths consume, with the ``finite``
-    mask the ladder reads — built from
-    :func:`repro.negf.dense_ref.dense_observables` with ``robust``-ladder
-    contact self-energies on the device's own end blocks.  O((N m)^3):
-    acceptable only because the ladder reaches this rung for a handful of
-    poisoned points per sweep.
-    """
-    from ..negf.dense_ref import dense_observables
-    from ..negf.rgf import RGFResult
-
-    observables = dense_observables(
-        H, float(energy), (H.diagonal[0], H.upper[0]),
-        (H.diagonal[-1], H.upper[-1]), eta=eta, surface_method="robust",
-    )
-    return RGFResult.checked(**{
-        f.name: np.asarray([observables[f.name]])
-        for f in fields(RGFResult) if f.name != "finite"
-    })
-
-
-def corrupt_hamiltonian(H, mode: str):
-    """Numerical-fault injection: return a corrupted copy of ``H``.
-
-    ``mode="nan"`` poisons the middle diagonal block with NaN (the silent
-    breakdown every sentinel must catch); ``mode="illcond"`` adds a huge
-    rank-one Hermitian perturbation, driving the block-LU condition
-    estimate past any sane threshold while every entry stays finite.
-    """
-    from ..tb.hamiltonian import BlockTridiagonalHamiltonian
-
-    diag = [np.array(d, dtype=complex) for d in H.diagonal]
-    upper = [np.array(u, dtype=complex) for u in H.upper]
-    mid = len(diag) // 2
-    if mode == "nan":
-        diag[mid] = np.full_like(diag[mid], complex(float("nan"), 0.0))
-    elif mode == "illcond":
-        m = diag[mid].shape[0]
-        diag[mid] = diag[mid] + 1e14 * np.ones((m, m), dtype=complex)
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    return BlockTridiagonalHamiltonian(diag, upper)
+    """Reference solve of one energy by full dense inversion: the stack
+    of one of :class:`DenseOracleSolver`."""
+    return DenseOracleSolver(H, eta=eta).solve_batch([energy])

@@ -2,9 +2,31 @@
 
 Resilience code that is only exercised by real failures is dead code until
 the worst possible moment.  :class:`FaultInjector` plants faults at named
-*sites* in the execution layers (``"task"`` in the scheduler and the
-distributed driver, ``"rank"`` at rank entry, ``"comm"`` in collectives,
-``"bias"`` in the I-V engine) so every recovery path runs in tests and CI.
+*sites*, each owned by the one layer that fires it, so every recovery path
+runs in tests and CI without a test hook in production control flow:
+
+============  ==========================================================
+site          owner (key)
+============  ==========================================================
+``hblock``    the solver wrapper, :meth:`FaultInjector.plant`: fires when
+              a k-point builds a solver and corrupts its Hamiltonian
+              (k index)
+``energy``    the solver wrapper, :class:`PlantedSolver`: one row of a
+              stacked solve (``(k index, energy)``)
+``worker``    the solver wrapper, inside a pool worker only
+              (``(k index, first energy of the call)``)
+``task``      :class:`repro.core.DistributedTransport`, one (k, E) task
+              per attempt (``(k index, energy index)``)
+``rank``      :class:`repro.core.DistributedTransport`, rank entry (rank)
+``bias``      :class:`repro.core.IVSweep`, one bias point per attempt
+``comm``      :class:`repro.parallel.UnreliableComm`, every collective
+              (``(op, call number)``)
+============  ==========================================================
+
+The (k, E) driver (:mod:`repro.core.transport`) applies the injector in
+one place — where a k-point builds the solvers of its ladder rungs — and
+otherwise runs its one production path: a planted fault is something a
+solver does.
 
 Determinism is by construction, not by call order: each (site, key)
 decision hashes ``(seed, site, key)`` with BLAKE2 — the same seed always
@@ -35,10 +57,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import RankFailure, TaskFailure
+from ..parallel.backend import in_worker
 
 __all__ = [
     "InjectedFault",
     "FaultInjector",
+    "PlantedSolver",
+    "corrupt_hamiltonian",
     "non_finite",
     "nan_like",
 ]
@@ -125,10 +150,11 @@ class FaultInjector:
     def targets(self, site: str) -> bool:
         """Whether any configured fault can ever fire at ``site``.
 
-        Dispatch layers use this to route work to where the fault can
-        actually be observed — e.g. energy-site faults must run through
-        the parent's per-point degradation ladder, since a process
-        pool's children cannot ship ladder accounting back.
+        Dispatch layers use this to keep parent-side state where the
+        fault is observed: a process-pool child ships back its result
+        stack's ``finite`` mask, but not its copy of this injector's
+        ``once`` bookkeeping nor its sentinel trips, so the transport
+        driver solves ``"hblock"`` / ``"energy"`` drills in-process.
         """
         if any(s == site for s, _ in self.plan):
             return True
@@ -181,6 +207,20 @@ class FaultInjector:
             return None
         return action
 
+    def plant(self, build, H, ik):
+        """``build(H)`` with this injector's three (k, E) sites planted.
+
+        The ``"hblock"`` site fires first, keyed by the k index ``ik``: a
+        ``"nan"`` / ``"illcond"`` action corrupts ``H``
+        (:func:`corrupt_hamiltonian`) before ``build`` sees it.  The
+        solver comes back as a :class:`PlantedSolver` carrying the
+        ``"energy"`` and ``"worker"`` sites.
+        """
+        mode = self.fire("hblock", ik)
+        if mode is not None:
+            H = corrupt_hamiltonian(H, mode)
+        return PlantedSolver(build(H), self, ik)
+
     # ------------------------------------------------------------------
     @property
     def n_injected(self) -> int:
@@ -192,6 +232,74 @@ class FaultInjector:
         if action is None:
             return len(self.injected)
         return sum(1 for f in self.injected if f.action == action)
+
+
+class PlantedSolver:
+    """A transport solver of one k-point with the ``"energy"`` and
+    ``"worker"`` sites planted.
+
+    Every solver a k-point builds — both kernels and the dense oracle —
+    is its contacts (``contacts.sigma_stacks``) followed by its
+    ``kernel_stage``.  :meth:`solve_batch` fires the ``"worker"`` site
+    (inside a pool worker only, keyed ``(ik, first energy of the call)``)
+    and the ``"energy"`` site of each energy (keyed ``(ik, energy)``):
+    ``"raise"`` raises from the call, ``"stall"`` / ``"hang"`` sleep, and
+    a marker (``"nan"``, ``"illcond"``) poisons the row — its energy
+    enters the kernel stage as NaN after clean contacts, so that row
+    alone comes out non-finite and the kernel's own ``finite`` mask and
+    sentinel site report it.  A worker marker poisons every row of the
+    call.  Picklable: the injector rides the chunk payloads into pool
+    workers.
+    """
+
+    def __init__(self, solver, injector, ik):
+        self.solver = solver
+        self.injector = injector
+        self.ik = ik
+
+    @property
+    def H(self):
+        """The wrapped solver's Hamiltonian."""
+        return self.solver.H
+
+    def solve_batch(self, energies):
+        """The wrapped ``solve_batch`` with this k-point's faults fired."""
+        energies = np.asarray(energies, dtype=float).ravel()
+        fire, ik = self.injector.fire, self.ik
+        every = energies.size > 0 and in_worker() and (
+            fire("worker", (ik, float(energies[0]))) is not None
+        )
+        poisoned = np.array([fire("energy", (ik, e)) is not None or every
+                             for e in energies.tolist()], dtype=bool)
+        if not poisoned.any():
+            return self.solver.solve_batch(energies)
+        return self.solver.kernel_stage(
+            np.where(poisoned, np.nan, energies),
+            *self.solver.contacts.sigma_stacks(energies),
+        )
+
+
+def corrupt_hamiltonian(H, mode: str):
+    """Numerical-fault injection: return a corrupted copy of ``H``.
+
+    ``mode="nan"`` poisons the middle diagonal block with NaN (the silent
+    breakdown every sentinel must catch); ``mode="illcond"`` adds a huge
+    rank-one Hermitian perturbation, driving the block-LU condition
+    estimate past any sane threshold while every entry stays finite.
+    """
+    from ..tb.hamiltonian import BlockTridiagonalHamiltonian
+
+    diag = [np.array(d, dtype=complex) for d in H.diagonal]
+    upper = [np.array(u, dtype=complex) for u in H.upper]
+    mid = len(diag) // 2
+    if mode == "nan":
+        diag[mid] = np.full_like(diag[mid], complex(float("nan"), 0.0))
+    elif mode == "illcond":
+        m = diag[mid].shape[0]
+        diag[mid] = diag[mid] + 1e14 * np.ones((m, m), dtype=complex)
+    else:
+        raise ValueError(f"unknown corruption mode {mode!r}")
+    return BlockTridiagonalHamiltonian(diag, upper)
 
 
 # ----------------------------------------------------------------------

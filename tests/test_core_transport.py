@@ -212,20 +212,29 @@ class TestOneDriver:
         }
         assert "injector" not in names
 
-    def test_three_fault_sites_in_the_transport_driver(self):
-        """hblock (k-point set-up), energy (one place in the ladder loop)
-        and worker (the stacked sweep) — test hooks do not spread."""
+    def test_faults_are_planted_where_solvers_are_built(self):
+        """The driver fires no fault site and has no fault branch: it
+        reads the injector where the calculation stores it, where a
+        k-point builds its rung solvers (the injector plants itself
+        there) and in the backend rule that keeps parent-side fault state
+        in-process."""
         import ast
+        from pathlib import Path
 
-        tree = self._core_trees()["transport.py"]
-        sites = sorted(
-            node.args[0].value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fire"
-        )
-        assert sites == ["energy", "hblock", "worker"]
+        import repro.core.transport as transport
+
+        source = Path(transport.__file__).read_text()
+        assert ".fire(" not in source
+        assert "pinned" not in source
+        readers = {
+            func.name
+            for func in ast.walk(ast.parse(source))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if (isinstance(node, ast.Name) and node.id == "injector")
+            or (isinstance(node, ast.Attribute) and node.attr == "injector")
+        }
+        assert readers == {"__init__", "_rung", "_effective_backend"}
 
 
 class TestOneEnvironmentReader:

@@ -32,12 +32,13 @@ from repro.errors import (
 )
 from repro.negf.self_energy import contact_self_energy
 from repro.negf.surface_gf import eigen_surface_gf, sancho_rubio
-from repro.parallel import SerialComm, UnreliableComm, run_tasks
+from repro.parallel import SerialComm, UnreliableComm
 from repro.perf.flops import FlopCounter
 from repro.resilience import (
     DegradationBudget,
     DegradationReport,
     FaultInjector,
+    HealthSentinel,
     RampCheckpoint,
     ResilienceReport,
     RetryPolicy,
@@ -46,6 +47,7 @@ from repro.resilience import (
     nan_like,
     non_finite,
     robust_surface_gf,
+    use_sentinel,
 )
 
 
@@ -228,55 +230,6 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
-
-
-class TestRunTasksResilient:
-    def test_legacy_fail_fast_unchanged(self):
-        with pytest.raises(ZeroDivisionError):
-            run_tasks([1, 0, 2], lambda x: 1.0 / x)
-
-    def test_injected_exception_retried_to_exact_result(self):
-        tasks = list(range(6))
-        clean = run_tasks(tasks, float).results
-        report = ResilienceReport()
-        inj = FaultInjector(plan={("task", 2): "raise", ("task", 4): "nan"})
-        out = run_tasks(
-            tasks,
-            float,
-            retry=RetryPolicy(max_retries=2),
-            injector=inj,
-            report=report,
-        )
-        assert out.results == clean
-        assert out.retries == 2
-        assert not out.quarantined
-        assert report.injected_faults == 2
-        assert report.organic_faults == 0
-        assert inj.count() == 2
-
-    def test_permanent_fault_quarantined_not_fatal(self):
-        report = ResilienceReport()
-        inj = FaultInjector(plan={("task", 1): "raise"}, once=False)
-        out = run_tasks(
-            [10, 11, 12],
-            float,
-            retry=RetryPolicy(max_retries=1),
-            injector=inj,
-            report=report,
-        )
-        assert out.results == [10.0, None, 12.0]
-        assert out.n_failed == 1
-        assert out.quarantined[0][0] == 1
-        assert report.quarantined == [1]
-
-    def test_organic_nan_detected(self):
-        out = run_tasks(
-            [1.0, float("nan")],
-            lambda x: x,
-            retry=RetryPolicy(max_retries=1),
-        )
-        assert out.results[0] == 1.0
-        assert out.results[1] is None
 
 
 class TestSurfaceGFLadder:
@@ -769,28 +722,39 @@ class TestDegradationLadder:
         assert inj.count("illcond") == 1
 
     @pytest.mark.parametrize("mode,trips", [
-        ("illcond", {"block_lu:ill_conditioned": 21}),
-        ("nan", {"block_lu:nonfinite": 21, "energy:nonfinite": 21,
-                 "rgf:nonfinite": 21}),
+        ("illcond", {"block_lu:ill_conditioned": 22}),
+        ("nan", {"block_lu:nonfinite": 22, "rgf:nonfinite": 22}),
     ])
     def test_hblock_fault_heals_to_the_same_account(self, system, mode, trips):
-        """The whole account of a healed k-point, as it read before the
-        two contacts shared one decimation stack (uniform grid pinned: the
-        counts are per node of that grid)."""
+        """The whole account of a healed k-point (uniform grid: the counts
+        are per node of its 21).  The corrupted H first fails as one
+        stack — one trip per sentinel site (an ill-conditioned factor is
+        finite, so its trip alone rejects the stack; a NaN block trips
+        the factor and the kernel) and one ``chunk:per-point`` — then each
+        node alone trips the same sites on the first rung, the configured
+        solver, and heals on ``per-point:robust``, built on a fresh H:
+        21 + 1 trips a site, 1 + 21 ladder steps."""
         built, _ = system
         healed = TransportCalculation(
             built, method="rgf", n_energy=21, energy_mode="uniform",
             injector=FaultInjector(plan={("hblock", 0): mode}),
         ).solve_bias(np.zeros(built.n_atoms), 0.1)
         assert healed.degradation.to_dict() == {
-            "ladder_steps": {"per-point:robust": 21},
+            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 21},
             "sentinel_trips": trips,
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
-            "total_events": 21 + sum(trips.values()),
+            "total_events": 22 + sum(trips.values()),
         }
 
     def test_persistent_fault_quarantined_and_reweighted(self, system):
+        """A persistent (``once=False``) NaN row fires on the stacked
+        attempt and on each of the three rungs: 4 faults.  The two kernel
+        solves of the ladder and the stack each trip the factor and the
+        WF kernel once (3 + 3); the dense oracle has no sentinel site, its
+        mask alone rejects the row.  Ladder: ``chunk:per-point``, the two
+        climbed rungs and the reweight (4); 1 quarantined node and 1
+        reweighted grid: 12 events."""
         built, _ = system
         pot = np.zeros(built.n_atoms)
         # pinned uniform: the fault keys off a node of the 21-point
@@ -814,17 +778,15 @@ class TestDegradationLadder:
         assert d.reweighted_grids == 1
         assert d.ladder_steps.get("dense-oracle", 0) >= 1
         assert d.ladder_steps.get("quadrature:reweight", 0) == 1
-        # every rung re-fired the persistent fault, once, before giving up
-        assert inj.count("nan") == 3
-        assert [f.site for f in inj.injected] == ["energy"] * 3
+        assert inj.count("nan") == 4
+        assert [f.site for f in inj.injected] == ["energy"] * 4
         assert d.to_dict() == {
-            "ladder_steps": {"per-point:robust": 1, "dense-oracle": 1,
-                             "quadrature:reweight": 1},
-            "sentinel_trips": {"energy:nonfinite": 1, "wf:nonfinite": 1,
-                               "block_lu:nonfinite": 1},
+            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 1,
+                             "dense-oracle": 1, "quadrature:reweight": 1},
+            "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
             "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
-            "total_events": 8,
+            "total_events": 12,
         }
 
     def test_transient_energy_fault_fires_once_and_heals(self, system):
@@ -839,17 +801,62 @@ class TestDegradationLadder:
             built, method="wf", n_energy=21, injector=inj,
             energy_mode="uniform",
         ).solve_bias(pot, 0.1)
-        # fired on the first rung only; the second rung is a clean stack
-        # of one, bit-identical to the point's slice of the clean grid
+        # fired on the stacked attempt only (its row tripped the factor
+        # and the kernel once each); the first rung, the configured
+        # solver alone, is a clean stack of one, bit-identical to the
+        # point's slice of the clean grid
         assert inj.count("nan") == inj.count() == 1
         assert healed.current_a == clean.current_a
         np.testing.assert_array_equal(
             healed.density_per_atom, clean.density_per_atom
         )
-        d = healed.degradation
-        assert d.ladder_steps == {"per-point:robust": 1}
-        assert not d.quarantined_points
+        assert healed.degradation.to_dict() == {
+            "ladder_steps": {"chunk:per-point": 1},
+            "sentinel_trips": {"wf:nonfinite": 1, "block_lu:nonfinite": 1},
+            "quarantined_points": [], "reweighted_grids": 0,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 3,
+        }
         assert healed.flops.total == clean.flops.total
+
+    @pytest.mark.parametrize("energy_mode", ["uniform", "adaptive"])
+    @pytest.mark.parametrize("method", ["rgf", "wf"])
+    @pytest.mark.parametrize("site,action", [
+        ("hblock", "nan"), ("hblock", "illcond"),
+        ("energy", "nan"), ("energy", "raise"),
+    ])
+    def test_transient_faults_heal_bit_identically(
+        self, system, site, action, method, energy_mode
+    ):
+        """Every transient (k, E) fault heals to the clean run bit for
+        bit, on both kernels and both quadratures; the energy fault hits
+        the window's top node, which both grids solve."""
+        built, _ = system
+        pot = np.zeros(built.n_atoms)
+
+        def solve(injector=None):
+            with use_sentinel(HealthSentinel(mode="contain")):
+                return TransportCalculation(
+                    built, method=method, n_energy=13,
+                    energy_mode=energy_mode, adaptive_tol=0.05,
+                    injector=injector,
+                ).solve_bias(pot, 0.1)
+
+        clean = solve()
+        key = 0 if site == "hblock" else (
+            0, float(clean.energy_grid.energies[-1])
+        )
+        inj = FaultInjector(plan={(site, key): action})
+        healed = solve(inj)
+        assert inj.count() == 1
+        assert healed.current_a == clean.current_a
+        np.testing.assert_array_equal(
+            healed.density_per_atom, clean.density_per_atom
+        )
+        np.testing.assert_array_equal(healed.transmission, clean.transmission)
+        assert healed.adaptive == clean.adaptive
+        assert healed.flops.counts == clean.flops.counts
+        assert not healed.degradation.quarantined_points
 
     def test_blown_budget_raises_typed(self, system):
         built, _ = system
@@ -985,9 +992,11 @@ class TestAdaptiveWaveFaults:
         return float(seed[index])
 
     def test_transient_wave_fault_healed_bit_identically(self, system):
-        """A transient energy fault inside a wave takes the per-point
-        ladder and heals: the refined result equals the clean run bit
-        for bit, so the fault never influenced a refinement decision."""
+        """A transient energy fault inside a wave rejects its row of the
+        wave's stack (one factor and one kernel trip) and heals on the
+        first rung, the configured solver alone: the refined result
+        equals the clean run bit for bit, so the fault never influenced
+        a refinement decision."""
         built, _ = system
         pot = np.zeros(built.n_atoms)
         clean_tc = TransportCalculation(
@@ -1007,16 +1016,21 @@ class TestAdaptiveWaveFaults:
         )
         assert healed.current_a == clean.current_a
         assert healed.adaptive == clean.adaptive
-        d = healed.degradation
-        assert sum(
-            v for k, v in d.ladder_steps.items() if k.startswith("per-point")
-        ) >= 1 or d.ladder_steps.get("dense-oracle", 0) >= 1
-        assert not d.quarantined_points
+        assert healed.degradation.to_dict() == {
+            "ladder_steps": {"chunk:per-point": 1},
+            "sentinel_trips": {"wf:nonfinite": 1, "block_lu:nonfinite": 1},
+            "quarantined_points": [], "reweighted_grids": 0,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 3,
+        }
 
     def test_persistent_wave_fault_quarantines_node(self, system):
         """A persistent fault quarantines the node: the wave engine
         retires its intervals instead of pinning refinement, and the
-        exclusion is accounted in both reports."""
+        exclusion is accounted in both reports — the account of a
+        persistent fault on a uniform grid: 4 fired faults (the wave's
+        stack and three rungs), 3 + 3 trips, 4 ladder steps, 1 node,
+        1 grid."""
         built, _ = system
         pot = np.zeros(built.n_atoms)
         tc = TransportCalculation(
@@ -1037,12 +1051,15 @@ class TestAdaptiveWaveFaults:
         assert stats["excluded"] == 1
         assert stats["waves"] >= 1, "quarantine pinned refinement"
         assert not stats["budget_hits"]
-        d = res.degradation
-        assert d.quarantined_points == [(0, e_bad)]
-        assert d.reweighted_grids == 1
-        assert d.ladder_steps.get("quadrature:reweight", 0) == 1
-        # every ladder rung re-fired the persistent fault before quarantine
-        assert inj.count("nan") >= 3
+        assert res.degradation.to_dict() == {
+            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 1,
+                             "dense-oracle": 1, "quadrature:reweight": 1},
+            "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
+            "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 12,
+        }
+        assert inj.count("nan") == 4
 
     def test_quarantine_blows_budget_typed(self, system):
         """Exceeding the degradation budget inside adaptive refinement

@@ -235,9 +235,14 @@ class TestSafetyNets:
 
     @pytest.mark.parametrize("method", ["rgf", "wf"])
     def test_ladder_heals_a_poisoned_kpoint_per_point(self, method):
+        """A NaN block in the k-point's H: its 11-node stack fails as one
+        (one factor and one kernel trip, one ``chunk:per-point``), then
+        each node alone trips both again on the configured solver and
+        heals on ``per-point:robust``, built on a fresh H — 12 + 12
+        trips, 1 + 11 ladder steps."""
         built = mini_device()
         pot = np.zeros(built.n_atoms)
-        # pinned uniform: the rung count below is the 11-node grid's
+        # uniform: the counts below are the 11-node grid's
         clean = TransportCalculation(
             built, method=method, n_energy=11, energy_mode="uniform"
         ).solve_bias(pot, 0.05)
@@ -251,9 +256,16 @@ class TestSafetyNets:
         np.testing.assert_array_equal(
             healed.density_per_atom, clean.density_per_atom
         )
-        assert healed.degradation.ladder_steps.get("per-point:robust") == 11
-        assert not healed.degradation.quarantined_points
-        assert sentinel.n_trips >= 11
+        assert healed.degradation.to_dict() == {
+            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 11},
+            "sentinel_trips": {
+                "block_lu:nonfinite": 12, f"{method}:nonfinite": 12,
+            },
+            "quarantined_points": [], "reweighted_grids": 0,
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "total_events": 36,
+        }
+        assert sentinel.n_trips == 24
 
 
 class TestResultGuard:
@@ -305,14 +317,14 @@ class TestResultGuard:
         assert clean[0].transmission == pytest.approx(
             RGFSolver(H).solve(e).transmission, abs=1e-10
         )
-        real = dense_ref.dense_observables
+        real = dense_ref.dense_stage
 
         def poisoned(*args, **kwargs):
             out = real(*args, **kwargs)
             out["spectral_right"][1] = np.nan
             return out
 
-        monkeypatch.setattr(dense_ref, "dense_observables", poisoned)
+        monkeypatch.setattr(dense_ref, "dense_stage", poisoned)
         assert dense_oracle_solve(H, e).finite.tolist() == [False]
 
 
@@ -412,34 +424,53 @@ class TestStackedDriver:
     N_ENERGY = 11
     POISONED = 5
 
-    def calculation(self, method, backend):
+    def calculation(self, method, backend, injector=None):
         return TransportCalculation(
             mini_device(), method=method, n_energy=self.N_ENERGY,
             energy_mode="uniform", backend=backend,
-            workers=2 if backend == "process" else None,
+            workers=2 if backend == "process" else None, injector=injector,
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend,planted", [
+        pytest.param("serial", "kernel", id="serial"),
+        pytest.param("process", "kernel", id="process"),
+        pytest.param("serial", "injector", id="serial-injector"),
+    ])
     @pytest.mark.parametrize("method", ["rgf", "wf"])
     def test_one_poisoned_row_alone_is_healed(
-        self, monkeypatch, method, backend
+        self, monkeypatch, method, backend, planted
     ):
+        """One NaN row in a clean stack — from a kernel that poisons it
+        on every solve (``kernel``: it climbs to ``per-point:robust``) or
+        from a transient planted ``"energy"`` fault (``injector``: it
+        fired on the stacked attempt, so the first rung heals it) — costs
+        one stacked dispatch and sends only that energy down the ladder."""
         pot = np.zeros(mini_device().n_atoms)
         clean = self.calculation(method, backend).solve_bias(pot, 0.05)
         e_bad = float(clean.energy_grid.energies[self.POISONED])
-        real = TransportCalculation._make_solver
 
-        def make_solver(calc, H, surface_method="sancho"):
-            # the configured solver poisons e_bad; the robust rung is clean
-            if surface_method != "sancho":
-                return real(calc, H, surface_method)
-            solver = (_PoisonedRGF if calc.method == "rgf" else _PoisonedWF)(
-                H, eta=calc.eta
+        def injector():
+            if planted == "injector":
+                return FaultInjector(plan={("energy", (0, e_bad)): "nan"})
+            return None
+
+        if planted == "kernel":
+            real = TransportCalculation._make_solver
+
+            def make_solver(calc, H, surface_method="sancho"):
+                # the configured solver poisons e_bad; the robust rung is
+                # clean
+                if surface_method != "sancho":
+                    return real(calc, H, surface_method)
+                solver = (
+                    _PoisonedRGF if calc.method == "rgf" else _PoisonedWF
+                )(H, eta=calc.eta)
+                solver.poisoned = e_bad
+                return solver
+
+            monkeypatch.setattr(
+                TransportCalculation, "_make_solver", make_solver
             )
-            solver.poisoned = e_bad
-            return solver
-
-        monkeypatch.setattr(TransportCalculation, "_make_solver", make_solver)
         heal = _KPoint._heal
         sent_down = []
 
@@ -447,12 +478,26 @@ class TestStackedDriver:
             sent_down.append(e)
             return heal(kp, e)
 
+        dispatch = TransportCalculation._run_backend
+        dispatched = []
+
+        def recording_dispatch(calc, solver, energies, chunks=None):
+            dispatched.append(len(energies))
+            return dispatch(calc, solver, energies, chunks=chunks)
+
         monkeypatch.setattr(_KPoint, "_heal", recording_heal)
+        monkeypatch.setattr(
+            TransportCalculation, "_run_backend", recording_dispatch
+        )
         with use_sentinel(HealthSentinel(mode="contain")):
-            healed = self.calculation(method, backend).solve_bias(pot, 0.05)
+            healed = self.calculation(method, backend, injector()).solve_bias(
+                pot, 0.05
+            )
         assert sent_down == [e_bad]
+        assert dispatched == [self.N_ENERGY]  # one k-point, one dispatch
+        climbed = {"per-point:robust": 1} if planted == "kernel" else {}
         assert healed.degradation.ladder_steps == {
-            "chunk:per-point": 1, "per-point:robust": 1,
+            "chunk:per-point": 1, **climbed,
         }
         assert not healed.degradation.quarantined_points
         np.testing.assert_array_equal(healed.transmission, clean.transmission)
@@ -463,14 +508,20 @@ class TestStackedDriver:
         )
         assert healed.flops.counts == clean.flops.counts
 
-        # sentinel off: the rejected row takes the first rung only and
-        # its NaN is accepted, as before the driver read stacks
+        # sentinel off: the rejected row takes the first rung only — the
+        # poisoning kernel's NaN is accepted, as before the driver read
+        # stacks; the transient fault has already fired
         with use_sentinel(HealthSentinel(mode="off")):
-            off = self.calculation(method, backend).solve_bias(pot, 0.05)
+            off = self.calculation(method, backend, injector()).solve_bias(
+                pot, 0.05
+            )
         assert off.degradation.ladder_steps == {}
-        assert np.isnan(off.transmission[0, self.POISONED])
-        assert np.isnan(off.current_a)
         assert off.flops.counts == clean.flops.counts
+        if planted == "kernel":
+            assert np.isnan(off.transmission[0, self.POISONED])
+            assert np.isnan(off.current_a)
+        else:
+            assert off.current_a == clean.current_a
 
     def test_wf_flops_are_charged_per_distinct_channel_count(self):
         tc = self.calculation("wf", "serial")
