@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..errors import SurfaceGFConvergenceError
 from ..observability.metrics import get_metrics, metric_key
@@ -385,6 +384,8 @@ def _solve_quadratic_modes(energy, h00, h01, eta):
         h01^+ phi / lambda + (h00 - E) phi + h01 phi lambda = 0.
     Linearised as A v = lambda B v with v = (phi, lambda phi).
     """
+    import scipy.linalg as sla
+
     m = h00.shape[0]
     E = energy + 1j * eta
     A = np.zeros((2 * m, 2 * m), dtype=complex)

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from ..errors import NumericalBreakdownError
 from ..resilience.health import get_sentinel
@@ -35,9 +33,15 @@ from .operators import Q_OVER_EPS0_V_NM, apply_dirichlet, assemble_laplacian
 
 __all__ = ["NonlinearPoisson", "PoissonResult", "AndersonMixer"]
 
-#: The one solve of a Newton step, ``(c, x, info) = _band_solve(ab, b)``;
-#: module-level so tests and benchmarks can patch it to count steps.
-_band_solve = lapack.dpbsv
+
+def _band_solve(ab, b):
+    """The one solve of a Newton step, ``(c, x, info) = dpbsv(ab, b)``.
+
+    Module-level so tests and benchmarks can patch it to count steps.
+    """
+    from scipy.linalg import lapack
+
+    return lapack.dpbsv(ab, b)
 
 
 @dataclass
@@ -108,6 +112,8 @@ class NonlinearPoisson:
         # S J in LAPACK upper band storage, ab[kd + i - j, j] = (S J)[i, j]:
         # every off-diagonal entry sits in a row off the gate (S = -1),
         # and a step rewrites the diagonal row ab[kd] only
+        import scipy.sparse as sp
+
         upper = sp.triu(self.L_bc, k=1, format="coo")
         kd = int((upper.col - upper.row).max(initial=0))
         self._band = np.zeros((kd + 1, grid.n_nodes), order="F")

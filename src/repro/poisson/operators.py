@@ -17,11 +17,15 @@ with q/eps0 = 18.0955 V nm.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from ..physics.constants import EPS0_C_V_NM, Q_E
 from .grid import PoissonGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["assemble_laplacian", "Q_OVER_EPS0_V_NM", "apply_dirichlet"]
 
@@ -49,6 +53,8 @@ def assemble_laplacian(
         (:func:`apply_dirichlet`), keeping the raw operator reusable across
         bias points.
     """
+    import scipy.sparse as sp
+
     eps_r = np.asarray(eps_r, dtype=float)
     if eps_r.shape != (grid.n_nodes,):
         raise ValueError(f"eps_r must have length {grid.n_nodes}")

@@ -16,15 +16,15 @@ capability on the shared Hamiltonian containers:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .hamiltonian import BlockTridiagonalHamiltonian
 
 __all__ = ["interior_eigenstates", "confined_state_energies"]
 
 
-def _as_sparse(H) -> sp.csr_matrix:
+def _as_sparse(H):
+    import scipy.sparse as sp
+
     if isinstance(H, BlockTridiagonalHamiltonian):
         return H.to_csr()
     if sp.issparse(H):
@@ -72,6 +72,8 @@ def interior_eigenstates(
         order = np.argsort(np.abs(vals - sigma))[:k]
         keep = np.sort(order)
         return vals[keep], vecs[:, keep]
+    import scipy.sparse.linalg as spla
+
     vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", tol=tol)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]

@@ -16,9 +16,9 @@ atoms to matrix rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..lattice.passivation import (
     DEFAULT_PASSIVATION_SHIFT_EV,
@@ -29,6 +29,9 @@ from .orbitals import Orbital
 from .parameters import TBMaterial
 from .slater_koster import sk_hopping_block
 from .strain import scale_sk_params
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "BlockTridiagonalHamiltonian",
@@ -107,6 +110,8 @@ class BlockTridiagonalHamiltonian:
 
     def to_csr(self) -> sp.csr_matrix:
         """Sparse CSR form (input of the wave-function solver)."""
+        import scipy.sparse as sp
+
         off = self.block_offsets()
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []

@@ -5,8 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lattice import AtomicStructure, build_neighbor_table
+from repro.lattice import (
+    AtomicStructure,
+    ZincblendeCell,
+    build_neighbor_table,
+    rectangular_grid_device,
+    zincblende_nanowire,
+    zincblende_ultra_thin_body,
+)
 from repro.lattice.neighbors import _brute_force
+
+SI = ZincblendeCell(0.5431, "Si", "Si")
+
+
+def assert_equals_brute_force(structure, cutoff):
+    """The linked-cell table is ``==`` the O(N^2) oracle, array for array
+    (sign of zero included: the bond vectors feed the Hamiltonian bits)."""
+    fast = build_neighbor_table(structure, cutoff)
+    slow = _brute_force(structure, (cutoff * (1 + 1e-3)) ** 2)
+    for name in ("i", "j", "wrap_y", "displacement"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    return fast
 
 
 def grid_structure(n, spacing=0.3, periodic_y=None):
@@ -17,6 +39,22 @@ def grid_structure(n, spacing=0.3, periodic_y=None):
     return AtomicStructure(
         pos.astype(float), ["X"] * pos.shape[0], periodic_y=periodic_y
     )
+
+
+def random_cloud(seed, periodic):
+    """``(structure, cutoff)``: 5-39 random atoms, open in y or periodic
+    with a period of 2-5 cuts (``"linked-cell"``) or 0.6-1.98 cuts
+    (``"fallback"``); the atoms lie within one period."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    cutoff = float(rng.uniform(0.2, 0.6))
+    pos = rng.uniform(0, 1.5, size=(n, 3))
+    period = None
+    if periodic is not None:
+        low, high = (1.0, 2.5) if periodic == "linked-cell" else (0.3, 0.99)
+        period = 2 * cutoff * (1 + 1e-3) * float(rng.uniform(low, high))
+        pos[:, 1] *= period / 1.5
+    return AtomicStructure(pos, ["X"] * n, periodic_y=period), cutoff
 
 
 class TestNeighborTable:
@@ -61,27 +99,41 @@ class TestNeighborTable:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
         pos = rng.uniform(0, 2.0, size=(60, 3))
-        s = AtomicStructure(pos, ["X"] * 60)
-        fast = build_neighbor_table(s, 0.45)
-        slow = _brute_force(s, (0.45 * (1 + 1e-3)) ** 2)
-        assert fast.n_bonds == slow.n_bonds
-        fast_set = set(zip(fast.i.tolist(), fast.j.tolist()))
-        slow_set = set(zip(slow.i.tolist(), slow.j.tolist()))
-        assert fast_set == slow_set
+        assert_equals_brute_force(AtomicStructure(pos, ["X"] * 60), 0.45)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_matches_brute_force_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 40))
-        pos = rng.uniform(0, 1.5, size=(n, 3))
-        s = AtomicStructure(pos, ["X"] * n)
-        cutoff = float(rng.uniform(0.2, 0.6))
-        fast = build_neighbor_table(s, cutoff)
-        slow = _brute_force(s, (cutoff * (1 + 1e-3)) ** 2)
-        fast_set = set(zip(fast.i.tolist(), fast.j.tolist()))
-        slow_set = set(zip(slow.i.tolist(), slow.j.tolist()))
-        assert fast_set == slow_set
+        table = assert_equals_brute_force(*random_cloud(seed, None))
+        assert not table.wrap_y.any()
+
+    @pytest.mark.parametrize("periodic", ["linked-cell", "fallback"])
+    @given(seed=st.integers(0, 1000))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_brute_force_random_periodic(self, periodic, seed):
+        """Periodic in y with a period at least twice the cut (the
+        linked-cell pass) or below it (the brute-force fallback)."""
+        structure, cutoff = random_cloud(seed, periodic)
+        assert (structure.periodic_y >= 2 * cutoff * (1 + 1e-3)) == (
+            periodic == "linked-cell"
+        )
+        assert_equals_brute_force(structure, cutoff)
+
+    @pytest.mark.parametrize("family", ["grid-48x5x5", "nanowire-zb-8x2x2", "utb-zb-8x2"])
+    def test_device_families_match_brute_force(self, family):
+        structure, cutoff = {
+            "grid-48x5x5": lambda: (rectangular_grid_device(0.25, 48, 5, 5), 0.25),
+            "nanowire-zb-8x2x2": lambda: (zincblende_nanowire(SI, 8, 2, 2), SI.bond_length_nm),
+            "utb-zb-8x2": lambda: (zincblende_ultra_thin_body(SI, 8, 2), SI.bond_length_nm),
+        }[family]()
+        table = assert_equals_brute_force(structure, cutoff)
+        assert table.n_bonds > 0
+        assert table.wrap_y.any() == (structure.periodic_y is not None)
+
+    def test_bonds_of_is_the_rows_of_the_atom(self):
+        table = build_neighbor_table(zincblende_ultra_thin_body(SI, 4, 2), SI.bond_length_nm)
+        for atom in range(int(table.i.max()) + 2):
+            assert np.array_equal(table.bonds_of(atom), np.flatnonzero(table.i == atom))
 
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
