@@ -101,7 +101,10 @@ def assemble_system_blocks(
     One energy with ``(m, m)`` self-energies gives 2-D diagonal blocks;
     an array of B energies with ``(B, m, m)`` self-energy stacks gives
     ``(B, m, m)`` diagonal stacks.  The couplings are energy independent
-    and stay 2-D either way.
+    and stay 2-D either way, except that a coupling that is exactly
+    ``c·I`` comes out as the 0-d complex ``-c``
+    (:meth:`BlockTridiagonalHamiltonian.couplings`), which
+    :class:`repro.solvers.BlockTridiagLU` multiplies by.
     """
     n = H.n_blocks
     e = np.asarray(energy, dtype=float)
@@ -114,8 +117,8 @@ def assemble_system_blocks(
         if i == n - 1:
             a = a - sigma_r
         diag.append(a)
-    upper = [-u for u in H.upper]
-    lower = [-u.conj().T for u in H.upper]
+    upper = [-u for u in H.couplings()]
+    lower = [np.conj(u).T for u in upper]
     return diag, upper, lower
 
 

@@ -45,6 +45,7 @@ from ..observability.metrics import get_metrics, metric_key
 from ..observability.tracer import get_tracer
 from ..perf.flops import sancho_rubio_flops
 from ..resilience.health import get_sentinel
+from ..tb.hamiltonian import identity_scalars
 
 __all__ = [
     "sancho_rubio",
@@ -176,16 +177,15 @@ def sancho_rubio_batch(
 
 def _scalar_coupled(h00, h01) -> bool:
     """Whether a lead decimates in its mode basis: ``h01 == c·I`` exactly
-    and ``h00`` finite and exactly Hermitian.  Every decimation iterate is
-    then a function of ``h00`` alone (times powers of ``c``), so in the
-    eigenbasis ``h00 = U diag(d) U^+`` the m x m fixed point is m
-    independent scalar chains; any other lead — poisoned blocks included,
-    which ``eigh`` must never see — decimates at m."""
-    h00, h01 = np.asarray(h00), np.asarray(h01)
-    c = h01[0, 0]
+    (:func:`repro.tb.hamiltonian.identity_scalars`, the block LU's test
+    too) and ``h00`` finite and exactly Hermitian.  Every decimation
+    iterate is then a function of ``h00`` alone (times powers of ``c``),
+    so in the eigenbasis ``h00 = U diag(d) U^+`` the m x m fixed point is
+    m independent scalar chains; any other lead — poisoned blocks
+    included, which ``eigh`` must never see — decimates at m."""
+    h00 = np.asarray(h00)
     return bool(
-        np.isfinite(c)
-        and np.array_equal(h01, c * np.eye(h01.shape[0]))
+        identity_scalars([h01])[0] is not None
         and np.isfinite(h00).all()
         and np.array_equal(h00, h00.conj().T)
     )

@@ -11,11 +11,11 @@ are integer-valued doubles far below 2^53, so float summation is exact);
 ``tests/test_observability.py`` asserts ``measured == analytic`` for the
 RGF, WF and Sancho-Rubio kernels at several sizes.  The formulas are the
 reference algorithms, not the executed ones — the RGF block-LU sweep is
-charged 12 products a slab and executes 9, the Sancho-Rubio step is
-charged 8 GEMMs and an inversion at m and executes 6 and one (O(m)
-elementwise work in the mode basis of a scalar-coupled lead) — so these
-checks pin the accounting (what is charged, how often), not a GEMM
-count.
+charged 12 products a slab and executes 9 (5 on ``c·I`` couplings), the
+Sancho-Rubio step is charged 8 GEMMs and an inversion at m and executes
+6 and one (O(m) elementwise work in the mode basis of a scalar-coupled
+lead) — so these checks pin the accounting (what is charged, how
+often), not a GEMM count.
 
 Imports of the kernel packages are deferred into the function bodies:
 ``repro.solvers`` itself imports :mod:`repro.observability` for its
@@ -122,10 +122,10 @@ def validate_rgf_flops(
     factorisation, block-column and selected-inversion flops; their sum
     must equal :func:`repro.perf.flops.rgf_solve_flops` exactly (the
     contact surface GFs are validated separately).  Both sides are the
-    reference sweep, 12 products a slab; 9 execute.  ``n_energies > 1``
-    runs one ``solve_batch`` over that many energies instead of
-    ``solve(energy)``: the class charges ``batch_size`` times the
-    per-matrix counts, so the stack must measure
+    reference sweep, 12 products a slab; 9 execute (5 on ``c·I``
+    couplings).  ``n_energies > 1`` runs one ``solve_batch`` over that
+    many energies instead of ``solve(energy)``: the class charges
+    ``batch_size`` times the per-matrix counts, so the stack must measure
     ``n_energies * rgf_solve_flops``.
 
     Example

@@ -15,8 +15,11 @@ to :mod:`repro.observability`, and
 ``tests/test_observability.py``) asserts analytic == charged **exactly**
 at small sizes for the RGF and WF kernels — a check of the accounting,
 not of executed GEMMs.  Two kernels undercut their charge: the block LU
-forms each elimination multiplier once (9 products a slab of an RGF
-stage execute, 12 are charged: :func:`rgf_solve_flops`), and the
+forms each elimination multiplier once and multiplies by a ``c·I``
+coupling instead of a GEMM (of the 12 products a slab of an RGF stage
+charged by :func:`rgf_solve_flops`, 9 execute on matrix couplings —
+every atomistic device — and 5 on the scalar couplings of the
+effective-mass grid family), and the
 Sancho-Rubio step shares two left factors and, for a scalar-coupled
 lead, runs on the eigenvalues of ``h00`` (:func:`sancho_rubio_flops`).
 """
@@ -165,7 +168,8 @@ def rgf_solve_flops(n_blocks: int, m: int) -> float:
     blocks it reduces to (13 N - 10) * 8 m^3 — the O(N m^3) law of the
     recursion.  This is the reference sweep: N inversions and
     12 (N - 1) + 2 products, of which 9 (N - 1) + 2 execute since the
-    block LU forms ``dinv @ U`` and ``L @ dinv`` once.
+    block LU forms ``dinv @ U`` and ``L @ dinv`` once — 5 (N - 1) + 2
+    on ``c·I`` couplings, which it multiplies by.
     :func:`repro.observability.validate_rgf_flops` checks the charge of
     an instrumented solve against it, term for term.
 

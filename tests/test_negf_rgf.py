@@ -176,6 +176,64 @@ class TestAgainstDense:
             assert all(np.array_equal(a, c) for a, c in zip(u1, upper))
             assert all(np.array_equal(a, c) for a, c in zip(l1, lower))
 
+    def test_grid_stage_multiplies_by_its_scalar_couplings(self, monkeypatch):
+        """A grid device's ``-t I`` couplings reach the block LU as 0-d
+        scalars: one RGF kernel stage issues 5(N-1)+2 block products
+        (9(N-1)+2 on matrix couplings) and matches dense inversion."""
+        from repro.solvers import block_tridiagonal
+
+        H = self.make_grid_system()
+        _, upper, lower = assemble_system_blocks(
+            H, 0.6, np.zeros((4, 4)), np.zeros((4, 4))
+        )
+        assert all(np.ndim(c) == 0 for c in upper + lower)
+        solver = RGFSolver(H)
+        energies = np.array([0.45, 0.62])
+        sigmas = solver.contacts.sigma_stacks(energies)
+        products = []
+
+        def matmul(a, b, out=None):
+            products.append(b.shape)
+            return np.matmul(a, b, out=out)
+
+        monkeypatch.setattr(block_tridiagonal, "_matmul", matmul)
+        res = solver.kernel_stage(energies, *sigmas)
+        assert len(products) == 5 * (H.n_blocks - 1) + 2
+        lead_l = (H.diagonal[0], H.upper[0])
+        lead_r = (H.diagonal[-1], H.upper[-1])
+        for row in res:
+            ref = dense_observables(H, row.energy, lead_l, lead_r)
+            assert row.transmission == pytest.approx(
+                ref["transmission"], rel=1e-10
+            )
+            np.testing.assert_allclose(
+                row.spectral_left, ref["spectral_left"], rtol=1e-10
+            )
+
+    def test_chain_stage_calls_no_lapack_inverse(self, monkeypatch):
+        """At m = 1 every Schur complement is a reciprocal: an RGF kernel
+        stage makes no ``numpy.linalg.inv`` call."""
+        H = chain_hamiltonian(8, potential=0.3 * np.sin(np.arange(8)))
+        solver = RGFSolver(H)
+        energies = np.linspace(-1.5, 1.5, 7)
+        sigmas = solver.contacts.sigma_stacks(energies)
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(
+            np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a)
+        )
+        res = solver.kernel_stage(energies, *sigmas)
+        assert inverses == []
+        monkeypatch.undo()
+        lead_l = (H.diagonal[0], H.upper[0])
+        lead_r = (H.diagonal[-1], H.upper[-1])
+        for row in res:
+            ref = dense_observables(H, row.energy, lead_l, lead_r)
+            assert row.transmission == pytest.approx(
+                ref["transmission"], rel=1e-10, abs=1e-12
+            )
+            np.testing.assert_allclose(row.dos, ref["dos"], rtol=1e-10)
+
     def test_needs_two_slabs(self):
         d = [np.zeros((2, 2), dtype=complex)]
         with pytest.raises(ValueError):
