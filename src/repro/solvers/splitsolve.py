@@ -28,15 +28,22 @@ import numpy as np
 from ..observability.invariants import get_monitor
 from ..observability.tracer import get_tracer, trace_span
 from ..perf.flops import zgemm_flops
-from .block_tridiagonal import BlockTridiagLU
+from .block_tridiagonal import BlockTridiagLU, block_product
 
 __all__ = ["SplitSolve", "partition_domains"]
 
 
-def _chain2_flops(a, b, c) -> float:
-    """Flops of the left-to-right triple product (a @ b) @ c."""
-    return zgemm_flops(a.shape[0], b.shape[1], a.shape[1]) + zgemm_flops(
-        a.shape[0], c.shape[1], b.shape[1]
+def _chain(a, b, c):
+    """The left-to-right triple product ``(a @ b) @ c`` of a corner block
+    ``b`` between two couplings, either of which may be 0-d (``c·I``)."""
+    return block_product(block_product(a, b), c)
+
+
+def _chain2_flops(rows: int, b, cols: int) -> float:
+    """Flops of ``(a @ b) @ c`` for a ``rows``-row ``a`` and a ``cols``-column
+    ``c`` — the reference GEMMs, whatever form the couplings take."""
+    return zgemm_flops(rows, b.shape[1], b.shape[0]) + zgemm_flops(
+        rows, cols, b.shape[1]
     )
 
 
@@ -72,7 +79,9 @@ class SplitSolve:
     Parameters
     ----------
     diag, upper, lower : lists of ndarray
-        Blocks of A (``lower=None`` means hermitian coupling).
+        Blocks of A (``lower=None`` means hermitian coupling); a coupling
+        may be the 0-d complex ``c`` of the block ``c·I``, as
+        :func:`repro.negf.assemble_system_blocks` gives a grid device's.
     n_domains : int
         Number of spatial domains P.  ``P=1`` degenerates to the monolithic
         block LU.
@@ -80,15 +89,15 @@ class SplitSolve:
 
     def __init__(self, diag, upper, lower=None, n_domains: int = 2):
         n = len(diag)
+        self._upper = [np.asarray(u, dtype=complex) for u in upper]
         if lower is None:
-            lower = [u.conj().T for u in upper]
+            lower = [u.conj().T for u in self._upper]
         if len(upper) != n - 1 or len(lower) != n - 1:
             raise ValueError("need N-1 upper and lower blocks")
         self.n_blocks = n
         self.n_domains = n_domains
         self.sizes = np.array([d.shape[0] for d in diag])
         self._diag = [np.asarray(d, dtype=complex) for d in diag]
-        self._upper = [np.asarray(u, dtype=complex) for u in upper]
         self._lower = [np.asarray(l, dtype=complex) for l in lower]
 
         self.interiors = partition_domains(n, n_domains)
@@ -124,45 +133,34 @@ class SplitSolve:
 
         # --- step 3: reduced interface system over separators --------------
         if self.separators:
-            tracer = get_tracer()
             schur_fl = 0.0
             with trace_span("splitsolve.interface", category="kernel"):
                 s_diag, s_upper, s_lower = [], [], []
                 for p, g in enumerate(self.separators):
                     f_p = self.interiors[p][1]  # last interior slab left of g
-                    b_next = self.interiors[p + 1][0]  # first slab right of g
+                    left, right = self._corners[p], self._corners[p + 1]
                     L_left = self._lower[f_p]  # A_{g, f_p}
                     U_left = self._upper[f_p]  # A_{f_p, g}
-                    U_right = self._upper[g]  # A_{g, b_next}
-                    L_right = self._lower[g]  # A_{b_next, g}
-                    S = (
+                    U_right = self._upper[g]  # A_{g, g+1}
+                    L_right = self._lower[g]  # A_{g+1, g}
+                    s_diag.append(
                         self._diag[g]
-                        - L_left @ self._corners[p]["rr"] @ U_left
-                        - U_right @ self._corners[p + 1]["ll"] @ L_right
+                        - _chain(L_left, left["rr"], U_left)
+                        - _chain(U_right, right["ll"], L_right)
                     )
-                    s_diag.append(S)
-                    if tracer.enabled:
-                        schur_fl += _chain2_flops(
-                            L_left, self._corners[p]["rr"], U_left
-                        ) + _chain2_flops(
-                            U_right, self._corners[p + 1]["ll"], L_right
-                        )
+                    m_g = self._diag[g].shape[0]
+                    schur_fl += _chain2_flops(m_g, left["rr"], m_g)
+                    schur_fl += _chain2_flops(m_g, right["ll"], m_g)
                     if p + 1 < len(self.separators):
                         f_next = self.interiors[p + 1][1]
                         U_next = self._upper[f_next]  # A_{f_next, g_{p+1}}
                         L_next = self._lower[f_next]  # A_{g_{p+1}, f_next}
-                        s_upper.append(
-                            -U_right @ self._corners[p + 1]["lr"] @ U_next
-                        )
-                        s_lower.append(
-                            -L_next @ self._corners[p + 1]["rl"] @ L_right
-                        )
-                        if tracer.enabled:
-                            schur_fl += _chain2_flops(
-                                U_right, self._corners[p + 1]["lr"], U_next
-                            ) + _chain2_flops(
-                                L_next, self._corners[p + 1]["rl"], L_right
-                            )
+                        s_upper.append(-_chain(U_right, right["lr"], U_next))
+                        s_lower.append(-_chain(L_next, right["rl"], L_right))
+                        m_next = self._diag[self.separators[p + 1]].shape[0]
+                        schur_fl += _chain2_flops(m_g, right["lr"], m_next)
+                        schur_fl += _chain2_flops(m_next, right["rl"], m_g)
+                tracer = get_tracer()
                 if tracer.enabled:
                     tracer.add_flops("splitsolve.schur", schur_fl)
                 self._interface_lu = BlockTridiagLU(s_diag, s_upper, s_lower)
@@ -194,11 +192,10 @@ class SplitSolve:
             s_rhs = []
             for p, g in enumerate(self.separators):
                 f_p = self.interiors[p][1]
-                b_next = self.interiors[p + 1][0]
                 r = (
                     rhs[g]
-                    - self._lower[f_p] @ y[p][-1]
-                    - self._upper[g] @ y[p + 1][0]
+                    - block_product(self._lower[f_p], y[p][-1])
+                    - block_product(self._upper[g], y[p + 1][0])
                 )
                 s_rhs.append(r)
             x_sep = self._interface_lu.solve(s_rhs)
@@ -210,11 +207,13 @@ class SplitSolve:
                 correction = [np.zeros_like(b) for b in rhs[first : last + 1]]
                 if p > 0:
                     g_left = self.separators[p - 1]
-                    correction[0] = self._lower[g_left] @ x_sep[p - 1]
+                    correction[0] = block_product(
+                        self._lower[g_left], x_sep[p - 1]
+                    )
                 if p < self.n_domains - 1:
                     g_right = self.separators[p]
-                    correction[-1] = (
-                        correction[-1] + self._upper[last] @ x_sep[p]
+                    correction[-1] = correction[-1] + block_product(
+                        self._upper[last], x_sep[p]
                     )
                 delta = self._lu[p].solve(correction)
                 for k in range(last - first + 1):
