@@ -44,9 +44,9 @@ from repro.physics.grids import uniform_grid
 #: Broadening small enough that the resonance width is set by tunneling.
 ETA = 5e-5
 BIAS_V = 0.05
-#: Adaptive configuration: seed = N_ENERGY // 2 nodes, 14 bisection
-#: passes so the finest interval (~2e-7 eV) sits well below the
-#: resonance width.
+#: Adaptive configuration: seed = N_ENERGY // 2 nodes and a cap of 14
+#: waves; even at one halving a wave that reaches intervals of ~2e-7 eV,
+#: well below the resonance width.
 N_ENERGY = 1024
 TOL = 1e-5
 MAX_PASSES = 14

@@ -144,9 +144,12 @@ class TransportCalculation:
         Node budget of the adaptive mode per k-point; refinement stops
         once this many nodes are accepted.
     adaptive_max_passes : int
-        Bisection-depth cap of the adaptive mode.  The finest reachable
-        interval is the seed spacing divided by ``2**adaptive_max_passes``;
-        raise it when chasing resonances much narrower than the seed grid.
+        Refinement-wave cap of the adaptive mode.  A wave splits each
+        failing interval up to
+        :data:`~repro.physics.grids.MAX_SPLIT_DEPTH` halvings deep, so
+        the finest reachable interval is the seed spacing divided by
+        ``2**(MAX_SPLIT_DEPTH * adaptive_max_passes)``; raise it when
+        chasing resonances much narrower than the seed grid.
     backend : str, ExecutionBackend or None
         Local execution backend for the energy grid of each k-point:
         "serial" (default), "thread" or "process".  None reads
@@ -411,7 +414,7 @@ class TransportCalculation:
         indicator ``[T*(fL-fR), log1p(spectral-density / wave-0 max)]`` is
         computed over the wave's rows as one stack (one row sum per
         spectral array), and the
-        next wave of bisection midpoints is emitted until tolerance, the
+        next wave of bisection-lattice nodes is emitted until tolerance, the
         node budget or the pass cap.  Every split decision is made in the
         parent from bitwise round-tripped results, so the node set — and
         therefore the whole solve — is bit-identical across

@@ -15,8 +15,9 @@ Two energy-grid constructions are provided:
 * :func:`fermi_window_grid` — uniform grid covering the union of the thermal
   windows of all contacts (the workhorse for current integration);
 * :class:`AdaptiveEnergyGrid` — bisection refinement driven by a local
-  interpolation-error estimate, which concentrates points on transmission
-  resonances (the ablation partner of the uniform grid).
+  interpolation-error estimate, each failing interval split as deep in
+  one wave as its error predicts, which concentrates points on
+  transmission resonances (the ablation partner of the uniform grid).
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ __all__ = [
     "AdaptiveEnergyGrid",
     "trapezoid_weights",
 ]
+
+#: Deepest split :meth:`AdaptiveEnergyGrid.next_wave` gives one interval
+#: in one wave.  Measured on the resonant 40-slab chain: a cap of 3 runs
+#: 6-7 waves where one-level bisection runs 13, at fewer solves; a cap
+#: of 2 runs 8 waves, and a cap of 4 overshoots to more solves than
+#: bisection spends.
+MAX_SPLIT_DEPTH = 3
 
 
 def adaptive_enabled(flag=None) -> bool:
@@ -169,10 +177,14 @@ def fermi_window_grid(
 class AdaptiveEnergyGrid:
     """Bisection-refined energy grid driven by an interpolation error estimate.
 
-    The grid starts from ``n_initial`` uniform nodes; each refinement pass
-    evaluates the integrand midpoint of every interval and keeps bisecting
-    intervals whose midpoint deviates from the linear interpolant by more
-    than ``tol`` (absolute, in the integrand's units).  This is the standard
+    The grid starts from ``n_initial`` uniform nodes; each refinement wave
+    evaluates the integrand midpoint of every active interval and splits
+    the intervals whose midpoint deviates from the linear interpolant by
+    more than ``tol`` (absolute, in the integrand's units) — as many
+    halvings deep, in that one wave, as the interval's own error predicts
+    it needs (``ceil(log4(err / tol))``, at most :data:`MAX_SPLIT_DEPTH`).
+    Every node sits on the bisection lattice of the seed grid, and
+    ``max_passes`` bounds the number of waves.  This is the standard
     way quantum-transport codes catch narrow resonances without paying for a
     globally fine grid.  Refinement *spreads*: an interval that passes the
     midpoint test is still split while an adjacent interval is failing, so
@@ -219,7 +231,6 @@ class AdaptiveEnergyGrid:
         self._excluded: set[float] = set()
         self._active: list[tuple[float, float]] = []
         self._leaves: list[tuple[float, float]] = []
-        self._pending: list[float] = []
         self._wave = 0
         self._budget_hit = False
         self._est_error = float("inf")
@@ -257,7 +268,6 @@ class AdaptiveEnergyGrid:
                  np.linspace(self.emin, self.emax, self.n_initial)]
         self._accepted.update(nodes)
         self._active = list(zip(nodes[:-1], nodes[1:]))
-        self._pending = nodes
         self.node_counts.append(self.n_nodes)
         return list(nodes)
 
@@ -275,17 +285,30 @@ class AdaptiveEnergyGrid:
             self.samples[e] = value
 
     def next_wave(self) -> list[float]:
-        """Score the last wave's intervals and emit the next bisection wave.
+        """Score the last wave's intervals and emit the next wave.
 
-        Intervals whose recorded midpoint deviates from the linear
-        interpolant by more than ``tol`` are split (the midpoint joins
-        the grid); intervals touching an excluded node are retired.
-        Returns an empty list when everything is converged, the node
-        budget (``max_points``) is exhausted, or ``max_passes`` waves
-        have been emitted.
+        Every active interval is scored at once: its error is the
+        recorded midpoint's deviation from the chord, which falls about
+        4x per halving, so an interval failing by ``err > tol`` is split
+        ``ceil(log4(err / tol))`` levels deep in this one wave (at most
+        :data:`MAX_SPLIT_DEPTH`).  Its new interior nodes join the grid
+        and are emitted together with the midpoints of its new
+        sub-intervals, which the next call scores.  All nodes are built
+        by repeated ``0.5 * (a + b)``, so they sit on the same bisection
+        lattice one-level splits would reach.  Intervals touching an
+        excluded node are retired.  Returns an empty list when
+        everything is converged, the node budget (``max_points``) is
+        exhausted, or ``max_passes`` waves have been emitted — the pass
+        cap bounds waves, not depth.
 
-        A passing interval is still split when an *adjacent* active
-        interval failed its own test (refinement spreading).  The
+        Splits deeper than one level only spend nodes that are sure to
+        be solved: on the last pass, or when one node per split would
+        exhaust the budget, every split is a single bisection (nodes past
+        it would never be emitted); otherwise the depths are clipped in
+        energy order to the budget left over.
+
+        A passing interval is still split one level when an *adjacent*
+        active interval failed its own test (refinement spreading).  The
         midpoint test alone can be defeated by chord coincidence — a
         resonance positioned so the midpoint value happens to land on
         the linear interpolant of the endpoints looks converged while
@@ -296,86 +319,84 @@ class AdaptiveEnergyGrid:
         if len(self._accepted) >= self.max_points:
             self._budget_hit = True
         if self._budget_hit or self._wave > self.max_passes:
-            self._leaves.extend(self._active)
-            self._active = []
-            self._pending = []
-            return []
+            return self._truncate()
         if self._wave == 0:
             # wave 0 carried the seed nodes themselves; the intervals
             # between them are already active — just emit midpoints
             self._wave = 1
-            return self._emit()
-        # score every active interval first (None = quarantined endpoint
-        # or midpoint: the interval is retired, never split)
-        scored: list[tuple[float, float, float | None]] = []
-        for a, b in self._active:
-            mid = 0.5 * (a + b)
-            if (
-                a in self._excluded or b in self._excluded
-                or mid in self._excluded
-            ):
-                scored.append((a, b, None))
-            else:
-                scored.append((a, b, self._interval_error(a, mid, b)))
-        # then decide splits with the neighbour veto: _active is kept
-        # sorted by energy, so adjacency is a shared endpoint at i +- 1
-        split = [err is not None and err > self.tol for _, _, err in scored]
-        for i, (a, b, err) in enumerate(scored):
-            if err is None or split[i]:
-                continue
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(scored):
-                    aj, bj, ej = scored[j]
-                    if (
-                        ej is not None and ej > self.tol
-                        and (bj == a or aj == b)
-                    ):
-                        split[i] = True
-                        break
+            return [0.5 * (a + b) for a, b in self._active]
+        edges = np.array(self._active).reshape(-1, 2)
+        triples = np.column_stack(
+            [edges[:, 0], 0.5 * (edges[:, 0] + edges[:, 1]), edges[:, 1]]
+        ).tolist()
+        # an excluded endpoint or midpoint retires the interval
+        live = np.array([self._excluded.isdisjoint(t) for t in triples],
+                        dtype=bool)
+        err = np.full(len(triples), -np.inf)
+        if live.any():
+            v = np.array([[self.samples[x] for x in t]
+                          for t, ok in zip(triples, live) if ok], dtype=float)
+            dev = np.abs(v[:, 1] - 0.5 * (v[:, 0] + v[:, 2]))
+            err[live] = dev.reshape(len(dev), -1).max(axis=1)
+        # neighbour veto: _active is kept sorted by energy, so adjacency
+        # is a shared endpoint at i +- 1
+        fail = err > self.tol
+        touch = edges[1:, 0] == edges[:-1, 1]
+        near = np.zeros_like(fail)
+        near[1:] |= fail[:-1] & touch
+        near[:-1] |= fail[1:] & touch
+        split = fail | (live & near)
+        depth = 1 + np.searchsorted(
+            self.tol * 4.0 ** np.arange(1, MAX_SPLIT_DEPTH), err
+        )
+        # nodes left for halvings past the first: none on the last pass,
+        # nor when one node per split already meets the budget
+        spare = -1 if self._wave >= self.max_passes else max(
+            self.max_points - 1 - len(self._accepted) - int(split.sum()), -1
+        )
         next_active: list[tuple[float, float]] = []
-        worst = 0.0
-        for i, (a, b, err) in enumerate(scored):
-            if err is None:
+        wave: list[float] = []
+        for (a, b), ok, cut, k in zip(
+            self._active, live, split, depth.tolist()
+        ):
+            if not ok:
                 continue  # quarantined node: retire, don't pin refinement
-            worst = max(worst, err)
-            if split[i]:
-                mid = 0.5 * (a + b)
-                self._accepted.add(mid)
-                next_active.append((a, mid))
-                next_active.append((mid, b))
-                if len(self._accepted) >= self.max_points:
-                    self._budget_hit = True
-                    # unscored intervals keep their solved midpoints as
-                    # converged-leaf quadrature support
-                    self._leaves.extend(
-                        (x[0], x[1]) for x in scored[i + 1:]
-                    )
-                    break
-            else:
+            if not cut or self._budget_hit:
+                # converged — or the budget is spent, and the interval's
+                # solved midpoint stays as leaf quadrature support
                 self._leaves.append((a, b))
-        self._est_error = worst
+                continue
+            k = max(1, min(k, (spare + 2).bit_length() - 1))
+            spare -= 2 ** k - 2
+            cuts = [a, b]
+            for _ in range(k):
+                cuts = [x for lo, hi in zip(cuts, cuts[1:])
+                        for x in (lo, 0.5 * (lo + hi))] + [b]
+            kids = list(zip(cuts, cuts[1:]))
+            self._accepted.update(cuts[1:-1])
+            solved = (a, cuts[len(cuts) // 2])  # the midpoint scored above
+            for lo, hi in kids:
+                if lo not in solved:
+                    wave.append(lo)
+                wave.append(0.5 * (lo + hi))
+            next_active.extend(kids)
+            if len(self._accepted) >= self.max_points:
+                self._budget_hit = True
+        self._est_error = float(err.max(initial=0.0))
         self._active = next_active
         self._wave += 1
         self.node_counts.append(self.n_nodes)
         if self._budget_hit or self._wave > self.max_passes:
             # refinement is truncated: the still-active intervals become
-            # leaves (their midpoints may not have been solved yet)
-            self._leaves.extend(self._active)
-            self._active = []
-            self._pending = []
-            return []
-        return self._emit()
+            # leaves (their midpoints are never solved)
+            return self._truncate()
+        return wave
 
-    def _emit(self) -> list[float]:
-        """Midpoints of the active intervals — the next wave's nodes."""
-        self._pending = [0.5 * (a + b) for a, b in self._active]
-        return list(self._pending)
-
-    def _interval_error(self, a: float, mid: float, b: float) -> float:
-        va = np.asarray(self.samples[a], dtype=float)
-        vb = np.asarray(self.samples[b], dtype=float)
-        vm = np.asarray(self.samples[mid], dtype=float)
-        return float(np.max(np.abs(vm - 0.5 * (va + vb))))
+    def _truncate(self) -> list[float]:
+        """End refinement: every active interval becomes a leaf."""
+        self._leaves.extend(self._active)
+        self._active = []
+        return []
 
     def grid(self) -> EnergyGrid:
         """Final :class:`EnergyGrid` over the refined node set.

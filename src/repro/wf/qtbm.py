@@ -268,8 +268,9 @@ class WFSolver:
             energy=energies,
             transmission=t,
             reflection=np.maximum(n_open_l - t, 0.0),
-            # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) * 2, coherent limit
-            dos=2.0 * (spectral_l + spectral_r),
+            # coherent limit: A_L + A_R = i(G - G^+) = -2 Im G, so
+            # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) = sL + sR
+            dos=spectral_l + spectral_r,
             spectral_left=spectral_l,
             spectral_right=spectral_r,
             n_channels_left=n_open_l,

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeviceSpec, TransportCalculation, build_device
+from repro.negf import RGFSolver, landauer_current
 from repro.observability import (
     MetricsRegistry,
     Tracer,
@@ -34,6 +35,7 @@ from repro.observability import (
     use_tracer,
 )
 from repro.observability.telemetry import TelemetryWriter, use_events
+from repro.physics import grids
 from repro.physics.grids import (
     AdaptiveEnergyGrid,
     adaptive_enabled,
@@ -135,6 +137,60 @@ class TestRefinementProperties:
         assert grid.energies[0] == EMIN
         assert grid.energies[-1] == EMAX
 
+    @given(
+        center=st.floats(-0.5, 0.5),
+        width=st.floats(0.005, 0.2),
+        tol=st.floats(1e-5, 1e-2),
+        budget=st.integers(12, 400),
+        max_passes=st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nodes_on_the_bisection_lattice_solved_once(
+        self, center, width, tol, budget, max_passes
+    ):
+        """Every emitted node is a repeated midpoint of the seed grid,
+        emitted once and evaluated once, and the final grid holds only
+        solved nodes — also when the budget or the pass cap truncates a
+        wave that split intervals several levels deep.  The seed spacing
+        (4/9) is not a binary fraction, so nodes placed any other way
+        than by repeated ``0.5 * (a + b)`` fall off the lattice."""
+        refiner = AdaptiveEnergyGrid(
+            EMIN, EMAX, n_initial=10, tol=tol, max_points=budget,
+            max_passes=max_passes,
+        )
+        f = lorentzian(center, width)
+        seeds = refiner.first_wave()
+        wave, emitted = list(seeds), []
+        while wave:
+            emitted.extend(wave)
+            for e in wave:
+                refiner.record(e, f(e))
+            wave = refiner.next_wave()
+        assert len(emitted) == len(set(emitted)), "a node was emitted twice"
+        # wave w reaches at most MAX_SPLIT_DEPTH levels below wave w - 1;
+        # an off-lattice float is reached only ~50 halvings down
+        deepest = 1 + grids.MAX_SPLIT_DEPTH * max_passes
+        for e in emitted:
+            i = min(np.searchsorted(seeds, e, side="right") - 1,
+                    len(seeds) - 2)
+            a, b = seeds[i], seeds[i + 1]
+            for _ in range(deepest):
+                if e in (a, b):
+                    break
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if e <= mid else (mid, b)
+            assert e in (a, b), f"{e!r} is not a repeated midpoint"
+        assert set(refiner.grid().energies) <= set(refiner.samples)
+        assert refiner.n_nodes <= budget
+        # the callable driver over the same configuration: one
+        # evaluation per node it keeps
+        again = AdaptiveEnergyGrid(
+            EMIN, EMAX, n_initial=10, tol=tol, max_points=budget,
+            max_passes=max_passes,
+        )
+        again.refine(f)
+        assert again.n_evaluations == len(again.samples) == len(emitted)
+
     def test_beats_uniform_on_sharp_resonance(self):
         """Adaptive needs far fewer nodes than uniform at equal accuracy."""
         f = lorentzian(0.1, 0.002)
@@ -157,6 +213,59 @@ class TestRefinementProperties:
         assert len(grid) * 3 <= n, (
             f"adaptive used {len(grid)} nodes; uniform needed {n}"
         )
+
+
+# ---------------------------------------------------------------------------
+# the resonant chain: waves, solves and accuracy against a dense oracle
+
+
+def _resonant_chain():
+    """40-site m = 1 chain, two 0.7 eV barriers around a 10-site well."""
+    built = build_device(DeviceSpec(
+        n_x=40, n_y=1, n_z=1, spacing_nm=0.25, source_cells=4,
+        drain_cells=4, gate_cells=(12, 28), donor_density_nm3=0.05,
+        material_params={"m_rel": 0.3},
+    ))
+    pot = np.zeros(built.n_atoms)
+    pot[9:15] = pot[25:31] = 0.7
+    return built, pot
+
+
+class TestResonantChain:
+    def test_few_waves_no_more_solves_dense_accuracy(self, monkeypatch):
+        """Deep splits reach the one-level bisection's accuracy in at
+        most 8 waves (bisection: 13) with no more solves.
+
+        The oracle is the current on a dense 16385-node uniform grid
+        (converged to 1e-8 relative on this device); the bisection run
+        is the same engine with ``MAX_SPLIT_DEPTH = 1``.
+        """
+        built, pot = _resonant_chain()
+        calc = dict(
+            method="rgf", eta=5e-5, n_energy=128, energy_mode="adaptive",
+            adaptive_tol=1e-3, adaptive_max_passes=12,
+            max_energy_points=16384,
+        )
+        tc = TransportCalculation(built, **calc)
+        window = tc.energy_grid(pot, 0.05).energies
+        dense = uniform_grid(float(window[0]), float(window[-1]), 16385)
+        batch = RGFSolver(tc.hamiltonian(pot), eta=tc.eta).solve_batch(
+            [float(e) for e in dense.energies]
+        )
+        i_ref = landauer_current(
+            dense, batch.transmission, built.contact_mu("source"),
+            built.contact_mu("drain", 0.05), built.spec.kT,
+            spin_degeneracy=tc.spin_degeneracy,
+        )
+        deep = tc.solve_bias(pot, 0.05)
+        assert deep.adaptive["waves"] <= 8
+        monkeypatch.setattr(grids, "MAX_SPLIT_DEPTH", 1)
+        bisect = TransportCalculation(built, **calc).solve_bias(pot, 0.05)
+        assert bisect.adaptive["waves"] == 13
+        assert deep.adaptive["solved"] <= bisect.adaptive["solved"]
+        rel = abs(deep.current_a - i_ref) / abs(i_ref)
+        rel_bisect = abs(bisect.current_a - i_ref) / abs(i_ref)
+        assert rel <= rel_bisect <= 5e-4
 
 
 # ---------------------------------------------------------------------------
