@@ -13,6 +13,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -276,14 +277,15 @@ def test_t3_batched_speedup_sane():
 _GRID = dict(spacing_nm=0.25, donor_density_nm3=0.05,
              material_params={"m_rel": 0.3})
 #: Contact-stage leads: ``name -> (device, energies per stack, timed repeats)``
-#: — the FET of ``scf_sweep_wf`` (m = 4), a four-energy sub-stack of
-#: ``transport_wide_process`` (m = 25) and the ROADMAP's Si-sp3s* wire
-#: (m = 150, the "before" of the rank-reduced contact block).
+#: — the FET of ``scf_sweep_wf`` (m = 4), one sub-stack of
+#: ``transport_wide_process`` (m = 25, its stack length of 13 energies) and
+#: the ROADMAP's Si-sp3s* wire (m = 150, the "before" of the rank-reduced
+#: contact block).
 CONTACT_LEADS = {
     "fet": (DeviceSpec(n_x=12, n_y=2, n_z=2, source_cells=4, drain_cells=4,
                        gate_cells=(4, 8), **_GRID), 41, 5),
     "wide": (DeviceSpec(n_x=48, n_y=5, n_z=5, source_cells=8, drain_cells=8,
-                        gate_cells=(16, 32), **_GRID), 4, 5),
+                        gate_cells=(16, 32), **_GRID), 13, 5),
     "si_wire": (DeviceSpec(geometry="nanowire-zb", material="Si-sp3s*",
                            n_x=8, n_y=2, n_z=2, source_cells=2, drain_cells=2,
                            gate_cells=(3, 5)), 9, 2),
@@ -327,13 +329,16 @@ def test_t3_hamiltonian_update_sane():
 def _measure_block_lu(name, H, energies, sigmas, repeats):
     """Both kernel stages behind one contact evaluation.
 
-    Seconds per energy (best of the repeats) and a count that repeats
-    exactly: the block products ``BlockTridiagLU`` issues for one RGF
+    Seconds per energy (best of the repeats) and two numbers that repeat
+    exactly.  The block products ``BlockTridiagLU`` issues for one RGF
     ``kernel_stage`` — factor, both block columns, selected inversion.
     Each multiplier formed once makes it ``9 (n_blocks - 1) + 2`` on
     matrix couplings (``si_wire``) and ``5 (n_blocks - 1) + 2`` on the
     ``c·I`` couplings of the grid devices, which the LU multiplies by; the
     reference sweep the flop model charges issues ``12 (n_blocks - 1) + 2``.
+    And the stage's tracemalloc peak per energy in slab-sets (``n_blocks``
+    complex128 ``(m, m)`` blocks): the inverse Schur complements plus one
+    column of G on a grid device, where the multipliers are not kept.
     """
     rgf, wf = RGFSolver(H), WFSolver(H)
     products = []
@@ -344,10 +349,19 @@ def _measure_block_lu(name, H, energies, sigmas, repeats):
 
     with mock.patch.object(block_tridiagonal, "_matmul", counted):
         rgf.kernel_stage(energies, *sigmas)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rgf.kernel_stage(energies, *sigmas)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    slab_set = H.n_blocks * int(H.block_sizes.max()) ** 2 * 16
     row = {
         "block_size": int(H.block_sizes.max()),
         "n_blocks": int(H.n_blocks),
         "lu_matmuls_rgf": len(products),
+        "stage_peak_slab_sets": peak / (energies.size * slab_set),
     }
     for method, solver in (("rgf", rgf), ("wf", wf)):
         seconds = _best_of(
@@ -427,6 +441,7 @@ def test_t3_contacts_one_inversion_per_step():
         assert report[f"block_lu.{name}.lu_matmuls_rgf"] == (
             5 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
         ), report
+    assert report["block_lu.wide.stage_peak_slab_sets"] <= 2.5, report
 
 
 def _smoke():

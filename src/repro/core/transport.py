@@ -60,6 +60,7 @@ from .device import BuiltDevice
 
 __all__ = [
     "STACK_BUDGET_BYTES",
+    "STAGE_SLAB_SETS",
     "TransportCalculation",
     "TransportResult",
     "solve_energies",
@@ -829,21 +830,29 @@ class _KPoint:
         return grid, self.stack(kept)
 
 
-#: Byte budget of one stacked ``(E, m, m)``-per-block work array of the
-#: block LU.  Long stacks amortise the interpreter at small blocks; at
-#: m=25 the kernels are LAPACK-bound after a few slices and a longer stack
-#: only inflates the resident set (measured in docs/PARALLELISM.md).
-STACK_BUDGET_BYTES = 2 << 20
+#: Byte budget of one stacked kernel stage: the tracemalloc peak of an RGF
+#: or WF ``kernel_stage`` at :func:`stack_length` energies.  Long stacks
+#: amortise the interpreter, and pool workers keep what a stack frees for
+#: the next one (:mod:`repro.parallel.backend`); docs/PARALLELISM.md has
+#: the measurements behind the number.
+STACK_BUDGET_BYTES = 14 << 20
+
+#: Measured stage peak per energy, in slab-sets (``n_blocks`` complex128
+#: ``(m, m)`` blocks): the inverse Schur complements plus one column of G
+#: or the factor's input — 2.21 on the wide e2e device (m = 25, 48 slabs),
+#: rounded up.
+STAGE_SLAB_SETS = 2.25
 
 
 def stack_length(n_blocks: int, block_size: int) -> int:
     """Energies per stacked kernel call for a device of this shape.
 
-    The longest stack whose ``n_blocks`` complex128 ``(E, m, m)`` block
-    arrays stay within :data:`STACK_BUDGET_BYTES` (at least one).
+    The longest stack whose measured stage peak, :data:`STAGE_SLAB_SETS`
+    slab-sets of ``n_blocks`` complex128 ``(m, m)`` blocks per energy,
+    stays within :data:`STACK_BUDGET_BYTES` (at least one).
     """
-    per_energy = int(n_blocks) * int(block_size) ** 2 * 16
-    return max(1, STACK_BUDGET_BYTES // per_energy)
+    per_energy = STAGE_SLAB_SETS * int(n_blocks) * int(block_size) ** 2 * 16
+    return max(1, int(STACK_BUDGET_BYTES // per_energy))
 
 
 def solve_energies(solver, energies):
@@ -852,25 +861,26 @@ def solve_energies(solver, energies):
     Every dispatch — serial grid, backend chunk, adaptive wave,
     distributed rank, and the single-point rungs of the degradation
     ladder and retry loops as a stack of one — lands here and runs the
-    stacked kernel (``solve_batch``) in sub-stacks of :func:`stack_length`
-    energies, joined into the one result stack returned (one
-    ``concatenate`` per field).  Stacked results are per-slice
-    independent of the stack they ride in, so the split changes memory,
-    never a bit of the answer.  In the parent the loop heartbeats once
-    per sub-stack so a long serial k-point still moves ``repro top``.
+    stacked kernel (``solve_batch``) in ``ceil(n / L)`` sub-stacks of at
+    most L = :func:`stack_length` energies whose lengths differ by at
+    most one (65 energies at L = 13 are 5 x 13, not 4 x 16 + 1), joined
+    into the one result stack returned (one ``concatenate`` per field).
+    Stacked results are per-slice independent of the stack they ride in,
+    so the split changes memory, never a bit of the answer.  In the
+    parent the loop heartbeats once per sub-stack so a long serial
+    k-point still moves ``repro top``.
     """
     heartbeat = not in_worker()
     H = solver.H
-    step = stack_length(H.n_blocks, H.block_sizes.max())
+    n = len(energies)
+    parts = -(-n // stack_length(H.n_blocks, H.block_sizes.max()))
+    bounds = [n * i // parts for i in range(parts + 1)]
     events = get_events()
     stacks = []
-    for lo in range(0, len(energies), step):
-        stacks.append(solver.solve_batch(energies[lo:lo + step]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        stacks.append(solver.solve_batch(energies[lo:hi]))
         if heartbeat:
-            events.maybe_heartbeat(
-                stage="energy-stack", solved=min(lo + step, len(energies)),
-                of=len(energies),
-            )
+            events.maybe_heartbeat(stage="energy-stack", solved=hi, of=n)
     return type(stacks[0]).concatenate(stacks)
 
 

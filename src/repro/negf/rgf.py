@@ -71,10 +71,20 @@ def equal_width_groups(*widths) -> list:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
+#: Rows of a block column contracted per GEMM by :func:`_contact_density`.
+DENSITY_ROWS = 128
+
+
 def _contact_density(column: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """``diag(G Gamma G^+) / 2 pi`` from the contact's block column of G:
-    one ``(B, sum(m), m) @ (B, m, m)`` GEMM, then :func:`_row_sums`."""
-    return _row_sums(column @ gamma, column) / (2.0 * np.pi)
+    a ``(B, rows, m) @ (B, m, m)`` GEMM per group of :data:`DENSITY_ROWS`
+    rows, each reduced by :func:`_row_sums` before the next (no
+    column-sized temporary)."""
+    groups = [column[:, lo:lo + DENSITY_ROWS]
+              for lo in range(0, column.shape[1], DENSITY_ROWS)]
+    return np.concatenate(
+        [_row_sums(rows @ gamma, rows) for rows in groups], axis=1
+    ) / (2.0 * np.pi)
 
 
 def _row_sums(weighted: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -104,19 +114,22 @@ def assemble_system_blocks(
     and stay 2-D either way, except that a coupling that is exactly
     ``c·I`` comes out as the 0-d complex ``-c``
     (:meth:`BlockTridiagonalHamiltonian.couplings`), which
-    :class:`repro.solvers.BlockTridiagLU` multiplies by.
+    :class:`repro.solvers.BlockTridiagLU` multiplies by.  The diagonal
+    blocks of one size are views of one array.
     """
-    n = H.n_blocks
     e = np.asarray(energy, dtype=float)
-    e = e.reshape(e.shape + (1, 1))
-    diag = []
-    for i, h in enumerate(H.diagonal):
-        a = e * np.eye(h.shape[0], dtype=complex) - h
-        if i == 0:
-            a = a - sigma_l
-        if i == n - 1:
-            a = a - sigma_r
-        diag.append(a)
+    e = e.reshape((1,) + e.shape + (1, 1))
+    diag = [None] * H.n_blocks
+    # the blocks of one size are views of one array: a kernel stage frees
+    # them as one chunk, the size of the block column it forms next
+    for m in set(H.block_sizes.tolist()):
+        slabs = np.flatnonzero(H.block_sizes == m)
+        h = np.array([H.diagonal[i] for i in slabs])
+        h = h.reshape((len(slabs),) + (1,) * (e.ndim - 3) + (m, m))
+        for i, a in zip(slabs, e * np.eye(m, dtype=complex) - h):
+            diag[i] = a
+    diag[0] -= sigma_l
+    diag[-1] -= sigma_r
     upper = [-u for u in H.couplings()]
     lower = [np.conj(u).T for u in upper]
     return diag, upper, lower
@@ -321,34 +334,39 @@ class RGFSolver:
         benchmark that excludes the contacts evaluates them once and
         times this call.  Between here and the result stack every step is
         a stacked LAPACK/BLAS/ufunc call: the contact spectral densities
-        are one GEMM per block column plus an elementwise row-sum,
-        ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``, and the
-        open-channel counts one stacked ``eigvalsh`` per contact.  The
-        only per-energy loop is the invariant checks, and only under a
-        live monitor.
+        are a GEMM per row group of a block column plus an elementwise
+        row-sum, ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``,
+        and the open-channel counts one stacked ``eigvalsh`` per contact.
+        The only per-energy loop is the invariant checks, and only under
+        a live monitor.  One column-sized array is alive at a time besides
+        the factor's ``dinv`` (docs/PARALLELISM.md "The stack budget").
         """
         energies = np.array(energies, dtype=float)
         n = self.H.n_blocks
+        # the contacts' broadening first: allocated after the factor, it
+        # would split the freed diagonal, the one chunk a column fits in
+        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
         lu = BlockTridiagLU(
             *assemble_system_blocks(self.H, energies, sigma_l, sigma_r)
         )
-        col0 = lu.block_column(0)  # G_{:,0}
+        # one column-sized array at a time: each contact's block column of
+        # G is contracted before the next is formed, and the selected
+        # inversion reduces each diagonal block as it comes
+        spectral_left = _contact_density(lu.block_column(0), gam_l)
         coln = lu.block_column(n - 1)  # G_{:,N-1}
-        gdiag = lu.diagonal_of_inverse()
-
-        gam_l, gam_r = broadening(sigma_l), broadening(sigma_r)
+        spectral_right = _contact_density(coln, gam_r)
         g_0n = coln[:, : lu.sizes[0]]
         prod = gam_l @ g_0n @ gam_r @ np.conj(np.swapaxes(g_0n, -2, -1))
+        del coln, g_0n
+        dos = [g.diagonal(axis1=1, axis2=2).imag.copy()
+               for g in lu.diagonal_blocks()]
         stack = RGFResult.checked(
             "rgf",
             energy=energies,
             transmission=np.trace(prod, axis1=-2, axis2=-1).real,
-            dos=-np.concatenate(
-                [np.diagonal(g, axis1=1, axis2=2).imag for g in gdiag],
-                axis=1,
-            ) / np.pi,
-            spectral_left=_contact_density(col0, gam_l),
-            spectral_right=_contact_density(coln, gam_r),
+            dos=-np.concatenate(dos[::-1], axis=1) / np.pi,
+            spectral_left=spectral_left,
+            spectral_right=spectral_right,
             n_channels_left=open_channels(np.linalg.eigvalsh(gam_l)),
             n_channels_right=open_channels(np.linalg.eigvalsh(gam_r)),
         )

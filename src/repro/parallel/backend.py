@@ -31,6 +31,7 @@ executors; everything is shut down at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import multiprocessing
 import threading
 from concurrent.futures import (
@@ -89,6 +90,21 @@ class ExecutionBackend:
             "pool_restarts": self.pool_restarts,
         }
 
+    def _count(self, counter: str) -> None:
+        """Bump one elastic counter and its ``backend.<counter>`` metric."""
+        setattr(self, counter, getattr(self, counter) + 1)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc(f"backend.{counter}", 1.0, backend=self.name)
+
+    def _straggler(self, task: int, deadline: float, action: str) -> None:
+        """Count a task past its deadline and emit its ``straggler`` event."""
+        self._count("stragglers")
+        events = get_events()
+        if events.enabled:
+            events.emit("straggler", backend=self.name, task=task,
+                        deadline_s=deadline, action=action)
+
     def map(self, fn, items) -> list:
         """Run ``fn`` over ``items``, returning results in input order.
 
@@ -121,6 +137,24 @@ class SerialBackend(ExecutionBackend):
 _POOLS: dict = {}
 _POOLS_LOCK = threading.Lock()
 _WORKER_PREFIX = "repro-worker"
+#: ``mallopt`` settings of every process-pool worker, (parameter, value):
+#: glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (its 64-bit maximum), so
+#: the block arrays a stacked kernel stage frees stay in the worker's heap
+#: for the next stage instead of going back to the OS and faulting in
+#: again (docs/PARALLELISM.md "Worker heaps").
+WORKER_MALLOPT = ((-1, 256 << 20), (-3, 32 << 20))
+
+
+def _keep_heap() -> None:
+    """Process-pool worker initializer: apply :data:`WORKER_MALLOPT`; a
+    no-op where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in WORKER_MALLOPT:
+        mallopt(param, value)
 
 
 def in_worker() -> bool:
@@ -146,7 +180,9 @@ def _shared_pool(kind: str, workers: int):
                     max_workers=workers, thread_name_prefix=_WORKER_PREFIX
                 )
             else:
-                pool = ProcessPoolExecutor(max_workers=workers)
+                pool = ProcessPoolExecutor(
+                    max_workers=workers, initializer=_keep_heap
+                )
             _POOLS[key] = pool
     return pool
 
@@ -177,7 +213,31 @@ def _resolve_deadline(deadline_s) -> float | None:
     return deadline_s if deadline_s > 0 else None
 
 
-class ThreadBackend(ExecutionBackend):
+class _PooledBackend(ExecutionBackend):
+    """A backend on the shared pool of its kind, with an optional
+    per-chunk deadline (``deadline_s``; None reads ``$REPRO_DEADLINE_S``).
+    """
+
+    def __init__(self, workers: int = 2, deadline_s: float | None = None):
+        super().__init__(workers)
+        self.deadline_s = deadline_s
+
+    def map(self, fn, items) -> list:
+        """Fan ``items`` out over the shared pool, results in order.
+
+        Single-item batches short-circuit to an in-process call; with a
+        deadline configured, :meth:`_elastic_map` handles a task past it.
+        """
+        if len(items) <= 1:
+            return [fn(item) for item in items]
+        deadline = _resolve_deadline(self.deadline_s)
+        pool = _shared_pool(self.name, self.workers)
+        if deadline is None:
+            return list(pool.map(fn, items))
+        return self._elastic_map(fn, items, pool, deadline)
+
+
+class ThreadBackend(_PooledBackend):
     """ThreadPoolExecutor backend (numpy releases the GIL in BLAS).
 
     With a ``deadline_s``, a chunk that has not returned by its deadline
@@ -190,53 +250,26 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def __init__(self, workers: int = 2, deadline_s: float | None = None):
-        super().__init__(workers)
-        self.deadline_s = deadline_s
-
-    def map(self, fn, items) -> list:
-        """Fan ``items`` out over the shared thread pool.
-
-        Single-item batches short-circuit to an in-process call.  With
-        a deadline configured, a task past it is abandoned (counted as
-        a straggler) and re-executed inline so the batch still returns
-        complete, in-order results.
-        """
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        deadline = _resolve_deadline(self.deadline_s)
-        pool = _shared_pool("thread", self.workers)
-        if deadline is None:
-            return list(pool.map(fn, items))
+    def _elastic_map(self, fn, items, pool, deadline) -> list:
+        """A task past the deadline is abandoned (counted as a straggler)
+        and re-executed inline, so the batch still returns complete,
+        in-order results."""
         futures = [pool.submit(fn, item) for item in items]
         results = []
-        metrics = get_metrics()
         for i, fut in enumerate(futures):
             try:
                 results.append(fut.result(timeout=deadline))
             except FuturesTimeoutError:
                 # straggler: recompute speculatively in the caller rather
                 # than stalling the whole chunk list behind one hung task
-                self.stragglers += 1
-                if metrics.enabled:
-                    metrics.inc("backend.stragglers", 1.0, backend=self.name)
-                events = get_events()
-                if events.enabled:
-                    events.emit(
-                        "straggler", backend=self.name, task=i,
-                        deadline_s=deadline, action="speculate_inline",
-                    )
+                self._straggler(i, deadline, "speculate_inline")
                 fut.cancel()
                 results.append(fn(items[i]))
-                self.speculative_wins += 1
-                if metrics.enabled:
-                    metrics.inc(
-                        "backend.speculative_wins", 1.0, backend=self.name
-                    )
+                self._count("speculative_wins")
         return results
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend(_PooledBackend):
     """ProcessPoolExecutor backend.
 
     ``fn`` and every item must be picklable.  Child-side tracer/metrics
@@ -255,10 +288,6 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, workers: int = 2, deadline_s: float | None = None):
-        super().__init__(workers)
-        self.deadline_s = deadline_s
-
     def _restart_pool(self) -> None:
         """Tear down the shared pool, terminating hung children."""
         key = ("process", self.workers)
@@ -271,31 +300,16 @@ class ProcessBackend(ExecutionBackend):
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        self.pool_restarts += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("backend.pool_restarts", 1.0, backend=self.name)
+        self._count("pool_restarts")
 
-    def map(self, fn, items) -> list:
-        """Fan ``items`` out over the shared process pool.
-
-        Single-item batches short-circuit to an in-process call.  With
-        a deadline configured, a hung or crashed worker is detected at
-        the deadline, the pool is restarted (counted in
-        ``backend.pool_restarts``), and the unfinished tasks are
-        re-executed inline so the batch still returns complete,
-        in-order results.
-        """
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        deadline = _resolve_deadline(self.deadline_s)
-        pool = _shared_pool("process", self.workers)
-        if deadline is None:
-            return list(pool.map(fn, items))
+    def _elastic_map(self, fn, items, pool, deadline) -> list:
+        """A hung or crashed worker is detected at the deadline, the pool
+        is restarted (counted in ``backend.pool_restarts``), and the
+        unfinished tasks are re-executed inline so the batch still
+        returns complete, in-order results."""
         futures = [pool.submit(fn, item) for item in items]
         results: list = [None] * len(items)
         pending = list(range(len(items)))
-        metrics = get_metrics()
         restarted = False
         for i in list(pending):
             if restarted:
@@ -304,15 +318,7 @@ class ProcessBackend(ExecutionBackend):
                 results[i] = futures[i].result(timeout=deadline)
                 pending.remove(i)
             except FuturesTimeoutError:
-                self.stragglers += 1
-                if metrics.enabled:
-                    metrics.inc("backend.stragglers", 1.0, backend=self.name)
-                events = get_events()
-                if events.enabled:
-                    events.emit(
-                        "straggler", backend=self.name, task=i,
-                        deadline_s=deadline, action="pool_restart",
-                    )
+                self._straggler(i, deadline, "pool_restart")
                 self._restart_pool()
                 restarted = True
         if restarted:
@@ -328,11 +334,7 @@ class ProcessBackend(ExecutionBackend):
                         pass
                 results[i] = fn(items[i])
                 pending.remove(i)
-                self.speculative_wins += 1
-                if metrics.enabled:
-                    metrics.inc(
-                        "backend.speculative_wins", 1.0, backend=self.name
-                    )
+                self._count("speculative_wins")
         return results
 
 

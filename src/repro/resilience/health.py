@@ -67,9 +67,13 @@ def norm1(a):
 
     The ufunc reductions are called directly: at transport block sizes
     the ``ndarray.sum`` / ``.max`` wrappers cost as much as the
-    arithmetic, and this runs once per slab of every factorisation.
+    arithmetic, and this runs once per slab of every factorisation.  A
+    1x1 block (the chain devices) skips both: its norm is ``|a|``.
     """
-    return np.maximum.reduce(np.add.reduce(np.absolute(a), axis=-2), axis=-1)
+    a = np.absolute(a)
+    if a.shape[-2:] == (1, 1):  # both reductions run over one element
+        return a[..., 0, 0]
+    return np.maximum.reduce(np.add.reduce(a, axis=-2), axis=-1)
 
 
 def finite_rows(*stacks) -> np.ndarray:

@@ -34,15 +34,17 @@ __all__ = ["BatchedBlockTridiagLU", "BlockTridiagLU", "block_product"]
 _matmul = np.matmul
 
 
-def block_product(a, b):
+def block_product(a, b, out=None):
     """``a @ b`` through :data:`_matmul`, or a multiply when either factor
-    is a 0-d coupling ``c`` (the block ``c·I``).
+    is a 0-d coupling ``c`` (the block ``c·I``), into ``out`` if given.
 
     The one product with a coupling block: the LU, the WF interface
     currents and :class:`repro.solvers.SplitSolve` all go through it, so
     no caller has to know which representation a coupling has.
     """
-    return _matmul(a, b) if a.ndim and b.ndim else a * b
+    if a.ndim and b.ndim:
+        return _matmul(a, b, out=out)
+    return np.multiply(a, b, out=out)
 
 
 def _coupling(c):
@@ -113,9 +115,10 @@ def _substitution_flops(sizes, r: int, j: int = 0) -> float:
     The reference sweep, which reuses nothing of the factor.  Forward
     below j: dinv_{i-1} @ y then lower @ (.); backward: one GEMM on the
     last block, then upper @ x and dinv @ (.) per remaining block.  The
-    class executes fewer (stored ``P`` / ``Q``: one product a block above
-    j, one forward product for an identity column); the charge stays the
-    reference so ``perf.flops_total`` compares across versions.
+    class executes fewer (the multipliers ``P`` / ``Q``: one product a
+    block above j, one forward product for an identity column); the
+    charge stays the reference so ``perf.flops_total`` compares across
+    versions.
     """
     fl = zgemm_flops(sizes[-1], r, sizes[-1])
     for a, b in zip(sizes[j:-1], sizes[j + 1 :]):
@@ -153,20 +156,23 @@ class BlockTridiagLU:
     sign the sweeps use, ``-P_i``).  The lower multipliers
     ``Q_i = A_{i+1,i} dinv_i`` are formed once, the first time a full
     identity column or the selected inversion reads them.  Every sweep
-    reads the same stored blocks — backward ``x_i = dinv_i y_i - P_i
-    x_{i+1}``, identity-column forward ``y_i = -Q_{i-1} y_{i-1}``,
-    ``G_ii = dinv_i + P_i G_{i+1,i+1} Q_i`` — so one RGF kernel stage
-    (factor, both edge columns, diagonal) issues 9 block products a slab.
-    A coupling given as a 0-d complex ``c`` (the block ``c·I``: every
-    effective-mass grid device) is a multiply wherever it enters — the
-    Schur update, ``P``, ``Q``, a supplied right-hand side's forward step
-    — and the first column's backward step is ``x_i = dinv_i (y_i - c
-    x_{i+1})``: 5 block products a slab.  A 1x1 Schur complement is
-    inverted by a reciprocal, not a LAPACK call.  One rule is a property
-    of the call, not a setting: a *supplied* right-hand side (the WF
-    kernel's injection sliver, r << m columns) sweeps forward with the
-    two thin products ``A_{i+1,i} (dinv_i y_i)`` and never forms ``Q`` —
-    m^3 a slab for r columns of use.  The class then offers:
+    reads the same blocks — backward ``x_i = dinv_i y_i - P_i x_{i+1}``,
+    identity-column forward ``y_i = -Q_{i-1} y_{i-1}``, ``G_ii = dinv_i +
+    P_i G_{i+1,i+1} Q_i`` — so one RGF kernel stage (factor, both edge
+    columns, diagonal) issues 9 block products a slab.  A coupling given
+    as a 0-d complex ``c`` (the block ``c·I``: every effective-mass grid
+    device) is a multiply wherever it enters — the Schur update, a
+    supplied right-hand side's forward step — and the first column's
+    backward step is ``x_i = dinv_i (y_i - c x_{i+1})``: 5 block products
+    a slab.  Its ``P_i`` and ``Q_i`` are the scaled copies ``c dinv_i``,
+    which are not kept but formed (one multiply) where a sweep reads them,
+    so the factor of a grid device holds one slab-set of blocks, ``dinv``.
+    A 1x1 Schur complement is inverted by a reciprocal, not a LAPACK call.
+    One rule is a property of the call, not a setting: a *supplied*
+    right-hand side (the WF kernel's injection sliver, r << m columns)
+    sweeps forward with the two thin products ``A_{i+1,i} (dinv_i y_i)``
+    and never forms ``Q`` — m^3 a slab for r columns of use.  The class
+    then offers:
 
     * :meth:`solve` — generic multi-RHS solve,
     * :meth:`block_column` / :meth:`solve_block_column` — the j-th block
@@ -174,7 +180,8 @@ class BlockTridiagLU:
       transmission and spectral-function formulas consume), or its
       product with a right-hand side living on slab j (the wave-function
       kernel's injected states),
-    * :meth:`diagonal_of_inverse` — diag blocks of A^{-1} (local DOS).
+    * :meth:`diagonal_blocks` / :meth:`diagonal_of_inverse` — diag
+      blocks of A^{-1} (local DOS), one at a time / as a list.
 
     One matrix and a stack of B matrices run through the same lines:
     ``numpy.linalg.inv`` and ``@`` broadcast over leading axes, so
@@ -233,19 +240,22 @@ class BlockTridiagLU:
         self._rows = list(zip(offsets[:-1], offsets[1:]))
         self._upper = [_coupling(u) for u in upper]
         self._lower = [_coupling(l) for l in lower]
-        # forward elimination: d_i = A_ii + L_{i-1} (-P_{i-1}); the
-        # multiplier is kept (negated on the small coupling block, so no
-        # sweep negates a product).  Non-finite blocks propagate quietly,
-        # as through LAPACK/BLAS.
-        self._dinv, self._neg_p = dinv, neg_p = [], []
+        # forward elimination: d_i = A_ii + L_{i-1} (-P_{i-1}).  A matrix
+        # coupling's multiplier is kept (negated on the small coupling
+        # block, so no sweep negates a product); of a 0-d one only -c is
+        # kept, the scaled copy -P_i = dinv_i (-c) is formed where read.
+        # Non-finite blocks propagate quietly, as through LAPACK/BLAS.
+        self._dinv, self._neg_p = dinv, kept = [], []
         with np.errstate(all="ignore"):
+            schur = np.ascontiguousarray(diag[0], dtype=complex)
             for i in range(n):
-                schur = np.ascontiguousarray(diag[i], dtype=complex)
                 if i:
-                    schur = schur + block_product(self._lower[i - 1], neg_p[-1])
+                    schur = diag[i] + block_product(self._lower[i - 1], neg_p)
                 dinv.append(_inverse(schur))
                 if i < n - 1:
-                    neg_p.append(block_product(dinv[i], -self._upper[i]))
+                    neg_c = -self._upper[i]
+                    neg_p = block_product(dinv[i], neg_c)
+                    kept.append(neg_p if neg_c.ndim else neg_c)
         _factor_health_check(diag, dinv)
         self._charge("block_lu.factor", _factor_flops)
 
@@ -256,21 +266,43 @@ class BlockTridiagLU:
             fl = flops(self.sizes.tolist(), *args)
             tracer.add_flops(kernel, self.batch_size * fl)
 
-    @cached_property
-    def _neg_q(self) -> list[np.ndarray]:
-        """``-Q_i = -L_i @ dinv_i``, formed the first time an identity
-        column or the selected inversion reads it."""
-        return [block_product(-l, d) for l, d in zip(self._lower, self._dinv)]
+    def _p(self, i: int):
+        """``-P_i = -dinv_i U_i``: kept, or formed here on a 0-d coupling."""
+        p = self._neg_p[i]
+        return p if p.ndim else self._dinv[i] * p
 
-    def _backward(self, i: int, y_i, x_next, out=None):
-        """Backward step ``x_i = dinv_i y_i - P_i x_{i+1}`` (the bare
-        ``-P_i x_{i+1}`` for ``y_i = None``); on a 0-d coupling ``c`` it is
-        the one product ``dinv_i (y_i - c x_{i+1})``."""
-        c = self._upper[i]
-        if y_i is not None and not c.ndim:
-            return _matmul(self._dinv[i], y_i - c * x_next, out=out)
-        x = _matmul(self._neg_p[i], x_next, out=out)
-        return x if y_i is None else np.add(x, _matmul(self._dinv[i], y_i), out=x)
+    @cached_property
+    def _neg_q(self) -> list:
+        """``-Q_i = -L_i @ dinv_i`` on the matrix couplings (``-c`` on a
+        0-d one), formed the first time an identity column or the
+        selected inversion reads them."""
+        return [_matmul(-l, d) if l.ndim else -l
+                for l, d in zip(self._lower, self._dinv)]
+
+    def _q(self, i: int):
+        """``-Q_i``: kept, or formed here on a 0-d coupling."""
+        q = self._neg_q[i]
+        return q if q.ndim else q * self._dinv[i]
+
+    def _back_substitute(self, y, j: int, out):
+        """Backward sweep into the blocks ``out`` (None: new arrays):
+        ``x_{N-1} = dinv_{N-1} y_{N-1}``, then ``x_i = dinv_i y_i - P_i
+        x_{i+1}`` — on a 0-d coupling ``c`` the one product ``dinv_i (y_i
+        - c x_{i+1})`` — and the bare ``-P_i x_{i+1}`` above block j,
+        where ``y`` is zero.  ``out`` may be ``y`` itself: each ``y_i`` is
+        read before ``x_i`` is written."""
+        dinv = self._dinv
+        out[-1] = _matmul(dinv[-1], y[-1], out=out[-1])
+        for i in range(self.n_blocks - 2, -1, -1):
+            c = self._upper[i]
+            if i < j:
+                out[i] = _matmul(self._p(i), out[i + 1], out=out[i])
+            elif not c.ndim:
+                out[i] = _matmul(dinv[i], y[i] - c * out[i + 1], out=out[i])
+            else:
+                out[i] = np.add(_matmul(dinv[i], y[i]),
+                                _matmul(self._p(i), out[i + 1]), out=out[i])
+        return out
 
     # ------------------------------------------------------------------
     def solve(self, rhs_blocks):
@@ -283,22 +315,16 @@ class BlockTridiagLU:
         n = self.n_blocks
         if len(rhs_blocks) != n:
             raise ValueError(f"expected {n} RHS blocks, got {len(rhs_blocks)}")
-        dinv = self._dinv
         # forward substitution: y_i = b_i - L_i,i-1 dinv_{i-1} y_{i-1}
         y = [np.asarray(rhs_blocks[0], dtype=complex)]
         for i in range(1, n):
             step = block_product(
-                self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1])
+                self._lower[i - 1], _matmul(self._dinv[i - 1], y[i - 1])
             )
             y.append(np.asarray(rhs_blocks[i], dtype=complex) - step)
-        # backward: x_N = dinv_N y_N; x_i = dinv_i y_i - P_i x_{i+1}
-        x = [None] * n
-        x[n - 1] = _matmul(dinv[n - 1], y[n - 1])
-        for i in range(n - 2, -1, -1):
-            x[i] = self._backward(i, y[i], x[i + 1])
         r = 1 if y[0].ndim == 1 else int(y[0].shape[-1])
         self._charge("block_lu.solve", _substitution_flops, r)
-        return x
+        return self._back_substitute(y, 0, [None] * n)
 
     def _blocks(self, column):
         """Per-slab row-block views of a ``(..., sum(sizes), r)`` array."""
@@ -317,55 +343,52 @@ class BlockTridiagLU:
         Equivalent to ``solve`` with the identity (or ``rhs``) in block j
         and zeros elsewhere, but skips the zero blocks of the forward pass
         above j, where the backward sweep is the bare ``-P_i x_{i+1}``.
-        The identity column sweeps forward with the stored ``-Q``; a
-        supplied ``rhs`` keeps the two thin products ``L (dinv y)`` — its
-        r columns never pay for the m^3 ``Q``.  The backward sweep writes
-        each block product straight into its rows, so a caller
-        contracting the whole column copies nothing.
+        The identity column sweeps forward with ``-Q``; a supplied
+        ``rhs`` keeps the two thin products ``L (dinv y)`` — its r columns
+        never pay for the m^3 ``Q``.  Both sweeps write each block straight
+        into its rows of the returned array (the forward ``y_i``, then
+        ``x_i`` over it), so the column is the only column-sized array.
         """
         n = self.n_blocks
         if not 0 <= j < n:
             raise IndexError(f"block column {j} out of range")
         supplied = rhs is not None
-        if not supplied:
-            m = int(self.sizes[j])
-            rhs = np.ascontiguousarray(np.broadcast_to(
-                np.eye(m, dtype=complex), self._batch + (m, m)
-            ))
-        r = rhs.shape[-1]
-        dinv = self._dinv
-        y = [None] * n
-        y[j] = rhs
-        for i in range(j + 1, n):  # y_i = -L_{i-1} dinv_{i-1} y_{i-1}
-            if supplied:
-                y[i] = block_product(
-                    -self._lower[i - 1], _matmul(dinv[i - 1], y[i - 1])
-                )
-            else:
-                y[i] = _matmul(self._neg_q[i - 1], y[i - 1])
+        r = rhs.shape[-1] if supplied else int(self.sizes[j])
         column = np.empty(self._batch + (self._rows[-1][1], r), dtype=complex)
         x = self._blocks(column)
-        _matmul(dinv[n - 1], y[n - 1], out=x[n - 1])
-        for i in range(n - 2, -1, -1):
-            self._backward(i, y[i], x[i + 1], out=x[i])
+        x[j][...] = rhs if supplied else np.eye(r)
+        for i in range(j + 1, n):  # y_i = -L_{i-1} dinv_{i-1} y_{i-1}
+            if supplied:
+                block_product(-self._lower[i - 1],
+                              _matmul(self._dinv[i - 1], x[i - 1]), out=x[i])
+            else:
+                _matmul(self._q(i - 1), x[i - 1], out=x[i])
+        self._back_substitute(x, j, x)
         self._charge("block_lu.column", _substitution_flops, r, j)
         return column
 
-    def diagonal_of_inverse(self):
-        """Diagonal blocks of A^{-1} (the RGF backward recursion).
+    def diagonal_blocks(self):
+        """Diagonal blocks of A^{-1}, last to first, one at a time (the RGF
+        backward recursion):
 
         G_{NN} = dinv_N;
         G_{ii} = dinv_i + dinv_i U_i G_{i+1,i+1} L_i dinv_i
                = dinv_i + P_i G_{i+1,i+1} Q_i   (two products a slab).
+
+        Only the block in hand is alive, so a consumer that reduces each
+        block (the LDOS) never holds a slab-set of them.
         """
-        n = self.n_blocks
-        neg_p, neg_q = self._neg_p, self._neg_q
-        G = [None] * n
-        G[n - 1] = self._dinv[n - 1].copy()
-        for i in range(n - 2, -1, -1):
-            G[i] = self._dinv[i] + _matmul(_matmul(neg_p[i], G[i + 1]), neg_q[i])
         self._charge("block_lu.diagonal", _diagonal_flops)
-        return G
+        g = self._dinv[-1].copy()
+        yield g
+        for i in range(self.n_blocks - 2, -1, -1):
+            g = self._dinv[i] + _matmul(_matmul(self._p(i), g), self._q(i))
+            yield g
+
+    def diagonal_of_inverse(self):
+        """Diagonal blocks of A^{-1} in slab order, as a list
+        (:meth:`diagonal_blocks`)."""
+        return list(self.diagonal_blocks())[::-1]
 
 
 #: The same class, under the name ``benchmarks/e2e`` imports for stacks.

@@ -174,24 +174,21 @@ class WFSolver:
 
     # -- the one observables function, over the energy axis ------------
 
-    def _observables(self, psi_l, psi_r, gam_r, hops) -> tuple:
-        """``(T, spectral_left, spectral_right, interface_currents)`` of a
-        stack from its scattering states.
+    def _observables(self, psi_l, gam_r, hops) -> tuple:
+        """``(T, spectral_left, interface_currents)`` of a stack from its
+        left-injected scattering states.
 
-        ``psi_l`` / ``psi_r`` are the ``(B, n_total, c)`` left- and
-        right-injected states of B energies that inject the same number
-        of channels per contact, ``hops`` the slab couplings
-        (:meth:`BlockTridiagonalHamiltonian.couplings`); every observable
-        is a stacked GEMM/ufunc call over the energy axis.  The states
-        are consumed: their last use squares them in place.
+        ``psi_l`` is the ``(B, n_total, c)`` stack of B energies that
+        inject the same number of channels per contact, ``hops`` the slab
+        couplings (:meth:`BlockTridiagonalHamiltonian.couplings`); every
+        observable is a stacked GEMM/ufunc call over the energy axis.
+        The states are consumed: their last use squares them in place.
         """
         offsets = self.H.block_offsets().tolist()
         # T = sum_m psi_m^+ Gamma_R psi_m over left-injected states
         t = _transmission(psi_l[:, offsets[-2]:], gam_r)
         currents = _interface_currents(psi_l, hops, offsets)
-        spectral_l = _row_norms(psi_l) / (2.0 * np.pi)
-        spectral_r = _row_norms(psi_r) / (2.0 * np.pi)
-        return t, spectral_l, spectral_r, currents
+        return t, _row_norms(psi_l) / (2.0 * np.pi), currents
 
     # ------------------------------------------------------------------
     def solve_batch(self, energies) -> WFResult:
@@ -254,15 +251,18 @@ class WFSolver:
                 ),
                 instrument=False,
             )
-            psi_l = lu.block_column(
-                0, sliver_stack(ev_l[idx], vec_l[idx], width_l[idx[0]])
+            # one state stack at a time: the left one is reduced before
+            # the right one is formed
+            t[idx], spectral_l[idx], currents[idx] = self._observables(
+                lu.block_column(
+                    0, sliver_stack(ev_l[idx], vec_l[idx], width_l[idx[0]])
+                ),
+                gam_r[idx], hops,
             )
-            psi_r = lu.block_column(
+            spectral_r[idx] = _row_norms(lu.block_column(
                 n - 1, sliver_stack(ev_r[idx], vec_r[idx], width_r[idx[0]])
-            )
-            t[idx], spectral_l[idx], spectral_r[idx], currents[idx] = (
-                self._observables(psi_l, psi_r, gam_r[idx], hops)
-            )
+            )) / (2.0 * np.pi)
+            del lu  # the next group factors without this one's dinv
         stack = WFResult.checked(
             "wf",
             energy=energies,
@@ -321,6 +321,11 @@ def _inner_imag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _row_norms(psi: np.ndarray) -> np.ndarray:
     """``sum_m |psi_im|^2`` of a ``(B, n, c)`` stack of states, squared in
-    place through its interleaved (re, im) view (no state-sized copy)."""
+    place through its interleaved (re, im) view (no state-sized copy).
+
+    ``np.multiply``, not ``np.square``: right after an OpenBLAS GEMM the
+    float reduction runs ~10x slower on AVX-512 Xeons until a
+    vector-dispatched ufunc has run, and ``multiply`` is one, ``square``
+    is not (docs/PARALLELISM.md "The stack budget")."""
     v = psi.view(float)
-    return np.square(v, out=v).sum(axis=-1)
+    return np.multiply(v, v, out=v).sum(axis=-1)

@@ -33,6 +33,7 @@ from repro.parallel import (
     round_robin,
     split_chunks,
 )
+from repro.negf import RGFSolver
 from repro.resilience import SweepCheckpoint
 from repro.wf import WFSolver
 from tests.conftest import make_transport as _transport
@@ -395,6 +396,32 @@ def _wide_device(n_x=8, n_y=5, n_z=5):
     ))
 
 
+def _wide_e2e_device():
+    """The ``transport_wide_process`` device of ``benchmarks/e2e``: m = 25
+    blocks on 48 slabs, the device the stack budget is calibrated on."""
+    from repro.core import DeviceSpec, build_device
+
+    return build_device(DeviceSpec(
+        n_x=48, n_y=5, n_z=5, spacing_nm=0.25, source_cells=8,
+        drain_cells=8, gate_cells=(16, 32), donor_density_nm3=0.05,
+        material_params={"m_rel": 0.3},
+    ))
+
+
+def _second_solve_faults(payload):
+    """Pool-worker probe: solve one chunk twice and return the minor page
+    faults of the second solve — what a warm worker pays per chunk."""
+    import resource
+
+    from repro.core.transport import solve_energies
+
+    solver, energies = payload
+    solve_energies(solver, energies)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    solve_energies(solver, energies)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
 def _subband_grid(tc, built, n_energy):
     """Grid from below the lead band bottom up through several subbands,
     so the open-channel count changes along it."""
@@ -410,9 +437,11 @@ def _subband_grid(tc, built, n_energy):
 class TestStackSplitInvariance:
     """However the energy grid is cut into stacks — length 1 (the former
     per-point loop), the device's own length, or one stack for the whole
-    grid — and whichever backend runs them, the result is the same bits."""
+    grid — and whichever backend runs them, the result is the same bits.
+    A ``(length, n_energy)`` input runs a grid of ``n_energy`` nodes."""
 
     N_ENERGY = 23
+    LONG_GRID = 65
 
     @pytest.fixture(scope="class")
     def devices(self, built):
@@ -424,29 +453,55 @@ class TestStackSplitInvariance:
         for name, dev in devices.items():
             for method in ("rgf", "wf"):
                 tc = _transport(dev, method=method, backend="serial")
-                grid = _subband_grid(tc, dev, self.N_ENERGY)
                 pot = np.zeros(dev.n_atoms)
-                out[name, method] = (
-                    pot, grid, tc.solve_bias(pot, 0.05, energy_grid=grid)
-                )
+                for n_energy in (self.N_ENERGY, self.LONG_GRID):
+                    grid = _subband_grid(tc, dev, n_energy)
+                    out[name, method, n_energy] = (
+                        pot, grid, tc.solve_bias(pot, 0.05, energy_grid=grid)
+                    )
         return out
 
-    @pytest.mark.parametrize("length", [1, 2, 7, N_ENERGY])
+    @pytest.mark.parametrize("length", [
+        1, 2, 7, N_ENERGY,
+        pytest.param((1, LONG_GRID), id="1-of-65"),
+        pytest.param((4, LONG_GRID), id="4-of-65"),
+        pytest.param((13, LONG_GRID), id="13-of-65"),
+    ])
     @pytest.mark.parametrize("device", ["mini", "wide"])
     @pytest.mark.parametrize("method", ["rgf", "wf"])
     def test_result_independent_of_split_and_backend(
-        self, devices, references, force_stack, method, device, length
+        self, devices, references, force_stack, monkeypatch, method, device,
+        length,
     ):
-        pot, grid, ref = references[device, method]
+        length, n_energy = (
+            length if isinstance(length, tuple) else (length, self.N_ENERGY)
+        )
+        pot, grid, ref = references[device, method, n_energy]
         # the grid must cross subband thresholds (WF pads its right-hand
         # sides to the stack-wide channel maximum)
         assert len(np.unique(ref.channels)) > 1
         force_stack(length)
+        # a chunk of n energies runs as ceil(n / length) sub-stacks whose
+        # lengths differ by at most one: 65 at length 13 are 5 x 13
+        stacks = []
+        solver = RGFSolver if method == "rgf" else WFSolver
+        solve_batch = solver.solve_batch
+        monkeypatch.setattr(solver, "solve_batch", lambda self, e: (
+            stacks.append(len(e)), solve_batch(self, e))[1])
         for backend in BACKENDS:
             tc = _transport(
                 devices[device], method=method, backend=backend, workers=2
             )
             res = tc.solve_bias(pot, 0.05, energy_grid=grid)
+            if backend == "serial":
+                n_k = len(devices[device].momentum_grid)
+                parts = -(-len(grid) // length)
+                assert sorted(stacks) == sorted([
+                    len(grid) * (i + 1) // parts - len(grid) * i // parts
+                    for i in range(parts)
+                ] * n_k)
+                if length == 13 and len(grid) == 65:
+                    assert stacks == [13] * 5 * n_k
             assert res.current_a == ref.current_a, backend
             np.testing.assert_array_equal(res.transmission, ref.transmission)
             np.testing.assert_array_equal(res.channels, ref.channels)
@@ -456,7 +511,11 @@ class TestStackSplitInvariance:
             assert res.flops.total == ref.flops.total
 
     def test_stack_length_follows_the_device(self, devices):
-        from repro.core.transport import STACK_BUDGET_BYTES, stack_length
+        from repro.core.transport import (
+            STACK_BUDGET_BYTES,
+            STAGE_SLAB_SETS,
+            stack_length,
+        )
 
         lengths = {}
         for name, dev in devices.items():
@@ -467,11 +526,13 @@ class TestStackSplitInvariance:
             m = int(H.block_sizes.max())
             lengths[name] = tc.stack_length
             assert tc.stack_length == stack_length(H.n_blocks, m)
-            assert (
-                tc.stack_length * H.n_blocks * m * m * 16
-                <= STACK_BUDGET_BYTES
-            )
+            # the longest stack whose measured stage peak (STAGE_SLAB_SETS
+            # slab-sets of (m, m) complex blocks per energy) fits the budget
+            per_energy = STAGE_SLAB_SETS * H.n_blocks * m * m * 16
+            assert tc.stack_length * per_energy <= STACK_BUDGET_BYTES
+            assert (tc.stack_length + 1) * per_energy > STACK_BUDGET_BYTES
         assert lengths["wide"] < lengths["mini"]
+        assert stack_length(48, 25) == 13  # the e2e wide device
         # a device too large for the budget still solves, one at a time
         assert stack_length(10_000, 100) == 1
         assert _transport(devices["mini"]).batch_energies is True
@@ -482,7 +543,7 @@ class TestStackSplitInvariance:
 
         from repro.core.transport import STACK_BUDGET_BYTES
 
-        dev = _wide_device(n_x=8)
+        dev = _wide_device(n_x=32)
         pot = np.zeros(dev.n_atoms)
 
         def peak(n_energy):
@@ -497,6 +558,59 @@ class TestStackSplitInvariance:
                 tracemalloc.stop()
 
         assert peak(129) - peak(33) < STACK_BUDGET_BYTES
+
+    @pytest.mark.parametrize("method", ["rgf", "wf"])
+    def test_stage_peak_within_the_stack_budget(self, method):
+        """One stacked kernel stage on the wide e2e device, at the device's
+        stack length, peaks within the budget the stack length is derived
+        from — the memory bound the docs state, by tracemalloc — and at
+        most 2.5 slab-sets per energy (it held 7.1 when the LU kept
+        both multipliers and the stage both columns of G)."""
+        import tracemalloc
+
+        from repro.core.transport import STACK_BUDGET_BYTES
+
+        dev = _wide_e2e_device()
+        tc = _transport(dev, method=method, n_energy=129)
+        assert tc.stack_length >= 12
+        pot = np.zeros(dev.n_atoms)
+        H = tc.hamiltonian(pot)
+        energies = tc.energy_grid(pot, 0.05).energies[: tc.stack_length]
+        solver = (RGFSolver if method == "rgf" else WFSolver)(H)
+        sigmas = solver.contacts.sigma_stacks(energies)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver.kernel_stage(energies, *sigmas)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= STACK_BUDGET_BYTES
+        slab_set = H.n_blocks * int(H.block_sizes.max()) ** 2 * 16
+        assert peak / (energies.size * slab_set) <= 2.5
+
+    @pytest.mark.skipif(
+        __import__("platform").libc_ver()[0] != "glibc",
+        reason="the worker heap settings are glibc mallopt parameters",
+    )
+    def test_pool_workers_keep_their_heap(self):
+        """A warm process-pool worker solves a wide chunk (65 energies,
+        five stacks of 13) without faulting its freed stacks back in:
+        with glibc's defaults they go back to the OS between stacks (up
+        to ~3.3k minor faults a chunk at 4-energy stacks, 2.6k-3.6k at
+        13)."""
+        from repro.parallel import ProcessBackend
+
+        dev = _wide_e2e_device()
+        tc = _transport(dev, n_energy=129)
+        pot = np.zeros(dev.n_atoms)
+        solver = RGFSolver(tc.hamiltonian(pot))
+        energies = tc.energy_grid(pot, 0.05).energies
+        faults = ProcessBackend(workers=2).map(
+            _second_solve_faults, [(solver, energies[:65]),
+                                   (solver, energies[65:])]
+        )
+        assert max(faults) <= 200, faults
 
     def test_serial_sub_stacks_heartbeat(self, built, reference, force_stack,
                                          tmp_path):
@@ -520,7 +634,8 @@ class TestStackSplitInvariance:
             e for e in read_events(path)
             if e["event"] == "heartbeat" and e.get("stage") == "energy-stack"
         ]
+        # ceil(n / 4) sub-stacks of balanced lengths (at most 4)
         n_stacks = -(-len(grid) // 4)
         assert [b["solved"] for b in beats] == [
-            min(4 * (i + 1), len(grid)) for i in range(n_stacks)
+            len(grid) * (i + 1) // n_stacks for i in range(n_stacks)
         ]

@@ -132,10 +132,15 @@ class TestSweepCommand:
         ])
         assert code == 0
         # the resolved sub-stack length is part of the run's artefacts:
-        # 10 slabs x (4 orbitals)^2 x 16 B against the 2 MiB budget
+        # the measured stage peak of 10 slabs x (4 orbitals)^2 x 16 B
+        # slab-sets per energy against the 14 MiB budget
+        from repro.core.transport import STAGE_SLAB_SETS
+
         started = json.loads(events_path.read_text().splitlines()[0])
         assert started["event"] == "run_started"
-        assert started["stack_length"] == (2 << 20) // (10 * 4 * 4 * 16)
+        assert started["stack_length"] == int(
+            (14 << 20) // (STAGE_SLAB_SETS * 10 * 4 * 4 * 16)
+        )
         # ... and so is what the five REPRO_* variables resolved to
         from repro import env
 

@@ -436,6 +436,33 @@ class TestBlockTridiagLU:
             got = got[-1] if stack else got
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_scalar_couplings_keep_no_scaled_copies(self):
+        """On a 0-d coupling ``c`` the factor keeps ``-c``, not the scaled
+        copies ``-P = dinv (-c)`` and ``-Q = (-c) dinv``: the sweeps form
+        them where they read them, bit for bit the products of the kept
+        copies.  The selected inversion is a generator, last block first,
+        whose blocks are :meth:`diagonal_of_inverse` reversed."""
+        (diag, upper, lower), _ = entry_systems("scalar")
+        lu = BlockTridiagLU(diag, upper, lower)
+        assert [np.ndim(p) == 0 for p in lu._neg_p] == [
+            np.ndim(u) == 0 for u in upper
+        ]
+        p = [d @ -u if np.ndim(u) else d * -u
+             for d, u in zip(lu._dinv, lu._upper)]
+        q = [-l @ d if np.ndim(l) else -l * d
+             for l, d in zip(lu._lower, lu._dinv)]
+        want = [lu._dinv[-1]]
+        for i in range(lu.n_blocks - 2, -1, -1):
+            want.insert(0, lu._dinv[i] + (p[i] @ want[0]) @ q[i])
+        blocks = lu.diagonal_blocks()
+        assert next(blocks).shape == want[-1].shape  # a generator
+        got = lu.diagonal_of_inverse()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(lu.diagonal_blocks(), got[::-1])
+        )
+
     def test_exact_zero_1x1_schur_raises_like_lapack(self):
         """A 1x1 Schur complement is a reciprocal, not a LAPACK call; an
         exact zero — given, or left by the elimination — raises
