@@ -18,8 +18,8 @@ The benchmark measures both sides against a dense-grid oracle:
   :attr:`TransportResult.adaptive`.
 
 The acceptance bar is a >= 3x node-count reduction at matched accuracy,
-with the adaptive result bit-identical across the serial, thread and
-process backends and the parent-side
+with the adaptive result bit-identical across the serial and process
+backends and the parent-side
 ``adaptive.*`` counters exactly equal on all of them.  Both sides are
 also timed through the same default ``solve_bias`` path
 (``time.adaptive_serial_s`` vs ``time.uniform_matched_s``, with
@@ -169,7 +169,7 @@ def _adaptive_run(built, pot, backend="serial", workers=None):
 def _adaptive_report(built, pot, i_ref, backends=None):
     """Adaptive solve on every backend: matched accuracy + bit-identity."""
     if backends is None:
-        backends = [("serial", None), ("thread", 2), ("process", 2)]
+        backends = [("serial", None), ("process", 2)]
     runs = {}
     for backend, workers in backends:
         runs[backend] = _adaptive_run(

@@ -15,7 +15,7 @@ if every stage of every campaign passed.
 
 Usage::
 
-    python scripts/run_chaos.py [--backends serial thread process]
+    python scripts/run_chaos.py [--backends serial process]
                                 [--workers N] [--output-dir DIR]
 
 Equivalent to ``python -m repro chaos --backend all`` but with per-file
@@ -31,6 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.parallel import BACKEND_NAMES
 from repro.resilience.chaos import run_campaign, write_campaign_json
 
 
@@ -38,13 +39,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--backends", nargs="+", metavar="BACKEND",
-        choices=("serial", "thread", "process"),
-        default=["serial", "thread", "process"],
-        help="execution backends to campaign against (default: all three)",
+        choices=BACKEND_NAMES, default=list(BACKEND_NAMES),
+        help="execution backends to campaign against (default: all)",
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker count for the thread/process backends",
+        help="worker count for the process backend",
     )
     parser.add_argument(
         "--stages", nargs="+", metavar="STAGE", default=None,

@@ -45,6 +45,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import env
+from .parallel.backend import BACKEND_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -160,14 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_args(p):
         p.add_argument(
-            "--backend", choices=("serial", "thread", "process"),
+            "--backend", choices=BACKEND_NAMES,
             default=None,
             help="energy-grid execution backend (default: $REPRO_BACKEND "
                  "or serial)",
         )
         p.add_argument(
             "--workers", type=int, default=None,
-            help="worker count for the thread/process backends "
+            help="worker count for the process backend "
                  "(default: $REPRO_WORKERS or 2)",
         )
         p.add_argument(
@@ -310,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
              "verify the self-healing ladders recover",
     )
     p_chaos.add_argument(
-        "--backend", choices=("serial", "thread", "process", "all"),
+        "--backend", choices=(*BACKEND_NAMES, "all"),
         default="serial",
         help="execution backend(s) to campaign against (default: serial)",
     )
     p_chaos.add_argument(
         "--workers", type=int, default=2,
-        help="worker count for the thread/process backends",
+        help="worker count for the process backend",
     )
     p_chaos.add_argument(
         "--stages", nargs="+", metavar="STAGE", default=None,
@@ -725,11 +726,7 @@ def _cmd_doctor(args) -> int:
 def _cmd_chaos(args) -> int:
     from .resilience.chaos import run_campaign, write_campaign_json
 
-    backends = (
-        ("serial", "thread", "process")
-        if args.backend == "all"
-        else (args.backend,)
-    )
+    backends = BACKEND_NAMES if args.backend == "all" else (args.backend,)
     all_passed = True
     for backend in backends:
         campaign = run_campaign(

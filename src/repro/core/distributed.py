@@ -68,13 +68,13 @@ class DistributedTransport:
         the doctor CLI raises it to exercise all four levels of the
         per-level communication accounting.
     backend : str, ExecutionBackend or None
-        Local execution backend for the modelled ranks: with "thread"
-        or "process" (and no fault injection/retry policy, whose requeue
+        Local execution backend for the modelled ranks: with "process"
+        (and no fault injection/retry policy, whose requeue
         semantics need the sequential loop) the representative ranks of
         a serial-communicator solve run concurrently.  None keeps the
         historical sequential loop.
     workers : int or None
-        Worker count for the pooled backends.
+        Worker count for the process backend.
     """
 
     def __init__(self, calculation: TransportCalculation,

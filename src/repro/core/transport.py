@@ -153,12 +153,12 @@ class TransportCalculation:
         chasing resonances much narrower than the seed grid.
     backend : str, ExecutionBackend or None
         Local execution backend for the energy grid of each k-point:
-        "serial" (default), "thread" or "process".  None reads
+        "serial" (default) or "process".  None reads
         ``$REPRO_BACKEND`` (default serial).  Every backend runs the
         same stacked kernels (:func:`solve_energies`) and is
         bit-identical to the others.
     workers : int or None
-        Worker count for the pooled backends (None: ``$REPRO_WORKERS``).
+        Worker count for the process backend (None: ``$REPRO_WORKERS``).
     injector : repro.resilience.FaultInjector or None
         Fault drills: planted in every solver a k-point builds
         (:meth:`repro.resilience.FaultInjector.plant` — site ``"hblock"``
@@ -419,7 +419,7 @@ class TransportCalculation:
         node budget or the pass cap.  Every split decision is made in the
         parent from bitwise round-tripped results, so the node set — and
         therefore the whole solve — is bit-identical across
-        serial/thread/process.
+        serial/process.
 
         Quarantined nodes are recorded as ``None`` — the refiner retires
         their intervals instead of pinning refinement on an unsolvable
@@ -898,8 +898,8 @@ def _solve_chunk(payload):
     the return value becomes a ``(stack, delta)`` envelope the parent
     merges back.  The capture only engages inside a real worker process;
     the parent-side executions of the same payload (single-chunk
-    shortcut, speculative straggler recompute, pool-restart salvage)
-    record into the live instruments directly and ship ``delta=None``.
+    shortcut, straggler recompute after a pool restart) record into the
+    live instruments directly and ship ``delta=None``.
     """
     solver, energies, capture = payload
     if not capture:

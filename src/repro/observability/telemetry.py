@@ -66,6 +66,7 @@ __all__ = [
     "TelemetryDelta",
     "TelemetryCapture",
     "capture_telemetry",
+    "in_worker",
     "merge_delta",
     "TelemetryWriter",
     "NullEventWriter",
@@ -221,7 +222,14 @@ class TelemetryCapture:
         self.delta = None
 
 
-def _in_child_process() -> bool:
+def in_worker() -> bool:
+    """True when executing inside a process-pool worker.
+
+    The parent-side executions of a task — the single-item shortcut, the
+    re-execution of a straggler after a pool restart — are not in a
+    worker; the ``"worker"`` fault site fires only here so that recovery
+    really recovers, and :func:`capture_telemetry` engages only here.
+    """
     return multiprocessing.parent_process() is not None
 
 
@@ -245,7 +253,7 @@ def capture_telemetry(worker: str | None = None, force: bool = False):
         Engage even outside a child process (tests, benchmarks).
     """
     label = worker or f"pid:{os.getpid()}"
-    engaged = force or _in_child_process()
+    engaged = force or in_worker()
     cap = TelemetryCapture(label, engaged)
     if not engaged:
         yield cap

@@ -20,7 +20,6 @@ from .backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
 )
 from .scheduler import (
@@ -39,7 +38,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "get_backend",
     "round_robin",
     "split_chunks",

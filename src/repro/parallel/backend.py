@@ -2,7 +2,7 @@
 
 The transport driver (:mod:`repro.core.transport`) hands whole *chunks*
 of independent energy points to an :class:`ExecutionBackend`, which runs
-them serially, on threads, or on a ``ProcessPoolExecutor``.  Nothing is
+them serially or on a ``ProcessPoolExecutor``.  Nothing is
 shared between chunks: every (k, E) solve recomputes its own contact
 self-energies (PAPER.md §1 step 3; docs/ARCHITECTURE.md "Why contacts
 are recomputed"), so a chunk is a pure function of its payload and every
@@ -14,8 +14,6 @@ owns which (bias, k, energy) work items, the backend says how the work
 of one rank is executed on the local machine.
 
 * ``serial`` — plain loop, bit-identical to the historical path (default);
-* ``thread`` — ``ThreadPoolExecutor``; numpy/LAPACK release the GIL, so
-  threads overlap BLAS work without pickling anything;
 * ``process`` — ``ProcessPoolExecutor``; full interpreter parallelism,
   requires picklable solvers (all of ours are); child-side tracer and
   metrics activity is captured per task and merged back into the parent
@@ -23,40 +21,38 @@ of one rank is executed on the local machine.
   :mod:`repro.observability.telemetry`), so counters are exact on every
   backend.
 
-Pools are created lazily and shared per ``(kind, workers)`` so repeated
+Pools are created lazily and shared per worker count so repeated
 ``solve_bias`` calls (SCF iterations, IV sweeps, tests) do not leak
-executors; everything is shut down at interpreter exit.
+executors; a pool whose child died is dropped, and everything is shut
+down at interpreter exit.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
-import multiprocessing
 import threading
 from concurrent.futures import (
     CancelledError,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     TimeoutError as FuturesTimeoutError,
 )
 from concurrent.futures.process import BrokenProcessPool
 
 from .. import env
 from ..observability.metrics import get_metrics
-from ..observability.telemetry import get_events
+from ..observability.telemetry import get_events, in_worker
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "get_backend",
     "in_worker",
 ]
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 # ---------------------------------------------------------------------------
@@ -90,26 +86,11 @@ class ExecutionBackend:
             "pool_restarts": self.pool_restarts,
         }
 
-    def _count(self, counter: str) -> None:
-        """Bump one elastic counter and its ``backend.<counter>`` metric."""
-        setattr(self, counter, getattr(self, counter) + 1)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc(f"backend.{counter}", 1.0, backend=self.name)
-
-    def _straggler(self, task: int, deadline: float, action: str) -> None:
-        """Count a task past its deadline and emit its ``straggler`` event."""
-        self._count("stragglers")
-        events = get_events()
-        if events.enabled:
-            events.emit("straggler", backend=self.name, task=task,
-                        deadline_s=deadline, action=action)
-
     def map(self, fn, items) -> list:
         """Run ``fn`` over ``items``, returning results in input order.
 
         Tasks must be independent: backends may execute them in any
-        order, on any worker, and (for the elastic pooled backends)
+        order, on any worker, and (the process backend, with a deadline)
         re-execute a task after a straggler timeout — ``fn`` therefore
         has to be idempotent and its arguments picklable on the
         process backend.
@@ -133,10 +114,10 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-# shared lazily-created pools, keyed by (kind, workers); shut down at exit
+# shared lazily-created process pools, keyed by worker count; shut down at
+# exit
 _POOLS: dict = {}
 _POOLS_LOCK = threading.Lock()
-_WORKER_PREFIX = "repro-worker"
 #: ``mallopt`` settings of every process-pool worker, (parameter, value):
 #: glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (its 64-bit maximum), so
 #: the block arrays a stacked kernel stage frees stay in the worker's heap
@@ -157,33 +138,14 @@ def _keep_heap() -> None:
         mallopt(param, value)
 
 
-def in_worker() -> bool:
-    """True when executing inside a pool worker (thread or process).
-
-    The parent-side executions of a task — the single-item shortcut, the
-    speculative re-execution of a straggler, the salvage after a pool
-    restart — are not in a worker; the ``"worker"`` fault site fires only
-    here so that recovery really recovers.
-    """
-    if multiprocessing.parent_process() is not None:
-        return True
-    return threading.current_thread().name.startswith(_WORKER_PREFIX)
-
-
-def _shared_pool(kind: str, workers: int):
-    key = (kind, workers)
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
     with _POOLS_LOCK:
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(workers)
         if pool is None:
-            if kind == "thread":
-                pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix=_WORKER_PREFIX
-                )
-            else:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_keep_heap
-                )
-            _POOLS[key] = pool
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_keep_heap
+            )
+            _POOLS[workers] = pool
     return pool
 
 
@@ -213,10 +175,28 @@ def _resolve_deadline(deadline_s) -> float | None:
     return deadline_s if deadline_s > 0 else None
 
 
-class _PooledBackend(ExecutionBackend):
-    """A backend on the shared pool of its kind, with an optional
-    per-chunk deadline (``deadline_s``; None reads ``$REPRO_DEADLINE_S``).
+class ProcessBackend(ExecutionBackend):
+    """ProcessPoolExecutor backend on the pool shared per worker count.
+
+    ``fn`` and every item must be picklable.  Child-side tracer/metrics
+    updates are captured per task (:func:`repro.observability.telemetry.
+    capture_telemetry`) and shipped back in the pickled result envelope
+    of the task return path, then merged into the parent registries
+    (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
+    and ``surface_gf.*`` totals match the serial backend exactly.
+
+    With a ``deadline_s`` (None reads ``$REPRO_DEADLINE_S``), a chunk
+    overdue past its deadline triggers an *orderly pool restart*: the
+    shared pool is unregistered, cancelled and its worker processes
+    terminated (a hung child cannot be cancelled any other way),
+    already-finished results are salvaged, and everything outstanding is
+    recomputed in the parent.  A child that dies breaks its pool for
+    good: the pool is dropped the same way and ``BrokenProcessPool``
+    propagates, so the next call starts a fresh pool.  Clean path is
+    untouched.
     """
+
+    name = "process"
 
     def __init__(self, workers: int = 2, deadline_s: float | None = None):
         super().__init__(workers)
@@ -231,71 +211,31 @@ class _PooledBackend(ExecutionBackend):
         if len(items) <= 1:
             return [fn(item) for item in items]
         deadline = _resolve_deadline(self.deadline_s)
-        pool = _shared_pool(self.name, self.workers)
-        if deadline is None:
-            return list(pool.map(fn, items))
-        return self._elastic_map(fn, items, pool, deadline)
+        pool = _shared_pool(self.workers)
+        try:
+            if deadline is None:
+                return list(pool.map(fn, items))
+            return self._elastic_map(fn, items, pool, deadline)
+        except BrokenProcessPool:
+            # a dead child breaks its executor for good: drop it so the
+            # next call starts a fresh pool instead of failing forever
+            self._restart_pool()
+            raise
 
-
-class ThreadBackend(_PooledBackend):
-    """ThreadPoolExecutor backend (numpy releases the GIL in BLAS).
-
-    With a ``deadline_s``, a chunk that has not returned by its deadline
-    is counted a straggler and *speculatively re-executed in the caller*;
-    whichever copy finishes is used (the caller's copy wins here — the
-    stuck thread keeps running but its result is discarded).  The clean
-    path (no deadline, or every chunk on time) is untouched and therefore
-    bit-identical to the historical backend.
-    """
-
-    name = "thread"
-
-    def _elastic_map(self, fn, items, pool, deadline) -> list:
-        """A task past the deadline is abandoned (counted as a straggler)
-        and re-executed inline, so the batch still returns complete,
-        in-order results."""
-        futures = [pool.submit(fn, item) for item in items]
-        results = []
-        for i, fut in enumerate(futures):
-            try:
-                results.append(fut.result(timeout=deadline))
-            except FuturesTimeoutError:
-                # straggler: recompute speculatively in the caller rather
-                # than stalling the whole chunk list behind one hung task
-                self._straggler(i, deadline, "speculate_inline")
-                fut.cancel()
-                results.append(fn(items[i]))
-                self._count("speculative_wins")
-        return results
-
-
-class ProcessBackend(_PooledBackend):
-    """ProcessPoolExecutor backend.
-
-    ``fn`` and every item must be picklable.  Child-side tracer/metrics
-    updates are captured per task (:func:`repro.observability.telemetry.
-    capture_telemetry`) and shipped back in the pickled result envelope
-    of the task return path, then merged into the parent registries
-    (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
-    and ``surface_gf.*`` totals match the serial backend exactly.
-
-    With a ``deadline_s``, a chunk overdue past its deadline triggers an
-    *orderly pool restart*: the shared pool is unregistered, cancelled and
-    its worker processes terminated (a hung child cannot be cancelled any
-    other way), already-finished results are salvaged, and everything
-    outstanding is recomputed in the parent.  Clean path is untouched.
-    """
-
-    name = "process"
+    def _count(self, counter: str) -> None:
+        """Bump one elastic counter and its ``backend.<counter>`` metric."""
+        setattr(self, counter, getattr(self, counter) + 1)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc(f"backend.{counter}", 1.0, backend=self.name)
 
     def _restart_pool(self) -> None:
         """Tear down the shared pool, terminating hung children."""
-        key = ("process", self.workers)
         with _POOLS_LOCK:
-            pool = _POOLS.pop(key, None)
+            pool = _POOLS.pop(self.workers, None)
         if pool is None:
             return
-        procs = list(getattr(pool, "_processes", {}).values() or [])
+        procs = list((pool._processes or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         for proc in procs:
             if proc.is_alive():
@@ -303,46 +243,38 @@ class ProcessBackend(_PooledBackend):
         self._count("pool_restarts")
 
     def _elastic_map(self, fn, items, pool, deadline) -> list:
-        """A hung or crashed worker is detected at the deadline, the pool
-        is restarted (counted in ``backend.pool_restarts``), and the
+        """A hung worker is detected at the deadline, the pool is
+        restarted (counted in ``backend.pool_restarts``), and the
         unfinished tasks are re-executed inline so the batch still
         returns complete, in-order results."""
         futures = [pool.submit(fn, item) for item in items]
         results: list = [None] * len(items)
-        pending = list(range(len(items)))
-        restarted = False
-        for i in list(pending):
-            if restarted:
-                break
+        for i, fut in enumerate(futures):
             try:
-                results[i] = futures[i].result(timeout=deadline)
-                pending.remove(i)
+                results[i] = fut.result(timeout=deadline)
             except FuturesTimeoutError:
-                self._straggler(i, deadline, "pool_restart")
-                self._restart_pool()
-                restarted = True
-        if restarted:
-            # salvage whatever already finished, recompute the rest here
-            for i in list(pending):
-                fut = futures[i]
-                if fut.done() and not fut.cancelled():
-                    try:
-                        results[i] = fut.result(timeout=0)
-                        pending.remove(i)
-                        continue
-                    except (BrokenProcessPool, CancelledError):
-                        pass
-                results[i] = fn(items[i])
-                pending.remove(i)
-                self._count("speculative_wins")
+                break
+        else:
+            return results
+        # straggler: restart the pool, salvage whatever already finished
+        # and recompute the rest here
+        self._count("stragglers")
+        events = get_events()
+        if events.enabled:
+            events.emit("straggler", backend=self.name, task=i,
+                        deadline_s=deadline, action="pool_restart")
+        self._restart_pool()
+        for j in range(i, len(items)):
+            fut = futures[j]
+            if fut.done() and not fut.cancelled():
+                try:
+                    results[j] = fut.result(timeout=0)
+                    continue
+                except (BrokenProcessPool, CancelledError):
+                    pass
+            results[j] = fn(items[j])
+            self._count("speculative_wins")
         return results
-
-
-_BACKENDS = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
-}
 
 
 def get_backend(name=None, workers=None) -> ExecutionBackend:
@@ -350,7 +282,7 @@ def get_backend(name=None, workers=None) -> ExecutionBackend:
 
     ``name=None`` falls back to ``$REPRO_BACKEND`` (default ``serial``);
     ``workers=None`` falls back to ``$REPRO_WORKERS`` (default 2 for the
-    pooled backends).  Passing an :class:`ExecutionBackend` instance
+    process backend).  Passing an :class:`ExecutionBackend` instance
     returns it unchanged, so APIs can accept either.
     """
     if isinstance(name, ExecutionBackend):
@@ -358,7 +290,7 @@ def get_backend(name=None, workers=None) -> ExecutionBackend:
     if name is None:
         name = env.read("REPRO_BACKEND")
     name = str(name).lower()
-    if name not in _BACKENDS:
+    if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
@@ -366,4 +298,4 @@ def get_backend(name=None, workers=None) -> ExecutionBackend:
         workers = env.read("REPRO_WORKERS")
     if name == "serial":
         return SerialBackend()
-    return _BACKENDS[name](workers=workers)
+    return ProcessBackend(workers=workers)

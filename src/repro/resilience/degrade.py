@@ -78,7 +78,7 @@ class DegradationReport:
     reweighted_grids : int
         Per-k grids whose trapezoid weights were rebuilt after quarantine.
     stragglers, speculative_wins, pool_restarts : int
-        Elastic-execution events from the Thread/Process backends.
+        Elastic-execution events from the process backend.
     """
 
     sentinel_trips: dict = field(default_factory=dict)

@@ -461,7 +461,7 @@ class TestAdaptiveTransport:
         assert waves[-1]["n_nodes"] == res.adaptive["nodes"]
         assert all(w["wave"] == i for i, w in enumerate(waves))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_bit_identical_across_backends(self, built, backend):
         ref, _, ref_snap = self._run(built)
         res, _, snap = self._run(built, backend=backend, workers=2)

@@ -2,12 +2,12 @@
 
 Locks down the contracts of :mod:`repro.parallel.backend`:
 
-* serial / thread / process backends (in stacks of one and in the
-  device's own stack length) produce *identical* transport results and
-  IV curves,
+* serial / process backends (in stacks of one and in the device's own
+  stack length) produce *identical* transport results and IV curves,
 * the backend is the only execution choice: the deleted ``zero_copy``,
   ``sigma_cache``, ``precision`` and (calculation) ``surface_method``
-  knobs are rejected everywhere they used to thread,
+  knobs are rejected everywhere they used to reach, and so is the
+  deleted ``thread`` backend,
 * the scheduler's round-robin and contiguous-chunk splitters cover every
   index for any ``n_points % n_ranks`` remainder (regression: a
   remainder must never be dropped), and
@@ -26,6 +26,7 @@ from repro.core import (
     SelfConsistentSolver,
 )
 from repro.parallel import (
+    BACKEND_NAMES,
     Decomposition,
     SerialComm,
     choose_level_sizes,
@@ -40,7 +41,7 @@ from tests.conftest import make_transport as _transport
 
 # the ``built`` and ``reference`` fixtures live in tests/conftest.py
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = list(BACKEND_NAMES)
 
 
 class TestBackendEquivalence:
@@ -72,7 +73,7 @@ class TestBackendEquivalence:
             np.testing.assert_array_equal(res.transmission, ref.transmission)
 
     def test_wf_backends_agree(self, built):
-        """The WF kernel on a thread pool against the serial solve and
+        """The WF kernel on the process pool against the serial solve and
         against :meth:`WFSolver.solve` node by node: a single energy is a
         stack of one, so both are bit-identical."""
         pot = np.zeros(built.n_atoms)
@@ -82,7 +83,7 @@ class TestBackendEquivalence:
         ref = _transport(built, method="wf", energy_mode="uniform").solve_bias(
             pot, 0.05
         )
-        tc = _transport(built, method="wf", backend="thread", workers=2)
+        tc = _transport(built, method="wf", backend="process", workers=2)
         res = tc.solve_bias(pot, 0.05, energy_grid=ref.energy_grid)
         assert res.current_a == ref.current_a
         np.testing.assert_array_equal(res.transmission, ref.transmission)
@@ -110,10 +111,10 @@ class TestBackendEquivalence:
             assert a.converged == b.converged
 
     def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
         monkeypatch.setenv("REPRO_WORKERS", "3")
         backend = get_backend()
-        assert backend.name == "thread"
+        assert backend.name == "process"
         assert backend.workers == 3
 
     def test_unknown_backend_rejected(self):
@@ -222,6 +223,18 @@ class TestSingleDispatchPath:
             _transport(built, zero_copy=True)
         with pytest.raises(TypeError):
             DistributedTransport(_transport(built), zero_copy=True)
+
+    def test_thread_is_not_a_backend(self, monkeypatch):
+        """Two backends, serial and process: the deleted thread backend
+        is an unknown name in the environment and no longer exported."""
+        import repro.parallel
+
+        assert BACKEND_NAMES == ("serial", "process")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend()
+        assert not hasattr(repro.parallel, "ThreadBackend")
+        assert "ThreadBackend" not in repro.parallel.__all__
 
     def test_harness_contract_properties(self, built):
         """``benchmarks/e2e`` records these four in its resolved config."""

@@ -248,7 +248,7 @@ def test_adaptive_bit_identical_across_backends(idx):
     """Adaptive transport is bit-identical on every execution backend.
 
     Refinement decisions are made in the parent from round-tripped
-    float64 results, so serial / thread / process
+    float64 results, so serial and process
     must produce the same node set, the same transmission and the same
     current down to the last bit — not merely within tolerance.
     """
@@ -265,19 +265,18 @@ def test_adaptive_bit_identical_across_backends(idx):
 
     ref = run("serial")
     assert ref.adaptive is not None and ref.adaptive["nodes"] >= 2
-    for backend in ("thread", "process"):
-        res = run(backend, workers=2)
-        np.testing.assert_array_equal(
-            res.energy_grid.energies, ref.energy_grid.energies,
-            err_msg=f"device {idx}: {backend} grid",
-        )
-        np.testing.assert_array_equal(
-            res.transmission, ref.transmission,
-            err_msg=f"device {idx}: {backend} transmission",
-        )
-        np.testing.assert_array_equal(
-            res.density_per_atom, ref.density_per_atom,
-            err_msg=f"device {idx}: {backend} density",
-        )
-        assert res.current_a == ref.current_a
-        assert res.adaptive == ref.adaptive
+    res = run("process", workers=2)
+    np.testing.assert_array_equal(
+        res.energy_grid.energies, ref.energy_grid.energies,
+        err_msg=f"device {idx}: process grid",
+    )
+    np.testing.assert_array_equal(
+        res.transmission, ref.transmission,
+        err_msg=f"device {idx}: process transmission",
+    )
+    np.testing.assert_array_equal(
+        res.density_per_atom, ref.density_per_atom,
+        err_msg=f"device {idx}: process density",
+    )
+    assert res.current_a == ref.current_a
+    assert res.adaptive == ref.adaptive

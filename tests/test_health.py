@@ -8,9 +8,8 @@ The contracts under test:
   contact self-energies, Poisson right-hand sides) are either raised as
   typed errors (strict) or contained, healed and accounted (contain) —
   never silently propagated into observables;
-* a hung backend worker is detected by deadline and recovered by
-  speculative re-execution (threads) or an orderly pool restart
-  (processes).
+* a hung backend worker is detected by deadline and recovered by an
+  orderly pool restart, and a crashed one breaks only its own call.
 
 The property-based sections use hypothesis to sweep the *where* (which
 block, which index, which non-finite flavour) rather than pinning one
@@ -18,8 +17,9 @@ hand-picked corruption site.
 """
 
 import multiprocessing
-import threading
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -27,11 +27,7 @@ import pytest
 from repro.errors import NumericalBreakdownError, SurfaceGFConvergenceError
 from repro.negf import Contacts
 from repro.negf.rgf import RGFSolver
-from repro.parallel.backend import (
-    ProcessBackend,
-    ThreadBackend,
-    _resolve_deadline,
-)
+from repro.parallel.backend import ProcessBackend, _resolve_deadline
 from repro.poisson.nonlinear import NonlinearPoisson
 from repro.resilience import (
     DegradationBudget,
@@ -399,24 +395,20 @@ class TestPoissonRHSPoisoning:
 
 
 # ----------------------------------------------------------------------
-# elastic backends: deadline, speculation, pool restart
-
-
-def _sleep_in_worker_thread(item):
-    """Sleeps only inside a pool worker thread — the caller-side
-    speculative re-execution must return immediately for recovery to
-    actually recover."""
-    if item == "hang" and threading.current_thread().name.startswith(
-        "repro-worker"
-    ):
-        time.sleep(2.0)
-    return f"done:{item}"
+# elastic process backend: deadline, pool restart, crashed child
 
 
 def _sleep_in_child_process(item):
     """Picklable; hangs only inside a pool child process."""
     if item == "hang" and multiprocessing.parent_process() is not None:
         time.sleep(30.0)
+    return f"done:{item}"
+
+
+def _exit_in_child_process(item):
+    """Picklable; kills its pool child process outright."""
+    if item == "exit" and multiprocessing.parent_process() is not None:
+        os._exit(1)
     return f"done:{item}"
 
 
@@ -437,22 +429,6 @@ class TestDeadlineResolution:
         assert _resolve_deadline(None) is None
 
 
-class TestThreadBackendHangRecovery:
-    def test_hung_worker_speculatively_reexecuted(self):
-        backend = ThreadBackend(workers=2, deadline_s=0.25)
-        out = backend.map(_sleep_in_worker_thread, ["a", "hang", "b"])
-        assert out == ["done:a", "done:hang", "done:b"]
-        assert backend.stragglers >= 1
-        assert backend.speculative_wins >= 1
-        assert backend.elastic_stats()["stragglers"] == backend.stragglers
-
-    def test_clean_path_untouched_without_deadline(self):
-        backend = ThreadBackend(workers=2)
-        out = backend.map(_sleep_in_worker_thread, ["a", "b"])
-        assert out == ["done:a", "done:b"]
-        assert backend.stragglers == 0
-
-
 class TestProcessBackendHangRecovery:
     def test_hung_child_triggers_pool_restart(self):
         # warm the pool first so spawn latency doesn't eat the deadline
@@ -465,6 +441,27 @@ class TestProcessBackendHangRecovery:
         # the replacement pool is healthy again
         again = ProcessBackend(workers=2).map(
             _sleep_in_child_process, ["x", "y"]
+        )
+        assert again == ["done:x", "done:y"]
+
+    def test_clean_path_untouched_without_deadline(self):
+        backend = ProcessBackend(workers=2)
+        out = backend.map(_sleep_in_child_process, ["a", "b"])
+        assert out == ["done:a", "done:b"]
+        assert backend.elastic_stats() == {
+            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+        }
+
+    @pytest.mark.parametrize("deadline_s", [None, 30.0])
+    def test_crashed_child_does_not_poison_the_pool(self, deadline_s):
+        """A child that exits breaks its own call only: the broken pool
+        is dropped, so the next call on the same worker count runs on a
+        fresh pool instead of raising ``BrokenProcessPool`` forever."""
+        backend = ProcessBackend(workers=2, deadline_s=deadline_s)
+        with pytest.raises(BrokenProcessPool):
+            backend.map(_exit_in_child_process, ["a", "exit", "b"])
+        again = ProcessBackend(workers=2).map(
+            _exit_in_child_process, ["x", "y"]
         )
         assert again == ["done:x", "done:y"]
 

@@ -5,7 +5,7 @@ Locks down the contracts of :mod:`repro.observability.telemetry`:
 * a forced capture packages tracer/metrics activity into a picklable
   :class:`TelemetryDelta` that merges back with worker provenance and
   clock-offset-aligned spans,
-* serial / thread / process backends report
+* serial and process backends report
   *identical* merged ``flops.*`` and ``surface_gf.*`` totals (the
   acceptance criterion of the merge-back design: nothing recorded in a
   worker is lost),
@@ -154,7 +154,7 @@ class TestCrossBackendExactness:
         return {k: (h.count, h.total) for k, h in snap.histograms.items()
                 if k.startswith("surface_gf.")}
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_merged_totals_match_serial(self, built, backend):
         ref, ref_tracer, ref_snap = self._run(built, "serial")
         res, tracer, snap = self._run(built, backend, workers=2)
@@ -201,7 +201,7 @@ class TestCrossBackendExactness:
                  if "rank" in s.attrs}
         assert ranks == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_adaptive_merged_totals_match_serial(self, built, backend):
         """Adaptive waves lose nothing in merge-back: ``adaptive.*`` and
         ``flops.*`` totals equal the serial run exactly on every backend."""
