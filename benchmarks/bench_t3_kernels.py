@@ -29,8 +29,8 @@ from repro.core import DeviceSpec, TransportCalculation, build_device  # noqa: E
 from repro.negf import Contacts, RGFSolver, contact_self_energy, sancho_rubio  # noqa: E402
 from repro.negf.rgf import assemble_system_blocks  # noqa: E402
 from repro.negf.surface_gf import (  # noqa: E402
-    _decimate,
     _scalar_coupled,
+    _surface_gfs,
     _surface_health_check,
     sancho_rubio_batch,
 )
@@ -375,15 +375,15 @@ def _measure_contacts(leads=CONTACT_LEADS):
     """Both leads of a bias solve through ``Contacts.sigma_stacks``, then
     the kernel stages on those stacks (:func:`_measure_block_lu`).
 
-    Per lead: the representation the decimation runs in (``basis``:
-    ``"modes"`` for a lead coupled by ``c I``, ``"dense"`` otherwise),
-    seconds per energy (best of the repeats) of the whole call and of the
-    fixed-point health check it ends with, and three counts that repeat
-    exactly — the stacked ``numpy.linalg`` inversions and ``eigh`` calls
-    one call issues and the largest decimation step count of its 2B
-    slices.  One loop over both leads makes them ``max_iterations + 1``
-    inversions at m, and no inversion but one ``eigh`` per lead in the
-    mode basis.
+    Per lead: how its surface GF is solved (``basis``: ``"modes"`` — the
+    closed form of the mode basis — for a lead coupled by ``c I``,
+    ``"dense"`` — the decimation at m — otherwise), seconds per energy
+    (best of the repeats) of the whole call and of the fixed-point health
+    check it ends with, and three counts that repeat exactly — the stacked
+    ``numpy.linalg`` inversions and ``eigh`` calls one call issues and the
+    largest decimation step count of its 2B slices.  One loop over both
+    leads makes them ``max_iterations + 1`` inversions at m; the mode basis
+    takes no inversion and no step, and one ``eigh`` per lead.
     """
     report = {}
     for name, (spec, n_energy, repeats) in leads.items():
@@ -406,7 +406,7 @@ def _measure_contacts(leads=CONTACT_LEADS):
             "histograms", "surface_gf.iterations"
         )
         seconds = _best_of(lambda: contacts.sigma_stacks(energies), repeats)
-        g_stacks = [g for g, _ in _decimate(energies, sides, calc.eta)]
+        g_stacks = [g for g, _ in _surface_gfs(energies, sides, calc.eta)]
         check = _best_of(lambda: [
             _surface_health_check(g, energies, calc.eta, *lead)
             for g, lead in zip(g_stacks, sides)
@@ -430,7 +430,8 @@ def _measure_contacts(leads=CONTACT_LEADS):
 
 def test_t3_contacts_one_inversion_per_step():
     """The count identities CI asserts, on the two cheap leads: both are
-    effective-mass grids, so both decimate in the mode basis."""
+    effective-mass grids, so both take the closed form of the mode basis:
+    no inversion, no step, one ``eigh`` per lead."""
     report = _measure_contacts(
         {k: (*v[:2], 1) for k, v in CONTACT_LEADS.items() if k != "si_wire"}
     )
@@ -438,6 +439,7 @@ def test_t3_contacts_one_inversion_per_step():
         assert report[f"contacts.{name}.basis"] == "modes", report
         assert report[f"contacts.{name}.stacked_inversions"] == 0, report
         assert report[f"contacts.{name}.eigh_calls"] == 2, report
+        assert report[f"contacts.{name}.max_iterations"] == 0, report
         assert report[f"block_lu.{name}.lu_matmuls_rgf"] == (
             5 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
         ), report
@@ -467,7 +469,7 @@ def _smoke():
     )
     print_experiment(
         "T3/contacts",
-        "Contacts.sigma_stacks, both leads as one decimation stack:\n"
+        "Contacts.sigma_stacks, both leads as one stack:\n"
         + "\n".join(
             f"  {name:<8} m={report[f'contacts.{name}.block_size']:<4}"
             f"B={report[f'contacts.{name}.n_energies']:<3}"

@@ -4,7 +4,7 @@
 Profiles ``solve_batch`` of one 16-energy stack on the 48-block, m=25
 wide device through both transport kernels and prints, per kernel, the
 wall time spent in every call site — LAPACK ``inv`` / ``solve`` /
-``eigh``, the block ``@`` products of the LU and the decimation, the
+``eigh``, the block ``@`` products of the LU, the contacts' surface GF, the
 observable contractions, and interpreter glue — as milliseconds and as a
 share of ``solve_batch``.  The table in ``docs/ARCHITECTURE.md`` ("Where
 kernel time goes") is this script's output.
@@ -56,7 +56,7 @@ BAR = 0.05
 
 #: Call-site categories, first match wins: (label, site-name prefixes).
 #: The kernel modules themselves hold nothing but the observable stage —
-#: LU, decimation and LAPACK live elsewhere — so whatever of them is not
+#: LU, surface GF and LAPACK live elsewhere — so whatever of them is not
 #: one of the functions whose body is a contraction's GEMM, or the system
 #: assembly, is contraction arithmetic outside BLAS (plus the T product
 #: of RGF and the glue written next to it), wherever a later change puts
@@ -71,7 +71,7 @@ CATEGORIES = [
         "negf.surface_gf:_surface_health_check",
     )),
     ("block @ (LU)", ("solvers.block_tridiagonal:",)),
-    ("decimation @", ("negf.surface_gf:",)),
+    ("surface GF", ("negf.surface_gf:",)),
     ("system assembly", ("negf.rgf:assemble_system_blocks",)),
     ("contraction GEMM", (
         "negf.rgf:_contact_density", "wf.qtbm:_transmission",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface_gf import _decimate, eigen_surface_gf
+from .surface_gf import _surface_gfs, eigen_surface_gf
 
 __all__ = [
     "Contacts",
@@ -94,16 +94,16 @@ def _sigma_stacks(energies, leads, tau, method, eta):
     """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
     ``(h00, h01, side)``.
 
-    ``method="sancho"`` runs all leads through one stacked decimation
-    (:func:`repro.negf.surface_gf._decimate`: both contacts of a device
-    share every numpy call); the other methods evaluate their surface GF
-    point by point.  Either way one broadcast ``tau^+ g tau`` triple
+    ``method="sancho"`` runs all leads through one stacked surface-GF
+    call (:func:`repro.negf.surface_gf._surface_gfs`: both contacts of a
+    device share every numpy call); the other methods evaluate their
+    surface GF point by point.  Either way one broadcast ``tau^+ g tau`` triple
     product per lead folds its stack onto the contact slab, per-slice
     identical under any grouping of energies or leads.
     """
     energies = np.asarray(energies, dtype=float).ravel()
     if method == "sancho":
-        g_stacks = [g for g, _ in _decimate(energies, leads, eta)]
+        g_stacks = [g for g, _ in _surface_gfs(energies, leads, eta)]
     else:
         g_stacks = [
             np.array(
@@ -189,19 +189,19 @@ def contact_self_energy_batch(
 
 class Contacts:
     """The two leads of a device and how their self-energies are evaluated:
-    for ``method="sancho"`` as *one* decimation over a 2B stack — the B
-    left slices, then the B right ones — bit-identical to one lead after
-    the other; a failure names the first lead that fails (lowest stack
-    index: the left before the right), with its energy and side.
+    for ``method="sancho"`` as *one* surface-GF call over a 2B stack —
+    the B left slices, then the B right ones — bit-identical to one lead
+    after the other; a failure names the first lead that fails (lowest
+    stack index: the left before the right), with its energy and side.
 
-    The stack's representation is a property of the leads, resolved on
-    every :meth:`sigma_stacks` call: leads coupled by ``h01 = c I`` with a
+    How the stack is solved is a property of the leads, resolved on every
+    :meth:`sigma_stacks` call: leads coupled by ``h01 = c I`` with a
     finite, exactly Hermitian ``h00`` (every effective-mass grid device,
-    at any k) decimate as ``(2B, m)`` diagonals in the eigenbasis of their
-    ``h00`` — one ``eigh`` per lead and call, no inversion — and any other
-    lead (atomistic, singular or poisoned) as ``(2B, m, m)`` stacks; a
-    pair of one of each runs lead by lead
-    (:func:`repro.negf.surface_gf._decimate`).
+    at any k) take the closed form of their scalar chains in the
+    eigenbasis of their ``h00`` — one ``eigh`` per lead and call, no
+    inversion, no iteration — and any other lead (atomistic, singular or
+    poisoned) decimates as ``(2B, m, m)`` stacks; a pair of one of each
+    runs lead by lead (:func:`repro.negf.surface_gf._surface_gfs`).
 
     Parameters
     ----------
@@ -234,8 +234,8 @@ class Contacts:
     def sigma_stacks(self, energies):
         """Left and right ``(B, m, m)`` self-energy stacks — what the
         kernel stage of either transport solver consumes; both leads go
-        through one decimation (left slices first, so a failing left lead
-        is still the one reported)."""
+        through one surface-GF call (left slices first, so a failing left
+        lead is still the one reported)."""
         return _sigma_stacks(
             energies, [(*self.left, "left"), (*self.right, "right")],
             None, self.method, self.eta,

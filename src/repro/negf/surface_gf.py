@@ -10,13 +10,12 @@ the tests, and their speed/robustness trade-off is an ablation benchmark):
   convergent fixed point, needs only matrix products and inverses, robust
   everywhere (the production default), run on a whole stack of energies;
   :func:`sancho_rubio` is its stack of one.  A lead coupled by a scalar,
-  ``h01 = c I`` (every effective-mass grid lead), runs the same loop in
-  the eigenbasis of ``h00``: m independent scalar chains, O(m) a step
-  instead of O(m^3), one ``eigh`` per lead and one rotation back.  Its
-  rounding is the scalar recursion's — digits are lost where a step
-  nearly cancels ``z - eps`` (1e-4 relative at a band centre for
-  eta = 1e-6) — but stays in the mode it strikes, where at m it spreads
-  over the block;
+  ``h01 = c I`` (every effective-mass grid lead), needs no fixed point:
+  in the eigenbasis of ``h00`` it is m independent scalar chains, and the
+  surface GF of each is the retarded root of a quadratic, taken in closed
+  form — one ``eigh`` per lead, a few elementwise operations per energy
+  and one rotation back, exact to rounding at band centres and band edges
+  alike (where the decimation loses up to 1e-4 relative for eta = 1e-6);
 * :func:`eigen_surface_gf` — the complex-band/transfer-matrix method: one
   generalized eigenproblem yields all propagating and evanescent lead
   modes, from which the Bloch propagation matrix F and g follow in closed
@@ -113,7 +112,8 @@ def sancho_rubio(
     Returns
     -------
     (g, n_iter) : (ndarray, int)
-        Surface GF and the number of decimation steps used.
+        Surface GF and the number of decimation steps used (0 for a lead
+        coupled by ``c I``, whose g is closed form).
     """
     g, iters = sancho_rubio_batch(
         [energy], h00, h01, side=side, eta=eta, tol=tol, max_iter=max_iter,
@@ -130,18 +130,21 @@ def sancho_rubio_batch(
     tol: float = 1e-14,
     max_iter: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Retarded surface Green's functions by decimation, stacked: the
-    one-lead caller of the loop :meth:`repro.negf.Contacts.sigma_stacks`
-    runs over both leads at once (:func:`_decimate`).
+    """Retarded surface Green's functions of one lead, stacked: the
+    one-lead caller of what :meth:`repro.negf.Contacts.sigma_stacks` runs
+    over both leads at once (:func:`_surface_gfs`).
 
-    The decimation fixed point is independent per energy, so B energies
-    run as one sequence of ``(B, m, m)`` stacked inversions and GEMMs —
-    or, for a lead coupled by ``h01 = c I``, of ``(B, m)`` elementwise
-    operations on the eigenvalues of ``h00``, rotated back at the end.
-    Converged energies are *compacted out* of the active set, so every
-    energy executes exactly the iteration sequence it would run alone —
-    same per-slice arithmetic, same iteration count, and hence the flop
-    charge ``sum_E sancho_rubio_flops(m, it_E)``.
+    A lead coupled by ``h01 = c I`` (every effective-mass grid lead) is
+    solved in closed form in the eigenbasis of ``h00``
+    (:func:`_mode_surface_gfs`): it takes no decimation step, so it
+    reports 0 steps, and ``tol`` and ``max_iter`` do not apply to it.  Any
+    other lead decimates (:func:`_decimate`): the fixed point is
+    independent per energy, so B energies run as one sequence of
+    ``(B, m, m)`` stacked inversions and GEMMs, and converged energies are
+    *compacted out* of the active set, so every energy executes exactly
+    the iteration sequence it would run alone — same per-slice arithmetic,
+    same iteration count.  Either way the flop charge is
+    ``sum_E sancho_rubio_flops(m, it_E)``.
 
     Parameters
     ----------
@@ -154,11 +157,11 @@ def sancho_rubio_batch(
     eta : float
         Positive infinitesimal (eV).
     tol : float
-        Convergence threshold on ||alpha||_F.
+        Convergence threshold on ||alpha||_F of a decimated lead.
     max_iter : int
-        Iteration cap; each iteration doubles the decimated length, so 200
-        covers 2^200 cells — non-convergence indicates eta = 0 exactly at a
-        band edge.
+        Iteration cap of a decimated lead; each iteration doubles the
+        decimated length, so 200 covers 2^200 cells — non-convergence
+        indicates eta = 0 exactly at a band edge.
 
     Returns
     -------
@@ -168,20 +171,20 @@ def sancho_rubio_batch(
     Raises
     ------
     SurfaceGFConvergenceError
-        If *any* energy fails to converge within ``max_iter`` or goes
-        non-finite (reported for the first offending energy).
+        If *any* energy of a decimated lead fails to converge within
+        ``max_iter`` or goes non-finite (reported for the first offending
+        energy).
     """
     lead = (h00, h01, side)
-    return _decimate(energies, [lead], eta, tol, max_iter)[0]
+    return _surface_gfs(energies, [lead], eta, tol, max_iter)[0]
 
 
 def _scalar_coupled(h00, h01) -> bool:
-    """Whether a lead decimates in its mode basis: ``h01 == c·I`` exactly
+    """Whether a lead's surface GF is closed form: ``h01 == c·I`` exactly
     (:func:`repro.tb.hamiltonian.identity_scalars`, the block LU's test
-    too) and ``h00`` finite and exactly Hermitian.  Every decimation
-    iterate is then a function of ``h00`` alone (times powers of ``c``),
-    so in the eigenbasis ``h00 = U diag(d) U^+`` the m x m fixed point is
-    m independent scalar chains; any other lead — poisoned blocks
+    too) and ``h00`` finite and exactly Hermitian.  In the eigenbasis
+    ``h00 = U diag(d) U^+`` the lead is then m independent scalar chains
+    (:func:`_mode_surface_gfs`); any other lead — poisoned blocks
     included, which ``eigh`` must never see — decimates at m."""
     h00 = np.asarray(h00)
     return bool(
@@ -191,41 +194,24 @@ def _scalar_coupled(h00, h01) -> bool:
     )
 
 
-def _decimate(energies, leads, eta, tol=1e-14, max_iter=200):
-    """Sancho-Rubio decimation of several leads as one stack.
+def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
+    """Surface GFs of several leads as one stack.
 
     ``leads`` is a sequence of ``(h00, h01, side)``; the result is one
     ``(g, n_iter)`` pair per lead, each exactly what
     :func:`sancho_rubio_batch` returns for that lead alone.  Leads of one
-    block size and one representation share one stack of S = leads x
-    energies slices in lead order (a bias solve: the left slices, then
-    the right), so they share every numpy call and the active set
-    compacts over their union; a slice never sees its stack-mates, so its
-    bits and its iteration count are those of a stack of one.  A mixed
-    pair runs lead by lead, as unequal cell sizes do.
+    block size and one kind — all scalar-coupled (:func:`_scalar_coupled`,
+    solved by :func:`_mode_surface_gfs`) or all decimated
+    (:func:`_decimate`) — share one stack of S = leads x energies slices
+    in lead order (a bias solve: the left slices, then the right), so they
+    share every numpy call; a slice never sees its stack-mates, so its
+    bits and its step count are those of a stack of one.  A mixed pair
+    runs lead by lead, as unequal cell sizes do.
 
-    The loop body is one set of lines over two representations, picked by
-    :func:`_scalar_coupled`:
-
-    * *dense* — ``(S, m, m)`` stacks of ``z``, ``eps``, ``alpha``,
-      ``beta``; a step is one stacked inversion and six GEMMs
-      (``alpha @ g`` and ``beta @ g`` are each used twice);
-    * *modes* (``h01 = c·I``, the effective-mass grid leads) — ``(S, m)``
-      diagonals in the eigenbasis of ``h00`` (one ``eigh`` per lead and
-      call, energy independent): ``eps = d``, ``alpha = c`` or ``c*`` by
-      side, and the step's products and inversion are ``np.multiply`` /
-      ``np.reciprocal`` — O(m) a slice instead of O(m^3).
-
-    The convergence norm is the Frobenius ``||alpha||`` of each slice in
-    either form.  A converged slice parks its surface ``eps_s`` and all of
-    them are inverted by one closing ``inv`` (or ``reciprocal``, then one
-    GEMM a slice rotates ``g = U diag(g_d) U^+`` back), so the health
-    check always sees the full-basis ``g``.  The flop charge is the dense
-    reference step in both forms (:func:`repro.perf.sancho_rubio_flops`).
-    Failures are reported for the lowest stack index, i.e. the left lead
-    before the right one — at the step they show: a right lead that goes
-    non-finite at step k is reported then, even if the left one would run
-    out of ``max_iter`` later.
+    Every g, in the lead's own basis, passes the fixed-point health check.
+    The flop charge is the reference decimation at the steps each slice
+    took (:func:`repro.perf.sancho_rubio_flops`; for a scalar-coupled lead
+    0 steps, i.e. the closing inversion alone).
     """
     if any(side not in ("left", "right") for _, _, side in leads):
         raise ValueError("side must be 'left' or 'right'")
@@ -233,49 +219,106 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200):
         raise ValueError("eta must be positive for a retarded GF")
     energies = np.asarray(energies, dtype=float).ravel()
     n_batch = energies.size
-    modes = {_scalar_coupled(h00, h01) for h00, h01, _ in leads}
-    if len({np.shape(h00) for h00, _, _ in leads}) > 1 or len(modes) > 1:
-        # unequal lead cells or representations cannot share a stack
+    kinds = {_scalar_coupled(h00, h01) for h00, h01, _ in leads}
+    if len({np.shape(h00) for h00, _, _ in leads}) > 1 or len(kinds) > 1:
+        # unequal lead cells or kinds cannot share a stack
         args = (eta, tol, max_iter)
-        return [_decimate(energies, [lead], *args)[0] for lead in leads]
+        return [_surface_gfs(energies, [lead], *args)[0] for lead in leads]
     m = leads[0][0].shape[0]
     if n_batch == 0:
         empty = np.empty((0, m, m), dtype=complex), np.empty(0, dtype=int)
         return [empty] * len(leads)
-    n_stack = len(leads) * n_batch
-    (mode_basis,) = modes
-    alpha = [h01.conj().T if side == "left" else h01 for _, h01, side in leads]
-    if mode_basis:
-        eps_s, units = zip(*(np.linalg.eigh(h00) for h00, _, _ in leads))
-        units = np.array(units, dtype=complex)
-        alpha = [np.diagonal(a) for a in alpha]
-        eye, mul, inv = np.ones(m), np.multiply, np.reciprocal
+    if kinds == {True}:
+        g_stacks = _mode_surface_gfs(energies, leads, eta)
+        iters = np.zeros(len(leads) * n_batch, dtype=int)
     else:
-        eps_s = [h00 for h00, _, _ in leads]
-        eye, mul, inv = np.eye(m), np.matmul, np.linalg.inv
+        g_all, iters = _decimate(energies, leads, eta, tol, max_iter)
+        g_stacks = np.split(g_all, len(leads))
+    results = list(zip(g_stacks, np.split(iters, len(leads))))
+    for (g, _), (h00, h01, side) in zip(results, leads):
+        _surface_health_check(g, energies, eta, h00, h01, side)
+    tracer = get_tracer()
+    if tracer.enabled:
+        # the charge is the *reference* step at m (four a @ g @ b
+        # products = 8 GEMMs + one inversion; six GEMMs execute, see
+        # sancho_rubio_flops) plus the final surface inversion, per slice
+        # and only on success
+        fl = sum(sancho_rubio_flops(m, int(it_e)) for it_e in iters)
+        tracer.add_flops("surface_gf.sancho", fl)
+    metrics = get_metrics()
+    if metrics.enabled:
+        for (_, lead_iters), (_, _, side) in zip(results, leads):
+            for it_e in lead_iters:
+                metrics.observe_key(_ITER_KEYS[side], float(it_e))
+    return results
+
+
+def _mode_surface_gfs(energies, leads, eta):
+    """Closed-form surface GFs of leads coupled by ``h01 = c I``, one
+    ``(B, m, m)`` stack per lead.
+
+    In the eigenbasis ``h00 = U diag(d) U^+`` (one ``eigh`` per lead and
+    call, energy independent) mode n is a scalar chain whose surface GF
+    solves ``|c|^2 g^2 - w g + 1 = 0``, ``w = z - d_n``.  The roots are
+    ``2 / (w -+ s)`` with ``s = sqrt(w^2 - 4|c|^2)``; their product is
+    ``1 / |c|^2``, and the retarded one — decaying into the lead — is the
+    smaller: ``2 / (w + s)`` once ``s`` is flipped to ``Re(w* s) >= 0``,
+    a sum whose terms never cancel.  ``w^2 - 4|c|^2`` is formed as
+    ``(w - 2|c|)(w + 2|c|)``, exact to rounding at a band edge.  One GEMM
+    a slice rotates ``g = U diag(g_n) U^+`` back.
+    """
+    d, units = zip(*(np.linalg.eigh(h00) for h00, _, _ in leads))
+    two_c = np.array([2 * abs(np.asarray(h01).flat[0]) for _, h01, _ in leads])
+    two_c = two_c[:, None, None]
+    w = (energies + 1j * eta)[:, None] - np.array(d)[:, None, :]
+    s = np.sqrt((w - two_c) * (w + two_c))
+    np.negative(s, out=s, where=w.real * s.real + w.imag * s.imag < 0)
+    g_modes = 2 / (w + s)
+    return [(u * g[:, None, :]) @ u.conj().T for g, u in zip(g_modes, units)]
+
+
+def _decimate(energies, leads, eta, tol, max_iter):
+    """Sancho-Rubio decimation of leads of one block size as one stack of
+    S = leads x energies slices: the S surface GFs ``(S, m, m)`` and step
+    counts ``(S,)`` in stack order.
+
+    Each slice carries ``(m, m)`` blocks ``z``, ``eps``, ``alpha`` and
+    ``beta``; a step is one stacked inversion and six GEMMs
+    (``alpha @ g`` and ``beta @ g`` are each used twice).  The convergence
+    norm is the Frobenius ``||alpha||`` of each slice; a converged slice
+    leaves the active set and parks its surface ``eps_s``, and one closing
+    ``inv`` turns all of them into g.  Failures are reported for the
+    lowest stack index, i.e. the left lead before the right one — at the
+    step they show: a right lead that goes non-finite at step k is
+    reported then, even if the left one would run out of ``max_iter``
+    later.
+    """
+    n_batch = energies.size
+    n_stack = len(leads) * n_batch
+    eye = np.eye(leads[0][0].shape[0])
     z_all = np.multiply.outer(energies + 1j * eta, eye)
-    z_all = np.tile(z_all, (len(leads),) + (1,) * eye.ndim)
+    z_all = np.tile(z_all, (len(leads), 1, 1))
+    alpha = [h01.conj().T if side == "left" else h01 for _, h01, side in leads]
     alpha = np.repeat(np.array(alpha, dtype=complex), n_batch, axis=0)
-    # per-slice adjoint (on diagonals the swap is a no-op)
-    beta = np.ascontiguousarray(alpha.conj().swapaxes(1, -1))
+    beta = np.ascontiguousarray(alpha.conj().swapaxes(1, 2))
+    eps_s = [h00 for h00, _, _ in leads]
     eps_s = np.repeat(np.array(eps_s, dtype=complex), n_batch, axis=0)
     eps = eps_s.copy()
     z = z_all
     active = np.arange(n_stack)
     iters = np.zeros(n_stack, dtype=int)
     surface = np.empty(z_all.shape, dtype=complex)
-    slice_axes = tuple(range(1, z_all.ndim))
     for it in range(1, max_iter + 1):
-        g_bulk = inv(z - eps)
-        ag = mul(alpha, g_bulk)
-        bg = mul(beta, g_bulk)
-        agb = mul(ag, beta)
+        g_bulk = np.linalg.inv(z - eps)
+        ag = alpha @ g_bulk
+        bg = beta @ g_bulk
+        agb = ag @ beta
         eps_s += agb
-        eps = (eps + agb) + mul(bg, alpha)
-        alpha = mul(ag, alpha)
-        beta = mul(bg, beta)
+        eps = (eps + agb) + bg @ alpha
+        alpha = ag @ alpha
+        beta = bg @ beta
         norms = np.sqrt(
-            np.add.reduce((alpha.conj() * alpha).real, axis=slice_axes)
+            np.add.reduce((alpha.conj() * alpha).real, axis=(1, 2))
         )
         finite = np.isfinite(norms)
         if not finite.all():
@@ -323,34 +366,7 @@ def _decimate(energies, leads, eta, tol=1e-14, max_iter=200):
             f"(side = {side}, E = {bad}, eta = {eta}); increase eta",
             energy=bad, eta=eta,
         )
-    g_all = inv(z_all - surface)
-    results = [
-        (g_all[lo: lo + n_batch], iters[lo: lo + n_batch])
-        for lo in range(0, n_stack, n_batch)
-    ]
-    if mode_basis:
-        # back to the lead's basis: g = (U diag(g_d)) U^+, one GEMM a slice
-        results = [
-            ((u * g_d[:, None, :]) @ u.conj().T, lead_iters)
-            for (g_d, lead_iters), u in zip(results, units)
-        ]
-    for (g, _), (h00, h01, side) in zip(results, leads):
-        _surface_health_check(g, energies, eta, h00, h01, side)
-    tracer = get_tracer()
-    if tracer.enabled:
-        # the charge is the *reference* step at m (four a @ g @ b
-        # products = 8 GEMMs + one inversion; six GEMMs execute, or O(m)
-        # elementwise work in the mode basis, see sancho_rubio_flops)
-        # plus the final surface inversion, per slice and only on
-        # convergence
-        fl = sum(sancho_rubio_flops(m, int(it_e)) for it_e in iters)
-        tracer.add_flops("surface_gf.sancho", fl)
-    metrics = get_metrics()
-    if metrics.enabled:
-        for (_, lead_iters), (_, _, side) in zip(results, leads):
-            for it_e in lead_iters:
-                metrics.observe_key(_ITER_KEYS[side], float(it_e))
-    return results
+    return np.linalg.inv(z_all - surface), iters
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ RGF, WF and Sancho-Rubio kernels at several sizes.  The formulas are the
 reference algorithms, not the executed ones — the RGF block-LU sweep is
 charged 12 products a slab and executes 9 (5 on ``c·I`` couplings), the
 Sancho-Rubio step is charged 8 GEMMs and an inversion at m and executes
-6 and one (O(m) elementwise work in the mode basis of a scalar-coupled
-lead) — so these checks pin the accounting (what is charged, how
-often), not a GEMM count.
+6 and one (a scalar-coupled lead takes no step: its closed form is
+charged the closing inversion alone) — so these checks pin the
+accounting (what is charged, how often), not a GEMM count.
 
 Imports of the kernel packages are deferred into the function bodies:
 ``repro.solvers`` itself imports :mod:`repro.observability` for its
@@ -219,18 +219,19 @@ def validate_sancho_rubio_flops(
     block_size: int = 4, energy: float = 0.3, n_energies: int = 1,
     scalar_coupling: bool = False,
 ) -> FlopValidation:
-    """Run a real decimation and check its *iteration accounting*: the
-    charge is ``sum_E formula(it_E)``, the formula being the reference
+    """Run a real surface-GF solve and check its *iteration accounting*:
+    the charge is ``sum_E formula(it_E)``, the formula being the reference
     step of :func:`repro.perf.sancho_rubio_flops` (8 GEMMs and one
-    inversion at m) in both representations of the loop.
+    inversion at m).
 
     The lead is the folded chain of :func:`_chain_hamiltonian`, whose
     coupling is one bond (rank 1): the loop runs at m, six GEMMs and one
     stacked inversion a step.  ``scalar_coupling=True`` couples its cells
-    by ``-I`` instead — the effective-mass grid form — and the loop runs
-    in the lead's mode basis: elementwise products and reciprocals on the
-    m eigenvalues of ``h00``.  The iteration counts are *measured*
-    quantities (returned by :func:`repro.negf.sancho_rubio_batch`); the
+    by ``-I`` instead — the effective-mass grid form — and the lead takes
+    the closed form of its mode basis: 0 steps on every energy, so the
+    charge is the closing inversion alone.  The iteration counts are
+    *measured* quantities (returned by
+    :func:`repro.negf.sancho_rubio_batch`); the
     analytic side charges exactly that many decimation steps plus the
     final surface inversion, per energy.  ``n_energies > 1`` decimates a
     stack of that many energies instead of the one ``energy``: the

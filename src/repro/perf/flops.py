@@ -20,8 +20,12 @@ coupling instead of a GEMM (of the 12 products a slab of an RGF stage
 charged by :func:`rgf_solve_flops`, 9 execute on matrix couplings —
 every atomistic device — and 5 on the scalar couplings of the
 effective-mass grid family), and the
-Sancho-Rubio step shares two left factors and, for a scalar-coupled
-lead, runs on the eigenvalues of ``h00`` (:func:`sancho_rubio_flops`).
+Sancho-Rubio step shares two left factors (:func:`sancho_rubio_flops`).
+A scalar-coupled lead takes no step at all: its surface GF is the closed
+form of its mode basis, and it is charged the closing inversion alone —
+while the transport driver charges every energy a nominal 25 steps on
+both leads (``_KPoint._store`` in :mod:`repro.core.transport`), whatever
+the leads took.
 """
 
 from __future__ import annotations
@@ -231,15 +235,14 @@ def sancho_rubio_flops(m: int, n_iterations: int) -> float:
     two GEMMs each, plus the final surface inversion.
 
     This is the algorithm's count at m, not the executed one (the Gordon
-    Bell convention :meth:`repro.wf.WFSolver._charge_flops` follows too),
-    and it is the charge of either representation the decimation loop
-    (:func:`repro.negf.sancho_rubio_batch`) runs in: at m it shares the
-    two left factors ``alpha @ g`` and ``beta @ g`` and executes six GEMMs
-    and one inversion a step; for a lead coupled by ``c I`` (the
-    effective-mass grid family) it executes the same step on the m
-    eigenvalues of ``h00`` — elementwise products and reciprocals, O(m) —
-    after one ``eigh`` and before one rotating GEMM.  The charge moves
-    with neither.
+    Bell convention :meth:`repro.wf.WFSolver._charge_flops` follows too):
+    the decimation loop (:func:`repro.negf.sancho_rubio_batch`) shares
+    the two left factors ``alpha @ g`` and ``beta @ g`` and executes six
+    GEMMs and one inversion a step.  A lead coupled by ``c I`` (the
+    effective-mass grid family) reports 0 steps — its surface GF is the
+    closed form of m scalar chains, one ``eigh``, O(m) elementwise work
+    per energy and one rotating GEMM — and is charged
+    ``sancho_rubio_flops(m, 0)``, the closing inversion.
 
     Example
     -------

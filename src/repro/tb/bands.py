@@ -214,16 +214,15 @@ def wire_band_structure(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subbands E_n(k) of a periodic wire over half the 1-D BZ [0, pi/L].
 
+    The ``(n_k, m, m)`` Bloch stack is one broadcast of
+    :func:`repro.tb.hamiltonian.wire_bloch_hamiltonian` and its subbands
+    one stacked ``eigvalsh`` call, bit-identical to a call per k.
+
     Returns (k values (1/nm), energies (n_k, n_bands)).
     """
     ks = np.linspace(0.0, np.pi / period_nm, n_k)
-    energies = np.array(
-        [
-            np.linalg.eigvalsh(wire_bloch_hamiltonian(h00, h01, k, period_nm))
-            for k in ks
-        ]
-    )
-    return ks, energies
+    bloch = wire_bloch_hamiltonian(h00, h01, ks[:, None, None], period_nm)
+    return ks, np.linalg.eigvalsh(bloch)
 
 
 def lead_conduction_minimum(
@@ -238,15 +237,11 @@ def lead_conduction_minimum(
     ``floor`` separates conduction from valence subbands (use the bulk
     midgap for full-band materials, -inf for electron-only models); this
     is the band-edge reference for contact chemical potentials and energy
-    windows.
+    windows.  The k grid and the one stacked ``eigvalsh`` call are
+    :func:`wire_band_structure`'s.
     """
-    ks = np.linspace(0.0, np.pi / period_nm, n_k)
-    out = np.inf
-    for k in ks:
-        ev = np.linalg.eigvalsh(wire_bloch_hamiltonian(h00, h01, k, period_nm))
-        above = ev[ev > floor]
-        if above.size:
-            out = min(out, float(above.min()))
+    _, subbands = wire_band_structure(h00, h01, period_nm, n_k)
+    out = float(subbands[subbands > floor].min(initial=np.inf))
     if not np.isfinite(out):
         raise ValueError("no subbands above the floor energy")
     return out

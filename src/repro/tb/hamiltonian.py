@@ -48,12 +48,13 @@ def identity_scalars(blocks) -> list:
     finite, None for any other block.
 
     The one test of "this coupling is a scalar": the block LU multiplies
-    by such a coupling instead of issuing a GEMM, and a lead coupled by
-    one decimates in its mode basis.  Blocks of one square shape are
-    tested as one stack copy: every kernel stage asks this of all its
-    couplings, and a per-block ``array_equal`` against ``c·I`` is 4-5x
-    slower (the 40-slab chain: 0.28 against 0.06 ms a stage, about 7 %
-    of an adaptive-chain execution's 13 stages).
+    by such a coupling instead of issuing a GEMM, and the surface GF of a
+    lead coupled by one is the closed form of its mode basis.  Blocks of
+    one square shape are tested as one stack copy: every kernel stage
+    asks this of all its couplings, and a per-block ``array_equal``
+    against ``c·I`` is 4-5x slower (the 40-slab chain: 0.28 against
+    0.06 ms a stage, about 7 % of an adaptive-chain execution's 13
+    stages).
     """
     if len({np.shape(b) for b in blocks}) > 1:
         return [identity_scalars([b])[0] for b in blocks]
@@ -498,13 +499,16 @@ def bulk_hamiltonian(material: TBMaterial, k: np.ndarray) -> np.ndarray:
 
 
 def wire_bloch_hamiltonian(
-    h00: np.ndarray, h01: np.ndarray, k_x: float, period_nm: float
+    h00: np.ndarray, h01: np.ndarray, k_x: float | np.ndarray,
+    period_nm: float,
 ) -> np.ndarray:
     """Bloch Hamiltonian H(k) = H00 + H01 e^{ikL} + H01^+ e^{-ikL} of a wire.
 
     ``h00``/``h01`` are the slab diagonal and coupling blocks of a periodic
     wire (every slab identical); the eigenvalues over k in [-pi/L, pi/L]
-    are the wire subbands.
+    are the wire subbands.  ``k_x`` may be an array that broadcasts
+    against the blocks — shape ``(n_k, 1, 1)`` gives the ``(n_k, m, m)``
+    stack, slice for slice the bits of a call per k.
     """
     phase = np.exp(1j * k_x * period_nm)
     return h00 + h01 * phase + h01.conj().T * np.conj(phase)

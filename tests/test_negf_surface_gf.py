@@ -20,7 +20,7 @@ from repro.negf import (
 )
 from repro.negf import surface_gf
 from repro.negf.self_energy import broadening, open_channels
-from repro.negf.surface_gf import _decimate
+from repro.negf.surface_gf import _surface_gfs
 from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.perf import sancho_rubio_flops
 from repro.resilience import HealthSentinel, use_sentinel
@@ -164,18 +164,23 @@ class TestSanchoRubioStack:
     and out-of-band energies (so the active set really compacts)."""
 
     def test_chain_analytic(self):
+        """The chain (``h01 = -1``, a scalar coupling) takes its closed
+        form: exact to rounding and no decimation step on any energy."""
         h00, h01 = chain_lead()
         g, iters = sancho_rubio_batch(MIXED_STACK, h00, h01, eta=1e-6)
         assert g.shape == (MIXED_STACK.size, 1, 1)
+        assert not iters.any()
         for b, energy in enumerate(MIXED_STACK):
             exact = chain_surface_gf(energy + 1e-6j, 0.0, 1.0)
-            assert g[b, 0, 0] == pytest.approx(exact, rel=1e-3)
+            assert g[b, 0, 0] == pytest.approx(exact, rel=1e-12)
             if abs(energy) > 2.0 + 1e-2:
                 assert abs(g[b, 0, 0].imag) < 1e-6  # no DOS outside the band
-        # gapped energies contract at once, band-edge ones crawl: the
-        # stack keeps a separate count for each
+        # a lead coupled by a matrix decimates: gapped energies contract
+        # at once, band-edge ones crawl, and the stack keeps a separate
+        # count for each (the dimer's bands end at -1.5 eV)
+        _, iters = sancho_rubio_batch(MIXED_STACK, *dimer_lead(), eta=1e-6)
         assert len(set(iters.tolist())) > 1
-        assert iters[0] < iters[1]
+        assert iters[0] < iters[2]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_matches_eigen_dimer(self, side):
@@ -228,9 +233,9 @@ class TestSanchoRubioStack:
         assert g.shape == (0, 1, 1) and iters.shape == (0,)
 
     @pytest.mark.parametrize("lead,energies,shifts,max_iter,side", [
-        pytest.param(chain_lead, MIXED_STACK, (0.0, 0.5), 3, "left",
+        pytest.param(dimer_lead, MIXED_STACK, (0.0, 0.5), 3, "left",
                      id="both-slow"),
-        pytest.param(chain_lead, MIXED_STACK, (100.0, 0.5), 8, "right",
+        pytest.param(dimer_lead, MIXED_STACK, (100.0, 0.5), 8, "right",
                      id="right-slow"),
         pytest.param(si_wire_lead, SI_WIRE_STACK, (0.0, 0.05), 3, "left",
                      id="si-both-slow"),
@@ -242,14 +247,14 @@ class TestSanchoRubioStack:
     ):
         """Both leads in one stack fail like one lead after the other:
         the first lead with a straggler names the energy and the side and
-        is the only one counted — in the mode basis (the chain) and at m
-        (the Si-sp3s* wire)."""
+        is the only one counted — on the dimer (m = 2) and on the Si-sp3s*
+        wire (m = 30), both coupled by a matrix."""
         h00, h01 = lead()
         leads = [(h00 + shift * np.eye(h00.shape[0]), h01, lead_side)
                  for shift, lead_side in zip(shifts, ("left", "right"))]
 
         def merged():
-            _decimate(energies, leads, 1e-6, max_iter=max_iter)
+            _surface_gfs(energies, leads, 1e-6, max_iter=max_iter)
 
         def sequential():
             for a, b, lead_side in leads:
@@ -277,9 +282,9 @@ class TestSanchoRubioStack:
         the merged stack while the other lead's band-edge slices crawl, and
         every slice still books its own count under its own side."""
         leads = [(*lead, side) for lead, side in zip(
-            biased(chain_lead, 0.5), ("left", "right")
+            biased(dimer_lead, 0.5), ("left", "right")
         )]
-        merged = _decimate(MIXED_STACK, leads, 1e-6)
+        merged = _surface_gfs(MIXED_STACK, leads, 1e-6)
         for (g, iters), (h00, h01, side) in zip(merged, leads):
             g1, iters1 = sancho_rubio_batch(
                 MIXED_STACK, h00, h01, side=side, eta=1e-6
@@ -287,12 +292,12 @@ class TestSanchoRubioStack:
             assert np.array_equal(g, g1) and np.array_equal(iters, iters1)
         assert not np.array_equal(merged[0][1], merged[1][1])
         with use_tracer(Tracer()) as tracer:
-            _decimate(MIXED_STACK, leads, 1e-6)
+            _surface_gfs(MIXED_STACK, leads, 1e-6)
         # one charge for the stack = the two per-lead charges
         assert tracer.counter.counts["surface_gf.sancho"] == sum(
-            sancho_rubio_flops(1, int(it)) for _, its in merged for it in its
+            sancho_rubio_flops(2, int(it)) for _, its in merged for it in its
         )
-        assert metrics_of(lambda: _decimate(MIXED_STACK, leads, 1e-6)) == (
+        assert metrics_of(lambda: _surface_gfs(MIXED_STACK, leads, 1e-6)) == (
             metrics_of(lambda: [
                 sancho_rubio_batch(MIXED_STACK, a, b, side=side, eta=1e-6)
                 for a, b, side in leads
@@ -323,8 +328,8 @@ class TestSanchoRubioStack:
 
 
 def force_dense(monkeypatch):
-    """Hand every lead to the loop as ``(S, m, m)`` stacks — what the
-    decimation ran on every lead before the mode basis."""
+    """Hand every lead to the decimation loop as ``(S, m, m)`` stacks —
+    what ran on every lead before the closed form."""
     monkeypatch.setattr(surface_gf, "_scalar_coupled", lambda h00, h01: False)
 
 
@@ -332,16 +337,27 @@ def band_grid(h00, t, n=33):
     """``n`` energies from below the lowest subband of a scalar-coupled lead
     to above its highest, so every band edge ``d_i +- 2t`` is crossed.
 
-    Band centres (``|E - d_i| <= 0.05``) are left out: there a decimation
-    step nearly cancels ``z - eps`` and the recursion itself, in either
-    basis and at m = 1, loses up to 4e-4 relative (unit chain, eta = 1e-6;
-    1e-12 at 0.01 from the centre).  The same cancellation strikes
-    sporadically in band — up to 2.5e-9 on a 2,000-energy scan of one
-    chain, 3e-7 for one mode of a random m = 25 lead — so the grid is
-    fixed, not drawn."""
+    Band centres (``|E - d_i| <= 0.05``) are left out for the decimation
+    loop's sake — the closed form needs no such care
+    (:func:`centre_edge_grid`).  There a decimation step nearly cancels
+    ``z - eps`` and the recursion loses up to 4e-4 relative at m = 1 (unit
+    chain, eta = 1e-6; 1e-12 at 0.01 from the centre), and at m = 4 half
+    its value exactly at a centre, where the first stacked inversion is
+    singular to eta.  The same cancellation strikes sporadically in band —
+    up to 2.5e-9 on a 2,000-energy scan of one chain, 3e-7 for one mode of
+    a random m = 25 lead — so the grid is fixed, not drawn."""
     d = np.linalg.eigvalsh(h00)
     energies = np.linspace(d.min() - 2 * t - 0.5, d.max() + 2 * t + 0.5, n)
     return energies[np.abs(energies[:, None] - d).min(axis=1) > 0.05]
+
+
+def centre_edge_grid(h00, t, n=33):
+    """The sweep of :func:`band_grid` with every band centre ``d_i`` and
+    both band edges ``d_i +- 2t`` of every mode put in, exactly: the
+    energies where the decimation loses its digits."""
+    d = np.linalg.eigvalsh(h00)
+    sweep = np.linspace(d.min() - 2 * t - 0.5, d.max() + 2 * t + 0.5, n)
+    return np.sort(np.concatenate([sweep, d, d - 2 * t, d + 2 * t]))
 
 
 def relative_error(g, ref):
@@ -352,21 +368,24 @@ def relative_error(g, ref):
 
 
 class TestModeBasis:
-    """A lead with ``h01 = c I`` runs the same decimation loop on the
-    ``(S, m)`` diagonals of its mode basis: m scalar chains."""
+    """A lead with ``h01 = c I`` is m scalar chains in the eigenbasis of
+    ``h00``, each solved in closed form: no decimation step."""
 
     ETA = 1e-6
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("m", [4, 25])
     def test_each_mode_is_a_scalar_chain(self, m, side):
-        """``g = U diag(g_i) U^+`` with ``g_i`` the m = 1 decimation of the
+        """``g = U diag(g_i) U^+`` with ``g_i`` the m = 1 surface GF of the
         chain (``d_i``, ``c``): the basis adds one rotation and nothing
         else."""
         h00, h01 = grid_lead(m)
         d, u = np.linalg.eigh(h00)
-        energies = band_grid(h00, 2.03)
-        g, _ = sancho_rubio_batch(energies, h00, h01, side=side, eta=self.ETA)
+        energies = centre_edge_grid(h00, 2.03)
+        g, iters = sancho_rubio_batch(
+            energies, h00, h01, side=side, eta=self.ETA
+        )
+        assert not iters.any()
         chains = np.stack([
             sancho_rubio_batch(
                 energies, np.array([[d_i]]), h01[:1, :1], side=side,
@@ -378,29 +397,31 @@ class TestModeBasis:
 
     @pytest.mark.parametrize("m", [1, 4, 25])
     def test_matches_the_closed_form(self, m):
-        """Against ``chain_surface_gf`` of every eigenvalue of ``h00``,
-        rotated back: worst relative error <= 1e-10 on a grid that crosses
-        every band edge (measured 4e-14 / 3e-12 / 7e-12 at m = 1 / 4 / 25;
-        the dense loop on the same grid: 1e-13 / 8e-9 / 1e-9)."""
+        """Against ``chain_surface_gf`` of every eigenvalue of ``h00``, mode
+        by mode (``U^+ g U``): worst relative error <= 1e-12 on a grid that
+        holds every band centre and band edge exactly (measured 7e-14 /
+        8e-14 / 2e-13 at m = 1 / 4 / 25; the decimation loop on the same
+        grid, rotated back: 7e-5 / 0.49 / 0.38)."""
         t = 2.03
         h00, h01 = grid_lead(m, t=t)
         d, u = np.linalg.eigh(h00)
-        energies = band_grid(h00, t)
+        energies = centre_edge_grid(h00, t)
         g, _ = sancho_rubio_batch(energies, h00, h01, eta=self.ETA)
         exact = np.array([
             [chain_surface_gf(e + 1j * self.ETA, d_i, t) for d_i in d]
             for e in energies
         ])
-        assert relative_error(g, (u * exact[:, None, :]) @ u.conj().T) <= 1e-10
+        modes = np.diagonal(u.conj().T @ g @ u, axis1=1, axis2=2)
+        assert np.max(np.abs(modes - exact) / np.abs(exact)) <= 1e-12
 
     @pytest.mark.parametrize("m", [4, 25])
-    def test_the_dense_loop_takes_the_same_steps(self, m, monkeypatch):
-        """The same lead fed to the loop as ``(S, m, m)`` stacks: the same
-        iteration count on every slice (the Frobenius ``||alpha||`` is
-        basis independent) and g within 1e-6 — the dense loop's own
-        rounding, which a near-cancelling step of any one mode spreads
-        over the whole block (up to 8e-9 / 1e-9 against the closed form
-        on this grid, 4e-6 on denser band-edge grids)."""
+    def test_the_dense_loop_agrees_to_its_own_rounding(self, m, monkeypatch):
+        """The same lead fed to the decimation loop as ``(S, m, m)``
+        stacks: g within 1e-6 of the closed form away from band centres —
+        the loop's own rounding, which a near-cancelling step of any one
+        mode spreads over the whole block (1.2e-9 / 2.6e-9 measured on
+        this grid, 4e-6 on denser band-edge grids).  The loop takes steps
+        where the closed form takes none."""
         h00, h01 = grid_lead(m)
         energies = band_grid(h00, 2.03)
         g, iters = sancho_rubio_batch(energies, h00, h01, eta=self.ETA)
@@ -408,34 +429,51 @@ class TestModeBasis:
         g_dense, iters_dense = sancho_rubio_batch(
             energies, h00, h01, eta=self.ETA
         )
-        assert np.array_equal(iters, iters_dense)
+        assert not iters.any() and iters_dense.min() > 0
         assert relative_error(g_dense, g) <= 1e-6
 
     @pytest.mark.parametrize("order", ["modes-dense", "dense-modes"])
     def test_a_mixed_pair_reports_its_left_failure_first(self, order):
-        """A scalar-coupled lead and one decimated at m run lead by lead:
-        the left lead's straggler is reported — also where the right lead
-        (NaN, so decimated at m) would go non-finite at the first step of
-        a shared stack."""
+        """A scalar-coupled lead and one decimated at m run lead by lead,
+        and the first lead that fails is reported, as it would be alone.
+        The closed form takes no step and cannot straggle: with the mode
+        lead on the left, the poisoned right lead (NaN, so decimated at
+        m) is reported at its first step; with a decimated lead on the
+        left, its straggler is, and the mode lead never runs."""
         modes, dense = grid_lead(), wide_lead(m=4)
         poisoned = (np.full((4, 4), np.nan + 0j), dense[1])
         left, right = ((modes, poisoned) if order == "modes-dense"
                        else (dense, modes))
         leads = [(*left, "left"), (*right, "right")]
-        sentinel = HealthSentinel(mode="contain")
-        with use_sentinel(sentinel), use_metrics(MetricsRegistry()) as registry:
-            with pytest.raises(SurfaceGFConvergenceError) as info:
-                _decimate(MIXED_STACK, leads, self.ETA, max_iter=3)
-        with pytest.raises(SurfaceGFConvergenceError) as alone:
-            sancho_rubio_batch(MIXED_STACK, *left, eta=self.ETA, max_iter=3)
-        assert str(info.value) == str(alone.value)
-        assert "side = left" in str(info.value) and "did not converge" in str(
-            info.value
+        failing = leads[order == "modes-dense"]
+
+        def failure_of(run):
+            sentinel = HealthSentinel(mode="contain")
+            with use_sentinel(sentinel), use_metrics(MetricsRegistry()) as reg:
+                with pytest.raises(SurfaceGFConvergenceError) as info:
+                    run()
+            counted = reg.snapshot().with_prefix(
+                "counters", "surface_gf.nonconverged"
+            )
+            return str(info.value), list(counted), sentinel.n_trips
+
+        message, counted, trips = failure_of(
+            lambda: _surface_gfs(MIXED_STACK, leads, self.ETA, max_iter=3)
         )
-        assert list(registry.snapshot().with_prefix(
-            "counters", "surface_gf.nonconverged"
-        )) == ["surface_gf.nonconverged{side=left}"]
-        assert sentinel.n_trips == 0  # the poisoned right lead never ran
+        assert (message, counted, trips) == failure_of(
+            lambda: sancho_rubio_batch(
+                MIXED_STACK, *failing[:2], side=failing[2], eta=self.ETA,
+                max_iter=3,
+            )
+        )
+        if order == "modes-dense":
+            assert "side = right" in message
+            assert "non-finite at iteration 1" in message
+            assert (counted, trips) == ([], 1)
+        else:
+            assert "side = left" in message and "did not converge" in message
+            assert counted == ["surface_gf.nonconverged{side=left}"]
+            assert trips == 0  # the right lead never ran
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "non-hermitian"])
@@ -467,7 +505,9 @@ class TestModeBasis:
             with use_sentinel(sentinel), use_metrics(MetricsRegistry()) as reg:
                 try:
                     with np.errstate(invalid="ignore"):
-                        result = _decimate(energies, leads, self.ETA, max_iter=40)
+                        result = _surface_gfs(
+                            energies, leads, self.ETA, max_iter=40
+                        )
                     poisoned = result[("left", "right").index(side)][0]
                 except SurfaceGFConvergenceError as error:
                     poisoned = (type(error), error.energy, str(error))

@@ -65,6 +65,11 @@ def system():
 
 LEAD_H00 = np.array([[0.0]])
 LEAD_H01 = np.array([[1.0]])
+#: a lead coupled by a matrix, so its surface GF decimates (the chain above
+#: is coupled by a scalar and takes its closed form, no step): at 0.7 eV it
+#: needs 25 steps at eta = 1e-6, 21 at 1e-5 and 18 at 1e-4
+DIMER_H00 = np.array([[0.1, -1.0], [-1.0, 0.1]])
+DIMER_H01 = np.array([[0.0, 0.0], [-0.6, 0.0]])
 
 
 class TestErrorHierarchy:
@@ -93,13 +98,16 @@ class TestErrorHierarchy:
 
     def test_sancho_raises_typed_error(self):
         with pytest.raises(SurfaceGFConvergenceError) as info:
-            sancho_rubio(0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3)
-        assert info.value.energy == 0.5
+            sancho_rubio(0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=3)
+        assert info.value.energy == 0.7
         assert info.value.eta == 1e-6
         assert not info.value.injected
         # still catchable as RuntimeError for pre-resilience callers
         with pytest.raises(RuntimeError):
-            sancho_rubio(0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3)
+            sancho_rubio(0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=3)
+        # a scalar-coupled lead takes no step, so no cap can stop it
+        _, steps = sancho_rubio(0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3)
+        assert steps == 0
 
     def test_scf_constructor_validation(self, system):
         built, tc = system
@@ -234,11 +242,11 @@ class TestRetryPolicy:
 
 class TestSurfaceGFLadder:
     def test_eta_escalation_path(self):
-        # at max_iter=21 the nominal eta (needs 26 iters) and eta*10
-        # (needs 23) both fail; eta*100 (needs 20) converges
+        # at max_iter=20 the nominal eta (needs 25 iters) and eta*10
+        # (needs 21) both fail; eta*100 (needs 18) converges
         report = ResilienceReport()
         g, path = robust_surface_gf(
-            0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=21, report=report
+            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=20, report=report
         )
         assert path == "sancho-eta*100"
         assert report.organic_faults == 1
@@ -248,12 +256,18 @@ class TestSurfaceGFLadder:
     def test_eigen_fallback_matches_eigen_construction(self):
         report = ResilienceReport()
         g, path = robust_surface_gf(
-            0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3, report=report
+            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=3, report=report
         )
         assert path == "eigen"
         assert report.fallbacks == {"surface_gf:eigen": 1}
-        reference = eigen_surface_gf(0.5, LEAD_H00, LEAD_H01, eta=1e-6)
+        reference = eigen_surface_gf(0.7, DIMER_H00, DIMER_H01, eta=1e-6)
         np.testing.assert_allclose(g, reference)
+        # the scalar-coupled chain needs no ladder at any cap
+        report = ResilienceReport()
+        g, path = robust_surface_gf(
+            0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3, report=report
+        )
+        assert path == "sancho" and report.total_faults == 0
 
     def test_healthy_lead_takes_no_fallback(self):
         report = ResilienceReport()

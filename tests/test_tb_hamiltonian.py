@@ -24,6 +24,8 @@ from repro.tb import (
     wire_band_edges,
     wire_band_structure,
     bulk_band_edges,
+    lead_conduction_minimum,
+    wire_bloch_hamiltonian,
 )
 
 SI = ZincblendeCell(0.5431, "Si", "Si")
@@ -143,13 +145,13 @@ class TestUTBPhases:
 
 class TestContactBasis:
     """The effective-mass grid family couples its slabs by an exact scalar,
-    ``h01 = -t I``, so its contacts decimate in the lead's mode basis
-    (O(m) a step) and the block LU multiplies by the 0-d couplings
-    :meth:`BlockTridiagonalHamiltonian.couplings` hands it; an atomistic
-    device keeps matrix couplings and decimates at m.  Pinned here because
-    a grid assembly that breaks the scalar — one rounding, one stray
-    entry — drops every grid workload back to O(m^3) with nothing else
-    failing."""
+    ``h01 = -t I``, so its contacts take the closed form of the lead's
+    mode basis (no decimation step) and the block LU multiplies by the
+    0-d couplings :meth:`BlockTridiagonalHamiltonian.couplings` hands it;
+    an atomistic device keeps matrix couplings and decimates at m.  Pinned
+    here because a grid assembly that breaks the scalar — one rounding,
+    one stray entry — drops every grid workload back to an O(m^3)
+    decimation with nothing else failing."""
 
     @staticmethod
     def assert_scalar_coupled(H):
@@ -209,6 +211,59 @@ class TestContactBasis:
         contacts = Contacts(H)
         assert not _scalar_coupled(*contacts.left)
         assert not _scalar_coupled(*contacts.right)
+
+
+class TestStackedKScan:
+    """:func:`wire_band_structure` and :func:`lead_conduction_minimum` form
+    the ``(n_k, m, m)`` Bloch stack in one broadcast and take its subbands
+    in one ``eigvalsh`` call: ``==`` the per-k loop they replace."""
+
+    @staticmethod
+    def built_lead(spec):
+        built = build_device(spec)
+        H = built.hamiltonian(np.zeros(built.n_atoms))
+        return (H.diagonal[0], H.upper[0], built.device.slab_length_nm,
+                built.midgap)
+
+    @pytest.mark.parametrize("lead", ["fet", "chain", "si-wire"])
+    @pytest.mark.parametrize("n_k", [7, 9])
+    def test_one_eigvalsh_equals_the_per_k_loop(self, lead, n_k, monkeypatch):
+        if lead == "chain":
+            h00, h01, period, floor = (
+                np.array([[0.0 + 0j]]), np.array([[-1.0 + 0j]]), 1.0, -np.inf
+            )
+        elif lead == "fet":
+            h00, h01, period, floor = self.built_lead(DeviceSpec(
+                n_x=12, n_y=2, n_z=2, source_cells=4, drain_cells=4,
+                gate_cells=(4, 8), spacing_nm=0.25, donor_density_nm3=0.05,
+                material_params={"m_rel": 0.3},
+            ))
+        else:
+            h00, h01, period, floor = self.built_lead(DeviceSpec(
+                geometry="nanowire-zb", material="Si-sp3s*", n_x=4, n_y=1,
+                n_z=1, source_cells=1, drain_cells=1, gate_cells=(1, 3),
+            ))
+        ks = np.linspace(0.0, np.pi / period, n_k)
+        loop = np.array([
+            np.linalg.eigvalsh(wire_bloch_hamiltonian(h00, h01, k, period))
+            for k in ks
+        ])
+        bottom = min(float(e[e > floor].min()) for e in loop if (e > floor).any())
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        got_ks, stacked = wire_band_structure(h00, h01, period, n_k)
+        assert np.array_equal(got_ks, ks) and np.array_equal(stacked, loop)
+        assert lead_conduction_minimum(
+            h00, h01, period, floor=floor, n_k=n_k
+        ) == bottom
+        m = h00.shape[0]
+        assert calls == [(n_k, m, m)] * 2
 
 
 class TestWireHamiltonian:
