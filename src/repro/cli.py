@@ -633,9 +633,9 @@ def _cmd_doctor(args) -> int:
 
                 injector = FaultInjector(
                     seed=args.inject_faults, rate=1.0, actions=("nan",),
-                    sites=("task",),
+                    sites=("doctor",),
                 )
-                mode = injector.fire("task", ("doctor", "density-drill"))
+                mode = injector.fire("doctor", "density-drill")
                 if mode == "nan":
                     broken = nan_like(np.ones(built.n_atoms))
                     try:

@@ -4,7 +4,13 @@ This is the MPI-facing layer of the simulator: the same loop as
 :meth:`repro.core.TransportCalculation.solve_bias`, but expressed over a
 :class:`repro.parallel.Decomposition` and a communicator, the way the
 production code runs — each rank solves its block-cyclic share of the
-(k, E) work list and the observables are reduced with ``allreduce``.
+(k, E) work list and the observables are reduced with ``allreduce``.  A
+rank solves each k-group of its share through the node solver of the
+bias loop (``core.transport._KPoint``) and reduces it with the same
+quadrature, so both drivers share one dispatch, one degradation ladder
+and one place where fault drills are planted.  Ranks tile the uniform
+window whatever ``energy_mode`` is: shares of one common grid add up,
+adaptively refined grids would not.
 
 On this single-node reproduction the backends are
 :class:`repro.parallel.SerialComm` (really executes everything) and
@@ -16,22 +22,23 @@ the serial solve — bit-identical on one rank, to reduction order on n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NumericalBreakdownError, RankFailure, TaskFailure
-from ..negf.rgf import RGFResult
+from ..errors import RankFailure, TaskFailure
 from ..observability.metrics import get_metrics
-from ..observability.telemetry import capture_telemetry, merge_delta
 from ..observability.tracer import get_tracer
-from ..parallel.backend import get_backend
+from ..parallel.backend import SerialBackend, get_backend
 from ..parallel.comm import payload_nbytes
 from ..parallel.decomposition import Decomposition, choose_level_sizes
 from ..parallel.scheduler import split_chunks
+from ..perf.flops import FlopCounter
 from ..physics.grids import EnergyGrid
-from ..resilience.faults import nan_like
-from .transport import TransportCalculation, solve_energies
+from ..resilience.degrade import DegradationReport
+from ..resilience.health import get_sentinel
+from .transport import TransportCalculation, _KPoint
 
 __all__ = ["PartialObservables", "DistributedTransport"]
 
@@ -48,11 +55,21 @@ class PartialObservables:
         This rank's share of the carrier density.
     n_tasks : int
         Number of (k, E) points this rank solved.
+    degradation : DegradationReport
+        Every self-healing action taken while solving them.
     """
 
     current_a: float
     density_per_atom: np.ndarray
     n_tasks: int
+    degradation: DegradationReport = field(default_factory=DegradationReport)
+
+    def add(self, other: "PartialObservables") -> None:
+        """Fold ``other`` into this share: sums add, accounts merge."""
+        self.current_a += other.current_a
+        self.density_per_atom += other.density_per_atom
+        self.n_tasks += other.n_tasks
+        self.degradation.merge(other.degradation)
 
 
 class DistributedTransport:
@@ -68,11 +85,10 @@ class DistributedTransport:
         the doctor CLI raises it to exercise all four levels of the
         per-level communication accounting.
     backend : str, ExecutionBackend or None
-        Local execution backend for the modelled ranks: with "process"
-        (and no fault injection/retry policy, whose requeue
-        semantics need the sequential loop) the representative ranks of
-        a serial-communicator solve run concurrently.  None keeps the
-        historical sequential loop.
+        Where the ranks' k-group chunks run
+        (``TransportCalculation._run_backend``): "serial" or "process".
+        With neither ``backend`` nor ``workers`` given the ranks solve
+        serially, whatever ``$REPRO_BACKEND`` says.
     workers : int or None
         Worker count for the process backend.
     """
@@ -84,7 +100,7 @@ class DistributedTransport:
         self.calc = calculation
         self.max_spatial = max_spatial
         self.backend = (
-            None if backend is None and workers is None
+            SerialBackend() if backend is None and workers is None
             else get_backend(backend, workers)
         )
 
@@ -156,19 +172,22 @@ class DistributedTransport:
         v_drain: float,
         tasks=None,
         injector=None,
-        retry=None,
-        report=None,
     ) -> PartialObservables:
         """Solve this rank's task share and integrate its partial sums.
 
-        The rank's tasks are grouped by k-point; each group is one stacked
-        solve (:func:`repro.core.transport.solve_energies`) reduced by the
-        calculation's one quadrature (``TransportCalculation._integrate``)
-        on the group's nodes and weights of the common grid.  The weights
-        make contributions additive — each (k, E) task adds
-        ``w_k * w_E * (...)`` to every observable — so partial sums reduce
-        with a plain ``sum`` across ranks.  Under a tracer the share is one
-        ``rank_partial`` span, each k-group one ``task`` span (``n_tasks``).
+        The rank's tasks are grouped by k-point, and each group is solved
+        by the node solver of the bias loop (``core.transport._KPoint``:
+        dispatch through this driver's backend, accept rows by their
+        ``finite`` mask, heal the rejected ones down the degradation
+        ladder) and reduced by the calculation's one quadrature
+        (``TransportCalculation._integrate``) on the group's nodes and
+        weights of the common grid.  The weights make contributions
+        additive — each (k, E) task adds ``w_k * w_E * (...)`` to every
+        observable — so partial sums reduce with a plain ``sum`` across
+        ranks.  A node the ladder quarantines raises
+        :class:`repro.errors.TaskFailure`: a rank's share cannot reweight
+        the common grid.  Under a tracer the share is one ``rank_partial``
+        span, each k-group one ``task`` span (``n_tasks``).
 
         Parameters
         ----------
@@ -178,14 +197,8 @@ class DistributedTransport:
             dead rank's work (the requeue path of :meth:`solve_bias`).
         injector : repro.resilience.FaultInjector or None
             Fired at site ``"rank"`` on entry (dead-rank simulation) and
-            at site ``"task"`` with key (k_index, energy_index) per solve.
-        retry : repro.resilience.RetryPolicy or None
-            Per-task retry for faulted/NaN solves.  With an injector or a
-            retry policy every task of a group is solved on its own, as a
-            stack of one per attempt (:func:`_solve_task`), and the group's
-            stacks are joined for the quadrature; exhausted retries raise
-            :class:`repro.errors.TaskFailure`.
-        report : repro.resilience.ResilienceReport or None
+            planted in the k-groups' solvers (sites ``"hblock"``,
+            ``"energy"``, ``"worker"``); None uses the calculation's own.
         """
         calc = self.calc
         built = calc.built
@@ -193,7 +206,8 @@ class DistributedTransport:
         mu_s = built.contact_mu("source")
         mu_d = built.contact_mu("drain", v_drain)
         kgrid = built.momentum_grid
-
+        if injector is None:
+            injector = calc.injector
         if injector is not None:
             injector.fire("rank", rank)
         if tasks is None:
@@ -203,8 +217,12 @@ class DistributedTransport:
             by_k.setdefault(int(task.k_index), []).append(
                 int(task.energy_index)
             )
-        current = 0.0
-        density = np.zeros(built.n_atoms)
+        # the k-groups run on the calculation with this driver's backend
+        # and the rank's injector in place of its own
+        node = copy.copy(calc)
+        node.backend, node.injector = self.backend, injector
+        sentinel = get_sentinel()
+        share = PartialObservables(0.0, np.zeros(built.n_atoms), len(tasks))
         tracer = get_tracer()
         with tracer.span(
             "rank_partial", category="rank", rank=rank, n_tasks=len(tasks)
@@ -214,30 +232,27 @@ class DistributedTransport:
                     "task", category="task", rank=rank, k=ik,
                     n_tasks=len(ies),
                 ):
-                    solver = calc._make_solver(calc.hamiltonian(
-                        potential_ev, float(kgrid.k_points[ik])
-                    ))
-                    share = EnergyGrid(grid.energies[ies], grid.weights[ies])
-                    energies = share.energies.tolist()
-                    if injector is None and retry is None:
-                        stack = solve_energies(solver, energies)
-                    else:
-                        stack = RGFResult.concatenate([
-                            _solve_task(
-                                solver, e, (ik, ie), rank,
-                                injector, retry, report,
-                            )
-                            for ie, e in zip(ies, energies)
-                        ])
+                    nodes = EnergyGrid(grid.energies[ies], grid.weights[ies])
+                    energies = nodes.energies.tolist()
+                    kp = _KPoint(
+                        node, ik, kgrid.k_points[ik], potential_ev,
+                        FlopCounter(), share.degradation, sentinel,
+                    )
+                    kp.solve(energies)
+                    lost = [e for e in energies if kp.rows[e] is None]
+                    if lost:
+                        raise TaskFailure(
+                            f"(k,E) nodes {lost} of k-point {ik} quarantined "
+                            f"on rank {rank}",
+                            key=(ik, lost[0]),
+                        )
                     current_k, density_k, _, _ = calc._integrate(
-                        share, stack, mu_s, mu_d, kT
+                        nodes, kp.stack(energies), mu_s, mu_d, kT
                     )
                 wk = float(kgrid.weights[ik])
-                current += wk * current_k
-                density += wk * density_k
-        return PartialObservables(
-            current_a=current, density_per_atom=density, n_tasks=len(tasks)
-        )
+                share.current_a += wk * current_k
+                share.density_per_atom += wk * density_k
+        return share
 
     # ------------------------------------------------------------------
     def solve_bias(
@@ -247,7 +262,6 @@ class DistributedTransport:
         comm,
         n_ranks: int | None = None,
         injector=None,
-        retry=None,
         report=None,
         rank_recovery: str = "requeue",
     ) -> dict:
@@ -258,6 +272,11 @@ class DistributedTransport:
         equivalent of the MPI run, used for testing and small problems.
         With a real MPI communicator (same duck type), each rank computes
         only its share and ``allreduce`` combines them.
+
+        ``injector`` (None: the calculation's own) reaches every rank
+        through :meth:`rank_partial`: site ``"rank"`` at rank entry, the
+        (k, E) sites where the k-groups build their solvers — so a faulted
+        energy heals down the same ladder as in the bias loop.
 
         Fault tolerance: when a representative rank dies
         (:class:`repro.errors.RankFailure`, organic or injected), its task
@@ -274,8 +293,11 @@ class DistributedTransport:
           changes the per-rank summation order, so observables agree
           with the clean run only to floating-point reduction tolerance.
 
-        Returns a dict with ``current_a``, ``density_per_atom`` and
-        ``n_tasks_total``.
+        Returns a dict with ``current_a``, ``density_per_atom``,
+        ``n_tasks_total``, ``decomposition``, ``energy_grid`` and
+        ``degradation`` (the ranks' merged
+        :class:`~repro.resilience.DegradationReport`; on a real
+        communicator this rank's own).
         """
         if rank_recovery not in ("requeue", "shrink"):
             raise ValueError("rank_recovery must be 'requeue' or 'shrink'")
@@ -283,109 +305,67 @@ class DistributedTransport:
         decomp, grid = self.decomposition(size, v_drain, potential_ev)
         if comm.Get_size() > 1:  # pragma: no cover - needs a real communicator
             mine = self.rank_partial(
-                comm.Get_rank(), decomp, grid, potential_ev, v_drain
+                comm.Get_rank(), decomp, grid, potential_ev, v_drain,
+                injector=injector,
             )
-            return self._finish_bias(
-                comm, decomp, grid, potential_ev,
+            total = PartialObservables(
                 comm.allreduce(mine.current_a, op="sum"),
                 comm.allreduce(mine.density_per_atom, op="sum"),
                 comm.allreduce(mine.n_tasks, op="sum"),
+                mine.degradation,
             )
+            return self._finish_bias(comm, decomp, grid, potential_ev, total)
         # serial communicator: execute one representative rank per (k, E)
         # group (spatial peers share tasks) and reduce locally
+        sentinel = get_sentinel()
+        marker = sentinel.marker()
         representatives = list(range(0, decomp.n_ranks, decomp.groups[3]))
-        backend = self.backend
-        capture = False
-        if backend is not None and backend.name == "process":
-            # tracer spans and metrics recorded in pool children are
-            # captured per rank task and merged back with rank provenance
-            # (repro.observability.telemetry) — only a live
-            # InvariantMonitor still forces in-process execution (its
-            # ledger and strict-raise semantics are parent-side state;
-            # same rule as TransportCalculation)
-            from ..observability.invariants import get_monitor
+        n_atoms = self.calc.built.n_atoms
+        total = PartialObservables(0.0, np.zeros(n_atoms), 0)
+        for i, r in enumerate(representatives):
+            try:
+                p = self.rank_partial(
+                    r, decomp, grid, potential_ev, v_drain, injector=injector
+                )
+            except RankFailure:
+                survivors = [x for x in representatives if x != r]
+                if not survivors:
+                    raise  # nothing left to shrink or requeue onto
+                dead_tasks = decomp.tasks_of_rank(r)
+                if rank_recovery == "shrink" and dead_tasks:
+                    # elastic rank-shrink: every survivor takes a run
+                    # of the list (faster recovery, summed in a
+                    # different order than the clean run)
+                    fallback, helpers = "rank:shrink", survivors
+                else:
+                    # requeue: the next rank reclaims the whole list
+                    # in its original order — and adding to zero is
+                    # exact — so the sums stay bit-identical
+                    fallback = "rank:requeue"
+                    helpers = [
+                        representatives[(i + 1) % len(representatives)]
+                    ]
+                if report is not None:
+                    report.rank_failures += 1
+                    report.record_fallback(fallback)
+                p = PartialObservables(0.0, np.zeros(n_atoms), 0)
+                for helper, chunk in zip(
+                    helpers, split_chunks(len(dead_tasks), len(helpers))
+                ):
+                    p.add(self.rank_partial(
+                        helper, decomp, grid, potential_ev, v_drain,
+                        tasks=[dead_tasks[j] for j in chunk],
+                        injector=injector,
+                    ))
+                if report is not None:
+                    report.requeued_tasks += p.n_tasks
+            total.add(p)
+        total.degradation.set_trips(sentinel.trips_since(marker))
+        return self._finish_bias(comm, decomp, grid, potential_ev, total)
 
-            if get_monitor().enabled:
-                backend = None
-            else:
-                capture = get_tracer().enabled or get_metrics().enabled
-        partials = []
-        if (
-            backend is not None
-            and backend.name != "serial"
-            and injector is None
-            and retry is None
-            and len(representatives) > 1
-        ):
-            # concurrent representatives, reduced in the same
-            # representative order as the sequential loop
-            for partial, delta in backend.map(
-                _rank_partial_worker,
-                [
-                    (self, r, decomp, grid, potential_ev, v_drain, capture)
-                    for r in representatives
-                ],
-            ):
-                merge_delta(delta)
-                partials.append(partial)
-        else:
-            for i, r in enumerate(representatives):
-                try:
-                    p = self.rank_partial(
-                        r, decomp, grid, potential_ev, v_drain,
-                        injector=injector, retry=retry, report=report,
-                    )
-                except RankFailure:
-                    survivors = [x for x in representatives if x != r]
-                    if not survivors:
-                        raise  # nothing left to shrink or requeue onto
-                    dead_tasks = decomp.tasks_of_rank(r)
-                    if rank_recovery == "shrink" and dead_tasks:
-                        # elastic rank-shrink: every survivor takes a run
-                        # of the list (faster recovery, summed in a
-                        # different order than the clean run)
-                        fallback, helpers = "rank:shrink", survivors
-                    else:
-                        # requeue: the next rank reclaims the whole list
-                        # in its original order — and adding to zero is
-                        # exact — so the sums stay bit-identical
-                        fallback = "rank:requeue"
-                        helpers = [
-                            representatives[(i + 1) % len(representatives)]
-                        ]
-                    if report is not None:
-                        report.rank_failures += 1
-                        report.record_fallback(fallback)
-                    p = PartialObservables(
-                        current_a=0.0,
-                        density_per_atom=np.zeros(self.calc.built.n_atoms),
-                        n_tasks=0,
-                    )
-                    for helper, chunk in zip(
-                        helpers, split_chunks(len(dead_tasks), len(helpers))
-                    ):
-                        sub = self.rank_partial(
-                            helper, decomp, grid, potential_ev, v_drain,
-                            tasks=[dead_tasks[j] for j in chunk],
-                            injector=injector, retry=retry, report=report,
-                        )
-                        p.current_a += sub.current_a
-                        p.density_per_atom += sub.density_per_atom
-                        p.n_tasks += sub.n_tasks
-                    if report is not None:
-                        report.requeued_tasks += p.n_tasks
-                partials.append(p)
-        return self._finish_bias(
-            comm, decomp, grid, potential_ev,
-            sum(p.current_a for p in partials),
-            np.sum([p.density_per_atom for p in partials], axis=0),
-            sum(p.n_tasks for p in partials),
-        )
-
-    def _finish_bias(
-        self, comm, decomp, grid, potential_ev, current, density, n_tasks
-    ) -> dict:
+    def _finish_bias(self, comm, decomp, grid, potential_ev, total) -> dict:
         """Shared epilogue: traffic model, metrics and the result dict."""
+        density, n_tasks = total.density_per_atom, total.n_tasks
         trace = getattr(comm, "trace", None)
         if trace is not None:
             self._record_level_traffic(
@@ -402,70 +382,11 @@ class DistributedTransport:
                 metrics.gauge("decomposition.group_size", float(g),
                               level=name)
         return {
-            "current_a": float(current),
+            "current_a": float(total.current_a),
             "density_per_atom": density,
             "n_tasks_total": int(n_tasks),
             "decomposition": decomp,
             "energy_grid": grid,
+            "degradation": total.degradation,
         }
 
-
-def _solve_task(solver, energy, key, rank, injector, retry, report):
-    """Solve one (k, E) task of a rank under fault injection and/or retry.
-
-    Each attempt fires the injector's ``"task"`` site with ``key`` =
-    (k_index, energy_index) and solves the energy as a stack of one —
-    bit-identical to its slice of the clean stacked solve.  A faulted
-    attempt, or one its ``finite`` mask rejects, is retried under
-    ``retry``; exhausted retries raise
-    :class:`repro.errors.TaskFailure`, since a (k, E) quadrature point
-    cannot be silently dropped without corrupting the reduced observables.
-    """
-
-    def attempt(attempt_number: int):
-        mode = injector.fire("task", key) if injector is not None else None
-        res = solve_energies(solver, [energy])
-        if mode == "nan":
-            res = nan_like(res)
-        if not res.finite[0]:
-            raise NumericalBreakdownError(
-                f"non-finite observables at (k,E) task {key}",
-                injected=(mode == "nan"),
-            )
-        return res
-
-    try:
-        if retry is not None:
-            return retry.run(attempt, report=report)
-        return attempt(0)
-    except (TaskFailure, NumericalBreakdownError) as exc:
-        raise TaskFailure(
-            f"(k,E) task {key} failed permanently on rank {rank}: {exc}",
-            key=key,
-            injected=bool(getattr(exc, "injected", False)),
-        ) from exc
-
-
-def _rank_partial_worker(payload):
-    """Worker body for backend-dispatched representative ranks.
-
-    Module-level so ProcessPoolExecutor can pickle it; the payload
-    ``(transport, rank, decomp, grid, potential_ev, v_drain, capture)``
-    carries the DistributedTransport itself (its calculation and device
-    are picklable by construction).  Returns a ``(partial, delta)``
-    envelope: with ``capture`` the rank runs under
-    :func:`~repro.observability.telemetry.capture_telemetry` (worker
-    label ``"rank:<r>"``) and ``delta`` is what it recorded for the
-    parent to merge; the capture only engages inside a real worker
-    process, so parent-side fallback executions ship ``delta=None``.
-    """
-    transport, rank, decomp, grid, potential_ev, v_drain, capture = payload
-    if not capture:
-        return transport.rank_partial(
-            rank, decomp, grid, potential_ev, v_drain
-        ), None
-    with capture_telemetry(worker=f"rank:{rank}") as cap:
-        partial = transport.rank_partial(
-            rank, decomp, grid, potential_ev, v_drain
-        )
-    return partial, cap.delta

@@ -59,6 +59,7 @@ from ..wf.qtbm import WFSolver
 from .device import BuiltDevice
 
 __all__ = [
+    "N_KT_WINDOW",
     "STACK_BUDGET_BYTES",
     "STAGE_SLAB_SETS",
     "TransportCalculation",
@@ -127,8 +128,6 @@ class TransportCalculation:
         Energy nodes of the integration window.
     eta : float
         Retarded infinitesimal (eV).
-    n_kT_window : float
-        Half-width of the Fermi window in units of kT.
     energy_mode : {"uniform", "adaptive"} or None
         Quadrature strategy for the energy integral.  ``"uniform"`` runs
         the full ``n_energy``-point grid; ``"adaptive"`` starts from a
@@ -175,7 +174,6 @@ class TransportCalculation:
         method: str = "wf",
         n_energy: int = 81,
         eta: float = 1e-6,
-        n_kT_window: float = 12.0,
         energy_mode: str | None = None,
         adaptive_tol: float = 0.02,
         max_energy_points: int = 512,
@@ -195,7 +193,6 @@ class TransportCalculation:
         self.method = method
         self.n_energy = n_energy
         self.eta = eta
-        self.n_kT_window = n_kT_window
         self.energy_mode = energy_mode
         self.adaptive_tol = adaptive_tol
         self.max_energy_points = max_energy_points
@@ -275,7 +272,9 @@ class TransportCalculation:
     def energy_grid(
         self, potential_ev: np.ndarray, v_drain: float
     ) -> EnergyGrid:
-        """Integration window: Fermi window clipped at the lead band bottom."""
+        """Integration window: the Fermi window (:data:`N_KT_WINDOW` kT on
+        either side of the contact potentials) clipped at the lead band
+        bottom."""
         mu_s = self.built.contact_mu("source")
         mu_d = self.built.contact_mu("drain", v_drain)
         H0 = self.hamiltonian(potential_ev, self.built.momentum_grid.k_points[0])
@@ -284,7 +283,7 @@ class TransportCalculation:
             [mu_s, mu_d],
             kT=self.built.spec.kT,
             n_points=self.n_energy,
-            n_kT=self.n_kT_window,
+            n_kT=N_KT_WINDOW,
             band_bottom=bottom,
         )
 
@@ -641,8 +640,9 @@ class _KPoint:
     model charges, the accepted kernel result stacks and ``rows``, the
     ``{energy: row of those stacks | None}`` memo (``None`` =
     quarantined) — and the accounts of the bias solve they report into.
-    The uniform grid and every adaptive wave call :meth:`solve`; nothing
-    else runs a kernel for the bias loop.
+    The uniform grid, every adaptive wave and every k-group of a
+    distributed rank (:meth:`repro.core.DistributedTransport.rank_partial`)
+    call :meth:`solve`; nothing else runs a kernel for either driver.
     """
 
     #: The ladder of :meth:`_heal`: the configured solver (None), the
@@ -830,6 +830,10 @@ class _KPoint:
         return grid, self.stack(kept)
 
 
+#: Half-width of the Fermi integration window in units of kT: the Fermi
+#: factors differ from their limits by less than e**-12 ~ 6e-6 outside it.
+N_KT_WINDOW = 12.0
+
 #: Byte budget of one stacked kernel stage: the tracemalloc peak of an RGF
 #: or WF ``kernel_stage`` at :func:`stack_length` energies.  Long stacks
 #: amortise the interpreter, and pool workers keep what a stack frees for
@@ -860,7 +864,7 @@ def solve_energies(solver, energies):
 
     Every dispatch — serial grid, backend chunk, adaptive wave,
     distributed rank, and the single-point rungs of the degradation
-    ladder and retry loops as a stack of one — lands here and runs the
+    ladder as a stack of one — lands here and runs the
     stacked kernel (``solve_batch``) in ``ceil(n / L)`` sub-stacks of at
     most L = :func:`stack_length` energies whose lengths differ by at
     most one (65 energies at L = 13 are 5 x 13, not 4 x 16 + 1), joined
@@ -907,7 +911,7 @@ def _solve_chunk(payload):
     with capture_telemetry() as cap:
         if cap.engaged:
             with trace_span(
-                "chunk", category="task", n_energies=len(energies),
+                "chunk", category="chunk", n_energies=len(energies),
             ):
                 stack = solve_energies(solver, energies)
         else:

@@ -235,7 +235,12 @@ def _stage_energy(built, backend, workers):
 
 @_stage("distributed-4level")
 def _stage_distributed(built, backend, workers):
-    """Dead ranks across the 4-level decomposition: requeue and shrink."""
+    """Dead ranks and (k, E) faults across the 4-level decomposition.
+
+    Rank 0 dies on entry and is recovered by requeue and by shrink;
+    rate-drawn ``"energy"`` faults raise inside the ranks' stacked solves
+    and heal down the degradation ladder of the ranks' node solver.
+    """
     from ..core import DistributedTransport
     from ..parallel import SerialComm
 
@@ -249,17 +254,17 @@ def _stage_distributed(built, backend, workers):
     total_accounted = 0
     for recovery in ("requeue", "shrink"):
         injector = FaultInjector(
-            seed=3, rate=0.1, sites=("task",), actions=("raise",),
+            seed=3, rate=0.1, sites=("energy",), actions=("raise",),
             plan={("rank", 0): "dead_rank"},
         )
         report = ResilienceReport()
         results[recovery] = dt.solve_bias(
             potential, 0.1, SerialComm(), n_ranks=8,
-            injector=injector, retry=RetryPolicy(max_retries=2),
-            report=report, rank_recovery=recovery,
+            injector=injector, report=report, rank_recovery=recovery,
         )
+        ladder = results[recovery]["degradation"].ladder_steps
         total_injected += injector.n_injected
-        total_accounted += report.injected_faults + report.rank_failures
+        total_accounted += sum(ladder.values()) + report.rank_failures
     exact = np.array_equal(
         clean["density_per_atom"], results["requeue"]["density_per_atom"]
     ) and clean["current_a"] == results["requeue"]["current_a"]
@@ -271,7 +276,7 @@ def _stage_distributed(built, backend, workers):
     )
     return ChaosStageResult(
         name="distributed-4level",
-        ok=exact and close and total_accounted >= 2,
+        ok=exact and close and total_accounted >= total_injected > 2,
         injected=total_injected,
         accounted=total_accounted,
         completed=True,
@@ -320,10 +325,12 @@ def _stage_worker_hang(built, backend, workers):
         )
     potential = np.zeros(built.n_atoms)
     e_first = float(_calc(built).energy_grid(potential, 0.1).energies[0])
+    # the deadline sits well below the hang, so the hung chunk is always
+    # the one that blows it (FaultInjector: hang longer than the deadline)
     injector = FaultInjector(
         seed=1, plan={("worker", (0, e_first)): "hang"}, hang_seconds=3.0
     )
-    elastic = ProcessBackend(workers=max(workers, 2), deadline_s=3.0)
+    elastic = ProcessBackend(workers=max(workers, 2), deadline_s=1.0)
     # warm the pool so worker spawn latency is not counted against the
     # deadline of the faulted chunk
     elastic.map(_noop, [0, 1])

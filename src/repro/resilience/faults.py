@@ -15,18 +15,17 @@ site          owner (key)
               stacked solve (``(k index, energy)``)
 ``worker``    the solver wrapper, inside a pool worker only
               (``(k index, first energy of the call)``)
-``task``      :class:`repro.core.DistributedTransport`, one (k, E) task
-              per attempt (``(k index, energy index)``)
 ``rank``      :class:`repro.core.DistributedTransport`, rank entry (rank)
 ``bias``      :class:`repro.core.IVSweep`, one bias point per attempt
 ``comm``      :class:`repro.parallel.UnreliableComm`, every collective
               (``(op, call number)``)
 ============  ==========================================================
 
-The (k, E) driver (:mod:`repro.core.transport`) applies the injector in
-one place — where a k-point builds the solvers of its ladder rungs — and
-otherwise runs its one production path: a planted fault is something a
-solver does.
+Both (k, E) drivers — the bias loop of :mod:`repro.core.transport` and
+the ranks of :class:`repro.core.DistributedTransport` — solve through one
+node solver, which applies the injector in one place — where a k-point
+builds the solvers of its ladder rungs — and otherwise runs its one
+production path: a planted fault is something a solver does.
 
 Determinism is by construction, not by call order: each (site, key)
 decision hashes ``(seed, site, key)`` with BLAKE2 — the same seed always

@@ -147,3 +147,75 @@ class TestSharedReduction:
         np.testing.assert_allclose(density, ref_density, rtol=1e-13, atol=0)
         assert t.tolist() == [res.transmission for res in results]
         assert channels.tolist() == [res.n_channels_left for res in results]
+
+
+class TestOneNodeSolver:
+    """A rank solves its k-groups through the node solver of the bias
+    loop, so the local contracts hold on every kernel and driver backend."""
+
+    @pytest.fixture(
+        params=[(m, b) for m in ("wf", "rgf") for b in ("serial", "process")],
+        ids=lambda p: "-".join(p),
+    )
+    def case(self, system, request):
+        built, _ = system
+        method, backend = request.param
+        tc = TransportCalculation(
+            built, method=method, n_energy=21, energy_mode="uniform",
+        )
+        dist = DistributedTransport(tc, backend=backend, workers=2)
+        return built, tc, dist
+
+    def test_one_rank_is_the_local_solve(self, case):
+        built, tc, dist = case
+        pot = np.zeros(built.n_atoms)
+        local = tc.solve_bias(pot, 0.1)
+        one = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=1)
+        assert one["current_a"] == local.current_a
+        np.testing.assert_array_equal(
+            one["density_per_atom"], local.density_per_atom
+        )
+
+    @pytest.mark.parametrize("site,action", [
+        ("energy", "raise"), ("energy", "nan"),
+        ("hblock", "nan"), ("hblock", "illcond"),
+    ])
+    def test_transient_fault_heals_to_the_clean_solve(
+        self, case, site, action
+    ):
+        from repro.resilience import FaultInjector
+
+        built, tc, dist = case
+        pot = np.zeros(built.n_atoms)
+        clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3)
+        key = 0 if site == "hblock" else (
+            0, float(clean["energy_grid"].energies[5])
+        )
+        inj = FaultInjector(plan={(site, key): action})
+        healed = dist.solve_bias(
+            pot, 0.1, SerialComm(), n_ranks=3, injector=inj
+        )
+        assert inj.n_injected == 1
+        assert healed["current_a"] == clean["current_a"]
+        np.testing.assert_array_equal(
+            healed["density_per_atom"], clean["density_per_atom"]
+        )
+        assert clean["degradation"].total_events == 0
+        assert healed["degradation"].ladder_steps["chunk:per-point"] == 1
+        assert healed["degradation"].quarantined_points == []
+
+    def test_rank_spans_cover_the_solve_and_count_its_tasks(self, case):
+        import time
+
+        from repro.observability import Tracer, use_tracer
+
+        built, tc, dist = case
+        pot = np.zeros(built.n_atoms)
+        with use_tracer(Tracer()) as t:
+            t0 = time.perf_counter()
+            out = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3)
+            wall = time.perf_counter() - t0
+        assert t.task_count() == out["n_tasks_total"]
+        busy = t.rank_seconds()
+        assert sorted(busy) == [0, 1, 2]
+        assert sum(busy.values()) >= 0.5 * wall

@@ -236,6 +236,23 @@ class TestOneDriver:
         }
         assert readers == {"__init__", "_rung", "_effective_backend"}
 
+    def test_ranks_solve_through_the_node_solver(self):
+        """A distributed rank builds no solver and runs no kernel of its
+        own: its k-groups go through ``_KPoint`` like the bias loop's."""
+        import ast
+
+        tree = self._core_trees()["distributed.py"]
+        names = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        } | {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+        }
+        assert "_KPoint" in names
+        assert not names & {
+            "solve_energies", "solve_batch", "_make_solver", "_run_backend",
+        }
+
 
 class TestOneEnvironmentReader:
     """The five ``REPRO_*`` variables are read in ``repro.env`` only."""

@@ -312,74 +312,92 @@ class TestDeadRankRequeue:
         assert inj.count("dead_rank") == 1
 
     def test_injected_task_faults_retried_bit_identical(self, system):
+        """Planted (k, E) faults reach the ranks and heal down the ladder
+        of the bias loop: the raise at e0 fails rank 0's stacked solve,
+        its share goes point by point, and the NaN at e3 (same share)
+        climbs one rung."""
         built, tc = system
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
         clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3)
-        report = ResilienceReport()
-        inj = FaultInjector(
-            plan={("task", (0, 0)): "raise", ("task", (0, 3)): "nan"}
-        )
+        energies = clean["energy_grid"].energies
+        inj = FaultInjector(plan={
+            ("energy", (0, float(energies[0]))): "raise",
+            ("energy", (0, float(energies[3]))): "nan",
+        })
         faulted = dist.solve_bias(
-            pot, 0.1, SerialComm(), n_ranks=3,
-            injector=inj, retry=RetryPolicy(max_retries=2), report=report,
+            pot, 0.1, SerialComm(), n_ranks=3, injector=inj,
         )
         assert faulted["current_a"] == clean["current_a"]
         np.testing.assert_array_equal(
             faulted["density_per_atom"], clean["density_per_atom"]
         )
-        assert report.injected_faults == 2
-        assert report.retries == 2
+        assert inj.n_injected == 2
+        degradation = faulted["degradation"]
+        assert degradation.ladder_steps == {
+            "chunk:exception": 1, "chunk:per-point": 1,
+            "per-point:robust": 1,
+        }
+        assert degradation.quarantined_points == []
+        assert clean["degradation"].total_events == 0
 
     @pytest.mark.parametrize("action", ["raise", "nan"])
     def test_faulted_task_is_retried_alone_as_a_stack_of_one(
         self, system, action, monkeypatch
     ):
-        from repro.core import distributed
+        from repro.core import transport
 
         built, tc = system
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
         clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3)
         stacks = []
-        real = distributed.solve_energies
+        real = transport.solve_energies
 
         def recording(solver, energies, *args, **kwargs):
             stacks.append(list(energies))
             return real(solver, energies, *args, **kwargs)
 
-        monkeypatch.setattr(distributed, "solve_energies", recording)
+        monkeypatch.setattr(transport, "solve_energies", recording)
+        decomp = clean["decomposition"]
         grid = clean["energy_grid"]
-        report = ResilienceReport()
-        inj = FaultInjector(plan={("task", (0, 5)): action})
+        shares = [
+            grid.energies[[t.energy_index for t in decomp.tasks_of_rank(r)]]
+            .tolist()
+            for r in range(3)
+        ]
+        e_bad = float(grid.energies[5])
+        inj = FaultInjector(plan={("energy", (0, e_bad)): action})
         faulted = dist.solve_bias(
-            pot, 0.1, SerialComm(), n_ranks=3,
-            injector=inj, retry=RetryPolicy(max_retries=2), report=report,
+            pot, 0.1, SerialComm(), n_ranks=3, injector=inj,
         )
         assert faulted["current_a"] == clean["current_a"]
         np.testing.assert_array_equal(
             faulted["density_per_atom"], clean["density_per_atom"]
         )
-        assert report.retries == 1 and inj.count(action) == 1
-        # every attempt is a stack of one; only the faulted task repeats
-        # (a "raise" fires before its first solve, a "nan" after it)
-        assert all(len(stack) == 1 for stack in stacks)
-        solved = [stack[0] for stack in stacks]
-        e_bad = float(grid.energies[5])
-        assert solved.count(e_bad) == (2 if action == "nan" else 1)
-        assert sorted(set(solved)) == grid.energies.tolist()
-        assert len(solved) == len(grid) + (action == "nan")
+        assert inj.count(action) == 1
+        # each rank's share is one stacked solve; a NaN row is re-solved
+        # alone, a raise sends its whole share (rank 2's) point by point
+        healed = [e_bad] if action == "nan" else shares[2]
+        assert stacks == shares + [[e] for e in healed]
+        assert faulted["degradation"].ladder_steps == (
+            {"chunk:per-point": 1} if action == "nan"
+            else {"chunk:exception": 1, "chunk:per-point": 1}
+        )
 
     def test_permanent_task_fault_raises_task_failure(self, system):
+        """A node quarantined inside a rank cannot be reweighted out of
+        the common grid: the rank raises instead."""
         built, tc = system
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
-        inj = FaultInjector(plan={("task", (0, 0)): "raise"}, once=False)
+        decomp, grid = dist.decomposition(3, 0.1, pot)
+        inj = FaultInjector(
+            plan={("energy", (0, float(grid.energies[0]))): "raise"},
+            once=False,
+        )
         with pytest.raises(TaskFailure):
-            dist.solve_bias(
-                pot, 0.1, SerialComm(), n_ranks=3,
-                injector=inj, retry=RetryPolicy(max_retries=1),
-            )
+            dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=3, injector=inj)
 
 
 class TestUnreliableComm:
