@@ -498,9 +498,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         pass
     print(f"on/off ratio: {curve.on_off_ratio():.3e}")
-    print(curve.report.summary())
-    if curve.degradation.total_events:
-        print(curve.degradation.summary())
+    print(curve.degradation.summary())
     perf = _finish_trace(tracer, args.trace)
     _finish_metrics(registry, args.metrics)
     if perf is None and curve.perf is not None:  # pragma: no cover
@@ -510,7 +508,6 @@ def _cmd_sweep(args) -> int:
             "v_drain": args.vd,
             "points": curve.points,
             "counted_flops": curve.flops.total,
-            "resilience": curve.report.to_dict(),
             "degradation": curve.degradation.to_dict(),
         }
         if perf is not None:

@@ -57,12 +57,15 @@ class PartialObservables:
         Number of (k, E) points this rank solved.
     degradation : DegradationReport
         Every self-healing action taken while solving them.
+    flops : FlopCounter
+        The kernel flops charged while solving them.
     """
 
     current_a: float
     density_per_atom: np.ndarray
     n_tasks: int
     degradation: DegradationReport = field(default_factory=DegradationReport)
+    flops: FlopCounter = field(default_factory=FlopCounter)
 
     def add(self, other: "PartialObservables") -> None:
         """Fold ``other`` into this share: sums add, accounts merge."""
@@ -70,6 +73,7 @@ class PartialObservables:
         self.density_per_atom += other.density_per_atom
         self.n_tasks += other.n_tasks
         self.degradation.merge(other.degradation)
+        self.flops.merge(other.flops)
 
 
 class DistributedTransport:
@@ -236,7 +240,7 @@ class DistributedTransport:
                     energies = nodes.energies.tolist()
                     kp = _KPoint(
                         node, ik, kgrid.k_points[ik], potential_ev,
-                        FlopCounter(), share.degradation, sentinel,
+                        share.flops, share.degradation, sentinel,
                     )
                     kp.solve(energies)
                     lost = [e for e in energies if kp.rows[e] is None]
@@ -262,7 +266,6 @@ class DistributedTransport:
         comm,
         n_ranks: int | None = None,
         injector=None,
-        report=None,
         rank_recovery: str = "requeue",
     ) -> dict:
         """SPMD entry point: every rank calls this with its communicator.
@@ -293,11 +296,16 @@ class DistributedTransport:
           changes the per-rank summation order, so observables agree
           with the clean run only to floating-point reduction tolerance.
 
+        A dead rank is accounted in the result's ``degradation``: one
+        ``rank_failures``, one ``"rank:requeue"`` / ``"rank:shrink"``
+        ladder step and its reclaimed tasks in ``requeued_tasks``.
+
         Returns a dict with ``current_a``, ``density_per_atom``,
-        ``n_tasks_total``, ``decomposition``, ``energy_grid`` and
+        ``n_tasks_total``, ``decomposition``, ``energy_grid``,
         ``degradation`` (the ranks' merged
-        :class:`~repro.resilience.DegradationReport`; on a real
-        communicator this rank's own).
+        :class:`~repro.resilience.DegradationReport`) and ``flops`` (their
+        summed :class:`~repro.perf.flops.FlopCounter`) — on a real
+        communicator this rank's own account and flops.
         """
         if rank_recovery not in ("requeue", "shrink"):
             raise ValueError("rank_recovery must be 'requeue' or 'shrink'")
@@ -313,6 +321,7 @@ class DistributedTransport:
                 comm.allreduce(mine.density_per_atom, op="sum"),
                 comm.allreduce(mine.n_tasks, op="sum"),
                 mine.degradation,
+                mine.flops,
             )
             return self._finish_bias(comm, decomp, grid, potential_ev, total)
         # serial communicator: execute one representative rank per (k, E)
@@ -345,9 +354,6 @@ class DistributedTransport:
                     helpers = [
                         representatives[(i + 1) % len(representatives)]
                     ]
-                if report is not None:
-                    report.rank_failures += 1
-                    report.record_fallback(fallback)
                 p = PartialObservables(0.0, np.zeros(n_atoms), 0)
                 for helper, chunk in zip(
                     helpers, split_chunks(len(dead_tasks), len(helpers))
@@ -357,8 +363,9 @@ class DistributedTransport:
                         tasks=[dead_tasks[j] for j in chunk],
                         injector=injector,
                     ))
-                if report is not None:
-                    report.requeued_tasks += p.n_tasks
+                p.degradation.rank_failures += 1
+                p.degradation.record_ladder(fallback)
+                p.degradation.requeued_tasks += p.n_tasks
             total.add(p)
         total.degradation.set_trips(sentinel.trips_since(marker))
         return self._finish_bias(comm, decomp, grid, potential_ev, total)
@@ -388,5 +395,6 @@ class DistributedTransport:
             "decomposition": decomp,
             "energy_grid": grid,
             "degradation": total.degradation,
+            "flops": total.flops,
         }
 

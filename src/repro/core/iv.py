@@ -12,8 +12,8 @@ potential) is checkpointed atomically, a killed sweep resumes by
 recomputing only the missing points, non-converged points — including a
 cold first point — are routed through the
 :class:`repro.resilience.SCFRescue` ladder, and injected/organic faults
-are retried and accounted on the curve's
-:class:`repro.resilience.ResilienceReport`.
+are retried.  Every recovery lands in the curve's one account, its
+:class:`repro.resilience.DegradationReport`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..observability import PerfReport, get_tracer
 from ..observability.metrics import MetricsSnapshot, get_metrics
 from ..observability.telemetry import get_events
 from ..perf.flops import FlopCounter
-from ..resilience import ResilienceReport, SCFRescue, SweepCheckpoint
+from ..resilience import SCFRescue, SweepCheckpoint
 from ..resilience.degrade import DegradationReport
 from ..resilience.faults import non_finite
 from ..resilience.health import get_sentinel
@@ -101,15 +101,16 @@ class IVCurve:
     ``metrics`` is the convergence/invariant telemetry
     (:class:`repro.observability.MetricsSnapshot`) of the sweep, attached
     whenever it ran under an active metrics registry.
-    ``degradation`` is the merged
+    ``degradation`` is the run's one account, the merged
     :class:`repro.resilience.DegradationReport` of every bias point —
-    sentinel trips, ladder steps, quarantined energy nodes and
-    elastic-execution events, fully accounted for ``repro doctor``.
+    sentinel trips, ladder steps (SCF rescue rungs included), quarantined
+    energy nodes, elastic-execution events, faults and retries — plus the
+    points resumed from a checkpoint.  Which points were rescued,
+    quarantined or left unconverged is read off ``points``.
     """
 
     points: list = field(default_factory=list)
     flops: FlopCounter = field(default_factory=FlopCounter)
-    report: ResilienceReport = field(default_factory=ResilienceReport)
     perf: PerfReport | None = None
     metrics: MetricsSnapshot | None = None
     degradation: DegradationReport = field(default_factory=DegradationReport)
@@ -211,9 +212,7 @@ class IVSweep:
         self.injector = injector
 
     # ------------------------------------------------------------------
-    def _solve_point(
-        self, v_gate: float, v_drain: float, phi_warm, report: ResilienceReport
-    ):
+    def _solve_point(self, v_gate: float, v_drain: float, phi_warm):
         """One resilient bias point:
         ``(IVPoint, phi | None, FlopCounter, DegradationReport)``."""
         key = _bias_key(v_gate, v_drain)
@@ -250,19 +249,16 @@ class IVSweep:
 
         try:
             if self.retry is not None:
-                retries_before = report.retries
-                result = self.retry.run(attempt, report=report)
-                used = report.retries - retries_before
-                if used:
-                    recovery.append(f"retry*{used}")
+                result = self.retry.run(attempt, report=degradation)
+                if degradation.retries:
+                    recovery.append(f"retry*{degradation.retries}")
             else:
                 result = attempt(0)
         except (TaskFailure, NumericalBreakdownError) as exc:
             if self.retry is None:
-                report.record_fault(
+                degradation.record_fault(
                     injected=bool(getattr(exc, "injected", False))
                 )
-            report.quarantined.append(key)
             point = IVPoint(
                 v_gate=float(v_gate),
                 v_drain=float(v_drain),
@@ -279,10 +275,11 @@ class IVSweep:
                 v_gate,
                 v_drain,
                 used_warm_start=used_warm_start,
-                report=report,
             )
             flops.merge(rescued.flops)
             fold_degradation(rescued)
+            for name in path:
+                degradation.record_ladder(f"scf:{name}")
             recovery.extend(path)
             if rescued.converged or not result.residuals or (
                 rescued.residuals
@@ -290,10 +287,6 @@ class IVSweep:
             ):
                 result = rescued
 
-        if recovery and result.converged:
-            report.degraded_points.append(key)
-        if not result.converged:
-            report.unconverged_points.append(key)
         transport = result.transport
         adaptive = getattr(transport, "adaptive", None)
         transmission = getattr(transport, "transmission", None)
@@ -318,7 +311,6 @@ class IVSweep:
 
     def _sweep(self, bias_pairs, warm_start: bool, meta: dict) -> IVCurve:
         curve = IVCurve()
-        report = curve.report
         sentinel = get_sentinel()
         marker0 = sentinel.marker()
         phi = None
@@ -340,7 +332,7 @@ class IVSweep:
             if key in completed:
                 resumed = _point_from_dict(completed[key])
                 curve.points.append(resumed)
-                report.resumed_points += 1
+                curve.degradation.resumed_points += 1
                 if events.enabled:
                     events.point_done(
                         v_gate=resumed.v_gate,
@@ -357,7 +349,7 @@ class IVSweep:
                 v_drain=float(v_drain),
             ):
                 point, phi_new, flops, point_degradation = self._solve_point(
-                    v_gate, v_drain, phi, report
+                    v_gate, v_drain, phi
                 )
             curve.points.append(point)
             curve.flops.merge(flops)
@@ -399,8 +391,8 @@ class IVSweep:
         if events.enabled:
             events.run_finished(
                 n_points=len(curve.points),
-                resumed_points=report.resumed_points,
-                unconverged=len(report.unconverged_points),
+                resumed_points=curve.degradation.resumed_points,
+                unconverged=sum(not p.converged for p in curve.points),
             )
         return curve
 

@@ -256,7 +256,7 @@ class RGFSolver:
         repeat the lead cell at flat potential.
     eta : float
         Retarded infinitesimal (eV).
-    surface_method : {"sancho", "eigen", "robust"}
+    surface_method : {"sancho", "robust"}
         Surface-GF algorithm for the contacts.
     """
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface_gf import _surface_gfs, eigen_surface_gf
+from .surface_gf import _surface_gfs
 
 __all__ = [
     "Contacts",
@@ -78,25 +78,13 @@ class LeadSelfEnergy:
         return int(open_channels(np.linalg.eigvalsh(self.gamma), tol))
 
 
-def _surface_gf_point(energy, h00, h01, side, method, eta):
-    """Surface GF of the methods that are not stack-vectorised."""
-    if method == "eigen":
-        return eigen_surface_gf(energy, h00, h01, side=side, eta=eta)
-    if method == "robust":
-        # local import: repro.resilience.policies imports this package
-        from ..resilience.policies import robust_surface_gf
-
-        return robust_surface_gf(energy, h00, h01, side=side, eta=eta)[0]
-    raise ValueError("method must be 'sancho', 'eigen' or 'robust'")
-
-
 def _sigma_stacks(energies, leads, tau, method, eta):
     """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
     ``(h00, h01, side)``.
 
     ``method="sancho"`` runs all leads through one stacked surface-GF
     call (:func:`repro.negf.surface_gf._surface_gfs`: both contacts of a
-    device share every numpy call); the other methods evaluate their
+    device share every numpy call); ``method="robust"`` evaluates its
     surface GF point by point.  Either way one broadcast ``tau^+ g tau`` triple
     product per lead folds its stack onto the contact slab, per-slice
     identical under any grouping of energies or leads.
@@ -104,15 +92,20 @@ def _sigma_stacks(energies, leads, tau, method, eta):
     energies = np.asarray(energies, dtype=float).ravel()
     if method == "sancho":
         g_stacks = [g for g, _ in _surface_gfs(energies, leads, eta)]
-    else:
+    elif method == "robust":
+        # local import: repro.resilience.policies imports this package
+        from ..resilience.policies import robust_surface_gf
+
         g_stacks = [
             np.array(
-                [_surface_gf_point(e, h00, h01, side, method, eta)
+                [robust_surface_gf(e, h00, h01, side=side, eta=eta)[0]
                  for e in energies.tolist()],
                 dtype=complex,
             ).reshape((-1,) + np.shape(h00))
             for h00, h01, side in leads
         ]
+    else:
+        raise ValueError("method must be 'sancho' or 'robust'")
     sigma_stacks = []
     for g_stack, (_, h01, side) in zip(g_stacks, leads):
         tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
@@ -174,7 +167,7 @@ def contact_self_energy_batch(
         lead cell, i.e. tau = h01.
     side : {"left", "right"}
         Contact side.
-    method : {"sancho", "eigen", "robust"}
+    method : {"sancho", "robust"}
         Surface-GF algorithm; ``"robust"`` is Sancho-Rubio behind the
         resilience degradation ladder (eta escalation, then the eigen
         fallback) instead of aborting on non-convergence.

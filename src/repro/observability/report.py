@@ -1,8 +1,8 @@
 """Sustained-Flop/s run reports from measured traces.
 
-:class:`PerfReport` is the measured sibling of
-:class:`repro.resilience.ResilienceReport` and of the *predicted*
-:class:`repro.perf.ModelReport`: where the model computes sustained
+:class:`PerfReport` is the measured sibling of the *predicted*
+:class:`repro.perf.ModelReport` (and rides next to the run's
+:class:`repro.resilience.DegradationReport` account): where the model computes sustained
 Flop/s from analytic counts and a machine model, the PerfReport divides
 the flops the instrumented kernels actually reported by the wall time the
 tracer actually observed — the Gordon Bell convention applied to a real

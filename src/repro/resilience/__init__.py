@@ -15,10 +15,12 @@ the reproduction's equivalent machinery:
   (:func:`robust_surface_gf`), and the :class:`SCFRescue` ladder;
 * atomic :class:`SweepCheckpoint` / :class:`RampCheckpoint` for
   kill-and-resume sweeps;
-* a :class:`ResilienceReport` ledger attached to every resilient run;
 * numerical-health sentinels (:mod:`repro.resilience.health`) and the
-  graceful-degradation ladder with its :class:`DegradationReport` and
-  :class:`DegradationBudget` (:mod:`repro.resilience.degrade`);
+  graceful-degradation ladder with its :class:`DegradationBudget`
+  (:mod:`repro.resilience.degrade`);
+* one :class:`DegradationReport` account attached to every run: sentinel
+  trips, ladder steps, quarantined nodes, thrown faults and retries, dead
+  ranks and checkpoint resumes;
 * a chaos-campaign harness (:mod:`repro.resilience.chaos`, imported
   lazily by ``repro chaos`` to keep this package free of core imports).
 """
@@ -55,7 +57,6 @@ from .health import (
     use_sentinel,
 )
 from .policies import RetryPolicy, SCFRescue, robust_surface_gf
-from .report import ResilienceReport
 
 __all__ = [
     "ReproError",
@@ -73,7 +74,6 @@ __all__ = [
     "RetryPolicy",
     "SCFRescue",
     "robust_surface_gf",
-    "ResilienceReport",
     "SweepCheckpoint",
     "RampCheckpoint",
     "atomic_write_bytes",

@@ -10,9 +10,8 @@ workers) — and asserts two properties per stage:
 
 1. the sweep/solve **completes** (the degradation ladder healed or
    quarantined every injected fault), and
-2. every injected event is **accounted** in the
-   :class:`~repro.resilience.degrade.DegradationReport` /
-   :class:`~repro.resilience.report.ResilienceReport` (nothing silently
+2. every injected event is **accounted** in the run's one
+   :class:`~repro.resilience.degrade.DegradationReport` (nothing silently
    swallowed).
 
 Stage zero is the control experiment: with zero injected faults the
@@ -33,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NumericalBreakdownError, TaskFailure
+from .degrade import DegradationReport
 from .faults import FaultInjector
 from .health import HealthSentinel, use_sentinel
 from .policies import RetryPolicy
-from .report import ResilienceReport
 
 __all__ = ["ChaosStageResult", "ChaosCampaignResult", "run_campaign"]
 
@@ -189,7 +188,7 @@ def _stage_bias(built, backend, workers):
     completed = len(curve.points) == 3 and all(
         np.isfinite(p.current_a) for p in curve.points
     )
-    accounted = curve.report.injected_faults
+    accounted = curve.degradation.injected_faults
     return ChaosStageResult(
         name="bias-level-faults",
         ok=completed and accounted >= injector.n_injected > 0,
@@ -257,14 +256,14 @@ def _stage_distributed(built, backend, workers):
             seed=3, rate=0.1, sites=("energy",), actions=("raise",),
             plan={("rank", 0): "dead_rank"},
         )
-        report = ResilienceReport()
         results[recovery] = dt.solve_bias(
             potential, 0.1, SerialComm(), n_ranks=8,
-            injector=injector, report=report, rank_recovery=recovery,
+            injector=injector, rank_recovery=recovery,
         )
+        # a healed energy fault and a dead rank take one ladder step each
         ladder = results[recovery]["degradation"].ladder_steps
         total_injected += injector.n_injected
-        total_accounted += sum(ladder.values()) + report.rank_failures
+        total_accounted += sum(ladder.values())
     exact = np.array_equal(
         clean["density_per_atom"], results["requeue"]["density_per_atom"]
     ) and clean["current_a"] == results["requeue"]["current_a"]
@@ -291,7 +290,7 @@ def _stage_comm(built, backend, workers):
 
     injector = FaultInjector(seed=5, plan={("comm", ("allreduce", 1)): "raise"})
     comm = UnreliableComm(SerialComm(), injector)
-    report = ResilienceReport()
+    report = DegradationReport()
 
     def attempt(attempt_number: int):
         return comm.allreduce(42.0, op="sum")
@@ -312,7 +311,9 @@ def _stage_worker_hang(built, backend, workers):
 
     The ``"worker"`` site is keyed ``(k index, first energy of the
     call)``: the fault hangs the worker that solves chunk 0 of k-point 0,
-    whose first energy is the bottom of the window.
+    whose first energy is the bottom of the window.  It fires in the
+    worker's pickled copy of the injector, so the parent's ``n_injected``
+    never moves: the stage counts what it injects from the plan.
     """
     from ..parallel.backend import ProcessBackend
 
@@ -327,9 +328,8 @@ def _stage_worker_hang(built, backend, workers):
     e_first = float(_calc(built).energy_grid(potential, 0.1).energies[0])
     # the deadline sits well below the hang, so the hung chunk is always
     # the one that blows it (FaultInjector: hang longer than the deadline)
-    injector = FaultInjector(
-        seed=1, plan={("worker", (0, e_first)): "hang"}, hang_seconds=3.0
-    )
+    plan = {("worker", (0, e_first)): "hang"}
+    injector = FaultInjector(seed=1, plan=plan, hang_seconds=3.0)
     elastic = ProcessBackend(workers=max(workers, 2), deadline_s=1.0)
     # warm the pool so worker spawn latency is not counted against the
     # deadline of the faulted chunk
@@ -341,12 +341,15 @@ def _stage_worker_hang(built, backend, workers):
     )
     d = res.degradation
     recovered = d is not None and d.stragglers >= 1 and d.pool_restarts >= 1
+    injected = len(plan)
+    accounted = (
+        d.stragglers + d.speculative_wins + d.pool_restarts if d else 0
+    )
     return ChaosStageResult(
         name="worker-hang",
-        ok=bool(completed) and recovered,
-        injected=injector.n_injected,
-        accounted=(d.stragglers + d.speculative_wins + d.pool_restarts)
-        if d else 0,
+        ok=bool(completed) and recovered and accounted >= injected >= 1,
+        injected=injected,
+        accounted=accounted,
         completed=bool(completed),
     )
 

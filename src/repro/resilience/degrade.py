@@ -19,10 +19,12 @@ Step 3 is bounded by a :class:`DegradationBudget`: a sweep that loses
 more than the configured fraction of its quadrature is *wrong*, not
 degraded, and fails with :class:`~repro.errors.DegradationBudgetError`.
 
-Everything that happened is collected in a :class:`DegradationReport`
-(mirroring :class:`~repro.resilience.report.ResilienceReport` for thrown
-faults) which rides along ``TransportResult → SCFResult → IVCurve`` and
-surfaces in ``repro doctor`` and the CLI result JSON.
+Everything that happened is collected in a :class:`DegradationReport`,
+the one account of a run: it also counts the thrown faults, bias-point
+retries, SCF rescue rungs, dead ranks and checkpoint resumes of the
+drivers above the transport layer.  It rides along
+``TransportResult → SCFResult → IVCurve`` (and the distributed result
+dict) and surfaces in ``repro doctor`` and the CLI result JSON.
 
 NEGF imports stay inside function bodies — this module is imported by the
 solver layer and must not create import cycles.
@@ -61,7 +63,11 @@ LADDER_EXCEPTIONS = (
 
 @dataclass
 class DegradationReport:
-    """Account of every self-healing action taken during a solve.
+    """Account of every self-healing action taken during a run.
+
+    Which bias points were rescued, quarantined or left unconverged is
+    not stored here: it is a filter of the curve's points (their
+    ``recovery`` and ``converged`` fields).
 
     Attributes
     ----------
@@ -70,15 +76,25 @@ class DegradationReport:
         reporting window (see ``set_trips`` for the no-double-count
         contract).
     ladder_steps : dict
-        ``rung -> count`` of degradation-ladder steps taken
-        (``"per-point:robust"``, ``"dense-oracle"``,
-        ``"chunk:per-point"``, ``"quadrature:reweight"``).
+        ``path -> count`` of recovery paths taken: the transport ladder
+        (``"per-point:robust"``, ``"dense-oracle"``, ``"chunk:per-point"``,
+        ``"quadrature:reweight"``), SCF rescue rungs (``"scf:<rung>"``)
+        and dead-rank recoveries (``"rank:requeue"``, ``"rank:shrink"``).
     quarantined_points : list of (k_index, energy)
         Energy nodes dropped from the quadrature.
     reweighted_grids : int
         Per-k grids whose trapezoid weights were rebuilt after quarantine.
     stragglers, speculative_wins, pool_restarts : int
         Elastic-execution events from the process backend.
+    injected_faults, organic_faults : int
+        Thrown faults seen by a retry policy or the I-V engine, split by
+        origin (injector vs real failure).
+    retries : int
+        Retry attempts (beyond first attempts) those faults cost.
+    rank_failures, requeued_tasks : int
+        Dead ranks, and the tasks survivors reclaimed from them.
+    resumed_points : int
+        Bias points loaded from a checkpoint instead of recomputed.
     """
 
     sentinel_trips: dict = field(default_factory=dict)
@@ -88,6 +104,12 @@ class DegradationReport:
     stragglers: int = 0
     speculative_wins: int = 0
     pool_restarts: int = 0
+    injected_faults: int = 0
+    organic_faults: int = 0
+    retries: int = 0
+    rank_failures: int = 0
+    requeued_tasks: int = 0
+    resumed_points: int = 0
 
     # -- recording -----------------------------------------------------
 
@@ -109,13 +131,29 @@ class DegradationReport:
     def record_ladder(self, rung: str, n: int = 1) -> None:
         self.ladder_steps[rung] = self.ladder_steps.get(rung, 0) + int(n)
 
+    def record_fault(self, injected: bool = False) -> None:
+        """Count one thrown fault by origin."""
+        if injected:
+            self.injected_faults += 1
+        else:
+            self.organic_faults += 1
+
     def quarantine(self, k_index: int, energy: float) -> None:
         self.quarantined_points.append((int(k_index), float(energy)))
 
     # -- views ---------------------------------------------------------
 
     @property
+    def total_faults(self) -> int:
+        """Injected plus organic faults."""
+        return self.injected_faults + self.organic_faults
+
+    @property
     def total_events(self) -> int:
+        """Every recovery event once.  A thrown fault is one event
+        whatever its origin, and its retries are how it was handled; a
+        dead rank is its ``rank:*`` ladder step, and the tasks it lost
+        are that step's size."""
         return (
             sum(self.sentinel_trips.values())
             + sum(self.ladder_steps.values())
@@ -124,6 +162,8 @@ class DegradationReport:
             + self.stragglers
             + self.speculative_wins
             + self.pool_restarts
+            + self.total_faults
+            + self.resumed_points
         )
 
     def merge(self, other: "DegradationReport") -> None:
@@ -133,10 +173,8 @@ class DegradationReport:
         for rung, n in other.ladder_steps.items():
             self.record_ladder(rung, n)
         self.quarantined_points.extend(other.quarantined_points)
-        self.reweighted_grids += other.reweighted_grids
-        self.stragglers += other.stragglers
-        self.speculative_wins += other.speculative_wins
-        self.pool_restarts += other.pool_restarts
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def to_dict(self) -> dict:
         return {
@@ -145,10 +183,7 @@ class DegradationReport:
             "quarantined_points": [
                 [int(ik), float(e)] for ik, e in self.quarantined_points
             ],
-            "reweighted_grids": self.reweighted_grids,
-            "stragglers": self.stragglers,
-            "speculative_wins": self.speculative_wins,
-            "pool_restarts": self.pool_restarts,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "total_events": self.total_events,
         }
 
@@ -177,7 +212,30 @@ class DegradationReport:
                 f"{self.speculative_wins} speculative win(s), "
                 f"{self.pool_restarts} pool restart(s)"
             )
+        if self.total_faults:
+            lines.append(
+                f"  faults         : {self.injected_faults} injected, "
+                f"{self.organic_faults} organic, "
+                f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}"
+            )
+        if self.rank_failures:
+            lines.append(
+                f"  dead ranks     : {self.rank_failures}, "
+                f"{self.requeued_tasks} task(s) reclaimed"
+            )
+        if self.resumed_points:
+            lines.append(
+                f"  resumed        : {self.resumed_points} point(s) from "
+                "checkpoint"
+            )
         return "\n".join(lines)
+
+
+#: The plain counters of a :class:`DegradationReport`, in ``to_dict`` order.
+_COUNTERS = tuple(
+    f.name for f in fields(DegradationReport)
+    if f.name not in ("sentinel_trips", "ladder_steps", "quarantined_points")
+)
 
 
 @dataclass

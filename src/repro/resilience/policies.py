@@ -82,9 +82,10 @@ class RetryPolicy:
     def run(self, attempt_fn: Callable[[int], object], report=None):
         """Call ``attempt_fn(attempt)`` until success or budget exhausted.
 
-        Faults matching ``retry_on`` are counted into ``report`` (injected
-        vs organic via the exception's ``injected`` flag); the last one is
-        re-raised when the budget runs out.
+        Faults matching ``retry_on`` and the retries they cost are counted
+        into ``report``, a :class:`~repro.resilience.DegradationReport`
+        (injected vs organic via the exception's ``injected`` flag); the
+        last one is re-raised when the budget runs out.
         """
         last: BaseException | None = None
         for attempt in range(self.max_retries + 1):
@@ -117,7 +118,6 @@ def robust_surface_gf(
     tol: float = 1e-14,
     max_iter: int = 200,
     eta_ladder: tuple = (10.0, 100.0),
-    report=None,
 ):
     """Surface GF with the eta-escalation / eigen-fallback ladder.
 
@@ -138,35 +138,20 @@ def robust_surface_gf(
     from ..observability.metrics import get_metrics
 
     metrics = get_metrics()
-    try:
-        g, _ = sancho_rubio(
-            energy, h00, h01, side=side, eta=eta, tol=tol, max_iter=max_iter
-        )
-        return g, "sancho"
-    except SurfaceGFConvergenceError as exc:
-        if report is not None:
-            report.record_fault(injected=bool(getattr(exc, "injected", False)))
-    for factor in eta_ladder:
-        if metrics.enabled:
+    for factor in (None, *eta_ladder):  # None: the nominal eta
+        if factor is not None and metrics.enabled:
             metrics.inc(
                 "surface_gf.eta_escalations", 1.0, factor=f"{factor:g}"
             )
         try:
             g, _ = sancho_rubio(
-                energy,
-                h00,
-                h01,
-                side=side,
-                eta=eta * factor,
-                tol=tol,
-                max_iter=max_iter,
+                energy, h00, h01, side=side,
+                eta=eta if factor is None else eta * factor,
+                tol=tol, max_iter=max_iter,
             )
-            path = f"sancho-eta*{factor:g}"
-            if report is not None:
-                report.record_fallback(f"surface_gf:{path}")
-            return g, path
         except SurfaceGFConvergenceError:
             continue
+        return g, "sancho" if factor is None else f"sancho-eta*{factor:g}"
     if metrics.enabled:
         metrics.inc("surface_gf.eigen_fallbacks", 1.0)
     try:
@@ -181,8 +166,6 @@ def robust_surface_gf(
             energy=energy,
             eta=eta,
         ) from exc
-    if report is not None:
-        report.record_fallback("surface_gf:eigen")
     return g, "eigen"
 
 
@@ -254,7 +237,6 @@ class SCFRescue:
         v_drain: float,
         used_warm_start: bool = False,
         continuation_step: float = 0.12,
-        report=None,
     ):
         """Climb the ladder at one bias point; returns (result, path).
 
@@ -268,8 +250,6 @@ class SCFRescue:
             solver, used_warm_start, continuation_step
         ):
             path.append(name)
-            if report is not None:
-                report.record_fallback(f"scf:{name}")
             with _overridden(solver, overrides):
                 result = solver.run(
                     v_gate, v_drain, phi0=None, continuation_step=step

@@ -386,7 +386,7 @@ class TestCheckpointResume:
             checkpoint=path, resume=True,
         ).transfer_curve(self.VGS, v_drain=0.05)
 
-        assert resumed.report.resumed_points == 2
+        assert resumed.degradation.resumed_points == 2
         assert len(resumed.points) == len(full.points)
         for a, b in zip(resumed.points, full.points):
             assert a.v_gate == b.v_gate

@@ -176,6 +176,17 @@ class TestOneNodeSolver:
             one["density_per_atom"], local.density_per_atom
         )
 
+    @pytest.mark.parametrize("n_ranks", [1, 3, 8])
+    def test_ranks_charge_the_local_flops(self, case, n_ranks):
+        """Each rank charges its k-groups' kernel flops into its share;
+        the shares' sum is the local solve's ledger, kernel by kernel."""
+        built, tc, dist = case
+        pot = np.zeros(built.n_atoms)
+        local = tc.solve_bias(pot, 0.1)
+        out = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=n_ranks)
+        assert out["flops"].counts == local.flops.counts
+        assert out["flops"].total > 0
+
     @pytest.mark.parametrize("site,action", [
         ("energy", "raise"), ("energy", "nan"),
         ("hblock", "nan"), ("hblock", "illcond"),

@@ -224,8 +224,9 @@ class TestIVSweep:
                 curve = IVSweep(
                     scf, checkpoint=path, resume=True
                 ).transfer_curve(VGS, 0.05)
-        assert curve.report.resumed_points == (2 if kind == "resumed" else 0)
-        computed = curve.points[curve.report.resumed_points:]
+        resumed = curve.degradation.resumed_points
+        assert resumed == (2 if kind == "resumed" else 0)
+        computed = curve.points[resumed:]
         assert all(p.converged for p in curve.points)
         every = sum(p.n_iterations + 1 for p in computed)
         assert len(solved) == every - handed_over
@@ -289,7 +290,7 @@ class TestIVSweep:
         curve = IVSweep(scf, retry=RetryPolicy(max_retries=1)).transfer_curve(
             VGS, 0.05
         )
-        assert curve.report.retries == 1
+        assert curve.degradation.retries == 1
         assert curve.points[1].recovery == ("retry*1",)
         clean = IVSweep(counted_solver(built)[0]).transfer_curve(VGS, 0.05)
         assert [p.current_a for p in curve.points] == [

@@ -531,6 +531,15 @@ class TestChaosCampaignSmoke:
         assert doc["passed"] is True
         assert "PASS" in campaign.summary()
 
+    def test_worker_hang_counts_the_hang_it_plans(self):
+        """The hang fires in a worker's pickled copy of the injector, so
+        the stage counts it from its plan: one hang, accounted by the
+        deadline's straggler and pool restart."""
+        campaign = run_campaign(backend="process", stages=["worker-hang"])
+        (stage,) = campaign.stages
+        assert stage.ok
+        assert stage.accounted >= stage.injected == 1
+
     def test_empty_campaign_is_not_a_pass(self):
         campaign = run_campaign(backend="serial", stages=["no-such-stage"])
         assert not campaign.passed

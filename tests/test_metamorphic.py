@@ -32,7 +32,7 @@ from repro.core import (
     build_device,
 )
 from repro.parallel import SerialComm
-from repro.resilience import FaultInjector, ResilienceReport
+from repro.resilience import FaultInjector
 
 V_DRAIN = 0.1
 SHIFT_EV = 0.37
@@ -176,9 +176,8 @@ class TestRankCount:
         pot, tc, _ = rank_case
         dist = DistributedTransport(tc)
         clean = dist.solve_bias(pot, V_DRAIN, SerialComm(), n_ranks=4)
-        report = ResilienceReport()
         healed = dist.solve_bias(
-            pot, V_DRAIN, SerialComm(), n_ranks=4, report=report,
+            pot, V_DRAIN, SerialComm(), n_ranks=4,
             injector=FaultInjector(plan={("rank", dead): "dead_rank"}),
         )
         assert healed["current_a"] == clean["current_a"]
@@ -186,4 +185,4 @@ class TestRankCount:
             healed["density_per_atom"], clean["density_per_atom"]
         )
         assert healed["n_tasks_total"] == clean["n_tasks_total"]
-        assert report.fallbacks == {"rank:requeue": 1}
+        assert healed["degradation"].ladder_steps == {"rank:requeue": 1}

@@ -4,7 +4,7 @@ The acceptance bar of the resilience layer is *exactness under recovery*:
 with seeded injected faults (task exception, NaN observable, dead rank,
 surface-GF breakdown) a run must complete AND its reduced observables must
 match the fault-free run to machine precision, with every fault and
-recovery path accounted on the :class:`ResilienceReport`.
+recovery path accounted on the run's one :class:`DegradationReport`.
 """
 
 import types
@@ -40,7 +40,6 @@ from repro.resilience import (
     FaultInjector,
     HealthSentinel,
     RampCheckpoint,
-    ResilienceReport,
     RetryPolicy,
     SCFRescue,
     SweepCheckpoint,
@@ -70,6 +69,13 @@ LEAD_H01 = np.array([[1.0]])
 #: needs 25 steps at eta = 1e-6, 21 at 1e-5 and 18 at 1e-4
 DIMER_H00 = np.array([[0.1, -1.0], [-1.0, 0.1]])
 DIMER_H01 = np.array([[0.0, 0.0], [-0.6, 0.0]])
+
+
+#: the counters of a run's account that a (k, E) drill leaves at zero
+NO_DRIVER_EVENTS = {
+    "injected_faults": 0, "organic_faults": 0, "retries": 0,
+    "rank_failures": 0, "requeued_tasks": 0, "resumed_points": 0,
+}
 
 
 class TestErrorHierarchy:
@@ -188,7 +194,7 @@ class TestNonFinite:
 
 class TestRetryPolicy:
     def test_recovers_after_transient(self):
-        report = ResilienceReport()
+        report = DegradationReport()
         calls = []
 
         def attempt(n):
@@ -204,7 +210,7 @@ class TestRetryPolicy:
         assert report.injected_faults == 2
 
     def test_exhausted_budget_reraises(self):
-        report = ResilienceReport()
+        report = DegradationReport()
         policy = RetryPolicy(max_retries=1)
 
         def attempt(n):
@@ -244,36 +250,28 @@ class TestSurfaceGFLadder:
     def test_eta_escalation_path(self):
         # at max_iter=20 the nominal eta (needs 25 iters) and eta*10
         # (needs 21) both fail; eta*100 (needs 18) converges
-        report = ResilienceReport()
         g, path = robust_surface_gf(
-            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=20, report=report
+            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=20
         )
         assert path == "sancho-eta*100"
-        assert report.organic_faults == 1
-        assert report.fallbacks == {"surface_gf:sancho-eta*100": 1}
         assert np.all(np.isfinite(g))
 
     def test_eigen_fallback_matches_eigen_construction(self):
-        report = ResilienceReport()
         g, path = robust_surface_gf(
-            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=3, report=report
+            0.7, DIMER_H00, DIMER_H01, eta=1e-6, max_iter=3
         )
         assert path == "eigen"
-        assert report.fallbacks == {"surface_gf:eigen": 1}
         reference = eigen_surface_gf(0.7, DIMER_H00, DIMER_H01, eta=1e-6)
         np.testing.assert_allclose(g, reference)
         # the scalar-coupled chain needs no ladder at any cap
-        report = ResilienceReport()
         g, path = robust_surface_gf(
-            0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3, report=report
+            0.5, LEAD_H00, LEAD_H01, eta=1e-6, max_iter=3
         )
-        assert path == "sancho" and report.total_faults == 0
+        assert path == "sancho"
 
     def test_healthy_lead_takes_no_fallback(self):
-        report = ResilienceReport()
-        g, path = robust_surface_gf(0.5, LEAD_H00, LEAD_H01, report=report)
+        g, path = robust_surface_gf(0.5, LEAD_H00, LEAD_H01)
         assert path == "sancho"
-        assert report.total_faults == 0
         reference, _ = sancho_rubio(0.5, LEAD_H00, LEAD_H01)
         np.testing.assert_array_equal(g, reference)
 
@@ -295,12 +293,11 @@ class TestDeadRankRequeue:
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
         clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=4)
-        report = ResilienceReport()
         inj = FaultInjector(plan={("rank", 1): "dead_rank"})
         faulted = dist.solve_bias(
-            pot, 0.1, SerialComm(), n_ranks=4,
-            injector=inj, report=report,
+            pot, 0.1, SerialComm(), n_ranks=4, injector=inj,
         )
+        report = faulted["degradation"]
         assert faulted["current_a"] == clean["current_a"]
         np.testing.assert_array_equal(
             faulted["density_per_atom"], clean["density_per_atom"]
@@ -308,7 +305,7 @@ class TestDeadRankRequeue:
         assert faulted["n_tasks_total"] == clean["n_tasks_total"]
         assert report.rank_failures == 1
         assert report.requeued_tasks > 0
-        assert report.fallbacks.get("rank:requeue") == 1
+        assert report.ladder_steps.get("rank:requeue") == 1
         assert inj.count("dead_rank") == 1
 
     def test_injected_task_faults_retried_bit_identical(self, system):
@@ -465,7 +462,10 @@ class TestSCFRescueLadder:
         assert solver.calls == 2
         # the rescue rung really halved the damping for its attempt
         assert solver.run_args[1]["beta"] == pytest.approx(0.3)
-        assert curve.report.degraded_points == [(0.0, 0.05)]
+        assert [
+            (p.v_gate, p.v_drain)
+            for p in curve.points if p.converged and p.recovery
+        ] == [(0.0, 0.05)]
         # and the solver's own settings were restored afterwards
         assert solver.beta == 0.6
         assert solver.mixing == "anderson"
@@ -478,7 +478,7 @@ class TestSCFRescueLadder:
         assert point.converged
         assert point.recovery == ("beta-halved", "linear-mixing")
         assert solver.run_args[2]["mixing"] == "linear"
-        assert curve.report.fallbacks == {
+        assert curve.degradation.ladder_steps == {
             "scf:beta-halved": 1, "scf:linear-mixing": 1,
         }
 
@@ -510,7 +510,9 @@ class TestSCFRescueLadder:
         assert not curve.points[0].converged
         assert curve.points[0].recovery == ()
         assert solver.calls == 1
-        assert curve.report.unconverged_points == [(0.0, 0.05)]
+        assert [
+            (p.v_gate, p.v_drain) for p in curve.points if not p.converged
+        ] == [(0.0, 0.05)]
 
     def test_stages_shrink_continuation(self):
         rescue = SCFRescue(min_continuation_step=0.03)
@@ -544,8 +546,8 @@ class TestBiasFaultInjection:
             p.current_a for p in clean.points
         ]
         assert all(p.converged for p in curve.points)
-        assert curve.report.injected_faults == 2
-        assert curve.report.retries == 2
+        assert curve.degradation.injected_faults == 2
+        assert curve.degradation.retries == 2
         assert curve.points[0].recovery == ("retry*1",)
 
     def test_exhausted_retries_quarantine_point(self):
@@ -558,7 +560,10 @@ class TestBiasFaultInjection:
         assert curve.points[0].recovery[-1] == "quarantined"
         assert np.isnan(curve.points[0].current_a)
         assert curve.points[1].converged
-        assert curve.report.quarantined == [(0.0, 0.05)]
+        assert [
+            (p.v_gate, p.v_drain)
+            for p in curve.points if "quarantined" in p.recovery
+        ] == [(0.0, 0.05)]
 
 
 class TestOnePoissonOperator:
@@ -699,7 +704,7 @@ class TestKillAndResume:
         ).transfer_curve(VGS, v_drain=0.05)
 
         assert set(recomputed) == {VGS[2]}
-        assert resumed.report.resumed_points == 2
+        assert resumed.degradation.resumed_points == 2
         assert len(resumed.points) == len(full.points)
         for a, b in zip(resumed.points, full.points):
             assert a.v_gate == b.v_gate
@@ -718,7 +723,7 @@ class TestKillAndResume:
         )
         solver = _FlakySolver(fail_attempts=0)
         curve = IVSweep(solver, checkpoint=ckpt).transfer_curve([0.0], 0.05)
-        assert curve.report.resumed_points == 0
+        assert curve.degradation.resumed_points == 0
         state = ckpt.load()
         assert len(state["points"]) == 1
         assert state["points"][0]["v_gate"] == 0.0
@@ -776,6 +781,7 @@ class TestDegradationLadder:
             "sentinel_trips": trips,
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            **NO_DRIVER_EVENTS,
             "total_events": 22 + sum(trips.values()),
         }
 
@@ -818,6 +824,7 @@ class TestDegradationLadder:
             "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
             "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            **NO_DRIVER_EVENTS,
             "total_events": 12,
         }
 
@@ -847,6 +854,7 @@ class TestDegradationLadder:
             "sentinel_trips": {"wf:nonfinite": 1, "block_lu:nonfinite": 1},
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            **NO_DRIVER_EVENTS,
             "total_events": 3,
         }
         assert healed.flops.total == clean.flops.total
@@ -933,12 +941,12 @@ class TestRankShrink:
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
         clean = dist.solve_bias(pot, 0.1, SerialComm(), n_ranks=4)
-        report = ResilienceReport()
         inj = FaultInjector(plan={("rank", 1): "dead_rank"})
         shrunk = dist.solve_bias(
             pot, 0.1, SerialComm(), n_ranks=4,
-            injector=inj, report=report, rank_recovery="shrink",
+            injector=inj, rank_recovery="shrink",
         )
+        report = shrunk["degradation"]
         # the dead rank's tasks are *split* over the survivors, so the
         # reduction order changes: agreement is to rounding, not bitwise
         # (the requeue mode keeps the bitwise contract)
@@ -952,7 +960,7 @@ class TestRankShrink:
         assert shrunk["n_tasks_total"] == clean["n_tasks_total"]
         assert report.rank_failures == 1
         assert report.requeued_tasks > 0
-        assert report.fallbacks.get("rank:shrink") == 1
+        assert report.ladder_steps.get("rank:shrink") == 1
 
     @pytest.mark.parametrize("recovery", ["requeue", "shrink"])
     @pytest.mark.parametrize("n_ranks", [2, 4])
@@ -964,15 +972,15 @@ class TestRankShrink:
         pot = np.zeros(built.n_atoms)
         dist = DistributedTransport(tc)
         decomp, _ = dist.decomposition(n_ranks, 0.1, pot)
-        report = ResilienceReport()
         inj = FaultInjector(plan={("rank", 1): "dead_rank"})
         out = dist.solve_bias(
             pot, 0.1, SerialComm(), n_ranks=n_ranks,
-            injector=inj, report=report, rank_recovery=recovery,
+            injector=inj, rank_recovery=recovery,
         )
+        report = out["degradation"]
         assert report.rank_failures == 1
         assert report.requeued_tasks == len(decomp.tasks_of_rank(1))
-        assert report.fallbacks == {f"rank:{recovery}": 1}
+        assert report.ladder_steps == {f"rank:{recovery}": 1}
         assert out["n_tasks_total"] == len(out["energy_grid"])
 
     def test_invalid_recovery_mode_rejected(self, system):
@@ -1053,6 +1061,7 @@ class TestAdaptiveWaveFaults:
             "sentinel_trips": {"wf:nonfinite": 1, "block_lu:nonfinite": 1},
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            **NO_DRIVER_EVENTS,
             "total_events": 3,
         }
 
@@ -1089,6 +1098,7 @@ class TestAdaptiveWaveFaults:
             "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
             "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            **NO_DRIVER_EVENTS,
             "total_events": 12,
         }
         assert inj.count("nan") == 4
@@ -1134,3 +1144,243 @@ class TestAdaptiveWaveFaults:
             "distributed-4level", "comm-faults", "worker-hang",
             "poisson-nan", "adaptive-wave-crash",
         ]
+
+
+# ----------------------------------------------------------------------
+def _drill_bias_retry(system, tmp_path):
+    inj = FaultInjector(plan={
+        ("bias", (0.0, 0.05)): "raise", ("bias", (0.1, 0.05)): "nan",
+    })
+    return IVSweep(
+        _FlakySolver(fail_attempts=0), retry=RetryPolicy(max_retries=2),
+        injector=inj,
+    ).transfer_curve([0.0, 0.1], 0.05)
+
+
+def _drill_bias_quarantine(system, tmp_path):
+    inj = FaultInjector(plan={("bias", (0.0, 0.05)): "raise"}, once=False)
+    return IVSweep(
+        _FlakySolver(fail_attempts=0), retry=RetryPolicy(max_retries=1),
+        injector=inj,
+    ).transfer_curve([0.0, 0.1], 0.05)
+
+
+def _drill_scf_rescue(system, tmp_path):
+    return IVSweep(_FlakySolver(fail_attempts=2)).transfer_curve([0.0], 0.05)
+
+
+def _drill_rank(recovery):
+    def drill(system, tmp_path):
+        built, tc = system
+        return DistributedTransport(tc).solve_bias(
+            np.zeros(built.n_atoms), 0.1, SerialComm(), n_ranks=4,
+            injector=FaultInjector(plan={("rank", 1): "dead_rank"}),
+            rank_recovery=recovery,
+        )
+
+    return drill
+
+
+def _drill_resume(system, tmp_path):
+    path = tmp_path / "resume.npz"
+    IVSweep(_FlakySolver(fail_attempts=0), checkpoint=path).transfer_curve(
+        [0.0, 0.1], 0.05
+    )
+    return IVSweep(
+        _FlakySolver(fail_attempts=0), checkpoint=path, resume=True
+    ).transfer_curve([0.0, 0.1, 0.2], 0.05)
+
+
+def _drill_energy_quarantine(system, tmp_path):
+    built, _ = system
+    pot = np.zeros(built.n_atoms)
+    probe = TransportCalculation(
+        built, method="wf", n_energy=21, energy_mode="uniform"
+    )
+    e_bad = float(probe.energy_grid(pot, 0.1).energies[4])
+    return TransportCalculation(
+        built, method="wf", n_energy=21, energy_mode="uniform",
+        injector=FaultInjector(
+            plan={("energy", (0, e_bad)): "nan"}, once=False
+        ),
+    ).solve_bias(pot, 0.1)
+
+
+#: Each drill's two former ledgers — the run ledger of faults, retries,
+#: recovery paths (``fallbacks``), dead ranks and resumes, and the
+#: degradation report — as they read before they were merged, with the
+#: per-bias key lists of the run ledger
+#: ``(degraded, quarantined, unconverged)``; then the recovery events
+#: the drill took, each counted once.
+ONE_ACCOUNT_DRILLS = {
+    "bias-retry": (
+        _drill_bias_retry,
+        {"injected_faults": 2, "retries": 2},
+        {},
+        ([(0.0, 0.05), (0.1, 0.05)], [], []),
+        2,  # two faults; their retries are how they were handled
+    ),
+    "bias-quarantine": (
+        _drill_bias_quarantine,
+        {"injected_faults": 2, "retries": 1},
+        {},
+        ([], [(0.0, 0.05)], []),
+        2,
+    ),
+    "scf-rescue": (
+        _drill_scf_rescue,
+        {"fallbacks": {"scf:beta-halved": 1, "scf:linear-mixing": 1}},
+        {},
+        ([(0.0, 0.05)], [], []),
+        2,  # one event a rung
+    ),
+    "rank-requeue": (
+        _drill_rank("requeue"),
+        {"fallbacks": {"rank:requeue": 1}, "rank_failures": 1,
+         "requeued_tasks": 5},
+        {},
+        None,
+        1,  # the dead rank is its requeue step
+    ),
+    "rank-shrink": (
+        _drill_rank("shrink"),
+        {"fallbacks": {"rank:shrink": 1}, "rank_failures": 1,
+         "requeued_tasks": 5},
+        {},
+        None,
+        1,
+    ),
+    "checkpoint-resume": (
+        _drill_resume,
+        {"resumed_points": 2},
+        {},
+        ([], [], []),
+        2,
+    ),
+    "energy-ladder-quarantine": (
+        _drill_energy_quarantine,
+        {},
+        {"sentinel_trips": {"block_lu:nonfinite": 3, "wf:nonfinite": 3},
+         "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 1,
+                          "dense-oracle": 1, "quadrature:reweight": 1},
+         "quarantined_points": 1, "reweighted_grids": 1},
+        None,
+        12,  # the former degradation total, unchanged
+    ),
+}
+
+
+def _counts(account: dict) -> dict:
+    """An account's counts: a quarantined node list becomes its length."""
+    return {
+        **account, "quarantined_points": len(account["quarantined_points"])
+    }
+
+
+class TestOneAccount:
+    """A run keeps one account of what it survived: every recovery kind
+    lands in its :class:`DegradationReport` with the counts its two
+    former ledgers held between them, and no event counts twice."""
+
+    @pytest.mark.parametrize("kind", list(ONE_ACCOUNT_DRILLS))
+    def test_recovery_lands_once_in_the_one_account(
+        self, system, tmp_path, kind
+    ):
+        drill, ledger, degradation, bias_keys, events = (
+            ONE_ACCOUNT_DRILLS[kind]
+        )
+        result = drill(system, tmp_path)
+        account = (
+            result["degradation"] if isinstance(result, dict)
+            else result.degradation
+        )
+        combined = _counts(DegradationReport().to_dict())
+        combined.update(degradation)
+        combined["ladder_steps"] = {
+            **combined["ladder_steps"], **ledger.get("fallbacks", {})
+        }
+        combined.update(
+            {k: v for k, v in ledger.items() if k != "fallbacks"}
+        )
+        combined["total_events"] = events
+        assert _counts(account.to_dict()) == combined
+        if bias_keys is not None:
+            degraded, quarantined, unconverged = bias_keys
+            points = result.points
+
+            def keys(keep):
+                return [(p.v_gate, p.v_drain) for p in points if keep(p)]
+
+            assert keys(lambda p: p.converged and p.recovery) == degraded
+            assert keys(lambda p: "quarantined" in p.recovery) == quarantined
+            # a quarantined point is not converged either
+            assert keys(lambda p: not p.converged) == quarantined + unconverged
+
+    def test_merge_adds_every_counter(self):
+        a, b = DegradationReport(), DegradationReport()
+        b.record_fault(injected=True)
+        b.record_fault()
+        b.retries = 1
+        b.rank_failures, b.requeued_tasks = 1, 5
+        b.record_ladder("rank:requeue")
+        b.resumed_points = 2
+        a.merge(b)
+        a.merge(b)
+        assert a.to_dict() == {
+            **DegradationReport().to_dict(),
+            "ladder_steps": {"rank:requeue": 2},
+            "injected_faults": 2, "organic_faults": 2, "retries": 2,
+            "rank_failures": 2, "requeued_tasks": 10, "resumed_points": 4,
+            "total_events": 10,
+        }
+        summary = a.summary()
+        assert "2 injected, 2 organic, 2 retries" in summary
+        assert "dead ranks     : 2, 10 task(s) reclaimed" in summary
+
+    def test_the_second_ledger_is_gone(self):
+        """One account class: ``repro.resilience`` defines and exports no
+        report but :class:`DegradationReport`, no module under
+        ``src/repro`` names a report class that is not defined there, and
+        the drivers take no ``report=``."""
+        import ast
+        import importlib
+        import inspect
+        from pathlib import Path
+
+        import repro
+        import repro.resilience as resilience
+        from repro.core import IVCurve
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.resilience.report")
+        assert [
+            name for name in resilience.__all__ if name.endswith("Report")
+        ] == ["DegradationReport"]
+        defined, named = {}, {}
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    defined[node.name] = path
+                elif isinstance(node, ast.Name):
+                    named[node.id] = path
+                elif isinstance(node, ast.Attribute):
+                    named[node.attr] = path
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    named.update((alias.name, path) for alias in node.names)
+        in_resilience = [
+            name for name, path in defined.items()
+            if name.endswith("Report") and path.parent.name == "resilience"
+        ]
+        assert in_resilience == ["DegradationReport"]
+        undefined = {
+            name: str(path) for name, path in named.items()
+            if name.endswith("Report") and name not in defined
+        }
+        assert undefined == {}
+        for fn in (
+            SCFRescue.run, robust_surface_gf, DistributedTransport.solve_bias,
+            IVSweep._solve_point,
+        ):
+            assert "report" not in inspect.signature(fn).parameters
+        assert not hasattr(IVCurve(), "report")

@@ -263,6 +263,8 @@ class TestSafetyNets:
             },
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+            "injected_faults": 0, "organic_faults": 0, "retries": 0,
+            "rank_failures": 0, "requeued_tasks": 0, "resumed_points": 0,
             "total_events": 36,
         }
         assert sentinel.n_trips == 24
