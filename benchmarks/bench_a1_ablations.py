@@ -22,12 +22,14 @@ from repro.negf import RGFSolver, contact_self_energy, eigen_surface_gf
 from repro.physics.grids import AdaptiveEnergyGrid, uniform_grid
 from repro.tb import (
     BlockTridiagonalHamiltonian,
-    alloy_interior_mask,
-    alloy_material,
     build_device_hamiltonian,
     germanium_sp3s,
-    randomize_species,
     silicon_sp3s,
+)
+from repro.tb.alloy import (
+    alloy_interior_mask,
+    alloy_material,
+    randomize_species,
 )
 from repro.tb.chain import chain_blocks
 from repro.wf import WFSolver

@@ -15,9 +15,11 @@ import numpy as np
 from conftest import print_experiment, record_baseline
 
 from repro.io import format_si, format_table
-from repro.observability import Tracer, flat_metrics, use_tracer
+from repro.observability import Tracer, use_tracer
+from repro.observability.export import flat_metrics
 from repro.parallel import Decomposition, run_tasks
-from repro.perf import JAGUAR_XT5, TransportWorkload, strong_scaling
+from repro.perf.machine import JAGUAR_XT5
+from repro.perf.model import TransportWorkload, strong_scaling
 from repro.wf import WFSolver
 
 

@@ -9,7 +9,8 @@ the performance model along two growth axes.
 from conftest import print_experiment
 
 from repro.io import format_si, format_table
-from repro.perf import JAGUAR_XT5, TransportWorkload, weak_scaling
+from repro.perf.machine import JAGUAR_XT5
+from repro.perf.model import TransportWorkload, weak_scaling
 
 
 def base_workload():

@@ -14,8 +14,10 @@ from conftest import print_experiment, record_baseline
 
 from repro.core import TransportCalculation
 from repro.io import format_si, format_table
-from repro.observability import Tracer, flat_metrics, use_tracer
-from repro.perf import JAGUAR_XT5, TransportWorkload, predict
+from repro.observability import Tracer, use_tracer
+from repro.observability.export import flat_metrics
+from repro.perf.machine import JAGUAR_XT5
+from repro.perf.model import TransportWorkload, predict
 
 PAPER_SUSTAINED = 1.44e15
 PAPER_FRACTION = 0.62

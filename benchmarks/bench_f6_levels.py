@@ -17,7 +17,8 @@ from conftest import print_experiment
 
 from repro.io import format_table
 from repro.parallel import greedy_balance, makespan, run_tasks, static_blocks
-from repro.perf import JAGUAR_XT5, TransportWorkload, predict
+from repro.perf.machine import JAGUAR_XT5
+from repro.perf.model import TransportWorkload, predict
 from repro.wf import WFSolver
 
 

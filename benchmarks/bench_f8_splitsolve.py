@@ -18,7 +18,8 @@ from conftest import print_experiment
 
 from repro.io import format_table
 from repro.perf import splitsolve_flops
-from repro.solvers import BlockTridiagLU, SplitSolve
+from repro.solvers import BlockTridiagLU
+from repro.solvers.splitsolve import SplitSolve
 
 
 def make_system(n_blocks=33, m=48, seed=0):

@@ -37,17 +37,18 @@ from repro.negf.surface_gf import (  # noqa: E402
 from repro.observability import (  # noqa: E402
     MetricsRegistry,
     Tracer,
-    flat_metrics,
     use_metrics,
     use_tracer,
 )
+from repro.observability.export import flat_metrics  # noqa: E402
 from repro.perf import (  # noqa: E402
     block_lu_factor_flops,
     rgf_solve_flops,
     sancho_rubio_flops,
     wf_solve_flops,
 )
-from repro.solvers import BlockTridiagLU, SplitSolve  # noqa: E402
+from repro.solvers import BlockTridiagLU  # noqa: E402
+from repro.solvers.splitsolve import SplitSolve  # noqa: E402
 from repro.solvers import block_tridiagonal  # noqa: E402
 from repro.tb import HamiltonianSkeleton  # noqa: E402
 from repro.wf import WFSolver  # noqa: E402

@@ -34,7 +34,7 @@ def record_baseline(name: str, metrics: dict) -> Path:
     ``REPRO_BENCH_DIR`` environment variable) so an optimisation PR can
     diff its measured sustained-Flop/s and per-kernel counts against the
     committed run.  ``metrics`` is typically the
-    :func:`repro.observability.flat_metrics` dict of a traced run, plus
+    :func:`repro.observability.export.flat_metrics` dict of a traced run, plus
     any benchmark-specific figures.
     """
     directory = Path(

@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.core import DeviceSpec, TransportCalculation, build_device
 from repro.io import format_si, format_table
-from repro.perf import JAGUAR_XT5, TransportWorkload, strong_scaling
+from repro.perf.machine import JAGUAR_XT5
+from repro.perf.model import TransportWorkload, strong_scaling
 
 
 def main():

@@ -19,13 +19,15 @@ import numpy as np
 from repro.io import format_table
 from repro.lattice import ZincblendeCell, partition_into_slabs, zincblende_nanowire
 from repro.tb import (
-    alloy_interior_mask,
-    alloy_material,
     build_device_hamiltonian,
     bulk_band_edges,
     germanium_sp3s,
-    randomize_species,
     silicon_sp3s,
+)
+from repro.tb.alloy import (
+    alloy_interior_mask,
+    alloy_material,
+    randomize_species,
     virtual_crystal_material,
 )
 from repro.wf import WFSolver

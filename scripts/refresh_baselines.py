@@ -5,7 +5,7 @@ Runs exactly the benchmark tests that call ``record_baseline`` (the
 measured-baseline producers — currently the T3 RGF flop cross-check, the
 F3 energy-level scaling probe and the F5 local sustained-Flop/s run) so
 the baselines the regression gate (``repro doctor``,
-``repro.observability.check_against_baselines``) compares against match
+``repro.observability.regression.check_against_baselines``) compares against match
 the code in the working tree.
 
 The instrumented *flop counts* in these files are deterministic — they

@@ -12,27 +12,34 @@ Subpackages
 physics   constants, Fermi statistics, quadrature grids
 lattice   crystals, device geometry, neighbour tables, slabs
 tb        Slater-Koster Hamiltonians, materials, band structure
-solvers   block-tridiagonal and domain-decomposition linear algebra
+solvers   block-tridiagonal linear algebra
 negf      surface Green's functions, RGF, transmission, observables
 wf        wave-function (QTBM) scattering-state transport
 poisson   finite-volume nonlinear electrostatics
 parallel  communicator abstraction and the 4-level work scheduler
-perf      flop accounting and the simulated-machine performance model
-resilience fault injection, retry/rescue ladders, checkpoint/restart
+perf      flop accounting
+observability tracing, metrics, physics invariants, cross-process telemetry
+resilience fault injection, retry/rescue ladders, health sentinels
 core      device specs, transport facade, SCF driver, I-V engine
-io        device spec and result (de)serialisation
+
+``import repro`` loads these, i.e. the default transport path, and
+nothing else.  Capability modules are imported from the module that
+defines them: ``repro.io`` (specs, result JSON, tables),
+``repro.phonons``, ``repro.observability.{export,regression,validate}``,
+``repro.perf.{model,machine}``,
+``repro.tb.{alloy,chain,eigensolver,unfolding}``,
+``repro.solvers.splitsolve`` and ``repro.resilience.checkpoint``.
 """
 
 __version__ = "1.0.0"
 
 from . import (  # noqa: F401
     core,
-    io,
     lattice,
     negf,
+    observability,
     parallel,
     perf,
-    phonons,
     physics,
     poisson,
     resilience,
@@ -43,12 +50,11 @@ from . import (  # noqa: F401
 
 __all__ = [
     "core",
-    "io",
     "lattice",
     "negf",
+    "observability",
     "parallel",
     "perf",
-    "phonons",
     "physics",
     "poisson",
     "resilience",

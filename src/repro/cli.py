@@ -67,7 +67,8 @@ def _finish_trace(tracer, trace_path):
     """Write the Chrome trace, print the PerfReport, return its dict."""
     if tracer is None:
         return None
-    from .observability import PerfReport, write_chrome_trace
+    from .observability import PerfReport
+    from .observability.export import write_chrome_trace
 
     write_chrome_trace(tracer, trace_path)
     report = PerfReport.from_tracer(tracer)
@@ -537,7 +538,8 @@ def _t3_probe():
 
     from .lattice import partition_into_slabs, rectangular_grid_device
     from .negf import Contacts, assemble_system_blocks
-    from .observability import Tracer, flat_metrics, use_tracer
+    from .observability import Tracer, use_tracer
+    from .observability.export import flat_metrics
     from .solvers import BlockTridiagLU
     from .tb import build_device_hamiltonian, single_band_material
 
@@ -575,10 +577,10 @@ def _cmd_doctor(args) -> int:
     from .observability import (
         InvariantMonitor,
         MetricsRegistry,
-        check_against_baselines,
         use_metrics,
         use_monitor,
     )
+    from .observability.regression import check_against_baselines
     from .parallel import LEVEL_NAMES, CommTrace, TracedComm
 
     if args.events:
@@ -839,7 +841,8 @@ def _cmd_top(args) -> int:
 
 def _cmd_scaling(args) -> int:
     from .io import format_si, format_table
-    from .perf import JAGUAR_XT5, TransportWorkload, predict
+    from .perf.machine import JAGUAR_XT5
+    from .perf.model import TransportWorkload, predict
 
     workload = TransportWorkload(
         n_slabs=130, block_size=4000, n_bias=15, n_k=21, n_energy=702,

@@ -203,6 +203,8 @@ class DistributedTransport:
             Fired at site ``"rank"`` on entry (dead-rank simulation) and
             planted in the k-groups' solvers (sites ``"hblock"``,
             ``"energy"``, ``"worker"``); None uses the calculation's own.
+            The rank holds it as :meth:`~repro.resilience.FaultInjector.
+            on_rank` gives it (its own ``once`` bookkeeping).
         """
         calc = self.calc
         built = calc.built
@@ -213,6 +215,7 @@ class DistributedTransport:
         if injector is None:
             injector = calc.injector
         if injector is not None:
+            injector = injector.on_rank(rank)
             injector.fire("rank", rank)
         if tasks is None:
             tasks = decomp.tasks_of_rank(rank)

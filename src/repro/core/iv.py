@@ -28,7 +28,7 @@ from ..observability import PerfReport, get_tracer
 from ..observability.metrics import MetricsSnapshot, get_metrics
 from ..observability.telemetry import get_events
 from ..perf.flops import FlopCounter
-from ..resilience import SCFRescue, SweepCheckpoint
+from ..resilience import SCFRescue
 from ..resilience.degrade import DegradationReport
 from ..resilience.faults import non_finite
 from ..resilience.health import get_sentinel
@@ -206,6 +206,8 @@ class IVSweep:
         self.rescue = SCFRescue() if rescue == "default" else rescue
         self.retry = retry
         if isinstance(checkpoint, (str, Path)):
+            from ..resilience.checkpoint import SweepCheckpoint
+
             checkpoint = SweepCheckpoint(checkpoint)
         self.checkpoint = checkpoint
         self.resume = resume

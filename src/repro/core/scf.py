@@ -274,8 +274,9 @@ class SelfConsistentSolver:
         only reachable from nearby potentials).  Pass
         ``continuation_step=0`` to disable.
 
-        ``ramp_checkpoint`` (a :class:`repro.resilience.RampCheckpoint`)
-        persists the potential after each converged ramp stage; a
+        ``ramp_checkpoint`` (a
+        :class:`repro.resilience.checkpoint.RampCheckpoint`) persists the
+        potential after each converged ramp stage; a
         restarted solve resumes from the last stage instead of re-ramping
         from equilibrium, and the checkpoint is cleared on completion.
         """

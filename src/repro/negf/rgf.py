@@ -92,12 +92,15 @@ def _row_sums(weighted: np.ndarray, column: np.ndarray) -> np.ndarray:
 
     An elementwise product of the interleaved (re, im) views, accumulated
     into ``weighted`` in place (no third column-sized array), and one
-    contiguous row sum.
+    stacked GEMV against ones: numpy's reduce pays per row, which on
+    m = 1 (rows of two floats) is most of the call.  Each energy of a
+    stack is its own GEMV of fixed shape, so a row's bits do not depend on
+    which energies share the stack.
     """
     real = column.real.dtype
     weighted = weighted.view(real)
     weighted *= column.view(real)
-    return weighted.sum(axis=-1)
+    return weighted @ np.ones(weighted.shape[-1], dtype=real)
 
 
 def assemble_system_blocks(

@@ -13,11 +13,6 @@ This package is the measurement substrate of the reproduction:
   :class:`repro.wf.WFSolver`, ...) report measured flops through.
 * :class:`PerfReport` — the sustained-Flop/s ledger of one traced run,
   attached to :class:`repro.core.IVCurve` and embedded in CLI result JSON.
-* :func:`chrome_trace` / :func:`write_chrome_trace` /
-  :func:`flat_metrics` — export layers (``chrome://tracing``-loadable
-  timeline JSON and a flat metrics dict for benchmark baselines).
-* :func:`validate_flops` — asserts the analytic formulas of
-  :mod:`repro.perf.flops` match the instrumented counts exactly.
 * :class:`MetricsRegistry` / :class:`MetricsSnapshot` — process-wide
   counters, gauges, log-linear histograms and convergence series with
   labels, snapshot/merge/diff and JSON export (``--metrics FILE``);
@@ -27,15 +22,28 @@ This package is the measurement substrate of the reproduction:
   neutrality, Γ Hermiticity) evaluated inside the kernels; violations
   are recorded into the metrics registry, or raised as
   :class:`repro.errors.PhysicsInvariantError` in strict mode.
-* :func:`compare_metrics` / :func:`check_against_baselines` — the
-  perf-regression gate over ``benchmarks/baselines/BENCH_*.json`` with
-  per-metric tolerance bands and pass/warn/fail verdicts.
 * :mod:`~repro.observability.telemetry` — cross-process telemetry:
   :func:`capture_telemetry` / :func:`merge_delta` record worker-side
   tracer/metrics activity and fold it back into the parent (exact
   counters on every backend, unified whole-run Chrome traces), and
   :class:`TelemetryWriter` streams typed JSONL progress events
   (``--events FILE``) that ``repro top`` renders live.
+
+Three capability modules are not loaded by ``import repro``; import
+them from the module that defines them:
+
+* :mod:`repro.observability.export` — :func:`~.export.chrome_trace` /
+  :func:`~.export.write_chrome_trace` / :func:`~.export.flat_metrics`
+  (``chrome://tracing``-loadable timeline JSON and a flat metrics dict
+  for benchmark baselines);
+* :mod:`repro.observability.validate` — :func:`~.validate.validate_flops`
+  asserts the analytic formulas of :mod:`repro.perf.flops` match the
+  instrumented counts exactly;
+* :mod:`repro.observability.regression` —
+  :func:`~.regression.compare_metrics` /
+  :func:`~.regression.check_against_baselines`, the perf-regression gate
+  over ``benchmarks/baselines/BENCH_*.json`` with per-metric tolerance
+  bands and pass/warn/fail verdicts.
 
 Typical use::
 
@@ -47,7 +55,6 @@ Typical use::
     print(PerfReport.from_tracer(tracer).summary())
 """
 
-from .export import chrome_trace, flat_metrics, write_chrome_trace
 from .invariants import (
     NULL_MONITOR,
     InvariantMonitor,
@@ -67,16 +74,6 @@ from .metrics import (
     metric_key,
     set_metrics,
     use_metrics,
-)
-from .regression import (
-    DEFAULT_BANDS,
-    MetricVerdict,
-    RegressionReport,
-    ToleranceBand,
-    check_against_baselines,
-    compare_metrics,
-    load_baseline,
-    load_baselines,
 )
 from .report import PerfReport
 from .telemetry import (
@@ -106,13 +103,6 @@ from .tracer import (
     trace_span,
     use_tracer,
 )
-from .validate import (
-    FlopValidation,
-    validate_flops,
-    validate_rgf_flops,
-    validate_sancho_rubio_flops,
-    validate_wf_flops,
-)
 
 __all__ = [
     "Span",
@@ -125,14 +115,6 @@ __all__ = [
     "trace_span",
     "add_flops",
     "PerfReport",
-    "chrome_trace",
-    "write_chrome_trace",
-    "flat_metrics",
-    "FlopValidation",
-    "validate_flops",
-    "validate_rgf_flops",
-    "validate_wf_flops",
-    "validate_sancho_rubio_flops",
     # metrics registry
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -166,13 +148,4 @@ __all__ = [
     "validate_events",
     "summarize_events",
     "render_event_summary",
-    # regression gate
-    "ToleranceBand",
-    "MetricVerdict",
-    "RegressionReport",
-    "DEFAULT_BANDS",
-    "compare_metrics",
-    "check_against_baselines",
-    "load_baseline",
-    "load_baselines",
 ]

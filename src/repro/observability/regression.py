@@ -2,7 +2,7 @@
 
 ``benchmarks/baselines/BENCH_*.json`` holds the measured metrics of
 committed benchmark runs (flat dicts from
-:func:`repro.observability.flat_metrics` or
+:func:`repro.observability.export.flat_metrics` or
 :meth:`repro.observability.MetricsSnapshot.flat`).  This module compares
 a fresh run against those baselines with *per-metric tolerance bands* and
 emits pass/warn/fail verdicts, so the paper's sustained-Flop/s story

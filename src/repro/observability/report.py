@@ -1,7 +1,7 @@
 """Sustained-Flop/s run reports from measured traces.
 
 :class:`PerfReport` is the measured sibling of the *predicted*
-:class:`repro.perf.ModelReport` (and rides next to the run's
+:class:`repro.perf.model.ModelReport` (and rides next to the run's
 :class:`repro.resilience.DegradationReport` account): where the model computes sustained
 Flop/s from analytic counts and a machine model, the PerfReport divides
 the flops the instrumented kernels actually reported by the wall time the

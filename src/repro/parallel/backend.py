@@ -32,12 +32,6 @@ from __future__ import annotations
 import atexit
 import ctypes
 import threading
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
-)
-from concurrent.futures.process import BrokenProcessPool
 
 from .. import env
 from ..observability.metrics import get_metrics
@@ -139,6 +133,8 @@ def _keep_heap() -> None:
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    from concurrent.futures import ProcessPoolExecutor
+
     with _POOLS_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:
@@ -210,6 +206,8 @@ class ProcessBackend(ExecutionBackend):
         """
         if len(items) <= 1:
             return [fn(item) for item in items]
+        from concurrent.futures.process import BrokenProcessPool
+
         deadline = _resolve_deadline(self.deadline_s)
         pool = _shared_pool(self.workers)
         try:
@@ -247,6 +245,10 @@ class ProcessBackend(ExecutionBackend):
         restarted (counted in ``backend.pool_restarts``), and the
         unfinished tasks are re-executed inline so the batch still
         returns complete, in-order results."""
+        from concurrent.futures import CancelledError
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         futures = [pool.submit(fn, item) for item in items]
         results: list = [None] * len(items)
         for i, fut in enumerate(futures):

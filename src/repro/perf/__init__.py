@@ -1,4 +1,12 @@
-"""Performance layer: flop accounting, machine model, scaling predictions."""
+"""Performance layer: the analytic flop accounting of the kernels.
+
+The machine model and the scaling predictions built on it are imported
+from the modules that define them, :mod:`repro.perf.machine`
+(:class:`~repro.perf.machine.SimulatedMachine`, ``JAGUAR_XT5``,
+``LOCAL_NODE``) and :mod:`repro.perf.model` (``TransportWorkload``,
+``predict``, ``strong_scaling``, ``weak_scaling``); ``import repro``
+does not load them.
+"""
 
 from .flops import (
     FlopCounter,
@@ -15,14 +23,6 @@ from .flops import (
     zinverse_flops,
     zlu_flops,
 )
-from .machine import JAGUAR_XT5, LOCAL_NODE, SimulatedMachine
-from .model import (
-    ModelReport,
-    TransportWorkload,
-    predict,
-    strong_scaling,
-    weak_scaling,
-)
 
 __all__ = [
     "FlopCounter",
@@ -38,12 +38,4 @@ __all__ = [
     "zgemm_flops",
     "zinverse_flops",
     "zlu_flops",
-    "JAGUAR_XT5",
-    "LOCAL_NODE",
-    "SimulatedMachine",
-    "ModelReport",
-    "TransportWorkload",
-    "predict",
-    "strong_scaling",
-    "weak_scaling",
 ]

@@ -11,7 +11,7 @@ The formulas are those of the *reference* block-tridiagonal algorithms
 :class:`repro.wf.WFSolver`): every sweep written out with no product
 reused.  The same call sites are instrumented to report what they charge
 to :mod:`repro.observability`, and
-:func:`repro.observability.validate_flops` (exercised by
+:func:`repro.observability.validate.validate_flops` (exercised by
 ``tests/test_observability.py``) asserts analytic == charged **exactly**
 at small sizes for the RGF and WF kernels — a check of the accounting,
 not of executed GEMMs.  Two kernels undercut their charge: the block LU
@@ -174,7 +174,7 @@ def rgf_solve_flops(n_blocks: int, m: int) -> float:
     12 (N - 1) + 2 products, of which 9 (N - 1) + 2 execute since the
     block LU forms ``dinv @ U`` and ``L @ dinv`` once — 5 (N - 1) + 2
     on ``c·I`` couplings, which it multiplies by.
-    :func:`repro.observability.validate_rgf_flops` checks the charge of
+    :func:`repro.observability.validate.validate_rgf_flops` checks the charge of
     an instrumented solve against it, term for term.
 
     Example

@@ -70,7 +70,7 @@ class SimulatedMachine:
 
         Example
         -------
-        >>> from repro.perf import JAGUAR_XT5
+        >>> from repro.perf.machine import JAGUAR_XT5
         >>> JAGUAR_XT5.time_compute(10.4e9) == 1.0 / JAGUAR_XT5.dense_efficiency
         True
         """
@@ -83,7 +83,7 @@ class SimulatedMachine:
 
         Example
         -------
-        >>> from repro.perf import JAGUAR_XT5
+        >>> from repro.perf.machine import JAGUAR_XT5
         >>> JAGUAR_XT5.time_point_to_point(0.0) == JAGUAR_XT5.link_latency_s
         True
         """
@@ -94,7 +94,7 @@ class SimulatedMachine:
 
         Example
         -------
-        >>> from repro.perf import JAGUAR_XT5
+        >>> from repro.perf.machine import JAGUAR_XT5
         >>> JAGUAR_XT5.time_collective(8.0, 1)          # nothing to exchange
         0.0
         >>> t2 = JAGUAR_XT5.time_collective(8.0, 2)     # one tree round

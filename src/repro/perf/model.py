@@ -134,7 +134,8 @@ def predict(
 
     Example
     -------
-    >>> from repro.perf import JAGUAR_XT5, TransportWorkload, predict
+    >>> from repro.perf.machine import JAGUAR_XT5
+    >>> from repro.perf.model import TransportWorkload, predict
     >>> w = TransportWorkload(n_slabs=130, block_size=4000, n_bias=15,
     ...                       n_k=21, n_energy=702, n_channels=30)
     >>> r = predict(w, JAGUAR_XT5, 221130)
@@ -220,7 +221,8 @@ def strong_scaling(
 
     Example
     -------
-    >>> from repro.perf import JAGUAR_XT5, TransportWorkload, strong_scaling
+    >>> from repro.perf.machine import JAGUAR_XT5
+    >>> from repro.perf.model import TransportWorkload, strong_scaling
     >>> w = TransportWorkload(n_slabs=40, block_size=500, n_energy=128)
     >>> reports = strong_scaling(w, JAGUAR_XT5, [16, 64])
     >>> reports[0].walltime_s > reports[1].walltime_s
@@ -240,7 +242,8 @@ def weak_scaling(
 
     Example
     -------
-    >>> from repro.perf import JAGUAR_XT5, TransportWorkload, weak_scaling
+    >>> from repro.perf.machine import JAGUAR_XT5
+    >>> from repro.perf.model import TransportWorkload, weak_scaling
     >>> base = TransportWorkload(n_slabs=40, block_size=500, n_energy=64)
     >>> a, b = weak_scaling(base, JAGUAR_XT5, [16, 32], grow="n_energy")
     >>> b.total_flops == 2 * a.total_flops   # doubled work on doubled ranks

@@ -13,8 +13,10 @@ the reproduction's equivalent machinery:
 * recovery policies — :class:`RetryPolicy` with capped backoff and
   quarantine, the surface-GF degradation ladder
   (:func:`robust_surface_gf`), and the :class:`SCFRescue` ladder;
-* atomic :class:`SweepCheckpoint` / :class:`RampCheckpoint` for
-  kill-and-resume sweeps;
+* atomic :class:`~repro.resilience.checkpoint.SweepCheckpoint` /
+  :class:`~repro.resilience.checkpoint.RampCheckpoint` for kill-and-resume
+  sweeps, imported from :mod:`repro.resilience.checkpoint` (``import
+  repro`` does not load it);
 * numerical-health sentinels (:mod:`repro.resilience.health`) and the
   graceful-degradation ladder with its :class:`DegradationBudget`
   (:mod:`repro.resilience.degrade`);
@@ -35,7 +37,6 @@ from ..errors import (
     SurfaceGFConvergenceError,
     TaskFailure,
 )
-from .checkpoint import RampCheckpoint, SweepCheckpoint, atomic_write_bytes
 from .degrade import (
     DegradationBudget,
     DegradationReport,
@@ -74,9 +75,6 @@ __all__ = [
     "RetryPolicy",
     "SCFRescue",
     "robust_surface_gf",
-    "SweepCheckpoint",
-    "RampCheckpoint",
-    "atomic_write_bytes",
     "HealthEvent",
     "HealthSentinel",
     "condition_estimate",

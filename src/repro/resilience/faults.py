@@ -48,8 +48,8 @@ Actions
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -81,6 +81,8 @@ class InjectedFault:
 
 def _u01(seed: int, site: str, key, salt: str = "") -> float:
     """Order-independent uniform deviate in [0, 1) for a (site, key)."""
+    import hashlib
+
     payload = f"{seed}|{site}|{key!r}|{salt}".encode()
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2.0**64
@@ -103,7 +105,8 @@ class FaultInjector:
         Explicit ``{(site, key): action}`` faults, e.g.
         ``{("rank", 2): "dead_rank"}`` — fires regardless of ``rate``.
     once : bool
-        Transient faults: each (site, key) fires at most once (default).
+        Transient faults: each (site, key) fires at most once (default),
+        once per rank of a distributed solve (:meth:`on_rank`).
     stall_seconds : float
         Duration of a ``"stall"`` fault.
     hang_seconds : float
@@ -144,6 +147,23 @@ class FaultInjector:
         self.max_faults = max_faults
         self.injected: list[InjectedFault] = []
         self._fired: set = set()
+        #: The rank whose ``once`` bookkeeping this view keeps
+        #: (:meth:`on_rank`); None outside a distributed solve.
+        self.rank = None
+
+    def on_rank(self, rank: int) -> "FaultInjector":
+        """This injector as rank ``rank`` of a distributed solve holds it.
+
+        The view shares the plan, the seed and the account
+        (:attr:`injected`, ``max_faults``) but keeps ``once`` per rank, as
+        each rank's own copy of the injector does on a real communicator.
+        So a transient ``("hblock", ik)`` fault drills k-point ``ik`` on
+        every rank that builds its solver, and a distributed solve heals
+        the same nodes as the local one.
+        """
+        view = copy.copy(self)
+        view.rank = rank
+        return view
 
     # ------------------------------------------------------------------
     def targets(self, site: str) -> bool:
@@ -163,7 +183,7 @@ class FaultInjector:
         """The action to inject at (site, key), or None for a clean pass."""
         if self.max_faults is not None and len(self.injected) >= self.max_faults:
             return None
-        if self.once and (site, key) in self._fired:
+        if self.once and (site, key, self.rank) in self._fired:
             return None
         action = self.plan.get((site, key))
         if action is None and self.rate > 0.0:
@@ -185,7 +205,7 @@ class FaultInjector:
         action = self.decide(site, key)
         if action is None:
             return None
-        self._fired.add((site, key))
+        self._fired.add((site, key, self.rank))
         self.injected.append(InjectedFault(site, key, action))
         if action == "raise":
             raise TaskFailure(

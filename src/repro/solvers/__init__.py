@@ -1,11 +1,12 @@
-"""Linear algebra kernels: block-tridiagonal LU and domain decomposition."""
+"""Linear algebra kernels: the block-tridiagonal LU of both transport kernels.
+
+The SplitSolve domain decomposition is imported from
+:mod:`repro.solvers.splitsolve`; ``import repro`` does not load it.
+"""
 
 from .block_tridiagonal import BatchedBlockTridiagLU, BlockTridiagLU
-from .splitsolve import SplitSolve, partition_domains
 
 __all__ = [
     "BatchedBlockTridiagLU",
     "BlockTridiagLU",
-    "SplitSolve",
-    "partition_domains",
 ]

@@ -39,7 +39,7 @@ def block_product(a, b, out=None):
     is a 0-d coupling ``c`` (the block ``c·I``), into ``out`` if given.
 
     The one product with a coupling block: the LU, the WF interface
-    currents and :class:`repro.solvers.SplitSolve` all go through it, so
+    currents and :class:`repro.solvers.splitsolve.SplitSolve` all go through it, so
     no caller has to know which representation a coupling has.
     """
     if a.ndim and b.ndim:
@@ -212,7 +212,7 @@ class BlockTridiagLU:
     products a slab for the RGF stage where 9 or 5 execute) at the actual
     (possibly ragged) block sizes, so a charge does not depend on what a
     call found already stored;
-    :func:`repro.observability.validate_flops` pins one matrix and a
+    :func:`repro.observability.validate.validate_flops` pins one matrix and a
     stack against the analytic formulas.
     """
 

@@ -1,12 +1,12 @@
-"""Empirical tight binding: bases, Slater-Koster blocks, Hamiltonians, bands."""
+"""Empirical tight binding: bases, Slater-Koster blocks, Hamiltonians, bands.
 
-from .alloy import (
-    alloy_interior_mask,
-    alloy_material,
-    alloy_region_mask,
-    randomize_species,
-    virtual_crystal_material,
-)
+Four capability modules are imported from the modules that define them
+and are not loaded by ``import repro``: :mod:`repro.tb.alloy` (random
+alloys, virtual crystal), :mod:`repro.tb.chain` (analytic 1-D chains),
+:mod:`repro.tb.eigensolver` (closed-system interior eigenstates) and
+:mod:`repro.tb.unfolding` (supercell band unfolding).
+"""
+
 from .bands import (
     BandPath,
     lead_conduction_minimum,
@@ -16,16 +16,6 @@ from .bands import (
     periodic_wire_blocks,
     wire_band_edges,
     wire_band_structure,
-)
-from .chain import (
-    chain_band_edges,
-    chain_blocks,
-    chain_dispersion,
-    chain_self_energy,
-    chain_surface_gf,
-    dimer_chain_blocks,
-    dimer_gap,
-    square_barrier_transmission,
 )
 from .hamiltonian import (
     BlockTridiagonalHamiltonian,
@@ -56,15 +46,8 @@ from .parameters import (
 from .slater_koster import SKParams, d_rotation, rotation_to_direction, sk_hopping_block
 from .spin_orbit import PAULI, p_shell_l_matrices, spin_orbit_block
 from .strain import HARRISON_ETA, scale_sk_params
-from .eigensolver import confined_state_energies, interior_eigenstates
-from .unfolding import UnfoldedBands, unfold_supercell_bands
 
 __all__ = [
-    "alloy_interior_mask",
-    "alloy_material",
-    "alloy_region_mask",
-    "randomize_species",
-    "virtual_crystal_material",
     "BandPath",
     "band_structure_path",
     "bulk_band_edges",
@@ -73,14 +56,6 @@ __all__ = [
     "wire_band_edges",
     "wire_band_structure",
     "lead_conduction_minimum",
-    "chain_band_edges",
-    "chain_blocks",
-    "chain_dispersion",
-    "chain_self_energy",
-    "chain_surface_gf",
-    "dimer_chain_blocks",
-    "dimer_gap",
-    "square_barrier_transmission",
     "BlockTridiagonalHamiltonian",
     "HamiltonianSkeleton",
     "build_device_hamiltonian",
@@ -109,9 +84,5 @@ __all__ = [
     "p_shell_l_matrices",
     "spin_orbit_block",
     "HARRISON_ETA",
-    "confined_state_energies",
-    "interior_eigenstates",
-    "UnfoldedBands",
-    "unfold_supercell_bands",
     "scale_sk_params",
 ]

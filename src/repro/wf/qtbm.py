@@ -326,6 +326,7 @@ def _row_norms(psi: np.ndarray) -> np.ndarray:
     ``np.multiply``, not ``np.square``: right after an OpenBLAS GEMM the
     float reduction runs ~10x slower on AVX-512 Xeons until a
     vector-dispatched ufunc has run, and ``multiply`` is one, ``square``
-    is not (docs/PARALLELISM.md "The stack budget")."""
+    is not (docs/PARALLELISM.md "The stack budget").  The rows are summed
+    by a stacked GEMV against ones, as in :func:`repro.negf.rgf._row_sums`."""
     v = psi.view(float)
-    return np.multiply(v, v, out=v).sum(axis=-1)
+    return np.multiply(v, v, out=v) @ np.ones(v.shape[-1])

@@ -35,7 +35,7 @@ from repro.parallel import (
     split_chunks,
 )
 from repro.negf import RGFSolver
-from repro.resilience import SweepCheckpoint
+from repro.resilience.checkpoint import SweepCheckpoint
 from repro.wf import WFSolver
 from tests.conftest import make_transport as _transport
 

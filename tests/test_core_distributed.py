@@ -206,14 +206,40 @@ class TestOneNodeSolver:
         healed = dist.solve_bias(
             pot, 0.1, SerialComm(), n_ranks=3, injector=inj
         )
-        assert inj.n_injected == 1
+        # an hblock drill corrupts k-point 0 on each of the 3 ranks that
+        # build it; an energy belongs to one rank
+        fired = 3 if site == "hblock" else 1
+        assert inj.n_injected == fired
         assert healed["current_a"] == clean["current_a"]
         np.testing.assert_array_equal(
             healed["density_per_atom"], clean["density_per_atom"]
         )
         assert clean["degradation"].total_events == 0
-        assert healed["degradation"].ladder_steps["chunk:per-point"] == 1
+        assert healed["degradation"].ladder_steps["chunk:per-point"] == fired
         assert healed["degradation"].quarantined_points == []
+
+    def test_hblock_drill_heals_every_node_of_the_k_point(self, case):
+        """Every rank holds the injector as its own copy would on a real
+        communicator, so a transient ``("hblock", 0)`` drill corrupts
+        k-point 0 on each rank that builds it: the ranks heal all 21 nodes,
+        as the local solve does, not the first rank's share alone."""
+        from repro.resilience import FaultInjector
+
+        built, tc, dist = case
+        pot = np.zeros(built.n_atoms)
+        plan = {("hblock", 0): "nan"}
+        local = TransportCalculation(
+            built, method=tc.method, n_energy=21, energy_mode="uniform",
+            injector=FaultInjector(plan=plan),
+        ).solve_bias(pot, 0.1)
+        out = dist.solve_bias(
+            pot, 0.1, SerialComm(), n_ranks=3,
+            injector=FaultInjector(plan=plan),
+        )
+        robust = out["degradation"].ladder_steps["per-point:robust"]
+        assert robust == local.degradation.ladder_steps["per-point:robust"]
+        assert robust == 21
+        assert out["current_a"] == pytest.approx(local.current_a, rel=1e-12)
 
     def test_rank_spans_cover_the_solve_and_count_its_tasks(self, case):
         import time

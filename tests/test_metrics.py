@@ -22,12 +22,14 @@ from repro.observability import (
     LogLinearHistogram,
     MetricsRegistry,
     MetricsSnapshot,
-    check_against_baselines,
-    compare_metrics,
     get_metrics,
     metric_key,
     use_metrics,
     use_monitor,
+)
+from repro.observability.regression import (
+    check_against_baselines,
+    compare_metrics,
 )
 
 

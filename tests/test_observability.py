@@ -28,19 +28,23 @@ from repro.observability import (
     PerfReport,
     Tracer,
     add_flops,
-    chrome_trace,
-    flat_metrics,
     get_tracer,
     set_tracer,
     trace_span,
     use_tracer,
+)
+from repro.observability.export import (
+    chrome_trace,
+    flat_metrics,
+    write_chrome_trace,
+)
+from repro.observability.validate import (
+    FlopValidation,
     validate_flops,
     validate_rgf_flops,
     validate_sancho_rubio_flops,
     validate_wf_flops,
-    write_chrome_trace,
 )
-from repro.observability.validate import FlopValidation
 from repro.parallel import SerialComm, run_tasks
 
 

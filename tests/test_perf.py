@@ -5,22 +5,23 @@ import pytest
 
 from repro.parallel import CommTrace
 from repro.perf import (
-    JAGUAR_XT5,
     FlopCounter,
-    ModelReport,
-    SimulatedMachine,
-    TransportWorkload,
-    predict,
     rgf_solve_flops,
     sancho_rubio_flops,
     splitsolve_flops,
-    strong_scaling,
-    weak_scaling,
     wf_solve_flops,
     zgemm_flops,
     zinverse_flops,
     zlu_flops,
     block_lu_factor_flops,
+)
+from repro.perf.machine import JAGUAR_XT5, SimulatedMachine
+from repro.perf.model import (
+    ModelReport,
+    TransportWorkload,
+    predict,
+    strong_scaling,
+    weak_scaling,
 )
 
 

@@ -39,15 +39,14 @@ from repro.resilience import (
     DegradationReport,
     FaultInjector,
     HealthSentinel,
-    RampCheckpoint,
     RetryPolicy,
     SCFRescue,
-    SweepCheckpoint,
     nan_like,
     non_finite,
     robust_surface_gf,
     use_sentinel,
 )
+from repro.resilience.checkpoint import RampCheckpoint, SweepCheckpoint
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,8 @@ from repro.resilience import HealthSentinel, use_sentinel
 from repro.solvers import (
     BatchedBlockTridiagLU,
     BlockTridiagLU,
-    SplitSolve,
-    partition_domains,
 )
+from repro.solvers.splitsolve import SplitSolve, partition_domains
 from tests.conftest import grid_device
 
 

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from repro.lattice import ZincblendeCell, partition_into_slabs, zincblende_nanowire
 from repro.tb import (
-    alloy_material,
-    alloy_region_mask,
     build_device_hamiltonian,
     bulk_band_edges,
     germanium_sp3s,
-    randomize_species,
     silicon_sp3s,
     single_band_material,
+)
+from repro.tb.alloy import (
+    alloy_material,
+    alloy_region_mask,
+    randomize_species,
     virtual_crystal_material,
 )
 from repro.wf import WFSolver
@@ -168,7 +170,7 @@ class TestAlloyTransport:
         am = alloy_material(si, ge)
         wire = zincblende_nanowire(SI, 7, 1, 1)
         dev_p = partition_into_slabs(wire, SI.a_nm, SI.bond_length_nm)
-        from repro.tb import alloy_interior_mask
+        from repro.tb.alloy import alloy_interior_mask
         mask = alloy_interior_mask(dev_p, n_lead_slabs=2)
         dis = randomize_species(
             dev_p.structure, "Ge", 0.5, np.random.default_rng(1), mask
@@ -183,7 +185,7 @@ class TestAlloyTransport:
         """Randomising only the interior keeps the contact slabs periodic."""
         wire = zincblende_nanowire(SI, 7, 1, 1)
         dev0 = partition_into_slabs(wire, SI.a_nm, SI.bond_length_nm)
-        from repro.tb import alloy_interior_mask
+        from repro.tb.alloy import alloy_interior_mask
         mask = alloy_interior_mask(dev0, n_lead_slabs=2)
         dis = randomize_species(
             dev0.structure, "Ge", 0.7, np.random.default_rng(2), mask

@@ -33,11 +33,11 @@ from repro.observability import (
     MetricsRegistry,
     Tracer,
     add_flops,
-    chrome_trace,
     get_metrics,
     use_metrics,
     use_tracer,
 )
+from repro.observability.export import chrome_trace
 from repro.observability.telemetry import (
     EVENT_TYPES,
     TelemetryDelta,
