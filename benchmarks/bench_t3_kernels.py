@@ -380,7 +380,9 @@ def _measure_contacts(leads=CONTACT_LEADS):
     closed form of the mode basis — for a lead coupled by ``c I``,
     ``"dense"`` — the decimation at m — otherwise), seconds per energy
     (best of the repeats) of the whole call and of the fixed-point health
-    check it ends with, and three counts that repeat exactly — the stacked
+    check it runs — on the ``(B, m)`` modes before their rotation for a
+    ``"modes"`` lead, on the ``(B, m, m)`` blocks otherwise — and three
+    counts that repeat exactly — the stacked
     ``numpy.linalg`` inversions and ``eigh`` calls one call issues and the
     largest decimation step count of its 2B slices.  One loop over both
     leads makes them ``max_iterations + 1`` inversions at m; the mode basis
@@ -408,11 +410,18 @@ def _measure_contacts(leads=CONTACT_LEADS):
         )
         seconds = _best_of(lambda: contacts.sigma_stacks(energies), repeats)
         g_stacks = [g for g, _ in _surface_gfs(energies, sides, calc.eta)]
-        check = _best_of(lambda: [
-            _surface_health_check(g, energies, calc.eta, *lead)
-            for g, lead in zip(g_stacks, sides)
-        ], repeats)
         in_modes = {_scalar_coupled(h00, h01) for h00, h01, _ in sides}
+        checked = [(g, None) for g in g_stacks]
+        if in_modes == {True}:
+            bases = [np.linalg.eigh(h00) for h00, _, _ in sides]
+            checked = [
+                (np.diagonal(u.conj().T @ g @ u, axis1=1, axis2=2), (d, u))
+                for g, (d, u) in zip(g_stacks, bases)
+            ]
+        check = _best_of(lambda: [
+            _surface_health_check(g, energies, calc.eta, *lead, basis=basis)
+            for (g, basis), lead in zip(checked, sides)
+        ], repeats)
         report.update({
             f"contacts.{name}.block_size": int(contacts.left[0].shape[0]),
             f"contacts.{name}.n_energies": int(energies.size),

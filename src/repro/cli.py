@@ -175,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--adaptive-energies", type=int, nargs="?", const=512,
             default=None, metavar="BUDGET",
-            help="adaptive energy quadrature: refine the grid in "
-                 "backend-scheduled bisection waves up to BUDGET nodes "
-                 "per k-point (default budget 512; env: $REPRO_ADAPTIVE "
-                 "turns the mode on with defaults)",
+            help="turn refinement on in the energy wave loop: bisect past "
+                 "a coarse seed wave up to BUDGET nodes per k-point, not "
+                 "solve the window grid as one wave (default budget 512; "
+                 "env: $REPRO_ADAPTIVE turns it on with defaults)",
         )
         p.add_argument(
             "--energy-tol", type=float, default=None, metavar="TOL",
@@ -381,7 +381,7 @@ def _backend_kwargs(args) -> dict:
     budget = getattr(args, "adaptive_energies", None)
     tol = getattr(args, "energy_tol", None)
     if budget is not None or tol is not None:
-        # either flag opts into wave-scheduled adaptive quadrature;
+        # either flag turns refinement on in the energy wave loop;
         # without them energy_mode=None defers to $REPRO_ADAPTIVE
         kwargs["energy_mode"] = "adaptive"
         kwargs["max_energy_points"] = int(budget) if budget else 512

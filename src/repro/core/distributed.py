@@ -8,8 +8,9 @@ production code runs — each rank solves its block-cyclic share of the
 rank solves each k-group of its share through the node solver of the
 bias loop (``core.transport._KPoint``) and reduces it with the same
 quadrature, so both drivers share one dispatch, one degradation ladder
-and one place where fault drills are planted.  Ranks tile the uniform
-window whatever ``energy_mode`` is: shares of one common grid add up,
+and one place where fault drills are planted.  Ranks tile wave 0 of the
+uniform window — the local solve's quadrature with refinement off —
+whatever ``energy_mode`` is: shares of one common grid add up,
 adaptively refined grids would not.
 
 On this single-node reproduction the backends are

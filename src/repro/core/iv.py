@@ -47,10 +47,11 @@ class IVPoint:
     ``("quarantined",)`` when every policy failed.
 
     ``n_energy_nodes`` is the energy-quadrature node count of the final
-    transport solve, summed over k-points: the uniform grid size for
-    ``energy_mode="uniform"``, the accepted adaptive node count for
-    ``energy_mode="adaptive"`` (the per-point cost the wave scheduler
-    actually paid), and 0 for quarantined points.
+    transport solve, summed over k-points —
+    ``TransportResult.adaptive["nodes"]``: the window grid size for
+    ``energy_mode="uniform"`` (wave 0, refinement off), the accepted
+    refined node count for ``energy_mode="adaptive"`` (the per-point
+    cost the wave loop actually paid) — and 0 for quarantined points.
     """
 
     v_gate: float
@@ -290,16 +291,7 @@ class IVSweep:
                 result = rescued
 
         transport = result.transport
-        adaptive = getattr(transport, "adaptive", None)
-        transmission = getattr(transport, "transmission", None)
-        if adaptive:
-            n_nodes = int(adaptive.get("nodes", 0))
-        elif transmission is not None:
-            n_nodes = int(
-                transmission.shape[0] * len(transport.energy_grid)
-            )
-        else:
-            n_nodes = 0
+        adaptive = getattr(transport, "adaptive", None) or {}
         point = IVPoint(
             v_gate=float(v_gate),
             v_drain=float(v_drain),
@@ -307,7 +299,7 @@ class IVSweep:
             converged=result.converged,
             n_iterations=result.n_iterations,
             recovery=tuple(recovery),
-            n_energy_nodes=n_nodes,
+            n_energy_nodes=int(adaptive.get("nodes", 0)),
         )
         return point, result.phi, flops, degradation
 

@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from .. import env
 from ..errors import DegradationBudgetError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..negf.rgf import RGFResult, RGFSolver
@@ -32,7 +33,7 @@ from ..observability.telemetry import (
 )
 from ..observability.tracer import get_tracer, trace_span
 from ..parallel.backend import SerialBackend, get_backend, in_worker
-from ..parallel.scheduler import split_chunks, wave_chunks
+from ..parallel.scheduler import wave_chunks
 from ..perf.flops import (
     FlopCounter,
     rgf_solve_flops,
@@ -43,7 +44,6 @@ from ..physics.fermi import fermi_dirac
 from ..physics.grids import (
     AdaptiveEnergyGrid,
     EnergyGrid,
-    adaptive_enabled,
     fermi_window_grid,
     trapezoid_weights,
 )
@@ -93,14 +93,16 @@ class TransportResult:
         (sentinel trips, ladder steps, quarantined energy points,
         elastic-execution events); None only for hand-built results.
     adaptive : dict or None
-        Refinement account of an adaptive-quadrature solve, summed over
-        k-points: ``waves`` (refinement waves run), ``nodes`` (accepted
-        quadrature nodes), ``solved`` (energy points actually solved),
-        ``saved_vs_uniform`` (solves avoided relative to the uniform
-        base grid), ``excluded`` (quarantined nodes dropped from the
-        estimator), ``est_error`` (worst interval error at convergence)
-        and ``budget_hits`` (k-points that exhausted the node budget).
-        None for uniform-grid solves.
+        Account of the energy wave loop, summed over k-points: ``waves``
+        (waves run), ``nodes`` (quadrature nodes), ``solved`` (energy
+        points actually solved), ``saved_vs_uniform`` (solves avoided
+        relative to the uniform window grid), ``excluded`` (quarantined
+        nodes the refiner dropped from its estimator), ``est_error``
+        (worst interval error at convergence) and ``budget_hits``
+        (k-points that exhausted the node budget).  A solve without
+        refinement runs one wave a k-point: ``waves`` is the k-point
+        count, ``nodes == solved`` the grid size times it, the rest 0.
+        None only for hand-built results.
     """
 
     energy_grid: EnergyGrid
@@ -129,17 +131,20 @@ class TransportCalculation:
     eta : float
         Retarded infinitesimal (eV).
     energy_mode : {"uniform", "adaptive"} or None
-        Quadrature strategy for the energy integral.  ``"uniform"`` runs
-        the full ``n_energy``-point grid; ``"adaptive"`` starts from a
-        coarse seed and bisects intervals whose transmission/spectral
-        interpolation error exceeds ``adaptive_tol``, solving each
-        refinement *wave* through the configured execution backend (see
-        :meth:`_solve_adaptive`).  None reads ``$REPRO_ADAPTIVE`` (default
-        uniform).
+        Whether the energy wave loop (:meth:`_solve_waves`) refines.
+        Both modes run it: ``"uniform"`` is its wave 0 alone, the
+        ``n_energy``-point window grid with refinement off;
+        ``"adaptive"`` starts from a coarse seed and bisects intervals
+        whose transmission/spectral interpolation error exceeds
+        ``adaptive_tol``, solving each *wave* through the configured
+        execution backend.  None reads ``$REPRO_ADAPTIVE`` (truthy
+        values ``1/true/yes/on``; default uniform).  The mode resolves
+        once, here, into :attr:`adaptive_tol`.
     adaptive_tol : float
         Absolute interpolation-error tolerance of the adaptive mode, in
         the units of the normalized refinement indicator
-        ``[T*(fL-fR), log1p(spectral-density/scale)]``.
+        ``[T*(fL-fR), log1p(spectral-density/scale)]``.  The attribute
+        is the tolerance in force: None when the mode is uniform.
     max_energy_points : int
         Node budget of the adaptive mode per k-point; refinement stops
         once this many nodes are accepted.
@@ -186,7 +191,9 @@ class TransportCalculation:
         if method not in ("wf", "rgf"):
             raise ValueError("method must be 'wf' or 'rgf'")
         if energy_mode is None:
-            energy_mode = "adaptive" if adaptive_enabled() else "uniform"
+            energy_mode = (
+                "adaptive" if env.read("REPRO_ADAPTIVE") else "uniform"
+            )
         if energy_mode not in ("uniform", "adaptive"):
             raise ValueError("energy_mode must be 'uniform' or 'adaptive'")
         self.built = built
@@ -194,7 +201,7 @@ class TransportCalculation:
         self.n_energy = n_energy
         self.eta = eta
         self.energy_mode = energy_mode
-        self.adaptive_tol = adaptive_tol
+        self.adaptive_tol = adaptive_tol if energy_mode == "adaptive" else None
         self.max_energy_points = max_energy_points
         self.adaptive_max_passes = int(adaptive_max_passes)
         self.spin_degeneracy = 1 if built.material.basis.spin else 2
@@ -340,11 +347,14 @@ class TransportCalculation:
                 backend = SerialBackend()
         return backend
 
-    def _run_backend(self, solver, energies: list, chunks=None):
-        """Solve ``energies`` through the configured execution backend.
+    def _run_backend(self, solver, energies: list):
+        """Solve ``energies``, one wave, through the configured execution
+        backend.
 
-        The grid is split into one contiguous chunk per worker (all in
-        one chunk for the serial backend) and each chunk is solved by
+        The wave is split by :func:`repro.parallel.wave_chunks`: one
+        contiguous chunk per worker (all in one chunk for the serial
+        backend), or one chunk per point when the wave is smaller than
+        two per worker.  Each chunk is solved by
         :func:`_solve_chunk` in memory-bounded stacked ``solve_batch``
         calls (:func:`solve_energies`); the chunk stacks are joined in
         grid order, one ``concatenate`` per field, into the one result
@@ -359,15 +369,11 @@ class TransportCalculation:
         ``worker`` provenance on the absorbed spans.  The same runs record
         the pickled size of every chunk payload as
         ``ipc.task_bytes{path=pickled}``.
-
-        ``chunks`` overrides the default contiguous split: the adaptive
-        wave loop pre-chunks small waves per point
-        (:func:`repro.parallel.wave_chunks`).
         """
         backend = self._effective_backend()
-        if chunks is None:
-            n_chunks = 1 if backend.name == "serial" else backend.workers
-            chunks = split_chunks(len(energies), n_chunks)
+        chunks = wave_chunks(
+            len(energies), 1 if backend.name == "serial" else backend.workers
+        )
         metrics = get_metrics()
         pooled = backend.name == "process"
         capture = pooled and (get_tracer().enabled or metrics.enabled)
@@ -401,91 +407,101 @@ class TransportCalculation:
             stacks.append(stack)
         return type(stacks[0]).concatenate(stacks)
 
-    # -- adaptive energy waves -----------------------------------------
+    # -- the energy quadrature -----------------------------------------
 
-    def _solve_adaptive(self, kp, grid, mu_s, mu_d, kT):
-        """Wave-scheduled adaptive energy quadrature for one k-point.
+    def _solve_waves(self, kp, grid, tol, mu_s, mu_d, kT, account):
+        """The energy quadrature of one k-point: waves of nodes through
+        the k-point's node solver ``kp`` until no wave is left.
 
-        Refinement is driven parent-side by the
-        :class:`~repro.physics.grids.AdaptiveEnergyGrid` wave engine:
-        each wave's unsolved nodes go through the k-point's node solver
-        ``kp`` (per-point below ``min_chunk * workers`` nodes, contiguous
-        chunks above — :func:`repro.parallel.wave_chunks`), the refinement
-        indicator ``[T*(fL-fR), log1p(spectral-density / wave-0 max)]`` is
-        computed over the wave's rows as one stack (one row sum per
-        spectral array), and the
-        next wave of bisection-lattice nodes is emitted until tolerance, the
-        node budget or the pass cap.  Every split decision is made in the
-        parent from bitwise round-tripped results, so the node set — and
-        therefore the whole solve — is bit-identical across
-        serial/process.
+        Each wave's unsolved nodes go through ``kp`` as one dispatch
+        (:meth:`_run_backend`).  With ``tol`` None refinement
+        is off: wave 0 is ``grid`` itself and the only wave, and ``grid``
+        — weights as given — is the quadrature returned.  With a
+        tolerance the :class:`~repro.physics.grids.AdaptiveEnergyGrid`
+        wave engine seeds ``max(n_energy // 2, 9)`` nodes over ``grid``'s
+        span; the refinement indicator ``[T*(fL-fR),
+        log1p(spectral-density / wave-0 max)]`` is computed over each
+        wave's rows as one stack (one row sum per spectral array), and
+        the next wave of bisection-lattice nodes is emitted until
+        tolerance, the node budget or the pass cap; the engine's grid is
+        returned.  Every split decision is made in the parent from
+        bitwise round-tripped results, so the node set — and therefore
+        the whole solve — is bit-identical across serial/process.
 
-        Quarantined nodes are recorded as ``None`` — the refiner retires
-        their intervals instead of pinning refinement on an unsolvable
-        point — and are charged against the degradation budget here,
-        since they never appear in the returned grid.
+        A refined solve records quarantined nodes as ``None`` — the
+        refiner retires their intervals instead of pinning refinement on
+        an unsolvable point — and charges them against the degradation
+        budget here, since they never appear in its grid (a fixed grid's
+        are dropped by :meth:`_KPoint.surviving`).
 
         Progress flows out as one ``wave_done`` event and one
         ``adaptive.*`` metrics update per wave (all parent-side, hence
-        exactly equal on every backend).  Returns ``(grid, stats)``
-        where ``stats`` feeds :attr:`TransportResult.adaptive`.
+        exactly equal on every backend), and the k-point's account is
+        added into ``account`` (:attr:`TransportResult.adaptive`: counts
+        summed, ``est_error`` the worst).
         """
-        scale = max(self.built.n_atoms * 0.1, 1.0)
-        refiner = AdaptiveEnergyGrid(
-            float(grid.energies.min()),
-            float(grid.energies.max()),
-            n_initial=max(self.n_energy // 2, 9),
-            tol=self.adaptive_tol,
-            max_points=self.max_energy_points,
-            max_passes=self.adaptive_max_passes,
-        )
-        eff = self._effective_backend()
-        n_workers = 1 if eff.name == "serial" else eff.workers
+        refiner = None
+        wave = grid.energies.tolist()
+        if tol is not None:
+            refiner = AdaptiveEnergyGrid(
+                float(grid.energies.min()),
+                float(grid.energies.max()),
+                n_initial=max(self.n_energy // 2, 9),
+                tol=tol,
+                max_points=self.max_energy_points,
+                max_passes=self.adaptive_max_passes,
+            )
+            wave = refiner.first_wave()
         metrics = get_metrics()
         events = get_events()
 
-        n_waves = 0
-        n_solved = 0
+        n_waves = n_solved = 0
+        n_nodes = len(wave)
         spec_scale = est_error = None
-        wave = refiner.first_wave()
         while wave:
             n_waves += 1
-            fresh = [e for e in wave if e not in kp.rows]
+            fresh = [e for e in wave if e not in kp.rows] if kp.rows else wave
             if fresh:
-                kp.solve(fresh, chunks=wave_chunks(len(fresh), n_workers))
+                kp.solve(fresh)
             n_solved += len(fresh)
-            solved = [e for e in wave if kp.rows[e] is not None]
-            fl = fermi_dirac(solved, mu_s, kT)
-            fr = fermi_dirac(solved, mu_d, kT)
-            t_term = s_term = np.zeros(0)
-            if solved:
-                rows = kp.stack(solved)
-                t_term = rows.transmission * (fl - fr)
-                s_term = (rows.spectral_left.sum(axis=1) * fl
-                          + rows.spectral_right.sum(axis=1) * fr)
-            if spec_scale is None:
-                # normalize the spectral component by its wave-0
-                # magnitude so both indicator components are O(1);
-                # computed from round-tripped float64 results, hence
-                # identical on every backend
-                spec_scale = max(
-                    float(np.abs(s_term).max(initial=0.0)), scale
+            if refiner is None:
+                wave = []  # refinement off: wave 0 is the quadrature
+            else:
+                solved = [e for e in wave if kp.rows[e] is not None]
+                fl = fermi_dirac(solved, mu_s, kT)
+                fr = fermi_dirac(solved, mu_d, kT)
+                t_term = s_term = np.zeros(0)
+                if solved:
+                    rows = kp.stack(solved)
+                    t_term = rows.transmission * (fl - fr)
+                    s_term = (rows.spectral_left.sum(axis=1) * fl
+                              + rows.spectral_right.sum(axis=1) * fr)
+                if spec_scale is None:
+                    # normalize the spectral component by its wave-0
+                    # magnitude so both indicator components are O(1);
+                    # computed from round-tripped float64 results, hence
+                    # identical on every backend
+                    spec_scale = max(
+                        float(np.abs(s_term).max(initial=0.0)),
+                        self.built.n_atoms * 0.1, 1.0,
+                    )
+                # log-compress the spectral component: quasi-bound peaks
+                # tower orders of magnitude over the lead background, and
+                # resolving them to *absolute* tolerance would consume the
+                # whole node budget; log1p bounds their *relative*
+                # interpolation error at the same tol as the current
+                # integrand
+                indicator = dict(zip(solved, np.column_stack(
+                    [t_term, np.log1p(s_term / spec_scale)]
+                )))
+                for energy in wave:
+                    refiner.record(energy, indicator.get(energy))
+                wave = refiner.next_wave()
+                n_nodes = refiner.n_nodes
+                est_error = (
+                    float(refiner.est_error)
+                    if np.isfinite(refiner.est_error) else None
                 )
-            # log-compress the spectral component: quasi-bound peaks tower
-            # orders of magnitude over the lead background, and resolving
-            # them to *absolute* tolerance would consume the whole node
-            # budget; log1p bounds their *relative* interpolation error at
-            # the same tol as the current integrand
-            indicator = dict(zip(solved, np.column_stack(
-                [t_term, np.log1p(s_term / spec_scale)]
-            )))
-            for energy in wave:
-                refiner.record(energy, indicator.get(energy))
-            wave = refiner.next_wave()
-            est_error = (
-                float(refiner.est_error)
-                if np.isfinite(refiner.est_error) else None
-            )
             if metrics.enabled:
                 metrics.inc("adaptive.waves", 1.0)
                 if fresh:
@@ -498,34 +514,39 @@ class TransportCalculation:
                     k=kp.ik,
                     wave=n_waves - 1,
                     n_new=len(fresh),
-                    n_nodes=refiner.n_nodes,
+                    n_nodes=n_nodes,
                     est_error=est_error,
                 )
 
-        # quarantined nodes already left the refiner's grid; account
-        # them against the quadrature budget and the degradation report
-        # here (the k-point's own reweighting never sees them)
-        if refiner.n_excluded:
-            self.degradation_budget.check(
-                refiner.n_excluded,
-                refiner.n_excluded + refiner.n_nodes,
-                context=f"k-point {kp.ik} adaptive",
-            )
-            kp.degradation.reweighted_grids += 1
-            kp.degradation.record_ladder("quadrature:reweight")
         saved = max(len(grid) - n_solved, 0)
         if metrics.enabled and saved:
             metrics.inc("adaptive.nodes_saved_vs_uniform", float(saved))
-        stats = {
-            "waves": n_waves,
-            "nodes": refiner.n_nodes,
-            "solved": n_solved,
-            "saved_vs_uniform": saved,
-            "excluded": refiner.n_excluded,
-            "est_error": est_error or 0.0,
-            "budget_hits": int(refiner.budget_hit),
-        }
-        return refiner.grid(), stats
+        excluded = budget_hits = 0
+        if refiner is not None:
+            excluded, budget_hits = refiner.n_excluded, int(refiner.budget_hit)
+            if excluded:
+                # quarantined nodes already left the refiner's grid;
+                # account them against the quadrature budget and the
+                # degradation report here (the k-point's own reweighting
+                # never sees them)
+                self.degradation_budget.check(
+                    excluded, excluded + n_nodes,
+                    context=f"k-point {kp.ik} adaptive",
+                )
+                kp.degradation.reweighted_grids += 1
+                kp.degradation.record_ladder("quadrature:reweight")
+            grid = refiner.grid()
+        stats = dict(
+            waves=n_waves, nodes=n_nodes, solved=n_solved,
+            saved_vs_uniform=saved, excluded=excluded,
+            est_error=est_error or 0.0, budget_hits=budget_hits,
+        )
+        for key, val in stats.items():
+            account[key] = (
+                max(account.get(key, val), val) if key == "est_error"
+                else account.get(key, 0) + val
+            )
+        return grid
 
     # ------------------------------------------------------------------
     def solve_bias(
@@ -545,7 +566,9 @@ class TransportCalculation:
         v_drain : float
             Drain bias (V); the drain chemical potential is mu_S - v_drain.
         energy_grid : EnergyGrid or None
-            Override the automatic window (used by the adaptive-grid bench).
+            Override the automatic window: the quadrature as given, with
+            refinement off whatever ``energy_mode`` is (the SCF loop and
+            the adaptive-grid bench pass one).
         """
         with trace_span(
             "transport.solve_bias", category="phase", v_drain=float(v_drain)
@@ -562,6 +585,8 @@ class TransportCalculation:
         mu_s = built.contact_mu("source")
         mu_d = built.contact_mu("drain", v_drain)
         grid = energy_grid or self.energy_grid(potential_ev, v_drain)
+        # a caller's grid is the quadrature as given: refinement off
+        tol = None if energy_grid else self.adaptive_tol
         kgrid = built.momentum_grid
         n_k = len(kgrid)
 
@@ -572,31 +597,16 @@ class TransportCalculation:
         # equals the base grid, interpolated otherwise)
         transmission = np.zeros((n_k, len(grid)))
         channels = np.zeros((n_k, len(grid)), dtype=int)
-        adaptive_info = None
-        if self.energy_mode == "adaptive" and energy_grid is None:
-            adaptive_info = {
-                "waves": 0, "nodes": 0, "solved": 0, "saved_vs_uniform": 0,
-                "excluded": 0, "est_error": 0.0, "budget_hits": 0,
-            }
+        adaptive: dict = {}
 
         for ik, (k, wk) in enumerate(zip(kgrid.k_points, kgrid.weights)):
             get_events().maybe_heartbeat(stage=f"k-point {ik + 1}/{n_k}")
             kp = _KPoint(
                 self, ik, k, potential_ev, flops, degradation, sentinel
             )
-            if adaptive_info is not None:
-                k_grid, k_stats = self._solve_adaptive(
-                    kp, grid, mu_s, mu_d, kT
-                )
-                for key, val in k_stats.items():
-                    if key == "est_error":
-                        adaptive_info[key] = max(adaptive_info[key], val)
-                    else:
-                        adaptive_info[key] += val
-            else:
-                k_grid = grid
-                kp.solve(grid.energies.tolist())
-            k_grid, stack = kp.surviving(k_grid)
+            k_grid, stack = kp.surviving(self._solve_waves(
+                kp, grid, tol, mu_s, mu_d, kT, adaptive
+            ))
             current_k, density_k, t_k, channels_k = self._integrate(
                 k_grid, stack, mu_s, mu_d, kT
             )
@@ -627,7 +637,7 @@ class TransportCalculation:
             channels=channels,
             flops=flops,
             degradation=degradation,
-            adaptive=adaptive_info,
+            adaptive=adaptive,
         )
 
 
@@ -640,8 +650,8 @@ class _KPoint:
     model charges, the accepted kernel result stacks and ``rows``, the
     ``{energy: row of those stacks | None}`` memo (``None`` =
     quarantined) — and the accounts of the bias solve they report into.
-    The uniform grid, every adaptive wave and every k-group of a
-    distributed rank (:meth:`repro.core.DistributedTransport.rank_partial`)
+    Every wave of the bias loop's energy quadrature and every k-group of
+    a distributed rank (:meth:`repro.core.DistributedTransport.rank_partial`)
     call :meth:`solve`; nothing else runs a kernel for either driver.
     """
 
@@ -690,13 +700,13 @@ class _KPoint:
             )
         return solver
 
-    def solve(self, energies: list, chunks=None) -> None:
+    def solve(self, energies: list) -> None:
         """Solve ``energies`` into :attr:`rows`: dispatch, accept, heal.
 
         Dispatch through the calculation's backend
-        (:meth:`TransportCalculation._run_backend`; ``chunks`` as there)
-        and accept the rows of the returned stack its ``finite`` mask
-        passes — one memo update and one flop charge for the whole stack.
+        (:meth:`TransportCalculation._run_backend`) and accept the rows
+        of the returned stack its ``finite`` mask passes — one memo
+        update and one flop charge for the whole stack.
         Only the rejected rows go one by one down :meth:`_heal` — or
         every energy, when the dispatch raised or tripped a sentinel the
         mask cannot show (an ill-conditioned factor, a residual).
@@ -706,9 +716,7 @@ class _KPoint:
         rejected = energies
         marker = sentinel.marker()
         try:
-            stack = self.calc._run_backend(
-                self.solver, energies, chunks=chunks
-            )
+            stack = self.calc._run_backend(self.solver, energies)
         except DegradationBudgetError:
             raise
         except LADDER_EXCEPTIONS:
@@ -862,10 +870,9 @@ def stack_length(n_blocks: int, block_size: int) -> int:
 def solve_energies(solver, energies):
     """Solve ``energies`` on ``solver``: *the* energy-sweep execution.
 
-    Every dispatch — serial grid, backend chunk, adaptive wave,
-    distributed rank, and the single-point rungs of the degradation
-    ladder as a stack of one — lands here and runs the
-    stacked kernel (``solve_batch``) in ``ceil(n / L)`` sub-stacks of at
+    Every dispatch — a wave's backend chunk, a distributed rank, and the
+    single-point rungs of the degradation ladder as a stack of one —
+    lands here and runs the stacked kernel (``solve_batch``) in ``ceil(n / L)`` sub-stacks of at
     most L = :func:`stack_length` energies whose lengths differ by at
     most one (65 energies at L = 13 are 5 x 13, not 4 x 16 + 1), joined
     into the one result stack returned (one ``concatenate`` per field).

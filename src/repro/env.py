@@ -4,8 +4,8 @@ Every variable is a *default*, never a command: an explicit argument or
 CLI flag wins, and an empty value means unset (a CI matrix leg exporting
 ``REPRO_BACKEND=""`` gets the built-in default).  This module is the only
 ``os.environ`` reader under ``src/repro``; the resolvers that consume a
-variable (``get_backend``, ``adaptive_enabled``, the backend deadline,
-the CLI event stream) call :func:`read`, and
+variable (``get_backend``, ``TransportCalculation``'s energy mode, the
+backend deadline, the CLI event stream) call :func:`read`, and
 :func:`resolved` is what ``run_started`` events and ``repro doctor``
 print.
 """

@@ -62,34 +62,51 @@ _ITER_KEYS = {
 }
 
 
-def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
-    """Post-solve sentinel on a ``(B, m, m)`` stack: finiteness plus the
+def _surface_health_check(g, energies, eta, h00, h01, side,
+                           basis=None) -> None:
+    """Post-solve sentinel on one lead's surface GFs: finiteness plus the
     *physical* fixed-point residual ``(z - h00)g - h01~ g h01~ g - I``
     (with ``h01~`` the side-appropriate coupling) — a converged-looking
-    decimation whose g does not satisfy its own defining equation is
-    silently wrong.  Four extra GEMMs per lead, once, against six per
-    decimation iteration: a few % overhead.
+    solve whose g does not satisfy its own defining equation is silently
+    wrong.
+
+    Checked in the representation the solve computed in.  A decimated
+    ``(B, m, m)`` stack costs four GEMMs per lead, against six per
+    decimation iteration.  A closed-form lead passes ``basis = (d, U)``
+    of ``h00 = U diag(d) U^+`` and its ``(B, m)`` mode GFs before the
+    rotation: each mode's own quadratic ``w g - |c|^2 g^2 - 1``
+    (``w = z - d_n``, scaled the same way) and one energy-independent
+    residual of the eigenbasis, ``h00 U - U diag(d)`` relative to
+    ``max |d|``, so a bad ``eigh`` still trips.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
         return
     finite = np.isfinite(g)
     if not finite.all():
-        bad = float(energies[~finite.all(axis=(1, 2))][0])
+        bad = float(energies[~finite.reshape(len(g), -1).all(axis=1)][0])
         sentinel.trip("surface_gf", "nonfinite", detail=f"side={side} E={bad:.6g}")
         return
-    eye = np.eye(h00.shape[-1])
-    z = (energies + 1j * eta)[:, None, None] * eye
-    t1 = (z - h00) @ g
-    if side == "left":
-        t2 = h01.conj().T @ g @ h01 @ g
+    z = energies + 1j * eta
+    if basis is None:
+        eye = np.eye(h00.shape[-1])
+        t1 = (z[:, None, None] * eye - h00) @ g
+        if side == "left":
+            t2 = h01.conj().T @ g @ h01 @ g
+        else:
+            t2 = h01 @ g @ h01.conj().T @ g
+        r, eigen = t1 - t2 - eye, 0.0
     else:
-        t2 = h01 @ g @ h01.conj().T @ g
-    r = t1 - t2 - eye
+        d, u = basis
+        t1 = (z[:, None] - d) * g
+        t2 = abs(np.asarray(h01).flat[0]) ** 2 * g * g
+        r = t1 - t2 - 1
+        # relative to |h00|, the largest |d| (eigh sorts d ascending)
+        eigen = float(np.abs(h00 @ u - u * d).max()) / max(1.0, -d[0], d[-1])
     # backward-relative: near a band edge g ~ 1/eta blows up the absolute
     # residual by rounding alone; scale by the terms that produced it
     scale = max(1.0, float(np.abs(t1).max()), float(np.abs(t2).max()))
-    res = float(np.abs(r).max()) / scale
+    res = max(float(np.abs(r).max()) / scale, eigen)
     sentinel.check_residual(
         "surface_gf", res, detail=f"side={side} fixed-point residual"
     )
@@ -208,7 +225,9 @@ def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
     bits and its step count are those of a stack of one.  A mixed pair
     runs lead by lead, as unequal cell sizes do.
 
-    Every g, in the lead's own basis, passes the fixed-point health check.
+    Every g passes the fixed-point health check in the basis it was
+    computed in: a closed-form lead's modes before their rotation, a
+    decimated lead's ``(m, m)`` blocks.
     The flop charge is the reference decimation at the steps each slice
     took (:func:`repro.perf.sancho_rubio_flops`; for a scalar-coupled lead
     0 steps, i.e. the closing inversion alone).
@@ -234,9 +253,9 @@ def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
     else:
         g_all, iters = _decimate(energies, leads, eta, tol, max_iter)
         g_stacks = np.split(g_all, len(leads))
+        for g, lead in zip(g_stacks, leads):
+            _surface_health_check(g, energies, eta, *lead)
     results = list(zip(g_stacks, np.split(iters, len(leads))))
-    for (g, _), (h00, h01, side) in zip(results, leads):
-        _surface_health_check(g, energies, eta, h00, h01, side)
     tracer = get_tracer()
     if tracer.enabled:
         # the charge is the *reference* step at m (four a @ g @ b
@@ -264,16 +283,20 @@ def _mode_surface_gfs(energies, leads, eta):
     ``1 / |c|^2``, and the retarded one — decaying into the lead — is the
     smaller: ``2 / (w + s)`` once ``s`` is flipped to ``Re(w* s) >= 0``,
     a sum whose terms never cancel.  ``w^2 - 4|c|^2`` is formed as
-    ``(w - 2|c|)(w + 2|c|)``, exact to rounding at a band edge.  One GEMM
-    a slice rotates ``g = U diag(g_n) U^+`` back.
+    ``(w - 2|c|)(w + 2|c|)``, exact to rounding at a band edge.  The
+    modes pass the health check, then one GEMM a slice rotates
+    ``g = U diag(g_n) U^+`` back.
     """
-    d, units = zip(*(np.linalg.eigh(h00) for h00, _, _ in leads))
+    bases = [np.linalg.eigh(h00) for h00, _, _ in leads]
+    d, units = zip(*bases)
     two_c = np.array([2 * abs(np.asarray(h01).flat[0]) for _, h01, _ in leads])
     two_c = two_c[:, None, None]
     w = (energies + 1j * eta)[:, None] - np.array(d)[:, None, :]
     s = np.sqrt((w - two_c) * (w + two_c))
     np.negative(s, out=s, where=w.real * s.real + w.imag * s.imag < 0)
     g_modes = 2 / (w + s)
+    for g, lead, basis in zip(g_modes, leads, bases):
+        _surface_health_check(g, energies, eta, *lead, basis=basis)
     return [(u * g[:, None, :]) @ u.conj().T for g, u in zip(g_modes, units)]
 
 

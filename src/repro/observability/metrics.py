@@ -24,8 +24,9 @@ dashboards have one place to look):
 
 * ``ipc.task_bytes{path=pickled}`` — pickled size of each chunk payload
   a process-backend energy sweep ships to its workers;
-* ``adaptive.*`` — wave-scheduled energy quadrature
-  (``TransportCalculation`` with ``energy_mode="adaptive"``):
+* ``adaptive.*`` — the energy wave loop of every
+  ``TransportCalculation`` solve (a uniform grid is its one wave 0;
+  ``energy_mode="adaptive"`` refines on):
   ``adaptive.waves`` / ``adaptive.nodes_added`` /
   ``adaptive.nodes_saved_vs_uniform`` (counters) and
   ``adaptive.est_error`` (gauge: worst interval interpolation error of

@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import pickle
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -229,8 +229,11 @@ def in_worker() -> bool:
     re-execution of a straggler after a pool restart — are not in a
     worker; the ``"worker"`` fault site fires only here so that recovery
     really recovers, and :func:`capture_telemetry` engages only here.
+    A pool worker always has :mod:`multiprocessing` loaded, so a process
+    that never imported it is not one (``import repro`` does not).
     """
-    return multiprocessing.parent_process() is not None
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
 
 
 @contextmanager

@@ -27,12 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .. import env
-
 __all__ = [
     "EnergyGrid",
     "MomentumGrid",
-    "adaptive_enabled",
     "fermi_window_grid",
     "uniform_grid",
     "AdaptiveEnergyGrid",
@@ -45,25 +42,6 @@ __all__ = [
 #: of 2 runs 8 waves, and a cap of 4 overshoots to more solves than
 #: bisection spends.
 MAX_SPLIT_DEPTH = 3
-
-
-def adaptive_enabled(flag=None) -> bool:
-    """Resolve an adaptive-quadrature request against ``$REPRO_ADAPTIVE``.
-
-    Parameters
-    ----------
-    flag : bool or None
-        An explicit request wins; ``None`` falls back to the environment
-        variable (truthy values: ``1/true/yes/on``, case-insensitive).
-
-    Returns
-    -------
-    bool
-        Whether the adaptive energy mode should be the default.
-    """
-    if flag is not None:
-        return bool(flag)
-    return env.read("REPRO_ADAPTIVE")
 
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:

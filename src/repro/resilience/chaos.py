@@ -419,13 +419,11 @@ def _stage_adaptive_wave(built, backend, workers):
     completed = np.all(np.isfinite(res.transmission)) and np.isfinite(
         res.current_a
     )
-    stats = res.adaptive or {}
+    stats = res.adaptive
     d = res.degradation
     quarantined = d is not None and (0, e_bad) in d.quarantined_points
-    excluded = stats.get("excluded", 0) >= 1
-    converged = stats.get("waves", 0) >= 1 and not stats.get(
-        "budget_hits", 0
-    )
+    excluded = stats["excluded"] >= 1
+    converged = stats["waves"] >= 1 and not stats["budget_hits"]
     accounted = d.total_events if d else 0
     return ChaosStageResult(
         name="adaptive-wave-crash",

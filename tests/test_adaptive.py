@@ -34,13 +34,14 @@ from repro.observability import (
     use_metrics,
     use_tracer,
 )
-from repro.observability.telemetry import TelemetryWriter, use_events
-from repro.physics import grids
-from repro.physics.grids import (
-    AdaptiveEnergyGrid,
-    adaptive_enabled,
-    uniform_grid,
+from repro.observability.telemetry import (
+    TelemetryWriter,
+    read_events,
+    use_events,
 )
+from repro import env
+from repro.physics import grids
+from repro.physics.grids import AdaptiveEnergyGrid, uniform_grid
 
 EMIN, EMAX = -2.0, 2.0
 WINDOW = EMAX - EMIN
@@ -382,13 +383,15 @@ class TestWaveEngine:
         assert not refiner.budget_hit
 
     def test_adaptive_enabled_env(self, monkeypatch):
+        """``$REPRO_ADAPTIVE``'s truthy values, which
+        ``TransportCalculation(energy_mode=None)`` resolves against."""
         monkeypatch.delenv("REPRO_ADAPTIVE", raising=False)
-        assert not adaptive_enabled()
+        assert not env.read("REPRO_ADAPTIVE")
         for truthy in ("1", "true", "YES", "on"):
             monkeypatch.setenv("REPRO_ADAPTIVE", truthy)
-            assert adaptive_enabled()
+            assert env.read("REPRO_ADAPTIVE")
         monkeypatch.setenv("REPRO_ADAPTIVE", "0")
-        assert not adaptive_enabled()
+        assert not env.read("REPRO_ADAPTIVE")
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +430,26 @@ class TestAdaptiveTransport:
         assert snap.counter("adaptive.waves") == float(stats["waves"])
         assert snap.counter("adaptive.nodes_added") == float(stats["solved"])
 
-    def test_uniform_result_has_no_adaptive_stats(self, built):
+    def test_uniform_solve_reports_one_wave(self, built, tmp_path):
+        """A uniform solve is the wave loop with refinement off: one wave
+        a k-point, every node of the window grid solved once, nothing
+        saved, excluded or estimated."""
         tc = TransportCalculation(
             built, method="rgf", n_energy=11, energy_mode="uniform",
         )
-        res = tc.solve_bias(np.zeros(built.n_atoms), 0.05)
-        assert res.adaptive is None
+        path = tmp_path / "events.jsonl"
+        with TelemetryWriter(path) as writer, use_events(writer):
+            res = tc.solve_bias(np.zeros(built.n_atoms), 0.05)
+        n_k = len(built.momentum_grid)
+        n = 11 * n_k
+        assert res.adaptive == {
+            "waves": n_k, "nodes": n, "solved": n, "saved_vs_uniform": 0,
+            "excluded": 0, "est_error": 0.0, "budget_hits": 0,
+        }
+        waves = [e for e in read_events(path) if e["event"] == "wave_done"]
+        assert [(w["k"], w["wave"], w["n_new"]) for w in waves] == [
+            (k, 0, 11) for k in range(n_k)
+        ]
 
     def test_flops_pin_each_node_solved_once(self, built):
         """Per-energy flops are exactly linear in the solve count."""

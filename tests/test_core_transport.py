@@ -212,6 +212,48 @@ class TestOneDriver:
         }
         assert "injector" not in names
 
+    def test_one_energy_loop(self):
+        """A uniform grid is the wave loop's wave 0 with refinement off:
+        ``_solve_bias`` neither reads nor branches on the energy mode,
+        and one method of the drivers holds the only loop over waves —
+        the only caller of the node solver's ``solve`` there and of the
+        refiner's waves."""
+        import ast
+
+        trees = self._core_trees()
+        (solve_bias,) = [
+            node for node in ast.walk(trees["transport.py"])
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_solve_bias"
+        ]
+        names = {
+            node.id for node in ast.walk(solve_bias)
+            if isinstance(node, ast.Name)
+        } | {
+            node.attr for node in ast.walk(solve_bias)
+            if isinstance(node, ast.Attribute)
+        }
+        assert not names & {"energy_mode", "adaptive_info", "_solve_adaptive"}
+        branches = [
+            ast.unparse(node.test) for node in ast.walk(solve_bias)
+            if isinstance(node, (ast.If, ast.IfExp, ast.While))
+        ]
+        assert not [test for test in branches if "adaptive" in test]
+
+        loops = set()
+        for name, tree in trees.items():
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.While) and "wave" in ast.unparse(
+                        node.test
+                    ) or isinstance(node, ast.Attribute) and node.attr in (
+                        "first_wave", "next_wave",
+                    ):
+                        loops.add(f"{name}:{func.name}")
+        assert loops == {"transport.py:_solve_waves"}
+
     def test_faults_are_planted_where_solvers_are_built(self):
         """The driver fires no fault site and has no fault branch: it
         reads the injector where the calculation stores it, where a

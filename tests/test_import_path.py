@@ -6,9 +6,10 @@ and every capability module (the test modules import them).  It pins:
 * no scipy: each scipy user imports it at first call, and a Poisson
   solve, the first scipy user a sweep reaches, still runs;
 * none of the capability modules in :data:`DEFERRED` (imported by their
-  callers from the module that defines them), nor ``concurrent.futures``
-  or ``hashlib`` (imported where the process pool and the fault hash
-  first need them);
+  callers from the module that defines them), nor ``concurrent.futures``,
+  ``multiprocessing`` or ``hashlib`` (imported where the process pool and
+  the fault hash first need them; ``in_worker`` reads ``multiprocessing``
+  only if something else loaded it);
 * every repro module the four e2e workloads reach in setup and execute
   is already loaded, so the benchmark's ``setup_s`` still measures the
   whole default path;
@@ -43,6 +44,7 @@ DEFERRED = (
     "repro.solvers.splitsolve",
     "repro.resilience.checkpoint",
     "concurrent.futures",
+    "multiprocessing",
     "hashlib",
 )
 

@@ -432,6 +432,53 @@ class TestModeBasis:
         assert not iters.any() and iters_dense.min() > 0
         assert relative_error(g_dense, g) <= 1e-6
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("m", [1, 4, 25])
+    def test_modes_trip_where_the_full_basis_check_does(self, m, side):
+        """The closed form is health-checked on its modes, before the
+        rotation: at a NaN energy and at every band centre and band edge,
+        as one stack and one energy at a time, it trips exactly where the
+        four-GEMM check of the rotated g does — at the NaN, nowhere else."""
+        h00, h01 = grid_lead(m)
+        energies = centre_edge_grid(h00, 2.03)
+        energies = np.insert(energies, 5, np.nan)
+
+        def trips(check):
+            sentinel = HealthSentinel(mode="contain")
+            with use_sentinel(sentinel):
+                check()
+            return [(e.site, e.kind, e.detail)
+                    for e in sentinel.events_since(0)]
+
+        for stack in [energies, *energies[:, None]]:
+            with np.errstate(invalid="ignore"):
+                mode_trips = trips(lambda: _surface_gfs(
+                    stack, [(h00, h01, side)], self.ETA
+                ))
+                (g, _), = _surface_gfs(stack, [(h00, h01, side)], self.ETA)
+            full_trips = trips(lambda: surface_gf._surface_health_check(
+                g, stack, self.ETA, h00, h01, side
+            ))
+            assert mode_trips == full_trips
+            assert bool(mode_trips) == bool(np.isnan(stack).any())
+
+    def test_a_bad_eigenbasis_trips(self, monkeypatch):
+        """The mode check keeps one energy-independent residual of the
+        eigenbasis: an ``eigh`` that swaps two eigenvectors trips it."""
+        h00, h01 = grid_lead(4)
+        real_eigh = np.linalg.eigh
+
+        def swapped(a, *args, **kwargs):
+            d, u = real_eigh(a, *args, **kwargs)
+            return d, u[:, [1, 0, 2, 3]]
+
+        monkeypatch.setattr(np.linalg, "eigh", swapped)
+        sentinel = HealthSentinel(mode="contain")
+        with use_sentinel(sentinel):
+            _surface_gfs(band_grid(h00, 2.03), [(h00, h01, "left")], self.ETA)
+        (event,) = sentinel.events_since(0)
+        assert (event.site, event.kind) == ("surface_gf", "residual")
+
     @pytest.mark.parametrize("order", ["modes-dense", "dense-modes"])
     def test_a_mixed_pair_reports_its_left_failure_first(self, order):
         """A scalar-coupled lead and one decimated at m run lead by lead,

@@ -448,6 +448,28 @@ class _FlakySolver:
         return _fake_scf_result(self.calls > self.fail_attempts)
 
 
+class _TransportSCF:
+    """SCF stand-in converged at a fixed potential: each run is one
+    transport solve (kept as :attr:`result`), so an IV point reports that
+    solve's quadrature."""
+
+    beta = 0.6
+    mixing = "anderson"
+
+    def __init__(self, calc, potential):
+        self.calc = calc
+        self.potential = potential
+        self.result = None
+
+    def run(self, v_gate, v_drain, phi0=None, continuation_step=0.12):
+        res = self.result = self.calc.solve_bias(self.potential, v_drain)
+        return types.SimpleNamespace(
+            phi=np.zeros(5), potential_ev=self.potential, transport=res,
+            residuals=[0.0], converged=True, n_iterations=1,
+            flops=res.flops, degradation=res.degradation,
+        )
+
+
 class TestSCFRescueLadder:
     def test_first_point_routed_through_rescue(self):
         """A non-converged *first* point (no warm start) is rescued, not
@@ -784,40 +806,65 @@ class TestDegradationLadder:
             "total_events": 22 + sum(trips.values()),
         }
 
-    def test_persistent_fault_quarantined_and_reweighted(self, system):
+    #: Per quadrature: the size of its first wave over the 21-point
+    #: window (the grid itself, or the adaptive seed ``max(21 // 2, 9)``),
+    #: whose node 4 the drills poison, and what they pin on it — the IV
+    #: point's node count, the refiner's exclusions and the budget
+    #: error's context.
+    DRILLS = {
+        "uniform": (21, 21, 0, "k-point 0"),
+        "adaptive": (10, 72, 1, "k-point 0 adaptive"),
+    }
+
+    def _poisoned(self, system, energy_mode, **kwargs):
+        """``(calc, e_bad, potential)``: a WF calculation whose node 4 of
+        its first wave is NaN on every solve (``once=False``)."""
+        built, _ = system
+        pot = np.zeros(built.n_atoms)
+        grid = TransportCalculation(
+            built, method="wf", n_energy=21, energy_mode="uniform"
+        ).energy_grid(pot, 0.1)
+        e_bad = float(np.linspace(
+            grid.energies.min(), grid.energies.max(),
+            self.DRILLS[energy_mode][0],
+        )[4])
+        inj = FaultInjector(
+            plan={("energy", (0, e_bad)): "nan"}, once=False
+        )
+        calc = TransportCalculation(
+            built, method="wf", n_energy=21, injector=inj,
+            energy_mode=energy_mode, adaptive_tol=0.05, **kwargs,
+        )
+        return calc, e_bad, pot
+
+    @pytest.mark.parametrize("energy_mode", ["uniform", "adaptive"])
+    def test_persistent_fault_quarantined_and_reweighted(
+        self, system, energy_mode
+    ):
         """A persistent (``once=False``) NaN row fires on the stacked
         attempt and on each of the three rungs: 4 faults.  The two kernel
         solves of the ladder and the stack each trip the factor and the
         WF kernel once (3 + 3); the dense oracle has no sentinel site, its
         mask alone rejects the row.  Ladder: ``chunk:per-point``, the two
         climbed rungs and the reweight (4); 1 quarantined node and 1
-        reweighted grid: 12 events."""
-        built, _ = system
-        pot = np.zeros(built.n_atoms)
-        # pinned uniform: the fault keys off a node of the 21-point
-        # uniform grid, which the adaptive seed would never visit
-        probe = TransportCalculation(
-            built, method="wf", n_energy=21, energy_mode="uniform"
-        )
-        e_bad = float(probe.energy_grid(pot, 0.1).energies[4])
-        inj = FaultInjector(
-            plan={("energy", (0, e_bad)): "nan"}, once=False
-        )
-        tc = TransportCalculation(
-            built, method="wf", n_energy=21, injector=inj,
-            energy_mode="uniform",
-        )
-        res = tc.solve_bias(pot, 0.1)
+        reweighted grid: 12 events — the same account on both
+        quadratures.  The refiner retires the node's intervals instead of
+        pinning refinement on it (one exclusion); the fixed grid drops it
+        when it reweights."""
+        calc, e_bad, pot = self._poisoned(system, energy_mode)
+        _, n_nodes, excluded, _ = self.DRILLS[energy_mode]
+        scf = _TransportSCF(calc, pot)
+        curve = IVSweep(scf).transfer_curve([0.0], v_drain=0.1)
+        res = scf.result
         assert np.isfinite(res.current_a)
         assert np.all(np.isfinite(res.transmission))
-        d = res.degradation
-        assert d.quarantined_points == [(0, e_bad)]
-        assert d.reweighted_grids == 1
-        assert d.ladder_steps.get("dense-oracle", 0) >= 1
-        assert d.ladder_steps.get("quadrature:reweight", 0) == 1
+        assert curve.points[0].n_energy_nodes == n_nodes
+        assert res.adaptive["excluded"] == excluded
+        assert not res.adaptive["budget_hits"]
+        inj = calc.injector
         assert inj.count("nan") == 4
         assert [f.site for f in inj.injected] == ["energy"] * 4
-        assert d.to_dict() == {
+        assert res.degradation.to_dict() == {
             "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 1,
                              "dense-oracle": 1, "quadrature:reweight": 1},
             "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
@@ -897,24 +944,21 @@ class TestDegradationLadder:
         assert healed.flops.counts == clean.flops.counts
         assert not healed.degradation.quarantined_points
 
-    def test_blown_budget_raises_typed(self, system):
-        built, _ = system
-        pot = np.zeros(built.n_atoms)
-        probe = TransportCalculation(
-            built, method="wf", n_energy=21, energy_mode="uniform"
+    @pytest.mark.parametrize("energy_mode", ["uniform", "adaptive"])
+    def test_blown_budget_raises_typed(self, system, energy_mode):
+        """Quarantine beyond the degradation budget raises the typed
+        budget error, not a silent thin grid — on a fixed grid and inside
+        refinement alike."""
+        calc, _, pot = self._poisoned(
+            system, energy_mode,
+            degradation_budget=DegradationBudget(max_quarantined_points=0),
         )
-        energies = probe.energy_grid(pot, 0.1).energies[4:6]
-        inj = FaultInjector(
-            plan={("energy", (0, float(e))): "nan" for e in energies},
-            once=False,
+        with pytest.raises(DegradationBudgetError) as info:
+            calc.solve_bias(pot, 0.1)
+        assert str(info.value) == (
+            f"degradation budget exceeded ({self.DRILLS[energy_mode][3]}): "
+            "1 energy nodes quarantined (cap 0)"
         )
-        tc = TransportCalculation(
-            built, method="wf", n_energy=21, injector=inj,
-            energy_mode="uniform",
-            degradation_budget=DegradationBudget(max_quarantined_points=1),
-        )
-        with pytest.raises(DegradationBudgetError):
-            tc.solve_bias(pot, 0.1)
 
     def test_budget_error_fails_sweep_not_quarantined(self):
         class BudgetBlownSolver:
@@ -1063,65 +1107,6 @@ class TestAdaptiveWaveFaults:
             **NO_DRIVER_EVENTS,
             "total_events": 3,
         }
-
-    def test_persistent_wave_fault_quarantines_node(self, system):
-        """A persistent fault quarantines the node: the wave engine
-        retires its intervals instead of pinning refinement, and the
-        exclusion is accounted in both reports — the account of a
-        persistent fault on a uniform grid: 4 fired faults (the wave's
-        stack and three rungs), 3 + 3 trips, 4 ladder steps, 1 node,
-        1 grid."""
-        built, _ = system
-        pot = np.zeros(built.n_atoms)
-        tc = TransportCalculation(
-            built, method="wf", n_energy=21,
-            energy_mode="adaptive", adaptive_tol=0.05,
-        )
-        e_bad = self._seed_node(tc, pot, 0.1)
-        inj = FaultInjector(
-            plan={("energy", (0, e_bad)): "nan"}, once=False
-        )
-        res = TransportCalculation(
-            built, method="wf", n_energy=21, injector=inj,
-            energy_mode="adaptive", adaptive_tol=0.05,
-        ).solve_bias(pot, 0.1)
-        assert np.isfinite(res.current_a)
-        assert np.all(np.isfinite(res.transmission))
-        stats = res.adaptive
-        assert stats["excluded"] == 1
-        assert stats["waves"] >= 1, "quarantine pinned refinement"
-        assert not stats["budget_hits"]
-        assert res.degradation.to_dict() == {
-            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 1,
-                             "dense-oracle": 1, "quadrature:reweight": 1},
-            "sentinel_trips": {"wf:nonfinite": 3, "block_lu:nonfinite": 3},
-            "quarantined_points": [[0, e_bad]], "reweighted_grids": 1,
-            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
-            **NO_DRIVER_EVENTS,
-            "total_events": 12,
-        }
-        assert inj.count("nan") == 4
-
-    def test_quarantine_blows_budget_typed(self, system):
-        """Exceeding the degradation budget inside adaptive refinement
-        raises the typed budget error, not a silent thin grid."""
-        built, _ = system
-        pot = np.zeros(built.n_atoms)
-        tc = TransportCalculation(
-            built, method="wf", n_energy=21,
-            energy_mode="adaptive", adaptive_tol=0.05,
-        )
-        e_bad = self._seed_node(tc, pot, 0.1)
-        inj = FaultInjector(
-            plan={("energy", (0, e_bad)): "nan"}, once=False
-        )
-        bad = TransportCalculation(
-            built, method="wf", n_energy=21, injector=inj,
-            energy_mode="adaptive", adaptive_tol=0.05,
-            degradation_budget=DegradationBudget(max_quarantined_points=0),
-        )
-        with pytest.raises(DegradationBudgetError):
-            bad.solve_bias(pot, 0.1)
 
     def test_chaos_campaign_has_adaptive_stage(self):
         from repro.resilience.chaos import run_campaign

@@ -483,9 +483,9 @@ class TestStackedDriver:
         dispatch = TransportCalculation._run_backend
         dispatched = []
 
-        def recording_dispatch(calc, solver, energies, chunks=None):
+        def recording_dispatch(calc, solver, energies):
             dispatched.append(len(energies))
-            return dispatch(calc, solver, energies, chunks=chunks)
+            return dispatch(calc, solver, energies)
 
         monkeypatch.setattr(_KPoint, "_heal", recording_heal)
         monkeypatch.setattr(
