@@ -29,6 +29,7 @@ from repro.core import DeviceSpec, TransportCalculation, build_device  # noqa: E
 from repro.negf import Contacts, RGFSolver, contact_self_energy, sancho_rubio  # noqa: E402
 from repro.negf.rgf import assemble_system_blocks  # noqa: E402
 from repro.negf.surface_gf import (  # noqa: E402
+    _mode_health_check,
     _scalar_coupled,
     _surface_gfs,
     _surface_health_check,
@@ -411,17 +412,25 @@ def _measure_contacts(leads=CONTACT_LEADS):
         seconds = _best_of(lambda: contacts.sigma_stacks(energies), repeats)
         g_stacks = [g for g, _ in _surface_gfs(energies, sides, calc.eta)]
         in_modes = {_scalar_coupled(h00, h01) for h00, h01, _ in sides}
-        checked = [(g, None) for g in g_stacks]
         if in_modes == {True}:
-            bases = [np.linalg.eigh(h00) for h00, _, _ in sides]
-            checked = [
-                (np.diagonal(u.conj().T @ g @ u, axis1=1, axis2=2), (d, u))
-                for g, (d, u) in zip(g_stacks, bases)
-            ]
-        check = _best_of(lambda: [
-            _surface_health_check(g, energies, calc.eta, *lead, basis=basis)
-            for (g, basis), lead in zip(checked, sides)
-        ], repeats)
+            # what production checks: every lead's modes before the
+            # rotation, in one pass
+            d, u = (np.array(x) for x in zip(
+                *(np.linalg.eigh(h00) for h00, _, _ in sides)
+            ))
+            g_modes = np.diagonal(
+                u[:, None].conj().swapaxes(-1, -2) @ np.array(g_stacks)
+                @ u[:, None], axis1=2, axis2=3,
+            )
+            w = (energies + 1j * calc.eta)[:, None] - d[:, None, :]
+
+            def run_check():
+                _mode_health_check(g_modes, energies, w, sides, (d, u))
+        else:
+            def run_check():
+                for g, lead in zip(g_stacks, sides):
+                    _surface_health_check(g, energies, calc.eta, *lead)
+        check = _best_of(run_check, repeats)
         report.update({
             f"contacts.{name}.block_size": int(contacts.left[0].shape[0]),
             f"contacts.{name}.n_energies": int(energies.size),

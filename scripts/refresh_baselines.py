@@ -21,7 +21,9 @@ Usage::
 
 ``--check`` regenerates into a scratch directory and exits 1 if any
 deterministic (non-timing) field differs from the committed baselines —
-the mode the CI gate uses.  Without it, the committed files are
+the mode the CI gate uses.  A producer that fails does not stop the
+comparison: its file is reported MISSING, every other file is compared,
+and the exit status is 1.  Without it, the committed files are
 rewritten in place (commit the diff deliberately).
 """
 
@@ -75,14 +77,15 @@ def _is_timing(key: str) -> bool:
     )
 
 
-def run_producers(out_dir: Path) -> int:
-    """Run every producer benchmark with baselines redirected to out_dir."""
+def run_producers(out_dir: Path) -> list:
+    """Run every producer benchmark with baselines redirected to out_dir;
+    returns the files whose producer failed."""
     env = dict(os.environ)
     env["REPRO_BENCH_DIR"] = str(out_dir)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
-    rc = 0
+    failed = []
     for target, produced in PRODUCERS:
         print(f"==> {target}  ->  {produced}")
         if target.endswith("--smoke"):
@@ -94,18 +97,19 @@ def run_producers(out_dir: Path) -> int:
         if proc.returncode:
             print(f"FAILED: {target} (exit {proc.returncode})",
                   file=sys.stderr)
-            rc = proc.returncode
-    return rc
+            failed.append(produced)
+    return failed
 
 
-def compare(fresh_dir: Path, committed_dir: Path) -> int:
-    """Exit status 1 if any deterministic field drifted."""
+def compare(fresh_dir: Path, committed_dir: Path, failed=()) -> int:
+    """Exit status 1 if any deterministic field drifted or a file is
+    missing; ``failed`` files (their producer failed) count as missing."""
     drift = 0
     for _, produced in PRODUCERS:
         fresh_path = fresh_dir / produced
         committed_path = committed_dir / produced
-        if not fresh_path.exists():
-            print(f"MISSING fresh {produced} (producer failed?)")
+        if produced in failed or not fresh_path.exists():
+            print(f"MISSING fresh {produced} (producer failed)")
             drift = 1
             continue
         if not committed_path.exists():
@@ -143,15 +147,12 @@ def main(argv=None) -> int:
 
     if args.check:
         with tempfile.TemporaryDirectory(prefix="repro-baselines-") as tmp:
-            rc = run_producers(Path(tmp))
-            if rc:
-                return rc
-            return compare(Path(tmp), BASELINE_DIR)
+            failed = run_producers(Path(tmp))
+            return compare(Path(tmp), BASELINE_DIR, failed)
 
     out_dir = Path(args.dir) if args.dir else BASELINE_DIR
-    rc = run_producers(out_dir)
-    if rc:
-        return rc
+    if run_producers(out_dir):
+        return 1
     print(f"refreshed baselines in {out_dir}; review and commit the diff")
     return 0
 

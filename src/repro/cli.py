@@ -106,8 +106,8 @@ def _eventing(events_path, command, **context):
     """Activate a JSONL telemetry event stream (no-op when path is falsy).
 
     An empty/missing ``--events`` falls back to ``$REPRO_EVENTS``; the
-    writer is installed process-wide via
-    :func:`repro.observability.use_events`, so the sweep loop, the
+    writer is installed in the run recorder
+    (:func:`repro.observability.use_run`), so the sweep loop, the
     backends and the transport layer all append to the same file, and
     ``run_started`` carries the resolved ``REPRO_*`` environment.  The
     writer's ``close`` emits a final ``run_finished`` if the run did not
@@ -118,13 +118,13 @@ def _eventing(events_path, command, **context):
     if not events_path:
         yield None
         return
-    from .observability import TelemetryWriter, use_events
+    from .observability import TelemetryWriter, use_run
 
     ctx = {"command": command, "env": env.resolved()}
     ctx.update({k: v for k, v in context.items() if v is not None})
     writer = TelemetryWriter(events_path, context=ctx)
     try:
-        with use_events(writer):
+        with use_run(events=writer):
             yield writer
     finally:
         writer.close()
@@ -577,8 +577,7 @@ def _cmd_doctor(args) -> int:
     from .observability import (
         InvariantMonitor,
         MetricsRegistry,
-        use_metrics,
-        use_monitor,
+        use_run,
     )
     from .observability.regression import check_against_baselines
     from .parallel import LEVEL_NAMES, CommTrace, TracedComm
@@ -609,7 +608,7 @@ def _cmd_doctor(args) -> int:
     ))
 
     try:
-        with use_metrics(registry), use_monitor(monitor):
+        with use_run(metrics=registry, monitor=monitor):
             # 1. monitored mini-sweep (SCF convergence + kernel invariants)
             curve = IVSweep(scf).transfer_curve(vgs, v_drain=args.vd)
             # 2. modelled 4-level distributed solve for the comm matrix

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import RankFailure, TaskFailure
-from ..observability.metrics import get_metrics
-from ..observability.tracer import get_tracer
+from ..observability.telemetry import get_metrics, get_tracer
 from ..parallel.backend import SerialBackend, get_backend
 from ..parallel.comm import payload_nbytes
 from ..parallel.decomposition import Decomposition, choose_level_sizes

@@ -25,8 +25,8 @@ import numpy as np
 
 from ..errors import NumericalBreakdownError, TaskFailure
 from ..observability import PerfReport, get_tracer
-from ..observability.metrics import MetricsSnapshot, get_metrics
-from ..observability.telemetry import get_events
+from ..observability.metrics import MetricsSnapshot
+from ..observability.telemetry import get_events, get_metrics
 from ..perf.flops import FlopCounter
 from ..resilience import SCFRescue
 from ..resilience.degrade import DegradationReport

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SCFConvergenceError
-from ..observability.invariants import get_monitor
-from ..observability.metrics import get_metrics
+from ..observability.telemetry import get_metrics, get_monitor
 from ..perf.flops import FlopCounter
 from ..poisson.charge import QuantumCorrectedCharge, SemiclassicalCharge
 from ..poisson.nonlinear import AndersonMixer, NonlinearPoisson

@@ -25,14 +25,16 @@ from .. import env
 from ..errors import DegradationBudgetError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..negf.rgf import RGFResult, RGFSolver
-from ..observability.metrics import get_metrics
 from ..observability.telemetry import (
     capture_telemetry,
     get_events,
+    get_metrics,
+    get_run,
+    get_sentinel,
     merge_delta,
+    trace_span,
 )
-from ..observability.tracer import get_tracer, trace_span
-from ..parallel.backend import SerialBackend, get_backend, in_worker
+from ..parallel.backend import get_backend, in_worker
 from ..parallel.scheduler import wave_chunks
 from ..perf.flops import (
     FlopCounter,
@@ -53,7 +55,6 @@ from ..resilience.degrade import (
     DegradationReport,
     DenseOracleSolver,
 )
-from ..resilience.health import get_sentinel
 from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
 from .device import BuiltDevice
@@ -321,32 +322,6 @@ class TransportCalculation:
         )
         return current, density, t, stack.n_channels_left
 
-    def _effective_backend(self):
-        """Backend actually used for chunk dispatch.
-
-        Tracer spans and metrics recorded inside process-pool children
-        are captured per chunk and merged back into the parent with
-        worker provenance (see :mod:`repro.observability.telemetry`), so
-        measuring does not forfeit the dispatch speedup.  Parent-side
-        object state that a child's snapshot cannot reconstruct keeps the
-        process backend in-process, on the serial backend: a live
-        :class:`InvariantMonitor`'s violation ledger, and — when the
-        injector plants ``"hblock"`` or ``"energy"`` faults — its
-        ``once`` bookkeeping and the sentinel trips the planted rows
-        raise.  ``"worker"`` drills still use the pool.
-        """
-        backend = self.backend
-        if backend.name == "process":
-            from ..observability.invariants import get_monitor
-
-            injector = self.injector
-            planted = injector is not None and (
-                injector.targets("hblock") or injector.targets("energy")
-            )
-            if planted or get_monitor().enabled:
-                backend = SerialBackend()
-        return backend
-
     def _run_backend(self, solver, energies: list):
         """Solve ``energies``, one wave, through the configured execution
         backend.
@@ -361,44 +336,48 @@ class TransportCalculation:
         stack returned.  Stacked results do not depend on how the grid is
         split, so every backend and worker count is bit-identical.
 
-        When a tracer or metrics registry is live and the chunks go to
-        the process pool, each chunk runs under
-        :func:`~repro.observability.telemetry.capture_telemetry` and its
-        delta is merged back here — the parent's counters and span tree
-        end up exactly what a serial run would have recorded, with
-        ``worker`` provenance on the absorbed spans.  The same runs record
-        the pickled size of every chunk payload as
+        Every chunk payload carries the active recorder
+        (:class:`~repro.observability.Recorder`), which a pool worker
+        unpickles as its spec and records the chunk under; each worker's
+        delta is merged back here in chunk order
+        (:func:`~repro.observability.telemetry.merge_delta`) — spans,
+        metrics, sentinel trips, monitor violations and the faults a
+        planted solver fired — so the parent's recorder and injector end
+        up exactly as a serial run leaves them, before :meth:`_KPoint.solve`
+        reads its sentinel marker.  With metrics live, a pooled dispatch
+        also records the pickled size of every chunk payload as
         ``ipc.task_bytes{path=pickled}``.
         """
-        backend = self._effective_backend()
+        backend = self.backend
         chunks = wave_chunks(
             len(energies), 1 if backend.name == "serial" else backend.workers
         )
-        metrics = get_metrics()
-        pooled = backend.name == "process"
-        capture = pooled and (get_tracer().enabled or metrics.enabled)
+        run = get_run()
+        metrics, events = run.metrics, run.events
         payloads = [
-            (solver, [energies[i] for i in chunk], capture)
-            for chunk in chunks
+            (solver, [energies[i] for i in chunk], run) for chunk in chunks
         ]
-        if pooled and metrics.enabled:
+        if backend.name == "process" and metrics.enabled:
             for payload in payloads:
                 metrics.observe(
                     "ipc.task_bytes", float(len(pickle.dumps(payload))),
                     path="pickled",
                 )
-        events = get_events()
+        results = backend.map(_solve_chunk, payloads)
+        # a chunk that raised voids the dispatch, as the raise voids the
+        # one stacked call of the serial backend: only the faults fired
+        # up to it are kept, and it is raised here
+        void = any(error is not None for _, _, error in results)
         stacks = []
-        for chunk_id, stack in enumerate(backend.map(_solve_chunk, payloads)):
-            if capture:
-                stack, delta = stack
-                if delta is not None and metrics.enabled:
-                    metrics.observe(
-                        "telemetry.delta_bytes",
-                        float(len(delta.to_bytes())),
-                        path="pickled",
-                    )
-                merge_delta(delta)
+        for chunk_id, (stack, delta, error) in enumerate(results):
+            if delta is not None and metrics.enabled:
+                metrics.observe(
+                    "telemetry.delta_bytes", float(len(delta.to_bytes())),
+                    path="pickled",
+                )
+            merge_delta(delta, solver, faults_only=void)
+            if error is not None:
+                raise error
             if events.enabled:
                 events.emit(
                     "chunk_retired", chunk=chunk_id,
@@ -899,28 +878,30 @@ def _solve_chunk(payload):
     """Worker body for the execution backends: solve one energy chunk.
 
     Module-level (not a closure) so ProcessPoolExecutor can pickle it;
-    the payload ``(solver, energies, capture)`` carries the (picklable)
+    the payload ``(solver, energies, run)`` carries the (picklable)
     solver rather than the full calculation object — a planted solver
     (:class:`repro.resilience.faults.PlantedSolver`) carries its fault
-    injector with it — and the telemetry ``capture`` flag.  With
-    ``capture`` the chunk runs under
-    :func:`~repro.observability.telemetry.capture_telemetry` — the
-    instrumented kernels trace into a worker-local tracer/registry and
-    the return value becomes a ``(stack, delta)`` envelope the parent
-    merges back.  The capture only engages inside a real worker process;
-    the parent-side executions of the same payload (single-chunk
+    injector with it — and the parent's recorder ``run``.  Returns
+    ``(stack, delta, error)``.  In a pool worker the chunk runs under
+    :func:`~repro.observability.telemetry.capture_telemetry` of ``run``
+    (which arrived as the parent's spec) inside one ``chunk`` span;
+    ``delta`` is what it recorded, for the parent to merge, and an
+    exception the solve raised comes back as ``error`` (stack None), so
+    the parent still gets the faults fired up to it.  The parent-side
+    executions of the same payload (serial backend, single-chunk
     shortcut, straggler recompute after a pool restart) record into the
-    live instruments directly and ship ``delta=None``.
+    live recorder directly, raise directly and ship ``delta=None``.
     """
-    solver, energies, capture = payload
-    if not capture:
-        return solve_energies(solver, energies)
-    with capture_telemetry() as cap:
-        if cap.engaged:
+    solver, energies, run = payload
+    with capture_telemetry(run, solver=solver) as cap:
+        if not cap.engaged:
+            return solve_energies(solver, energies), None, None
+        stack = error = None
+        try:
             with trace_span(
                 "chunk", category="chunk", n_energies=len(energies),
             ):
                 stack = solve_energies(solver, energies)
-        else:
-            stack = solve_energies(solver, energies)
-    return stack, cap.delta
+        except Exception as exc:  # noqa: BLE001 - returned to the parent
+            error = exc
+    return stack, cap.delta, error

@@ -29,8 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..observability.invariants import get_monitor
-from ..observability.tracer import trace_span
+from ..observability.telemetry import get_monitor, trace_span
 from ..resilience.health import finite_rows, get_sentinel
 from ..solvers.block_tridiagonal import BlockTridiagLU
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
@@ -156,14 +155,19 @@ class ResultStack:
         ``finite[b]`` is True when row b of every float field is free of
         NaN/Inf (:func:`repro.resilience.health.finite_rows`: one
         ``isfinite`` per field, whatever B).  With a ``site``, a live
-        sentinel trips ``<site>:nonfinite`` iff some row is not finite.
+        sentinel trips ``<site>:nonfinite`` counting the rows that are
+        not finite, so its ledger reads the same however the energies
+        were split into stacks.
         """
         finite = finite_rows(
             *(v for v in arrays.values() if v.dtype.kind == "f")
         )
         sentinel = get_sentinel()
         if site is not None and sentinel.enabled and not finite.all():
-            sentinel.trip(site, "nonfinite", detail=f"batch of {finite.size}")
+            sentinel.trip(
+                site, "nonfinite", detail=f"batch of {finite.size}",
+                count=finite.size - int(np.count_nonzero(finite)),
+            )
         return cls(**arrays, finite=finite)
 
     @classmethod

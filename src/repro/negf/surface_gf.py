@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SurfaceGFConvergenceError
-from ..observability.metrics import get_metrics, metric_key
-from ..observability.tracer import get_tracer
+from ..observability.metrics import metric_key
+from ..observability.telemetry import get_metrics, get_tracer
 from ..perf.flops import sancho_rubio_flops
 from ..resilience.health import get_sentinel
 from ..tb.hamiltonian import identity_scalars
@@ -62,53 +62,78 @@ _ITER_KEYS = {
 }
 
 
-def _surface_health_check(g, energies, eta, h00, h01, side,
-                           basis=None) -> None:
-    """Post-solve sentinel on one lead's surface GFs: finiteness plus the
-    *physical* fixed-point residual ``(z - h00)g - h01~ g h01~ g - I``
-    (with ``h01~`` the side-appropriate coupling) — a converged-looking
-    solve whose g does not satisfy its own defining equation is silently
-    wrong.
-
-    Checked in the representation the solve computed in.  A decimated
-    ``(B, m, m)`` stack costs four GEMMs per lead, against six per
-    decimation iteration.  A closed-form lead passes ``basis = (d, U)``
-    of ``h00 = U diag(d) U^+`` and its ``(B, m)`` mode GFs before the
-    rotation: each mode's own quadratic ``w g - |c|^2 g^2 - 1``
-    (``w = z - d_n``, scaled the same way) and one energy-independent
-    residual of the eigenbasis, ``h00 U - U diag(d)`` relative to
-    ``max |d|``, so a bad ``eigh`` still trips.
+def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
+    """Post-solve sentinel on one decimated lead's surface GFs: finiteness
+    plus the *physical* fixed-point residual ``(z - h00)g - h01~ g h01~ g
+    - I`` (with ``h01~`` the side-appropriate coupling) — a
+    converged-looking solve whose g does not satisfy its own defining
+    equation is silently wrong.  Four GEMMs per lead on the ``(B, m, m)``
+    stack, against six per decimation iteration; a closed-form lead is
+    checked on its modes instead (:func:`_mode_health_check`).
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
         return
-    finite = np.isfinite(g)
-    if not finite.all():
-        bad = float(energies[~finite.reshape(len(g), -1).all(axis=1)][0])
-        sentinel.trip("surface_gf", "nonfinite", detail=f"side={side} E={bad:.6g}")
-        return
     z = energies + 1j * eta
-    if basis is None:
-        eye = np.eye(h00.shape[-1])
-        t1 = (z[:, None, None] * eye - h00) @ g
-        if side == "left":
-            t2 = h01.conj().T @ g @ h01 @ g
-        else:
-            t2 = h01 @ g @ h01.conj().T @ g
-        r, eigen = t1 - t2 - eye, 0.0
+    eye = np.eye(h00.shape[-1])
+    t1 = (z[:, None, None] * eye - h00) @ g
+    if side == "left":
+        t2 = h01.conj().T @ g @ h01 @ g
     else:
-        d, u = basis
-        t1 = (z[:, None] - d) * g
-        t2 = abs(np.asarray(h01).flat[0]) ** 2 * g * g
-        r = t1 - t2 - 1
-        # relative to |h00|, the largest |d| (eigh sorts d ascending)
-        eigen = float(np.abs(h00 @ u - u * d).max()) / max(1.0, -d[0], d[-1])
+        t2 = h01 @ g @ h01.conj().T @ g
     # backward-relative: near a band edge g ~ 1/eta blows up the absolute
     # residual by rounding alone; scale by the terms that produced it
     scale = max(1.0, float(np.abs(t1).max()), float(np.abs(t2).max()))
-    res = max(float(np.abs(r).max()) / scale, eigen)
+    _lead_verdict(
+        sentinel, g, energies, side, float(np.abs(t1 - t2 - eye).max()) / scale
+    )
+
+
+def _mode_health_check(g, energies, w, leads, bases) -> None:
+    """The sentinel of :func:`_surface_health_check` for closed-form leads,
+    every lead in one pass on the ``(L, B, m)`` mode GFs ``g`` before
+    their rotation (``w = z - d_n``, ``bases = (d, U)`` stacked per lead):
+    each mode's own quadratic ``w g - |c|^2 g^2 - 1``, scaled the same
+    way per lead, and one energy-independent residual of each
+    eigenbasis, ``h00 U - U diag(d)`` relative to ``max |d|``, so a bad
+    ``eigh`` still trips.  Trips name their ``side=``, the left lead's
+    first, exactly as lead-by-lead checks would.
+    """
+    sentinel = get_sentinel()
+    if not sentinel.enabled:
+        return
+    d, u = bases
+    c2 = np.array([abs(np.asarray(h01).flat[0]) ** 2 for _, h01, _ in leads])
+    t1 = w * g
+    t2 = c2[:, None, None] * g * g
+    axes = (1, 2)
+    scale = np.maximum(
+        1.0, np.maximum(np.abs(t1).max(axis=axes), np.abs(t2).max(axis=axes))
+    )
+    h00 = np.array([h for h, _, _ in leads])
+    # relative to |h00|, the largest |d| (eigh sorts d ascending)
+    eigen = np.abs(h00 @ u - u * d[:, None, :]).max(axis=axes) / np.maximum(
+        1.0, np.maximum(-d[:, 0], d[:, -1])
+    )
+    res = np.maximum(np.abs(t1 - t2 - 1).max(axis=axes) / scale, eigen)
+    for (_, _, side), g_lead, res_lead in zip(leads, g, res.tolist()):
+        _lead_verdict(sentinel, g_lead, energies, side, res_lead)
+
+
+def _lead_verdict(sentinel, g, energies, side, residual) -> None:
+    """Trip one lead's health check: ``nonfinite`` at the first energy
+    whose g is not finite (g is looked at only when the residual it feeds
+    is not finite), else the residual against the sentinel's threshold."""
+    if not np.isfinite(residual):
+        finite = np.isfinite(g).reshape(len(g), -1).all(axis=1)
+        if not finite.all():
+            bad = float(energies[~finite][0])
+            sentinel.trip(
+                "surface_gf", "nonfinite", detail=f"side={side} E={bad:.6g}"
+            )
+            return
     sentinel.check_residual(
-        "surface_gf", res, detail=f"side={side} fixed-point residual"
+        "surface_gf", residual, detail=f"side={side} fixed-point residual"
     )
 
 
@@ -284,20 +309,20 @@ def _mode_surface_gfs(energies, leads, eta):
     smaller: ``2 / (w + s)`` once ``s`` is flipped to ``Re(w* s) >= 0``,
     a sum whose terms never cancel.  ``w^2 - 4|c|^2`` is formed as
     ``(w - 2|c|)(w + 2|c|)``, exact to rounding at a band edge.  The
-    modes pass the health check, then one GEMM a slice rotates
+    modes of every lead pass one health check
+    (:func:`_mode_health_check`), then one GEMM a slice rotates
     ``g = U diag(g_n) U^+`` back.
     """
     bases = [np.linalg.eigh(h00) for h00, _, _ in leads]
-    d, units = zip(*bases)
+    d, u = (np.array(x) for x in zip(*bases))
     two_c = np.array([2 * abs(np.asarray(h01).flat[0]) for _, h01, _ in leads])
     two_c = two_c[:, None, None]
-    w = (energies + 1j * eta)[:, None] - np.array(d)[:, None, :]
+    w = (energies + 1j * eta)[:, None] - d[:, None, :]
     s = np.sqrt((w - two_c) * (w + two_c))
     np.negative(s, out=s, where=w.real * s.real + w.imag * s.imag < 0)
     g_modes = 2 / (w + s)
-    for g, lead, basis in zip(g_modes, leads, bases):
-        _surface_health_check(g, energies, eta, *lead, basis=basis)
-    return [(u * g[:, None, :]) @ u.conj().T for g, u in zip(g_modes, units)]
+    _mode_health_check(g_modes, energies, w, leads, (d, u))
+    return [(u_l * g[:, None, :]) @ u_l.conj().T for g, u_l in zip(g_modes, u)]
 
 
 def _decimate(energies, leads, eta, tol, max_iter):

@@ -21,8 +21,10 @@ The monitored invariants (all from the ballistic NEGF/QTBM theory):
   anti-Hermitian part of the contact self-energy must itself be Hermitian
   with non-negative trace (causality of the retarded GF).
 
-The default active monitor is a disabled :class:`NullInvariantMonitor`
-(zero overhead, mirroring NullTracer/NullMetrics).  An enabled
+The default active monitor — the ``monitor`` of the run recorder,
+:func:`repro.observability.get_monitor` — is a disabled
+:class:`NullInvariantMonitor` (zero overhead, mirroring
+NullTracer/NullMetrics).  An enabled
 :class:`InvariantMonitor` records each violation as a
 ``invariant.violations{invariant=...}`` counter plus a local
 :class:`InvariantViolation` record; ``strict=True`` escalates every
@@ -34,22 +36,19 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PhysicsInvariantError
-from .metrics import get_metrics, metric_key
+from .metrics import metric_key
+from .telemetry import NULL_MONITOR, NullInvariantMonitor, get_metrics
 
 __all__ = [
     "InvariantViolation",
     "InvariantMonitor",
     "NullInvariantMonitor",
     "NULL_MONITOR",
-    "get_monitor",
-    "set_monitor",
-    "use_monitor",
 ]
 
 
@@ -134,6 +133,21 @@ class InvariantMonitor:
                 "gamma_antihermitian", "finite_output",
             )
         }
+
+    def __reduce__(self):
+        # a monitor pickles as its configuration: a pool worker's copy
+        # starts an empty ledger, the parent absorbs what it records
+        return type(self), (
+            self.strict, self.tol_current, self.tol_transmission,
+            self.tol_density, self.tol_gamma, self.tol_neutrality,
+        )
+
+    def absorb(self, violations) -> None:
+        """Append violations a pool worker's copy recorded, in order
+        (already counted in its metrics delta; a strict copy raised
+        there)."""
+        with self._lock:
+            self.violations.extend(violations)
 
     # ------------------------------------------------------------------
     def _violate(self, invariant: str, value: float, threshold: float,
@@ -285,75 +299,3 @@ class InvariantMonitor:
                     **context,
                 )
         return self._pass("finite_output")
-
-
-class NullInvariantMonitor:
-    """Disabled monitor: every check is a no-op returning True.
-
-    Shared as :data:`NULL_MONITOR`; ``enabled`` is False so kernels skip
-    the checking arithmetic entirely when monitoring is off.
-    """
-
-    enabled = False
-    strict = False
-    violations: tuple = ()
-    n_violations = 0
-
-    def summary(self) -> str:
-        return "invariants: monitoring disabled"
-
-    def check_current_conservation(self, interface_currents, transmission,
-                                   **context):
-        return True
-
-    def check_transmission(self, transmission, n_modes, **context):
-        return True
-
-    def check_density(self, density, **context):
-        return True
-
-    def check_charge_neutrality(self, n_electrons, n_donors, **context):
-        return True
-
-    def check_gamma(self, gamma, **context):
-        return True
-
-    def check_finite(self, arrays, kernel="", **context):
-        return True
-
-
-#: The process-wide disabled monitor (default).
-NULL_MONITOR = NullInvariantMonitor()
-
-_ACTIVE = NULL_MONITOR
-_ACTIVE_LOCK = threading.Lock()
-
-
-def get_monitor():
-    """The active invariant monitor (disabled unless one is installed)."""
-    return _ACTIVE
-
-
-def set_monitor(monitor):
-    """Install ``monitor`` as active; returns the previous one.
-
-    Pass None to restore the disabled default.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = monitor if monitor is not None else NULL_MONITOR
-    return previous
-
-
-@contextmanager
-def use_monitor(monitor):
-    """Scope an active monitor: ``with use_monitor(InvariantMonitor()):``.
-
-    Restores the previously active monitor on exit, exception or not.
-    """
-    previous = set_monitor(monitor)
-    try:
-        yield monitor
-    finally:
-        set_monitor(previous)

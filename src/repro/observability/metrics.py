@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, log-linear histograms, series.
+"""Run metrics: counters, gauges, log-linear histograms, series.
 
 Where :mod:`repro.observability.tracer` answers "where did the time go",
 this module answers "how did the run behave": SCF residual series,
@@ -35,7 +35,8 @@ dashboards have one place to look):
 * ``scf.*``, ``comm.*``, ``kernel.*`` — convergence telemetry,
   per-level communication and kernel flops.
 
-Mirroring the tracer, the default active registry is a shared
+Mirroring the tracer, the default active registry (the ``metrics`` of
+the run recorder, :func:`repro.observability.get_metrics`) is a shared
 :class:`NullMetrics` whose ``enabled`` flag is False — instrumented call
 sites guard on that flag, so unmonitored runs pay one attribute load and
 one branch per site, and *exactly nothing* is allocated or stored.
@@ -56,7 +57,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -65,9 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
     "metric_key",
 ]
 
@@ -356,7 +353,7 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Thread-safe live registry behind the module's active-metrics slot.
+    """Thread-safe live registry: the run recorder's ``metrics`` when live.
 
     Example
     -------
@@ -533,36 +530,3 @@ class NullMetrics:
 
 #: The process-wide disabled registry (default active metrics).
 NULL_METRICS = NullMetrics()
-
-_ACTIVE = NULL_METRICS
-_ACTIVE_LOCK = threading.Lock()
-
-
-def get_metrics():
-    """The active registry (a :class:`NullMetrics` unless one is installed)."""
-    return _ACTIVE
-
-
-def set_metrics(registry):
-    """Install ``registry`` as active; returns the previous one.
-
-    Pass None to restore the disabled default.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = registry if registry is not None else NULL_METRICS
-    return previous
-
-
-@contextmanager
-def use_metrics(registry):
-    """Scope an active registry: ``with use_metrics(MetricsRegistry()):``.
-
-    Restores the previously active registry on exit, exception or not.
-    """
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)

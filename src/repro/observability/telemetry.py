@@ -1,21 +1,32 @@
-"""Cross-process telemetry: worker capture, merge-back, live event stream.
+"""The run recorder and cross-process telemetry.
 
-Three gaps are closed here, all variations of "the paths we scaled are
-the paths we stopped seeing into":
+Everything a run records goes into one :class:`Recorder`: the tracer,
+the metrics registry, the live event stream, the invariant monitor and
+the health sentinel.  One module-level recorder is the active one —
+the process's one instrument slot.  :func:`use_run` scopes a
+replacement (``with use_run(tracer=Tracer(), monitor=InvariantMonitor()):``),
+and what the instrumented kernels call — :func:`get_tracer`,
+:func:`get_metrics`, :func:`get_events`, :func:`get_monitor`,
+:func:`get_sentinel`, :func:`trace_span`, :func:`add_flops` — are
+one-line views of it.  The defaults are null instruments, so a site
+pays one branch when nothing records, and a ``contain``-mode
+:class:`HealthSentinel`.
 
-1. **Worker-side capture + merge-back.**  The process backend (and the
-   distributed driver running on top of it) executes kernels in forked
-   children, where the module-global tracer/metrics singletons are
-   *copies* — everything the instrumented kernels recorded there used to
-   die with the worker.  :func:`capture_telemetry` installs a fresh
-   :class:`~repro.observability.metrics.MetricsRegistry` and
-   :class:`~repro.observability.tracer.Tracer` around a worker task and
-   packages what they collected into a compact, picklable
-   :class:`TelemetryDelta` (metric snapshot + closed spans + flop
-   ledger + clock epochs).  The parent folds deltas back with
-   :func:`merge_delta`, so ``flops.*``, ``surface_gf.*``,
-   ``health.*`` and ``ipc.*`` totals are exact across every backend, and
-   merged spans land in the parent tracer with worker provenance and
+Three more things live here:
+
+1. **A recorder crosses the pool whole.**  A pool worker is another
+   process: whatever the parent installed after the pool started never
+   reaches it, and whatever it records dies with it.  So a recorder
+   pickles as its *spec* — whether the tracer and metrics are live, the
+   monitor's and the sentinel's configuration; the event writer is null
+   in a worker — and every pooled chunk runs under
+   :func:`capture_telemetry` of the spec it was shipped with.  The
+   :class:`TelemetryDelta` it returns carries the chunk's spans,
+   metrics, sentinel trips, monitor violations and the faults a planted
+   injector fired; :func:`merge_delta` folds it into the parent's
+   recorder in chunk order, so counters, trip ledgers, violations and
+   fault accounts are exactly what a serial run records, and merged
+   spans land in the parent tracer with worker provenance and
    clock-offset alignment (:meth:`Tracer.absorb`).
 
 2. **Structured live event stream.**  :class:`TelemetryWriter` appends
@@ -23,10 +34,7 @@ the paths we stopped seeing into":
    numbers, wall-clock stamps and progress/ETA fields to a file that can
    be tailed while the run is still going.  ``repro top EVENTS`` renders
    the in-flight view; ``repro doctor --events EVENTS`` replays a
-   finished file.  The writer is held in the same null-default
-   process-wide slot as the tracer (:func:`get_events` /
-   :func:`use_events`), so instrumented sites pay one branch when no
-   stream is attached.
+   finished file.
 
 3. **Readers.**  :func:`read_events` tolerates a truncated final line
    (the writer died mid-append — the tail is dropped, everything before
@@ -56,13 +64,36 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
-from .metrics import MetricsRegistry, MetricsSnapshot, get_metrics, set_metrics
-from .tracer import Tracer, get_tracer, set_tracer
+import numpy as np
+
+from ..errors import NumericalBreakdownError
+from .metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
+from .tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "EVENT_TYPES",
     "EVENT_SCHEMA_VERSION",
+    "HealthEvent",
+    "HealthSentinel",
+    "NullInvariantMonitor",
+    "NULL_MONITOR",
+    "Recorder",
+    "get_run",
+    "use_run",
+    "get_tracer",
+    "get_metrics",
+    "get_events",
+    "get_monitor",
+    "get_sentinel",
+    "trace_span",
+    "add_flops",
+    "use_tracer",
+    "use_metrics",
+    "use_events",
+    "use_monitor",
+    "use_sentinel",
     "TelemetryDelta",
     "TelemetryCapture",
     "capture_telemetry",
@@ -71,9 +102,6 @@ __all__ = [
     "TelemetryWriter",
     "NullEventWriter",
     "NULL_EVENTS",
-    "get_events",
-    "set_events",
-    "use_events",
     "read_events",
     "validate_events",
     "summarize_events",
@@ -95,228 +123,225 @@ EVENT_TYPES = (
     "run_finished",
 )
 
+_MODES = ("off", "contain", "strict")
+
 
 # ---------------------------------------------------------------------------
-# worker-side capture
+# the health sentinel and the null invariant monitor
 
 
-class TelemetryDelta:
-    """What one worker task recorded: metrics, spans, flops, clock epochs.
+@dataclass(frozen=True)
+class HealthEvent:
+    """One sentinel trip: *where* (site), *what* (kind), *how bad* (value),
+    and for how many energies of a stacked check (count)."""
 
-    A delta is the unit that crosses the process boundary.  It is built
-    from a *fresh* registry/tracer pair (see :func:`capture_telemetry`),
-    so its metric snapshot is already a diff against zero and merges
-    into the parent by plain addition
-    (:meth:`MetricsRegistry.merge_snapshot`).
+    seq: int
+    site: str
+    kind: str
+    value: float = float("nan")
+    detail: str = ""
+    count: int = 1
 
-    Attributes
-    ----------
-    worker : str
-        Provenance label (``"pid:4242"``, ``"rank:3"``); stamped onto
-        every absorbed span as ``attrs["worker"]``.
-    wall_epoch : float or None
-        ``time.time()`` at capture start — the cross-process clock
-        anchor used to place worker spans on the parent timeline.
-        None suppresses wall alignment (deterministic tests).
-    perf_epoch : float
-        The capture tracer's ``perf_counter`` epoch; worker span
-        timestamps are relative to the same clock.
-    duration_s : float
-        Wall time the capture was open (merge-overhead accounting).
-    metrics : dict or None
-        ``MetricsSnapshot.to_dict()`` of everything the task recorded.
-    spans : list of tuple
-        Closed spans as 9-tuples ``(name, category, t_start, t_end,
-        own_flops, total_flops, depth, attrs, thread)``.
-    flops : dict
-        Per-kernel measured-flop ledger of the capture tracer.
-    """
-
-    __slots__ = (
-        "worker", "wall_epoch", "perf_epoch", "duration_s",
-        "metrics", "spans", "flops",
-    )
-
-    def __init__(self, worker, wall_epoch=None, perf_epoch=0.0,
-                 duration_s=0.0, metrics=None, spans=(), flops=None):
-        self.worker = worker
-        self.wall_epoch = wall_epoch
-        self.perf_epoch = perf_epoch
-        self.duration_s = duration_s
-        self.metrics = metrics
-        self.spans = list(spans)
-        self.flops = dict(flops or {})
-
-    def is_empty(self) -> bool:
-        """True when merging this delta would be a no-op."""
-        if self.spans or self.flops:
-            return False
-        m = self.metrics or {}
-        return not any(m.get(k) for k in
-                       ("counters", "gauges", "histograms", "series"))
-
-    def to_bytes(self) -> bytes:
-        """Compact serialized form (sized by ``telemetry.delta_bytes``)."""
-        return pickle.dumps(
-            {
-                "v": EVENT_SCHEMA_VERSION,
-                "worker": self.worker,
-                "wall_epoch": self.wall_epoch,
-                "perf_epoch": self.perf_epoch,
-                "duration_s": self.duration_s,
-                "metrics": self.metrics,
-                "spans": self.spans,
-                "flops": self.flops,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "TelemetryDelta":
-        """Inverse of :meth:`to_bytes`."""
-        data = pickle.loads(blob)
-        return cls(
-            worker=data["worker"],
-            wall_epoch=data["wall_epoch"],
-            perf_epoch=data["perf_epoch"],
-            duration_s=data["duration_s"],
-            metrics=data["metrics"],
-            spans=data["spans"],
-            flops=data["flops"],
-        )
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"TelemetryDelta(worker={self.worker!r}, "
-            f"spans={len(self.spans)}, kernels={len(self.flops)})"
-        )
+    def to_dict(self) -> dict:
+        return {
+            "seq": self.seq,
+            "site": self.site,
+            "kind": self.kind,
+            "value": self.value,
+            "detail": self.detail,
+            "count": self.count,
+        }
 
 
-def _span_records(tracer) -> list:
-    """Closed spans of ``tracer`` as picklable 9-tuples."""
-    records = []
-    for s in tracer.spans:
-        if s.t_end is None:  # pragma: no cover - open spans not shipped
-            continue
-        records.append((
-            s.name, s.category, s.t_start, s.t_end,
-            s.own_flops, s.total_flops, s.depth, dict(s.attrs), s.thread,
-        ))
-    return records
-
-
-class TelemetryCapture:
-    """Handle yielded by :func:`capture_telemetry`.
-
-    ``delta`` is populated on scope exit when the capture engaged (child
-    process, or ``force=True``) and anything was recorded; it stays None
-    otherwise — callers ship ``cap.delta`` verbatim and the parent's
-    :func:`merge_delta` treats None as "nothing to merge".
-    """
-
-    __slots__ = ("worker", "engaged", "delta")
-
-    def __init__(self, worker, engaged):
-        self.worker = worker
-        self.engaged = engaged
-        self.delta = None
-
-
-def in_worker() -> bool:
-    """True when executing inside a process-pool worker.
-
-    The parent-side executions of a task — the single-item shortcut, the
-    re-execution of a straggler after a pool restart — are not in a
-    worker; the ``"worker"`` fault site fires only here so that recovery
-    really recovers, and :func:`capture_telemetry` engages only here.
-    A pool worker always has :mod:`multiprocessing` loaded, so a process
-    that never imported it is not one (``import repro`` does not).
-    """
-    mp = sys.modules.get("multiprocessing")
-    return mp is not None and mp.parent_process() is not None
-
-
-@contextmanager
-def capture_telemetry(worker: str | None = None, force: bool = False):
-    """Record tracer/metrics activity in this scope into a shippable delta.
-
-    Installs a fresh :class:`MetricsRegistry` and :class:`Tracer` as the
-    process-wide active instruments for the duration of the ``with``
-    block, then packages what they collected into ``cap.delta``.  The
-    capture only *engages* inside a forked worker process (or when
-    ``force=True``): in the parent, instruments already record into the
-    live registries, so the scope yields an inert handle and the caller's
-    recording is untouched — the same call site is safe on every backend.
+class HealthSentinel:
+    """Numerical-health observer of a run (thread safe).
 
     Parameters
     ----------
-    worker : str or None
-        Provenance label; defaults to ``"pid:<os.getpid()>"``.
-    force : bool
-        Engage even outside a child process (tests, benchmarks).
+    mode : {"off", "contain", "strict"}
+        ``"contain"`` records trips for the degradation ladder;
+        ``"strict"`` raises :class:`NumericalBreakdownError` immediately.
+    cond_threshold : float
+        1-norm condition estimate above which a factorization is flagged
+        ill-conditioned (default ``1e12`` — far above anything a healthy
+        nanowire Hamiltonian produces at double precision).
+    residual_threshold : float
+        Relative residual above which a converged-looking fixed point is
+        flagged (default ``1e-6``; Sancho-Rubio residuals sit near 1e-12).
+    max_events : int
+        Ledger bound; trip *counts* keep growing past it, only per-event
+        details stop being stored.
+
+    A sentinel pickles as its configuration: the copy a pool worker
+    unpickles starts an empty ledger, and the parent takes the worker's
+    trips back with :meth:`absorb`.
     """
-    label = worker or f"pid:{os.getpid()}"
-    engaged = force or in_worker()
-    cap = TelemetryCapture(label, engaged)
-    if not engaged:
-        yield cap
-        return
-    registry = MetricsRegistry()
-    tracer = Tracer()
-    wall0 = time.time()
-    prev_metrics = set_metrics(registry)
-    prev_tracer = set_tracer(tracer)
-    try:
-        yield cap
-    finally:
-        set_tracer(prev_tracer)
-        set_metrics(prev_metrics)
-        delta = TelemetryDelta(
-            worker=label,
-            wall_epoch=wall0,
-            perf_epoch=tracer.epoch,
-            duration_s=tracer.elapsed(),
-            metrics=registry.snapshot().to_dict(),
-            spans=_span_records(tracer),
-            flops=dict(tracer.counter.counts),
-        )
-        if not delta.is_empty():
-            cap.delta = delta
+
+    def __init__(
+        self,
+        mode: str = "contain",
+        cond_threshold: float = 1e12,
+        residual_threshold: float = 1e-6,
+        max_events: int = 4096,
+    ):
+        if mode not in _MODES:
+            raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
+        self.mode = mode
+        self.cond_threshold = float(cond_threshold)
+        self.residual_threshold = float(residual_threshold)
+        self.max_events = int(max_events)
+        self._lock = threading.Lock()
+        self._events: list[HealthEvent] = []
+        self._seq = 0
+
+    def __reduce__(self):
+        return type(self), (self.mode, self.cond_threshold,
+                            self.residual_threshold, self.max_events)
+
+    # -- state ---------------------------------------------------------
+
+    @property
+    def enabled(self) -> bool:
+        return self.mode != "off"
+
+    @property
+    def strict(self) -> bool:
+        return self.mode == "strict"
+
+    @property
+    def n_trips(self) -> int:
+        return self._seq
+
+    def marker(self) -> int:
+        """Opaque position in the trip ledger; pass to :meth:`trips_since`."""
+        return self._seq
+
+    def events_since(self, marker: int = 0) -> list[HealthEvent]:
+        with self._lock:
+            return [e for e in self._events if e.seq >= marker]
+
+    def trips_since(self, marker: int = 0) -> dict:
+        """Trip counts keyed ``"site:kind"`` recorded after ``marker``."""
+        counts: dict[str, int] = {}
+        for ev in self.events_since(marker):
+            key = f"{ev.site}:{ev.kind}"
+            counts[key] = counts.get(key, 0) + ev.count
+        return counts
+
+    def absorb(self, events) -> None:
+        """Append trips a pool worker's copy recorded, in order.
+
+        They neither raise (a strict copy raised in the worker) nor count
+        ``health.*`` again (the worker's metrics delta carries those).
+        """
+        with self._lock:
+            for event in events:
+                if len(self._events) < self.max_events:
+                    self._events.append(replace(event, seq=self._seq))
+                self._seq += event.count
+
+    def reset(self) -> None:
+        with self._lock:
+            self._events.clear()
+            self._seq = 0
+
+    # -- trip + checks -------------------------------------------------
+
+    def trip(self, site: str, kind: str, value: float = float("nan"),
+             detail: str = "", count: int = 1) -> None:
+        """Record one health violation — of ``count`` energies, for a
+        stacked check, so the ledger counts energies however they were
+        stacked; raise in strict mode."""
+        with self._lock:
+            event = HealthEvent(
+                self._seq, site, kind, float(value), detail, count
+            )
+            self._seq += count
+            if len(self._events) < self.max_events:
+                self._events.append(event)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc(f"health.{site}.{kind}", float(count))
+        if self.strict:
+            raise NumericalBreakdownError(
+                f"health sentinel [{site}] tripped: {kind} (value={value:.3e}) {detail}".strip()
+            )
+
+    def check_finite(self, site: str, *arrays, detail: str = "") -> bool:
+        """True when every array is fully finite; trips ``nonfinite`` otherwise."""
+        for arr in arrays:
+            a = np.asarray(arr)
+            if a.size and not np.all(np.isfinite(a)):
+                self.trip(site, "nonfinite", detail=detail)
+                return False
+        return True
+
+    def check_condition(self, site: str, cond: float, detail: str = "") -> bool:
+        """True when the condition estimate is below threshold."""
+        if not np.isfinite(cond):
+            self.trip(site, "nonfinite", value=cond, detail=detail)
+            return False
+        if cond > self.cond_threshold:
+            self.trip(site, "ill_conditioned", value=cond, detail=detail)
+            return False
+        return True
+
+    def check_residual(self, site: str, residual: float, detail: str = "") -> bool:
+        """True when a post-solve residual is acceptably small."""
+        if not np.isfinite(residual):
+            self.trip(site, "nonfinite", value=residual, detail=detail)
+            return False
+        if residual > self.residual_threshold:
+            self.trip(site, "residual", value=residual, detail=detail)
+            return False
+        return True
+
+    def summary(self) -> str:
+        counts = self.trips_since(0)
+        if not counts:
+            return f"health[{self.mode}]: no trips"
+        body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+        return f"health[{self.mode}]: {self._seq} trips ({body})"
 
 
-def merge_delta(delta) -> bool:
-    """Fold a worker's :class:`TelemetryDelta` into the live instruments.
+class NullInvariantMonitor:
+    """Disabled monitor: every check is a no-op returning True.
 
-    Counters add, histograms merge, series extend and spans are absorbed
-    into the active tracer with ``attrs["worker"]`` provenance and
-    clock-offset alignment — so the merged totals are exactly what a
-    serial run of the same workload would have recorded.  Bookkeeping
-    lands under ``telemetry.deltas_merged{worker=...}`` /
-    ``telemetry.spans_merged``.
-
-    Accepts None (nothing captured) and returns whether anything merged.
+    Shared as :data:`NULL_MONITOR`; ``enabled`` is False so kernels skip
+    the checking arithmetic entirely when monitoring is off.  The
+    monitor itself is :class:`repro.observability.InvariantMonitor`.
     """
-    if delta is None or delta.is_empty():
-        return False
-    merged = False
-    metrics = get_metrics()
-    if metrics.enabled and delta.metrics:
-        metrics.merge_snapshot(MetricsSnapshot.from_dict(delta.metrics))
-        merged = True
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.absorb(
-            delta.worker,
-            spans=delta.spans,
-            flops=delta.flops,
-            wall_epoch=delta.wall_epoch,
-            perf_epoch=delta.perf_epoch,
-        )
-        merged = True
-    if merged and metrics.enabled:
-        metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)
-        metrics.inc("telemetry.spans_merged", float(len(delta.spans)))
-    return merged
+
+    enabled = False
+    strict = False
+    violations: tuple = ()
+    n_violations = 0
+
+    def summary(self) -> str:
+        return "invariants: monitoring disabled"
+
+    def check_current_conservation(self, interface_currents, transmission,
+                                   **context):
+        return True
+
+    def check_transmission(self, transmission, n_modes, **context):
+        return True
+
+    def check_density(self, density, **context):
+        return True
+
+    def check_charge_neutrality(self, n_electrons, n_donors, **context):
+        return True
+
+    def check_gamma(self, gamma, **context):
+        return True
+
+    def check_finite(self, arrays, kernel="", **context):
+        return True
+
+
+#: The process-wide disabled monitor (default).
+NULL_MONITOR = NullInvariantMonitor()
 
 
 # ---------------------------------------------------------------------------
@@ -510,36 +535,385 @@ class NullEventWriter:
 #: The process-wide disabled event writer (default active writer).
 NULL_EVENTS = NullEventWriter()
 
-_ACTIVE = NULL_EVENTS
-_ACTIVE_LOCK = threading.Lock()
+
+# ---------------------------------------------------------------------------
+# the recorder: one slot, one-line views
+
+
+@dataclass(frozen=True)
+class Recorder:
+    """What a run records into: tracer, metrics registry, event stream,
+    invariant monitor and health sentinel.
+
+    Frozen: a scope swaps the active recorder (:func:`use_run`), never a
+    field of one.  A recorder pickles (and copies) as its *spec*: a fresh
+    tracer and registry where these are live, null ones where not, the
+    null event writer, and the monitor and sentinel as fresh instances of
+    their configuration — the recorder a pool worker runs a chunk under
+    (:func:`capture_telemetry`).
+    """
+
+    tracer: object = NULL_TRACER
+    metrics: object = NULL_METRICS
+    events: object = NULL_EVENTS
+    monitor: object = NULL_MONITOR
+    sentinel: HealthSentinel = HealthSentinel()
+
+    def __reduce__(self):
+        return _spawn, (self.tracer.enabled, self.metrics.enabled,
+                        self.monitor, self.sentinel)
+
+
+def _spawn(tracer_live, metrics_live, monitor, sentinel) -> Recorder:
+    """The recorder a spec unpickles to (:meth:`Recorder.__reduce__`)."""
+    return Recorder(
+        Tracer() if tracer_live else NULL_TRACER,
+        MetricsRegistry() if metrics_live else NULL_METRICS,
+        NULL_EVENTS, monitor, sentinel,
+    )
+
+
+#: The active recorder: the process's one instrument slot.
+_RUN = Recorder()
+
+
+def get_run() -> Recorder:
+    """The active :class:`Recorder`."""
+    return _RUN
+
+
+@contextmanager
+def use_run(**fields):
+    """Scope the active recorder with ``fields`` replaced; yields it.
+
+    Restores the previous recorder on exit, exception or not.
+
+    Example
+    -------
+    >>> from repro.observability import Tracer, get_tracer, use_run
+    >>> with use_run(tracer=Tracer()) as run:
+    ...     get_tracer() is run.tracer
+    True
+    >>> get_tracer().enabled
+    False
+    """
+    global _RUN
+    previous = _RUN
+    _RUN = replace(previous, **fields)
+    try:
+        yield _RUN
+    finally:
+        _RUN = previous
+
+
+def get_tracer():
+    """The active tracer (a :class:`NullTracer` unless one is installed)."""
+    return _RUN.tracer
+
+
+def get_metrics():
+    """The active registry (a :class:`NullMetrics` unless one is installed)."""
+    return _RUN.metrics
 
 
 def get_events():
     """The active event writer (:class:`NullEventWriter` by default)."""
-    return _ACTIVE
+    return _RUN.events
 
 
-def set_events(writer):
-    """Install ``writer`` as active; returns the previous one.
+def get_monitor():
+    """The active invariant monitor (disabled unless one is installed)."""
+    return _RUN.monitor
 
-    Pass None to restore the disabled default.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = writer if writer is not None else NULL_EVENTS
-    return previous
+
+def get_sentinel() -> HealthSentinel:
+    """The active health sentinel (default: ``contain`` mode)."""
+    return _RUN.sentinel
+
+
+def trace_span(name: str, category: str = "phase", **attrs):
+    """Open a span on the *active* tracer (no-op when tracing is off)."""
+    return _RUN.tracer.span(name, category=category, **attrs)
+
+
+def add_flops(kernel: str, flops: float) -> None:
+    """Report measured flops to the *active* tracer (no-op when off)."""
+    _RUN.tracer.add_flops(kernel, flops)
 
 
 @contextmanager
-def use_events(writer):
-    """Scope an active event writer; restores the previous one on exit."""
-    previous = set_events(writer)
-    try:
-        yield writer
-    finally:
-        set_events(previous)
+def _scoped(field: str, instrument):
+    with use_run(**{field: instrument}):
+        yield instrument
 
+
+def use_tracer(tracer):
+    """``use_run(tracer=tracer)``, yielding the tracer."""
+    return _scoped("tracer", tracer)
+
+
+def use_metrics(registry):
+    """``use_run(metrics=registry)``, yielding the registry."""
+    return _scoped("metrics", registry)
+
+
+def use_events(writer):
+    """``use_run(events=writer)``, yielding the writer."""
+    return _scoped("events", writer)
+
+
+def use_monitor(monitor):
+    """``use_run(monitor=monitor)``, yielding the monitor."""
+    return _scoped("monitor", monitor)
+
+
+def use_sentinel(sentinel: HealthSentinel):
+    """``use_run(sentinel=sentinel)``, yielding the sentinel."""
+    return _scoped("sentinel", sentinel)
+
+
+# ---------------------------------------------------------------------------
+# worker-side capture
+
+
+class TelemetryDelta:
+    """What one pool chunk recorded: metrics, spans, flops, clock
+    epochs, sentinel trips, monitor violations and fired faults.
+
+    A delta is the unit that crosses the process boundary.  It is built
+    from the fresh instruments of a recorder spec (see
+    :func:`capture_telemetry`), so its metric snapshot is already a diff
+    against zero and merges into the parent by plain addition
+    (:meth:`MetricsRegistry.merge_snapshot`).
+
+    Attributes
+    ----------
+    worker : str
+        Provenance label (``"pid:4242"``, ``"rank:3"``); stamped onto
+        every absorbed span as ``attrs["worker"]``.
+    wall_epoch : float or None
+        ``time.time()`` at capture start — the cross-process clock
+        anchor used to place worker spans on the parent timeline.
+        None suppresses wall alignment (deterministic tests).
+    perf_epoch : float
+        The capture tracer's ``perf_counter`` epoch; worker span
+        timestamps are relative to the same clock.
+    duration_s : float
+        Wall time the capture was open (merge-overhead accounting).
+    metrics : dict or None
+        ``MetricsSnapshot.to_dict()`` of everything the task recorded.
+    spans : list of tuple
+        Closed spans as 9-tuples ``(name, category, t_start, t_end,
+        own_flops, total_flops, depth, attrs, thread)``.
+    flops : dict
+        Per-kernel measured-flop ledger of the capture tracer.
+    trips : list of HealthEvent
+        The capture sentinel's trips, in order.
+    violations : list of InvariantViolation
+        The capture monitor's violations, in order.
+    faults : list of InjectedFault
+        Faults the chunk's planted injector fired, in order.
+    """
+
+    __slots__ = (
+        "worker", "wall_epoch", "perf_epoch", "duration_s",
+        "metrics", "spans", "flops", "trips", "violations", "faults",
+    )
+
+    def __init__(self, worker, wall_epoch=None, perf_epoch=0.0,
+                 duration_s=0.0, metrics=None, spans=(), flops=None,
+                 trips=(), violations=(), faults=()):
+        self.worker = worker
+        self.wall_epoch = wall_epoch
+        self.perf_epoch = perf_epoch
+        self.duration_s = duration_s
+        self.metrics = metrics
+        self.spans = list(spans)
+        self.flops = dict(flops or {})
+        self.trips = list(trips)
+        self.violations = list(violations)
+        self.faults = list(faults)
+
+    def is_empty(self) -> bool:
+        """True when merging this delta would be a no-op."""
+        if (self.spans or self.flops or self.trips or self.violations
+                or self.faults):
+            return False
+        m = self.metrics or {}
+        return not any(m.get(k) for k in
+                       ("counters", "gauges", "histograms", "series"))
+
+    def to_bytes(self) -> bytes:
+        """Compact serialized form (sized by ``telemetry.delta_bytes``)."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["v"] = EVENT_SCHEMA_VERSION
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "TelemetryDelta":
+        """Inverse of :meth:`to_bytes`."""
+        state = pickle.loads(blob)
+        state.pop("v")
+        return cls(**state)
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return (
+            f"TelemetryDelta(worker={self.worker!r}, "
+            f"spans={len(self.spans)}, kernels={len(self.flops)})"
+        )
+
+
+def _span_records(tracer) -> list:
+    """Closed spans of ``tracer`` as picklable 9-tuples."""
+    records = []
+    for s in tracer.spans:
+        if s.t_end is None:  # pragma: no cover - open spans not shipped
+            continue
+        records.append((
+            s.name, s.category, s.t_start, s.t_end,
+            s.own_flops, s.total_flops, s.depth, dict(s.attrs), s.thread,
+        ))
+    return records
+
+
+class TelemetryCapture:
+    """Handle yielded by :func:`capture_telemetry`.
+
+    ``delta`` is populated on scope exit when the capture engaged (child
+    process, or ``force=True``) and anything was recorded; it stays None
+    otherwise — callers ship ``cap.delta`` verbatim and the parent's
+    :func:`merge_delta` treats None as "nothing to merge".
+    """
+
+    __slots__ = ("worker", "engaged", "delta")
+
+    def __init__(self, worker, engaged):
+        self.worker = worker
+        self.engaged = engaged
+        self.delta = None
+
+
+def in_worker() -> bool:
+    """True when executing inside a process-pool worker.
+
+    The parent-side executions of a task — the single-item shortcut, the
+    re-execution of a straggler after a pool restart — are not in a
+    worker; the ``"worker"`` fault site fires only here so that recovery
+    really recovers, and :func:`capture_telemetry` engages only here.
+    A pool worker always has :mod:`multiprocessing` loaded, so a process
+    that never imported it is not one (``import repro`` does not).
+    """
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+@contextmanager
+def capture_telemetry(run=None, worker: str | None = None,
+                      force: bool = False, solver=None):
+    """Record this scope under ``run`` into a shippable delta.
+
+    Installs ``run`` as the active recorder for the ``with`` block and
+    packages what it recorded there into ``cap.delta``: spans, metrics
+    and flops, the sentinel's trips, the monitor's violations and — when
+    ``solver`` is planted (:class:`repro.resilience.PlantedSolver`) — the
+    faults its injector fired.  The capture only *engages* inside a pool
+    worker (or with ``force=True``): in the parent, the live recorder
+    already sees everything, so the scope yields an inert handle and the
+    caller's recording is untouched — the same call site is safe on
+    every backend.
+
+    Parameters
+    ----------
+    run : Recorder or None
+        What to record under.  A chunk payload carries the parent's
+        recorder, which a worker unpickles as its spec: fresh
+        instruments, the parent's configuration.  None: a fresh tracer,
+        registry and ``contain`` sentinel.
+    worker : str or None
+        Provenance label; defaults to ``"pid:<os.getpid()>"``.
+    force : bool
+        Engage even outside a child process (tests, benchmarks).
+    solver : object or None
+        The chunk's solver; a planted one's injector has its fired
+        faults shipped back.
+    """
+    global _RUN
+    label = worker or f"pid:{os.getpid()}"
+    engaged = force or in_worker()
+    cap = TelemetryCapture(label, engaged)
+    if not engaged:
+        yield cap
+        return
+    if run is None:
+        run = Recorder(Tracer(), MetricsRegistry(), sentinel=HealthSentinel())
+    injector = getattr(solver, "injector", None)
+    fired = injector.injected if injector is not None else []
+    marks = (run.sentinel.marker(), len(run.monitor.violations), len(fired))
+    wall0 = time.time()
+    previous, _RUN = _RUN, run
+    try:
+        yield cap
+    finally:
+        _RUN = previous
+        tracer, metrics = run.tracer, run.metrics
+        delta = TelemetryDelta(
+            worker=label,
+            wall_epoch=wall0,
+            perf_epoch=tracer.epoch if tracer.enabled else 0.0,
+            duration_s=tracer.elapsed(),
+            metrics=metrics.snapshot().to_dict() if metrics.enabled else None,
+            spans=_span_records(tracer) if tracer.enabled else (),
+            flops=tracer.counter.counts if tracer.enabled else None,
+            trips=run.sentinel.events_since(marks[0]),
+            violations=run.monitor.violations[marks[1]:],
+            faults=fired[marks[2]:],
+        )
+        if not delta.is_empty():
+            cap.delta = delta
+
+
+def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
+    """Fold a worker's :class:`TelemetryDelta` into the active recorder.
+
+    Counters add, histograms merge, series extend and spans are absorbed
+    into the active tracer with ``attrs["worker"]`` provenance and
+    clock-offset alignment; trips append to the sentinel's ledger
+    (:meth:`HealthSentinel.absorb`), violations to the monitor's and the
+    fired faults to the account of ``solver``'s planted injector — so the
+    merged state is exactly what a serial run of the same workload would
+    have recorded.  Bookkeeping lands under
+    ``telemetry.deltas_merged{worker=...}`` / ``telemetry.spans_merged``.
+    ``faults_only`` merges the fired faults alone (the chunk belonged to
+    a dispatch that raised, whose other records are void).
+
+    Accepts None (nothing captured) and returns whether anything merged.
+    """
+    if delta is None or delta.is_empty():
+        return False
+    if delta.faults:
+        solver.injector.absorb(delta.faults)
+    if faults_only:
+        return bool(delta.faults)
+    run = _RUN
+    metrics, tracer = run.metrics, run.tracer
+    if metrics.enabled and delta.metrics:
+        metrics.merge_snapshot(MetricsSnapshot.from_dict(delta.metrics))
+    if tracer.enabled:
+        tracer.absorb(
+            delta.worker,
+            spans=delta.spans,
+            flops=delta.flops,
+            wall_epoch=delta.wall_epoch,
+            perf_epoch=delta.perf_epoch,
+        )
+    if delta.trips:
+        run.sentinel.absorb(delta.trips)
+    if delta.violations and run.monitor.enabled:
+        run.monitor.absorb(delta.violations)
+    if metrics.enabled:
+        metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)
+        metrics.inc("telemetry.spans_merged", float(len(delta.spans)))
+    return True
 
 # ---------------------------------------------------------------------------
 # readers

@@ -4,10 +4,12 @@ The paper's headline claim *is* a measurement: sustained Flop/s =
 (analytically counted flops) / (wall time), the Gordon Bell convention.
 This module provides the measurement substrate: a :class:`Tracer` with
 nestable, exception-safe phase spans (``with tracer.span("rgf"): ...``)
-that attribute wall time *and* counted flops to each phase, and a
-module-level *active tracer* that the instrumented kernels
-(:class:`repro.solvers.BlockTridiagLU`, :func:`repro.negf.sancho_rubio`,
-:class:`repro.wf.WFSolver`, ...) report into.
+that attribute wall time *and* counted flops to each phase.  The
+instrumented kernels (:class:`repro.solvers.BlockTridiagLU`,
+:func:`repro.negf.sancho_rubio`, :class:`repro.wf.WFSolver`, ...) report
+into the *active* tracer, the ``tracer`` of the run recorder
+(:func:`repro.observability.get_tracer`, :func:`~repro.observability.trace_span`,
+:func:`~repro.observability.add_flops`).
 
 Design constraints, in order:
 
@@ -43,18 +45,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 __all__ = [
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "trace_span",
-    "add_flops",
 ]
 
 
@@ -446,55 +442,3 @@ class NullTracer:
 
 #: The process-wide disabled tracer (default active tracer).
 NULL_TRACER = NullTracer()
-
-_ACTIVE = NULL_TRACER
-_ACTIVE_LOCK = threading.Lock()
-
-
-def get_tracer():
-    """The active tracer (a :class:`NullTracer` unless one is installed)."""
-    return _ACTIVE
-
-
-def set_tracer(tracer):
-    """Install ``tracer`` as the active tracer; returns the previous one.
-
-    Pass None to restore the disabled default.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous = _ACTIVE
-        _ACTIVE = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer):
-    """Scope an active tracer: ``with use_tracer(Tracer()) as t: ...``.
-
-    Restores the previously active tracer on exit, exception or not.
-
-    Example
-    -------
-    >>> from repro.observability import Tracer, use_tracer, get_tracer
-    >>> with use_tracer(Tracer()) as t:
-    ...     get_tracer() is t
-    True
-    >>> get_tracer().enabled
-    False
-    """
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
-def trace_span(name: str, category: str = "phase", **attrs):
-    """Open a span on the *active* tracer (no-op when tracing is off)."""
-    return _ACTIVE.span(name, category=category, **attrs)
-
-
-def add_flops(kernel: str, flops: float) -> None:
-    """Report measured flops to the *active* tracer (no-op when off)."""
-    _ACTIVE.add_flops(kernel, flops)

@@ -32,7 +32,8 @@ from ..perf.flops import (
     wf_backsub_flops,
     wf_factor_flops,
 )
-from .tracer import Tracer, use_tracer
+from .telemetry import use_tracer
+from .tracer import Tracer
 
 __all__ = [
     "FlopValidation",

@@ -15,11 +15,12 @@ of one rank is executed on the local machine.
 
 * ``serial`` — plain loop, bit-identical to the historical path (default);
 * ``process`` — ``ProcessPoolExecutor``; full interpreter parallelism,
-  requires picklable solvers (all of ours are); child-side tracer and
-  metrics activity is captured per task and merged back into the parent
-  registries with worker provenance (the telemetry contract of
-  :mod:`repro.observability.telemetry`), so counters are exact on every
-  backend.
+  requires picklable solvers (all of ours are); a transport chunk runs
+  in the child under the parent's run recorder and what it records —
+  spans, metrics, sentinel trips, monitor violations, fired faults — is
+  merged back into the parent with worker provenance (the telemetry
+  contract of :mod:`repro.observability.telemetry`), so counters and
+  ledgers are exact on every backend.
 
 Pools are created lazily and shared per worker count so repeated
 ``solve_bias`` calls (SCF iterations, IV sweeps, tests) do not leak
@@ -34,8 +35,7 @@ import ctypes
 import threading
 
 from .. import env
-from ..observability.metrics import get_metrics
-from ..observability.telemetry import get_events, in_worker
+from ..observability.telemetry import get_events, get_metrics, in_worker
 
 __all__ = [
     "BACKEND_NAMES",
@@ -174,12 +174,13 @@ def _resolve_deadline(deadline_s) -> float | None:
 class ProcessBackend(ExecutionBackend):
     """ProcessPoolExecutor backend on the pool shared per worker count.
 
-    ``fn`` and every item must be picklable.  Child-side tracer/metrics
-    updates are captured per task (:func:`repro.observability.telemetry.
-    capture_telemetry`) and shipped back in the pickled result envelope
-    of the task return path, then merged into the parent registries
+    ``fn`` and every item must be picklable.  A transport chunk records
+    under the parent recorder's spec in the child
+    (:func:`repro.observability.telemetry.capture_telemetry`) and ships
+    what it recorded back in its result envelope, which the parent merges
     (:func:`repro.observability.telemetry.merge_delta`), so ``flops.*``
-    and ``surface_gf.*`` totals match the serial backend exactly.
+    totals, sentinel trips and fault accounts match the serial backend
+    exactly.
 
     With a ``deadline_s`` (None reads ``$REPRO_DEADLINE_S``), a chunk
     overdue past its deadline triggers an *orderly pool restart*: the

@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..observability.metrics import get_metrics
-from ..observability.tracer import get_tracer
+from ..observability.telemetry import get_metrics, get_tracer
 
 __all__ = [
     "static_blocks",

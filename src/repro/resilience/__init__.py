@@ -54,7 +54,6 @@ from .health import (
     HealthSentinel,
     condition_estimate,
     get_sentinel,
-    set_sentinel,
     use_sentinel,
 )
 from .policies import RetryPolicy, SCFRescue, robust_surface_gf
@@ -79,7 +78,6 @@ __all__ = [
     "HealthSentinel",
     "condition_estimate",
     "get_sentinel",
-    "set_sentinel",
     "use_sentinel",
     "DegradationReport",
     "DegradationBudget",

@@ -25,7 +25,14 @@ Both (k, E) drivers — the bias loop of :mod:`repro.core.transport` and
 the ranks of :class:`repro.core.DistributedTransport` — solve through one
 node solver, which applies the injector in one place — where a k-point
 builds the solvers of its ladder rungs — and otherwise runs its one
-production path: a planted fault is something a solver does.
+production path: a planted fault is something a solver does.  On the
+process backend the planted solver rides each chunk payload into a pool
+worker, carrying a pickled copy of the injector; the faults that copy
+fires come back in the chunk's telemetry delta and the parent accounts
+them in chunk order (:meth:`FaultInjector.absorb`), so a drill heals and
+is accounted as on the serial backend.  The one difference: the chunks
+of one dispatch each start from the account as it stood at dispatch, so
+together they can fire past ``max_faults``.
 
 Determinism is by construction, not by call order: each (site, key)
 decision hashes ``(seed, site, key)`` with BLAKE2 — the same seed always
@@ -113,7 +120,8 @@ class FaultInjector:
         Duration of a ``"hang"`` fault (a hung worker; pick it longer
         than the backend deadline under test).
     max_faults : int or None
-        Global cap on fired faults (None = unlimited).
+        Global cap on fired faults (None = unlimited); the pool chunks
+        of one dispatch can overshoot it (module docstring).
     """
 
     def __init__(
@@ -166,19 +174,6 @@ class FaultInjector:
         return view
 
     # ------------------------------------------------------------------
-    def targets(self, site: str) -> bool:
-        """Whether any configured fault can ever fire at ``site``.
-
-        Dispatch layers use this to keep parent-side state where the
-        fault is observed: a process-pool child ships back its result
-        stack's ``finite`` mask, but not its copy of this injector's
-        ``once`` bookkeeping nor its sentinel trips, so the transport
-        driver solves ``"hblock"`` / ``"energy"`` drills in-process.
-        """
-        if any(s == site for s, _ in self.plan):
-            return True
-        return self.rate > 0.0 and (self.sites is None or site in self.sites)
-
     def decide(self, site: str, key) -> str | None:
         """The action to inject at (site, key), or None for a clean pass."""
         if self.max_faults is not None and len(self.injected) >= self.max_faults:
@@ -239,6 +234,20 @@ class FaultInjector:
         if mode is not None:
             H = corrupt_hamiltonian(H, mode)
         return PlantedSolver(build(H), self, ik)
+
+    def absorb(self, faults) -> None:
+        """Account faults a pool worker's copy of this injector fired.
+
+        A planted solver rides a chunk payload into the worker with a
+        pickled copy of its injector; the chunk's delta brings back what
+        that copy fired, in order, and this appends it here as though
+        fired here — so ``once`` keeps a healed node clean when the
+        parent solves it again, and :attr:`injected` is the serial
+        account.
+        """
+        for fault in faults:
+            self._fired.add((fault.site, fault.key, self.rank))
+            self.injected.append(fault)
 
     # ------------------------------------------------------------------
     @property

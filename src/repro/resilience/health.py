@@ -7,7 +7,10 @@ whose residual quietly stops contracting, a Schur complement whose
 condition number explodes near a band edge.  This module gives every hot
 kernel a cheap, always-available health check:
 
-* :class:`HealthSentinel` — a process-wide observer with three modes:
+* :class:`HealthSentinel` — an observer with three modes (defined with
+  the run recorder in :mod:`repro.observability.telemetry`, whose
+  ``sentinel`` field — :func:`get_sentinel`, :func:`use_sentinel` — is
+  the active one; re-exported here):
 
   - ``"off"``     : zero checks, the historical fast path;
   - ``"contain"`` : (default) record every trip into a bounded ledger and
@@ -38,14 +41,14 @@ double counting.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import NumericalBreakdownError
-from ..observability.metrics import get_metrics
+from ..observability.telemetry import (
+    HealthEvent,
+    HealthSentinel,
+    get_sentinel,
+    use_sentinel,
+)
 
 __all__ = [
     "HealthEvent",
@@ -54,11 +57,8 @@ __all__ = [
     "finite_rows",
     "get_sentinel",
     "norm1",
-    "set_sentinel",
     "use_sentinel",
 ]
-
-_MODES = ("off", "contain", "strict")
 
 
 def norm1(a):
@@ -99,176 +99,3 @@ def condition_estimate(a, a_inv) -> float:
     if not np.all(np.isfinite(prod)):
         return float("inf")
     return float(prod.max())
-
-
-@dataclass(frozen=True)
-class HealthEvent:
-    """One sentinel trip: *where* (site), *what* (kind), *how bad* (value)."""
-
-    seq: int
-    site: str
-    kind: str
-    value: float = float("nan")
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "site": self.site,
-            "kind": self.kind,
-            "value": self.value,
-            "detail": self.detail,
-        }
-
-
-class HealthSentinel:
-    """Process-wide numerical-health observer (thread safe).
-
-    Parameters
-    ----------
-    mode : {"off", "contain", "strict"}
-        ``"contain"`` records trips for the degradation ladder;
-        ``"strict"`` raises :class:`NumericalBreakdownError` immediately.
-    cond_threshold : float
-        1-norm condition estimate above which a factorization is flagged
-        ill-conditioned (default ``1e12`` — far above anything a healthy
-        nanowire Hamiltonian produces at double precision).
-    residual_threshold : float
-        Relative residual above which a converged-looking fixed point is
-        flagged (default ``1e-6``; Sancho-Rubio residuals sit near 1e-12).
-    max_events : int
-        Ledger bound; trip *counts* keep growing past it, only per-event
-        details stop being stored.
-    """
-
-    def __init__(
-        self,
-        mode: str = "contain",
-        cond_threshold: float = 1e12,
-        residual_threshold: float = 1e-6,
-        max_events: int = 4096,
-    ):
-        if mode not in _MODES:
-            raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
-        self.mode = mode
-        self.cond_threshold = float(cond_threshold)
-        self.residual_threshold = float(residual_threshold)
-        self.max_events = int(max_events)
-        self._lock = threading.Lock()
-        self._events: list[HealthEvent] = []
-        self._seq = 0
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    @property
-    def strict(self) -> bool:
-        return self.mode == "strict"
-
-    @property
-    def n_trips(self) -> int:
-        return self._seq
-
-    def marker(self) -> int:
-        """Opaque position in the trip ledger; pass to :meth:`trips_since`."""
-        return self._seq
-
-    def events_since(self, marker: int = 0) -> list[HealthEvent]:
-        with self._lock:
-            return [e for e in self._events if e.seq >= marker]
-
-    def trips_since(self, marker: int = 0) -> dict:
-        """Trip counts keyed ``"site:kind"`` recorded after ``marker``."""
-        counts: dict[str, int] = {}
-        for ev in self.events_since(marker):
-            key = f"{ev.site}:{ev.kind}"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._seq = 0
-
-    # -- trip + checks -------------------------------------------------
-
-    def trip(self, site: str, kind: str, value: float = float("nan"), detail: str = "") -> None:
-        """Record one health violation; raise in strict mode."""
-        with self._lock:
-            event = HealthEvent(self._seq, site, kind, float(value), detail)
-            self._seq += 1
-            if len(self._events) < self.max_events:
-                self._events.append(event)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc(f"health.{site}.{kind}")
-        if self.strict:
-            raise NumericalBreakdownError(
-                f"health sentinel [{site}] tripped: {kind} (value={value:.3e}) {detail}".strip()
-            )
-
-    def check_finite(self, site: str, *arrays, detail: str = "") -> bool:
-        """True when every array is fully finite; trips ``nonfinite`` otherwise."""
-        for arr in arrays:
-            a = np.asarray(arr)
-            if a.size and not np.all(np.isfinite(a)):
-                self.trip(site, "nonfinite", detail=detail)
-                return False
-        return True
-
-    def check_condition(self, site: str, cond: float, detail: str = "") -> bool:
-        """True when the condition estimate is below threshold."""
-        if not np.isfinite(cond):
-            self.trip(site, "nonfinite", value=cond, detail=detail)
-            return False
-        if cond > self.cond_threshold:
-            self.trip(site, "ill_conditioned", value=cond, detail=detail)
-            return False
-        return True
-
-    def check_residual(self, site: str, residual: float, detail: str = "") -> bool:
-        """True when a post-solve residual is acceptably small."""
-        if not np.isfinite(residual):
-            self.trip(site, "nonfinite", value=residual, detail=detail)
-            return False
-        if residual > self.residual_threshold:
-            self.trip(site, "residual", value=residual, detail=detail)
-            return False
-        return True
-
-    def summary(self) -> str:
-        counts = self.trips_since(0)
-        if not counts:
-            return f"health[{self.mode}]: no trips"
-        body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        return f"health[{self.mode}]: {self._seq} trips ({body})"
-
-
-_default_sentinel = HealthSentinel(mode="contain")
-_sentinel = _default_sentinel
-
-
-def get_sentinel() -> HealthSentinel:
-    """The active process-wide sentinel (default: ``contain`` mode)."""
-    return _sentinel
-
-
-def set_sentinel(sentinel: HealthSentinel | None) -> HealthSentinel:
-    """Install ``sentinel`` globally (None restores the default); returns it."""
-    global _sentinel
-    _sentinel = sentinel if sentinel is not None else _default_sentinel
-    return _sentinel
-
-
-@contextmanager
-def use_sentinel(sentinel: HealthSentinel):
-    """Temporarily install ``sentinel`` (tests, strict CI gates)."""
-    previous = _sentinel
-    set_sentinel(sentinel)
-    try:
-        yield sentinel
-    finally:
-        set_sentinel(previous)

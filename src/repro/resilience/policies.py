@@ -135,7 +135,7 @@ def robust_surface_gf(
         ``"sancho-eta*10"``, ..., ``"eigen"``).
     """
     from ..negf.surface_gf import eigen_surface_gf, sancho_rubio
-    from ..observability.metrics import get_metrics
+    from ..observability.telemetry import get_metrics
 
     metrics = get_metrics()
     for factor in (None, *eta_ladder):  # None: the nominal eta

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..observability.tracer import get_tracer
+from ..observability.telemetry import get_tracer
 from ..perf.flops import zgemm_flops, zinverse_flops
 from ..resilience.health import get_sentinel, norm1
 
@@ -71,10 +71,13 @@ def _factor_health_check(diag, dinv_blocks) -> None:
     free (``diag[i]`` stands in for the Schur complement itself, a
     faithful proxy: an exploding ``dinv`` dominates the product either
     way).  One matrix and a stack are guarded by the same vectorised
-    calls (the worst slice decides).  Trips ``nonfinite`` on NaN/Inf
-    factors and ``ill_conditioned`` past the sentinel threshold; raises
-    in strict mode.  Finiteness is read off the norms: only a
-    non-finite estimate pays a second look at which factor caused it.
+    calls; a failing slice is judged by its worst slab, and each kind of
+    failure trips once, counting the slices it covers — ``nonfinite`` on
+    NaN/Inf factors (or estimates), ``ill_conditioned`` past the sentinel
+    threshold at the worst such estimate — so the ledger counts energies,
+    the same however a wave was split into stacks; raises in strict
+    mode.  Finiteness is read off the norms: only a failing stack pays a
+    second look at which factor caused it.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
@@ -83,15 +86,24 @@ def _factor_health_check(diag, dinv_blocks) -> None:
     with np.errstate(invalid="ignore"):  # inf * 0 -> nan -> reported inf
         for d, dinv in zip(diag, dinv_blocks):
             worst = np.maximum(worst, norm1(d) * norm1(dinv))
-    cond = float(worst.max(initial=0.0))
-    if not np.isfinite(cond):
-        if not all(np.isfinite(norm1(dinv)).all() for dinv in dinv_blocks):
+    worst = np.ravel(worst)
+    bad = ~(worst <= sentinel.cond_threshold)  # NaN is bad too
+    if not bad.any():
+        return
+    factor_ok = np.ones_like(bad)
+    for dinv in dinv_blocks:
+        factor_ok &= np.ravel(np.isfinite(norm1(dinv)))
+    finite = np.isfinite(worst)
+    for kind, hit, value, detail in (
+        ("nonfinite", bad & ~factor_ok, np.nan, "non-finite LU factor block"),
+        ("nonfinite", ~finite & factor_ok, np.inf, "block-LU factor"),
+        ("ill_conditioned", bad & finite, None, "block-LU factor"),
+    ):
+        if hit.any():
             sentinel.trip(
-                "block_lu", "nonfinite", detail="non-finite LU factor block"
+                "block_lu", kind, worst[hit].max() if value is None else value,
+                detail, count=int(np.count_nonzero(hit)),
             )
-            return
-        cond = np.inf
-    sentinel.check_condition("block_lu", cond, detail="block-LU factor")
 
 
 def _factor_flops(sizes) -> float:

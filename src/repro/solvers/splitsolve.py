@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..observability.invariants import get_monitor
-from ..observability.tracer import get_tracer, trace_span
+from ..observability.telemetry import get_monitor, get_tracer, trace_span
 from ..perf.flops import zgemm_flops
 from .block_tridiagonal import BlockTridiagLU, block_product
 

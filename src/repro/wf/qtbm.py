@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observability.invariants import get_monitor
-from ..observability.tracer import get_tracer, trace_span
+from ..observability.telemetry import get_monitor, get_tracer, trace_span
 from ..solvers.block_tridiagonal import BlockTridiagLU, block_product
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (

@@ -256,10 +256,9 @@ class TestOneDriver:
 
     def test_faults_are_planted_where_solvers_are_built(self):
         """The driver fires no fault site and has no fault branch: it
-        reads the injector where the calculation stores it, where a
+        reads the injector where the calculation stores it and where a
         k-point builds its rung solvers (the injector plants itself
-        there) and in the backend rule that keeps parent-side fault state
-        in-process."""
+        there) — nowhere else, not even to pick a backend."""
         import ast
         from pathlib import Path
 
@@ -276,7 +275,7 @@ class TestOneDriver:
             if (isinstance(node, ast.Name) and node.id == "injector")
             or (isinstance(node, ast.Attribute) and node.attr == "injector")
         }
-        assert readers == {"__init__", "_rung", "_effective_backend"}
+        assert readers == {"__init__", "_rung"}
 
     def test_ranks_solve_through_the_node_solver(self):
         """A distributed rank builds no solver and runs no kernel of its

@@ -29,8 +29,8 @@ from repro.observability import (
     Tracer,
     add_flops,
     get_tracer,
-    set_tracer,
     trace_span,
+    use_run,
     use_tracer,
 )
 from repro.observability.export import (
@@ -263,14 +263,15 @@ class TestNullTracer:
         assert t.counter.counts["k"] == 2.0
         assert t.spans[0].name == "seen"
 
-    def test_set_tracer_returns_previous_and_none_resets(self):
+    def test_use_run_scopes_the_tracer_and_restores_the_default(self):
         t = Tracer()
-        prev = set_tracer(t)
-        try:
-            assert prev is NULL_TRACER
+        with use_run(tracer=t) as run:
+            assert run.tracer is t
             assert get_tracer() is t
-        finally:
-            assert set_tracer(None) is t
+        assert get_tracer() is NULL_TRACER
+        with pytest.raises(KeyError):
+            with use_run(tracer=t):
+                raise KeyError("scope exits on an exception")
         assert get_tracer() is NULL_TRACER
 
 

@@ -780,18 +780,19 @@ class TestDegradationLadder:
         assert inj.count("illcond") == 1
 
     @pytest.mark.parametrize("mode,trips", [
-        ("illcond", {"block_lu:ill_conditioned": 22}),
-        ("nan", {"block_lu:nonfinite": 22, "rgf:nonfinite": 22}),
+        ("illcond", {"block_lu:ill_conditioned": 42}),
+        ("nan", {"block_lu:nonfinite": 42, "rgf:nonfinite": 42}),
     ])
     def test_hblock_fault_heals_to_the_same_account(self, system, mode, trips):
         """The whole account of a healed k-point (uniform grid: the counts
         are per node of its 21).  The corrupted H first fails as one
-        stack — one trip per sentinel site (an ill-conditioned factor is
-        finite, so its trip alone rejects the stack; a NaN block trips
-        the factor and the kernel) and one ``chunk:per-point`` — then each
-        node alone trips the same sites on the first rung, the configured
-        solver, and heals on ``per-point:robust``, built on a fresh H:
-        21 + 1 trips a site, 1 + 21 ladder steps."""
+        stack — a trip counting every node at each sentinel site (an
+        ill-conditioned factor is finite, so its trip alone rejects the
+        stack; a NaN block trips the factor and the kernel) and one
+        ``chunk:per-point`` — then each node alone trips the same sites on
+        the first rung, the configured solver, and heals on
+        ``per-point:robust``, built on a fresh H: 21 + 21 trips a site,
+        1 + 21 ladder steps."""
         built, _ = system
         healed = TransportCalculation(
             built, method="rgf", n_energy=21, energy_mode="uniform",

@@ -236,10 +236,11 @@ class TestSafetyNets:
     @pytest.mark.parametrize("method", ["rgf", "wf"])
     def test_ladder_heals_a_poisoned_kpoint_per_point(self, method):
         """A NaN block in the k-point's H: its 11-node stack fails as one
-        (one factor and one kernel trip, one ``chunk:per-point``), then
-        each node alone trips both again on the configured solver and
-        heals on ``per-point:robust``, built on a fresh H — 12 + 12
-        trips, 1 + 11 ladder steps."""
+        (a factor and a kernel trip per node, one ``chunk:per-point``),
+        then each node alone trips both again on the configured solver
+        and heals on ``per-point:robust``, built on a fresh H — 22 + 22
+        trips (the ledger counts nodes, however they were stacked),
+        1 + 11 ladder steps."""
         built = mini_device()
         pot = np.zeros(built.n_atoms)
         # uniform: the counts below are the 11-node grid's
@@ -259,15 +260,15 @@ class TestSafetyNets:
         assert healed.degradation.to_dict() == {
             "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 11},
             "sentinel_trips": {
-                "block_lu:nonfinite": 12, f"{method}:nonfinite": 12,
+                "block_lu:nonfinite": 22, f"{method}:nonfinite": 22,
             },
             "quarantined_points": [], "reweighted_grids": 0,
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
             "injected_faults": 0, "organic_faults": 0, "retries": 0,
             "rank_failures": 0, "requeued_tasks": 0, "resumed_points": 0,
-            "total_events": 36,
+            "total_events": 56,
         }
-        assert sentinel.n_trips == 24
+        assert sentinel.n_trips == 44
 
 
 class TestResultGuard:

@@ -495,3 +495,186 @@ class TestEventStreamIntegration:
             "run_started", "heartbeat", "point_done", "wave_done",
             "degradation", "straggler", "chunk_retired", "run_finished",
         )
+
+
+# ---------------------------------------------------------------------------
+# one recorder crosses the pool whole
+
+
+def _merged(registry) -> float:
+    """Deltas merged from pool workers, over every worker label."""
+    return sum(
+        value for key, value in registry.snapshot().counters.items()
+        if key.startswith("telemetry.deltas_merged")
+    )
+
+
+def _pooled(registry) -> bool:
+    """Whether a dispatch shipped chunk payloads to the pool."""
+    return any(
+        key.startswith("ipc.task_bytes")
+        for key in registry.snapshot().histograms
+    )
+
+
+class TestOneRecorderOnThePool:
+    """The process backend honours the parent's sentinel, monitor and
+    planted faults as the serial backend does, on a pool warmed before
+    they were installed (as a long sweep's pool is): every chunk runs
+    under the parent recorder's spec and its trips, violations and fired
+    faults come back in its delta."""
+
+    @pytest.fixture(scope="class")
+    def fet(self):
+        from tests.conftest import mini_device
+
+        built = mini_device()
+        potential = np.zeros(built.n_atoms)
+        # warm the pool under the default recorder
+        self._calc(built, "process").solve_bias(potential, 0.1)
+        return built, potential
+
+    @staticmethod
+    def _calc(built, backend, **kwargs):
+        from tests.conftest import make_transport
+
+        workers = 2 if backend == "process" else 1
+        return make_transport(built, backend=backend, workers=workers, **kwargs)
+
+    def _solve(self, fet, backend, injector=None, **fields):
+        """One solve under ``fields`` of the recorder plus a registry:
+        ``(result, registry, injector)``."""
+        from repro.observability import use_run
+
+        built, potential = fet
+        calc = self._calc(built, backend, injector=injector)
+        registry = MetricsRegistry()
+        with use_run(metrics=registry, **fields):
+            result = calc.solve_bias(potential, 0.1)
+        return result, registry
+
+    def test_contained_trips_and_ladder_equal_serial(self, fet):
+        from repro.resilience import HealthSentinel
+
+        got = {}
+        for backend in ("serial", "process"):
+            res, registry = self._solve(
+                fet, backend, sentinel=HealthSentinel(cond_threshold=1.0)
+            )
+            # a merged trip is counted once: by the worker's metrics delta
+            health = {
+                key: value
+                for key, value in registry.snapshot().counters.items()
+                if key.startswith("health.")
+            }
+            got[backend] = (res.degradation.to_dict(), res.current_a, health)
+            assert (_merged(registry) > 0) == (backend == "process")
+        assert got["process"] == got["serial"]
+        account = got["serial"][0]
+        # every node trips on the stack, again alone, again on the rung
+        assert account["sentinel_trips"] == {"block_lu:ill_conditioned": 63}
+        assert got["serial"][2] == {"health.block_lu.ill_conditioned": 63.0}
+        assert account["ladder_steps"] == {
+            "chunk:per-point": 1, "per-point:robust": 21,
+        }
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_strict_sentinel_raises(self, fet, backend):
+        from repro.errors import NumericalBreakdownError
+        from repro.observability import use_run
+        from repro.resilience import HealthSentinel
+
+        built, potential = fet
+        registry = MetricsRegistry()
+        strict = HealthSentinel("strict", cond_threshold=1.0)
+        with use_run(metrics=registry, sentinel=strict):
+            with pytest.raises(NumericalBreakdownError):
+                self._calc(built, backend).solve_bias(potential, 0.1)
+        assert _pooled(registry) == (backend == "process")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_strict_monitor_raises(self, fet, backend):
+        """No transmission passes a negative tolerance; with the sentinel
+        off nothing heals the raise."""
+        from repro.errors import PhysicsInvariantError
+        from repro.observability import InvariantMonitor, use_run
+        from repro.resilience import HealthSentinel
+
+        built, potential = fet
+        registry = MetricsRegistry()
+        with use_run(
+            metrics=registry, sentinel=HealthSentinel("off"),
+            monitor=InvariantMonitor(strict=True, tol_transmission=-1.0),
+        ):
+            with pytest.raises(PhysicsInvariantError):
+                self._calc(built, backend).solve_bias(potential, 0.1)
+        assert _pooled(registry) == (backend == "process")
+
+    def test_monitor_violations_equal_serial(self, fet):
+        from repro.observability import InvariantMonitor
+
+        got = {}
+        for backend in ("serial", "process"):
+            monitor = InvariantMonitor(tol_transmission=-1.0)
+            res, registry = self._solve(fet, backend, monitor=monitor)
+            counts = {
+                key: value
+                for key, value in registry.snapshot().counters.items()
+                if key.startswith("invariant.")
+            }
+            got[backend] = (monitor.violations, counts, res.current_a)
+            assert (_merged(registry) > 0) == (backend == "process")
+        assert got["process"] == got["serial"]
+        assert len(got["serial"][0]) > 0
+
+    @pytest.mark.parametrize("drill", ["hblock-nan", "hblock-illcond", "energy"])
+    def test_drills_give_the_serial_account(self, fet, drill):
+        from repro.resilience import FaultInjector
+
+        built, potential = fet
+        grid = self._calc(built, "serial").energy_grid(potential, 0.1)
+        e = grid.energies.tolist()
+        plan = {
+            "hblock-nan": {("hblock", 0): "nan"},
+            "hblock-illcond": {("hblock", 0): "illcond"},
+            # a NaN row in the first chunk, a raise in the second
+            "energy": {("energy", (0, e[4])): "nan",
+                       ("energy", (0, e[15])): "raise"},
+        }[drill]
+        got = {}
+        for backend in ("serial", "process"):
+            injector = FaultInjector(plan=plan)
+            res, registry = self._solve(fet, backend, injector=injector)
+            got[backend] = (
+                res.degradation.to_dict(), res.current_a, injector.injected,
+            )
+            assert _pooled(registry) == (backend == "process")
+        assert got["process"] == got["serial"]
+        assert got["serial"][2]
+
+
+class TestOneSlot:
+    def test_the_recorder_is_the_only_instrument_slot(self):
+        """Every module-level rebinding under ``src/repro`` is the
+        recorder slot of :mod:`repro.observability.telemetry`, and no
+        ``set_*`` installer is left."""
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.observability import Recorder, get_run, telemetry
+
+        root = Path(repro.__file__).parent
+        rebound = {
+            (path.relative_to(root).as_posix(), name)
+            for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Global)
+            for name in node.names
+        }
+        assert rebound == {("observability/telemetry.py", "_RUN")}
+        assert isinstance(get_run(), Recorder)
+        assert get_run() is telemetry._RUN
+        for module in ("observability", "resilience", "resilience.health"):
+            names = dir(__import__(f"repro.{module}", fromlist=["_"]))
+            assert not [n for n in names if n.startswith("set_")]
