@@ -107,7 +107,7 @@ def test_t3_rgf_full_solve(benchmark, system):
     energies = np.array([ENERGY])
     sigmas = _sigma_stacks(sig_l, sig_r)
     # the shipped kernel stage (contacts excluded): factor, both block
-    # columns, selected inversion and the observable contractions
+    # columns and the observable contractions
     (res,) = benchmark(lambda: rgf.kernel_stage(energies, *sigmas))
     flops = rgf_solve_flops(H.n_blocks, int(H.block_sizes.max()))
     print_experiment(
@@ -333,11 +333,12 @@ def _measure_block_lu(name, H, energies, sigmas, repeats):
 
     Seconds per energy (best of the repeats) and two numbers that repeat
     exactly.  The block products ``BlockTridiagLU`` issues for one RGF
-    ``kernel_stage`` — factor, both block columns, selected inversion.
-    Each multiplier formed once makes it ``9 (n_blocks - 1) + 2`` on
-    matrix couplings (``si_wire``) and ``5 (n_blocks - 1) + 2`` on the
-    ``c·I`` couplings of the grid devices, which the LU multiplies by; the
-    reference sweep the flop model charges issues ``12 (n_blocks - 1) + 2``.
+    ``kernel_stage`` — factor and both block columns; the LDOS is read off
+    them, not a selected inversion.  Each multiplier formed once makes it
+    ``7 (n_blocks - 1) + 2`` on matrix couplings (``si_wire``) and
+    ``3 (n_blocks - 1) + 2`` on the ``c·I`` couplings of the grid devices,
+    which the LU multiplies by; the reference sweep the flop model charges
+    issues ``12 (n_blocks - 1) + 2``.
     And the stage's tracemalloc peak per energy in slab-sets (``n_blocks``
     complex128 ``(m, m)`` blocks): the inverse Schur complements plus one
     column of G on a grid device, where the multipliers are not kept.
@@ -460,7 +461,7 @@ def test_t3_contacts_one_inversion_per_step():
         assert report[f"contacts.{name}.eigh_calls"] == 2, report
         assert report[f"contacts.{name}.max_iterations"] == 0, report
         assert report[f"block_lu.{name}.lu_matmuls_rgf"] == (
-            5 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
+            3 * (report[f"block_lu.{name}.n_blocks"] - 1) + 2
         ), report
     assert report["block_lu.wide.stage_peak_slab_sets"] <= 2.5, report
 

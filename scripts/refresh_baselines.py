@@ -78,10 +78,14 @@ def _is_timing(key: str) -> bool:
 
 
 def run_producers(out_dir: Path) -> list:
-    """Run every producer benchmark with baselines redirected to out_dir;
-    returns the files whose producer failed."""
+    """Run every producer benchmark with baselines redirected to out_dir
+    and BLAS pinned to one thread (a threaded reduction moves the last
+    digits of the recorded values); returns the files whose producer
+    failed."""
     env = dict(os.environ)
     env["REPRO_BENCH_DIR"] = str(out_dir)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )

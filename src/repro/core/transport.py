@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .. import env
-from ..errors import DegradationBudgetError
+from ..errors import DegradationBudgetError, PhysicsInvariantError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..negf.rgf import RGFResult, RGFSolver
 from ..observability.telemetry import (
@@ -696,7 +696,7 @@ class _KPoint:
         marker = sentinel.marker()
         try:
             stack = self.calc._run_backend(self.solver, energies)
-        except DegradationBudgetError:
+        except (DegradationBudgetError, PhysicsInvariantError):
             raise
         except LADDER_EXCEPTIONS:
             if not contain:
@@ -787,7 +787,7 @@ class _KPoint:
                 )
                 if not (climb and bad):
                     return res
-            except DegradationBudgetError:
+            except (DegradationBudgetError, PhysicsInvariantError):
                 raise
             except LADDER_EXCEPTIONS:
                 if not climb:

@@ -6,13 +6,14 @@ from selected blocks of G = [E - H - Sigma_L - Sigma_R]^{-1}:
 * transmission       T(E) = Tr[Gamma_L G_{0,N-1} Gamma_R G_{0,N-1}^+]
 * spectral functions A_L = G Gamma_L G^+,  A_R = G Gamma_R G^+
   (their diagonals give the charge injected from each contact)
-* local DOS          rho_i = -Im diag(G) / pi
+* local DOS          rho_i = -Im diag(G) / pi = diag(A_L + A_R)_i / 2 pi
 
-All of these need only the first/last block columns and the block diagonal
-of G, which :class:`repro.solvers.BlockTridiagLU` delivers in O(N m^3) —
-the defining cost of the RGF algorithm.  The kernel is deliberately a thin
-orchestration layer over whole stacks of energies: after the LU every
-contraction is one GEMM plus an elementwise row sum
+All of these need only the first and last block columns of G, which
+:class:`repro.solvers.BlockTridiagLU` delivers in O(N m^3) — the defining
+cost of the RGF algorithm.  The LDOS is the coherent-limit sum of the two
+spectral densities, so no selected inversion runs.  The kernel is
+deliberately a thin orchestration layer over whole stacks of energies:
+after the LU every contraction is one GEMM plus an elementwise row sum
 (``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``), never a
 per-energy loop.  The tests validate it against dense inversion
 (:mod:`repro.negf.dense_ref`) and against the analytic chain results.
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..observability.telemetry import get_monitor, trace_span
 from ..resilience.health import finite_rows, get_sentinel
-from ..solvers.block_tridiagonal import BlockTridiagLU
+from ..solvers.block_tridiagonal import BlockTridiagLU, _diagonal_flops
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from .self_energy import Contacts, LeadSelfEnergy, broadening, open_channels
 
@@ -201,7 +202,8 @@ class RGFResult(ResultStack):
     transmission : ndarray, shape (B,)
         T(E) from left to right.
     dos : ndarray, shape (B, n_orbitals)
-        Local density of states per orbital, -Im diag(G)/pi  (1/eV).
+        Local density of states per orbital, -Im diag(G)/pi  (1/eV),
+        read off ``spectral_left + spectral_right`` (the coherent limit).
     spectral_left, spectral_right : ndarray, shape (B, n_orbitals)
         diag(A_L)/2pi and diag(A_R)/2pi per orbital (1/eV): energy-resolved
         carrier density injected from each contact.
@@ -334,16 +336,20 @@ class RGFSolver:
         )
 
     def kernel_stage(self, energies, sigma_l, sigma_r) -> RGFResult:
-        """Everything after the contacts: factor, sweep, contract.
+        """Everything after the contacts: factor, both edge columns, contract.
 
         ``sigma_l`` / ``sigma_r`` are the ``(B, m, m)`` self-energy stacks
         of :meth:`repro.negf.Contacts.sigma_stacks` at ``energies``; a
         benchmark that excludes the contacts evaluates them once and
-        times this call.  Between here and the result stack every step is
-        a stacked LAPACK/BLAS/ufunc call: the contact spectral densities
+        times this call.  Only the first and last block columns of G are
+        formed.  Between here and the result stack every step is a
+        stacked LAPACK/BLAS/ufunc call: the contact spectral densities
         are a GEMM per row group of a block column plus an elementwise
         row-sum, ``diag(G Gamma G^+)_i = sum_k (G Gamma)_ik conj(G)_ik``,
-        and the open-channel counts one stacked ``eigvalsh`` per contact.
+        the LDOS their sum (the coherent limit, as in
+        :meth:`repro.wf.WFSolver.kernel_stage`) — charged the reference
+        selected inversion it stands for, ``block_lu.diagonal`` — and the
+        open-channel counts one stacked ``eigvalsh`` per contact.
         The only per-energy loop is the invariant checks, and only under
         a live monitor.  One column-sized array is alive at a time besides
         the factor's ``dinv`` (docs/PARALLELISM.md "The stack budget").
@@ -357,21 +363,21 @@ class RGFSolver:
             *assemble_system_blocks(self.H, energies, sigma_l, sigma_r)
         )
         # one column-sized array at a time: each contact's block column of
-        # G is contracted before the next is formed, and the selected
-        # inversion reduces each diagonal block as it comes
+        # G is contracted before the next is formed
         spectral_left = _contact_density(lu.block_column(0), gam_l)
         coln = lu.block_column(n - 1)  # G_{:,N-1}
         spectral_right = _contact_density(coln, gam_r)
         g_0n = coln[:, : lu.sizes[0]]
         prod = gam_l @ g_0n @ gam_r @ np.conj(np.swapaxes(g_0n, -2, -1))
         del coln, g_0n
-        dos = [g.diagonal(axis1=1, axis2=2).imag.copy()
-               for g in lu.diagonal_blocks()]
+        lu._charge("block_lu.diagonal", _diagonal_flops)
         stack = RGFResult.checked(
             "rgf",
             energy=energies,
             transmission=np.trace(prod, axis1=-2, axis2=-1).real,
-            dos=-np.concatenate(dos[::-1], axis=1) / np.pi,
+            # coherent limit: A_L + A_R = i(G - G^+) = -2 Im G, so
+            # -Im diag(G)/pi = (A_L + A_R)_ii / (2 pi) = sL + sR
+            dos=spectral_left + spectral_right,
             spectral_left=spectral_left,
             spectral_right=spectral_right,
             n_channels_left=open_channels(np.linalg.eigvalsh(gam_l)),

@@ -120,12 +120,14 @@ def validate_rgf_flops(
     """Run a real RGF solve and compare its block-LU flops to the formula.
 
     The instrumented :class:`repro.solvers.BlockTridiagLU` reports its
-    factorisation, block-column and selected-inversion flops; their sum
-    must equal :func:`repro.perf.flops.rgf_solve_flops` exactly (the
-    contact surface GFs are validated separately).  Both sides are the
-    reference sweep, 12 products a slab; 9 execute (5 on ``c·I``
-    couplings).  ``n_energies > 1`` runs one ``solve_batch`` over that
-    many energies instead of ``solve(energy)``: the class charges
+    factorisation and block-column flops, the RGF stage the
+    selected-inversion flops of its LDOS; their sum must equal
+    :func:`repro.perf.flops.rgf_solve_flops` exactly (the contact surface
+    GFs are validated separately).  Both sides are the reference sweep,
+    12 products a slab; 7 execute (3 on ``c·I`` couplings): the selected
+    inversion is charged for the LDOS the stage reads off ``A_L + A_R``,
+    and none of it runs.  ``n_energies > 1`` runs one ``solve_batch``
+    over that many energies instead of ``solve(energy)``: the class charges
     ``batch_size`` times the per-matrix counts, so the stack must measure
     ``n_energies * rgf_solve_flops``.
 

@@ -14,12 +14,13 @@ to :mod:`repro.observability`, and
 :func:`repro.observability.validate.validate_flops` (exercised by
 ``tests/test_observability.py``) asserts analytic == charged **exactly**
 at small sizes for the RGF and WF kernels — a check of the accounting,
-not of executed GEMMs.  Two kernels undercut their charge: the block LU
-forms each elimination multiplier once and multiplies by a ``c·I``
-coupling instead of a GEMM (of the 12 products a slab of an RGF stage
-charged by :func:`rgf_solve_flops`, 9 execute on matrix couplings —
-every atomistic device — and 5 on the scalar couplings of the
-effective-mass grid family), and the
+not of executed GEMMs.  Two kernels undercut their charge: the RGF stage
+forms each elimination multiplier once, multiplies by a ``c·I`` coupling
+instead of a GEMM and reads the LDOS off the two contact spectral
+densities, while still charging the selected inversion it stands for (of
+the 12 products a slab charged by :func:`rgf_solve_flops`, 7 execute on
+matrix couplings — every atomistic device — and 3 on the scalar
+couplings of the effective-mass grid family), and the
 Sancho-Rubio step shares two left factors (:func:`sancho_rubio_flops`).
 A scalar-coupled lead takes no step at all: its surface GF is the closed
 form of its mode basis, and it is charged the closing inversion alone —
@@ -152,7 +153,8 @@ def diagonal_inverse_flops(n_blocks: int, m: int) -> float:
     diagonal_of_inverse` charges: G_{NN} is a copy (no flops); each of the
     N - 1 remaining blocks evaluates ``di @ U @ G @ L @ di``
     left-to-right — 4 GEMMs of 8 m^3 (2 execute: ``P @ G @ Q`` on the
-    stored multipliers).
+    stored multipliers).  The RGF kernel stage charges it for the LDOS
+    it reads off ``A_L + A_R`` and executes none of it.
 
     Example
     -------
@@ -171,9 +173,10 @@ def rgf_solve_flops(n_blocks: int, m: int) -> float:
     excluding the contact surface GFs (counted separately).  For uniform
     blocks it reduces to (13 N - 10) * 8 m^3 — the O(N m^3) law of the
     recursion.  This is the reference sweep: N inversions and
-    12 (N - 1) + 2 products, of which 9 (N - 1) + 2 execute since the
-    block LU forms ``dinv @ U`` and ``L @ dinv`` once — 5 (N - 1) + 2
-    on ``c·I`` couplings, which it multiplies by.
+    12 (N - 1) + 2 products, of which 7 (N - 1) + 2 execute since the
+    block LU forms ``dinv @ U`` and ``L @ dinv`` once and the LDOS is
+    read off the two edge columns, not a selected inversion —
+    3 (N - 1) + 2 on ``c·I`` couplings, which it multiplies by.
     :func:`repro.observability.validate.validate_rgf_flops` checks the charge of
     an instrumented solve against it, term for term.
 

@@ -51,8 +51,9 @@ __all__ = [
 #: ``ValueError`` covers scipy's finite-entry input checks;
 #: ``ArithmeticError`` covers overflow under ``np.errstate``;
 #: ``LinAlgError`` covers a singular block or dense inversion.
-#: :class:`DegradationBudgetError` is re-raised explicitly by every
-#: handler — exceeding the budget must fail the sweep.
+#: :class:`DegradationBudgetError` and :class:`PhysicsInvariantError` are
+#: re-raised explicitly by every handler — exceeding the budget must fail
+#: the sweep, and a strict monitor's verdict must reach its caller.
 LADDER_EXCEPTIONS = (
     RuntimeError,
     ValueError,

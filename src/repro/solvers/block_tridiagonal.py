@@ -8,8 +8,9 @@ method: for A = (E - H - Sigma) in slab block form,
 * solves for arbitrary right-hand sides or single block columns
   (O(N m^2) per RHS vector), and
 * produces the *diagonal blocks of A^{-1}* without ever forming the full
-  inverse (the "selected inversion" recursion — this IS the RGF backward
-  sweep).
+  inverse (the "selected inversion" recursion — the RGF backward sweep,
+  which the transport kernel does not run: its observables need only the
+  two edge block columns).
 
 Everything is dense per block (numpy/LAPACK); each operation charges the
 flop count of its reference algorithm through :mod:`repro.perf` hooks
@@ -170,15 +171,16 @@ class BlockTridiagLU:
     identity column or the selected inversion reads them.  Every sweep
     reads the same blocks — backward ``x_i = dinv_i y_i - P_i x_{i+1}``,
     identity-column forward ``y_i = -Q_{i-1} y_{i-1}``, ``G_ii = dinv_i +
-    P_i G_{i+1,i+1} Q_i`` — so one RGF kernel stage (factor, both edge
-    columns, diagonal) issues 9 block products a slab.  A coupling given
-    as a 0-d complex ``c`` (the block ``c·I``: every effective-mass grid
-    device) is a multiply wherever it enters — the Schur update, a
-    supplied right-hand side's forward step — and the first column's
-    backward step is ``x_i = dinv_i (y_i - c x_{i+1})``: 5 block products
-    a slab.  Its ``P_i`` and ``Q_i`` are the scaled copies ``c dinv_i``,
-    which are not kept but formed (one multiply) where a sweep reads them,
-    so the factor of a grid device holds one slab-set of blocks, ``dinv``.
+    P_i G_{i+1,i+1} Q_i`` — so one RGF kernel stage (factor and both edge
+    columns) issues 7 block products a slab, and the selected inversion
+    2 more.  A coupling given as a 0-d complex ``c`` (the block ``c·I``:
+    every effective-mass grid device) is a multiply wherever it enters —
+    the Schur update, a supplied right-hand side's forward step — and the
+    first column's backward step is ``x_i = dinv_i (y_i - c x_{i+1})``: 3
+    block products a slab for the stage.  Its ``P_i`` and ``Q_i`` are the
+    scaled copies ``c dinv_i``, which are not kept but formed (one
+    multiply) where a sweep reads them, so the factor of a grid device
+    holds one slab-set of blocks, ``dinv``.
     A 1x1 Schur complement is inverted by a reciprocal, not a LAPACK call.
     One rule is a property of the call, not a setting: a *supplied*
     right-hand side (the WF kernel's injection sliver, r << m columns)
@@ -192,8 +194,8 @@ class BlockTridiagLU:
       transmission and spectral-function formulas consume), or its
       product with a right-hand side living on slab j (the wave-function
       kernel's injected states),
-    * :meth:`diagonal_blocks` / :meth:`diagonal_of_inverse` — diag
-      blocks of A^{-1} (local DOS), one at a time / as a list.
+    * :meth:`diagonal_of_inverse` — the diagonal blocks of A^{-1} (the
+      selected inversion).
 
     One matrix and a stack of B matrices run through the same lines:
     ``numpy.linalg.inv`` and ``@`` broadcast over leading axes, so
@@ -221,7 +223,7 @@ class BlockTridiagLU:
 
     Flop accounting: every method charges ``batch_size`` times the
     per-matrix count of the *reference* sweep (no multiplier reused: 12
-    products a slab for the RGF stage where 9 or 5 execute) at the actual
+    products a slab for the RGF stage where 7 or 3 execute) at the actual
     (possibly ragged) block sizes, so a charge does not depend on what a
     call found already stored;
     :func:`repro.observability.validate.validate_flops` pins one matrix and a
@@ -379,28 +381,20 @@ class BlockTridiagLU:
         self._charge("block_lu.column", _substitution_flops, r, j)
         return column
 
-    def diagonal_blocks(self):
-        """Diagonal blocks of A^{-1}, last to first, one at a time (the RGF
-        backward recursion):
+    def diagonal_of_inverse(self):
+        """Diagonal blocks of A^{-1} in slab order (the RGF backward
+        recursion, last block first):
 
         G_{NN} = dinv_N;
         G_{ii} = dinv_i + dinv_i U_i G_{i+1,i+1} L_i dinv_i
                = dinv_i + P_i G_{i+1,i+1} Q_i   (two products a slab).
-
-        Only the block in hand is alive, so a consumer that reduces each
-        block (the LDOS) never holds a slab-set of them.
         """
         self._charge("block_lu.diagonal", _diagonal_flops)
-        g = self._dinv[-1].copy()
-        yield g
+        g = [self._dinv[-1].copy()]
         for i in range(self.n_blocks - 2, -1, -1):
-            g = self._dinv[i] + _matmul(_matmul(self._p(i), g), self._q(i))
-            yield g
-
-    def diagonal_of_inverse(self):
-        """Diagonal blocks of A^{-1} in slab order, as a list
-        (:meth:`diagonal_blocks`)."""
-        return list(self.diagonal_blocks())[::-1]
+            g.append(self._dinv[i]
+                     + _matmul(_matmul(self._p(i), g[-1]), self._q(i)))
+        return g[::-1]
 
 
 #: The same class, under the name ``benchmarks/e2e`` imports for stacks.

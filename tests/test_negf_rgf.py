@@ -14,6 +14,7 @@ from repro.negf import (
     orbital_to_atom,
 )
 from repro.physics.grids import uniform_grid
+from repro.solvers import BlockTridiagLU
 from repro.tb import BlockTridiagonalHamiltonian, build_device_hamiltonian
 from repro.tb.chain import chain_blocks, square_barrier_transmission
 from repro.tb import single_band_material
@@ -116,25 +117,50 @@ class TestAgainstDense:
         scale = np.linalg.norm(ref["green_function"])
         assert ref["identity_defect"] / scale < 1e-5
 
-    def test_dos_equals_spectral_sum(self):
-        """In the coherent limit A_L + A_R = i(G - G^+) = -2 Im G, so
-        dos = -Im diag(G)/pi = diag(A_L + A_R)/(2 pi) = sL + sR.
+    def make_si_wire_system(self):
+        """The ``nanowire-zb`` Si-sp3s* 1x1 wire: m = 30 blocks coupled by
+        matrices (the atomistic input), one open channel at 2.45 eV."""
+        from repro.core import DeviceSpec, build_device
 
-        Checked in band (one open channel at 3 eV), where the dos is
-        O(0.1) and an rtol-only comparison sees a factor error; below
-        the band edge the dos is ~1e-12 and any atol would hide one.
+        built = build_device(DeviceSpec(
+            geometry="nanowire-zb", material="Si-sp3s*", n_x=4, n_y=1,
+            n_z=1, source_cells=1, drain_cells=1, gate_cells=(1, 3),
+        ))
+        return built.hamiltonian(np.zeros(built.n_atoms)), 2.45
+
+    @pytest.mark.parametrize("device", ["grid", "si_wire"])
+    def test_dos_equals_spectral_sum(self, device):
+        """In the coherent limit A_L + A_R = i(G - G^+) = -2 Im G, so the
+        stage's dos = diag(A_L + A_R)/(2 pi) = sL + sR is -Im diag(G)/pi,
+        which the selected inversion of the same factor computes on its
+        own path, and the dense oracle on a third.
+
+        Checked in band (one open channel), where the dos is O(0.1) and an
+        rtol-only comparison sees a factor error; below the band edge the
+        dos is ~1e-12 and any atol would hide one.  The grid device's
+        couplings are ``c·I`` scalars, the wire's m = 30 matrices.
         """
-        H = self.make_grid_system()
-        e = 3.0
-        res = RGFSolver(H, eta=1e-9).solve(e)
+        if device == "grid":
+            H, e = self.make_grid_system(), 3.0
+            assert np.ndim(H.couplings()[0]) == 0
+        else:
+            H, e = self.make_si_wire_system()
+            assert np.ndim(H.couplings()[0]) == 2
+        solver = RGFSolver(H, eta=1e-9)
+        res = solver.solve(e)
         assert res.n_channels_left == 1
+        energies = np.array([e])
+        lu = BlockTridiagLU(*assemble_system_blocks(
+            H, energies, *solver.contacts.sigma_stacks(energies)
+        ))
+        diag_g = np.concatenate(
+            [g[0].diagonal() for g in lu.diagonal_of_inverse()]
+        )
         ref = dense_observables(
             H, e, (H.diagonal[0], H.upper[0]), (H.diagonal[-1], H.upper[-1]),
             eta=1e-9,
         )
-        np.testing.assert_allclose(
-            res.dos, res.spectral_left + res.spectral_right, rtol=1e-12
-        )
+        np.testing.assert_allclose(res.dos, -diag_g.imag / np.pi, rtol=1e-12)
         np.testing.assert_allclose(res.dos, ref["dos"], rtol=1e-12)
 
     def test_reciprocity(self):
@@ -188,8 +214,8 @@ class TestAgainstDense:
 
     def test_grid_stage_multiplies_by_its_scalar_couplings(self, monkeypatch):
         """A grid device's ``-t I`` couplings reach the block LU as 0-d
-        scalars: one RGF kernel stage issues 5(N-1)+2 block products
-        (9(N-1)+2 on matrix couplings) and matches dense inversion."""
+        scalars: one RGF kernel stage issues 3(N-1)+2 block products
+        (7(N-1)+2 on matrix couplings) and matches dense inversion."""
         from repro.solvers import block_tridiagonal
 
         H = self.make_grid_system()
@@ -208,7 +234,7 @@ class TestAgainstDense:
 
         monkeypatch.setattr(block_tridiagonal, "_matmul", matmul)
         res = solver.kernel_stage(energies, *sigmas)
-        assert len(products) == 5 * (H.n_blocks - 1) + 2
+        assert len(products) == 3 * (H.n_blocks - 1) + 2
         lead_l = (H.diagonal[0], H.upper[0])
         lead_r = (H.diagonal[-1], H.upper[-1])
         for row in res:
@@ -219,6 +245,23 @@ class TestAgainstDense:
             np.testing.assert_allclose(
                 row.spectral_left, ref["spectral_left"], rtol=1e-10
             )
+
+    def test_matrix_coupled_stage_issues_seven_products_a_slab(
+        self, monkeypatch
+    ):
+        """On matrix couplings (the m = 30 Si wire) one RGF kernel stage
+        issues 7(N-1)+2 block products — the factor 2 a slab, the first
+        column 4 with ``Q`` formed once, the last column 1 — and runs no
+        selected inversion."""
+        from tests.test_solvers import recorded_products
+
+        H, e = self.make_si_wire_system()
+        solver = RGFSolver(H)
+        energies = np.array([e, e + 0.1])
+        sigmas = solver.contacts.sigma_stacks(energies)
+        products = recorded_products(monkeypatch)
+        solver.kernel_stage(energies, *sigmas)
+        assert len(products) == 7 * (H.n_blocks - 1) + 2
 
     def test_chain_stage_calls_no_lapack_inverse(self, monkeypatch):
         """At m = 1 every Schur complement is a reciprocal: an RGF kernel

@@ -594,21 +594,25 @@ class TestOneRecorderOnThePool:
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_strict_monitor_raises(self, fet, backend):
-        """No transmission passes a negative tolerance; with the sentinel
-        off nothing heals the raise."""
+        """No transmission passes a negative tolerance, and nothing heals
+        the raise: with the sentinel off nothing climbs the ladder, and
+        under the default ``contain`` sentinel the ladder re-raises a
+        strict monitor's verdict instead of solving the energy again on
+        the dense-oracle rung, which checks no invariant."""
         from repro.errors import PhysicsInvariantError
         from repro.observability import InvariantMonitor, use_run
         from repro.resilience import HealthSentinel
 
         built, potential = fet
-        registry = MetricsRegistry()
-        with use_run(
-            metrics=registry, sentinel=HealthSentinel("off"),
-            monitor=InvariantMonitor(strict=True, tol_transmission=-1.0),
-        ):
-            with pytest.raises(PhysicsInvariantError):
-                self._calc(built, backend).solve_bias(potential, 0.1)
-        assert _pooled(registry) == (backend == "process")
+        for sentinel in ({"sentinel": HealthSentinel("off")}, {}):
+            registry = MetricsRegistry()
+            with use_run(
+                metrics=registry, **sentinel,
+                monitor=InvariantMonitor(strict=True, tol_transmission=-1.0),
+            ):
+                with pytest.raises(PhysicsInvariantError):
+                    self._calc(built, backend).solve_bias(potential, 0.1)
+            assert _pooled(registry) == (backend == "process")
 
     def test_monitor_violations_equal_serial(self, fet):
         from repro.observability import InvariantMonitor
