@@ -9,8 +9,12 @@ span absorption — so this benchmark measures what exactness costs:
 * **merge-back overhead** — wall time of a process-backend bias solve
   with tracer+metrics active vs the same solve uninstrumented.  The
   design target is < 2% on production-sized solves, where the fixed
-  per-solve costs (delta pickling) vanish into seconds of kernel time; the smoke workload finishes in ~100 ms, so the assertion
-  bar is a loose 20% that still catches accidental O(n) regressions;
+  per-solve costs (delta pickling) vanish into seconds of kernel time.
+  The bar was set at a loose 20% for a ~100 ms smoke solve; the smoke
+  solve now takes ~6 ms (2-vCPU x86 box), where the fixed costs read
+  17-20%.  It is judged as the median over ``PAIRS`` interleaved (bare,
+  instrumented) pairs of warm solves — a best of 3 read -18% to +15%
+  by noise alone;
 * **delta volume** — how many deltas/spans merged and how many bytes of
   telemetry crossed the process boundary per solve.
 
@@ -31,9 +35,12 @@ from repro.observability import (
     use_tracer,
 )
 
-#: Loose CI bar for the ~100 ms smoke solve; the design target is < 2%
+#: Loose CI bar set for a ~100 ms smoke solve; the design target is < 2%
 #: on production-sized solves (fixed costs amortize with kernel time).
 MAX_OVERHEAD_FRACTION = 0.20
+#: Interleaved (bare, instrumented) solve pairs the overhead is the
+#: median of.
+PAIRS = 15
 
 
 def _built(n_x=14):
@@ -52,18 +59,15 @@ def _built(n_x=14):
     return build_device(spec)
 
 
-def _best_of(fn, repeats):
-    best = np.inf
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
-def _overhead_report(built, n_energy=31, workers=2, repeats=3):
-    """Instrumented vs bare process-backend solve."""
+def _overhead_report(built, n_energy=31, workers=2, pairs=PAIRS):
+    """Instrumented vs bare process-backend solve: medians over ``pairs``
+    interleaved pairs, each pair in the other order than the last."""
     tc = TransportCalculation(
         built, method="rgf", n_energy=n_energy,
         backend="process", workers=workers,
@@ -72,9 +76,8 @@ def _overhead_report(built, n_energy=31, workers=2, repeats=3):
     grid = tc.energy_grid(pot, 0.05)
     tc.solve_bias(pot, 0.05, energy_grid=grid)  # warm the pool
 
-    base_s, base = _best_of(
-        lambda: tc.solve_bias(pot, 0.05, energy_grid=grid), repeats
-    )
+    def bare():
+        return tc.solve_bias(pot, 0.05, energy_grid=grid)
 
     def instrumented():
         tracer, registry = Tracer(), MetricsRegistry()
@@ -82,7 +85,18 @@ def _overhead_report(built, n_energy=31, workers=2, repeats=3):
             res = tc.solve_bias(pot, 0.05, energy_grid=grid)
         return res, tracer, registry.snapshot()
 
-    inst_s, (inst, tracer, snap) = _best_of(instrumented, repeats)
+    instrumented()  # warm the capture path too: its first use imports
+    base_times, inst_times, overheads = [], [], []
+    for i in range(pairs):
+        if i % 2:
+            inst_s, (inst, tracer, snap) = _timed(instrumented)
+            base_s, base = _timed(bare)
+        else:
+            base_s, base = _timed(bare)
+            inst_s, (inst, tracer, snap) = _timed(instrumented)
+        base_times.append(base_s)
+        inst_times.append(inst_s)
+        overheads.append((inst_s - base_s) / base_s if base_s > 0 else 0.0)
 
     # exactness comes first: instrumentation must not perturb physics
     np.testing.assert_array_equal(base.transmission, inst.transmission)
@@ -95,11 +109,10 @@ def _overhead_report(built, n_energy=31, workers=2, repeats=3):
         flat.get("telemetry.delta_bytes{path=pickled}.count", 0.0)
         * flat.get("telemetry.delta_bytes{path=pickled}.mean", 0.0)
     )
-    overhead = (inst_s - base_s) / base_s if base_s > 0 else 0.0
     return {
-        "pickled.base_wall_time_s": base_s,
-        "pickled.instrumented_wall_time_s": inst_s,
-        "pickled.overhead_fraction_s": overhead,
+        "pickled.base_wall_time_s": float(np.median(base_times)),
+        "pickled.instrumented_wall_time_s": float(np.median(inst_times)),
+        "pickled.overhead_fraction_s": float(np.median(overheads)),
         "pickled.deltas_merged": float(deltas),
         "pickled.spans_merged": snap.counter("telemetry.spans_merged"),
         "pickled.delta_bytes": float(delta_bytes),
@@ -109,9 +122,7 @@ def _overhead_report(built, n_energy=31, workers=2, repeats=3):
 
 def test_t6_merge_back_exact_and_cheap():
     """Counters survive the process boundary without distorting timing."""
-    report = _overhead_report(
-        _built(n_x=12), n_energy=21, workers=2, repeats=2
-    )
+    report = _overhead_report(_built(n_x=12), n_energy=21, workers=2)
     assert report["pickled.deltas_merged"] > 0, report
     assert report["pickled.counted_flops"] > 0, report
     # generous sanity bound: instrumentation must not blow up the solve
@@ -121,7 +132,7 @@ def test_t6_merge_back_exact_and_cheap():
 def _smoke():
     built = _built()
     report = {"n_energy": 61, "workers": 2}
-    report.update(_overhead_report(built, n_energy=61, repeats=3))
+    report.update(_overhead_report(built, n_energy=61))
     assert report["pickled.deltas_merged"] > 0, report
     assert report["pickled.overhead_fraction_s"] < \
         MAX_OVERHEAD_FRACTION, report

@@ -24,7 +24,9 @@ backends and the parent-side
 also timed through the same default ``solve_bias`` path
 (``time.adaptive_serial_s`` vs ``time.uniform_matched_s``, with
 ``nproc`` recorded next to them): fewer solves must also mean less
-wall-clock, which ``--smoke`` asserts.
+wall-clock, which ``--smoke`` asserts on the medians of
+``TIMING_PAIRS`` interleaved (uniform, adaptive) pairs of solves — one
+pair on a shared runner can read either way by noise alone.
 
 ``--smoke`` records the full report as the ``BENCH_adaptive`` measured
 baseline.
@@ -57,6 +59,9 @@ REL_TOL = 1e-8
 #: strict subset of the oracle nodes).
 N_ORACLE = 65537
 N_UNIFORM_MIN = 2049
+#: Interleaved (uniform, adaptive) serial solve pairs whose median wall
+#: times are compared.
+TIMING_PAIRS = 5
 
 
 def _built():
@@ -133,21 +138,36 @@ def _uniform_report(built, pot):
     assert matched is not None, (
         f"no uniform grid below the oracle reached {REL_TOL:g} relative"
     )
-    # the matched grid through the same solve_bias the adaptive side is
-    # timed on (one serial process)
-    t0 = time.perf_counter()
-    _transport(built, backend="serial").solve_bias(
-        pot, BIAS_V, energy_grid=uniform_grid(emin, emax, matched)
-    )
-    matched_s = time.perf_counter() - t0
     return {
         "current_ref_a": float(i_ref),
         "uniform.matched_n": int(matched),
         "uniform.rel_error": float(matched_rel),
         "time.dense_oracle_s": oracle_s,
-        "time.uniform_matched_s": matched_s,
         "nproc": os.cpu_count(),
     }
+
+
+def _timing_report(built, pot, matched_n, pairs=TIMING_PAIRS):
+    """Median wall times of the matched uniform grid and the adaptive
+    solve through the same serial ``solve_bias``, over ``pairs``
+    interleaved pairs, each pair in the other order than the last."""
+    window = _transport(built).energy_grid(pot, BIAS_V).energies
+    grid = uniform_grid(float(window.min()), float(window.max()), matched_n)
+    runs = {
+        "time.uniform_matched_s": lambda: _transport(
+            built, backend="serial"
+        ).solve_bias(pot, BIAS_V, energy_grid=grid),
+        "time.adaptive_serial_s": lambda: _transport(
+            built, energy_mode="adaptive", backend="serial"
+        ).solve_bias(pot, BIAS_V),
+    }
+    times = {key: [] for key in runs}
+    for i in range(pairs):
+        for key in list(runs)[:: -1 if i % 2 else 1]:
+            t0 = time.perf_counter()
+            runs[key]()
+            times[key].append(time.perf_counter() - t0)
+    return {key: float(np.median(t)) for key, t in times.items()}
 
 
 def _adaptive_run(built, pot, backend="serial", workers=None):
@@ -209,6 +229,7 @@ def _full_report(built, pot, backends=None):
             built, pot, report["current_ref_a"], backends=backends,
         )
     )
+    report.update(_timing_report(built, pot, report["uniform.matched_n"]))
     report["reduction"] = (
         report["uniform.matched_n"] / report["adaptive.solved"]
     )

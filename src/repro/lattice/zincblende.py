@@ -77,11 +77,6 @@ class ZincblendeCell:
         """Nearest-neighbour distance (nm)."""
         return bond_length(self.a_nm)
 
-    @property
-    def atoms_per_conventional_cell(self) -> int:
-        """Always 8 for zincblende."""
-        return 8
-
     def conventional_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(A positions, B positions) of one conventional cell, in nm."""
         return _CONVENTIONAL_A * self.a_nm, _CONVENTIONAL_B * self.a_nm
@@ -89,10 +84,6 @@ class ZincblendeCell:
     def bond_vectors_from_anion(self) -> np.ndarray:
         """The four anion->cation bond vectors (nm), shape (4, 3)."""
         return TETRAHEDRAL_BONDS * self.a_nm
-
-    def bond_vectors_from_cation(self) -> np.ndarray:
-        """The four cation->anion bond vectors (nm), shape (4, 3)."""
-        return -TETRAHEDRAL_BONDS * self.a_nm
 
 
 def conventional_cell(cell: ZincblendeCell) -> AtomicStructure:

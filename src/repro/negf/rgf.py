@@ -79,11 +79,16 @@ def _contact_density(column: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """``diag(G Gamma G^+) / 2 pi`` from the contact's block column of G:
     a ``(B, rows, m) @ (B, m, m)`` GEMM per group of :data:`DENSITY_ROWS`
     rows, each reduced by :func:`_row_sums` before the next (no
-    column-sized temporary)."""
+    column-sized temporary).  At m = 1 the GEMM is a multiply, at a
+    fraction of its cost: Gamma is Hermitian, so its one entry has a zero
+    imaginary part, both cross terms of each complex product are exact
+    zeros, and the multiply rounds as the GEMM does, bit for bit, fused
+    or not (:data:`repro.solvers.block_tridiagonal._matmul`)."""
+    product = np.multiply if gamma.shape[-1] == 1 else np.matmul
     groups = [column[:, lo:lo + DENSITY_ROWS]
               for lo in range(0, column.shape[1], DENSITY_ROWS)]
     return np.concatenate(
-        [_row_sums(rows @ gamma, rows) for rows in groups], axis=1
+        [_row_sums(product(rows, gamma), rows) for rows in groups], axis=1
     ) / (2.0 * np.pi)
 
 
@@ -118,18 +123,18 @@ def assemble_system_blocks(
     ``c·I`` comes out as the 0-d complex ``-c``
     (:meth:`BlockTridiagonalHamiltonian.couplings`), which
     :class:`repro.solvers.BlockTridiagLU` multiplies by.  The diagonal
-    blocks of one size are views of one array.
+    blocks of one size are views of one array, formed from H's stack of
+    that size (``diagonal_stacks``) in one broadcast.
     """
     e = np.asarray(energy, dtype=float)
     e = e.reshape((1,) + e.shape + (1, 1))
     diag = [None] * H.n_blocks
     # the blocks of one size are views of one array: a kernel stage frees
     # them as one chunk, the size of the block column it forms next
-    for m in set(H.block_sizes.tolist()):
-        slabs = np.flatnonzero(H.block_sizes == m)
-        h = np.array([H.diagonal[i] for i in slabs])
+    for slabs, h in H.diagonal_stacks:
+        m = h.shape[-1]
         h = h.reshape((len(slabs),) + (1,) * (e.ndim - 3) + (m, m))
-        for i, a in zip(slabs, e * np.eye(m, dtype=complex) - h):
+        for i, a in zip(slabs.tolist(), e * np.eye(m, dtype=complex) - h):
             diag[i] = a
     diag[0] -= sigma_l
     diag[-1] -= sigma_r

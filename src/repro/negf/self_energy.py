@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surface_gf import _surface_gfs
+from ..tb.hamiltonian import as_couplings
+from .surface_gf import _block, _surface_gfs
 
 __all__ = [
     "Contacts",
@@ -80,7 +81,8 @@ class LeadSelfEnergy:
 
 def _sigma_stacks(energies, leads, tau, method, eta):
     """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
-    ``(h00, h01, side)``.
+    ``(h00, h01, side)`` (``h01`` a block or the 0-d ``c`` of ``c·I``,
+    as :func:`repro.negf.surface_gf._surface_gfs` takes it).
 
     ``method="sancho"`` runs all leads through one stacked surface-GF
     call (:func:`repro.negf.surface_gf._surface_gfs`: both contacts of a
@@ -98,7 +100,8 @@ def _sigma_stacks(energies, leads, tau, method, eta):
 
         g_stacks = [
             np.array(
-                [robust_surface_gf(e, h00, h01, side=side, eta=eta)[0]
+                [robust_surface_gf(e, h00, _block(h01, h00), side=side,
+                                   eta=eta)[0]
                  for e in energies.tolist()],
                 dtype=complex,
             ).reshape((-1,) + np.shape(h00))
@@ -107,8 +110,9 @@ def _sigma_stacks(energies, leads, tau, method, eta):
     else:
         raise ValueError("method must be 'sancho' or 'robust'")
     sigma_stacks = []
-    for g_stack, (_, h01, side) in zip(g_stacks, leads):
-        tau_arr = np.asarray(h01 if tau is None else tau, dtype=complex)
+    for g_stack, (h00, h01, side) in zip(g_stacks, leads):
+        tau_arr = np.asarray(_block(h01, h00) if tau is None else tau,
+                             dtype=complex)
         if side == "left":
             sigma_stacks.append(tau_arr.conj().T @ g_stack @ tau_arr)
         else:
@@ -187,14 +191,18 @@ class Contacts:
     after the other; a failure names the first lead that fails (lowest
     stack index: the left before the right), with its energy and side.
 
-    How the stack is solved is a property of the leads, resolved on every
-    :meth:`sigma_stacks` call: leads coupled by ``h01 = c I`` with a
-    finite, exactly Hermitian ``h00`` (every effective-mass grid device,
-    at any k) take the closed form of their scalar chains in the
-    eigenbasis of their ``h00`` — one ``eigh`` per lead and call, no
-    inversion, no iteration — and any other lead (atomistic, singular or
-    poisoned) decimates as ``(2B, m, m)`` stacks; a pair of one of each
-    runs lead by lead (:func:`repro.negf.surface_gf._surface_gfs`).
+    How the stack is solved is a property of the leads: leads coupled by
+    ``h01 = c I`` with a finite, exactly Hermitian ``h00`` (every
+    effective-mass grid device, at any k) take the closed form of their
+    scalar chains in the eigenbasis of their ``h00`` — one ``eigh`` per
+    lead and call, no inversion, no iteration — and any other lead
+    (atomistic, singular or poisoned) decimates as ``(2B, m, m)`` stacks;
+    a pair of one of each runs lead by lead
+    (:func:`repro.negf.surface_gf._surface_gfs`).  The coupling verdict
+    is taken once: a device end's is the Hamiltonian's own
+    (:meth:`repro.tb.BlockTridiagonalHamiltonian.couplings`), an explicit
+    lead's is read here; ``h00`` is checked on every
+    :meth:`sigma_stacks` call.
 
     Parameters
     ----------
@@ -211,26 +219,37 @@ class Contacts:
 
     def __init__(self, hamiltonian, lead_left=None, lead_right=None,
                  eta: float = 1e-6, method: str = "sancho"):
-        self.left = (
-            lead_left
-            if lead_left is not None
-            else (hamiltonian.diagonal[0], hamiltonian.upper[0])
-        )
-        self.right = (
-            lead_right
-            if lead_right is not None
-            else (hamiltonian.diagonal[-1], hamiltonian.upper[-1])
-        )
+        self.hamiltonian = hamiltonian
+        # an explicit lead carries its coupling verdict, as couplings()
+        # gives it (0-d c for c·I); a device end reads the Hamiltonian's
+        self._leads = [None if lead is None
+                       else (*lead, as_couplings([lead[1]])[0])
+                       for lead in (lead_left, lead_right)]
         self.eta = eta
         self.method = method
+
+    def _lead(self, end: int):
+        """``(h00, h01, c)`` of the lead at device end ``end`` (0 or -1),
+        ``c`` its coupling as :meth:`repro.tb.BlockTridiagonalHamiltonian.
+        couplings` gives it."""
+        H = self.hamiltonian
+        return self._leads[end] or (
+            H.diagonal[end], H.upper[end], H.couplings()[end]
+        )
+
+    left = property(lambda self: self._lead(0)[:2],
+                    doc="``(h00, h01)`` of the left lead.")
+    right = property(lambda self: self._lead(-1)[:2],
+                     doc="``(h00, h01)`` of the right lead.")
 
     def sigma_stacks(self, energies):
         """Left and right ``(B, m, m)`` self-energy stacks — what the
         kernel stage of either transport solver consumes; both leads go
         through one surface-GF call (left slices first, so a failing left
         lead is still the one reported)."""
+        (h00_l, _, c_l), (h00_r, _, c_r) = self._lead(0), self._lead(-1)
         return _sigma_stacks(
-            energies, [(*self.left, "left"), (*self.right, "right")],
+            energies, [(h00_l, c_l, "left"), (h00_r, c_r, "right")],
             None, self.method, self.eta,
         )
 

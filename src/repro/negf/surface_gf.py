@@ -223,23 +223,34 @@ def sancho_rubio_batch(
 
 def _scalar_coupled(h00, h01) -> bool:
     """Whether a lead's surface GF is closed form: ``h01 == c·I`` exactly
-    (:func:`repro.tb.hamiltonian.identity_scalars`, the block LU's test
-    too) and ``h00`` finite and exactly Hermitian.  In the eigenbasis
-    ``h00 = U diag(d) U^+`` the lead is then m independent scalar chains
-    (:func:`_mode_surface_gfs`); any other lead — poisoned blocks
-    included, which ``eigh`` must never see — decimates at m."""
+    and ``h00`` finite and exactly Hermitian.  ``h01`` is the block —
+    tested by :func:`repro.tb.hamiltonian.identity_scalars`, the block
+    LU's test too — or its verdict already taken, the 0-d ``c`` of
+    :meth:`repro.tb.BlockTridiagonalHamiltonian.couplings` (what
+    :class:`repro.negf.Contacts` hands over, so a kernel stage re-reads
+    no coupling).  In the eigenbasis ``h00 = U diag(d) U^+`` the lead is
+    then m independent scalar chains (:func:`_mode_surface_gfs`); any
+    other lead — poisoned blocks included, which ``eigh`` must never
+    see — decimates at m."""
     h00 = np.asarray(h00)
     return bool(
-        identity_scalars([h01])[0] is not None
+        (np.ndim(h01) == 0 or identity_scalars([h01])[0] is not None)
         and np.isfinite(h00).all()
         and np.array_equal(h00, h00.conj().T)
     )
 
 
+def _block(h01, h00) -> np.ndarray:
+    """A lead coupling as a matrix: the block itself, or ``c·I`` for a 0-d
+    coupling ``c`` (sized by the lead cell ``h00``)."""
+    return h01 if np.ndim(h01) else h01 * np.eye(len(h00))
+
+
 def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
     """Surface GFs of several leads as one stack.
 
-    ``leads`` is a sequence of ``(h00, h01, side)``; the result is one
+    ``leads`` is a sequence of ``(h00, h01, side)``, ``h01`` a coupling
+    block or a 0-d ``c`` for the block ``c·I``; the result is one
     ``(g, n_iter)`` pair per lead, each exactly what
     :func:`sancho_rubio_batch` returns for that lead alone.  Leads of one
     block size and one kind — all scalar-coupled (:func:`_scalar_coupled`,
@@ -276,6 +287,7 @@ def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
         g_stacks = _mode_surface_gfs(energies, leads, eta)
         iters = np.zeros(len(leads) * n_batch, dtype=int)
     else:
+        leads = [(h00, _block(h01, h00), side) for h00, h01, side in leads]
         g_all, iters = _decimate(energies, leads, eta, tol, max_iter)
         g_stacks = np.split(g_all, len(leads))
         for g, lead in zip(g_stacks, leads):

@@ -39,7 +39,6 @@ __all__ = [
     "band_for",
     "compare_metrics",
     "load_baseline",
-    "load_baselines",
     "check_against_baselines",
 ]
 
@@ -233,14 +232,6 @@ def load_baseline(path) -> dict:
     """Load one ``BENCH_*.json`` flat metrics dict."""
     with open(path) as fh:
         return json.load(fh)
-
-
-def load_baselines(directory) -> dict:
-    """All baselines of a directory: ``{"t3_rgf": {...}, ...}``."""
-    out = {}
-    for path in sorted(Path(directory).glob("BENCH_*.json")):
-        out[path.stem[len("BENCH_"):]] = load_baseline(path)
-    return out
 
 
 def check_against_baselines(

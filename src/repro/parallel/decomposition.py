@@ -122,10 +122,6 @@ class Decomposition:
         """Total ranks used by the grid."""
         return int(np.prod(self.groups))
 
-    def level_sizes(self) -> dict:
-        """Named group sizes: ``{"bias": g_b, ..., "spatial": g_s}``."""
-        return dict(zip(LEVEL_NAMES, self.groups))
-
     def rank_coordinates(self, rank: int) -> tuple[int, int, int, int]:
         """(bias group, k group, E group, spatial index) of a rank."""
         if not 0 <= rank < self.n_ranks:

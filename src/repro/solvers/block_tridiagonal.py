@@ -31,7 +31,12 @@ from ..resilience.health import get_sentinel, norm1
 __all__ = ["BatchedBlockTridiagLU", "BlockTridiagLU", "block_product"]
 
 #: Every block product of :class:`BlockTridiagLU` goes through this name,
-#: so a test can count them by patching it.
+#: so a test can count them by patching it.  A product whose contracted
+#: dimension is 1 (every product of a chain's 1x1 blocks) stays a
+#: ``matmul``: ``np.multiply`` is 3-4x cheaper there, but numpy's complex
+#: multiply rounds a length-1 stack with an aliased output unfused and a
+#: longer one with FMA (numpy 2.4, AVX-512F), so an energy's bits would
+#: depend on its stack.
 _matmul = np.matmul
 
 

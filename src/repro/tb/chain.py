@@ -8,9 +8,7 @@ against these exactly solvable systems:
   function;
 * **square potential barrier** on the chain — transmission from the
   standard transfer-matrix formula evaluated on the *lattice* model (exact,
-  not the continuum approximation);
-* **dimer (two-band) chain** — alternating hoppings t1, t2, a gap between
-  |t1 - t2| and t1 + t2; tests gap behaviour and evanescent modes.
+  not the continuum approximation).
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ __all__ = [
     "chain_self_energy",
     "chain_blocks",
     "square_barrier_transmission",
-    "dimer_chain_blocks",
-    "dimer_gap",
 ]
 
 
@@ -130,22 +126,3 @@ def square_barrier_transmission(
     r, tau = np.linalg.solve(lhs, rhs)
     return float(abs(tau) ** 2)
 
-
-def dimer_chain_blocks(
-    n_cells: int, e0: float, t1: float, t2: float
-) -> tuple[list, list]:
-    """Block form of the dimerised chain with alternating hoppings t1, t2.
-
-    Each block (cell) holds two sites coupled by ``t1``; cells couple via
-    ``t2``.  Returns (diagonal blocks, upper blocks).
-    """
-    if n_cells < 2:
-        raise ValueError("need at least two cells")
-    d = np.array([[e0, -t1], [-t1, e0]], dtype=complex)
-    u = np.array([[0.0, 0.0], [-t2, 0.0]], dtype=complex)
-    return [d.copy() for _ in range(n_cells)], [u.copy() for _ in range(n_cells - 1)]
-
-
-def dimer_gap(t1: float, t2: float) -> float:
-    """Band gap of the dimer chain: ``2 |t1 - t2|`` centred at e0."""
-    return 2.0 * abs(abs(t1) - abs(t2))

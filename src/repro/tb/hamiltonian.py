@@ -15,7 +15,6 @@ atoms to matrix rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,27 +48,29 @@ def identity_scalars(blocks) -> list:
 
     The one test of "this coupling is a scalar": the block LU multiplies
     by such a coupling instead of issuing a GEMM, and the surface GF of a
-    lead coupled by one is the closed form of its mode basis.  Blocks of
-    one square shape are tested as one stack copy: every kernel stage
-    asks this of all its couplings, and a per-block ``array_equal``
-    against ``c·I`` is 4-5x slower (the 40-slab chain: 0.28 against
-    0.06 ms a stage, about 7 % of an adaptive-chain execution's 13
-    stages).
+    lead coupled by one is the closed form of its mode basis.  It runs
+    once per set of couplings — a :class:`HamiltonianSkeleton`, a
+    :class:`BlockTridiagonalHamiltonian` built elsewhere, an explicit
+    lead — not per kernel stage.
     """
-    if len({np.shape(b) for b in blocks}) > 1:
-        return [identity_scalars([b])[0] for b in blocks]
-    stack = np.array(blocks, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
-        return [None] * len(blocks)
-    flat = stack.reshape(len(stack), -1)
-    c = flat[:, 0].copy()
-    # in place on the copy, along each diagonal: all zero iff the block is
-    # c·I (a non-finite c is left standing, not subtracted from itself)
-    flat[:, :: stack.shape[1] + 1] -= np.where(np.isfinite(c), c, 0)[:, None]
-    return [ci if is_scalar else None for ci, is_scalar in zip(c, ~flat.any(1))]
+
+    def scalar(block):
+        b = np.asarray(block, dtype=complex)
+        square = b.ndim == 2 and b.shape[0] == b.shape[1] and b.size
+        c = b[0, 0] if square else np.nan
+        is_scalar = np.isfinite(c) and np.array_equal(b, c * np.eye(len(b)))
+        return c if is_scalar else None
+
+    return [scalar(b) for b in blocks]
 
 
-@dataclass
+def as_couplings(blocks) -> list:
+    """``blocks`` with each exactly-``c·I`` one replaced by its 0-d ``c``
+    (:func:`identity_scalars`); any other block is returned as itself."""
+    scalars = identity_scalars(blocks)
+    return [b if c is None else c for b, c in zip(blocks, scalars)]
+
+
 class BlockTridiagonalHamiltonian:
     """Hermitian block-tridiagonal matrix H (dense complex blocks).
 
@@ -78,27 +79,61 @@ class BlockTridiagonalHamiltonian:
 
     The block sizes may differ between slabs (tapered devices); most
     transport kernels only require adjacent blocks to be conformable.
+
+    The diagonal blocks of one size are stored as one ``(n, m, m)`` array:
+    ``diagonal_stacks`` holds a ``(slabs, stack)`` pair per block size,
+    and ``diagonal[i]`` is the view of slab i in its stack (the
+    constructor copies the given blocks into the stacks).  The coupling
+    verdicts of :meth:`couplings` are taken once, at construction — or
+    handed over by the :class:`HamiltonianSkeleton` that built H — so the
+    upper blocks are read as given then.  A pickled H carries each stack
+    once, not its views.
     """
 
-    diagonal: list
-    upper: list
-
-    def __post_init__(self):
-        if len(self.upper) != len(self.diagonal) - 1:
+    def __init__(self, diagonal, upper):
+        if len(upper) != len(diagonal) - 1:
             raise ValueError(
-                f"{len(self.diagonal)} diagonal blocks need "
-                f"{len(self.diagonal) - 1} upper blocks, got {len(self.upper)}"
+                f"{len(diagonal)} diagonal blocks need "
+                f"{len(diagonal) - 1} upper blocks, got {len(upper)}"
             )
-        for i, d in enumerate(self.diagonal):
+        for i, d in enumerate(diagonal):
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise ValueError(f"diagonal block {i} is not square: {d.shape}")
-        for i, u in enumerate(self.upper):
-            ni = self.diagonal[i].shape[0]
-            nj = self.diagonal[i + 1].shape[0]
-            if u.shape != (ni, nj):
-                raise ValueError(
-                    f"upper block {i} has shape {u.shape}, expected ({ni}, {nj})"
-                )
+        sizes = [d.shape[0] for d in diagonal]
+        for i, u in enumerate(upper):
+            if u.shape != (sizes[i], sizes[i + 1]):
+                raise ValueError(f"upper block {i} has shape {u.shape}, "
+                                 f"expected {(sizes[i], sizes[i + 1])}")
+        # one stack per block size, in order of first use
+        stacks = [(slabs, np.array([diagonal[i] for i in slabs]))
+                  for slabs in (np.flatnonzero(np.array(sizes) == m)
+                                for m in dict.fromkeys(sizes))]
+        # the attributes are those of the one other way an H is made
+        vars(self).update(vars(
+            self._from_stacks(stacks, upper, as_couplings(upper))
+        ))
+
+    @classmethod
+    def _from_stacks(cls, stacks, upper, couplings):
+        """An H on ``diagonal_stacks`` with its coupling verdicts already
+        taken — a skeleton's build, or an unpickling, whose ``couplings``
+        come as one byte a coupling (a scalar's ``c`` is its block's
+        ``[0, 0]`` entry): no copy, no check."""
+        if isinstance(couplings, bytes):
+            couplings = [np.complex128(u.flat[0]) if is_scalar else u
+                         for u, is_scalar in zip(upper, couplings)]
+        H = cls.__new__(cls)
+        H.diagonal = [None] * (len(upper) + 1)
+        for slabs, stack in stacks:
+            for i, block in zip(slabs.tolist(), stack):
+                H.diagonal[i] = block
+        H.upper, H.diagonal_stacks, H._couplings = list(upper), stacks, couplings
+        return H
+
+    def __reduce__(self):
+        # each stack once (not its views), the verdicts one byte a coupling
+        scalar = bytes(np.ndim(c) == 0 for c in self._couplings)
+        return type(self)._from_stacks, (self.diagonal_stacks, self.upper, scalar)
 
     @property
     def n_blocks(self) -> int:
@@ -121,22 +156,13 @@ class BlockTridiagonalHamiltonian:
 
     def couplings(self) -> list:
         """The upper blocks, each exactly-``c·I`` one as its complex ``c``
-        (:func:`identity_scalars`, read off the blocks at every call): the
+        (:func:`as_couplings`, taken once per Hamiltonian): the
         effective-mass grid family couples its slabs by ``-t I``."""
-        scalars = identity_scalars(self.upper)
-        return [u if c is None else c for u, c in zip(self.upper, scalars)]
+        return list(self._couplings)
 
     def to_dense(self) -> np.ndarray:
         """Full dense matrix (tests and small references only)."""
-        n = self.total_size
-        off = self.block_offsets()
-        H = np.zeros((n, n), dtype=complex)
-        for i, d in enumerate(self.diagonal):
-            H[off[i] : off[i + 1], off[i] : off[i + 1]] = d
-        for i, u in enumerate(self.upper):
-            H[off[i] : off[i + 1], off[i + 1] : off[i + 2]] = u
-            H[off[i + 1] : off[i + 2], off[i] : off[i + 1]] = u.conj().T
-        return H
+        return self.to_csr().astype(complex).toarray()
 
     def to_csr(self) -> sp.csr_matrix:
         """Sparse CSR form (input of the interior eigensolver)."""
@@ -243,7 +269,12 @@ class HamiltonianSkeleton:
     Attributes
     ----------
     diagonal, upper : list of ndarray
-        Slab blocks at zero potential.
+        Slab blocks at zero potential; ``diagonal[i]`` is a view into
+        ``diagonal_stacks``.
+    diagonal_stacks : list of (ndarray of int, ndarray)
+        The diagonal blocks of each block size as one ``(n, m, m)``
+        array with its slab indices (the layout of a
+        :class:`BlockTridiagonalHamiltonian`'s ``diagonal_stacks``).
     onsite_diag : ndarray
         The on-site energies, one flat vector over all orbitals.
     atom_of_orbital : ndarray of int
@@ -362,7 +393,11 @@ class HamiltonianSkeleton:
             else:  # pragma: no cover - partition_into_slabs already forbids this
                 raise ValueError("bond couples non-adjacent slabs")
 
-        self.diagonal = diagonal
+        # the constructor stacks the blocks of each size and takes the
+        # coupling verdicts every Hamiltonian of this skeleton shares
+        bare = BlockTridiagonalHamiltonian(diagonal, upper)
+        self.diagonal, self.diagonal_stacks = bare.diagonal, bare.diagonal_stacks
+        self._couplings = bare._couplings
         self.upper = upper
         self.layers = layers
         self.onsite_diag = np.concatenate(
@@ -370,9 +405,13 @@ class HamiltonianSkeleton:
         )
         self.atom_of_orbital = np.repeat(np.arange(n_atoms), n_orb)
         self._n_atoms = n_atoms
-        self._slab_ends = np.cumsum(sizes)[:-1]
-        for shared in (*diagonal, *upper, *layers, self.onsite_diag,
-                       self.atom_of_orbital):
+        # the orbitals on each stack's diagonals, one row per slab
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self._diagonal_rows = [offsets[slabs][:, None] + np.arange(m.shape[1])
+                               for slabs, m in self.diagonal_stacks]
+        for shared in (*self.diagonal, *upper, *layers, self.onsite_diag,
+                       self.atom_of_orbital,
+                       *(a for pair in self.diagonal_stacks for a in pair)):
             shared.setflags(write=False)
 
     def hamiltonian(
@@ -381,11 +420,14 @@ class HamiltonianSkeleton:
         """The device Hamiltonian at a per-atom potential energy (eV).
 
         ``potential[a]`` is added to every orbital of atom ``a``; None means
-        zero.  The returned ``diagonal`` blocks are fresh, writable copies;
-        the ``upper`` blocks are the skeleton's own read-only arrays, shared
-        by every Hamiltonian it hands out.  A non-finite potential entry
-        makes the on-site diagonal of its atom non-finite (not the atom's
-        whole sub-block): the result is non-finite either way.
+        zero.  The returned ``diagonal_stacks`` are fresh, writable copies
+        of the skeleton's, one copy and one strided write of the matrix
+        diagonals per block size, bit for bit a per-block build; the
+        ``upper`` blocks are the skeleton's own read-only arrays and their
+        coupling verdicts the skeleton's, shared by every Hamiltonian it
+        hands out.  A non-finite potential entry makes the on-site
+        diagonal of its atom non-finite (not the atom's whole sub-block):
+        the result is non-finite either way.
         """
         n_atoms = self._n_atoms
         if potential is None:
@@ -398,10 +440,12 @@ class HamiltonianSkeleton:
         diag = self.onsite_diag + potential[self.atom_of_orbital]
         for layer in self.layers:
             diag += layer
-        diagonal = [block.copy() for block in self.diagonal]
-        for block, entries in zip(diagonal, np.split(diag, self._slab_ends)):
-            np.fill_diagonal(block, entries)
-        return BlockTridiagonalHamiltonian(diagonal, list(self.upper))
+        stacks = [(slabs, stack.copy()) for slabs, stack in self.diagonal_stacks]
+        for (_, stack), rows in zip(stacks, self._diagonal_rows):
+            stack.reshape(len(rows), -1)[:, :: rows.shape[1] + 1] = diag[rows]
+        return BlockTridiagonalHamiltonian._from_stacks(
+            stacks, self.upper, self._couplings
+        )
 
 
 def build_device_hamiltonian(

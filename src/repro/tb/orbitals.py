@@ -50,7 +50,6 @@ ANGULAR_MOMENTUM = {
 }
 
 _P_ORBITALS = (Orbital.PX, Orbital.PY, Orbital.PZ)
-_D_ORBITALS = (Orbital.DXY, Orbital.DYZ, Orbital.DZX, Orbital.DX2Y2, Orbital.DZ2)
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,6 @@ class BasisSet:
     def has_p(self) -> bool:
         """True if the basis contains the p shell (needed for spin-orbit)."""
         return all(o in self.orbitals for o in _P_ORBITALS)
-
-    def has_d(self) -> bool:
-        """True if the basis contains the d shell."""
-        return all(o in self.orbitals for o in _D_ORBITALS)
 
     def with_spin(self) -> "BasisSet":
         """Copy of this basis with spin doubled on."""

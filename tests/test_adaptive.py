@@ -416,6 +416,34 @@ class TestAdaptiveTransport:
                 result = tc.solve_bias(pot, 0.05)
         return result, tracer, registry.snapshot()
 
+    def test_coupling_verdicts_taken_once_per_skeleton(self, monkeypatch):
+        """The ``c·I`` test of the couplings runs once, when the skeleton
+        is assembled: every Hamiltonian the skeleton hands out — one per
+        ladder rung of each k-point — carries its verdicts, and no kernel
+        stage of any wave (the LU's couplings, the contacts' closed-form
+        choice) re-reads a block."""
+        from repro.negf import surface_gf
+        from repro.tb import hamiltonian
+
+        calls = []
+        real = hamiltonian.identity_scalars
+
+        def counted(blocks):
+            calls.append(len(blocks))
+            return real(blocks)
+
+        monkeypatch.setattr(hamiltonian, "identity_scalars", counted)
+        monkeypatch.setattr(surface_gf, "identity_scalars", counted)
+        built = build_device(DeviceSpec(
+            n_x=10, n_y=2, n_z=2, spacing_nm=0.25,
+            source_cells=3, drain_cells=3, gate_cells=(4, 6),
+            donor_density_nm3=0.05, material_params={"m_rel": 0.3},
+        ))
+        assert calls == [9]  # the skeleton's 9 couplings, at the build
+        res, _, _ = self._run(built)
+        assert res.adaptive["waves"] > 1
+        assert calls == [9]
+
     def test_result_carries_adaptive_stats(self, built):
         res, _, snap = self._run(built)
         stats = res.adaptive

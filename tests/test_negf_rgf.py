@@ -287,6 +287,28 @@ class TestAgainstDense:
             )
             np.testing.assert_allclose(row.dos, ref["dos"], rtol=1e-10)
 
+    def test_chain_density_multiply_is_the_gemm(self):
+        """At m = 1 the contact density multiplies by Gamma instead of a
+        GEMM: its one entry is real (Gamma is Hermitian), so the complex
+        product's cross terms are exact zeros and the multiply's bits are
+        the GEMM's, whatever the stack length or the row's position."""
+        from repro.negf.rgf import _contact_density, _row_sums
+        from repro.negf.self_energy import broadening
+
+        H = chain_hamiltonian(40, potential=0.3 * np.sin(np.arange(40)))
+        solver = RGFSolver(H)
+        energies = np.linspace(-1.9, 1.9, 37)
+        sigma_l, _ = solver.contacts.sigma_stacks(energies)
+        gamma = broadening(sigma_l)
+        assert gamma.shape[1:] == (1, 1) and not gamma.imag.any()
+        rng = np.random.default_rng(11)
+        column = rng.normal(size=(37, 40, 1)) + 1j * rng.normal(size=(37, 40, 1))
+        want = _row_sums(column @ gamma, column) / (2.0 * np.pi)
+        assert np.array_equal(_contact_density(column, gamma), want)
+        assert np.array_equal(
+            _contact_density(column[5:6], gamma[5:6]), want[5:6]
+        )
+
     def test_needs_two_slabs(self):
         d = [np.zeros((2, 2), dtype=complex)]
         with pytest.raises(ValueError):

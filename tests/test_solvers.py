@@ -153,6 +153,24 @@ class TestBlockTridiagLU:
         x = np.vstack(xb)
         np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_vector_rhs_keeps_vector_blocks(self, m):
+        """A 1-D right-hand side block is a vector: every solution block
+        comes back 1-D, at m = 1 too, where each block product contracts
+        a length-1 dimension (``(1, 1) @ (1,)`` is ``(1,)``, an
+        elementwise product would broadcast to ``(1, 1)``)."""
+        n = 5
+        diag, upper, lower = random_btd(n, m, seed=17)
+        b = np.random.default_rng(6).normal(size=n * m) + 0j
+        x = BlockTridiagLU(diag, upper, lower).solve(
+            [b[m * i : m * (i + 1)] for i in range(n)]
+        )
+        assert all(block.shape == (m,) for block in x)
+        np.testing.assert_allclose(
+            np.concatenate(x),
+            np.linalg.solve(to_dense(diag, upper, lower), b), atol=1e-9,
+        )
+
     def test_hermitian_coupling_default(self):
         diag, upper, _ = random_btd(4, 3, seed=3)
         lower = [u.conj().T for u in upper]

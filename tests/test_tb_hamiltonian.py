@@ -17,6 +17,7 @@ from repro.tb.hamiltonian import identity_scalars
 from repro.physics.constants import effective_mass_hopping
 from repro.tb import (
     BlockTridiagonalHamiltonian,
+    HamiltonianSkeleton,
     build_device_hamiltonian,
     periodic_wire_blocks,
     silicon_sp3s,
@@ -211,6 +212,113 @@ class TestContactBasis:
         contacts = Contacts(H)
         assert not _scalar_coupled(*contacts.left)
         assert not _scalar_coupled(*contacts.right)
+
+
+class TestStackedSkeleton:
+    """The skeleton keeps its diagonal blocks of one size as one stack and
+    builds a Hamiltonian as one copy and one strided diagonal write per
+    size; the result is bit for bit the per-block build (a copy and a
+    ``fill_diagonal`` per slab) it replaced."""
+
+    @staticmethod
+    def per_block(skeleton, potential):
+        """The per-block build: every block copied, its diagonal filled."""
+        diag = skeleton.onsite_diag + potential[skeleton.atom_of_orbital]
+        for layer in skeleton.layers:
+            diag += layer
+        blocks = [block.copy() for block in skeleton.diagonal]
+        ends = np.cumsum([b.shape[0] for b in blocks])[:-1]
+        for block, entries in zip(blocks, np.split(diag, ends)):
+            np.fill_diagonal(block, entries)
+        return blocks
+
+    @staticmethod
+    def ragged_device():
+        """A 3-slab 2x2 wire continued by a 2-slab single-atom chain:
+        block sizes 4, 4, 4, 1, 1."""
+        wide = rectangular_grid_device(0.25, 3, 2, 2)
+        thin = rectangular_grid_device(0.25, 2, 1, 1).translated([0.75, 0, 0])
+        return partition_into_slabs(wide.merged_with(thin), 0.25, 0.25)
+
+    def cases(self):
+        grid = single_band_material(spacing_nm=0.25)
+        utb = zincblende_ultra_thin_body(SI, 3, 2)
+        si = silicon_sp3s()
+        return {
+            "uniform": HamiltonianSkeleton(grid_device(6, 2, 3), grid),
+            "ragged": HamiltonianSkeleton(self.ragged_device(), grid),
+            "complex-k": HamiltonianSkeleton(
+                partition_into_slabs(utb, si.slab_length_nm, si.bond_cutoff_nm),
+                si, k_transverse=1.3,
+            ),
+        }
+
+    @pytest.mark.parametrize("case", ["uniform", "ragged", "complex-k"])
+    def test_bit_identical_to_the_per_block_build(self, case):
+        skeleton = self.cases()[case]
+        n_atoms = int(skeleton.atom_of_orbital[-1]) + 1
+        potential = np.random.default_rng(3).uniform(-0.4, 0.4, n_atoms)
+        H = skeleton.hamiltonian(potential)
+        want = self.per_block(skeleton, potential)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(H.diagonal, want))
+        sizes = {b.shape[0] for b in want}
+        assert len(H.diagonal_stacks) == len(sizes)
+        for slabs, stack in H.diagonal_stacks:
+            assert stack.flags.writeable and stack.flags.c_contiguous
+            assert all(H.diagonal[i].base is stack for i in slabs)
+        if case == "ragged":
+            assert H.block_sizes.tolist() == [4, 4, 4, 1, 1]
+        if case == "complex-k":
+            assert skeleton.layers and any(
+                np.iscomplexobj(u) and np.abs(u.imag).max() > 0
+                for u in H.upper
+            )
+        # the blocks handed out are fresh: writing one leaves the skeleton
+        H.diagonal[0][0, 0] = np.nan
+        assert np.isfinite(skeleton.diagonal[0]).all()
+        assert np.array_equal(skeleton.hamiltonian(potential).diagonal[0],
+                              want[0])
+
+    def test_the_constructor_stacks_what_it_is_given(self):
+        """A Hamiltonian built elsewhere copies its blocks into the stacks
+        of its sizes, keeps them in slab order and takes its coupling
+        verdicts once."""
+        rng = np.random.default_rng(5)
+        sizes = [2, 3, 2, 2]
+        diag = [rng.normal(size=(m, m)) + 0j for m in sizes]
+        upper = [-0.5 * np.eye(2, 3), rng.normal(size=(3, 2)),
+                 -0.7 * np.eye(2)]
+        H = BlockTridiagonalHamiltonian(diag, upper)
+        assert all(np.array_equal(a, b) and a is not b
+                   for a, b in zip(H.diagonal, diag))
+        assert [s.tolist() for s, _ in H.diagonal_stacks] == [[0, 2, 3], [1]]
+        couplings = H.couplings()
+        assert couplings[0] is upper[0] and couplings[1] is upper[1]
+        assert np.ndim(couplings[2]) == 0 and couplings[2] == -0.7
+        H.upper[2] = np.zeros((2, 2))  # read once: the verdict stands
+        assert H.couplings()[2] == -0.7
+
+    def test_a_pickled_hamiltonian_carries_each_stack_once(self):
+        """Pickling ships the stacks, not the per-slab views (which would
+        each pickle as a copy), and one byte per coupling verdict."""
+        import pickle
+
+        H = build_device_hamiltonian(
+            grid_device(8, 3, 3), single_band_material(spacing_nm=0.25)
+        )
+        blob = pickle.dumps(H)
+        diagonal = sum(b.nbytes for b in H.diagonal)
+        upper = sum(u.nbytes for u in H.upper)
+        assert diagonal + upper < len(blob) < 2 * diagonal + upper
+        back = pickle.loads(blob)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(back.diagonal, H.diagonal))
+        assert back.diagonal[1].base is back.diagonal_stacks[0][1]
+        assert [complex(c) for c in back.couplings()] == [
+            complex(c) for c in H.couplings()
+        ]
+        assert all(type(c) is np.complex128 for c in back.couplings())
 
 
 class TestStackedKScan:
