@@ -1,19 +1,17 @@
 #!/usr/bin/env python
 """Regenerate the committed ``benchmarks/baselines/BENCH_*.json`` files.
 
-Runs exactly the benchmark tests that call ``record_baseline`` (the
-measured-baseline producers — currently the T3 RGF flop cross-check, the
-F3 energy-level scaling probe and the F5 local sustained-Flop/s run) so
-the baselines the regression gate (``repro doctor``,
-``repro.observability.regression.check_against_baselines``) compares against match
-the code in the working tree.
+Runs exactly the benchmarks that write a baseline (the producers in
+:data:`PRODUCERS` — the T3 RGF flop cross-check, the kernel, scaling,
+sustained-Flop/s, SCF, telemetry and adaptive smokes), so the committed
+files match the code in the working tree.  With ``--check`` this script
+is the one baseline gate of the repository (CI ``regression-gate``).
 
 The instrumented *flop counts* in these files are deterministic — they
 change only when a kernel's algorithm changes, which is precisely when a
 refresh is the intended, reviewed action.  The *timing* fields
-(``wall_time_s``, ``sustained_flops``) are machine-dependent; the
-regression bands only warn on those, so refreshing on a different machine
-is safe.
+(``wall_time_s``, ``sustained_flops``, ...) are machine-dependent;
+``--check`` ignores them, so refreshing on a different machine is safe.
 
 Usage::
 
@@ -53,8 +51,7 @@ PRODUCERS = [
     ("benchmarks/bench_t7_adaptive.py --smoke", "BENCH_adaptive.json"),
 ]
 
-#: Machine- and run-dependent fields ignored by ``--check`` (warn-only in
-#: the gate).
+#: Machine- and run-dependent fields ignored by ``--check``.
 #: ``delta_bytes`` is here because worker metric snapshots embed
 #: timing-histogram buckets, whose keys (and thus pickled size) depend
 #: on the machine's measured latencies.

@@ -25,7 +25,7 @@ core      device specs, transport facade, SCF driver, I-V engine
 ``import repro`` loads these, i.e. the default transport path, and
 nothing else.  Capability modules are imported from the module that
 defines them: ``repro.io`` (specs, result JSON, tables),
-``repro.phonons``, ``repro.observability.{export,regression,validate}``,
+``repro.phonons``, ``repro.observability.{export,validate}``,
 ``repro.perf.{model,machine}``,
 ``repro.tb.{alloy,chain,eigensolver,unfolding}``,
 ``repro.solvers.splitsolve`` and ``repro.resilience.checkpoint``.

@@ -1,22 +1,18 @@
 """Command-line interface: device simulation from JSON specs.
 
-Eight subcommands mirror the workflows of the library:
+Seven subcommands mirror the workflows of the library:
 
 * ``simulate`` — one self-consistent bias point of a device spec;
 * ``sweep``    — a transfer (Id-Vg) sweep;
 * ``doctor``   — observability health check: a small monitored sweep with
   convergence tables, physics-invariant verdicts, the per-level
-  communication matrix, the self-healing account and a perf-baseline
-  comparison; with ``--events FILE`` it instead replays a JSONL event
-  stream offline and prints the same summary ``repro top`` renders;
-* ``chaos``    — the chaos-campaign harness: injected faults (NaN,
-  ill-conditioning, hangs, dead ranks) at every parallel level against a
-  mini device, verifying the degradation ladders heal them;
+  communication matrix and the self-healing account;
 * ``bands``    — bulk band-structure summary of a material;
 * ``scaling``  — the performance-model projection table;
 * ``trace``    — summarise a trace JSON produced by ``--trace``;
 * ``top``      — render in-flight progress (bar, ETA, recent points,
-  degradations) from a ``--events`` JSONL stream, live with ``--follow``.
+  degradations) from a ``--events`` JSONL stream, live with ``--follow``,
+  and the stream's schema verdict.
 
 ``simulate`` and ``sweep`` accept ``--trace FILE``: the run executes under
 an active :class:`repro.observability.Tracer`, writes a
@@ -131,27 +127,6 @@ def _eventing(events_path, command, **context):
         print(f"events : {events_path}")
 
 
-def _events_replay(path) -> int:
-    """Offline replay of a JSONL event stream (doctor --events / top)."""
-    import time
-
-    from .observability import (
-        read_events,
-        render_event_summary,
-        summarize_events,
-        validate_events,
-    )
-
-    events = read_events(path)
-    problems = validate_events(events)
-    print(render_event_summary(summarize_events(events), now=time.time()))
-    if problems:
-        print("schema : " + "; ".join(problems))
-        return 1
-    print(f"schema : {len(events)} event(s) valid")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -260,17 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc = sub.add_parser(
         "doctor",
         help="observability health check: monitored sweep, invariant "
-             "verdicts, per-level comm matrix, baseline comparison",
+             "verdicts, per-level comm matrix, self-healing account",
     )
-    p_doc.add_argument(
-        "spec", nargs="?", default=None,
-        help="device spec JSON file (not needed with --events)",
-    )
-    p_doc.add_argument(
-        "--events", metavar="FILE",
-        help="offline replay: read a JSONL event stream, print the same "
-             "summary 'repro top' renders plus a schema verdict, and exit",
-    )
+    p_doc.add_argument("spec", help="device spec JSON file")
     p_doc.add_argument("--vg-start", type=float, default=-0.2)
     p_doc.add_argument("--vg-stop", type=float, default=0.0)
     p_doc.add_argument("--vg-points", type=int, default=2)
@@ -288,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_doc.add_argument(
         "--strict", action="store_true",
-        help="escalate invariant violations to PhysicsInvariantError and "
-             "let the baseline comparison fail (default: warn-only)",
+        help="escalate invariant violations to PhysicsInvariantError "
+             "(default: record them and continue)",
     )
     p_doc.add_argument(
         "--inject-faults", type=int, metavar="SEED", default=None,
@@ -297,41 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
              "injector and verify the violation is recorded, not fatal",
     )
     p_doc.add_argument(
-        "--baselines", metavar="DIR", default=None,
-        help="baseline directory (default: benchmarks/baselines/ of the "
-             "repository this package runs from)",
-    )
-    p_doc.add_argument(
         "--metrics", metavar="FILE",
         help="also write the full metrics snapshot to FILE as JSON",
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="chaos campaign: inject faults at every parallel level and "
-             "verify the self-healing ladders recover",
-    )
-    p_chaos.add_argument(
-        "--backend", choices=(*BACKEND_NAMES, "all"),
-        default="serial",
-        help="execution backend(s) to campaign against (default: serial)",
-    )
-    p_chaos.add_argument(
-        "--workers", type=int, default=2,
-        help="worker count for the process backend",
-    )
-    p_chaos.add_argument(
-        "--stages", nargs="+", metavar="STAGE", default=None,
-        help="run only these named stages (default: all)",
-    )
-    p_chaos.add_argument(
-        "-o", "--output", metavar="FILE",
-        help="write the campaign result JSON here (one file per backend "
-             "when --backend all: a .<backend> suffix is inserted)",
-    )
-    p_chaos.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print each stage verdict as it completes",
     )
 
     p_bands = sub.add_parser("bands", help="bulk band summary of a material")
@@ -344,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_top = sub.add_parser(
         "top",
-        help="render run progress (bar, ETA, recent points) from a "
-             "--events JSONL stream",
+        help="render run progress (bar, ETA, recent points) and the "
+             "schema verdict of a --events JSONL stream",
     )
     p_top.add_argument("file", help="telemetry events JSONL file")
     p_top.add_argument(
@@ -518,53 +452,6 @@ def _cmd_sweep(args) -> int:
     return 0 if all(p.converged for p in curve.points) else 2
 
 
-def _default_baseline_dir():
-    """benchmarks/baselines/ of the source tree this package runs from."""
-    from pathlib import Path
-
-    return Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
-
-
-def _t3_probe():
-    """Re-run the T3 RGF kernel probe; returns its flat measured metrics.
-
-    Deliberately identical in shapes to the committed ``BENCH_t3_rgf``
-    baseline (the ``grid_transport_system(n_x=16, n_yz=8)`` pass of
-    ``benchmarks/bench_t3_kernels.py``): the instrumented flop counts are
-    deterministic, so any drift against the baseline means the kernel's
-    algorithm changed; timings only get warn-band scrutiny.
-    """
-    import numpy as np
-
-    from .lattice import partition_into_slabs, rectangular_grid_device
-    from .negf import Contacts, assemble_system_blocks
-    from .observability import Tracer, use_tracer
-    from .observability.export import flat_metrics
-    from .solvers import BlockTridiagLU
-    from .tb import build_device_hamiltonian, single_band_material
-
-    energy = 0.6
-    mat = single_band_material(m_rel=0.3, spacing_nm=0.25)
-    s = rectangular_grid_device(0.25, 16, 8, 8)
-    dev = partition_into_slabs(s, 0.25, 0.25)
-    pot = np.zeros(s.n_atoms)
-    slab = dev.slab_of_atom()
-    mid = dev.n_slabs // 2
-    pot[(slab >= mid - 1) & (slab <= mid + 1)] = 0.1
-    H = build_device_hamiltonian(dev, mat, potential=pot)
-    (sig_l,), (sig_r,) = Contacts(H).self_energies([energy])
-    diag, upper, lower = assemble_system_blocks(
-        H, energy, sig_l.sigma, sig_r.sigma
-    )
-    tracer = Tracer()
-    with use_tracer(tracer):
-        lu = BlockTridiagLU(diag, upper, lower)
-        lu.solve_block_column(0)
-        lu.solve_block_column(len(diag) - 1)
-        lu.diagonal_of_inverse()
-    return flat_metrics(tracer)
-
-
 def _cmd_doctor(args) -> int:
     from .core import (
         DistributedTransport,
@@ -579,16 +466,8 @@ def _cmd_doctor(args) -> int:
         MetricsRegistry,
         use_run,
     )
-    from .observability.regression import check_against_baselines
     from .parallel import LEVEL_NAMES, CommTrace, TracedComm
 
-    if args.events:
-        # offline replay mode: no simulation, just the event-stream view
-        return _events_replay(args.events)
-    if not args.spec:
-        print("doctor: a device spec is required unless --events is given",
-              file=sys.stderr)
-        return 2
     built = _load_built(args.spec)
     transport = TransportCalculation(
         built, method=args.method, n_energy=args.n_energy,
@@ -698,13 +577,6 @@ def _cmd_doctor(args) -> int:
               f"(paper's 4-level decomposition)",
     ))
 
-    # --- perf-regression gate against the committed baseline ----------
-    baseline_dir = args.baselines or _default_baseline_dir()
-    report = check_against_baselines(
-        _t3_probe(), baseline_dir, "t3_rgf", strict=args.strict
-    )
-    print(report.summary())
-
     if args.metrics:
         snap.write(args.metrics)
         print(f"metrics: {args.metrics}")
@@ -713,39 +585,9 @@ def _cmd_doctor(args) -> int:
         print(f"doctor : FAIL ({organic_violations} organic invariant "
               f"violation(s))")
         return 1
-    if report.verdict == "fail":
-        print("doctor : FAIL (performance baseline regression)")
-        return 2
-    print(f"doctor : OK (verdict {report.verdict}, "
-          f"{monitor.n_violations - organic_violations} drill violation(s))")
+    print(f"doctor : OK ({monitor.n_violations - organic_violations} "
+          f"drill violation(s))")
     return 0
-
-
-def _cmd_chaos(args) -> int:
-    from .resilience.chaos import run_campaign, write_campaign_json
-
-    backends = BACKEND_NAMES if args.backend == "all" else (args.backend,)
-    all_passed = True
-    for backend in backends:
-        campaign = run_campaign(
-            backend=backend,
-            workers=args.workers,
-            stages=args.stages,
-            verbose=args.verbose,
-        )
-        print(campaign.summary())
-        all_passed = all_passed and campaign.passed
-        if args.output:
-            path = args.output
-            if len(backends) > 1:
-                root, dot, ext = path.rpartition(".")
-                path = (
-                    f"{root}.{backend}{dot}{ext}" if dot else
-                    f"{path}.{backend}"
-                )
-            write_campaign_json(campaign, path)
-            print(f"wrote: {path}")
-    return 0 if all_passed else 1
 
 
 def _cmd_bands(args) -> int:
@@ -812,6 +654,8 @@ def _cmd_top(args) -> int:
     process, another container, or already finished.  With ``--follow``
     it re-renders every ``--interval`` seconds until ``run_finished``
     appears (or the file never materialises and the user interrupts).
+    The last render ends with the stream's schema verdict
+    (:func:`repro.observability.validate_events`): exit 1 on a bad stream.
     """
     import os
     import time
@@ -820,6 +664,7 @@ def _cmd_top(args) -> int:
         read_events,
         render_event_summary,
         summarize_events,
+        validate_events,
     )
 
     while True:
@@ -834,8 +679,14 @@ def _cmd_top(args) -> int:
         summary = summarize_events(events)
         print(render_event_summary(summary, now=time.time()))
         if not args.follow or summary.get("finished"):
-            return 0
+            break
         time.sleep(args.interval)
+    problems = validate_events(events)
+    if problems:
+        print("schema : " + "; ".join(problems))
+        return 1
+    print(f"schema : {len(events)} event(s) valid")
+    return 0
 
 
 def _cmd_scaling(args) -> int:
@@ -873,7 +724,6 @@ def main(argv=None) -> int:
         "bands": _cmd_bands,
         "scaling": _cmd_scaling,
         "trace": _cmd_trace,
-        "chaos": _cmd_chaos,
         "top": _cmd_top,
     }[args.command]
     return handler(args)

@@ -33,7 +33,6 @@ from ..observability.telemetry import get_metrics, get_tracer
 from ..parallel.backend import SerialBackend, get_backend
 from ..parallel.comm import payload_nbytes
 from ..parallel.decomposition import Decomposition, choose_level_sizes
-from ..parallel.scheduler import split_chunks
 from ..perf.flops import FlopCounter
 from ..physics.grids import EnergyGrid
 from ..resilience.degrade import DegradationReport
@@ -269,7 +268,6 @@ class DistributedTransport:
         comm,
         n_ranks: int | None = None,
         injector=None,
-        rank_recovery: str = "requeue",
     ) -> dict:
         """SPMD entry point: every rank calls this with its communicator.
 
@@ -285,22 +283,13 @@ class DistributedTransport:
         energy heals down the same ladder as in the bias loop.
 
         Fault tolerance: when a representative rank dies
-        (:class:`repro.errors.RankFailure`, organic or injected), its task
-        list is split over helper ranks through the explicit-``tasks``
-        path of :meth:`rank_partial`; ``rank_recovery`` picks the helpers:
-
-        * ``"requeue"`` (default) — one surviving rank reclaims the dead
-          rank's *exact* task list.  Because the reclaimed list is solved
-          in the same order and reduced at the same position, the summed
-          observables are bit-identical to the fault-free run.
-        * ``"shrink"`` — the dead rank's tasks are split across *all*
-          survivors (elastic rank-shrink: the sweep continues on a
-          smaller machine).  Lower recovery latency, but the split
-          changes the per-rank summation order, so observables agree
-          with the clean run only to floating-point reduction tolerance.
-
-        A dead rank is accounted in the result's ``degradation``: one
-        ``rank_failures``, one ``"rank:requeue"`` / ``"rank:shrink"``
+        (:class:`repro.errors.RankFailure`, organic or injected), the next
+        representative reclaims its *exact* task list through the
+        explicit-``tasks`` path of :meth:`rank_partial` (requeue).  The
+        reclaimed list is solved in the same order and reduced at the same
+        position, so the summed observables are bit-identical to the
+        fault-free run.  A dead rank is accounted in the result's
+        ``degradation``: one ``rank_failures``, one ``"rank:requeue"``
         ladder step and its reclaimed tasks in ``requeued_tasks``.
 
         Returns a dict with ``current_a``, ``density_per_atom``,
@@ -310,8 +299,6 @@ class DistributedTransport:
         summed :class:`~repro.perf.flops.FlopCounter`) — on a real
         communicator this rank's own account and flops.
         """
-        if rank_recovery not in ("requeue", "shrink"):
-            raise ValueError("rank_recovery must be 'requeue' or 'shrink'")
         size = n_ranks if n_ranks is not None else comm.Get_size()
         decomp, grid = self.decomposition(size, v_drain, potential_ev)
         if comm.Get_size() > 1:  # pragma: no cover - needs a real communicator
@@ -340,34 +327,21 @@ class DistributedTransport:
                     r, decomp, grid, potential_ev, v_drain, injector=injector
                 )
             except RankFailure:
-                survivors = [x for x in representatives if x != r]
-                if not survivors:
-                    raise  # nothing left to shrink or requeue onto
+                if len(representatives) == 1:
+                    raise  # no surviving rank to requeue onto
+                # the next rank reclaims the whole list in its original
+                # order — and adding to zero is exact — so the sums stay
+                # bit-identical
                 dead_tasks = decomp.tasks_of_rank(r)
-                if rank_recovery == "shrink" and dead_tasks:
-                    # elastic rank-shrink: every survivor takes a run
-                    # of the list (faster recovery, summed in a
-                    # different order than the clean run)
-                    fallback, helpers = "rank:shrink", survivors
-                else:
-                    # requeue: the next rank reclaims the whole list
-                    # in its original order — and adding to zero is
-                    # exact — so the sums stay bit-identical
-                    fallback = "rank:requeue"
-                    helpers = [
-                        representatives[(i + 1) % len(representatives)]
-                    ]
                 p = PartialObservables(0.0, np.zeros(n_atoms), 0)
-                for helper, chunk in zip(
-                    helpers, split_chunks(len(dead_tasks), len(helpers))
-                ):
+                if dead_tasks:
                     p.add(self.rank_partial(
-                        helper, decomp, grid, potential_ev, v_drain,
-                        tasks=[dead_tasks[j] for j in chunk],
-                        injector=injector,
+                        representatives[(i + 1) % len(representatives)],
+                        decomp, grid, potential_ev, v_drain,
+                        tasks=dead_tasks, injector=injector,
                     ))
                 p.degradation.rank_failures += 1
-                p.degradation.record_ladder(fallback)
+                p.degradation.record_ladder("rank:requeue")
                 p.degradation.requeued_tasks += p.n_tasks
             total.add(p)
         total.degradation.set_trips(sentinel.trips_since(marker))

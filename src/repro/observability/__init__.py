@@ -38,7 +38,7 @@ This package is the measurement substrate of the reproduction:
   :class:`TelemetryWriter` streams typed JSONL progress events
   (``--events FILE``) that ``repro top`` renders live.
 
-Three capability modules are not loaded by ``import repro``; import
+Two capability modules are not loaded by ``import repro``; import
 them from the module that defines them:
 
 * :mod:`repro.observability.export` — :func:`~.export.chrome_trace` /
@@ -47,12 +47,11 @@ them from the module that defines them:
   for benchmark baselines);
 * :mod:`repro.observability.validate` — :func:`~.validate.validate_flops`
   asserts the analytic formulas of :mod:`repro.perf.flops` match the
-  instrumented counts exactly;
-* :mod:`repro.observability.regression` —
-  :func:`~.regression.compare_metrics` /
-  :func:`~.regression.check_against_baselines`, the perf-regression gate
-  over ``benchmarks/baselines/BENCH_*.json`` with per-metric tolerance
-  bands and pass/warn/fail verdicts.
+  instrumented counts exactly.
+
+The committed ``benchmarks/baselines/BENCH_*.json`` files are checked by
+one gate outside the package: ``scripts/refresh_baselines.py --check``
+regenerates them and diffs every deterministic field exactly.
 
 Typical use::
 

@@ -17,7 +17,7 @@ volumes, invariant-violation counters.  Four instrument kinds:
 
 All instruments accept ``**labels``; a labelled instrument is keyed
 ``name{k=v,...}`` with sorted label keys, the flattening used by the JSON
-export and the regression checker.
+export and the flat benchmark metrics.
 
 Well-known namespaces (recorded by the rest of the stack, listed here so
 dashboards have one place to look):
@@ -216,7 +216,7 @@ class MetricsSnapshot:
     :func:`metric_key`.  Snapshots support :meth:`merge` (combine two
     runs), :meth:`diff` (what happened between two snapshots of the same
     registry) and round-trip JSON (:meth:`to_dict` / :meth:`from_dict`),
-    which is the format the regression gate consumes.
+    which is the format ``--metrics FILE`` writes.
     """
 
     counters: dict = field(default_factory=dict)
@@ -329,7 +329,7 @@ class MetricsSnapshot:
             return cls.from_dict(json.load(fh))
 
     def flat(self) -> dict:
-        """Single-level numeric dict for the regression checker.
+        """Single-level numeric dict (the shape of a ``BENCH_*.json`` file).
 
         Counters and gauges appear under their key; histograms contribute
         ``<key>.count`` and ``<key>.mean``; series contribute

@@ -22,9 +22,11 @@ the reproduction's equivalent machinery:
   (:mod:`repro.resilience.degrade`);
 * one :class:`DegradationReport` account attached to every run: sentinel
   trips, ladder steps, quarantined nodes, thrown faults and retries, dead
-  ranks and checkpoint resumes;
-* a chaos-campaign harness (:mod:`repro.resilience.chaos`, imported
-  lazily by ``repro chaos`` to keep this package free of core imports).
+  ranks and checkpoint resumes.
+
+The fault drills that drive this machinery end to end are tier-1 tests
+(``tests/test_resilience.py``, ``tests/test_health.py``), run on both
+execution backends; docs/TESTING.md maps each drill to its test.
 """
 
 from ..errors import (

@@ -80,7 +80,7 @@ class DegradationReport:
         ``path -> count`` of recovery paths taken: the transport ladder
         (``"per-point:robust"``, ``"dense-oracle"``, ``"chunk:per-point"``,
         ``"quadrature:reweight"``), SCF rescue rungs (``"scf:<rung>"``)
-        and dead-rank recoveries (``"rank:requeue"``, ``"rank:shrink"``).
+        and dead-rank recoveries (``"rank:requeue"``).
     quarantined_points : list of (k_index, energy)
         Energy nodes dropped from the quadrature.
     reweighted_grids : int

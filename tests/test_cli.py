@@ -55,11 +55,6 @@ class TestParser:
             )
         assert exc.value.code == 2
 
-    def test_chaos_has_no_thread_backend(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["chaos", "--backend", "thread"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize("command", ["simulate", "sweep", "doctor"])
     def test_precision_is_not_an_option(self, command):
         with pytest.raises(SystemExit) as exc:

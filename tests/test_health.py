@@ -9,7 +9,8 @@ The contracts under test:
   typed errors (strict) or contained, healed and accounted (contain) —
   never silently propagated into observables;
 * a hung backend worker is detected by deadline and recovered by an
-  orderly pool restart, and a crashed one breaks only its own call.
+  orderly pool restart — also inside a transport solve — and a crashed
+  one breaks only its own call.
 
 The property-based sections use hypothesis to sweep the *where* (which
 block, which index, which non-finite flavour) rather than pinning one
@@ -24,6 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.core import DeviceSpec, TransportCalculation, build_device
 from repro.errors import NumericalBreakdownError, SurfaceGFConvergenceError
 from repro.negf import Contacts
 from repro.negf.rgf import RGFSolver
@@ -41,7 +43,6 @@ from repro.resilience import (
     non_finite,
     use_sentinel,
 )
-from repro.resilience.chaos import run_campaign
 from repro.tb.hamiltonian import BlockTridiagonalHamiltonian
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -53,6 +54,16 @@ PROPERTY_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@pytest.fixture(scope="module")
+def mini_built():
+    """The 10-slab grid FET the transport-level drills solve."""
+    return build_device(DeviceSpec(
+        n_x=10, n_y=2, n_z=2, spacing_nm=0.25, source_cells=3,
+        drain_cells=3, gate_cells=(4, 6), donor_density_nm3=0.05,
+        material_params={"m_rel": 0.3},
+    ))
 
 
 def _chain_hamiltonian(n_blocks=8, t=1.0):
@@ -106,6 +117,26 @@ class TestHealthSentinel:
         [event] = s.events_since(0)
         assert event.site == "kernel"
         assert event.kind == "nonfinite"
+
+    def test_contain_is_a_pure_observer_of_a_clean_solve(self, mini_built):
+        """With nothing to trip, a transport solve under a ``contain``
+        sentinel is the solve with the sentinel off, bit for bit, and its
+        account is empty."""
+        potential = np.zeros(mini_built.n_atoms)
+
+        def solve(mode):
+            with use_sentinel(HealthSentinel(mode=mode)):
+                return TransportCalculation(
+                    mini_built, method="wf", n_energy=13
+                ).solve_bias(potential, 0.1)
+
+        off, contain = solve("off"), solve("contain")
+        np.testing.assert_array_equal(contain.transmission, off.transmission)
+        np.testing.assert_array_equal(
+            contain.density_per_atom, off.density_per_atom
+        )
+        assert contain.current_a == off.current_a
+        assert contain.degradation.total_events == 0
 
     def test_strict_raises_typed(self):
         s = HealthSentinel(mode="strict")
@@ -452,6 +483,38 @@ class TestProcessBackendHangRecovery:
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
         }
 
+    def test_hung_worker_heals_a_transport_solve(self, mini_built):
+        """A ``"worker"`` hang planted in a transport solve on an elastic
+        pool: the fault is keyed ``(k index, first energy of the call)``,
+        so it hangs the worker solving chunk 0 of k-point 0 for longer
+        than the deadline.  The deadline marks the straggler, the pool
+        restarts, the chunk is salvaged, and the outputs are the serial
+        solve's, bit for bit."""
+        potential = np.zeros(mini_built.n_atoms)
+        clean = TransportCalculation(
+            mini_built, method="wf", n_energy=13, backend="serial"
+        ).solve_bias(potential, 0.1)
+        e_first = float(clean.energy_grid.energies[0])
+        injector = FaultInjector(
+            plan={("worker", (0, e_first)): "hang"}, hang_seconds=3.0
+        )
+        elastic = ProcessBackend(workers=2, deadline_s=1.0)
+        # warm the pool so worker spawn latency is not counted against
+        # the deadline of the faulted chunk
+        elastic.map(_sleep_in_child_process, ["a", "b"])
+        res = TransportCalculation(
+            mini_built, method="wf", n_energy=13, backend=elastic,
+            injector=injector,
+        ).solve_bias(potential, 0.1)
+        assert np.all(np.isfinite(res.transmission))
+        assert np.isfinite(res.current_a)
+        assert res.current_a == clean.current_a
+        np.testing.assert_array_equal(
+            res.density_per_atom, clean.density_per_atom
+        )
+        assert res.degradation.stragglers >= 1
+        assert res.degradation.pool_restarts >= 1
+
     @pytest.mark.parametrize("deadline_s", [None, 30.0])
     def test_crashed_child_does_not_poison_the_pool(self, deadline_s):
         """A child that exits breaks its own call only: the broken pool
@@ -467,7 +530,7 @@ class TestProcessBackendHangRecovery:
 
 
 # ----------------------------------------------------------------------
-# report plumbing + chaos smoke
+# report plumbing
 
 
 class TestDegradationAccounting:
@@ -514,32 +577,3 @@ class TestDegradationAccounting:
         assert np.abs(ill.diagonal[2]).max() >= 1e13
         with pytest.raises(ValueError):
             corrupt_hamiltonian(H, "gamma-ray")
-
-
-class TestChaosCampaignSmoke:
-    def test_stage_subset_runs_and_passes(self):
-        campaign = run_campaign(
-            backend="serial",
-            stages=["clean-bit-identity", "comm-faults", "poisson-nan"],
-        )
-        assert [s.name for s in campaign.stages] == [
-            "clean-bit-identity", "comm-faults", "poisson-nan",
-        ]
-        assert campaign.passed
-        doc = campaign.to_dict()
-        assert doc["backend"] == "serial"
-        assert doc["passed"] is True
-        assert "PASS" in campaign.summary()
-
-    def test_worker_hang_counts_the_hang_it_plans(self):
-        """The hang fires in a worker's pickled copy of the injector, so
-        the stage counts it from its plan: one hang, accounted by the
-        deadline's straggler and pool restart."""
-        campaign = run_campaign(backend="process", stages=["worker-hang"])
-        (stage,) = campaign.stages
-        assert stage.ok
-        assert stage.accounted >= stage.injected == 1
-
-    def test_empty_campaign_is_not_a_pass(self):
-        campaign = run_campaign(backend="serial", stages=["no-such-stage"])
-        assert not campaign.passed

@@ -33,7 +33,6 @@ DEFERRED = (
     "repro.io",
     "repro.phonons",
     "repro.observability.export",
-    "repro.observability.regression",
     "repro.observability.validate",
     "repro.perf.machine",
     "repro.perf.model",

@@ -15,7 +15,7 @@ Locks down the contracts of :mod:`repro.observability.telemetry`:
   that survives a truncated final line (writer killed mid-append),
 * unified Chrome traces give merged worker spans their own pid lanes
   with ``process_name`` metadata, and
-* ``repro top`` / ``repro doctor --events`` render a finished stream.
+* ``repro top`` renders a finished stream with its schema verdict.
 """
 
 import json
@@ -460,7 +460,7 @@ class TestEventStreamIntegration:
         finished = events[-1]
         assert finished["done"] == 2 and finished["n_points"] == 2
 
-    def test_cli_top_and_doctor_replay(self, tmp_path, capsys):
+    def test_cli_top_renders_and_validates(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "events.jsonl"
@@ -479,10 +479,14 @@ class TestEventStreamIntegration:
         assert "2/2" in out
         assert "command=sweep" in out
         assert "finished" in out
-        assert main(["doctor", "--events", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "2/2" in out
-        assert "event(s) valid" in out
+        assert out.rstrip().endswith("schema : 4 event(s) valid")
+        # a stream that goes on after run_finished fails the schema
+        with open(path, "a") as fh:
+            fh.write(json.dumps(
+                {"v": 1, "seq": 99, "t": 3.0, "event": "heartbeat"}
+            ) + "\n")
+        assert main(["top", str(path)]) == 1
+        assert "after run_finished" in capsys.readouterr().out
 
     def test_cli_top_missing_file(self, tmp_path, capsys):
         from repro.cli import main
