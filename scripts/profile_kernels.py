@@ -5,6 +5,7 @@ Profiles ``solve_batch`` of one 16-energy stack on the 48-block, m=25
 wide device through both transport kernels and prints, per kernel, the
 wall time spent in every call site — LAPACK ``inv`` / ``solve`` /
 ``eigh``, the block ``@`` products of the LU, the contacts' surface GF, the
+health checks (the sentinel's and the invariant monitor's), the
 observable contractions, and interpreter glue — as milliseconds and as a
 share of ``solve_batch``.  The table in ``docs/ARCHITECTURE.md`` ("Where
 kernel time goes") is this script's output.
@@ -72,7 +73,7 @@ CATEGORIES = [
     ("LAPACK eigh", ("numpy.linalg.eigh", "numpy.linalg.eigvalsh")),
     ("health checks", (
         "resilience.", "solvers.block_tridiagonal:_factor_health_check",
-        "negf.surface_gf:_surface_health_check",
+        "negf.surface_gf:_surface_health_check", "observability.invariants:",
     )),
     ("block @ (LU)", ("solvers.block_tridiagonal:",)),
     ("surface GF", ("negf.surface_gf:",)),

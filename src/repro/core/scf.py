@@ -334,14 +334,13 @@ class SelfConsistentSolver:
                 "scf.iterations_per_bias", float(len(residuals))
             )
         monitor = get_monitor()
-        if monitor.enabled:
-            labels = {"v_gate": f"{v_gate:.4g}", "v_drain": f"{v_drain:.4g}"}
-            monitor.check_density(final.density_per_atom, **labels)
-            monitor.check_charge_neutrality(
-                float(np.sum(final.density_per_atom)),
-                float(np.sum(self.built.donors_per_atom)),
-                **labels,
-            )
+        labels = {"v_gate": f"{v_gate:.4g}", "v_drain": f"{v_drain:.4g}"}
+        monitor.check_density(final.density_per_atom, **labels)
+        monitor.check_charge_neutrality(
+            float(np.sum(final.density_per_atom)),
+            float(np.sum(self.built.donors_per_atom)),
+            **labels,
+        )
         return SCFResult(
             phi=phi,
             # not u_final: the slot's copy must not alias a caller's array

@@ -130,8 +130,9 @@ class PhysicsInvariantError(ReproError):
     """A physics invariant was violated beyond tolerance (strict mode).
 
     Raised only by a strict :class:`repro.observability.InvariantMonitor`;
-    the default non-strict monitor records the violation into the metrics
-    registry and lets the run continue.
+    the monitor every run has by default is non-strict: it records the
+    violation (and the ``invariant.*`` metrics) and lets the run
+    continue.
 
     Attributes
     ----------

@@ -68,7 +68,13 @@ def equal_width_groups(*widths) -> list:
     key = widths[0]
     for w in widths[1:]:
         key = key * (w.max() + 1) + w
-    return [np.flatnonzero(key == k) for k in np.unique(key)]
+    if not key.size:
+        return []
+    # groups in ascending key order, each in stack order: a stable sort
+    # cut where the key changes (plain ``np.unique`` loads ``numpy.ma``)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    return np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1)
 
 
 #: Rows of a block column contracted per GEMM by :func:`_contact_density`.
@@ -228,34 +234,6 @@ class RGFResult(ResultStack):
     finite: np.ndarray
 
 
-def _check_invariants(monitor, kernel, stack, gam_l, gam_r) -> None:
-    """The physics invariants of every energy of a result stack, reported
-    with its own energy to a live :class:`InvariantMonitor`."""
-    energies, t = stack.energy.tolist(), stack.transmission.tolist()
-    n_l = stack.n_channels_left.tolist()
-    n_r = stack.n_channels_right.tolist()
-    currents = getattr(stack, "interface_currents", None)
-    for b, energy in enumerate(energies):
-        monitor.check_gamma(gam_l[b], kernel=kernel, side="left",
-                            energy=energy)
-        monitor.check_gamma(gam_r[b], kernel=kernel, side="right",
-                            energy=energy)
-        # below the band edge (zero open channels) eta-broadening leaves
-        # a tiny positive T; the bounds only bind with modes
-        if min(n_l[b], n_r[b]) > 0:
-            monitor.check_transmission(
-                t[b], min(n_l[b], n_r[b]), kernel=kernel, energy=energy,
-            )
-            if currents is not None:
-                monitor.check_current_conservation(
-                    currents[b], t[b], kernel=kernel, energy=energy,
-                )
-        monitor.check_density(stack.spectral_left[b], kernel=kernel,
-                              side="left", energy=energy)
-        monitor.check_density(stack.spectral_right[b], kernel=kernel,
-                              side="right", energy=energy)
-
-
 class RGFSolver:
     """Ballistic NEGF solver for a block-tridiagonal device Hamiltonian.
 
@@ -355,8 +333,9 @@ class RGFSolver:
         :meth:`repro.wf.WFSolver.kernel_stage`) — charged the reference
         selected inversion it stands for, ``block_lu.diagonal`` — and the
         open-channel counts one stacked ``eigvalsh`` per contact.
-        The only per-energy loop is the invariant checks, and only under
-        a live monitor.  One column-sized array is alive at a time besides
+        The run's monitor checks the stack's invariants, one reduction
+        each (:meth:`repro.observability.InvariantMonitor.check_stack`).
+        One column-sized array is alive at a time besides
         the factor's ``dinv`` (docs/PARALLELISM.md "The stack budget").
         """
         energies = np.array(energies, dtype=float)
@@ -388,7 +367,5 @@ class RGFSolver:
             n_channels_left=open_channels(np.linalg.eigvalsh(gam_l)),
             n_channels_right=open_channels(np.linalg.eigvalsh(gam_r)),
         )
-        monitor = get_monitor()
-        if monitor.enabled:
-            _check_invariants(monitor, "rgf", stack, gam_l, gam_r)
+        get_monitor().check_stack("rgf", stack, gam_l, gam_r)
         return stack

@@ -26,8 +26,10 @@ This package is the measurement substrate of the reproduction:
   the default is a zero-overhead :class:`NullMetrics`.
 * :class:`InvariantMonitor` — continuous physics monitors (current
   conservation, transmission bounds, density non-negativity, charge
-  neutrality, Γ Hermiticity) evaluated inside the kernels; violations
-  are recorded into the metrics registry, or raised as
+  neutrality, Γ Hermiticity) evaluated inside the kernels, one
+  reduction per invariant over each result stack, on every run (the
+  recorder's default monitor is a non-strict one); violations are
+  recorded into the metrics registry, or raised as
   :class:`repro.errors.PhysicsInvariantError` in strict mode.
 * :mod:`~repro.observability.telemetry` — the recorder and
   cross-process telemetry: :func:`capture_telemetry` /
@@ -76,9 +78,7 @@ from .report import PerfReport
 from .telemetry import (
     EVENT_TYPES,
     NULL_EVENTS,
-    NULL_MONITOR,
     NullEventWriter,
-    NullInvariantMonitor,
     Recorder,
     TelemetryDelta,
     TelemetryWriter,
@@ -134,8 +134,6 @@ __all__ = [
     # physics invariants
     "InvariantMonitor",
     "InvariantViolation",
-    "NullInvariantMonitor",
-    "NULL_MONITOR",
     "get_monitor",
     "use_monitor",
     # cross-process telemetry and live event stream

@@ -21,13 +21,15 @@ The monitored invariants (all from the ballistic NEGF/QTBM theory):
   anti-Hermitian part of the contact self-energy must itself be Hermitian
   with non-negative trace (causality of the retarded GF).
 
-The default active monitor — the ``monitor`` of the run recorder,
-:func:`repro.observability.get_monitor` — is a disabled
-:class:`NullInvariantMonitor` (zero overhead, mirroring
-NullTracer/NullMetrics).  An enabled
-:class:`InvariantMonitor` records each violation as a
-``invariant.violations{invariant=...}`` counter plus a local
-:class:`InvariantViolation` record; ``strict=True`` escalates every
+Every run is monitored: the ``monitor`` of the run recorder,
+:func:`repro.observability.get_monitor`, is a non-strict
+:class:`InvariantMonitor` unless a scope installs another.  The kernels
+hand it their whole result stack (:meth:`InvariantMonitor.check_stack`):
+each invariant is one reduction over the ``(B, ...)`` arrays, one
+``invariant.checks{invariant=...}`` increment counts the energies that
+pass it, and only a violating energy is recorded, with its own energy,
+as an ``invariant.violations{invariant=...}`` counter plus a local
+:class:`InvariantViolation` record.  ``strict=True`` escalates every
 violation to :class:`repro.errors.PhysicsInvariantError` — the mode CI
 uses to turn silent physics rot into red builds.
 """
@@ -41,15 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PhysicsInvariantError
-from .metrics import metric_key
-from .telemetry import NULL_MONITOR, NullInvariantMonitor, get_metrics
 
-__all__ = [
-    "InvariantViolation",
-    "InvariantMonitor",
-    "NullInvariantMonitor",
-    "NULL_MONITOR",
-]
+__all__ = ["InvariantViolation", "InvariantMonitor"]
+
+
+def _active_metrics():
+    """The active metrics registry, looked up at call time: the recorder
+    module imports this one for its default monitor."""
+    from .telemetry import get_metrics
+
+    return get_metrics()
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,9 @@ class InvariantViolation:
 
 class InvariantMonitor:
     """Evaluates physics invariants and accounts their violations.
+
+    Every check takes a stack — ``(B, ...)`` arrays, one row per energy —
+    or a single row of one, a stack of one.
 
     Parameters
     ----------
@@ -104,8 +110,6 @@ class InvariantMonitor:
     'transmission_bounds'
     """
 
-    enabled = True
-
     def __init__(
         self,
         strict: bool = False,
@@ -123,16 +127,6 @@ class InvariantMonitor:
         self.tol_neutrality = tol_neutrality
         self.violations: list[InvariantViolation] = []
         self._lock = threading.Lock()
-        # the pass-path counter runs on every solve of every energy, so
-        # its flattened keys are assembled once instead of per check
-        self._check_keys = {
-            inv: metric_key("invariant.checks", {"invariant": inv})
-            for inv in (
-                "current_conservation", "transmission_bounds",
-                "density_nonnegative", "charge_neutrality",
-                "gamma_antihermitian", "finite_output",
-            )
-        }
 
     def __reduce__(self):
         # a monitor pickles as its configuration: a pool worker's copy
@@ -149,35 +143,6 @@ class InvariantMonitor:
         with self._lock:
             self.violations.extend(violations)
 
-    # ------------------------------------------------------------------
-    def _violate(self, invariant: str, value: float, threshold: float,
-                 **context) -> bool:
-        violation = InvariantViolation(
-            invariant, float(value), float(threshold),
-            tuple(sorted(context.items())),
-        )
-        with self._lock:
-            self.violations.append(violation)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("invariant.violations", 1.0, invariant=invariant)
-            metrics.gauge("invariant.last_defect", float(value),
-                          invariant=invariant)
-        if self.strict:
-            raise PhysicsInvariantError(
-                violation.describe(),
-                invariant=invariant,
-                value=float(value),
-                threshold=float(threshold),
-            )
-        return False
-
-    def _pass(self, invariant: str) -> bool:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc_key(self._check_keys[invariant])
-        return True
-
     @property
     def n_violations(self) -> int:
         """Number of violations recorded so far."""
@@ -193,109 +158,201 @@ class InvariantMonitor:
             lines.append(f"  ... and {len(self.violations) - 8} more")
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
-    def check_current_conservation(self, interface_currents,
-                                   transmission: float, **context) -> bool:
+    # -- accounting ----------------------------------------------------
+
+    def _violate(self, invariant: str, value: float, threshold: float,
+                 **context) -> None:
+        violation = InvariantViolation(
+            invariant, value, float(threshold), tuple(sorted(context.items())),
+        )
+        with self._lock:
+            self.violations.append(violation)
+        metrics = _active_metrics()
+        if metrics.enabled:
+            metrics.inc("invariant.violations", 1.0, invariant=invariant)
+            metrics.gauge("invariant.last_defect", value, invariant=invariant)
+        if self.strict:
+            raise PhysicsInvariantError(
+                violation.describe(), invariant=invariant, value=value,
+                threshold=float(threshold),
+            )
+
+    def _account(self, checks, energies=None, **context) -> bool:
+        """Account the ``checks`` of one stack; True when all pass.
+
+        A check is ``(invariant, threshold, ok, defect, rows, extra)``:
+        the per-row verdict and defect of one reduction, the stack rows
+        they belong to (None: all) and context of its own.  Each
+        invariant's passing rows are counted in one increment; the
+        failing ones are recorded row by row, each row's in the order of
+        ``checks``, with the row's energy when ``energies`` are given,
+        and a non-finite defect as inf.
+        """
+        passed: dict[str, int] = {}
+        failed = []
+        for order, (invariant, _, ok, _, rows, _) in enumerate(checks):
+            n_ok = np.count_nonzero(ok)
+            passed[invariant] = passed.get(invariant, 0) + n_ok
+            if n_ok < ok.size:
+                bad = np.flatnonzero(~ok)
+                where = bad if rows is None else rows[bad]
+                failed += zip(where.tolist(), [order] * bad.size, bad.tolist())
+        metrics = _active_metrics()
+        if metrics.enabled:
+            for invariant, n in passed.items():
+                if n:
+                    metrics.inc("invariant.checks", float(n),
+                                invariant=invariant)
+        for row, order, pos in sorted(failed):
+            invariant, threshold, _, defect, _, extra = checks[order]
+            value = float(defect[pos])
+            if energies is not None:
+                extra = dict(extra, energy=float(energies[row]))
+            self._violate(invariant, value if math.isfinite(value)
+                          else math.inf, threshold, **context, **extra)
+        return not failed
+
+    # -- one reduction per invariant: (invariant, threshold, ok, defect) --
+
+    def _current(self, currents, transmission):
+        # "<=" is False for a NaN spread (non-finite currents): it fails
+        spread = (currents.max(axis=-1) - currents.min(axis=-1)) / np.maximum(
+            np.abs(transmission), 1.0
+        )
+        return ("current_conservation", self.tol_current,
+                spread <= self.tol_current, spread)
+
+    def _transmission(self, t, n_modes):
+        defect = np.where(np.isfinite(t), np.maximum(-t, t - n_modes),
+                          np.inf)
+        return ("transmission_bounds", self.tol_transmission,
+                defect <= self.tol_transmission, defect)
+
+    def _density(self, density, finite=None):
+        # one minimum over the whole stack clears every row when it lies
+        # at or above -tol; rows are reduced only when it does not
+        floor = -self.tol_density
+        if density.min(initial=np.inf) >= floor:
+            ok = np.ones(len(density), dtype=bool)
+        else:
+            ok = density.min(axis=-1) >= floor
+        # a +inf entry passes the minimum: test the rows ``finite`` (the
+        # stack's mask) does not vouch for
+        suspect = ok if finite is None else ok & ~finite
+        if suspect.any():
+            ok[suspect] = np.isfinite(density[suspect]).all(axis=-1)
+        # how far a failing row's minimum lies below zero: inf for a row
+        # with a NaN, or one failing without a negative entry
+        defect = np.full(len(density), np.inf)
+        if not ok.all():
+            low = density[~ok].min(axis=-1)
+            defect[~ok] = np.where(low < 0.0, -low, np.inf)
+        return ("density_nonnegative", self.tol_density, ok, defect)
+
+    def _gamma(self, gamma):
+        # relative Hermiticity defect, or the trace's deficit below zero
+        # when it is larger; NaN (recorded as inf) for a NaN/Inf entry
+        m = gamma.shape[-1]
+        scale = np.maximum(np.abs(gamma).max(axis=(-2, -1)), 1e-300)
+        defect = np.abs(
+            gamma - np.conj(np.swapaxes(gamma, -2, -1))
+        ).max(axis=(-2, -1)) / scale
+        trace = gamma.trace(axis1=-2, axis2=-1).real
+        low = trace < -self.tol_gamma * scale * m
+        if low.any():
+            defect = np.where(
+                low, np.maximum(defect, -trace / (scale * m)), defect
+            )
+        return ("gamma_antihermitian", self.tol_gamma,
+                defect <= self.tol_gamma, defect)
+
+    # -- checks --------------------------------------------------------
+
+    def check_stack(self, kernel: str, stack, gam_l, gam_r) -> bool:
+        """Every invariant of a transport kernel's result stack.
+
+        ``stack`` is an :class:`repro.negf.RGFResult` or
+        :class:`repro.wf.WFResult`, ``gam_l`` / ``gam_r`` its contacts'
+        ``(B, m, m)`` broadening stacks.  Per energy, in this order: Γ of
+        each contact; T within [0, open modes] and (WF) the interface
+        current spread on the energies with open modes in both leads;
+        the spectral density injected from each contact.
+        """
+        modes = np.minimum(stack.n_channels_left, stack.n_channels_right)
+        # below the band edge (zero open channels) eta-broadening leaves
+        # a tiny positive T; the bounds only bind with modes
+        bound = np.flatnonzero(modes > 0)
+        t = stack.transmission[bound]
+        checks = [
+            (*self._gamma(gam_l), None, {"side": "left"}),
+            (*self._gamma(gam_r), None, {"side": "right"}),
+            (*self._transmission(t, modes[bound]), bound, {}),
+        ]
+        currents = getattr(stack, "interface_currents", None)
+        if currents is not None:
+            checks.append((*self._current(currents[bound], t), bound, {}))
+        checks += [
+            (*self._density(stack.spectral_left, stack.finite), None,
+             {"side": "left"}),
+            (*self._density(stack.spectral_right, stack.finite), None,
+             {"side": "right"}),
+        ]
+        return self._account(checks, stack.energy, kernel=kernel)
+
+    def check_current_conservation(self, interface_currents, transmission,
+                                   **context) -> bool:
         """Interface currents equal (= T) across every slab boundary."""
         currents = np.asarray(interface_currents, dtype=float)
-        if currents.size == 0:
-            return self._pass("current_conservation")
-        scale = max(abs(float(transmission)), 1.0)
-        spread = float(currents.max() - currents.min()) / scale
-        # "not <=" instead of ">" so a NaN spread (non-finite currents)
-        # lands in the violation branch without a separate isfinite scan
-        if not spread <= self.tol_current:
-            if not math.isfinite(spread):
-                spread = float("inf")
-            return self._violate(
-                "current_conservation", spread, self.tol_current, **context
-            )
-        return self._pass("current_conservation")
+        return self._account([(*self._current(
+            currents.reshape(-1, currents.shape[-1]),
+            np.atleast_1d(transmission),
+        ), None, {})], **context)
 
-    def check_transmission(self, transmission: float, n_modes: int,
-                           **context) -> bool:
+    def check_transmission(self, transmission, n_modes, **context) -> bool:
         """0 <= T(E) <= number of open modes."""
-        t = float(transmission)
-        if not math.isfinite(t):
-            return self._violate(
-                "transmission_bounds", float("inf"),
-                self.tol_transmission, **context,
-            )
-        defect = max(-t, t - float(n_modes))
-        if defect > self.tol_transmission:
-            return self._violate(
-                "transmission_bounds", defect, self.tol_transmission,
-                **context,
-            )
-        return self._pass("transmission_bounds")
+        return self._account([(*self._transmission(
+            np.atleast_1d(np.asarray(transmission, dtype=float)),
+            np.asarray(n_modes),
+        ), None, {})], **context)
 
     def check_density(self, density, **context) -> bool:
         """Carrier/spectral density finite and non-negative."""
         d = np.asarray(density)
-        if d.size == 0:
-            return self._pass("density_nonnegative")
-        low = float(d.min())
-        # a NaN (or +inf total) fails the sum's finiteness; the min alone
-        # would let +inf entries pass, and NaN fails "not >=" anyway
-        if not low >= -self.tol_density or not math.isfinite(float(d.sum())):
-            defect = -low if math.isfinite(low) and low < 0 else float("inf")
-            return self._violate(
-                "density_nonnegative", defect, self.tol_density, **context
-            )
-        return self._pass("density_nonnegative")
-
-    def check_charge_neutrality(self, n_electrons: float, n_donors: float,
-                                **context) -> bool:
-        """Integrated electrons within two decades of the donor count."""
-        metrics = get_metrics()
-        if not math.isfinite(float(n_electrons)):
-            return self._violate(
-                "charge_neutrality", float("inf"), self.tol_neutrality,
-                **context,
-            )
-        if n_donors <= 0.0:
-            return self._pass("charge_neutrality")
-        residual = abs(
-            float(np.log(max(float(n_electrons), 1e-300) / float(n_donors)))
-        )
-        if metrics.enabled:
-            metrics.gauge("scf.neutrality_log_residual", residual)
-        if residual > self.tol_neutrality:
-            return self._violate(
-                "charge_neutrality", residual, self.tol_neutrality, **context
-            )
-        return self._pass("charge_neutrality")
+        return self._account([
+            (*self._density(d.reshape(-1, d.shape[-1])), None, {})
+        ], **context)
 
     def check_gamma(self, gamma, **context) -> bool:
         """Γ from the anti-Hermitian part of Σ: Hermitian, trace >= 0."""
         g = np.asarray(gamma)
-        if g.size == 0:
-            return self._pass("gamma_antihermitian")
-        ga = abs(g)
-        scale = float(ga.max())
-        if not math.isfinite(scale):  # scalar check; NaN/inf entries propagate
-            return self._violate(
-                "gamma_antihermitian", float("inf"), self.tol_gamma,
-                **context,
-            )
-        scale = max(scale, 1e-300)
-        defect = float(abs(g - g.conj().T).max()) / scale
-        trace = float(g.trace().real)
-        if trace < -self.tol_gamma * scale * g.shape[0]:
-            defect = max(defect, -trace / (scale * g.shape[0]))
-        if defect > self.tol_gamma:
-            return self._violate(
-                "gamma_antihermitian", defect, self.tol_gamma, **context
-            )
-        return self._pass("gamma_antihermitian")
+        return self._account([
+            (*self._gamma(g.reshape((-1,) + g.shape[-2:])), None, {})
+        ], **context)
+
+    def check_charge_neutrality(self, n_electrons: float, n_donors: float,
+                                **context) -> bool:
+        """Integrated electrons within two decades of the donor count."""
+        residual = 0.0
+        if not math.isfinite(float(n_electrons)):
+            residual = math.inf
+        elif n_donors > 0.0:
+            residual = abs(float(
+                np.log(max(float(n_electrons), 1e-300) / float(n_donors))
+            ))
+            metrics = _active_metrics()
+            if metrics.enabled:
+                metrics.gauge("scf.neutrality_log_residual", residual)
+        return self._account([(
+            "charge_neutrality", self.tol_neutrality,
+            np.array([residual <= self.tol_neutrality]), [residual], None, {},
+        )], **context)
 
     def check_finite(self, arrays, kernel: str = "", **context) -> bool:
         """Every array of a kernel's output is finite (breakdown guard)."""
-        for a in arrays:
-            arr = np.asarray(a)
-            if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
-                return self._violate(
-                    "finite_output", float("inf"), 0.0, kernel=kernel,
-                    **context,
-                )
-        return self._pass("finite_output")
+        finite = all(
+            np.all(np.isfinite(a)) for a in map(np.asarray, arrays)
+            if a.dtype.kind in "fc"
+        )
+        return self._account([(
+            "finite_output", 0.0, np.array([finite]), [math.inf], None, {},
+        )], kernel=kernel, **context)

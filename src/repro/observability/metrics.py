@@ -400,14 +400,9 @@ class MetricsRegistry:
                 hist = self._histograms[key] = LogLinearHistogram()
             hist.observe(value)
 
-    # Fast paths for per-solve call sites: the caller pre-flattens the key
-    # (via :func:`metric_key`) once, skipping the kwargs dict and label
-    # sort on every hit.  Semantically identical to inc/observe.
-    def inc_key(self, key: str, value: float = 1.0) -> None:
-        """:meth:`inc` with an already-flattened instrument key."""
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0.0) + float(value)
-
+    # Fast path for a per-solve call site: the caller pre-flattens the
+    # key (via :func:`metric_key`) once, skipping the kwargs dict and
+    # label sort on every hit.  Semantically identical to observe.
     def observe_key(self, key: str, value: float) -> None:
         """:meth:`observe` with an already-flattened instrument key."""
         with self._lock:
@@ -507,9 +502,6 @@ class NullMetrics:
         return None
 
     def observe(self, name, value, **labels):
-        return None
-
-    def inc_key(self, key, value=1.0):
         return None
 
     def observe_key(self, key, value):

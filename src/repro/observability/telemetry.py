@@ -8,9 +8,12 @@ replacement (``with use_run(tracer=Tracer(), monitor=InvariantMonitor()):``),
 and what the instrumented kernels call — :func:`get_tracer`,
 :func:`get_metrics`, :func:`get_events`, :func:`get_monitor`,
 :func:`get_sentinel`, :func:`trace_span`, :func:`add_flops` — are
-one-line views of it.  The defaults are null instruments, so a site
-pays one branch when nothing records, and a ``contain``-mode
-:class:`HealthSentinel`.
+one-line views of it.  The tracer, metrics and event stream default
+to null instruments, so a site pays one branch when nothing records;
+the monitor defaults to a non-strict
+:class:`repro.observability.InvariantMonitor` and the sentinel to a
+``contain``-mode :class:`HealthSentinel`, so every run checks its
+physics invariants and its numerical health.
 
 Three more things live here:
 
@@ -69,6 +72,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import NumericalBreakdownError
+from .invariants import InvariantMonitor
 from .metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
 from .tracer import NULL_TRACER, Tracer
 
@@ -77,8 +81,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "HealthEvent",
     "HealthSentinel",
-    "NullInvariantMonitor",
-    "NULL_MONITOR",
     "Recorder",
     "get_run",
     "use_run",
@@ -127,7 +129,7 @@ _MODES = ("off", "contain", "strict")
 
 
 # ---------------------------------------------------------------------------
-# the health sentinel and the null invariant monitor
+# the health sentinel
 
 
 @dataclass(frozen=True)
@@ -302,46 +304,6 @@ class HealthSentinel:
             return f"health[{self.mode}]: no trips"
         body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         return f"health[{self.mode}]: {self._seq} trips ({body})"
-
-
-class NullInvariantMonitor:
-    """Disabled monitor: every check is a no-op returning True.
-
-    Shared as :data:`NULL_MONITOR`; ``enabled`` is False so kernels skip
-    the checking arithmetic entirely when monitoring is off.  The
-    monitor itself is :class:`repro.observability.InvariantMonitor`.
-    """
-
-    enabled = False
-    strict = False
-    violations: tuple = ()
-    n_violations = 0
-
-    def summary(self) -> str:
-        return "invariants: monitoring disabled"
-
-    def check_current_conservation(self, interface_currents, transmission,
-                                   **context):
-        return True
-
-    def check_transmission(self, transmission, n_modes, **context):
-        return True
-
-    def check_density(self, density, **context):
-        return True
-
-    def check_charge_neutrality(self, n_electrons, n_donors, **context):
-        return True
-
-    def check_gamma(self, gamma, **context):
-        return True
-
-    def check_finite(self, arrays, kernel="", **context):
-        return True
-
-
-#: The process-wide disabled monitor (default).
-NULL_MONITOR = NullInvariantMonitor()
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +518,7 @@ class Recorder:
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
     events: object = NULL_EVENTS
-    monitor: object = NULL_MONITOR
+    monitor: InvariantMonitor = InvariantMonitor()
     sentinel: HealthSentinel = HealthSentinel()
 
     def __reduce__(self):
@@ -622,7 +584,7 @@ def get_events():
 
 
 def get_monitor():
-    """The active invariant monitor (disabled unless one is installed)."""
+    """The active invariant monitor (default: a non-strict one)."""
     return _RUN.monitor
 
 
@@ -908,7 +870,7 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
         )
     if delta.trips:
         run.sentinel.absorb(delta.trips)
-    if delta.violations and run.monitor.enabled:
+    if delta.violations:
         run.monitor.absorb(delta.violations)
     if metrics.enabled:
         metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)

@@ -13,6 +13,8 @@ Units: force constants N/m, masses amu; frequencies returned in THz
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..lattice.neighbors import build_neighbor_table
@@ -71,12 +73,28 @@ def bulk_dynamical_matrix(
     atoms are Fourier summed with the atomic-gauge phases.
 
     ``alpha``/``beta`` default to the tabulated values of the anion species.
+    The force constants do not depend on k: they are built once per
+    ``(cell, alpha, beta, n_super)`` and only the phases per call.
     """
     params = KEATING_PARAMS[cell.anion]
     alpha = params["alpha"] if alpha is None else alpha
     beta = params["beta"] if beta is None else beta
     k = np.asarray(k, dtype=float)
 
+    D = np.zeros((6, 6), dtype=complex)
+    for s, sp, block, rij, msqrt in _supercell_terms(cell, alpha, beta, n_super):
+        phase = np.exp(1j * (k @ rij))
+        D[3 * s : 3 * s + 3, 3 * sp : 3 * sp + 3] += block * phase / msqrt
+    return 0.5 * (D + D.conj().T)
+
+
+@functools.lru_cache(maxsize=None)
+def _supercell_terms(cell, alpha, beta, n_super) -> tuple:
+    """The k-independent part of :func:`bulk_dynamical_matrix`, built
+    once per ``(cell, alpha, beta, n_super)``: per non-zero force-constant
+    block of a central primitive-cell atom, ``(s, sp, block, rij, msqrt)``
+    — the basis index of each atom, the 3 x 3 block, the bond vector and
+    ``sqrt(m_i m_j)``."""
     unit = conventional_cell(cell)
     a = cell.a_nm
     sc = replicate(unit, n_super, n_super, n_super, [a] * 3)
@@ -96,23 +114,17 @@ def bulk_dynamical_matrix(
             np.linalg.norm(pos - (pos[i_anion] + 0.25 * a), axis=1)
         )
     )
-    basis = [i_anion, i_cation]
     masses = _mass_vector(sc).reshape(-1, 3)[:, 0]
-
-    D = np.zeros((6, 6), dtype=complex)
-    n_atoms = sc.n_atoms
-    for s, i in enumerate(basis):
-        for j in range(n_atoms):
+    terms = []
+    for s, i in enumerate([i_anion, i_cation]):
+        for j in range(sc.n_atoms):
             block = phi[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
             if np.abs(block).max() < 1e-12:
                 continue
-            rij = pos[j] - pos[i]
-            phase = np.exp(1j * (k @ rij))
             # map atom j onto its basis index by sublattice
-            sp = int(sc.sublattice[j])
-            w = block * phase / np.sqrt(masses[i] * masses[j])
-            D[3 * s : 3 * s + 3, 3 * sp : 3 * sp + 3] += w
-    return 0.5 * (D + D.conj().T)
+            terms.append((s, int(sc.sublattice[j]), block.copy(),
+                          pos[j] - pos[i], np.sqrt(masses[i] * masses[j])))
+    return tuple(terms)
 
 
 def bulk_phonon_bands(

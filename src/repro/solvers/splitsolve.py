@@ -181,9 +181,7 @@ class SplitSolve:
                 y[p] = self._lu[p].solve(rhs[first : last + 1])
 
         if self._interface_lu is None:
-            monitor = get_monitor()
-            if monitor.enabled:
-                monitor.check_finite(y[0], kernel="splitsolve")
+            get_monitor().check_finite(y[0], kernel="splitsolve")
             return y[0]
 
         # interface RHS
@@ -219,7 +217,5 @@ class SplitSolve:
                     x[first + k] = y[p][k] - delta[k]
         for p, g in enumerate(self.separators):
             x[g] = x_sep[p]
-        monitor = get_monitor()
-        if monitor.enabled:
-            monitor.check_finite(x, kernel="splitsolve")
+        get_monitor().check_finite(x, kernel="splitsolve")
         return x

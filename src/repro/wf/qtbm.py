@@ -41,7 +41,6 @@ from ..solvers.block_tridiagonal import BlockTridiagLU, block_product
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (
     ResultStack,
-    _check_invariants,
     assemble_system_blocks,
     equal_width_groups,
     sliver_stack,
@@ -276,9 +275,7 @@ class WFSolver:
             n_channels_right=n_open_r,
             interface_currents=currents,
         )
-        monitor = get_monitor()
-        if monitor.enabled:
-            _check_invariants(monitor, "wf", stack, gam_l, gam_r)
+        get_monitor().check_stack("wf", stack, gam_l, gam_r)
         return stack
 
 

@@ -5,6 +5,9 @@ and every capability module (the test modules import them).  It pins:
 
 * no scipy: each scipy user imports it at first call, and a Poisson
   solve, the first scipy user a sweep reaches, still runs;
+* a first RGF and a first WF ``solve_bias`` load no ``numpy.ma`` (plain
+  ``np.unique`` would, on numpy 2.x: a one-off cost the first solve of a
+  process pays);
 * none of the capability modules in :data:`DEFERRED` (imported by their
   callers from the module that defines them), nor ``concurrent.futures``,
   ``multiprocessing`` or ``hashlib`` (imported where the process pool and
@@ -75,6 +78,18 @@ for path in sorted(e2e.glob("*.py")):
                 for alias in node.names if not hasattr(module, alias.name)
             ]
 
+from repro.core import DeviceSpec, TransportCalculation, build_device
+
+fet = build_device(DeviceSpec(
+    name="probe", n_x=10, n_y=2, n_z=2, source_cells=3, drain_cells=3,
+    gate_cells=(4, 6), donor_density_nm3=0.05, material_params={"m_rel": 0.3},
+))
+for method in ("rgf", "wf"):  # in this process, whatever REPRO_BACKEND
+    TransportCalculation(
+        fet, method=method, n_energy=21, backend="serial"
+    ).solve_bias(np.zeros(fet.n_atoms), 0.1)
+ma_after_solves = "numpy.ma" in sys.modules
+
 grid = PoissonGrid(shape=(4, 3, 3), spacing=(0.5, 0.5, 0.5))
 gate = np.zeros(grid.n_nodes, dtype=bool)
 gate[:9] = True
@@ -105,6 +120,7 @@ print(json.dumps({
     "reached_after_import": reached,
     "converged": result.converged,
     "scipy_after_solve": "scipy.linalg" in sys.modules,
+    "numpy_ma_after_solves": ma_after_solves,
 }))
 """
 
@@ -131,3 +147,4 @@ def test_import_loads_no_scipy_and_poisson_still_solves():
     assert probe["subpackages"] == probe["all"]
     assert probe["converged"]
     assert probe["scipy_after_solve"]
+    assert not probe["numpy_ma_after_solves"]

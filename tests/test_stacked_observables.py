@@ -21,7 +21,12 @@ from repro.core.transport import _KPoint
 from repro.lattice import partition_into_slabs, rectangular_grid_device
 from repro.negf import RGFSolver, dense_observables
 from repro.negf.rgf import equal_width_groups
-from repro.observability import InvariantMonitor, use_monitor
+from repro.observability import (
+    InvariantMonitor,
+    MetricsRegistry,
+    use_monitor,
+    use_run,
+)
 from repro.perf.flops import sancho_rubio_flops, wf_solve_flops
 from repro.physics.grids import uniform_grid
 from repro.resilience import (
@@ -197,6 +202,37 @@ class TestSafetyNets:
         assert {dict(v.context)["kernel"] for v in monitor.violations} == {
             kernel
         }
+
+    @pytest.mark.parametrize("solver_cls", [RGFSolver, WFSolver])
+    def test_monitor_ledger_does_not_depend_on_the_stacking(self, solver_cls):
+        """One reduction per invariant over a stack records what stacks of
+        one record: the same violations in the same order, each with its
+        energy, and the same ``invariant.*`` counters."""
+        H = grid_system(n_x=5, n_yz=2)
+        energies = band_energy_grid(H, n_energy=9)
+        solver = solver_cls(H)
+        # tolerances some energies fail and others pass
+        floor = np.median(solver.solve_batch(energies).spectral_left.min(1))
+        ledgers = []
+        for stacks in ([energies], [[e] for e in energies]):
+            monitor = InvariantMonitor(tol_transmission=-0.01,
+                                       tol_density=-floor)
+            registry = MetricsRegistry()
+            with use_run(monitor=monitor, metrics=registry):
+                for stack in stacks:
+                    solver.solve_batch(stack)
+            ledgers.append((monitor.violations, {
+                key: value
+                for key, value in registry.snapshot().counters.items()
+                if key.startswith("invariant.")
+            }))
+        assert ledgers[0] == ledgers[1]
+        violations, counters = ledgers[0]
+        assert {v.invariant for v in violations} == {
+            "transmission_bounds", "density_nonnegative",
+        }
+        assert counters["invariant.checks{invariant=transmission_bounds}"] > 0
+        assert counters["invariant.checks{invariant=density_nonnegative}"] > 0
 
     def test_monitor_flags_only_the_violating_energy(self):
         H = grid_system(n_x=5, n_yz=2)
@@ -615,6 +651,11 @@ class TestProfileKernelsScript:
         assert profile_kernels.category_of("negf.rgf:_contact_density") == (
             "contraction GEMM"
         )
+        # the run's monitor checks every stack: a health check, not a
+        # contraction
+        monitor = "observability.invariants:InvariantMonitor._gamma"
+        assert monitor in seconds
+        assert profile_kernels.category_of(monitor) == "health checks"
 
     @pytest.mark.parametrize("share,status", [(0.04, 0), (0.06, 1)])
     def test_check_trips_on_a_slow_non_blas_site(

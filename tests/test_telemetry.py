@@ -618,6 +618,26 @@ class TestOneRecorderOnThePool:
                     self._calc(built, backend).solve_bias(potential, 0.1)
             assert _pooled(registry) == (backend == "process")
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_plain_solve_is_monitored(self, fet, backend):
+        """With no monitor installed a solve is checked by the default one:
+        a non-strict :class:`InvariantMonitor` recording what an explicit
+        one records."""
+        from repro.observability import InvariantMonitor, get_monitor
+
+        assert type(get_monitor()) is InvariantMonitor
+        assert not get_monitor().strict
+        got = []
+        for fields in ({}, {"monitor": InvariantMonitor()}):
+            res, registry = self._solve(fet, backend, **fields)
+            got.append((res.current_a, {
+                key: value
+                for key, value in registry.snapshot().counters.items()
+                if key.startswith("invariant.")
+            }))
+        assert got[0] == got[1]
+        assert sum(got[0][1].values()) > 0
+
     def test_monitor_violations_equal_serial(self, fet):
         from repro.observability import InvariantMonitor
 
