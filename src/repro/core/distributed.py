@@ -244,8 +244,8 @@ class DistributedTransport:
                         node, ik, kgrid.k_points[ik], potential_ev,
                         share.flops, share.degradation, sentinel,
                     )
-                    kp.solve(energies)
-                    lost = [e for e in energies if kp.rows[e] is None]
+                    kept = kp.solve(energies)
+                    lost = [e for e, ok in zip(energies, kept) if not ok]
                     if lost:
                         raise TaskFailure(
                             f"(k,E) nodes {lost} of k-point {ik} quarantined "
@@ -253,7 +253,7 @@ class DistributedTransport:
                             key=(ik, lost[0]),
                         )
                     current_k, density_k, _, _ = calc._integrate(
-                        nodes, kp.stack(energies), mu_s, mu_d, kT
+                        nodes, kp.rows(energies), mu_s, mu_d, kT
                     )
                 wk = float(kgrid.weights[ik])
                 share.current_a += wk * current_k

@@ -393,12 +393,7 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Add one sample to a log-linear histogram."""
-        key = metric_key(name, labels)
-        with self._lock:
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = LogLinearHistogram()
-            hist.observe(value)
+        self.observe_key(metric_key(name, labels), value)
 
     # Fast path for a per-solve call site: the caller pre-flattens the
     # key (via :func:`metric_key`) once, skipping the kwargs dict and

@@ -672,19 +672,23 @@ class TelemetryDelta:
     trips : list of HealthEvent
         The capture sentinel's trips, in order.
     violations : list of InvariantViolation
-        The capture monitor's violations, in order.
+        The capture monitor's ledgered violations, in order.
+    n_violations : int
+        Violations the capture monitor recorded, ledgered or past its
+        bound (default ``len(violations)``).
     faults : list of InjectedFault
         Faults the chunk's planted injector fired, in order.
     """
 
     __slots__ = (
         "worker", "wall_epoch", "perf_epoch", "duration_s",
-        "metrics", "spans", "flops", "trips", "violations", "faults",
+        "metrics", "spans", "flops", "trips", "violations", "n_violations",
+        "faults",
     )
 
     def __init__(self, worker, wall_epoch=None, perf_epoch=0.0,
                  duration_s=0.0, metrics=None, spans=(), flops=None,
-                 trips=(), violations=(), faults=()):
+                 trips=(), violations=(), n_violations=None, faults=()):
         self.worker = worker
         self.wall_epoch = wall_epoch
         self.perf_epoch = perf_epoch
@@ -694,11 +698,12 @@ class TelemetryDelta:
         self.flops = dict(flops or {})
         self.trips = list(trips)
         self.violations = list(violations)
+        self.n_violations = n_violations or len(self.violations)
         self.faults = list(faults)
 
     def is_empty(self) -> bool:
         """True when merging this delta would be a no-op."""
-        if (self.spans or self.flops or self.trips or self.violations
+        if (self.spans or self.flops or self.trips or self.n_violations
                 or self.faults):
             return False
         m = self.metrics or {}
@@ -810,7 +815,7 @@ def capture_telemetry(run=None, worker: str | None = None,
         run = Recorder(Tracer(), MetricsRegistry(), sentinel=HealthSentinel())
     injector = getattr(solver, "injector", None)
     fired = injector.injected if injector is not None else []
-    marks = (run.sentinel.marker(), len(run.monitor.violations), len(fired))
+    marks = (run.sentinel.marker(), run.monitor.marker(), len(fired))
     wall0 = time.time()
     previous, _RUN = _RUN, run
     try:
@@ -827,7 +832,8 @@ def capture_telemetry(run=None, worker: str | None = None,
             spans=_span_records(tracer) if tracer.enabled else (),
             flops=tracer.counter.counts if tracer.enabled else None,
             trips=run.sentinel.events_since(marks[0]),
-            violations=run.monitor.violations[marks[1]:],
+            violations=run.monitor.violations_since(marks[1]),
+            n_violations=run.monitor.marker() - marks[1],
             faults=fired[marks[2]:],
         )
         if not delta.is_empty():
@@ -870,8 +876,8 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
         )
     if delta.trips:
         run.sentinel.absorb(delta.trips)
-    if delta.violations:
-        run.monitor.absorb(delta.violations)
+    if delta.n_violations:
+        run.monitor.absorb(delta.violations, delta.n_violations)
     if metrics.enabled:
         metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)
         metrics.inc("telemetry.spans_merged", float(len(delta.spans)))

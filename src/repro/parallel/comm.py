@@ -126,22 +126,22 @@ class CommTrace:
 
     def by_level(self) -> dict:
         """Per-level totals: ``{level: {"bytes": b, "messages": n}}``."""
-        out: dict[str, dict] = {}
-        for (op, level), (nbytes, n) in self._totals.items():
-            row = out.setdefault(level, {"bytes": 0, "messages": 0})
-            row["bytes"] += nbytes
-            row["messages"] += n
-        return out
+        return self._grouped(lambda op, level: level)
 
     def by_op(self, level: str | None = None) -> dict:
         """Per-operation totals: ``{op: {"bytes": b, "messages": n}}``."""
+        return self._grouped(
+            lambda op, lv: op if level is None or lv == level else None
+        )
+
+    def _grouped(self, group) -> dict:
         out: dict[str, dict] = {}
-        for (op, lv), (nbytes, n) in self._totals.items():
-            if level is not None and lv != level:
-                continue
-            row = out.setdefault(op, {"bytes": 0, "messages": 0})
-            row["bytes"] += nbytes
-            row["messages"] += n
+        for (op, level), (nbytes, n) in self._totals.items():
+            key = group(op, level)
+            if key is not None:
+                row = out.setdefault(key, {"bytes": 0, "messages": 0})
+                row["bytes"] += nbytes
+                row["messages"] += n
         return out
 
 

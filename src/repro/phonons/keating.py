@@ -75,8 +75,15 @@ class KeatingModel:
         self._ca = 3.0 * self.beta / (8.0 * self.d0_nm**2)
 
     # ------------------------------------------------------------------
-    def _bond_vectors(self, displacements: np.ndarray):
-        """Current bond vectors given per-atom displacements (N, 3)."""
+    def _bond_vectors(self, displacements: np.ndarray | None):
+        """Current bond vectors given per-atom displacements (N, 3); None
+        displaces nothing."""
+        n = self.structure.n_atoms
+        if displacements is None:
+            displacements = np.zeros((n, 3))
+        displacements = np.asarray(displacements, dtype=float)
+        if displacements.shape != (n, 3):
+            raise ValueError("displacements must be (n_atoms, 3)")
         d = self.table.displacement.copy()
         d += displacements[self.table.j] - displacements[self.table.i]
         return d
@@ -84,11 +91,6 @@ class KeatingModel:
     def energy(self, displacements: np.ndarray | None = None) -> float:
         """Keating energy (1e-18 J) at displaced positions."""
         n = self.structure.n_atoms
-        if displacements is None:
-            displacements = np.zeros((n, 3))
-        displacements = np.asarray(displacements, dtype=float)
-        if displacements.shape != (n, 3):
-            raise ValueError("displacements must be (n_atoms, 3)")
         r = self._bond_vectors(displacements)
         d2 = self.d0_nm**2
         # bond terms (each physical bond appears twice in the directed
@@ -108,11 +110,6 @@ class KeatingModel:
     def forces(self, displacements: np.ndarray | None = None) -> np.ndarray:
         """Analytic forces -dV/du, shape (n_atoms, 3) (nN = 1e-18 J / nm)."""
         n = self.structure.n_atoms
-        if displacements is None:
-            displacements = np.zeros((n, 3))
-        displacements = np.asarray(displacements, dtype=float)
-        if displacements.shape != (n, 3):
-            raise ValueError("displacements must be (n_atoms, 3)")
         r = self._bond_vectors(displacements)
         d2 = self.d0_nm**2
         grad = np.zeros((n, 3))

@@ -121,18 +121,8 @@ class PoissonGrid:
         if values.shape != (cell.shape[0],):
             raise ValueError("one value per position required")
         out = np.zeros(self.n_nodes)
-        nx, ny, nz = self.shape
-        for d in range(8):
-            dx, dy, dz = (d >> 2) & 1, (d >> 1) & 1, d & 1
-            w = (
-                (frac[:, 0] if dx else 1 - frac[:, 0])
-                * (frac[:, 1] if dy else 1 - frac[:, 1])
-                * (frac[:, 2] if dz else 1 - frac[:, 2])
-            )
-            i = np.minimum(cell[:, 0] + dx, nx - 1)
-            j = np.minimum(cell[:, 1] + dy, ny - 1)
-            k = np.minimum(cell[:, 2] + dz, nz - 1)
-            np.add.at(out, (i * ny + j) * nz + k, w * values)
+        for w, node in self._corners(cell, frac):
+            np.add.at(out, node, w * values)
         return out
 
     def interpolate(self, nodal: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -141,8 +131,15 @@ class PoissonGrid:
         if nodal.shape != (self.n_nodes,):
             raise ValueError(f"nodal field must have length {self.n_nodes}")
         cell, frac = self._locate(positions)
-        nx, ny, nz = self.shape
         out = np.zeros(cell.shape[0])
+        for w, node in self._corners(cell, frac):
+            out += w * nodal[node]
+        return out
+
+    def _corners(self, cell, frac):
+        """The 8 cloud-in-cell corners of located positions: per corner,
+        the trilinear weight of each position and its flat node index."""
+        nx, ny, nz = self.shape
         for d in range(8):
             dx, dy, dz = (d >> 2) & 1, (d >> 1) & 1, d & 1
             w = (
@@ -153,8 +150,7 @@ class PoissonGrid:
             i = np.minimum(cell[:, 0] + dx, nx - 1)
             j = np.minimum(cell[:, 1] + dy, ny - 1)
             k = np.minimum(cell[:, 2] + dz, nz - 1)
-            out += w * nodal[(i * ny + j) * nz + k]
-        return out
+            yield w, (i * ny + j) * nz + k
 
     def boundary_mask(self, faces: tuple = ("y-", "y+", "z-", "z+")) -> np.ndarray:
         """Boolean mask of the nodes on the named faces.

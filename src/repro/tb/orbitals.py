@@ -35,20 +35,6 @@ class Orbital(IntEnum):
     SSTAR = 9
 
 
-#: Angular momentum l of each orbital (s*=0).
-ANGULAR_MOMENTUM = {
-    Orbital.S: 0,
-    Orbital.PX: 1,
-    Orbital.PY: 1,
-    Orbital.PZ: 1,
-    Orbital.DXY: 2,
-    Orbital.DYZ: 2,
-    Orbital.DZX: 2,
-    Orbital.DX2Y2: 2,
-    Orbital.DZ2: 2,
-    Orbital.SSTAR: 0,
-}
-
 _P_ORBITALS = (Orbital.PX, Orbital.PY, Orbital.PZ)
 
 

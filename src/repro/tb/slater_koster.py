@@ -105,8 +105,6 @@ class SKParams:
 # (matrix elements between orbitals whose l differ by an odd number flip
 #  sign when the bond direction reverses).
 
-_ALL = list(Orbital)
-
 
 def _canonical_block(p: SKParams) -> np.ndarray:
     """10x10 hopping block for a bond along +z in the full orbital order."""

@@ -36,16 +36,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observability.telemetry import get_monitor, get_tracer, trace_span
+from ..observability.telemetry import get_monitor, get_tracer
 from ..solvers.block_tridiagonal import BlockTridiagLU, block_product
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (
+    KernelSolver,
     ResultStack,
     assemble_system_blocks,
     equal_width_groups,
     sliver_stack,
 )
-from ..negf.self_energy import Contacts, broadening, open_channels
+from ..negf.self_energy import broadening, open_channels
 
 __all__ = ["WFResult", "WFSolver"]
 
@@ -89,34 +90,32 @@ class WFResult(ResultStack):
         return np.ptp(self.interface_currents, axis=-1)
 
 
-class WFSolver:
+class WFSolver(KernelSolver):
     """Scattering-state (wave-function) solver for ballistic transport.
 
-    Parameters mirror :class:`repro.negf.RGFSolver`.
+    Parameters are those of :class:`repro.negf.rgf.KernelSolver`, plus
+    ``injection_tol_ev``.  :meth:`solve` / :meth:`solve_batch` return
+    :class:`WFResult` stacks, row b of a stack ``solve(E_b)`` bit for
+    bit.  Flops follow the Gordon Bell convention: ``wf.factor`` and
+    ``wf.backsub`` are charged the analytic banded-algorithm cost at the
+    *actual* per-energy channel counts (:meth:`kernel_stage`), so the
+    measured counts of a stack equal the sum of its energies' charges.
     """
 
-    def __init__(
-        self,
-        hamiltonian: BlockTridiagonalHamiltonian,
-        lead_left=None,
-        lead_right=None,
-        eta: float = 1e-6,
-        surface_method: str = "sancho",
-        injection_tol_ev: float | None = None,
-    ):
-        if hamiltonian.n_blocks < 2:
-            raise ValueError("transport needs at least 2 slabs")
-        self.H = hamiltonian
+    kernel = "wf"
+
+    def __init__(self, hamiltonian: BlockTridiagonalHamiltonian,
+                 lead_left=None, lead_right=None, eta: float = 1e-6,
+                 surface_method: str = "sancho",
+                 injection_tol_ev: float | None = None):
+        super().__init__(hamiltonian, lead_left, lead_right, eta,
+                         surface_method)
         #: None = exact mode (every Gamma eigenvector injected, WF == NEGF
         #: to machine precision); a float = economical production mode,
         #: injecting only channels with Gamma eigenvalue above this
         #: absolute threshold (eV) — the open channels.  This is the knob
         #: that realises the paper's "few RHS per energy" claim.
         self.injection_tol_ev = injection_tol_ev
-        self.contacts = Contacts(
-            hamiltonian, lead_left, lead_right, eta=eta,
-            method=surface_method,
-        )
 
     # ------------------------------------------------------------------
     def _charge_flops(self, n_factor: int, n_rhs: int) -> None:
@@ -153,23 +152,6 @@ class WFSolver:
             cut = self.injection_tol_ev
         return ev, vec, np.sum(ev > cut, axis=-1)
 
-    def solve(self, energy: float) -> WFResult:
-        """Scattering states, transmission and spectral densities at E.
-
-        A single energy *is* a stack of one: this is
-        ``solve_batch([energy])[0]``, bit for bit, under any chunking.
-        """
-        energy = float(energy)
-        with trace_span("wf.solve", category="kernel", energy=energy):
-            energies = np.array([energy])
-            return self.kernel_stage(
-                energies, *self.contacts.sigma_stacks(energies)
-            )[0]
-
-    def transmission(self, energy: float) -> float:
-        """T(E) of :meth:`solve`."""
-        return self.solve(energy).transmission
-
     # -- the one observables function, over the energy axis ------------
 
     def _observables(self, psi_l, gam_r, hops) -> tuple:
@@ -187,32 +169,6 @@ class WFSolver:
         t = _transmission(psi_l[:, offsets[-2]:], gam_r)
         currents = _interface_currents(psi_l, hops, offsets)
         return t, _row_norms(psi_l) / (2.0 * np.pi), currents
-
-    # ------------------------------------------------------------------
-    def solve_batch(self, energies) -> WFResult:
-        """WF solves for a batch of energies via stacked block-LU calls.
-
-        One :class:`WFResult` stack whose row b is ``self.solve(E_b)``,
-        bit for bit.  The system
-        matrices are factored with the stacked
-        :class:`repro.solvers.BlockTridiagLU` and the injection RHS of
-        all energies of equal channel counts are solved together
-        (:meth:`kernel_stage`).  Flops follow the Gordon Bell
-        convention: ``wf.factor`` and ``wf.backsub`` are charged the
-        analytic banded-algorithm cost at the *actual* per-energy channel
-        counts — so the measured counts of a stack equal the sum of its
-        energies' charges, and the uninstrumented LU adds nothing on top.
-        """
-        energies = np.asarray(energies, dtype=float).ravel()
-        if energies.size == 0:
-            return []
-        with trace_span(
-            "wf.solve_batch", category="kernel",
-            n_energies=int(energies.size),
-        ):
-            return self.kernel_stage(
-                energies, *self.contacts.sigma_stacks(energies)
-            )
 
     def kernel_stage(self, energies, sigma_l, sigma_r) -> WFResult:
         """Everything after the contacts: inject, factor, solve, contract.

@@ -492,6 +492,26 @@ class TestBlockTridiagLU:
         with pytest.raises(np.linalg.LinAlgError):
             BlockTridiagLU(diag, [np.ones((1, 1))])
 
+    def test_exact_zero_schur_mid_chain_raises_like_lapack(self):
+        """Uniform 1x1 blocks are eliminated into whole ``(N, B, 1, 1)``
+        arrays and tested for an exact zero once, after the sweep: a
+        Schur complement the elimination leaves exactly zero in the middle
+        slab of a 40-slab chain stack still raises ``LinAlgError``, and the
+        same stack without it factors."""
+        n, mid, b = 40, 20, 5
+        diag = np.full((n, b, 1, 1), 2.0 + 0.1j)
+        coupling = [np.complex128(1.0)] * (n - 1)
+        clean = BlockTridiagLU(diag, coupling)
+        assert clean._dinv.shape == (n, b, 1, 1)
+        assert np.isfinite(clean.block_column(0)).all()
+        # d_mid = A_mid - (1)(d_{mid-1})^-1(1) is an exact zero in slice 2
+        # when A_mid is the reciprocal the elimination formed before it
+        diag[mid, 2] = BlockTridiagLU(diag[:mid], coupling[:mid - 1])._dinv[-1, 2]
+        with pytest.raises(np.linalg.LinAlgError):
+            BlockTridiagLU(diag, coupling)
+        with pytest.raises(np.linalg.LinAlgError):
+            BlockTridiagLU(list(diag), [np.ones((1, 1))] * (n - 1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_1x1_block_inverts_quietly(self, bad):
         """NaN / Inf 1x1 blocks invert without a warning, as through
