@@ -367,7 +367,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     from .core import IVSweep, SelfConsistentSolver, subthreshold_swing_mv_dec
     from .io import format_si, format_table, save_json
-    from .resilience import FaultInjector, RetryPolicy
+    from .resilience import FaultInjector
 
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
@@ -383,7 +383,7 @@ def _cmd_sweep(args) -> int:
         )
     sweep = IVSweep(
         SelfConsistentSolver(built, transport),
-        retry=RetryPolicy(max_retries=args.max_retries),
+        max_retries=args.max_retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
         injector=injector,

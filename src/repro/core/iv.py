@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import NumericalBreakdownError, TaskFailure
+from ..errors import ConvergenceError, NumericalBreakdownError, TaskFailure
 from ..observability import PerfReport, get_tracer
 from ..observability.metrics import MetricsSnapshot
 from ..observability.telemetry import get_events, get_metrics
@@ -178,13 +178,15 @@ class IVSweep:
     ----------
     scf : SelfConsistentSolver
         Configured bias-point solver.
-    rescue : SCFRescue, None or "default"
-        Ladder for non-converged points (including a cold *first* point,
-        which previously slipped through with no retry at all); None
-        disables rescue.
-    retry : repro.resilience.RetryPolicy or None
-        Retry budget for bias points that *fail* (raise / NaN observable)
-        rather than merely not converging.
+    max_retries : int
+        Extra attempts at a bias point that *fails* (raises
+        :class:`~repro.errors.TaskFailure`,
+        :class:`~repro.errors.NumericalBreakdownError` — a NaN observable
+        — or :class:`~repro.errors.ConvergenceError`) rather than merely
+        not converging; 0 fails fast.  A point whose last attempt raises
+        one of the first two is quarantined.  A point that does not
+        converge climbs the :class:`repro.resilience.SCFRescue` ladder
+        (a cold *first* point too).
     checkpoint : SweepCheckpoint, path or None
         Where to persist completed points atomically after each bias.
     resume : bool
@@ -197,15 +199,13 @@ class IVSweep:
     def __init__(
         self,
         scf: SelfConsistentSolver,
-        rescue="default",
-        retry=None,
+        max_retries: int = 0,
         checkpoint=None,
         resume: bool = False,
         injector=None,
     ):
         self.scf = scf
-        self.rescue = SCFRescue() if rescue == "default" else rescue
-        self.retry = retry
+        self.max_retries = max_retries
         if isinstance(checkpoint, (str, Path)):
             from ..resilience.checkpoint import SweepCheckpoint
 
@@ -229,7 +229,7 @@ class IVSweep:
             if d is not None:
                 degradation.merge(d)
 
-        def attempt(attempt_number: int) -> SCFResult:
+        def attempt() -> SCFResult:
             mode = (
                 self.injector.fire("bias", key)
                 if self.injector is not None
@@ -250,30 +250,38 @@ class IVSweep:
                 )
             return result
 
-        try:
-            if self.retry is not None:
-                result = self.retry.run(attempt, report=degradation)
-                if degradation.retries:
-                    recovery.append(f"retry*{degradation.retries}")
-            else:
-                result = attempt(0)
-        except (TaskFailure, NumericalBreakdownError) as exc:
-            if self.retry is None:
+        # every fault is counted by origin and every attempt past the
+        # first is a retry; when the retries run out a thrown fault or a
+        # breakdown quarantines the point and a ConvergenceError propagates
+        retries = 0
+        while True:
+            try:
+                result = attempt()
+                break
+            except (TaskFailure, NumericalBreakdownError,
+                    ConvergenceError) as exc:
                 degradation.record_fault(
                     injected=bool(getattr(exc, "injected", False))
                 )
-            point = IVPoint(
-                v_gate=float(v_gate),
-                v_drain=float(v_drain),
-                current_a=float("nan"),
-                converged=False,
-                n_iterations=0,
-                recovery=tuple(recovery) + ("quarantined",),
-            )
-            return point, None, flops, degradation
+                if retries >= self.max_retries:
+                    if isinstance(exc, ConvergenceError):
+                        raise
+                    point = IVPoint(
+                        v_gate=float(v_gate),
+                        v_drain=float(v_drain),
+                        current_a=float("nan"),
+                        converged=False,
+                        n_iterations=0,
+                        recovery=("quarantined",),
+                    )
+                    return point, None, flops, degradation
+                retries += 1
+                degradation.retries += 1
+        if retries:
+            recovery.append(f"retry*{retries}")
 
-        if not result.converged and self.rescue is not None:
-            rescued, path = self.rescue.run(
+        if not result.converged:
+            rescued, path = SCFRescue().run(
                 self.scf,
                 v_gate,
                 v_drain,

@@ -58,9 +58,9 @@ from ..physics.grids import (
 )
 from ..resilience.degrade import (
     LADDER_EXCEPTIONS,
-    DegradationBudget,
     DegradationReport,
     DenseOracleSolver,
+    check_quarantine,
 )
 from ..tb.bands import lead_conduction_minimum
 from ..wf.qtbm import WFSolver
@@ -177,8 +177,9 @@ class TransportCalculation:
         corrupts the per-k Hamiltonian, ``"energy"`` poisons one row of
         a stacked solve, ``"worker"`` fires inside pool workers), which
         then run the production path.
-    degradation_budget : DegradationBudget or None
-        Bound on quarantined quadrature per k-grid (None = defaults).
+
+    Quarantined quadrature is bounded per k-grid by
+    :func:`repro.resilience.degrade.check_quarantine`.
     """
 
     def __init__(
@@ -194,7 +195,6 @@ class TransportCalculation:
         backend=None,
         workers=None,
         injector=None,
-        degradation_budget=None,
     ):
         if method not in ("wf", "rgf"):
             raise ValueError("method must be 'wf' or 'rgf'")
@@ -215,7 +215,6 @@ class TransportCalculation:
         self.spin_degeneracy = 1 if built.material.basis.spin else 2
         self.backend = get_backend(backend, workers)
         self.injector = injector
-        self.degradation_budget = degradation_budget or DegradationBudget()
 
     @property
     def batch_energies(self) -> bool:
@@ -456,6 +455,10 @@ class TransportCalculation:
                 kp.solve(wave)
                 wave = []  # refinement off: wave 0 is the quadrature
             else:
+                if refiner.collapsed:
+                    # a cut rounded onto its neighbour: a node the wave
+                    # holds twice is solved once
+                    wave = sorted(set(wave))
                 nodes = np.array(wave)
                 # at float resolution a bisection midpoint rounds onto a
                 # node an earlier wave solved or quarantined: it is not
@@ -821,10 +824,9 @@ class _KPoint:
     def surviving(self, grid):
         """``(grid, rows)`` of this k-point without its quarantined nodes.
 
-        Dropped nodes are checked against the calculation's
-        :class:`~repro.resilience.DegradationBudget` and the trapezoid
-        weights rebuilt on the survivors; ``rows`` holds their rows in
-        grid order (:meth:`rows`).
+        Dropped nodes are checked against the degradation budget
+        (:meth:`reweigh`) and the trapezoid weights rebuilt on the
+        survivors; ``rows`` holds their rows in grid order (:meth:`rows`).
         """
         energies = grid.energies
         lost = np.isin(energies, self._lost) if self._lost else None
@@ -836,12 +838,11 @@ class _KPoint:
 
     def reweigh(self, n_lost, n_total, context=""):
         """Account ``n_lost`` of ``n_total`` quadrature nodes quarantined:
-        checked against the calculation's
-        :class:`~repro.resilience.DegradationBudget` (raises past it), one
-        grid reweighted, one ``quadrature:reweight`` ladder step."""
-        self.calc.degradation_budget.check(
-            n_lost, n_total, context=f"k-point {self.ik}{context}"
-        )
+        checked against the degradation budget
+        (:func:`~repro.resilience.degrade.check_quarantine`, raises past
+        it), one grid reweighted, one ``quadrature:reweight`` ladder
+        step."""
+        check_quarantine(n_lost, n_total, f"k-point {self.ik}{context}")
         self.degradation.reweighted_grids += 1
         self.degradation.record_ladder("quadrature:reweight")
 

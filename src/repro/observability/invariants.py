@@ -86,23 +86,9 @@ class InvariantMonitor:
     strict : bool
         True raises :class:`repro.errors.PhysicsInvariantError` on the
         first violation; False (default) records and continues.
-    tol_current : float
-        Allowed relative spread of the interface currents (loose enough
-        that eta-broadening absorption along the device does not flag).
-    tol_transmission : float
-        Allowed excursion of T(E) outside [0, n_modes].
-    tol_density : float
-        Most negative density value tolerated (absolute).
-    tol_gamma : float
-        Allowed relative Hermiticity defect of Γ.
-    tol_neutrality : float
-        Allowed |log(n_electrons / n_donors)| of a converged SCF point —
-        loose by design: exact neutrality only holds in equilibrium and a
-        strong gate bias legitimately moves the integrated electron count
-        by over a decade, so the default (ln 100 ≈ two decades) flags
-        breakdowns, not bias.
 
-    The ledger is bounded: :attr:`violations` keeps the first
+    The tolerances are class constants (``TOL_*``), the same for every
+    run.  The ledger is bounded: :attr:`violations` keeps the first
     :attr:`MAX_VIOLATIONS`; :attr:`n_violations` and the
     ``invariant.violations`` counters keep counting past it.
     :meth:`marker` / :meth:`violations_since` read the ledger by
@@ -117,35 +103,34 @@ class InvariantMonitor:
     'transmission_bounds'
     """
 
+    #: Allowed relative spread of the interface currents (loose enough
+    #: that eta-broadening absorption along the device does not flag).
+    TOL_CURRENT = 1e-5
+    #: Allowed excursion of T(E) outside [0, n_modes].
+    TOL_TRANSMISSION = 1e-8
+    #: Most negative density value tolerated (absolute).
+    TOL_DENSITY = 1e-12
+    #: Allowed relative Hermiticity defect of Γ.
+    TOL_GAMMA = 1e-8
+    #: Allowed |log(n_electrons / n_donors)| of a converged SCF point —
+    #: loose by design: exact neutrality only holds in equilibrium and a
+    #: strong gate bias legitimately moves the integrated electron count
+    #: by over a decade, so ln 100 (two decades) flags breakdowns, not
+    #: bias.
+    TOL_NEUTRALITY = 4.605
     #: Violations the ledger keeps, the first ones.
     MAX_VIOLATIONS = 4096
 
-    def __init__(
-        self,
-        strict: bool = False,
-        tol_current: float = 1e-5,
-        tol_transmission: float = 1e-8,
-        tol_density: float = 1e-12,
-        tol_gamma: float = 1e-8,
-        tol_neutrality: float = 4.605,
-    ):
+    def __init__(self, strict: bool = False):
         self.strict = strict
-        self.tol_current = tol_current
-        self.tol_transmission = tol_transmission
-        self.tol_density = tol_density
-        self.tol_gamma = tol_gamma
-        self.tol_neutrality = tol_neutrality
         self.violations: list[InvariantViolation] = []
         self._seq = 0
         self._lock = threading.Lock()
 
     def __reduce__(self):
-        # a monitor pickles as its configuration: a pool worker's copy
-        # starts an empty ledger, the parent absorbs what it records
-        return type(self), (
-            self.strict, self.tol_current, self.tol_transmission,
-            self.tol_density, self.tol_gamma, self.tol_neutrality,
-        )
+        # a monitor pickles as its mode: a pool worker's copy starts an
+        # empty ledger, the parent absorbs what it records
+        return type(self), (self.strict,)
 
     def absorb(self, violations, count=None) -> None:
         """Append ``violations`` in order, as far as the ledger bound
@@ -244,19 +229,19 @@ class InvariantMonitor:
         spread = (currents.max(axis=-1) - currents.min(axis=-1)) / np.maximum(
             np.abs(transmission), 1.0
         )
-        return ("current_conservation", self.tol_current,
-                spread <= self.tol_current, spread)
+        return ("current_conservation", self.TOL_CURRENT,
+                spread <= self.TOL_CURRENT, spread)
 
     def _transmission(self, t, n_modes):
         defect = np.where(np.isfinite(t), np.maximum(-t, t - n_modes),
                           np.inf)
-        return ("transmission_bounds", self.tol_transmission,
-                defect <= self.tol_transmission, defect)
+        return ("transmission_bounds", self.TOL_TRANSMISSION,
+                defect <= self.TOL_TRANSMISSION, defect)
 
     def _density(self, density, finite=None):
         # one minimum over the whole stack clears every row when it lies
         # at or above -tol; rows are reduced only when it does not
-        floor = -self.tol_density
+        floor = -self.TOL_DENSITY
         if density.min(initial=np.inf) >= floor:
             ok = np.ones(len(density), dtype=bool)
         else:
@@ -272,7 +257,7 @@ class InvariantMonitor:
         if not ok.all():
             low = density[~ok].min(axis=-1)
             defect[~ok] = np.where(low < 0.0, -low, np.inf)
-        return ("density_nonnegative", self.tol_density, ok, defect)
+        return ("density_nonnegative", self.TOL_DENSITY, ok, defect)
 
     def _gamma(self, gamma):
         # relative Hermiticity defect, or the trace's deficit below zero
@@ -283,13 +268,13 @@ class InvariantMonitor:
             gamma - np.conj(np.swapaxes(gamma, -2, -1))
         ).max(axis=(-2, -1)) / scale
         trace = gamma.trace(axis1=-2, axis2=-1).real
-        low = trace < -self.tol_gamma * scale * m
+        low = trace < -self.TOL_GAMMA * scale * m
         if low.any():
             defect = np.where(
                 low, np.maximum(defect, -trace / (scale * m)), defect
             )
-        return ("gamma_antihermitian", self.tol_gamma,
-                defect <= self.tol_gamma, defect)
+        return ("gamma_antihermitian", self.TOL_GAMMA,
+                defect <= self.TOL_GAMMA, defect)
 
     # -- checks --------------------------------------------------------
 
@@ -369,8 +354,8 @@ class InvariantMonitor:
             if metrics.enabled:
                 metrics.gauge("scf.neutrality_log_residual", residual)
         return self._check((
-            "charge_neutrality", self.tol_neutrality,
-            np.array([residual <= self.tol_neutrality]), [residual],
+            "charge_neutrality", self.TOL_NEUTRALITY,
+            np.array([residual <= self.TOL_NEUTRALITY]), [residual],
         ), **context)
 
     def check_finite(self, arrays, kernel: str = "", **context) -> bool:

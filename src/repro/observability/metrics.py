@@ -96,8 +96,8 @@ def metric_key(name: str, labels: dict) -> str:
 class LogLinearHistogram:
     """Log-linear (HDR-style) histogram of positive-ish values.
 
-    Each power-of-two octave is subdivided into ``subbuckets`` linear
-    bins, giving a constant ~``1/subbuckets`` relative resolution over an
+    Each power-of-two octave is subdivided into :attr:`SUBBUCKETS` linear
+    bins, giving a constant ~``1/SUBBUCKETS`` relative resolution over an
     unbounded dynamic range with a bounded bucket count.  Values <= 0
     land in a dedicated underflow bucket (index ``None`` in the export).
 
@@ -112,11 +112,12 @@ class LogLinearHistogram:
     8
     """
 
-    __slots__ = ("subbuckets", "buckets", "underflow", "count", "total",
-                 "min", "max")
+    __slots__ = ("buckets", "underflow", "count", "total", "min", "max")
 
-    def __init__(self, subbuckets: int = 4):
-        self.subbuckets = subbuckets
+    #: Linear bins per power-of-two octave.
+    SUBBUCKETS = 4
+
+    def __init__(self):
         self.buckets: dict[int, int] = {}
         self.underflow = 0
         self.count = 0
@@ -126,13 +127,13 @@ class LogLinearHistogram:
 
     def _index(self, value: float) -> int:
         mantissa, exponent = math.frexp(value)  # value = m * 2^e, m in [.5,1)
-        sub = int((2.0 * mantissa - 1.0) * self.subbuckets)
-        return exponent * self.subbuckets + min(sub, self.subbuckets - 1)
+        sub = int((2.0 * mantissa - 1.0) * self.SUBBUCKETS)
+        return exponent * self.SUBBUCKETS + min(sub, self.SUBBUCKETS - 1)
 
     def bucket_bounds(self, index: int) -> tuple[float, float]:
         """(low, high) value range of bucket ``index``."""
-        exponent, sub = divmod(index, self.subbuckets)
-        width = 2.0 ** (exponent - 1) / self.subbuckets
+        exponent, sub = divmod(index, self.SUBBUCKETS)
+        width = 2.0 ** (exponent - 1) / self.SUBBUCKETS
         low = 2.0 ** (exponent - 1) + sub * width
         return low, low + width
 
@@ -170,9 +171,7 @@ class LogLinearHistogram:
         return self.max
 
     def merge(self, other: "LogLinearHistogram") -> None:
-        """Fold another histogram of the same geometry into this one."""
-        if other.subbuckets != self.subbuckets:
-            raise ValueError("histogram geometries differ")
+        """Fold another histogram into this one."""
         # snapshot first: merging a histogram into itself must double it
         items = list(other.buckets.items())
         self.underflow += other.underflow
@@ -191,14 +190,13 @@ class LogLinearHistogram:
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "underflow": self.underflow,
-            "subbuckets": self.subbuckets,
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogLinearHistogram":
         """Inverse of :meth:`to_dict`."""
-        h = cls(subbuckets=int(data.get("subbuckets", 4)))
+        h = cls()
         h.count = int(data["count"])
         h.total = float(data["sum"])
         h.min = math.inf if data.get("min") is None else float(data["min"])

@@ -21,7 +21,7 @@ Three more things live here:
    process: whatever the parent installed after the pool started never
    reaches it, and whatever it records dies with it.  So a recorder
    pickles as its *spec* — whether the tracer and metrics are live, the
-   monitor's and the sentinel's configuration; the event writer is null
+   monitor's and the sentinel's mode; the event writer is null
    in a worker — and every pooled chunk runs under
    :func:`capture_telemetry` of the spec it was shipped with.  The
    :class:`TelemetryDelta` it returns carries the chunk's spans,
@@ -163,42 +163,33 @@ class HealthSentinel:
     mode : {"off", "contain", "strict"}
         ``"contain"`` records trips for the degradation ladder;
         ``"strict"`` raises :class:`NumericalBreakdownError` immediately.
-    cond_threshold : float
-        1-norm condition estimate above which a factorization is flagged
-        ill-conditioned (default ``1e12`` — far above anything a healthy
-        nanowire Hamiltonian produces at double precision).
-    residual_threshold : float
-        Relative residual above which a converged-looking fixed point is
-        flagged (default ``1e-6``; Sancho-Rubio residuals sit near 1e-12).
-    max_events : int
-        Ledger bound; trip *counts* keep growing past it, only per-event
-        details stop being stored.
 
-    A sentinel pickles as its configuration: the copy a pool worker
-    unpickles starts an empty ledger, and the parent takes the worker's
-    trips back with :meth:`absorb`.
+    A sentinel pickles as its mode: the copy a pool worker unpickles
+    starts an empty ledger, and the parent takes the worker's trips back
+    with :meth:`absorb`.
     """
 
-    def __init__(
-        self,
-        mode: str = "contain",
-        cond_threshold: float = 1e12,
-        residual_threshold: float = 1e-6,
-        max_events: int = 4096,
-    ):
+    #: 1-norm condition estimate above which a factorization is flagged
+    #: ill-conditioned — far above anything a healthy nanowire
+    #: Hamiltonian produces at double precision.
+    COND_THRESHOLD = 1e12
+    #: Relative residual above which a converged-looking fixed point is
+    #: flagged (Sancho-Rubio residuals sit near 1e-12).
+    RESIDUAL_THRESHOLD = 1e-6
+    #: Ledger bound: trip *counts* keep growing past it, only per-event
+    #: details stop being stored.
+    MAX_EVENTS = 4096
+
+    def __init__(self, mode: str = "contain"):
         if mode not in _MODES:
             raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
         self.mode = mode
-        self.cond_threshold = float(cond_threshold)
-        self.residual_threshold = float(residual_threshold)
-        self.max_events = int(max_events)
         self._lock = threading.Lock()
         self._events: list[HealthEvent] = []
         self._seq = 0
 
     def __reduce__(self):
-        return type(self), (self.mode, self.cond_threshold,
-                            self.residual_threshold, self.max_events)
+        return type(self), (self.mode,)
 
     # -- state ---------------------------------------------------------
 
@@ -238,7 +229,7 @@ class HealthSentinel:
         """
         with self._lock:
             for event in events:
-                if len(self._events) < self.max_events:
+                if len(self._events) < self.MAX_EVENTS:
                     self._events.append(replace(event, seq=self._seq))
                 self._seq += event.count
 
@@ -259,7 +250,7 @@ class HealthSentinel:
                 self._seq, site, kind, float(value), detail, count
             )
             self._seq += count
-            if len(self._events) < self.max_events:
+            if len(self._events) < self.MAX_EVENTS:
                 self._events.append(event)
         metrics = get_metrics()
         if metrics.enabled:
@@ -283,7 +274,7 @@ class HealthSentinel:
         if not np.isfinite(cond):
             self.trip(site, "nonfinite", value=cond, detail=detail)
             return False
-        if cond > self.cond_threshold:
+        if cond > self.COND_THRESHOLD:
             self.trip(site, "ill_conditioned", value=cond, detail=detail)
             return False
         return True
@@ -293,7 +284,7 @@ class HealthSentinel:
         if not np.isfinite(residual):
             self.trip(site, "nonfinite", value=residual, detail=detail)
             return False
-        if residual > self.residual_threshold:
+        if residual > self.RESIDUAL_THRESHOLD:
             self.trip(site, "residual", value=residual, detail=detail)
             return False
         return True
@@ -342,19 +333,17 @@ class TelemetryWriter:
     context : dict or None
         Run metadata (command, spec, backend) merged into
         ``run_started``.
-    heartbeat_s : float
-        Minimum silence between :meth:`maybe_heartbeat` emissions.
     clock : callable
         Wall-clock source; injectable for deterministic tests.
     """
 
     enabled = True
+    #: Minimum stream silence (s) before :meth:`maybe_heartbeat` emits.
+    HEARTBEAT_S = 5.0
 
-    def __init__(self, path, context=None, heartbeat_s: float = 5.0,
-                 clock=time.time):
+    def __init__(self, path, context=None, clock=time.time):
         self.path = str(path)
         self.context = dict(context or {})
-        self.heartbeat_s = float(heartbeat_s)
         self._clock = clock
         self._fh = open(path, "a")
         self._lock = threading.Lock()
@@ -434,7 +423,7 @@ class TelemetryWriter:
         """
         now = self._clock()
         last = self._t_last_emit
-        if last is not None and now - last < self.heartbeat_s:
+        if last is not None and now - last < self.HEARTBEAT_S:
             return False
         progress = self._progress_fields(now)
         progress.update(fields)
@@ -511,7 +500,7 @@ class Recorder:
     field of one.  A recorder pickles (and copies) as its *spec*: a fresh
     tracer and registry where these are live, null ones where not, the
     null event writer, and the monitor and sentinel as fresh instances of
-    their configuration — the recorder a pool worker runs a chunk under
+    their mode — the recorder a pool worker runs a chunk under
     (:func:`capture_telemetry`).
     """
 
@@ -794,7 +783,7 @@ def capture_telemetry(run=None, worker: str | None = None,
     run : Recorder or None
         What to record under.  A chunk payload carries the parent's
         recorder, which a worker unpickles as its spec: fresh
-        instruments, the parent's configuration.  None: a fresh tracer,
+        instruments, the parent's modes.  None: a fresh tracer,
         registry and ``contain`` sentinel.
     worker : str or None
         Provenance label; defaults to ``"pid:<os.getpid()>"``.

@@ -157,18 +157,11 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def _resolve_deadline(deadline_s) -> float | None:
-    """Per-chunk deadline in seconds, or None when elasticity is off.
-
-    ``None`` falls back to ``$REPRO_DEADLINE_S`` (empty/unset = off);
-    a non-positive value also disables the deadline.
-    """
-    if deadline_s is None:
-        deadline_s = env.read("REPRO_DEADLINE_S")
-        if deadline_s is None:
-            return None
-    deadline_s = float(deadline_s)
-    return deadline_s if deadline_s > 0 else None
+def _resolve_deadline() -> float | None:
+    """Per-chunk deadline in seconds, ``$REPRO_DEADLINE_S``, or None when
+    elasticity is off (empty/unset or a non-positive value)."""
+    deadline_s = env.read("REPRO_DEADLINE_S")
+    return deadline_s if deadline_s is not None and deadline_s > 0 else None
 
 
 class ProcessBackend(ExecutionBackend):
@@ -182,8 +175,8 @@ class ProcessBackend(ExecutionBackend):
     totals, sentinel trips and fault accounts match the serial backend
     exactly.
 
-    With a ``deadline_s`` (None reads ``$REPRO_DEADLINE_S``), a chunk
-    overdue past its deadline triggers an *orderly pool restart*: the
+    With a deadline, ``$REPRO_DEADLINE_S`` (read at every :meth:`map`),
+    a chunk overdue past it triggers an *orderly pool restart*: the
     shared pool is unregistered, cancelled and its worker processes
     terminated (a hung child cannot be cancelled any other way),
     already-finished results are salvaged, and everything outstanding is
@@ -195,9 +188,8 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, workers: int = 2, deadline_s: float | None = None):
+    def __init__(self, workers: int = 2):
         super().__init__(workers)
-        self.deadline_s = deadline_s
 
     def map(self, fn, items) -> list:
         """Fan ``items`` out over the shared pool, results in order.
@@ -209,7 +201,7 @@ class ProcessBackend(ExecutionBackend):
             return [fn(item) for item in items]
         from concurrent.futures.process import BrokenProcessPool
 
-        deadline = _resolve_deadline(self.deadline_s)
+        deadline = _resolve_deadline()
         pool = _shared_pool(self.workers)
         try:
             if deadline is None:

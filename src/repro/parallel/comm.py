@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import pickle
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,23 +62,14 @@ class CommEvent:
 class CommTrace:
     """Accumulated communication events of a traced run.
 
-    ``max_events`` bounds the retained *event list* as a ring buffer (the
-    oldest events are dropped and counted in ``dropped_events``) while
-    the per-(op, level) aggregates — and therefore :meth:`total_bytes`,
-    :meth:`count` and :meth:`by_level` — stay exact over the whole run.
-    The performance model replays ``events``; long monitored sweeps that
-    only need the totals can cap the buffer without losing accounting.
+    The performance model replays ``events``; the per-(op, level)
+    aggregates behind :meth:`total_bytes`, :meth:`count` and
+    :meth:`by_level` are kept as events are recorded.
     """
 
     events: list = field(default_factory=list)
-    max_events: int | None = None
-    dropped_events: int = 0
 
     def __post_init__(self):
-        if self.max_events is not None:
-            if self.max_events < 1:
-                raise ValueError("max_events must be >= 1")
-            self.events = deque(self.events, maxlen=self.max_events)
         # exact running aggregates, keyed (op, level): [bytes, messages]
         self._totals: dict[tuple, list] = {}
         for e in self.events:
@@ -98,14 +88,9 @@ class CommTrace:
         self, op: str, payload_bytes: int, participants: int,
         level: str = "",
     ) -> None:
-        """Append one event (ring-buffered; aggregates always exact)."""
+        """Append one event and add it to the aggregates."""
         event = CommEvent(op, int(payload_bytes), int(participants), level)
         self._tally(event)
-        if (
-            self.max_events is not None
-            and len(self.events) == self.max_events
-        ):
-            self.dropped_events += 1
         self.events.append(event)
 
     def total_bytes(self, level: str | None = None) -> int:

@@ -324,6 +324,9 @@ class AdaptiveEnergyGrid:
         self._leaves: list[np.ndarray] = []
         self._wave = 0
         self._budget_hit = False
+        #: True when the last wave emitted may hold a node twice: a cut
+        #: rounded onto its neighbour (float resolution)
+        self.collapsed = False
         self._est_error = float("inf")
         self.node_counts: list[int] = []
 
@@ -357,6 +360,7 @@ class AdaptiveEnergyGrid:
         self._reset_waves()
         nodes = np.linspace(self.emin, self.emax, self.n_initial)
         self._nodes = _unique(nodes)
+        self.collapsed = self._nodes.size < nodes.size
         self._active = np.column_stack([nodes[:-1], nodes[1:]])
         self.node_counts.append(self.n_nodes)
         return nodes.tolist()
@@ -400,6 +404,7 @@ class AdaptiveEnergyGrid:
         (``(splits, 2**levels + 1)`` nodes), and each split reads its
         own nodes off that array at its own stride.
         """
+        self.collapsed = False
         if self._nodes.size >= self.max_points:
             self._budget_hit = True
         if self._budget_hit or self._wave > self.max_passes:
@@ -459,6 +464,8 @@ class AdaptiveEnergyGrid:
                 halves[:, ::2] = cuts
                 halves[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
                 cuts = halves
+            # cuts are sorted along a row: a repeat is a neighbour
+            self.collapsed = bool((cuts[:, 1:] == cuts[:, :-1]).any())
             stride = (2 ** levels >> k)[:, None]
             at = np.arange(cuts.shape[1]) % stride
             on_cut = at == 0

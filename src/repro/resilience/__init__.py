@@ -10,15 +10,17 @@ the reproduction's equivalent machinery:
 * a deterministic, seedable :class:`FaultInjector` planted in the
   transport solvers, the distributed driver, the comm layer and the I-V
   engine (the site-owner table is in :mod:`repro.resilience.faults`);
-* recovery policies — :class:`RetryPolicy` with capped backoff and
-  quarantine, the surface-GF degradation ladder
-  (:func:`robust_surface_gf`), and the :class:`SCFRescue` ladder;
+* recovery policies — the surface-GF degradation ladder
+  (:func:`robust_surface_gf`) and the :class:`SCFRescue` ladder (the
+  retry of a bias point that raised is :class:`repro.core.IVSweep`'s
+  own loop);
 * atomic :class:`~repro.resilience.checkpoint.SweepCheckpoint` /
   :class:`~repro.resilience.checkpoint.RampCheckpoint` for kill-and-resume
   sweeps, imported from :mod:`repro.resilience.checkpoint` (``import
   repro`` does not load it);
 * numerical-health sentinels (:mod:`repro.resilience.health`) and the
-  graceful-degradation ladder with its :class:`DegradationBudget`
+  graceful-degradation ladder, whose quarantine is bounded by
+  :func:`repro.resilience.degrade.check_quarantine`
   (:mod:`repro.resilience.degrade`);
 * one :class:`DegradationReport` account attached to every run: sentinel
   trips, ladder steps, quarantined nodes, thrown faults and retries, dead
@@ -39,11 +41,7 @@ from ..errors import (
     SurfaceGFConvergenceError,
     TaskFailure,
 )
-from .degrade import (
-    DegradationBudget,
-    DegradationReport,
-    dense_oracle_solve,
-)
+from .degrade import DegradationReport, dense_oracle_solve
 from .faults import (
     FaultInjector,
     InjectedFault,
@@ -58,7 +56,7 @@ from .health import (
     get_sentinel,
     use_sentinel,
 )
-from .policies import RetryPolicy, SCFRescue, robust_surface_gf
+from .policies import SCFRescue, robust_surface_gf
 
 __all__ = [
     "ReproError",
@@ -73,7 +71,6 @@ __all__ = [
     "InjectedFault",
     "non_finite",
     "nan_like",
-    "RetryPolicy",
     "SCFRescue",
     "robust_surface_gf",
     "HealthEvent",
@@ -82,7 +79,6 @@ __all__ = [
     "get_sentinel",
     "use_sentinel",
     "DegradationReport",
-    "DegradationBudget",
     "corrupt_hamiltonian",
     "dense_oracle_solve",
 ]

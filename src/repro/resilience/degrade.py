@@ -15,9 +15,10 @@ reweights the quadrature:
 3. **quarantine** — drop the energy node, rebuild the trapezoid weights
    on the surviving nodes, and account the gap.
 
-Step 3 is bounded by a :class:`DegradationBudget`: a sweep that loses
-more than the configured fraction of its quadrature is *wrong*, not
-degraded, and fails with :class:`~repro.errors.DegradationBudgetError`.
+Step 3 is bounded by :func:`check_quarantine`: a sweep that loses more
+than :data:`MAX_QUARANTINED_FRACTION` of a grid's quadrature (or keeps
+fewer than :data:`MIN_SURVIVING_POINTS` nodes) is *wrong*, not degraded,
+and fails with :class:`~repro.errors.DegradationBudgetError`.
 
 Everything that happened is collected in a :class:`DegradationReport`,
 the one account of a run: it also counts the thrown faults, bias-point
@@ -40,8 +41,10 @@ from ..errors import DegradationBudgetError
 
 __all__ = [
     "DegradationReport",
-    "DegradationBudget",
     "LADDER_EXCEPTIONS",
+    "MAX_QUARANTINED_FRACTION",
+    "MIN_SURVIVING_POINTS",
+    "check_quarantine",
     "DenseOracleSolver",
     "dense_oracle_solve",
 ]
@@ -239,52 +242,34 @@ _COUNTERS = tuple(
 )
 
 
-@dataclass
-class DegradationBudget:
-    """Bound on how much quadrature a sweep may lose before it is wrong.
+#: Largest fraction of one per-k grid's energy nodes the ladder may
+#: quarantine.
+MAX_QUARANTINED_FRACTION = 0.25
 
-    Attributes
-    ----------
-    max_quarantined_fraction : float
-        Largest tolerable fraction of energy nodes dropped from any
-        single per-k grid.
-    max_quarantined_points : int or None
-        Optional absolute cap per grid.
-    min_surviving_points : int
-        A grid needs at least this many nodes for the trapezoid rule to
-        mean anything.
-    """
+#: Fewest nodes a per-k grid keeps for the trapezoid rule to mean anything.
+MIN_SURVIVING_POINTS = 2
 
-    max_quarantined_fraction: float = 0.25
-    max_quarantined_points: int | None = None
-    min_surviving_points: int = 2
 
-    def check(self, n_quarantined: int, n_total: int, context: str = "") -> None:
-        """Raise :class:`DegradationBudgetError` when the loss exceeds budget."""
-        if n_quarantined <= 0:
-            return
-        where = f" ({context})" if context else ""
-        if n_total - n_quarantined < self.min_surviving_points:
-            raise DegradationBudgetError(
-                f"degradation budget exceeded{where}: only "
-                f"{n_total - n_quarantined} of {n_total} energy nodes "
-                f"survived quarantine (need >= {self.min_surviving_points})"
-            )
-        if (
-            self.max_quarantined_points is not None
-            and n_quarantined > self.max_quarantined_points
-        ):
-            raise DegradationBudgetError(
-                f"degradation budget exceeded{where}: {n_quarantined} energy "
-                f"nodes quarantined (cap {self.max_quarantined_points})"
-            )
-        fraction = n_quarantined / max(n_total, 1)
-        if fraction > self.max_quarantined_fraction:
-            raise DegradationBudgetError(
-                f"degradation budget exceeded{where}: {fraction:.1%} of the "
-                f"quadrature quarantined "
-                f"(budget {self.max_quarantined_fraction:.1%})"
-            )
+def check_quarantine(n_lost: int, n_total: int, context: str = "") -> None:
+    """Raise :class:`DegradationBudgetError` (carrying ``n_lost`` and
+    ``n_total``) when quarantining ``n_lost`` of a grid's ``n_total``
+    nodes leaves fewer than :data:`MIN_SURVIVING_POINTS` or loses more
+    than :data:`MAX_QUARANTINED_FRACTION` of it."""
+    if n_lost <= 0:
+        return
+    where = f" ({context})" if context else ""
+    if n_total - n_lost < MIN_SURVIVING_POINTS:
+        problem = (f"only {n_total - n_lost} of {n_total} energy nodes "
+                   f"survived quarantine (need >= {MIN_SURVIVING_POINTS})")
+    elif n_lost / max(n_total, 1) > MAX_QUARANTINED_FRACTION:
+        problem = (f"{n_lost / max(n_total, 1):.1%} of the quadrature "
+                   f"quarantined (budget {MAX_QUARANTINED_FRACTION:.1%})")
+    else:
+        return
+    raise DegradationBudgetError(
+        f"degradation budget exceeded{where}: {problem}",
+        n_quarantined=n_lost, n_total=n_total,
+    )
 
 
 class DenseOracleSolver:

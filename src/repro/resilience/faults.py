@@ -47,7 +47,8 @@ Actions
 ``"raise"``      raise :class:`repro.errors.TaskFailure`;
 ``"nan"``        tell the caller to corrupt the result with NaN;
 ``"illcond"``    tell the caller to wreck its operator's conditioning;
-``"stall"``      sleep ``stall_seconds`` (straggler), then proceed;
+``"stall"``      sleep :attr:`FaultInjector.STALL_SECONDS` (straggler), then
+                 proceed;
 ``"hang"``       sleep ``hang_seconds`` (hung worker — long enough to
                  blow any sane backend deadline), then proceed;
 ``"dead_rank"``  raise :class:`repro.errors.RankFailure`.
@@ -114,8 +115,6 @@ class FaultInjector:
     once : bool
         Transient faults: each (site, key) fires at most once (default),
         once per rank of a distributed solve (:meth:`on_rank`).
-    stall_seconds : float
-        Duration of a ``"stall"`` fault.
     hang_seconds : float
         Duration of a ``"hang"`` fault (a hung worker; pick it longer
         than the backend deadline under test).
@@ -123,6 +122,9 @@ class FaultInjector:
         Global cap on fired faults (None = unlimited); the pool chunks
         of one dispatch can overshoot it (module docstring).
     """
+
+    #: Duration (s) of a ``"stall"`` fault.
+    STALL_SECONDS = 0.01
 
     def __init__(
         self,
@@ -132,7 +134,6 @@ class FaultInjector:
         sites: tuple | None = None,
         plan: dict | None = None,
         once: bool = True,
-        stall_seconds: float = 0.01,
         hang_seconds: float = 30.0,
         max_faults: int | None = None,
     ):
@@ -150,7 +151,6 @@ class FaultInjector:
         self.sites = tuple(sites) if sites is not None else None
         self.plan = dict(plan or {})
         self.once = once
-        self.stall_seconds = stall_seconds
         self.hang_seconds = hang_seconds
         self.max_faults = max_faults
         self.injected: list[InjectedFault] = []
@@ -214,7 +214,7 @@ class FaultInjector:
                 injected=True,
             )
         if action == "stall":
-            time.sleep(self.stall_seconds)
+            time.sleep(self.STALL_SECONDS)
             return None
         if action == "hang":
             time.sleep(self.hang_seconds)

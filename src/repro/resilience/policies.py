@@ -1,11 +1,8 @@
-"""Recovery policies: retry ladders, degradation ladders, SCF rescue.
+"""Recovery policies: the surface-GF degradation ladder and SCF rescue.
 
-Three families of recovery, ordered from cheapest to most intrusive:
+Two families of recovery, cheapest first (re-attempting a bias point
+that raised is the retry loop of :class:`repro.core.IVSweep`):
 
-* :class:`RetryPolicy` — re-attempt a failed task with capped exponential
-  backoff; transient faults (machine checks, injected flips) vanish on the
-  second attempt, persistent ones exhaust the budget and are surfaced (or
-  quarantined by the caller).
 * :func:`robust_surface_gf` — the surface-GF degradation ladder: when
   Sancho-Rubio stalls at a band edge, escalate ``eta`` by decades, and if
   decimation never contracts fall back to the complex-band
@@ -20,92 +17,12 @@ Three families of recovery, ordered from cheapest to most intrusive:
 from __future__ import annotations
 
 import contextlib
-import time
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ..errors import (
-    ConvergenceError,
-    NumericalBreakdownError,
-    SurfaceGFConvergenceError,
-    TaskFailure,
-)
+from ..errors import NumericalBreakdownError, SurfaceGFConvergenceError
 
-__all__ = ["RetryPolicy", "robust_surface_gf", "SCFRescue"]
-
-
-@dataclass
-class RetryPolicy:
-    """Capped-exponential-backoff retry of a fallible callable.
-
-    Parameters
-    ----------
-    max_retries : int
-        Extra attempts after the first (0 = fail fast).
-    backoff_s : float
-        Base delay before the first retry; 0 disables sleeping entirely
-        (the in-process default — backoff only matters against shared
-        external resources).
-    backoff_factor : float
-        Multiplier per retry.
-    max_backoff_s : float
-        Delay cap.
-    retry_on : tuple of exception types
-        What is considered transient.
-    sleep : callable
-        Injectable clock for tests.
-    """
-
-    max_retries: int = 2
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
-    retry_on: tuple = (TaskFailure, NumericalBreakdownError, ConvergenceError)
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        return min(
-            self.backoff_s * self.backoff_factor**attempt, self.max_backoff_s
-        )
-
-    def run(self, attempt_fn: Callable[[int], object], report=None):
-        """Call ``attempt_fn(attempt)`` until success or budget exhausted.
-
-        Faults matching ``retry_on`` and the retries they cost are counted
-        into ``report``, a :class:`~repro.resilience.DegradationReport`
-        (injected vs organic via the exception's ``injected`` flag); the
-        last one is re-raised when the budget runs out.
-        """
-        last: BaseException | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                return attempt_fn(attempt)
-            except self.retry_on as exc:
-                last = exc
-                if report is not None:
-                    report.record_fault(
-                        injected=bool(getattr(exc, "injected", False))
-                    )
-                if attempt == self.max_retries:
-                    break
-                if report is not None:
-                    report.retries += 1
-                pause = self.delay(attempt)
-                if pause > 0:
-                    self.sleep(pause)
-        assert last is not None
-        raise last
+__all__ = ["robust_surface_gf", "SCFRescue"]
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +110,12 @@ class SCFRescue:
     3. ``linear-mixing`` — Anderson -> plain linear mixing at halved beta
        (Anderson's least-squares history can amplify a noisy density);
     4. ``continuation-halved`` — halve the drain-bias continuation step
-       (finer ramp, each stage closer to the previous fixed point).
-
-    Parameters
-    ----------
-    min_continuation_step : float
-        Floor for rung 4 (V).
+       (finer ramp, each stage closer to the previous fixed point), down
+       to :attr:`MIN_CONTINUATION_STEP`.
     """
 
-    def __init__(self, min_continuation_step: float = 0.03):
-        self.min_continuation_step = min_continuation_step
+    #: Floor of rung 4's continuation step (V).
+    MIN_CONTINUATION_STEP = 0.03
 
     def stages(self, solver, used_warm_start: bool, continuation_step: float):
         """The (name, attr-overrides, continuation_step) rungs to try."""
@@ -219,7 +132,7 @@ class SCFRescue:
                     continuation_step,
                 )
             )
-        shrunk = max(0.5 * continuation_step, self.min_continuation_step)
+        shrunk = max(0.5 * continuation_step, self.MIN_CONTINUATION_STEP)
         if continuation_step > 0 and shrunk < continuation_step:
             out.append(
                 (

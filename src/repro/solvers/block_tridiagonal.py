@@ -121,7 +121,7 @@ def _factor_health_check(diag, dinv) -> None:
         d, v = (np.array([norm1(b) for b in x]) for x in (diag, dinv))
     with np.errstate(invalid="ignore"):  # inf * 0 -> nan -> reported inf
         worst = np.ravel(np.maximum.reduce(d * v))  # per slice, worst slab
-    bad = ~(worst <= sentinel.cond_threshold)  # NaN is bad too
+    bad = ~(worst <= sentinel.COND_THRESHOLD)  # NaN is bad too
     if not bad.any():
         return
     factor_ok = np.ravel(np.isfinite(v).all(axis=0))

@@ -68,25 +68,40 @@ def built():
 
 
 @pytest.fixture
-def force_stack(monkeypatch):
-    """Callable pinning the sub-stack length of every energy sweep.
+def set_constant(monkeypatch):
+    """Callable ``set_constant(owner, name, value)`` setting a module or
+    class constant for one test.
 
-    Production derives the length from the device
-    (:func:`repro.core.transport.stack_length`); the split-invariance
-    tests override it.  Pools are recycled around the override so forked
-    process-backend workers inherit it — and lose it afterwards.
+    The thresholds, tolerances and bounds of the safety nets are
+    constants, not options; the drills that need another value set it
+    here.  Pools are recycled around the change so forked process-backend
+    workers inherit it — and lose it afterwards.
     """
-    from repro.core import transport
     from repro.parallel.backend import shutdown_pools
 
-    def pin(length: int) -> None:
-        monkeypatch.setattr(
-            transport, "stack_length", lambda n_blocks, m: int(length)
-        )
+    def pin(owner, name, value) -> None:
+        monkeypatch.setattr(owner, name, value)
         shutdown_pools()
 
     yield pin
     shutdown_pools()  # the next pool forks after monkeypatch has restored
+
+
+@pytest.fixture
+def force_stack(set_constant):
+    """Callable pinning the sub-stack length of every energy sweep.
+
+    Production derives the length from the device
+    (:func:`repro.core.transport.stack_length`); the split-invariance
+    tests override it.
+    """
+    from repro.core import transport
+
+    def pin(length: int) -> None:
+        set_constant(transport, "stack_length",
+                     lambda n_blocks, m: int(length))
+
+    return pin
 
 
 @pytest.fixture(scope="session")

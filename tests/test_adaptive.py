@@ -481,8 +481,8 @@ class TestAdaptiveTransport:
     def test_nodes_at_float_resolution_are_not_solved_again(self, built):
         """A step in T(E) refined to float resolution (a raised pass cap,
         the setting for narrow resonances): bisection midpoints round onto
-        nodes earlier waves solved, and the wave loop neither solves nor
-        counts them again."""
+        nodes earlier waves solved, or onto a node of their own wave, and
+        the wave loop neither solves nor counts a node twice."""
         from types import SimpleNamespace
 
         ulp = np.spacing(1.0)
@@ -511,6 +511,7 @@ class TestAdaptiveTransport:
         assert account["waves"] == 41  # the step never converges
         seen = set()
         for energies in kp.calls:
+            assert len(set(energies)) == len(energies)
             assert seen.isdisjoint(energies)
             seen.update(energies)
         assert sum(map(len, kp.calls)) == account["solved"]

@@ -626,7 +626,7 @@ class TestStackSplitInvariance:
         assert max(faults) <= 200, faults
 
     def test_serial_sub_stacks_heartbeat(self, built, reference, force_stack,
-                                         tmp_path):
+                                         set_constant, tmp_path):
         """`repro top` keeps moving during a long serial k-point."""
         from repro.observability import (
             TelemetryWriter,
@@ -637,7 +637,8 @@ class TestStackSplitInvariance:
         pot, grid, _ = reference
         force_stack(4)
         path = tmp_path / "events.jsonl"
-        writer = TelemetryWriter(path, heartbeat_s=0.0)
+        set_constant(TelemetryWriter, "HEARTBEAT_S", 0.0)
+        writer = TelemetryWriter(path)
         with use_events(writer):
             _transport(built, backend="serial").solve_bias(
                 pot, 0.05, energy_grid=grid

@@ -128,6 +128,55 @@ class TestSimulateCommand:
         assert "current" in capsys.readouterr().out
 
 
+#: The CI ``fault-injection-smoke`` sweep (its device is ``spec_file``'s):
+#: three gate points, each faulted at its first attempt with probability
+#: 0.5 (seed 7 faults two of them).
+FAULT_SWEEP = [
+    "--vg-start", "-0.2", "--vg-stop", "0.1", "--vg-points", "3",
+    "--n-energy", "21", "--inject-faults", "7", "--fault-rate", "0.5",
+]
+
+
+class TestSweepRetries:
+    """``repro sweep --max-retries``: the retry loop of a bias point."""
+
+    @staticmethod
+    def _sweep(spec_file, tmp_path, max_retries):
+        out_path = tmp_path / "sweep.json"
+        code = main([
+            "sweep", spec_file, *FAULT_SWEEP,
+            "--max-retries", str(max_retries),
+            "--checkpoint", str(tmp_path / "sweep.npz"), "-o", str(out_path),
+        ])
+        return code, json.loads(out_path.read_text())
+
+    def test_retries_recover_every_injected_fault(self, spec_file, tmp_path):
+        code, result = self._sweep(spec_file, tmp_path, 3)
+        assert code == 0
+        account = result["degradation"]
+        assert not any(
+            "quarantined" in p["recovery"] for p in result["points"]
+        )
+        # every fault was retried: none exhausted its budget
+        faults = account["injected_faults"] + account["organic_faults"]
+        assert faults == 2
+        assert account["retries"] == faults
+        assert all(p["converged"] for p in result["points"])
+
+    def test_no_retries_quarantine_the_faulted_points(self, spec_file,
+                                                      tmp_path):
+        code, result = self._sweep(spec_file, tmp_path, 0)
+        assert code == 2
+        account = result["degradation"]
+        quarantined = [
+            p for p in result["points"] if "quarantined" in p["recovery"]
+        ]
+        assert len(quarantined) == account["injected_faults"] == 2
+        assert account["retries"] == 0
+        assert all(p["recovery"] == ["quarantined"] for p in quarantined)
+        assert not any(p["converged"] for p in quarantined)
+
+
 class TestSweepCommand:
     def test_sweep(self, spec_file, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"

@@ -261,7 +261,6 @@ class TestIVSweep:
 
     def test_retried_attempt_solves_its_first_iterate(self, fet):
         from repro.errors import NumericalBreakdownError
-        from repro.resilience import RetryPolicy
 
         built, _ = fet
         scf, solved, runs = counted_solver(built)
@@ -287,9 +286,7 @@ class TestIVSweep:
             return counting_run(v_gate, *args, **kwargs)
 
         scf.run = run
-        curve = IVSweep(scf, retry=RetryPolicy(max_retries=1)).transfer_curve(
-            VGS, 0.05
-        )
+        curve = IVSweep(scf, max_retries=1).transfer_curve(VGS, 0.05)
         assert curve.degradation.retries == 1
         assert curve.points[1].recovery == ("retry*1",)
         clean = IVSweep(counted_solver(built)[0]).transfer_curve(VGS, 0.05)

@@ -32,7 +32,6 @@ from repro.negf.rgf import RGFSolver
 from repro.parallel.backend import ProcessBackend, _resolve_deadline
 from repro.poisson.nonlinear import NonlinearPoisson
 from repro.resilience import (
-    DegradationBudget,
     DegradationReport,
     FaultInjector,
     HealthSentinel,
@@ -43,6 +42,7 @@ from repro.resilience import (
     non_finite,
     use_sentinel,
 )
+from repro.resilience import degrade
 from repro.tb.hamiltonian import BlockTridiagonalHamiltonian
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -143,10 +143,10 @@ class TestHealthSentinel:
         with pytest.raises(NumericalBreakdownError):
             s.check_finite("kernel", np.array([np.inf]))
 
-    def test_condition_and_residual_checks(self):
-        s = HealthSentinel(
-            mode="contain", cond_threshold=1e6, residual_threshold=1e-8
-        )
+    def test_condition_and_residual_checks(self, set_constant):
+        set_constant(HealthSentinel, "COND_THRESHOLD", 1e6)
+        set_constant(HealthSentinel, "RESIDUAL_THRESHOLD", 1e-8)
+        s = HealthSentinel(mode="contain")
         assert s.check_condition("lu", 10.0)
         assert not s.check_condition("lu", 1e7)
         assert not s.check_condition("lu", float("nan"))
@@ -168,8 +168,9 @@ class TestHealthSentinel:
             "outer:nonfinite": 1, "inner:nonfinite": 1,
         }
 
-    def test_ledger_bounded_counts_unbounded(self):
-        s = HealthSentinel(mode="contain", max_events=4)
+    def test_ledger_bounded_counts_unbounded(self, set_constant):
+        set_constant(HealthSentinel, "MAX_EVENTS", 4)
+        s = HealthSentinel(mode="contain")
         for _ in range(10):
             s.trip("site", "nonfinite")
         assert s.n_trips == 10
@@ -444,28 +445,29 @@ def _exit_in_child_process(item):
 
 
 class TestDeadlineResolution:
-    def test_explicit_value_wins(self):
-        assert _resolve_deadline(1.5) == 1.5
-
-    def test_nonpositive_disables(self):
-        assert _resolve_deadline(0.0) is None
-        assert _resolve_deadline(-1.0) is None
+    def test_nonpositive_disables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEADLINE_S", "0.0")
+        assert _resolve_deadline() is None
+        monkeypatch.setenv("REPRO_DEADLINE_S", "-1.0")
+        assert _resolve_deadline() is None
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEADLINE_S", "2.5")
-        assert _resolve_deadline(None) == 2.5
+        assert _resolve_deadline() == 2.5
         monkeypatch.setenv("REPRO_DEADLINE_S", "")
-        assert _resolve_deadline(None) is None
+        assert _resolve_deadline() is None
         monkeypatch.delenv("REPRO_DEADLINE_S")
-        assert _resolve_deadline(None) is None
+        assert _resolve_deadline() is None
 
 
 class TestProcessBackendHangRecovery:
-    def test_hung_child_triggers_pool_restart(self):
+    def test_hung_child_triggers_pool_restart(self, monkeypatch):
         # warm the pool first so spawn latency doesn't eat the deadline
         ProcessBackend(workers=2).map(_sleep_in_child_process, ["a", "b"])
-        backend = ProcessBackend(workers=2, deadline_s=2.0)
+        backend = ProcessBackend(workers=2)
+        monkeypatch.setenv("REPRO_DEADLINE_S", "2.0")
         out = backend.map(_sleep_in_child_process, ["a", "hang", "b"])
+        monkeypatch.delenv("REPRO_DEADLINE_S")
         assert out == ["done:a", "done:hang", "done:b"]
         assert backend.stragglers >= 1
         assert backend.pool_restarts >= 1
@@ -483,7 +485,8 @@ class TestProcessBackendHangRecovery:
             "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
         }
 
-    def test_hung_worker_heals_a_transport_solve(self, mini_built):
+    def test_hung_worker_heals_a_transport_solve(self, mini_built,
+                                                 monkeypatch):
         """A ``"worker"`` hang planted in a transport solve on an elastic
         pool: the fault is keyed ``(k index, first energy of the call)``,
         so it hangs the worker solving chunk 0 of k-point 0 for longer
@@ -498,10 +501,11 @@ class TestProcessBackendHangRecovery:
         injector = FaultInjector(
             plan={("worker", (0, e_first)): "hang"}, hang_seconds=3.0
         )
-        elastic = ProcessBackend(workers=2, deadline_s=1.0)
+        elastic = ProcessBackend(workers=2)
         # warm the pool so worker spawn latency is not counted against
         # the deadline of the faulted chunk
         elastic.map(_sleep_in_child_process, ["a", "b"])
+        monkeypatch.setenv("REPRO_DEADLINE_S", "1.0")
         res = TransportCalculation(
             mini_built, method="wf", n_energy=13, backend=elastic,
             injector=injector,
@@ -516,13 +520,17 @@ class TestProcessBackendHangRecovery:
         assert res.degradation.pool_restarts >= 1
 
     @pytest.mark.parametrize("deadline_s", [None, 30.0])
-    def test_crashed_child_does_not_poison_the_pool(self, deadline_s):
+    def test_crashed_child_does_not_poison_the_pool(self, deadline_s,
+                                                    monkeypatch):
         """A child that exits breaks its own call only: the broken pool
         is dropped, so the next call on the same worker count runs on a
         fresh pool instead of raising ``BrokenProcessPool`` forever."""
-        backend = ProcessBackend(workers=2, deadline_s=deadline_s)
+        backend = ProcessBackend(workers=2)
+        if deadline_s is not None:
+            monkeypatch.setenv("REPRO_DEADLINE_S", str(deadline_s))
         with pytest.raises(BrokenProcessPool):
             backend.map(_exit_in_child_process, ["a", "exit", "b"])
+        monkeypatch.delenv("REPRO_DEADLINE_S", raising=False)
         again = ProcessBackend(workers=2).map(
             _exit_in_child_process, ["x", "y"]
         )
@@ -534,20 +542,17 @@ class TestProcessBackendHangRecovery:
 
 
 class TestDegradationAccounting:
-    def test_budget_validation(self):
-        budget = DegradationBudget(
-            max_quarantined_fraction=0.5, min_surviving_points=2
-        )
-        budget.check(0, 10)  # nothing lost: always fine
-        budget.check(3, 10)
+    def test_budget_validation(self, set_constant):
+        set_constant(degrade, "MAX_QUARANTINED_FRACTION", 0.5)
+        check = degrade.check_quarantine
+        check(0, 10)  # nothing lost: always fine
+        check(3, 10)
         from repro.errors import DegradationBudgetError
 
         with pytest.raises(DegradationBudgetError):
-            budget.check(6, 10)  # fraction blown
+            check(6, 10)  # fraction blown
         with pytest.raises(DegradationBudgetError):
-            budget.check(9, 10)  # too few survivors
-        with pytest.raises(DegradationBudgetError):
-            DegradationBudget(max_quarantined_points=1).check(2, 100)
+            check(9, 10)  # too few survivors
 
     def test_report_merge_and_set_trips(self):
         a = DegradationReport()

@@ -121,8 +121,8 @@ class TestLogLinearHistogram:
         assert q50 <= q95
 
     def test_quantile_log_accuracy(self):
-        """Log-linear buckets resolve quantiles to ~1/subbuckets."""
-        h = LogLinearHistogram(subbuckets=4)
+        """Log-linear buckets resolve quantiles to ~1/SUBBUCKETS."""
+        h = LogLinearHistogram()
         rng = np.random.default_rng(0)
         data = rng.lognormal(mean=0.0, sigma=2.0, size=2000)
         for v in data:

@@ -138,20 +138,6 @@ class TestCommTrace:
         assert t.total_bytes(level="energy") == 100
         assert t.total_bytes() == 200
 
-    def test_ring_buffer_keeps_exact_totals(self):
-        t = CommTrace(max_events=3)
-        for i in range(10):
-            t.record("bcast", 8, 2, level="bias")
-        assert len(t.events) == 3
-        assert t.dropped_events == 7
-        # aggregates stay exact despite the dropped event payloads
-        assert t.count("bcast") == 10
-        assert t.total_bytes() == 80
-
-    def test_ring_buffer_invalid_cap(self):
-        with pytest.raises(ValueError):
-            CommTrace(max_events=0)
-
 
 class TestPayloadNbytes:
     def test_ndarray_exact(self):

@@ -35,17 +35,16 @@ from repro.negf.surface_gf import eigen_surface_gf, sancho_rubio
 from repro.parallel import SerialComm, UnreliableComm
 from repro.perf.flops import FlopCounter
 from repro.resilience import (
-    DegradationBudget,
     DegradationReport,
     FaultInjector,
     HealthSentinel,
-    RetryPolicy,
     SCFRescue,
     nan_like,
     non_finite,
     robust_surface_gf,
     use_sentinel,
 )
+from repro.resilience import degrade
 from repro.resilience.checkpoint import RampCheckpoint, SweepCheckpoint
 
 
@@ -192,57 +191,51 @@ class TestNonFinite:
 
 
 class TestRetryPolicy:
+    """The retry loop of a bias point (``IVSweep(max_retries=)``)."""
+
     def test_recovers_after_transient(self):
-        report = DegradationReport()
         calls = []
 
-        def attempt(n):
-            calls.append(n)
-            if n < 2:
-                raise TaskFailure("flaky", injected=True)
-            return "ok"
+        class Flaky(_FlakySolver):
+            def run(self, v_gate, v_drain, phi0=None,
+                    continuation_step=0.12):
+                calls.append(len(calls))
+                if len(calls) < 3:
+                    raise TaskFailure("flaky", injected=True)
+                return super().run(v_gate, v_drain, phi0, continuation_step)
 
-        policy = RetryPolicy(max_retries=3)
-        assert policy.run(attempt, report=report) == "ok"
+        sweep = IVSweep(Flaky(fail_attempts=0), max_retries=3)
+        curve = sweep.transfer_curve([0.0], v_drain=0.05)
+        assert curve.points[0].converged
+        assert curve.points[0].recovery == ("retry*2",)
         assert calls == [0, 1, 2]
-        assert report.retries == 2
-        assert report.injected_faults == 2
+        assert curve.degradation.retries == 2
+        assert curve.degradation.injected_faults == 2
 
     def test_exhausted_budget_reraises(self):
-        report = DegradationReport()
-        policy = RetryPolicy(max_retries=1)
+        """Out of retries, a breakdown quarantines the point and a
+        ``ConvergenceError`` reaches the caller; every attempt's fault is
+        counted."""
 
-        def attempt(n):
-            raise NumericalBreakdownError("broken")
+        class Broken(_FlakySolver):
+            error = NumericalBreakdownError
 
-        with pytest.raises(NumericalBreakdownError):
-            policy.run(attempt, report=report)
-        assert report.retries == 1
-        assert report.organic_faults == 2  # both attempts counted
+            def run(self, v_gate, v_drain, phi0=None,
+                    continuation_step=0.12):
+                self.calls += 1
+                raise self.error("broken")
 
-    def test_backoff_is_capped_exponential(self):
-        slept = []
-        policy = RetryPolicy(
-            max_retries=4,
-            backoff_s=0.1,
-            backoff_factor=2.0,
-            max_backoff_s=0.3,
-            sleep=slept.append,
+        curve = IVSweep(Broken(), max_retries=1).transfer_curve(
+            [0.0], v_drain=0.05
         )
-
-        def attempt(n):
-            if n < 4:
-                raise TaskFailure("flaky")
-            return n
-
-        assert policy.run(attempt) == 4
-        assert slept == [0.1, 0.2, 0.3, 0.3]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+        assert curve.points[0].recovery == ("quarantined",)
+        assert curve.degradation.retries == 1
+        assert curve.degradation.organic_faults == 2  # both attempts counted
+        solver = Broken()
+        solver.error = ConvergenceError
+        with pytest.raises(ConvergenceError):
+            IVSweep(solver, max_retries=1).transfer_curve([0.0], 0.05)
+        assert solver.calls == 2
 
 
 class TestSurfaceGFLadder:
@@ -427,15 +420,22 @@ class TestUnreliableComm:
         assert comm.bcast("x") == "x"
 
     def test_retry_heals_a_lost_collective(self):
-        """A collective lost once is retried by the policy; the report
-        counts the injected fault and its one retry."""
+        """A collective lost once inside a bias point is retried by the
+        sweep; its account counts the injected fault and its one retry."""
         inj = FaultInjector(plan={("comm", ("allreduce", 1)): "raise"})
         comm = UnreliableComm(SerialComm(), inj)
-        report = DegradationReport()
-        value = RetryPolicy(max_retries=2).run(
-            lambda attempt: comm.allreduce(42.0, op="sum"), report=report
-        )
-        assert value == 42.0
+        values = []
+
+        class Collective(_FlakySolver):
+            def run(self, v_gate, v_drain, phi0=None,
+                    continuation_step=0.12):
+                values.append(comm.allreduce(42.0, op="sum"))
+                return super().run(v_gate, v_drain, phi0, continuation_step)
+
+        curve = IVSweep(Collective(fail_attempts=0), max_retries=2
+                        ).transfer_curve([0.0], v_drain=0.05)
+        report = curve.degradation
+        assert values == [42.0]
         assert inj.n_injected == 1
         assert (report.injected_faults, report.retries) == (1, 1)
 
@@ -555,19 +555,8 @@ class TestSCFRescueLadder:
         assert curve.points[0].recovery == ()
         assert curve.points[1].recovery == ("cold-restart", "beta-halved")
 
-    def test_rescue_disabled(self):
-        solver = _FlakySolver(fail_attempts=10)
-        sweep = IVSweep(solver, rescue=None)
-        curve = sweep.transfer_curve([0.0], v_drain=0.05)
-        assert not curve.points[0].converged
-        assert curve.points[0].recovery == ()
-        assert solver.calls == 1
-        assert [
-            (p.v_gate, p.v_drain) for p in curve.points if not p.converged
-        ] == [(0.0, 0.05)]
-
     def test_stages_shrink_continuation(self):
-        rescue = SCFRescue(min_continuation_step=0.03)
+        rescue = SCFRescue()
         solver = _FlakySolver()
         stages = rescue.stages(solver, used_warm_start=True,
                                continuation_step=0.12)
@@ -591,7 +580,7 @@ class TestBiasFaultInjection:
             }
         )
         report_sweep = IVSweep(
-            solver, retry=RetryPolicy(max_retries=2), injector=inj
+            solver, max_retries=2, injector=inj
         )
         curve = report_sweep.transfer_curve([0.0, 0.1], 0.05)
         assert [p.current_a for p in curve.points] == [
@@ -606,7 +595,7 @@ class TestBiasFaultInjection:
         solver = _FlakySolver(fail_attempts=0)
         inj = FaultInjector(plan={("bias", (0.0, 0.05)): "raise"}, once=False)
         sweep = IVSweep(
-            solver, retry=RetryPolicy(max_retries=1), injector=inj
+            solver, max_retries=1, injector=inj
         )
         curve = sweep.transfer_curve([0.0, 0.1], 0.05)
         assert curve.points[0].recovery[-1] == "quarantined"
@@ -977,20 +966,23 @@ class TestDegradationLadder:
         assert not healed.degradation.quarantined_points
 
     @pytest.mark.parametrize("energy_mode", ["uniform", "adaptive"])
-    def test_blown_budget_raises_typed(self, system, energy_mode):
+    def test_blown_budget_raises_typed(self, system, energy_mode,
+                                       set_constant):
         """Quarantine beyond the degradation budget raises the typed
-        budget error, not a silent thin grid — on a fixed grid and inside
-        refinement alike."""
-        calc, _, pot = self._poisoned(
-            system, energy_mode,
-            degradation_budget=DegradationBudget(max_quarantined_points=0),
-        )
+        budget error, carrying its counts, not a silent thin grid — on a
+        fixed grid and inside refinement alike."""
+        set_constant(degrade, "MAX_QUARANTINED_FRACTION", 0.0)
+        calc, _, pot = self._poisoned(system, energy_mode)
+        _, n_nodes, excluded, context = self.DRILLS[energy_mode]
+        n_total = n_nodes + excluded
         with pytest.raises(DegradationBudgetError) as info:
             calc.solve_bias(pot, 0.1)
         assert str(info.value) == (
-            f"degradation budget exceeded ({self.DRILLS[energy_mode][3]}): "
-            "1 energy nodes quarantined (cap 0)"
+            f"degradation budget exceeded ({context}): "
+            f"{1 / n_total:.1%} of the quadrature quarantined (budget 0.0%)"
         )
+        assert info.value.n_quarantined == 1
+        assert info.value.n_total == n_total
 
     def test_budget_error_fails_sweep_not_quarantined(self):
         class BudgetBlownSolver:
@@ -1004,7 +996,7 @@ class TestDegradationLadder:
                 )
 
         sweep = IVSweep(
-            BudgetBlownSolver(), retry=RetryPolicy(max_retries=3)
+            BudgetBlownSolver(), max_retries=3
         )
         with pytest.raises(DegradationBudgetError):
             sweep.transfer_curve([0.0, 0.1], v_drain=0.05)
@@ -1089,7 +1081,7 @@ def _drill_bias_retry(system, tmp_path):
         ("bias", (0.0, 0.05)): "raise", ("bias", (0.1, 0.05)): "nan",
     })
     return IVSweep(
-        _FlakySolver(fail_attempts=0), retry=RetryPolicy(max_retries=2),
+        _FlakySolver(fail_attempts=0), max_retries=2,
         injector=inj,
     ).transfer_curve([0.0, 0.1], 0.05)
 
@@ -1097,7 +1089,7 @@ def _drill_bias_retry(system, tmp_path):
 def _drill_bias_quarantine(system, tmp_path):
     inj = FaultInjector(plan={("bias", (0.0, 0.05)): "raise"}, once=False)
     return IVSweep(
-        _FlakySolver(fail_attempts=0), retry=RetryPolicy(max_retries=1),
+        _FlakySolver(fail_attempts=0), max_retries=1,
         injector=inj,
     ).transfer_curve([0.0, 0.1], 0.05)
 

@@ -183,12 +183,14 @@ class TestSafetyNets:
     @pytest.mark.parametrize("solver_cls,kernel", [
         (RGFSolver, "rgf"), (WFSolver, "wf"),
     ])
-    def test_monitor_reports_each_energy(self, solver_cls, kernel):
+    def test_monitor_reports_each_energy(self, solver_cls, kernel,
+                                         set_constant):
         H = grid_system(n_x=5, n_yz=2)
         energies = band_energy_grid(H, n_energy=5)
         # a density floor no spectral function can meet: every energy and
         # side must be reported, each with its own energy
-        monitor = InvariantMonitor(tol_density=-1e6)
+        set_constant(InvariantMonitor, "TOL_DENSITY", -1e6)
+        monitor = InvariantMonitor()
         with use_monitor(monitor):
             solver_cls(H).solve_batch(energies)
         reported = sorted(
@@ -204,7 +206,8 @@ class TestSafetyNets:
         }
 
     @pytest.mark.parametrize("solver_cls", [RGFSolver, WFSolver])
-    def test_monitor_ledger_does_not_depend_on_the_stacking(self, solver_cls):
+    def test_monitor_ledger_does_not_depend_on_the_stacking(self, solver_cls,
+                                                            set_constant):
         """One reduction per invariant over a stack records what stacks of
         one record: the same violations in the same order, each with its
         energy, and the same ``invariant.*`` counters."""
@@ -213,10 +216,11 @@ class TestSafetyNets:
         solver = solver_cls(H)
         # tolerances some energies fail and others pass
         floor = np.median(solver.solve_batch(energies).spectral_left.min(1))
+        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -0.01)
+        set_constant(InvariantMonitor, "TOL_DENSITY", -floor)
         ledgers = []
         for stacks in ([energies], [[e] for e in energies]):
-            monitor = InvariantMonitor(tol_transmission=-0.01,
-                                       tol_density=-floor)
+            monitor = InvariantMonitor()
             registry = MetricsRegistry()
             with use_run(monitor=monitor, metrics=registry):
                 for stack in stacks:
@@ -234,7 +238,7 @@ class TestSafetyNets:
         assert counters["invariant.checks{invariant=transmission_bounds}"] > 0
         assert counters["invariant.checks{invariant=density_nonnegative}"] > 0
 
-    def test_monitor_flags_only_the_violating_energy(self):
+    def test_monitor_flags_only_the_violating_energy(self, set_constant):
         H = grid_system(n_x=5, n_yz=2)
         energies = band_energy_grid(H, n_energy=5)
         clean = RGFSolver(H).solve_batch(energies)
@@ -242,10 +246,11 @@ class TestSafetyNets:
         assert open_
         # a transmission tolerance only the largest T/N ratio can violate
         target = max(open_, key=lambda r: r.transmission)
-        monitor = InvariantMonitor(
-            tol_transmission=-(target.n_channels_left - target.transmission)
-            - 1e-9
+        set_constant(
+            InvariantMonitor, "TOL_TRANSMISSION",
+            -(target.n_channels_left - target.transmission) - 1e-9,
         )
+        monitor = InvariantMonitor()
         with use_monitor(monitor):
             RGFSolver(H).solve_batch(energies)
         flagged = {

@@ -346,7 +346,7 @@ class TestTelemetryWriter:
         writer.close()
 
     def test_heartbeat_interval_guard(self, tmp_path):
-        writer, path, clock = self._writer(tmp_path, heartbeat_s=5.0)
+        writer, path, clock = self._writer(tmp_path)
         writer.run_started(total=3)
         clock.t += 1.0
         assert writer.maybe_heartbeat(stage="solve") is False  # too soon
@@ -437,12 +437,12 @@ class TestReadEvents:
 class TestEventStreamIntegration:
     def test_sweep_emits_run_and_degradation_events(self, built, tmp_path):
         from repro.core import IVSweep, SelfConsistentSolver
-        from repro.resilience import FaultInjector, RetryPolicy
+        from repro.resilience import FaultInjector
 
         tc = TransportCalculation(built, method="wf", n_energy=21)
         sweep = IVSweep(
             SelfConsistentSolver(built, tc),
-            retry=RetryPolicy(max_retries=2),
+            max_retries=2,
             injector=FaultInjector(
                 seed=7, rate=1.0, actions=("raise",), sites=("bias",),
             ),
@@ -557,13 +557,15 @@ class TestOneRecorderOnThePool:
             result = calc.solve_bias(potential, 0.1)
         return result, registry
 
-    def test_contained_trips_and_ladder_equal_serial(self, fet):
+    def test_contained_trips_and_ladder_equal_serial(self, fet,
+                                                     set_constant):
         from repro.resilience import HealthSentinel
 
+        set_constant(HealthSentinel, "COND_THRESHOLD", 1.0)
         got = {}
         for backend in ("serial", "process"):
             res, registry = self._solve(
-                fet, backend, sentinel=HealthSentinel(cond_threshold=1.0)
+                fet, backend, sentinel=HealthSentinel()
             )
             # a merged trip is counted once: by the worker's metrics delta
             health = {
@@ -583,21 +585,22 @@ class TestOneRecorderOnThePool:
         }
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_strict_sentinel_raises(self, fet, backend):
+    def test_strict_sentinel_raises(self, fet, backend, set_constant):
         from repro.errors import NumericalBreakdownError
         from repro.observability import use_run
         from repro.resilience import HealthSentinel
 
         built, potential = fet
         registry = MetricsRegistry()
-        strict = HealthSentinel("strict", cond_threshold=1.0)
+        set_constant(HealthSentinel, "COND_THRESHOLD", 1.0)
+        strict = HealthSentinel("strict")
         with use_run(metrics=registry, sentinel=strict):
             with pytest.raises(NumericalBreakdownError):
                 self._calc(built, backend).solve_bias(potential, 0.1)
         assert _pooled(registry) == (backend == "process")
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_strict_monitor_raises(self, fet, backend):
+    def test_strict_monitor_raises(self, fet, backend, set_constant):
         """No transmission passes a negative tolerance, and nothing heals
         the raise: with the sentinel off nothing climbs the ladder, and
         under the default ``contain`` sentinel the ladder re-raises a
@@ -608,11 +611,12 @@ class TestOneRecorderOnThePool:
         from repro.resilience import HealthSentinel
 
         built, potential = fet
+        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
         for sentinel in ({"sentinel": HealthSentinel("off")}, {}):
             registry = MetricsRegistry()
             with use_run(
                 metrics=registry, **sentinel,
-                monitor=InvariantMonitor(strict=True, tol_transmission=-1.0),
+                monitor=InvariantMonitor(strict=True),
             ):
                 with pytest.raises(PhysicsInvariantError):
                     self._calc(built, backend).solve_bias(potential, 0.1)
@@ -638,24 +642,23 @@ class TestOneRecorderOnThePool:
         assert got[0] == got[1]
         assert sum(got[0][1].values()) > 0
 
-    def test_bounded_monitor_ledger_equals_serial(self, fet, monkeypatch):
+    def test_bounded_monitor_ledger_equals_serial(self, fet, set_constant):
         """Repeated violating solves keep at most ``MAX_VIOLATIONS``
         records, the first ones, while ``n_violations`` and the
         ``invariant.violations`` counters count every one.  On the pool a
         chunk ships exactly what its worker's copy recorded — the records
-        it kept and their count — so both backends end with the serial
-        account.  (The bound is patched in this process only: an already
-        running worker keeps the class default, far above a chunk's
-        count, and the parent's ledger applies the patched one.)"""
+        it kept, up to the bound the workers inherit, and their count —
+        so both backends end with the serial account."""
         from repro.observability import InvariantMonitor, use_run
 
         built, potential = fet
         bound = 3
-        one = InvariantMonitor(tol_transmission=-1.0)
+        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
+        one = InvariantMonitor()
         with use_run(monitor=one):
             self._calc(built, "serial").solve_bias(potential, 0.1)
         assert one.n_violations > 2 * bound  # a chunk fills its ledger
-        monkeypatch.setattr(InvariantMonitor, "MAX_VIOLATIONS", bound)
+        set_constant(InvariantMonitor, "MAX_VIOLATIONS", bound)
         # a shipped chunk past the bound: its records up to the bound,
         # its whole count
         shipped = InvariantMonitor()
@@ -664,7 +667,7 @@ class TestOneRecorderOnThePool:
         assert shipped.n_violations == one.n_violations + 5
         got = {}
         for backend in ("serial", "process"):
-            monitor = InvariantMonitor(tol_transmission=-1.0)
+            monitor = InvariantMonitor()
             registry = MetricsRegistry()
             calc = self._calc(built, backend)
             with use_run(metrics=registry, monitor=monitor):
@@ -682,12 +685,13 @@ class TestOneRecorderOnThePool:
             got[backend] = (monitor.violations, monitor.n_violations)
         assert got["process"] == got["serial"]
 
-    def test_monitor_violations_equal_serial(self, fet):
+    def test_monitor_violations_equal_serial(self, fet, set_constant):
         from repro.observability import InvariantMonitor
 
+        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
         got = {}
         for backend in ("serial", "process"):
-            monitor = InvariantMonitor(tol_transmission=-1.0)
+            monitor = InvariantMonitor()
             res, registry = self._solve(fet, backend, monitor=monitor)
             counts = {
                 key: value
