@@ -15,7 +15,7 @@ iteration, Anderson vs plain mixing) are experiment F7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,7 +263,6 @@ class SelfConsistentSolver:
         v_drain: float,
         phi0: np.ndarray | None = None,
         continuation_step: float = 0.12,
-        ramp_checkpoint=None,
     ) -> SCFResult:
         """Iterate to self-consistency at one (V_G, V_D) bias point.
 
@@ -272,12 +271,6 @@ class SelfConsistentSolver:
         the next (standard bias stepping — the high-bias fixed point is
         only reachable from nearby potentials).  Pass
         ``continuation_step=0`` to disable.
-
-        ``ramp_checkpoint`` (a
-        :class:`repro.resilience.checkpoint.RampCheckpoint`) persists the
-        potential after each converged ramp stage; a
-        restarted solve resumes from the last stage instead of re-ramping
-        from equilibrium, and the checkpoint is cleared on completion.
         """
         sentinel = get_sentinel()
         degradation = DegradationReport()
@@ -293,24 +286,12 @@ class SelfConsistentSolver:
         ):
             n_steps = int(np.ceil(abs(v_drain) / continuation_step))
             phi_ramp = None
-            first_step = 1
-            if ramp_checkpoint is not None:
-                stored = ramp_checkpoint.load()
-                if stored is not None:
-                    vd_reached, phi_stored = stored
-                    # resume after the last stage at or below vd_reached
-                    for step in range(1, n_steps):
-                        if v_drain * step / n_steps <= vd_reached + 1e-12:
-                            first_step = step + 1
-                            phi_ramp = phi_stored
-            for step in range(first_step, n_steps):
-                vd_step = v_drain * step / n_steps
+            for step in range(1, n_steps):
                 phi_ramp, stage_residuals, _ = self._iterate(
-                    v_gate, vd_step, phi_ramp, flops, degradation
+                    v_gate, v_drain * step / n_steps, phi_ramp, flops,
+                    degradation
                 )
                 ramp_iterations += len(stage_residuals)
-                if ramp_checkpoint is not None:
-                    ramp_checkpoint.save(vd_step, phi_ramp)
             phi0 = phi_ramp
         phi, residuals, converged = self._iterate(
             v_gate, v_drain, phi0, flops, degradation, handed
@@ -322,8 +303,6 @@ class SelfConsistentSolver:
         # the outer window contains every transport window above, so the
         # authoritative trip counts come from the sweep-level ledger
         degradation.set_trips(sentinel.trips_since(marker0))
-        if ramp_checkpoint is not None:
-            ramp_checkpoint.clear()
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("scf.bias_points", 1.0)

@@ -725,9 +725,9 @@ class _KPoint:
             degradation.record_ladder("chunk:exception")
         else:
             good = stack.finite
-            if contain and sentinel.marker() > marker and any(
-                event.kind != "nonfinite"
-                for event in sentinel.events_since(marker)
+            if contain and any(
+                not key.endswith(":nonfinite")
+                for key in sentinel.trips_since(marker)
             ):
                 # a trip no row's mask shows (ill-conditioning, a
                 # residual): every energy is solved again alone, where

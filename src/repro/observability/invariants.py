@@ -45,7 +45,7 @@ import numpy as np
 
 from ..errors import PhysicsInvariantError
 
-__all__ = ["InvariantViolation", "InvariantMonitor"]
+__all__ = ["Ledger", "InvariantViolation", "InvariantMonitor"]
 
 
 def _active_metrics():
@@ -54,6 +54,76 @@ def _active_metrics():
     imports the recorder module first (a module lookup, not an import
     statement on every check)."""
     return sys.modules[f"{__package__}.telemetry"].get_metrics()
+
+
+class Ledger:
+    """The bounded account of a safety net (thread safe).
+
+    Keeps the first :attr:`MAX_RECORDS` records, in order, and the exact
+    count of every key, with no bound: a record past the bound is
+    dropped, never its count.  :meth:`marker` snapshots the account and
+    :meth:`since` reads what was recorded after a snapshot, so nested
+    windows each see exactly their own events; :meth:`absorb` adds what
+    another ledger recorded (a pool worker's copy).  The health
+    sentinel's trips, the invariant monitor's violations and a fault
+    injector's fired faults are each one ledger.
+
+    Example
+    -------
+    >>> ledger = Ledger()
+    >>> ledger.add("lu:nonfinite", "first trip")
+    >>> mark = ledger.marker()
+    >>> ledger.add("lu:nonfinite", "a stacked trip", count=3)
+    >>> ledger.since(mark)
+    (['a stacked trip'], {'lu:nonfinite': 3})
+    """
+
+    #: Records a ledger keeps, the first ones; counts have no bound.
+    MAX_RECORDS = 4096
+
+    def __init__(self):
+        self.records: list = []
+        self.counts: dict = {}
+        self.total = 0
+        self._lock = threading.Lock()
+
+    def __getstate__(self):
+        return self.records, self.counts, self.total
+
+    def __setstate__(self, state):
+        self.records, self.counts, self.total = state
+        self._lock = threading.Lock()
+
+    def add(self, key, record, count: int = 1) -> None:
+        """Record ``record`` as ``count`` events under ``key``."""
+        self.absorb([record], {key: count})
+
+    def absorb(self, records, counts: dict) -> None:
+        """Append ``records`` in order, as far as the bound allows, and
+        add the per-key ``counts`` to the account."""
+        with self._lock:
+            room = max(self.MAX_RECORDS - len(self.records), 0)
+            self.records.extend(records[:room])
+            for key, n in counts.items():
+                self.counts[key] = self.counts.get(key, 0) + n
+                self.total += n
+
+    def marker(self) -> tuple:
+        """Snapshot of the account — records kept and per-key counts;
+        pass to :meth:`since`."""
+        with self._lock:
+            return len(self.records), dict(self.counts)
+
+    def since(self, marker=None) -> tuple[list, dict]:
+        """``(records, counts)`` recorded after ``marker`` (None or 0:
+        from the start): the kept records in order and the exact count
+        of every key that grew."""
+        kept, before = marker or (0, {})
+        with self._lock:
+            return self.records[kept:], {
+                key: n - before.get(key, 0)
+                for key, n in self.counts.items() if n != before.get(key, 0)
+            }
 
 
 @dataclass(frozen=True)
@@ -88,11 +158,11 @@ class InvariantMonitor:
         first violation; False (default) records and continues.
 
     The tolerances are class constants (``TOL_*``), the same for every
-    run.  The ledger is bounded: :attr:`violations` keeps the first
-    :attr:`MAX_VIOLATIONS`; :attr:`n_violations` and the
-    ``invariant.violations`` counters keep counting past it.
-    :meth:`marker` / :meth:`violations_since` read the ledger by
-    position, as the health sentinel's do.
+    run.  Violations go into one :class:`Ledger` keyed by invariant:
+    :attr:`violations` keeps the first :attr:`Ledger.MAX_RECORDS`;
+    :attr:`n_violations` and the ``invariant.violations`` counters keep
+    counting past it.  :meth:`marker` / :meth:`violations_since` read
+    the ledger's snapshots, as the health sentinel's do.
 
     Example
     -------
@@ -118,46 +188,40 @@ class InvariantMonitor:
     #: by over a decade, so ln 100 (two decades) flags breakdowns, not
     #: bias.
     TOL_NEUTRALITY = 4.605
-    #: Violations the ledger keeps, the first ones.
-    MAX_VIOLATIONS = 4096
 
     def __init__(self, strict: bool = False):
         self.strict = strict
-        self.violations: list[InvariantViolation] = []
-        self._seq = 0
-        self._lock = threading.Lock()
+        self.ledger = Ledger()
 
     def __reduce__(self):
         # a monitor pickles as its mode: a pool worker's copy starts an
         # empty ledger, the parent absorbs what it records
         return type(self), (self.strict,)
 
-    def absorb(self, violations, count=None) -> None:
-        """Append ``violations`` in order, as far as the ledger bound
-        allows, and count ``count`` of them (default: all) — a pool
-        worker's copy records them there and ships its ledger and its
-        count (already counted in its metrics delta; a strict copy raised
-        there)."""
-        with self._lock:
-            room = max(self.MAX_VIOLATIONS - len(self.violations), 0)
-            self.violations.extend(violations[:room])
-            self._seq += len(violations) if count is None else count
+    def absorb(self, violations, counts: dict) -> None:
+        """Account what a pool worker's copy recorded: its kept
+        ``violations`` and its per-invariant ``counts`` (already counted
+        in its metrics delta; a strict copy raised there)."""
+        self.ledger.absorb(violations, counts)
 
-    def marker(self) -> int:
-        """Opaque position in the violation ledger; pass to
+    def marker(self) -> tuple:
+        """Snapshot of the violation ledger; pass to
         :meth:`violations_since`."""
-        return self._seq
+        return self.ledger.marker()
 
-    #: Number of violations recorded so far, ledgered or not (the
-    #: :meth:`marker`, read as a count).
-    n_violations = property(marker)
+    @property
+    def violations(self) -> list[InvariantViolation]:
+        """The kept violations, the first ones, in order."""
+        return self.ledger.records
 
-    def violations_since(self, marker: int = 0) -> list[InvariantViolation]:
-        """The ledgered violations recorded after ``marker``, in order
-        (the ledger holds the first :attr:`MAX_VIOLATIONS`, so violation
-        ``i`` sits at position ``i``)."""
-        with self._lock:
-            return self.violations[marker:]
+    @property
+    def n_violations(self) -> int:
+        """Number of violations recorded so far, kept or not."""
+        return self.ledger.total
+
+    def violations_since(self, marker=0) -> list[InvariantViolation]:
+        """The kept violations recorded after ``marker``, in order."""
+        return self.ledger.since(marker)[0]
 
     def summary(self) -> str:
         """Digest for the doctor CLI: 'ok' or the violation list."""
@@ -176,7 +240,7 @@ class InvariantMonitor:
         violation = InvariantViolation(
             invariant, value, float(threshold), tuple(sorted(context.items())),
         )
-        self.absorb([violation])
+        self.ledger.add(invariant, violation)
         metrics = _active_metrics()
         if metrics.enabled:
             metrics.inc("invariant.violations", 1.0, invariant=invariant)

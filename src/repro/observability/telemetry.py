@@ -25,25 +25,26 @@ Three more things live here:
    in a worker — and every pooled chunk runs under
    :func:`capture_telemetry` of the spec it was shipped with.  The
    :class:`TelemetryDelta` it returns carries the chunk's spans,
-   metrics, sentinel trips, monitor violations and the faults a planted
-   injector fired; :func:`merge_delta` folds it into the parent's
-   recorder in chunk order, so counters, trip ledgers, violations and
-   fault accounts are exactly what a serial run records, and merged
-   spans land in the parent tracer with worker provenance and
-   clock-offset alignment (:meth:`Tracer.absorb`).
+   metrics and flops, and the growth of its three ledgers
+   (:class:`repro.observability.invariants.Ledger`): the faults a
+   planted injector fired, the sentinel's trips and the monitor's
+   violations, each one ``(records, counts)`` pair.
+   :func:`merge_delta` folds it into the parent's recorder in chunk
+   order, so counters and ledgers are exactly what a serial run
+   records, and merged spans land in the parent tracer with worker
+   provenance and clock-offset alignment (:meth:`Tracer.absorb`).
 
 2. **Structured live event stream.**  :class:`TelemetryWriter` appends
    typed JSONL events (:data:`EVENT_TYPES`) with monotonic sequence
    numbers, wall-clock stamps and progress/ETA fields to a file that can
    be tailed while the run is still going.  ``repro top EVENTS`` renders
-   the in-flight view; ``repro doctor --events EVENTS`` replays a
-   finished file.
+   the in-flight view.
 
 3. **Readers.**  :func:`read_events` tolerates a truncated final line
    (the writer died mid-append — the tail is dropped, everything before
    it survives); :func:`validate_events` checks the schema and ordering
    invariants; :func:`summarize_events` / :func:`render_event_summary`
-   are the shared backend of ``repro top`` and the doctor's replay mode.
+   are the backend of ``repro top``.
 
 Example
 -------
@@ -72,7 +73,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import NumericalBreakdownError
-from .invariants import InvariantMonitor
+from .invariants import InvariantMonitor, Ledger
 from .metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
 from .tracer import NULL_TRACER, Tracer
 
@@ -137,22 +138,11 @@ class HealthEvent:
     """One sentinel trip: *where* (site), *what* (kind), *how bad* (value),
     and for how many energies of a stacked check (count)."""
 
-    seq: int
     site: str
     kind: str
     value: float = float("nan")
     detail: str = ""
     count: int = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "site": self.site,
-            "kind": self.kind,
-            "value": self.value,
-            "detail": self.detail,
-            "count": self.count,
-        }
 
 
 class HealthSentinel:
@@ -164,9 +154,12 @@ class HealthSentinel:
         ``"contain"`` records trips for the degradation ladder;
         ``"strict"`` raises :class:`NumericalBreakdownError` immediately.
 
-    A sentinel pickles as its mode: the copy a pool worker unpickles
-    starts an empty ledger, and the parent takes the worker's trips back
-    with :meth:`absorb`.
+    Trips go into one :class:`~repro.observability.invariants.Ledger`
+    keyed ``"site:kind"``: the first :attr:`Ledger.MAX_RECORDS` trip
+    events are kept, the counts (:attr:`n_trips`, :meth:`trips_since`)
+    are exact past that bound.  A sentinel pickles as its mode: the copy
+    a pool worker unpickles starts an empty ledger, and the parent takes
+    the worker's trips back with :meth:`absorb`.
     """
 
     #: 1-norm condition estimate above which a factorization is flagged
@@ -176,17 +169,12 @@ class HealthSentinel:
     #: Relative residual above which a converged-looking fixed point is
     #: flagged (Sancho-Rubio residuals sit near 1e-12).
     RESIDUAL_THRESHOLD = 1e-6
-    #: Ledger bound: trip *counts* keep growing past it, only per-event
-    #: details stop being stored.
-    MAX_EVENTS = 4096
 
     def __init__(self, mode: str = "contain"):
         if mode not in _MODES:
             raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
         self.mode = mode
-        self._lock = threading.Lock()
-        self._events: list[HealthEvent] = []
-        self._seq = 0
+        self.ledger = Ledger()
 
     def __reduce__(self):
         return type(self), (self.mode,)
@@ -203,40 +191,34 @@ class HealthSentinel:
 
     @property
     def n_trips(self) -> int:
-        return self._seq
+        """Trips recorded so far, kept or not."""
+        return self.ledger.total
 
-    def marker(self) -> int:
-        """Opaque position in the trip ledger; pass to :meth:`trips_since`."""
-        return self._seq
+    def marker(self) -> tuple:
+        """Snapshot of the trip ledger; pass to :meth:`trips_since`."""
+        return self.ledger.marker()
 
-    def events_since(self, marker: int = 0) -> list[HealthEvent]:
-        with self._lock:
-            return [e for e in self._events if e.seq >= marker]
+    def events_since(self, marker=0) -> list[HealthEvent]:
+        """The kept trip events recorded after ``marker``, in order."""
+        return self.ledger.since(marker)[0]
 
-    def trips_since(self, marker: int = 0) -> dict:
-        """Trip counts keyed ``"site:kind"`` recorded after ``marker``."""
-        counts: dict[str, int] = {}
-        for ev in self.events_since(marker):
-            key = f"{ev.site}:{ev.kind}"
-            counts[key] = counts.get(key, 0) + ev.count
-        return counts
+    def trips_since(self, marker=0) -> dict:
+        """Exact trip counts keyed ``"site:kind"`` recorded after
+        ``marker``."""
+        return self.ledger.since(marker)[1]
 
-    def absorb(self, events) -> None:
-        """Append trips a pool worker's copy recorded, in order.
+    def absorb(self, events, counts: dict) -> None:
+        """Account the trips a pool worker's copy recorded: its kept
+        ``events`` and its ``counts``.
 
         They neither raise (a strict copy raised in the worker) nor count
         ``health.*`` again (the worker's metrics delta carries those).
         """
-        with self._lock:
-            for event in events:
-                if len(self._events) < self.MAX_EVENTS:
-                    self._events.append(replace(event, seq=self._seq))
-                self._seq += event.count
+        self.ledger.absorb(events, counts)
 
     def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._seq = 0
+        """Empty the trip ledger."""
+        self.ledger = Ledger()
 
     # -- trip + checks -------------------------------------------------
 
@@ -245,13 +227,8 @@ class HealthSentinel:
         """Record one health violation — of ``count`` energies, for a
         stacked check, so the ledger counts energies however they were
         stacked; raise in strict mode."""
-        with self._lock:
-            event = HealthEvent(
-                self._seq, site, kind, float(value), detail, count
-            )
-            self._seq += count
-            if len(self._events) < self.MAX_EVENTS:
-                self._events.append(event)
+        event = HealthEvent(site, kind, float(value), detail, count)
+        self.ledger.add(f"{site}:{kind}", event, count)
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc(f"health.{site}.{kind}", float(count))
@@ -294,7 +271,7 @@ class HealthSentinel:
         if not counts:
             return f"health[{self.mode}]: no trips"
         body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        return f"health[{self.mode}]: {self._seq} trips ({body})"
+        return f"health[{self.mode}]: {self.n_trips} trips ({body})"
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +604,14 @@ def use_sentinel(sentinel: HealthSentinel):
 # worker-side capture
 
 
+#: The ledgers of a delta that recorded nothing: no fault, trip or
+#: violation.
+_NO_LEDGERS = (([], {}),) * 3
+
+
 class TelemetryDelta:
     """What one pool chunk recorded: metrics, spans, flops, clock
-    epochs, sentinel trips, monitor violations and fired faults.
+    epochs and the growth of its ledgers.
 
     A delta is the unit that crosses the process boundary.  It is built
     from the fresh instruments of a recorder spec (see
@@ -658,26 +640,22 @@ class TelemetryDelta:
         own_flops, total_flops, depth, attrs, thread)``.
     flops : dict
         Per-kernel measured-flop ledger of the capture tracer.
-    trips : list of HealthEvent
-        The capture sentinel's trips, in order.
-    violations : list of InvariantViolation
-        The capture monitor's ledgered violations, in order.
-    n_violations : int
-        Violations the capture monitor recorded, ledgered or past its
-        bound (default ``len(violations)``).
-    faults : list of InjectedFault
-        Faults the chunk's planted injector fired, in order.
+    ledgers : tuple of (list, dict)
+        What the chunk added to each ledger, as
+        :meth:`repro.observability.invariants.Ledger.since` reads it —
+        ``(records, counts)`` of the planted injector's fired faults,
+        the sentinel's trips and the monitor's violations, in that
+        order.
     """
 
     __slots__ = (
         "worker", "wall_epoch", "perf_epoch", "duration_s",
-        "metrics", "spans", "flops", "trips", "violations", "n_violations",
-        "faults",
+        "metrics", "spans", "flops", "ledgers",
     )
 
     def __init__(self, worker, wall_epoch=None, perf_epoch=0.0,
                  duration_s=0.0, metrics=None, spans=(), flops=None,
-                 trips=(), violations=(), n_violations=None, faults=()):
+                 ledgers=_NO_LEDGERS):
         self.worker = worker
         self.wall_epoch = wall_epoch
         self.perf_epoch = perf_epoch
@@ -685,15 +663,12 @@ class TelemetryDelta:
         self.metrics = metrics
         self.spans = list(spans)
         self.flops = dict(flops or {})
-        self.trips = list(trips)
-        self.violations = list(violations)
-        self.n_violations = n_violations or len(self.violations)
-        self.faults = list(faults)
+        self.ledgers = tuple(ledgers)
 
     def is_empty(self) -> bool:
         """True when merging this delta would be a no-op."""
-        if (self.spans or self.flops or self.trips or self.n_violations
-                or self.faults):
+        if (self.spans or self.flops
+                or any(counts for _, counts in self.ledgers)):
             return False
         m = self.metrics or {}
         return not any(m.get(k) for k in
@@ -770,13 +745,14 @@ def capture_telemetry(run=None, worker: str | None = None,
 
     Installs ``run`` as the active recorder for the ``with`` block and
     packages what it recorded there into ``cap.delta``: spans, metrics
-    and flops, the sentinel's trips, the monitor's violations and — when
-    ``solver`` is planted (:class:`repro.resilience.PlantedSolver`) — the
-    faults its injector fired.  The capture only *engages* inside a pool
-    worker (or with ``force=True``): in the parent, the live recorder
-    already sees everything, so the scope yields an inert handle and the
-    caller's recording is untouched — the same call site is safe on
-    every backend.
+    and flops, and what its ledgers recorded — the faults the injector
+    of a planted ``solver`` (:class:`repro.resilience.PlantedSolver`)
+    fired, the sentinel's trips and the monitor's violations.  The
+    capture only *engages* inside a pool worker (or with
+    ``force=True``): in the parent, the live recorder already sees
+    everything, so the scope yields an inert handle and the caller's
+    recording is untouched — the same call site is safe on every
+    backend.
 
     Parameters
     ----------
@@ -803,8 +779,9 @@ def capture_telemetry(run=None, worker: str | None = None,
     if run is None:
         run = Recorder(Tracer(), MetricsRegistry(), sentinel=HealthSentinel())
     injector = getattr(solver, "injector", None)
-    fired = injector.injected if injector is not None else []
-    marks = (run.sentinel.marker(), run.monitor.marker(), len(fired))
+    ledgers = (Ledger() if injector is None else injector.ledger,
+               run.sentinel.ledger, run.monitor.ledger)
+    marks = [ledger.marker() for ledger in ledgers]
     wall0 = time.time()
     previous, _RUN = _RUN, run
     try:
@@ -820,10 +797,8 @@ def capture_telemetry(run=None, worker: str | None = None,
             metrics=metrics.snapshot().to_dict() if metrics.enabled else None,
             spans=_span_records(tracer) if tracer.enabled else (),
             flops=tracer.counter.counts if tracer.enabled else None,
-            trips=run.sentinel.events_since(marks[0]),
-            violations=run.monitor.violations_since(marks[1]),
-            n_violations=run.monitor.marker() - marks[1],
-            faults=fired[marks[2]:],
+            ledgers=[ledger.since(mark)
+                     for ledger, mark in zip(ledgers, marks)],
         )
         if not delta.is_empty():
             cap.delta = delta
@@ -834,11 +809,12 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
 
     Counters add, histograms merge, series extend and spans are absorbed
     into the active tracer with ``attrs["worker"]`` provenance and
-    clock-offset alignment; trips append to the sentinel's ledger
-    (:meth:`HealthSentinel.absorb`), violations to the monitor's and the
-    fired faults to the account of ``solver``'s planted injector — so the
-    merged state is exactly what a serial run of the same workload would
-    have recorded.  Bookkeeping lands under
+    clock-offset alignment; the fired faults go into the ledger of
+    ``solver``'s planted injector
+    (:meth:`repro.resilience.FaultInjector.absorb`), the trips into the
+    sentinel's and the violations into the monitor's — so the merged
+    state is exactly what a serial run of the same workload would have
+    recorded.  Bookkeeping lands under
     ``telemetry.deltas_merged{worker=...}`` / ``telemetry.spans_merged``.
     ``faults_only`` merges the fired faults alone (the chunk belonged to
     a dispatch that raised, whose other records are void).
@@ -847,11 +823,15 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
     """
     if delta is None or delta.is_empty():
         return False
-    if delta.faults:
-        solver.injector.absorb(delta.faults)
-    if faults_only:
-        return bool(delta.faults)
     run = _RUN
+    owners = (getattr(solver, "injector", None),)
+    if not faults_only:
+        owners += (run.sentinel, run.monitor)
+    for owner, (records, counts) in zip(owners, delta.ledgers):
+        if counts:
+            owner.absorb(records, counts)
+    if faults_only:
+        return bool(delta.ledgers[0][1])
     metrics, tracer = run.metrics, run.tracer
     if metrics.enabled and delta.metrics:
         metrics.merge_snapshot(MetricsSnapshot.from_dict(delta.metrics))
@@ -863,10 +843,6 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
             wall_epoch=delta.wall_epoch,
             perf_epoch=delta.perf_epoch,
         )
-    if delta.trips:
-        run.sentinel.absorb(delta.trips)
-    if delta.n_violations:
-        run.monitor.absorb(delta.violations, delta.n_violations)
     if metrics.enabled:
         metrics.inc("telemetry.deltas_merged", 1.0, worker=delta.worker)
         metrics.inc("telemetry.spans_merged", float(len(delta.spans)))

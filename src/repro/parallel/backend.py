@@ -175,8 +175,9 @@ class ProcessBackend(ExecutionBackend):
     totals, sentinel trips and fault accounts match the serial backend
     exactly.
 
-    With a deadline, ``$REPRO_DEADLINE_S`` (read at every :meth:`map`),
-    a chunk overdue past it triggers an *orderly pool restart*: the
+    With a deadline, ``$REPRO_DEADLINE_S`` (read at every :meth:`map`;
+    without one a result is awaited for as long as it takes), a chunk
+    overdue past it triggers an *orderly pool restart*: the
     shared pool is unregistered, cancelled and its worker processes
     terminated (a hung child cannot be cancelled any other way),
     already-finished results are salvaged, and everything outstanding is
@@ -194,24 +195,56 @@ class ProcessBackend(ExecutionBackend):
     def map(self, fn, items) -> list:
         """Fan ``items`` out over the shared pool, results in order.
 
-        Single-item batches short-circuit to an in-process call; with a
-        deadline configured, :meth:`_elastic_map` handles a task past it.
+        Single-item batches short-circuit to an in-process call.  Every
+        result is awaited up to the deadline (None: for as long as it
+        takes); a task past it is a straggler: the pool is restarted
+        (counted in ``backend.pool_restarts``), whatever already finished
+        is salvaged and the unfinished tasks are re-executed inline, so
+        the batch still returns complete, in-order results.
         """
         if len(items) <= 1:
             return [fn(item) for item in items]
+        from concurrent.futures import CancelledError
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
         from concurrent.futures.process import BrokenProcessPool
 
         deadline = _resolve_deadline()
         pool = _shared_pool(self.workers)
+        results: list = [None] * len(items)
         try:
-            if deadline is None:
-                return list(pool.map(fn, items))
-            return self._elastic_map(fn, items, pool, deadline)
+            futures = [pool.submit(fn, item) for item in items]
+            for i, fut in enumerate(futures):
+                results[i] = fut.result(timeout=deadline)
+                # let a read future go at once, as ``Executor.map`` does:
+                # kept, it holds its chunk's result past this call
+                futures[i] = None
+            return results
+        except FuturesTimeoutError:
+            pass
         except BrokenProcessPool:
             # a dead child breaks its executor for good: drop it so the
             # next call starts a fresh pool instead of failing forever
             self._restart_pool()
             raise
+        # straggler: restart the pool, salvage whatever already finished
+        # and recompute the rest here
+        self._count("stragglers")
+        events = get_events()
+        if events.enabled:
+            events.emit("straggler", backend=self.name, task=i,
+                        deadline_s=deadline, action="pool_restart")
+        self._restart_pool()
+        for j in range(i, len(items)):
+            fut = futures[j]
+            if fut.done() and not fut.cancelled():
+                try:
+                    results[j] = fut.result(timeout=0)
+                    continue
+                except (BrokenProcessPool, CancelledError):
+                    pass
+            results[j] = fn(items[j])
+            self._count("speculative_wins")
+        return results
 
     def _count(self, counter: str) -> None:
         """Bump one elastic counter and its ``backend.<counter>`` metric."""
@@ -232,44 +265,6 @@ class ProcessBackend(ExecutionBackend):
             if proc.is_alive():
                 proc.terminate()
         self._count("pool_restarts")
-
-    def _elastic_map(self, fn, items, pool, deadline) -> list:
-        """A hung worker is detected at the deadline, the pool is
-        restarted (counted in ``backend.pool_restarts``), and the
-        unfinished tasks are re-executed inline so the batch still
-        returns complete, in-order results."""
-        from concurrent.futures import CancelledError
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
-        from concurrent.futures.process import BrokenProcessPool
-
-        futures = [pool.submit(fn, item) for item in items]
-        results: list = [None] * len(items)
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result(timeout=deadline)
-            except FuturesTimeoutError:
-                break
-        else:
-            return results
-        # straggler: restart the pool, salvage whatever already finished
-        # and recompute the rest here
-        self._count("stragglers")
-        events = get_events()
-        if events.enabled:
-            events.emit("straggler", backend=self.name, task=i,
-                        deadline_s=deadline, action="pool_restart")
-        self._restart_pool()
-        for j in range(i, len(items)):
-            fut = futures[j]
-            if fut.done() and not fut.cancelled():
-                try:
-                    results[j] = fut.result(timeout=0)
-                    continue
-                except (BrokenProcessPool, CancelledError):
-                    pass
-            results[j] = fn(items[j])
-            self._count("speculative_wins")
-        return results
 
 
 def get_backend(name=None, workers=None) -> ExecutionBackend:

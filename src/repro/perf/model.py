@@ -26,13 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..parallel.decomposition import choose_level_sizes
 from .flops import (
     rgf_solve_flops,
     sancho_rubio_flops,
-    splitsolve_flops,
     wf_solve_flops,
 )
 from .machine import SimulatedMachine

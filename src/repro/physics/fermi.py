@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import KB_EV
-
 __all__ = [
     "fermi_dirac",
     "dfermi_dE",

@@ -14,9 +14,8 @@ the reproduction's equivalent machinery:
   (:func:`robust_surface_gf`) and the :class:`SCFRescue` ladder (the
   retry of a bias point that raised is :class:`repro.core.IVSweep`'s
   own loop);
-* atomic :class:`~repro.resilience.checkpoint.SweepCheckpoint` /
-  :class:`~repro.resilience.checkpoint.RampCheckpoint` for kill-and-resume
-  sweeps, imported from :mod:`repro.resilience.checkpoint` (``import
+* atomic :class:`~repro.resilience.checkpoint.SweepCheckpoint` for
+  kill-and-resume sweeps, imported from :mod:`repro.resilience.checkpoint` (``import
   repro`` does not load it);
 * numerical-health sentinels (:mod:`repro.resilience.health`) and the
   graceful-degradation ladder, whose quarantine is bounded by

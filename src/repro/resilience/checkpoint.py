@@ -1,4 +1,4 @@
-"""Atomic checkpoint/restart for I-V sweeps and the SCF bias ramp.
+"""Atomic checkpoint/restart for I-V sweeps.
 
 A production I-V campaign on a petascale machine runs for hours; losing
 every converged bias point to one crash is not acceptable.  Checkpoints
@@ -6,16 +6,11 @@ here are written *atomically* (serialise to ``<path>.tmp``, then
 ``os.replace``) so a kill at any instant leaves either the previous or the
 new checkpoint on disk, never a torn file.
 
-Two granularities:
-
-* :class:`SweepCheckpoint` — converged :class:`repro.core.IVPoint` records
-  plus the last converged potential ``phi`` (the warm start for the next
-  point).  Resuming recomputes only the missing bias points and, because
-  ``phi`` is stored bit-exactly in the npz, reproduces the uninterrupted
-  sweep identically.
-* :class:`RampCheckpoint` — intermediate stages of the drain-bias
-  continuation ramp inside one SCF solve (the most expensive single points
-  of an output sweep).
+A :class:`SweepCheckpoint` holds converged :class:`repro.core.IVPoint`
+records plus the last converged potential ``phi`` (the warm start for the
+next point).  Resuming recomputes only the missing bias points and,
+because ``phi`` is stored bit-exactly in the npz, reproduces the
+uninterrupted sweep identically.
 
 Points are stored as plain dicts, keeping this module import-light (no
 dependency on :mod:`repro.core`, which imports us).
@@ -32,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["atomic_write_bytes", "SweepCheckpoint", "RampCheckpoint"]
+__all__ = ["atomic_write_bytes", "SweepCheckpoint"]
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
@@ -128,39 +123,5 @@ class SweepCheckpoint:
 
     def clear(self) -> None:
         """Delete the checkpoint file (start of a fresh, non-resumed run)."""
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self.path)
-
-
-class RampCheckpoint:
-    """Atomic checkpoint of the drain-bias continuation ramp of one solve.
-
-    The SCF driver calls :meth:`save` after each converged ramp stage and
-    :meth:`load` at entry; a restarted solve resumes from the last stage
-    instead of re-ramping from equilibrium.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def save(self, v_drain_reached: float, phi) -> None:
-        """Persist the potential at an intermediate ramp bias."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            v_drain_reached=np.array(float(v_drain_reached)),
-            phi=np.asarray(phi, dtype=float),
-        )
-        atomic_write_bytes(self.path, buffer.getvalue())
-
-    def load(self) -> tuple[float, np.ndarray] | None:
-        """(v_drain_reached, phi) of the stored stage, or None."""
-        if not self.path.exists():
-            return None
-        with np.load(self.path) as data:
-            return float(data["v_drain_reached"]), np.array(data["phi"])
-
-    def clear(self) -> None:
-        """Remove the ramp checkpoint (called once the point converges)."""
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self.path)

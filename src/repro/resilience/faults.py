@@ -59,11 +59,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import RankFailure, TaskFailure
+from ..observability.invariants import Ledger
 from ..parallel.backend import in_worker
 
 __all__ = [
@@ -121,6 +122,12 @@ class FaultInjector:
     max_faults : int or None
         Global cap on fired faults (None = unlimited); the pool chunks
         of one dispatch can overshoot it (module docstring).
+
+    Fired faults go into one
+    :class:`~repro.observability.invariants.Ledger` keyed by action:
+    :attr:`injected` keeps the first ``Ledger.MAX_RECORDS``, while
+    :meth:`count`, :attr:`n_injected` and the ``max_faults`` cap read
+    exact counts.
     """
 
     #: Duration (s) of a ``"stall"`` fault.
@@ -153,7 +160,7 @@ class FaultInjector:
         self.once = once
         self.hang_seconds = hang_seconds
         self.max_faults = max_faults
-        self.injected: list[InjectedFault] = []
+        self.ledger = Ledger()
         self._fired: set = set()
         #: The rank whose ``once`` bookkeeping this view keeps
         #: (:meth:`on_rank`); None outside a distributed solve.
@@ -163,7 +170,7 @@ class FaultInjector:
         """This injector as rank ``rank`` of a distributed solve holds it.
 
         The view shares the plan, the seed and the account
-        (:attr:`injected`, ``max_faults``) but keeps ``once`` per rank, as
+        (:attr:`ledger`, ``max_faults``) but keeps ``once`` per rank, as
         each rank's own copy of the injector does on a real communicator.
         So a transient ``("hblock", ik)`` fault drills k-point ``ik`` on
         every rank that builds its solver, and a distributed solve heals
@@ -176,7 +183,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def decide(self, site: str, key) -> str | None:
         """The action to inject at (site, key), or None for a clean pass."""
-        if self.max_faults is not None and len(self.injected) >= self.max_faults:
+        if self.max_faults is not None and self.n_injected >= self.max_faults:
             return None
         if self.once and (site, key, self.rank) in self._fired:
             return None
@@ -201,7 +208,7 @@ class FaultInjector:
         if action is None:
             return None
         self._fired.add((site, key, self.rank))
-        self.injected.append(InjectedFault(site, key, action))
+        self.ledger.add(action, InjectedFault(site, key, action))
         if action == "raise":
             raise TaskFailure(
                 f"injected fault at {site}:{key!r}", key=key, injected=True
@@ -235,31 +242,35 @@ class FaultInjector:
             H = corrupt_hamiltonian(H, mode)
         return PlantedSolver(build(H), self, ik)
 
-    def absorb(self, faults) -> None:
+    def absorb(self, faults, counts: dict) -> None:
         """Account faults a pool worker's copy of this injector fired.
 
         A planted solver rides a chunk payload into the worker with a
         pickled copy of its injector; the chunk's delta brings back what
-        that copy fired, in order, and this appends it here as though
-        fired here — so ``once`` keeps a healed node clean when the
-        parent solves it again, and :attr:`injected` is the serial
-        account.
+        that copy fired — the kept ``faults``, in order, and the
+        per-action ``counts`` — and this accounts it here as though
+        fired here, so ``once`` keeps a healed node clean when the
+        parent solves it again, and the ledger is the serial account.
         """
-        for fault in faults:
-            self._fired.add((fault.site, fault.key, self.rank))
-            self.injected.append(fault)
+        self._fired.update((f.site, f.key, self.rank) for f in faults)
+        self.ledger.absorb(faults, counts)
 
     # ------------------------------------------------------------------
     @property
+    def injected(self) -> list[InjectedFault]:
+        """The kept fired faults, the first ones, in order."""
+        return self.ledger.records
+
+    @property
     def n_injected(self) -> int:
         """Number of faults fired so far."""
-        return len(self.injected)
+        return self.ledger.total
 
     def count(self, action: str | None = None) -> int:
         """Fired faults, optionally of one action type."""
         if action is None:
-            return len(self.injected)
-        return sum(1 for f in self.injected if f.action == action)
+            return self.n_injected
+        return self.ledger.counts.get(action, 0)
 
 
 class PlantedSolver:

@@ -33,10 +33,15 @@ kernel a cheap, always-available health check:
 
 Sentinels are pure observers: in ``contain`` mode they never modify a
 value, so a run that trips nothing is bit-identical to a run with the
-sentinel off.  Trip accounting uses a monotonically growing ledger with
-``marker()`` / ``trips_since()`` so that nested consumers (transport →
-SCF → I–V sweep) can each report the trips of their own window without
-double counting.
+sentinel off.  Trips are accounted in one
+:class:`~repro.observability.invariants.Ledger` keyed ``"site:kind"`` —
+the account the invariant monitor's violations and a fault injector's
+fired faults keep too: the first ``Ledger.MAX_RECORDS`` trip events are
+kept, every count is exact past that bound.  ``marker()`` snapshots the
+counts and ``trips_since()`` reads what grew since, so nested consumers
+(transport → SCF → I–V sweep) can each report the trips of their own
+window without double counting, and the degradation ladder reads the
+kinds of a window's trips from the same counts.
 """
 
 from __future__ import annotations

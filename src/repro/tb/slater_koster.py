@@ -20,7 +20,7 @@ naturally to arbitrary bond directions, e.g. strained structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 

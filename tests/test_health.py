@@ -29,6 +29,7 @@ from repro.core import DeviceSpec, TransportCalculation, build_device
 from repro.errors import NumericalBreakdownError, SurfaceGFConvergenceError
 from repro.negf import Contacts
 from repro.negf.rgf import RGFSolver
+from repro.observability.invariants import Ledger
 from repro.parallel.backend import ProcessBackend, _resolve_deadline
 from repro.poisson.nonlinear import NonlinearPoisson
 from repro.resilience import (
@@ -169,14 +170,14 @@ class TestHealthSentinel:
         }
 
     def test_ledger_bounded_counts_unbounded(self, set_constant):
-        set_constant(HealthSentinel, "MAX_EVENTS", 4)
+        set_constant(Ledger, "MAX_RECORDS", 4)
         s = HealthSentinel(mode="contain")
         for _ in range(10):
             s.trip("site", "nonfinite")
         assert s.n_trips == 10
         assert len(s.events_since(0)) == 4
         # per-event details past the bound are dropped, counts keep going
-        assert s.trips_since(0) == {"site:nonfinite": 4}
+        assert s.trips_since(0) == {"site:nonfinite": 10}
         s.reset()
         assert s.n_trips == 0
 

@@ -9,7 +9,7 @@ from repro.core import (
     TransportCalculation,
     build_device,
 )
-from repro.io import load_json, result_to_dict, save_json, spec_from_dict, spec_to_dict
+from repro.io import load_json, save_json, spec_from_dict, spec_to_dict
 
 
 class TestFullBandEndToEnd:

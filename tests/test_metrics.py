@@ -252,6 +252,22 @@ class TestInvariantMonitor:
         m.check_density(np.array([-1.0]))
         assert "1 violation" in m.summary()
 
+    def test_marker_after_a_partial_absorb(self):
+        """A chunk past the bound ships fewer records than it counts:
+        after absorbing 5 records counted as 100, the next violation is
+        read by ``violations_since(marker())`` and counted."""
+        source = InvariantMonitor()
+        for _ in range(5):
+            source.check_transmission(2.5, n_modes=2)
+        m = InvariantMonitor()
+        m.absorb(source.violations, {"transmission_bounds": 100})
+        marker = m.marker()
+        m.check_density(np.array([-1.0]))
+        [new] = m.violations_since(marker)
+        assert new.invariant == "density_nonnegative"
+        assert m.violations == source.violations + [new]
+        assert m.n_violations == 101
+
 
 @pytest.fixture(scope="module")
 def tiny_built():

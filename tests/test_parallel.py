@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import (
-    LEVEL_NAMES,
     CommTrace,
     Decomposition,
     SerialComm,
     TracedComm,
-    WorkItem,
     choose_level_sizes,
     greedy_balance,
     makespan,

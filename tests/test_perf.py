@@ -1,6 +1,5 @@
 """Tests for flop accounting, the machine model and scaling predictions."""
 
-import numpy as np
 import pytest
 
 from repro.parallel import CommTrace

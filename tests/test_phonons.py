@@ -18,7 +18,6 @@ from repro.phonons import (
     bulk_phonon_bands,
     omega2_to_thz,
     periodic_wire_dynamics,
-    phonon_transmission,
     thermal_conductance,
     wire_phonon_blocks,
 )

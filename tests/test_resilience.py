@@ -44,8 +44,9 @@ from repro.resilience import (
     robust_surface_gf,
     use_sentinel,
 )
+from repro.observability.invariants import Ledger
 from repro.resilience import degrade
-from repro.resilience.checkpoint import RampCheckpoint, SweepCheckpoint
+from repro.resilience.checkpoint import SweepCheckpoint
 
 
 @pytest.fixture(scope="module")
@@ -673,16 +674,6 @@ class TestCheckpointFiles:
         ckpt.clear()
         assert not ckpt.exists()
 
-    def test_ramp_checkpoint_roundtrip(self, tmp_path):
-        ramp = RampCheckpoint(tmp_path / "ramp.npz")
-        assert ramp.load() is None
-        ramp.save(0.1, np.ones(4))
-        vd, phi = ramp.load()
-        assert vd == 0.1
-        np.testing.assert_array_equal(phi, np.ones(4))
-        ramp.clear()
-        assert ramp.load() is None
-
 
 @pytest.fixture(scope="module")
 def scf_system():
@@ -799,11 +790,18 @@ class TestDegradationLadder:
         assert not d.quarantined_points
         assert inj.count("illcond") == 1
 
-    @pytest.mark.parametrize("mode,trips", [
-        ("illcond", {"block_lu:ill_conditioned": 42}),
-        ("nan", {"block_lu:nonfinite": 42, "rgf:nonfinite": 42}),
+    HBLOCK_TRIPS = {
+        "illcond": {"block_lu:ill_conditioned": 42},
+        "nan": {"block_lu:nonfinite": 42, "rgf:nonfinite": 42},
+    }
+
+    @pytest.mark.parametrize("mode,full", [
+        pytest.param("illcond", False, id="illcond-trips0"),
+        pytest.param("nan", False, id="nan-trips1"),
+        pytest.param("illcond", True, id="illcond-full-ledger"),
+        pytest.param("nan", True, id="nan-full-ledger"),
     ])
-    def test_hblock_fault_heals_to_the_same_account(self, system, mode, trips):
+    def test_hblock_fault_heals_to_the_same_account(self, system, mode, full):
         """The whole account of a healed k-point (uniform grid: the counts
         are per node of its 21).  The corrupted H first fails as one
         stack — a trip counting every node at each sentinel site (an
@@ -812,20 +810,50 @@ class TestDegradationLadder:
         ``chunk:per-point`` — then each node alone trips the same sites on
         the first rung, the configured solver, and heals on
         ``per-point:robust``, built on a fresh H: 21 + 21 trips a site,
-        1 + 21 ladder steps."""
+        1 + 21 ladder steps.
+
+        ``full``: the sentinel already keeps ``Ledger.MAX_RECORDS``
+        earlier ``nonfinite`` trips, so it keeps none of the drill's.
+        The ladder reads counts, not kept records: on both backends the
+        drill heals to the fresh sentinel's account and current."""
         built, _ = system
-        healed = TransportCalculation(
-            built, method="rgf", n_energy=21, energy_mode="uniform",
-            injector=FaultInjector(plan={("hblock", 0): mode}),
-        ).solve_bias(np.zeros(built.n_atoms), 0.1)
-        assert healed.degradation.to_dict() == {
-            "ladder_steps": {"chunk:per-point": 1, "per-point:robust": 21},
-            "sentinel_trips": trips,
-            "quarantined_points": [], "reweighted_grids": 0,
-            "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
-            **NO_DRIVER_EVENTS,
-            "total_events": 22 + sum(trips.values()),
-        }
+        trips = self.HBLOCK_TRIPS[mode]
+
+        def drill(sentinel, **backend):
+            with use_sentinel(sentinel):
+                return TransportCalculation(
+                    built, method="rgf", n_energy=21, energy_mode="uniform",
+                    injector=FaultInjector(plan={("hblock", 0): mode}),
+                    **backend,
+                ).solve_bias(np.zeros(built.n_atoms), 0.1)
+
+        if not full:
+            healed = drill(HealthSentinel())
+            assert healed.degradation.to_dict() == {
+                "ladder_steps": {
+                    "chunk:per-point": 1, "per-point:robust": 21,
+                },
+                "sentinel_trips": trips,
+                "quarantined_points": [], "reweighted_grids": 0,
+                "stragglers": 0, "speculative_wins": 0, "pool_restarts": 0,
+                **NO_DRIVER_EVENTS,
+                "total_events": 22 + sum(trips.values()),
+            }
+            return
+        for backend in ({"backend": "serial"},
+                        {"backend": "process", "workers": 2}):
+            fresh = drill(HealthSentinel(), **backend)
+            filled = HealthSentinel()
+            for _ in range(Ledger.MAX_RECORDS):
+                filled.trip("earlier", "nonfinite")
+            healed = drill(filled, **backend)
+            assert healed.current_a == fresh.current_a
+            for account in (healed.degradation, fresh.degradation):
+                assert account.ladder_steps == {
+                    "chunk:per-point": 1, "per-point:robust": 21,
+                }
+                assert account.sentinel_trips == trips
+            assert filled.n_trips == Ledger.MAX_RECORDS + sum(trips.values())
 
     #: Per quadrature: the size of its first wave over the 21-point
     #: window (the grid itself, or the adaptive seed ``max(21 // 2, 9)``),

@@ -21,7 +21,6 @@ from repro.tb import (
     silicon_sp3s,
     single_band_material,
 )
-from repro.lattice.zincblende import high_symmetry_points
 
 
 class TestBulkGaps:

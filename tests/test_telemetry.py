@@ -643,13 +643,14 @@ class TestOneRecorderOnThePool:
         assert sum(got[0][1].values()) > 0
 
     def test_bounded_monitor_ledger_equals_serial(self, fet, set_constant):
-        """Repeated violating solves keep at most ``MAX_VIOLATIONS``
+        """Repeated violating solves keep at most ``Ledger.MAX_RECORDS``
         records, the first ones, while ``n_violations`` and the
         ``invariant.violations`` counters count every one.  On the pool a
         chunk ships exactly what its worker's copy recorded — the records
         it kept, up to the bound the workers inherit, and their count —
         so both backends end with the serial account."""
         from repro.observability import InvariantMonitor, use_run
+        from repro.observability.invariants import Ledger
 
         built, potential = fet
         bound = 3
@@ -658,11 +659,12 @@ class TestOneRecorderOnThePool:
         with use_run(monitor=one):
             self._calc(built, "serial").solve_bias(potential, 0.1)
         assert one.n_violations > 2 * bound  # a chunk fills its ledger
-        set_constant(InvariantMonitor, "MAX_VIOLATIONS", bound)
+        set_constant(Ledger, "MAX_RECORDS", bound)
         # a shipped chunk past the bound: its records up to the bound,
         # its whole count
         shipped = InvariantMonitor()
-        shipped.absorb(one.violations, one.n_violations + 5)
+        shipped.absorb(one.violations,
+                       {"transmission_bounds": one.n_violations + 5})
         assert shipped.violations == one.violations[:bound]
         assert shipped.n_violations == one.n_violations + 5
         got = {}
