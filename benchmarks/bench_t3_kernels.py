@@ -29,6 +29,7 @@ from repro.core import DeviceSpec, TransportCalculation, build_device  # noqa: E
 from repro.negf import Contacts, RGFSolver, contact_self_energy, sancho_rubio  # noqa: E402
 from repro.negf.rgf import assemble_system_blocks  # noqa: E402
 from repro.negf.surface_gf import (  # noqa: E402
+    _mode_basis,
     _mode_health_check,
     _scalar_coupled,
     _surface_gfs,
@@ -388,7 +389,8 @@ def _measure_contacts(leads=CONTACT_LEADS):
     ``numpy.linalg`` inversions and ``eigh`` calls one call issues and the
     largest decimation step count of its 2B slices.  One loop over both
     leads makes them ``max_iterations + 1`` inversions at m; the mode basis
-    takes no inversion and no step, and one ``eigh`` per lead.
+    takes no inversion and no step, and one ``eigh`` per lead on the first
+    call of a ``Contacts`` (later calls, and the health check, reuse it).
     """
     report = {}
     for name, (spec, n_energy, repeats) in leads.items():
@@ -416,9 +418,8 @@ def _measure_contacts(leads=CONTACT_LEADS):
         if in_modes == {True}:
             # what production checks: every lead's modes before the
             # rotation, in one pass
-            d, u = (np.array(x) for x in zip(
-                *(np.linalg.eigh(h00) for h00, _, _ in sides)
-            ))
+            basis = _mode_basis(sides)
+            d, u, _ = basis
             g_modes = np.diagonal(
                 u[:, None].conj().swapaxes(-1, -2) @ np.array(g_stacks)
                 @ u[:, None], axis1=2, axis2=3,
@@ -426,7 +427,7 @@ def _measure_contacts(leads=CONTACT_LEADS):
             w = (energies + 1j * calc.eta)[:, None] - d[:, None, :]
 
             def run_check():
-                _mode_health_check(g_modes, energies, w, sides, (d, u))
+                _mode_health_check(g_modes, energies, w, sides, basis)
         else:
             def run_check():
                 for g, lead in zip(g_stacks, sides):

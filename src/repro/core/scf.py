@@ -72,8 +72,10 @@ class SelfConsistentSolver:
 
     Built once per solver: the :class:`repro.poisson.NonlinearPoisson`
     operator (:attr:`poisson` — mesh, permittivity and gate *mask*; the
-    gate value is data of each Poisson solve).  Kept between runs: the
-    last report (potential, drain bias, transport result).  A run whose
+    gate value is data of each Poisson solve) and the atom↔node map
+    (:attr:`atoms`, a :class:`repro.poisson.AtomMap`: every deposit of a
+    density and read-back of a potential).  Kept between runs: the last
+    report (potential, drain bias, transport result).  A run whose
     first iterate is exactly that potential at that drain bias — point
     n + 1 of a warm-started transfer sweep — takes the result over
     instead of solving it a second time.
@@ -117,9 +119,10 @@ class SelfConsistentSolver:
         self.mixing = mixing
         self.beta = beta
         grid = built.poisson_grid
-        donor_nodes = grid.deposit(
-            built.device.structure.positions, built.donors_per_atom
-        ) / grid.node_volume()
+        self.atoms = grid.atom_map(built.device.structure.positions)
+        donor_nodes = (
+            self.atoms.deposit(built.donors_per_atom) / grid.node_volume()
+        )
         self.poisson = NonlinearPoisson(
             grid, built.eps_r, donor_nodes, dirichlet_mask=built.gate_mask
         )
@@ -151,9 +154,7 @@ class SelfConsistentSolver:
 
     def atom_potential_ev(self, phi: np.ndarray) -> np.ndarray:
         """Electron potential energy per atom: U = -phi(atom) (eV)."""
-        return -self.built.poisson_grid.interpolate(
-            phi, self.built.device.structure.positions
-        )
+        return -self.atoms.interpolate(phi)
 
     # ------------------------------------------------------------------
     def _solve_transport(self, potential_ev, v_drain, flops, degradation):
@@ -185,8 +186,7 @@ class SelfConsistentSolver:
         that iterate's transport solve, already charged where it ran.
         """
         built = self.built
-        grid = built.poisson_grid
-        vol = grid.node_volume()
+        vol = built.poisson_grid.node_volume()
         calc, u_report, vd_report, report = handed or (None,) * 4
         phi = (
             self.initial_potential(v_gate, v_drain)
@@ -216,10 +216,7 @@ class SelfConsistentSolver:
                 transport_result = self._solve_transport(
                     u_atoms, v_drain, flops, degradation
                 )
-            n_nodes = grid.deposit(
-                built.device.structure.positions,
-                transport_result.density_per_atom,
-            ) / vol
+            n_nodes = self.atoms.deposit(transport_result.density_per_atom) / vol
             model = QuantumCorrectedCharge(
                 n_reference=n_nodes, phi_reference=phi, kT=built.spec.kT
             )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tb.hamiltonian import as_couplings
-from .surface_gf import _block, _surface_gfs
+from .surface_gf import _block, _mode_basis, _surface_gfs
 
 __all__ = [
     "Contacts",
@@ -79,10 +79,11 @@ class LeadSelfEnergy:
         return int(open_channels(np.linalg.eigvalsh(self.gamma), tol))
 
 
-def _sigma_stacks(energies, leads, tau, method, eta):
+def _sigma_stacks(energies, leads, tau, method, eta, basis=None):
     """The ``(B, m, m)`` self-energy stacks of ``leads``, a sequence of
     ``(h00, h01, side)`` (``h01`` a block or the 0-d ``c`` of ``c·I``,
-    as :func:`repro.negf.surface_gf._surface_gfs` takes it).
+    and ``basis`` the mode basis of closed-form leads, as
+    :func:`repro.negf.surface_gf._surface_gfs` takes them).
 
     ``method="sancho"`` runs all leads through one stacked surface-GF
     call (:func:`repro.negf.surface_gf._surface_gfs`: both contacts of a
@@ -93,7 +94,7 @@ def _sigma_stacks(energies, leads, tau, method, eta):
     """
     energies = np.asarray(energies, dtype=float).ravel()
     if method == "sancho":
-        g_stacks = [g for g, _ in _surface_gfs(energies, leads, eta)]
+        g_stacks = [g for g, _ in _surface_gfs(energies, leads, eta, basis=basis)]
     elif method == "robust":
         # local import: repro.resilience.policies imports this package
         from ..resilience.policies import robust_surface_gf
@@ -195,14 +196,16 @@ class Contacts:
     ``h01 = c I`` with a finite, exactly Hermitian ``h00`` (every
     effective-mass grid device, at any k) take the closed form of their
     scalar chains in the eigenbasis of their ``h00`` — one ``eigh`` per
-    lead and call, no inversion, no iteration — and any other lead
+    lead and ``Contacts``, no inversion, no iteration — and any other lead
     (atomistic, singular or poisoned) decimates as ``(2B, m, m)`` stacks;
     a pair of one of each runs lead by lead
     (:func:`repro.negf.surface_gf._surface_gfs`).  The coupling verdict
     is taken once: a device end's is the Hamiltonian's own
     (:meth:`repro.tb.BlockTridiagonalHamiltonian.couplings`), an explicit
     lead's is read here; ``h00`` is checked on every
-    :meth:`sigma_stacks` call.
+    :meth:`sigma_stacks` call.  The closed form's mode basis (the
+    ``eigh`` of both leads and its residual) is computed on first use and
+    kept; a pickled ``Contacts`` carries no basis.
 
     Parameters
     ----------
@@ -228,6 +231,19 @@ class Contacts:
         self.eta = eta
         self.method = method
 
+    #: ``(d, U, residual)`` of the closed-form leads once computed
+    _basis = None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_basis"}
+
+    def _mode_basis(self, leads):
+        """The mode basis of both leads (:func:`repro.negf.surface_gf.
+        _mode_basis`), computed on the first closed-form stack."""
+        if self._basis is None:
+            self._basis = _mode_basis(leads)
+        return self._basis
+
     def _lead(self, end: int):
         """``(h00, h01, c)`` of the lead at device end ``end`` (0 or -1),
         ``c`` its coupling as :meth:`repro.tb.BlockTridiagonalHamiltonian.
@@ -250,7 +266,7 @@ class Contacts:
         (h00_l, _, c_l), (h00_r, _, c_r) = self._lead(0), self._lead(-1)
         return _sigma_stacks(
             energies, [(h00_l, c_l, "left"), (h00_r, c_r, "right")],
-            None, self.method, self.eta,
+            None, self.method, self.eta, self._mode_basis,
         )
 
     def self_energies(self, energies):

@@ -89,20 +89,19 @@ def _surface_health_check(g, energies, eta, h00, h01, side) -> None:
     )
 
 
-def _mode_health_check(g, energies, w, leads, bases) -> None:
+def _mode_health_check(g, energies, w, leads, basis) -> None:
     """The sentinel of :func:`_surface_health_check` for closed-form leads,
     every lead in one pass on the ``(L, B, m)`` mode GFs ``g`` before
-    their rotation (``w = z - d_n``, ``bases = (d, U)`` stacked per lead):
-    each mode's own quadratic ``w g - |c|^2 g^2 - 1``, scaled the same
-    way per lead, and one energy-independent residual of each
-    eigenbasis, ``h00 U - U diag(d)`` relative to ``max |d|``, so a bad
-    ``eigh`` still trips.  Trips name their ``side=``, the left lead's
+    their rotation (``w = z - d_n``, ``basis`` the leads'
+    :func:`_mode_basis`): each mode's own quadratic
+    ``w g - |c|^2 g^2 - 1``, scaled the same way per lead, folded with the
+    energy-independent residual of each eigenbasis, so a bad ``eigh``
+    trips every stage.  Trips name their ``side=``, the left lead's
     first, exactly as lead-by-lead checks would.
     """
     sentinel = get_sentinel()
     if not sentinel.enabled:
         return
-    d, u = bases
     c2 = np.array([abs(np.asarray(h01).flat[0]) ** 2 for _, h01, _ in leads])
     t1 = w * g
     t2 = c2[:, None, None] * g * g
@@ -110,12 +109,7 @@ def _mode_health_check(g, energies, w, leads, bases) -> None:
     scale = np.maximum(
         1.0, np.maximum(np.abs(t1).max(axis=axes), np.abs(t2).max(axis=axes))
     )
-    h00 = np.array([h for h, _, _ in leads])
-    # relative to |h00|, the largest |d| (eigh sorts d ascending)
-    eigen = np.abs(h00 @ u - u * d[:, None, :]).max(axis=axes) / np.maximum(
-        1.0, np.maximum(-d[:, 0], d[:, -1])
-    )
-    res = np.maximum(np.abs(t1 - t2 - 1).max(axis=axes) / scale, eigen)
+    res = np.maximum(np.abs(t1 - t2 - 1).max(axis=axes) / scale, basis[2])
     for (_, _, side), g_lead, res_lead in zip(leads, g, res.tolist()):
         _lead_verdict(sentinel, g_lead, energies, side, res_lead)
 
@@ -246,13 +240,15 @@ def _block(h01, h00) -> np.ndarray:
     return h01 if np.ndim(h01) else h01 * np.eye(len(h00))
 
 
-def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
+def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200, basis=None):
     """Surface GFs of several leads as one stack.
 
     ``leads`` is a sequence of ``(h00, h01, side)``, ``h01`` a coupling
     block or a 0-d ``c`` for the block ``c·I``; the result is one
     ``(g, n_iter)`` pair per lead, each exactly what
-    :func:`sancho_rubio_batch` returns for that lead alone.  Leads of one
+    :func:`sancho_rubio_batch` returns for that lead alone.  ``basis``
+    gives the mode basis of closed-form leads that share one stack
+    (:func:`_mode_surface_gfs`).  Leads of one
     block size and one kind — all scalar-coupled (:func:`_scalar_coupled`,
     solved by :func:`_mode_surface_gfs`) or all decimated
     (:func:`_decimate`) — share one stack of S = leads x energies slices
@@ -284,7 +280,7 @@ def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
         empty = np.empty((0, m, m), dtype=complex), np.empty(0, dtype=int)
         return [empty] * len(leads)
     if kinds == {True}:
-        g_stacks = _mode_surface_gfs(energies, leads, eta)
+        g_stacks = _mode_surface_gfs(energies, leads, eta, basis)
         iters = np.zeros(len(leads) * n_batch, dtype=int)
     else:
         leads = [(h00, _block(h01, h00), side) for h00, h01, side in leads]
@@ -309,12 +305,25 @@ def _surface_gfs(energies, leads, eta, tol=1e-14, max_iter=200):
     return results
 
 
-def _mode_surface_gfs(energies, leads, eta):
+def _mode_basis(leads):
+    """``(d, U, residual)`` of closed-form leads, stacked per lead: the
+    eigenbasis ``h00 = U diag(d) U^+`` of each (energy independent) and
+    its residual ``h00 U - U diag(d)`` relative to ``max |d|``
+    (:func:`_mode_health_check`)."""
+    h00 = np.array([h for h, _, _ in leads])
+    d, u = map(np.array, zip(*(np.linalg.eigh(h) for h, _, _ in leads)))
+    # relative to |h00|, the largest |d| (eigh sorts d ascending)
+    residual = np.abs(h00 @ u - u * d[:, None, :]).max(axis=(1, 2))
+    return d, u, residual / np.maximum(1.0, np.maximum(-d[:, 0], d[:, -1]))
+
+
+def _mode_surface_gfs(energies, leads, eta, basis=None):
     """Closed-form surface GFs of leads coupled by ``h01 = c I``, one
     ``(B, m, m)`` stack per lead.
 
-    In the eigenbasis ``h00 = U diag(d) U^+`` (one ``eigh`` per lead and
-    call, energy independent) mode n is a scalar chain whose surface GF
+    In the eigenbasis ``h00 = U diag(d) U^+`` (``basis(leads)``, by
+    default :func:`_mode_basis` on every call; :class:`repro.negf.
+    Contacts` computes it once) mode n is a scalar chain whose surface GF
     solves ``|c|^2 g^2 - w g + 1 = 0``, ``w = z - d_n``.  The roots are
     ``2 / (w -+ s)`` with ``s = sqrt(w^2 - 4|c|^2)``; their product is
     ``1 / |c|^2``, and the retarded one — decaying into the lead — is the
@@ -325,15 +334,15 @@ def _mode_surface_gfs(energies, leads, eta):
     (:func:`_mode_health_check`), then one GEMM a slice rotates
     ``g = U diag(g_n) U^+`` back.
     """
-    bases = [np.linalg.eigh(h00) for h00, _, _ in leads]
-    d, u = (np.array(x) for x in zip(*bases))
+    basis = (basis or _mode_basis)(leads)
+    d, u, _ = basis
     two_c = np.array([2 * abs(np.asarray(h01).flat[0]) for _, h01, _ in leads])
     two_c = two_c[:, None, None]
     w = (energies + 1j * eta)[:, None] - d[:, None, :]
     s = np.sqrt((w - two_c) * (w + two_c))
     np.negative(s, out=s, where=w.real * s.real + w.imag * s.imag < 0)
     g_modes = 2 / (w + s)
-    _mode_health_check(g_modes, energies, w, leads, (d, u))
+    _mode_health_check(g_modes, energies, w, leads, basis)
     return [(u_l * g[:, None, :]) @ u_l.conj().T for g, u_l in zip(g_modes, u)]
 
 

@@ -1,7 +1,7 @@
 """Finite-volume nonlinear Poisson electrostatics."""
 
 from .charge import QuantumCorrectedCharge, SemiclassicalCharge, effective_dos_3d
-from .grid import PoissonGrid
+from .grid import AtomMap, PoissonGrid
 from .nonlinear import AndersonMixer, NonlinearPoisson, PoissonResult
 from .operators import Q_OVER_EPS0_V_NM, apply_dirichlet, assemble_laplacian
 
@@ -9,6 +9,7 @@ __all__ = [
     "QuantumCorrectedCharge",
     "SemiclassicalCharge",
     "effective_dos_3d",
+    "AtomMap",
     "PoissonGrid",
     "AndersonMixer",
     "NonlinearPoisson",

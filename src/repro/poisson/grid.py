@@ -2,9 +2,10 @@
 
 The Poisson equation is solved on a uniform tensor grid covering the device
 bounding box (plus an oxide shell).  The grid also owns the mapping between
-atoms and nodes — charge computed per atom by the transport kernels is
-deposited onto nodes (cloud-in-cell), and the converged potential is
-interpolated back onto atom positions (trilinear).
+atoms and nodes (:class:`AtomMap`, built once for fixed positions) —
+charge computed per atom by the transport kernels is deposited onto nodes
+(cloud-in-cell), and the converged potential is interpolated back onto
+atom positions (trilinear).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PoissonGrid"]
+__all__ = ["AtomMap", "PoissonGrid"]
 
 
 @dataclass(frozen=True)
@@ -100,57 +101,38 @@ class PoissonGrid:
             shape=tuple(counts), spacing=(spacing,) * 3, origin=tuple(origin)
         )
 
-    def _locate(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell index and fractional offset of each position (clipped)."""
+    def atom_map(self, positions: np.ndarray) -> "AtomMap":
+        """The cloud-in-cell map of fixed positions onto this grid.
+
+        Each position is located in its cell (clipped to the grid, so a
+        position outside it maps to the nearest face) and gets the 8
+        corner nodes of that cell with their trilinear weights.  Corner
+        ``d`` sits at offset ``((d >> 2) & 1, (d >> 1) & 1, d & 1)``; on an
+        axis with one node the upper corner repeats the node at weight 0.
+        """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         rel = (positions - np.array(self.origin)) / np.array(self.spacing)
         n = np.array(self.shape)
         cell = np.clip(np.floor(rel).astype(int), 0, np.maximum(n - 2, 0))
         frac = np.clip(rel - cell, 0.0, 1.0)
         frac[:, n == 1] = 0.0
-        return cell, frac
+        offset = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+        sides = np.stack([1 - frac, frac])
+        weights = (sides[offset[:, 0], :, 0] * sides[offset[:, 1], :, 1]
+                   * sides[offset[:, 2], :, 2])
+        ijk = np.minimum(cell + offset[:, None, :], n - 1)
+        nodes = (ijk[..., 0] * n[1] + ijk[..., 1]) * n[2] + ijk[..., 2]
+        return AtomMap(nodes, weights, self.n_nodes)
 
     def deposit(self, positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Cloud-in-cell deposition of per-atom values onto nodes.
-
-        Returns the nodal array (flat, length n_nodes); the sum over nodes
-        equals the sum of the deposited values (charge conservation, tested).
-        """
-        values = np.asarray(values, dtype=float)
-        cell, frac = self._locate(positions)
-        if values.shape != (cell.shape[0],):
-            raise ValueError("one value per position required")
-        out = np.zeros(self.n_nodes)
-        for w, node in self._corners(cell, frac):
-            np.add.at(out, node, w * values)
-        return out
+        """Cloud-in-cell deposition of per-atom values onto nodes
+        (:meth:`AtomMap.deposit` of :meth:`atom_map`)."""
+        return self.atom_map(positions).deposit(values)
 
     def interpolate(self, nodal: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of a nodal field at arbitrary positions."""
-        nodal = np.asarray(nodal, dtype=float)
-        if nodal.shape != (self.n_nodes,):
-            raise ValueError(f"nodal field must have length {self.n_nodes}")
-        cell, frac = self._locate(positions)
-        out = np.zeros(cell.shape[0])
-        for w, node in self._corners(cell, frac):
-            out += w * nodal[node]
-        return out
-
-    def _corners(self, cell, frac):
-        """The 8 cloud-in-cell corners of located positions: per corner,
-        the trilinear weight of each position and its flat node index."""
-        nx, ny, nz = self.shape
-        for d in range(8):
-            dx, dy, dz = (d >> 2) & 1, (d >> 1) & 1, d & 1
-            w = (
-                (frac[:, 0] if dx else 1 - frac[:, 0])
-                * (frac[:, 1] if dy else 1 - frac[:, 1])
-                * (frac[:, 2] if dz else 1 - frac[:, 2])
-            )
-            i = np.minimum(cell[:, 0] + dx, nx - 1)
-            j = np.minimum(cell[:, 1] + dy, ny - 1)
-            k = np.minimum(cell[:, 2] + dz, nz - 1)
-            yield w, (i * ny + j) * nz + k
+        """Trilinear interpolation of a nodal field at arbitrary positions
+        (:meth:`AtomMap.interpolate` of :meth:`atom_map`)."""
+        return self.atom_map(positions).interpolate(nodal)
 
     def boundary_mask(self, faces: tuple = ("y-", "y+", "z-", "z+")) -> np.ndarray:
         """Boolean mask of the nodes on the named faces.
@@ -178,3 +160,50 @@ class PoissonGrid:
         """Mask of nodes whose x coordinate lies in [x_min, x_max]."""
         x = self.coordinates()[:, 0]
         return (x >= x_min - 1e-9) & (x <= x_max + 1e-9)
+
+
+@dataclass(frozen=True)
+class AtomMap:
+    """Cloud-in-cell map of fixed positions onto the nodes of a grid
+    (:meth:`PoissonGrid.atom_map`).
+
+    Attributes
+    ----------
+    nodes : ndarray of int, shape (8, n_positions)
+        Flat node index of each position's 8 cell corners.
+    weights : ndarray, shape (8, n_positions)
+        Trilinear weight of each corner; a position's weights sum to 1.
+    n_nodes : int
+        Node count of the grid.
+
+    :meth:`deposit` and :meth:`interpolate` are adjoint:
+    ``f @ deposit(v) == v @ interpolate(f)`` up to rounding.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    n_nodes: int
+
+    def deposit(self, values: np.ndarray) -> np.ndarray:
+        """Per-position values spread onto nodes (flat, length n_nodes).
+
+        One ``bincount`` over the corner-major flattened corners: a node
+        sums its contributions corner by corner, position by position.
+        The sum over nodes equals the sum of the values (charge
+        conservation, tested).
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.weights.shape[1:]:
+            raise ValueError("one value per position required")
+        return np.bincount(
+            self.nodes.ravel(), weights=(self.weights * values).ravel(),
+            minlength=self.n_nodes,
+        )
+
+    def interpolate(self, nodal: np.ndarray) -> np.ndarray:
+        """A nodal field read at the positions: the weighted corners,
+        summed corner by corner."""
+        nodal = np.asarray(nodal, dtype=float)
+        if nodal.shape != (self.n_nodes,):
+            raise ValueError(f"nodal field must have length {self.n_nodes}")
+        return np.add.reduce(self.weights * nodal[self.nodes], axis=0)

@@ -112,12 +112,12 @@ class NonlinearPoisson:
         # S J in LAPACK upper band storage, ab[kd + i - j, j] = (S J)[i, j]:
         # every off-diagonal entry sits in a row off the gate (S = -1),
         # and a step rewrites the diagonal row ab[kd] only
-        import scipy.sparse as sp
-
-        upper = sp.triu(self.L_bc, k=1, format="coo")
-        kd = int((upper.col - upper.row).max(initial=0))
+        kept = self.L_bc.tocoo()
+        upper = kept.col > kept.row
+        row, col = kept.row[upper], kept.col[upper]
+        kd = int((col - row).max(initial=0))
         self._band = np.zeros((kd + 1, grid.n_nodes), order="F")
-        self._band[kd + upper.row - upper.col, upper.col] = -upper.data
+        self._band[kd + row - col, col] = -kept.data[upper]
         self._diag_bc = self.L_bc.diagonal()
 
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ Discretises  div( eps_r grad(phi) ) on a :class:`PoissonGrid` with
 
 * per-node relative permittivities (harmonic face averaging, the standard
   finite-volume treatment of dielectric interfaces),
-* Dirichlet nodes (gate electrodes) eliminated symmetrically into the RHS,
+* Dirichlet nodes (gate electrodes) eliminated symmetrically into the RHS
+  (one mask over the operator's triplets),
 * natural (zero-flux Neumann) conditions on all other boundary faces.
 
 The assembled operator L acts on phi in volts and returns
@@ -91,44 +92,33 @@ def assemble_laplacian(
 
 
 def apply_dirichlet(
-    L: sp.csr_matrix,
+    L: sp.spmatrix,
     rhs: np.ndarray,
     mask: np.ndarray,
     values: np.ndarray | float,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Impose phi = values on the masked nodes.
 
-    Rows of the masked nodes are replaced by identity; their known values
-    are moved into the RHS of the remaining equations so the reduced system
-    stays consistent.
+    One mask over the operator's triplets: every entry in a masked row or
+    column is dropped and each masked node gets an identity row; the known
+    values times the dropped columns move into the RHS of the remaining
+    equations, so the reduced system stays consistent and symmetric.
 
     Returns the modified (copy) operator and RHS.
     """
+    import scipy.sparse as sp
+
     mask = np.asarray(mask, dtype=bool)
     n = L.shape[0]
     if mask.shape != (n,):
         raise ValueError("mask length mismatch")
-    rhs = np.array(rhs, dtype=float)
-    vals = np.full(n, 0.0)
+    vals = np.zeros(n)
     vals[mask] = values if np.isscalar(values) else np.asarray(values)[mask]
-
-    L = L.tolil(copy=True)
-    # move known columns into RHS: rhs -= L[:, mask] @ vals[mask]
-    Lc = L.tocsr()
-    rhs = rhs - Lc[:, mask] @ vals[mask]
-    # replace rows and columns
-    Ld = Lc.tolil()
-    for i in np.flatnonzero(mask):
-        Ld.rows[i] = [i]
-        Ld.data[i] = [1.0]
-    Ld = Ld.tocsc()
-    # zero the masked columns in unmasked rows (already moved to RHS)
-    col_mask = np.flatnonzero(mask)
-    for c in col_mask:
-        start, end = Ld.indptr[c], Ld.indptr[c + 1]
-        rows_c = Ld.indices[start:end]
-        keep = rows_c == c
-        Ld.data[start:end][~keep] = 0.0
-    Ld.eliminate_zeros()
+    rhs = np.array(rhs, dtype=float) - L @ vals
     rhs[mask] = vals[mask]
-    return Ld.tocsr(), rhs
+    coo = L.tocoo()
+    keep = ~(mask[coo.row] | mask[coo.col])
+    gate = np.flatnonzero(mask)
+    row, col = (np.concatenate([ix[keep], gate]) for ix in (coo.row, coo.col))
+    data = np.concatenate([coo.data[keep], np.ones(gate.size)])
+    return sp.csr_matrix((data, (row, col)), shape=L.shape), rhs

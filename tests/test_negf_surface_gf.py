@@ -825,7 +825,7 @@ class TestSelfEnergy:
     def test_a_scalar_coupled_pair_inverts_nothing(self, monkeypatch, lead):
         """Leads with ``h01 = c I`` decimate in their mode basis: no
         ``inv``/``solve`` at all, one ``eigh`` of ``h00`` per lead and
-        ``sigma_stacks`` call, whatever the energies and step counts."""
+        ``Contacts``, whatever the energies, step counts and stacks."""
         left, right = biased(lead, 0.5)
         calls = self.linalg_calls(monkeypatch)
         contacts = Contacts(None, lead_left=left, lead_right=right)
@@ -833,7 +833,43 @@ class TestSelfEnergy:
         m = left[0].shape[0]
         assert calls == {"solve": [], "inv": [], "eigh": [(m, m), (m, m)]}
         contacts.sigma_stacks(MIXED_STACK[:3])
-        assert len(calls["eigh"]) == 4
+        assert len(calls["eigh"]) == 2
+
+    def test_the_kept_mode_basis_changes_no_bit_and_no_trip(self, monkeypatch):
+        """A ``Contacts``'s later stacks are ``==`` a fresh ``Contacts``'s,
+        a pickled one carries no basis, and a bad eigenbasis still trips
+        both leads on every stage."""
+        import pickle
+
+        left, right = biased(grid_lead, 0.5)
+
+        def fresh():
+            return Contacts(None, lead_left=left, lead_right=right)
+
+        blank = len(pickle.dumps(fresh()))
+        used = fresh()
+        for stack in (MIXED_STACK, MIXED_STACK[:3], MIXED_STACK[::-1]):
+            for got, want in zip(used.sigma_stacks(stack),
+                                 fresh().sigma_stacks(stack)):
+                assert np.array_equal(got, want)
+        assert len(pickle.dumps(used)) == blank
+        real_eigh = np.linalg.eigh
+
+        def swapped(a, *args, **kwargs):
+            d, u = real_eigh(a, *args, **kwargs)
+            return d, u[:, [1, 0, 2, 3]]
+
+        monkeypatch.setattr(np.linalg, "eigh", swapped)
+        sentinel = HealthSentinel(mode="contain")
+        with use_sentinel(sentinel):
+            bad = fresh()
+            for _ in range(3):
+                bad.sigma_stacks(MIXED_STACK)
+        events = sentinel.events_since(0)
+        assert [(e.site, e.kind) for e in events] == [
+            ("surface_gf", "residual")] * 6
+        assert [e.detail.split()[0] for e in events] == ["side=left",
+                                                        "side=right"] * 3
 
     def test_unequal_lead_cells_do_not_share_a_stack(self):
         left, right = chain_lead(), dimer_lead()

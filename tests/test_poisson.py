@@ -87,6 +87,143 @@ class TestGrid:
         assert m.sum() == 3
 
 
+def corner_loop(grid, positions):
+    """The per-call corner generator the atom map replaced: per corner,
+    each located position's trilinear weight and flat node index."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    rel = (positions - np.array(grid.origin)) / np.array(grid.spacing)
+    n = np.array(grid.shape)
+    cell = np.clip(np.floor(rel).astype(int), 0, np.maximum(n - 2, 0))
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    frac[:, n == 1] = 0.0
+    nx, ny, nz = grid.shape
+    for d in range(8):
+        dx, dy, dz = (d >> 2) & 1, (d >> 1) & 1, d & 1
+        w = (
+            (frac[:, 0] if dx else 1 - frac[:, 0])
+            * (frac[:, 1] if dy else 1 - frac[:, 1])
+            * (frac[:, 2] if dz else 1 - frac[:, 2])
+        )
+        i = np.minimum(cell[:, 0] + dx, nx - 1)
+        j = np.minimum(cell[:, 1] + dy, ny - 1)
+        k = np.minimum(cell[:, 2] + dz, nz - 1)
+        yield w, (i * ny + j) * nz + k
+
+
+def loop_deposit(grid, positions, values):
+    """Cloud-in-cell deposition as one ``np.add.at`` per corner."""
+    out = np.zeros(grid.n_nodes)
+    for w, node in corner_loop(grid, positions):
+        np.add.at(out, node, w * values)
+    return out
+
+
+def loop_interpolate(grid, nodal, positions):
+    """Trilinear interpolation summed corner by corner."""
+    out = np.zeros(len(positions))
+    for w, node in corner_loop(grid, positions):
+        out += w * nodal[node]
+    return out
+
+
+def lil_dirichlet(L, rhs, mask, values):
+    """The Dirichlet elimination the triplet mask replaced: a LIL round
+    trip with a Python loop over the masked rows and columns."""
+    n = L.shape[0]
+    rhs = np.array(rhs, dtype=float)
+    vals = np.full(n, 0.0)
+    vals[mask] = values if np.isscalar(values) else np.asarray(values)[mask]
+    Lc = L.tolil(copy=True).tocsr()
+    rhs = rhs - Lc[:, mask] @ vals[mask]
+    Ld = Lc.tolil()
+    for i in np.flatnonzero(mask):
+        Ld.rows[i] = [i]
+        Ld.data[i] = [1.0]
+    Ld = Ld.tocsc()
+    for c in np.flatnonzero(mask):
+        start, end = Ld.indptr[c], Ld.indptr[c + 1]
+        keep = Ld.indices[start:end] == c
+        Ld.data[start:end][~keep] = 0.0
+    Ld.eliminate_zeros()
+    rhs[mask] = vals[mask]
+    return Ld.tocsr(), rhs
+
+
+ORACLE_GRIDS = {
+    "3d": PoissonGrid((5, 4, 6), (0.3, 0.5, 0.25), (0.1, -0.2, 0.3)),
+    "n=1 axis": PoissonGrid((7, 1, 3), (0.25, 0.4, 0.5), (0.0, 0.1, -0.1)),
+    "chain": PoissonGrid((9, 1, 1), (0.25, 0.25, 0.25)),
+}
+
+
+def oracle_positions(grid, kind, rng):
+    """Positions inside the grid, outside it or exactly on its nodes."""
+    extent = (np.array(grid.shape) - 1) * np.array(grid.spacing)
+    lo = np.array(grid.origin)
+    if kind == "inside":
+        return lo + rng.random((40, 3)) * extent
+    if kind == "outside":
+        return lo + rng.uniform(-1.5, 2.5, (40, 3)) * np.maximum(extent, 1.0)
+    return grid.coordinates()[rng.permutation(grid.n_nodes)[:12]]
+
+
+class TestAtomMap:
+    """One map per set of fixed positions: ``deposit`` / ``interpolate``
+    are ``==`` the per-corner loops they replaced."""
+
+    @pytest.mark.parametrize("kind", ["inside", "outside", "on nodes"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_map_equals_the_corner_loop(self, name, kind):
+        grid = ORACLE_GRIDS[name]
+        rng = np.random.default_rng(11)
+        pos = oracle_positions(grid, kind, rng)
+        amap = grid.atom_map(pos)
+        assert amap.nodes.shape == amap.weights.shape == (8, len(pos))
+        values = rng.normal(size=len(pos))
+        nodal = rng.normal(size=grid.n_nodes)
+        assert np.array_equal(amap.deposit(values),
+                              loop_deposit(grid, pos, values))
+        assert np.array_equal(amap.interpolate(nodal),
+                              loop_interpolate(grid, nodal, pos))
+        assert np.array_equal(grid.deposit(pos, values), amap.deposit(values))
+        assert np.array_equal(grid.interpolate(nodal, pos),
+                              amap.interpolate(nodal))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_deposit_is_the_adjoint_of_interpolate(self, name):
+        grid = ORACLE_GRIDS[name]
+        rng = np.random.default_rng(5)
+        amap = grid.atom_map(oracle_positions(grid, "outside", rng))
+        values = rng.normal(size=amap.weights.shape[1])
+        nodal = rng.normal(size=grid.n_nodes)
+        lhs = nodal @ amap.deposit(values)
+        rhs = values @ amap.interpolate(nodal)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_shape_checks(self):
+        grid = ORACLE_GRIDS["3d"]
+        amap = grid.atom_map(np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            amap.deposit(np.ones(2))
+        with pytest.raises(ValueError):
+            amap.interpolate(np.ones(grid.n_nodes - 1))
+
+    @pytest.mark.parametrize("values", ["scalar", "per node"])
+    @pytest.mark.parametrize("mask", ["random", "face"])
+    def test_dirichlet_mask_equals_the_lil_elimination(self, mask, values):
+        grid = ORACLE_GRIDS["3d"]
+        rng = np.random.default_rng(2)
+        L = assemble_laplacian(grid, rng.uniform(1.0, 12.0, grid.n_nodes))
+        gate = (rng.random(grid.n_nodes) < 0.3 if mask == "random"
+                else grid.boundary_mask(("y-",)))
+        vals = 0.37 if values == "scalar" else rng.normal(size=grid.n_nodes)
+        rhs = rng.normal(size=grid.n_nodes)
+        got, got_rhs = apply_dirichlet(L, rhs, gate, vals)
+        want, want_rhs = lil_dirichlet(L, rhs, gate, vals)
+        assert (got != want).nnz == 0
+        assert np.array_equal(got_rhs, want_rhs)
+
+
 class TestLaplacian:
     def test_row_sums_zero(self):
         """Natural BC operator annihilates constants."""

@@ -631,6 +631,26 @@ class TestOnePoissonOperator:
             assert np.all(phi[built.gate_mask] == v_gate)
         assert [getattr(nonlinear, name).call_count for name in builders] == [1, 1]
 
+    def test_atom_map_is_built_once_per_solver(self, system, monkeypatch):
+        """Every deposit of a density and read-back of a potential goes
+        through the one atom↔node map built beside the operator: five
+        gate voltages and a warm 3-point sweep build no other."""
+        from unittest import mock
+
+        from repro.poisson import PoissonGrid
+
+        built, tc = system
+        builds = mock.Mock(wraps=PoissonGrid.atom_map)
+        monkeypatch.setattr(
+            PoissonGrid, "atom_map", lambda grid, pos: builds(grid, pos)
+        )
+        scf = SelfConsistentSolver(built, tc, max_iterations=2, tol_v=0.5)
+        for v_gate in (-0.2, -0.1, 0.0, 0.1, 0.2):
+            assert scf.run(v_gate, 0.05).n_iterations >= 1
+        curve = IVSweep(scf).transfer_curve([-0.1, 0.0, 0.1], v_drain=0.05)
+        assert len(curve.points) == 3
+        assert builds.call_count == 1
+
     def test_each_run_imposes_its_own_gate_value(self, system):
         """Two gate voltages 4e-7 V apart used to share the solver built
         for the first one (rounded cache key) and its gate value."""
