@@ -5,7 +5,7 @@ Profiles ``solve_batch`` of one 16-energy stack on the 48-block, m=25
 wide device through both transport kernels and prints, per kernel, the
 wall time spent in every call site — LAPACK ``inv`` / ``solve`` /
 ``eigh``, the block ``@`` products of the LU, the contacts' surface GF, the
-health checks (the sentinel's and the invariant monitor's), the
+health checks (the sentinel's numerical and invariant checks), the
 observable contractions, and interpreter glue — as milliseconds and as a
 share of ``solve_batch``.  The table in ``docs/ARCHITECTURE.md`` ("Where
 kernel time goes") is this script's output.

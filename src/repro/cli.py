@@ -242,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_doc.add_argument(
         "--strict", action="store_true",
-        help="escalate invariant violations to PhysicsInvariantError "
-             "(default: record them and continue)",
+        help="run under a strict sentinel: the first numerical trip "
+             "raises NumericalBreakdownError, the first invariant "
+             "violation PhysicsInvariantError (default: record both and "
+             "continue)",
     )
     p_doc.add_argument(
         "--inject-faults", type=int, metavar="SEED", default=None,
@@ -434,19 +436,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_doctor(args) -> int:
     from .core import DistributedTransport, IVSweep, SelfConsistentSolver
-    from .errors import PhysicsInvariantError
+    from .errors import NumericalBreakdownError, PhysicsInvariantError
     from .io import format_si, format_table
-    from .observability import (
-        InvariantMonitor,
-        MetricsRegistry,
-        use_run,
-    )
+    from .observability import HealthSentinel, MetricsRegistry, use_run
     from .parallel import LEVEL_NAMES, CommTrace, TracedComm
 
     built, transport = _transport(args)
     scf = SelfConsistentSolver(built, transport)
     registry = MetricsRegistry()
-    monitor = InvariantMonitor(strict=args.strict)
+    sentinel = HealthSentinel("strict" if args.strict else "contain")
     vgs = np.linspace(args.vg_start, args.vg_stop, args.vg_points)
     trace = CommTrace()
     print(f"doctor : {built.spec.name} ({built.n_atoms} atoms, "
@@ -458,7 +456,7 @@ def _cmd_doctor(args) -> int:
     ))
 
     try:
-        with use_run(metrics=registry, monitor=monitor):
+        with use_run(metrics=registry, sentinel=sentinel):
             # 1. monitored mini-sweep (SCF convergence + kernel invariants)
             curve = IVSweep(scf).transfer_curve(vgs, v_drain=args.vd)
             # 2. modelled 4-level distributed solve for the comm matrix
@@ -472,8 +470,8 @@ def _cmd_doctor(args) -> int:
                 ),
                 args.vd, comm, n_ranks=args.ranks,
             )
-            organic_violations = monitor.n_violations
-            # 3. fault drill: corrupt a density and verify the monitor
+            organic_violations = sentinel.n_violations
+            # 3. fault drill: corrupt a density and verify the sentinel
             #    flags it in metrics without killing the run (non-strict)
             if args.inject_faults is not None:
                 from .resilience import FaultInjector
@@ -487,14 +485,14 @@ def _cmd_doctor(args) -> int:
                 if mode == "nan":
                     broken = nan_like(np.ones(built.n_atoms))
                     try:
-                        monitor.check_density(broken, drill="injected")
+                        sentinel.check_density(broken, drill="injected")
                         print("fault drill: injected NaN density recorded "
                               "as a violation; run continued (non-strict)")
                     except PhysicsInvariantError as exc:
                         print(f"fault drill: strict mode escalated as "
                               f"designed ({exc})")
-    except PhysicsInvariantError as exc:
-        print(f"doctor : FAIL (strict invariant escalation: {exc})")
+    except (NumericalBreakdownError, PhysicsInvariantError) as exc:
+        print(f"doctor : FAIL (strict escalation: {exc})")
         return 1
 
     snap = registry.snapshot()
@@ -522,14 +520,9 @@ def _cmd_doctor(args) -> int:
     # --- invariant verdicts -------------------------------------------
     checks = snap.total("invariant.checks")
     print(f"checks : {int(checks)} invariant evaluations")
-    print(monitor.summary())
+    print(sentinel.summary())
 
     # --- self-healing account -----------------------------------------
-    from .resilience import get_sentinel
-
-    sentinel = get_sentinel()
-    print(f"health : sentinel mode={sentinel.mode}, "
-          f"{sentinel.n_trips} lifetime trip(s)")
     print(curve.degradation.summary())
 
     # --- per-level communication matrix -------------------------------
@@ -556,7 +549,7 @@ def _cmd_doctor(args) -> int:
         print(f"doctor : FAIL ({organic_violations} organic invariant "
               f"violation(s))")
         return 1
-    print(f"doctor : OK ({monitor.n_violations - organic_violations} "
+    print(f"doctor : OK ({sentinel.n_violations - organic_violations} "
           f"drill violation(s))")
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SCFConvergenceError
-from ..observability.telemetry import get_metrics, get_monitor
+from ..observability.telemetry import get_metrics
 from ..perf.flops import FlopCounter
 from ..poisson.charge import QuantumCorrectedCharge, SemiclassicalCharge
 from ..poisson.nonlinear import AndersonMixer, NonlinearPoisson
@@ -309,10 +309,9 @@ class SelfConsistentSolver:
             metrics.observe(
                 "scf.iterations_per_bias", float(len(residuals))
             )
-        monitor = get_monitor()
         labels = {"v_gate": f"{v_gate:.4g}", "v_drain": f"{v_drain:.4g}"}
-        monitor.check_density(final.density_per_atom, **labels)
-        monitor.check_charge_neutrality(
+        sentinel.check_density(final.density_per_atom, **labels)
+        sentinel.check_charge_neutrality(
             float(np.sum(final.density_per_atom)),
             float(np.sum(self.built.donors_per_atom)),
             **labels,

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .. import env
-from ..errors import DegradationBudgetError, PhysicsInvariantError
+from ..errors import DegradationBudgetError
 from ..negf.observables import carrier_density, landauer_current, orbital_to_atom
 from ..negf.rgf import RGFSolver
 from ..observability.telemetry import (
@@ -347,7 +347,7 @@ class TransportCalculation:
         unpickles as its spec and records the chunk under; each worker's
         delta is merged back here in chunk order
         (:func:`~repro.observability.telemetry.merge_delta`) — spans,
-        metrics, sentinel trips, monitor violations and the faults a
+        metrics, the sentinel's trips and violations, and the faults a
         planted solver fired — so the parent's recorder and injector end
         up exactly as a serial run leaves them, before :meth:`_KPoint.solve`
         reads its sentinel marker.  With metrics live, a pooled dispatch
@@ -717,7 +717,7 @@ class _KPoint:
         marker = sentinel.marker()
         try:
             stack = self.calc._run_backend(self.solver, energies)
-        except (DegradationBudgetError, PhysicsInvariantError):
+        except DegradationBudgetError:
             raise
         except LADDER_EXCEPTIONS:
             if not contain:
@@ -791,7 +791,7 @@ class _KPoint:
                 )
                 if not (climb and bad):
                     return res
-            except (DegradationBudgetError, PhysicsInvariantError):
+            except DegradationBudgetError:
                 raise
             except LADDER_EXCEPTIONS:
                 if not climb:

@@ -129,8 +129,8 @@ class DegradationBudgetError(ReproError):
 class PhysicsInvariantError(ReproError):
     """A physics invariant was violated beyond tolerance (strict mode).
 
-    Raised only by a strict :class:`repro.observability.InvariantMonitor`;
-    the monitor every run has by default is non-strict: it records the
+    Raised only by a ``strict`` :class:`repro.observability.HealthSentinel`;
+    the sentinel every run has by default is ``contain``: it records the
     violation (and the ``invariant.*`` metrics) and lets the run
     continue.
 

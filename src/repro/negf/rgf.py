@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..observability.telemetry import get_monitor, trace_span
+from ..observability.telemetry import trace_span
 from ..resilience.health import finite_rows, get_sentinel
 from ..solvers.block_tridiagonal import BlockTridiagLU, _diagonal_flops
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
@@ -351,8 +351,8 @@ class RGFSolver(KernelSolver):
         :meth:`repro.wf.WFSolver.kernel_stage`) — charged the reference
         selected inversion it stands for, ``block_lu.diagonal`` — and the
         open-channel counts one stacked ``eigvalsh`` per contact.
-        The run's monitor checks the stack's invariants, one reduction
-        each (:meth:`repro.observability.InvariantMonitor.check_stack`).
+        The run's sentinel checks the stack's invariants, one reduction
+        each (:meth:`repro.observability.HealthSentinel.check_stack`).
         One column-sized array is alive at a time besides
         the factor's ``dinv`` (docs/PARALLELISM.md "The stack budget").
         """
@@ -385,5 +385,5 @@ class RGFSolver(KernelSolver):
             n_channels_left=open_channels(np.linalg.eigvalsh(gam_l)),
             n_channels_right=open_channels(np.linalg.eigvalsh(gam_r)),
         )
-        get_monitor().check_stack("rgf", stack, gam_l, gam_r)
+        get_sentinel().check_stack("rgf", stack, gam_l, gam_r)
         return stack

@@ -5,11 +5,10 @@ analytically counted flops / wall time (the Gordon Bell convention).
 This package is the measurement substrate of the reproduction:
 
 * :class:`Recorder` / :func:`use_run` — the one run recorder: tracer,
-  metrics, event stream, invariant monitor and health sentinel in one
-  frozen object in one process-wide slot; :func:`get_tracer`,
-  :func:`get_metrics`, :func:`get_events`, :func:`get_monitor`,
-  :func:`get_sentinel` read it, and :func:`use_tracer`,
-  :func:`use_metrics`, :func:`use_events`, :func:`use_monitor`,
+  metrics, event stream and safety net in one frozen object in one
+  process-wide slot; :func:`get_tracer`, :func:`get_metrics`,
+  :func:`get_events`, :func:`get_sentinel` read it, and
+  :func:`use_tracer`, :func:`use_metrics`, :func:`use_events`,
   :func:`use_sentinel` scope one field of it.
 * :class:`Tracer` / :func:`trace_span` — hierarchical, exception-safe,
   thread-safe phase spans with wall-time and counted-flop attribution;
@@ -24,18 +23,22 @@ This package is the measurement substrate of the reproduction:
   counters, gauges, log-linear histograms and convergence series with
   labels, snapshot/merge/diff and JSON export (``--metrics FILE``);
   the default is a zero-overhead :class:`NullMetrics`.
-* :class:`InvariantMonitor` — continuous physics monitors (current
+* :class:`HealthSentinel` — the run's one safety net, one mode
+  (``off`` / ``contain`` / ``strict``) and one bounded ledger for both
+  kinds of check: numerical-health trips of the hot kernels (NaN/Inf,
+  ill-conditioning, residuals) and physics invariants (current
   conservation, transmission bounds, density non-negativity, charge
   neutrality, Γ Hermiticity) evaluated inside the kernels, one
   reduction per invariant over each result stack, on every run (the
-  recorder's default monitor is a non-strict one); violations are
-  recorded into the metrics registry, or raised as
+  recorder's default sentinel is a ``contain`` one); both are recorded
+  into the metrics registry, or raised as
+  :class:`repro.errors.NumericalBreakdownError` /
   :class:`repro.errors.PhysicsInvariantError` in strict mode.
 * :mod:`~repro.observability.telemetry` — the recorder and
   cross-process telemetry: :func:`capture_telemetry` /
   :func:`merge_delta` record a pool chunk under the parent recorder's
-  spec and fold spans, metrics, sentinel trips, monitor violations and
-  fired faults back into the parent (exact on every backend, unified
+  spec and fold spans, metrics, the sentinel's trips and violations,
+  and fired faults back into the parent (exact on every backend, unified
   whole-run Chrome traces), and
   :class:`TelemetryWriter` streams typed JSONL progress events
   (``--events FILE``) that ``repro top`` renders live.
@@ -65,7 +68,7 @@ Typical use::
     print(PerfReport.from_tracer(tracer).summary())
 """
 
-from .invariants import InvariantMonitor, InvariantViolation
+from .invariants import HealthSentinel, InvariantViolation
 from .metrics import (
     NULL_METRICS,
     LogLinearHistogram,
@@ -86,7 +89,6 @@ from .telemetry import (
     capture_telemetry,
     get_events,
     get_metrics,
-    get_monitor,
     get_run,
     get_sentinel,
     get_tracer,
@@ -97,7 +99,6 @@ from .telemetry import (
     trace_span,
     use_events,
     use_metrics,
-    use_monitor,
     use_run,
     use_sentinel,
     use_tracer,
@@ -131,11 +132,9 @@ __all__ = [
     "get_metrics",
     "use_metrics",
     "metric_key",
-    # physics invariants
-    "InvariantMonitor",
+    # the safety net
+    "HealthSentinel",
     "InvariantViolation",
-    "get_monitor",
-    "use_monitor",
     # cross-process telemetry and live event stream
     "TelemetryDelta",
     "TelemetryWriter",

@@ -1,14 +1,30 @@
-"""Continuous physics-invariant monitors evaluated during runs.
+"""The run's one safety net: numerical health and physics invariants.
 
-A transport code can go numerically wrong while still returning finite
-numbers — a transmission above the channel count, a slab interface that
-leaks current, a Γ matrix that stopped being Hermitian.  At 221k cores
-nobody eyeballs T(E) curves, so the production answer is *continuous
-monitoring*: cheap invariant checks evaluated inside the kernels on every
-solve, recording violations into the metrics registry
-(:mod:`repro.observability.metrics`) instead of crashing.
+A transport code can go wrong in two ways that do not throw.  It can
+break down numerically — a NaN deep in a block-LU factor, a surface-GF
+fixed point whose residual stopped contracting, a Schur complement whose
+condition number exploded near a band edge — or it can return finite
+numbers that break the physics: a transmission above the channel count, a
+slab interface that leaks current, a Γ matrix that stopped being
+Hermitian.  At 221k cores nobody eyeballs T(E) curves, so every solve
+checks both itself, and one :class:`HealthSentinel` — the ``sentinel`` of
+the run recorder, :func:`repro.observability.get_sentinel` — accounts
+both in one :class:`Ledger`:
 
-The monitored invariants (all from the ballistic NEGF/QTBM theory):
+* **numerical trips** (:meth:`HealthSentinel.trip`,
+  :meth:`~HealthSentinel.check_residual`), keyed ``"site:kind"``, counted
+  as ``health.<site>.<kind>`` and kept as :class:`HealthEvent` records;
+  only these drive the degradation ladder
+  (:meth:`~HealthSentinel.trips_since`);
+* **invariant violations**, keyed ``"invariant:<name>"``, counted as
+  ``invariant.violations{invariant=...}`` and kept as
+  :class:`InvariantViolation` records.  The kernels hand the sentinel
+  their whole result stack (:meth:`HealthSentinel.check_stack`): each
+  invariant is one reduction over the ``(B, ...)`` arrays, one
+  ``invariant.checks{invariant=...}`` increment counts the energies that
+  pass it, and only a violating energy is recorded, with its own energy.
+
+The invariants (all from the ballistic NEGF/QTBM theory):
 
 * **current conservation** — the left-injected probability current is
   equal across every slab interface (WF kernel);
@@ -21,17 +37,12 @@ The monitored invariants (all from the ballistic NEGF/QTBM theory):
   anti-Hermitian part of the contact self-energy must itself be Hermitian
   with non-negative trace (causality of the retarded GF).
 
-Every run is monitored: the ``monitor`` of the run recorder,
-:func:`repro.observability.get_monitor`, is a non-strict
-:class:`InvariantMonitor` unless a scope installs another.  The kernels
-hand it their whole result stack (:meth:`InvariantMonitor.check_stack`):
-each invariant is one reduction over the ``(B, ...)`` arrays, one
-``invariant.checks{invariant=...}`` increment counts the energies that
-pass it, and only a violating energy is recorded, with its own energy,
-as an ``invariant.violations{invariant=...}`` counter plus a local
-:class:`InvariantViolation` record.  ``strict=True`` escalates every
-violation to :class:`repro.errors.PhysicsInvariantError` — the mode CI
-uses to turn silent physics rot into red builds.
+One mode covers both kinds of check: ``"off"`` checks nothing,
+``"contain"`` (the default) records and lets the degradation ladder heal
+a tripped energy, ``"strict"`` raises at the first trip
+(:class:`repro.errors.NumericalBreakdownError`) or violation
+(:class:`repro.errors.PhysicsInvariantError`) — the mode CI uses to turn
+silent rot into red builds.
 """
 
 from __future__ import annotations
@@ -43,16 +54,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PhysicsInvariantError
+from ..errors import NumericalBreakdownError, PhysicsInvariantError
 
-__all__ = ["Ledger", "InvariantViolation", "InvariantMonitor"]
+__all__ = ["Ledger", "HealthEvent", "InvariantViolation", "HealthSentinel"]
+
+_MODES = ("off", "contain", "strict")
+#: Ledger key prefix of an invariant violation.
+_INVARIANT = "invariant:"
 
 
 def _active_metrics():
     """The active metrics registry, looked up at call time: the recorder
-    module imports this one for its default monitor, and the package
-    imports the recorder module first (a module lookup, not an import
-    statement on every check)."""
+    module imports this one for its default sentinel, so this one cannot
+    import it back, and the package has imported it before any check
+    runs (a module lookup, not an import statement on every check)."""
     return sys.modules[f"{__package__}.telemetry"].get_metrics()
 
 
@@ -64,9 +79,12 @@ class Ledger:
     dropped, never its count.  :meth:`marker` snapshots the account and
     :meth:`since` reads what was recorded after a snapshot, so nested
     windows each see exactly their own events; :meth:`absorb` adds what
-    another ledger recorded (a pool worker's copy).  The health
-    sentinel's trips, the invariant monitor's violations and a fault
-    injector's fired faults are each one ledger.
+    another ledger recorded (a pool worker's copy).  The safety net's
+    trips and violations are one ledger, a fault injector's fired faults
+    another.  A ledger pickles as its counts alone: a pool worker's copy
+    keeps room for every record it adds, so the records a chunk ships
+    back — a fired ``once`` fault's key among them — never depend on how
+    full the parent's ledger was.
 
     Example
     -------
@@ -88,7 +106,7 @@ class Ledger:
         self._lock = threading.Lock()
 
     def __getstate__(self):
-        return self.records, self.counts, self.total
+        return [], self.counts, self.total
 
     def __setstate__(self, state):
         self.records, self.counts, self.total = state
@@ -127,6 +145,18 @@ class Ledger:
 
 
 @dataclass(frozen=True)
+class HealthEvent:
+    """One numerical trip: *where* (site), *what* (kind), *how bad*
+    (value), and for how many energies of a stacked check (count)."""
+
+    site: str
+    kind: str
+    value: float = float("nan")
+    detail: str = ""
+    count: int = 1
+
+
+@dataclass(frozen=True)
 class InvariantViolation:
     """One recorded invariant violation."""
 
@@ -145,34 +175,45 @@ class InvariantViolation:
         )
 
 
-class InvariantMonitor:
-    """Evaluates physics invariants and accounts their violations.
+class HealthSentinel:
+    """The run's safety net: numerical trips and invariant violations in
+    one ledger (thread safe).
 
-    Every check takes a stack — ``(B, ...)`` arrays, one row per energy —
-    or a single row of one, a stack of one.
+    Every invariant check takes a stack — ``(B, ...)`` arrays, one row
+    per energy — or a single row of one, a stack of one.
 
     Parameters
     ----------
-    strict : bool
-        True raises :class:`repro.errors.PhysicsInvariantError` on the
-        first violation; False (default) records and continues.
+    mode : {"off", "contain", "strict"}
+        ``"off"`` checks nothing; ``"contain"`` records trips for the
+        degradation ladder and violations for the account;
+        ``"strict"`` raises :class:`NumericalBreakdownError` at the first
+        trip and :class:`PhysicsInvariantError` at the first violation.
 
-    The tolerances are class constants (``TOL_*``), the same for every
-    run.  Violations go into one :class:`Ledger` keyed by invariant:
-    :attr:`violations` keeps the first :attr:`Ledger.MAX_RECORDS`;
-    :attr:`n_violations` and the ``invariant.violations`` counters keep
-    counting past it.  :meth:`marker` / :meth:`violations_since` read
-    the ledger's snapshots, as the health sentinel's do.
+    The thresholds and tolerances are class constants, the same for
+    every run.  The ledger keeps the first :attr:`Ledger.MAX_RECORDS`
+    records of both kinds; its counts — :attr:`n_trips`,
+    :meth:`trips_since`, :attr:`n_violations` — are exact past that
+    bound.  A sentinel pickles as its mode: the copy a pool worker
+    unpickles starts an empty ledger, and the parent takes the worker's
+    records back with :meth:`absorb`.
 
     Example
     -------
-    >>> m = InvariantMonitor()
-    >>> m.check_transmission(2.5, n_modes=2)
+    >>> s = HealthSentinel()
+    >>> s.check_density([1.0, -1.0])
     False
-    >>> m.violations[0].invariant
-    'transmission_bounds'
+    >>> s.violations[0].invariant, s.n_trips
+    ('density_nonnegative', 0)
     """
 
+    #: 1-norm condition estimate above which a factorization is flagged
+    #: ill-conditioned — far above anything a healthy nanowire
+    #: Hamiltonian produces at double precision.
+    COND_THRESHOLD = 1e12
+    #: Relative residual above which a converged-looking fixed point is
+    #: flagged (Sancho-Rubio residuals sit near 1e-12).
+    RESIDUAL_THRESHOLD = 1e-6
     #: Allowed relative spread of the interface currents (loose enough
     #: that eta-broadening absorption along the device does not flag).
     TOL_CURRENT = 1e-5
@@ -189,58 +230,120 @@ class InvariantMonitor:
     #: bias.
     TOL_NEUTRALITY = 4.605
 
-    def __init__(self, strict: bool = False):
-        self.strict = strict
+    def __init__(self, mode: str = "contain"):
+        if mode not in _MODES:
+            raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
+        self.mode = mode
         self.ledger = Ledger()
 
     def __reduce__(self):
-        # a monitor pickles as its mode: a pool worker's copy starts an
-        # empty ledger, the parent absorbs what it records
-        return type(self), (self.strict,)
+        return type(self), (self.mode,)
 
-    def absorb(self, violations, counts: dict) -> None:
-        """Account what a pool worker's copy recorded: its kept
-        ``violations`` and its per-invariant ``counts`` (already counted
-        in its metrics delta; a strict copy raised there)."""
-        self.ledger.absorb(violations, counts)
+    # -- state ---------------------------------------------------------
+
+    @property
+    def enabled(self) -> bool:
+        return self.mode != "off"
+
+    @property
+    def strict(self) -> bool:
+        return self.mode == "strict"
 
     def marker(self) -> tuple:
-        """Snapshot of the violation ledger; pass to
+        """Snapshot of the ledger; pass to :meth:`trips_since` or
         :meth:`violations_since`."""
         return self.ledger.marker()
+
+    def absorb(self, records, counts: dict) -> None:
+        """Account what a pool worker's copy recorded: its kept
+        ``records`` and its ``counts``.
+
+        They neither raise (a strict copy raised in the worker) nor count
+        ``health.*`` / ``invariant.*`` again (the worker's metrics delta
+        carries those).
+        """
+        self.ledger.absorb(records, counts)
+
+    def trips_since(self, marker=0) -> dict:
+        """Exact numerical trip counts keyed ``"site:kind"`` recorded
+        after ``marker`` — never a violation: the degradation ladder
+        reads these."""
+        return {key: n for key, n in self.ledger.since(marker)[1].items()
+                if not key.startswith(_INVARIANT)}
+
+    def violations_since(self, marker=0) -> list[InvariantViolation]:
+        """The kept violations recorded after ``marker``, in order."""
+        return [r for r in self.ledger.since(marker)[0]
+                if isinstance(r, InvariantViolation)]
 
     @property
     def violations(self) -> list[InvariantViolation]:
         """The kept violations, the first ones, in order."""
-        return self.ledger.records
+        return self.violations_since()
 
     @property
     def n_violations(self) -> int:
-        """Number of violations recorded so far, kept or not."""
-        return self.ledger.total
+        """Violations recorded so far, kept or not."""
+        return sum(n for key, n in self.ledger.since()[1].items()
+                   if key.startswith(_INVARIANT))
 
-    def violations_since(self, marker=0) -> list[InvariantViolation]:
-        """The kept violations recorded after ``marker``, in order."""
-        return self.ledger.since(marker)[0]
+    @property
+    def n_trips(self) -> int:
+        """Numerical trips recorded so far, kept or not."""
+        return self.ledger.total - self.n_violations
 
     def summary(self) -> str:
-        """Digest for the doctor CLI: 'ok' or the violation list."""
-        if not self.n_violations:
-            return "invariants: all checks passed"
-        lines = [f"invariants: {self.n_violations} violation(s)"]
+        """Digest for the doctor CLI: the trips by key, then 'all checks
+        passed' or the violation list."""
+        trips = self.trips_since()
+        body = ", ".join(f"{k}={v}" for k, v in sorted(trips.items()))
+        head = f"health[{self.mode}]: " + (
+            f"{self.n_trips} trips ({body})" if trips else "no trips")
+        n = self.n_violations
+        if not n:
+            return f"{head}; invariants: all checks passed"
+        lines = [head, f"invariants: {n} violation(s)"]
         lines += [f"  - {v.describe()}" for v in self.violations[:8]]
-        if self.n_violations > 8:
-            lines.append(f"  ... and {self.n_violations - 8} more")
+        if n > 8:
+            lines.append(f"  ... and {n - 8} more")
         return "\n".join(lines)
 
-    # -- accounting ----------------------------------------------------
+    # -- numerical trips -----------------------------------------------
+
+    def trip(self, site: str, kind: str, value: float = float("nan"),
+             detail: str = "", count: int = 1) -> None:
+        """Record one health violation — of ``count`` energies, for a
+        stacked check, so the ledger counts energies however they were
+        stacked; raise in strict mode."""
+        self.ledger.add(f"{site}:{kind}",
+                        HealthEvent(site, kind, float(value), detail, count),
+                        count)
+        metrics = _active_metrics()
+        if metrics.enabled:
+            metrics.inc(f"health.{site}.{kind}", float(count))
+        if self.strict:
+            raise NumericalBreakdownError(
+                f"health sentinel [{site}] tripped: {kind} (value={value:.3e}) {detail}".strip()
+            )
+
+    def check_residual(self, site: str, residual: float, detail: str = "") -> bool:
+        """True when a post-solve residual is acceptably small."""
+        if not np.isfinite(residual):
+            self.trip(site, "nonfinite", value=residual, detail=detail)
+            return False
+        if residual > self.RESIDUAL_THRESHOLD:
+            self.trip(site, "residual", value=residual, detail=detail)
+            return False
+        return True
+
+    # -- invariant accounting ------------------------------------------
 
     def _violate(self, invariant: str, value: float, threshold: float,
                  **context) -> None:
         violation = InvariantViolation(
             invariant, value, float(threshold), tuple(sorted(context.items())),
         )
-        self.ledger.add(invariant, violation)
+        self.ledger.add(_INVARIANT + invariant, violation)
         metrics = _active_metrics()
         if metrics.enabled:
             metrics.inc("invariant.violations", 1.0, invariant=invariant)
@@ -252,7 +355,8 @@ class InvariantMonitor:
             )
 
     def _account(self, checks, energies=None, **context) -> bool:
-        """Account the ``checks`` of one stack; True when all pass.
+        """Account the ``checks`` of one stack; True when all pass (and
+        always when the sentinel is off).
 
         A check is ``(invariant, threshold, ok, defect, rows, extra)``:
         the per-row verdict and defect of one reduction, the stack rows
@@ -262,6 +366,8 @@ class InvariantMonitor:
         ``checks``, with the row's energy when ``energies`` are given,
         and a non-finite defect as inf.
         """
+        if not self.enabled:
+            return True
         passed: dict[str, int] = {}
         failed = []
         for order, (invariant, _, ok, _, rows, _) in enumerate(checks):
@@ -350,8 +456,11 @@ class InvariantMonitor:
         ``(B, m, m)`` broadening stacks.  Per energy, in this order: Γ of
         each contact; T within [0, open modes] and (WF) the interface
         current spread on the energies with open modes in both leads;
-        the spectral density injected from each contact.
+        the spectral density injected from each contact.  Off, it reduces
+        nothing.
         """
+        if not self.enabled:
+            return True
         modes = np.minimum(stack.n_channels_left, stack.n_channels_right)
         # below the band edge (zero open channels) eta-broadening leaves
         # a tiny positive T; the bounds only bind with modes
@@ -377,36 +486,18 @@ class InvariantMonitor:
         """Account one ``(invariant, threshold, ok, defect)`` reduction."""
         return self._account([(*check, None, {})], **context)
 
-    def check_current_conservation(self, interface_currents, transmission,
-                                   **context) -> bool:
-        """Interface currents equal (= T) across every slab boundary."""
-        currents = np.asarray(interface_currents, dtype=float)
-        return self._check(self._current(
-            currents.reshape(-1, currents.shape[-1]),
-            np.atleast_1d(transmission),
-        ), **context)
-
-    def check_transmission(self, transmission, n_modes, **context) -> bool:
-        """0 <= T(E) <= number of open modes."""
-        t = np.atleast_1d(np.asarray(transmission, dtype=float))
-        return self._check(self._transmission(t, np.asarray(n_modes)),
-                           **context)
-
     def check_density(self, density, **context) -> bool:
         """Carrier/spectral density finite and non-negative."""
         d = np.asarray(density)
         return self._check(self._density(d.reshape(-1, d.shape[-1])),
                            **context)
 
-    def check_gamma(self, gamma, **context) -> bool:
-        """Γ from the anti-Hermitian part of Σ: Hermitian, trace >= 0."""
-        g = np.asarray(gamma)
-        return self._check(self._gamma(g.reshape((-1,) + g.shape[-2:])),
-                           **context)
-
     def check_charge_neutrality(self, n_electrons: float, n_donors: float,
                                 **context) -> bool:
-        """Integrated electrons within two decades of the donor count."""
+        """Integrated electrons within two decades of the donor count
+        (and the ``scf.neutrality_log_residual`` gauge, unless off)."""
+        if not self.enabled:
+            return True
         residual = 0.0
         if not math.isfinite(float(n_electrons)):
             residual = math.inf

@@ -1,19 +1,18 @@
 """The run recorder and cross-process telemetry.
 
 Everything a run records goes into one :class:`Recorder`: the tracer,
-the metrics registry, the live event stream, the invariant monitor and
-the health sentinel.  One module-level recorder is the active one —
-the process's one instrument slot.  :func:`use_run` scopes a
-replacement (``with use_run(tracer=Tracer(), monitor=InvariantMonitor()):``),
+the metrics registry, the live event stream and the safety net (the
+:class:`~repro.observability.invariants.HealthSentinel`).  One
+module-level recorder is the active one — the process's one instrument
+slot.  :func:`use_run` scopes a replacement
+(``with use_run(tracer=Tracer(), sentinel=HealthSentinel("strict")):``),
 and what the instrumented kernels call — :func:`get_tracer`,
-:func:`get_metrics`, :func:`get_events`, :func:`get_monitor`,
-:func:`get_sentinel`, :func:`trace_span`, :func:`add_flops` — are
-one-line views of it.  The tracer, metrics and event stream default
-to null instruments, so a site pays one branch when nothing records;
-the monitor defaults to a non-strict
-:class:`repro.observability.InvariantMonitor` and the sentinel to a
-``contain``-mode :class:`HealthSentinel`, so every run checks its
-physics invariants and its numerical health.
+:func:`get_metrics`, :func:`get_events`, :func:`get_sentinel`,
+:func:`trace_span`, :func:`add_flops` — are one-line views of it.  The
+tracer, metrics and event stream default to null instruments, so a site
+pays one branch when nothing records; the sentinel defaults to
+``contain`` mode, so every run checks its numerical health and its
+physics invariants.
 
 Three more things live here:
 
@@ -21,14 +20,14 @@ Three more things live here:
    process: whatever the parent installed after the pool started never
    reaches it, and whatever it records dies with it.  So a recorder
    pickles as its *spec* — whether the tracer and metrics are live, the
-   monitor's and the sentinel's mode; the event writer is null
-   in a worker — and every pooled chunk runs under
+   sentinel's mode; the event writer is null in a worker — and every
+   pooled chunk runs under
    :func:`capture_telemetry` of the spec it was shipped with.  The
    :class:`TelemetryDelta` it returns carries the chunk's spans,
-   metrics and flops, and the growth of its three ledgers
+   metrics and flops, and the growth of its two ledgers
    (:class:`repro.observability.invariants.Ledger`): the faults a
-   planted injector fired, the sentinel's trips and the monitor's
-   violations, each one ``(records, counts)`` pair.
+   planted injector fired and the sentinel's trips and violations,
+   each one ``(records, counts)`` pair.
    :func:`merge_delta` folds it into the parent's recorder in chunk
    order, so counters and ledgers are exactly what a serial run
    records, and merged spans land in the parent tracer with worker
@@ -70,32 +69,25 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from ..errors import NumericalBreakdownError
-from .invariants import InvariantMonitor, Ledger
+from .invariants import HealthSentinel, Ledger
 from .metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
 from .tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "EVENT_TYPES",
     "EVENT_SCHEMA_VERSION",
-    "HealthEvent",
-    "HealthSentinel",
     "Recorder",
     "get_run",
     "use_run",
     "get_tracer",
     "get_metrics",
     "get_events",
-    "get_monitor",
     "get_sentinel",
     "trace_span",
     "add_flops",
     "use_tracer",
     "use_metrics",
     "use_events",
-    "use_monitor",
     "use_sentinel",
     "TelemetryDelta",
     "TelemetryCapture",
@@ -125,154 +117,6 @@ EVENT_TYPES = (
     "chunk_retired",
     "run_finished",
 )
-
-_MODES = ("off", "contain", "strict")
-
-
-# ---------------------------------------------------------------------------
-# the health sentinel
-
-
-@dataclass(frozen=True)
-class HealthEvent:
-    """One sentinel trip: *where* (site), *what* (kind), *how bad* (value),
-    and for how many energies of a stacked check (count)."""
-
-    site: str
-    kind: str
-    value: float = float("nan")
-    detail: str = ""
-    count: int = 1
-
-
-class HealthSentinel:
-    """Numerical-health observer of a run (thread safe).
-
-    Parameters
-    ----------
-    mode : {"off", "contain", "strict"}
-        ``"contain"`` records trips for the degradation ladder;
-        ``"strict"`` raises :class:`NumericalBreakdownError` immediately.
-
-    Trips go into one :class:`~repro.observability.invariants.Ledger`
-    keyed ``"site:kind"``: the first :attr:`Ledger.MAX_RECORDS` trip
-    events are kept, the counts (:attr:`n_trips`, :meth:`trips_since`)
-    are exact past that bound.  A sentinel pickles as its mode: the copy
-    a pool worker unpickles starts an empty ledger, and the parent takes
-    the worker's trips back with :meth:`absorb`.
-    """
-
-    #: 1-norm condition estimate above which a factorization is flagged
-    #: ill-conditioned — far above anything a healthy nanowire
-    #: Hamiltonian produces at double precision.
-    COND_THRESHOLD = 1e12
-    #: Relative residual above which a converged-looking fixed point is
-    #: flagged (Sancho-Rubio residuals sit near 1e-12).
-    RESIDUAL_THRESHOLD = 1e-6
-
-    def __init__(self, mode: str = "contain"):
-        if mode not in _MODES:
-            raise ValueError(f"unknown sentinel mode {mode!r}; pick from {_MODES}")
-        self.mode = mode
-        self.ledger = Ledger()
-
-    def __reduce__(self):
-        return type(self), (self.mode,)
-
-    # -- state ---------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    @property
-    def strict(self) -> bool:
-        return self.mode == "strict"
-
-    @property
-    def n_trips(self) -> int:
-        """Trips recorded so far, kept or not."""
-        return self.ledger.total
-
-    def marker(self) -> tuple:
-        """Snapshot of the trip ledger; pass to :meth:`trips_since`."""
-        return self.ledger.marker()
-
-    def events_since(self, marker=0) -> list[HealthEvent]:
-        """The kept trip events recorded after ``marker``, in order."""
-        return self.ledger.since(marker)[0]
-
-    def trips_since(self, marker=0) -> dict:
-        """Exact trip counts keyed ``"site:kind"`` recorded after
-        ``marker``."""
-        return self.ledger.since(marker)[1]
-
-    def absorb(self, events, counts: dict) -> None:
-        """Account the trips a pool worker's copy recorded: its kept
-        ``events`` and its ``counts``.
-
-        They neither raise (a strict copy raised in the worker) nor count
-        ``health.*`` again (the worker's metrics delta carries those).
-        """
-        self.ledger.absorb(events, counts)
-
-    def reset(self) -> None:
-        """Empty the trip ledger."""
-        self.ledger = Ledger()
-
-    # -- trip + checks -------------------------------------------------
-
-    def trip(self, site: str, kind: str, value: float = float("nan"),
-             detail: str = "", count: int = 1) -> None:
-        """Record one health violation — of ``count`` energies, for a
-        stacked check, so the ledger counts energies however they were
-        stacked; raise in strict mode."""
-        event = HealthEvent(site, kind, float(value), detail, count)
-        self.ledger.add(f"{site}:{kind}", event, count)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc(f"health.{site}.{kind}", float(count))
-        if self.strict:
-            raise NumericalBreakdownError(
-                f"health sentinel [{site}] tripped: {kind} (value={value:.3e}) {detail}".strip()
-            )
-
-    def check_finite(self, site: str, *arrays, detail: str = "") -> bool:
-        """True when every array is fully finite; trips ``nonfinite`` otherwise."""
-        for arr in arrays:
-            a = np.asarray(arr)
-            if a.size and not np.all(np.isfinite(a)):
-                self.trip(site, "nonfinite", detail=detail)
-                return False
-        return True
-
-    def check_condition(self, site: str, cond: float, detail: str = "") -> bool:
-        """True when the condition estimate is below threshold."""
-        if not np.isfinite(cond):
-            self.trip(site, "nonfinite", value=cond, detail=detail)
-            return False
-        if cond > self.COND_THRESHOLD:
-            self.trip(site, "ill_conditioned", value=cond, detail=detail)
-            return False
-        return True
-
-    def check_residual(self, site: str, residual: float, detail: str = "") -> bool:
-        """True when a post-solve residual is acceptably small."""
-        if not np.isfinite(residual):
-            self.trip(site, "nonfinite", value=residual, detail=detail)
-            return False
-        if residual > self.RESIDUAL_THRESHOLD:
-            self.trip(site, "residual", value=residual, detail=detail)
-            return False
-        return True
-
-    def summary(self) -> str:
-        counts = self.trips_since(0)
-        if not counts:
-            return f"health[{self.mode}]: no trips"
-        body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        return f"health[{self.mode}]: {self.n_trips} trips ({body})"
-
 
 # ---------------------------------------------------------------------------
 # live event stream
@@ -470,34 +314,33 @@ NULL_EVENTS = NullEventWriter()
 
 @dataclass(frozen=True)
 class Recorder:
-    """What a run records into: tracer, metrics registry, event stream,
-    invariant monitor and health sentinel.
+    """What a run records into: tracer, metrics registry, event stream
+    and safety net (:class:`~repro.observability.invariants.HealthSentinel`).
 
     Frozen: a scope swaps the active recorder (:func:`use_run`), never a
     field of one.  A recorder pickles (and copies) as its *spec*: a fresh
     tracer and registry where these are live, null ones where not, the
-    null event writer, and the monitor and sentinel as fresh instances of
-    their mode — the recorder a pool worker runs a chunk under
+    null event writer, and the sentinel as a fresh instance of its mode
+    — the recorder a pool worker runs a chunk under
     (:func:`capture_telemetry`).
     """
 
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
     events: object = NULL_EVENTS
-    monitor: InvariantMonitor = InvariantMonitor()
     sentinel: HealthSentinel = HealthSentinel()
 
     def __reduce__(self):
         return _spawn, (self.tracer.enabled, self.metrics.enabled,
-                        self.monitor, self.sentinel)
+                        self.sentinel)
 
 
-def _spawn(tracer_live, metrics_live, monitor, sentinel) -> Recorder:
+def _spawn(tracer_live, metrics_live, sentinel) -> Recorder:
     """The recorder a spec unpickles to (:meth:`Recorder.__reduce__`)."""
     return Recorder(
         Tracer() if tracer_live else NULL_TRACER,
         MetricsRegistry() if metrics_live else NULL_METRICS,
-        NULL_EVENTS, monitor, sentinel,
+        NULL_EVENTS, sentinel,
     )
 
 
@@ -549,13 +392,8 @@ def get_events():
     return _RUN.events
 
 
-def get_monitor():
-    """The active invariant monitor (default: a non-strict one)."""
-    return _RUN.monitor
-
-
 def get_sentinel() -> HealthSentinel:
-    """The active health sentinel (default: ``contain`` mode)."""
+    """The active safety net (default: ``contain`` mode)."""
     return _RUN.sentinel
 
 
@@ -590,11 +428,6 @@ def use_events(writer):
     return _scoped("events", writer)
 
 
-def use_monitor(monitor):
-    """``use_run(monitor=monitor)``, yielding the monitor."""
-    return _scoped("monitor", monitor)
-
-
 def use_sentinel(sentinel: HealthSentinel):
     """``use_run(sentinel=sentinel)``, yielding the sentinel."""
     return _scoped("sentinel", sentinel)
@@ -606,7 +439,7 @@ def use_sentinel(sentinel: HealthSentinel):
 
 #: The ledgers of a delta that recorded nothing: no fault, trip or
 #: violation.
-_NO_LEDGERS = (([], {}),) * 3
+_NO_LEDGERS = (([], {}),) * 2
 
 
 class TelemetryDelta:
@@ -643,9 +476,8 @@ class TelemetryDelta:
     ledgers : tuple of (list, dict)
         What the chunk added to each ledger, as
         :meth:`repro.observability.invariants.Ledger.since` reads it —
-        ``(records, counts)`` of the planted injector's fired faults,
-        the sentinel's trips and the monitor's violations, in that
-        order.
+        ``(records, counts)`` of the planted injector's fired faults and
+        of the sentinel's trips and violations, in that order.
     """
 
     __slots__ = (
@@ -747,8 +579,7 @@ def capture_telemetry(run=None, worker: str | None = None,
     packages what it recorded there into ``cap.delta``: spans, metrics
     and flops, and what its ledgers recorded — the faults the injector
     of a planted ``solver`` (:class:`repro.resilience.PlantedSolver`)
-    fired, the sentinel's trips and the monitor's violations.  The
-    capture only *engages* inside a pool worker (or with
+    fired and the sentinel's trips and violations.  The capture only *engages* inside a pool worker (or with
     ``force=True``): in the parent, the live recorder already sees
     everything, so the scope yields an inert handle and the caller's
     recording is untouched — the same call site is safe on every
@@ -780,7 +611,7 @@ def capture_telemetry(run=None, worker: str | None = None,
         run = Recorder(Tracer(), MetricsRegistry(), sentinel=HealthSentinel())
     injector = getattr(solver, "injector", None)
     ledgers = (Ledger() if injector is None else injector.ledger,
-               run.sentinel.ledger, run.monitor.ledger)
+               run.sentinel.ledger)
     marks = [ledger.marker() for ledger in ledgers]
     wall0 = time.time()
     previous, _RUN = _RUN, run
@@ -811,8 +642,8 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
     into the active tracer with ``attrs["worker"]`` provenance and
     clock-offset alignment; the fired faults go into the ledger of
     ``solver``'s planted injector
-    (:meth:`repro.resilience.FaultInjector.absorb`), the trips into the
-    sentinel's and the violations into the monitor's — so the merged
+    (:meth:`repro.resilience.FaultInjector.absorb`), the trips and
+    violations into the sentinel's — so the merged
     state is exactly what a serial run of the same workload would have
     recorded.  Bookkeeping lands under
     ``telemetry.deltas_merged{worker=...}`` / ``telemetry.spans_merged``.
@@ -826,7 +657,7 @@ def merge_delta(delta, solver=None, faults_only: bool = False) -> bool:
     run = _RUN
     owners = (getattr(solver, "injector", None),)
     if not faults_only:
-        owners += (run.sentinel, run.monitor)
+        owners += (run.sentinel,)
     for owner, (records, counts) in zip(owners, delta.ledgers):
         if counts:
             owner.absorb(records, counts)

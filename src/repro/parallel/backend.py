@@ -17,7 +17,7 @@ of one rank is executed on the local machine.
 * ``process`` — ``ProcessPoolExecutor``; full interpreter parallelism,
   requires picklable solvers (all of ours are); a transport chunk runs
   in the child under the parent's run recorder and what it records —
-  spans, metrics, sentinel trips, monitor violations, fired faults — is
+  spans, metrics, sentinel trips and violations, fired faults — is
   merged back into the parent with worker provenance (the telemetry
   contract of :mod:`repro.observability.telemetry`), so counters and
   ledgers are exact on every backend.

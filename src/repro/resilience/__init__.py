@@ -17,7 +17,10 @@ the reproduction's equivalent machinery:
 * atomic :class:`~repro.resilience.checkpoint.SweepCheckpoint` for
   kill-and-resume sweeps, imported from :mod:`repro.resilience.checkpoint` (``import
   repro`` does not load it);
-* numerical-health sentinels (:mod:`repro.resilience.health`) and the
+* the run's one safety net, :class:`HealthSentinel` — numerical-health
+  trips and physics invariants under one mode and one ledger
+  (:mod:`repro.observability.invariants`, re-exported with the
+  numerical primitives by :mod:`repro.resilience.health`) — and the
   graceful-degradation ladder, whose quarantine is bounded by
   :func:`repro.resilience.degrade.check_quarantine`
   (:mod:`repro.resilience.degrade`);

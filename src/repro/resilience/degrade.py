@@ -54,9 +54,10 @@ __all__ = [
 #: ``ValueError`` covers scipy's finite-entry input checks;
 #: ``ArithmeticError`` covers overflow under ``np.errstate``;
 #: ``LinAlgError`` covers a singular block or dense inversion.
-#: :class:`DegradationBudgetError` and :class:`PhysicsInvariantError` are
-#: re-raised explicitly by every handler — exceeding the budget must fail
-#: the sweep, and a strict monitor's verdict must reach its caller.
+#: :class:`DegradationBudgetError` is re-raised explicitly by every
+#: handler — exceeding the budget must fail the sweep.  A
+#: :class:`PhysicsInvariantError` comes only from a ``strict`` sentinel,
+#: under which nothing climbs the ladder.
 LADDER_EXCEPTIONS = (
     RuntimeError,
     ValueError,

@@ -1,59 +1,58 @@
-"""Numerical-health sentinels for the hot solver kernels.
+"""Numerical-health primitives for the hot solver kernels.
 
-Typed exceptions (PR 1) only catch failures that *throw*.  The nastier
+Typed exceptions only catch failures that *throw*.  The nastier
 production killers are silent: a NaN that appears deep inside a block-LU
 factor and propagates into the current integral, a surface-GF fixed point
 whose residual quietly stops contracting, a Schur complement whose
-condition number explodes near a band edge.  This module gives every hot
-kernel a cheap, always-available health check:
+condition number explodes near a band edge.  Every hot kernel checks
+itself and reports to the run's one safety net:
 
-* :class:`HealthSentinel` — an observer with three modes (defined with
-  the run recorder in :mod:`repro.observability.telemetry`, whose
-  ``sentinel`` field — :func:`get_sentinel`, :func:`use_sentinel` — is
-  the active one; re-exported here):
+* :class:`HealthSentinel` — defined with the invariant checks in
+  :mod:`repro.observability.invariants` (one class, one mode, one
+  ledger); the run recorder's ``sentinel`` field — :func:`get_sentinel`,
+  :func:`use_sentinel` — is the active one; re-exported here.  Its
+  modes:
 
-  - ``"off"``     : zero checks, the historical fast path;
-  - ``"contain"`` : (default) record every trip into a bounded ledger and
-    the ``health.*`` metrics, let the degradation ladder of
-    :mod:`repro.resilience.degrade` heal the point;
+  - ``"off"``     : zero checks, numerical or physical;
+  - ``"contain"`` : (default) record every trip and violation into the
+    bounded ledger and the ``health.*`` / ``invariant.*`` metrics, let
+    the degradation ladder of :mod:`repro.resilience.degrade` heal a
+    tripped point;
   - ``"strict"``  : raise :class:`~repro.errors.NumericalBreakdownError`
-    at the first trip (debugging / CI gating).
+    at the first trip, :class:`~repro.errors.PhysicsInvariantError` at
+    the first violation (debugging / CI gating).
 
-* ``check_finite`` / ``check_condition`` / ``check_residual`` — the three
-  sentinel primitives instrumented into ``solvers/block_tridiagonal.py``,
-  ``negf/surface_gf.py`` and ``poisson/nonlinear.py``.  The transport
-  kernels (``negf/rgf.py``, ``wf/qtbm.py``) keep :func:`finite_rows` of
-  their observables as the result stack's ``finite`` mask and trip
-  ``nonfinite`` iff it has a False row.
+  ``trip`` and ``check_residual`` are instrumented into
+  ``solvers/block_tridiagonal.py``, ``negf/surface_gf.py`` and
+  ``poisson/nonlinear.py``.  The transport kernels (``negf/rgf.py``,
+  ``wf/qtbm.py``) keep :func:`finite_rows` of their observables as the
+  result stack's ``finite`` mask and trip ``nonfinite`` iff it has a
+  False row.
 
-* ``condition_estimate`` — the classic 1-norm estimate
+* ``condition_estimate`` / ``norm1`` — the classic 1-norm estimate
   ``cond1(A) ~ ||A||_1 * ||A^-1||_1`` (``norm1`` per factor), essentially
   free because the hot kernels already hold both the matrix and its
   inverse.
 
-Sentinels are pure observers: in ``contain`` mode they never modify a
-value, so a run that trips nothing is bit-identical to a run with the
-sentinel off.  Trips are accounted in one
-:class:`~repro.observability.invariants.Ledger` keyed ``"site:kind"`` —
-the account the invariant monitor's violations and a fault injector's
-fired faults keep too: the first ``Ledger.MAX_RECORDS`` trip events are
+The sentinel is a pure observer: in ``contain`` mode it never modifies
+a value, so a run that trips nothing is bit-identical to a run with the
+sentinel off.  Trips are keyed ``"site:kind"`` in the ledger the
+invariant violations share (a fault injector's fired faults keep a
+ledger of the same type): the first ``Ledger.MAX_RECORDS`` records are
 kept, every count is exact past that bound.  ``marker()`` snapshots the
-counts and ``trips_since()`` reads what grew since, so nested consumers
-(transport → SCF → I–V sweep) can each report the trips of their own
-window without double counting, and the degradation ladder reads the
-kinds of a window's trips from the same counts.
+counts and ``trips_since()`` reads the trips that grew since — never a
+violation — so nested consumers (transport → SCF → I–V sweep) can each
+report the trips of their own window without double counting, and the
+degradation ladder reads the kinds of a window's trips from the same
+counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..observability.telemetry import (
-    HealthEvent,
-    HealthSentinel,
-    get_sentinel,
-    use_sentinel,
-)
+from ..observability.invariants import HealthEvent, HealthSentinel
+from ..observability.telemetry import get_sentinel, use_sentinel
 
 __all__ = [
     "HealthEvent",

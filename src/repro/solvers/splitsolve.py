@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..observability.telemetry import get_monitor, get_tracer, trace_span
+from ..observability.telemetry import get_sentinel, get_tracer, trace_span
 from ..perf.flops import zgemm_flops
 from .block_tridiagonal import BlockTridiagLU, block_product
 
@@ -181,7 +181,7 @@ class SplitSolve:
                 y[p] = self._lu[p].solve(rhs[first : last + 1])
 
         if self._interface_lu is None:
-            get_monitor().check_finite(y[0], kernel="splitsolve")
+            get_sentinel().check_finite(y[0], kernel="splitsolve")
             return y[0]
 
         # interface RHS
@@ -217,5 +217,5 @@ class SplitSolve:
                     x[first + k] = y[p][k] - delta[k]
         for p, g in enumerate(self.separators):
             x[g] = x_sep[p]
-        get_monitor().check_finite(x, kernel="splitsolve")
+        get_sentinel().check_finite(x, kernel="splitsolve")
         return x

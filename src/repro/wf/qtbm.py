@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..observability.telemetry import get_monitor, get_tracer
+from ..observability.telemetry import get_sentinel, get_tracer
 from ..solvers.block_tridiagonal import BlockTridiagLU, block_product
 from ..tb.hamiltonian import BlockTridiagonalHamiltonian
 from ..negf.rgf import (
@@ -231,7 +231,7 @@ class WFSolver(KernelSolver):
             n_channels_right=n_open_r,
             interface_currents=currents,
         )
-        get_monitor().check_stack("wf", stack, gam_l, gam_r)
+        get_sentinel().check_stack("wf", stack, gam_l, gam_r)
         return stack
 
 

@@ -55,6 +55,15 @@ def mini_device():
     ))
 
 
+def trip_events(sentinel) -> list:
+    """The kept numerical-trip records of ``sentinel``, in order: its
+    ledger's records without the invariant violations it shares them
+    with."""
+    from repro.resilience import HealthEvent
+
+    return [r for r in sentinel.ledger.records if isinstance(r, HealthEvent)]
+
+
 def make_transport(built, **kwargs):
     """RGF transport calculation with the conformance-suite defaults."""
     kwargs.setdefault("method", "rgf")

@@ -1,14 +1,16 @@
-"""Tests for the metrics registry and the invariant monitors.
+"""Tests for the metrics registry and the invariant checks.
 
 Covers the two monitoring pillars of the observability layer:
 :mod:`repro.observability.metrics` (counters / gauges / histograms /
 series with the null-registry default) and
-:mod:`repro.observability.invariants` (physics monitors recording into
-the registry, strict escalation), plus their integration through the SCF
-loop, the distributed driver and the ``repro doctor`` CLI.
+:mod:`repro.observability.invariants` (the safety net's physics checks
+recording into the registry, strict escalation), plus their integration
+through the SCF loop, the distributed driver and the ``repro doctor``
+CLI.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +18,14 @@ import pytest
 from repro.errors import PhysicsInvariantError
 from repro.observability import (
     NULL_METRICS,
-    InvariantMonitor,
+    HealthSentinel,
     LogLinearHistogram,
     MetricsRegistry,
     MetricsSnapshot,
     get_metrics,
     metric_key,
     use_metrics,
-    use_monitor,
+    use_sentinel,
 )
 
 
@@ -186,47 +188,71 @@ class TestSnapshotAlgebra:
         assert flat["s.last"] == 0.25
 
 
+def _stack(transmission, n_modes=2, currents=None, gamma=None):
+    """A synthetic kernel result stack, one row per transmission, and its
+    contacts' Γ stacks — ``(stack, gam_l, gam_r)`` for
+    :meth:`HealthSentinel.check_stack`: unit spectral densities, the
+    given open-mode count, interface ``currents`` (one row each) when
+    given, and ``gamma`` (default the identity) on both contacts."""
+    t = np.atleast_1d(np.asarray(transmission, dtype=float))
+    b = t.size
+    stack = SimpleNamespace(
+        energy=np.linspace(0.1, 0.2, b), transmission=t,
+        n_channels_left=np.full(b, n_modes),
+        n_channels_right=np.full(b, n_modes),
+        spectral_left=np.ones((b, 3)), spectral_right=np.ones((b, 3)),
+        finite=np.ones(b, dtype=bool),
+    )
+    if currents is not None:
+        stack.interface_currents = np.asarray(currents, float).reshape(b, -1)
+    g = np.broadcast_to(np.eye(2) if gamma is None else gamma, (b, 2, 2))
+    return stack, g, g
+
+
 class TestInvariantMonitor:
     def test_transmission_violation_recorded_not_fatal(self):
-        m = InvariantMonitor()
-        assert m.check_transmission(2.5, n_modes=2) is False
+        m = HealthSentinel()
+        assert m.check_stack("rgf", *_stack(2.5, n_modes=2)) is False
         assert m.n_violations == 1
         assert m.violations[0].invariant == "transmission_bounds"
 
     def test_transmission_within_bounds_passes(self):
-        m = InvariantMonitor()
-        assert m.check_transmission(1.999, n_modes=2) is True
+        m = HealthSentinel()
+        assert m.check_stack("rgf", *_stack(1.999, n_modes=2)) is True
         assert m.n_violations == 0
 
     def test_density_nan_flags(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         assert m.check_density(np.array([1.0, np.nan])) is False
 
     def test_density_negative_flags(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         assert m.check_density(np.array([1.0, -1e-3])) is False
         assert m.check_density(np.array([1.0, -1e-15])) is True
 
     def test_current_conservation(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         good = np.full(5, 0.7)
-        assert m.check_current_conservation(good, 0.7) is True
+        assert m.check_stack("wf", *_stack(0.7, currents=good)) is True
         leaky = np.array([0.7, 0.7, 0.5])
-        assert m.check_current_conservation(leaky, 0.7) is False
+        assert m.check_stack("wf", *_stack(0.7, currents=leaky)) is False
+        assert [v.invariant for v in m.violations] == ["current_conservation"]
 
     def test_gamma_hermiticity(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         g = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-        assert m.check_gamma(g) is True
-        assert m.check_gamma(g + np.array([[0, 0.1], [0, 0]])) is False
+        assert m.check_stack("rgf", *_stack(0.5, gamma=g)) is True
+        bad = g + np.array([[0, 0.1], [0, 0]])
+        assert m.check_stack("rgf", *_stack(0.5, gamma=bad)) is False
+        assert {v.invariant for v in m.violations} == {"gamma_antihermitian"}
 
     def test_charge_neutrality_two_decades(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         assert m.check_charge_neutrality(50.0, 10.0) is True
         assert m.check_charge_neutrality(10.0 * 150.0, 10.0) is False
 
     def test_strict_raises(self):
-        m = InvariantMonitor(strict=True)
+        m = HealthSentinel("strict")
         with pytest.raises(PhysicsInvariantError) as exc:
             m.check_density(np.array([-1.0]))
         assert exc.value.invariant == "density_nonnegative"
@@ -236,9 +262,9 @@ class TestInvariantMonitor:
     def test_violations_flow_into_registry(self):
         r = MetricsRegistry()
         with use_metrics(r):
-            m = InvariantMonitor()
-            m.check_transmission(5.0, n_modes=1)
-            m.check_transmission(0.5, n_modes=1)
+            m = HealthSentinel()
+            m.check_stack("rgf", *_stack(5.0, n_modes=1))
+            m.check_stack("rgf", *_stack(0.5, n_modes=1))
         snap = r.snapshot()
         assert snap.counter(
             "invariant.violations", invariant="transmission_bounds"
@@ -248,7 +274,7 @@ class TestInvariantMonitor:
         ) == 1.0
 
     def test_summary_mentions_violations(self):
-        m = InvariantMonitor()
+        m = HealthSentinel()
         m.check_density(np.array([-1.0]))
         assert "1 violation" in m.summary()
 
@@ -256,11 +282,11 @@ class TestInvariantMonitor:
         """A chunk past the bound ships fewer records than it counts:
         after absorbing 5 records counted as 100, the next violation is
         read by ``violations_since(marker())`` and counted."""
-        source = InvariantMonitor()
+        source = HealthSentinel()
         for _ in range(5):
-            source.check_transmission(2.5, n_modes=2)
-        m = InvariantMonitor()
-        m.absorb(source.violations, {"transmission_bounds": 100})
+            source.check_stack("rgf", *_stack(2.5, n_modes=2))
+        m = HealthSentinel()
+        m.absorb(source.violations, {"invariant:transmission_bounds": 100})
         marker = m.marker()
         m.check_density(np.array([-1.0]))
         [new] = m.violations_since(marker)
@@ -311,8 +337,8 @@ class TestInstrumentationIntegration:
         )
         scf = SelfConsistentSolver(tiny_built, transport)
         r = MetricsRegistry()
-        monitor = InvariantMonitor()
-        with use_metrics(r), use_monitor(monitor):
+        monitor = HealthSentinel()
+        with use_metrics(r), use_sentinel(monitor):
             scf.run(0.0, 0.05)
         snap = r.snapshot()
         assert monitor.n_violations == 0

@@ -25,6 +25,7 @@ from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.perf import sancho_rubio_flops
 from repro.resilience import HealthSentinel, use_sentinel
 from repro.tb.chain import chain_band_edges, chain_self_energy, chain_surface_gf
+from tests.conftest import trip_events
 
 
 def chain_lead(e0=0.0, t=1.0):
@@ -470,7 +471,7 @@ class TestModeBasis:
             with use_sentinel(sentinel):
                 check()
             return [(e.site, e.kind, e.detail)
-                    for e in sentinel.events_since(0)]
+                    for e in trip_events(sentinel)]
 
         for stack in [energies, *energies[:, None]]:
             with np.errstate(invalid="ignore"):
@@ -498,7 +499,7 @@ class TestModeBasis:
         sentinel = HealthSentinel(mode="contain")
         with use_sentinel(sentinel):
             _surface_gfs(band_grid(h00, 2.03), [(h00, h01, "left")], self.ETA)
-        (event,) = sentinel.events_since(0)
+        (event,) = trip_events(sentinel)
         assert (event.site, event.kind) == ("surface_gf", "residual")
 
     @pytest.mark.parametrize("order", ["modes-dense", "dense-modes"])
@@ -580,7 +581,7 @@ class TestModeBasis:
                     poisoned = result[("left", "right").index(side)][0]
                 except SurfaceGFConvergenceError as error:
                     poisoned = (type(error), error.energy, str(error))
-            trips = [(e.site, e.kind, e.detail) for e in sentinel.events_since(0)]
+            trips = [(e.site, e.kind, e.detail) for e in trip_events(sentinel)]
             counted = reg.snapshot().with_prefix(
                 "counters", "surface_gf.nonconverged"
             )
@@ -865,7 +866,7 @@ class TestSelfEnergy:
             bad = fresh()
             for _ in range(3):
                 bad.sigma_stacks(MIXED_STACK)
-        events = sentinel.events_since(0)
+        events = trip_events(sentinel)
         assert [(e.site, e.kind) for e in events] == [
             ("surface_gf", "residual")] * 6
         assert [e.detail.split()[0] for e in events] == ["side=left",

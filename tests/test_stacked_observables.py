@@ -21,12 +21,7 @@ from repro.core.transport import _KPoint
 from repro.lattice import partition_into_slabs, rectangular_grid_device
 from repro.negf import RGFSolver, dense_observables
 from repro.negf.rgf import equal_width_groups
-from repro.observability import (
-    InvariantMonitor,
-    MetricsRegistry,
-    use_monitor,
-    use_run,
-)
+from repro.observability import MetricsRegistry, use_run
 from repro.perf.flops import sancho_rubio_flops, wf_solve_flops
 from repro.physics.grids import uniform_grid
 from repro.resilience import (
@@ -189,9 +184,9 @@ class TestSafetyNets:
         energies = band_energy_grid(H, n_energy=5)
         # a density floor no spectral function can meet: every energy and
         # side must be reported, each with its own energy
-        set_constant(InvariantMonitor, "TOL_DENSITY", -1e6)
-        monitor = InvariantMonitor()
-        with use_monitor(monitor):
+        set_constant(HealthSentinel, "TOL_DENSITY", -1e6)
+        monitor = HealthSentinel()
+        with use_sentinel(monitor):
             solver_cls(H).solve_batch(energies)
         reported = sorted(
             (dict(v.context)["energy"], dict(v.context)["side"])
@@ -216,13 +211,13 @@ class TestSafetyNets:
         solver = solver_cls(H)
         # tolerances some energies fail and others pass
         floor = np.median(solver.solve_batch(energies).spectral_left.min(1))
-        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -0.01)
-        set_constant(InvariantMonitor, "TOL_DENSITY", -floor)
+        set_constant(HealthSentinel, "TOL_TRANSMISSION", -0.01)
+        set_constant(HealthSentinel, "TOL_DENSITY", -floor)
         ledgers = []
         for stacks in ([energies], [[e] for e in energies]):
-            monitor = InvariantMonitor()
+            monitor = HealthSentinel()
             registry = MetricsRegistry()
-            with use_run(monitor=monitor, metrics=registry):
+            with use_run(sentinel=monitor, metrics=registry):
                 for stack in stacks:
                     solver.solve_batch(stack)
             ledgers.append((monitor.violations, {
@@ -247,11 +242,11 @@ class TestSafetyNets:
         # a transmission tolerance only the largest T/N ratio can violate
         target = max(open_, key=lambda r: r.transmission)
         set_constant(
-            InvariantMonitor, "TOL_TRANSMISSION",
+            HealthSentinel, "TOL_TRANSMISSION",
             -(target.n_channels_left - target.transmission) - 1e-9,
         )
-        monitor = InvariantMonitor()
-        with use_monitor(monitor):
+        monitor = HealthSentinel()
+        with use_sentinel(monitor):
             RGFSolver(H).solve_batch(energies)
         flagged = {
             dict(v.context)["energy"] for v in monitor.violations
@@ -656,9 +651,9 @@ class TestProfileKernelsScript:
         assert profile_kernels.category_of("negf.rgf:_contact_density") == (
             "contraction GEMM"
         )
-        # the run's monitor checks every stack: a health check, not a
+        # the run's sentinel checks every stack: a health check, not a
         # contraction
-        monitor = "observability.invariants:InvariantMonitor._gamma"
+        monitor = "observability.invariants:HealthSentinel._gamma"
         assert monitor in seconds
         assert profile_kernels.category_of(monitor) == "health checks"
 

@@ -522,8 +522,8 @@ def _pooled(registry) -> bool:
 
 
 class TestOneRecorderOnThePool:
-    """The process backend honours the parent's sentinel, monitor and
-    planted faults as the serial backend does, on a pool warmed before
+    """The process backend honours the parent's sentinel and planted
+    faults as the serial backend does, on a pool warmed before
     they were installed (as a long sweep's pool is): every chunk runs
     under the parent recorder's spec and its trips, violations and fired
     faults come back in its delta."""
@@ -602,37 +602,32 @@ class TestOneRecorderOnThePool:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_strict_monitor_raises(self, fet, backend, set_constant):
         """No transmission passes a negative tolerance, and nothing heals
-        the raise: with the sentinel off nothing climbs the ladder, and
-        under the default ``contain`` sentinel the ladder re-raises a
-        strict monitor's verdict instead of solving the energy again on
-        the dense-oracle rung, which checks no invariant."""
+        the raise: a strict sentinel climbs no ladder, so its invariant
+        verdict reaches the caller instead of the energy being solved
+        again on the dense-oracle rung, which checks no invariant."""
         from repro.errors import PhysicsInvariantError
-        from repro.observability import InvariantMonitor, use_run
+        from repro.observability import use_run
         from repro.resilience import HealthSentinel
 
         built, potential = fet
-        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
-        for sentinel in ({"sentinel": HealthSentinel("off")}, {}):
-            registry = MetricsRegistry()
-            with use_run(
-                metrics=registry, **sentinel,
-                monitor=InvariantMonitor(strict=True),
-            ):
-                with pytest.raises(PhysicsInvariantError):
-                    self._calc(built, backend).solve_bias(potential, 0.1)
-            assert _pooled(registry) == (backend == "process")
+        set_constant(HealthSentinel, "TOL_TRANSMISSION", -1.0)
+        registry = MetricsRegistry()
+        with use_run(metrics=registry, sentinel=HealthSentinel("strict")):
+            with pytest.raises(PhysicsInvariantError):
+                self._calc(built, backend).solve_bias(potential, 0.1)
+        assert _pooled(registry) == (backend == "process")
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_plain_solve_is_monitored(self, fet, backend):
-        """With no monitor installed a solve is checked by the default one:
-        a non-strict :class:`InvariantMonitor` recording what an explicit
-        one records."""
-        from repro.observability import InvariantMonitor, get_monitor
+        """With no sentinel installed a solve is checked by the default
+        one: a ``contain`` :class:`HealthSentinel` recording what an
+        explicit one records."""
+        from repro.observability import HealthSentinel, get_sentinel
 
-        assert type(get_monitor()) is InvariantMonitor
-        assert not get_monitor().strict
+        assert type(get_sentinel()) is HealthSentinel
+        assert get_sentinel().mode == "contain"
         got = []
-        for fields in ({}, {"monitor": InvariantMonitor()}):
+        for fields in ({}, {"sentinel": HealthSentinel()}):
             res, registry = self._solve(fet, backend, **fields)
             got.append((res.current_a, {
                 key: value
@@ -649,30 +644,30 @@ class TestOneRecorderOnThePool:
         chunk ships exactly what its worker's copy recorded — the records
         it kept, up to the bound the workers inherit, and their count —
         so both backends end with the serial account."""
-        from repro.observability import InvariantMonitor, use_run
+        from repro.observability import HealthSentinel, use_run
         from repro.observability.invariants import Ledger
 
         built, potential = fet
         bound = 3
-        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
-        one = InvariantMonitor()
-        with use_run(monitor=one):
+        set_constant(HealthSentinel, "TOL_TRANSMISSION", -1.0)
+        one = HealthSentinel()
+        with use_run(sentinel=one):
             self._calc(built, "serial").solve_bias(potential, 0.1)
         assert one.n_violations > 2 * bound  # a chunk fills its ledger
         set_constant(Ledger, "MAX_RECORDS", bound)
         # a shipped chunk past the bound: its records up to the bound,
         # its whole count
-        shipped = InvariantMonitor()
+        shipped = HealthSentinel()
         shipped.absorb(one.violations,
-                       {"transmission_bounds": one.n_violations + 5})
+                       {"invariant:transmission_bounds": one.n_violations + 5})
         assert shipped.violations == one.violations[:bound]
         assert shipped.n_violations == one.n_violations + 5
         got = {}
         for backend in ("serial", "process"):
-            monitor = InvariantMonitor()
+            monitor = HealthSentinel()
             registry = MetricsRegistry()
             calc = self._calc(built, backend)
-            with use_run(metrics=registry, monitor=monitor):
+            with use_run(metrics=registry, sentinel=monitor):
                 for solve in range(3):
                     marker = monitor.marker()
                     calc.solve_bias(potential, 0.1)
@@ -688,13 +683,13 @@ class TestOneRecorderOnThePool:
         assert got["process"] == got["serial"]
 
     def test_monitor_violations_equal_serial(self, fet, set_constant):
-        from repro.observability import InvariantMonitor
+        from repro.observability import HealthSentinel
 
-        set_constant(InvariantMonitor, "TOL_TRANSMISSION", -1.0)
+        set_constant(HealthSentinel, "TOL_TRANSMISSION", -1.0)
         got = {}
         for backend in ("serial", "process"):
-            monitor = InvariantMonitor()
-            res, registry = self._solve(fet, backend, monitor=monitor)
+            monitor = HealthSentinel()
+            res, registry = self._solve(fet, backend, sentinel=monitor)
             counts = {
                 key: value
                 for key, value in registry.snapshot().counters.items()
@@ -704,6 +699,77 @@ class TestOneRecorderOnThePool:
             assert (_merged(registry) > 0) == (backend == "process")
         assert got["process"] == got["serial"]
         assert len(got["serial"][0]) > 0
+
+    def test_violations_never_climb_the_ladder(self, fet, set_constant):
+        """Violations share the trips' ledger, not their window: with
+        every transmission in violation, a ``contain`` run records them
+        and takes no ladder step, and its account and current are a
+        clean run's, on both backends."""
+        from repro.resilience import HealthSentinel
+
+        backends = ("serial", "process")
+        clean = {backend: self._solve(fet, backend)[0] for backend in backends}
+        set_constant(HealthSentinel, "TOL_TRANSMISSION", -1.0)
+        for backend in backends:
+            sentinel = HealthSentinel()
+            res, registry = self._solve(fet, backend, sentinel=sentinel)
+            assert sentinel.n_violations > 0
+            assert res.degradation.ladder_steps == {}
+            assert res.degradation.to_dict() == (
+                clean[backend].degradation.to_dict())
+            assert res.current_a == clean[backend].current_a
+            assert _pooled(registry) == (backend == "process")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_off_checks_nothing(self, fet, backend):
+        """An ``off`` sentinel runs neither kind of check — no
+        ``invariant.*`` and no ``health.*`` metric — and a clean solve
+        under it is the ``contain`` solve, bit for bit."""
+        from repro.resilience import HealthSentinel
+
+        got = {}
+        for mode in ("off", "contain"):
+            res, registry = self._solve(
+                fet, backend, sentinel=HealthSentinel(mode))
+            snap = registry.snapshot()
+            checked = sorted(
+                key for key in (*snap.counters, *snap.gauges)
+                if key.startswith(("invariant.", "health.")))
+            got[mode] = (res.current_a, res.transmission.tolist(),
+                         res.density_per_atom.tolist(),
+                         res.degradation.to_dict(), checked)
+        assert got["off"][4] == []
+        assert got["contain"][4]
+        assert got["off"][:4] == got["contain"][:4]
+
+    def test_once_fault_past_the_ledger_bound_fires_once(self, fet):
+        """A transient fault fires once however full the injector's
+        ledger already is: a worker's copy starts with room for its own
+        records, so the parent learns which (site, key) fired and does
+        not fire it again when it heals the row — the serial account on
+        both backends."""
+        from repro.observability.invariants import Ledger
+        from repro.resilience import FaultInjector
+        from repro.resilience.faults import InjectedFault
+
+        built, potential = fet
+        grid = self._calc(built, "serial").energy_grid(potential, 0.1)
+        e = grid.energies.tolist()
+        got = {}
+        for backend in ("serial", "process"):
+            injector = FaultInjector(plan={("energy", (0, e[4])): "nan"})
+            # an account already at its bound (a long drill's)
+            full = Ledger.MAX_RECORDS
+            injector.ledger.absorb(
+                [InjectedFault("bias", i, "raise") for i in range(full)],
+                {"raise": full})
+            res, registry = self._solve(fet, backend, injector=injector)
+            got[backend] = (res.degradation.to_dict(), res.current_a,
+                            injector.count("nan"))
+            assert _pooled(registry) == (backend == "process")
+        assert got["process"] == got["serial"]
+        assert got["serial"][2] == 1
+        assert got["serial"][0]["ladder_steps"] == {"chunk:per-point": 1}
 
     @pytest.mark.parametrize("drill", ["hblock-nan", "hblock-illcond", "energy"])
     def test_drills_give_the_serial_account(self, fet, drill):
@@ -756,3 +822,36 @@ class TestOneSlot:
         for module in ("observability", "resilience", "resilience.health"):
             names = dir(__import__(f"repro.{module}", fromlist=["_"]))
             assert not [n for n in names if n.startswith("set_")]
+
+    def test_one_safety_net(self):
+        """One recorder slot holds the one safety net: no second checker
+        class or accessor is left under ``src/repro``, and a worker delta
+        carries two ledgers — fired faults, then the sentinel's trips and
+        violations together."""
+        import dataclasses
+        from pathlib import Path
+
+        import repro
+        from repro.observability import (
+            InvariantViolation,
+            Recorder,
+            capture_telemetry,
+            get_sentinel,
+        )
+        from repro.resilience import HealthEvent
+
+        assert [f.name for f in dataclasses.fields(Recorder)] == [
+            "tracer", "metrics", "events", "sentinel"]
+        root = Path(repro.__file__).parent
+        for path in root.rglob("*.py"):
+            text = path.read_text()
+            for name in ("InvariantMonitor", "get_monitor", "use_monitor"):
+                assert name not in text, (path, name)
+        with capture_telemetry(force=True) as cap:
+            get_sentinel().trip("lu", "nonfinite")
+            get_sentinel().check_density([-1.0])
+        faults, (records, counts) = cap.delta.ledgers
+        assert faults == ([], {})
+        assert [type(r) for r in records] == [HealthEvent, InvariantViolation]
+        assert counts == {"lu:nonfinite": 1,
+                          "invariant:density_nonnegative": 1}
